@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench solver-bench bench-check dynlb-bench faults-bench service-bench asyncserve-bench obs-bench chaos examples reports clean
+.PHONY: install test bench e2e-bench solver-bench bench-check dynlb-bench faults-bench service-bench asyncserve-bench obs-bench chaos examples reports clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -15,6 +15,13 @@ test:
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The end-to-end ledger (BENCHMARK.json): every workload's end-to-end
+# metrics with tracing off, then the ledger's own self-tests (tier-1
+# collects only tests/).  The runner finds src/ itself.
+e2e-bench:
+	python3 benchmarks/e2e/run.py --trace 0
+	python3 -m pytest benchmarks/e2e/test_e2e.py
 
 # Solver hot-path micro-benchmarks (simplex, warm restarts, B&B node
 # throughput, OA masters); updates benchmarks/out/BENCH_solver_micro.json.

@@ -46,7 +46,9 @@ class GateRule:
 #: Records whose regression fails the gate (first matching rule wins).
 #:
 #: * solver micro-benchmarks — the hot path this repo optimizes
-#:   deliberately; a >2x wall-time regression is a code problem, not noise;
+#:   deliberately; a >2x wall-time regression is a code problem, not noise
+#:   (``test_layout1_full_solve`` included: losing the relaxation
+#:   projection costs it ~9x);
 #: * ``dynlb_total_*`` — *simulated* seconds under the keyed-RNG workload,
 #:   deterministic, so a regression is an algorithmic change;
 #: * ``service_*`` — the allocation-service Zipf-mix records; the
@@ -65,6 +67,7 @@ GATED = (
     GateRule("test_lp_highs_backend"),
     GateRule("test_incremental_lp_node_resolve"),
     GateRule("test_bnb_node_throughput*"),
+    GateRule("test_layout1_full_solve"),
     GateRule("dynlb_total_*"),
     GateRule("service_throughput_rps", "higher", 3.0),
     GateRule("service_speedup", "higher", 2.0),

@@ -18,6 +18,7 @@ Two pieces live here:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -70,7 +71,8 @@ class DiscreteNodeSet:
         return len(self.values)
 
     def __contains__(self, n: int) -> bool:
-        return int(n) in set(self.values)
+        i = bisect_left(self.values, int(n))
+        return i < len(self.values) and self.values[i] == int(n)
 
     def runs(self) -> list[tuple[int, int]]:
         """Maximal runs of consecutive integers, as (lo, hi) pairs."""
@@ -87,12 +89,12 @@ class DiscreteNodeSet:
 
     def nearest(self, n: float) -> int:
         """The admissible count closest to ``n`` (ties to the smaller)."""
-        return min(self.values, key=lambda v: (abs(v - n), v))
+        i = bisect_left(self.values, n)
+        return min(self.values[max(i - 1, 0):i + 1], key=lambda v: (abs(v - n), v))
 
     def below(self, n: float) -> int:
         """The largest admissible count <= n (smallest member if none)."""
-        candidates = [v for v in self.values if v <= n]
-        return candidates[-1] if candidates else self.values[0]
+        return self.values[max(bisect_right(self.values, n) - 1, 0)]
 
 
 class AllocationModelBuilder:

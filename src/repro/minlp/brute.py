@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from repro.minlp.nlp import solve_nlp
+from repro.minlp.presolve import presolve
 from repro.minlp.problem import Problem, Sense
 from repro.minlp.solution import Solution, SolveStats, Status
 
@@ -86,7 +87,13 @@ def solve_brute_force(
     has_continuous = any(not v.is_discrete for v in problem.variables)
     for fixes in enumerate_assignments(problem, limit=limit):
         stats.nodes_explored += 1
-        fixed = problem.with_bounds(fixes)
+        # Propagate the fixings first: a lone SOS member left facing its
+        # convexity row (``z_k = 1`` with ``z_k <= 1``) is the degenerate
+        # equality-at-a-bound SLSQP can stop short on, and bound propagation
+        # pins it so solve_nlp substitutes it out.
+        fixed, report = presolve(problem.with_bounds(fixes))
+        if report.infeasible:
+            continue
         if has_continuous:
             sub = solve_nlp(fixed, multistart=nlp_multistart, rng=rng)
             stats.nlp_solves += sub.stats.nlp_solves

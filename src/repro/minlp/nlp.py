@@ -18,12 +18,37 @@ from scipy.optimize import minimize
 
 from repro.minlp.expr import Expr
 from repro.minlp.problem import Problem, vector_to_values
+from repro.minlp.projection import Projection, project_sos1
 from repro.minlp.solution import Solution, SolveStats, Status
+from repro.obs.trace import span
 from repro.util.rng import default_rng
 from repro.util.timing import Timer
 
 #: Fallback half-width of the sampling box for unbounded variables.
 _BIG = 1e4
+
+
+class _Iterate:
+    """The clipped name -> value view of the current iterate.
+
+    scipy evaluates the objective, every constraint and all their gradients
+    at the same ``x`` before moving on; the mapping is built once per
+    distinct ``x`` and shared by all of those closures.
+    """
+
+    def __init__(self, names: tuple[str, ...], lo: np.ndarray, hi: np.ndarray) -> None:
+        self._names = names
+        self._lo = lo
+        self._hi = hi
+        self._key: bytes | None = None
+        self._values: dict[str, float] = {}
+
+    def at(self, x: np.ndarray) -> dict[str, float]:
+        key = x.tobytes()
+        if key != self._key:
+            self._key = key
+            self._values = dict(zip(self._names, np.clip(x, self._lo, self._hi)))
+        return self._values
 
 
 class _Compiled:
@@ -35,9 +60,9 @@ class _Compiled:
     walk would dominate solve time.
     """
 
-    def __init__(self, expr: Expr, names: tuple[str, ...]) -> None:
+    def __init__(self, expr: Expr, names: tuple[str, ...], iterate: _Iterate) -> None:
         self.expr = expr
-        self.names = names
+        self._iterate = iterate
         self._const_grad: np.ndarray | None = None
         self.grad_exprs: list[Expr] | None = None
         try:
@@ -54,12 +79,12 @@ class _Compiled:
             )
 
     def value(self, x: np.ndarray) -> float:
-        return float(self.expr.evaluate(dict(zip(self.names, x))))
+        return float(self.expr.evaluate(self._iterate.at(x)))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         if self._const_grad is not None:
             return self._const_grad.copy()
-        values = dict(zip(self.names, x))
+        values = self._iterate.at(x)
         return np.array(
             [0.0 if g is None else g.evaluate(values) for g in self.grad_exprs],
             dtype=float,
@@ -95,6 +120,10 @@ def solve_nlp(
 ) -> Solution:
     """Solve the continuous problem, ignoring integrality and SOS1 sets.
 
+    Selection variables of SOS1 sets that :func:`project_sos1` finds
+    eligible are not handed to scipy; they are reconstructed for the
+    returned point, so ``Solution.values`` is always complete.
+
     Parameters mirror a classical NLP driver: optional warm start ``x0``,
     ``multistart`` extra random restarts, and scipy ``method`` selection
     (``SLSQP`` or ``trust-constr``).  Returns the best feasible KKT point
@@ -115,65 +144,93 @@ def solve_nlp(
             stats=SolveStats(nlp_solves=1),
             message="fixed variables violate a constraint",
         )
-    small, pinned = reduced
-    if pinned:
-        if small.num_variables == 0:
-            values = dict(pinned)
-            viol = max((c.violation(values) for c in problem.constraints), default=0.0)
-            if viol > feas_tol:
-                return Solution(
-                    Status.INFEASIBLE,
-                    stats=SolveStats(nlp_solves=1),
-                    message="fully pinned and infeasible",
-                )
+    free, pinned = reduced
+    if pinned and free.num_variables == 0:
+        values = dict(pinned)
+        viol = max((c.violation(values) for c in problem.constraints), default=0.0)
+        if viol > feas_tol:
             return Solution(
-                Status.OPTIMAL,
-                values=values,
-                objective=problem.objective_value(values),
+                Status.INFEASIBLE,
                 stats=SolveStats(nlp_solves=1),
+                message="fully pinned and infeasible",
             )
-        if isinstance(x0, dict):
-            x0 = {k: v for k, v in x0.items() if k in small.variable_names}
-        elif x0 is not None:
-            full = dict(zip(problem.variable_names, np.asarray(x0, dtype=float)))
-            x0 = {k: v for k, v in full.items() if k in small.variable_names}
-        inner = solve_nlp(
-            small,
-            x0,
-            multistart=multistart,
-            method=method,
-            tol=tol,
-            feas_tol=feas_tol,
-            max_iter=max_iter,
-            rng=rng,
+        return Solution(
+            Status.OPTIMAL,
+            values=values,
+            objective=problem.objective_value(values),
+            stats=SolveStats(nlp_solves=1),
         )
-        if inner.status.is_ok:
-            inner.values = {**inner.values, **pinned}
-        return inner
+    if x0 is not None and not isinstance(x0, dict):
+        x0 = dict(zip(problem.variable_names, np.asarray(x0, dtype=float)))
 
-    names = problem.variable_names
-    sign = -1.0 if problem.sense.value == "maximize" else 1.0
+    # Likewise for every caller: selection variables of eligible SOS1 sets
+    # are projected out of the relaxation and lifted back into the answer.
+    projection = project_sos1(free)
+    if projection is None:
+        return Solution(
+            Status.INFEASIBLE,
+            stats=SolveStats(nlp_solves=1),
+            message="no SOS1 member choice satisfies a row",
+        )
+    options = dict(
+        multistart=multistart, method=method, tol=tol, feas_tol=feas_tol,
+        max_iter=max_iter, rng=rng,
+    )
+    sol, exact = _solve_projected(free, projection, x0, **options)
+    if not exact:
+        # Some row pattern is jointly tighter than its per-row intervals:
+        # this relaxation is solved in the full space, and both are counted.
+        spent = sol.stats
+        sol, _ = _solve_projected(free, Projection(free), x0, **options)
+        sol.stats.merge(spent)
+    if sol.status.is_ok:
+        sol.values = {**sol.values, **pinned}
+    return sol
 
-    obj = _Compiled(problem.objective, names)
-    lo = np.array([v.lb for v in problem.variables])
-    hi = np.array([v.ub for v in problem.variables])
+
+def _solve_projected(
+    problem: Problem,
+    projection: Projection,
+    x0: dict[str, float] | None,
+    *,
+    multistart: int,
+    method: str,
+    tol: float,
+    feas_tol: float,
+    max_iter: int,
+    rng: np.random.Generator | None,
+) -> tuple[Solution, bool]:
+    """Run scipy on ``projection.problem``; answer for ``problem``.
+
+    Every candidate is lifted back and checked against ``problem`` itself.
+    The flag is False when a lift failed: the projection was not exact, and
+    neither the answer nor an INFEASIBLE can be trusted.
+    """
+    small = projection.problem
+    names = small.variable_names
+    sign = -1.0 if small.sense.value == "maximize" else 1.0
+
+    lo = np.array([v.lb for v in small.variables])
+    hi = np.array([v.ub for v in small.variables])
+    iterate = _Iterate(names, lo, hi)
+    obj = _Compiled(small.objective, names, iterate)
 
     def fun(x: np.ndarray) -> float:
-        return sign * obj.value(np.clip(x, lo, hi))
+        return sign * obj.value(x)
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return sign * obj.grad(np.clip(x, lo, hi))
+        return sign * obj.grad(x)
 
     # scipy's dict-constraint convention: ineq means g(x) >= 0.
     cons = []
-    for con in problem.constraints:
-        comp = _Compiled(con.body, names)
+    for con in small.constraints:
+        comp = _Compiled(con.body, names, iterate)
         if con.is_equality:
             cons.append(
                 {
                     "type": "eq",
-                    "fun": (lambda x, c=comp, b=con.lb: c.value(np.clip(x, lo, hi)) - b),
-                    "jac": (lambda x, c=comp: c.grad(np.clip(x, lo, hi))),
+                    "fun": (lambda x, c=comp, b=con.lb: c.value(x) - b),
+                    "jac": comp.grad,
                 }
             )
             continue
@@ -181,81 +238,84 @@ def solve_nlp(
             cons.append(
                 {
                     "type": "ineq",
-                    "fun": (lambda x, c=comp, b=con.ub: b - c.value(np.clip(x, lo, hi))),
-                    "jac": (lambda x, c=comp: -c.grad(np.clip(x, lo, hi))),
+                    "fun": (lambda x, c=comp, b=con.ub: b - c.value(x)),
+                    "jac": (lambda x, c=comp: -c.grad(x)),
                 }
             )
         if math.isfinite(con.lb):
             cons.append(
                 {
                     "type": "ineq",
-                    "fun": (lambda x, c=comp, b=con.lb: c.value(np.clip(x, lo, hi)) - b),
-                    "jac": (lambda x, c=comp: c.grad(np.clip(x, lo, hi))),
+                    "fun": (lambda x, c=comp, b=con.lb: c.value(x) - b),
+                    "jac": comp.grad,
                 }
             )
 
     bounds = [
         (v.lb if math.isfinite(v.lb) else None, v.ub if math.isfinite(v.ub) else None)
-        for v in problem.variables
+        for v in small.variables
     ]
 
-    starts: list[np.ndarray] = []
+    start = _initial_point(small)
     if x0 is not None:
-        if isinstance(x0, dict):
-            # Partial warm starts are fine: unnamed variables begin at the
-            # default midpoint, and out-of-bounds donor values are clipped.
-            defaults = _initial_point(problem)
-            point = np.array(
-                [float(x0.get(n, d)) for n, d in zip(names, defaults)]
-            )
-            starts.append(np.clip(point, lo, hi))
-        else:
-            starts.append(np.asarray(x0, dtype=float))
-    else:
-        starts.append(_initial_point(problem))
+        # Partial warm starts are fine: unnamed variables begin at the
+        # default midpoint, and out-of-bounds donor values are clipped.
+        start = np.array([float(x0.get(n, d)) for n, d in zip(names, start)])
+    starts = [start]
     if multistart > 1:
         rng = rng or default_rng()
-        starts.extend(_sample_box(problem, rng) for _ in range(multistart - 1))
+        starts.extend(_sample_box(small, rng) for _ in range(multistart - 1))
 
     stats = SolveStats()
     best: Solution | None = None
+    exact = True
     timer = Timer().start()
-    for start in starts:
-        stats.nlp_solves += 1
-        try:
-            res = minimize(
-                fun,
-                np.clip(start, lo, hi),
-                jac=jac,
-                bounds=bounds,
-                constraints=cons,
-                method=method,
-                tol=tol,
-                options={"maxiter": max_iter},
+    with span(
+        "minlp.nlp",
+        layer="minlp.nlp",
+        vars=small.num_variables,
+        eliminated=len(projection.members),
+    ) as nlp_span:
+        for start in starts:
+            stats.nlp_solves += 1
+            try:
+                res = minimize(
+                    fun,
+                    np.clip(start, lo, hi),
+                    jac=jac,
+                    bounds=bounds,
+                    constraints=cons,
+                    method=method,
+                    tol=tol,
+                    options={"maxiter": max_iter},
+                )
+            except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
+                continue
+            x = np.clip(np.asarray(res.x, dtype=float), lo, hi)
+            values = projection.lift(vector_to_values(small, x))
+            if values is None:
+                exact = False
+                continue
+            viol = max(
+                (c.violation(values) for c in problem.constraints), default=0.0
             )
-        except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
-            continue
-        x = np.clip(np.asarray(res.x, dtype=float), lo, hi)
-        values = vector_to_values(problem, x)
-        viol = max(
-            (c.violation(values) for c in problem.constraints), default=0.0
-        )
-        if viol > feas_tol:
-            continue
-        objective = problem.objective_value(values)
-        better = best is None or (
-            sign * objective < sign * best.objective - 1e-12
-        )
-        if better:
-            best = Solution(
-                Status.OPTIMAL if res.success else Status.FEASIBLE,
-                values=values,
-                objective=objective,
-                bound=-math.inf if sign > 0 else math.inf,
-                message=str(res.message),
+            if viol > feas_tol:
+                continue
+            objective = problem.objective_value(values)
+            better = best is None or (
+                sign * objective < sign * best.objective - 1e-12
             )
+            if better:
+                best = Solution(
+                    Status.OPTIMAL if res.success else Status.FEASIBLE,
+                    values=values,
+                    objective=objective,
+                    bound=-math.inf if sign > 0 else math.inf,
+                    message=str(res.message),
+                )
+        nlp_span.set_tag("lifted", best is not None and bool(projection.members))
     stats.wall_time = timer.stop()
     if best is None:
-        return Solution(Status.INFEASIBLE, stats=stats, message="no feasible KKT point")
+        best = Solution(Status.INFEASIBLE, message="no feasible KKT point")
     best.stats = stats
-    return best
+    return best, exact

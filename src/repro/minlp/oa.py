@@ -188,10 +188,11 @@ def solve_minlp_oa(
     cuts a master starts with, so callers that promise bit-identical
     replays must keep it per-solve.
     """
-    with span("minlp.oa", problem=problem.name):
+    with span("minlp.oa", problem=problem.name) as oa_span:
         sol = _solve_minlp_oa_impl(
             problem,
             options,
+            oa_span,
             feas_tol=feas_tol,
             nlp_multistart=nlp_multistart,
             rng=rng,
@@ -207,6 +208,7 @@ def solve_minlp_oa(
 def _solve_minlp_oa_impl(
     problem: Problem,
     options: BnBOptions | None,
+    oa_span,
     *,
     feas_tol: float,
     nlp_multistart: int,
@@ -234,6 +236,7 @@ def _solve_minlp_oa_impl(
     # seeds the initial linearizations so the first master is meaningful.
     root = solve_nlp(work, x0=x0, multistart=nlp_multistart, rng=rng)
     stats.merge(root.stats)
+    oa_span.set_tag("root_nlp_ms", root.stats.wall_time * 1e3)
     if root.status is Status.INFEASIBLE:
         # The continuous relaxation is infeasible => the MINLP is infeasible
         # (for convex models; NLP multistart covers solver failures).

@@ -9,6 +9,7 @@ from repro.cesm.grids import (
     one_degree,
 )
 from repro.core.builder import DiscreteNodeSet
+from repro.util.rng import keyed_rng
 
 
 def test_intrepid_size_matches_paper():
@@ -101,3 +102,16 @@ def test_nearest_and_below():
 def test_contains():
     s = DiscreteNodeSet.even_range(2, 8)
     assert 4 in s and 5 not in s
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_lookups_agree_with_a_linear_scan(case):
+    """Bisect lookups against the scans they replaced, ties included."""
+    rng = keyed_rng(92, "node-set", case)
+    values = tuple(rng.choice(range(1, 60), size=rng.integers(1, 25)).tolist())
+    s = DiscreteNodeSet(values)
+    probes = [*range(0, 62), *(v + 0.5 for v in range(0, 61)), *rng.uniform(-5, 70, 40)]
+    for n in probes:
+        assert s.nearest(n) == min(s.values, key=lambda v: (abs(v - n), v))
+        assert s.below(n) == max((v for v in s.values if v <= n), default=s.min)
+        assert (n in s) == (int(n) in set(s.values))

@@ -14,22 +14,9 @@ import asyncio
 
 import pytest
 
-from repro.obs.trace import get_tracer
 from repro.service import AsyncServingTier, TierConfig
 
 from tests.service.conftest import make_request
-
-
-@pytest.fixture
-def tracer():
-    t = get_tracer()
-    t.reset()
-    t.enable()
-    try:
-        yield t
-    finally:
-        t.disable()
-        t.reset()
 
 
 def _submit_all(tier, requests, priority="interactive"):
