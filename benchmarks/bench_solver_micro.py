@@ -123,13 +123,11 @@ def _bnb_knapsack(items, seed=0):
 
 @pytest.mark.parametrize("items", [8, 16, 28], ids=["small", "medium", "large"])
 def test_bnb_node_throughput(benchmark, items):
-    """B&B node throughput (simplex backend, parent-basis reuse on)."""
-    from repro.minlp import BnBOptions
+    """B&B node throughput on default options (simplex-sized node LPs)."""
     from repro.minlp.milp import solve_milp
 
     problem = _bnb_knapsack(items)
-    opts = BnBOptions(lp_backend="simplex", basis_reuse=True)
-    sol = benchmark.pedantic(lambda: solve_milp(problem, opts), rounds=3, iterations=1)
+    sol = benchmark.pedantic(lambda: solve_milp(problem), rounds=3, iterations=1)
     assert sol.status.value == "optimal"
     benchmark.extra_info["nodes"] = sol.stats.nodes_explored
 

@@ -1486,6 +1486,14 @@ def _cmd_trace_by_id(args: argparse.Namespace) -> int:
         return 1
     print(f"trace {args.trace_id} ({sum(1 for r in roots for _ in r.walk())} spans)")
     print(render_flamegraph(roots))
+    # Why a solve was slow: LPs per engine, polish snaps, root NLP time.
+    for root in roots:
+        for node, _ in root.walk():
+            if node.name == "minlp.oa":
+                print("minlp.oa  " + "  ".join(
+                    f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
+                    for k, v in node.tags.items()
+                ))
     print()
     print(render_timeline(roots))
     return 0

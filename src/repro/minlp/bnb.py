@@ -61,7 +61,7 @@ class _Node:
     branch_frac: float = 0.0  # fractional distance moved by the branching
     # Parent node's final simplex basis (a SimplexBasis), inherited so the
     # child LP warm-starts via dual-simplex restoration instead of a cold
-    # two-phase solve.  None at the root or when the LP backend is HiGHS.
+    # two-phase solve.  None at the root or when HiGHS solved the parent.
     basis: object | None = None
 
 
@@ -76,14 +76,7 @@ class BnBOptions:
     time_limit: float = 120.0
     branch_rule: str = "most_fractional"  # or "first_fractional"/"pseudocost"
     sos_branching: bool = True  # False: branch SOS members as plain binaries
-    #: LP relaxation backend: "highs" (scipy), "simplex" (built-in vectorized
-    #: simplex with basis reuse), or "auto" (simplex while the instance fits
-    #: its dense-tableau sweet spot, HiGHS beyond).  Default stays "highs":
-    #: on degenerate allocation LPs the two backends legitimately return
-    #: different optimal vertices, and downstream experiments pin their
-    #: expectations to HiGHS's choice.
-    lp_backend: str = "highs"
-    #: Hand each child node its parent's final basis (simplex backend only).
+    #: Hand each child node its parent's final basis (simplex-solved LPs only).
     #: Node solutions are bit-identical with this on or off; off forces a
     #: cold two-phase solve per node (the baseline the benchmarks compare).
     basis_reuse: bool = True
@@ -144,7 +137,7 @@ class BranchAndBound:
             # and cuts only append rows (no symbolic rebuilds).
             from repro.minlp.linprog import IncrementalLPSolver
 
-            self._incremental = IncrementalLPSolver(problem, backend=self.opts.lp_backend)
+            self._incremental = IncrementalLPSolver(problem)
             self.relax = None
         elif callable(relax_solver):
             self.relax = relax_solver
@@ -154,6 +147,11 @@ class BranchAndBound:
         # the average objective worsening per unit of fractional distance
         # removed, learned from solved child nodes.
         self._pseudo: dict[str, list[float]] = {}
+
+    @property
+    def lp_report(self) -> dict[str, int]:
+        """LPs per engine and variables snapped by the polish (span tags)."""
+        return dict(self._incremental.report) if self._incremental else {}
 
     # -- helpers -----------------------------------------------------------
 

@@ -1,11 +1,15 @@
 """Linear-programming layer.
 
-Canonical LP container plus two interchangeable backends:
+Canonical LP container plus two engines:
 
-* :func:`solve_lp` — scipy's HiGHS (the production path, standing in for the
-  CLP solver MINOTAUR uses for its LP relaxations);
-* :func:`repro.minlp.simplex.solve_lp_simplex` — a pure-Python two-phase
-  simplex used as a validation oracle and as a dependency-free fallback.
+* :func:`solve_lp` — scipy's HiGHS (standing in for the CLP solver MINOTAUR
+  uses for its LP relaxations);
+* :func:`repro.minlp.simplex.solve_lp_simplex` — the built-in vectorized
+  simplex, ~10x faster on the small LPs branch-and-bound re-solves.
+
+:class:`IncrementalLPSolver` is the one LP path at branch-and-bound nodes: it
+routes each solve to an engine by LP size and polishes the optimum toward
+integrality so the tree does not depend on which engine ran.
 
 LPs here are stated over **row ranges**: minimize ``c·x + c0`` subject to
 ``row_lb <= A x <= row_ub`` and ``var_lb <= x <= var_ub``.  That matches how
@@ -184,12 +188,106 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     )
 
 
-#: "auto" backend routes an LP to the built-in vectorized simplex while it
-#: stays within this dense-tableau sweet spot, and to HiGHS beyond it.  The
-#: crossover is where one dense refactorization (m^3/3 flops) overtakes
-#: scipy's per-call wrapper overhead (~1.5 ms on typical hardware).
-_AUTO_SIMPLEX_MAX_ROWS = 72
-_AUTO_SIMPLEX_MAX_COLS = 96
+#: Node LPs run on the built-in simplex while they fit its dense tableau and
+#: on HiGHS beyond.  Set from the measured per-LP crossover on the ledger's
+#: own LP shapes (table in DESIGN.md "Solver hot path"): the simplex wins on
+#: every shape up to 88 rows / 86 columns (0.3-0.75x of HiGHS's ~1.9 ms, most
+#: of which is scipy's wrapper) and loses from 92 rows / 102 columns on, by
+#: 2-180x.  Past the crossover the loss grows fast, so the limits sit on its
+#: near side.
+_AUTO_SIMPLEX_MAX_ROWS = 88
+_AUTO_SIMPLEX_MAX_COLS = 88
+
+#: A discrete value further than this from an integer is a polish candidate.
+_POLISH_INT_TOL = 1e-9
+#: A polished point may sit this far outside a row range — the engines' own
+#: primal feasibility tolerance — or as far out as the engine's point was.
+_POLISH_ROW_TOL = 1e-7
+
+
+def polish_columns(
+    discrete: np.ndarray,
+    c: np.ndarray,
+    A: np.ndarray,
+    row_lb: np.ndarray,
+    row_ub: np.ndarray,
+) -> np.ndarray:
+    """Discrete columns a lone integrality move can ever be valid for.
+
+    Moving one variable changes the objective unless its cost is zero, and
+    breaks an equality row it appears in (nothing else moves to compensate),
+    so both kinds are dropped once per matrix instead of once per solve —
+    SOS1 selection variables tied by ``sum z = 1`` cost the polish nothing.
+    """
+    in_equality = (A[row_lb == row_ub] != 0.0).any(axis=0)
+    return np.flatnonzero(discrete & (c == 0.0) & ~in_equality)
+
+
+def _fractional(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The subset of ``cols`` whose value in ``x`` is not integral."""
+    vals = x[cols]
+    return cols[np.abs(vals - np.rint(vals)) > _POLISH_INT_TOL]
+
+
+def polish_integrality(
+    x: np.ndarray,
+    cols: np.ndarray,
+    A: np.ndarray,
+    row_lb: np.ndarray,
+    row_ub: np.ndarray,
+    var_lb: np.ndarray,
+    var_ub: np.ndarray,
+) -> int:
+    """Snap fractional ``x[cols]`` to integers in place; returns how many.
+
+    ``x`` is an optimal point of the LP and ``cols`` come from
+    :func:`polish_columns`.  Each candidate moves to its floor, else its
+    ceiling, when the moved point stays inside the variable bounds and every
+    row range; the objective cannot change (zero-cost columns), so the result
+    is another optimum of the same LP — no longer a vertex, which
+    branch-and-bound never needed: the bound is the LP value, a dichotomy on
+    any fractional coordinate of any feasible point is valid, and an integral
+    optimum of the relaxation is an integer-feasible point worth that bound.
+    Degenerate allocation LPs have whole faces of optima and each engine
+    lands on a different vertex of the face; pulling every such vertex toward
+    the same integral corner is what makes the search tree engine-independent.
+
+    Passes repeat until no candidate can move (a move can free room for an
+    earlier candidate), so polishing a polished point changes nothing.
+    """
+    frac = _fractional(x, cols)
+    if frac.size == 0:
+        return 0
+    Ax = A @ x
+    lo = np.minimum(row_lb - _POLISH_ROW_TOL, Ax)
+    hi = np.maximum(row_ub + _POLISH_ROW_TOL, Ax)
+    snapped = 0
+    while frac.size:
+        # Every remaining candidate's floor and ceiling move against every
+        # row at once; only moves valid on their own are walked in Python.
+        cand = np.repeat(frac, 2)
+        target = np.stack([np.floor(x[frac]), np.ceil(x[frac])], axis=1).ravel()
+        moved = Ax[:, None] + A[:, cand] * (target - x[cand])
+        ok = (
+            (target >= var_lb[cand])
+            & (target <= var_ub[cand])
+            & (moved >= lo[:, None]).all(axis=0)
+            & (moved <= hi[:, None]).all(axis=0)
+        )
+        before, last = snapped, -1
+        for i in np.flatnonzero(ok):
+            j = cand[i]
+            if j == last:  # its floor move was just taken
+                continue
+            new = Ax + A[:, j] * (target[i] - x[j])  # Ax moves within a pass
+            if (new < lo).any() or (new > hi).any():
+                continue
+            Ax, x[j], last = new, target[i], j
+            snapped += 1
+        if snapped == before:
+            break
+        frac = _fractional(x, frac)
+    return snapped
 
 
 class IncrementalLPSolver:
@@ -203,22 +301,19 @@ class IncrementalLPSolver:
     and caches the HiGHS eq/ub row split so a node re-solve touches no
     Python-level row loop at all.
 
-    ``backend`` picks the LP engine per solve: ``"highs"`` (scipy),
-    ``"simplex"`` (the built-in vectorized simplex, which accepts a parent
-    basis and warm-starts dual-simplex style), or ``"auto"`` (simplex while
-    the instance is small enough for its dense tableau to beat scipy's
-    call overhead, HiGHS beyond that).  After every simplex-backed solve the
-    final basis is published on :attr:`last_basis` for the caller to hand to
-    child-node solves.
+    Each solve runs on the built-in vectorized simplex (which accepts a
+    parent basis and warm-starts dual-simplex style) while the LP is small
+    enough for its dense tableau to beat scipy's call overhead, and on HiGHS
+    beyond that; the optimum of either is then polished toward integrality
+    (:func:`polish_integrality`), so which engine ran does not shape the
+    tree.  After every simplex solve the final basis is published on
+    :attr:`last_basis` for the caller to hand to child-node solves.
     """
 
-    def __init__(self, problem: Problem, backend: str = "highs") -> None:
+    def __init__(self, problem: Problem) -> None:
         if not problem.is_linear():
             raise ValueError(f"{problem.name!r} has nonlinear pieces")
-        if backend not in ("highs", "simplex", "auto"):
-            raise ValueError(f"unknown LP backend {backend!r}")
         self._problem = problem
-        self._backend = backend
         self._sign = -1.0 if problem.sense.value == "maximize" else 1.0
         c, c0, A, row_lb, row_ub, var_lb, var_ub = problem.linear_matrix_form()
         self._c = self._sign * c
@@ -231,10 +326,16 @@ class IncrementalLPSolver:
         self._base_ub = var_ub
         self._names = problem.variable_names
         self._col = {n: j for j, n in enumerate(self._names)}
+        self._discrete = np.zeros(len(self._names), dtype=bool)
+        self._discrete[[self._col[v.name] for v in problem.discrete_variables()]] = True
         self._matrix_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._polish_cols: np.ndarray | None = None
         self._split_cache: tuple | None = None
-        #: Final basis of the most recent simplex-backed solve (or None).
+        #: Final basis of the most recent simplex solve (or None).
         self.last_basis = None
+        #: LPs solved per engine and variables snapped by the polish, for the
+        #: solve's trace span ("which engine ran, did the polish engage?").
+        self.report = {"lp_simplex": 0, "lp_highs": 0, "polish_snapped": 0}
 
     def add_row(self, body, lb: float, ub: float) -> None:
         """Append a (linear) cut row, e.g. an outer-approximation cut."""
@@ -262,6 +363,9 @@ class IncrementalLPSolver:
             self._lb_blocks = [row_lb]
             self._ub_blocks = [row_ub]
             self._matrix_cache = (A, row_lb, row_ub)
+            self._polish_cols = polish_columns(
+                self._discrete, self._c, A, row_lb, row_ub
+            )
         return self._matrix_cache
 
     def _split(self) -> tuple:
@@ -269,16 +373,6 @@ class IncrementalLPSolver:
             A, row_lb, row_ub = self._matrix()
             self._split_cache = _split_rows(A, row_lb, row_ub)
         return self._split_cache
-
-    def _resolve_backend(self) -> str:
-        if self._backend != "auto":
-            return self._backend
-        if (
-            self._num_rows <= _AUTO_SIMPLEX_MAX_ROWS
-            and self._c.size <= _AUTO_SIMPLEX_MAX_COLS
-        ):
-            return "simplex"
-        return "highs"
 
     def solve(
         self,
@@ -288,10 +382,11 @@ class IncrementalLPSolver:
         """Solve with per-variable bound overrides (intersected with base).
 
         ``basis`` optionally carries a parent node's final simplex basis;
-        when the simplex backend handles this solve it warm-starts from it
+        when the simplex engine handles this solve it warm-starts from it
         (dual-simplex restoration after the bound change) instead of
         re-running two-phase simplex from artificials.  Reuse hits/misses
-        are recorded under the ``solver_basis_reuse_total`` metric.
+        are recorded under the ``solver_basis_reuse_total`` metric — only
+        for simplex solves, HiGHS can never use a basis.
         """
         var_lb = self._base_lb.copy()
         var_ub = self._base_ub.copy()
@@ -305,22 +400,30 @@ class IncrementalLPSolver:
                     stats=SolveStats(),
                     message=f"crossed bounds on {name}",
                 )
-        backend = self._resolve_backend()
         stats = SolveStats(lp_solves=1)
-        if backend == "simplex":
+        if (
+            self._num_rows <= _AUTO_SIMPLEX_MAX_ROWS
+            and self._c.size <= _AUTO_SIMPLEX_MAX_COLS
+        ):
             res = self._solve_simplex(var_lb, var_ub, basis)
         else:
-            self.last_basis = None
-            res = _run_highs(self._c, self._c0, self._split(), var_lb, var_ub)
-        if basis is not None:
-            telemetry.record_basis_reuse("hit" if res.warm_started else "miss")
+            res = self._solve_highs(var_lb, var_ub)
         if res.status is not Status.OPTIMAL:
             return Solution(res.status, stats=stats, message=res.message)
+        A, row_lb, row_ub = self._matrix()
+        self.report["polish_snapped"] += polish_integrality(
+            res.x, self._polish_cols, A, row_lb, row_ub, var_lb, var_ub
+        )
         values = {n: float(v) for n, v in zip(self._names, res.x)}
         obj = self._sign * res.objective
         return Solution(
             Status.OPTIMAL, values=values, objective=obj, bound=obj, stats=stats
         )
+
+    def _solve_highs(self, var_lb, var_ub) -> LPResult:
+        self.last_basis = None
+        self.report["lp_highs"] += 1
+        return _run_highs(self._c, self._c0, self._split(), var_lb, var_ub)
 
     def _solve_simplex(self, var_lb, var_ub, basis) -> LPResult:
         from repro.minlp.simplex import solve_lp_simplex
@@ -337,10 +440,12 @@ class IncrementalLPSolver:
             names=self._names,
         )
         res = solve_lp_simplex(lp, basis=basis)
+        if basis is not None:
+            telemetry.record_basis_reuse("hit" if res.warm_started else "miss")
         if res.status in (Status.ITERATION_LIMIT, Status.ERROR):
             # Numerical trouble in the dense tableau: HiGHS is the safety net.
-            self.last_basis = None
-            return _run_highs(self._c, self._c0, self._split(), var_lb, var_ub)
+            return self._solve_highs(var_lb, var_ub)
+        self.report["lp_simplex"] += 1
         self.last_basis = res.basis
         return res
 

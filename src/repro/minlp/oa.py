@@ -328,6 +328,8 @@ def _solve_minlp_oa_impl(
         master, "lp", opts, lazy_cuts=lazy, incumbent=incumbent, known_cuts=installed
     )
     sol = engine.solve()
+    for tag, count in engine.lp_report.items():
+        oa_span.set_tag(tag, count)
     stats.merge(sol.stats)
     stats.wall_time = timer.stop()
     sol.stats = stats

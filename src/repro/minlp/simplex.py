@@ -1,18 +1,17 @@
 """Vectorized two-phase primal simplex with cross-solve basis reuse.
 
 This is the dependency-free counterpart of :func:`repro.minlp.linprog.solve_lp`
-(which wraps scipy/HiGHS).  It exists for three reasons:
+(which wraps scipy/HiGHS) and the engine branch-and-bound node LPs run on
+while they fit its dense tableau.  It exists for two reasons:
 
+* **speed** — branch-and-bound re-solves near-identical LPs thousands of
+  times; this engine accepts the parent node's optimal basis and restores
+  feasibility with a handful of dual-simplex pivots instead of re-running
+  two-phase simplex from artificials;
 * **validation** — property-based tests cross-check HiGHS, this
   implementation, and the retained loop-based reference
-  (:mod:`repro.minlp.simplex_reference`) on random LPs, so a regression in
-  how we translate range constraints shows up as a disagreement;
-* **portability** — the branch-and-bound engine can run without scipy's LP
-  if ever needed;
-* **speed** — branch-and-bound re-solves near-identical LPs thousands of
-  times; this backend accepts the parent node's optimal basis and restores
-  feasibility with a handful of dual-simplex pivots instead of re-running
-  two-phase simplex from artificials.
+  (``tests/minlp/simplex_reference.py``) on random LPs, so a regression in
+  how we translate range constraints shows up as a disagreement.
 
 Every inner loop is numpy-batched: the pivot is a single rank-1 update over
 the whole tableau, the entering column is a Dantzig ``argmin`` over reduced

@@ -19,9 +19,9 @@ from repro.minlp import BnBOptions, Model
 from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp
 from repro.minlp.milp import solve_milp
 from repro.minlp.simplex import basis_compatible, solve_lp_simplex
-from repro.minlp.simplex_reference import solve_lp_simplex_reference
 from repro.minlp.solution import Status
 from repro.obs.metrics import REGISTRY
+from tests.minlp.simplex_reference import solve_lp_simplex_reference
 
 
 def _random_lp(rng, n, m, *, degenerate=False, redundant=False, free=False):
@@ -175,50 +175,63 @@ def _knapsack_problem(seed=0, items=10):
     return m.build()
 
 
-@pytest.mark.parametrize("backend", ["simplex", "auto"])
-def test_bnb_basis_reuse_bit_identical_incumbents(backend):
+@pytest.mark.parametrize("engine", ["simplex", "auto"])
+def test_bnb_basis_reuse_bit_identical_incumbents(engine, force_lp_engine):
     """Same tree, same incumbents, same objective — reuse on vs. off."""
+    force_lp_engine("routed" if engine == "auto" else engine)
     for seed in range(6):
         problem = _knapsack_problem(seed)
-        on = solve_milp(
-            problem, BnBOptions(lp_backend=backend, basis_reuse=True)
-        )
-        off = solve_milp(
-            problem, BnBOptions(lp_backend=backend, basis_reuse=False)
-        )
+        on = solve_milp(problem, BnBOptions(basis_reuse=True))
+        off = solve_milp(problem, BnBOptions(basis_reuse=False))
         assert on.status is off.status
         assert on.objective == off.objective  # bit-identical, not approx
         assert on.values == off.values
         assert on.stats.nodes_explored == off.stats.nodes_explored
 
 
+def _reuse_counts():
+    counter = REGISTRY.counter("solver_basis_reuse_total")
+    return counter.value(outcome="hit"), counter.value(outcome="miss")
+
+
 def test_bnb_reuse_counters_recorded():
-    before_hit = REGISTRY.counter("solver_basis_reuse_total").value(outcome="hit")
-    solve_milp(_knapsack_problem(3), BnBOptions(lp_backend="simplex"))
-    after_hit = REGISTRY.counter("solver_basis_reuse_total").value(outcome="hit")
+    before_hit, _ = _reuse_counts()
+    solve_milp(_knapsack_problem(3))  # default options: small LPs -> simplex
+    after_hit, _ = _reuse_counts()
     assert after_hit > before_hit  # child nodes actually reused parent bases
 
 
-def test_simplex_backend_agrees_with_highs_milp():
+def test_reuse_counters_ignore_highs_solves(force_lp_engine):
+    """HiGHS can never use a basis, so offering it one is not a miss."""
+    problem = _knapsack_problem(1, items=5)
+    solver = IncrementalLPSolver(problem)
+    solver.solve({})
+    basis = solver.last_basis
+    assert basis is not None
+    force_lp_engine("highs")
+    before = _reuse_counts()
+    assert solver.solve({"x0": (0.0, 0.0)}, basis=basis).status is Status.OPTIMAL
+    assert _reuse_counts() == before
+    assert solver.last_basis is None
+    assert solver.report["lp_highs"] == 1 and solver.report["lp_simplex"] == 1
+
+
+def test_simplex_backend_agrees_with_highs_milp(force_lp_engine):
     for seed in range(4):
         problem = _knapsack_problem(seed, items=8)
-        fast = solve_milp(problem, BnBOptions(lp_backend="simplex"))
-        ref = solve_milp(problem, BnBOptions(lp_backend="highs"))
+        force_lp_engine("simplex")
+        fast = solve_milp(problem)
+        force_lp_engine("highs")
+        ref = solve_milp(problem)
         assert fast.status is ref.status
         assert fast.objective == pytest.approx(ref.objective, abs=1e-7)
-
-
-def test_incremental_solver_rejects_unknown_backend():
-    problem = _knapsack_problem(0, items=3)
-    with pytest.raises(ValueError, match="unknown LP backend"):
-        IncrementalLPSolver(problem, backend="cplex")
 
 
 def test_incremental_solver_add_row_invalidates_cache():
     from repro.minlp.expr import VarRef
 
     problem = _knapsack_problem(1, items=5)
-    solver = IncrementalLPSolver(problem, backend="simplex")
+    solver = IncrementalLPSolver(problem)
     first = solver.solve({})
     assert first.status is Status.OPTIMAL
     # A cut that actually binds: forbid the current all-or-nothing optimum.

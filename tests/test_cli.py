@@ -480,6 +480,29 @@ def test_trace_by_id_renders_one_tree(tmp_path, capsys):
     assert "other.request" not in out  # foreign trees are filtered out
 
 
+def test_trace_by_id_says_which_lp_engine_a_solve_ran_on(tmp_path, capsys, tracer):
+    from repro.minlp import Model, solve_minlp_oa
+
+    m = Model("tiny")
+    t = m.var("t", lb=0.0)
+    n = [m.integer_var(f"n{i}", 1, 8) for i in range(2)]
+    m.add(n[0] + n[1] <= 8)
+    for i, a in enumerate((40.0, 90.0)):
+        m.add(t >= a / n[i] + 0.5 * n[i])
+    m.minimize(t)
+    sol = solve_minlp_oa(m.build())
+    path = tmp_path / "trace.jsonl"
+    tracer.write_jsonl(str(path))
+    trace_id = tracer.roots[0].trace_id
+    assert main(["trace", "--id", trace_id, "--input", str(path)]) == 0
+    line = next(
+        ln for ln in capsys.readouterr().out.splitlines()
+        if ln.startswith("minlp.oa  ") and "lp_simplex=" in ln
+    )
+    assert f"lp_simplex={sol.stats.lp_solves}" in line and "lp_highs=0" in line
+    assert "polish_snapped=" in line and "root_nlp_ms=" in line
+
+
 def test_trace_by_id_requires_input(capsys):
     assert main(["trace", "--id", "abc"]) == 2
     assert "--input" in capsys.readouterr().err
