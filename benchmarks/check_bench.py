@@ -48,7 +48,8 @@ class GateRule:
 #: * solver micro-benchmarks — the hot path this repo optimizes
 #:   deliberately; a >2x wall-time regression is a code problem, not noise
 #:   (``test_layout1_full_solve`` included: losing the relaxation
-#:   projection costs it ~9x);
+#:   projection costs it ~9x; ``test_oa_master_iterations*`` included:
+#:   losing the seeded master or the nonlinear-only cut key costs ~2.5x);
 #: * ``dynlb_total_*`` — *simulated* seconds under the keyed-RNG workload,
 #:   deterministic, so a regression is an algorithmic change;
 #: * ``service_*`` — the allocation-service Zipf-mix records; the
@@ -68,6 +69,7 @@ GATED = (
     GateRule("test_incremental_lp_node_resolve"),
     GateRule("test_bnb_node_throughput*"),
     GateRule("test_layout1_full_solve"),
+    GateRule("test_oa_master_iterations*"),
     GateRule("dynlb_total_*"),
     GateRule("service_throughput_rps", "higher", 3.0),
     GateRule("service_speedup", "higher", 2.0),

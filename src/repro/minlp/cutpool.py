@@ -1,26 +1,31 @@
-"""Aged pool of outer-approximation linearization cuts.
+"""Aged pool of outer-approximation linearization cuts — the one cut builder.
 
-Building an OA cut means linearizing a nonlinear constraint body at a point
-— a symbolic differentiation plus expression assembly that the profiler
-shows dominating master construction once instances grow (hundreds of cuts
-per solve, most of them re-derived at previously-seen points).  The pool
-memoizes cuts by **constraint + quantized linearization point** so:
+Building an OA cut means linearizing a nonlinear constraint body at a point.
+The pool does the symbolic half of that once per constraint per solve (a
+compiled row: the ``g <= ub`` form, its gradient expressions, the variables
+it is nonlinear in) and memoizes the cuts themselves by **constraint +
+quantized linearization point, nonlinear coordinates only** so:
 
 * within one solve, a repeated expansion point returns the cached cut (the
   stable digest name then makes :meth:`BranchAndBound.add_global_cut`'s
   duplicate check a no-op, which correctly fathoms the node instead of
-  re-queuing it);
+  re-queuing it) — including the point that differs only in a variable the
+  row is linear in, e.g. the epigraph ``T`` of ``T >= a/n + b*n^c + d``: the
+  tangent at ``(n, T_subproblem)`` and at ``(n, T_master)`` is one inequality
+  and is installed once;
 * across solves sharing a pool (successive multi-tree masters, warm-started
   service re-solves on the same model family), surviving cuts are
   *reactivated* into the fresh master instead of being rediscovered one
   lazy callback at a time.
 
-Lifecycle: :meth:`begin_solve` opens an epoch, :meth:`cut_for` serves cut
-tuples (recording pool hits/misses), :meth:`end_solve` ages every cut —
-cuts that were **binding** at the final point stay young, **slack** cuts
-age and are evicted after :attr:`max_age` epochs, and an LRU size cap
-bounds the pool.  All events land on the ``solver_cut_pool_total`` metric
-and, when tracing is on, ``oa.cut_pool`` events.
+Lifecycle: :meth:`begin_solve` opens an epoch and drops the compiled rows of
+the previous solve (cuts persist, rows do not — the next solve brings its own
+constraint objects), :meth:`cut_for` serves cut tuples (recording pool
+hits/misses), :meth:`end_solve` ages every cut — cuts that were **binding**
+at the final point stay young, **slack** cuts age and are evicted after
+:attr:`max_age` epochs, and an LRU size cap bounds the pool.  All events land
+on the ``solver_cut_pool_total`` metric and, when tracing is on,
+``oa.cut_pool`` events.
 
 Determinism: a pool is keyed only by exact constraint names and quantized
 points and its iteration order is insertion order, so two processes feeding
@@ -38,7 +43,7 @@ from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.minlp.expr import Expr, linearize
+from repro.minlp.expr import Expr, Linearizer
 from repro.minlp.problem import Constraint
 from repro.obs import telemetry
 
@@ -60,6 +65,25 @@ class _PooledCut:
     idle_epochs: int = 0  # consecutive end-of-solve checks where it was slack
 
 
+class _CompiledRow:
+    """A single-sided nonlinear row as ``g(x) <= ub``, differentiated once.
+
+    ``g(x) >= lb`` is normalized to ``-g(x) <= -lb`` (the caller has asserted
+    that side is convex).  Rows are compiled per solve; the cuts built from
+    them outlive the solve in the pool.
+    """
+
+    __slots__ = ("con", "ub", "tangent")
+
+    def __init__(self, con: Constraint) -> None:
+        self.con = con
+        if math.isfinite(con.ub):
+            body, self.ub = con.body, con.ub
+        else:
+            body, self.ub = -con.body, -con.lb
+        self.tangent = Linearizer(body)
+
+
 @dataclass
 class CutPoolStats:
     hits: int = 0
@@ -79,6 +103,10 @@ class CutPoolStats:
 class OACutPool:
     """Pool of OA cuts keyed by (constraint name, quantized point).
 
+    Only the coordinates the constraint is nonlinear in enter the key: the
+    tangent does not depend on the others (:class:`Linearizer`), so two points
+    that differ in an epigraph variable alone are one cut, not two rows.
+
     ``max_cuts`` caps the pool LRU-style (oldest untouched entry evicted
     first); ``max_age`` evicts cuts slack for that many consecutive solve
     epochs; ``slack_tol`` decides binding vs. slack at :meth:`end_solve`.
@@ -96,18 +124,29 @@ class OACutPool:
         self.max_age = int(max_age)
         self.slack_tol = float(slack_tol)
         self._cuts: OrderedDict[tuple, _PooledCut] = OrderedDict()
+        self._rows: dict[str, _CompiledRow] = {}
         self._epoch = 0
         self.stats = CutPoolStats()
 
     # -- keying ------------------------------------------------------------
 
+    def _row(self, con: Constraint) -> _CompiledRow:
+        row = self._rows.get(con.name)
+        if row is None or row.con is not con:
+            row = self._rows[con.name] = _CompiledRow(con)
+        return row
+
+    def nonlinear_variables(self, con: Constraint) -> tuple[str, ...]:
+        """Variables ``con`` is nonlinear in — the ones a cut's point is keyed by."""
+        return self._row(con).tangent.nonlinear
+
     @staticmethod
-    def _key(con: Constraint, point: Mapping[str, float]) -> tuple:
+    def _key(row: _CompiledRow, point: Mapping[str, float]) -> tuple:
         coords = tuple(
             (v, round(float(point[v]), _POINT_DECIMALS))
-            for v in sorted(con.body.variables())
+            for v in row.tangent.nonlinear
         )
-        return (con.name, coords)
+        return (row.con.name, coords)
 
     @staticmethod
     def _name(key: tuple) -> str:
@@ -118,6 +157,7 @@ class OACutPool:
 
     def begin_solve(self) -> int:
         """Open a solve epoch; returns the epoch index (useful in traces)."""
+        self._rows.clear()
         self._epoch += 1
         return self._epoch
 
@@ -126,12 +166,12 @@ class OACutPool:
     ) -> tuple[str, Expr, float, float]:
         """The linearization cut of ``con`` at ``point`` (memoized).
 
-        Returns the same ``(name, body, lb, ub)`` tuple shape that
-        :func:`repro.minlp.oa._cut_for` produced, but with a stable
-        content-derived name: re-requesting a cut yields the identical name,
-        so downstream duplicate checks dedup it naturally.
+        Returns ``(name, body, lb, ub)`` with a stable content-derived name:
+        re-requesting a cut yields the identical name, so downstream
+        duplicate checks dedup it naturally.
         """
-        key = self._key(con, point)
+        row = self._row(con)
+        key = self._key(row, point)
         entry = self._cuts.get(key)
         if entry is not None:
             self._cuts.move_to_end(key)
@@ -140,10 +180,7 @@ class OACutPool:
             telemetry.record_cut_pool("hit")
             return (entry.name, entry.body, entry.lb, entry.ub)
         name = self._name(key)
-        if math.isfinite(con.ub):
-            body, lb, ub = linearize(con.body, point), -math.inf, con.ub
-        else:
-            body, lb, ub = linearize(-con.body, point), -math.inf, -con.lb
+        body, lb, ub = row.tangent.at(point), -math.inf, row.ub
         self._cuts[key] = _PooledCut(name, body, lb, ub, born_epoch=self._epoch)
         self.stats.misses += 1
         telemetry.record_cut_pool("miss")

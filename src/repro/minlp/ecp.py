@@ -14,12 +14,12 @@ OA, NLP-BB, ECP, and brute force to agree on convex models.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from repro.minlp.bnb import BnBOptions
+from repro.minlp.cutpool import OACutPool
 from repro.minlp.milp import solve_milp
-from repro.minlp.oa import _check_convex_form, _cut_for, _epigraph_form, _linear_master, _strip_eta
+from repro.minlp.oa import _check_convex_form, _epigraph_form, _Master, _strip_eta
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution, SolveStats, Status
 from repro.util.timing import Timer
@@ -42,8 +42,9 @@ def solve_minlp_ecp(
 
     stats = SolveStats()
     timer = Timer().start()
-    master = _linear_master(work)
-    counter = itertools.count()
+    pool = OACutPool()
+    pool.begin_solve()
+    master = _Master(work, nonlin, pool, stats)
     status = Status.ITERATION_LIMIT
     best: Solution | None = None
 
@@ -54,13 +55,10 @@ def solve_minlp_ecp(
         lo = v.lb if math.isfinite(v.lb) else -1e4
         hi = v.ub if math.isfinite(v.ub) else 1e4
         seed_point[v.name] = 0.5 * (lo + hi)
-    for con in nonlin:
-        name, body, lb, ub = _cut_for(con, seed_point, f"ecp{next(counter)}")
-        master.add_constraint(name, body, lb, ub)
-        stats.cuts_added += 1
+    master.add_cuts_at(seed_point)
 
     for _ in range(max_rounds):
-        msol = solve_milp(master, opts)
+        msol = solve_milp(master.problem, opts)
         stats.lp_solves += msol.stats.lp_solves
         stats.nodes_explored += msol.stats.nodes_explored
         if msol.status is Status.INFEASIBLE:
@@ -80,9 +78,7 @@ def solve_minlp_ecp(
             status = Status.OPTIMAL
             break
         for con in violated:
-            name, body, lb, ub = _cut_for(con, msol.values, f"ecp{next(counter)}")
-            master.add_constraint(name, body, lb, ub)
-            stats.cuts_added += 1
+            master.install(pool.cut_for(con, msol.values))
 
     stats.wall_time = timer.stop()
     if best is None:

@@ -658,6 +658,9 @@ def linearize(expr: Expr, point: Mapping[str, float]) -> Expr:
 
     This is the outer-approximation cut generator (paper eq. (4)):
     ``f(x0) + ∇f(x0)ᵀ (x − x0)`` returned as an affine :class:`Expr`.
+    It differentiates ``expr`` on every call; :class:`Linearizer` is the
+    differentiate-once form for callers that expand one expression at many
+    points, and this function is the oracle its tests compare against.
     """
     f0 = float(expr.evaluate(point))
     terms: list[Expr] = [Constant(f0)]
@@ -666,3 +669,31 @@ def linearize(expr: Expr, point: Mapping[str, float]) -> Expr:
         if g != 0.0:
             terms.append(Constant(g) * (VarRef(name) - float(point[name])))
     return sum_exprs(terms)
+
+
+class Linearizer:
+    """``expr`` differentiated once, expanded at any number of points.
+
+    :attr:`nonlinear` names the variables whose partial derivative is not a
+    constant.  The tangent depends on the expansion point through those
+    coordinates only: where ``∂f/∂x`` is a constant ``c`` the expression is
+    ``c·x + h(rest)``, and ``x0`` cancels out of ``f(x0) + c·(x − x0)``.
+    """
+
+    __slots__ = ("expr", "_grads", "nonlinear")
+
+    def __init__(self, expr: Expr) -> None:
+        self.expr = expr
+        self._grads = [(name, expr.diff(name)) for name in sorted(expr.variables())]
+        self.nonlinear: tuple[str, ...] = tuple(
+            name for name, grad in self._grads if grad.variables()
+        )
+
+    def at(self, point: Mapping[str, float]) -> Expr:
+        """Same affine expression as ``linearize(self.expr, point)``."""
+        terms: list[Expr] = [Constant(float(self.expr.evaluate(point)))]
+        for name, grad in self._grads:
+            g = float(grad.evaluate(point))
+            if g != 0.0:
+                terms.append(Constant(g) * (VarRef(name) - float(point[name])))
+        return sum_exprs(terms)

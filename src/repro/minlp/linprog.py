@@ -198,6 +198,23 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 _AUTO_SIMPLEX_MAX_ROWS = 88
 _AUTO_SIMPLEX_MAX_COLS = 88
 
+
+def _fits_simplex(rows: int, cols: int) -> bool:
+    """The one routing rule: does an LP of this shape run on the simplex?"""
+    return rows <= _AUTO_SIMPLEX_MAX_ROWS and cols <= _AUTO_SIMPLEX_MAX_COLS
+
+
+def solve_lp_routed(lp: LinearProgram) -> LPResult:
+    """Solve a one-off LP on the engine a node LP of its shape would run on."""
+    if _fits_simplex(lp.num_rows, lp.num_vars):
+        from repro.minlp.simplex import solve_lp_simplex
+
+        res = solve_lp_simplex(lp)
+        if res.status not in (Status.ITERATION_LIMIT, Status.ERROR):
+            return res
+    return solve_lp(lp)
+
+
 #: A discrete value further than this from an integer is a polish candidate.
 _POLISH_INT_TOL = 1e-9
 #: A polished point may sit this far outside a row range — the engines' own
@@ -401,10 +418,7 @@ class IncrementalLPSolver:
                     message=f"crossed bounds on {name}",
                 )
         stats = SolveStats(lp_solves=1)
-        if (
-            self._num_rows <= _AUTO_SIMPLEX_MAX_ROWS
-            and self._c.size <= _AUTO_SIMPLEX_MAX_COLS
-        ):
+        if _fits_simplex(self._num_rows, self._c.size):
             res = self._solve_simplex(var_lb, var_ub, basis)
         else:
             res = self._solve_highs(var_lb, var_ub)

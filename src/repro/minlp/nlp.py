@@ -12,11 +12,13 @@ points and keeps the best feasible result.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.optimize import minimize
 
 from repro.minlp.expr import Expr
+from repro.minlp.linprog import LinearProgram, solve_lp_routed
 from repro.minlp.problem import Problem, vector_to_values
 from repro.minlp.projection import Projection, project_sos1
 from repro.minlp.solution import Solution, SolveStats, Status
@@ -193,25 +195,107 @@ def _solve_projected(
     projection: Projection,
     x0: dict[str, float] | None,
     *,
-    multistart: int,
-    method: str,
-    tol: float,
     feas_tol: float,
-    max_iter: int,
-    rng: np.random.Generator | None,
+    **scipy_options,
 ) -> tuple[Solution, bool]:
-    """Run scipy on ``projection.problem``; answer for ``problem``.
+    """Solve ``projection.problem``; answer for ``problem``.
 
-    Every candidate is lifted back and checked against ``problem`` itself.
-    The flag is False when a lift failed: the projection was not exact, and
+    A problem that is affine throughout is an LP and is solved as one — with
+    the integers fixed, every OA subproblem of the paper's models is
+    ``min T  s.t.  T >= const_j`` — anything else goes to scipy.  Every
+    candidate is lifted back and checked against ``problem`` itself.  The
+    flag is False when a lift failed: the projection was not exact, and
     neither the answer nor an INFEASIBLE can be trusted.
     """
     small = projection.problem
-    names = small.variable_names
     sign = -1.0 if small.sense.value == "maximize" else 1.0
-
     lo = np.array([v.lb for v in small.variables])
     hi = np.array([v.ub for v in small.variables])
+    linear = small.is_linear()
+    runs = _scipy_runs(small, x0, lo, hi, **scipy_options)
+    if linear:
+        runs = _lp_run(small, runs)
+
+    stats = SolveStats()
+    best: Solution | None = None
+    exact = True
+    timer = Timer().start()
+    with span(
+        "minlp.nlp",
+        layer="minlp.nlp",
+        vars=small.num_variables,
+        eliminated=len(projection.members),
+        linear=linear,
+    ) as nlp_span:
+        for run in runs:
+            stats.nlp_solves += 1
+            if run is None:
+                continue
+            x, converged, message = run
+            values = projection.lift(vector_to_values(small, np.clip(x, lo, hi)))
+            if values is None:
+                exact = False
+                continue
+            viol = max(
+                (c.violation(values) for c in problem.constraints), default=0.0
+            )
+            if viol > feas_tol:
+                continue
+            objective = problem.objective_value(values)
+            better = best is None or (
+                sign * objective < sign * best.objective - 1e-12
+            )
+            if better:
+                best = Solution(
+                    Status.OPTIMAL if converged else Status.FEASIBLE,
+                    values=values,
+                    objective=objective,
+                    bound=-math.inf if sign > 0 else math.inf,
+                    message=message,
+                )
+        nlp_span.set_tag("lifted", best is not None and bool(projection.members))
+    stats.wall_time = timer.stop()
+    if best is None:
+        best = Solution(Status.INFEASIBLE, message="no feasible KKT point")
+    best.stats = stats
+    return best, exact
+
+
+#: One engine run: ``(x, converged, message)``, or None when it produced no point.
+_Run = tuple[np.ndarray, bool, str] | None
+
+
+def _lp_run(small: Problem, fallback: Iterator[_Run]) -> Iterator[_Run]:
+    """The LP optimum of an affine ``small`` as the single run.
+
+    An infeasible LP is a run without a point; an unbounded one (or an engine
+    failure) is left to ``fallback``, so those answers stay what they were.
+    """
+    lp = LinearProgram.from_problem(small)
+    res = solve_lp_routed(lp)
+    if res.status is Status.OPTIMAL:
+        yield res.x, True, "LP optimal"
+    elif res.status is Status.INFEASIBLE:
+        yield None
+    else:
+        yield from fallback
+
+
+def _scipy_runs(
+    small: Problem,
+    x0: dict[str, float] | None,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    *,
+    multistart: int,
+    method: str,
+    tol: float,
+    max_iter: int,
+    rng: np.random.Generator | None,
+) -> Iterator[_Run]:
+    """One scipy run from the warm/default start, then the random restarts."""
+    names = small.variable_names
+    sign = -1.0 if small.sense.value == "maximize" else 1.0
     iterate = _Iterate(names, lo, hi)
     obj = _Compiled(small.objective, names, iterate)
 
@@ -266,56 +350,19 @@ def _solve_projected(
         rng = rng or default_rng()
         starts.extend(_sample_box(small, rng) for _ in range(multistart - 1))
 
-    stats = SolveStats()
-    best: Solution | None = None
-    exact = True
-    timer = Timer().start()
-    with span(
-        "minlp.nlp",
-        layer="minlp.nlp",
-        vars=small.num_variables,
-        eliminated=len(projection.members),
-    ) as nlp_span:
-        for start in starts:
-            stats.nlp_solves += 1
-            try:
-                res = minimize(
-                    fun,
-                    np.clip(start, lo, hi),
-                    jac=jac,
-                    bounds=bounds,
-                    constraints=cons,
-                    method=method,
-                    tol=tol,
-                    options={"maxiter": max_iter},
-                )
-            except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
-                continue
-            x = np.clip(np.asarray(res.x, dtype=float), lo, hi)
-            values = projection.lift(vector_to_values(small, x))
-            if values is None:
-                exact = False
-                continue
-            viol = max(
-                (c.violation(values) for c in problem.constraints), default=0.0
+    for start in starts:
+        try:
+            res = minimize(
+                fun,
+                np.clip(start, lo, hi),
+                jac=jac,
+                bounds=bounds,
+                constraints=cons,
+                method=method,
+                tol=tol,
+                options={"maxiter": max_iter},
             )
-            if viol > feas_tol:
-                continue
-            objective = problem.objective_value(values)
-            better = best is None or (
-                sign * objective < sign * best.objective - 1e-12
-            )
-            if better:
-                best = Solution(
-                    Status.OPTIMAL if res.success else Status.FEASIBLE,
-                    values=values,
-                    objective=objective,
-                    bound=-math.inf if sign > 0 else math.inf,
-                    message=str(res.message),
-                )
-        nlp_span.set_tag("lifted", best is not None and bool(projection.members))
-    stats.wall_time = timer.stop()
-    if best is None:
-        best = Solution(Status.INFEASIBLE, message="no feasible KKT point")
-    best.stats = stats
-    return best, exact
+        except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
+            yield None
+            continue
+        yield np.asarray(res.x, dtype=float), bool(res.success), str(res.message)

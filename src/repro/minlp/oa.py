@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.minlp.bnb import BnBOptions, BranchAndBound
 from repro.minlp.cutpool import OACutPool
-from repro.minlp.expr import Expr, VarRef, linearize
+from repro.minlp.expr import Expr, VarRef
 from repro.obs import telemetry
 from repro.obs.trace import span, trace_event
 from repro.minlp.milp import solve_milp
@@ -45,7 +45,7 @@ def _check_convex_form(problem: Problem) -> None:
     """Reject nonlinear constraints OA cannot relax as a single convex side.
 
     Single-sided constraints are fine either way round: ``g(x) >= lb`` is
-    normalized to ``-g(x) <= -lb`` by :func:`_cut_for`, and — as in every
+    normalized to ``-g(x) <= -lb`` by the cut pool, and — as in every
     practical OA solver — the *user asserts* the normalized body is convex
     (the paper's positivity constraints guarantee it for HSLB models).  A
     nonlinear equality or range constraint can never be convex on both sides,
@@ -100,23 +100,79 @@ def _linear_master(work: Problem) -> Problem:
     return master
 
 
-def _cut_for(con: Constraint, point: dict[str, float], name: str):
-    """Linearization cut of a single-sided nonlinear constraint at ``point``.
+class _Master:
+    """The mixed-integer *linear* master of one solve and the cuts it holds.
 
-    ``g(x) <= ub`` linearizes directly; ``g(x) >= lb`` is first normalized to
-    ``-g(x) <= -lb`` (the caller has asserted that side is convex).
+    Every nonlinear row enters only through tangents served by ``pool`` —
+    the one cut builder OA (single- and multi-tree) and ECP share.
     """
-    if math.isfinite(con.ub):
-        return (name, linearize(con.body, point), -math.inf, con.ub)
-    return (name, linearize(-con.body, point), -math.inf, -con.lb)
+
+    def __init__(
+        self,
+        work: Problem,
+        nonlin: tuple[Constraint, ...],
+        pool: OACutPool,
+        stats: SolveStats,
+    ) -> None:
+        self.problem = _linear_master(work)
+        self._discrete = {v.name: v for v in work.discrete_variables()}
+        self.nonlin = nonlin
+        self.pool = pool
+        self.stats = stats
+        self.installed: set[str] = set()
+
+    def install(self, cut: tuple[str, Expr, float, float]) -> None:
+        name, body, lb, ub = cut
+        if name not in self.installed:
+            self.installed.add(name)
+            self.problem.add_constraint(name, body, lb, ub)
+            self.stats.cuts_added += 1
+
+    def add_cuts_at(self, point: dict[str, float]) -> None:
+        for con in self.nonlin:
+            self.install(self.pool.cut_for(con, point))
+
+    def seed(self, root: dict[str, float]) -> tuple[int, int]:
+        """Install the starting cuts; returns ``(reactivated, seeded)``.
+
+        Cuts surviving in the pool from earlier solves come first, then the
+        tangents at the root relaxation, then — the seeds — at the root with
+        the discrete variables each row is nonlinear in moved to their floor
+        and to their ceiling (clipped to the bounds: an ``a/n`` row never
+        sees ``n = 0``).  A row nonlinear in several of them gets the
+        all-floor and the all-ceiling point, two cuts, not 2^k.
+
+        The paper's rows ``T >= a/n + b*n^c + d`` are nonlinear in one integer
+        only, so a tangent at an integer ``n`` is the row itself there: before
+        the first LP the master agrees with the MINLP on the two integers
+        bracketing every component's relaxed optimum, which is where the
+        answer almost always is.  Any tangent of a convex row is valid, so
+        bounds, branching, lazy cuts and exactness do not depend on this.
+        """
+        reactivated = self.pool.active_cuts()
+        for cut in reactivated:
+            self.install(cut)
+        self.add_cuts_at(root)
+        before = self.stats.cuts_added
+        for con in self.nonlin:
+            moving = [
+                self._discrete[n]
+                for n in self.pool.nonlinear_variables(con)
+                if n in self._discrete
+            ]
+            if not moving:
+                continue
+            for snap in (math.floor, math.ceil):
+                point = dict(root)
+                for v in moving:
+                    point[v.name] = min(max(float(snap(root[v.name])), v.lb), v.ub)
+                self.install(self.pool.cut_for(con, point))
+        return len(reactivated), self.stats.cuts_added - before
 
 
-def _fix_discrete(work: Problem, values: dict[str, float]) -> dict[str, tuple[float, float]]:
-    fixes: dict[str, tuple[float, float]] = {}
-    for v in work.discrete_variables():
-        x = float(round(values[v.name]))
-        fixes[v.name] = (x, x)
-    return fixes
+def _integer_assignment(work: Problem, values: dict[str, float]) -> dict[str, float]:
+    """The discrete variables of a discrete-feasible point, on exact integers."""
+    return {v.name: float(round(values[v.name])) for v in work.discrete_variables()}
 
 
 def _solve_fixed_subproblem(
@@ -133,7 +189,9 @@ def _solve_fixed_subproblem(
     the full-space version spends most of its time differentiating constant
     rows and moving pinned variables.
     """
-    fixed_problem = work.with_bounds(_fix_discrete(work, values))
+    fixed_problem = work.with_bounds(
+        {name: (x, x) for name, x in _integer_assignment(work, values).items()}
+    )
     reduced = fixed_problem.reduce_fixed()
     if reduced is None:
         return Solution(Status.INFEASIBLE, message="fixing violates a constraint")
@@ -243,28 +301,14 @@ def _solve_minlp_oa_impl(
         stats.wall_time = timer.stop()
         return Solution(Status.INFEASIBLE, stats=stats, message="NLP relaxation infeasible")
 
-    master = _linear_master(work)
-    installed: set[str] = set()
-
-    def install(cut: tuple[str, Expr, float, float]) -> None:
-        name, body, lb, ub = cut
-        if name not in installed:
-            installed.add(name)
-            master.add_constraint(name, body, lb, ub)
-            stats.cuts_added += 1
-
-    # Reactivate cuts surviving from earlier solves sharing this pool, then
-    # linearize at the root relaxation (pool misses become fresh cuts).
-    reactivated = pool.active_cuts()
-    for cut in reactivated:
-        install(cut)
-    for con in nonlin:
-        install(pool.cut_for(con, root.values))
+    master = _Master(work, nonlin, pool, stats)
+    hits_before = pool.stats.hits
+    reactivated, seeded = master.seed(root.values)
     trace_event(
         "oa.cut_pool.master",
         epoch=epoch,
-        reactivated=len(reactivated),
-        installed=len(installed),
+        reactivated=reactivated,
+        installed=len(master.installed),
     )
 
     incumbent: tuple[dict[str, float], float] | None = None
@@ -287,10 +331,13 @@ def _solve_minlp_oa_impl(
             incumbent = (warm_values, warm_obj)
             # Linearize at the incumbent too: the cuts make the first master
             # tight around the warm-start's neighborhood.
-            for con in nonlin:
-                install(pool.cut_for(con, warm.values))
+            master.add_cuts_at(warm.values)
+
+    lazy_rounds = 0
 
     def lazy(master_prob: Problem, values: dict[str, float]):
+        nonlocal lazy_rounds
+        lazy_rounds += 1
         cuts: list[tuple[str, Expr, float, float]] = []
         candidate = None
 
@@ -310,10 +357,14 @@ def _solve_minlp_oa_impl(
         # Guarantee progress: if the master point itself violates any true
         # nonlinear constraint, linearizing there cuts it off (convexity:
         # the cut equals g at the expansion point).  Without this, a failed
-        # NLP subproblem could let an infeasible point be accepted.
+        # NLP subproblem could let an infeasible point be accepted.  The LP
+        # reports integers to ~1e-9; expanding on the exact integers moves
+        # the cut by a second-order nothing and makes it the subproblem's
+        # cut above (a pool hit) instead of its near-copy.
         violated = [c for c in nonlin if c.violation(values) > feas_tol]
-        for con in violated:
-            cuts.append(pool.cut_for(con, values))
+        if violated:
+            at = {**values, **_integer_assignment(work, values)}
+            cuts.extend(pool.cut_for(con, at) for con in violated)
         if violated and candidate is None and sub.status is Status.INFEASIBLE:
             pass  # feasibility cuts above already exclude this assignment's point
         trace_event(
@@ -325,11 +376,20 @@ def _solve_minlp_oa_impl(
         return cuts, candidate
 
     engine = BranchAndBound(
-        master, "lp", opts, lazy_cuts=lazy, incumbent=incumbent, known_cuts=installed
+        master.problem,
+        "lp",
+        opts,
+        lazy_cuts=lazy,
+        incumbent=incumbent,
+        known_cuts=master.installed,
     )
     sol = engine.solve()
     for tag, count in engine.lp_report.items():
         oa_span.set_tag(tag, count)
+    # Short of seeds or long on lazy rounds: what a slow solve looks like.
+    oa_span.set_tag("cuts_seeded", seeded)
+    oa_span.set_tag("cut_pool_hits", pool.stats.hits - hits_before)
+    oa_span.set_tag("lazy_rounds", lazy_rounds)
     stats.merge(sol.stats)
     stats.wall_time = timer.stop()
     sol.stats = stats
@@ -382,23 +442,8 @@ def solve_minlp_oa_multitree(
         stats.wall_time = timer.stop()
         return Solution(Status.INFEASIBLE, stats=stats, message="NLP relaxation infeasible")
 
-    master = _linear_master(work)
-    installed: set[str] = set()
-
-    def install(cut: tuple[str, Expr, float, float]) -> None:
-        name, body, lb, ub = cut
-        if name not in installed:
-            installed.add(name)
-            master.add_constraint(name, body, lb, ub)
-            stats.cuts_added += 1
-
-    def add_cuts_at(point: dict[str, float]) -> None:
-        for con in nonlin:
-            install(pool.cut_for(con, point))
-
-    for cut in pool.active_cuts():
-        install(cut)
-    add_cuts_at(root.values)
+    master = _Master(work, nonlin, pool, stats)
+    master.seed(root.values)
 
     best: Solution | None = None
     best_signed = math.inf
@@ -406,7 +451,7 @@ def solve_minlp_oa_multitree(
     status = Status.ITERATION_LIMIT
 
     for _ in range(max_rounds):
-        msol = solve_milp(master, opts)
+        msol = solve_milp(master.problem, opts)
         stats.lp_solves += msol.stats.lp_solves
         stats.nodes_explored += msol.stats.nodes_explored
         if msol.status is Status.INFEASIBLE:
@@ -433,10 +478,10 @@ def solve_minlp_oa_multitree(
                     values[_OBJ_VAR] = obj
                 best = Solution(Status.FEASIBLE, values=values, objective=obj)
                 stats.incumbent_updates += 1
-            add_cuts_at(sub.values)
+            master.add_cuts_at(sub.values)
         else:
             # Infeasible integer assignment: cut off the master point.
-            add_cuts_at(msol.values)
+            master.add_cuts_at({**msol.values, **_integer_assignment(work, msol.values)})
         # Integer no-good is implied by the new cuts for convex models; the
         # epsilon below keeps the master from returning the same assignment
         # with an unchanged bound forever on degenerate instances.

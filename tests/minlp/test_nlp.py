@@ -119,6 +119,9 @@ def test_unknown_method_rejected():
 def test_stats_count_solves():
     m = Model()
     x = m.var("x", 0, 1)
-    m.minimize(x)
+    m.minimize(x * x)
     sol = solve_nlp(m.build(), multistart=3)
     assert sol.stats.nlp_solves == 3
+    # An LP has one exact answer: solved once, restarts would add nothing.
+    m.minimize(x)
+    assert solve_nlp(m.build(), multistart=3).stats.nlp_solves == 1

@@ -109,7 +109,9 @@ def test_random_lps_agree_with_highs(data):
     """Property: on random bounded LPs both backends agree on status/value."""
     n = data.draw(st.integers(1, 4), label="n")
     m = data.draw(st.integers(0, 4), label="m")
-    elem = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+    # Coefficients on a 1/8 grid: a float strategy eventually draws |a| ~ 1e-9,
+    # which HiGHS presolves away (test_tiny_coefficient_is_kept_by_the_simplex).
+    elem = st.integers(-40, 40).map(lambda k: k / 8.0)
     c = data.draw(st.lists(elem, min_size=n, max_size=n), label="c")
     A = [
         data.draw(st.lists(elem, min_size=n, max_size=n), label=f"row{i}")
@@ -123,3 +125,23 @@ def test_random_lps_agree_with_highs(data):
     row_lb = [-math.inf] * m
     lp = _lp(c, A, row_lb, row_ub, var_lb, var_ub)
     _agree(lp, atol=1e-5)
+
+
+def test_tiny_coefficient_is_kept_by_the_simplex():
+    """min -y  s.t.  y <= 2x,  1e-9*y <= 0,  (x, y) in [0, 1]^2.
+
+    The second row forces y = 0, so the optimum is 0: the simplex is right.
+    HiGHS drops matrix entries that small and answers -1 at (1, 1), a point
+    that violates the row as written.  The random property above found this
+    example while it drew coefficients from ``st.floats``; branch-and-bound
+    never meets one — every coefficient of a node LP comes from the model or
+    from a tangent of a fitted curve, O(1e-3 ... 1e6).
+    """
+    lp = _lp([0, -1], [[-2, 1], [0, 1e-9]], [-math.inf] * 2, [0, 0], [0, 0], [1, 1])
+    ours = solve_lp_simplex(lp)
+    assert ours.status is Status.OPTIMAL
+    assert ours.objective == 0.0
+    assert ours.x.tolist() == [0.0, 0.0]
+    ref = solve_lp(lp)
+    if ref.objective != pytest.approx(0.0):  # the engine's quirk, not a contract
+        assert lp.A[1] @ ref.x > 0.0
