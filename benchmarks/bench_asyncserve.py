@@ -1,30 +1,20 @@
-"""Async serving tier benchmark: sharded + coalesced vs. one-process batch.
+"""Async serving tier benchmark: a keyed trace replayed as one burst.
 
-Both contestants answer the *same* keyed Zipf/diurnal/flash trace (so the
-comparison is bit-for-bit fair across runs):
+The :class:`AsyncServingTier` via ``TierConfig.for_host()`` (4
+consistent-hash shards, single-flight coalescing; process workers on
+multi-core hosts, thread workers on a single core) answers a keyed
+Zipf/diurnal/flash trace, so two runs see bit-identical traffic.
 
-* **baseline** — one :class:`~repro.service.batch.BatchExecutor` over one
-  :class:`AllocationService`, in-process serial solving (``max_workers=0``),
-  fed the trace in arrival-order chunks, with all its dedup/donor/cache
-  machinery live;
-* **tier** — the :class:`AsyncServingTier` via ``TierConfig.for_host()``
-  (4 consistent-hash shards, single-flight coalescing; process workers on
-  multi-core hosts, thread workers on a single core), replaying the trace
-  as one concurrent burst.
+What this bench pins are the structural guarantees, asserted
+unconditionally: zero lost requests, zero sheds at this capacity,
+coalescing actually firing, every answer accounted.  Wall-clock is the
+end-to-end ledger's job (``benchmarks/e2e``, workload ``serve_flash``);
+the throughput and latency records here are informational, with
+``asyncserve_cores`` saying which regime produced them.
 
-The honest physics of the comparison: the branch-and-bound solve is
-GIL-bound CPU work, so the tier's throughput *win* comes from shards
-solving on separate cores.  On a multi-core host the bench asserts a
-strict win; pinned to **one core** (this repo's CI) no architecture can
-beat an already cache+dedup-optimal single process, so the bench asserts
-parity within tolerance instead and records ``asyncserve_cores`` so the
-artifact says which regime produced it.  The structural guarantees are
-asserted unconditionally: zero lost requests, zero sheds at this
-capacity, coalescing actually firing, every answer accounted.
-
-The artifact is ``benchmarks/out/BENCH_asyncserve.json``: throughput for
-both sides, the speedup ratio, tier p50/p99/p999 from the obs histograms,
-and the deterministic accounting records the CI gate pins exactly.
+The artifact is ``benchmarks/out/BENCH_asyncserve.json``: tier throughput
+and p50/p99/p999 from the obs histograms, and the deterministic
+accounting records the CI gate pins exactly.
 ``HSLB_BENCH_ASYNCSERVE_OUT`` overrides the output path (the gate writes
 a fresh file there rather than clobbering the committed baseline).
 """
@@ -32,15 +22,12 @@ a fresh file there rather than clobbering the committed baseline).
 import json
 import os
 import pathlib
-import time
 
 import pytest
 
 from repro.service.admission import AdmissionPolicy
-from repro.service.batch import BatchExecutor
 from repro.service.frontend import AsyncServingTier, TierConfig
 from repro.service.loadgen import TraceSpec, generate_trace, replay
-from repro.service.service import AllocationService
 
 #: The canonical serving scenario: 12 curve families x 4 node budgets under
 #: a Zipf-1.1 popularity law, one diurnal cycle, two flash crowds — enough
@@ -54,10 +41,6 @@ _SPEC = TraceSpec(
     duration=30.0,
     flash_crowds=2,
 )
-
-#: Arrival-order chunk size for the baseline (a batch per "tick"; dedup and
-#: donor ordering operate within a chunk, the cache across chunks).
-_CHUNK = 150
 
 _RESULTS: dict = {}
 
@@ -105,26 +88,10 @@ def _asyncserve_baseline(request):
     print(f"[baseline saved to {path}]")
 
 
-def _run_baseline(trace) -> float:
-    """Single-process BatchExecutor over the trace, chunked; returns seconds."""
-    executor = BatchExecutor(
-        AllocationService(cache_capacity=256), max_pending=len(trace) + 1
-    )
-    requests = [event.request for event in trace]
-    start = time.perf_counter()
-    for lo in range(0, len(requests), _CHUNK):
-        responses = executor.run(requests[lo:lo + _CHUNK])
-        assert all(r.ok for r in responses)
-    return time.perf_counter() - start
-
-
-def test_asyncserve_tier_vs_batch(benchmark):
-    """Sharded async tier vs. the one-process batch executor, same trace."""
+def test_asyncserve_tier_replay(benchmark):
+    """The sharded async tier under a duplicate-heavy burst: nothing lost."""
     trace = generate_trace(_SPEC)
     cores = _cores()
-
-    baseline_seconds = _run_baseline(trace)
-    baseline_rps = len(trace) / baseline_seconds
 
     def serve():
         tier = AsyncServingTier(
@@ -146,25 +113,8 @@ def test_asyncserve_tier_vs_batch(benchmark):
     # Coalescing must actually fire on a burst this duplicate-heavy.
     assert snap["coalesce"]["riders"] > 0
 
-    speedup = snap["throughput_rps"] / baseline_rps
-    if cores > 1:
-        # Shards on separate cores must beat the serial baseline outright.
-        assert speedup > 1.0, (
-            f"tier ({snap['throughput_rps']:.0f} rps, {cores} cores) failed "
-            f"to beat the single-process baseline ({baseline_rps:.0f} rps)"
-        )
-    else:
-        # One core: no parallel win is physically possible; the tier must
-        # hold parity (its coalescing/cache path must not cost throughput).
-        assert speedup > 0.7, (
-            f"tier ({snap['throughput_rps']:.0f} rps) fell more than 30% "
-            f"behind the single-core baseline ({baseline_rps:.0f} rps)"
-        )
-
     _RESULTS.update(
         throughput_rps=snap["throughput_rps"],
-        baseline_rps=baseline_rps,
-        speedup=speedup,
         p50=snap["p50"],
         p99=snap["p99"],
         p999=snap["p999"],
@@ -174,4 +124,3 @@ def test_asyncserve_tier_vs_batch(benchmark):
         cores=cores,
     )
     benchmark.extra_info["sources"] = snap["sources"]
-    benchmark.extra_info["speedup"] = round(speedup, 2)

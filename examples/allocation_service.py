@@ -13,8 +13,9 @@ optimizer:
 2. **warm-start pool**   — a miss whose *family* (same curves, different
    budget) has a cached member seeds the branch-and-bound with that
    neighbor's allocation, measurably shrinking the search;
-3. **batch executor**    — deduplication, donor-first ordering, and
-   per-request deadlines for answering a whole request file at once.
+3. **batches**           — ``run_requests`` answers a whole request list
+   through the serving tier in one call: duplicates share one solve, a
+   family's budgets chain warm starts, answers come back in input order.
 
 Usage:  python examples/allocation_service.py
 """
@@ -22,9 +23,11 @@ Usage:  python examples/allocation_service.py
 from repro.perf.model import PerformanceModel
 from repro.service import (
     AllocationService,
-    BatchExecutor,
+    AsyncServingTier,
     ComponentSpec,
     SolveRequest,
+    TierConfig,
+    run_requests,
 )
 
 CURVES = {
@@ -63,7 +66,8 @@ def main() -> None:
 
     # -- 3. batch: a machine-size sweep with duplicates, in one call ------
     sweep = [request(n) for n in (48, 56, 64, 64, 80, 96, 96, 128)]
-    responses = BatchExecutor(service).run(sweep)
+    tier = AsyncServingTier(TierConfig(shards=1, worker_mode="inline"))
+    responses = run_requests(tier, sweep)
     print("\nmachine-size sweep (duplicates answered from cache):")
     for req, resp in zip(sweep, responses):
         tag = "hit " if resp.cached else ("warm" if resp.warm_started else "cold")
@@ -72,6 +76,9 @@ def main() -> None:
 
     print()
     print(service.metrics.render())
+    snap = tier.snapshot()
+    print(f"sweep tier: {snap['cold_solves']} cold + {snap['warm_solves']} warm "
+          f"solves, {snap['cache_hits']} cache hits for {len(sweep)} requests")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ occasionally return garbage.  This example walks the resilience stack:
    approximation -> typed rejection; every answer carries its ``source``;
 3. **circuit breaker** — a request family that keeps killing workers is
    short-circuited straight to the ladder instead of burning more workers;
-4. **supervised pool** — a real worker process killed mid-batch is
-   contained to its slot, replaced under a restart budget, and the victim
-   request recovered — without restarting the service.
+4. **supervised workers** — the serving tier in process mode: a real
+   worker process killed mid-solve is contained to its shard, replaced
+   under a restart budget, and the victim request re-dispatched — without
+   restarting the service.
 
 Usage:  python examples/resilient_service.py
 """
@@ -23,11 +24,13 @@ from repro.faults import ChaosPlan
 from repro.perf.model import PerformanceModel
 from repro.service import (
     AllocationService,
-    BatchExecutor,
+    AsyncServingTier,
     ComponentSpec,
     ResiliencePolicy,
     RetryPolicy,
     SolveRequest,
+    TierConfig,
+    run_requests,
 )
 
 CURVES = {
@@ -99,19 +102,24 @@ def main() -> None:
           f"greedy={service.metrics.degraded_greedy} "
           f"breaker blocks={service.metrics.breaker_blocks}")
 
-    # -- 4. supervised pool: a real worker death, recovered ---------------
-    print("\n== supervised pool: real worker crashes, batch recovers ==")
-    pooled = AllocationService(
-        resilience=policy,
-        chaos=ChaosPlan(seed=5, crash_rate=0.9, immune_after=1),
+    # -- 4. supervised workers: a real worker death, recovered ------------
+    print("\n== supervised workers: real worker crashes, batch recovers ==")
+    tier = AsyncServingTier(
+        TierConfig(
+            shards=2,
+            worker_mode="process",
+            resilience=policy,
+            chaos=ChaosPlan(seed=5, crash_rate=0.9, immune_after=1),
+        )
     )
-    executor = BatchExecutor(pooled, max_workers=2, deadline=30.0)
-    responses = executor.run([request(n) for n in (24, 32, 40, 56)])
+    responses = run_requests(
+        tier, [request(n) for n in (24, 32, 40, 56)], deadline=30.0
+    )
     for r in responses:
         show("recovered batch", r)
-    m = pooled.metrics
-    print(f"worker crashes: {m.worker_crashes}, replacements: "
-          f"{m.worker_restarts}, all answered: {len(responses) == 4}")
+    m = tier.snapshot()["resilience"]
+    print(f"worker crashes: {m['worker_crashes']}, replacements: "
+          f"{m['worker_restarts']}, all answered: {len(responses) == 4}")
 
 
 if __name__ == "__main__":

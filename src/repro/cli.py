@@ -10,7 +10,7 @@ Subcommands:
 * ``hslb serve``      — allocation service: JSONL requests on stdin, JSONL
   answers on stdout (cached + warm-started);
 * ``hslb batch``      — answer a JSON file of allocation requests in one
-  deduplicated, donor-ordered batch;
+  call through the serving tier (coalesced, warm-chained, in input order);
 * ``hslb experiment`` — run any registered paper experiment by id;
 * ``hslb list``       — list available experiments;
 * ``hslb trace``      — run any subcommand under the span tracer and print
@@ -145,12 +145,6 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         help="solve attempts per request before degrading (resilient mode)",
     )
     group.add_argument(
-        "--hedge-after",
-        type=float,
-        default=None,
-        help="seconds before a straggler dispatch gets a hedged duplicate",
-    )
-    group.add_argument(
         "--breaker-threshold",
         type=int,
         default=3,
@@ -182,7 +176,8 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         "--restart-budget",
         type=int,
         default=3,
-        help="worker replacements the supervised pool may spend per batch",
+        help="replacements a supervised worker may spend on consecutive "
+        "failures before its slot retires",
     )
     group.add_argument(
         "--hang-timeout",
@@ -275,12 +270,12 @@ def _resilience_from_args(args: argparse.Namespace, *, forced: bool = False):
     chaos = _chaos_from_args(args)
     if not (forced or args.resilient or chaos is not None):
         return None, None
+    if chaos is not None:
+        _log.info(f"chaos plan: {chaos.describe()}")
     from repro.service import BreakerPolicy, ResiliencePolicy, RetryPolicy
 
     policy = ResiliencePolicy(
-        retry=RetryPolicy(
-            max_attempts=max(1, args.retries), hedge_after=args.hedge_after
-        ),
+        retry=RetryPolicy(max_attempts=max(1, args.retries)),
         breaker=BreakerPolicy(
             failure_threshold=args.breaker_threshold,
             reset_timeout=args.breaker_reset,
@@ -1125,8 +1120,6 @@ def _service_from_args(
     from repro.service import AllocationService
 
     resilience, chaos = _resilience_from_args(args, forced=forced_resilience)
-    if chaos is not None:
-        _log.info(f"chaos plan: {chaos.describe()}")
     return AllocationService(
         cache_capacity=args.cache_capacity,
         ttl=args.ttl,
@@ -1155,37 +1148,76 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tier_from_args(
+    args: argparse.Namespace,
+    *,
+    shards: int,
+    worker_mode: str,
+    admission,
+    coalesce: bool = True,
+    forced_resilience: bool = False,
+):
+    """The serving tier every service subcommand but plain ``serve`` drives."""
+    from repro.service import AsyncServingTier, TierConfig
+
+    resilience, chaos = _resilience_from_args(args, forced=forced_resilience)
+    common = dict(
+        shards=shards,
+        coalesce=coalesce,
+        admission=admission,
+        cache_capacity=args.cache_capacity,
+        ttl=args.ttl,
+        warm_start=not args.no_warm_start,
+        resilience=resilience,
+        chaos=chaos,
+    )
+    if worker_mode == "auto":
+        return AsyncServingTier(TierConfig.for_host(**common))
+    return AsyncServingTier(TierConfig(worker_mode=worker_mode, **common))
+
+
+def _batch_tier_from_args(
+    args: argparse.Namespace, max_pending: int, *, forced_resilience: bool = False
+):
+    """A tier for ``run_requests``: ``--workers 0`` solves inline on one
+    shard (deterministic), ``--workers N`` on N supervised worker processes.
+
+    The whole-batch refusal is the only admission gate: every request of an
+    admitted batch gets the exact path, none is degraded or shed mid-batch.
+    """
+    from repro.service import AdmissionPolicy, ClassThresholds
+    from repro.service.admission import DEFAULT_PRIORITY
+
+    return _tier_from_args(
+        args,
+        shards=max(1, args.workers),
+        worker_mode="process" if args.workers else "inline",
+        admission=AdmissionPolicy(
+            max_pending=max_pending,
+            thresholds={
+                DEFAULT_PRIORITY: ClassThresholds(degrade_at=1.0, shed_at=1.0)
+            },
+        ),
+        forced_resilience=forced_resilience,
+    )
+
+
 def _cmd_serve_async(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import (
-        AdmissionPolicy,
-        AsyncServingTier,
-        TierConfig,
-        serve_stdio,
-    )
+    from repro.service import AdmissionPolicy, serve_stdio
 
     try:
-        resilience, chaos = _resilience_from_args(args)
-        if chaos is not None:
-            _log.warning("chaos injection is not wired into the async tier")
-        common = dict(
+        tier = _tier_from_args(
+            args,
             shards=args.shards,
-            coalesce=not args.no_coalesce,
+            worker_mode=args.worker_mode,
             admission=AdmissionPolicy(max_pending=args.max_pending),
-            cache_capacity=args.cache_capacity,
-            ttl=args.ttl,
-            warm_start=not args.no_warm_start,
-            resilience=resilience,
+            coalesce=not args.no_coalesce,
         )
-        if args.worker_mode == "auto":
-            config = TierConfig.for_host(**common)
-        else:
-            config = TierConfig(worker_mode=args.worker_mode, **common)
     except ValueError as exc:
         _log.error(str(exc))
         return 2
-    tier = AsyncServingTier(config)
     with _tracing(args.trace_out):
         served = serve_stdio(
             tier,
@@ -1203,10 +1235,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
     from repro.service import (
-        BatchExecutor,
         ServiceOverloadError,
         ServiceRequestError,
         SolveRequest,
+        run_requests,
     )
 
     try:
@@ -1224,26 +1256,21 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         _log.error(str(exc))
         return 2
     try:
-        service = _service_from_args(args)
+        tier = _batch_tier_from_args(args, args.max_pending)
     except ValueError as exc:
         _log.error(str(exc))
         return 2
-    executor = BatchExecutor(
-        service,
-        max_workers=args.workers,
-        deadline=args.deadline,
-        max_pending=args.max_pending,
-    )
     try:
-        responses = executor.run(requests)
+        responses = run_requests(tier, requests, deadline=args.deadline)
     except ServiceOverloadError as exc:
         _log.error(str(exc))
         return 3
     for response in responses:
         print(json.dumps(response.to_dict()))
+    snapshot = tier.snapshot()
     if args.metrics:
-        print(json.dumps({"metrics": service.metrics.snapshot()}))
-    print(service.metrics.render(), file=sys.stderr)
+        print(json.dumps({"metrics": snapshot}))
+    print(json.dumps(snapshot, indent=2), file=sys.stderr)
     return 0 if all(r.ok for r in responses) else 1
 
 
@@ -1284,12 +1311,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
     from collections import Counter
 
-    from repro.service import (
-        BatchExecutor,
-        ServiceRejectedError,
-        ServiceResponse,
-        ServiceTimeoutError,
-    )
+    from repro.service import run_requests
 
     if args.requests < 1:
         _log.error("--requests must be >= 1")
@@ -1310,45 +1332,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         args.chaos_slow_rate = 0.10
         args.chaos_corrupt_rate = 0.05
     try:
-        service = _service_from_args(args, forced_resilience=True)
+        tier = _batch_tier_from_args(
+            args, max(args.requests, 1024), forced_resilience=True
+        )
     except ValueError as exc:
         _log.error(str(exc))
         return 2
     requests = _chaos_mix(args.requests, args.families)
-    responses: list[ServiceResponse] = []
-    if args.workers:
-        executor = BatchExecutor(
-            service,
-            max_workers=args.workers,
-            deadline=args.deadline,
-            max_pending=max(args.requests, 1024),
-        )
-        responses = executor.run(requests)
-    else:
-        for request in requests:
-            try:
-                responses.append(
-                    service.submit(request, deadline=args.deadline)
-                )
-            except ServiceRejectedError as exc:
-                responses.append(
-                    ServiceResponse.error(
-                        fingerprint=exc.fingerprint,
-                        status="rejected",
-                        message=str(exc),
-                        source="rejected",
-                    )
-                )
-            except ServiceTimeoutError as exc:
-                responses.append(
-                    ServiceResponse.error(
-                        fingerprint=exc.fingerprint,
-                        status="time_limit",
-                        message=str(exc),
-                    )
-                )
+    responses = run_requests(tier, requests, deadline=args.deadline)
     sources = Counter(r.source for r in responses)
-    snapshot = service.metrics.snapshot()
+    snapshot = tier.snapshot()
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
             json.dump(snapshot, fh, indent=2)
@@ -1378,7 +1371,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 f"{response.fingerprint[:12]}  {response.status:<11}"
                 f"  source={response.source}{note}"
             )
-        print(service.metrics.render(), file=sys.stderr)
+        print(json.dumps(snapshot, indent=2), file=sys.stderr)
     if answered != len(requests):
         _log.error(
             f"lost requests: {len(requests) - answered} of {len(requests)} "

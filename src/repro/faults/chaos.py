@@ -18,13 +18,13 @@ apply:
   :class:`~repro.service.errors.WorkerHangError` the real pool raises, so
   the retry/breaker/degradation machinery cannot tell drills from fires.
 
-Two execution modes share one plan:
+Two execution modes share one plan and one injector (``chaotic_solve``):
 
-* **in-process** (``chaotic_solve``): faults are raised/applied directly —
-  fast and fully deterministic, what the seeded suite and soak use;
-* **in-worker** (``chaos_pool_solve``): faults happen *physically* in a
-  pool process — a crash is ``os._exit``, a hang is a real sleep the
-  supervisor must kill — the end-to-end recovery test's mode.
+* **in-process**: faults are raised/applied directly — fast and fully
+  deterministic, what the seeded suite and the ``--workers 0`` soak use;
+* **in-worker** (``physical=True``, reached through ``chaos_pool_solve``,
+  the service's one pool-worker entry point): a crash is ``os._exit``, a
+  hang is a real sleep the supervisor must kill.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.faults.plan import _stable_key
 from repro.obs import telemetry
+from repro.obs.trace import span
 from repro.service.errors import WorkerCrashError, WorkerHangError
 
 #: Draw order: one uniform per (fingerprint, attempt) is split into bands.
@@ -157,11 +158,14 @@ def corrupt_outcome(outcome):
     )
 
 
-def chaotic_solve(plan: ChaosPlan, base_solve):
-    """Wrap a ``solve_request``-shaped callable with in-process chaos.
+def chaotic_solve(plan: ChaosPlan, base_solve, *, physical: bool = False):
+    """Wrap a ``solve_request``-shaped callable with chaos.
 
-    The wrapper accepts the extra ``attempt`` keyword the resilient service
-    threads through, so each retry rolls its own fault draw.
+    The wrapper accepts the extra ``attempt`` keyword the service threads
+    through, so each retry rolls its own fault draw.  In-process, a crash
+    or hang is raised as the typed error the supervised pool would raise;
+    with ``physical`` (inside a pool worker) the process really dies or
+    really sleeps ``hang_seconds``, and the supervisor has to notice.
     """
 
     def _solve(request, *, x0=None, deadline=None, attempt=0):
@@ -169,14 +173,18 @@ def chaotic_solve(plan: ChaosPlan, base_solve):
         kind = plan.fault(fingerprint, attempt)
         if kind == "crash":
             telemetry.record_fault("worker_crash", "service")
+            if physical:
+                os._exit(3)
             raise WorkerCrashError(
                 worker_id=-1, fingerprint=fingerprint, detail="injected crash"
             )
         if kind == "hang":
             telemetry.record_fault("worker_hang", "service")
-            raise WorkerHangError(
-                worker_id=-1, timeout=deadline, fingerprint=fingerprint
-            )
+            if not physical:
+                raise WorkerHangError(
+                    worker_id=-1, timeout=deadline, fingerprint=fingerprint
+                )
+            time.sleep(plan.hang_seconds)
         outcome = base_solve(request, x0=x0, deadline=deadline)
         if kind == "slow":
             telemetry.record_fault("worker_slow", "service")
@@ -197,30 +205,26 @@ def chaos_pool_solve(
     payload: dict,
     x0: dict | None,
     deadline: float | None,
-    chaos: dict | None,
+    chaos: dict | None = None,
     attempt: int = 0,
 ) -> dict:
-    """Pool-worker entry point with *physical* fault injection.
+    """The one picklable entry point a pool worker runs: wire formats only.
 
-    Runs inside a :class:`ProcessPoolExecutor` worker, so a "crash" is a
-    real process death (``os._exit``) the supervisor sees as
-    ``BrokenProcessPool``, and a "hang" is a real sleep it must kill.
+    With ``chaos=None`` — production — this is ``solve_request`` between
+    two dict conversions.  With a plan it injects *physical* faults: the
+    supervisor sees a real process death or a real hang.
     """
     from repro.service.request import SolveRequest
     from repro.service.solver import solve_request
 
     request = SolveRequest.from_dict(payload)
-    plan = ChaosPlan.from_dict(chaos) if chaos else None
-    kind = plan.fault(request.fingerprint(), attempt) if plan else None
-    if kind == "crash":
-        os._exit(3)
-    if kind == "hang":
-        time.sleep(plan.hang_seconds)
-    if kind == "slow":
-        time.sleep(plan.slow_seconds)
-    outcome = solve_request(request, x0=x0, deadline=deadline)
-    if kind == "corrupt":
-        outcome = corrupt_outcome(outcome)
+    with span("worker.solve", pid=os.getpid(), warm=x0 is not None):
+        if chaos:
+            outcome = chaotic_solve(
+                ChaosPlan.from_dict(chaos), solve_request, physical=True
+            )(request, x0=x0, deadline=deadline, attempt=attempt)
+        else:
+            outcome = solve_request(request, x0=x0, deadline=deadline)
     return outcome.to_dict()
 
 

@@ -449,6 +449,11 @@ def solve_minlp_oa_multitree(
     best_signed = math.inf
     lower_signed = -math.inf
     status = Status.ITERATION_LIMIT
+    evaluated: set[tuple] = set()
+
+    def _gap(incumbent: float) -> float:
+        # Never tighter than branch-and-bound's own closing test.
+        return max(gap_tol, opts.gap_abs, opts.gap_rel * abs(incumbent))
 
     for _ in range(max_rounds):
         msol = solve_milp(master.problem, opts)
@@ -461,10 +466,12 @@ def solve_minlp_oa_multitree(
             status = msol.status
             break
         lower_signed = max(lower_signed, sign * msol.objective)
-        if best is not None and lower_signed >= best_signed - gap_tol:
+        if best is not None and lower_signed >= best_signed - _gap(best_signed):
             status = Status.OPTIMAL
             break
 
+        assignment = tuple(sorted(_integer_assignment(work, msol.values).items()))
+        cuts_before = stats.cuts_added
         sub = _solve_fixed_subproblem(
             work, msol.values, nlp_multistart=nlp_multistart, rng=rng
         )
@@ -482,10 +489,16 @@ def solve_minlp_oa_multitree(
         else:
             # Infeasible integer assignment: cut off the master point.
             master.add_cuts_at({**msol.values, **_integer_assignment(work, msol.values)})
-        # Integer no-good is implied by the new cuts for convex models; the
-        # epsilon below keeps the master from returning the same assignment
-        # with an unchanged bound forever on degenerate instances.
-        if best is not None and abs(lower_signed - best_signed) <= gap_tol:
+        # The new cuts are the integer no-good for convex models.  A master
+        # that re-proposes an assignment already evaluated, with every cut at
+        # its subproblem optimum already installed, is tight there: its bound
+        # is that assignment's true cost to within the cut tolerance, and no
+        # later round can differ — the incumbent is optimal.
+        if assignment in evaluated and stats.cuts_added == cuts_before:
+            status = Status.OPTIMAL
+            break
+        evaluated.add(assignment)
+        if best is not None and lower_signed >= best_signed - _gap(best_signed):
             status = Status.OPTIMAL
             break
 

@@ -6,7 +6,9 @@ Prometheus-flavoured semantics with zero dependencies:
 * **Gauge** — last-write-wins float, optional labels;
 * **Histogram** — cumulative fixed buckets plus ``_sum``/``_count``, the
   same shape :class:`repro.service.metrics.LatencyHistogram` uses, so the
-  service's numbers merge into one scrape.
+  service's numbers merge into one scrape.  The bucket table and the two
+  quantile routines (:func:`exact_quantile`, :func:`bucket_quantile`) live
+  here once; the service histogram and the SLO tracker call them.
 
 Labeled children are keyed by a sorted ``(name, value)`` tuple, so label
 order never mints a new series.  The module-level :data:`REGISTRY` is the
@@ -17,6 +19,7 @@ instances instead of resetting the global one mid-flight.
 from __future__ import annotations
 
 import bisect
+import os
 import threading
 from collections.abc import Iterator, Sequence
 
@@ -35,6 +38,36 @@ EXPORTED_QUANTILES = (0.5, 0.99, 0.999)
 EXACT_SAMPLE_CAP = 1024
 
 _LabelKey = tuple[tuple[str, str], ...]
+
+
+def exact_quantile(sorted_samples: Sequence[float], q: float) -> float:
+    """Linear-interpolated order statistic of ``sorted_samples``."""
+    if not sorted_samples:
+        return 0.0
+    pos = q * (len(sorted_samples) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(sorted_samples) - 1)
+    return sorted_samples[lo] + (sorted_samples[hi] - sorted_samples[lo]) * (pos - lo)
+
+
+def bucket_quantile(
+    buckets: Sequence[float], counts: Sequence[int], total: int, q: float
+) -> float:
+    """Quantile from per-bucket counts, linear inside the covering bucket.
+
+    A strictly better estimate than the bucket's upper bound, and identical
+    to it at the bucket boundaries; ``inf`` when the rank lands in the
+    overflow bucket.
+    """
+    target = q * total
+    seen = 0
+    lower = 0.0
+    for bound, count in zip(buckets, counts):
+        if seen + count >= target and count:
+            return lower + (bound - lower) * ((target - seen) / count)
+        seen += count
+        lower = bound
+    return float("inf")
 
 
 def _label_key(labels: dict[str, str]) -> _LabelKey:
@@ -191,20 +224,8 @@ class Histogram(Metric):
                 return 0.0
             retained = self._samples.get(key, [])
             if total <= len(retained):
-                retained = sorted(retained)
-                pos = q * (total - 1)
-                lo = int(pos)
-                hi = min(lo + 1, total - 1)
-                return retained[lo] + (retained[hi] - retained[lo]) * (pos - lo)
-            target = q * total
-            seen = 0
-            lower = 0.0
-            for bound, c in zip(self.buckets, self._counts[key]):
-                if seen + c >= target and c:
-                    return lower + (bound - lower) * ((target - seen) / c)
-                seen += c
-                lower = bound
-            return float("inf")  # landed in the overflow bucket
+                return exact_quantile(sorted(retained), q)
+            return bucket_quantile(self.buckets, self._counts[key], total, q)
 
     def samples(self) -> Iterator[tuple[str, _LabelKey, float]]:
         """Prometheus-shaped samples: quantiles, cumulative buckets, sum/count.
@@ -295,3 +316,14 @@ class MetricsRegistry:
 
 #: The process-wide default registry.
 REGISTRY = MetricsRegistry()
+
+
+def _fresh_locks_after_fork() -> None:
+    # Pool workers are forked while other threads may be mid-``inc``; a lock
+    # copied in the held state would deadlock the child's first metric call.
+    REGISTRY._lock = threading.Lock()
+    for metric in REGISTRY._metrics.values():
+        metric._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_locks_after_fork)

@@ -18,8 +18,8 @@ if the rate holds.  A latency SLO counts a request "bad" when it is slower
 than the threshold *or* failed outright; an availability SLO counts sheds
 and errors only.
 
-Feeds: :meth:`repro.service.frontend.AsyncServingTier.submit` and the
-batch executor report every outcome here; the ``slo_*`` gauges exported by
+Feeds: :meth:`repro.service.frontend.AsyncServingTier.submit` reports
+every outcome here; the ``slo_*`` gauges exported by
 :meth:`SLOTracker.export` ride the normal Prometheus scrape.
 """
 
@@ -29,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, exact_quantile
 
 #: Outcomes a request can land in, from the tracker's point of view.
 OUTCOMES = ("ok", "degraded", "shed", "error")
@@ -81,15 +81,6 @@ class _Bucket:
         self.epoch = epoch
         self.counts.clear()
         self.latencies.clear()
-
-
-def _quantile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    pos = q * (len(sorted_values) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (pos - lo)
 
 
 class SLOTracker:
@@ -187,9 +178,9 @@ class SLOTracker:
             latencies = sorted(latencies)
             priorities[priority] = {
                 "total": total,
-                "p50": _quantile(latencies, 0.50),
-                "p99": _quantile(latencies, 0.99),
-                "p999": _quantile(latencies, 0.999),
+                "p50": exact_quantile(latencies, 0.50),
+                "p99": exact_quantile(latencies, 0.99),
+                "p999": exact_quantile(latencies, 0.999),
                 "shed_rate": counts.get("shed", 0) / total,
                 "error_rate": counts.get("error", 0) / total,
                 "degraded_rate": counts.get("degraded", 0) / total,

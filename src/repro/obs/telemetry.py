@@ -37,7 +37,6 @@ def ensure_registered() -> None:
     REGISTRY.counter("hslb_execution_recoveries_total", "mid-run crash recoveries")
     REGISTRY.counter("faults_injected_total", "injected faults by kind")
     REGISTRY.counter("service_retries_total", "service solve re-dispatches")
-    REGISTRY.counter("service_hedges_total", "hedged duplicate dispatches")
     REGISTRY.counter("service_worker_failures_total", "worker crashes/hangs by kind")
     REGISTRY.counter("service_worker_restarts_total", "supervised worker replacements")
     REGISTRY.counter("service_corruptions_total", "corrupt results caught by validation")

@@ -402,6 +402,17 @@ class Tracer:
 _TRACER = Tracer()
 
 
+def _fresh_locks_after_fork() -> None:
+    # Same hazard as the metrics registry: a pool worker forked while another
+    # thread mints a span id would inherit that lock held.
+    global _ID_LOCK
+    _ID_LOCK = threading.Lock()
+    _TRACER._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_locks_after_fork)
+
+
 def get_tracer() -> Tracer:
     """The process-wide tracer singleton."""
     return _TRACER

@@ -14,14 +14,14 @@ Layers (each its own module, composable in isolation):
   (expired entries retained for bounded-staleness serving);
 * :mod:`~repro.service.solver`     — the pure fingerprint-seeded solve, its
   corruption validator, and the greedy approximate fallback;
-* :mod:`~repro.service.service`    — cache + warm-start pool + metrics +
-  the degradation ladder (exact → stale → greedy → typed rejection);
+* :mod:`~repro.service.service`    — the one dispatch path: cache,
+  warm-start pool, breaker, retries, validation, metrics and the
+  degradation ladder (exact → stale → greedy → typed rejection), with the
+  solve itself run in-process or on a supervised worker;
 * :mod:`~repro.service.supervisor` — crash-isolating worker pool with
-  per-worker health and bounded restarts;
-* :mod:`~repro.service.retry`      — deterministic capped backoff + hedging;
+  per-worker health and bounded restarts (the only owner of processes);
+* :mod:`~repro.service.retry`      — deterministic capped backoff;
 * :mod:`~repro.service.breaker`    — per-family circuit breaker;
-* :mod:`~repro.service.batch`      — dedup, donor ordering, supervised
-  process fan-out, deadlines, admission backpressure;
 * :mod:`~repro.service.server`     — the ``repro serve`` JSONL loop;
 * :mod:`~repro.service.sharding`   — consistent-hash ring placing request
   families onto cache shards;
@@ -29,8 +29,9 @@ Layers (each its own module, composable in isolation):
   in-flight requests;
 * :mod:`~repro.service.admission`  — tiered admission control (accept /
   degrade / shed by priority class);
-* :mod:`~repro.service.frontend`   — the asyncio serving tier and its JSONL
-  stream transport (``hslb serve --async``);
+* :mod:`~repro.service.frontend`   — the asyncio serving tier, its JSONL
+  stream transport (``hslb serve --async``) and ``run_requests``, the
+  synchronous batch API (``hslb batch``, ``hslb chaos``);
 * :mod:`~repro.service.loadgen`    — trace-driven load generation (Zipf +
   diurnal + flash-crowd shapes) and async replay;
 * :mod:`~repro.service.metrics`    — counters/histograms and their snapshot;
@@ -44,7 +45,6 @@ from repro.service.admission import (
     AdmissionPolicy,
     ClassThresholds,
 )
-from repro.service.batch import BatchExecutor
 from repro.service.breaker import BreakerPolicy, CircuitBreaker
 from repro.service.cache import CacheStats, SolutionCache
 from repro.service.coalesce import FlightStats, SingleFlight
@@ -93,7 +93,6 @@ __all__ = [
     "AdmissionPolicy",
     "AllocationService",
     "AsyncServingTier",
-    "BatchExecutor",
     "BreakerPolicy",
     "CacheStats",
     "CircuitBreaker",

@@ -14,19 +14,23 @@ cache depends on.
 The layers, bottom-up::
 
     transport   serve_stream / serve_stdio — asyncio JSONL framing, one
-                task per line, out-of-order completion, id passthrough
+                task per line, out-of-order completion, id passthrough;
+                run_requests — the synchronous batch API
     scheduling  AsyncServingTier.submit — admission (accept / degrade /
                 shed by priority), ring routing, single-flight coalescing
     solving     one AllocationService per shard — cache, donors, breaker,
-                degradation ladder, the fingerprint-seeded solve
+                retries, validation, degradation ladder: every solve is
+                dispatched and booked by ``AllocationService.submit``
 
-Worker modes: ``"process"`` gives each shard its own single-process
-executor — the parallel mode, since the branch-and-bound solve is
-GIL-bound Python (its LP calls are too short to release the interpreter
-for long); donor lookup and cache admission stay in the parent loop, so
-shard state remains single-writer.  ``"thread"`` (default) runs solves on
-a one-thread executor per shard — no solve parallelism, but the event
-loop stays responsive, and nothing forks.  ``"inline"`` runs solves
+Worker modes decide only *where* that submit's solve runs.  ``"thread"``
+(default) gives each shard a one-thread executor: the thread serialises
+donor lookup -> solve -> cache admission, so a burst of one family's
+budgets chains warm starts and shard state has one solving writer; the
+event loop stays responsive and nothing forks.  ``"process"`` is thread
+mode whose service ships the solve itself to one supervised worker process
+per shard — the parallel mode, since the branch-and-bound solve is
+GIL-bound Python; a worker that dies or hangs is replaced and the solve
+re-dispatched by the service's own retry loop.  ``"inline"`` runs submits
 directly on the event loop — fully deterministic, the mode the tests use.
 """
 
@@ -38,17 +42,15 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import IO
 
-from repro.minlp.solution import Status
 from repro.obs.metrics import REGISTRY
 from repro.obs.slo import SLOTracker
-from repro.obs.trace import get_tracer, run_traced_child, span
+from repro.obs.trace import span
 from repro.service.admission import (
     DEFAULT_PRIORITY,
     AdmissionController,
@@ -56,45 +58,15 @@ from repro.service.admission import (
     AdmissionPolicy,
 )
 from repro.service.coalesce import SingleFlight
-from repro.service.errors import (
-    ServiceError,
-    ServiceOverloadError,
-    ServiceRejectedError,
-    ServiceTimeoutError,
-)
+from repro.service.errors import ServiceError, ServiceOverloadError
 from repro.service.metrics import LatencyHistogram
 from repro.service.request import SolveRequest
-from repro.service.response import ServiceResponse
+from repro.service.response import ServiceResponse, error_payload
 from repro.service.service import AllocationService, ResiliencePolicy
 from repro.service.sharding import DEFAULT_VNODES, HashRing
-from repro.service.solver import SolveOutcome, greedy_outcome, solve_request
+from repro.service.supervisor import SupervisedWorkerPool
 
 _WORKER_MODES = ("thread", "process", "inline")
-
-
-def _shard_solve(
-    payload: dict,
-    x0: dict | None,
-    deadline: float | None,
-    trace_context: dict | None = None,
-) -> dict:
-    """The picklable solve shipped to a shard's worker process.
-
-    With a ``trace_context`` attached, the worker records its solve-side
-    spans under that parent and ships them back on the ``"_trace"`` key of
-    the outcome dict, for the parent to graft into the request's tree.
-    """
-
-    def _solve() -> dict:
-        with span("worker.solve", pid=os.getpid(), warm=x0 is not None):
-            return solve_request(
-                SolveRequest.from_dict(payload), x0=x0, deadline=deadline
-            ).to_dict()
-
-    outcome, spans = run_traced_child(trace_context, _solve)
-    if spans:
-        outcome = {**outcome, "_trace": spans}
-    return outcome
 
 
 @dataclass(frozen=True)
@@ -111,6 +83,9 @@ class TierConfig:
     warm_start: bool = True
     share_cuts: bool = True
     resilience: ResiliencePolicy | None = None
+    # ChaosPlan: injected in-process by inline/thread shards, shipped to
+    # (and physically enacted in) process-mode workers.
+    chaos: object | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -142,138 +117,64 @@ class TierConfig:
 
 
 class _Shard:
-    """One shard: its service, its flight table, its (optional) worker."""
+    """One shard: its service, its flight table, its solving thread."""
 
     def __init__(self, name: str, config: TierConfig) -> None:
         self.name = name
+        self.mode = config.worker_mode
         self.service = AllocationService(
             cache_capacity=config.cache_capacity,
             ttl=config.ttl,
             warm_start=config.warm_start,
             resilience=config.resilience,
+            chaos=config.chaos,
             share_cuts=config.share_cuts,
+            pool=SupervisedWorkerPool(1) if self.mode == "process" else None,
         )
         self.flights = SingleFlight()
         self.requests = 0
-        self.mode = config.worker_mode
+        # One thread per shard: it serialises donor lookup -> solve -> cache
+        # admission, so each solve's donor lookup sees every sibling already
+        # admitted.  Costs no parallelism: a shard has one worker.
         self.executor: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(
+            None
+            if self.mode == "inline"
+            else ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"hslb-{name}"
             )
-            if self.mode == "thread"
-            else None
         )
-        self.process: ProcessPoolExecutor | None = (
-            ProcessPoolExecutor(max_workers=1)
-            if self.mode == "process"
-            else None
-        )
-        # Serializes out-of-process dispatch per shard, so each solve's
-        # donor lookup sees every sibling already admitted.  Costs nothing:
-        # the pool has exactly one worker.
-        self._dispatch_lock = asyncio.Lock()
 
-    async def solve(self, request: SolveRequest, deadline: float | None):
-        """Run one (possibly warm-started) solve on this shard's worker."""
-        if self.process is not None:
-            return await self._solve_out_of_process(request, deadline)
-        call = partial(self.service.submit, request, deadline=deadline)
-        if self.executor is None:
-            with span("shard.solve", shard=self.name, mode="inline"):
-                return call()
-        with span("shard.solve", shard=self.name, mode="thread"):
-            # run_in_executor does NOT carry contextvars; copy the current
-            # context so the thread-side spans nest under this one.
-            ctx = contextvars.copy_context()
-            return await asyncio.get_running_loop().run_in_executor(
-                self.executor, ctx.run, call
-            )
-
-    async def _solve_out_of_process(
+    async def solve(
         self, request: SolveRequest, deadline: float | None
     ) -> ServiceResponse:
-        """Ship the solve to this shard's worker process.
+        """Run one ``AllocationService.submit`` on this shard's thread."""
+        if self.executor is None:
+            with span("shard.solve", shard=self.name, mode="inline"):
+                return self.service.submit(request, deadline=deadline)
+        # run_in_executor does NOT carry contextvars; the thread runs in a
+        # copy of the current context so its spans nest under this request.
+        # The queue span lives in that copy only: opened here at submit,
+        # closed by the shard thread when it picks the request up.
+        ctx = contextvars.copy_context()
+        queued = span("shard.queue", shard=self.name)
+        ctx.run(queued.__enter__)
 
-        Only the solve itself leaves the parent: donor lookup before and
-        cache/donor admission after both run on the event loop, under the
-        shard's dispatch lock — so a burst of one family's budgets chains
-        warm starts (each solve sees its predecessors admitted) instead of
-        all dispatching cold.  A dead worker is replaced and the victim
-        solve retried on a transient thread — the request is
-        fingerprint-seeded, so the retry is idempotent.
-        """
-        start = time.perf_counter()
-        loop = asyncio.get_running_loop()
-        fingerprint = request.fingerprint()
-        service = self.service
-        with span("shard.queue", shard=self.name):
-            await self._dispatch_lock.acquire()
-        try:
-            with span("shard.solve", shard=self.name, mode="process") as sp:
-                x0, donor = service._find_donor(request, fingerprint)
-                trace_context = sp.context().to_dict() if sp.trace_id else None
-                try:
-                    payload = await loop.run_in_executor(
-                        self.process,
-                        _shard_solve,
-                        request.to_dict(), x0, deadline, trace_context,
-                    )
-                except BrokenProcessPool:
-                    service.metrics.record_worker_failure("crash")
-                    self.process.shutdown(wait=False)
-                    self.process = ProcessPoolExecutor(max_workers=1)
-                    service.metrics.record_worker_restart()
-                    # Retry on a transient thread: carry the live context
-                    # instead of a serialized one (same process, new thread).
-                    ctx = contextvars.copy_context()
-                    payload = await loop.run_in_executor(
-                        None,
-                        ctx.run,
-                        partial(_shard_solve, request.to_dict(), x0, deadline),
-                    )
-                remote_spans = payload.pop("_trace", None)
-                if remote_spans and sp.trace_id:
-                    get_tracer().attach_remote(remote_spans, anchor=sp)
-                outcome = SolveOutcome.from_dict(payload)
-                ok = outcome.status in (
-                    Status.OPTIMAL.value, Status.FEASIBLE.value
-                )
-                if ok:
-                    service.admit(request, outcome)
-        finally:
-            self._dispatch_lock.release()
-        service.metrics.record_solve(
-            outcome.wall_time,
-            warm=outcome.warm_started,
-            iterations=outcome.iterations,
-            ok=ok,
-        )
-        if ok:
-            return ServiceResponse.from_outcome(
-                outcome,
-                cached=False,
-                latency=time.perf_counter() - start,
-                donor=donor,
-            )
-        if outcome.status == Status.TIME_LIMIT.value:
-            service.metrics.record_timeout()
-        if service.resilience is not None:
-            # The ladder below exact (stale -> greedy -> typed rejection).
-            return service.fallback(
-                request,
-                fingerprint,
-                reason=f"worker solve ended {outcome.status}",
-                start=start,
-            )
-        return ServiceResponse.from_outcome(
-            outcome, cached=False, latency=time.perf_counter() - start
+        def on_shard_thread() -> ServiceResponse:
+            queued.__exit__(None, None, None)
+            with span("shard.solve", shard=self.name, mode=self.mode):
+                return self.service.submit(request, deadline=deadline)
+
+        return await asyncio.get_running_loop().run_in_executor(
+            self.executor, ctx.run, on_shard_thread
         )
 
     def close(self) -> None:
+        # Workers first: a solve still in flight dies with its worker and
+        # surfaces as a typed error, so the thread below always drains.
+        if self.service.pool is not None:
+            self.service.pool.shutdown()
         if self.executor is not None:
             self.executor.shutdown(wait=True)
-        if self.process is not None:
-            self.process.shutdown(wait=True)
 
 
 class AsyncServingTier:
@@ -314,21 +215,24 @@ class AsyncServingTier:
     async def warm_up(self) -> None:
         """Pre-fork process-mode pool workers while the process is quiet.
 
-        A ``ProcessPoolExecutor`` forks lazily at first submit — by which
-        time a transport may have parked a thread in a blocking
+        A worker pool forks lazily at first submit — by which time a
+        transport may have parked a thread in a blocking
         ``stdin.readline`` (see :func:`serve_stdio`).  A child forked while
         another thread holds ``sys.stdin``'s buffered-reader lock deadlocks
         in multiprocessing's ``_close_stdin`` bootstrap before it ever runs
-        a task.  Forking every worker up front, before any transport
-        thread exists, sidesteps that entirely — and moves the fork cost
-        off the first request's latency.
+        a task.  Forking every worker up front, from this thread, before
+        any transport or shard thread exists, sidesteps that entirely — and
+        moves the fork cost off the first request's latency.
         """
-        loop = asyncio.get_running_loop()
-        pools = [s.process for s in self.shards.values() if s.process is not None]
-        if pools:
-            await asyncio.gather(
-                *(loop.run_in_executor(pool, os.getpid) for pool in pools)
-            )
+        pools = [shard.service.pool for shard in self.shards.values()]
+        started = [
+            (pool, dispatch)
+            for pool in pools
+            if pool is not None
+            for dispatch in pool.warm_up()
+        ]
+        for pool, dispatch in started:
+            pool.result(dispatch)
 
     async def __aexit__(self, *exc) -> None:
         self.close()
@@ -367,10 +271,11 @@ class AsyncServingTier:
                 self._observe(start, trace_id=sp.trace_id)
                 self.slo.record(priority, None, "shed")
                 shard.service.metrics.record_overload()
+                capacity = self.config.admission.max_pending
                 raise ServiceOverloadError(
                     pending=self.pending,
-                    capacity=self.config.admission.max_pending,
-                    retry_after=self._retry_after(),
+                    capacity=capacity,
+                    retry_after=self._retry_after(self.pending - capacity // 2),
                 )
 
             # Fast path: a live cache hit never queues, whatever the verdict.
@@ -387,9 +292,11 @@ class AsyncServingTier:
                 )
 
             if decision is AdmissionDecision.DEGRADE:
-                response = self._degrade(
-                    shard, request, fingerprint, start, trace_id=sp.trace_id
-                )
+                # The middle verdict: stale cache if present, else greedy —
+                # microseconds, with the ladder's provenance conventions, so
+                # a scrape cannot mistake a load-shedding answer for exact.
+                response = shard.service.degrade(request, fingerprint, start)
+                self._observe(start, trace_id=sp.trace_id)
                 self.slo.record(priority, response.latency, "degraded")
                 return self._stamp(response, sp)
 
@@ -446,38 +353,6 @@ class AsyncServingTier:
             out["id"] = payload["id"]
         return out
 
-    # -- degraded serving ----------------------------------------------------
-
-    def _degrade(
-        self,
-        shard: _Shard,
-        request: SolveRequest,
-        fingerprint: str,
-        start: float,
-        trace_id: str = "",
-    ) -> ServiceResponse:
-        """Answer without a solve: stale cache if present, else greedy.
-
-        The admission layer's middle verdict.  Both rungs cost microseconds
-        and reuse the degradation ladder's provenance conventions, so a
-        scrape cannot mistake a load-shedding answer for an exact one.
-        """
-        hit = shard.service.cache.stale(fingerprint)
-        if hit is not None:
-            value, age = hit
-            latency = self._observe(start, trace_id=trace_id)
-            shard.service.metrics.record_degraded("stale", latency)
-            return ServiceResponse.from_outcome(
-                value, cached=True, latency=latency, source="stale",
-                staleness=age,
-            )
-        outcome = greedy_outcome(request)
-        latency = self._observe(start, trace_id=trace_id)
-        shard.service.metrics.record_degraded("greedy", latency)
-        return ServiceResponse.from_outcome(
-            outcome, cached=False, latency=latency, source="greedy"
-        )
-
     # -- accounting ----------------------------------------------------------
 
     @staticmethod
@@ -496,11 +371,10 @@ class AsyncServingTier:
         )
         return latency
 
-    def _retry_after(self) -> float:
-        """Drain-time hint for shed work, from the observed mean latency."""
-        mean = self.latency.mean or 0.05
-        headroom = max(1, self.pending - self.config.admission.max_pending // 2)
-        return headroom * mean
+    def _retry_after(self, excess: int, fallback: float = 0.05) -> float:
+        """Drain-time hint for shed work: the excess at the observed mean
+        latency (``fallback`` seconds each until anything has been served)."""
+        return max(1, excess) * (self.latency.mean or fallback)
 
     def snapshot(self) -> dict:
         """One structured view of the whole tier (JSON-ready)."""
@@ -510,8 +384,10 @@ class AsyncServingTier:
             "rejections": 0, "overloads": 0,
         }
         per_shard = {}
+        resilience: Counter = Counter()
         for name, shard in self.shards.items():
             snap = shard.service.metrics.snapshot()
+            resilience.update(snap["resilience"])
             per_shard[name] = {
                 "routed": shard.requests,
                 "requests": snap["requests"],
@@ -543,6 +419,7 @@ class AsyncServingTier:
             "latency": self.latency.snapshot(),
             "slo": self.slo.snapshot(),
             "per_shard": per_shard,
+            "resilience": dict(resilience),
             **merged,
         }
 
@@ -674,26 +551,8 @@ async def _serve_lines(
     async def handle(payload: dict) -> None:
         try:
             response = await tier.submit_dict(payload, deadline=deadline)
-        except ServiceOverloadError as exc:
-            response = {
-                "error": str(exc),
-                "status": "overload",
-                "retry_after": exc.retry_after,
-            }
-        except ServiceTimeoutError as exc:
-            response = {
-                "error": str(exc),
-                "status": "time_limit",
-                "fingerprint": exc.fingerprint,
-            }
-        except ServiceRejectedError as exc:
-            response = {
-                "error": str(exc),
-                "status": "rejected",
-                "fingerprint": exc.fingerprint,
-            }
         except ServiceError as exc:
-            response = {"error": str(exc)}
+            response = error_payload(exc)
         if "id" in payload and "id" not in response:
             response["id"] = payload["id"]
         await emit(response)
@@ -735,12 +594,34 @@ def run_requests(
     priority: str = DEFAULT_PRIORITY,
     deadline: float | None = None,
 ) -> list[ServiceResponse]:
-    """Convenience: drive the tier from synchronous code, all-concurrent.
+    """The synchronous batch API: answer ``requests`` in input order.
 
-    Every request becomes one task on a fresh event loop; the list comes
-    back in input order.  Overloads and rejections surface as error
-    envelopes, mirroring :class:`~repro.service.batch.BatchExecutor`.
+    Every request becomes one task on a fresh event loop, so the tier does
+    the batching: equal fingerprints coalesce onto one solve (or hit the
+    cache), a family's budgets chain warm starts on their shard's thread,
+    and distinct families fan out across shards.  One bad request never
+    poisons the batch — a raised :class:`ServiceError` comes back as a
+    typed envelope in its slot.
+
+    A batch larger than the tier's ``max_pending`` is refused whole with
+    :class:`ServiceOverloadError` (classic queue backpressure, not silent
+    truncation) before any request is admitted; ``retry_after`` is the
+    time to drain the excess at the observed mean latency, falling back to
+    ``deadline`` and then to a conservative constant.
     """
+    requests = list(requests)
+    capacity = tier.config.admission.max_pending
+    if len(requests) > capacity:
+        for _ in requests:
+            tier.slo.record(priority, None, "shed")
+        tier.shards[tier.route(requests[0])].service.metrics.record_overload()
+        raise ServiceOverloadError(
+            pending=len(requests),
+            capacity=capacity,
+            retry_after=tier._retry_after(
+                len(requests) - capacity, deadline or 0.1
+            ),
+        )
 
     async def _run() -> list[ServiceResponse]:
         async def one(req: SolveRequest) -> ServiceResponse:
@@ -748,20 +629,8 @@ def run_requests(
                 return await tier.submit(
                     req, priority=priority, deadline=deadline
                 )
-            except ServiceOverloadError as exc:
-                return ServiceResponse.error(
-                    fingerprint=req.fingerprint(),
-                    status="overload",
-                    message=str(exc),
-                    source="rejected",
-                )
-            except (ServiceTimeoutError, ServiceRejectedError) as exc:
-                return ServiceResponse.error(
-                    fingerprint=req.fingerprint(),
-                    status="rejected",
-                    message=str(exc),
-                    source="rejected",
-                )
+            except ServiceError as exc:
+                return ServiceResponse.from_error(exc, req.fingerprint())
 
         async with tier:
             return list(await asyncio.gather(*(one(r) for r in requests)))

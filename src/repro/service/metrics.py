@@ -10,31 +10,21 @@ the quantity the acceptance tests pin.
 from __future__ import annotations
 
 import bisect
+import threading
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import REGISTRY
-from repro.util.tables import format_table
-
-#: Log-spaced latency bucket upper bounds, in seconds.
-LATENCY_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    REGISTRY,
+    bucket_quantile,
+    exact_quantile,
 )
+from repro.util.tables import format_table
 
 #: Raw observations retained for exact quantiles.  Tail quantiles (p999)
 #: on fewer samples than this are *exact*; beyond it the histogram falls
 #: back to bucket interpolation.  2048 floats is ~16 KiB per histogram.
 EXACT_SAMPLE_CAP = 2048
-
-
-def exact_quantile(samples: list[float], q: float) -> float:
-    """Linear-interpolated order statistic of ``samples`` (must be sorted)."""
-    if not samples:
-        return 0.0
-    pos = q * (len(samples) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(samples) - 1)
-    return samples[lo] + (samples[hi] - samples[lo]) * (pos - lo)
 
 
 @dataclass
@@ -47,7 +37,7 @@ class LatencyHistogram:
     covering bucket once the reservoir overflows.
     """
 
-    buckets: tuple[float, ...] = LATENCY_BUCKETS
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS
     counts: list[int] = field(default_factory=list)
     total: int = 0
     sum: float = 0.0
@@ -90,16 +80,7 @@ class LatencyHistogram:
             return 0.0
         if self.total <= len(self._samples):
             return exact_quantile(sorted(self._samples), q)
-        target = q * self.total
-        seen = 0
-        lower = 0.0
-        for bound, count in zip(self.buckets, self.counts):
-            if seen + count >= target and count:
-                fraction = (target - seen) / count
-                return lower + (bound - lower) * fraction
-            seen += count
-            lower = bound
-        return float("inf")  # landed in the overflow bucket
+        return bucket_quantile(self.buckets, self.counts, self.total, q)
 
     def snapshot(self) -> dict:
         return {
@@ -118,7 +99,15 @@ class LatencyHistogram:
 
 @dataclass
 class ServiceMetrics:
-    """Everything the service counts, plus the derived headline ratios."""
+    """Everything the service counts, plus the derived headline ratios.
+
+    A request is booked exactly once, by one of :meth:`record_hit`,
+    :meth:`record_solve`, :meth:`record_degraded` or
+    :meth:`record_rejection` — so ``requests`` always equals the sum of the
+    outcome counters.  Behind the serving tier those four are called from
+    two threads (the event loop books hits and admission-degraded answers,
+    the shard thread books solves and the ladder), hence the lock.
+    """
 
     requests: int = 0
     cache_hits: int = 0
@@ -127,8 +116,6 @@ class ServiceMetrics:
     solve_errors: int = 0
     timeouts: int = 0
     overloads: int = 0
-    batch_requests: int = 0
-    batch_deduped: int = 0
     request_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     cold_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     warm_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
@@ -136,7 +123,6 @@ class ServiceMetrics:
     warm_iterations: int = 0
     # -- resilience accounting (supervisor / retry / breaker / ladder) -----
     retries: int = 0
-    hedges: int = 0
     worker_crashes: int = 0
     worker_hangs: int = 0
     worker_restarts: int = 0
@@ -145,6 +131,9 @@ class ServiceMetrics:
     degraded_greedy: int = 0
     rejections: int = 0
     breaker_blocks: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     @property
     def misses(self) -> int:
@@ -164,32 +153,32 @@ class ServiceMetrics:
         return cold / warm if warm else float("inf")
 
     def record_hit(self, latency: float) -> None:
-        self.requests += 1
-        self.cache_hits += 1
-        self.request_latency.observe(latency)
+        with self._lock:
+            self.requests += 1
+            self.cache_hits += 1
+            self.request_latency.observe(latency)
         REGISTRY.counter("service_requests_total").inc(outcome="hit")
         REGISTRY.histogram("service_request_seconds").observe(latency)
 
     def record_solve(
         self, latency: float, *, warm: bool, iterations: int, ok: bool
     ) -> None:
-        self.requests += 1
-        self.request_latency.observe(latency)
+        outcome = "error" if not ok else ("warm" if warm else "cold")
+        with self._lock:
+            self.requests += 1
+            self.request_latency.observe(latency)
+            if not ok:
+                self.solve_errors += 1
+            elif warm:
+                self.warm_solves += 1
+                self.warm_iterations += iterations
+                self.warm_latency.observe(latency)
+            else:
+                self.cold_solves += 1
+                self.cold_iterations += iterations
+                self.cold_latency.observe(latency)
         REGISTRY.histogram("service_request_seconds").observe(latency)
-        if not ok:
-            self.solve_errors += 1
-            REGISTRY.counter("service_requests_total").inc(outcome="error")
-            return
-        if warm:
-            self.warm_solves += 1
-            self.warm_iterations += iterations
-            self.warm_latency.observe(latency)
-            REGISTRY.counter("service_requests_total").inc(outcome="warm")
-        else:
-            self.cold_solves += 1
-            self.cold_iterations += iterations
-            self.cold_latency.observe(latency)
-            REGISTRY.counter("service_requests_total").inc(outcome="cold")
+        REGISTRY.counter("service_requests_total").inc(outcome=outcome)
 
     def record_timeout(self) -> None:
         self.timeouts += 1
@@ -199,16 +188,12 @@ class ServiceMetrics:
         self.retries += 1
         REGISTRY.counter("service_retries_total").inc()
 
-    def record_hedge(self) -> None:
-        self.hedges += 1
-        REGISTRY.counter("service_hedges_total").inc()
-
     def record_worker_failure(self, kind: str) -> None:
-        """One worker death booked by the supervised pool (crash or hang).
+        """One worker death (crash or hang) caught on the request path.
 
         The ``service_worker_failures_total`` registry counter is bumped by
-        the pool itself (it fires even on metrics-less pools); this method
-        only maintains the service-local mirror.
+        the supervised pool itself (it fires even on metrics-less pools);
+        this method only maintains the service-local mirror.
         """
         if kind == "hang":
             self.worker_hangs += 1
@@ -224,23 +209,25 @@ class ServiceMetrics:
 
     def record_degraded(self, mode: str, latency: float) -> None:
         """A request answered by a ladder rung below exact (stale/greedy)."""
-        self.requests += 1
-        self.request_latency.observe(latency)
-        if mode == "stale":
-            self.degraded_stale += 1
-        elif mode == "greedy":
-            self.degraded_greedy += 1
-        else:
+        if mode not in ("stale", "greedy"):
             raise ValueError(f"unknown degraded mode {mode!r}")
+        with self._lock:
+            self.requests += 1
+            self.request_latency.observe(latency)
+            if mode == "stale":
+                self.degraded_stale += 1
+            else:
+                self.degraded_greedy += 1
         REGISTRY.counter("service_requests_total").inc(outcome=mode)
         REGISTRY.counter("service_degraded_total").inc(mode=mode)
         REGISTRY.histogram("service_request_seconds").observe(latency)
 
     def record_rejection(self, latency: float) -> None:
         """The ladder's explicit bottom: a typed refusal."""
-        self.requests += 1
-        self.rejections += 1
-        self.request_latency.observe(latency)
+        with self._lock:
+            self.requests += 1
+            self.rejections += 1
+            self.request_latency.observe(latency)
         REGISTRY.counter("service_requests_total").inc(outcome="rejected")
         REGISTRY.counter("service_rejections_total").inc()
         REGISTRY.histogram("service_request_seconds").observe(latency)
@@ -253,40 +240,10 @@ class ServiceMetrics:
         self.overloads += 1
         REGISTRY.counter("service_overloads_total").inc()
 
-    def record_batch(self, requests: int, *, deduped: int = 0) -> None:
-        self.batch_requests += requests
-        self.batch_deduped += deduped
-        REGISTRY.counter("service_batch_requests_total").inc(requests)
-        if deduped:
-            REGISTRY.counter("service_batch_deduped_total").inc(deduped)
-
     def reset(self) -> None:
         """Zero every counter and histogram (the registry mirror is global
         and keeps accumulating; reset that separately if needed)."""
-        self.requests = 0
-        self.cache_hits = 0
-        self.cold_solves = 0
-        self.warm_solves = 0
-        self.solve_errors = 0
-        self.timeouts = 0
-        self.overloads = 0
-        self.batch_requests = 0
-        self.batch_deduped = 0
-        self.cold_iterations = 0
-        self.warm_iterations = 0
-        self.retries = 0
-        self.hedges = 0
-        self.worker_crashes = 0
-        self.worker_hangs = 0
-        self.worker_restarts = 0
-        self.corruptions = 0
-        self.degraded_stale = 0
-        self.degraded_greedy = 0
-        self.rejections = 0
-        self.breaker_blocks = 0
-        self.request_latency.reset()
-        self.cold_latency.reset()
-        self.warm_latency.reset()
+        self.__init__()
 
     def snapshot(self) -> dict:
         """One structured, JSON-ready view of every counter and histogram."""
@@ -300,15 +257,12 @@ class ServiceMetrics:
             "solve_errors": self.solve_errors,
             "timeouts": self.timeouts,
             "overloads": self.overloads,
-            "batch_requests": self.batch_requests,
-            "batch_deduped": self.batch_deduped,
             "warm_start_speedup": self.warm_start_speedup,
             "latency": self.request_latency.snapshot(),
             "cold_latency": self.cold_latency.snapshot(),
             "warm_latency": self.warm_latency.snapshot(),
             "resilience": {
                 "retries": self.retries,
-                "hedges": self.hedges,
                 "worker_crashes": self.worker_crashes,
                 "worker_hangs": self.worker_hangs,
                 "worker_restarts": self.worker_restarts,
@@ -331,8 +285,7 @@ class ServiceMetrics:
             ["warm solves", snap["warm_solves"]],
             ["errors / timeouts / overloads",
              f"{snap['solve_errors']} / {snap['timeouts']} / {snap['overloads']}"],
-            ["retries / hedges",
-             f"{self.retries} / {self.hedges}"],
+            ["retries", self.retries],
             ["worker crashes / hangs / restarts",
              f"{self.worker_crashes} / {self.worker_hangs} / {self.worker_restarts}"],
             ["degraded stale / greedy / rejected",

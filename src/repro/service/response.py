@@ -20,10 +20,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.minlp.solution import Status
+from repro.service.errors import (
+    ServiceError,
+    ServiceOverloadError,
+    ServiceRejectedError,
+    ServiceTimeoutError,
+)
 from repro.service.solver import SolveOutcome
 
 #: Degradation rungs, best to worst.
 SOURCES = ("exact", "cache", "stale", "greedy", "rejected")
+
+
+def error_payload(exc: ServiceError) -> dict:
+    """The one :class:`ServiceError` -> wire mapping (JSONL error lines).
+
+    ``status`` names the failure (``overload`` / ``time_limit`` /
+    ``rejected`` / ``error``); the error's identity rides along where it
+    has one (``fingerprint``, and ``retry_after`` for a shed request).
+    """
+    payload = {"error": str(exc), "status": Status.ERROR.value}
+    if isinstance(exc, ServiceOverloadError):
+        payload.update(status="overload", retry_after=exc.retry_after)
+    elif isinstance(exc, ServiceTimeoutError):
+        payload["status"] = Status.TIME_LIMIT.value
+    elif isinstance(exc, ServiceRejectedError):
+        payload["status"] = "rejected"
+    if getattr(exc, "fingerprint", ""):
+        payload["fingerprint"] = exc.fingerprint
+    return payload
 
 
 @dataclass(frozen=True)
@@ -81,6 +106,18 @@ class ServiceResponse:
             message=outcome.message,
             source=source or ("cache" if cached else "exact"),
             staleness=staleness,
+        )
+
+    @classmethod
+    def from_error(cls, exc: ServiceError, fingerprint: str) -> "ServiceResponse":
+        """A raised :class:`ServiceError` as an in-order response envelope."""
+        payload = error_payload(exc)
+        refused = payload["status"] in ("overload", "rejected")
+        return cls.error(
+            fingerprint=fingerprint,
+            status=payload["status"],
+            message=payload["error"],
+            source="rejected" if refused else "exact",
         )
 
     @classmethod

@@ -1,21 +1,14 @@
-"""Retry and hedging policy: idempotent re-dispatch with deterministic jitter.
+"""Retry policy: idempotent re-dispatch with deterministic jitter.
 
 HSLB solves are idempotent — fingerprint-seeded and side-effect free — so a
-crashed or hung solve can simply be dispatched again.  Two knobs govern how:
+crashed or hung solve can simply be dispatched again: up to
+``max_attempts`` tries per request, separated by capped exponential
+backoff.  The jitter is *deterministic*: it is drawn from a stable hash of
+``(key, attempt)``, never from wall-clock entropy, so a seeded chaos run
+replays bit-identically (the same property
+:class:`repro.faults.plan.FaultPlan` pins for injection draws).
 
-* **retries** — up to ``max_attempts`` tries per request, separated by
-  capped exponential backoff.  The jitter is *deterministic*: it is drawn
-  from a stable hash of ``(key, attempt)``, never from wall-clock entropy,
-  so a seeded chaos run replays bit-identically (the same property
-  :class:`repro.faults.plan.FaultPlan` pins for injection draws).
-* **hedging** — for p99 stragglers, a duplicate dispatch is issued when the
-  primary has not answered after ``hedge_after`` seconds and the first
-  result wins.  Hedging only fires on pools with a spare worker; with
-  inline (deterministic) executors futures complete at submit time, so
-  hedges never launch and determinism is preserved.
-
-The module is policy only; the supervised pool and the service own the
-dispatch mechanics.
+The module is policy only; the service owns the dispatch mechanics.
 """
 
 from __future__ import annotations
@@ -46,16 +39,12 @@ class RetryPolicy:
         2**(k-1))``, shrunk by up to ``jitter`` (fraction) of itself via the
         deterministic draw.  Jitter only ever shortens the wait, so
         ``max_delay`` is a hard cap.
-    ``hedge_after``
-        Seconds to wait on the primary dispatch before issuing a duplicate
-        (``None`` disables hedging).
     """
 
     max_attempts: int = 3
     base_delay: float = 0.02
     max_delay: float = 1.0
     jitter: float = 0.5
-    hedge_after: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -64,8 +53,6 @@ class RetryPolicy:
             raise ValueError("need 0 <= base_delay <= max_delay")
         if not (0.0 <= self.jitter <= 1.0):
             raise ValueError("jitter must be in [0, 1]")
-        if self.hedge_after is not None and self.hedge_after <= 0:
-            raise ValueError("hedge_after must be positive (or None)")
 
     def backoff(self, key: str, attempt: int) -> float:
         """Deterministic pre-attempt delay in seconds (attempt >= 1)."""

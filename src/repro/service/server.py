@@ -20,11 +20,8 @@ from __future__ import annotations
 import json
 from typing import IO
 
-from repro.service.errors import (
-    ServiceError,
-    ServiceRejectedError,
-    ServiceTimeoutError,
-)
+from repro.service.errors import ServiceError
+from repro.service.response import error_payload
 from repro.service.service import AllocationService
 
 
@@ -60,20 +57,8 @@ def serve_loop(
             continue
         try:
             response = service.submit_dict(payload, deadline=deadline)
-        except ServiceTimeoutError as exc:
-            response = {
-                "error": str(exc),
-                "status": "time_limit",
-                "fingerprint": exc.fingerprint,
-            }
-        except ServiceRejectedError as exc:
-            response = {
-                "error": str(exc),
-                "status": "rejected",
-                "fingerprint": exc.fingerprint,
-            }
         except ServiceError as exc:
-            response = {"error": str(exc)}
+            response = error_payload(exc)
         _emit(stdout, response)
         served += 1
     return served

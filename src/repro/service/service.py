@@ -1,5 +1,9 @@
 """The allocation service: cached, warm-started solves behind one entry point.
 
+:meth:`AllocationService.submit` is the only place a solve is dispatched,
+validated, booked, retried and laddered — the synchronous ``hslb serve``
+loop, every shard of the async tier and ``run_requests`` all end here.
+
 Request lifecycle::
 
     submit(request)
@@ -8,12 +12,22 @@ Request lifecycle::
       -> circuit breaker check                 (breaker.py; open: degrade)
       -> warm-start donor: nearest cached node
          budget in the same request family     (this module)
-      -> solve, x0 threaded through the
-         oa/nlpbb chain, retried on system
-         failures with deterministic backoff   (solver.py, retry.py)
+      -> solve — in this process, or on a
+         supervised worker when a pool is
+         installed — retried on system
+         failures with deterministic backoff   (solver.py, supervisor.py,
+                                                retry.py)
       -> result validation (corruption check)  (solver.py)
       -> cache insert + donor-pool registration
       -> metrics
+
+*Where* the solve runs is the one thing a worker pool changes: the request
+ships to a slot of a :class:`~repro.service.supervisor.SupervisedWorkerPool`
+as wire dicts, and a worker that dies or hangs comes back as the same
+:class:`WorkerCrashError` / :class:`WorkerHangError` in-process chaos
+raises — caught, counted and retried by the same loop.  Worker deaths are
+*system* failures, so they are re-dispatched once even with no
+:class:`ResiliencePolicy` installed.
 
 Cached answers are bit-identical to fresh solves: the solve RNG is seeded
 from the fingerprint, so replaying the request in any process yields the
@@ -47,6 +61,7 @@ from repro.obs.trace import span
 from repro.service.breaker import BreakerPolicy, CircuitBreaker
 from repro.service.cache import SolutionCache
 from repro.service.errors import (
+    RestartBudgetError,
     ServiceRejectedError,
     ServiceTimeoutError,
     WorkerCrashError,
@@ -62,6 +77,10 @@ from repro.service.solver import (
     solve_request,
     validate_outcome,
 )
+from repro.service.supervisor import SupervisedWorkerPool
+
+#: Without a policy a worker death still earns one re-dispatch.
+_SYSTEM_RETRY = RetryPolicy(max_attempts=2)
 
 
 @dataclass(frozen=True)
@@ -76,9 +95,10 @@ class ResiliencePolicy:
     ``allow_stale`` / ``allow_greedy``
         Switch individual rungs off (a rejected request is still typed).
     ``restart_budget``
-        Worker replacements the supervised pool may spend per batch.
+        Replacements a supervised worker may spend on *consecutive*
+        failures before its slot retires.
     ``hang_timeout``
-        Harvest timeout (seconds) for pool dispatches when no per-request
+        Harvest timeout (seconds) for worker dispatches when no per-request
         deadline implies one; the backstop that turns a silent worker hang
         into a typed, retryable failure.
     ``min_attempt_budget``
@@ -117,6 +137,7 @@ class AllocationService:
         chaos=None,  # ChaosPlan | None; annotation-free to avoid an import cycle
         sleeper: Callable[[float], None] = time.sleep,
         share_cuts: bool = False,
+        pool: SupervisedWorkerPool | None = None,
     ) -> None:
         self.cache: SolutionCache[SolveOutcome] = SolutionCache(
             capacity=cache_capacity, ttl=ttl, clock=clock
@@ -136,7 +157,21 @@ class AllocationService:
         # bit-identical-replay guarantee for latency.
         self.share_cuts = share_cuts
         self._cut_pools: dict[str, OACutPool] = defaultdict(OACutPool)
-        if chaos is not None:
+        # The solve seam: where ``solve_request`` runs.  On a supervised
+        # worker when a pool is installed (the chaos plan ships with the
+        # request and faults happen physically), else in this process.
+        self.pool = pool
+        if pool is not None:
+            from repro.faults.chaos import chaos_pool_solve
+
+            pool.metrics = self.metrics
+            if resilience is not None:
+                pool.restart_budget = resilience.restart_budget
+            self._worker_call = (
+                chaos_pool_solve, chaos.to_dict() if chaos is not None else None
+            )
+            self._solve = self._solve_on_worker
+        elif chaos is not None:
             from repro.faults.chaos import chaotic_solve
 
             self._solve = chaotic_solve(chaos, solve_request)
@@ -157,6 +192,25 @@ class AllocationService:
         # cache evicts/expires them and are pruned lazily on donor lookups.
         self._families: dict[str, dict[str, int]] = defaultdict(dict)
 
+    def _solve_on_worker(
+        self, request: SolveRequest, *, x0=None, deadline=None, attempt=0
+    ) -> SolveOutcome:
+        """Ship one solve to a pool slot and block on its answer."""
+        entry, chaos = self._worker_call
+        dispatch = self.pool.submit(
+            entry, request.to_dict(), x0, deadline, chaos, attempt
+        )
+        # The solver's own wall budget enforces the deadline; the grace only
+        # covers process scheduling — and turns a hung worker into a typed,
+        # retryable failure instead of a stuck shard.
+        hang = self.resilience.hang_timeout if self.resilience else None
+        grace = hang
+        if deadline is not None:
+            grace = 2.0 * deadline + 5.0
+            if hang is not None:
+                grace = min(grace, deadline + hang)
+        return SolveOutcome.from_dict(self.pool.result(dispatch, timeout=grace))
+
     # -- the request path --------------------------------------------------
 
     def submit(
@@ -166,10 +220,11 @@ class AllocationService:
 
         Raises :class:`ServiceTimeoutError` when the per-request ``deadline``
         expires with no usable incumbent and no resilience policy is
-        installed, and :class:`ServiceRejectedError` when the degradation
-        ladder runs out of rungs; solver failures that are the *model's*
-        fault (infeasible, error) come back as a response with ``ok=False``
-        instead — the caller's retry policy differs.
+        installed (or the worker error itself, when the one free
+        re-dispatch also died), and :class:`ServiceRejectedError` when the
+        degradation ladder runs out of rungs; solver failures that are the
+        *model's* fault (infeasible, error) come back as a response with
+        ``ok=False`` instead — the caller's retry policy differs.
         """
         with span("service.submit") as sp:
             response = self._submit(request, deadline=deadline)
@@ -201,12 +256,13 @@ class AllocationService:
                 start=start,
             )
         x0, donor = self._find_donor(request, fingerprint)
-        attempts = policy.retry.max_attempts if policy else 1
+        retry = policy.retry if policy else _SYSTEM_RETRY
         last_reason = "no solve attempt ran"
-        for attempt in range(attempts):
+        worker_error = None
+        for attempt in range(retry.max_attempts):
             if attempt:
                 self.metrics.record_retry()
-                self.sleeper(policy.retry.backoff(fingerprint, attempt))
+                self.sleeper(retry.backoff(fingerprint, attempt))
             budget = deadline
             if deadline is not None:
                 budget = deadline - (time.perf_counter() - start)
@@ -222,9 +278,14 @@ class AllocationService:
                     "hang" if isinstance(exc, WorkerHangError) else "crash"
                 )
                 last_reason = str(exc)
-                if policy is None:
-                    raise
+                worker_error = exc
                 continue
+            except RestartBudgetError as exc:
+                # Every slot retired: no attempt can run, so none is owed.
+                last_reason = str(exc)
+                worker_error = exc
+                break
+            worker_error = None
             if policy is not None:
                 corrupt = validate_outcome(request, outcome)
                 if corrupt is not None:
@@ -233,36 +294,34 @@ class AllocationService:
                     continue
             latency = time.perf_counter() - start
             ok = outcome.status in (Status.OPTIMAL.value, Status.FEASIBLE.value)
-            if ok or outcome.status != Status.TIME_LIMIT.value:
-                # A finished solve — optimal/feasible, or a *model*-fault
-                # terminal status (infeasible, error) that no retry changes.
-                self.metrics.record_solve(
-                    latency,
-                    warm=outcome.warm_started,
-                    iterations=outcome.iterations,
-                    ok=ok,
-                )
-                if self.breaker is not None:
-                    # Any *completed* solve is a system success — even an
-                    # infeasible model proves the workers and solver ran.
-                    self.breaker.record_success(family)
-                if ok:
-                    self.admit(request, outcome)
-                return ServiceResponse.from_outcome(
-                    outcome, cached=False, latency=latency, donor=donor
-                )
-            # TIME_LIMIT: deterministic under a fixed budget, so spend the
-            # remaining deadline on the ladder, not on an identical re-run.
             self.metrics.record_solve(
-                latency, warm=outcome.warm_started,
-                iterations=outcome.iterations, ok=False,
+                latency,
+                warm=outcome.warm_started,
+                iterations=outcome.iterations,
+                ok=ok,
             )
-            self.metrics.record_timeout()
-            last_reason = "solver exhausted its wall budget"
-            break
+            if outcome.status == Status.TIME_LIMIT.value:
+                # Deterministic under a fixed budget, so spend the remaining
+                # deadline on the ladder, not on an identical re-run.
+                self.metrics.record_timeout()
+                last_reason = "solver exhausted its wall budget"
+                break
+            # A finished solve — optimal/feasible, or a *model*-fault
+            # terminal status (infeasible, error) that no retry changes.
+            if self.breaker is not None:
+                # Any *completed* solve is a system success — even an
+                # infeasible model proves the workers and solver ran.
+                self.breaker.record_success(family)
+            if ok:
+                self.admit(request, outcome)
+            return ServiceResponse.from_outcome(
+                outcome, cached=False, latency=latency, donor=donor
+            )
         if self.breaker is not None:
             self.breaker.record_failure(family)
         if policy is None:
+            if worker_error is not None:
+                raise worker_error
             raise ServiceTimeoutError(
                 fingerprint=fingerprint,
                 deadline=(
@@ -299,33 +358,53 @@ class AllocationService:
         start = time.perf_counter() if start is None else start
         with span("service.fallback") as sp:
             sp.set_tag("reason", reason)
-            if policy.allow_stale:
-                hit = self.cache.stale(fingerprint, max_age=policy.max_stale)
-                if hit is not None:
-                    value, age = hit
-                    latency = time.perf_counter() - start
-                    self.metrics.record_degraded("stale", latency)
-                    sp.set_tag("source", "stale")
-                    return ServiceResponse.from_outcome(
-                        value,
-                        cached=True,
-                        latency=latency,
-                        source="stale",
-                        staleness=age,
-                    )
-            if policy.allow_greedy:
-                outcome = greedy_outcome(request)
-                latency = time.perf_counter() - start
-                self.metrics.record_degraded("greedy", latency)
-                sp.set_tag("source", "greedy")
-                # Greedy answers are NOT admitted to the cache: they must
-                # never shadow an exact answer for the same fingerprint.
-                return ServiceResponse.from_outcome(
-                    outcome, cached=False, latency=latency, source="greedy"
-                )
-            sp.set_tag("source", "rejected")
+            response = self.degrade(
+                request,
+                fingerprint,
+                start,
+                stale=policy.allow_stale,
+                max_stale=policy.max_stale,
+                greedy=policy.allow_greedy,
+            )
+            sp.set_tag("source", response.source if response else "rejected")
+            if response is not None:
+                return response
             self.metrics.record_rejection(time.perf_counter() - start)
             raise ServiceRejectedError(fingerprint=fingerprint, reason=reason)
+
+    def degrade(
+        self,
+        request: SolveRequest,
+        fingerprint: str,
+        start: float,
+        *,
+        stale: bool = True,
+        max_stale: float | None = None,
+        greedy: bool = True,
+    ) -> ServiceResponse | None:
+        """Answer without a solve: a stale cache entry if there is one, else
+        greedy — booked and marked with its ``source``; ``None`` when both
+        rungs are switched off or empty.  The ladder's lower rungs, and the
+        whole of the admission layer's *degrade* verdict.
+        """
+        hit = self.cache.stale(fingerprint, max_age=max_stale) if stale else None
+        if hit is not None:
+            value, age = hit
+            latency = time.perf_counter() - start
+            self.metrics.record_degraded("stale", latency)
+            return ServiceResponse.from_outcome(
+                value, cached=True, latency=latency, source="stale", staleness=age
+            )
+        if not greedy:
+            return None
+        # Greedy answers are NOT admitted to the cache: they must never
+        # shadow an exact answer for the same fingerprint.
+        outcome = greedy_outcome(request)
+        latency = time.perf_counter() - start
+        self.metrics.record_degraded("greedy", latency)
+        return ServiceResponse.from_outcome(
+            outcome, cached=False, latency=latency, source="greedy"
+        )
 
     # -- cache/donor bookkeeping -------------------------------------------
 

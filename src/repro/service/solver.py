@@ -1,8 +1,7 @@
 """The pure solve at the bottom of the service: request in, outcome out.
 
 Kept free of any cache/metrics state so the same function runs in-process
-(the service's own misses) and inside :class:`~concurrent.futures.\
-ProcessPoolExecutor` workers (the batch executor's fan-out).  Determinism
+and inside the supervised pool's worker processes.  Determinism
 rule: the solve RNG is seeded from the request fingerprint, so the same
 canonical request produces a bit-identical answer in any process — the
 property that lets cached responses stand in for fresh solves.
@@ -146,11 +145,6 @@ def _outcome(
         warm_started=warm_started,
         message=sol.message,
     )
-
-
-def outcome_is_timeout(outcome: SolveOutcome) -> bool:
-    """True when the solver died on its wall budget with no usable point."""
-    return outcome.status == Status.TIME_LIMIT.value
 
 
 def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None:

@@ -1,19 +1,19 @@
 """Supervised worker pool: per-worker health, crash detection, replacement.
 
-The batch executor used to hand its fan-out to one shared
-:class:`~concurrent.futures.ProcessPoolExecutor`; one worker dying took the
-whole pool (and every in-flight future) with it.  The supervisor instead
-gives each worker its own single-process executor — a **slot** — so
+The only owner of worker processes in the service.  Each worker is its own
+single-process executor — a **slot** — so
 
-* a crash (``BrokenProcessPool``) is contained to the slot that died and is
+* a crash (the executor breaks) is contained to the slot that died and is
   surfaced as a typed :class:`WorkerCrashError` for *that* request only;
 * a hang (harvest timeout) gets the slot's process killed and surfaces as
   :class:`WorkerHangError` — the stuck request is re-dispatchable, the
   worker is not left orphaned;
-* the dead slot is **replaced** (a fresh executor) under a pool-wide
-  ``restart_budget``; when the budget is gone the slot retires, and when
-  every slot has retired :class:`RestartBudgetError` tells the caller to
-  degrade instead of dispatch.
+* the dead slot is **replaced** (a fresh executor) while its run of
+  *consecutive* failures stays within ``restart_budget``; a completed task
+  resets the run, so isolated crashes spread over a long-lived tier's life
+  never exhaust it.  A slot that keeps dying retires, and when every slot
+  has retired :class:`RestartBudgetError` tells the caller to degrade
+  instead of dispatch.
 
 Slots are picked least-inflight-first, so replacement workers rejoin the
 rotation immediately.  An :class:`InlineExecutor` factory runs tasks
@@ -23,6 +23,8 @@ uses, where injected faults arrive as exceptions rather than dead processes.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Callable
 from concurrent.futures import (
     BrokenExecutor,
@@ -30,7 +32,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     TimeoutError as FutureTimeout,
 )
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer, run_traced_child
@@ -41,6 +43,15 @@ from repro.service.errors import (
 )
 
 _TRACED_MARKER = "__hslb_traced__"
+
+#: A fresh process executor forks inside its first ``submit``.  Two threads
+#: forking at once (two shards replacing dead workers) leak each other's
+#: death-sentinel pipe into the wrong child: that worker's later crash then
+#: never reaches its executor and the solve sits "running" until the hang
+#: timeout.  Forks are rare and submits take microseconds, so one lock
+#: around every executor submit is the whole fix (re-entrant: an inline
+#: executor runs its task inside ``submit``).
+_FORK_LOCK = threading.RLock()
 
 
 def _traced_call(context: dict, fn: Callable, args: tuple) -> dict:
@@ -87,15 +98,7 @@ class WorkerHealth:
     consecutive_failures: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "worker_id": self.worker_id,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "restarts": self.restarts,
-            "consecutive_failures": self.consecutive_failures,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -105,21 +108,14 @@ class _Slot:
     health: WorkerHealth
     inflight: int = 0
     retired: bool = False
-    broken: bool = False  # a forgotten future died; replace before reuse
 
 
 @dataclass
 class Dispatch:
-    """One submitted task: the slot it landed on plus its future.
-
-    ``fn``/``args`` are kept so retry and hedging policies can re-dispatch
-    the identical task without the caller re-plumbing its arguments.
-    """
+    """One submitted task: the slot it landed on plus its future."""
 
     slot: _Slot = field(repr=False)
     future: Future = field(repr=False)
-    fn: Callable = field(repr=False)
-    args: tuple = ()
 
     @property
     def worker_id(self) -> int:
@@ -135,20 +131,19 @@ def _kill_executor(executor: object) -> None:
                 proc.terminate()
             except (OSError, ValueError):
                 pass  # already gone
-    try:
-        executor.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # executors predating cancel_futures
-        executor.shutdown(wait=False)
+    executor.shutdown(wait=False, cancel_futures=True)
 
 
 class SupervisedWorkerPool:
     """A crash-isolating pool of single-worker executors.
 
     ``factory`` builds one worker's executor; the default is a real
-    one-process :class:`ProcessPoolExecutor`.  ``metrics`` (a
-    :class:`repro.service.metrics.ServiceMetrics`) receives worker-failure
-    and restart events when provided; the ``service_*`` registry counters
-    are bumped either way.
+    one-process :class:`ProcessPoolExecutor`.  ``restart_budget`` bounds the
+    replacements one slot may spend on *consecutive* failures.  ``metrics``
+    (a :class:`repro.service.metrics.ServiceMetrics`) is told of every
+    replacement; worker *failures* are booked by whoever catches the typed
+    error (the service counts in-process chaos the same way), and the
+    ``service_*`` registry counters are bumped here either way.
     """
 
     #: Exceptions that mean "the worker died" rather than "the task failed".
@@ -191,8 +186,7 @@ class SupervisedWorkerPool:
 
         With tracing enabled, the call is transparently wrapped so the
         worker records its spans under the caller's current trace context
-        and ships them back; hedged re-dispatches (``Dispatch.fn``/
-        ``args``) re-use the wrapped form, so duplicates trace too.
+        and ships them back — the one cross-process trace carrier.
         """
         tracer = get_tracer()
         if tracer.enabled:
@@ -203,19 +197,19 @@ class SupervisedWorkerPool:
         slot.health.dispatched += 1
         slot.inflight += 1
         try:
-            future = slot.executor.submit(fn, *args)
+            with _FORK_LOCK:
+                future = slot.executor.submit(fn, *args)
         except (RuntimeError, BrokenExecutor) as exc:
             # The executor died between tasks; replace it and try once more.
-            slot.inflight -= 1
-            self._book_failure(slot, "crash")
-            self._replace(slot)
+            self._fail(slot, "crash")
             if slot.retired:
                 raise WorkerCrashError(
                     worker_id=slot.worker_id, detail=str(exc)
                 ) from exc
             slot.inflight += 1
-            future = slot.executor.submit(fn, *args)
-        return Dispatch(slot, future, fn, args)
+            with _FORK_LOCK:
+                future = slot.executor.submit(fn, *args)
+        return Dispatch(slot, future)
 
     def result(self, dispatch: Dispatch, timeout: float | None = None):
         """Harvest one dispatch; books health and replaces dead workers.
@@ -229,22 +223,16 @@ class SupervisedWorkerPool:
         try:
             value = dispatch.future.result(timeout=timeout)
         except FutureTimeout:
-            slot.inflight -= 1
-            self._book_failure(slot, "hang")
-            self._replace(slot)
+            self._fail(slot, "hang")
             raise WorkerHangError(
                 worker_id=slot.worker_id, timeout=timeout
             ) from None
         except WorkerHangError:
             # Simulated hang (inline chaos): same bookkeeping as a real one.
-            slot.inflight -= 1
-            self._book_failure(slot, "hang")
-            self._replace(slot)
+            self._fail(slot, "hang")
             raise
         except self.CRASH_EXCEPTIONS as exc:
-            slot.inflight -= 1
-            self._book_failure(slot, "crash")
-            self._replace(slot)
+            self._fail(slot, "crash")
             if isinstance(exc, WorkerCrashError):
                 raise
             raise WorkerCrashError(
@@ -261,50 +249,36 @@ class SupervisedWorkerPool:
             value = value["value"]
         return value
 
-    def forget(self, dispatch: Dispatch) -> None:
-        """Abandon a dispatch (hedging loser): release the slot when done."""
-        slot = dispatch.slot
+    def warm_up(self) -> list[Dispatch]:
+        """Start every slot's worker now (one no-op task each).
 
-        def _done(future: Future) -> None:
-            slot.inflight = max(0, slot.inflight - 1)
-            exc = future.exception()
-            if isinstance(exc, self.CRASH_EXCEPTIONS):
-                slot.broken = True  # replaced lazily on next pick
-
-        dispatch.future.add_done_callback(_done)
+        A process executor forks lazily at first submit, in the submitting
+        thread; calling this while the process is quiet keeps that fork off
+        the first request's latency and away from other threads' locks.
+        Harvest the returned dispatches with :meth:`result`.
+        """
+        return [self.submit(os.getpid) for _ in range(self.capacity)]
 
     # -- supervision -------------------------------------------------------
 
     def _pick(self) -> _Slot:
-        candidates = []
-        for slot in self._slots:
-            if slot.retired:
-                continue
-            if slot.broken:
-                self._book_failure(slot, "crash")
-                self._replace(slot)
-                if slot.retired:
-                    continue
-            candidates.append(slot)
+        candidates = [slot for slot in self._slots if not slot.retired]
         if not candidates:
             raise RestartBudgetError(budget=self.restart_budget)
         return min(candidates, key=lambda s: (s.inflight, s.worker_id))
 
-    def _book_failure(self, slot: _Slot, kind: str) -> None:
+    def _fail(self, slot: _Slot, kind: str) -> None:
+        """Book one worker death against ``slot``; kill its executor and
+        install a fresh one, budget allowing."""
+        slot.inflight -= 1
         if kind == "hang":
             slot.health.hangs += 1
         else:
             slot.health.crashes += 1
         slot.health.consecutive_failures += 1
         REGISTRY.counter("service_worker_failures_total").inc(kind=kind)
-        if self.metrics is not None:
-            self.metrics.record_worker_failure(kind)
-
-    def _replace(self, slot: _Slot) -> None:
-        """Kill the slot's executor and install a fresh one, budget allowing."""
         _kill_executor(slot.executor)
-        slot.broken = False
-        if self.restarts_used >= self.restart_budget:
+        if slot.retired or slot.health.consecutive_failures > self.restart_budget:
             slot.retired = True
             return
         self.restarts_used += 1
@@ -336,30 +310,9 @@ class SupervisedWorkerPool:
         self.shutdown()
 
 
-def wait_any(
-    futures: list[Future], timeout: float | None
-) -> tuple[set[Future], set[Future]]:
-    """``concurrent.futures.wait(FIRST_COMPLETED)`` with a stable import."""
-    from concurrent.futures import FIRST_COMPLETED, wait
-
-    done, pending = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
-    return done, pending
-
-
-def sleep_until_done(future: Future, timeout: float | None) -> bool:
-    """True when ``future`` completes within ``timeout`` (no exceptions)."""
-    if timeout is None:
-        future.exception()
-        return True
-    done, _ = wait_any([future], timeout)
-    return bool(done)
-
-
 __all__ = [
     "Dispatch",
     "InlineExecutor",
     "SupervisedWorkerPool",
     "WorkerHealth",
-    "sleep_until_done",
-    "wait_any",
 ]

@@ -49,6 +49,35 @@ def test_tiny_alloc_known_optimum():
     assert sol.objective == pytest.approx(best, rel=1e-6)
 
 
+def test_multitree_terminates_on_a_near_tie():
+    """Two epigraph rows tie to 8e-6 at the optimum ``n = (7, 3, 3)``.
+
+    The master's bound stops 8e-6 under the incumbent — below the cut
+    tolerance, so no cut can close it — and then re-proposes the assignment
+    it has already evaluated.  That is a proof of optimality; the solver
+    used to spin to its round limit and answer ``FEASIBLE`` (found by the
+    random solver zoo in ``test_properties.py``).
+    """
+    params = [
+        (363.0, 0.0),
+        (170.58984375, 3.499738620229889),
+        (170.43711623290062, 3.550664046292778),
+    ]
+    m = Model("near-tie")
+    t = m.var("T", 0, 1e5)
+    ns = [m.integer_var(f"n{i}", 1, 13) for i in range(3)]
+    m.add(sum(ns) <= 13)
+    for n, (a, d) in zip(ns, params):
+        m.add(t >= a / n + d)
+    m.minimize(t)
+    p = m.build()
+    ref = solve_brute_force(p)
+    sol = solve_minlp_oa_multitree(p)
+    assert sol.status is Status.OPTIMAL
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+    assert sol.stats.nlp_solves < 10  # stopped on the proof, not the limit
+
+
 def _sos_alloc():
     """Allocation where one component's node count lives in a sweet-spot set."""
     m = Model("sos")

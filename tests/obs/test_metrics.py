@@ -94,6 +94,13 @@ def test_registry_reset_zeroes_but_keeps_families():
 
 
 def test_default_buckets_match_service_latency_buckets():
-    from repro.service.metrics import LATENCY_BUCKETS
+    # One bucket table and one pair of quantile routines, shared.
+    from repro.service.metrics import LatencyHistogram
 
-    assert DEFAULT_BUCKETS == LATENCY_BUCKETS
+    assert LatencyHistogram().buckets == DEFAULT_BUCKETS
+    mine, theirs = Histogram("h"), LatencyHistogram()
+    for v in (0.0004, 0.003, 0.02, 0.02, 0.7, 4.0):
+        mine.observe(v)
+        theirs.observe(v)
+    for q in (0.0, 0.5, 0.95, 1.0):
+        assert mine.quantile(q) == theirs.quantile(q)

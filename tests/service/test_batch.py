@@ -1,4 +1,7 @@
-"""Batch executor: dedup, donor ordering, backpressure, deadlines, order."""
+"""The synchronous batch API (``run_requests``): order, dedup, warm chain,
+backpressure, deadlines — every behaviour the batch executor had, now the
+serving tier's: dedup is single-flight, donor ordering is the shard's
+serial chain, fan-out is the ring."""
 
 from __future__ import annotations
 
@@ -6,105 +9,115 @@ import pytest
 
 from repro.minlp.bnb import BnBOptions
 from repro.service import (
-    AllocationService,
-    BatchExecutor,
+    AdmissionPolicy,
+    AsyncServingTier,
     ServiceOverloadError,
+    TierConfig,
+    run_requests,
 )
 
 from tests.service.conftest import CURVES, make_request
 
 
-def _executor(**kwargs) -> BatchExecutor:
-    return BatchExecutor(AllocationService(), **kwargs)
+def _tier(**overrides) -> AsyncServingTier:
+    overrides.setdefault("worker_mode", "inline")
+    overrides.setdefault("shards", 1)
+    return AsyncServingTier(TierConfig(**overrides))
 
 
 def test_batch_preserves_input_order_and_dedups(request64):
-    executor = _executor()
+    tier = _tier()
     batch = [request64, make_request(96), request64, request64]
-    responses = executor.run(batch)
+    responses = run_requests(tier, batch)
     assert [r.fingerprint for r in responses] == [
         r.fingerprint() for r in batch
     ]
     # One solve per distinct fingerprint; duplicates answered from cache.
     assert [r.cached for r in responses] == [False, False, True, True]
-    metrics = executor.service.metrics
-    assert metrics.batch_requests == 4
-    assert metrics.batch_deduped == 2
-    assert metrics.misses == 2 and metrics.cache_hits == 2
+    snap = tier.snapshot()
+    assert snap["cold_solves"] + snap["warm_solves"] == 2
+    assert snap["cache_hits"] == 2
+
+
+def test_concurrent_duplicates_ride_one_solve(request64):
+    # Off the event loop the duplicates are in flight together: they ride
+    # the leader's solve (the tier's dedup count is ``coalesce.riders``).
+    tier = _tier(worker_mode="thread")
+    responses = run_requests(tier, [request64, request64, request64])
+    assert all(r.ok for r in responses)
+    snap = tier.snapshot()
+    assert snap["cold_solves"] == 1
+    assert snap["coalesce"]["riders"] == 2
 
 
 def test_duplicate_answers_are_bit_identical(request64):
-    responses = _executor().run([request64, request64])
+    responses = run_requests(_tier(), [request64, request64])
     assert responses[0].allocation == responses[1].allocation
     assert responses[0].objective == responses[1].objective
 
 
 def test_donor_first_ordering_warms_the_family():
-    executor = _executor()
-    responses = executor.run([make_request(n) for n in (96, 64, 128)])
-    # The smallest budget in the family is solved first as the donor; every
-    # other member fans out warm-started from it.
-    by_nodes = {64: responses[1], 96: responses[0], 128: responses[2]}
-    assert not by_nodes[64].warm_started
-    assert by_nodes[96].warm_started and by_nodes[128].warm_started
-    assert executor.service.metrics.warm_solves == 2
+    tier = _tier()
+    responses = run_requests(tier, [make_request(n) for n in (96, 64, 128)])
+    # The shard solves one at a time, so the first request of a family is
+    # its donor and every later member starts from an admitted sibling.
+    assert not responses[0].warm_started
+    assert responses[1].warm_started and responses[2].warm_started
+    assert responses[1].donor == responses[0].fingerprint
+    assert tier.snapshot()["warm_solves"] == 2
 
 
 def test_backpressure_refuses_oversized_batches(request64):
-    executor = _executor(max_pending=2)
+    tier = _tier(admission=AdmissionPolicy(max_pending=2))
     with pytest.raises(ServiceOverloadError) as err:
-        executor.run([request64] * 3)
+        run_requests(tier, [request64] * 3)
     assert err.value.pending == 3 and err.value.capacity == 2
-    assert executor.service.metrics.overloads == 1
+    assert tier.snapshot()["overloads"] == 1
 
 
-def test_deadline_miss_is_an_error_envelope_not_a_crash():
+def test_deadline_miss_is_an_error_envelope_not_a_crash(request64):
     # An enormous instance with a sub-microsecond budget cannot finish; its
     # slot carries a typed error while the rest of the batch succeeds.
-    executor = _executor(deadline=1e-9)
+    tier = _tier()
     doomed = make_request(4096, options=BnBOptions(time_limit=1e-9))
-    responses = executor.run([doomed])
+    responses = run_requests(tier, [doomed, request64])
     assert not responses[0].ok
     assert responses[0].status == "time_limit"
-    assert executor.service.metrics.timeouts >= 1
+    assert responses[0].fingerprint == doomed.fingerprint()
+    assert responses[1].ok
+    assert tier.snapshot()["resilience"]["rejections"] == 0
+    assert sum(
+        s.service.metrics.timeouts for s in tier.shards.values()
+    ) == 1
 
 
 def test_failed_duplicates_reuse_the_error_envelope():
-    executor = _executor(deadline=1e-9)
+    tier = _tier(worker_mode="thread")
     doomed = make_request(4096, options=BnBOptions(time_limit=1e-9))
-    responses = executor.run([doomed, doomed])
+    responses = run_requests(tier, [doomed, doomed], deadline=1e-9)
     assert [r.ok for r in responses] == [False, False]
-    # The duplicate shares the first envelope instead of re-solving.
-    assert responses[0].fingerprint == responses[1].fingerprint
-    assert executor.service.metrics.cold_solves + executor.service.metrics.warm_solves <= 1
+    assert [r.status for r in responses] == ["time_limit", "time_limit"]
+    # The duplicate rides the first request's flight instead of re-solving.
+    (shard,) = tier.shards.values()
+    assert shard.service.metrics.solve_errors == 1
+    assert tier.snapshot()["coalesce"]["riders"] == 1
 
 
 def test_precached_requests_hit_without_resolving(request64):
-    service = AllocationService()
-    service.submit(request64)
-    executor = BatchExecutor(service)
-    responses = executor.run([request64, request64])
+    tier = _tier()
+    run_requests(tier, [request64])  # the priming solve
+    responses = run_requests(tier, [request64, request64])
     assert all(r.cached for r in responses)
-    assert service.metrics.cold_solves == 1  # only the priming solve
+    assert tier.snapshot()["cold_solves"] == 1
 
 
 def test_process_pool_fan_out_matches_serial(request64):
-    # Two distinct families, so neither is the other's donor and both truly
-    # fan out to worker processes in the pooled run.
+    # Two distinct families, so neither is the other's donor and both are
+    # cold solves whichever shard (and worker process) they land on.
     other = {name: dict(p, a=p["a"] * 2.0) for name, p in CURVES.items()}
     batch = [request64, make_request(96, curves=other)]
-    serial = _executor().run(batch)
-    pooled = BatchExecutor(AllocationService(), max_workers=2).run(batch)
+    serial = run_requests(_tier(share_cuts=False), batch)
+    pooled = run_requests(_tier(worker_mode="process", shards=2), batch)
     for a, b in zip(serial, pooled):
         assert a.allocation == b.allocation
         assert a.objective == b.objective  # fingerprint-seeded: bit-identical
-
-
-def test_constructor_validation():
-    service = AllocationService()
-    with pytest.raises(ValueError):
-        BatchExecutor(service, max_workers=-1)
-    with pytest.raises(ValueError):
-        BatchExecutor(service, deadline=0.0)
-    with pytest.raises(ValueError):
-        BatchExecutor(service, max_pending=0)

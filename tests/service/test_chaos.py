@@ -11,8 +11,10 @@ as typed exceptions, no real processes), so the invariants are exact:
 * **accounting** — the metrics ledger adds up: answered requests equal
   hits + solves + degraded + rejected.
 
-One end-to-end case runs the *in-worker* mode: real ``os._exit`` crashes
-inside a supervised pool, recovered without restarting the service.
+One end-to-end case runs the *in-worker* mode through ``run_requests``:
+real ``os._exit`` crashes inside the tier's supervised workers, recovered
+without restarting the service.  ``test_tier_chaos.py`` covers the rest of
+the physical faults (hang, corruption, unrecoverable storms).
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import pytest
 from repro.faults import ChaosPlan
 from repro.service import (
     AllocationService,
-    BatchExecutor,
+    AsyncServingTier,
     ResiliencePolicy,
     RetryPolicy,
     ServiceError,
     ServiceRejectedError,
     ServiceTimeoutError,
+    TierConfig,
+    run_requests,
 )
 from tests.service.conftest import CURVES, make_request
 
@@ -136,25 +140,35 @@ def test_typed_errors_only_under_deadline():
 
 @pytest.mark.slow
 def test_end_to_end_pool_crash_recovery():
-    """Real worker deaths (``os._exit``) inside the supervised fan-out.
+    """Real worker deaths (``os._exit``) inside the tier's supervised workers.
 
     First attempts on every unique request crash physically; retries are
     immune, so the batch must recover every answer exactly — without the
     service process restarting.
     """
-    service = AllocationService(
-        resilience=ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
-            restart_budget=16,
-            hang_timeout=60.0,
-        ),
-        chaos=ChaosPlan(seed=1, crash_rate=0.97, immune_after=1),
+    plan = ChaosPlan(seed=1, crash_rate=0.97, immune_after=1)
+    tier = AsyncServingTier(
+        TierConfig(
+            shards=2,
+            worker_mode="process",
+            resilience=ResiliencePolicy(
+                retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
+                hang_timeout=60.0,
+            ),
+            chaos=plan,
+        )
     )
     requests = request_stream(8)
-    executor = BatchExecutor(service, max_workers=2, deadline=30.0)
-    responses = executor.run(requests)
+    responses = run_requests(tier, requests, deadline=30.0)
     assert len(responses) == len(requests)
     assert all(r.ok for r in responses)
     assert all(r.source in ("exact", "cache") for r in responses)
-    assert service.metrics.worker_crashes > 0
-    assert service.metrics.worker_restarts > 0
+    injected = sum(
+        plan.fault(fp, 0) == "crash"
+        for fp in {r.fingerprint() for r in requests}
+    )
+    resilience = tier.snapshot()["resilience"]
+    assert injected > 0
+    assert resilience["worker_crashes"] == injected
+    assert resilience["worker_restarts"] == injected
+    assert resilience["retries"] == injected

@@ -196,9 +196,10 @@ def test_process_mode_solves_and_chains_warm_starts():
     for got, want in zip(responses, reference):
         assert got.objective == pytest.approx(want.objective, rel=1e-9)
     snap = tier.snapshot()
-    # The dispatch lock makes each solve see its admitted predecessors, so
-    # the family's later budgets warm-start off the earlier ones.
-    assert snap["warm_solves"] >= 1
+    # The shard's one thread runs donor lookup -> solve -> admit serially,
+    # so each solve sees its admitted predecessors and the family's later
+    # budgets warm-start off the earlier ones.
+    assert snap["warm_solves"] == 2
 
 
 def test_entering_the_tier_preforks_process_workers():
@@ -214,10 +215,12 @@ def test_entering_the_tier_preforks_process_workers():
 
     async def main():
         async with tier:
-            return [len(s.process._processes or ()) for s in tier.shards.values()]
+            return [s.service.pool.snapshot()["workers"] for s in tier.shards.values()]
 
     workers_per_shard = asyncio.run(main())
-    assert workers_per_shard and all(n >= 1 for n in workers_per_shard)
+    assert len(workers_per_shard) == 2
+    for (worker,) in workers_per_shard:  # one supervised slot per shard
+        assert worker["dispatched"] == worker["completed"] == 1
 
 
 # -- the JSONL transport ------------------------------------------------------

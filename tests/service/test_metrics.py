@@ -13,20 +13,18 @@ def _populate(m: ServiceMetrics) -> None:
     m.record_solve(0.5, warm=False, iterations=0, ok=False)
     m.record_timeout()
     m.record_overload()
-    m.record_batch(5, deduped=2)
 
 
 def test_reset_zeroes_every_counter_and_histogram():
     m = ServiceMetrics()
     _populate(m)
-    assert m.requests and m.batch_requests and m.timeouts
+    assert m.requests and m.overloads and m.timeouts
     m.reset()
     assert m.requests == 0
     assert m.cache_hits == 0
     assert m.cold_solves == 0 and m.warm_solves == 0
     assert m.solve_errors == 0
     assert m.timeouts == 0 and m.overloads == 0
-    assert m.batch_requests == 0 and m.batch_deduped == 0
     assert m.cold_iterations == 0 and m.warm_iterations == 0
     assert m.request_latency.total == 0
     assert m.request_latency.sum == 0.0
@@ -71,7 +69,6 @@ def test_snapshot_values():
     assert snap["cache_misses"] == 2  # the failed solve is not a miss pair
     assert snap["solve_errors"] == 1
     assert snap["timeouts"] == 1 and snap["overloads"] == 1
-    assert snap["batch_requests"] == 5 and snap["batch_deduped"] == 2
     assert snap["warm_start_speedup"] == pytest.approx(5.0)
 
 
@@ -96,12 +93,9 @@ def test_registry_mirror_tracks_outcomes():
 
 
 def test_registry_mirror_tracks_timeouts_overloads_batches():
-    names = (
-        "service_timeouts_total",
-        "service_overloads_total",
-        "service_batch_requests_total",
-        "service_batch_deduped_total",
-    )
+    # The batch counters went with the batch executor: a whole-batch
+    # refusal is an overload, batch dedup is the tier's coalesce.riders.
+    names = ("service_timeouts_total", "service_overloads_total")
     before = {n: REGISTRY.counter(n).value() for n in names}
     m = ServiceMetrics()
     _populate(m)
@@ -111,9 +105,3 @@ def test_registry_mirror_tracks_timeouts_overloads_batches():
     assert REGISTRY.counter("service_overloads_total").value() == before[
         "service_overloads_total"
     ] + 1
-    assert REGISTRY.counter("service_batch_requests_total").value() == before[
-        "service_batch_requests_total"
-    ] + 5
-    assert REGISTRY.counter("service_batch_deduped_total").value() == before[
-        "service_batch_deduped_total"
-    ] + 2

@@ -6,11 +6,23 @@ import pytest
 
 from repro.obs.metrics import REGISTRY
 from repro.service import (
-    AllocationService,
-    BatchExecutor,
+    AdmissionPolicy,
+    AsyncServingTier,
     ServiceOverloadError,
+    TierConfig,
+    run_requests,
 )
 from tests.service.conftest import make_request
+
+
+def tier_with_capacity(max_pending: int) -> AsyncServingTier:
+    return AsyncServingTier(
+        TierConfig(
+            shards=1,
+            worker_mode="inline",
+            admission=AdmissionPolicy(max_pending=max_pending),
+        )
+    )
 
 
 def oversized_batch(n: int) -> list:
@@ -18,54 +30,52 @@ def oversized_batch(n: int) -> list:
 
 
 def test_oversized_batch_is_refused_with_a_typed_error():
-    executor = BatchExecutor(AllocationService(), max_pending=2)
     with pytest.raises(ServiceOverloadError) as err:
-        executor.run(oversized_batch(5))
+        run_requests(tier_with_capacity(2), oversized_batch(5))
     assert err.value.pending == 5
     assert err.value.capacity == 2
 
 
 def test_retry_after_hint_scales_with_the_excess():
-    service = AllocationService()
-    executor = BatchExecutor(service, max_pending=2, deadline=0.5)
+    tier = tier_with_capacity(2)
     with pytest.raises(ServiceOverloadError) as err:
-        executor.run(oversized_batch(5))
+        run_requests(tier, oversized_batch(5), deadline=0.5)
     # No latency history yet: the hint falls back to excess x deadline.
     assert err.value.retry_after == pytest.approx(3 * 0.5)
     assert "retry after" in str(err.value)
     # With observed traffic the hint tracks the measured mean latency.
-    service.metrics.request_latency.observe(0.2)
+    tier.latency.observe(0.2)
     with pytest.raises(ServiceOverloadError) as err:
-        executor.run(oversized_batch(4))
+        run_requests(tier, oversized_batch(4), deadline=0.5)
     assert err.value.retry_after == pytest.approx(2 * 0.2)
 
 
 def test_retry_after_defaults_conservatively_without_any_signal():
-    executor = BatchExecutor(AllocationService(), max_pending=3)
     with pytest.raises(ServiceOverloadError) as err:
-        executor.run(oversized_batch(4))
+        run_requests(tier_with_capacity(3), oversized_batch(4))
     assert err.value.retry_after > 0.0
 
 
 def test_overload_counter_matches_shed_events():
-    service = AllocationService()
-    executor = BatchExecutor(service, max_pending=2)
+    tier = tier_with_capacity(2)
     before = REGISTRY.counter("service_overloads_total").value()
     for _ in range(3):
         with pytest.raises(ServiceOverloadError):
-            executor.run(oversized_batch(4))
-    assert service.metrics.overloads == 3
+            run_requests(tier, oversized_batch(4))
+    assert tier.snapshot()["overloads"] == 3
     after = REGISTRY.counter("service_overloads_total").value()
     assert after - before == 3
+    # A refused batch burns SLO budget for every request it carried.
+    assert tier.slo.snapshot()["priorities"]["batch"]["shed_rate"] == 1.0
     # Admitted batches do not touch the overload ledger.
-    executor.run([make_request(24)])
-    assert service.metrics.overloads == 3
+    run_requests(tier, [make_request(24)])
+    assert tier.snapshot()["overloads"] == 3
 
 
 def test_shed_batches_never_run_any_solve():
-    service = AllocationService()
-    executor = BatchExecutor(service, max_pending=1)
+    tier = tier_with_capacity(1)
     with pytest.raises(ServiceOverloadError):
-        executor.run(oversized_batch(3))
-    assert service.metrics.cold_solves == 0
-    assert len(service.cache) == 0
+        run_requests(tier, oversized_batch(3))
+    snap = tier.snapshot()
+    assert snap["cold_solves"] == 0 and snap["requests"] == 0
+    assert all(len(s.service.cache) == 0 for s in tier.shards.values())

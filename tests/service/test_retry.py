@@ -55,7 +55,7 @@ def test_retries_property():
         {"base_delay": -0.1},
         {"base_delay": 2.0, "max_delay": 1.0},
         {"jitter": 1.5},
-        {"hedge_after": 0.0},
+        {"jitter": -0.1},
     ],
 )
 def test_validation(kwargs):

@@ -18,7 +18,6 @@ from repro.service import (
     WorkerCrashError,
     WorkerHangError,
 )
-from repro.service.supervisor import sleep_until_done, wait_any
 
 
 # Pool tasks must be module-level (picklable) for the real-process cases.
@@ -107,6 +106,43 @@ def test_restart_budget_exhaustion_retires_the_pool():
             pool.submit(_double, 1)
 
 
+def test_restart_budget_bounds_consecutive_failures_only():
+    """Isolated crashes over a long life never retire a slot.
+
+    The budget is spent by a *run* of failures; a completed task resets it,
+    so a long-lived tier survives any number of crashes that each recover.
+    """
+    with SupervisedWorkerPool.inline(1, restart_budget=1) as pool:
+        for _ in range(5):
+            with pytest.raises(WorkerCrashError):
+                pool.result(pool.submit(_raise_crash))
+            assert pool.result(pool.submit(_double, 2)) == 4
+        snap = pool.snapshot()
+        assert snap["restarts_used"] == 5 and snap["retired"] == 0
+        assert snap["workers"][0]["consecutive_failures"] == 0
+        # ...while two in a row still exhaust a budget of one.
+        for _ in range(2):
+            with pytest.raises(WorkerCrashError):
+                pool.result(pool.submit(_raise_crash))
+        assert pool.capacity == 0
+
+
+def test_warm_up_starts_every_worker():
+    with SupervisedWorkerPool(2) as pool:
+        pids = [pool.result(d, timeout=30.0) for d in pool.warm_up()]
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert all(w["completed"] == 1 for w in pool.snapshot()["workers"])
+
+
+def test_shutdown_does_not_respawn_a_dying_slot():
+    with SupervisedWorkerPool(1, restart_budget=2) as pool:
+        d = pool.submit(_nap, 30.0)
+        pool.shutdown()  # kills the worker under the in-flight task
+        with pytest.raises(WorkerCrashError):
+            pool.result(d, timeout=30.0)
+        assert pool.capacity == 0 and pool.snapshot()["restarts_used"] == 0
+
+
 def test_real_worker_kill_is_contained_and_recovered():
     """An ``os._exit`` in a worker process must not take the pool down."""
     with SupervisedWorkerPool(2, restart_budget=2) as pool:
@@ -130,21 +166,6 @@ def test_real_hang_kills_and_replaces_the_worker():
         assert time.perf_counter() - start < 10.0  # killed, not waited out
         assert pool.snapshot()["workers"][0]["hangs"] == 1
         assert pool.result(pool.submit(_double, 3), timeout=30.0) == 6
-
-
-def test_forget_releases_the_slot():
-    with SupervisedWorkerPool.inline(1) as pool:
-        d = pool.submit(_double, 1)
-        pool.forget(d)
-        assert d.slot.inflight == 0
-
-
-def test_wait_helpers():
-    with SupervisedWorkerPool.inline(1) as pool:
-        d = pool.submit(_double, 4)
-        done, pending = wait_any([d.future], timeout=1.0)
-        assert d.future in done and not pending
-        assert sleep_until_done(d.future, timeout=1.0)
 
 
 def test_inline_executor_wraps_results_and_exceptions():

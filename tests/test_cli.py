@@ -310,8 +310,44 @@ def test_batch_command(tmp_path, capsys):
     assert responses[0]["allocation"] == responses[1]["allocation"]
     assert responses[1]["cached"] is True
     assert metrics["cache_hits"] == 1
-    assert metrics["batch_deduped"] == 1
-    assert "allocation service" in captured.err
+    assert metrics["cold_solves"] + metrics["warm_solves"] == 2
+    assert metrics["worker_mode"] == "inline" and metrics["shards"] == 1
+    assert json.loads(captured.err)["served"] == 3  # the tier snapshot
+
+
+def test_batch_refuses_an_oversized_file(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "requests.json"
+    path.write_text(json.dumps([_service_request_payload(64)] * 3))
+    assert main(["batch", str(path), "--max-pending", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused whole: nothing was solved
+    assert "admission queue full" in captured.err
+
+
+def test_chaos_soak_through_worker_processes(capsys):
+    """``hslb chaos --workers 2``: physical faults, flags honoured, none lost."""
+    import json
+
+    argv = [
+        "chaos", "--requests", "24", "--workers", "2", "--json",
+        "--retries", "4", "--chaos-seed", "3", "--chaos-immune-after", "3",
+        "--chaos-crash-rate", "0.3", "--chaos-corrupt-rate", "0.2",
+    ]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["answered"] == report["requests"] == 24
+    assert set(report["sources"]) <= {"exact", "cache"}
+    metrics = report["metrics"]
+    assert metrics["worker_mode"] == "process" and metrics["shards"] == 2
+    resilience = metrics["resilience"]
+    assert resilience["worker_crashes"] > 0 and resilience["corruptions"] > 0
+    assert resilience["worker_restarts"] == resilience["worker_crashes"]
+    # --retries is honoured: a request hit three times still lands exactly.
+    assert resilience["retries"] == (
+        resilience["worker_crashes"] + resilience["corruptions"]
+    )
 
 
 def test_batch_missing_file_is_a_clean_error(capsys):
@@ -376,6 +412,36 @@ def test_serve_async_command(monkeypatch, capsys):
     snapshot = json.loads(captured.err[captured.err.index("{"):])
     assert snapshot["shards"] == 2
     assert snapshot["served"] == 2
+
+
+def test_serve_async_process_workers_honour_retries_and_chaos(monkeypatch, capsys):
+    """Resilience and chaos flags reach the tier's worker processes."""
+    import io
+    import json
+    import sys as _sys
+
+    lines = [
+        json.dumps({**_service_request_payload(nodes), "id": f"r{nodes}"})
+        for nodes in (48, 64, 96)
+    ]
+    monkeypatch.setattr(_sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(
+        [
+            "serve", "--async", "--shards", "1", "--worker-mode", "process",
+            "--resilient", "--retries", "2",
+            "--chaos-crash-rate", "0.9", "--chaos-immune-after", "1",
+        ]
+    ) == 0
+    captured = capsys.readouterr()
+    replies = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(replies) == 3
+    assert all(r["source"] == "exact" for r in replies)
+    assert "not wired" not in captured.err
+    snapshot = json.loads(captured.err[captured.err.index("{"):])
+    resilience = snapshot["resilience"]
+    assert resilience["worker_crashes"] >= 1
+    assert resilience["retries"] == resilience["worker_crashes"]
+    assert resilience["worker_restarts"] == resilience["worker_crashes"]
 
 
 def test_serve_async_rejects_bad_shard_count(capsys):
