@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-random bench e2e-bench solver-bench bench-check dynlb-bench faults-bench serving obs-bench examples reports clean
+.PHONY: install test test-random bench e2e-bench solver-bench bench-check dynlb-bench faults-bench serving obs-test obs-bench examples reports clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -82,6 +82,12 @@ serving:
 	rm -f benchmarks/out/BENCH_asyncserve.fresh.json
 	PYTHONPATH=src $(PYTHON) -m repro chaos --requests 250 --workers 2 --deadline 10 \
 		--chaos-seed 20260808 --metrics-out benchmarks/out/chaos_metrics.json
+
+# The one metrics stack, one list: the obs suites plus the two service
+# suites that pin it (the view over a registry scope; scrape == tier
+# snapshot == shard views under chaos in every worker mode).  CI calls this.
+obs-test:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/obs tests/service/test_metrics.py tests/service/test_tier_chaos.py -q
 
 # Tracing overhead (off / on / on + export); writes
 # benchmarks/out/obs_overhead.txt.

@@ -8,7 +8,8 @@ Subcommands:
 * ``hslb dynlb``      — online rebalancing: compare the frozen static plan
   against dynamic/hybrid strategies under drift, noise, and crashes;
 * ``hslb serve``      — allocation service: JSONL requests on stdin, JSONL
-  answers on stdout (cached + warm-started);
+  answers on stdout (cached + warm-started; ``--async`` for the sharded
+  concurrent tier);
 * ``hslb batch``      — answer a JSON file of allocation requests in one
   call through the serving tier (coalesced, warm-chained, in input order);
 * ``hslb experiment`` — run any registered paper experiment by id;
@@ -544,8 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-pending",
         type=int,
         default=1024,
-        help="tier-wide in-flight limit before admission starts degrading "
-        "and shedding by priority class (async tier)",
+        help="tier-wide in-flight limit; with --async, admission starts "
+        "degrading and shedding by priority class as it is approached",
     )
     tier.add_argument(
         "--no-coalesce",
@@ -559,8 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="serve a Prometheus /metrics + /healthz HTTP endpoint on "
-        "this port for the lifetime of the session (0 = ephemeral; "
-        "async tier)",
+        "this port for the lifetime of the session (0 = ephemeral)",
     )
 
     bat = sub.add_parser(
@@ -1114,40 +1114,6 @@ def _cmd_dynlb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_from_args(
-    args: argparse.Namespace, *, forced_resilience: bool = False
-):
-    from repro.service import AllocationService
-
-    resilience, chaos = _resilience_from_args(args, forced=forced_resilience)
-    return AllocationService(
-        cache_capacity=args.cache_capacity,
-        ttl=args.ttl,
-        warm_start=not args.no_warm_start,
-        resilience=resilience,
-        chaos=chaos,
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import serve_loop
-
-    if args.use_async:
-        return _cmd_serve_async(args)
-    try:
-        service = _service_from_args(args)
-    except ValueError as exc:
-        _log.error(str(exc))
-        return 2
-    with _tracing(args.trace_out):
-        served = serve_loop(
-            service, sys.stdin, sys.stdout, deadline=args.deadline
-        )
-    _log.info(f"served {served} request(s)")
-    print(service.metrics.render(), file=sys.stderr)
-    return 0
-
-
 def _tier_from_args(
     args: argparse.Namespace,
     *,
@@ -1157,7 +1123,7 @@ def _tier_from_args(
     coalesce: bool = True,
     forced_resilience: bool = False,
 ):
-    """The serving tier every service subcommand but plain ``serve`` drives."""
+    """The serving tier every service subcommand drives."""
     from repro.service import AsyncServingTier, TierConfig
 
     resilience, chaos = _resilience_from_args(args, forced=forced_resilience)
@@ -1177,21 +1143,26 @@ def _tier_from_args(
 
 
 def _batch_tier_from_args(
-    args: argparse.Namespace, max_pending: int, *, forced_resilience: bool = False
+    args: argparse.Namespace,
+    max_pending: int,
+    workers: int,
+    *,
+    forced_resilience: bool = False,
 ):
-    """A tier for ``run_requests``: ``--workers 0`` solves inline on one
-    shard (deterministic), ``--workers N`` on N supervised worker processes.
+    """A tier with all-or-nothing admission: ``workers=0`` solves inline on
+    one shard (deterministic, answers in input order), ``workers=N`` on N
+    supervised worker processes.
 
-    The whole-batch refusal is the only admission gate: every request of an
-    admitted batch gets the exact path, none is degraded or shed mid-batch.
+    The ``max_pending`` refusal is the only admission gate: every admitted
+    request gets the exact path, none is degraded or shed by class.
     """
     from repro.service import AdmissionPolicy, ClassThresholds
     from repro.service.admission import DEFAULT_PRIORITY
 
     return _tier_from_args(
         args,
-        shards=max(1, args.workers),
-        worker_mode="process" if args.workers else "inline",
+        shards=max(1, workers),
+        worker_mode="process" if workers else "inline",
         admission=AdmissionPolicy(
             max_pending=max_pending,
             thresholds={
@@ -1202,19 +1173,25 @@ def _batch_tier_from_args(
     )
 
 
-def _cmd_serve_async(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """JSONL over stdio through the serving tier: plain ``serve`` is the
+    inline one-shard tier of ``batch --workers 0`` (one request at a time,
+    answers in input order), ``--async`` the sharded concurrent preset."""
     import json
 
     from repro.service import AdmissionPolicy, serve_stdio
 
     try:
-        tier = _tier_from_args(
-            args,
-            shards=args.shards,
-            worker_mode=args.worker_mode,
-            admission=AdmissionPolicy(max_pending=args.max_pending),
-            coalesce=not args.no_coalesce,
-        )
+        if args.use_async:
+            tier = _tier_from_args(
+                args,
+                shards=args.shards,
+                worker_mode=args.worker_mode,
+                admission=AdmissionPolicy(max_pending=args.max_pending),
+                coalesce=not args.no_coalesce,
+            )
+        else:
+            tier = _batch_tier_from_args(args, args.max_pending, workers=0)
     except ValueError as exc:
         _log.error(str(exc))
         return 2
@@ -1227,7 +1204,10 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
             metrics_port=args.metrics_port,
         )
     _log.info(f"served {served} request(s)")
-    print(json.dumps(tier.snapshot(), indent=2), file=sys.stderr)
+    if args.use_async:
+        print(json.dumps(tier.snapshot(), indent=2), file=sys.stderr)
+    else:
+        print(tier.metrics.render(), file=sys.stderr)
     return 0
 
 
@@ -1256,7 +1236,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         _log.error(str(exc))
         return 2
     try:
-        tier = _batch_tier_from_args(args, args.max_pending)
+        tier = _batch_tier_from_args(args, args.max_pending, args.workers)
     except ValueError as exc:
         _log.error(str(exc))
         return 2
@@ -1333,7 +1313,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         args.chaos_corrupt_rate = 0.05
     try:
         tier = _batch_tier_from_args(
-            args, max(args.requests, 1024), forced_resilience=True
+            args, max(args.requests, 1024), args.workers, forced_resilience=True
         )
     except ValueError as exc:
         _log.error(str(exc))

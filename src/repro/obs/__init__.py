@@ -11,10 +11,14 @@ service, built from small pieces:
   stitched across process boundaries via :class:`TraceContext`.  Disabled
   (the default) it costs one attribute check and returns a shared no-op
   span, so instrumented hot paths stay hot.
-* :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges,
-  and fixed-bucket histograms (with trace exemplars on buckets).
-  :class:`repro.service.metrics.ServiceMetrics` mirrors into it, so one
-  scrape covers the whole process.
+* :mod:`repro.obs.metrics` — registries of counters, gauges, and
+  fixed-bucket histograms (with trace exemplars on buckets): the
+  process-wide ``REGISTRY`` plus *scopes* (``MetricsRegistry(parent=...)``)
+  whose writes forward outwards, so an owner's numbers
+  (:class:`repro.service.metrics.ServiceMetrics` is a view over one) and
+  the one scrape of the whole process are the same series.
+* :mod:`repro.obs.telemetry` — the catalogue: every metric family declared
+  once (name, kind, help, labels), plus the solver/pipeline recording hooks.
 * :mod:`repro.obs.slo` — rolling-time-window SLO tracking: per-priority
   latency quantiles, shed/error rates, and burn rates against
   configurable targets.

@@ -1,6 +1,6 @@
 """A zero-dependency asyncio HTTP endpoint: ``/metrics`` and ``/healthz``.
 
-Runs *inside* the serving tier's event loop (alongside ``serve_stream``),
+Runs *inside* the serving tier's event loop (alongside ``serve_stdio``),
 so a scrape reads the same registry the request path writes — no second
 process, no sockets handed across threads.  The server speaks just enough
 HTTP/1.0 for Prometheus and ``curl``: one request per connection, GET

@@ -1,19 +1,28 @@
-"""Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: counters, gauges, fixed-bucket histograms, scopes.
 
 Prometheus-flavoured semantics with zero dependencies:
 
 * **Counter** — monotone float, ``inc()``-only, optional labels;
 * **Gauge** — last-write-wins float, optional labels;
-* **Histogram** — cumulative fixed buckets plus ``_sum``/``_count``, the
-  same shape :class:`repro.service.metrics.LatencyHistogram` uses, so the
-  service's numbers merge into one scrape.  The bucket table and the two
-  quantile routines (:func:`exact_quantile`, :func:`bucket_quantile`) live
-  here once; the service histogram and the SLO tracker call them.
+* **Histogram** — cumulative fixed buckets plus ``_sum``/``_count``, with
+  exact quantiles while a series is small.  The one histogram class, the
+  one bucket table and the two quantile routines (:func:`exact_quantile`,
+  :func:`bucket_quantile`) live here; the service, the tier, the load
+  generator and the SLO tracker all use them.
 
 Labeled children are keyed by a sorted ``(name, value)`` tuple, so label
 order never mints a new series.  The module-level :data:`REGISTRY` is the
 process-wide default; tests build private :class:`MetricsRegistry`
 instances instead of resetting the global one mid-flight.
+
+**Scopes.**  ``MetricsRegistry(parent=outer)`` is a *scope*: its counters
+and histograms keep their own series **and** forward every write to the
+same-named family of ``outer`` (which may itself be a scope).  One
+``inc``/``observe`` at the booking site is therefore the owner's number,
+every enclosing total and the process scrape at once — nothing is mirrored
+by hand, so no two copies can disagree.  ``reset()`` zeroes one scope
+only.  Gauges are last-write-wins and do not aggregate, so they are never
+forwarded: a gauge lives on the registry it was set on.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import bisect
 import os
 import threading
+import weakref
 from collections.abc import Iterator, Sequence
 
 #: Default histogram bucket upper bounds (seconds-flavoured, log-spaced).
@@ -75,42 +85,57 @@ def _label_key(labels: dict[str, str]) -> _LabelKey:
 
 
 class Metric:
-    """Common shape: name, help text, typed label-keyed children."""
+    """Common shape: name, help text, typed label-keyed children.
+
+    ``parent`` is the same-named family of the enclosing registry (see
+    :class:`MetricsRegistry`); a write walks the chain outwards, taking one
+    family's lock at a time — never a child's and its parent's together.
+    """
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(
+        self, name: str, help: str = "", parent: "Metric | None" = None
+    ) -> None:
         if not name or not name.replace("_", "a").isalnum() or name[0].isdigit():
             raise ValueError(f"bad metric name {name!r}")
         self.name = name
         self.help = help
+        self._parent = parent
         self._lock = threading.Lock()
 
     def reset(self) -> None:
         raise NotImplementedError
 
 
-class Counter(Metric):
-    """Monotonically increasing value, optionally labeled."""
+class _Scalar(Metric):
+    """One float per label key: what a counter and a gauge share."""
 
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
+    def __init__(
+        self, name: str, help: str = "", parent: "_Scalar | None" = None
+    ) -> None:
+        super().__init__(name, help, parent)
         self._values: dict[_LabelKey, float] = {}
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
+    def _add(self, key: _LabelKey, amount: float) -> None:
+        if amount < 0 and self.kind == "counter":
             raise ValueError("counters only go up")
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        metric = self
+        while metric is not None:
+            with metric._lock:
+                metric._values[key] = metric._values.get(key, 0.0) + amount
+            metric = metric._parent
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        self._add(_label_key(labels) if labels else (), amount)
 
     def value(self, **labels: str) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
     def samples(self) -> Iterator[tuple[str, _LabelKey, float]]:
-        for key, v in sorted(self._values.items()):
+        with self._lock:
+            rows = sorted(self._values.items())
+        for key, v in rows:
             yield self.name, key, v
 
     def reset(self) -> None:
@@ -118,34 +143,60 @@ class Counter(Metric):
             self._values.clear()
 
 
-class Gauge(Metric):
+class Counter(_Scalar):
+    """Monotonically increasing value, optionally labeled."""
+
+    kind = "counter"
+
+    def bind(self, **labels: str) -> "BoundCounter":
+        """One label series as a handle — the key is resolved once, so a
+        hot booking site pays no label sorting per increment."""
+        return BoundCounter(self, _label_key(labels))
+
+    def total(self) -> float:
+        """Sum over every label series (a consistent cut: taken under the
+        lock, since another thread may be minting a series)."""
+        with self._lock:
+            return sum(self._values.values())
+
+
+class BoundCounter:
+    """One series of a :class:`Counter` (see :meth:`Counter.bind`)."""
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: _LabelKey) -> None:
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._counter._add(self._key, amount)
+
+    def value(self) -> float:
+        return self._counter._values.get(self._key, 0.0)
+
+
+class Gauge(_Scalar):
     """A value that can go up and down (queue depth, cache size, ...)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[_LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         with self._lock:
             self._values[_label_key(labels)] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: str) -> float:
-        return self._values.get(_label_key(labels), 0.0)
+class _Series:
+    """One label key's state inside a :class:`Histogram`."""
 
-    def samples(self) -> Iterator[tuple[str, _LabelKey, float]]:
-        for key, v in sorted(self._values.items()):
-            yield self.name, key, v
+    __slots__ = ("counts", "sum", "total", "retained", "exemplars")
 
-    def reset(self) -> None:
-        with self._lock:
-            self._values.clear()
+    def __init__(self, n_buckets: int) -> None:
+        self.counts = [0] * (n_buckets + 1)  # +1: overflow
+        self.sum = 0.0
+        self.total = 0
+        self.retained: list[float] = []
+        self.exemplars: dict[int, tuple[str, float]] = {}
 
 
 class Histogram(Metric):
@@ -154,18 +205,22 @@ class Histogram(Metric):
     kind = "histogram"
 
     def __init__(
-        self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
+        self,
+        name: str,
+        help: str = "",
+        buckets: Sequence[float] = DEFAULT_BUCKETS,
+        parent: "Histogram | None" = None,
     ) -> None:
-        super().__init__(name, help)
+        super().__init__(name, help, parent)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or list(bounds) != sorted(bounds):
             raise ValueError("buckets must be a sorted non-empty sequence")
+        if parent is not None and parent.buckets != bounds:
+            raise ValueError(
+                f"histogram {name!r} must share its enclosing family's buckets"
+            )
         self.buckets = bounds
-        self._counts: dict[_LabelKey, list[int]] = {}
-        self._sums: dict[_LabelKey, float] = {}
-        self._totals: dict[_LabelKey, int] = {}
-        self._samples: dict[_LabelKey, list[float]] = {}
-        self._exemplars: dict[_LabelKey, dict[int, tuple[str, float]]] = {}
+        self._series: dict[_LabelKey, _Series] = {}
 
     def observe(self, value: float, exemplar: str | None = None, **labels: str) -> None:
         """Record one observation; ``exemplar`` ties it to a ``trace_id``.
@@ -173,38 +228,50 @@ class Histogram(Metric):
         Exemplars are kept per native bucket, latest-wins, so a scrape can
         point from a slow bucket straight at a request trace to pull up.
         """
-        key = _label_key(labels)
-        with self._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = self._counts[key] = [0] * (len(self.buckets) + 1)
-                self._sums[key] = 0.0
-                self._totals[key] = 0
-                self._samples[key] = []
-            idx = bisect.bisect_left(self.buckets, value)
-            counts[idx] += 1
-            self._sums[key] += value
-            self._totals[key] += 1
-            retained = self._samples[key]
-            if len(retained) < EXACT_SAMPLE_CAP:
-                retained.append(value)
-            if exemplar:
-                self._exemplars.setdefault(key, {})[idx] = (str(exemplar), value)
+        key = _label_key(labels) if labels else ()
+        idx = bisect.bisect_left(self.buckets, value)
+        metric = self
+        while metric is not None:
+            with metric._lock:
+                series = metric._series.get(key)
+                if series is None:
+                    series = metric._series[key] = _Series(len(self.buckets))
+                series.counts[idx] += 1
+                series.sum += value
+                series.total += 1
+                if len(series.retained) < EXACT_SAMPLE_CAP:
+                    series.retained.append(value)
+                if exemplar:
+                    series.exemplars[idx] = (str(exemplar), value)
+            metric = metric._parent
 
     def exemplars(self) -> Iterator[tuple[_LabelKey, str, str, float]]:
         """Yield ``(label_key, le, trace_id, value)`` for every kept exemplar."""
         with self._lock:
-            kept = {k: dict(v) for k, v in self._exemplars.items()}
+            kept = {k: dict(s.exemplars) for k, s in self._series.items()}
         for key in sorted(kept):
             for idx, (trace_id, value) in sorted(kept[key].items()):
                 le = "+Inf" if idx == len(self.buckets) else repr(self.buckets[idx])
                 yield key, le, trace_id, value
 
+    def _get(self, labels: dict[str, str]) -> _Series | None:
+        return self._series.get(_label_key(labels) if labels else ())
+
     def count(self, **labels: str) -> int:
-        return self._totals.get(_label_key(labels), 0)
+        series = self._get(labels)
+        return series.total if series else 0
 
     def sum(self, **labels: str) -> float:
-        return self._sums.get(_label_key(labels), 0.0)
+        series = self._get(labels)
+        return series.sum if series else 0.0
+
+    def _quantile(self, series: _Series | None, q: float) -> float:
+        """``q`` of one series; the caller holds the lock."""
+        if series is None or series.total == 0:
+            return 0.0
+        if series.total <= len(series.retained):
+            return exact_quantile(sorted(series.retained), q)
+        return bucket_quantile(self.buckets, series.counts, series.total, q)
 
     def quantile(self, q: float, **labels: str) -> float:
         """Quantile estimate: exact on small samples, interpolated after.
@@ -217,15 +284,26 @@ class Histogram(Metric):
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        key = _label_key(labels)
         with self._lock:
-            total = self._totals.get(key, 0)
-            if total == 0:
-                return 0.0
-            retained = self._samples.get(key, [])
-            if total <= len(retained):
-                return exact_quantile(sorted(retained), q)
-            return bucket_quantile(self.buckets, self._counts[key], total, q)
+            return self._quantile(self._get(labels), q)
+
+    def summary(self, **labels: str) -> dict:
+        """One series as JSON-ready numbers: count/sum/mean, the p50, p95,
+        p99 and p999 of :meth:`quantile`, and the non-empty buckets."""
+        with self._lock:
+            series = self._get(labels) or _Series(len(self.buckets))
+            return {
+                "count": series.total,
+                "sum": series.sum,
+                "mean": series.sum / series.total if series.total else 0.0,
+                "p50": self._quantile(series, 0.5),
+                "p95": self._quantile(series, 0.95),
+                "p99": self._quantile(series, 0.99),
+                "p999": self._quantile(series, 0.999),
+                "buckets": {
+                    str(b): c for b, c in zip(self.buckets, series.counts) if c
+                },
+            }
 
     def samples(self) -> Iterator[tuple[str, _LabelKey, float]]:
         """Prometheus-shaped samples: quantiles, cumulative buckets, sum/count.
@@ -235,49 +313,65 @@ class Histogram(Metric):
         scrape reports tail latency without the consumer re-deriving it
         from buckets.
         """
-        for key in sorted(self._counts):
-            counts = self._counts[key]
-            for q in EXPORTED_QUANTILES:
-                yield self.name, key + (("quantile", repr(q)),), self.quantile(
-                    q, **dict(key)
+        with self._lock:
+            rows = [
+                (
+                    key,
+                    [self._quantile(series, q) for q in EXPORTED_QUANTILES],
+                    list(series.counts),
+                    series.sum,
+                    series.total,
                 )
+                for key, series in sorted(self._series.items())
+            ]
+        for key, quantiles, counts, total_sum, total in rows:
+            for q, value in zip(EXPORTED_QUANTILES, quantiles):
+                yield self.name, key + (("quantile", repr(q)),), value
             running = 0
             for bound, c in zip(self.buckets, counts):
                 running += c
                 yield f"{self.name}_bucket", key + (("le", repr(bound)),), float(running)
-            running += counts[-1]
-            yield f"{self.name}_bucket", key + (("le", "+Inf"),), float(running)
-            yield f"{self.name}_sum", key, self._sums[key]
-            yield f"{self.name}_count", key, float(self._totals[key])
+            yield f"{self.name}_bucket", key + (("le", "+Inf"),), float(total)
+            yield f"{self.name}_sum", key, total_sum
+            yield f"{self.name}_count", key, float(total)
 
     def reset(self) -> None:
         with self._lock:
-            self._counts.clear()
-            self._sums.clear()
-            self._totals.clear()
-            self._samples.clear()
-            self._exemplars.clear()
+            self._series.clear()
 
 
 class MetricsRegistry:
-    """Name -> metric, with get-or-create accessors and one snapshot view."""
+    """Name -> metric, with get-or-create accessors and one snapshot view.
 
-    def __init__(self) -> None:
+    With a ``parent`` the registry is a *scope* (module docstring): every
+    counter and histogram it mints is chained to the parent's family of the
+    same name, created there on demand with the same help and buckets.
+    """
+
+    def __init__(self, parent: "MetricsRegistry | None" = None) -> None:
+        self.parent = parent
         self._metrics: dict[str, Metric] = {}
         self._lock = threading.Lock()
+        _LIVE.add(self)
 
     def _get_or_create(self, cls: type, name: str, help: str, **kwargs) -> Metric:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise TypeError(
-                        f"metric {name!r} already registered as {existing.kind}"
-                    )
-                return existing
-            metric = cls(name, help, **kwargs)
-            self._metrics[name] = metric
-            return metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            if self.parent is not None and cls is not Gauge:
+                # Resolved before our lock is taken: locks are only ever
+                # held one at a time along a scope chain.
+                kwargs["parent"] = self.parent._get_or_create(
+                    cls, name, help, **kwargs
+                )
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = self._metrics[name] = cls(name, help, **kwargs)
+        if not isinstance(metric, cls):
+            raise TypeError(f"metric {name!r} already registered as {metric.kind}")
+        if help and not metric.help:
+            metric.help = help  # first minted by a booking site that gave none
+        return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -309,10 +403,14 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        """Zero every registered metric (families stay registered)."""
+        """Zero every metric of *this* registry (families stay registered;
+        an enclosing registry keeps what was forwarded to it)."""
         for metric in self:
             metric.reset()
 
+
+#: Every registry alive in this process, so a forked child can re-arm them.
+_LIVE: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
 
 #: The process-wide default registry.
 REGISTRY = MetricsRegistry()
@@ -321,9 +419,11 @@ REGISTRY = MetricsRegistry()
 def _fresh_locks_after_fork() -> None:
     # Pool workers are forked while other threads may be mid-``inc``; a lock
     # copied in the held state would deadlock the child's first metric call.
-    REGISTRY._lock = threading.Lock()
-    for metric in REGISTRY._metrics.values():
-        metric._lock = threading.Lock()
+    # Scopes are covered too: a write to one walks up to ``REGISTRY``.
+    for registry in list(_LIVE):
+        registry._lock = threading.Lock()
+        for metric in registry._metrics.values():
+            metric._lock = threading.Lock()
 
 
 os.register_at_fork(after_in_child=_fresh_locks_after_fork)

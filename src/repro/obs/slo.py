@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry, exact_quantile
+from repro.obs.telemetry import family
 
 #: Outcomes a request can land in, from the tracker's point of view.
 OUTCOMES = ("ok", "degraded", "shed", "error")
@@ -209,20 +210,23 @@ class SLOTracker:
         return {"window": self.window, "priorities": priorities, "targets": targets}
 
     def export(self, registry: MetricsRegistry) -> None:
-        """Publish the current window as ``slo_*`` gauges on ``registry``."""
+        """Publish the current window as ``slo_*`` gauges on ``registry``.
+
+        The gauges are cleared first: a class that has aged out of the
+        window must leave the scrape with it, not linger at its last value.
+        """
         snap = self.snapshot()
-        lat = registry.gauge(
-            "slo_latency_seconds", "Rolling-window latency quantile by priority"
+        lat, rate, burn, total = (
+            family(registry, name)
+            for name in (
+                "slo_latency_seconds",
+                "slo_outcome_rate",
+                "slo_burn_rate",
+                "slo_window_requests",
+            )
         )
-        rate = registry.gauge(
-            "slo_outcome_rate", "Rolling-window shed/error/degraded fraction"
-        )
-        burn = registry.gauge(
-            "slo_burn_rate", "Error-budget burn rate per SLO target (1.0 = at budget)"
-        )
-        total = registry.gauge(
-            "slo_window_requests", "Requests in the rolling window by priority"
-        )
+        for gauge in (lat, rate, burn, total):
+            gauge.reset()
         for priority, stats in snap["priorities"].items():
             for q in ("p50", "p99", "p999"):
                 lat.set(stats[q], priority=priority, quantile=q)

@@ -3,60 +3,115 @@
 One module owns every metric name so the naming scheme stays coherent
 (``hslb_*`` for the pipeline, ``solver_*`` for the MINLP stack,
 ``service_*`` for the allocation service, ``faults_*`` for injection —
-see DESIGN.md "Observability").  Recording functions are cheap (a couple
-of dict operations) and *unconditional*; per-iteration trace events are
-additionally gated on the tracer so solver inner loops pay one attribute
-check while tracing is off.
+see DESIGN.md "Observability").  :data:`CATALOGUE` declares each family
+once — name, kind, help, label names; :func:`family` is how a booking site
+outside this module obtains one and :func:`ensure_registered` pre-registers
+them all (a test keeps DESIGN.md's table equal to the catalogue).
+Recording functions are cheap (a couple of dict operations) and
+*unconditional*; per-iteration trace events are additionally gated on the
+tracer so solver inner loops pay one attribute check while tracing is off.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import REGISTRY
+from typing import NamedTuple
+
+from repro.obs.metrics import REGISTRY, Metric, MetricsRegistry
 from repro.obs.trace import get_tracer
 
 _TR = get_tracer()
 
 
+class Family(NamedTuple):
+    """One declared metric family."""
+
+    name: str
+    kind: str  # "counter" | "gauge" | "histogram"
+    help: str
+    labels: tuple[str, ...] = ()
+
+
+def _declare(kind: str):
+    return lambda name, help, *labels: Family(name, kind, help, labels)
+
+
+_counter, _gauge, _histogram = map(_declare, ("counter", "gauge", "histogram"))
+
+CATALOGUE = (
+    _counter("solver_nodes_explored_total", "B&B nodes explored", "algorithm"),
+    _counter("solver_nodes_pruned_total", "B&B nodes pruned", "algorithm"),
+    _counter("solver_nlp_solves_total", "NLP subproblem solves", "algorithm"),
+    _counter("solver_lp_solves_total", "LP relaxation solves", "algorithm"),
+    _counter("solver_cuts_added_total", "OA linearization cuts added", "algorithm"),
+    _counter("solver_incumbent_updates_total", "incumbent improvements", "algorithm"),
+    _counter("solver_warm_starts_total", "x0 warm-start attempts", "used"),
+    _counter("solver_basis_reuse_total", "B&B parent-basis reuse hits/misses", "outcome"),
+    _counter("solver_simplex_pivots_total", "simplex pivots by phase", "phase"),
+    _counter("solver_cut_pool_total", "OA cut-pool events", "event"),
+    _histogram("solver_wall_seconds", "per-solve wall time", "algorithm", "status"),
+    _counter("hslb_degradations_total", "solver tier fallbacks", "from_tier", "to_tier"),
+    _counter("hslb_pipeline_runs_total", "HSLB pipeline entries"),
+    _counter("hslb_gather_retries_total", "gather benchmark retries"),
+    _counter("hslb_gather_dropped_total", "gather points dropped"),
+    _counter("hslb_execution_recoveries_total", "mid-run crash recoveries"),
+    _counter("faults_injected_total", "injected faults by kind", "kind", "stage"),
+    _counter("service_requests_total", "requests booked, by how each was answered", "outcome"),
+    _histogram("service_request_seconds", "service-side latency of every booked request"),
+    _counter(
+        "service_solve_iterations_total", "solver iterations of cold / warm solves", "outcome"
+    ),
+    _histogram("service_tier_request_seconds", "end-to-end tier latency, queue wait included"),
+    _counter("service_timeouts_total", "solves that exhausted their wall budget"),
+    _counter("service_overloads_total", "shed requests and refused batches"),
+    _counter("service_retries_total", "service solve re-dispatches"),
+    _counter("service_worker_failures_total", "worker crashes/hangs by kind", "kind"),
+    _counter("service_worker_restarts_total", "supervised worker replacements"),
+    _counter("service_corruptions_total", "corrupt results caught by validation"),
+    _counter("service_breaker_transitions_total", "breaker state changes", "to"),
+    _counter("service_breaker_blocks_total", "requests blocked by an open breaker"),
+    _counter("service_admission_total", "admission verdicts", "decision", "priority"),
+    _counter("service_coalesced_total", "single-flight roles taken", "outcome"),
+    _counter("service_cache_hits_total", "solution-cache hits"),
+    _counter("service_cache_misses_total", "solution-cache misses"),
+    _counter("service_cache_evictions_total", "capacity evictions of live entries"),
+    _counter("service_cache_expirations_total", "TTL expirations booked"),
+    _counter("service_cache_inserts_total", "solution-cache inserts"),
+    _gauge(
+        "slo_latency_seconds", "rolling-window latency quantile", "priority", "quantile"
+    ),
+    _gauge("slo_outcome_rate", "rolling-window shed/error/degraded fraction", "kind", "priority"),
+    _gauge("slo_burn_rate", "error-budget burn rate per target (1.0 = at budget)", "target"),
+    _gauge("slo_window_requests", "requests in the rolling window by priority", "priority"),
+    _counter("dynlb_steps_total", "dynamic-run steps simulated", "strategy"),
+    _counter("dynlb_decisions_total", "rebalance decisions by trigger", "strategy", "trigger"),
+    _counter(
+        "dynlb_migrations_total", "migration outcomes (applied/gated/aborted/crash)",
+        "outcome", "strategy",
+    ),
+    _counter("dynlb_refits_total", "incremental model refits by kind", "kind"),
+    _counter("dynlb_stale_total", "perf-model staleness flags raised", "component"),
+    _counter("dynlb_crash_recoveries_total", "mid-run crash recoveries", "strategy"),
+    _histogram("dynlb_step_seconds", "per-step makespan", "strategy"),
+    _histogram("dynlb_migration_cost_seconds", "charged migration stalls", "strategy"),
+)
+
+_BY_NAME = {f.name: f for f in CATALOGUE}
+
+
+def family(registry: MetricsRegistry, name: str) -> Metric:
+    """The catalogued family ``name`` on ``registry`` (get-or-create).
+
+    Raises :class:`KeyError` for a name the catalogue does not declare, so
+    a family cannot reach a scrape without a line in the table.
+    """
+    declared = _BY_NAME[name]
+    return getattr(registry, declared.kind)(declared.name, declared.help)
+
+
 def ensure_registered() -> None:
-    """Pre-register the standard families so an empty scrape names them."""
-    REGISTRY.counter("solver_nodes_explored_total", "B&B nodes explored")
-    REGISTRY.counter("solver_nodes_pruned_total", "B&B nodes pruned")
-    REGISTRY.counter("solver_nlp_solves_total", "NLP subproblem solves")
-    REGISTRY.counter("solver_lp_solves_total", "LP relaxation solves")
-    REGISTRY.counter("solver_cuts_added_total", "OA linearization cuts added")
-    REGISTRY.counter("solver_incumbent_updates_total", "incumbent improvements")
-    REGISTRY.counter("solver_warm_starts_total", "x0 warm-start attempts")
-    REGISTRY.counter("solver_basis_reuse_total", "B&B parent-basis reuse hits/misses")
-    REGISTRY.counter("solver_simplex_pivots_total", "simplex pivots by phase")
-    REGISTRY.counter("solver_cut_pool_total", "OA cut-pool events")
-    REGISTRY.histogram("solver_wall_seconds", "per-solve wall time")
-    REGISTRY.counter("hslb_degradations_total", "solver tier fallbacks")
-    REGISTRY.counter("hslb_pipeline_runs_total", "HSLB pipeline entries")
-    REGISTRY.counter("hslb_gather_retries_total", "gather benchmark retries")
-    REGISTRY.counter("hslb_gather_dropped_total", "gather points dropped")
-    REGISTRY.counter("hslb_execution_recoveries_total", "mid-run crash recoveries")
-    REGISTRY.counter("faults_injected_total", "injected faults by kind")
-    REGISTRY.counter("service_retries_total", "service solve re-dispatches")
-    REGISTRY.counter("service_worker_failures_total", "worker crashes/hangs by kind")
-    REGISTRY.counter("service_worker_restarts_total", "supervised worker replacements")
-    REGISTRY.counter("service_corruptions_total", "corrupt results caught by validation")
-    REGISTRY.counter("service_degraded_total", "degraded answers by ladder rung")
-    REGISTRY.counter("service_rejections_total", "typed request rejections")
-    REGISTRY.counter("service_breaker_transitions_total", "breaker state changes")
-    REGISTRY.counter("service_breaker_blocks_total", "requests blocked by an open breaker")
-    REGISTRY.counter("service_cache_hits_total", "solution-cache hits")
-    REGISTRY.counter("service_cache_misses_total", "solution-cache misses")
-    REGISTRY.counter("service_cache_evictions_total", "capacity evictions of live entries")
-    REGISTRY.counter("service_cache_expirations_total", "TTL expirations booked")
-    REGISTRY.counter("service_cache_inserts_total", "solution-cache inserts")
-    REGISTRY.counter("dynlb_steps_total", "dynamic-run steps simulated")
-    REGISTRY.counter("dynlb_decisions_total", "rebalance decisions by trigger")
-    REGISTRY.counter("dynlb_migrations_total", "migration outcomes (applied/gated/aborted/crash)")
-    REGISTRY.counter("dynlb_refits_total", "incremental model refits by kind")
-    REGISTRY.counter("dynlb_stale_total", "perf-model staleness flags raised")
-    REGISTRY.counter("dynlb_crash_recoveries_total", "mid-run crash recoveries")
-    REGISTRY.histogram("dynlb_step_seconds", "per-step makespan")
-    REGISTRY.histogram("dynlb_migration_cost_seconds", "charged migration stalls")
+    """Pre-register every catalogued family so an empty scrape names them."""
+    for declared in CATALOGUE:
+        family(REGISTRY, declared.name)
 
 
 def record_solve(algorithm: str, stats, status: str) -> None:

@@ -22,7 +22,6 @@ Layers (each its own module, composable in isolation):
   per-worker health and bounded restarts (the only owner of processes);
 * :mod:`~repro.service.retry`      — deterministic capped backoff;
 * :mod:`~repro.service.breaker`    — per-family circuit breaker;
-* :mod:`~repro.service.server`     — the ``repro serve`` JSONL loop;
 * :mod:`~repro.service.sharding`   — consistent-hash ring placing request
   families onto cache shards;
 * :mod:`~repro.service.coalesce`   — single-flight coalescing of identical
@@ -30,11 +29,12 @@ Layers (each its own module, composable in isolation):
 * :mod:`~repro.service.admission`  — tiered admission control (accept /
   degrade / shed by priority class);
 * :mod:`~repro.service.frontend`   — the asyncio serving tier, its JSONL
-  stream transport (``hslb serve --async``) and ``run_requests``, the
-  synchronous batch API (``hslb batch``, ``hslb chaos``);
+  transport (``hslb serve``, inline or ``--async``) and ``run_requests``,
+  the synchronous batch API (``hslb batch``, ``hslb chaos``);
 * :mod:`~repro.service.loadgen`    — trace-driven load generation (Zipf +
   diurnal + flash-crowd shapes) and async replay;
-* :mod:`~repro.service.metrics`    — counters/histograms and their snapshot;
+* :mod:`~repro.service.metrics`    — :class:`ServiceMetrics`, a view over a
+  scope of the :mod:`repro.obs.metrics` registry (shard → tier → process);
 * :mod:`~repro.service.errors`     — typed failures (timeout, overload,
   rejection, worker crash/hang, restart-budget exhaustion).
 """
@@ -63,7 +63,6 @@ from repro.service.frontend import (
     TierConfig,
     run_requests,
     serve_stdio,
-    serve_stream,
 )
 from repro.service.loadgen import (
     ReplayReport,
@@ -73,11 +72,10 @@ from repro.service.loadgen import (
     replay,
     replay_async,
 )
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.request import ComponentSpec, SolveRequest
 from repro.service.response import ServiceResponse
 from repro.service.retry import RetryPolicy
-from repro.service.server import serve_loop
 from repro.service.service import AllocationService, ResiliencePolicy
 from repro.service.sharding import HashRing
 from repro.service.solver import SolveOutcome, greedy_outcome, solve_request
@@ -101,7 +99,6 @@ __all__ = [
     "FlightStats",
     "HashRing",
     "InlineExecutor",
-    "LatencyHistogram",
     "ResiliencePolicy",
     "ReplayReport",
     "RestartBudgetError",
@@ -129,8 +126,6 @@ __all__ = [
     "replay",
     "replay_async",
     "run_requests",
-    "serve_loop",
     "serve_stdio",
-    "serve_stream",
     "solve_request",
 ]

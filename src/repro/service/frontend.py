@@ -13,8 +13,8 @@ cache depends on.
 
 The layers, bottom-up::
 
-    transport   serve_stream / serve_stdio — asyncio JSONL framing, one
-                task per line, out-of-order completion, id passthrough;
+    transport   serve_stdio — asyncio JSONL framing, one task per line,
+                out-of-order completion, id passthrough;
                 run_requests — the synchronous batch API
     scheduling  AsyncServingTier.submit — admission (accept / degrade /
                 shed by priority), ring routing, single-flight coalescing
@@ -42,14 +42,14 @@ import io
 import json
 import os
 import time
-from collections import Counter
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOTracker
+from repro.obs.telemetry import family
 from repro.obs.trace import span
 from repro.service.admission import (
     DEFAULT_PRIORITY,
@@ -57,9 +57,9 @@ from repro.service.admission import (
     AdmissionDecision,
     AdmissionPolicy,
 )
-from repro.service.coalesce import SingleFlight
+from repro.service.coalesce import FlightStats, SingleFlight
 from repro.service.errors import ServiceError, ServiceOverloadError
-from repro.service.metrics import LatencyHistogram
+from repro.service.metrics import ServiceMetrics
 from repro.service.request import SolveRequest
 from repro.service.response import ServiceResponse, error_payload
 from repro.service.service import AllocationService, ResiliencePolicy
@@ -119,7 +119,7 @@ class TierConfig:
 class _Shard:
     """One shard: its service, its flight table, its solving thread."""
 
-    def __init__(self, name: str, config: TierConfig) -> None:
+    def __init__(self, name: str, config: TierConfig, parent: MetricsRegistry) -> None:
         self.name = name
         self.mode = config.worker_mode
         self.service = AllocationService(
@@ -130,6 +130,7 @@ class _Shard:
             chaos=config.chaos,
             share_cuts=config.share_cuts,
             pool=SupervisedWorkerPool(1) if self.mode == "process" else None,
+            metrics=ServiceMetrics(parent=parent),
         )
         self.flights = SingleFlight()
         self.requests = 0
@@ -187,15 +188,19 @@ class AsyncServingTier:
         slo: SLOTracker | None = None,
     ) -> None:
         self.config = config or TierConfig()
+        # The tier's scope sits between its shards' and the process
+        # registry: whatever a shard books is already the tier's total.
+        self.metrics = ServiceMetrics()
         self.shards: dict[str, _Shard] = {
-            f"shard-{i}": _Shard(f"shard-{i}", self.config)
+            f"shard-{i}": _Shard(f"shard-{i}", self.config, self.metrics.registry)
             for i in range(self.config.shards)
         }
         self.ring = HashRing(self.shards, vnodes=self.config.vnodes)
         self.admission = AdmissionController(self.config.admission)
-        self.latency = LatencyHistogram()  # end-to-end, queue wait included
+        # End-to-end latency, queue wait included, one observation per
+        # request served — hits, degraded answers and sheds too.
+        self.latency = family(self.metrics.registry, "service_tier_request_seconds")
         self.slo = slo if slo is not None else SLOTracker()
-        self.served = 0
         self.pending = 0
         self._closed = False
 
@@ -270,7 +275,7 @@ class AsyncServingTier:
             if decision is AdmissionDecision.SHED:
                 self._observe(start, trace_id=sp.trace_id)
                 self.slo.record(priority, None, "shed")
-                shard.service.metrics.record_overload()
+                self.metrics.count("overloads")
                 capacity = self.config.admission.max_pending
                 raise ServiceOverloadError(
                     pending=self.pending,
@@ -333,26 +338,6 @@ class AsyncServingTier:
             )
             return self._stamp(response, sp)
 
-    async def submit_dict(
-        self, payload: dict, *, deadline: float | None = None
-    ) -> dict:
-        """Wire-format entry point: dict in, dict out (the JSONL schema).
-
-        ``priority`` rides in the payload; ``id`` (opaque to the tier) is
-        echoed back so out-of-order stream responses stay matchable.
-        """
-        request = SolveRequest.from_dict(payload)
-        response = await self.submit(
-            request,
-            priority=str(payload.get("priority", DEFAULT_PRIORITY)),
-            deadline=deadline,
-        )
-        out = response.to_dict()
-        out["shard"] = self.route(request)
-        if "id" in payload:
-            out["id"] = payload["id"]
-        return out
-
     # -- accounting ----------------------------------------------------------
 
     @staticmethod
@@ -364,97 +349,51 @@ class AsyncServingTier:
 
     def _observe(self, start: float, trace_id: str = "") -> float:
         latency = time.perf_counter() - start
-        self.latency.observe(latency)
-        self.served += 1
-        REGISTRY.histogram("service_tier_request_seconds").observe(
-            latency, exemplar=trace_id or None
-        )
+        self.latency.observe(latency, exemplar=trace_id or None)
         return latency
 
     def _retry_after(self, excess: int, fallback: float = 0.05) -> float:
         """Drain-time hint for shed work: the excess at the observed mean
         latency (``fallback`` seconds each until anything has been served)."""
-        return max(1, excess) * (self.latency.mean or fallback)
+        served = self.latency.count()
+        return max(1, excess) * (self.latency.sum() / served if served else fallback)
 
     def snapshot(self) -> dict:
-        """One structured view of the whole tier (JSON-ready)."""
-        merged = {
-            "requests": 0, "cache_hits": 0, "cold_solves": 0,
-            "warm_solves": 0, "degraded_stale": 0, "degraded_greedy": 0,
-            "rejections": 0, "overloads": 0,
-        }
+        """One structured view of the whole tier (JSON-ready).
+
+        The totals are the tier scope's own series — what its shards booked
+        plus what the tier books itself (sheds, end-to-end latency).
+        """
+        totals = self.metrics.snapshot()
         per_shard = {}
-        resilience: Counter = Counter()
         for name, shard in self.shards.items():
-            snap = shard.service.metrics.snapshot()
-            resilience.update(snap["resilience"])
+            metrics = shard.service.metrics
             per_shard[name] = {
                 "routed": shard.requests,
-                "requests": snap["requests"],
-                "hit_rate": snap["hit_rate"],
-                "warm_start_speedup": snap["warm_start_speedup"],
+                "requests": metrics.requests,
+                "hit_rate": metrics.hit_rate,
+                "warm_start_speedup": metrics.warm_start_speedup,
                 "coalesce": shard.flights.stats.as_dict(),
             }
-            metrics = shard.service.metrics
-            for key in merged:
-                merged[key] += getattr(metrics, key)
-        merged["hit_rate"] = (
-            merged["cache_hits"] / merged["requests"] if merged["requests"] else 0.0
-        )
-        leaders = sum(s.flights.stats.leaders for s in self.shards.values())
-        riders = sum(s.flights.stats.riders for s in self.shards.values())
+        flights = [shard.flights.stats for shard in self.shards.values()]
         return {
+            **totals,
             "shards": len(self.shards),
             "worker_mode": self.config.worker_mode,
-            "served": self.served,
+            "served": self.latency.count(),
             "pending": self.pending,
             "admission": self.admission.as_dict(),
-            "coalesce": {
-                "leaders": leaders,
-                "riders": riders,
-                "coalesce_rate": riders / (leaders + riders)
-                if (leaders + riders)
-                else 0.0,
-            },
-            "latency": self.latency.snapshot(),
+            "coalesce": FlightStats(
+                leaders=sum(f.leaders for f in flights),
+                riders=sum(f.riders for f in flights),
+            ).as_dict(),
+            "latency": self.latency.summary(),
             "slo": self.slo.snapshot(),
             "per_shard": per_shard,
-            "resilience": dict(resilience),
-            **merged,
         }
 
 
 # -- transport: asyncio JSONL framing -----------------------------------------
-
-
-async def serve_stream(
-    tier: AsyncServingTier,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    *,
-    deadline: float | None = None,
-) -> int:
-    """Serve JSONL over an asyncio stream pair until EOF or ``quit``.
-
-    Requests are handled concurrently (one task per line), so responses may
-    arrive out of order; clients that care attach an ``id`` and match on
-    its echo.  Returns the number of requests served.
-    """
-    lock = asyncio.Lock()
-
-    async def emit(payload: dict) -> None:
-        async with lock:
-            writer.write((json.dumps(payload) + "\n").encode())
-            await writer.drain()
-
-    async def lines():
-        while True:
-            line = await reader.readline()
-            if not line:
-                return
-            yield line.decode()
-
-    return await _serve_lines(tier, lines(), emit, deadline=deadline)
 
 
 def serve_stdio(
@@ -466,8 +405,12 @@ def serve_stdio(
     metrics_port: int | None = None,
     metrics_host: str = "127.0.0.1",
 ) -> int:
-    """The stdio flavor of :func:`serve_stream` (the ``hslb serve --async``
-    transport); same JSONL schema as the synchronous ``serve_loop``.
+    """Serve JSONL over stdio until EOF or ``quit`` — the ``hslb serve``
+    transport, with or without ``--async``.
+
+    Requests are handled concurrently (one task per line), so responses may
+    arrive out of order; clients that care attach an ``id`` and match on
+    its echo.  Returns the number of requests served.
 
     With ``metrics_port`` set, a :class:`repro.obs.http.MetricsServer`
     runs on the same loop for the lifetime of the serve: ``/metrics``
@@ -510,7 +453,7 @@ def serve_stdio(
             server = MetricsServer(
                 slo=tier.slo,
                 health=lambda: {
-                    "served": tier.served,
+                    "served": tier.latency.count(),
                     "pending": tier.pending,
                     "shards": len(tier.shards),
                 },
@@ -549,11 +492,19 @@ async def _serve_lines(
     tasks: set[asyncio.Task] = set()
 
     async def handle(payload: dict) -> None:
+        # The wire format: ``priority`` rides in the payload; ``id`` (opaque
+        # to the tier) is echoed so out-of-order responses stay matchable.
         try:
-            response = await tier.submit_dict(payload, deadline=deadline)
+            request = SolveRequest.from_dict(payload)
+            answer = await tier.submit(
+                request,
+                priority=str(payload.get("priority", DEFAULT_PRIORITY)),
+                deadline=deadline,
+            )
+            response = {**answer.to_dict(), "shard": tier.route(request)}
         except ServiceError as exc:
             response = error_payload(exc)
-        if "id" in payload and "id" not in response:
+        if "id" in payload:
             response["id"] = payload["id"]
         await emit(response)
 
@@ -614,7 +565,7 @@ def run_requests(
     if len(requests) > capacity:
         for _ in requests:
             tier.slo.record(priority, None, "shed")
-        tier.shards[tier.route(requests[0])].service.metrics.record_overload()
+        tier.metrics.count("overloads")
         raise ServiceOverloadError(
             pending=len(requests),
             capacity=capacity,

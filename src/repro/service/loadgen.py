@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs.metrics import Histogram
 from repro.perf.model import PerformanceModel
 from repro.service.admission import PRIORITIES
 from repro.service.errors import (
@@ -40,7 +41,6 @@ from repro.service.errors import (
     ServiceOverloadError,
 )
 from repro.service.frontend import AsyncServingTier
-from repro.service.metrics import LatencyHistogram
 from repro.service.request import ComponentSpec, SolveRequest
 from repro.service.response import ServiceResponse
 from repro.util.rng import keyed_rng
@@ -199,8 +199,11 @@ class ReplayReport:
     n_requests: int
     wall_time: float
     throughput_rps: float
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    latency_by_priority: dict[str, LatencyHistogram] = field(default_factory=dict)
+    # One family, private to the report: the unlabelled series is every
+    # answered request, ``priority=...`` the same request under its class.
+    latency: Histogram = field(
+        default_factory=lambda: Histogram("replay_latency_seconds")
+    )
     sources: Counter = field(default_factory=Counter)
     priorities: Counter = field(default_factory=Counter)
     shed: int = 0
@@ -216,14 +219,12 @@ class ReplayReport:
 
     def observe_latency(self, priority: str, seconds: float) -> None:
         """Record one answered request's latency, overall and per class."""
+        self.priorities[priority] += 1
         self.latency.observe(seconds)
-        hist = self.latency_by_priority.get(priority)
-        if hist is None:
-            hist = self.latency_by_priority[priority] = LatencyHistogram()
-        hist.observe(seconds)
+        self.latency.observe(seconds, priority=priority)
 
     def snapshot(self) -> dict:
-        lat = self.latency.snapshot()
+        lat = self.latency.summary()
         per_priority = {
             name: {
                 "count": snap["count"],
@@ -232,8 +233,9 @@ class ReplayReport:
                 "p999": snap["p999"],
                 "mean_latency": snap["mean"],
             }
-            for name, hist in sorted(self.latency_by_priority.items())
-            for snap in (hist.snapshot(),)
+            for name in sorted(self.priorities)
+            if self.latency.count(priority=name)  # skips the "shed:" tallies
+            for snap in (self.latency.summary(priority=name),)
         }
         return {
             "n_requests": self.n_requests,
@@ -292,7 +294,6 @@ async def replay_async(
             return
         report.observe_latency(event.priority, time.perf_counter() - t0)
         report.sources[response.source] += 1
-        report.priorities[event.priority] += 1
         if not response.ok:
             report.errors += 1
 

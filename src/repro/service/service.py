@@ -1,8 +1,8 @@
 """The allocation service: cached, warm-started solves behind one entry point.
 
 :meth:`AllocationService.submit` is the only place a solve is dispatched,
-validated, booked, retried and laddered — the synchronous ``hslb serve``
-loop, every shard of the async tier and ``run_requests`` all end here.
+validated, booked, retried and laddered — every shard of the serving tier,
+and through it ``hslb serve``, ``hslb batch`` and ``run_requests``, end here.
 
 Request lifecycle::
 
@@ -25,7 +25,8 @@ Request lifecycle::
 ships to a slot of a :class:`~repro.service.supervisor.SupervisedWorkerPool`
 as wire dicts, and a worker that dies or hangs comes back as the same
 :class:`WorkerCrashError` / :class:`WorkerHangError` in-process chaos
-raises — caught, counted and retried by the same loop.  Worker deaths are
+raises — caught and retried by the same loop, counted once (by the pool
+that saw the worker die, by the loop for in-process chaos).  Worker deaths are
 *system* failures, so they are re-dispatched once even with no
 :class:`ResiliencePolicy` installed.
 
@@ -44,8 +45,9 @@ is open — walks down explicit rungs instead of failing:
    final rung as the PR 1 oa -> nlpbb -> greedy chain), ``source="greedy"``;
 3. **typed rejection** — :class:`ServiceRejectedError`, never a silent drop.
 
-Every rung records ``service_degraded_total``/``service_rejections_total``
-and a span tag, so degradation is always visible in the metrics scrape.
+Every rung books its own ``service_requests_total{outcome}`` series
+(``stale`` / ``greedy`` / ``rejected``) and a span tag, so degradation is
+always visible in the metrics scrape.
 """
 
 from __future__ import annotations
@@ -138,11 +140,14 @@ class AllocationService:
         sleeper: Callable[[float], None] = time.sleep,
         share_cuts: bool = False,
         pool: SupervisedWorkerPool | None = None,
+        metrics: ServiceMetrics | None = None,
     ) -> None:
         self.cache: SolutionCache[SolveOutcome] = SolutionCache(
             capacity=cache_capacity, ttl=ttl, clock=clock
         )
-        self.metrics = ServiceMetrics()
+        # The owner's scope: a tier hands each shard a view that forwards to
+        # its own; a standalone service books straight to the process registry.
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.warm_start = warm_start
         self.resilience = resilience
         self.chaos = chaos
@@ -248,7 +253,7 @@ class AllocationService:
         policy = self.resilience
         family = request.family_key()
         if self.breaker is not None and not self.breaker.allow(family):
-            self.metrics.record_breaker_block()
+            self.metrics.count("breaker_blocks")
             return self.fallback(
                 request,
                 fingerprint,
@@ -261,7 +266,7 @@ class AllocationService:
         worker_error = None
         for attempt in range(retry.max_attempts):
             if attempt:
-                self.metrics.record_retry()
+                self.metrics.count("retries")
                 self.sleeper(retry.backoff(fingerprint, attempt))
             budget = deadline
             if deadline is not None:
@@ -274,9 +279,11 @@ class AllocationService:
                     request, x0=x0, deadline=budget, attempt=attempt
                 )
             except (WorkerCrashError, WorkerHangError) as exc:
-                self.metrics.record_worker_failure(
-                    "hang" if isinstance(exc, WorkerHangError) else "crash"
-                )
+                if self.pool is None:
+                    # In-process chaos: no pool saw this death, so book it
+                    # here (a supervised worker's is booked by its pool).
+                    hang = isinstance(exc, WorkerHangError)
+                    self.metrics.count("worker_hangs" if hang else "worker_crashes")
                 last_reason = str(exc)
                 worker_error = exc
                 continue
@@ -289,7 +296,7 @@ class AllocationService:
             if policy is not None:
                 corrupt = validate_outcome(request, outcome)
                 if corrupt is not None:
-                    self.metrics.record_corruption()
+                    self.metrics.count("corruptions")
                     last_reason = f"corrupt result: {corrupt}"
                     continue
             latency = time.perf_counter() - start
@@ -303,7 +310,7 @@ class AllocationService:
             if outcome.status == Status.TIME_LIMIT.value:
                 # Deterministic under a fixed budget, so spend the remaining
                 # deadline on the ladder, not on an identical re-run.
-                self.metrics.record_timeout()
+                self.metrics.count("timeouts")
                 last_reason = "solver exhausted its wall budget"
                 break
             # A finished solve — optimal/feasible, or a *model*-fault
@@ -330,12 +337,6 @@ class AllocationService:
                 elapsed=time.perf_counter() - start,
             )
         return self.fallback(request, fingerprint, reason=last_reason, start=start)
-
-    def submit_dict(self, payload: dict, *, deadline: float | None = None) -> dict:
-        """Wire-format entry point: dict in, dict out (the JSONL schema)."""
-        return self.submit(
-            SolveRequest.from_dict(payload), deadline=deadline
-        ).to_dict()
 
     # -- the degradation ladder --------------------------------------------
 

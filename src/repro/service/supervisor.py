@@ -34,13 +34,13 @@ from concurrent.futures import (
 )
 from dataclasses import asdict, dataclass, field
 
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer, run_traced_child
 from repro.service.errors import (
     RestartBudgetError,
     WorkerCrashError,
     WorkerHangError,
 )
+from repro.service.metrics import ServiceMetrics
 
 _TRACED_MARKER = "__hslb_traced__"
 
@@ -140,10 +140,10 @@ class SupervisedWorkerPool:
     ``factory`` builds one worker's executor; the default is a real
     one-process :class:`ProcessPoolExecutor`.  ``restart_budget`` bounds the
     replacements one slot may spend on *consecutive* failures.  ``metrics``
-    (a :class:`repro.service.metrics.ServiceMetrics`) is told of every
-    replacement; worker *failures* are booked by whoever catches the typed
-    error (the service counts in-process chaos the same way), and the
-    ``service_*`` registry counters are bumped here either way.
+    is the owner's view (a pool nobody owns gets one of its own): every
+    worker death and every replacement is booked there, in :meth:`_fail`,
+    the one place each death passes — including those no request ever sees
+    (an executor found broken at dispatch, a worker lost while warming up).
     """
 
     #: Exceptions that mean "the worker died" rather than "the task failed".
@@ -155,15 +155,14 @@ class SupervisedWorkerPool:
         *,
         restart_budget: int = 3,
         factory: Callable[[], object] | None = None,
-        metrics: object | None = None,
+        metrics: ServiceMetrics | None = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if restart_budget < 0:
             raise ValueError("restart_budget must be >= 0")
         self.restart_budget = restart_budget
-        self.restarts_used = 0
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._factory = factory or (lambda: ProcessPoolExecutor(max_workers=1))
         self._slots = [
             _Slot(i, self._factory(), WorkerHealth(i)) for i in range(max_workers)
@@ -276,17 +275,14 @@ class SupervisedWorkerPool:
         else:
             slot.health.crashes += 1
         slot.health.consecutive_failures += 1
-        REGISTRY.counter("service_worker_failures_total").inc(kind=kind)
+        self.metrics.count("worker_hangs" if kind == "hang" else "worker_crashes")
         _kill_executor(slot.executor)
         if slot.retired or slot.health.consecutive_failures > self.restart_budget:
             slot.retired = True
             return
-        self.restarts_used += 1
         slot.executor = self._factory()
         slot.health.restarts += 1
-        REGISTRY.counter("service_worker_restarts_total").inc()
-        if self.metrics is not None:
-            self.metrics.record_worker_restart()
+        self.metrics.count("worker_restarts")
 
     # -- introspection -----------------------------------------------------
 
@@ -294,7 +290,7 @@ class SupervisedWorkerPool:
         return {
             "workers": [s.health.as_dict() for s in self._slots],
             "retired": sum(1 for s in self._slots if s.retired),
-            "restarts_used": self.restarts_used,
+            "restarts_used": sum(s.health.restarts for s in self._slots),
             "restart_budget": self.restart_budget,
         }
 

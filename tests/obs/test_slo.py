@@ -128,6 +128,34 @@ def test_export_publishes_slo_gauges():
     assert 'slo_window_requests{priority="interactive"} 2' in text
 
 
+def test_aged_out_classes_leave_the_exported_gauges():
+    # Once the window has emptied, the scrape must not go on showing the
+    # last values (it read 10 requests / p99 0.4 s forever).
+    clock = FakeClock()
+    slo = tracker(clock)
+    for _ in range(10):
+        slo.record("interactive", 0.4)
+    registry = MetricsRegistry()
+    slo.export(registry)
+    requests = registry.gauge("slo_window_requests")
+    latency = registry.gauge("slo_latency_seconds")
+    assert requests.value(priority="interactive") == 10
+    assert latency.value(priority="interactive", quantile="p99") == 0.4
+    assert registry.gauge("slo_burn_rate").value(target="interactive_latency") > 1
+    clock.advance(1000.0)
+    assert slo.snapshot()["priorities"] == {}
+    slo.export(registry)
+    assert requests.value(priority="interactive") == 0
+    assert latency.value(priority="interactive", quantile="p99") == 0
+    assert registry.gauge("slo_outcome_rate").value(
+        priority="interactive", kind="shed"
+    ) == 0
+    text = prometheus_exposition(registry)
+    assert 'priority="interactive"' not in text
+    # Targets are standing promises: their burn gauges stay, at zero.
+    assert 'slo_burn_rate{target="interactive_latency"} 0' in text
+
+
 def test_render_flags_burning_targets():
     clock = FakeClock()
     slo = tracker(clock)

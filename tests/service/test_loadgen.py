@@ -15,6 +15,7 @@ from repro.service import (
     replay,
 )
 from repro.service.loadgen import (
+    ReplayReport,
     arrival_times,
     priority_histogram,
     request_pool,
@@ -142,6 +143,49 @@ def test_replay_reports_per_priority_percentiles():
         assert stats["count"] > 0
         assert 0.0 <= stats["p50"] <= stats["p99"] <= stats["p999"]
         assert stats["mean_latency"] >= 0.0
+
+
+def test_report_percentiles_are_pinned_on_a_fixed_latency_stream():
+    """One labelled histogram family replaced a dict of histograms: the
+    numbers a report prints are the same, to the last digit, on a stream
+    that leaves two classes exact and pushes one past the sample cap."""
+    report = ReplayReport(n_requests=3000, wall_time=1.0, throughput_rps=3000.0)
+    for i in range(3000):
+        priority = (
+            "interactive" if i % 10 < 8 else ("background" if i % 10 == 9 else "batch")
+        )
+        report.observe_latency(
+            priority, 1e-4 * (1.0 + (i * 7919) % 1000) ** 1.9 / 10
+        )
+    snap = report.snapshot()
+    assert (snap["p50"], snap["p99"], snap["p999"], snap["mean_latency"]) == (
+        1.4075471698113207, 4.934426229508197, 7.5, 1.7307385697747528,
+    )
+    assert snap["per_priority"] == {
+        "background": {
+            "count": 300,
+            "p50": 1.3277451350502467,
+            "p99": 4.842796635147844,
+            "p999": 4.935966199710292,
+            "mean_latency": 1.7131993238464998,
+        },
+        "batch": {
+            "count": 300,
+            "p50": 1.3328251547553065,
+            "p99": 4.852169938297341,
+            "p999": 4.945424455679969,
+            "mean_latency": 1.7181874119089593,
+        },
+        "interactive": {
+            "count": 2400,
+            "p50": 1.4123222748815167,
+            "p99": 4.938775510204081,
+            "p999": 7.9999999999999245,
+            "mean_latency": 1.7344998702490069,
+        },
+    }
+    # Reports are private: two of them never share a series.
+    assert ReplayReport(1, 1.0, 1.0).snapshot()["per_priority"] == {}
 
 
 def test_replay_sheds_under_a_tiny_admission_budget():

@@ -14,14 +14,21 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import threading
+from collections import Counter
 
 import pytest
 
 from repro.faults import ChaosPlan
+from repro.obs.export import registry_samples
+from repro.obs.metrics import REGISTRY
 from repro.service import (
+    AdmissionPolicy,
     AsyncServingTier,
+    ClassThresholds,
     ResiliencePolicy,
     RetryPolicy,
+    ServiceOverloadError,
     TierConfig,
     run_requests,
 )
@@ -181,6 +188,8 @@ def test_default_config_tier_survives_a_killed_worker():
 
 def test_worker_killed_between_requests_is_replaced_transparently():
     tier = chaos_tier(None, shards=1)
+    failures = REGISTRY.counter("service_worker_failures_total")
+    scraped = failures.value(kind="crash")
 
     async def main():
         async with tier:
@@ -195,15 +204,44 @@ def test_worker_killed_between_requests_is_replaced_transparently():
     first, second, health = asyncio.run(main())
     assert first.ok and second.ok and second.source == "exact"
     assert health["restarts_used"] == 1 and health["retired"] == 0
+    # A death no request may ever see raised (the executor can be found
+    # broken at dispatch and swapped silently) is still booked: the pool's
+    # own ledger, the tier snapshot and the scrape all read one crash.
+    resilience = tier.snapshot()["resilience"]
+    assert health["workers"][0]["crashes"] == 1
+    assert resilience["worker_crashes"] == resilience["worker_restarts"] == 1
+    assert failures.value(kind="crash") - scraped == 1
 
 
 @pytest.mark.parametrize("worker_mode", ["thread", "process"])
 def test_metrics_ledger_adds_up_with_two_writers(worker_mode):
-    """Hits are booked on the event loop, solves on the shard thread."""
+    """Hits are booked on the event loop, solves on the shard thread —
+    while a third thread reads the tier snapshot in a loop."""
     plan = ChaosPlan(seed=42, crash_rate=0.2, corrupt_rate=0.1, immune_after=2)
     requests = request_mix(repeats=3)
     tier = chaos_tier(plan, policy(), worker_mode=worker_mode)
-    responses = run_requests(tier, requests)
+    done, read_errors = threading.Event(), []
+
+    def reader():
+        try:
+            seen = 0
+            while not done.is_set():
+                # Two series read at two instants may tear against each
+                # other; one total read twice may only grow.
+                requests = tier.snapshot()["requests"]
+                assert requests >= seen
+                seen = requests
+        except Exception as exc:  # noqa: BLE001 — reported by the main thread
+            read_errors.append(exc)
+
+    scraper = threading.Thread(target=reader)
+    scraper.start()
+    try:
+        responses = run_requests(tier, requests)
+    finally:
+        done.set()
+        scraper.join(timeout=30)
+    assert not scraper.is_alive() and not read_errors, read_errors
     assert len(responses) == len(requests)
     booked = 0
     for shard in tier.shards.values():
@@ -212,8 +250,9 @@ def test_metrics_ledger_adds_up_with_two_writers(worker_mode):
             m.cache_hits + m.cold_solves + m.warm_solves + m.solve_errors
             + m.degraded_stale + m.degraded_greedy + m.rejections
         )
-        assert m.request_latency.total == m.requests
+        assert m.request_latency.count() == m.requests
         booked += m.requests
+    assert booked == tier.metrics.requests == tier.metrics.request_latency.count()
     # Riders share their leader's booking; everyone else is booked once.
     assert booked + tier.snapshot()["coalesce"]["riders"] == len(requests)
 
@@ -235,3 +274,137 @@ def test_every_worker_mode_gives_the_same_answers():
             for r in run_requests(tier, requests)
         ]
     assert answers["inline"] == answers["thread"] == answers["process"]
+
+
+# -- one metrics stack: scrape == snapshot == shard views ----------------------
+
+
+def service_counts(registry) -> dict:
+    """Every integer a ``service_*`` family holds: counter series, histogram
+    counts and buckets (float sums and derived quantiles left out)."""
+    out = {}
+    for name, rows in registry_samples(registry).items():
+        if not name.startswith("service_") or name.endswith("_sum"):
+            continue
+        for key, value in rows.items():
+            if value and "quantile" not in dict(key):
+                out[name, key] = value
+    return out
+
+
+def expected_faults(plan: ChaosPlan, requests, max_attempts: int) -> Counter:
+    """Faults dealt to each distinct solve's attempt chain until one lands."""
+    dealt: Counter = Counter()
+    for fp in {r.fingerprint() for r in requests}:
+        for attempt in range(max_attempts):
+            kind = plan.fault(fp, attempt)
+            if kind is None:
+                break
+            dealt[kind] += 1
+    return dealt
+
+
+#: Families the tier books on its own scope, on no shard.
+TIER_OWN = ("service_overloads_total", "service_tier_request_seconds")
+#: Leaf components keep a counter of their own next to the process family.
+LEAVES = ("service_admission_total", "service_coalesced_total", "service_cache_")
+
+
+@pytest.mark.parametrize("worker_mode", ["inline", "thread", "process"])
+def test_scrape_equals_snapshot_equals_shard_views(worker_mode):
+    """At the parent commit in-process crashes and hangs never reached the
+    scrape (0 / 0 against a snapshot of 17 / 7), and a supervised death was
+    booked in two places.  Now a count has one home: family by family, the
+    process scrape's delta, the tier's scope and the sum of its shards'
+    scopes are the same numbers — under chaos, hits, a degraded answer, a
+    shed and a refused batch."""
+    plan = ChaosPlan(
+        seed=3, crash_rate=0.3, hang_rate=0.1, corrupt_rate=0.1,
+        immune_after=2, hang_seconds=60.0,
+    )
+    storm = request_mix(budgets=(24, 28, 32, 36, 40, 44, 48, 52), repeats=1)
+    assert len(storm) == 24
+    dealt = expected_faults(plan, storm, max_attempts=3)
+    assert dealt["crash"] and dealt["hang"] and dealt["corrupt"]
+    always = {
+        "interactive": ClassThresholds(degrade_at=1.0, shed_at=1.0),
+        "background": ClassThresholds(degrade_at=0.0, shed_at=1.0),
+        "batch": ClassThresholds(degrade_at=0.0, shed_at=0.0),
+    }
+    before = service_counts(REGISTRY)
+    tier = chaos_tier(
+        plan,
+        policy(hang_timeout=2.0),
+        worker_mode=worker_mode,
+        admission=AdmissionPolicy(max_pending=40, thresholds=always),
+    )
+    with pytest.raises(ServiceOverloadError):  # refused whole, nothing runs
+        run_requests(tier, [make_request(100 + i) for i in range(41)])
+
+    async def drive():
+        async with tier:
+            exact = await asyncio.gather(
+                *(tier.submit(r, priority="interactive") for r in storm)
+            )
+            hits = [await tier.submit(r, priority="interactive") for r in storm[:6]]
+            degraded = await tier.submit(make_request(60), priority="background")
+            with pytest.raises(ServiceOverloadError):
+                await tier.submit(make_request(61), priority="batch")
+            return exact, hits, degraded
+
+    exact, hits, degraded = asyncio.run(drive())
+    assert all(r.ok and r.source == "exact" for r in exact)
+    assert all(r.source == "cache" for r in hits) and degraded.source == "greedy"
+
+    after = service_counts(REGISTRY)
+    scrape = {
+        k: v - before.get(k, 0) for k, v in after.items() if v != before.get(k, 0)
+    }
+    tier_scope = service_counts(tier.metrics.registry)
+    shard_sum: Counter = Counter()
+    for shard in tier.shards.values():
+        shard_sum.update(service_counts(shard.service.metrics.registry))
+    scoped = {k: v for k, v in scrape.items() if not k[0].startswith(LEAVES)}
+    assert scoped == tier_scope
+    assert dict(shard_sum) == {
+        k: v for k, v in tier_scope.items() if not k[0].startswith(TIER_OWN)
+    }
+
+    # The snapshot is those same series, and they are the injected faults.
+    snap = tier.snapshot()
+    resilience = snap["resilience"]
+    failures = "service_worker_failures_total"
+    for kind, key in (("crash", "worker_crashes"), ("hang", "worker_hangs")):
+        # At the parent the inline and thread scrape read 0 / 0 here.
+        assert resilience[key] == dealt[kind] == scrape[failures, (("kind", kind),)]
+    assert resilience["corruptions"] == dealt["corrupt"]
+    assert resilience["retries"] == sum(dealt.values())
+    if worker_mode == "process":
+        assert resilience["worker_restarts"] == dealt["crash"] + dealt["hang"]
+    assert snap["requests"] == len(storm) + len(hits) + 1
+    assert snap["cache_hits"] == len(hits) and snap["degraded_greedy"] == 1
+    assert snap["cold_solves"] + snap["warm_solves"] == len(storm)
+    assert snap["overloads"] == 2 == scrape["service_overloads_total", ()]
+    assert snap["served"] == snap["requests"] + 1  # the shed was timed too
+    assert snap["served"] == scrape["service_tier_request_seconds_count", ()]
+    assert snap["latency"]["count"] == snap["served"]
+    for outcome, key in (("hit", "cache_hits"), ("greedy", "degraded_greedy")):
+        assert scrape["service_requests_total", (("outcome", outcome),)] == snap[key]
+
+    # The leaves' own counters agree with the process families too.
+    def leaf(name, **labels):
+        return sum(
+            v for (n, key), v in scrape.items()
+            if n == name and labels.items() <= dict(key).items()
+        )
+
+    admission, coalesce = snap["admission"], snap["coalesce"]
+    assert leaf("service_admission_total", decision="accept") == admission["accepted"]
+    assert leaf("service_admission_total", decision="degrade") == admission["degraded"]
+    assert leaf("service_admission_total", decision="shed") == admission["shed"]
+    assert leaf("service_coalesced_total", outcome="leader") == coalesce["leaders"]
+    assert leaf("service_coalesced_total", outcome="rider") == coalesce["riders"]
+    for stat in ("hits", "misses", "inserts"):
+        assert leaf(f"service_cache_{stat}_total") == sum(
+            getattr(s.service.cache.stats, stat) for s in tier.shards.values()
+        )
