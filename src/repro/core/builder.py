@@ -222,10 +222,8 @@ class AllocationModelBuilder:
         """Add an arbitrary extra constraint (layout sequencing rules etc.)."""
         return self.model.add(relation, name)
 
-    def limit_total_nodes(
-        self, components: Sequence[str] | None = None, *, exact: bool = False
-    ) -> None:
-        """Require the named components' node counts to fit in the machine.
+    def limit_total_nodes(self, *, exact: bool = False) -> None:
+        """Require the components' node counts to fit in the machine.
 
         ``exact=True`` forces the full machine to be used (``sum n_j == N``).
         This matters for the max-min objective: with a ``<=`` budget the
@@ -233,10 +231,9 @@ class AllocationModelBuilder:
         component, which is never the intent; pinning the budget turns
         max-min into genuine raise-the-floor balancing.
         """
-        names = list(components) if components is not None else list(self._node_vars)
-        if not names:
+        if not self._node_vars:
             raise ValueError("no components to constrain")
-        total = sum(self._node_vars[c] for c in names)
+        total = sum(self._node_vars.values())
         if exact:
             self.model.add_equals(total, self.total_nodes, "machine_capacity")
         else:

@@ -15,7 +15,9 @@ greedy one without worsening the max).
 It serves three roles in the library:
 
 * an independent oracle the tests use to certify the MINLP solvers;
-* a fast primal heuristic / warm start;
+* the last rung of both degradation ladders (the pipeline's
+  ``fallback_allocation`` and the service's ``greedy_outcome``, which adds
+  the request's node bounds) and the rebalancer's starting point;
 * a demonstration that HSLB's general MINLP route matches the specialized
   algorithm where both apply (general layouts with sequencing constraints
   and SOS node sets are beyond the greedy's reach — that is why the paper
@@ -33,39 +35,58 @@ from repro.perf.model import PerformanceModel
 def greedy_minmax_allocation(
     models: Mapping[str, PerformanceModel],
     total_nodes: int,
+    *,
+    min_nodes: Mapping[str, int] | None = None,
+    max_nodes: Mapping[str, int | None] | None = None,
+    spend_all: bool = False,
 ) -> tuple[dict[str, int], float]:
-    """Exact min-max allocation by marginal greedy.
+    """Min-max allocation by marginal greedy; exact without bounds.
 
-    Each component starts at 1 node; the remaining budget is granted one
-    node at a time to the component with the largest current time.  A
-    component is never pushed past its own ``optimal_nodes`` (adding nodes
-    beyond the curve minimum *raises* its time, which can never reduce the
-    max).
+    Each component starts at its floor (``min_nodes``, default 1); the
+    remaining budget is granted one node at a time to the component with
+    the largest current time.  A component is never pushed past its own
+    ``optimal_nodes`` (adding nodes beyond the curve minimum *raises* its
+    time, which can never reduce the max) nor past its ``max_nodes``.
+
+    ``spend_all`` is for objectives that need the exact budget: once every
+    component sits at its sweet spot, what is left goes to the components
+    in name order, each up to its ``max_nodes``.
 
     Returns ``(allocation, makespan)``.
     """
     if not models:
         raise ValueError("no components to allocate")
-    if total_nodes < len(models):
+    floors = {name: max(1, (min_nodes or {}).get(name, 1)) for name in models}
+    if sum(floors.values()) > total_nodes:
         raise ValueError(
-            f"{total_nodes} nodes cannot give {len(models)} components one node each"
+            f"{total_nodes} nodes cannot give {len(models)} components their "
+            f"minimum of {sum(floors.values())} in total"
         )
-    caps = {
-        name: max(1, int(model.optimal_nodes(n_max=total_nodes)))
+    hard_cap = {}
+    for name in models:
+        cap = (max_nodes or {}).get(name)
+        hard_cap[name] = total_nodes if cap is None else min(total_nodes, cap)
+    soft_cap = {
+        name: min(hard_cap[name], max(1, int(model.optimal_nodes(n_max=total_nodes))))
         for name, model in models.items()
     }
-    alloc = {name: 1 for name in models}
+    alloc = {name: min(floors[name], hard_cap[name]) for name in models}
+    budget = total_nodes - sum(alloc.values())
     # Max-heap on current time (negated), skipping capped components.
-    heap = [(-float(models[name].time(1)), name) for name in models]
+    heap = [(-float(models[name].time(alloc[name])), name) for name in models]
     heapq.heapify(heap)
-    budget = total_nodes - len(models)
     while budget > 0 and heap:
-        neg_t, name = heapq.heappop(heap)
-        if alloc[name] >= caps[name]:
+        _, name = heapq.heappop(heap)
+        if alloc[name] >= soft_cap[name]:
             continue  # capped: granting more nodes would slow it down
         alloc[name] += 1
         budget -= 1
         heapq.heappush(heap, (-float(models[name].time(alloc[name])), name))
+    if spend_all:
+        for name in sorted(alloc):
+            grant = min(budget, hard_cap[name] - alloc[name])
+            alloc[name] += grant
+            budget -= grant
     makespan = max(float(models[n].time(k)) for n, k in alloc.items())
     return alloc, makespan
 

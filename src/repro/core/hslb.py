@@ -23,6 +23,7 @@ Every step degrades gracefully when an application carries a fault plan
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -157,7 +158,7 @@ class SolverAttempt:
     """One tier of the degradation chain: what was tried and how it ended."""
 
     tier: str  # "oa" | "nlpbb" | "greedy"
-    status: str  # solution status, "stalled", "error", or "ok"
+    status: str  # "ok", or why not: "skipped" | "stalled" | "error" | a solution status
     reason: str
     wall_time: float = 0.0
 
@@ -200,44 +201,28 @@ class ExecutionRecovery:
 
 @dataclass
 class HSLBConfig:
-    """Pipeline knobs.
+    """Pipeline knobs — what the fault-tolerant pipeline lets a caller set.
 
-    ``convex_fit`` keeps fitted exponents >= 1 so the MINLP is certifiably
-    convex and the OA solver returns the global optimum (§III-E).
-    ``algorithm`` may be ``"oa"`` (LP/NLP branch-and-bound, the paper's
-    solver) or ``"nlpbb"`` (NLP-based B&B fallback for nonconvex models).
-
-    Resilience knobs: ``gather`` sets the retry/backoff discipline,
-    ``prune_stragglers`` drops straggler-flagged observations before
-    fitting (when enough clean points remain), ``fit_skip_degenerate``
-    lets the fit step skip-and-report unfittable components instead of
-    aborting, and ``solver_wall_budget`` caps the *total* wall-clock the
-    degradation chain may spend across all MINLP tiers before the greedy
-    fallback takes over (None: each tier keeps its own ``bnb.time_limit``).
-
-    ``warm_start`` feeds the greedy primal heuristic's allocation into the
-    MINLP tiers as an ``x0`` (see :func:`repro.minlp.heuristics.\
-warm_start_incumbent`), pruning the tree from node one.  Off by default so
-    the classic pipeline stays bit-identical to the paper runs; the
-    allocation service (:mod:`repro.service`) turns it on and also threads
-    neighboring cached solutions through the same hook.
+    The fit is always the convex one (exponents >= 1, so the MINLP is
+    certifiably convex and the OA solver returns the global optimum,
+    §III-E) and the solver is always the degradation chain of
+    :meth:`HSLBOptimizer.solve`.  ``fit_loss`` picks the least-squares loss
+    (``"huber"``/``"soft_l1"`` shrug off outlier runs); ``gather`` sets the
+    retry/backoff discipline; ``prune_stragglers`` drops straggler-flagged
+    observations before fitting (when enough clean points remain);
+    ``fit_skip_degenerate`` lets the fit step skip-and-report unfittable
+    components instead of aborting; ``solver_wall_budget`` caps the *total*
+    wall-clock the chain may spend across all MINLP tiers before the greedy
+    fallback takes over (None: each tier keeps the ``BnBOptions`` default).
     """
 
-    convex_fit: bool = True
-    fit_multistart: int = 5
-    fit_loss: str = "linear"  # "huber"/"soft_l1" shrug off outlier runs
-    algorithm: str = "oa"
-    bnb: BnBOptions = field(default_factory=BnBOptions)
-    nlp_multistart: int = 1
+    fit_loss: str = "linear"
     gather: GatherPolicy = field(default_factory=GatherPolicy)
     prune_stragglers: bool = True
     fit_skip_degenerate: bool = False
     solver_wall_budget: float | None = None
-    warm_start: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("oa", "nlpbb"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.fit_loss not in ("linear", "huber", "soft_l1"):
             raise ValueError(f"unknown fit loss {self.fit_loss!r}")
         if self.solver_wall_budget is not None and self.solver_wall_budget <= 0:
@@ -398,6 +383,9 @@ class HSLBOptimizer:
                 attempts=rec.attempts,
                 kinds=",".join(rec.kinds),
             )
+        # Assigned before any raise: a failed campaign must not leave the
+        # previous campaign's report behind for fit() to append to.
+        self.last_gather_report = report
         if len(report.dropped_counts) == len(counts):
             raise GatherDegradedError(
                 {name: "no surviving benchmark runs" for name in self.app.component_names},
@@ -418,7 +406,6 @@ class HSLBOptimizer:
                 f"campaign thinned to {len(counts) - len(report.dropped_counts)}"
                 f"/{len(counts)} node counts"
             )
-        self.last_gather_report = report
         return suite
 
     # -- step 2: fit --------------------------------------------------------
@@ -444,8 +431,6 @@ class HSLBOptimizer:
         with span("hslb.fit", components=len(suite.components)):
             fits = fit_suite(
                 suite,
-                convex=self.config.convex_fit,
-                multistart=self.config.fit_multistart,
                 rng=rng or default_rng(),
                 loss=self.config.fit_loss,
                 skip_degenerate=self.config.fit_skip_degenerate,
@@ -465,9 +450,6 @@ class HSLBOptimizer:
         fits: Mapping[str, FitResult] | Mapping[str, PerformanceModel],
         total_nodes: int,
         rng: np.random.Generator | None = None,
-        *,
-        x0: Mapping[str, float] | None = None,
-        cut_pool=None,
     ) -> tuple[Allocation, Solution]:
         """Solve the allocation MINLP for a machine of ``total_nodes``.
 
@@ -475,16 +457,11 @@ class HSLBOptimizer:
         fallback) under ``config.solver_wall_budget``; the chosen tier and
         the reason for every fallback are stored in
         :attr:`last_provenance` and threaded onto :class:`HSLBResult` by the
-        pipeline entry points.
-
-        ``x0`` is an explicit warm-start point handed to every MINLP tier
-        (the allocation service passes neighboring cached solutions here);
-        with ``config.warm_start`` set and no explicit point, the greedy
-        primal heuristic's allocation is used instead.  ``cut_pool`` shares
-        an :class:`repro.minlp.OACutPool` across successive OA solves —
-        valid only while the fitted curves are unchanged, which is exactly
-        the re-solve-on-survivors and online-rebalance cases.
+        pipeline entry points.  Every solve is cold: warm starts and shared
+        cut pools live in :func:`repro.minlp.solve`, which the allocation
+        service and the rebalancer call directly.
         """
+        self.last_provenance = None
         models = {
             name: (f.model if isinstance(f, FitResult) else f)
             for name, f in fits.items()
@@ -492,32 +469,12 @@ class HSLBOptimizer:
         with span("hslb.solve", total_nodes=int(total_nodes)) as sp:
             problem = self.app.formulate(models, int(total_nodes))
             allocation, solution, provenance = self._solve_chain(
-                problem, models, int(total_nodes), rng, x0=x0, cut_pool=cut_pool
+                problem, models, int(total_nodes), rng
             )
             sp.set_tag("tier", provenance.tier)
             sp.set_tag("status", solution.status.value)
         self.last_provenance = provenance
         return allocation, solution
-
-    def _warm_start_point(
-        self,
-        models: Mapping[str, PerformanceModel],
-        total_nodes: int,
-    ) -> dict[str, float] | None:
-        """The greedy primal heuristic's allocation as a (partial) ``x0``."""
-        try:
-            allocation = self.app.fallback_allocation(models, total_nodes)
-        except (ValueError, RuntimeError):
-            return None
-        return {f"n_{name}": float(count) for name, count in allocation.items()}
-
-    def _tiers(self) -> list[str]:
-        if self.app.requires_nonconvex_solver:
-            # OA cuts are invalid on nonconvex models; skip that tier.
-            return ["nlpbb"]
-        if self.config.algorithm == "nlpbb":
-            return ["nlpbb"]
-        return ["oa", "nlpbb"]
 
     def _solve_tier(
         self,
@@ -525,22 +482,12 @@ class HSLBOptimizer:
         problem: Problem,
         opts: BnBOptions,
         rng: np.random.Generator | None,
-        x0: dict[str, float] | None = None,
-        cut_pool=None,
     ) -> Solution:
         if tier == "oa":
-            return solve_minlp_oa(
-                problem,
-                opts,
-                nlp_multistart=self.config.nlp_multistart,
-                rng=rng,
-                x0=x0,
-                cut_pool=cut_pool,
-            )
-        multistart = self.config.nlp_multistart
-        if self.app.requires_nonconvex_solver:
-            multistart = max(multistart, 3)
-        return solve_minlp_nlpbb(problem, opts, multistart=multistart, rng=rng, x0=x0)
+            return solve_minlp_oa(problem, opts, rng=rng)
+        # Nonconvex rows can trap a node NLP in a local minimum: restart it.
+        multistart = 3 if self.app.requires_nonconvex_solver else 1
+        return solve_minlp_nlpbb(problem, opts, multistart=multistart, rng=rng)
 
     def _solve_chain(
         self,
@@ -548,81 +495,51 @@ class HSLBOptimizer:
         models: Mapping[str, PerformanceModel],
         total_nodes: int,
         rng: np.random.Generator | None,
-        x0: Mapping[str, float] | None = None,
-        cut_pool=None,
     ) -> tuple[Allocation, Solution, SolverProvenance]:
         plan = getattr(self.app, "fault_plan", None)
         budget = self.config.solver_wall_budget
-        warm = dict(x0) if x0 is not None else None
-        if warm is None and self.config.warm_start:
-            warm = self._warm_start_point(models, total_nodes)
         start = time.perf_counter()
         attempts: list[SolverAttempt] = []
-        tiers = self._tiers()
-        for i, tier in enumerate(tiers):
-            # Degradation provenance: every failed attempt hands off to the
-            # next tier (greedy after the last MINLP tier) and emits exactly
-            # one telemetry event carrying the triggering reason.
-            next_tier = tiers[i + 1] if i + 1 < len(tiers) else "greedy"
-            remaining = None if budget is None else budget - (time.perf_counter() - start)
-            if remaining is not None and remaining <= 0:
-                attempt = SolverAttempt(tier, "skipped", "wall budget exhausted")
-                attempts.append(attempt)
-                telemetry.record_degradation(
-                    tier, next_tier, attempt.status, attempt.reason
-                )
-                continue
-            if plan is not None and plan.solver_fails(tier):
+        # OA cuts are invalid on nonconvex models; skip that tier.
+        tiers = ["nlpbb"] if self.app.requires_nonconvex_solver else ["oa", "nlpbb"]
+        # Degradation provenance: every failed attempt hands off to the next
+        # tier (greedy after the last MINLP tier) and emits exactly one
+        # telemetry event carrying the triggering reason.
+        for tier, next_tier in zip(tiers, [*tiers[1:], "greedy"]):
+            remaining = math.inf if budget is None else budget - (time.perf_counter() - start)
+            sol, wall = None, 0.0
+            if remaining <= 0:
+                status, reason = "skipped", "wall budget exhausted"
+            elif plan is not None and plan.solver_fails(tier):
                 telemetry.record_fault("solver_stall", "solve")
-                attempt = SolverAttempt(tier, "stalled", "injected solver stall")
-                attempts.append(attempt)
-                telemetry.record_degradation(
-                    tier, next_tier, attempt.status, attempt.reason
+                status, reason = "stalled", "injected solver stall"
+            else:
+                tick = time.perf_counter()
+                try:
+                    sol = self._solve_tier(
+                        tier, problem, BnBOptions().with_budget(wall_seconds=remaining), rng
+                    )
+                except (ValueError, RuntimeError, FloatingPointError) as exc:
+                    status, reason = "error", f"{type(exc).__name__}: {exc}"
+                else:
+                    status = sol.status.value
+                    reason = sol.message or f"solver returned {status}"
+                wall = time.perf_counter() - tick
+            if sol is not None and sol.status.is_ok:
+                attempts.append(SolverAttempt(tier, "ok", "solved", wall))
+                reason = (
+                    "first-choice tier"
+                    if len(attempts) == 1
+                    else "earlier tier(s) failed: "
+                    + ", ".join(f"{a.tier}={a.status}" for a in attempts[:-1])
                 )
-                continue
-            opts = self.config.bnb.with_budget(wall_seconds=remaining)
-            tick = time.perf_counter()
-            try:
-                sol = self._solve_tier(
-                    tier, problem, opts, rng, x0=warm, cut_pool=cut_pool
+                return (
+                    self.app.allocation_from_solution(sol),
+                    sol,
+                    SolverProvenance(tier=tier, reason=reason, attempts=tuple(attempts)),
                 )
-            except (ValueError, RuntimeError, FloatingPointError) as exc:
-                attempt = SolverAttempt(
-                    tier,
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - tick,
-                )
-                attempts.append(attempt)
-                telemetry.record_degradation(
-                    tier, next_tier, attempt.status, attempt.reason
-                )
-                continue
-            wall = time.perf_counter() - tick
-            if not sol.status.is_ok:
-                attempt = SolverAttempt(
-                    tier,
-                    sol.status.value,
-                    sol.message or f"solver returned {sol.status.value}",
-                    wall,
-                )
-                attempts.append(attempt)
-                telemetry.record_degradation(
-                    tier, next_tier, attempt.status, attempt.reason
-                )
-                continue
-            attempts.append(SolverAttempt(tier, "ok", "solved", wall))
-            reason = (
-                "first-choice tier"
-                if len(attempts) == 1
-                else "earlier tier(s) failed: "
-                + ", ".join(f"{a.tier}={a.status}" for a in attempts[:-1])
-            )
-            return (
-                self.app.allocation_from_solution(sol),
-                sol,
-                SolverProvenance(tier=tier, reason=reason, attempts=tuple(attempts)),
-            )
+            attempts.append(SolverAttempt(tier, status, reason, wall))
+            telemetry.record_degradation(tier, next_tier, status, reason)
         # Tier 3: the greedy proportional fallback never fails — it needs no
         # solver, only the fitted curves (and the app's feasibility rules).
         allocation = self.app.fallback_allocation(models, total_nodes)
@@ -677,21 +594,11 @@ class HSLBOptimizer:
         rng: np.random.Generator | None = None,
         *,
         execute: bool = True,
-        x0: Mapping[str, float] | None = None,
-        cut_pool=None,
     ) -> HSLBResult:
-        """Steps 3–4 when benchmark data/fits already exist.
-
-        ``cut_pool`` is shared between the primary solve and any
-        crash-recovery re-solve: the curves are identical across the two
-        (only the node budget shrinks), so pooled OA cuts stay valid and
-        the recovery solve starts from a warmed master.
-        """
+        """Steps 3–4 when benchmark data/fits already exist."""
         rng = rng or default_rng()
         REGISTRY.counter("hslb_pipeline_runs_total").inc()
-        allocation, solution = self.solve(
-            fits, total_nodes, rng, x0=x0, cut_pool=cut_pool
-        )
+        allocation, solution = self.solve(fits, total_nodes, rng)
         models = {name: f.model for name, f in fits.items()}
         predicted = self.app.predicted_times(models, allocation)
         result = HSLBResult(
@@ -708,7 +615,7 @@ class HSLBOptimizer:
             try:
                 result.execution = self.execute(allocation, rng)
             except NodeCrashError as exc:
-                self._recover_execution(result, models, exc, rng, cut_pool=cut_pool)
+                self._recover_execution(result, models, exc, rng)
         return result
 
     def _recover_execution(
@@ -717,7 +624,6 @@ class HSLBOptimizer:
         models: Mapping[str, PerformanceModel],
         crash: NodeCrashError,
         rng: np.random.Generator | None,
-        cut_pool=None,
     ) -> None:
         """Static re-plan after a mid-run node-group loss.
 
@@ -745,7 +651,7 @@ class HSLBOptimizer:
         )
         problem = self.app.formulate(models, surviving)
         allocation, solution, provenance = self._solve_chain(
-            problem, models, surviving, rng, cut_pool=cut_pool
+            problem, models, surviving, rng
         )
         execution = self.execute(allocation, rng)
         execution.total_time += wasted

@@ -31,6 +31,17 @@ class Objective(enum.Enum):
     MAX_MIN = "max-min"
     MIN_SUM = "min-sum"
 
+    @property
+    def oa_safe(self) -> bool:
+        """Whether :func:`apply_objective` emits only rows OA can cut.
+
+        MAX_MIN's epigraph rows are ``T <= convex``, a nonconvex region:
+        linearization cuts would be invalid there, so it is solved by
+        NLP-based branch-and-bound — and it needs the node budget spent
+        exactly, or "raising the floor" degenerates into starving everything.
+        """
+        return self is not Objective.MAX_MIN
+
 
 def apply_objective(
     model: Model,
@@ -38,7 +49,6 @@ def apply_objective(
     time_exprs: Mapping[str, Expr],
     *,
     time_upper_bound: float,
-    epigraph_name: str = "T",
 ) -> VarRef | None:
     """Install ``objective`` over ``time_exprs`` on ``model``.
 
@@ -62,7 +72,7 @@ def apply_objective(
             aux.append(t_j)
         model.minimize(sum_exprs(aux))
         return None
-    t = model.var(epigraph_name, lb=0.0, ub=float(time_upper_bound))
+    t = model.var("T", lb=0.0, ub=float(time_upper_bound))
     if objective is Objective.MIN_MAX:
         for name, expr in time_exprs.items():
             model.add(t >= expr, f"minmax_{name}")

@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
+from repro.minlp import solve
 from repro.minlp.problem import Problem
-from repro.minlp.solution import Solution
 from repro.perf.model import PerformanceModel
 from repro.util.tables import format_table
 
@@ -30,13 +30,6 @@ from repro.util.tables import format_table
 #: supply it (e.g. a closure over ``formulate_layout``), the predictor
 #: drives it across machine sizes.
 Formulator = Callable[[Mapping[str, PerformanceModel], int], Problem]
-Solver = Callable[[Problem], Solution]
-
-
-def _default_solver(problem: Problem) -> Solution:
-    from repro.minlp import solve
-
-    return solve(problem).require_ok()
 
 
 @dataclass
@@ -93,15 +86,12 @@ def sweep_machine_sizes(
     models: Mapping[str, PerformanceModel],
     formulator: Formulator,
     node_counts: Sequence[int],
-    *,
-    solver: Solver | None = None,
 ) -> ScalingSweep:
     """Solve the allocation MINLP at each machine size."""
-    solver = solver or _default_solver
     totals = []
     counts = sorted(set(int(n) for n in node_counts))
     for total in counts:
-        sol = solver(formulator(models, total))
+        sol = solve(formulator(models, total)).require_ok()
         totals.append(float(sol.objective))
     return ScalingSweep(node_counts=tuple(counts), totals=tuple(totals))
 
@@ -141,7 +131,6 @@ def optimal_job_size(
     node_counts: Sequence[int],
     *,
     efficiency_floor: float = 0.5,
-    solver: Solver | None = None,
 ) -> JobSizeRecommendation:
     """Recommend machine sizes for a job from the fitted models.
 
@@ -153,7 +142,7 @@ def optimal_job_size(
     """
     if not (0.0 < efficiency_floor <= 1.0):
         raise ValueError(f"efficiency_floor must be in (0, 1], got {efficiency_floor}")
-    sweep = sweep_machine_sizes(models, formulator, node_counts, solver=solver)
+    sweep = sweep_machine_sizes(models, formulator, node_counts)
     eff = sweep.efficiency()
 
     cost_idx = 0
@@ -178,8 +167,6 @@ def compare_layouts(
     models: Mapping[str, PerformanceModel],
     formulators: Mapping[str, Formulator],
     node_counts: Sequence[int],
-    *,
-    solver: Solver | None = None,
 ) -> dict[str, ScalingSweep]:
     """Sweep several layout formulations over the same machine sizes.
 
@@ -187,7 +174,7 @@ def compare_layouts(
     layout — the Figure 4 question as a reusable API.
     """
     return {
-        label: sweep_machine_sizes(models, f, node_counts, solver=solver)
+        label: sweep_machine_sizes(models, f, node_counts)
         for label, f in formulators.items()
     }
 
@@ -198,7 +185,6 @@ def component_swap_effect(
     node_counts: Sequence[int],
     *,
     replace: Mapping[str, PerformanceModel],
-    solver: Solver | None = None,
 ) -> tuple[ScalingSweep, ScalingSweep]:
     """Predict scaling before and after swapping component model(s).
 
@@ -209,10 +195,8 @@ def component_swap_effect(
     unknown = set(replace) - set(models)
     if unknown:
         raise ValueError(f"cannot replace unknown components {sorted(unknown)}")
-    baseline = sweep_machine_sizes(models, formulator, node_counts, solver=solver)
+    baseline = sweep_machine_sizes(models, formulator, node_counts)
     swapped_models = dict(models)
     swapped_models.update(replace)
-    swapped = sweep_machine_sizes(
-        swapped_models, formulator, node_counts, solver=solver
-    )
+    swapped = sweep_machine_sizes(swapped_models, formulator, node_counts)
     return baseline, swapped

@@ -27,7 +27,7 @@ and results carry only simulated seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.greedy import greedy_minmax_allocation
 from repro.core.spec import Allocation
@@ -38,7 +38,7 @@ from repro.dynlb.rebalancer import (
     StaticRebalancer,
     make_rebalancer,
 )
-from repro.dynlb.refit import DriftAwareRefitter, RefitConfig
+from repro.dynlb.refit import DriftAwareRefitter
 from repro.dynlb.workload import DynamicWorkload
 from repro.faults.plan import NodeCrashError
 from repro.obs import telemetry
@@ -54,8 +54,6 @@ class DynlbConfig:
     gain_factor: float = 1.2  # required predicted_gain / migration_cost
     migration_steps: int = 1  # steps a migration window spans
     migration: MigrationCostModel | None = None  # None: calibrate from step 0
-    refit: RefitConfig = field(default_factory=RefitConfig)
-    full_refit: bool = True  # refit curve shapes after migrations land
     max_migrations: int | None = None  # safety valve for thrashing strategies
 
     def __post_init__(self) -> None:
@@ -183,7 +181,7 @@ class RebalanceController:
         allocation = initial or w.initial_allocation()
         initial_counts = {k: int(v) for k, v in allocation.items()}
         budget = w.total_nodes
-        refitter = DriftAwareRefitter(dict(w.models), cfg.refit, rng=rng)
+        refitter = DriftAwareRefitter(dict(w.models), rng=rng)
         cost_model = cfg.migration
         pending: _Pending | None = None
         crash: CrashRecord | None = None
@@ -226,9 +224,10 @@ class RebalanceController:
                     allocation = pending.target
                     migration += pending.cost
                     telemetry.record_dynlb_migration(strategy, "applied", pending.cost)
-                    if cfg.full_refit:
-                        for name in w.components:
-                            refitter.maybe_full_refit(name)
+                    # Counts just changed: the one moment a curve's shape,
+                    # not only its scale, is identifiable online.
+                    for name in w.components:
+                        refitter.maybe_full_refit(name)
                     pending = None
 
                 # 2. Feed: run the step, observe every component.

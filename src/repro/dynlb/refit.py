@@ -35,6 +35,10 @@ import numpy as np
 from repro.obs import telemetry
 from repro.perf.model import PerformanceModel
 
+#: Required max/min ratio of the node counts in a window before a full refit
+#: trusts the shape (clustered counts extrapolate wildly).
+MIN_REFIT_SPAN = 1.5
+
 
 @dataclass(frozen=True)
 class RefitConfig:
@@ -46,7 +50,6 @@ class RefitConfig:
     window: int = 64  # observations retained per component
     decay: float = 0.92  # per-step age decay of full-refit weights
     min_refit_points: int = 6  # window size required before a full refit
-    min_refit_span: float = 1.5  # required max/min ratio of observed node counts
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
@@ -160,7 +163,7 @@ class DriftAwareRefitter:
         mixes node counts, which is the only online situation where the
         curve's shape (not just its scale) is identifiable.  Two guards
         keep this from doing harm — the shape is only trusted when the
-        observed counts span a real ratio (``min_refit_span``; clustered
+        observed counts span a real ratio (:data:`MIN_REFIT_SPAN`; clustered
         counts extrapolate wildly), and the refit replaces the scaled
         model only when it actually predicts the window better.  Returns
         True when the base model was replaced.
@@ -173,7 +176,7 @@ class DriftAwareRefitter:
         if len(obs) < cfg.min_refit_points:
             return False
         counts = {n for _, n, _ in obs}
-        if len(counts) < 2 or max(counts) < cfg.min_refit_span * min(counts):
+        if len(counts) < 2 or max(counts) < MIN_REFIT_SPAN * min(counts):
             return False
         latest = max(s for s, _, _ in obs)
         nodes = np.array([n for _, n, _ in obs], dtype=float)

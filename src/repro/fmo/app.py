@@ -17,9 +17,8 @@ from repro.core.spec import Allocation, Application, ExecutionResult
 from repro.faults.plan import FaultPlan
 from repro.fmo.gddi import GroupSchedule
 from repro.fmo.molecules import FragmentedSystem
-from repro.fmo.recovery import STRATEGIES, run_with_crash
+from repro.fmo.recovery import run_with_crash
 from repro.fmo.simulator import FMOSimulator
-from repro.fmo.timing import MachineCalibration
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution
 from repro.perf.data import BenchmarkSuite
@@ -33,19 +32,14 @@ class FMOApplication(Application):
         self,
         system: FragmentedSystem,
         *,
-        calib: MachineCalibration | None = None,
         noise: float = 0.02,
         objective: Objective = Objective.MIN_MAX,
         faults: FaultPlan | None = None,
-        recovery_strategy: str = "replan",
     ) -> None:
-        if recovery_strategy not in STRATEGIES:
-            raise ValueError(f"unknown recovery strategy {recovery_strategy!r}")
         self.system = system
         self.objective = objective
         self.fault_plan = faults
-        self.recovery_strategy = recovery_strategy
-        self.simulator = FMOSimulator(system, calib=calib, noise=noise, faults=faults)
+        self.simulator = FMOSimulator(system, noise=noise, faults=faults)
 
     @property
     def component_names(self) -> tuple[str, ...]:
@@ -53,8 +47,7 @@ class FMOApplication(Application):
 
     @property
     def requires_nonconvex_solver(self) -> bool:
-        # MAX_MIN's epigraph (t <= convex) is not OA-safe.
-        return self.objective is Objective.MAX_MIN
+        return not self.objective.oa_safe
 
     def benchmark(
         self, node_counts: Sequence[int], rng: np.random.Generator
@@ -82,7 +75,7 @@ class FMOApplication(Application):
         b = AllocationModelBuilder(f"fmo-{self.system.name}", total_nodes)
         for name in self.component_names:
             b.add_component(name, models[name])
-        b.limit_total_nodes(exact=self.objective is Objective.MAX_MIN)
+        b.limit_total_nodes(exact=not self.objective.oa_safe)
         b.set_objective(self.objective)
         return b.build()
 
@@ -114,7 +107,6 @@ class FMOApplication(Application):
                 schedule,
                 crash_group=int(plan.crash_group),
                 crash_fraction=plan.crash_fraction,
-                strategy=self.recovery_strategy,
                 rng=rng,
             )
             times = {

@@ -14,42 +14,34 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
 from repro.core.builder import AllocationModelBuilder
 from repro.core.objectives import Objective
 from repro.fmo.gddi import GroupSchedule, even_group_sizes
 from repro.fmo.molecules import FragmentedSystem
-from repro.fmo.timing import MachineCalibration, total_fragment_model
+from repro.fmo.timing import total_fragment_model
 from repro.minlp import solve
 from repro.minlp.bnb import BnBOptions
 from repro.minlp.solution import Solution
 from repro.perf.model import PerformanceModel
 
 
-def fragment_models(
-    system: FragmentedSystem, calib: MachineCalibration | None = None
-) -> dict[int, PerformanceModel]:
+def fragment_models(system: FragmentedSystem) -> dict[int, PerformanceModel]:
     """Ground-truth per-fragment scaling models (see :mod:`repro.fmo.timing`)."""
-    return {
-        f.index: total_fragment_model(system, f, calib) for f in system.fragments
-    }
+    return {f.index: total_fragment_model(system, f) for f in system.fragments}
 
 
 def hslb_schedule(
     system: FragmentedSystem,
     total_nodes: int,
     *,
-    models: Mapping[int, PerformanceModel] | None = None,
     objective: Objective = Objective.MIN_MAX,
     options: BnBOptions | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[GroupSchedule, Solution]:
     """Solve the HSLB MINLP: one group per fragment, sizes chosen globally.
 
-    ``models`` defaults to the analytic ground truth; the full pipeline path
+    The curves are the analytic ground truth; the full pipeline path
     (benchmark, then fit) goes through :class:`repro.fmo.app.FMOApplication`.
     Returns the schedule and the MINLP solution (prediction = objective).
     """
@@ -57,20 +49,16 @@ def hslb_schedule(
         raise ValueError(
             f"{total_nodes} nodes cannot host {system.n_fragments} one-fragment groups"
         )
-    models = dict(models) if models is not None else fragment_models(system)
+    models = fragment_models(system)
     b = AllocationModelBuilder(f"fmo-{system.name}", total_nodes)
     for frag in system.fragments:
         b.add_component(f"frag{frag.index}", models[frag.index])
-    # The exact budget keeps MAX_MIN from degenerating into starving every
-    # group (see builder docs).  MIN_MAX/MIN_SUM never profit from extra
-    # nodes beyond each curve's minimum, so the cheaper-to-solve `<=` budget
-    # is equivalent for them.
-    b.limit_total_nodes(exact=objective is Objective.MAX_MIN)
+    # MIN_MAX/MIN_SUM never profit from extra nodes beyond each curve's
+    # minimum, so the cheaper-to-solve `<=` budget is equivalent for them.
+    b.limit_total_nodes(exact=not objective.oa_safe)
     b.set_objective(objective)
-    # MAX_MIN's epigraph rows (t <= convex) are nonconvex; OA cuts would be
-    # invalid, so route that objective to NLP-based branch-and-bound.
-    algorithm = "nlpbb" if objective is Objective.MAX_MIN else "auto"
-    sol = solve(b.build(), options, algorithm=algorithm, rng=rng).require_ok()
+    algorithm = "auto" if objective.oa_safe else "nlpbb"
+    sol = solve(b.build(), options, algorithm=algorithm).require_ok()
     sizes = tuple(
         int(round(sol.values[f"n_frag{f.index}"])) for f in system.fragments
     )
@@ -96,8 +84,6 @@ def greedy_dynamic_schedule(
     system: FragmentedSystem,
     total_nodes: int,
     n_groups: int,
-    *,
-    calib: MachineCalibration | None = None,
 ) -> GroupSchedule:
     """Idealized DLB: LPT dispatch onto equal groups.
 
@@ -107,7 +93,7 @@ def greedy_dynamic_schedule(
     """
     n_groups = min(n_groups, system.n_fragments)
     sizes = even_group_sizes(total_nodes, n_groups)
-    models = fragment_models(system, calib)
+    models = fragment_models(system)
     # Cost of each fragment on its (equal-sized) group.
     costs = {
         f.index: float(models[f.index].time(sizes[0])) for f in system.fragments

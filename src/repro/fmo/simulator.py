@@ -16,7 +16,7 @@ import numpy as np
 from repro.faults.plan import FaultPlan
 from repro.fmo.gddi import GroupSchedule
 from repro.fmo.molecules import FragmentedSystem
-from repro.fmo.timing import MachineCalibration, total_fragment_model
+from repro.fmo.timing import total_fragment_model
 from repro.obs.trace import span
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark, ScalingObservation
 from repro.perf.model import PerformanceModel
@@ -46,7 +46,6 @@ class FMOSimulator:
         self,
         system: FragmentedSystem,
         *,
-        calib: MachineCalibration | None = None,
         noise: float = 0.02,
         faults: FaultPlan | None = None,
     ) -> None:
@@ -55,15 +54,13 @@ class FMOSimulator:
         if faults is not None and not isinstance(faults, FaultPlan):
             raise TypeError("faults must be a FaultPlan or None")
         self.system = system
-        self.calib = calib or MachineCalibration()
         self.noise = float(noise)
         #: Optional deterministic fault injection (:mod:`repro.faults`):
         #: failed/straggling benchmark runs during gather; mid-run group
         #: crashes are handled by :mod:`repro.fmo.recovery`.
         self.faults = faults
         self._models: dict[int, PerformanceModel] = {
-            f.index: total_fragment_model(system, f, self.calib)
-            for f in system.fragments
+            f.index: total_fragment_model(system, f) for f in system.fragments
         }
 
     def true_fragment_seconds(self, fragment: int, nodes: int) -> float:

@@ -71,46 +71,40 @@ def dimer_model(
     )
 
 
-def fragment_workload(
-    system: FragmentedSystem, calib: MachineCalibration | None = None
-) -> dict[int, float]:
+def fragment_workload(system: FragmentedSystem) -> dict[int, float]:
     """Single-node seconds per fragment for one whole FMO run.
 
     Monomer cost is one SCF iteration times the SCC iteration count; each
     dimer's cost is charged half to each participating fragment (a standard
     work-accounting convention for per-fragment load estimates).
     """
-    calib = calib or MachineCalibration()
     load = {
-        f.index: system.scc_iterations * monomer_model(f, calib).time(1)
+        f.index: system.scc_iterations * monomer_model(f).time(1)
         for f in system.fragments
     }
     for i, j in system.dimer_pairs():
-        cost = dimer_model(system.fragments[i], system.fragments[j], calib).time(1)
+        cost = dimer_model(system.fragments[i], system.fragments[j]).time(1)
         load[i] += 0.5 * cost
         load[j] += 0.5 * cost
     return load
 
 
 def total_fragment_model(
-    system: FragmentedSystem,
-    fragment: Fragment,
-    calib: MachineCalibration | None = None,
+    system: FragmentedSystem, fragment: Fragment
 ) -> PerformanceModel:
     """Scaling model for a fragment's FULL per-run work (monomers + dimers).
 
     This is what HSLB fits/optimizes: ``T_i(n_i)`` for the complete set of
     tasks fragment ``i`` contributes to a run.
     """
-    calib = calib or MachineCalibration()
-    m = monomer_model(fragment, calib)
+    m = monomer_model(fragment)
     a = system.scc_iterations * m.a
     b = system.scc_iterations * m.b
     d = system.scc_iterations * m.d
     for i, j in system.dimer_pairs():
         if fragment.index not in (i, j):
             continue
-        dm = dimer_model(system.fragments[i], system.fragments[j], calib)
+        dm = dimer_model(system.fragments[i], system.fragments[j])
         a += 0.5 * dm.a
         b += 0.5 * dm.b
         d += 0.5 * dm.d

@@ -28,11 +28,10 @@ from repro.fmo.gddi import GroupSchedule
 from repro.fmo.molecules import FragmentedSystem
 from repro.fmo.schedulers import uniform_static_schedule
 from repro.fmo.simulator import FMOSimulator
-from repro.fmo.timing import MachineCalibration, dimer_model, monomer_model
+from repro.fmo.timing import dimer_model, monomer_model
 from repro.core.builder import AllocationModelBuilder
 from repro.core.objectives import Objective
 from repro.minlp import solve
-from repro.minlp.bnb import BnBOptions
 from repro.util.rng import default_rng
 
 
@@ -77,20 +76,14 @@ class TwoPhaseSimulator:
         self,
         system: FragmentedSystem,
         *,
-        calib: MachineCalibration | None = None,
         noise: float = 0.02,
     ) -> None:
         self.system = system
-        self.calib = calib or MachineCalibration()
         self.noise = float(noise)
-        self._monomer = {
-            f.index: monomer_model(f, self.calib) for f in system.fragments
-        }
+        self._monomer = {f.index: monomer_model(f) for f in system.fragments}
         self._pairs = system.dimer_pairs()
         self._dimer = {
-            pair: dimer_model(
-                system.fragments[pair[0]], system.fragments[pair[1]], self.calib
-            )
+            pair: dimer_model(system.fragments[pair[0]], system.fragments[pair[1]])
             for pair in self._pairs
         }
 
@@ -157,9 +150,6 @@ def _lpt_dimers(
 def hslb_two_phase_schedule(
     system: FragmentedSystem,
     total_nodes: int,
-    *,
-    calib: MachineCalibration | None = None,
-    options: BnBOptions | None = None,
 ) -> TwoPhaseSchedule:
     """HSLB for the two-phase structure.
 
@@ -171,13 +161,13 @@ def hslb_two_phase_schedule(
         raise ValueError(
             f"{total_nodes} nodes cannot host {system.n_fragments} groups"
         )
-    sim = TwoPhaseSimulator(system, calib=calib, noise=0.0)
+    sim = TwoPhaseSimulator(system, noise=0.0)
     b = AllocationModelBuilder(f"fmo2-{system.name}", total_nodes)
     for frag in system.fragments:
         b.add_component(f"frag{frag.index}", sim._monomer[frag.index])
     b.limit_total_nodes()
     b.set_objective(Objective.MIN_MAX)
-    sol = solve(b.build(), options).require_ok()
+    sol = solve(b.build()).require_ok()
     sizes = tuple(
         int(round(sol.values[f"n_frag{f.index}"])) for f in system.fragments
     )
@@ -198,11 +188,9 @@ def uniform_two_phase_schedule(
     system: FragmentedSystem,
     total_nodes: int,
     n_groups: int,
-    *,
-    calib: MachineCalibration | None = None,
 ) -> TwoPhaseSchedule:
     """Baseline: uniform monomer groups, round-robin dimers."""
-    sim = TwoPhaseSimulator(system, calib=calib, noise=0.0)
+    sim = TwoPhaseSimulator(system, noise=0.0)
     monomer = uniform_static_schedule(system, total_nodes, n_groups)
     assignment = tuple(i % monomer.n_groups for i in range(len(sim.dimer_pairs)))
     return TwoPhaseSchedule(

@@ -110,8 +110,10 @@ def solve(
     relaxations; continuous NLP -> SLSQP; convex MINLP -> LP/NLP-based
     branch-and-bound (falling back to NLP-based B&B when the model has
     nonlinear lower-bounded constraints OA cannot relax safely).
-    Explicit choices: ``"milp"``, ``"nlp"``, ``"oa"``, ``"oa-multitree"``,
-    ``"nlpbb"``, ``"brute"``.
+    Explicit MINLP choices: ``"oa"``, ``"nlpbb"``, ``"ecp"``.  The other
+    engines (:func:`solve_milp`, :func:`solve_nlp`,
+    :func:`solve_minlp_oa_multitree`, :func:`solve_brute_force`, ...) are
+    functions to call, not names to pass.
 
     ``x0`` is an optional (possibly partial) warm-start point, honored by
     the NLP, OA, and NLP-B&B routes and ignored by the rest.  ``cut_pool``
@@ -127,21 +129,12 @@ def solve(
             return solve_minlp_oa(problem, options, rng=rng, x0=x0, cut_pool=cut_pool)
         except ValueError:
             return solve_minlp_nlpbb(problem, options, rng=rng, x0=x0)
-    dispatch = {
-        "milp": lambda: solve_milp(problem, options),
-        "lp": lambda: solve_problem_lp(problem),
-        "nlp": lambda: solve_nlp(problem, x0=x0, rng=rng),
-        "oa": lambda: solve_minlp_oa(problem, options, rng=rng, x0=x0, cut_pool=cut_pool),
-        "oa-multitree": lambda: solve_minlp_oa_multitree(
-            problem, options, rng=rng, cut_pool=cut_pool
-        ),
-        "ecp": lambda: solve_minlp_ecp(problem, options),
-        "nlpbb": lambda: solve_minlp_nlpbb(problem, options, rng=rng, x0=x0),
-        "brute": lambda: solve_brute_force(problem, rng=rng),
-    }
-    try:
-        return dispatch[algorithm]()
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {sorted(dispatch)} or 'auto'"
-        ) from None
+    if algorithm == "oa":
+        return solve_minlp_oa(problem, options, rng=rng, x0=x0, cut_pool=cut_pool)
+    if algorithm == "nlpbb":
+        return solve_minlp_nlpbb(problem, options, rng=rng, x0=x0)
+    if algorithm == "ecp":
+        return solve_minlp_ecp(problem, options)
+    raise ValueError(
+        f"unknown algorithm {algorithm!r}; expected 'auto', 'oa', 'nlpbb' or 'ecp'"
+    )

@@ -82,23 +82,18 @@ class BnBOptions:
     basis_reuse: bool = True
     log: Callable[[str], None] | None = None
 
-    def with_budget(
-        self, wall_seconds: float | None = None, node_limit: int | None = None
-    ) -> "BnBOptions":
-        """A copy capped to a remaining wall/node budget (never loosened).
+    def with_budget(self, wall_seconds: float) -> "BnBOptions":
+        """A copy capped to a remaining wall budget (never loosened).
 
         The solver degradation chain hands each tier whatever is left of the
-        pipeline's overall budget; limits only ever shrink so a caller's own
-        tighter settings survive.
+        pipeline's overall budget; the limit only ever shrinks so a caller's
+        own tighter setting survives.
         """
         from dataclasses import replace
 
-        out = replace(self)
-        if wall_seconds is not None:
-            out.time_limit = max(0.0, min(self.time_limit, float(wall_seconds)))
-        if node_limit is not None:
-            out.node_limit = max(0, min(self.node_limit, int(node_limit)))
-        return out
+        return replace(
+            self, time_limit=max(0.0, min(self.time_limit, float(wall_seconds)))
+        )
 
 
 class BranchAndBound:

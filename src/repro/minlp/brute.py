@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from repro.minlp.nlp import solve_nlp
 from repro.minlp.presolve import presolve
 from repro.minlp.problem import Problem, Sense
 from repro.minlp.solution import Solution, SolveStats, Status
+
+#: Largest constraint violation an enumerated point may carry.
+_FEAS_TOL = 1e-6
 
 
 def enumerate_assignments(problem: Problem, *, limit: int = 200_000):
@@ -70,14 +71,7 @@ def enumerate_assignments(problem: Problem, *, limit: int = 200_000):
                 yield fixes
 
 
-def solve_brute_force(
-    problem: Problem,
-    *,
-    limit: int = 200_000,
-    feas_tol: float = 1e-6,
-    nlp_multistart: int = 1,
-    rng: np.random.Generator | None = None,
-) -> Solution:
+def solve_brute_force(problem: Problem) -> Solution:
     """Globally solve a small MINLP by total enumeration."""
     sign = -1.0 if problem.sense is Sense.MAXIMIZE else 1.0
     stats = SolveStats()
@@ -85,7 +79,7 @@ def solve_brute_force(
     best_signed = math.inf
 
     has_continuous = any(not v.is_discrete for v in problem.variables)
-    for fixes in enumerate_assignments(problem, limit=limit):
+    for fixes in enumerate_assignments(problem):
         stats.nodes_explored += 1
         # Propagate the fixings first: a lone SOS member left facing its
         # convexity row (``z_k = 1`` with ``z_k <= 1``) is the degenerate
@@ -95,14 +89,14 @@ def solve_brute_force(
         if report.infeasible:
             continue
         if has_continuous:
-            sub = solve_nlp(fixed, multistart=nlp_multistart, rng=rng)
+            sub = solve_nlp(fixed)
             stats.nlp_solves += sub.stats.nlp_solves
             if not sub.status.is_ok:
                 continue
             values = sub.values
         else:
             values = {v.name: fixed.variable(v.name).lb for v in fixed.variables}
-        if problem.max_violation(values) > feas_tol:
+        if problem.max_violation(values) > _FEAS_TOL:
             continue
         obj = problem.objective_value(values)
         if sign * obj < best_signed:

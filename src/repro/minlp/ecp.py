@@ -30,7 +30,6 @@ def solve_minlp_ecp(
     options: BnBOptions | None = None,
     *,
     max_rounds: int = 200,
-    feas_tol: float = 1e-6,
 ) -> Solution:
     """Solve a convex MINLP by the extended cutting plane method."""
     opts = options or BnBOptions()
@@ -70,7 +69,7 @@ def solve_minlp_ecp(
             status = msol.status
             break
 
-        violated = [c for c in nonlin if c.violation(msol.values) > feas_tol]
+        violated = [c for c in nonlin if c.violation(msol.values) > 1e-6]
         if not violated:
             # Master point satisfies the true constraints: since the master
             # is a relaxation, this point is MINLP-optimal.

@@ -26,6 +26,10 @@ from repro.minlp.nlp import solve_nlp
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution, Status
 
+#: A dive's end point: integral to ``_INT_TOL``, feasible to ``_FEAS_TOL``.
+_INT_TOL = 1e-6
+_FEAS_TOL = 1e-6
+
 
 def _nearest_sos_choice(problem: Problem, values: dict[str, float]) -> dict[str, tuple[float, float]]:
     """For each SOS1 set, keep only the member with the largest magnitude."""
@@ -114,14 +118,7 @@ def warm_start_incumbent(
     return out
 
 
-def diving_heuristic(
-    problem: Problem,
-    *,
-    feas_tol: float = 1e-6,
-    int_tol: float = 1e-6,
-    max_dives: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Solution:
+def diving_heuristic(problem: Problem, *, max_dives: int | None = None) -> Solution:
     """Fractional diving: fix one variable per relaxation solve.
 
     Each round solves the continuous relaxation under the accumulated
@@ -136,14 +133,14 @@ def diving_heuristic(
     budget = max_dives if max_dives is not None else len(discrete) + len(problem.sos1_sets)
 
     for _ in range(budget + 1):
-        rel = solve_nlp(problem.with_bounds(fixes), rng=rng)
+        rel = solve_nlp(problem.with_bounds(fixes))
         if not rel.status.is_ok:
             return Solution(Status.INFEASIBLE, message="dive hit an infeasible fixing")
         fractional = [
             (name, rel.values[name])
             for name in discrete
             if name not in fixes
-            and abs(rel.values[name] - round(rel.values[name])) > int_tol
+            and abs(rel.values[name] - round(rel.values[name])) > _INT_TOL
         ]
         if not fractional:
             # Integrality done; resolve any SOS sets, then certify.
@@ -152,7 +149,7 @@ def diving_heuristic(
             if new_sos:
                 fixes.update(new_sos)
                 continue
-            if problem.max_violation(rel.values) > feas_tol:
+            if problem.max_violation(rel.values) > _FEAS_TOL:
                 return Solution(
                     Status.INFEASIBLE, message="dive converged to an invalid point"
                 )

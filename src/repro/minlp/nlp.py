@@ -29,6 +29,12 @@ from repro.util.timing import Timer
 #: Fallback half-width of the sampling box for unbounded variables.
 _BIG = 1e4
 
+#: scipy termination tolerance and iteration cap of one SLSQP run.
+_TOL = 1e-9
+_MAX_ITER = 300
+#: Largest constraint violation a returned point may carry.
+_FEAS_TOL = 1e-6
+
 
 class _Iterate:
     """The clipped name -> value view of the current iterate.
@@ -114,10 +120,6 @@ def solve_nlp(
     x0: np.ndarray | dict[str, float] | None = None,
     *,
     multistart: int = 1,
-    method: str = "SLSQP",
-    tol: float = 1e-9,
-    feas_tol: float = 1e-6,
-    max_iter: int = 300,
     rng: np.random.Generator | None = None,
 ) -> Solution:
     """Solve the continuous problem, ignoring integrality and SOS1 sets.
@@ -126,14 +128,10 @@ def solve_nlp(
     eligible are not handed to scipy; they are reconstructed for the
     returned point, so ``Solution.values`` is always complete.
 
-    Parameters mirror a classical NLP driver: optional warm start ``x0``,
-    ``multistart`` extra random restarts, and scipy ``method`` selection
-    (``SLSQP`` or ``trust-constr``).  Returns the best feasible KKT point
-    found; ``Status.INFEASIBLE`` when every start ends infeasible.
+    Optional warm start ``x0`` and ``multistart`` extra random restarts;
+    every run is scipy's SLSQP.  Returns the best feasible KKT point found;
+    ``Status.INFEASIBLE`` when every start ends infeasible.
     """
-    if method not in ("SLSQP", "trust-constr"):
-        raise ValueError(f"unsupported NLP method {method!r}")
-
     # Substitute out variables pinned by equal bounds.  SLSQP mishandles
     # degenerate lb == ub box constraints (it can declare success at an
     # arbitrary feasible point), and branch-and-bound produces exactly such
@@ -150,7 +148,7 @@ def solve_nlp(
     if pinned and free.num_variables == 0:
         values = dict(pinned)
         viol = max((c.violation(values) for c in problem.constraints), default=0.0)
-        if viol > feas_tol:
+        if viol > _FEAS_TOL:
             return Solution(
                 Status.INFEASIBLE,
                 stats=SolveStats(nlp_solves=1),
@@ -174,16 +172,12 @@ def solve_nlp(
             stats=SolveStats(nlp_solves=1),
             message="no SOS1 member choice satisfies a row",
         )
-    options = dict(
-        multistart=multistart, method=method, tol=tol, feas_tol=feas_tol,
-        max_iter=max_iter, rng=rng,
-    )
-    sol, exact = _solve_projected(free, projection, x0, **options)
+    sol, exact = _solve_projected(free, projection, x0, multistart, rng)
     if not exact:
         # Some row pattern is jointly tighter than its per-row intervals:
         # this relaxation is solved in the full space, and both are counted.
         spent = sol.stats
-        sol, _ = _solve_projected(free, Projection(free), x0, **options)
+        sol, _ = _solve_projected(free, Projection(free), x0, multistart, rng)
         sol.stats.merge(spent)
     if sol.status.is_ok:
         sol.values = {**sol.values, **pinned}
@@ -194,9 +188,8 @@ def _solve_projected(
     problem: Problem,
     projection: Projection,
     x0: dict[str, float] | None,
-    *,
-    feas_tol: float,
-    **scipy_options,
+    multistart: int,
+    rng: np.random.Generator | None,
 ) -> tuple[Solution, bool]:
     """Solve ``projection.problem``; answer for ``problem``.
 
@@ -212,7 +205,7 @@ def _solve_projected(
     lo = np.array([v.lb for v in small.variables])
     hi = np.array([v.ub for v in small.variables])
     linear = small.is_linear()
-    runs = _scipy_runs(small, x0, lo, hi, **scipy_options)
+    runs = _scipy_runs(small, x0, lo, hi, multistart, rng)
     if linear:
         runs = _lp_run(small, runs)
 
@@ -239,7 +232,7 @@ def _solve_projected(
             viol = max(
                 (c.violation(values) for c in problem.constraints), default=0.0
             )
-            if viol > feas_tol:
+            if viol > _FEAS_TOL:
                 continue
             objective = problem.objective_value(values)
             better = best is None or (
@@ -286,11 +279,7 @@ def _scipy_runs(
     x0: dict[str, float] | None,
     lo: np.ndarray,
     hi: np.ndarray,
-    *,
     multistart: int,
-    method: str,
-    tol: float,
-    max_iter: int,
     rng: np.random.Generator | None,
 ) -> Iterator[_Run]:
     """One scipy run from the warm/default start, then the random restarts."""
@@ -358,9 +347,9 @@ def _scipy_runs(
                 jac=jac,
                 bounds=bounds,
                 constraints=cons,
-                method=method,
-                tol=tol,
-                options={"maxiter": max_iter},
+                method="SLSQP",
+                tol=_TOL,
+                options={"maxiter": _MAX_ITER},
             )
         except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
             yield None

@@ -25,16 +25,15 @@ def solve_minlp_nlpbb(
     *,
     multistart: int = 1,
     rng: np.random.Generator | None = None,
-    time_limit: float | None = None,
     x0: dict[str, float] | None = None,
 ) -> Solution:
     """Solve ``problem`` by branch-and-bound with NLP relaxations.
 
     ``multistart > 1`` restarts each node's NLP from extra random points,
     which guards against local minima on nonconvex instances at the price of
-    proportionally more NLP solves.  ``time_limit`` caps the wall budget
-    below whatever ``options`` carries (see the solver degradation chain in
-    :mod:`repro.core.hslb`).
+    proportionally more NLP solves.  The wall budget is the one ``options``
+    carries (the degradation chain in :mod:`repro.core.hslb` shrinks it with
+    :meth:`BnBOptions.with_budget`).
 
     ``x0`` warm-starts the tree: the (possibly partial) point is completed
     into a feasible incumbent before the search (finite primal bound from
@@ -42,8 +41,7 @@ def solve_minlp_nlpbb(
     """
     with span("minlp.nlpbb", problem=problem.name):
         sol = _solve_minlp_nlpbb_impl(
-            problem, options, multistart=multistart, rng=rng,
-            time_limit=time_limit, x0=x0,
+            problem, options, multistart=multistart, rng=rng, x0=x0
         )
         telemetry.record_warm_start(x0 is not None)
         telemetry.record_solve("nlpbb", sol.stats, sol.status.value)
@@ -56,12 +54,8 @@ def _solve_minlp_nlpbb_impl(
     *,
     multistart: int,
     rng: np.random.Generator | None,
-    time_limit: float | None,
     x0: dict[str, float] | None,
 ) -> Solution:
-    if time_limit is not None:
-        options = (options or BnBOptions()).with_budget(wall_seconds=time_limit)
-
     incumbent: tuple[dict[str, float], float] | None = None
     if x0 is not None:
         from repro.minlp.heuristics import warm_start_incumbent

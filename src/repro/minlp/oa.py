@@ -228,9 +228,9 @@ def solve_minlp_oa(
 ) -> Solution:
     """Solve a convex MINLP with single-tree LP/NLP branch-and-bound.
 
-    ``time_limit`` caps the wall budget below whatever ``options`` carries —
-    the hook the fault-tolerant pipeline uses to hand each solver tier only
-    the remaining share of its overall budget.
+    ``time_limit`` caps the wall budget below whatever ``options`` carries
+    (the pipeline's degradation chain does the same thing one level up, with
+    :meth:`BnBOptions.with_budget`, so it never passes this).
 
     ``x0`` warm-starts the search: the (possibly partial) point seeds the
     root relaxation, is completed into a feasible incumbent (so the tree
@@ -405,15 +405,14 @@ def _strip_eta(sol: Solution, original: Problem, has_eta: bool) -> Solution:
     return sol
 
 
+#: Master/subproblem alternations before multi-tree OA gives up.
+_MULTITREE_MAX_ROUNDS = 50
+
+
 def solve_minlp_oa_multitree(
     problem: Problem,
     options: BnBOptions | None = None,
     *,
-    max_rounds: int = 50,
-    feas_tol: float = 1e-6,
-    gap_tol: float = 1e-6,
-    nlp_multistart: int = 1,
-    rng: np.random.Generator | None = None,
     cut_pool: OACutPool | None = None,
 ) -> Solution:
     """Solve a convex MINLP by alternating MILP masters and NLP subproblems.
@@ -436,7 +435,7 @@ def solve_minlp_oa_multitree(
     pool = cut_pool if cut_pool is not None else OACutPool()
     pool.begin_solve()
 
-    root = solve_nlp(work, multistart=nlp_multistart, rng=rng)
+    root = solve_nlp(work)
     stats.merge(root.stats)
     if root.status is Status.INFEASIBLE:
         stats.wall_time = timer.stop()
@@ -453,9 +452,9 @@ def solve_minlp_oa_multitree(
 
     def _gap(incumbent: float) -> float:
         # Never tighter than branch-and-bound's own closing test.
-        return max(gap_tol, opts.gap_abs, opts.gap_rel * abs(incumbent))
+        return max(1e-6, opts.gap_abs, opts.gap_rel * abs(incumbent))
 
-    for _ in range(max_rounds):
+    for _ in range(_MULTITREE_MAX_ROUNDS):
         msol = solve_milp(master.problem, opts)
         stats.lp_solves += msol.stats.lp_solves
         stats.nodes_explored += msol.stats.nodes_explored
@@ -472,9 +471,7 @@ def solve_minlp_oa_multitree(
 
         assignment = tuple(sorted(_integer_assignment(work, msol.values).items()))
         cuts_before = stats.cuts_added
-        sub = _solve_fixed_subproblem(
-            work, msol.values, nlp_multistart=nlp_multistart, rng=rng
-        )
+        sub = _solve_fixed_subproblem(work, msol.values, nlp_multistart=1, rng=None)
         stats.merge(sub.stats)
         if sub.status.is_ok:
             obj = problem.objective_value(sub.values)

@@ -31,15 +31,19 @@ class PresolveReport:
     fixed_variables: tuple[str, ...] = field(default_factory=tuple)
 
 
+#: Propagation sweeps over the linear rows before presolve settles.
+_MAX_ROUNDS = 20
+#: Smallest bound movement that counts as a tightening.
+_TOL = 1e-9
+
+
 def _round_integer_bounds(lb: float, ub: float) -> tuple[float, float]:
     new_lb = math.ceil(lb - 1e-9) if math.isfinite(lb) else lb
     new_ub = math.floor(ub + 1e-9) if math.isfinite(ub) else ub
     return float(new_lb), float(new_ub)
 
 
-def presolve(
-    problem: Problem, *, max_rounds: int = 20, tol: float = 1e-9
-) -> tuple[Problem, PresolveReport]:
+def presolve(problem: Problem) -> tuple[Problem, PresolveReport]:
     """Return a bound-tightened copy of ``problem`` plus a report.
 
     If propagation proves infeasibility, the returned problem is the input
@@ -53,7 +57,7 @@ def presolve(
     for name, b in bounds.items():
         if domains[name] in (Domain.INTEGER, Domain.BINARY):
             new_lb, new_ub = _round_integer_bounds(b[0], b[1])
-            if new_lb > b[0] + tol or new_ub < b[1] - tol:
+            if new_lb > b[0] + _TOL or new_ub < b[1] - _TOL:
                 report.bounds_tightened += 1
             b[0], b[1] = new_lb, new_ub
             if b[0] > b[1]:
@@ -67,11 +71,11 @@ def presolve(
             coeffs = {n: c for n, c in coeffs.items() if c != 0.0}
             if coeffs:
                 linear_rows.append((coeffs, con.lb - k, con.ub - k))
-            elif not (con.lb - tol <= k <= con.ub + tol):
+            elif not (con.lb - _TOL <= k <= con.ub + _TOL):
                 report.infeasible = True
                 return problem, report
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         changed = False
         report.rounds += 1
         for coeffs, row_lb, row_ub in linear_rows:
@@ -109,19 +113,19 @@ def presolve(
                         new_hi = min(new_hi, (row_lb - rest_hi) / c)
                 if domains[n] in (Domain.INTEGER, Domain.BINARY):
                     new_lo, new_hi = _round_integer_bounds(new_lo, new_hi)
-                if new_lo > lo + tol or new_hi < hi - tol:
+                if new_lo > lo + _TOL or new_hi < hi - _TOL:
                     bounds[n][0] = max(lo, new_lo)
                     bounds[n][1] = min(hi, new_hi)
                     report.bounds_tightened += 1
                     changed = True
-                    if bounds[n][0] > bounds[n][1] + tol:
+                    if bounds[n][0] > bounds[n][1] + _TOL:
                         report.infeasible = True
                         return problem, report
         if not changed:
             break
 
     fixed = tuple(
-        n for n, (lo, hi) in bounds.items() if math.isfinite(lo) and abs(hi - lo) <= tol
+        n for n, (lo, hi) in bounds.items() if math.isfinite(lo) and abs(hi - lo) <= _TOL
     )
     report.fixed_variables = fixed
     tightened = problem.with_bounds({n: (lo, hi) for n, (lo, hi) in bounds.items()})

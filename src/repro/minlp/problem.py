@@ -265,9 +265,7 @@ class Problem:
         out.set_objective(self.objective, self.sense)
         return out
 
-    def reduce_fixed(
-        self, tol: float = 1e-9
-    ) -> tuple["Problem", dict[str, float]] | None:
+    def reduce_fixed(self) -> tuple["Problem", dict[str, float]] | None:
         """Substitute out variables whose bounds pin them to a single value.
 
         Returns ``(reduced_problem, fixed_values)``, or ``None`` when a
@@ -280,7 +278,7 @@ class Problem:
 
         fixed: dict[str, float] = {}
         for v in self._variables.values():
-            if math.isfinite(v.lb) and v.ub - v.lb <= tol:
+            if math.isfinite(v.lb) and v.ub - v.lb <= 1e-9:
                 fixed[v.name] = 0.5 * (v.lb + v.ub)
         if not fixed:
             return self, {}

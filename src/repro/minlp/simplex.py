@@ -57,6 +57,8 @@ _TOL = 1e-9
 _FEAS_TOL = 1e-7
 #: Consecutive non-improving Dantzig pivots before switching to Bland's rule.
 _STALL_LIMIT = 32
+#: Pivots one simplex phase may spend before it reports ITERATION_LIMIT.
+_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -207,9 +209,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _phase(
-    T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int
-) -> tuple[Status, int]:
+def _phase(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[Status, int]:
     """Primal simplex iterations on tableau ``T`` (last row = objective).
 
     Entering: Dantzig most-negative reduced cost; after :data:`_STALL_LIMIT`
@@ -223,7 +223,7 @@ def _phase(
     stall = 0
     last = T[-1, -1]
     ratios = np.empty(m)  # reused across iterations: this loop is the hot path
-    while pivots < max_iter:
+    while pivots < _MAX_ITER:
         obj = T[-1, :ncols]
         if bland:
             neg = np.flatnonzero(obj < -_TOL)
@@ -255,9 +255,7 @@ def _phase(
     return Status.ITERATION_LIMIT, pivots
 
 
-def _dual_phase(
-    T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int
-) -> tuple[Status, int]:
+def _dual_phase(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[Status, int]:
     """Dual simplex: restore primal feasibility from a dual-feasible basis.
 
     Used after a warm start whose rhs moved (bound tightening, appended
@@ -267,7 +265,7 @@ def _dual_phase(
     """
     m = T.shape[0] - 1
     pivots = 0
-    while pivots < max_iter:
+    while pivots < _MAX_ITER:
         rhs = T[:m, -1]
         row = int(np.argmin(rhs))
         if rhs[row] >= -_FEAS_TOL:
@@ -337,7 +335,6 @@ def _warm_solve(
     sf: _StandardForm,
     asm: _Assembled,
     prior: SimplexBasis,
-    max_iter: int,
 ) -> tuple[LPResult, int, int] | None:
     """Attempt a basis-reuse solve; None means the caller must cold-start."""
     if not basis_compatible(prior, asm.signature):
@@ -368,14 +365,14 @@ def _warm_solve(
     if T[:m, -1].min() < -_FEAS_TOL:
         if T[-1, :ncols].min() < -_FEAS_TOL:
             return None  # neither primal nor dual feasible: cold start
-        st, dual_pivots = _dual_phase(T, basis, ncols, max_iter)
+        st, dual_pivots = _dual_phase(T, basis, ncols)
         if st is Status.ITERATION_LIMIT:
             return None
         if st is Status.INFEASIBLE:
             res = LPResult(Status.INFEASIBLE, None, math.inf, "dual simplex certificate")
             res.warm_started = True
             return res, dual_pivots, 0
-    st, pivots = _phase(T, basis, ncols, max_iter)
+    st, pivots = _phase(T, basis, ncols)
     if st is Status.ITERATION_LIMIT:
         return None
     if st is Status.UNBOUNDED:
@@ -386,7 +383,7 @@ def _warm_solve(
 
 
 def _cold_solve(
-    lp: LinearProgram, sf: _StandardForm, asm: _Assembled, max_iter: int
+    lp: LinearProgram, sf: _StandardForm, asm: _Assembled
 ) -> tuple[LPResult, int, int]:
     m, ncols = asm.A.shape
     width = ncols + m
@@ -403,7 +400,7 @@ def _cold_solve(
     T[-1, ncols:width] = 1.0  # unused artificials keep cost 1: they never enter
     T[-1] -= T[:m][~usable].sum(axis=0)
 
-    st1, p1 = _phase(T, basis, ncols, max_iter)
+    st1, p1 = _phase(T, basis, ncols)
     if st1 is Status.ITERATION_LIMIT:
         return LPResult(st1, None, math.inf, "phase-1 iteration limit"), p1, 0
     if st1 is not Status.OPTIMAL:
@@ -426,7 +423,7 @@ def _cold_solve(
     T[-1, -1] = 0.0
     T[-1] -= cost_full[basis] @ T[:m]
 
-    st2, p2 = _phase(T, basis, ncols, max_iter)
+    st2, p2 = _phase(T, basis, ncols)
     if st2 is Status.UNBOUNDED:
         return LPResult(st2, None, -math.inf, "phase 2 unbounded"), p1, p2
     if st2 is Status.ITERATION_LIMIT:
@@ -434,9 +431,7 @@ def _cold_solve(
     return _finish(lp, sf, asm, T, basis, warm=False), p1, p2
 
 
-def solve_lp_simplex(
-    lp: LinearProgram, max_iter: int = 20000, basis: SimplexBasis | None = None
-) -> LPResult:
+def solve_lp_simplex(lp: LinearProgram, basis: SimplexBasis | None = None) -> LPResult:
     """Solve ``lp`` with the built-in vectorized two-phase simplex.
 
     ``basis`` optionally warm-starts from a prior solve's
@@ -456,11 +451,11 @@ def solve_lp_simplex(
     res = None
     p1 = p2 = pd = 0
     if basis is not None:
-        warm = _warm_solve(lp, sf, asm, basis, max_iter)
+        warm = _warm_solve(lp, sf, asm, basis)
         if warm is not None:
             res, pd, p2 = warm
     if res is None:
-        res, p1, p2 = _cold_solve(lp, sf, asm, max_iter)
+        res, p1, p2 = _cold_solve(lp, sf, asm)
     telemetry.record_simplex(
         phase1=p1, phase2=p2, dual=pd, warm=res.warm_started,
         attempted=basis is not None,

@@ -14,7 +14,8 @@ node allocations" — tests pin both behaviours).
 certifiably convex, which the outer-approximation solver needs for global
 optimality (§III-E).  On well-scaling codes like CESM the fitted ``b`` is
 nearly zero, so this restriction costs essentially nothing — a benchmark
-quantifies that claim.
+quantifies that claim.  Only :func:`fit_performance_model` can lift it:
+component and suite fits feed the MINLP and are always convex.
 """
 
 from __future__ import annotations
@@ -218,7 +219,6 @@ def fit_performance_model(
 def fit_component(
     bench: ComponentBenchmark,
     *,
-    convex: bool = True,
     multistart: int = 5,
     rng: np.random.Generator | None = None,
     loss: str = "linear",
@@ -235,9 +235,7 @@ def fit_component(
     """
     if not weighted:
         n, y = bench.arrays()
-        return fit_performance_model(
-            n, y, convex=convex, multistart=multistart, rng=rng, loss=loss
-        )
+        return fit_performance_model(n, y, multistart=multistart, rng=rng, loss=loss)
     rows = bench.aggregate()
     pooled = bench.relative_noise()
     n = np.array([r[0] for r in rows], dtype=float)
@@ -252,19 +250,16 @@ def fit_component(
             sigmas.append(0.02 * mean)  # generic 2% prior scatter
     weights = 1.0 / np.maximum(np.array(sigmas), 1e-12)
     return fit_performance_model(
-        n, y, convex=convex, multistart=multistart, rng=rng, loss=loss,
-        weights=weights,
+        n, y, multistart=multistart, rng=rng, loss=loss, weights=weights
     )
 
 
 def fit_suite(
     suite: BenchmarkSuite,
     *,
-    convex: bool = True,
     multistart: int = 5,
     rng: np.random.Generator | None = None,
     loss: str = "linear",
-    workers: int | None = None,
     skip_degenerate: bool = False,
     skipped: dict[str, str] | None = None,
 ) -> dict[str, FitResult]:
@@ -278,12 +273,8 @@ def fit_suite(
     optional ``skipped`` out-mapping, name -> reason) while every healthy
     component still gets its fit.
 
-    ``workers`` fans the per-component fits out over a process pool —
-    components are independent least-squares problems, so this is
-    embarrassingly parallel.  Irrelevant for CESM's four components;
-    worthwhile for FMO systems with dozens of fragments.  The parallel path
-    spawns one child RNG per component (ordered by name) so results are
-    deterministic regardless of scheduling.
+    Components are fitted one after another from the one ``rng`` stream, so
+    a suite has exactly one answer per seed (the ledger pins objectives).
     """
     rng = rng or default_rng()
     degenerate = suite.degenerate_components(min_points=2)
@@ -294,45 +285,17 @@ def fit_suite(
         if skipped is not None:
             skipped.update(degenerate)
     fittable = [name for name in suite if name not in degenerate]
-    if workers is not None and workers > 1 and len(fittable) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.util.rng import spawn_rng
-
-        names = sorted(fittable)
-        streams = spawn_rng(rng, len(names))
-        with span("fit.pool", workers=workers, components=len(names)):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    name: pool.submit(
-                        fit_component,
-                        suite[name],
-                        convex=convex,
-                        multistart=multistart,
-                        rng=stream,
-                        loss=loss,
-                    )
-                    for name, stream in zip(names, streams)
-                }
-                return {name: fut.result() for name, fut in futures.items()}
     fits: dict[str, FitResult] = {}
     for name in fittable:
         with span("fit.component", component=name) as sp:
-            fit = fit_component(
-                suite[name], convex=convex, multistart=multistart, rng=rng, loss=loss
-            )
+            fit = fit_component(suite[name], multistart=multistart, rng=rng, loss=loss)
             sp.set_tag("r_squared", round(fit.r_squared, 6))
             sp.set_tag("points", fit.n_points)
         fits[name] = fit
     return fits
 
 
-def leave_one_out_rmse(
-    bench: ComponentBenchmark,
-    *,
-    convex: bool = True,
-    rng: np.random.Generator | None = None,
-) -> float:
+def leave_one_out_rmse(bench: ComponentBenchmark) -> float:
     """Leave-one-out prediction RMSE — a sharper fit-quality diagnostic than
     in-sample R² when deciding whether more benchmark points are needed."""
     n, y = bench.arrays()
@@ -341,6 +304,6 @@ def leave_one_out_rmse(
     errors = []
     for i in range(n.size):
         mask = np.arange(n.size) != i
-        fit = fit_performance_model(n[mask], y[mask], convex=convex, rng=rng)
+        fit = fit_performance_model(n[mask], y[mask])
         errors.append(float(fit.model.time(n[i])) - y[i])
     return float(np.sqrt(np.mean(np.square(errors))))

@@ -106,10 +106,10 @@ def fit_power_law(
     nodes: np.ndarray,
     seconds: np.ndarray,
     *,
-    multistart: int = 4,
     rng: np.random.Generator | None = None,
 ) -> PowerLawModel:
-    """Bounded least squares for ``a n^(-p) + d``."""
+    """Bounded least squares for ``a n^(-p) + d`` (one heuristic start plus
+    three random ones)."""
     n = np.asarray(nodes, dtype=float)
     y = np.asarray(seconds, dtype=float)
     if n.size < 3:
@@ -123,7 +123,7 @@ def fit_power_law(
     lower = np.array([0.0, 1e-3, 0.0])
     upper = np.array([np.inf, 2.5, np.inf])
     starts = [np.array([float(y[0] * n[0]), 1.0, 0.5 * float(y.min())])]
-    for _ in range(multistart - 1):
+    for _ in range(3):
         starts.append(
             np.array(
                 [

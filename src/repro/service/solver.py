@@ -9,12 +9,12 @@ property that lets cached responses stand in for fresh solves.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 from repro.core.builder import AllocationModelBuilder
-from repro.core.objectives import Objective
+from repro.core.greedy import greedy_minmax_allocation
+from repro.core.objectives import Objective, evaluate_objective
 from repro.minlp import solve
 from repro.minlp.solution import Solution, Status
 from repro.service.request import SolveRequest
@@ -73,9 +73,7 @@ def build_problem(request: SolveRequest):
         b.add_component(
             name, spec.model, min_nodes=spec.min_nodes, max_nodes=spec.max_nodes
         )
-    # Same budget convention as the FMO scheduler: MAX_MIN needs the exact
-    # budget or "raising the floor" degenerates into starving everything.
-    b.limit_total_nodes(exact=objective is Objective.MAX_MIN)
+    b.limit_total_nodes(exact=not objective.oa_safe)
     b.set_objective(objective)
     return b.build()
 
@@ -110,10 +108,8 @@ def solve_request(
     options = request.options
     if deadline is not None:
         options = options.with_budget(wall_seconds=deadline)
-    # MAX_MIN epigraph rows (t <= convex) are nonconvex; OA cuts would be
-    # invalid there, so route it to NLP-based branch-and-bound.
     algorithm = request.algorithm
-    if algorithm == "auto" and Objective(request.objective) is Objective.MAX_MIN:
+    if algorithm == "auto" and not Objective(request.objective).oa_safe:
         algorithm = "nlpbb"
     rng = default_rng(int(fingerprint[:8], 16))
     sol = solve(
@@ -147,15 +143,26 @@ def _outcome(
     )
 
 
-def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None:
-    """Sanity-check a (possibly worker-produced) outcome against its request.
+def _price(request: SolveRequest, allocation: dict[str, int]) -> float:
+    """The request's objective at ``allocation``, from its own curves."""
+    times = {
+        name: float(spec.model.time(allocation[name]))
+        for name, spec in request.components.items()
+    }
+    return evaluate_objective(Objective(request.objective), times)
 
-    Returns a human-readable reason when the outcome is *corrupt* — the
-    allocation does not answer the request it claims to — and ``None`` when
-    it is structurally sound.  A worker that died halfway through writing
-    its result, or chaos-injected corruption, fails here and is retried
-    like a crash; a legitimately infeasible model passes (empty allocation
-    with a not-ok status is an answer, not corruption).
+
+def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None:
+    """Check that an outcome, whatever produced it, answers its request.
+
+    Returns a human-readable reason when it does not — wrong request, a
+    component outside its node bounds, a budget over- or (for objectives
+    that need it exact) under-spent, an objective that is not what the
+    request's own curves give at the allocation — and ``None`` when it
+    does.  A worker that died halfway through writing its result, or
+    chaos-injected corruption, fails here and is retried like a crash; a
+    legitimately infeasible model passes (empty allocation with a not-ok
+    status is an answer, not corruption).
     """
     if outcome.fingerprint != request.fingerprint():
         return "fingerprint mismatch (answer belongs to a different request)"
@@ -163,79 +170,61 @@ def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None
         return None
     if set(outcome.allocation) != set(request.components):
         return "allocation components do not match the request"
+    budget = request.total_nodes
     total = sum(outcome.allocation.values())
-    if total > request.total_nodes:
+    if total > budget:
+        return f"allocation spends {total} nodes against a budget of {budget}"
+    room = 0
+    for name, spec in request.components.items():
+        count = outcome.allocation[name]
+        lo = max(1, spec.min_nodes)
+        hi = budget if spec.max_nodes is None else min(budget, spec.max_nodes)
+        if not lo <= count <= hi:
+            return f"allocation grants {name!r} {count} nodes outside [{lo}, {hi}]"
+        room += hi
+    if not Objective(request.objective).oa_safe and total < min(budget, room):
         return (
-            f"allocation spends {total} nodes against a budget of "
-            f"{request.total_nodes}"
+            f"allocation spends {total} of {min(budget, room)} nodes under an "
+            "objective that needs the budget spent exactly"
         )
-    if any(count < 1 for count in outcome.allocation.values()):
-        return "allocation grants a component less than one node"
     if not math.isfinite(outcome.objective):
         return f"objective is not finite ({outcome.objective!r})"
+    priced = _price(request, outcome.allocation)
+    if not math.isclose(outcome.objective, priced, rel_tol=1e-6):
+        return (
+            f"objective {outcome.objective!r} is not what the request's curves "
+            f"give at the allocation ({priced!r})"
+        )
     return None
 
 
 def greedy_outcome(request: SolveRequest) -> SolveOutcome:
     """Polynomial-time approximate answer: the degradation ladder's third rung.
 
-    A bounded marginal greedy in the spirit of
-    :func:`repro.core.greedy.greedy_minmax_allocation`, generalized to
-    honor per-component ``min_nodes``/``max_nodes`` bounds: every component
-    starts at its floor, then the remaining budget goes one node at a time
-    to the currently slowest component, never pushing a component past its
-    curve minimum while another can still improve.  Exact for the
-    single-constraint min-max family; a feasible approximation otherwise —
-    either way an answer with explicit ``greedy fallback`` provenance
-    instead of a refused request.
+    :func:`repro.core.greedy.greedy_minmax_allocation` under the request's
+    ``min_nodes``/``max_nodes`` bounds, priced under the request's
+    objective.  Exact for the single-constraint min-max family; a feasible
+    approximation otherwise — either way an answer with explicit ``greedy
+    fallback`` provenance instead of a refused request.  A request whose
+    floors alone overspend the budget is infeasible here as it is exactly.
     """
     fingerprint = request.fingerprint()
-    total = request.total_nodes
-    models = {name: spec.model for name, spec in request.components.items()}
-    hard_cap = {
-        name: min(total, spec.max_nodes if spec.max_nodes is not None else total)
-        for name, spec in request.components.items()
-    }
-    soft_cap = {
-        name: min(
-            hard_cap[name], max(1, int(models[name].optimal_nodes(n_max=total)))
+    specs = request.components
+    try:
+        alloc, _ = greedy_minmax_allocation(
+            {name: spec.model for name, spec in specs.items()},
+            request.total_nodes,
+            min_nodes={name: spec.min_nodes for name, spec in specs.items()},
+            max_nodes={name: spec.max_nodes for name, spec in specs.items()},
+            spend_all=not Objective(request.objective).oa_safe,
         )
-        for name in models
-    }
-    alloc = {
-        name: min(max(1, spec.min_nodes), hard_cap[name])
-        for name, spec in request.components.items()
-    }
-    budget = total - sum(alloc.values())
-    # Phase 1: grant to the slowest component still below its curve minimum.
-    heap = [(-float(models[n].time(alloc[n])), n) for n in models]
-    heapq.heapify(heap)
-    while budget > 0 and heap:
-        _, name = heapq.heappop(heap)
-        if alloc[name] >= soft_cap[name]:
-            continue
-        alloc[name] += 1
-        budget -= 1
-        heapq.heappush(heap, (-float(models[name].time(alloc[name])), name))
-    # Phase 2 (exact-budget objectives): everyone is at their sweet spot but
-    # nodes remain — spread the remainder round-robin up to the hard caps.
-    if budget > 0 and Objective(request.objective) is Objective.MAX_MIN:
-        for name in sorted(alloc):
-            while budget > 0 and alloc[name] < hard_cap[name]:
-                alloc[name] += 1
-                budget -= 1
-    times = {name: float(models[name].time(alloc[name])) for name in alloc}
-    objective = Objective(request.objective)
-    if objective is Objective.MIN_SUM:
-        value = sum(times.values())
-    elif objective is Objective.MAX_MIN:
-        value = min(times.values())
-    else:
-        value = max(times.values())
+    except ValueError as exc:
+        infeasible = Solution(Status.INFEASIBLE, message=str(exc))
+        return _outcome(request, fingerprint, infeasible, warm_started=False)
     return SolveOutcome(
         fingerprint=fingerprint,
-        allocation=dict(alloc),
-        objective=float(value),
+        allocation=alloc,
+        objective=_price(request, alloc),
         status=Status.FEASIBLE.value,
         iterations=0,
         wall_time=0.0,

@@ -7,7 +7,7 @@ from repro.cesm.grids import eighth_degree, one_degree
 from repro.cesm.layouts import Layout
 from repro.cesm.manual import manual_optimization
 from repro.cesm.simulator import CESMSimulator
-from repro.core.hslb import HSLBConfig, HSLBOptimizer
+from repro.core.hslb import HSLBOptimizer
 from repro.core.report import allocation_table, comparison_table, speedup_summary
 from repro.minlp.solution import Status
 from repro.util.rng import default_rng
@@ -124,11 +124,6 @@ def test_fit_missing_component_rejected(rng):
     )
     with pytest.raises(ValueError, match="missing components"):
         opt.fit(partial, rng)
-
-
-def test_bad_config_algorithm():
-    with pytest.raises(ValueError, match="algorithm"):
-        HSLBConfig(algorithm="genetic")
 
 
 def test_reports_render(rng):

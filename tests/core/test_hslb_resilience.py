@@ -157,6 +157,27 @@ def test_gather_degraded_error_when_everything_dies():
         HSLBOptimizer(app).gather([16, 32, 64], default_rng(0))
 
 
+def test_failed_gather_does_not_leave_the_previous_report_behind():
+    app = ScriptedApp(script={(32, a): "permanent" for a in range(5)})
+    opt = HSLBOptimizer(app)
+    opt.gather([16, 32, 64], default_rng(0))
+    assert opt.last_gather_report.dropped_counts == (32,)
+    app.script = {(c, a): "permanent" for c in (16, 32, 64) for a in range(5)}
+    with pytest.raises(GatherDegradedError) as exc:
+        opt.gather([16, 32, 64], default_rng(0))
+    assert opt.last_gather_report is exc.value.report
+    assert opt.last_gather_report.dropped_counts == (16, 32, 64)
+
+
+def test_failed_solve_does_not_leave_the_previous_provenance_behind():
+    opt = HSLBOptimizer(ScriptedApp())
+    opt.solve(MODELS, 64, default_rng(0))
+    assert opt.last_provenance.tier == "oa"
+    with pytest.raises(KeyError):
+        opt.solve({"alpha": MODELS["alpha"]}, 64, default_rng(0))  # no beta
+    assert opt.last_provenance is None
+
+
 def test_backoff_is_capped():
     policy = GatherPolicy(max_retries=10, backoff_base=2.0, backoff_cap=16.0)
     assert policy.backoff(0) == 2.0

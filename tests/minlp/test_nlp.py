@@ -108,14 +108,6 @@ def test_multistart_uses_rng(rng):
     assert sol.values["x"] == pytest.approx(-2.06, abs=0.2)
 
 
-def test_unknown_method_rejected():
-    m = Model()
-    m.var("x", 0, 1)
-    m.minimize(0)
-    with pytest.raises(ValueError, match="method"):
-        solve_nlp(m.build(), method="newton-cg")
-
-
 def test_stats_count_solves():
     m = Model()
     x = m.var("x", 0, 1)

@@ -175,25 +175,3 @@ def test_recovery_property_amdahl_family(a, d):
     assert fit.r_squared > 1 - 1e-6
     preds = fit.model.time(n)
     np.testing.assert_allclose(preds, truth.time(n), rtol=1e-3)
-
-
-def test_parallel_fit_suite_matches_sequential(rng):
-    suite = BenchmarkSuite(
-        [
-            ComponentBenchmark.from_pairs(
-                f"frag{i}",
-                [(n, float(PerformanceModel(a=100.0 * (i + 1), d=1.0 + i).time(n)))
-                 for n in (2, 4, 8, 16, 32)],
-            )
-            for i in range(6)
-        ]
-    )
-    sequential = fit_suite(suite, rng=default_rng(4))
-    parallel = fit_suite(suite, rng=default_rng(4), workers=3)
-    assert set(parallel) == set(sequential)
-    for name in sequential:
-        probe = 10.0
-        assert parallel[name].model.time(probe) == pytest.approx(
-            sequential[name].model.time(probe), rel=1e-3
-        )
-        assert parallel[name].r_squared > 1 - 1e-6

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.minlp.solution import Status
+from repro.perf.model import PerformanceModel
 from repro.service import (
     AllocationService,
+    ComponentSpec,
     ResiliencePolicy,
     RetryPolicy,
     ServiceRejectedError,
+    SolveRequest,
     WorkerCrashError,
     greedy_outcome,
 )
 from repro.service.breaker import OPEN
 from repro.service.service import BreakerPolicy
-from repro.service.solver import validate_outcome
+from repro.service.solver import solve_request, validate_outcome
 from tests.service.conftest import make_request
 
 
@@ -214,6 +219,34 @@ def test_greedy_outcome_respects_bounds_and_validates():
     assert outcome.message.startswith("greedy fallback")
     bounded = make_request(32)
     assert sum(greedy_outcome(bounded).allocation.values()) <= 32
+
+
+def test_validate_outcome_catches_near_misses_not_only_garbage():
+    """A bound violation, a wrong price and a starved exact-budget answer
+    all sum within the budget with a finite objective."""
+    curve = PerformanceModel(a=900.0, b=0.4, c=1.1, d=1.0)
+    components = {
+        "a": ComponentSpec(model=curve, max_nodes=8),
+        "b": ComponentSpec(model=curve, min_nodes=4),
+    }
+    request = SolveRequest(components=components, total_nodes=64)
+    outcome = solve_request(request)
+    assert validate_outcome(request, outcome) is None
+    out_of_bounds = replace(outcome, allocation={"a": 40, "b": 2})
+    assert "outside" in validate_outcome(request, out_of_bounds)
+    mispriced = replace(outcome, objective=1.0)
+    assert "curves" in validate_outcome(request, mispriced)
+
+    raise_the_floor = make_request(16, objective="max-min")
+    starved = replace(
+        greedy_outcome(raise_the_floor),
+        allocation={"atm": 1, "ocn": 1, "ice": 1},
+        objective=300.7,  # min over the three curves at one node: ice
+    )
+    assert "spent exactly" in validate_outcome(raise_the_floor, starved)
+    starved_min_max = replace(starved, fingerprint=make_request(16).fingerprint(),
+                              objective=1202.5)  # max: atm
+    assert validate_outcome(make_request(16), starved_min_max) is None
 
 
 def test_greedy_outcome_is_close_to_exact_for_min_max():
