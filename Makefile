@@ -63,13 +63,15 @@ faults-bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_faults.py --benchmark-only
 
 # Everything about the serving path, one target (it is one path): the
-# service/chaos/tier test suites, the two service benchmarks with their
+# service/chaos/tier test suites and the commands users type at them
+# (`hslb serve` / `batch` / `chaos`), the two service benchmarks with their
 # regression gates (Zipf-mix records vs. BENCH_service.json; keyed-burst
 # accounting vs. BENCH_asyncserve.json, lost requests pinned at 0), and a
 # 250-request chaos soak through two supervised worker processes that
 # fails if any request is lost (writes benchmarks/out/chaos_metrics.json).
 serving:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/service tests/faults/test_chaos_plan.py tests/minlp/test_warm_start.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/service tests/faults/test_chaos_plan.py tests/minlp/test_warm_start.py tests/cli/test_serving.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -q -k "serve or batch or chaos"
 	HSLB_BENCH_SERVICE_OUT=benchmarks/out/BENCH_service.fresh.json \
 		PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_service.py --benchmark-only -q
 	$(PYTHON) benchmarks/check_bench.py --fresh benchmarks/out/BENCH_service.fresh.json \
@@ -85,9 +87,11 @@ serving:
 
 # The one metrics stack, one list: the obs suites plus the two service
 # suites that pin it (the view over a registry scope; scrape == tier
-# snapshot == shard views under chaos in every worker mode).  CI calls this.
+# snapshot == shard views under chaos in every worker mode), and the
+# `hslb trace` / `top` / `metrics` commands.  CI calls this.
 obs-test:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/obs tests/service/test_metrics.py tests/service/test_tier_chaos.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/obs tests/service/test_metrics.py tests/service/test_tier_chaos.py tests/cli/test_obs.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -q -k "trace or top"
 
 # Tracing overhead (off / on / on + export); writes
 # benchmarks/out/obs_overhead.txt.

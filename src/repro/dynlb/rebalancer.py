@@ -42,6 +42,10 @@ from repro.perf.model import PerformanceModel
 #: Strategy names accepted by :func:`make_rebalancer` (and the CLI).
 STRATEGIES = ("static", "hslb", "diffusion", "sweep", "two-level")
 
+#: Solver budget of one online re-solve (a decision must cost less than it saves).
+_RESOLVE_OPTIONS = BnBOptions(time_limit=10.0, node_limit=20_000)
+_DIFFUSION_ROUNDS_PER_COMPONENT = 10  # sweeps of the ring before giving up
+
 
 @dataclass
 class RebalanceContext:
@@ -101,8 +105,7 @@ class HSLBRebalancer(Rebalancer):
 
     name = "hslb"
 
-    def __init__(self, options: BnBOptions | None = None) -> None:
-        self.options = options or BnBOptions(time_limit=10.0, node_limit=20_000)
+    def __init__(self) -> None:
         self._pool = OACutPool()
         self._pool_key: tuple | None = None
         self.solves = 0
@@ -135,7 +138,7 @@ class HSLBRebalancer(Rebalancer):
         with span("dynlb.resolve", strategy=self.name, step=int(ctx.step)):
             solution = solve(
                 problem,
-                self.options,
+                _RESOLVE_OPTIONS,
                 algorithm="oa",
                 rng=ctx.rng,
                 x0=x0,
@@ -170,22 +173,20 @@ class DiffusionRebalancer(Rebalancer):
 
     name = "diffusion"
 
-    def __init__(self, eta: float = 0.5, rounds: int | None = None) -> None:
+    def __init__(self, eta: float = 0.5) -> None:
         if not (0.0 < eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {eta}")
         self.eta = eta
-        self.rounds = rounds
 
     def propose(self, ctx: RebalanceContext) -> Allocation:
         order = sorted(ctx.models)
         alloc = {name: ctx.allocation[name] for name in order}
         if len(order) < 2:
             return ctx.allocation
-        rounds = self.rounds if self.rounds is not None else 10 * len(order)
         pairs = [(order[j], order[(j + 1) % len(order)]) for j in range(len(order))]
         if len(order) == 2:
             pairs = pairs[:1]
-        for _ in range(rounds):
+        for _ in range(_DIFFUSION_ROUNDS_PER_COMPONENT * len(order)):
             moved = False
             for left, right in pairs:
                 t_l = ctx.models[left].time(alloc[left])

@@ -31,15 +31,29 @@ class DynlbComparisonResult:
     workload: str
     results: dict[str, DynlbRunResult]
 
-    def improvement(self, strategy: str) -> float:
-        """Fractional total-time gain over the frozen static plan."""
+    def vs_static_pct(self) -> dict[str, float] | None:
+        """Percent total-time gain of every strategy over the frozen static
+        plan; ``None`` when the comparison did not run ``static``."""
+        if "static" not in self.results:
+            return None
         static = self.results["static"].total_seconds
-        return (static - self.results[strategy].total_seconds) / static
+        return {
+            name: 100.0 * (static - r.total_seconds) / static
+            for name, r in self.results.items()
+        }
+
+    def to_dict(self) -> dict:
+        doc: dict = {"strategies": {n: r.to_dict() for n, r in self.results.items()}}
+        gains = self.vs_static_pct()
+        if gains is not None:
+            doc["vs_static_pct"] = gains
+        return doc
 
     def render(self) -> str:
+        gains = self.vs_static_pct() or {}
         rows = []
         for name, r in self.results.items():
-            vs = "-" if name == "static" else f"{100 * self.improvement(name):+.1f}%"
+            vs = "-" if name == "static" or not gains else f"{gains[name]:+.1f}%"
             rows.append(
                 [
                     name,
@@ -48,14 +62,24 @@ class DynlbComparisonResult:
                     r.migrations,
                     r.gated,
                     f"{r.migration_seconds:.1f}",
-                    r.refits_scale + r.refits_full,
+                    # Full refits only: scale refits are one per component
+                    # per step for every strategy, static included.
+                    r.refits_full,
                 ]
             )
-        return format_table(
+        table = format_table(
             ["strategy", "total s", "vs static", "migrations", "gated",
-             "stall s", "refits"],
+             "stall s", "full refits"],
             rows,
             title=f"Online rebalancing: {self.workload}",
+        )
+        crash = next((r.crash for r in self.results.values() if r.crash), None)
+        if crash is None:
+            return table
+        return (
+            f"{table}\n\ncrash: {crash.component!r} lost {crash.lost_nodes} "
+            f"node(s) at step {crash.step}; every strategy re-planned on "
+            "the survivors"
         )
 
 

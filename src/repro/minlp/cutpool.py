@@ -100,6 +100,9 @@ class CutPoolStats:
         }
 
 
+_SLACK_TOL = 1e-6  # a cut this close to a bound at the final point is binding
+
+
 class OACutPool:
     """Pool of OA cuts keyed by (constraint name, quantized point).
 
@@ -109,20 +112,14 @@ class OACutPool:
 
     ``max_cuts`` caps the pool LRU-style (oldest untouched entry evicted
     first); ``max_age`` evicts cuts slack for that many consecutive solve
-    epochs; ``slack_tol`` decides binding vs. slack at :meth:`end_solve`.
+    epochs.
     """
 
-    def __init__(
-        self,
-        max_cuts: int = 2048,
-        max_age: int = 8,
-        slack_tol: float = 1e-6,
-    ) -> None:
+    def __init__(self, max_cuts: int = 2048, max_age: int = 8) -> None:
         if max_cuts < 1:
             raise ValueError("max_cuts must be positive")
         self.max_cuts = int(max_cuts)
         self.max_age = int(max_age)
-        self.slack_tol = float(slack_tol)
         self._cuts: OrderedDict[tuple, _PooledCut] = OrderedDict()
         self._rows: dict[str, _CompiledRow] = {}
         self._epoch = 0
@@ -208,7 +205,7 @@ class OACutPool:
         """Close the epoch: age slack cuts, evict the expired; returns evictions.
 
         ``point`` is the solve's final solution.  Cuts binding there (body
-        within :attr:`slack_tol` of a bound) reset their idle counter; slack
+        within ``_SLACK_TOL`` of a bound) reset their idle counter; slack
         cuts — and every cut when no point is available — age by one epoch.
         """
         expired: list[tuple] = []
@@ -221,8 +218,8 @@ class OACutPool:
                     g = None
                 if g is not None:
                     slack = (
-                        g < entry.ub - self.slack_tol
-                        and g > entry.lb + self.slack_tol
+                        g < entry.ub - _SLACK_TOL
+                        and g > entry.lb + _SLACK_TOL
                     )
             if slack:
                 entry.idle_epochs += 1

@@ -46,7 +46,6 @@ def rounding_heuristic(
     problem: Problem,
     relaxation_values: dict[str, float],
     *,
-    feas_tol: float = 1e-6,
     rng: np.random.Generator | None = None,
 ) -> Solution:
     """Round a relaxation point to a discrete-feasible candidate.
@@ -66,7 +65,7 @@ def rounding_heuristic(
     sub = solve_nlp(problem.with_bounds(fixes), x0=relaxation_values, rng=rng)
     if not sub.status.is_ok:
         return Solution(Status.INFEASIBLE, message="rounding produced no feasible point")
-    if problem.max_violation(sub.values) > feas_tol:
+    if problem.max_violation(sub.values) > _FEAS_TOL:
         return Solution(Status.INFEASIBLE, message="rounded point violates the model")
     return Solution(
         Status.FEASIBLE,
@@ -82,7 +81,6 @@ def warm_start_incumbent(
     point: dict[str, float],
     *,
     nlp_multistart: int = 1,
-    feas_tol: float = 1e-6,
     rng: np.random.Generator | None = None,
 ) -> Solution:
     """Turn a warm-start ``point`` into a certified feasible incumbent.
@@ -110,7 +108,7 @@ def warm_start_incumbent(
         return Solution(
             Status.INFEASIBLE, message="warm-start point admits no completion"
         )
-    out = rounding_heuristic(problem, rel.values, feas_tol=feas_tol, rng=rng)
+    out = rounding_heuristic(problem, rel.values, rng=rng)
     # The completion cost (pinned relaxation + rounding's re-optimize) must
     # show up in the caller's accounting or warm solves look cheaper than
     # they are.

@@ -40,6 +40,8 @@ from repro.util.timing import Timer
 
 _OBJ_VAR = "_oa_eta"
 
+_FEAS_TOL = 1e-6  # violation above which a nonlinear row is not satisfied
+
 
 def _check_convex_form(problem: Problem) -> None:
     """Reject nonlinear constraints OA cannot relax as a single convex side.
@@ -178,9 +180,7 @@ def _integer_assignment(work: Problem, values: dict[str, float]) -> dict[str, fl
 def _solve_fixed_subproblem(
     work: Problem,
     values: dict[str, float],
-    *,
-    nlp_multistart: int,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator | None = None,
 ) -> Solution:
     """NLP subproblem at a fixed integer assignment, on the reduced space.
 
@@ -198,17 +198,14 @@ def _solve_fixed_subproblem(
     small, fixed_values = reduced
     if small.num_variables == 0:
         merged = dict(fixed_values)
-        if work.max_violation(merged) > 1e-6:
+        if work.max_violation(merged) > _FEAS_TOL:
             return Solution(Status.INFEASIBLE, message="fully fixed, infeasible")
         return Solution(
             Status.OPTIMAL, values=merged, objective=work.objective_value(merged)
         )
     x0 = {n: values[n] for n in small.variable_names if n in values}
     sub = solve_nlp(
-        small,
-        x0=x0 if len(x0) == small.num_variables else None,
-        multistart=nlp_multistart,
-        rng=rng,
+        small, x0=x0 if len(x0) == small.num_variables else None, rng=rng
     )
     if sub.status.is_ok:
         sub.values = {**sub.values, **fixed_values}
@@ -219,18 +216,14 @@ def solve_minlp_oa(
     problem: Problem,
     options: BnBOptions | None = None,
     *,
-    feas_tol: float = 1e-6,
-    nlp_multistart: int = 1,
     rng: np.random.Generator | None = None,
-    time_limit: float | None = None,
     x0: dict[str, float] | None = None,
     cut_pool: OACutPool | None = None,
 ) -> Solution:
     """Solve a convex MINLP with single-tree LP/NLP branch-and-bound.
 
-    ``time_limit`` caps the wall budget below whatever ``options`` carries
-    (the pipeline's degradation chain does the same thing one level up, with
-    :meth:`BnBOptions.with_budget`, so it never passes this).
+    The wall budget is the one ``options`` carries (the pipeline's
+    degradation chain shrinks it with :meth:`BnBOptions.with_budget`).
 
     ``x0`` warm-starts the search: the (possibly partial) point seeds the
     root relaxation, is completed into a feasible incumbent (so the tree
@@ -248,15 +241,7 @@ def solve_minlp_oa(
     """
     with span("minlp.oa", problem=problem.name) as oa_span:
         sol = _solve_minlp_oa_impl(
-            problem,
-            options,
-            oa_span,
-            feas_tol=feas_tol,
-            nlp_multistart=nlp_multistart,
-            rng=rng,
-            time_limit=time_limit,
-            x0=x0,
-            cut_pool=cut_pool,
+            problem, options, oa_span, rng=rng, x0=x0, cut_pool=cut_pool
         )
         telemetry.record_warm_start(x0 is not None)
         telemetry.record_solve("oa", sol.stats, sol.status.value)
@@ -268,16 +253,11 @@ def _solve_minlp_oa_impl(
     options: BnBOptions | None,
     oa_span,
     *,
-    feas_tol: float,
-    nlp_multistart: int,
     rng: np.random.Generator | None,
-    time_limit: float | None,
     x0: dict[str, float] | None,
     cut_pool: OACutPool | None,
 ) -> Solution:
     opts = options or BnBOptions()
-    if time_limit is not None:
-        opts = opts.with_budget(wall_seconds=time_limit)
     work, has_eta = _epigraph_form(problem)
     _check_convex_form(work)
     nonlin = work.nonlinear_constraints()
@@ -292,7 +272,7 @@ def _solve_minlp_oa_impl(
 
     # Root relaxation: continuous NLP over the full model.  Its solution
     # seeds the initial linearizations so the first master is meaningful.
-    root = solve_nlp(work, x0=x0, multistart=nlp_multistart, rng=rng)
+    root = solve_nlp(work, x0=x0, rng=rng)
     stats.merge(root.stats)
     oa_span.set_tag("root_nlp_ms", root.stats.wall_time * 1e3)
     if root.status is Status.INFEASIBLE:
@@ -315,13 +295,7 @@ def _solve_minlp_oa_impl(
     if x0 is not None:
         from repro.minlp.heuristics import warm_start_incumbent
 
-        warm = warm_start_incumbent(
-            work,
-            {**root.values, **x0},
-            nlp_multistart=nlp_multistart,
-            feas_tol=feas_tol,
-            rng=rng,
-        )
+        warm = warm_start_incumbent(work, {**root.values, **x0}, rng=rng)
         stats.nlp_solves += warm.stats.nlp_solves
         if warm.status.is_ok:
             warm_values = dict(warm.values)
@@ -341,9 +315,7 @@ def _solve_minlp_oa_impl(
         cuts: list[tuple[str, Expr, float, float]] = []
         candidate = None
 
-        sub = _solve_fixed_subproblem(
-            work, values, nlp_multistart=nlp_multistart, rng=rng
-        )
+        sub = _solve_fixed_subproblem(work, values, rng)
         stats.nlp_solves += sub.stats.nlp_solves
         if sub.status.is_ok:
             cand_values = dict(sub.values)
@@ -361,7 +333,7 @@ def _solve_minlp_oa_impl(
         # reports integers to ~1e-9; expanding on the exact integers moves
         # the cut by a second-order nothing and makes it the subproblem's
         # cut above (a pool hit) instead of its near-copy.
-        violated = [c for c in nonlin if c.violation(values) > feas_tol]
+        violated = [c for c in nonlin if c.violation(values) > _FEAS_TOL]
         if violated:
             at = {**values, **_integer_assignment(work, values)}
             cuts.extend(pool.cut_for(con, at) for con in violated)
@@ -471,7 +443,7 @@ def solve_minlp_oa_multitree(
 
         assignment = tuple(sorted(_integer_assignment(work, msol.values).items()))
         cuts_before = stats.cuts_added
-        sub = _solve_fixed_subproblem(work, msol.values, nlp_multistart=1, rng=None)
+        sub = _solve_fixed_subproblem(work, msol.values)
         stats.merge(sub.stats)
         if sub.status.is_ok:
             obj = problem.objective_value(sub.values)

@@ -54,6 +54,10 @@ BASE_CURVES = {
 }
 
 
+_DIURNAL_PERIODS = 1.0  # "days" the diurnal swing completes across a trace
+_FLASH_WIDTH = 0.02  # flash-crowd sigma, as a fraction of the trace's duration
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     """One reproducible traffic recipe: pool, popularity, and rate shape."""
@@ -65,10 +69,8 @@ class TraceSpec:
     zipf_exponent: float = 1.1
     duration: float = 60.0  # virtual trace-time seconds
     diurnal_amplitude: float = 0.5  # rate swing, 0 = flat, <1 keeps rate > 0
-    diurnal_periods: float = 1.0  # "days" across the trace
     flash_crowds: int = 1
     flash_magnitude: float = 4.0  # rate multiplier at a spike's peak
-    flash_width: float = 0.02  # spike sigma, as a fraction of duration
     priority_mix: tuple[tuple[str, float], ...] = (
         ("interactive", 0.5),
         ("batch", 0.3),
@@ -137,13 +139,13 @@ def _rate_curve(spec: TraceSpec, resolution: int = 2048) -> np.ndarray:
     """Relative arrival rate sampled on a uniform grid over the trace."""
     t = np.linspace(0.0, 1.0, resolution)
     rate = 1.0 + spec.diurnal_amplitude * np.sin(
-        2.0 * np.pi * spec.diurnal_periods * t - 0.5 * np.pi
+        2.0 * np.pi * _DIURNAL_PERIODS * t - 0.5 * np.pi
     )
     for k in range(spec.flash_crowds):
         rng = keyed_rng(spec.seed, "flash", k)
         center = float(rng.uniform(0.15, 0.85))
         rate = rate + spec.flash_magnitude * np.exp(
-            -0.5 * ((t - center) / max(spec.flash_width, 1e-6)) ** 2
+            -0.5 * ((t - center) / _FLASH_WIDTH) ** 2
         )
     return rate
 

@@ -83,6 +83,7 @@ from repro.service.supervisor import SupervisedWorkerPool
 
 #: Without a policy a worker death still earns one re-dispatch.
 _SYSTEM_RETRY = RetryPolicy(max_attempts=2)
+_MIN_ATTEMPT_BUDGET = 1e-3  # seconds of deadline below which no new attempt starts
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,6 @@ class ResiliencePolicy:
         Harvest timeout (seconds) for worker dispatches when no per-request
         deadline implies one; the backstop that turns a silent worker hang
         into a typed, retryable failure.
-    ``min_attempt_budget``
-        Do not start another attempt with less deadline than this left.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -114,7 +113,6 @@ class ResiliencePolicy:
     allow_greedy: bool = True
     restart_budget: int = 3
     hang_timeout: float = 30.0
-    min_attempt_budget: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.max_stale is not None and self.max_stale < 0:
@@ -271,7 +269,7 @@ class AllocationService:
             budget = deadline
             if deadline is not None:
                 budget = deadline - (time.perf_counter() - start)
-                if policy and budget <= policy.min_attempt_budget:
+                if policy and budget <= _MIN_ATTEMPT_BUDGET:
                     last_reason = "deadline exhausted before another attempt"
                     break
             try:

@@ -109,13 +109,20 @@ def solve_request(
     if deadline is not None:
         options = options.with_budget(wall_seconds=deadline)
     algorithm = request.algorithm
-    if algorithm == "auto" and not Objective(request.objective).oa_safe:
-        algorithm = "nlpbb"
+    warm_started = x0 is not None
+    if not Objective(request.objective).oa_safe:
+        if algorithm == "auto":
+            algorithm = "nlpbb"
+        # NLP-B&B optima on the nonconvex model are local.  Without a donor,
+        # start from the greedy allocation: as the first incumbent it keeps
+        # the "optimal" answer from being worse than the rung below it.
+        if x0 is None:
+            x0 = greedy_outcome(request).values or None
     rng = default_rng(int(fingerprint[:8], 16))
     sol = solve(
         problem, options, algorithm=algorithm, rng=rng, x0=x0, cut_pool=cut_pool
     )
-    return _outcome(request, fingerprint, sol, warm_started=x0 is not None)
+    return _outcome(request, fingerprint, sol, warm_started=warm_started)
 
 
 def _outcome(
