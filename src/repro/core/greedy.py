@@ -1,27 +1,27 @@
-"""Polynomial-time specialized solver for single-constraint min-max allocation.
+"""Polynomial-time specialized solvers for single-constraint allocation.
 
 §III-E notes that "certain simple MINLPs, such as single constraint resource
 constrained MINLPs with non-increasing objectives, can be solved in
 polynomial time with customized solvers [Ibaraki & Katoh]".  This module is
-that customized solver for the FMO-style problem
-
-    min  max_j T_j(n_j)    s.t.  sum_j n_j <= N,  n_j >= 1 integer,
-
-with each ``T_j`` non-increasing in the relevant range.  The classic greedy
-— repeatedly grant one node to the currently slowest component — is exact
-here (an exchange argument: any optimal solution can be permuted into the
-greedy one without worsening the max).
-
-It serves three roles in the library:
+that customized solver for the FMO-style family — one budget row
+``sum_j n_j <= N`` over integer ``n_j`` in ``[min_nodes_j, max_nodes_j]``,
+each ``T_j(n) = a/n + b n^c + d`` unimodal — under the two §III-D objectives
+that compare components: :func:`greedy_minmax_allocation` (the classic heap)
+and :func:`maxmin_allocation` (a threshold search over level sets, for the
+one objective the heap cannot do and whose MINLP form is nonconvex).  Both
+are exact with floors and caps, and checked against brute force, the MINLP
+solvers and an independent DP (``tests/core/test_greedy.py``,
+``tests/service/test_greedy_rung.py``).  They serve three roles:
 
 * an independent oracle the tests use to certify the MINLP solvers;
 * the last rung of both degradation ladders (the pipeline's
   ``fallback_allocation`` and the service's ``greedy_outcome``, which adds
-  the request's node bounds) and the rebalancer's starting point;
+  the request's node bounds), the rebalancer's starting point, and — for
+  max-min — the answer itself (``solve_request``, ``hslb_schedule``);
 * a demonstration that HSLB's general MINLP route matches the specialized
   algorithm where both apply (general layouts with sequencing constraints
-  and SOS node sets are beyond the greedy's reach — that is why the paper
-  needs MINLP at all).
+  and SOS node sets are beyond their reach — that is why the paper needs
+  MINLP at all).
 """
 
 from __future__ import annotations
@@ -29,31 +29,20 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.perf.model import PerformanceModel
 
+_Runs = list[tuple[int, int]]  # disjoint inclusive integer intervals, ascending
 
-def greedy_minmax_allocation(
+
+def _node_bounds(
     models: Mapping[str, PerformanceModel],
     total_nodes: int,
-    *,
-    min_nodes: Mapping[str, int] | None = None,
-    max_nodes: Mapping[str, int | None] | None = None,
-    spend_all: bool = False,
-) -> tuple[dict[str, int], float]:
-    """Min-max allocation by marginal greedy; exact without bounds.
-
-    Each component starts at its floor (``min_nodes``, default 1); the
-    remaining budget is granted one node at a time to the component with
-    the largest current time.  A component is never pushed past its own
-    ``optimal_nodes`` (adding nodes beyond the curve minimum *raises* its
-    time, which can never reduce the max) nor past its ``max_nodes``.
-
-    ``spend_all`` is for objectives that need the exact budget: once every
-    component sits at its sweet spot, what is left goes to the components
-    in name order, each up to its ``max_nodes``.
-
-    Returns ``(allocation, makespan)``.
-    """
+    min_nodes: Mapping[str, int] | None,
+    max_nodes: Mapping[str, int | None] | None,
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Validated per-component ``(floors, caps)`` inside ``[1, total_nodes]``."""
     if not models:
         raise ValueError("no components to allocate")
     floors = {name: max(1, (min_nodes or {}).get(name, 1)) for name in models}
@@ -62,15 +51,48 @@ def greedy_minmax_allocation(
             f"{total_nodes} nodes cannot give {len(models)} components their "
             f"minimum of {sum(floors.values())} in total"
         )
-    hard_cap = {}
+    caps = {}
     for name in models:
         cap = (max_nodes or {}).get(name)
-        hard_cap[name] = total_nodes if cap is None else min(total_nodes, cap)
+        caps[name] = total_nodes if cap is None else min(total_nodes, cap)
+        floors[name] = min(floors[name], caps[name])
+    return floors, caps
+
+
+def _sweet_spot(model: PerformanceModel, n_max: int) -> int:
+    """The integer in ``[1, n_max]`` minimizing ``T``: the curve is unimodal
+    for every ``c >= 0``, so it is a neighbour of the continuous optimum."""
+    below = min(n_max, max(1, int(model.optimal_nodes(n_max=n_max))))
+    above = min(n_max, below + 1)
+    return above if model.time(above) < model.time(below) else below
+
+
+def greedy_minmax_allocation(
+    models: Mapping[str, PerformanceModel],
+    total_nodes: int,
+    *,
+    min_nodes: Mapping[str, int] | None = None,
+    max_nodes: Mapping[str, int | None] | None = None,
+) -> tuple[dict[str, int], float]:
+    """Exact min-max allocation by marginal greedy.
+
+    Each component starts at its floor (``min_nodes``, default 1); the
+    remaining budget is granted one node at a time to the component with
+    the largest current time.  A component is never pushed past its integer
+    sweet spot (adding nodes beyond the curve minimum *raises* its time,
+    which can never reduce the max) nor past its ``max_nodes``.  Exact by an
+    exchange argument (any optimal solution can be permuted into the greedy
+    one without worsening the max), and leximin beyond the objective: once
+    the slowest component is capped, the *next* slowest keeps being lowered.
+
+    Returns ``(allocation, makespan)``.
+    """
+    floors, hard_cap = _node_bounds(models, total_nodes, min_nodes, max_nodes)
     soft_cap = {
-        name: min(hard_cap[name], max(1, int(model.optimal_nodes(n_max=total_nodes))))
+        name: min(hard_cap[name], _sweet_spot(model, total_nodes))
         for name, model in models.items()
     }
-    alloc = {name: min(floors[name], hard_cap[name]) for name in models}
+    alloc = dict(floors)
     budget = total_nodes - sum(alloc.values())
     # Max-heap on current time (negated), skipping capped components.
     heap = [(-float(models[name].time(alloc[name])), name) for name in models]
@@ -82,59 +104,93 @@ def greedy_minmax_allocation(
         alloc[name] += 1
         budget -= 1
         heapq.heappush(heap, (-float(models[name].time(alloc[name])), name))
-    if spend_all:
-        for name in sorted(alloc):
-            grant = min(budget, hard_cap[name] - alloc[name])
-            alloc[name] += grant
-            budget -= grant
-    makespan = max(float(models[n].time(k)) for n, k in alloc.items())
-    return alloc, makespan
+    return alloc, max(float(models[n].time(k)) for n, k in alloc.items())
 
 
-def minmax_lower_bound(
-    models: Mapping[str, PerformanceModel], total_nodes: int
-) -> float:
-    """A cheap continuous lower bound on the min-max optimum.
+def _true_runs(mask: np.ndarray, first: int) -> _Runs:
+    """The runs of true entries of ``mask``, whose index 0 is node ``first``."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]) + first
+    return [(int(lo), int(hi) - 1) for lo, hi in zip(edges[::2], edges[1::2])]
 
-    Relax integrality and the per-component floor of one node: the best
-    possible makespan is at least ``max_j T_j`` when every component gets
-    its continuous water-filling share.  Computed by bisection on the target
-    time ``t``: feasible iff the (continuous) nodes needed to bring every
-    component down to ``t`` fit in the budget.
-    """
-    names = list(models)
 
-    def nodes_needed(t: float) -> float:
-        total = 0.0
-        for name in names:
-            m = models[name]
-            # Bisect only the decreasing region [1, n*]; beyond the curve
-            # minimum more nodes make things slower, never cheaper.
-            n_best = min(m.optimal_nodes(n_max=total_nodes), float(total_nodes))
-            if m.time(n_best) > t:
-                return float("inf")  # this component can never reach t
-            lo, hi = 1.0, n_best
-            if m.time(lo) <= t:
-                total += lo
-                continue
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if m.time(mid) > t:
-                    lo = mid
-                else:
-                    hi = mid
-            total += hi
-        return total
-
-    t_lo = max(
-        float(m.time(min(m.optimal_nodes(n_max=total_nodes), float(total_nodes))))
-        for m in models.values()
-    )
-    t_hi = max(float(m.time(1.0)) for m in models.values())
-    for _ in range(60):
-        mid = 0.5 * (t_lo + t_hi)
-        if nodes_needed(mid) <= total_nodes:
-            t_hi = mid
+def _sum_runs(left: _Runs, right: _Runs, limit: int) -> _Runs:
+    """Minkowski sum of two run lists, merged and pruned above ``limit``."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted((a + c, b + d) for a, b in left for c, d in right):
+        if lo > limit:
+            break
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
         else:
-            t_lo = mid
-    return t_hi
+            merged.append([lo, hi])
+    return [(lo, min(hi, limit)) for lo, hi in merged]
+
+
+def maxmin_allocation(
+    models: Mapping[str, PerformanceModel],
+    total_nodes: int,
+    *,
+    min_nodes: Mapping[str, int] | None = None,
+    max_nodes: Mapping[str, int | None] | None = None,
+) -> tuple[dict[str, int], float]:
+    """Exact max-min allocation of the exactly-spent budget, by level sets.
+
+    "Raise the slowest floor" only means something when the budget must be
+    spent (otherwise starving everything wins), so the allocation sums to
+    ``min(total_nodes, sum of caps)``.  For a level ``t`` the counts with
+    ``T_j(n) >= t`` are a few integer runs read off a table of ``T_j``; the
+    budgets the components can spend together are the Minkowski sum of
+    their runs; and whether that reaches the budget is monotone in ``t`` —
+    a bisection over the tabulated values, not a tree search (the
+    parametric equalisation of Altevogt & Linke, hep-lat/9310021).  The
+    objective fixes only the floor ``t*``; the tie is broken the way §III-D
+    prefers, by the same search run the other way: the smallest ceiling
+    ``u`` such that ``t* <= T_j(n_j) <= u`` still spends the budget.
+
+    Returns ``(allocation, floor)``.
+    """
+    floors, caps = _node_bounds(models, total_nodes, min_nodes, max_nodes)
+    names = list(models)
+    spend = min(total_nodes, sum(caps.values()))
+    tables = [models[n].time(np.arange(floors[n], caps[n] + 1)) for n in names]
+    levels = np.unique(np.concatenate(tables))
+
+    def search(keep, *, highest: bool) -> tuple[float, list[_Runs], list[_Runs]]:
+        """The extreme level at which the counts ``keep`` retains still spend
+        the budget, with each component's runs and the prefix sums there."""
+        lo, hi, found = 0, len(levels) - 1, None
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            runs = [
+                _true_runs(keep(table, levels[mid]), floors[n])
+                for n, table in zip(names, tables)
+            ]
+            prefix = runs[:1]
+            for component in runs[1:]:
+                prefix.append(_sum_runs(prefix[-1], component, spend))
+            feasible = any(a <= spend <= b for a, b in prefix[-1])
+            if feasible:
+                found = (float(levels[mid]), runs, prefix)
+            if feasible == highest:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+        return found
+
+    floor, _, _ = search(lambda table, t: table >= t, highest=True)
+    _, runs, prefix = search(
+        lambda table, u: (table >= floor) & (table <= u), highest=False
+    )
+    # Walk the prefixes back from the budget: any count of component j whose
+    # remainder the components before it can spend exactly.
+    counts, rest = [], spend
+    for own, before in zip(runs[:0:-1], prefix[-2::-1]):
+        fits = (
+            max(a, rest - q) for a, b in own for p, q in before
+            if max(a, rest - q) <= min(b, rest - p)
+        )
+        counts.append(next(fits))
+        rest -= counts[-1]
+    alloc = dict(zip(names, [rest, *reversed(counts)]))
+    return alloc, min(float(models[n].time(k)) for n, k in alloc.items())

@@ -484,7 +484,7 @@ class HSLBOptimizer:
         rng: np.random.Generator | None,
     ) -> Solution:
         if tier == "oa":
-            return solve_minlp_oa(problem, opts, rng=rng)
+            return solve_minlp_oa(problem, opts)
         # Nonconvex rows can trap a node NLP in a local minimum: restart it.
         multistart = 3 if self.app.requires_nonconvex_solver else 1
         return solve_minlp_nlpbb(problem, opts, multistart=multistart, rng=rng)

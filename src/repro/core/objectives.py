@@ -36,9 +36,11 @@ class Objective(enum.Enum):
         """Whether :func:`apply_objective` emits only rows OA can cut.
 
         MAX_MIN's epigraph rows are ``T <= convex``, a nonconvex region:
-        linearization cuts would be invalid there, so it is solved by
-        NLP-based branch-and-bound — and it needs the node budget spent
-        exactly, or "raising the floor" degenerates into starving everything.
+        linearization cuts would be invalid there, so the service and the
+        FMO scheduler answer it with :func:`repro.core.greedy.maxmin_allocation`
+        (its MINLP form is the reference tests enumerate) — and it needs the
+        node budget spent exactly, or "raising the floor" degenerates into
+        starving everything.
         """
         return self is not Objective.MAX_MIN
 

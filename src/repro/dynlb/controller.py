@@ -198,7 +198,7 @@ class RebalanceController:
                     err = w.crash_event(step, allocation)
                     if err is not None:
                         allocation, crash, lost_cost = self._recover(
-                            step, allocation, refitter, err, pending, events, rng,
+                            step, allocation, refitter, err, pending, events,
                             cost_model, makespans,
                         )
                         budget -= err.lost_nodes
@@ -277,7 +277,6 @@ class RebalanceController:
                         total_nodes=budget,
                         min_nodes=dict(w.min_nodes),
                         steps_remaining=w.steps - step - 1,
-                        rng=rng,
                     )
                     proposal = self.rebalancer.propose(ctx)
                     if dict(proposal.items()) != dict(allocation.items()):
@@ -346,7 +345,6 @@ class RebalanceController:
         err: NodeCrashError,
         pending: _Pending | None,
         events: list[MigrationEvent],
-        rng,
         cost_model: MigrationCostModel | None,
         makespans: list[float],
     ) -> tuple[Allocation, CrashRecord, float]:
@@ -375,9 +373,9 @@ class RebalanceController:
         survivors = self.workload.total_nodes - err.lost_nodes
         models = refitter.models()
         # Exact greedy re-plan on the survivors seeds (or *is*) the recovery.
-        seed_counts, _ = greedy_minmax_allocation(models, survivors)
-        for name, floor in self.workload.min_nodes.items():
-            seed_counts[name] = max(seed_counts.get(name, 0), floor)
+        seed_counts, _ = greedy_minmax_allocation(
+            models, survivors, min_nodes=self.workload.min_nodes
+        )
         seed_alloc = Allocation(seed_counts)
         if isinstance(self.rebalancer, StaticRebalancer):
             recovered = seed_alloc
@@ -389,7 +387,6 @@ class RebalanceController:
                 total_nodes=survivors,
                 min_nodes=dict(self.workload.min_nodes),
                 steps_remaining=self.workload.steps - step,
-                rng=rng,
             )
             recovered = self.rebalancer.propose(ctx)
             if recovered.total() > survivors:

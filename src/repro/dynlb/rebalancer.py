@@ -29,8 +29,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.builder import AllocationModelBuilder
 from repro.core.greedy import greedy_minmax_allocation
 from repro.core.objectives import Objective
@@ -57,7 +55,6 @@ class RebalanceContext:
     total_nodes: int
     min_nodes: dict[str, int] = field(default_factory=dict)
     steps_remaining: int = 0
-    rng: np.random.Generator | None = None
 
     def floor(self, component: str) -> int:
         return self.min_nodes.get(component, 1)
@@ -140,13 +137,14 @@ class HSLBRebalancer(Rebalancer):
                 problem,
                 _RESOLVE_OPTIONS,
                 algorithm="oa",
-                rng=ctx.rng,
                 x0=x0,
                 cut_pool=self._pooled(ctx.models),
             )
         if not solution.status.is_ok:
-            counts, _ = greedy_minmax_allocation(ctx.models, ctx.total_nodes)
-            return _respect_floors(counts, ctx)
+            counts, _ = greedy_minmax_allocation(
+                ctx.models, ctx.total_nodes, min_nodes=ctx.min_nodes
+            )
+            return Allocation(counts)
         counts = {
             name: max(int(round(solution.values[f"n_{name}"])), ctx.floor(name))
             for name in ctx.models

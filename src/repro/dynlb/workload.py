@@ -164,21 +164,14 @@ class DynamicWorkload:
         """The frozen HSLB plan at step 0 (exact min-max via the greedy oracle).
 
         This is the static baseline every strategy starts from; the greedy
-        marginal allocator is provably exact for the single-budget min-max
-        problem, so "static" really is the paper's HSLB answer.
+        marginal allocator is exact for the single-budget min-max problem
+        under floors (checked against the MINLP on keyed specs in
+        ``tests/service/test_greedy_rung.py``), so "static" really is the
+        paper's HSLB answer.
         """
-        alloc, _ = greedy_minmax_allocation(self.models, self.total_nodes)
-        for c, lo in self.min_nodes.items():
-            if alloc.get(c, 0) < lo:
-                alloc[c] = lo
-        while sum(alloc.values()) > self.total_nodes:
-            # Shave the component whose time grows least from losing a node.
-            donor = min(
-                (c for c in alloc if alloc[c] > self.min_nodes[c]),
-                key=lambda c: self.models[c].time(alloc[c] - 1)
-                - self.models[c].time(alloc[c]),
-            )
-            alloc[donor] -= 1
+        alloc, _ = greedy_minmax_allocation(
+            self.models, self.total_nodes, min_nodes=self.min_nodes
+        )
         return Allocation(alloc)
 
     def describe(self) -> str:

@@ -60,22 +60,13 @@ class ObjectiveAblationResult:
 def run_objective_ablation(
     *, n_fragments: int = 10, total_nodes: int = 192, seed: int = 7
 ) -> ObjectiveAblationResult:
-    """Optimize the same FMO system under each objective and execute.
-
-    MAX_MIN rides the (nonconvex) NLP-based branch-and-bound; a time limit
-    keeps the ablation brisk — a good incumbent is all the comparison needs.
-    """
+    """Optimize the same FMO system under each objective and execute."""
     system = protein_like(n_fragments, default_rng(seed))
     sim = FMOSimulator(system)
     makespans: dict[Objective, float] = {}
     scores: dict[Objective, dict[str, float]] = {}
     for objective in Objective:
-        options = (
-            BnBOptions(time_limit=20.0) if objective is Objective.MAX_MIN else None
-        )
-        schedule, _ = hslb_schedule(
-            system, total_nodes, objective=objective, options=options
-        )
+        schedule, _ = hslb_schedule(system, total_nodes, objective=objective)
         run = sim.execute(schedule, default_rng(seed + 1))
         makespans[objective] = run.makespan
         times = {str(k): v for k, v in run.fragment_times.items()}

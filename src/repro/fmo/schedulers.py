@@ -2,7 +2,8 @@
 
 * :func:`hslb_schedule` — the paper's algorithm: a MINLP sizes one group per
   fragment (min-max over fitted ``T_i(n_i)`` with ``sum n_i <= N``), solved
-  by LP/NLP branch-and-bound.
+  by LP/NLP branch-and-bound (max-min, the §III-D alternative, by the exact
+  level-set search of :mod:`repro.core.greedy`).
 * :func:`uniform_static_schedule` — naive SLB: equal groups, fragments dealt
   round-robin with no regard for size.
 * :func:`greedy_dynamic_schedule` — idealized DLB: equal groups, fragments
@@ -17,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.builder import AllocationModelBuilder
+from repro.core.greedy import maxmin_allocation
 from repro.core.objectives import Objective
 from repro.fmo.gddi import GroupSchedule, even_group_sizes
 from repro.fmo.molecules import FragmentedSystem
 from repro.fmo.timing import total_fragment_model
 from repro.minlp import solve
-from repro.minlp.bnb import BnBOptions
-from repro.minlp.solution import Solution
+from repro.minlp.solution import Solution, Status
 from repro.perf.model import PerformanceModel
 
 
@@ -37,7 +38,6 @@ def hslb_schedule(
     total_nodes: int,
     *,
     objective: Objective = Objective.MIN_MAX,
-    options: BnBOptions | None = None,
 ) -> tuple[GroupSchedule, Solution]:
     """Solve the HSLB MINLP: one group per fragment, sizes chosen globally.
 
@@ -49,16 +49,21 @@ def hslb_schedule(
         raise ValueError(
             f"{total_nodes} nodes cannot host {system.n_fragments} one-fragment groups"
         )
-    models = fragment_models(system)
-    b = AllocationModelBuilder(f"fmo-{system.name}", total_nodes)
-    for frag in system.fragments:
-        b.add_component(f"frag{frag.index}", models[frag.index])
-    # MIN_MAX/MIN_SUM never profit from extra nodes beyond each curve's
-    # minimum, so the cheaper-to-solve `<=` budget is equivalent for them.
-    b.limit_total_nodes(exact=not objective.oa_safe)
-    b.set_objective(objective)
-    algorithm = "auto" if objective.oa_safe else "nlpbb"
-    sol = solve(b.build(), options, algorithm=algorithm).require_ok()
+    models = {f"frag{i}": m for i, m in fragment_models(system).items()}
+    if objective is Objective.MAX_MIN:
+        # Its epigraph rows are nonconvex; one budget row needs no tree.
+        alloc, floor = maxmin_allocation(models, total_nodes)
+        values = {f"n_{name}": float(count) for name, count in alloc.items()}
+        sol = Solution(Status.OPTIMAL, values=values, objective=floor)
+    else:
+        b = AllocationModelBuilder(f"fmo-{system.name}", total_nodes)
+        for name, model in models.items():
+            b.add_component(name, model)
+        # MIN_MAX/MIN_SUM never profit from extra nodes beyond each curve's
+        # minimum, so the cheaper-to-solve `<=` budget is equivalent for them.
+        b.limit_total_nodes()
+        b.set_objective(objective)
+        sol = solve(b.build()).require_ok()
     sizes = tuple(
         int(round(sol.values[f"n_frag{f.index}"])) for f in system.fragments
     )

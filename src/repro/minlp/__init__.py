@@ -19,8 +19,6 @@ Typical use::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.minlp.ampl_export import problem_to_ampl
 from repro.minlp.bnb import BnBOptions, BranchAndBound
 from repro.minlp.brute import solve_brute_force
@@ -100,7 +98,6 @@ def solve(
     options: BnBOptions | None = None,
     *,
     algorithm: str = "auto",
-    rng: np.random.Generator | None = None,
     x0: dict[str, float] | None = None,
     cut_pool: OACutPool | None = None,
 ) -> Solution:
@@ -124,15 +121,15 @@ def solve(
         if problem.is_linear():
             return solve_milp(problem, options) if problem.is_mip() else solve_problem_lp(problem)
         if not problem.is_mip():
-            return solve_nlp(problem, x0=x0, rng=rng)
+            return solve_nlp(problem, x0=x0)
         try:
-            return solve_minlp_oa(problem, options, rng=rng, x0=x0, cut_pool=cut_pool)
+            return solve_minlp_oa(problem, options, x0=x0, cut_pool=cut_pool)
         except ValueError:
-            return solve_minlp_nlpbb(problem, options, rng=rng, x0=x0)
+            return solve_minlp_nlpbb(problem, options, x0=x0)
     if algorithm == "oa":
-        return solve_minlp_oa(problem, options, rng=rng, x0=x0, cut_pool=cut_pool)
+        return solve_minlp_oa(problem, options, x0=x0, cut_pool=cut_pool)
     if algorithm == "nlpbb":
-        return solve_minlp_nlpbb(problem, options, rng=rng, x0=x0)
+        return solve_minlp_nlpbb(problem, options, x0=x0)
     if algorithm == "ecp":
         return solve_minlp_ecp(problem, options)
     raise ValueError(

@@ -43,10 +43,7 @@ def _nearest_sos_choice(problem: Problem, values: dict[str, float]) -> dict[str,
 
 
 def rounding_heuristic(
-    problem: Problem,
-    relaxation_values: dict[str, float],
-    *,
-    rng: np.random.Generator | None = None,
+    problem: Problem, relaxation_values: dict[str, float]
 ) -> Solution:
     """Round a relaxation point to a discrete-feasible candidate.
 
@@ -62,7 +59,7 @@ def rounding_heuristic(
         fixes[var.name] = (x, x)
     fixes.update(_nearest_sos_choice(problem, relaxation_values))
 
-    sub = solve_nlp(problem.with_bounds(fixes), x0=relaxation_values, rng=rng)
+    sub = solve_nlp(problem.with_bounds(fixes), x0=relaxation_values)
     if not sub.status.is_ok:
         return Solution(Status.INFEASIBLE, message="rounding produced no feasible point")
     if problem.max_violation(sub.values) > _FEAS_TOL:
@@ -76,13 +73,7 @@ def rounding_heuristic(
     )
 
 
-def warm_start_incumbent(
-    problem: Problem,
-    point: dict[str, float],
-    *,
-    nlp_multistart: int = 1,
-    rng: np.random.Generator | None = None,
-) -> Solution:
+def warm_start_incumbent(problem: Problem, point: dict[str, float]) -> Solution:
     """Turn a warm-start ``point`` into a certified feasible incumbent.
 
     ``point`` may be partial (e.g. only the ``n_<component>`` counts of a
@@ -98,17 +89,12 @@ def warm_start_incumbent(
         if var.name in point:
             x = float(np.clip(round(point[var.name]), var.lb, var.ub))
             fixes[var.name] = (x, x)
-    rel = solve_nlp(
-        problem.with_bounds(fixes),
-        x0={k: v for k, v in point.items()},
-        multistart=nlp_multistart,
-        rng=rng,
-    )
+    rel = solve_nlp(problem.with_bounds(fixes), x0=dict(point))
     if not rel.status.is_ok:
         return Solution(
             Status.INFEASIBLE, message="warm-start point admits no completion"
         )
-    out = rounding_heuristic(problem, rel.values, rng=rng)
+    out = rounding_heuristic(problem, rel.values)
     # The completion cost (pinned relaxation + rounding's re-optimize) must
     # show up in the caller's accounting or warm solves look cheaper than
     # they are.

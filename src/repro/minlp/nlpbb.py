@@ -60,7 +60,7 @@ def _solve_minlp_nlpbb_impl(
     if x0 is not None:
         from repro.minlp.heuristics import warm_start_incumbent
 
-        warm = warm_start_incumbent(problem, x0, nlp_multistart=multistart, rng=rng)
+        warm = warm_start_incumbent(problem, x0)
         if warm.status.is_ok:
             incumbent = (dict(warm.values), float(warm.objective))
 

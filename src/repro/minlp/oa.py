@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.minlp.bnb import BnBOptions, BranchAndBound
 from repro.minlp.cutpool import OACutPool
 from repro.minlp.expr import Expr, VarRef
@@ -177,11 +175,7 @@ def _integer_assignment(work: Problem, values: dict[str, float]) -> dict[str, fl
     return {v.name: float(round(values[v.name])) for v in work.discrete_variables()}
 
 
-def _solve_fixed_subproblem(
-    work: Problem,
-    values: dict[str, float],
-    rng: np.random.Generator | None = None,
-) -> Solution:
+def _solve_fixed_subproblem(work: Problem, values: dict[str, float]) -> Solution:
     """NLP subproblem at a fixed integer assignment, on the reduced space.
 
     Substituting the fixed integers out before calling the NLP solver keeps
@@ -204,9 +198,7 @@ def _solve_fixed_subproblem(
             Status.OPTIMAL, values=merged, objective=work.objective_value(merged)
         )
     x0 = {n: values[n] for n in small.variable_names if n in values}
-    sub = solve_nlp(
-        small, x0=x0 if len(x0) == small.num_variables else None, rng=rng
-    )
+    sub = solve_nlp(small, x0=x0 if len(x0) == small.num_variables else None)
     if sub.status.is_ok:
         sub.values = {**sub.values, **fixed_values}
     return sub
@@ -216,7 +208,6 @@ def solve_minlp_oa(
     problem: Problem,
     options: BnBOptions | None = None,
     *,
-    rng: np.random.Generator | None = None,
     x0: dict[str, float] | None = None,
     cut_pool: OACutPool | None = None,
 ) -> Solution:
@@ -240,9 +231,7 @@ def solve_minlp_oa(
     replays must keep it per-solve.
     """
     with span("minlp.oa", problem=problem.name) as oa_span:
-        sol = _solve_minlp_oa_impl(
-            problem, options, oa_span, rng=rng, x0=x0, cut_pool=cut_pool
-        )
+        sol = _solve_minlp_oa_impl(problem, options, oa_span, x0=x0, cut_pool=cut_pool)
         telemetry.record_warm_start(x0 is not None)
         telemetry.record_solve("oa", sol.stats, sol.status.value)
     return sol
@@ -253,7 +242,6 @@ def _solve_minlp_oa_impl(
     options: BnBOptions | None,
     oa_span,
     *,
-    rng: np.random.Generator | None,
     x0: dict[str, float] | None,
     cut_pool: OACutPool | None,
 ) -> Solution:
@@ -272,7 +260,7 @@ def _solve_minlp_oa_impl(
 
     # Root relaxation: continuous NLP over the full model.  Its solution
     # seeds the initial linearizations so the first master is meaningful.
-    root = solve_nlp(work, x0=x0, rng=rng)
+    root = solve_nlp(work, x0=x0)
     stats.merge(root.stats)
     oa_span.set_tag("root_nlp_ms", root.stats.wall_time * 1e3)
     if root.status is Status.INFEASIBLE:
@@ -295,7 +283,7 @@ def _solve_minlp_oa_impl(
     if x0 is not None:
         from repro.minlp.heuristics import warm_start_incumbent
 
-        warm = warm_start_incumbent(work, {**root.values, **x0}, rng=rng)
+        warm = warm_start_incumbent(work, {**root.values, **x0})
         stats.nlp_solves += warm.stats.nlp_solves
         if warm.status.is_ok:
             warm_values = dict(warm.values)
@@ -315,7 +303,7 @@ def _solve_minlp_oa_impl(
         cuts: list[tuple[str, Expr, float, float]] = []
         candidate = None
 
-        sub = _solve_fixed_subproblem(work, values, rng)
+        sub = _solve_fixed_subproblem(work, values)
         stats.nlp_solves += sub.stats.nlp_solves
         if sub.status.is_ok:
             cand_values = dict(sub.values)

@@ -30,9 +30,9 @@ that saw the worker die, by the loop for in-process chaos).  Worker deaths are
 *system* failures, so they are re-dispatched once even with no
 :class:`ResiliencePolicy` installed.
 
-Cached answers are bit-identical to fresh solves: the solve RNG is seeded
-from the fingerprint, so replaying the request in any process yields the
-same allocation and objective the cache stored.
+Cached answers are bit-identical to fresh solves: no solve draws a random
+number, so replaying the request in any process yields the same allocation
+and objective the cache stored.
 
 **The degradation ladder.**  With a :class:`ResiliencePolicy` installed, a
 request that cannot get an exact answer — worker crashes/hangs exhausted

@@ -1,10 +1,10 @@
 """The pure solve at the bottom of the service: request in, outcome out.
 
 Kept free of any cache/metrics state so the same function runs in-process
-and inside the supervised pool's worker processes.  Determinism
-rule: the solve RNG is seeded from the request fingerprint, so the same
-canonical request produces a bit-identical answer in any process — the
-property that lets cached responses stand in for fresh solves.
+and inside the supervised pool's worker processes.  No solve draws a random
+number, so the same canonical request produces a bit-identical answer in
+any process — the property that lets cached responses stand in for fresh
+solves.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 from repro.core.builder import AllocationModelBuilder
-from repro.core.greedy import greedy_minmax_allocation
+from repro.core.greedy import greedy_minmax_allocation, maxmin_allocation
 from repro.core.objectives import Objective, evaluate_objective
 from repro.minlp import solve
 from repro.minlp.solution import Solution, Status
 from repro.service.request import SolveRequest
-from repro.util.rng import default_rng
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,10 @@ def solve_request(
 ) -> SolveOutcome:
     """Solve one request, optionally warm-started and deadline-capped.
 
+    Max-min is answered by :func:`repro.core.greedy.maxmin_allocation` —
+    exact, sub-millisecond, nothing to warm-start or cap — and every other
+    objective by the MINLP its convex epigraph rows make exact.
+
     ``deadline`` shrinks the solver's wall budget (never loosens it), so a
     per-request deadline terminates the tree search itself rather than
     abandoning a runaway subprocess.
@@ -97,6 +100,8 @@ def solve_request(
     the solve depend on pool history, which breaks the bit-identical-replay
     guarantee — only the service's opt-in ``share_cuts`` mode passes one.
     """
+    if Objective(request.objective) is Objective.MAX_MIN:
+        return _direct_outcome(request, Status.OPTIMAL, "")
     fingerprint = request.fingerprint()
     problem = build_problem(request)
     if x0 is not None:
@@ -108,21 +113,10 @@ def solve_request(
     options = request.options
     if deadline is not None:
         options = options.with_budget(wall_seconds=deadline)
-    algorithm = request.algorithm
-    warm_started = x0 is not None
-    if not Objective(request.objective).oa_safe:
-        if algorithm == "auto":
-            algorithm = "nlpbb"
-        # NLP-B&B optima on the nonconvex model are local.  Without a donor,
-        # start from the greedy allocation: as the first incumbent it keeps
-        # the "optimal" answer from being worse than the rung below it.
-        if x0 is None:
-            x0 = greedy_outcome(request).values or None
-    rng = default_rng(int(fingerprint[:8], 16))
     sol = solve(
-        problem, options, algorithm=algorithm, rng=rng, x0=x0, cut_pool=cut_pool
+        problem, options, algorithm=request.algorithm, x0=x0, cut_pool=cut_pool
     )
-    return _outcome(request, fingerprint, sol, warm_started=warm_started)
+    return _outcome(request, fingerprint, sol, warm_started=x0 is not None)
 
 
 def _outcome(
@@ -205,25 +199,19 @@ def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None
     return None
 
 
-def greedy_outcome(request: SolveRequest) -> SolveOutcome:
-    """Polynomial-time approximate answer: the degradation ladder's third rung.
-
-    :func:`repro.core.greedy.greedy_minmax_allocation` under the request's
-    ``min_nodes``/``max_nodes`` bounds, priced under the request's
-    objective.  Exact for the single-constraint min-max family; a feasible
-    approximation otherwise — either way an answer with explicit ``greedy
-    fallback`` provenance instead of a refused request.  A request whose
-    floors alone overspend the budget is infeasible here as it is exactly.
-    """
+def _direct_outcome(request: SolveRequest, status: Status, message: str) -> SolveOutcome:
+    """The request answered by :mod:`repro.core.greedy` under its node bounds:
+    level sets for max-min, the min-max heap for everything else."""
     fingerprint = request.fingerprint()
     specs = request.components
+    max_min = Objective(request.objective) is Objective.MAX_MIN
+    allocate = maxmin_allocation if max_min else greedy_minmax_allocation
     try:
-        alloc, _ = greedy_minmax_allocation(
+        alloc, _ = allocate(
             {name: spec.model for name, spec in specs.items()},
             request.total_nodes,
             min_nodes={name: spec.min_nodes for name, spec in specs.items()},
             max_nodes={name: spec.max_nodes for name, spec in specs.items()},
-            spend_all=not Objective(request.objective).oa_safe,
         )
     except ValueError as exc:
         infeasible = Solution(Status.INFEASIBLE, message=str(exc))
@@ -232,10 +220,25 @@ def greedy_outcome(request: SolveRequest) -> SolveOutcome:
         fingerprint=fingerprint,
         allocation=alloc,
         objective=_price(request, alloc),
-        status=Status.FEASIBLE.value,
+        status=status.value,
         iterations=0,
         wall_time=0.0,
         values={f"n_{name}": float(count) for name, count in alloc.items()},
         warm_started=False,
-        message="greedy fallback (exact solve unavailable)",
+        message=message,
+    )
+
+
+def greedy_outcome(request: SolveRequest) -> SolveOutcome:
+    """Polynomial-time answer: the degradation ladder's third rung.
+
+    :mod:`repro.core.greedy` under the request's ``min_nodes``/``max_nodes``
+    bounds, priced under the request's objective.  Exact for min-max (the
+    heap) and max-min (level sets); for min-sum the min-max allocation is a
+    feasible approximation — either way an answer with explicit ``greedy
+    fallback`` provenance instead of a refused request.  A request whose
+    floors alone overspend the budget is infeasible here as it is exactly.
+    """
+    return _direct_outcome(
+        request, Status.FEASIBLE, "greedy fallback (exact solve unavailable)"
     )

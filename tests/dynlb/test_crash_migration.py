@@ -135,3 +135,38 @@ def test_fmo_crash_scenario_end_to_end():
         survivors = workload.total_nodes - result.crash.lost_nodes
         assert sum(result.final_allocation.values()) <= survivors, name
         assert set(result.final_allocation) == set(workload.components), name
+
+
+# -- floors through the crash: the heap takes them, nothing patches them on ---
+
+
+def _floored_workload(min_nodes):
+    plan = FaultPlan(seed=1, crash_step=4, crash_component="mid")
+    return DynamicWorkload(
+        "floored", _MODELS, total_nodes=48, steps=12, noise=0.0,
+        imbalance=0.0, seed=11, faults=plan, min_nodes=min_nodes,
+    )
+
+
+@pytest.mark.parametrize("strategy", ("static", "diffusion", "sweep", "hslb"))
+def test_recovery_fits_the_survivors_when_a_floor_exceeds_the_greedy_count(strategy):
+    """The survivors' budget is fully spent (no curve has a sweet spot) and
+    the heap alone would give ``small`` 4 nodes: raising it to its floor of
+    10 afterwards, as the recovery once did, overspent the machine."""
+    workload = _floored_workload({"small": 10})
+    result = RebalanceController(workload, strategy, DynlbConfig(interval=6)).run()
+    survivors = workload.total_nodes - result.crash.lost_nodes
+    recovery = [e for e in result.events if e.reason == "crash"][0]
+    assert sum(recovery.new.values()) <= survivors
+    assert recovery.new["small"] >= 10
+    assert sum(result.final_allocation.values()) <= survivors
+    assert result.final_allocation["small"] >= 10
+
+
+def test_floors_that_no_longer_fit_the_survivors_fail_the_run():
+    """44 nodes of floors on a machine that has 34 left: there is no plan,
+    and saying so beats running an overspent one."""
+    workload = _floored_workload({"big": 20, "mid": 14, "small": 10})
+    assert workload.initial_allocation().total() <= 48
+    with pytest.raises(ValueError, match="cannot give"):
+        RebalanceController(workload, "static").run()

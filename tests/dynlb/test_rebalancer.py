@@ -2,19 +2,28 @@
 
 import pytest
 
+from repro.core.greedy import greedy_minmax_allocation
 from repro.core.spec import Allocation
+from repro.dynlb import rebalancer
+from repro.dynlb.controller import DynlbConfig, RebalanceController
+from repro.dynlb.drift import DriftProfile, DriftSpec
+from repro.dynlb.migration import MigrationCostModel
 from repro.dynlb.rebalancer import (
     STRATEGIES,
     DiffusionRebalancer,
     HSLBRebalancer,
     RebalanceContext,
+    Rebalancer,
     StaticRebalancer,
     SweepRebalancer,
     TwoLevelRebalancer,
     make_rebalancer,
 )
+from repro.dynlb.workload import DynamicWorkload
+from repro.faults.plan import FaultPlan
+from repro.minlp import Solution, Status
 from repro.perf.model import PerformanceModel
-from repro.util.rng import default_rng
+from repro.util.rng import keyed_rng
 
 _MODELS = {
     "big": PerformanceModel(a=4000.0, d=2.0),
@@ -33,7 +42,6 @@ def _ctx(allocation=None, total=48, models=None, min_nodes=None):
         total_nodes=total,
         min_nodes=min_nodes or {},
         steps_remaining=10,
-        rng=default_rng(0),
     )
 
 
@@ -133,3 +141,91 @@ def test_proposals_respect_a_shrunken_budget():
         proposal = make_rebalancer(name).propose(ctx)
         assert proposal.total() <= 18
         assert all(proposal[c] >= 1 for c in _MODELS)
+
+
+def test_hslb_falls_back_to_the_heap_under_the_floors_when_the_solve_fails(monkeypatch):
+    """A floor above the heap's own count on a fully spent budget: the rung
+    takes the floors as an argument instead of having them patched on."""
+    monkeypatch.setattr(
+        rebalancer, "solve", lambda *a, **k: Solution(Status.TIME_LIMIT)
+    )
+    ctx = _ctx(min_nodes={"small": 12})
+    proposal = HSLBRebalancer().propose(ctx)
+    assert proposal.total() == ctx.total_nodes
+    assert proposal["small"] == 12
+    rest = {"big": _MODELS["big"], "mid": _MODELS["mid"]}
+    best, _ = greedy_minmax_allocation(rest, ctx.total_nodes - 12)
+    assert {c: proposal[c] for c in rest} == best  # optimal given the floor
+
+
+# -- conservation, as a property of every proposal of a whole run -------------
+
+
+class _Recorded(Rebalancer):
+    """Delegates to a strategy and keeps every (context, proposal) pair."""
+
+    def __init__(self, inner: Rebalancer) -> None:
+        self.inner, self.name, self.intra_policy = inner, inner.name, inner.intra_policy
+        self.calls: list[tuple[RebalanceContext, Allocation]] = []
+
+    def propose(self, ctx: RebalanceContext) -> Allocation:
+        proposal = self.inner.propose(ctx)
+        self.calls.append((ctx, proposal))
+        return proposal
+
+
+def _drifting_workload(case: int) -> DynamicWorkload:
+    """3-5 keyed curves with floors, every one drifting its own way; odd
+    cases lose their largest component's nodes mid-run."""
+    rng = keyed_rng(2102, "conservation", case)
+    names = [f"c{j}" for j in range(int(rng.integers(3, 6)))]
+    models = {
+        name: PerformanceModel(
+            a=float(rng.uniform(1000, 4000)),
+            b=float(rng.uniform(0.0, 0.3)),
+            c=float(rng.uniform(1.0, 1.4)),
+            d=float(rng.uniform(0.0, 3.0)),
+        )
+        for name in names
+    }
+    steps = 24
+    drift = DriftProfile(
+        {
+            name: DriftSpec(("linear", "step", "sine")[j % 3], rate=float(rng.uniform(0.3, 2.0)))
+            for j, name in enumerate(names)
+        },
+        steps,
+        seed=case,
+    )
+    faults = FaultPlan(seed=case, crash_step=int(rng.integers(5, 18))) if case % 2 else None
+    return DynamicWorkload(
+        f"keyed-{case}", models, total_nodes=int(rng.integers(64, 129)), steps=steps,
+        drift=drift, seed=case, faults=faults,
+        min_nodes={name: int(rng.integers(1, 4)) for name in names},
+    )
+
+
+@pytest.mark.parametrize("strategy", ("diffusion", "sweep", "two-level", "hslb"))
+def test_every_proposal_of_a_run_conserves_the_budget_and_the_floors(strategy):
+    """Free migrations on a short cadence, so a run is mostly proposals —
+    including the one made on the survivors right after a crash."""
+    config = DynlbConfig(
+        interval=3, gain_factor=0.0,
+        migration=MigrationCostModel(fixed_seconds=0.0, per_node_seconds=0.0),
+    )
+    for case in range(6):
+        workload = _drifting_workload(case)
+        recorded = _Recorded(make_rebalancer(strategy))
+        result = RebalanceController(workload, recorded, config).run()
+        assert len(recorded.calls) >= 4, case
+        for ctx, proposal in recorded.calls:
+            assert set(proposal) == set(workload.components), (case, ctx.step)
+            assert proposal.total() <= ctx.total_nodes, (case, ctx.step)
+            for name, floor in workload.min_nodes.items():
+                assert proposal[name] >= floor, (case, ctx.step, name)
+        budgets = {ctx.total_nodes for ctx, _ in recorded.calls}
+        if workload.faults is None:
+            assert budgets == {workload.total_nodes}, case
+        else:  # the recovery proposal and every later one see the survivors
+            survivors = workload.total_nodes - result.crash.lost_nodes
+            assert budgets == {workload.total_nodes, survivors}, case

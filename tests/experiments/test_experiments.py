@@ -122,7 +122,9 @@ def test_fig4_layout_ordering_and_r2():
 def test_objective_ablation_minmax_wins():
     r = run_objective_ablation(n_fragments=8, total_nodes=128)
     mm = r.makespans[Objective.MIN_MAX]
-    assert mm <= r.makespans[Objective.MAX_MIN] * 1.02
+    # §III-D: "min-max performed slightly better than max-min" — better, and
+    # only slightly (a max-min that leaves its ties unbroken reads 721.6 s).
+    assert mm <= r.makespans[Objective.MAX_MIN] <= 1.02 * mm
     assert mm <= r.makespans[Objective.MIN_SUM] * 1.02
     out = r.render()
     assert "min-max" in out

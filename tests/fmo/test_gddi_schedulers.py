@@ -150,3 +150,24 @@ def test_hslb_min_sum_objective_runs(rng):
     schedule, sol = hslb_schedule(sys_, 32, objective=Objective.MIN_SUM)
     assert schedule.total_nodes <= 32
     assert sol.status.is_ok
+
+
+@pytest.mark.parametrize(
+    "fragments, nodes, floor, ceiling",
+    [(8, 128, 166.994, 192.9), (10, 192, 157.247, 220.2), (16, 256, 135.764, 259.0)],
+)
+def test_hslb_max_min_is_the_global_floor_with_the_tie_broken(
+    fragments, nodes, floor, ceiling
+):
+    """The three A1 systems.  The floors are the ones NLP-B&B also finds;
+    it left the slowest group wherever its tree stopped (704 s predicted on
+    the first system), the level sets break that tie by min-max — as far as
+    the floor allows: on the larger two it is the floor that costs."""
+    sys_ = protein_like(fragments, default_rng(7))
+    schedule, sol = hslb_schedule(sys_, nodes, objective=Objective.MAX_MIN)
+    assert sol.status.is_ok and schedule.total_nodes == nodes
+    models = fragment_models(sys_)
+    times = [models[i].time(n) for i, n in enumerate(schedule.group_sizes)]
+    assert sol.objective == min(times) == pytest.approx(floor, abs=1e-3)
+    assert max(times) == pytest.approx(ceiling, abs=0.05)
+    assert hslb_schedule(sys_, nodes)[1].objective <= max(times)

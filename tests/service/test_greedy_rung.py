@@ -1,21 +1,33 @@
-"""The greedy rung, proven: feasible, never better than exact, same as before.
+"""The greedy rung, proven: feasible, exact where it says so, pinned.
 
 The service's ``greedy_outcome`` and the pipeline's ``fallback_allocation``
-are one function (:func:`repro.core.greedy.greedy_minmax_allocation`).  It is
-checked here against values — a table pinned from the two implementations it
-replaced — and against the exact solvers on keyed-RNG requests, so neither the
-dedupe nor a later edit is checked against itself.
+are one module (:mod:`repro.core.greedy`: the heap for min-max, level sets
+for max-min).  It is checked here against values — a pinned table — and
+against solvers that share no code with it (OA, NLP-B&B, brute force) on
+keyed-RNG requests and on both pinned serving pools, so a later edit is not
+checked against itself.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from repro.core.greedy import greedy_minmax_allocation
+from repro.core.greedy import greedy_minmax_allocation, maxmin_allocation
 from repro.core.objectives import Objective
-from repro.minlp import solve_brute_force
+from repro.fmo.schedulers import hslb_schedule
+from repro.minlp import (
+    rounding_heuristic,
+    solve,
+    solve_brute_force,
+    solve_minlp_nlpbb,
+    solve_minlp_oa,
+    warm_start_incumbent,
+)
 from repro.perf.model import PerformanceModel
 from repro.service import ComponentSpec, SolveRequest
+from repro.service.loadgen import TraceSpec, request_pool
 from repro.service.solver import (
     build_problem,
     greedy_outcome,
@@ -23,6 +35,7 @@ from repro.service.solver import (
     validate_outcome,
 )
 from repro.util.rng import keyed_rng
+from tests.minlp.test_engine_independence import _request_pool as ledger_pool
 
 OBJECTIVES = tuple(o.value for o in Objective)
 
@@ -49,11 +62,13 @@ def _pinned_spec(i: int) -> SolveRequest:
     )
 
 
-#: Per spec: the service greedy's (allocation, objective) under the request's
-#: bounds and objective, then the core greedy's (allocation, makespan) on the
-#: bare curves — as the two separate implementations computed them before
-#: they were merged.  Specs 1, 7, 13 and 19 are max-min requests whose caps
-#: sum to less than the budget: ``spend_all`` with every cap binding.
+#: Per spec: the service rung's (allocation, objective) under the request's
+#: bounds and objective, then the min-max heap's (allocation, makespan) on the
+#: bare curves.  Every min-max and max-min objective and every core makespan
+#: is the exact optimum (the tests below check them against OA and NLP-B&B);
+#: the min-sum rows price the min-max allocation, a feasible approximation.
+#: Specs 1, 7, 13 and 19 are max-min requests whose caps sum to less than the
+#: budget: every cap binds and the rest stays unspent.
 PINNED = [
     ((6,), 16.666666666666668, (6,), 16.666666666666668),
     ((6, 9), 34.30285870735532, (6, 12), 55.617943024159864),
@@ -63,23 +78,23 @@ PINNED = [
     ((3, 5, 8, 10, 14, 18), 253.57617140279282,
      (3, 5, 8, 12, 13, 17), 44.79875742883384),
     ((48,), 4.166666666666667, (48,), 4.166666666666667),
-    ((14, 19), 26.9949083373517, (19, 34), 36.14705882352941),
+    ((14, 19), 26.9949083373517, (19, 35), 36.14285714285714),
     ((12, 41, 11), 175.76058118088912, (10, 18, 36), 47.13333333333334),
-    ((11, 8, 14, 47), 159.80622623065986, (9, 20, 14, 37), 159.80622623065986),
-    ((13, 7, 37, 10, 13), 10.535916021359286, (6, 7, 18, 36, 13), 66.39762175205439),
+    ((11, 8, 15, 46), 159.16493416739416, (9, 19, 15, 37), 159.16493416739416),
+    ((10, 7, 33, 10, 20), 11.590909090909092, (6, 7, 18, 36, 13), 66.39762175205439),
     ((7, 11, 18, 15, 29, 20), 314.0479654957993, (6, 9, 14, 16, 24, 31), 86.0),
     ((90,), 3.3333333333333335, (90,), 3.3333333333333335),
     ((18, 16), 24.576012651738626, (49, 16), 83.5),
     ((13, 81, 12), 205.84330076440006, (13, 34, 59), 62.89762175205439),
-    ((13, 18, 15, 76), 36.75992253449073, (11, 31, 15, 65), 36.75992253449073),
-    ((17, 17, 55, 17, 16), 13.114705882352942, (8, 17, 26, 27, 44), 49.22727272727273),
+    ((13, 18, 16, 75), 36.75, (11, 30, 16, 65), 36.75),
+    ((16, 19, 54, 17, 16), 13.61111111111111, (8, 18, 23, 28, 45), 49.22222222222222),
     ((5, 30, 5, 7, 88, 7), 735.6171934100294,
      (6, 11, 19, 29, 28, 49), 59.88469387755103),
     ((132,), 3.0303030303030303, (132,), 3.0303030303030303),
-    ((9, 9), 58.39382414577354, (23, 44), 46.22727272727273),
-    ((7, 128, 13), 50.768745691688956, (14, 107, 27), 21.125916881765065),
-    ((21, 15, 10, 118), 90.11706625951746, (19, 30, 10, 105), 90.11706625951746),
-    ((9, 10, 126, 7, 12), 9.642857142857142, (14, 10, 40, 80, 20), 124.2213595499958),
+    ((9, 9), 58.39382414577354, (23, 45), 46.22222222222222),
+    ((7, 128, 13), 50.768745691688956, (14, 106, 28), 21.122389385266565),
+    ((21, 15, 11, 117), 89.76603399540934, (19, 31, 11, 103), 89.76603399540934),
+    ((9, 14, 122, 7, 12), 9.87704918032787, (13, 11, 39, 80, 21), 124.04561622560774),
     ((9, 38, 8, 12, 110, 7), 776.0593831208955,
      (9, 18, 29, 21, 46, 61), 128.3075209875125),
 ]
@@ -145,9 +160,8 @@ def _random_request(objective: str, case: int, *, bounded: bool) -> SolveRequest
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_greedy_is_valid_and_never_better_than_exact(objective):
-    """OA is exact on convex rows.  Max-min goes to NLP-B&B on a nonconvex
-    model, whose optima are local: there the property holds because the
-    tree starts from the greedy allocation (see the test below)."""
+    """OA is exact on convex rows; max-min is the level-set search on both
+    sides, so there the property is equality."""
     for case in range(20):
         request = _random_request(objective, case, bounded=True)
         greedy = greedy_outcome(request)
@@ -162,8 +176,8 @@ def test_greedy_is_valid_and_never_better_than_exact(objective):
 
 
 def test_greedy_never_beats_the_exact_max_min_answer():
-    """Found by the property above: started cold, NLP-B&B's "optimal" answer
-    on this request raised the floor to 22.7 s where greedy reaches 66.9 s."""
+    """Found by the property above when max-min was a tree search: its cold
+    "optimal" answer raised the floor to 22.7 s; the optimum is 66.9 s."""
     request = _random_request("max-min", 18, bounded=True)
     exact = solve_request(request)
     assert greedy_outcome(request).objective <= exact.objective * (1 + 1e-9)
@@ -171,15 +185,108 @@ def test_greedy_never_beats_the_exact_max_min_answer():
     assert not exact.warm_started  # that flag means "a cache donor was used"
 
 
+def _assert_greedy_is_exact(request: SolveRequest, case) -> None:
+    exact = solve_request(request)
+    assert exact.status == "optimal", case
+    assert greedy_outcome(request).objective == pytest.approx(
+        exact.objective, rel=1e-9
+    ), case
+
+
 def test_greedy_is_exact_for_unbounded_min_max():
     """§III-E's polynomial special case: one budget row, no node bounds."""
-    for case in range(20):
-        request = _random_request("min-max", case, bounded=False)
-        exact = solve_request(request)
-        assert exact.status == "optimal", case
-        assert greedy_outcome(request).objective == pytest.approx(
-            exact.objective, rel=1e-9
-        ), case
+    for case in range(60):
+        _assert_greedy_is_exact(_random_request("min-max", case, bounded=False), case)
+
+
+def test_greedy_is_exact_for_bounded_min_max():
+    """The exchange argument survives floors and caps."""
+    for case in range(60):
+        _assert_greedy_is_exact(_random_request("min-max", case, bounded=True), case)
+    for i in range(0, len(PINNED), 3):
+        _assert_greedy_is_exact(_pinned_spec(i), i)
+
+
+def _sweet_spot_request(case: int) -> SolveRequest:
+    """2-5 components whose curve minima (``n* = sqrt(a / b)``) sum to less
+    than the budget, so the optimum parks every component *at* its minimum —
+    where truncating ``n*`` instead of comparing its two neighbours is wrong."""
+    rng = keyed_rng(1810, "sweet-spot", case)
+    total = int(rng.integers(40, 160))
+    k = int(rng.integers(2, 6))
+    comps = {}
+    for j in range(k):
+        n_star = float(rng.uniform(2.0, 0.9 * total / k))
+        b = float(rng.uniform(0.05, 2.0))
+        model = PerformanceModel(a=b * n_star**2, b=b, c=1.0, d=float(rng.uniform(0, 5)))
+        comps[f"c{j}"] = ComponentSpec(model=model)
+    return SolveRequest(components=comps, total_nodes=total)
+
+
+def test_greedy_is_exact_when_the_optimum_sits_at_a_curve_minimum():
+    rounded_up = 0
+    for case in range(40):
+        request = _sweet_spot_request(case)
+        _assert_greedy_is_exact(request, case)
+        for name, count in greedy_outcome(request).allocation.items():
+            model = request.components[name].model
+            assert model.time(count) <= min(model.time(count - 1), model.time(count + 1))
+            rounded_up += count > model.optimal_nodes()
+    assert rounded_up >= 20  # the keyed cases do end where truncation moved the cap
+
+
+def test_greedy_is_exact_on_both_pinned_serving_pools():
+    """The default trace's 12 requests and the ledger's 48 (whose oracle —
+    the denominator of ``makespan_ratio`` — is this rung)."""
+    pools = {"trace": request_pool(TraceSpec()), "ledger": ledger_pool()}
+    assert {k: len(v) for k, v in pools.items()} == {"trace": 12, "ledger": 48}
+    for tag, pool in pools.items():
+        for rank, request in enumerate(pool):
+            _assert_greedy_is_exact(request, (tag, rank))
+
+
+# -- max-min: the level-set answer against the tree it replaced ---------------
+
+
+def _max_min_requests() -> list[tuple[str, SolveRequest]]:
+    pinned = [(f"pinned-{i}", _pinned_spec(i)) for i in range(1, len(PINNED), 3)]
+    keyed = [
+        (f"keyed-{case}-{bounded}", _random_request("max-min", case, bounded=bounded))
+        for bounded in (True, False)
+        for case in range(20)
+    ]
+    return pinned + keyed
+
+
+def test_max_min_is_never_below_nlpbb_started_from_the_heap():
+    """NLP-B&B on the nonconvex ``==``-budget model finds local optima; the
+    level sets are never below it and strictly above where it was trapped."""
+    above = []
+    for tag, request in _max_min_requests():
+        outcome = solve_request(request)
+        assert outcome.status == "optimal", tag
+        assert not outcome.warm_started and outcome.iterations == 0, tag
+        assert validate_outcome(request, outcome) is None, tag
+        specs = request.components
+        heap, _ = greedy_minmax_allocation(
+            {name: spec.model for name, spec in specs.items()},
+            request.total_nodes,
+            min_nodes={name: spec.min_nodes for name, spec in specs.items()},
+            max_nodes={name: spec.max_nodes for name, spec in specs.items()},
+        )
+        tree = solve_minlp_nlpbb(
+            build_problem(request),
+            x0={f"n_{name}": float(count) for name, count in heap.items()},
+        )
+        if not tree.status.is_ok:  # caps below the budget: `==` is infeasible
+            assert sum(outcome.allocation.values()) < request.total_nodes, tag
+            continue
+        assert outcome.objective >= tree.objective * (1 - 1e-9), tag
+        if outcome.objective > tree.objective * (1 + 1e-6):
+            above.append(tag)
+    assert "keyed-7-False" in above
+    trapped = solve_request(_random_request("max-min", 7, bounded=False))
+    assert trapped.objective == pytest.approx(47.547, abs=1e-3)  # the tree: 13.67
 
 
 # -- the routing fact ``Objective.oa_safe`` carries ---------------------------
@@ -203,8 +310,9 @@ def _small_request(objective: str, case: int) -> SolveRequest:
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_solve_request_matches_brute_force(objective):
-    """OA where the epigraph rows are convex, NLP-B&B with the exact budget
-    where they are not: either way the enumerated optimum."""
+    """OA where the epigraph rows are convex, level sets where they are
+    not: either way the optimum brute force enumerates on ``build_problem``
+    (for max-min the ``==``-budget reference formulation)."""
     assert Objective(objective).oa_safe == (objective != "max-min")
     for case in range(8):
         request = _small_request(objective, case)
@@ -213,3 +321,25 @@ def test_solve_request_matches_brute_force(objective):
         assert outcome.status == "optimal", case
         assert outcome.objective == pytest.approx(brute.objective, rel=1e-6), case
         assert validate_outcome(request, outcome) is None, case
+
+
+# -- the rule: no option without a caller -------------------------------------
+
+
+def test_solve_entry_points_take_no_rng_spend_all_or_options():
+    """No solve draws a random number and max-min is one function, so the
+    parameters that existed to thread a generator through the entry points,
+    to patch the heap for max-min and to cap its tree search stay deleted."""
+    allocators = (greedy_minmax_allocation, maxmin_allocation)
+    for entry in (
+        solve, solve_minlp_oa, rounding_heuristic, warm_start_incumbent,
+        solve_request, hslb_schedule, *allocators,
+    ):
+        params = set(inspect.signature(entry).parameters)
+        assert not params & {"rng", "spend_all", "nlp_multistart"}, entry.__name__
+    # ``options`` survives only where it is a tree search's own budget.
+    for entry in (solve_request, hslb_schedule, *allocators):
+        assert "options" not in inspect.signature(entry).parameters, entry.__name__
+    assert inspect.signature(maxmin_allocation) == inspect.signature(
+        greedy_minmax_allocation
+    )
