@@ -3,7 +3,12 @@
 The :class:`AsyncServingTier` via ``TierConfig.for_host()`` (4
 consistent-hash shards, single-flight coalescing; process workers on
 multi-core hosts, thread workers on a single core) answers a keyed
-Zipf/diurnal/flash trace, so two runs see bit-identical traffic.
+Zipf/diurnal/flash trace, so two runs see bit-identical traffic.  The trace
+is re-targeted at ``min-sum``, the objective that still builds a MINLP:
+min-max and max-min are answered directly in well under a millisecond, so
+their duplicates find the cache filled instead of a flight to ride, and
+coalescing — the mechanism this bench exists to pin — mostly has nothing
+to do (measured: coalesce rate 0.36-0.60 run to run, against 0.89-0.92).
 
 What this bench pins are the structural guarantees, asserted
 unconditionally: zero lost requests, zero sheds at this capacity,
@@ -22,6 +27,7 @@ a fresh file there rather than clobbering the committed baseline).
 import json
 import os
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -45,15 +51,8 @@ _SPEC = TraceSpec(
 _RESULTS: dict = {}
 
 
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @pytest.fixture(scope="module", autouse=True)
-def _asyncserve_baseline(request):
+def _asyncserve_baseline(request, host_record):
     """Persist the comparison as BENCH_asyncserve.json (dynlb conventions)."""
     yield
     out = {}
@@ -78,6 +77,7 @@ def _asyncserve_baseline(request):
         }
     if not out:
         return
+    out["_host"] = host_record
     override = os.environ.get("HSLB_BENCH_ASYNCSERVE_OUT")
     if override:
         path = pathlib.Path(override)
@@ -88,10 +88,13 @@ def _asyncserve_baseline(request):
     print(f"[baseline saved to {path}]")
 
 
-def test_asyncserve_tier_replay(benchmark):
+def test_asyncserve_tier_replay(benchmark, host_record):
     """The sharded async tier under a duplicate-heavy burst: nothing lost."""
-    trace = generate_trace(_SPEC)
-    cores = _cores()
+    trace = [
+        replace(event, request=replace(event.request, objective="min-sum"))
+        for event in generate_trace(_SPEC)
+    ]
+    cores = host_record["cpus"]
 
     def serve():
         tier = AsyncServingTier(

@@ -8,7 +8,9 @@ output is both printed (visible with ``pytest -s``) and persisted under
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 
 import pytest
 
@@ -19,6 +21,28 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 def report_dir() -> pathlib.Path:
     OUT_DIR.mkdir(exist_ok=True)
     return OUT_DIR
+
+
+@pytest.fixture(scope="session")
+def host_record() -> dict:
+    """Where a baseline was taken: stored as its ``_host`` record (the gate
+    skips names it has no rule for), because wall-clock numbers mean nothing
+    without it."""
+    import numpy
+    import scipy
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity
+        cpus = os.cpu_count() or 1
+    return {
+        "cpus": cpus,
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
 
 
 @pytest.fixture

@@ -10,12 +10,17 @@ optimizer:
 1. **fingerprint cache** — identical problems (any component order, any
    last-bit float noise) share one cache slot; hits are bit-identical to
    the solve that produced them and cost microseconds;
-2. **warm-start pool**   — a miss whose *family* (same curves, different
-   budget) has a cached member seeds the branch-and-bound with that
-   neighbor's allocation, measurably shrinking the search;
+2. **the solver follows the objective** — a request is one budget row over
+   fitted curves, the family §III-E says needs no MINLP: min-max (the
+   default) and max-min are answered directly and exactly by
+   ``repro.core.greedy`` (0 iterations, a fraction of a millisecond); only
+   min-sum builds a MINLP, and there a miss whose *family* (same curves,
+   different budget) has a cached member seeds the branch-and-bound with
+   that neighbor's allocation;
 3. **batches**           — ``run_requests`` answers a whole request list
    through the serving tier in one call: duplicates share one solve, a
-   family's budgets chain warm starts, answers come back in input order.
+   min-sum family's budgets chain warm starts, answers come back in input
+   order.
 
 Usage:  python examples/allocation_service.py
 """
@@ -37,12 +42,14 @@ CURVES = {
 }
 
 
-def request(total_nodes: int) -> SolveRequest:
+def request(total_nodes: int, objective: str = "min-max") -> SolveRequest:
     components = {
         name: ComponentSpec(model=PerformanceModel(**params))
         for name, params in CURVES.items()
     }
-    return SolveRequest(components=components, total_nodes=total_nodes)
+    return SolveRequest(
+        components=components, total_nodes=total_nodes, objective=objective
+    )
 
 
 def main() -> None:
@@ -51,21 +58,25 @@ def main() -> None:
     # -- 1. cache: the second identical query never reaches the solver ----
     first = service.submit(request(64))
     again = service.submit(request(64))
-    print(f"cold solve : {first.allocation}  T={first.objective:.2f}s  "
-          f"({first.latency * 1e3:.1f} ms, {first.iterations} iterations)")
+    print(f"first solve: {first.allocation}  T={first.objective:.2f}s  "
+          f"({first.latency * 1e3:.1f} ms, {first.iterations} iterations: "
+          f"min-max goes to the exact heap)")
     print(f"cache hit  : {again.allocation}  T={again.objective:.2f}s  "
           f"({again.latency * 1e3:.3f} ms, bit-identical: "
           f"{again.allocation == first.allocation and again.objective == first.objective})")
 
-    # -- 2. warm start: a neighboring budget borrows the 64-node answer ---
-    neighbor = service.submit(request(72))
-    print(f"\n72 nodes, warm-started from the 64-node solution "
+    # -- 2. min-sum builds a MINLP; a neighboring budget borrows its answer
+    cold = service.submit(request(64, "min-sum"))
+    neighbor = service.submit(request(72, "min-sum"))
+    print(f"\nmin-sum, 64 nodes: {cold.allocation}  sum T={cold.objective:.2f}s  "
+          f"({cold.latency * 1e3:.1f} ms, {cold.iterations} iterations: a MINLP)")
+    print(f"min-sum, 72 nodes, warm-started from the 64-node solution "
           f"(donor {neighbor.donor[:8]}…):")
-    print(f"  {neighbor.allocation}  T={neighbor.objective:.2f}s  "
+    print(f"  {neighbor.allocation}  sum T={neighbor.objective:.2f}s  "
           f"in {neighbor.iterations} iterations")
 
-    # -- 3. batch: a machine-size sweep with duplicates, in one call ------
-    sweep = [request(n) for n in (48, 56, 64, 64, 80, 96, 96, 128)]
+    # -- 3. batch: a min-sum machine-size sweep with duplicates, one call --
+    sweep = [request(n, "min-sum") for n in (48, 56, 64, 64, 80, 96, 96, 128)]
     tier = AsyncServingTier(TierConfig(shards=1, worker_mode="inline"))
     responses = run_requests(tier, sweep)
     print("\nmachine-size sweep (duplicates answered from cache):")

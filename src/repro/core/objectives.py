@@ -44,6 +44,20 @@ class Objective(enum.Enum):
         """
         return self is not Objective.MAX_MIN
 
+    @property
+    def has_direct_solver(self) -> bool:
+        """Whether a flat problem — one budget row over univariate curves,
+        optional box bounds — has an exact polynomial-time answer in
+        :mod:`repro.core.greedy` under this objective (§III-E).
+
+        The two objectives that *compare* components do (the heap for
+        min-max, level sets for max-min); min-sum does not.  This is the
+        one place the service asks whether a request goes to the direct
+        solver or builds a MINLP, and whether a warm-start donor can be of
+        any use to it.
+        """
+        return self is not Objective.MIN_SUM
+
 
 def apply_objective(
     model: Model,

@@ -4,12 +4,15 @@ This is the front end the ROADMAP's "millions of users" story needs — the
 two-level split of the dynlb subsystem applied to serving instead of
 compute.  **Coarse level**: a consistent-hash ring places every request's
 *family* (curve set, budget removed) onto one of N shards, so all budgets
-of a family share one shard's cache, warm-start donor pool, and OA cut
-pool — family locality makes warm starts free instead of a cross-process
-lottery.  **Fine level**: within a shard, requests are coalesced
-(single-flight: N identical in-flight requests ride one solve) and solved
-serially on the shard's worker, preserving the per-shard determinism the
-cache depends on.
+of a family share one shard's cache and — for the one objective that still
+builds a MINLP, min-sum — its warm-start donor pool and OA cut pool: family
+locality makes warm starts free instead of a cross-process lottery.
+**Fine level**: within a shard, requests are coalesced (single-flight: N
+identical in-flight requests ride one solve) and solved serially on the
+shard's worker, preserving the per-shard determinism the cache depends on.
+Min-max and max-min requests are answered directly by ``core.greedy`` on
+that same worker (:mod:`repro.service.solver` says which objective goes
+where); nothing in this module depends on which solver ran.
 
 The layers, bottom-up::
 
@@ -24,11 +27,11 @@ The layers, bottom-up::
 
 Worker modes decide only *where* that submit's solve runs.  ``"thread"``
 (default) gives each shard a one-thread executor: the thread serialises
-donor lookup -> solve -> cache admission, so a burst of one family's
-budgets chains warm starts and shard state has one solving writer; the
+donor lookup -> solve -> cache admission, so a burst of one min-sum
+family's budgets chains warm starts and shard state has one solving writer; the
 event loop stays responsive and nothing forks.  ``"process"`` is thread
 mode whose service ships the solve itself to one supervised worker process
-per shard — the parallel mode, since the branch-and-bound solve is
+per shard — the parallel mode, since a solve (heap or branch-and-bound) is
 GIL-bound Python; a worker that dies or hangs is replaced and the solve
 re-dispatched by the service's own retry loop.  ``"inline"`` runs submits
 directly on the event loop — fully deterministic, the mode the tests use.

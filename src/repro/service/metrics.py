@@ -89,7 +89,13 @@ class ServiceMetrics:
 
     @property
     def warm_start_speedup(self) -> float:
-        """Mean cold iterations / mean warm iterations (1.0 until both seen)."""
+        """Mean cold iterations / mean warm iterations (1.0 until both seen).
+
+        Only MINLP-path (min-sum) solves iterate or warm-start; a directly
+        answered min-max / max-min miss books as a cold solve of 0
+        iterations, so on a scope that mixes objectives the ratio is diluted
+        by them — read it on min-sum traffic.
+        """
         cold_solves, warm_solves = self.cold_solves, self.warm_solves
         if not (cold_solves and warm_solves):
             return 1.0

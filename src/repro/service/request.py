@@ -16,7 +16,15 @@ Anything that changes the *answer* — node budget, objective, algorithm,
 per-component node bounds, solver tolerances — is part of the fingerprint.
 The **family key** is the same hash with the node budget removed: requests
 in one family differ only in machine size, which is exactly the population
-the warm-start pool draws donors from.
+the ring keeps on one shard and, on the MINLP path, the warm-start pool
+draws donors from.
+
+A request is always one budget row over univariate curves with optional box
+bounds, so its ``objective`` alone decides the solver
+(:attr:`repro.core.objectives.Objective.has_direct_solver`): min-max and
+max-min are answered directly by :mod:`repro.core.greedy`, min-sum by a
+MINLP.  ``algorithm`` and the ``solver`` block steer that MINLP only; they
+stay in the canonical form of every request because the digest is pinned.
 """
 
 from __future__ import annotations

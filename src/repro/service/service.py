@@ -11,7 +11,8 @@ Request lifecycle::
       -> cache lookup                          (cache.py; hit: done, ~µs)
       -> circuit breaker check                 (breaker.py; open: degrade)
       -> warm-start donor: nearest cached node
-         budget in the same request family     (this module)
+         budget in the same request family     (this module; MINLP-path
+                                                objectives only)
       -> solve — in this process, or on a
          supervised worker when a pool is
          installed — retried on system
@@ -57,6 +58,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.core.objectives import Objective
 from repro.minlp.cutpool import OACutPool
 from repro.minlp.solution import Status
 from repro.obs.trace import span
@@ -408,17 +410,25 @@ class AllocationService:
     # -- cache/donor bookkeeping -------------------------------------------
 
     def admit(self, request: SolveRequest, outcome: SolveOutcome) -> None:
-        """Install a finished solve into the cache and the donor pool."""
+        """Install a finished solve into the cache and — when a sibling
+        budget could warm-start from it — the donor pool."""
         fingerprint = outcome.fingerprint
         with span("cache.admit", fingerprint=fingerprint[:12]):
             self.cache.put(fingerprint, outcome)
-            self._families[request.family_key()][fingerprint] = request.total_nodes
+            if not Objective(request.objective).has_direct_solver:
+                self._families[request.family_key()][fingerprint] = (
+                    request.total_nodes
+                )
 
     def _find_donor(
         self, request: SolveRequest, fingerprint: str
     ) -> tuple[dict[str, float] | None, str | None]:
-        """Nearest cached node budget in the request's family, as an x0."""
-        if not self.warm_start:
+        """Nearest cached node budget in the request's family, as an x0.
+
+        Only the MINLP path can use one: a request the direct solver answers
+        scans nothing and ships no ``x0`` across the pipe.
+        """
+        if not self.warm_start or Objective(request.objective).has_direct_solver:
             return None, None
         family = self._families.get(request.family_key())
         if not family:

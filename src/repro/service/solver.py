@@ -5,11 +5,24 @@ and inside the supervised pool's worker processes.  No solve draws a random
 number, so the same canonical request produces a bit-identical answer in
 any process — the property that lets cached responses stand in for fresh
 solves.
+
+**Which solver answers.**  Every request the tier can express is one budget
+row over univariate curves with optional box bounds — the family §III-E
+says needs no MINLP.  :attr:`Objective.has_direct_solver` is the one
+predicate: min-max and max-min requests are answered by
+:mod:`repro.core.greedy` (the exact heap, the exact level-set search;
+``status="optimal"``, ``iterations == 0``, never warm-started), and only
+min-sum builds a problem and calls :func:`repro.minlp.solve`.  Warm starts,
+deadline-capped tree searches and OA cut sharing are that MINLP path's
+machinery; for the direct objectives the ladder's ``greedy`` rung returns the
+same allocation as the exact path and differs only in provenance
+(``status="feasible"``, never cached).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 from repro.core.builder import AllocationModelBuilder
@@ -86,9 +99,10 @@ def solve_request(
 ) -> SolveOutcome:
     """Solve one request, optionally warm-started and deadline-capped.
 
-    Max-min is answered by :func:`repro.core.greedy.maxmin_allocation` —
-    exact, sub-millisecond, nothing to warm-start or cap — and every other
-    objective by the MINLP its convex epigraph rows make exact.
+    Min-max and max-min are answered by :mod:`repro.core.greedy` — exact,
+    sub-millisecond, nothing to warm-start or cap, so ``x0``, ``deadline``
+    and ``cut_pool`` are ignored — and min-sum by the MINLP its convex
+    epigraph rows make exact.
 
     ``deadline`` shrinks the solver's wall budget (never loosens it), so a
     per-request deadline terminates the tree search itself rather than
@@ -100,7 +114,7 @@ def solve_request(
     the solve depend on pool history, which breaks the bit-identical-replay
     guarantee — only the service's opt-in ``share_cuts`` mode passes one.
     """
-    if Objective(request.objective) is Objective.MAX_MIN:
+    if Objective(request.objective).has_direct_solver:
         return _direct_outcome(request, Status.OPTIMAL, "")
     fingerprint = request.fingerprint()
     problem = build_problem(request)
@@ -206,6 +220,7 @@ def _direct_outcome(request: SolveRequest, status: Status, message: str) -> Solv
     specs = request.components
     max_min = Objective(request.objective) is Objective.MAX_MIN
     allocate = maxmin_allocation if max_min else greedy_minmax_allocation
+    start = time.perf_counter()
     try:
         alloc, _ = allocate(
             {name: spec.model for name, spec in specs.items()},
@@ -216,13 +231,14 @@ def _direct_outcome(request: SolveRequest, status: Status, message: str) -> Solv
     except ValueError as exc:
         infeasible = Solution(Status.INFEASIBLE, message=str(exc))
         return _outcome(request, fingerprint, infeasible, warm_started=False)
+    objective = _price(request, alloc)
     return SolveOutcome(
         fingerprint=fingerprint,
         allocation=alloc,
-        objective=_price(request, alloc),
+        objective=objective,
         status=status.value,
         iterations=0,
-        wall_time=0.0,
+        wall_time=time.perf_counter() - start,  # allocate + price: fast, not free
         values={f"n_{name}": float(count) for name, count in alloc.items()},
         warm_started=False,
         message=message,

@@ -19,13 +19,14 @@ in one integer, linear in the epigraph variable.  The oracles here:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.builder import AllocationModelBuilder
 from repro.core.objectives import Objective
-from repro.minlp import BnBOptions, Model, OACutPool, solve_minlp_oa
+from repro.minlp import BnBOptions, Model, OACutPool, solve, solve_minlp_oa
 from repro.minlp import nlp as nlp_module
 from repro.minlp.brute import solve_brute_force
 from repro.minlp.expr import Linearizer, exp, linearize
@@ -35,7 +36,7 @@ from repro.minlp.oa import _Master, solve_minlp_oa_multitree
 from repro.minlp.solution import SolveStats, Status
 from repro.perf.model import PerformanceModel
 from repro.service.service import AllocationService
-from repro.service.solver import build_problem, solve_request
+from repro.service.solver import build_problem
 from repro.util.rng import keyed_rng
 from tests.minlp.test_engine_independence import (
     FMO_LADDER,
@@ -338,11 +339,14 @@ def test_fmo_ladder_masters_hold_no_duplicate_rows(index):
 
 
 def test_serving_pool_masters_hold_no_duplicate_rows_and_stay_short():
-    iterations = 0
-    for request in _request_pool():
-        sol = _solve_and_check_rows(build_problem(request))
-        iterations += sol.stats.nodes_explored + sol.stats.nlp_solves
-    assert iterations == sum(solve_request(r).iterations for r in _request_pool())
+    """The serving tier answers these min-max requests with the heap; their
+    MINLPs stay the pinned instances the OA master is kept short on."""
+    def work(sol):
+        return sol.stats.nodes_explored + sol.stats.nlp_solves
+
+    problems = [build_problem(request) for request in _request_pool()]
+    iterations = sum(work(_solve_and_check_rows(problem)) for problem in problems)
+    assert iterations == sum(work(solve(problem)) for problem in problems)
     # 835 before masters were seeded, 427 with; counts are chaotic in the cut
     # set, so the guard is a ceiling, not a number.
     assert iterations <= 520
@@ -358,10 +362,13 @@ def test_shared_pool_resolves_hold_no_duplicate_rows():
         assert shared.objective == pytest.approx(alone.objective, rel=1e-9)
     assert pool.stats.reactivated > 0
 
+    # Through the service, on the objective that reaches OA (and its pool).
+    family = [replace(request, objective="min-sum") for request in family]
     service = AllocationService(share_cuts=True, warm_start=False, cache_capacity=1)
     for request in family + family:
         assert service.submit(request).ok
     (pool,) = service._cut_pools.values()
+    assert pool.stats.reactivated > 0
     assert _duplicate_rows(pool.active_cuts()) == []
 
 

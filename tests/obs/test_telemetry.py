@@ -20,7 +20,7 @@ from repro.service import (
     ServiceOverloadError,
     TierConfig,
 )
-from tests.service.conftest import make_request
+from tests.service.conftest import make_minlp_request, make_request
 
 DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
 
@@ -93,11 +93,14 @@ def test_a_tier_run_touches_only_catalogued_families_and_labels():
 
     async def drive():
         async with tier:
-            budgets = (24, 32, 48, 24, 64, 32)
+            budgets = (24, 32, 48, 24, 64, 32)  # min-sum: the path that warm-starts
             await asyncio.gather(
-                *(tier.submit(make_request(b), priority="interactive") for b in budgets)
+                *(
+                    tier.submit(make_minlp_request(b), priority="interactive")
+                    for b in budgets
+                )
             )
-            await tier.submit(make_request(24), priority="interactive")  # hit
+            await tier.submit(make_minlp_request(24), priority="interactive")  # hit
             await tier.submit(make_request(80), priority="background")  # greedy
             with pytest.raises(ServiceOverloadError):
                 await tier.submit(make_request(81), priority="batch")

@@ -27,6 +27,23 @@ def make_request(
     return SolveRequest(components=components, total_nodes=total_nodes, **kwargs)
 
 
+def make_minlp_request(total_nodes: int = 64, **kwargs) -> SolveRequest:
+    """A request of the one objective that still builds a MINLP.
+
+    Min-max (the default) and max-min are answered directly by
+    ``repro.core.greedy`` — sub-millisecond, never warm-started, nothing a
+    deadline can cut short — so tests of the warm-start chain, the donor
+    pool, solver deadlines and anything that needs a solve to still be in
+    flight drive min-sum.
+    """
+    return make_request(total_nodes, objective="min-sum", **kwargs)
+
+
 @pytest.fixture
 def request64() -> SolveRequest:
     return make_request(64)
+
+
+@pytest.fixture
+def minlp64() -> SolveRequest:
+    return make_minlp_request(64)

@@ -16,7 +16,7 @@ from repro.service import (
     run_requests,
 )
 
-from tests.service.conftest import CURVES, make_request
+from tests.service.conftest import CURVES, make_minlp_request, make_request
 
 
 def _tier(**overrides) -> AsyncServingTier:
@@ -39,11 +39,11 @@ def test_batch_preserves_input_order_and_dedups(request64):
     assert snap["cache_hits"] == 2
 
 
-def test_concurrent_duplicates_ride_one_solve(request64):
+def test_concurrent_duplicates_ride_one_solve(minlp64):
     # Off the event loop the duplicates are in flight together: they ride
     # the leader's solve (the tier's dedup count is ``coalesce.riders``).
     tier = _tier(worker_mode="thread")
-    responses = run_requests(tier, [request64, request64, request64])
+    responses = run_requests(tier, [minlp64, minlp64, minlp64])
     assert all(r.ok for r in responses)
     snap = tier.snapshot()
     assert snap["cold_solves"] == 1
@@ -58,7 +58,7 @@ def test_duplicate_answers_are_bit_identical(request64):
 
 def test_donor_first_ordering_warms_the_family():
     tier = _tier()
-    responses = run_requests(tier, [make_request(n) for n in (96, 64, 128)])
+    responses = run_requests(tier, [make_minlp_request(n) for n in (96, 64, 128)])
     # The shard solves one at a time, so the first request of a family is
     # its donor and every later member starts from an admitted sibling.
     assert not responses[0].warm_started
@@ -79,7 +79,7 @@ def test_deadline_miss_is_an_error_envelope_not_a_crash(request64):
     # An enormous instance with a sub-microsecond budget cannot finish; its
     # slot carries a typed error while the rest of the batch succeeds.
     tier = _tier()
-    doomed = make_request(4096, options=BnBOptions(time_limit=1e-9))
+    doomed = make_minlp_request(4096, options=BnBOptions(time_limit=1e-9))
     responses = run_requests(tier, [doomed, request64])
     assert not responses[0].ok
     assert responses[0].status == "time_limit"
@@ -93,7 +93,7 @@ def test_deadline_miss_is_an_error_envelope_not_a_crash(request64):
 
 def test_failed_duplicates_reuse_the_error_envelope():
     tier = _tier(worker_mode="thread")
-    doomed = make_request(4096, options=BnBOptions(time_limit=1e-9))
+    doomed = make_minlp_request(4096, options=BnBOptions(time_limit=1e-9))
     responses = run_requests(tier, [doomed, doomed], deadline=1e-9)
     assert [r.ok for r in responses] == [False, False]
     assert [r.status for r in responses] == ["time_limit", "time_limit"]

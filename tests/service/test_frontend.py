@@ -17,7 +17,7 @@ from repro.service import (
     serve_stdio,
 )
 
-from tests.service.conftest import make_request
+from tests.service.conftest import make_minlp_request, make_request
 
 #: A second curve family, so routing tests have two distinct family keys.
 OTHER_CURVES = {
@@ -83,7 +83,7 @@ def test_serves_and_caches_across_repeats(request64):
     assert snap["cold_solves"] == 1
 
 
-def test_concurrent_identical_requests_coalesce_to_one_solve(request64):
+def test_concurrent_identical_requests_coalesce_to_one_solve(minlp64):
     """The tentpole invariant end-to-end: N identical in-flight -> 1 solve."""
     tier = AsyncServingTier(
         TierConfig(shards=2, worker_mode="thread")
@@ -93,7 +93,7 @@ def test_concurrent_identical_requests_coalesce_to_one_solve(request64):
     async def main():
         async with tier:
             return await asyncio.gather(
-                *(tier.submit(request64) for _ in range(n))
+                *(tier.submit(minlp64) for _ in range(n))
             )
 
     responses = asyncio.run(main())
@@ -186,10 +186,10 @@ def test_cache_hits_answer_exactly_in_the_degrade_band(request64):
 def test_process_mode_solves_and_chains_warm_starts():
     """Out-of-process shards: answers match inline, warm starts still chain."""
     reference = run_requests(
-        _tier(shards=1), [make_request(b) for b in (48, 64, 72)]
+        _tier(shards=1), [make_minlp_request(b) for b in (48, 64, 72)]
     )
     tier = AsyncServingTier(TierConfig(shards=1, worker_mode="process"))
-    responses = run_requests(tier, [make_request(b) for b in (48, 64, 72)])
+    responses = run_requests(tier, [make_minlp_request(b) for b in (48, 64, 72)])
     assert all(r.ok for r in responses)
     # The child process solves without the parent's shared cut pool, so it
     # may land on a different optimal tie — objectives must still agree.

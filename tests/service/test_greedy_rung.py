@@ -5,7 +5,9 @@ are one module (:mod:`repro.core.greedy`: the heap for min-max, level sets
 for max-min).  It is checked here against values — a pinned table — and
 against solvers that share no code with it (OA, NLP-B&B, brute force) on
 keyed-RNG requests and on both pinned serving pools, so a later edit is not
-checked against itself.
+checked against itself.  ``solve_request`` answers min-max and max-min with
+this module too, so the exact side of every comparison is OA on
+``build_problem(request)`` (:func:`_oa`), never ``solve_request``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ from repro.util.rng import keyed_rng
 from tests.minlp.test_engine_independence import _request_pool as ledger_pool
 
 OBJECTIVES = tuple(o.value for o in Objective)
+
+
+def _oa(request: SolveRequest):
+    """The independent oracle: outer approximation on the request's MINLP."""
+    return solve_minlp_oa(build_problem(request), request.options).require_ok()
+
 
 # -- the pinned table --------------------------------------------------------
 
@@ -160,19 +168,21 @@ def _random_request(objective: str, case: int, *, bounded: bool) -> SolveRequest
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_greedy_is_valid_and_never_better_than_exact(objective):
-    """OA is exact on convex rows; max-min is the level-set search on both
-    sides, so there the property is equality."""
+    """OA is exact on convex rows; max-min (nonconvex rows, no OA) is the
+    level-set search on both sides, so there the property is equality."""
     for case in range(20):
         request = _random_request(objective, case, bounded=True)
         greedy = greedy_outcome(request)
         assert validate_outcome(request, greedy) is None, case
-        exact = solve_request(request)
-        assert exact.status == "optimal", case
-        assert validate_outcome(request, exact) is None, case
+        served = solve_request(request)
+        assert served.status == "optimal", case
+        assert validate_outcome(request, served) is None, case
         if objective == "max-min":  # the one objective that is maximized
-            assert greedy.objective <= exact.objective * (1 + 1e-9), case
+            assert greedy.objective <= served.objective * (1 + 1e-9), case
         else:
-            assert greedy.objective >= exact.objective * (1 - 1e-9), case
+            exact = _oa(request).objective
+            assert served.objective == pytest.approx(exact, rel=1e-9), case
+            assert greedy.objective >= exact * (1 - 1e-9), case
 
 
 def test_greedy_never_beats_the_exact_max_min_answer():
@@ -186,10 +196,8 @@ def test_greedy_never_beats_the_exact_max_min_answer():
 
 
 def _assert_greedy_is_exact(request: SolveRequest, case) -> None:
-    exact = solve_request(request)
-    assert exact.status == "optimal", case
     assert greedy_outcome(request).objective == pytest.approx(
-        exact.objective, rel=1e-9
+        _oa(request).objective, rel=1e-9
     ), case
 
 
@@ -205,6 +213,26 @@ def test_greedy_is_exact_for_bounded_min_max():
         _assert_greedy_is_exact(_random_request("min-max", case, bounded=True), case)
     for i in range(0, len(PINNED), 3):
         _assert_greedy_is_exact(_pinned_spec(i), i)
+
+
+def test_served_min_max_answer_is_the_oa_answer():
+    """What ``solve_request`` returns for min-max (the heap, since it is
+    exact) against OA on the same request's MINLP: fresh keyed cases, with
+    and without floors and caps, 2-6 components."""
+    checked = 0
+    for bounded in (True, False):
+        for case in range(100, 180):
+            request = _random_request("min-max", case, bounded=bounded)
+            if len(request.components) < 2:
+                continue
+            served = solve_request(request)
+            assert served.status == "optimal", (case, bounded)
+            assert validate_outcome(request, served) is None, (case, bounded)
+            assert served.objective == pytest.approx(
+                _oa(request).objective, rel=1e-9
+            ), (case, bounded)
+            checked += 1
+    assert checked >= 100
 
 
 def _sweet_spot_request(case: int) -> SolveRequest:
@@ -289,7 +317,7 @@ def test_max_min_is_never_below_nlpbb_started_from_the_heap():
     assert trapped.objective == pytest.approx(47.547, abs=1e-3)  # the tree: 13.67
 
 
-# -- the routing fact ``Objective.oa_safe`` carries ---------------------------
+# -- the routing facts ``Objective`` carries -----------------------------------
 
 
 def _small_request(objective: str, case: int) -> SolveRequest:
@@ -310,15 +338,17 @@ def _small_request(objective: str, case: int) -> SolveRequest:
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_solve_request_matches_brute_force(objective):
-    """OA where the epigraph rows are convex, level sets where they are
-    not: either way the optimum brute force enumerates on ``build_problem``
+    """The heap for min-max, level sets for max-min, OA for min-sum: every
+    route returns the optimum brute force enumerates on ``build_problem``
     (for max-min the ``==``-budget reference formulation)."""
     assert Objective(objective).oa_safe == (objective != "max-min")
+    assert Objective(objective).has_direct_solver == (objective != "min-sum")
     for case in range(8):
         request = _small_request(objective, case)
         brute = solve_brute_force(build_problem(request)).require_ok()
         outcome = solve_request(request)
         assert outcome.status == "optimal", case
+        assert (outcome.iterations == 0) == (objective != "min-sum"), case
         assert outcome.objective == pytest.approx(brute.objective, rel=1e-6), case
         assert validate_outcome(request, outcome) is None, case
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.service import AsyncServingTier, TierConfig
 
-from tests.service.conftest import make_request
+from tests.service.conftest import make_minlp_request, make_request
 
 
 def _submit_all(tier, requests, priority="interactive"):
@@ -93,10 +93,12 @@ def test_coalesced_riders_share_the_leader_trace_solve(tracer):
 
     Thread mode, not inline: an inline solve completes synchronously
     inside the first ``submit``, so the followers would land on the cache
-    instead of the in-flight table and nobody would ride.
+    instead of the in-flight table and nobody would ride.  Min-sum, not the
+    default objective: a direct (sub-millisecond) solve can be admitted to
+    the cache before the followers have looked.
     """
     tier = AsyncServingTier(TierConfig(shards=2, worker_mode="thread"))
-    responses = _submit_all(tier, [make_request(64)] * 4)
+    responses = _submit_all(tier, [make_minlp_request(64)] * 4)
     assert all(r.ok for r in responses)
     roles = []
     for response in responses:
