@@ -70,7 +70,7 @@ faults-bench:
 # 250-request chaos soak through two supervised worker processes that
 # fails if any request is lost (writes benchmarks/out/chaos_metrics.json).
 serving:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/service tests/faults/test_chaos_plan.py tests/minlp/test_warm_start.py tests/cli/test_serving.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/service tests/faults/test_chaos_plan.py tests/minlp/test_warm_start.py tests/cli/test_serving.py tests/cli/test_parser.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -q -k "serve or batch or chaos"
 	HSLB_BENCH_SERVICE_OUT=benchmarks/out/BENCH_service.fresh.json \
 		PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_service.py --benchmark-only -q

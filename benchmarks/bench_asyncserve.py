@@ -34,6 +34,7 @@ import pytest
 from repro.service.admission import AdmissionPolicy
 from repro.service.frontend import AsyncServingTier, TierConfig
 from repro.service.loadgen import TraceSpec, generate_trace, replay
+from repro.service.solver import solve_request
 
 #: The canonical serving scenario: 12 curve families x 4 node budgets under
 #: a Zipf-1.1 popularity law, one diurnal cycle, two flash crowds — enough
@@ -95,6 +96,10 @@ def test_asyncserve_tier_replay(benchmark, host_record):
         for event in generate_trace(_SPEC)
     ]
     cores = host_record["cpus"]
+    # A process loads scipy at its first MINLP solve (~0.4 s, once).  Load it
+    # here so the forked workers inherit it: the burst times the tier, not
+    # one import per worker.
+    solve_request(trace[0].request)
 
     def serve():
         tier = AsyncServingTier(

@@ -190,6 +190,9 @@ def _save_records(results: list[dict], host: dict) -> None:
 
 
 def test_s1_service_throughput(benchmark, save_report, host_record):
+    # The first MINLP solve of a process imports scipy (~0.4 s, once): load it
+    # outside the timed rounds, which compare cached against fresh solves.
+    solve_request(request_pool()[0])
     results: list[dict] = []
     benchmark.pedantic(
         lambda: results.append(run_service_benchmark()), rounds=5, iterations=1

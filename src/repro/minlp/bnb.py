@@ -313,7 +313,7 @@ class BranchAndBound:
             if stats.nodes_explored >= opts.node_limit:
                 status = Status.NODE_LIMIT
                 break
-            if self._now(timer) >= opts.time_limit:
+            if timer.peek() >= opts.time_limit:
                 status = Status.TIME_LIMIT
                 break
 
@@ -441,13 +441,4 @@ class BranchAndBound:
             objective=sign * incumbent_obj,
             bound=sign * best_bound,
             stats=stats,
-        )
-
-    @staticmethod
-    def _now(timer: Timer) -> float:
-        # Peek elapsed time without stopping the stopwatch.
-        import time
-
-        return timer.elapsed + (
-            (time.perf_counter() - timer._start) if timer.running else 0.0
         )

@@ -24,7 +24,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog as _scipy_linprog
 
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution, SolveStats, Status
@@ -165,8 +164,12 @@ def _run_highs(
     var_lb: np.ndarray,
     var_ub: np.ndarray,
 ) -> LPResult:
+    # Imported at the call site (a sys.modules lookup after the first): a
+    # process whose LPs all fit the built-in simplex never loads scipy.
+    from scipy.optimize import linprog
+
     A_ub, b_ub, A_eq, b_eq = split
-    res = _scipy_linprog(
+    res = linprog(
         c=c,
         A_ub=A_ub,
         b_ub=b_ub,

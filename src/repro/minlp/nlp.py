@@ -15,7 +15,6 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.minlp.expr import Expr
 from repro.minlp.linprog import LinearProgram, solve_lp_routed
@@ -283,6 +282,10 @@ def _scipy_runs(
     rng: np.random.Generator | None,
 ) -> Iterator[_Run]:
     """One scipy run from the warm/default start, then the random restarts."""
+    # Imported where SLSQP is called: min-max / max-min answers and closed-form
+    # or LP subproblems never reach this generator, so they never load scipy.
+    from scipy.optimize import minimize
+
     names = small.variable_names
     sign = -1.0 if small.sense.value == "maximize" else 1.0
     iterate = _Iterate(names, lo, hi)

@@ -335,10 +335,14 @@ def _solve_minlp_oa_impl(
         )
         return cuts, candidate
 
+    # The tree gets what the root relaxation left of the wall budget.  The
+    # root is where a process first calls scipy (a one-off ~0.4 s import), so
+    # a deadline shorter than that ends as TIME_LIMIT instead of being
+    # answered, late, by a tree that started its own clock afterwards.
     engine = BranchAndBound(
         master.problem,
         "lp",
-        opts,
+        opts.with_budget(opts.time_limit - timer.peek()),
         lazy_cuts=lazy,
         incumbent=incumbent,
         known_cuts=master.installed,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.obs.trace import span
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark
@@ -121,6 +120,10 @@ def fit_performance_model(
         performance data" risk, mitigated.  Residuals are scaled relative to
         the observed times so the robust threshold is resolution-independent.
     """
+    # Imported here, not at module level: scipy.optimize is ~50 MiB and
+    # ~0.4 s per process, and a serving process that never fits never pays.
+    from scipy.optimize import least_squares
+
     if loss not in ("linear", "huber", "soft_l1"):
         raise ValueError(f"unknown loss {loss!r}")
     n = np.asarray(nodes, dtype=float)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from repro.minlp.expr import Expr, ExprLike, VarRef, as_expr
 from repro.perf.fitting import FitResult, fit_performance_model
@@ -93,6 +92,8 @@ class CandidateFit:
 
 def fit_amdahl(nodes: np.ndarray, seconds: np.ndarray) -> PerformanceModel:
     """Exact nonnegative least squares for ``a/n + d`` (design [1/n, 1])."""
+    from scipy.optimize import nnls  # at the call site: see perf/fitting.py
+
     n = np.asarray(nodes, dtype=float)
     y = np.asarray(seconds, dtype=float)
     if n.size < 2:
@@ -110,6 +111,8 @@ def fit_power_law(
 ) -> PowerLawModel:
     """Bounded least squares for ``a n^(-p) + d`` (one heuristic start plus
     three random ones)."""
+    from scipy.optimize import least_squares  # at the call site: see perf/fitting.py
+
     n = np.asarray(nodes, dtype=float)
     y = np.asarray(seconds, dtype=float)
     if n.size < 3:

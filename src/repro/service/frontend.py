@@ -45,11 +45,13 @@ import io
 import json
 import os
 import time
+import traceback
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO
 
+from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOTracker
 from repro.obs.telemetry import family
@@ -464,8 +466,6 @@ def serve_stdio(
                 port=metrics_port,
             )
             await server.start()
-            from repro.obs.logging import get_logger
-
             get_logger("service.frontend").info(
                 f"metrics endpoint live on {server.url}/metrics"
             )
@@ -507,6 +507,15 @@ async def _serve_lines(
             response = {**answer.to_dict(), "shard": tier.route(request)}
         except ServiceError as exc:
             response = error_payload(exc)
+        except Exception as exc:  # noqa: BLE001 - the transport keeps running
+            # A bug, not a caller error — but still this line's answer: a
+            # task that died silently would leave its ``id`` waiting forever.
+            get_logger("service.frontend").error(
+                "request handler failed", traceback=traceback.format_exc()
+            )
+            response = error_payload(
+                ServiceError(f"internal error ({type(exc).__name__}: {exc})")
+            )
         if "id" in payload:
             response["id"] = payload["id"]
         await emit(response)

@@ -19,6 +19,17 @@ in one family differ only in machine size, which is exactly the population
 the ring keeps on one shard and, on the MINLP path, the warm-start pool
 draws donors from.
 
+A request is **immutable, validated at construction, and identified once**.
+``components`` is snapshotted into a read-only mapping (mutating the dict the
+caller passed in afterwards changes neither the identity nor the answer),
+bounds no solver could honour (``min_nodes < 1``, ``max_nodes < min_nodes``)
+raise :class:`ServiceRequestError`, and the canonical payload plus both
+digests come out of one pass memoised on the instance: every later
+``fingerprint()`` / ``family_key()`` — the tier calls them at routing,
+coalescing, the cache, validation and the solver — is an attribute read.
+``dataclasses.replace`` builds a new instance, so a changed budget gets a
+fresh identity; a pickled or copied request carries the one it had.
+
 A request is always one budget row over univariate curves with optional box
 bounds, so its ``objective`` alone decides the solver
 (:attr:`repro.core.objectives.Objective.has_direct_solver`): min-max and
@@ -31,8 +42,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from repro.core.objectives import Objective
 from repro.minlp.bnb import BnBOptions
@@ -101,11 +115,36 @@ class SolveRequest:
             raise ServiceRequestError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {_ALGORITHMS}"
             )
+        for name, spec in self.components.items():
+            if spec.min_nodes < 1:
+                raise ServiceRequestError(
+                    f"component {name!r}: min_nodes must be >= 1, "
+                    f"got {spec.min_nodes}"
+                )
+            if spec.max_nodes is not None and spec.max_nodes < spec.min_nodes:
+                raise ServiceRequestError(
+                    f"component {name!r}: max_nodes {spec.max_nodes} is below "
+                    f"min_nodes {spec.min_nodes}"
+                )
+        # The caller keeps its dict; the request keeps a read-only snapshot,
+        # so the memoised identity below cannot go stale.
+        object.__setattr__(
+            self, "components", MappingProxyType(dict(self.components))
+        )
+
+    # A mappingproxy does not pickle: ship the plain dict, re-wrap on arrival
+    # (the memoised identity travels with the rest of ``__dict__``).
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "components": dict(self.components)}
+
+    def __setstate__(self, state: dict) -> None:
+        state["components"] = MappingProxyType(state["components"])
+        self.__dict__.update(state)
 
     # -- canonical form ----------------------------------------------------
 
     def canonical(self) -> dict:
-        """The request as a canonical, JSON-stable payload."""
+        """The request as a canonical, JSON-stable payload (a fresh pass)."""
         return {
             "components": {
                 name: self.components[name].canonical()
@@ -123,25 +162,42 @@ class SolveRequest:
             },
         }
 
+    @cached_property
+    def _identity(self) -> tuple[dict, str, str]:
+        """``(canonical payload, fingerprint, family key)`` from one pass.
+
+        ``cached_property`` writes the instance ``__dict__`` directly, which
+        a frozen (slot-less) dataclass allows; the fields cannot change
+        afterwards, so neither can this.
+        """
+        payload = self.canonical()
+        family = {k: v for k, v in payload.items() if k != "total_nodes"}
+        return payload, _digest(payload), _digest(family)
+
     def fingerprint(self) -> str:
         """Stable identity of the solve: equal problems, equal digests."""
-        return _digest(self.canonical())
+        return self._identity[1]
 
     def family_key(self) -> str:
         """Identity minus the node budget: the warm-start donor family."""
-        payload = self.canonical()
-        del payload["total_nodes"]
-        return _digest(payload)
+        return self._identity[2]
 
     # -- wire format -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (the ``repro serve``/``batch`` schema)."""
-        return self.canonical()
+        """JSON-serializable form (the ``repro serve``/``batch`` schema): the
+        caller's own copy of the memoised canonical payload."""
+        payload = self._identity[0]
+        return {
+            **payload,
+            "components": {k: dict(v) for k, v in payload["components"].items()},
+            "solver": dict(payload["solver"]),
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SolveRequest":
-        """Parse the wire format; raises :class:`ServiceRequestError`."""
+        """Parse the wire format; every malformed field raises
+        :class:`ServiceRequestError`, nothing else."""
         try:
             raw = payload["components"]
         except (KeyError, TypeError):
@@ -152,6 +208,10 @@ class SolveRequest:
             raise ServiceRequestError("'components' must map name -> parameters")
         components: dict[str, ComponentSpec] = {}
         for name, params in raw.items():
+            if not isinstance(params, Mapping):
+                raise ServiceRequestError(
+                    f"component {name!r}: parameters must be a mapping"
+                )
             try:
                 model = PerformanceModel(
                     a=float(params["a"]),
@@ -166,31 +226,57 @@ class SolveRequest:
             max_nodes = params.get("max_nodes")
             components[str(name)] = ComponentSpec(
                 model=model,
-                min_nodes=int(params.get("min_nodes", 1)),
-                max_nodes=None if max_nodes is None else int(max_nodes),
+                min_nodes=_integer(
+                    f"component {name!r}: min_nodes", params.get("min_nodes", 1)
+                ),
+                max_nodes=(
+                    None
+                    if max_nodes is None
+                    else _integer(f"component {name!r}: max_nodes", max_nodes)
+                ),
             )
         solver = payload.get("solver", {})
+        if not isinstance(solver, Mapping):
+            raise ServiceRequestError("'solver' must map option -> value")
         defaults = BnBOptions()
         options = BnBOptions(
-            int_tol=float(solver.get("int_tol", defaults.int_tol)),
-            gap_abs=float(solver.get("gap_abs", defaults.gap_abs)),
-            gap_rel=float(solver.get("gap_rel", defaults.gap_rel)),
-            node_limit=int(solver.get("node_limit", defaults.node_limit)),
-            time_limit=float(solver.get("time_limit", defaults.time_limit)),
+            node_limit=_integer(
+                "solver.node_limit", solver.get("node_limit", defaults.node_limit)
+            ),
+            **{
+                key: _finite(f"solver.{key}", solver.get(key, getattr(defaults, key)))
+                for key in ("int_tol", "gap_abs", "gap_rel", "time_limit")
+            },
         )
-        try:
-            total_nodes = int(payload["total_nodes"])
-        except (KeyError, TypeError, ValueError):
-            raise ServiceRequestError(
-                "request must carry an integer 'total_nodes'"
-            ) from None
+        if "total_nodes" not in payload:
+            raise ServiceRequestError("request must carry an integer 'total_nodes'")
         return cls(
             components=components,
-            total_nodes=total_nodes,
+            total_nodes=_integer("total_nodes", payload["total_nodes"]),
             objective=str(payload.get("objective", Objective.MIN_MAX.value)),
             algorithm=str(payload.get("algorithm", "auto")),
             options=options,
         )
+
+
+def _integer(what: str, value) -> int:
+    """``value`` as an int if it is one (``8``, ``8.0``); never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ServiceRequestError(f"{what} must be an integer, got {value!r}")
+
+
+def _finite(what: str, value) -> float:
+    """``value`` as a float if it is a finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ServiceRequestError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _digest(payload: dict) -> str:

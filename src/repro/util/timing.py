@@ -36,6 +36,12 @@ class Timer:
     def running(self) -> bool:
         return self._start is not None
 
+    def peek(self) -> float:
+        """Elapsed seconds so far, without stopping the stopwatch."""
+        if self._start is None:
+            return self.elapsed
+        return self.elapsed + (time.perf_counter() - self._start)
+
     def __enter__(self) -> "Timer":
         return self.start()
 

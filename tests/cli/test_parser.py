@@ -1,6 +1,7 @@
 """The parser as a whole: the flag rule, ``--help`` everywhere, a cheap import."""
 
 import argparse
+import ast
 import pathlib
 import re
 import subprocess
@@ -74,6 +75,34 @@ def test_building_the_parser_imports_neither_scipy_nor_the_experiments():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_under_src_imports_scipy_at_module_level():
+    """``scipy.optimize`` costs ~50 MiB and ~0.4 s per process — the serving
+    tier's parent and every forked worker — so it is imported inside the
+    functions that call it (the fits, SLSQP, HiGHS).  Anything outside a
+    function body runs at import time: module and class level, and the
+    ``if`` / ``try`` / ``with`` blocks under them."""
+
+    def import_time_statements(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            yield node
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from import_time_statements(getattr(node, field, []))
+
+    offenders = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in import_time_statements(ast.parse(path.read_text()).body):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert not offenders, f"module-level scipy imports: {offenders}"
 
 
 def test_dispatch_has_no_per_command_branch():

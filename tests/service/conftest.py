@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.perf.model import PerformanceModel
@@ -37,6 +39,25 @@ def make_minlp_request(total_nodes: int = 64, **kwargs) -> SolveRequest:
     flight drive min-sum.
     """
     return make_request(total_nodes, objective="min-sum", **kwargs)
+
+
+def hold_solves(tier, seconds: float = 0.05) -> None:
+    """Keep every solve of ``tier`` in flight for ``seconds`` before it runs.
+
+    A shard thread's first solve can finish inside one GIL switch interval
+    (5 ms) — before the event loop has looked at the duplicates queued behind
+    it, which then land on the cache instead of the flight table.  Tests that
+    assert on riders sleep the worker (GIL released) so the followers always
+    arrive while the leader is still solving.
+    """
+    for shard in tier.shards.values():
+        solve = shard.service._solve
+
+        def held(request, _solve=solve, **kwargs):
+            time.sleep(seconds)
+            return _solve(request, **kwargs)
+
+        shard.service._solve = held
 
 
 @pytest.fixture

@@ -16,7 +16,12 @@ from repro.service import (
     run_requests,
 )
 
-from tests.service.conftest import CURVES, make_minlp_request, make_request
+from tests.service.conftest import (
+    CURVES,
+    hold_solves,
+    make_minlp_request,
+    make_request,
+)
 
 
 def _tier(**overrides) -> AsyncServingTier:
@@ -43,6 +48,7 @@ def test_concurrent_duplicates_ride_one_solve(minlp64):
     # Off the event loop the duplicates are in flight together: they ride
     # the leader's solve (the tier's dedup count is ``coalesce.riders``).
     tier = _tier(worker_mode="thread")
+    hold_solves(tier)
     responses = run_requests(tier, [minlp64, minlp64, minlp64])
     assert all(r.ok for r in responses)
     snap = tier.snapshot()
@@ -93,6 +99,7 @@ def test_deadline_miss_is_an_error_envelope_not_a_crash(request64):
 
 def test_failed_duplicates_reuse_the_error_envelope():
     tier = _tier(worker_mode="thread")
+    hold_solves(tier)
     doomed = make_minlp_request(4096, options=BnBOptions(time_limit=1e-9))
     responses = run_requests(tier, [doomed, doomed], deadline=1e-9)
     assert [r.ok for r in responses] == [False, False]

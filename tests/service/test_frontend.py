@@ -17,7 +17,7 @@ from repro.service import (
     serve_stdio,
 )
 
-from tests.service.conftest import make_minlp_request, make_request
+from tests.service.conftest import hold_solves, make_minlp_request, make_request
 
 #: A second curve family, so routing tests have two distinct family keys.
 OTHER_CURVES = {
@@ -88,6 +88,7 @@ def test_concurrent_identical_requests_coalesce_to_one_solve(minlp64):
     tier = AsyncServingTier(
         TierConfig(shards=2, worker_mode="thread")
     )
+    hold_solves(tier)
     n = 8
 
     async def main():

@@ -3,11 +3,15 @@ JSONL transport — requests, control lines, malformed input, input order."""
 
 from __future__ import annotations
 
+import copy
 import io
 import json
+import math
 import sys
 
 from repro.cli import main
+from repro.service import AsyncServingTier
+from repro.util.rng import keyed_rng
 
 from tests.service.conftest import make_request
 
@@ -92,3 +96,104 @@ def test_answers_come_back_in_input_order(monkeypatch, capsys):
     replies, _ = _run(lines, monkeypatch, capsys)
     assert [r["id"] for r in replies] == list(range(len(budgets)))
     assert [r["cached"] for r in replies] == [False, False, False, True, False, True]
+
+
+# -- fuzz: one typed reply per line, whatever the line holds ------------------
+
+#: What a confused or hostile client puts where a number or a block belongs.
+_JUNK = (
+    None, True, "two", "", 2.7, -1, 0, -3.5, 1e308, math.nan, math.inf,
+    [], [1, 2], {}, {"a": 1}, "min-max", "9" * 40,
+)
+
+
+def _mutated(rng, payload: dict) -> dict:
+    """``payload`` with one to three fields junked, dropped or misplaced."""
+    payload = copy.deepcopy(payload)
+    for _ in range(int(rng.integers(1, 4))):
+        name = str(rng.choice(sorted(payload["components"]) or ["x"]))
+        block = payload["components"].get(name, {})
+        junk = _JUNK[int(rng.integers(len(_JUNK)))]
+        where = int(rng.integers(9))
+        if where == 0:
+            payload["components"] = junk
+            return payload  # nothing left to mutate below it
+        if where == 1:
+            payload["components"][name] = junk
+        elif where == 2 and isinstance(block, dict):
+            block[str(rng.choice(["a", "b", "c", "d"]))] = junk
+        elif where == 3 and isinstance(block, dict):
+            block[str(rng.choice(["min_nodes", "max_nodes"]))] = junk
+        elif where == 4:
+            payload["total_nodes"] = junk
+        elif where == 5:
+            payload["solver"] = junk
+        elif where == 6:
+            key = str(rng.choice(
+                ["int_tol", "gap_abs", "gap_rel", "node_limit", "time_limit"]
+            ))
+            payload["solver"] = {key: junk}
+        elif where == 7:
+            payload[str(rng.choice(["objective", "algorithm", "priority"]))] = junk
+        else:
+            payload.pop(str(rng.choice(["components", "total_nodes"])), None)
+            if "components" not in payload:
+                return payload
+    return payload
+
+
+def test_fuzzed_requests_each_get_one_typed_reply(monkeypatch, capsys):
+    """240 keyed mutations of valid requests, a valid neighbour after every
+    third: one reply per ``id``, no handler death, neighbours still answered.
+
+    Before: a non-mapping block or a non-numeric bound raised ``ValueError``
+    / ``AttributeError`` out of ``from_dict``, the line's task died with
+    "Task exception was never retrieved" and its ``id`` never got a line.
+    """
+    rng = keyed_rng(23, "transport-fuzz")
+    lines, valid_ids = [], set()
+    for case in range(240):
+        base = make_request(int(rng.integers(8, 200))).to_dict()
+        lines.append(json.dumps({**_mutated(rng, base), "id": case}))
+        if case % 3 == 0:
+            valid_ids.add(f"ok-{case}")
+            lines.append(json.dumps({**base, "id": f"ok-{case}"}))
+    replies, err = _run(lines, monkeypatch, capsys)
+
+    assert f"served {len(lines)} request(s)" in err
+    assert "Traceback" not in err and "never retrieved" not in err
+    assert "request handler failed" not in err  # every refusal was typed
+    assert sorted(map(str, (r["id"] for r in replies))) == sorted(
+        map(str, [*range(240), *valid_ids])
+    )
+    refused = 0
+    for reply in replies:
+        if "error" in reply:
+            refused += 1
+            assert reply["status"] == "error" and reply["error"]
+        else:
+            assert reply["status"] in ("optimal", "infeasible"), reply
+        if reply["id"] in valid_ids:
+            assert reply["status"] == "optimal"
+    # Most mutations break the request; a junk value that happens to be
+    # legal where it landed (``b = 0``, ``max_nodes = None``) does not.
+    assert 150 <= refused <= 240
+
+
+def test_a_handler_bug_is_answered_and_logged_not_lost(monkeypatch, capsys):
+    """The boundary's last resort: any other exception still answers its
+    ``id``, and the traceback goes to the log instead of a dead task."""
+    async def broken(self, request, **kwargs):
+        raise RuntimeError("wires crossed")
+
+    monkeypatch.setattr(AsyncServingTier, "submit", broken)
+    replies, err = _run(
+        [json.dumps({**make_request(64).to_dict(), "id": "a"})], monkeypatch, capsys
+    )
+    assert replies == [
+        {"error": "internal error (RuntimeError: wires crossed)",
+         "status": "error", "id": "a"}
+    ]
+    assert "never retrieved" not in err
+    assert "[error] service.frontend: request handler failed" in err
+    assert "RuntimeError: wires crossed" in err

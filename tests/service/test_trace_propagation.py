@@ -16,7 +16,7 @@ import pytest
 
 from repro.service import AsyncServingTier, TierConfig
 
-from tests.service.conftest import make_minlp_request, make_request
+from tests.service.conftest import hold_solves, make_minlp_request, make_request
 
 
 def _submit_all(tier, requests, priority="interactive"):
@@ -98,6 +98,7 @@ def test_coalesced_riders_share_the_leader_trace_solve(tracer):
     the cache before the followers have looked.
     """
     tier = AsyncServingTier(TierConfig(shards=2, worker_mode="thread"))
+    hold_solves(tier)
     responses = _submit_all(tier, [make_minlp_request(64)] * 4)
     assert all(r.ok for r in responses)
     roles = []

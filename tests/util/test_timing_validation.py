@@ -22,8 +22,10 @@ def test_timer_accumulates_across_phases():
     t.start()
     first = t.stop()
     t.start()
+    running = t.peek()  # reads the clock without stopping it
+    assert t.running and running >= first
     second = t.stop()
-    assert second >= first
+    assert second >= running and t.peek() == second
 
 
 def test_timer_stop_without_start():
