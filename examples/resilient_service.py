@@ -15,7 +15,8 @@ occasionally return garbage.  This example walks the resilience stack:
 4. **supervised workers** — the serving tier in process mode: a real
    worker process killed mid-solve is contained to its shard, replaced
    under a restart budget, and the victim request re-dispatched — without
-   restarting the service.
+   restarting the service.  (Min-sum requests: only what builds a MINLP is
+   shipped to a worker; min-max / max-min are answered on the shard thread.)
 
 Usage:  python examples/resilient_service.py
 """
@@ -40,12 +41,12 @@ CURVES = {
 }
 
 
-def request(total_nodes: int) -> SolveRequest:
+def request(total_nodes: int, **kwargs) -> SolveRequest:
     components = {
         name: ComponentSpec(model=PerformanceModel(**params))
         for name, params in CURVES.items()
     }
-    return SolveRequest(components=components, total_nodes=total_nodes)
+    return SolveRequest(components=components, total_nodes=total_nodes, **kwargs)
 
 
 def show(label: str, response) -> None:
@@ -113,7 +114,9 @@ def main() -> None:
         )
     )
     responses = run_requests(
-        tier, [request(n) for n in (24, 32, 40, 56)], deadline=30.0
+        tier,
+        [request(n, objective="min-sum") for n in (24, 32, 40, 56)],
+        deadline=30.0,
     )
     for r in responses:
         show("recovered batch", r)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from repro.cli._common import (
     UsageError,
@@ -123,10 +124,13 @@ def register(sub) -> None:
         "--worker-mode",
         choices=("auto", "thread", "process", "inline"),
         default="auto",
-        help="how shards solve: 'process' forks one solver per shard "
-        "(parallel on multi-core hosts), 'thread' keeps solves in-process "
-        "(best on one core), 'inline' is deterministic but blocks the "
-        "loop; 'auto' picks by host core count",
+        help="where a shard's MINLP solves (min-sum) run: 'process' ships "
+        "them to one supervised worker per shard (parallel on multi-core "
+        "hosts), 'thread' keeps them on the shard's thread (best on one "
+        "core), 'inline' is deterministic but blocks the loop; 'auto' "
+        "picks by host core count.  Min-max / max-min requests are "
+        "answered on the shard's thread in every mode: the sub-millisecond "
+        "heap is cheaper than the hop to a worker",
     )
     tier.add_argument(
         "--max-pending",
@@ -160,7 +164,8 @@ def register(sub) -> None:
         "--workers",
         type=int,
         default=0,
-        help="process-pool size for fan-out (0 = solve in-process)",
+        help="worker processes MINLP (min-sum) solves fan out to, one shard "
+        "each (0 = one inline shard; min-max / max-min never leave it)",
     )
     bat.add_argument(
         "--max-pending",
@@ -190,7 +195,8 @@ def register(sub) -> None:
         "--workers",
         type=int,
         default=0,
-        help="supervised-pool size (0 = deterministic in-process chaos)",
+        help="supervised-pool size (0 = deterministic in-process chaos); "
+        "the soak's min-sum half ships to the workers and dies physically",
     )
     add_json_arg(cha)
     cha.add_argument(
@@ -252,7 +258,7 @@ def _tier(args: argparse.Namespace, worker_mode: str, **config: object):
 def _batch_tier(args: argparse.Namespace, max_pending: int, workers: int):
     """A tier with all-or-nothing admission: ``workers=0`` solves inline on
     one shard (deterministic, answers in input order), ``workers=N`` on N
-    supervised worker processes.
+    shards that ship their MINLP solves to one supervised worker process each.
 
     The ``max_pending`` refusal is the only admission gate: every admitted
     request gets the exact path, none is degraded or shed by class.
@@ -350,8 +356,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     tier = _batch_tier(args, max(args.requests, 1024), args.workers)
     # Cycle the load generator's pool (families x node budgets).  Repeats
     # are intentional: they exercise the cache and dedup paths while the
-    # distinct requests exercise solves and warm starts.
-    pool = request_pool(TraceSpec())
+    # distinct requests exercise solves and warm starts.  Every other entry
+    # is made min-sum: with ``--workers N`` only a request that builds a
+    # MINLP ships to a worker process, so an all-min-max soak would kill none.
+    pool = [
+        replace(request, objective="min-sum") if index % 2 else request
+        for index, request in enumerate(request_pool(TraceSpec()))
+    ]
     requests = [pool[i % len(pool)] for i in range(args.requests)]
     responses = run_requests(tier, requests, deadline=args.deadline)
     sources = Counter(r.source for r in responses)

@@ -9,10 +9,10 @@ builds a MINLP, min-sum — its warm-start donor pool and OA cut pool: family
 locality makes warm starts free instead of a cross-process lottery.
 **Fine level**: within a shard, requests are coalesced (single-flight: N
 identical in-flight requests ride one solve) and solved serially on the
-shard's worker, preserving the per-shard determinism the cache depends on.
+shard's thread, preserving the per-shard determinism the cache depends on.
 Min-max and max-min requests are answered directly by ``core.greedy`` on
-that same worker (:mod:`repro.service.solver` says which objective goes
-where); nothing in this module depends on which solver ran.
+that thread (:mod:`repro.service.solver` says which objective goes where);
+nothing in this module depends on which solver ran, or in which process.
 
 The layers, bottom-up::
 
@@ -25,13 +25,18 @@ The layers, bottom-up::
                 retries, validation, degradation ladder: every solve is
                 dispatched and booked by ``AllocationService.submit``
 
-Worker modes decide only *where* that submit's solve runs.  ``"thread"``
-(default) gives each shard a one-thread executor: the thread serialises
-donor lookup -> solve -> cache admission, so a burst of one min-sum
-family's budgets chains warm starts and shard state has one solving writer; the
-event loop stays responsive and nothing forks.  ``"process"`` is thread
-mode whose service ships the solve itself to one supervised worker process
-per shard — the parallel mode, since a solve (heap or branch-and-bound) is
+Worker modes decide only *where* that submit's MINLP solves run; a min-max
+or max-min request is answered by the heap on the shard's own thread in
+every mode (``AllocationService`` keeps both seams and
+``Objective.has_direct_solver`` picks: the hop to a worker process costs
+several times the sub-millisecond solve it would carry — DESIGN.md, "Worker
+modes", has the numbers).  ``"thread"`` (default) gives each shard a
+one-thread executor: the thread serialises donor lookup -> solve -> cache
+admission, so a burst of one min-sum family's budgets chains warm starts and
+shard state has one solving writer; the event loop stays responsive and
+nothing forks.  ``"process"`` is thread mode whose service ships what builds
+a MINLP — min-sum today — to one supervised worker process per shard: the
+parallel mode for those, since a branch-and-bound is milliseconds of
 GIL-bound Python; a worker that dies or hangs is replaced and the solve
 re-dispatched by the service's own retry loop.  ``"inline"`` runs submits
 directly on the event loop — fully deterministic, the mode the tests use.
@@ -88,8 +93,10 @@ class TierConfig:
     warm_start: bool = True
     share_cuts: bool = True
     resilience: ResiliencePolicy | None = None
-    # ChaosPlan: injected in-process by inline/thread shards, shipped to
-    # (and physically enacted in) process-mode workers.
+    # ChaosPlan: injected in-process wherever a solve runs on the shard's own
+    # thread (every solve of an inline/thread shard, the min-max / max-min
+    # ones of a process shard), shipped to — and physically enacted in — the
+    # worker with every solve a process shard ships.
     chaos: object | None = None
 
     def __post_init__(self) -> None:
@@ -105,11 +112,14 @@ class TierConfig:
     def for_host(cls, cores: int | None = None, **overrides) -> "TierConfig":
         """A config matched to the host's CPU budget.
 
-        Multi-core hosts get ``"process"`` workers (shards solve in
-        parallel across cores); a single-core host gets ``"thread"``
-        workers — out-of-process solving buys nothing there and forfeits
-        the parent's cross-solve cut-pool reuse, so in-process is strictly
-        better.  Explicit ``overrides`` win over the derived fields.
+        Multi-core hosts get ``"process"`` workers (shards run their MINLP
+        solves — min-sum — in parallel across cores); a single-core host
+        gets ``"thread"`` workers — out-of-process solving buys nothing
+        there and forfeits the parent's cross-solve cut-pool reuse, so
+        in-process is strictly better.  Either way a min-max / max-min
+        request never leaves the shard thread: a tier that serves only
+        those forks workers it never uses (one idle process per shard).
+        Explicit ``overrides`` win over the derived fields.
         """
         if cores is None:
             try:
@@ -141,7 +151,8 @@ class _Shard:
         self.requests = 0
         # One thread per shard: it serialises donor lookup -> solve -> cache
         # admission, so each solve's donor lookup sees every sibling already
-        # admitted.  Costs no parallelism: a shard has one worker.
+        # admitted.  Costs no parallelism: a shard has one worker, and the
+        # direct solves this thread runs itself are sub-millisecond.
         self.executor: ThreadPoolExecutor | None = (
             None
             if self.mode == "inline"

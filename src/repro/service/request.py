@@ -23,7 +23,9 @@ A request is **immutable, validated at construction, and identified once**.
 ``components`` is snapshotted into a read-only mapping (mutating the dict the
 caller passed in afterwards changes neither the identity nor the answer),
 bounds no solver could honour (``min_nodes < 1``, ``max_nodes < min_nodes``)
-raise :class:`ServiceRequestError`, and the canonical payload plus both
+and a budget above :data:`MAX_TOTAL_NODES` raise
+:class:`ServiceRequestError` — from the constructor, so ``from_dict``
+refuses them too — and the canonical payload plus both
 digests come out of one pass memoised on the instance: every later
 ``fingerprint()`` / ``family_key()`` — the tier calls them at routing,
 coalescing, the cache, validation and the solver — is an attribute read.
@@ -59,6 +61,18 @@ from repro.service.errors import ServiceRequestError
 PARAM_SIG_DIGITS = 12
 
 _ALGORITHMS = ("auto", "oa", "nlpbb")
+
+#: Largest node budget a request may ask for: above any machine's node count
+#: (Intrepid, the paper's machine, has 40 960), and a bound on what one line
+#: of input can make the serving process do.  ``core.greedy`` tabulates each
+#: curve up to its cap before it allocates, and a direct request is answered
+#: on the tier's own shard thread, so an unbounded budget is unbounded time
+#: and memory in the parent (``total_nodes = 1e9`` asked for three tables of
+#: 1e9 floats).  Measured at this cap on three non-saturating curves
+#: (``b = 0``, the worst case — a saturating curve stops at its sweet spot):
+#: the min-max heap 0.43 s and 104 MiB of transient tables, the max-min level
+#: sets 0.20 s and 99 MiB.  Input validation, not a knob.
+MAX_TOTAL_NODES = 2**20
 
 
 def _sig(value: float) -> float:
@@ -100,6 +114,11 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if not self.components:
             raise ServiceRequestError("request has no components")
+        if self.total_nodes > MAX_TOTAL_NODES:
+            raise ServiceRequestError(
+                f"total_nodes {self.total_nodes} is above the largest budget "
+                f"a request may carry ({MAX_TOTAL_NODES})"
+            )
         if self.total_nodes < len(self.components):
             raise ServiceRequestError(
                 f"{self.total_nodes} nodes cannot give "

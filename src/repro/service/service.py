@@ -13,23 +13,38 @@ Request lifecycle::
       -> warm-start donor: nearest cached node
          budget in the same request family     (this module; MINLP-path
                                                 objectives only)
-      -> solve — in this process, or on a
-         supervised worker when a pool is
-         installed — retried on system
+      -> solve — on the calling thread, unless
+         the request builds a MINLP *and* a
+         pool is installed: then on a
+         supervised worker — retried on system
          failures with deterministic backoff   (solver.py, supervisor.py,
                                                 retry.py)
       -> result validation (corruption check)  (solver.py)
       -> cache insert + donor-pool registration
       -> metrics
 
-*Where* the solve runs is the one thing a worker pool changes: the request
-ships to a slot of a :class:`~repro.service.supervisor.SupervisedWorkerPool`
-as wire dicts, and a worker that dies or hangs comes back as the same
+**A solve crosses a process boundary only when it builds a MINLP.**  A
+service keeps two solve seams and one predicate,
+:attr:`~repro.core.objectives.Objective.has_direct_solver`, picks between
+them.  Min-max and max-min requests are answered by ``core.greedy`` on the
+calling thread (a tier's shard thread) whether or not a pool is installed:
+the hop to a worker costs several times the sub-millisecond heap it would
+carry.  What builds a MINLP — min-sum today — ships to a slot of a
+:class:`~repro.service.supervisor.SupervisedWorkerPool` as wire dicts:
+milliseconds of GIL-bound tree search are what a second core is for.
+There is no size rule (DESIGN.md, "Worker modes", records the measured hop,
+the heap's time against the node budget and where they cross): the
+admission layer's *degrade* verdict already runs the same heap on the event
+loop itself, and no workload sits above the crossover.
+
+Either way a worker that dies or hangs comes back as the same
 :class:`WorkerCrashError` / :class:`WorkerHangError` in-process chaos
-raises — caught and retried by the same loop, counted once (by the pool
-that saw the worker die, by the loop for in-process chaos).  Worker deaths are
-*system* failures, so they are re-dispatched once even with no
-:class:`ResiliencePolicy` installed.
+raises — caught and retried by the same loop, counted once: by the pool
+that saw the worker die for an attempt that shipped, by the loop for an
+attempt that ran here (under a :class:`~repro.faults.chaos.ChaosPlan` the
+in-process seam raises its faults as those typed errors; the physical ones
+keep hitting what ships).  Worker deaths are *system* failures, so they are
+re-dispatched once even with no :class:`ResiliencePolicy` installed.
 
 Cached answers are bit-identical to fresh solves: no solve draws a random
 number, so replaying the request in any process yields the same allocation
@@ -162,9 +177,12 @@ class AllocationService:
         # bit-identical-replay guarantee for latency.
         self.share_cuts = share_cuts
         self._cut_pools: dict[str, OACutPool] = defaultdict(OACutPool)
-        # The solve seam: where ``solve_request`` runs.  On a supervised
-        # worker when a pool is installed (the chaos plan ships with the
-        # request and faults happen physically), else in this process.
+        # The two solve seams.  ``_solve`` runs ``solve_request`` on the
+        # calling thread (under a chaos plan, with its faults raised as typed
+        # errors); ``_solve_on_worker`` ships it to a supervised worker (the
+        # plan ships with the request and faults happen physically).  With a
+        # pool installed ``_submit`` sends what builds a MINLP to the worker
+        # and everything else here; without one, everything runs here.
         self.pool = pool
         if pool is not None:
             from repro.faults.chaos import chaos_pool_solve
@@ -175,8 +193,7 @@ class AllocationService:
             self._worker_call = (
                 chaos_pool_solve, chaos.to_dict() if chaos is not None else None
             )
-            self._solve = self._solve_on_worker
-        elif chaos is not None:
+        if chaos is not None:
             from repro.faults.chaos import chaotic_solve
 
             self._solve = chaotic_solve(chaos, solve_request)
@@ -232,14 +249,14 @@ class AllocationService:
         ``ok=False`` instead — the caller's retry policy differs.
         """
         with span("service.submit") as sp:
-            response = self._submit(request, deadline=deadline)
+            response = self._submit(request, deadline=deadline, sp=sp)
             sp.set_tag("cached", response.cached)
             sp.set_tag("status", response.status)
             sp.set_tag("source", response.source)
         return response
 
     def _submit(
-        self, request: SolveRequest, *, deadline: float | None
+        self, request: SolveRequest, *, deadline: float | None, sp
     ) -> ServiceResponse:
         start = time.perf_counter()
         fingerprint = request.fingerprint()
@@ -261,6 +278,14 @@ class AllocationService:
                 start=start,
             )
         x0, donor = self._find_donor(request, fingerprint)
+        # The one routing decision: only a request that builds a MINLP is
+        # worth the hop to a worker process (module docstring).
+        ships = (
+            self.pool is not None
+            and not Objective(request.objective).has_direct_solver
+        )
+        solve = self._solve_on_worker if ships else self._solve
+        sp.set_tag("ran", "worker" if ships else "shard")
         retry = policy.retry if policy else _SYSTEM_RETRY
         last_reason = "no solve attempt ran"
         worker_error = None
@@ -275,11 +300,9 @@ class AllocationService:
                     last_reason = "deadline exhausted before another attempt"
                     break
             try:
-                outcome = self._solve(
-                    request, x0=x0, deadline=budget, attempt=attempt
-                )
+                outcome = solve(request, x0=x0, deadline=budget, attempt=attempt)
             except (WorkerCrashError, WorkerHangError) as exc:
-                if self.pool is None:
+                if not ships:
                     # In-process chaos: no pool saw this death, so book it
                     # here (a supervised worker's is booked by its pool).
                     hang = isinstance(exc, WorkerHangError)

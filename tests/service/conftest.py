@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -58,6 +59,28 @@ def hold_solves(tier, seconds: float = 0.05) -> None:
             return _solve(request, **kwargs)
 
         shard.service._solve = held
+
+
+def dispatched(tier) -> list[int]:
+    """Tasks each process-mode shard's one worker was ever handed, the
+    warm-up included: ``1`` means nothing was shipped to it."""
+    return [
+        shard.service.pool.snapshot()["workers"][0]["dispatched"]
+        for shard in tier.shards.values()
+    ]
+
+
+def expected_faults(plan, fingerprints, max_attempts: int) -> Counter:
+    """Faults ``plan`` deals to each distinct solve's attempt chain until one
+    attempt lands (or ``max_attempts`` are spent)."""
+    dealt: Counter = Counter()
+    for fp in set(fingerprints):
+        for attempt in range(max_attempts):
+            kind = plan.fault(fp, attempt)
+            if kind is None:
+                break
+            dealt[kind] += 1
+    return dealt
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from repro.service import (
 
 from tests.service.conftest import (
     CURVES,
+    dispatched,
     hold_solves,
     make_minlp_request,
     make_request,
@@ -118,13 +119,18 @@ def test_precached_requests_hit_without_resolving(request64):
     assert tier.snapshot()["cold_solves"] == 1
 
 
-def test_process_pool_fan_out_matches_serial(request64):
+def test_process_pool_fan_out_matches_serial(minlp64):
     # Two distinct families, so neither is the other's donor and both are
     # cold solves whichever shard (and worker process) they land on.
+    # Min-sum: the objective a process-mode shard ships to its worker.
     other = {name: dict(p, a=p["a"] * 2.0) for name, p in CURVES.items()}
-    batch = [request64, make_request(96, curves=other)]
+    batch = [minlp64, make_minlp_request(96, curves=other)]
     serial = run_requests(_tier(share_cuts=False), batch)
-    pooled = run_requests(_tier(worker_mode="process", shards=2), batch)
+    pooled_tier = _tier(worker_mode="process", shards=2)
+    pooled = run_requests(pooled_tier, batch)
     for a, b in zip(serial, pooled):
         assert a.allocation == b.allocation
-        assert a.objective == b.objective  # fingerprint-seeded: bit-identical
+        assert a.objective == b.objective  # no solve draws: bit-identical
+        assert b.iterations > 0
+    # Both were shipped: one dispatch each beyond the two warm-ups.
+    assert sum(dispatched(pooled_tier)) == 2 + len(batch)

@@ -50,7 +50,7 @@ def chaos_service(seed: int = 42, **plan_kwargs) -> AllocationService:
     )
 
 
-def request_stream(count: int = 60) -> list:
+def request_stream(count: int = 60, **kwargs) -> list:
     """Deterministic mix of families x budgets with deliberate repeats."""
     budgets = (24, 32, 48, 64)
     out = []
@@ -60,7 +60,7 @@ def request_stream(count: int = 60) -> list:
             name: {**params, "a": params["a"] * scale}
             for name, params in CURVES.items()
         }
-        out.append(make_request(budgets[(i // 3) % 4], curves=curves))
+        out.append(make_request(budgets[(i // 3) % 4], curves=curves, **kwargs))
     return out
 
 
@@ -144,7 +144,8 @@ def test_end_to_end_pool_crash_recovery():
 
     First attempts on every unique request crash physically; retries are
     immune, so the batch must recover every answer exactly — without the
-    service process restarting.
+    service process restarting.  Min-sum: the objective a process-mode shard
+    ships to its worker (a min-max request never leaves the shard thread).
     """
     plan = ChaosPlan(seed=1, crash_rate=0.97, immune_after=1)
     tier = AsyncServingTier(
@@ -158,7 +159,7 @@ def test_end_to_end_pool_crash_recovery():
             chaos=plan,
         )
     )
-    requests = request_stream(8)
+    requests = request_stream(8, objective="min-sum")
     responses = run_requests(tier, requests, deadline=30.0)
     assert len(responses) == len(requests)
     assert all(r.ok for r in responses)

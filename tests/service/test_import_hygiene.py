@@ -25,7 +25,7 @@ from repro.service import (
     AsyncServingTier, ResiliencePolicy, ServiceTimeoutError, TierConfig,
     run_requests,
 )
-from tests.service.conftest import make_request
+from tests.service.conftest import dispatched, make_request
 
 def request(objective, nodes=64):
     return make_request(nodes, objective=objective)
@@ -125,4 +125,39 @@ def test_a_process_tier_pays_the_import_in_its_worker_inside_the_deadline():
     first, second, timeouts = out["ladder"]
     assert first == ["feasible", "greedy", 0]
     assert (second, timeouts) == (["optimal", "exact"], 1)
+    assert out["parent"] == []
+
+
+def test_a_process_tier_parent_answers_direct_requests_itself_scipy_free():
+    """(iv) a process-mode tier answers min-max / max-min on its own shard
+    threads — nothing is dispatched to the forked workers beyond their
+    warm-up — and doing so loads no ``scipy*`` module into the parent; the
+    min-sum request that follows is the first thing shipped, and the parent
+    is still scipy-free after its answer came back."""
+    out = _probe(
+        """
+        async def drive():
+            config = TierConfig(shards=2, worker_mode="process")
+            async with AsyncServingTier(config) as tier:
+                direct = await asyncio.gather(*(
+                    tier.submit(request(objective, nodes))
+                    for objective in ("min-max", "max-min")
+                    for nodes in (48, 64, 96)
+                ))
+                out["direct"] = sorted({(r.status, r.iterations) for r in direct})
+                out["dispatched_after_direct"] = dispatched(tier)
+                out["parent_after_direct"] = scipy_modules()
+                shipped = await tier.submit(request("min-sum"))
+                out["min_sum"] = (shipped.status, shipped.iterations > 0)
+                out["dispatched_after_min_sum"] = sorted(dispatched(tier))
+
+        asyncio.run(drive())
+        out["parent"] = scipy_modules()
+        """
+    )
+    assert out["direct"] == [["optimal", 0]]
+    assert out["dispatched_after_direct"] == [1, 1]
+    assert out["parent_after_direct"] == []
+    assert out["min_sum"] == ["optimal", True]
+    assert out["dispatched_after_min_sum"] == [1, 2]
     assert out["parent"] == []

@@ -209,6 +209,21 @@ def test_validation_rejects_starved_budget():
         make_request(total_nodes=2)
 
 
+def test_validation_rejects_a_budget_above_the_documented_cap():
+    """Before: ``total_nodes = 1e9`` on non-saturating curves made the heap
+    tabulate 1e9 entries per component, in the serving parent."""
+    from repro.service.request import MAX_TOTAL_NODES
+
+    assert make_request(MAX_TOTAL_NODES).total_nodes == 2**20  # the cap is legal
+    with pytest.raises(ServiceRequestError, match="above the largest budget"):
+        make_request(MAX_TOTAL_NODES + 1)
+    for huge in (MAX_TOTAL_NODES + 1, 10**9, 1e9, 1e308):
+        with pytest.raises(ServiceRequestError, match="above the largest budget"):
+            SolveRequest.from_dict(
+                {"components": {"x": {"a": 100.0}}, "total_nodes": huge}
+            )
+
+
 def test_validation_rejects_unknown_objective():
     with pytest.raises(ServiceRequestError, match="objective"):
         make_request(64, objective="min-median")

@@ -158,14 +158,22 @@ def test_fuzzed_requests_each_get_one_typed_reply(monkeypatch, capsys):
         if case % 3 == 0:
             valid_ids.add(f"ok-{case}")
             lines.append(json.dumps({**base, "id": f"ok-{case}"}))
+    # A budget no machine has, on a curve that never saturates (``b = 0``):
+    # the heap would tabulate 1e9 entries in this process.  Refused, typed.
+    lines.append(json.dumps(
+        {"components": {"x": {"a": 100.0}, "y": {"a": 30.0}},
+         "total_nodes": 10**9, "id": "huge"}
+    ))
     replies, err = _run(lines, monkeypatch, capsys)
 
     assert f"served {len(lines)} request(s)" in err
     assert "Traceback" not in err and "never retrieved" not in err
     assert "request handler failed" not in err  # every refusal was typed
     assert sorted(map(str, (r["id"] for r in replies))) == sorted(
-        map(str, [*range(240), *valid_ids])
+        map(str, [*range(240), *valid_ids, "huge"])
     )
+    (huge,) = [r for r in replies if r["id"] == "huge"]
+    assert huge["status"] == "error" and "largest budget" in huge["error"]
     refused = 0
     for reply in replies:
         if "error" in reply:
@@ -177,7 +185,7 @@ def test_fuzzed_requests_each_get_one_typed_reply(monkeypatch, capsys):
             assert reply["status"] == "optimal"
     # Most mutations break the request; a junk value that happens to be
     # legal where it landed (``b = 0``, ``max_nodes = None``) does not.
-    assert 150 <= refused <= 240
+    assert 150 <= refused <= 241
 
 
 def test_a_handler_bug_is_answered_and_logged_not_lost(monkeypatch, capsys):

@@ -1,17 +1,21 @@
 """Chaos through the serving tier: the zero-lost contract on every path.
 
-A process-mode tier ships its :class:`ChaosPlan` to the shard workers, so
-faults are *physical* — a crash is ``os._exit`` in the worker, a hang is a
-real sleep the supervisor has to kill, a corrupt outcome really crosses
-the process boundary.  Every request must still end in an exact answer
-after re-dispatch or in a typed ``stale``/``greedy``/``rejected`` response;
-nothing corrupt may reach the cache; and the counters must equal the
-faults the plan injected.
+A process-mode tier ships its :class:`ChaosPlan` to the shard workers with
+every request that ships — the ones that build a MINLP, so the mix here is
+min-sum — and those faults are *physical*: a crash is ``os._exit`` in the
+worker, a hang is a real sleep the supervisor has to kill, a corrupt
+outcome really crosses the process boundary.  Min-max and max-min requests
+are answered on the shard thread and take the same plan's faults as typed
+errors.  Every request must still end in an exact answer after re-dispatch
+or in a typed ``stale``/``greedy``/``rejected`` response; nothing corrupt
+may reach the cache; and the counters must equal the faults the plan
+injected, whichever seam each attempt ran on.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import signal
 import threading
@@ -33,11 +37,25 @@ from repro.service import (
     run_requests,
 )
 from repro.service.solver import validate_outcome
-from tests.service.conftest import CURVES, make_request
+from tests.service.conftest import (
+    CURVES,
+    dispatched,
+    expected_faults,
+    make_minlp_request,
+    make_request,
+)
+
+OBJECTIVES = ("min-max", "max-min", "min-sum")
 
 
-def request_mix(families: int = 3, budgets=(24, 32, 48), repeats: int = 2) -> list:
-    """Families x budgets with deliberate duplicates, in a fixed order."""
+def request_mix(
+    families: int = 3, budgets=(24, 32, 48), repeats: int = 2,
+    objective: str = "min-sum",
+) -> list:
+    """Families x budgets with deliberate duplicates, in a fixed order.
+
+    Min-sum unless told otherwise: the one objective a process-mode shard
+    ships to its worker, which is where the physical faults happen."""
     out = []
     for _ in range(repeats):
         for budget in budgets:
@@ -46,7 +64,7 @@ def request_mix(families: int = 3, budgets=(24, 32, 48), repeats: int = 2) -> li
                     name: {**params, "a": params["a"] * (1.0 + 0.5 * f)}
                     for name, params in CURVES.items()
                 }
-                out.append(make_request(budget, curves=curves))
+                out.append(make_request(budget, curves=curves, objective=objective))
     return out
 
 
@@ -65,11 +83,15 @@ def chaos_tier(plan: ChaosPlan | None, resilience=None, **overrides):
     )
 
 
+def prints(requests) -> set[str]:
+    return {r.fingerprint() for r in requests}
+
+
 def injected(plan: ChaosPlan, requests, kind: str, attempts: int = 1) -> int:
     """Faults of ``kind`` the plan deals to the mix's distinct solves."""
     return sum(
         plan.fault(fp, attempt) == kind
-        for fp in {r.fingerprint() for r in requests}
+        for fp in prints(requests)
         for attempt in range(attempts)
     )
 
@@ -143,8 +165,9 @@ def test_unrecoverable_storm_ends_in_typed_degraded_answers():
     # No attempt survives: every request must still be answered, by the
     # ladder, with explicit provenance — and the dying slots retire instead
     # of forking forever.
-    plan = ChaosPlan(seed=5, crash_rate=0.97)
+    plan = ChaosPlan(seed=4, crash_rate=0.97)
     requests = request_mix(families=2, budgets=(24, 32), repeats=1)
+    assert injected(plan, requests, "crash", attempts=2) == 2 * len(requests)
     tier = chaos_tier(
         plan,
         policy(
@@ -193,12 +216,12 @@ def test_worker_killed_between_requests_is_replaced_transparently():
 
     async def main():
         async with tier:
-            first = await tier.submit(make_request(24))
+            first = await tier.submit(make_minlp_request(24))
             (shard,) = tier.shards.values()
             pool = shard.service.pool
             (pid,) = [pool.result(d, timeout=30.0) for d in pool.warm_up()]
             os.kill(pid, signal.SIGKILL)
-            second = await tier.submit(make_request(32))
+            second = await tier.submit(make_minlp_request(32))
             return first, second, pool.snapshot()
 
     first, second, health = asyncio.run(main())
@@ -258,13 +281,16 @@ def test_metrics_ledger_adds_up_with_two_writers(worker_mode):
 
 
 def test_every_worker_mode_gives_the_same_answers():
-    """One seeded mix, three ways to run the solve, identical answers.
+    """One seeded mix of all three objectives, three ways to run the solve,
+    identical answers — whichever process the solve ran in.
 
     ``share_cuts`` is off: a cut pool carried across solves may pick a
-    different optimal tie, and only in-process modes have one (the caveat
+    different optimal tie, and only in-process solves have one (the caveat
     ``test_process_mode_solves_and_chains_warm_starts`` documents).
     """
-    requests = request_mix()
+    requests = [
+        r for o in OBJECTIVES for r in request_mix(budgets=(24, 48), objective=o)
+    ]
     answers = {}
     for mode in ("inline", "thread", "process"):
         tier = chaos_tier(None, worker_mode=mode, share_cuts=False)
@@ -273,7 +299,79 @@ def test_every_worker_mode_gives_the_same_answers():
              r.objective)
             for r in run_requests(tier, requests)
         ]
+        assert all(status == "optimal" for _, status, _, _ in answers[mode])
     assert answers["inline"] == answers["thread"] == answers["process"]
+
+
+# -- the routing: only what builds a MINLP crosses the process boundary --------
+
+
+def test_direct_objectives_never_leave_the_shard_thread(tracer):
+    """A process-mode tier answers a min-max / max-min burst itself: every
+    pool stays at its warm-up dispatch.  The min-sum request that follows is
+    the first thing its shard ships, and the only trace with a worker span."""
+    burst = [
+        r for o in ("min-max", "max-min")
+        for r in request_mix(repeats=1, objective=o)
+    ]
+    tier = chaos_tier(None)
+
+    async def drive():
+        async with tier:
+            answers = await asyncio.gather(*(tier.submit(r) for r in burst))
+            after_burst = dispatched(tier)
+            shipped = await tier.submit(make_minlp_request(40))
+            return answers, after_burst, shipped
+
+    answers, after_burst, shipped = asyncio.run(drive())
+    assert all(r.ok and r.source == "exact" and r.iterations == 0 for r in answers)
+    assert after_burst == [1, 1]
+    assert sorted(dispatched(tier)) == [1, 2]
+    assert shipped.ok and shipped.iterations > 0
+
+    def span_names(response):
+        (root,) = tracer.trace_roots(response.trace_id)
+        return {s.name for s, _ in root.walk()}
+
+    assert "worker.solve" in span_names(shipped)
+    assert not any("worker.solve" in span_names(r) for r in answers)
+
+
+def test_mixed_objectives_under_chaos_book_each_fault_once_across_both_seams():
+    """Crash / hang / corrupt chaos over a process-mode tier serving all three
+    objectives: min-sum attempts die physically in the worker (booked by the
+    pool that saw it), min-max / max-min attempts take the same plan's faults
+    as typed errors on the shard thread (booked by the retry loop — although
+    a pool *is* installed).  Nothing is lost and every counter equals the
+    faults dealt, with restarts only for the deaths that were real."""
+    plan = ChaosPlan(
+        seed=3, crash_rate=0.3, hang_rate=0.1, corrupt_rate=0.1,
+        immune_after=2, hang_seconds=60.0,
+    )
+    by_objective = {
+        o: request_mix(budgets=(24, 28, 32, 36), repeats=1, objective=o)
+        for o in OBJECTIVES
+    }
+    # Interleaved, so both seams are busy on every shard at once.
+    requests = [r for trio in zip(*by_objective.values()) for r in trio]
+    dealt = expected_faults(plan, prints(requests), max_attempts=3)
+    shipped = expected_faults(
+        plan, prints(by_objective["min-sum"]), max_attempts=3
+    )
+    for kind in ("crash", "hang", "corrupt"):
+        assert 0 < shipped[kind] < dealt[kind]  # each kind hits both seams
+    tier = chaos_tier(plan, policy(hang_timeout=2.0))
+    responses = run_requests(tier, requests)
+    assert len(responses) == len(requests)  # zero lost
+    assert all(r.ok and r.source == "exact" for r in responses)
+    assert [r.fingerprint for r in responses] == [r.fingerprint() for r in requests]
+    resilience = tier.snapshot()["resilience"]
+    assert resilience["worker_crashes"] == dealt["crash"]
+    assert resilience["worker_hangs"] == dealt["hang"]
+    assert resilience["corruptions"] == dealt["corrupt"]
+    assert resilience["retries"] == sum(dealt.values())
+    assert resilience["worker_restarts"] == shipped["crash"] + shipped["hang"]
+    assert_nothing_corrupt_cached(tier, requests)
 
 
 # -- one metrics stack: scrape == snapshot == shard views ----------------------
@@ -290,18 +388,6 @@ def service_counts(registry) -> dict:
             if value and "quantile" not in dict(key):
                 out[name, key] = value
     return out
-
-
-def expected_faults(plan: ChaosPlan, requests, max_attempts: int) -> Counter:
-    """Faults dealt to each distinct solve's attempt chain until one lands."""
-    dealt: Counter = Counter()
-    for fp in {r.fingerprint() for r in requests}:
-        for attempt in range(max_attempts):
-            kind = plan.fault(fp, attempt)
-            if kind is None:
-                break
-            dealt[kind] += 1
-    return dealt
 
 
 #: Families the tier books on its own scope, on no shard.
@@ -324,7 +410,7 @@ def test_scrape_equals_snapshot_equals_shard_views(worker_mode):
     )
     storm = request_mix(budgets=(24, 28, 32, 36, 40, 44, 48, 52), repeats=1)
     assert len(storm) == 24
-    dealt = expected_faults(plan, storm, max_attempts=3)
+    dealt = expected_faults(plan, prints(storm), max_attempts=3)
     assert dealt["crash"] and dealt["hang"] and dealt["corrupt"]
     always = {
         "interactive": ClassThresholds(degrade_at=1.0, shed_at=1.0),

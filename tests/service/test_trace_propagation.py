@@ -33,6 +33,12 @@ def _names(root) -> set[str]:
     return {s.name for s, _ in root.walk()}
 
 
+def _tags(root, name: str) -> dict:
+    """Tags of the one span called ``name`` in the tree."""
+    (found,) = [s for s, _ in root.walk() if s.name == name]
+    return found.tags
+
+
 def _assert_well_nested(root) -> None:
     """Every child's ids link to its parent, within one trace."""
     for parent, _ in root.walk():
@@ -52,6 +58,7 @@ def test_in_process_modes_record_full_lifecycle(tracer, worker_mode):
         names = _names(root)
         assert {"tier.submit", "tier.admission", "tier.coalesce",
                 "shard.solve"} <= names
+        assert _tags(root, "service.submit")["ran"] == "shard"
         _assert_well_nested(root)
 
 
@@ -63,7 +70,8 @@ def test_process_mode_stitches_worker_spans(tracer):
     worker-side spans are recorded in another process and grafted back.
     """
     tier = AsyncServingTier(TierConfig(shards=2, worker_mode="process"))
-    requests = [make_request(b) for b in (48, 64, 72, 96)]
+    # Min-sum: what a process-mode shard ships (it builds a MINLP).
+    requests = [make_minlp_request(b) for b in (48, 64, 72, 96)]
     responses = _submit_all(tier, requests)
     assert all(r.ok for r in responses)
     trace_ids = [r.trace_id for r in responses]
@@ -86,6 +94,23 @@ def test_process_mode_stitches_worker_spans(tracer):
         # The worker's own solve span is nested under the shard dispatch.
         worker = next(s for s, _ in root.walk() if s.name == "worker.solve")
         assert worker.tags["pid"] != root.span_id.split("-")[0]
+        assert _tags(root, "service.submit")["ran"] == "worker"
+        assert _tags(root, "shard.solve")["mode"] == "process"
+
+
+def test_process_mode_answers_direct_objectives_on_the_shard_thread(tracer):
+    """``ran`` says where the solve ran, ``mode`` how the tier is configured:
+    a min-max / max-min request in a process-mode tier is ``ran="shard"``
+    under ``mode="process"``, with no worker span to stitch."""
+    tier = AsyncServingTier(TierConfig(shards=2, worker_mode="process"))
+    requests = [make_request(64), make_request(64, objective="max-min")]
+    for response in _submit_all(tier, requests):
+        assert response.ok and response.trace_id
+        (root,) = tracer.trace_roots(response.trace_id)
+        assert "worker.solve" not in _names(root)
+        assert _tags(root, "service.submit")["ran"] == "shard"
+        assert _tags(root, "shard.solve")["mode"] == "process"
+        _assert_well_nested(root)
 
 
 def test_coalesced_riders_share_the_leader_trace_solve(tracer):
