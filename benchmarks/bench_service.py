@@ -7,11 +7,11 @@ draws over a pool of distinct requests (three curve families x several node
 budgets) and pin the service-layer claims.
 
 The pool is ``min-sum``: the one objective whose cache miss still builds a
-MINLP (~8 ms), so the one on which the cache, the warm-start chain and
-bit-identical replay of a tree search have anything to show.  Min-max and
-max-min misses are answered directly by ``core.greedy`` in ~0.2 ms (the
-same mix then reads ~2.3x, 60 requests in 4 ms); their wall-clock is the
-end-to-end ledger's (``benchmarks/e2e``, ``serve_hot`` / ``serve_flash``).
+MINLP (~8 ms), so the one on which the cache and bit-identical replay of a
+tree search have anything to show.  Min-max and max-min misses are answered
+directly by ``core.greedy`` in ~0.2 ms (the same mix then reads ~2.3x, 60
+requests in 4 ms); their wall-clock is the end-to-end ledger's
+(``benchmarks/e2e``, ``serve_hot`` / ``serve_flash``).
 
 * **S1 throughput** — answering the mix through the service is >= 3.5x
   faster than solving every request fresh, as the mean of five rounds (the
@@ -20,13 +20,25 @@ end-to-end ledger's (``benchmarks/e2e``, ``serve_hot`` / ``serve_flash``).
 * **S2 bit-identity** — replaying the distinct-request sequence through a
   fresh service reproduces every cached answer exactly (allocation and
   objective), because no solve draws a random number;
-* **S3 warm starts** — within a request family every budget after the
-  first is warm-started from an admitted sibling and returns the cold
-  answer; the solver work both ways is reported, not assumed: on min-sum
-  the donor's incumbent prunes little and its completion costs two small
-  NLP solves, so the chain reads 86 iterations against 69 cold (0.80x;
-  on the min-max MINLPs this bench drove before they were routed to the
-  heap it read 66 against 84).  Whether the chain stays is ROADMAP 5(a).
+* **S3 warm starts — deleted with the chain they measured.**  Seeding a
+  min-sum solve from the nearest cached sibling budget, and carrying OA
+  cuts from one solve of a family to the next, did not pay.  Measured on
+  the end-to-end ledger's 48-request pool switched to min-sum, through one
+  service, median of 5 repetitions, ``OPENBLAS_NUM_THREADS=1``, 2-vCPU
+  x86_64 host; requests in rank order / grouped by family (budget
+  ascending, the donor chain's best case):
+
+  ============================  ===============  =================
+  configuration                 median wall      solver iterations
+  ============================  ===============  =================
+  donor pool + cut sharing      392 / 418 ms     421 / 465
+  donor pool only               362 / 377 ms     436 / 469
+  cut sharing only              379 / 375 ms     393 / 395
+  neither (the only one left)   348 / 338 ms     405 / 405
+  ============================  ===============  =================
+
+  and no answer differed from a cold ``solve_request`` in any of them.
+  S3 itself read 82 warm iterations against 68 cold (0.77x).
 """
 
 from __future__ import annotations
@@ -125,7 +137,6 @@ def run_service_benchmark(n_draws: int = N_DRAWS) -> dict:
         "speedup": fresh_time / service_time,
         "throughput_rps": n_draws / service_time,
         "hit_rate": snap["hit_rate"],
-        "warm_start_speedup": snap["warm_start_speedup"],
         "mean_latency": snap["latency"]["mean"],
         "p95_latency": snap["latency"]["p95"],
         "replay_mismatches": mismatches,
@@ -142,7 +153,6 @@ def render(result: dict) -> str:
         f"  service time         : {result['service_time']:.2f}s",
         f"  throughput speedup   : {result['speedup']:.1f}x",
         f"  cache hit rate       : {result['hit_rate']:.1%}",
-        f"  warm-start speedup   : {result['warm_start_speedup']:.2f}x",
         f"  replay mismatches    : {result['replay_mismatches']}",
     ]
     return "\n".join(lines)
@@ -152,7 +162,6 @@ _RECORDS = {
     "service_throughput_rps": "throughput_rps",
     "service_speedup": "speedup",
     "service_hit_rate": "hit_rate",
-    "service_warm_start_speedup": "warm_start_speedup",
     "service_replay_mismatches": "replay_mismatches",
     "service_mean_latency": "mean_latency",
     "service_p95_latency": "p95_latency",
@@ -209,52 +218,3 @@ def test_s1_service_throughput(benchmark, save_report, host_record):
         # request sequence by an identical service.
         assert result["replay_mismatches"] == 0
 
-
-def test_s3_family_warm_start(benchmark, save_report):
-    def run() -> dict:
-        pool = request_pool()
-        service = AllocationService()
-        cold_work, warm_work = {}, {}
-        chained = mismatches = 0
-        for k, curves_name in enumerate(FAMILIES):
-            reqs = pool[k * len(BUDGETS):(k + 1) * len(BUDGETS)]
-            # Cold baseline: every budget solved with no donors available.
-            cold = [solve_request(r) for r in reqs[1:]]
-            # Service path: the first budget seeds the rest of the family.
-            for r in reqs:
-                service.submit(r)
-            warm = [service.cache.peek(r.fingerprint()) for r in reqs[1:]]
-            cold_work[curves_name] = sum(o.iterations for o in cold)
-            warm_work[curves_name] = sum(o.iterations for o in warm)
-            chained += sum(o.warm_started for o in warm)
-            mismatches += sum(
-                abs(w.objective - c.objective) > 1e-9 * abs(c.objective)
-                for w, c in zip(warm, cold)
-            )
-        return {
-            "pool": len(pool),
-            "cold": cold_work,
-            "warm": warm_work,
-            "chained": chained,
-            "mismatches": mismatches,
-            "speedup": service.metrics.warm_start_speedup,
-        }
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = ["warm-start iteration counts per family (budgets after the first)"]
-    for name in result["cold"]:
-        lines.append(
-            f"  {name:15s} cold {result['cold'][name]:4d}  "
-            f"warm {result['warm'][name]:4d}"
-        )
-    lines.append(f"  aggregate warm-start speedup: {result['speedup']:.2f}x")
-    save_report("service_warm_start", "\n".join(lines))
-    # Every budget after a family's first chains off an admitted sibling and
-    # lands on the cold answer.
-    assert result["chained"] == result["pool"] - len(FAMILIES)
-    assert result["mismatches"] == 0
-    # Iteration counts are chaotic in the cut set, so the guard on the
-    # chain's cost is a ceiling, not a number (86 against 69 when written).
-    total_cold = sum(result["cold"].values())
-    total_warm = sum(result["warm"].values())
-    assert total_warm <= 1.5 * total_cold, f"warm {total_warm} vs cold {total_cold}"

@@ -74,7 +74,6 @@ GATED = (
     GateRule("service_throughput_rps", "higher", 3.0),
     GateRule("service_speedup", "higher", 2.0),
     GateRule("service_hit_rate", "higher", 1.2),
-    GateRule("service_warm_start_speedup", "higher", 1.5),
     GateRule("service_replay_mismatches", "lower", 1.0),
     GateRule("asyncserve_throughput_rps", "higher", 2.0),
     GateRule("asyncserve_lost_requests", "lower", 1.0),

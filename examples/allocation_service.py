@@ -14,13 +14,12 @@ optimizer:
    fitted curves, the family §III-E says needs no MINLP: min-max (the
    default) and max-min are answered directly and exactly by
    ``repro.core.greedy`` (0 iterations, a fraction of a millisecond); only
-   min-sum builds a MINLP, and there a miss whose *family* (same curves,
-   different budget) has a cached member seeds the branch-and-bound with
-   that neighbor's allocation;
+   min-sum builds a MINLP, solved from the request alone — a miss never
+   borrows from what the cache already holds, so every answer is the one a
+   fresh solve would give;
 3. **batches**           — ``run_requests`` answers a whole request list
-   through the serving tier in one call: duplicates share one solve, a
-   min-sum family's budgets chain warm starts, answers come back in input
-   order.
+   through the serving tier in one call: duplicates share one solve,
+   answers come back in input order.
 
 Usage:  python examples/allocation_service.py
 """
@@ -65,15 +64,13 @@ def main() -> None:
           f"({again.latency * 1e3:.3f} ms, bit-identical: "
           f"{again.allocation == first.allocation and again.objective == first.objective})")
 
-    # -- 2. min-sum builds a MINLP; a neighboring budget borrows its answer
-    cold = service.submit(request(64, "min-sum"))
-    neighbor = service.submit(request(72, "min-sum"))
-    print(f"\nmin-sum, 64 nodes: {cold.allocation}  sum T={cold.objective:.2f}s  "
-          f"({cold.latency * 1e3:.1f} ms, {cold.iterations} iterations: a MINLP)")
-    print(f"min-sum, 72 nodes, warm-started from the 64-node solution "
-          f"(donor {neighbor.donor[:8]}…):")
-    print(f"  {neighbor.allocation}  sum T={neighbor.objective:.2f}s  "
-          f"in {neighbor.iterations} iterations")
+    # -- 2. min-sum builds a MINLP, from the request alone ---------------
+    print()
+    for nodes in (64, 72):
+        solved = service.submit(request(nodes, "min-sum"))
+        print(f"min-sum, {nodes} nodes: {solved.allocation}  "
+              f"sum T={solved.objective:.2f}s  ({solved.latency * 1e3:.1f} ms, "
+              f"{solved.iterations} iterations: a MINLP)")
 
     # -- 3. batch: a min-sum machine-size sweep with duplicates, one call --
     sweep = [request(n, "min-sum") for n in (48, 56, 64, 64, 80, 96, 96, 128)]
@@ -81,15 +78,15 @@ def main() -> None:
     responses = run_requests(tier, sweep)
     print("\nmachine-size sweep (duplicates answered from cache):")
     for req, resp in zip(sweep, responses):
-        tag = "hit " if resp.cached else ("warm" if resp.warm_started else "cold")
+        tag = "hit " if resp.cached else "miss"
         print(f"  {req.total_nodes:4d} nodes  [{tag}]  {resp.allocation}  "
               f"T={resp.objective:.2f}s")
 
     print()
     print(service.metrics.render())
     snap = tier.snapshot()
-    print(f"sweep tier: {snap['cold_solves']} cold + {snap['warm_solves']} warm "
-          f"solves, {snap['cache_hits']} cache hits for {len(sweep)} requests")
+    print(f"sweep tier: {snap['cold_solves']} solves, {snap['cache_hits']} "
+          f"cache hits for {len(sweep)} requests")
 
 
 if __name__ == "__main__":

@@ -356,7 +356,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     tier = _batch_tier(args, max(args.requests, 1024), args.workers)
     # Cycle the load generator's pool (families x node budgets).  Repeats
     # are intentional: they exercise the cache and dedup paths while the
-    # distinct requests exercise solves and warm starts.  Every other entry
+    # distinct requests exercise solves.  Every other entry
     # is made min-sum: with ``--workers N`` only a request that builds a
     # MINLP ships to a worker process, so an all-min-max soak would kill none.
     pool = [

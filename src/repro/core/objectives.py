@@ -53,8 +53,8 @@ class Objective(enum.Enum):
         The two objectives that *compare* components do (the heap for
         min-max, level sets for max-min); min-sum does not.  This is the
         one place the service asks whether a request goes to the direct
-        solver or builds a MINLP, and whether a warm-start donor can be of
-        any use to it.
+        solver or builds a MINLP (and with it, whether it ships to a worker
+        process).
         """
         return self is not Objective.MIN_SUM
 

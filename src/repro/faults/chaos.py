@@ -168,7 +168,7 @@ def chaotic_solve(plan: ChaosPlan, base_solve, *, physical: bool = False):
     really sleeps ``hang_seconds``, and the supervisor has to notice.
     """
 
-    def _solve(request, *, x0=None, deadline=None, attempt=0):
+    def _solve(request, *, deadline=None, attempt=0):
         fingerprint = request.fingerprint()
         kind = plan.fault(fingerprint, attempt)
         if kind == "crash":
@@ -185,7 +185,7 @@ def chaotic_solve(plan: ChaosPlan, base_solve, *, physical: bool = False):
                     worker_id=-1, timeout=deadline, fingerprint=fingerprint
                 )
             time.sleep(plan.hang_seconds)
-        outcome = base_solve(request, x0=x0, deadline=deadline)
+        outcome = base_solve(request, deadline=deadline)
         if kind == "slow":
             telemetry.record_fault("worker_slow", "service")
             if plan.slow_seconds:
@@ -203,7 +203,6 @@ def chaotic_solve(plan: ChaosPlan, base_solve, *, physical: bool = False):
 
 def chaos_pool_solve(
     payload: dict,
-    x0: dict | None,
     deadline: float | None,
     chaos: dict | None = None,
     attempt: int = 0,
@@ -218,13 +217,13 @@ def chaos_pool_solve(
     from repro.service.solver import solve_request
 
     request = SolveRequest.from_dict(payload)
-    with span("worker.solve", pid=os.getpid(), warm=x0 is not None):
+    with span("worker.solve", pid=os.getpid()):
         if chaos:
             outcome = chaotic_solve(
                 ChaosPlan.from_dict(chaos), solve_request, physical=True
-            )(request, x0=x0, deadline=deadline, attempt=attempt)
+            )(request, deadline=deadline, attempt=attempt)
         else:
-            outcome = solve_request(request, x0=x0, deadline=deadline)
+            outcome = solve_request(request, deadline=deadline)
     return outcome.to_dict()
 
 

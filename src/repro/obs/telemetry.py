@@ -57,9 +57,7 @@ CATALOGUE = (
     _counter("faults_injected_total", "injected faults by kind", "kind", "stage"),
     _counter("service_requests_total", "requests booked, by how each was answered", "outcome"),
     _histogram("service_request_seconds", "service-side latency of every booked request"),
-    _counter(
-        "service_solve_iterations_total", "solver iterations of cold / warm solves", "outcome"
-    ),
+    _counter("service_solve_iterations_total", "solver iterations of exact solves"),
     _histogram("service_tier_request_seconds", "end-to-end tier latency, queue wait included"),
     _counter("service_timeouts_total", "solves that exhausted their wall budget"),
     _counter("service_overloads_total", "shed requests and refused batches"),

@@ -5,7 +5,7 @@ subsystem turns it into a service for heavy allocation traffic — many users
 asking "how do I split N nodes across these components?" for overlapping
 curves and budgets — by exploiting the fact that HSLB is *static*: a solve
 depends only on its canonical request, so answers cache perfectly and
-neighboring solves warm-start each other.
+replay bit-identically in any process and any order.
 
 Layers (each its own module, composable in isolation):
 
@@ -15,7 +15,7 @@ Layers (each its own module, composable in isolation):
 * :mod:`~repro.service.solver`     — the pure fingerprint-seeded solve, its
   corruption validator, and the greedy approximate fallback;
 * :mod:`~repro.service.service`    — the one dispatch path: cache,
-  warm-start pool, breaker, retries, validation, metrics and the
+  breaker, retries, validation, metrics and the
   degradation ladder (exact → stale → greedy → typed rejection), with the
   solve itself run in-process or on a supervised worker;
 * :mod:`~repro.service.supervisor` — crash-isolating worker pool with

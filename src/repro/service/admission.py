@@ -11,7 +11,7 @@ Each priority class gets two thresholds, expressed as fractions of the
 tier's pending-work capacity:
 
 * below ``degrade_at`` — **accept**: the request gets the full path
-  (cache, coalescing, warm-started exact solve);
+  (cache, coalescing, exact solve);
 * between ``degrade_at`` and ``shed_at`` — **degrade**: the request is
   answered from the cheap rungs of the existing degradation ladder (stale
   cache if present, else the polynomial-time greedy), costing microseconds

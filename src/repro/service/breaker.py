@@ -73,10 +73,10 @@ class CircuitBreaker:
     ) -> None:
         self.policy = policy or BreakerPolicy()
         self.clock = clock
-        self._families: dict[str, _FamilyState] = {}
+        self._states: dict[str, _FamilyState] = {}
 
     def _state(self, key: str) -> _FamilyState:
-        return self._families.setdefault(key, _FamilyState())
+        return self._states.setdefault(key, _FamilyState())
 
     def _transition(self, key: str, st: _FamilyState, to: str) -> None:
         st.state = to
@@ -151,7 +151,7 @@ class CircuitBreaker:
                 "consecutive_failures": st.consecutive_failures,
                 "opens": st.opens,
             }
-            for key, st in sorted(self._families.items())
+            for key, st in sorted(self._states.items())
         }
 
 

@@ -151,7 +151,8 @@ class SolutionCache(Generic[V]):
                     self.stats._bump("evictions")
 
     def peek(self, key: str) -> V | None:
-        """Read without touching recency or counters (warm-start donors)."""
+        """Read without touching recency or counters (inspection, replay
+        checks)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or self._expired(entry):

@@ -4,12 +4,13 @@ This is the front end the ROADMAP's "millions of users" story needs — the
 two-level split of the dynlb subsystem applied to serving instead of
 compute.  **Coarse level**: a consistent-hash ring places every request's
 *family* (curve set, budget removed) onto one of N shards, so all budgets
-of a family share one shard's cache and — for the one objective that still
-builds a MINLP, min-sum — its warm-start donor pool and OA cut pool: family
-locality makes warm starts free instead of a cross-process lottery.
+of a family share one shard's cache and one shard's circuit breaker: the
+breaker trips per family, and a family's traffic stays on the shard whose
+cache already holds its answers.  No solve reads another solve's state, so
+placement decides where an answer is cached, never what it is.
 **Fine level**: within a shard, requests are coalesced (single-flight: N
 identical in-flight requests ride one solve) and solved serially on the
-shard's thread, preserving the per-shard determinism the cache depends on.
+shard's thread.
 Min-max and max-min requests are answered directly by ``core.greedy`` on
 that thread (:mod:`repro.service.solver` says which objective goes where);
 nothing in this module depends on which solver ran, or in which process.
@@ -21,7 +22,7 @@ The layers, bottom-up::
                 run_requests — the synchronous batch API
     scheduling  AsyncServingTier.submit — admission (accept / degrade /
                 shed by priority), ring routing, single-flight coalescing
-    solving     one AllocationService per shard — cache, donors, breaker,
+    solving     one AllocationService per shard — cache, breaker,
                 retries, validation, degradation ladder: every solve is
                 dispatched and booked by ``AllocationService.submit``
 
@@ -31,15 +32,14 @@ every mode (``AllocationService`` keeps both seams and
 ``Objective.has_direct_solver`` picks: the hop to a worker process costs
 several times the sub-millisecond solve it would carry — DESIGN.md, "Worker
 modes", has the numbers).  ``"thread"`` (default) gives each shard a
-one-thread executor: the thread serialises donor lookup -> solve -> cache
-admission, so a burst of one min-sum family's budgets chains warm starts and
-shard state has one solving writer; the event loop stays responsive and
-nothing forks.  ``"process"`` is thread mode whose service ships what builds
-a MINLP — min-sum today — to one supervised worker process per shard: the
-parallel mode for those, since a branch-and-bound is milliseconds of
-GIL-bound Python; a worker that dies or hangs is replaced and the solve
-re-dispatched by the service's own retry loop.  ``"inline"`` runs submits
-directly on the event loop — fully deterministic, the mode the tests use.
+one-thread executor: shard state has one solving writer, the event loop
+stays responsive and nothing forks.  ``"process"`` is thread mode whose
+service ships what builds a MINLP — min-sum today — to one supervised worker
+process per shard: the parallel mode for those, since a branch-and-bound is
+milliseconds of GIL-bound Python; a worker that dies or hangs is replaced
+and the solve re-dispatched by the service's own retry loop.  ``"inline"``
+runs submits directly on the event loop — fully deterministic, the mode the
+tests use.  All three modes give every request the same answer.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.request import SolveRequest
 from repro.service.response import ServiceResponse, error_payload
 from repro.service.service import AllocationService, ResiliencePolicy
-from repro.service.sharding import DEFAULT_VNODES, HashRing
+from repro.service.sharding import HashRing
 from repro.service.supervisor import SupervisedWorkerPool
 
 _WORKER_MODES = ("thread", "process", "inline")
@@ -84,14 +84,11 @@ class TierConfig:
     """Everything the async tier needs, in one value object."""
 
     shards: int = 4
-    vnodes: int = DEFAULT_VNODES
     worker_mode: str = "thread"
     coalesce: bool = True
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     cache_capacity: int = 256  # per shard
     ttl: float | None = None
-    warm_start: bool = True
-    share_cuts: bool = True
     resilience: ResiliencePolicy | None = None
     # ChaosPlan: injected in-process wherever a solve runs on the shard's own
     # thread (every solve of an inline/thread shard, the min-max / max-min
@@ -114,11 +111,10 @@ class TierConfig:
 
         Multi-core hosts get ``"process"`` workers (shards run their MINLP
         solves — min-sum — in parallel across cores); a single-core host
-        gets ``"thread"`` workers — out-of-process solving buys nothing
-        there and forfeits the parent's cross-solve cut-pool reuse, so
-        in-process is strictly better.  Either way a min-max / max-min
-        request never leaves the shard thread: a tier that serves only
-        those forks workers it never uses (one idle process per shard).
+        gets ``"thread"`` workers — with one core, forking a worker buys no
+        parallelism and only adds the process hop.  Either way a min-max /
+        max-min request never leaves the shard thread: a tier that serves
+        only those forks workers it never uses (one idle process per shard).
         Explicit ``overrides`` win over the derived fields.
         """
         if cores is None:
@@ -140,18 +136,15 @@ class _Shard:
         self.service = AllocationService(
             cache_capacity=config.cache_capacity,
             ttl=config.ttl,
-            warm_start=config.warm_start,
             resilience=config.resilience,
             chaos=config.chaos,
-            share_cuts=config.share_cuts,
             pool=SupervisedWorkerPool(1) if self.mode == "process" else None,
             metrics=ServiceMetrics(parent=parent),
         )
         self.flights = SingleFlight()
         self.requests = 0
-        # One thread per shard: it serialises donor lookup -> solve -> cache
-        # admission, so each solve's donor lookup sees every sibling already
-        # admitted.  Costs no parallelism: a shard has one worker, and the
+        # One thread per shard: shard state (cache, breaker) has one solving
+        # writer.  Costs no parallelism: a shard has one worker, and the
         # direct solves this thread runs itself are sub-millisecond.
         self.executor: ThreadPoolExecutor | None = (
             None
@@ -211,7 +204,7 @@ class AsyncServingTier:
             f"shard-{i}": _Shard(f"shard-{i}", self.config, self.metrics.registry)
             for i in range(self.config.shards)
         }
-        self.ring = HashRing(self.shards, vnodes=self.config.vnodes)
+        self.ring = HashRing(self.shards)
         self.admission = AdmissionController(self.config.admission)
         # End-to-end latency, queue wait included, one observation per
         # request served — hits, degraded answers and sheds too.
@@ -388,7 +381,6 @@ class AsyncServingTier:
                 "routed": shard.requests,
                 "requests": metrics.requests,
                 "hit_rate": metrics.hit_rate,
-                "warm_start_speedup": metrics.warm_start_speedup,
                 "coalesce": shard.flights.stats.as_dict(),
             }
         flights = [shard.flights.stats for shard in self.shards.values()]
@@ -572,10 +564,10 @@ def run_requests(
 
     Every request becomes one task on a fresh event loop, so the tier does
     the batching: equal fingerprints coalesce onto one solve (or hit the
-    cache), a family's budgets chain warm starts on their shard's thread,
-    and distinct families fan out across shards.  One bad request never
-    poisons the batch — a raised :class:`ServiceError` comes back as a
-    typed envelope in its slot.
+    cache), distinct families fan out across shards, and every answer is
+    the one a lone ``solve_request`` of its request would give, whatever
+    the batch's order.  One bad request never poisons the batch — a raised
+    :class:`ServiceError` comes back as a typed envelope in its slot.
 
     A batch larger than the tier's ``max_pending`` is refused whole with
     :class:`ServiceOverloadError` (classic queue backpressure, not silent

@@ -8,9 +8,9 @@ service → its tier → the process ``REGISTRY``) and the Prometheus scrape.
 Every attribute the view exposes is read back from those series, so a
 snapshot and a scrape cannot disagree.
 
-The headline derived numbers are the **cache hit rate** and the
-**warm-start speedup ratio** — mean solver iterations of cold solves over
-warm ones, the quantity the acceptance tests pin.
+The headline derived number is the **cache hit rate**; solver iterations
+(``cold_iterations``) are summed over the exact solves that built a MINLP —
+a min-max / max-min answer books 0.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from repro.util.tables import format_table
 _COUNTS = {
     "cache_hits": ("service_requests_total", {"outcome": "hit"}),
     "cold_solves": ("service_requests_total", {"outcome": "cold"}),
-    "warm_solves": ("service_requests_total", {"outcome": "warm"}),
     "solve_errors": ("service_requests_total", {"outcome": "error"}),
     "degraded_stale": ("service_requests_total", {"outcome": "stale"}),
     "degraded_greedy": ("service_requests_total", {"outcome": "greedy"}),
     "rejections": ("service_requests_total", {"outcome": "rejected"}),
-    "cold_iterations": ("service_solve_iterations_total", {"outcome": "cold"}),
-    "warm_iterations": ("service_solve_iterations_total", {"outcome": "warm"}),
+    "cold_iterations": ("service_solve_iterations_total", {}),
     "timeouts": ("service_timeouts_total", {}),
     "overloads": ("service_overloads_total", {}),
     "retries": ("service_retries_total", {}),
@@ -87,22 +85,6 @@ class ServiceMetrics:
         requests = self.requests
         return self.cache_hits / requests if requests else 0.0
 
-    @property
-    def warm_start_speedup(self) -> float:
-        """Mean cold iterations / mean warm iterations (1.0 until both seen).
-
-        Only MINLP-path (min-sum) solves iterate or warm-start; a directly
-        answered min-max / max-min miss books as a cold solve of 0
-        iterations, so on a scope that mixes objectives the ratio is diluted
-        by them — read it on min-sum traffic.
-        """
-        cold_solves, warm_solves = self.cold_solves, self.warm_solves
-        if not (cold_solves and warm_solves):
-            return 1.0
-        cold = self.cold_iterations / cold_solves
-        warm = self.warm_iterations / warm_solves
-        return cold / warm if warm else float("inf")
-
     def _book(self, outcome: str, latency: float) -> None:
         self._series[outcome].inc()
         self.request_latency.observe(latency)
@@ -110,14 +92,9 @@ class ServiceMetrics:
     def record_hit(self, latency: float) -> None:
         self._book("cache_hits", latency)
 
-    def record_solve(
-        self, latency: float, *, warm: bool, iterations: int, ok: bool
-    ) -> None:
+    def record_solve(self, latency: float, *, iterations: int, ok: bool) -> None:
         if not ok:
             self._book("solve_errors", latency)
-        elif warm:
-            self.count("warm_iterations", iterations)
-            self._book("warm_solves", latency)
         else:
             self.count("cold_iterations", iterations)
             self._book("cold_solves", latency)
@@ -149,9 +126,9 @@ class ServiceMetrics:
         return {
             "requests": self.requests,
             **counts,
-            "cache_misses": self.cold_solves + self.warm_solves,
+            "warm_solves": 0,  # read by the e2e harness (ROADMAP 1(iii))
+            "cache_misses": self.cold_solves,
             "hit_rate": self.hit_rate,
-            "warm_start_speedup": self.warm_start_speedup,
             "latency": self.request_latency.summary(),
             "resilience": {name: counts[name] for name in _RESILIENCE},
         }
@@ -163,8 +140,7 @@ class ServiceMetrics:
             ["requests", snap["requests"]],
             ["cache hits", snap["cache_hits"]],
             ["hit rate", f"{snap['hit_rate']:.1%}"],
-            ["cold solves", snap["cold_solves"]],
-            ["warm solves", snap["warm_solves"]],
+            ["solves", snap["cold_solves"]],
             ["errors / timeouts / overloads",
              f"{snap['solve_errors']} / {snap['timeouts']} / {snap['overloads']}"],
             ["retries", snap["retries"]],
@@ -174,7 +150,6 @@ class ServiceMetrics:
             ["degraded stale / greedy / rejected",
              f"{snap['degraded_stale']} / {snap['degraded_greedy']}"
              f" / {snap['rejections']}"],
-            ["warm-start speedup", f"{snap['warm_start_speedup']:.2f}x"],
             ["mean latency", f"{snap['latency']['mean'] * 1e3:.2f} ms"],
             ["p95 latency", f"{snap['latency']['p95'] * 1e3:.2f} ms"],
         ]

@@ -16,8 +16,7 @@ Anything that changes the *answer* — node budget, objective, algorithm,
 per-component node bounds, solver tolerances — is part of the fingerprint.
 The **family key** is the same hash with the node budget removed: requests
 in one family differ only in machine size, which is exactly the population
-the ring keeps on one shard and, on the MINLP path, the warm-start pool
-draws donors from.
+the ring keeps on one shard and the circuit breaker trips for.
 
 A request is **immutable, validated at construction, and identified once**.
 ``components`` is snapshotted into a read-only mapping (mutating the dict the
@@ -198,7 +197,8 @@ class SolveRequest:
         return self._identity[1]
 
     def family_key(self) -> str:
-        """Identity minus the node budget: the warm-start donor family."""
+        """Identity minus the node budget: what the ring routes and the
+        breaker trips on."""
         return self._identity[2]
 
     # -- wire format -------------------------------------------------------

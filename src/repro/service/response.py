@@ -1,6 +1,6 @@
 """The service's answer envelope: allocation plus provenance.
 
-``cached``/``warm_started``/``donor`` tell the caller *how* the answer was
+``cached`` tells the caller *how* the answer was
 produced — the service analogue of :class:`repro.core.hslb.SolverProvenance`
 — and ``source`` records which rung of the degradation ladder answered:
 
@@ -60,14 +60,13 @@ class ServiceResponse:
     objective: float
     status: str
     cached: bool
-    warm_started: bool
-    donor: str | None  # fingerprint of the warm-start donor, if any
     iterations: int
     latency: float  # seconds spent answering, queue to response
     message: str = ""
     source: str = "exact"  # which ladder rung answered (see SOURCES)
     staleness: float = 0.0  # age in seconds of a stale-served answer
     trace_id: str = ""  # the request's trace, when tracing was enabled
+    warm_started: bool = False  # always; read by the e2e harness (ROADMAP 1(iii))
 
     def __post_init__(self) -> None:
         if self.source not in SOURCES:
@@ -89,7 +88,6 @@ class ServiceResponse:
         *,
         cached: bool,
         latency: float,
-        donor: str | None = None,
         source: str | None = None,
         staleness: float = 0.0,
     ) -> "ServiceResponse":
@@ -99,8 +97,6 @@ class ServiceResponse:
             objective=outcome.objective,
             status=outcome.status,
             cached=cached,
-            warm_started=outcome.warm_started,
-            donor=donor,
             iterations=outcome.iterations,
             latency=latency,
             message=outcome.message,
@@ -137,8 +133,6 @@ class ServiceResponse:
             objective=float("nan"),
             status=status,
             cached=False,
-            warm_started=False,
-            donor=None,
             iterations=0,
             latency=latency,
             message=message,
@@ -153,7 +147,6 @@ class ServiceResponse:
             "status": self.status,
             "cached": self.cached,
             "warm_started": self.warm_started,
-            "donor": self.donor,
             "iterations": self.iterations,
             "latency": self.latency,
             "message": self.message,

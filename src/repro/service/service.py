@@ -1,4 +1,4 @@
-"""The allocation service: cached, warm-started solves behind one entry point.
+"""The allocation service: cached solves behind one entry point.
 
 :meth:`AllocationService.submit` is the only place a solve is dispatched,
 validated, booked, retried and laddered — every shard of the serving tier,
@@ -10,9 +10,6 @@ Request lifecycle::
       -> canonicalize + fingerprint            (request.py)
       -> cache lookup                          (cache.py; hit: done, ~µs)
       -> circuit breaker check                 (breaker.py; open: degrade)
-      -> warm-start donor: nearest cached node
-         budget in the same request family     (this module; MINLP-path
-                                                objectives only)
       -> solve — on the calling thread, unless
          the request builds a MINLP *and* a
          pool is installed: then on a
@@ -20,8 +17,12 @@ Request lifecycle::
          failures with deterministic backoff   (solver.py, supervisor.py,
                                                 retry.py)
       -> result validation (corruption check)  (solver.py)
-      -> cache insert + donor-pool registration
+      -> cache insert
       -> metrics
+
+A solve sees its request and nothing else: no starting point and no OA cuts
+carry over from earlier solves.  The balancer is static — fit once, solve
+once — and min-sum solves chained that way measured slower than cold ones.
 
 **A solve crosses a process boundary only when it builds a MINLP.**  A
 service keeps two solve seams and one predicate,
@@ -47,8 +48,9 @@ keep hitting what ships).  Worker deaths are *system* failures, so they are
 re-dispatched once even with no :class:`ResiliencePolicy` installed.
 
 Cached answers are bit-identical to fresh solves: no solve draws a random
-number, so replaying the request in any process yields the same allocation
-and objective the cache stored.
+number or reads state another solve left behind, so replaying the request
+in any process, in any order, yields the same allocation and objective the
+cache stored.
 
 **The degradation ladder.**  With a :class:`ResiliencePolicy` installed, a
 request that cannot get an exact answer — worker crashes/hangs exhausted
@@ -69,12 +71,10 @@ always visible in the metrics scrape.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.objectives import Objective
-from repro.minlp.cutpool import OACutPool
 from repro.minlp.solution import Status
 from repro.obs.trace import span
 from repro.service.breaker import BreakerPolicy, CircuitBreaker
@@ -148,12 +148,10 @@ class AllocationService:
         *,
         cache_capacity: int = 256,
         ttl: float | None = None,
-        warm_start: bool = True,
         clock: Callable[[], float] = time.monotonic,
         resilience: ResiliencePolicy | None = None,
         chaos=None,  # ChaosPlan | None; annotation-free to avoid an import cycle
         sleeper: Callable[[float], None] = time.sleep,
-        share_cuts: bool = False,
         pool: SupervisedWorkerPool | None = None,
         metrics: ServiceMetrics | None = None,
     ) -> None:
@@ -163,20 +161,12 @@ class AllocationService:
         # The owner's scope: a tier hands each shard a view that forwards to
         # its own; a standalone service books straight to the process registry.
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.warm_start = warm_start
         self.resilience = resilience
         self.chaos = chaos
         self.sleeper = sleeper
         self.breaker = (
             CircuitBreaker(resilience.breaker, clock=clock) if resilience else None
         )
-        # Opt-in cross-solve OA cut sharing: one cut pool per model family,
-        # threaded into in-process solves so a re-solve on a family starts
-        # from its surviving linearizations.  Off by default — pooled cuts
-        # make an answer depend on pool history, which trades away the
-        # bit-identical-replay guarantee for latency.
-        self.share_cuts = share_cuts
-        self._cut_pools: dict[str, OACutPool] = defaultdict(OACutPool)
         # The two solve seams.  ``_solve`` runs ``solve_request`` on the
         # calling thread (under a chaos plan, with its faults raised as typed
         # errors); ``_solve_on_worker`` ships it to a supervised worker (the
@@ -198,29 +188,17 @@ class AllocationService:
 
             self._solve = chaotic_solve(chaos, solve_request)
         else:
-            self._solve = (
-                lambda request, *, x0=None, deadline=None, attempt=0: solve_request(
-                    request,
-                    x0=x0,
-                    deadline=deadline,
-                    cut_pool=(
-                        self._cut_pools[request.family_key()]
-                        if self.share_cuts
-                        else None
-                    ),
-                )
+            self._solve = lambda request, *, deadline=None, attempt=0: (
+                solve_request(request, deadline=deadline)
             )
-        # family key -> {fingerprint: total_nodes}; entries go stale when the
-        # cache evicts/expires them and are pruned lazily on donor lookups.
-        self._families: dict[str, dict[str, int]] = defaultdict(dict)
 
     def _solve_on_worker(
-        self, request: SolveRequest, *, x0=None, deadline=None, attempt=0
+        self, request: SolveRequest, *, deadline=None, attempt=0
     ) -> SolveOutcome:
         """Ship one solve to a pool slot and block on its answer."""
         entry, chaos = self._worker_call
         dispatch = self.pool.submit(
-            entry, request.to_dict(), x0, deadline, chaos, attempt
+            entry, request.to_dict(), deadline, chaos, attempt
         )
         # The solver's own wall budget enforces the deadline; the grace only
         # covers process scheduling — and turns a hung worker into a typed,
@@ -238,7 +216,7 @@ class AllocationService:
     def submit(
         self, request: SolveRequest, *, deadline: float | None = None
     ) -> ServiceResponse:
-        """Answer one request from cache, a (warm-started) solve, or the ladder.
+        """Answer one request from cache, a solve, or the ladder.
 
         Raises :class:`ServiceTimeoutError` when the per-request ``deadline``
         expires with no usable incumbent and no resilience policy is
@@ -277,7 +255,6 @@ class AllocationService:
                 reason=f"circuit breaker open for family {family[:12]}",
                 start=start,
             )
-        x0, donor = self._find_donor(request, fingerprint)
         # The one routing decision: only a request that builds a MINLP is
         # worth the hop to a worker process (module docstring).
         ships = (
@@ -300,7 +277,7 @@ class AllocationService:
                     last_reason = "deadline exhausted before another attempt"
                     break
             try:
-                outcome = solve(request, x0=x0, deadline=budget, attempt=attempt)
+                outcome = solve(request, deadline=budget, attempt=attempt)
             except (WorkerCrashError, WorkerHangError) as exc:
                 if not ships:
                     # In-process chaos: no pool saw this death, so book it
@@ -324,12 +301,7 @@ class AllocationService:
                     continue
             latency = time.perf_counter() - start
             ok = outcome.status in (Status.OPTIMAL.value, Status.FEASIBLE.value)
-            self.metrics.record_solve(
-                latency,
-                warm=outcome.warm_started,
-                iterations=outcome.iterations,
-                ok=ok,
-            )
+            self.metrics.record_solve(latency, iterations=outcome.iterations, ok=ok)
             if outcome.status == Status.TIME_LIMIT.value:
                 # Deterministic under a fixed budget, so spend the remaining
                 # deadline on the ladder, not on an identical re-run.
@@ -344,9 +316,7 @@ class AllocationService:
                 self.breaker.record_success(family)
             if ok:
                 self.admit(request, outcome)
-            return ServiceResponse.from_outcome(
-                outcome, cached=False, latency=latency, donor=donor
-            )
+            return ServiceResponse.from_outcome(outcome, cached=False, latency=latency)
         if self.breaker is not None:
             self.breaker.record_failure(family)
         if policy is None:
@@ -430,42 +400,9 @@ class AllocationService:
             outcome, cached=False, latency=latency, source="greedy"
         )
 
-    # -- cache/donor bookkeeping -------------------------------------------
-
+    # A method only because the e2e harness primes caches with it (ROADMAP 1(iii)).
     def admit(self, request: SolveRequest, outcome: SolveOutcome) -> None:
-        """Install a finished solve into the cache and — when a sibling
-        budget could warm-start from it — the donor pool."""
+        """Install a finished solve into the cache."""
         fingerprint = outcome.fingerprint
         with span("cache.admit", fingerprint=fingerprint[:12]):
             self.cache.put(fingerprint, outcome)
-            if not Objective(request.objective).has_direct_solver:
-                self._families[request.family_key()][fingerprint] = (
-                    request.total_nodes
-                )
-
-    def _find_donor(
-        self, request: SolveRequest, fingerprint: str
-    ) -> tuple[dict[str, float] | None, str | None]:
-        """Nearest cached node budget in the request's family, as an x0.
-
-        Only the MINLP path can use one: a request the direct solver answers
-        scans nothing and ships no ``x0`` across the pipe.
-        """
-        if not self.warm_start or Objective(request.objective).has_direct_solver:
-            return None, None
-        family = self._families.get(request.family_key())
-        if not family:
-            return None, None
-        best: tuple[int, str] | None = None
-        for fp, nodes in list(family.items()):
-            if fp == fingerprint or self.cache.peek(fp) is None:
-                if self.cache.peek(fp) is None:
-                    del family[fp]  # evicted/expired underneath us
-                continue
-            gap = abs(nodes - request.total_nodes)
-            if best is None or gap < best[0]:
-                best = (gap, fp)
-        if best is None:
-            return None, None
-        donor = self.cache.peek(best[1])
-        return dict(donor.values), best[1]

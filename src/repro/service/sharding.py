@@ -4,9 +4,10 @@ The async serving tier routes every request by its **family key** (the
 fingerprint minus the node budget — see :meth:`repro.service.request.\
 SolveRequest.family_key`) so that all budgets of one curve set land on the
 same shard.  That placement is what makes per-shard state pay off: the
-shard that owns a family owns its cached solutions, its warm-start donor
-pool, and its OA cut pool, so a neighbor-budget request finds its donor
-locally instead of winning a cross-process lottery.
+shard that owns a family owns its cached solutions and its circuit-breaker
+state, so a family's repeats hit the cache that already holds them and a
+misbehaving family trips one breaker.  Placement never changes an answer —
+no solve reads another solve's state.
 
 The ring is the textbook consistent-hash construction:
 

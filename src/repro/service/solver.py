@@ -2,19 +2,18 @@
 
 Kept free of any cache/metrics state so the same function runs in-process
 and inside the supervised pool's worker processes.  No solve draws a random
-number, so the same canonical request produces a bit-identical answer in
-any process — the property that lets cached responses stand in for fresh
-solves.
+number or reads anything but its request, so the same canonical request
+produces a bit-identical answer in any process and in any order — the
+property that lets cached responses stand in for fresh solves.
 
 **Which solver answers.**  Every request the tier can express is one budget
 row over univariate curves with optional box bounds — the family §III-E
 says needs no MINLP.  :attr:`Objective.has_direct_solver` is the one
 predicate: min-max and max-min requests are answered by
 :mod:`repro.core.greedy` (the exact heap, the exact level-set search;
-``status="optimal"``, ``iterations == 0``, never warm-started), and only
-min-sum builds a problem and calls :func:`repro.minlp.solve`.  Warm starts,
-deadline-capped tree searches and OA cut sharing are that MINLP path's
-machinery; for the direct objectives the ladder's ``greedy`` rung returns the
+``status="optimal"``, ``iterations == 0``), and only min-sum builds a
+problem and calls :func:`repro.minlp.solve`, whose tree search a deadline
+can cap.  For the direct objectives the ladder's ``greedy`` rung returns the
 same allocation as the exact path and differs only in provenance
 (``status="feasible"``, never cached).
 """
@@ -41,11 +40,11 @@ class SolveOutcome:
     allocation: dict[str, int]
     objective: float
     status: str
-    iterations: int  # B&B nodes + NLP solves: the warm-start speedup metric
+    iterations: int  # B&B nodes + NLP solves
     wall_time: float
-    values: dict[str, float]  # full variable values: the warm-start donor
-    warm_started: bool
+    values: dict[str, float]  # read by the e2e harness (ROADMAP 1(iii))
     message: str = ""
+    warm_started: bool = False  # always; read by the e2e harness (ROADMAP 1(iii))
 
     def to_dict(self) -> dict:
         return {
@@ -56,7 +55,6 @@ class SolveOutcome:
             "iterations": self.iterations,
             "wall_time": self.wall_time,
             "values": dict(self.values),
-            "warm_started": self.warm_started,
             "message": self.message,
         }
 
@@ -70,7 +68,6 @@ class SolveOutcome:
             iterations=int(payload["iterations"]),
             wall_time=float(payload["wall_time"]),
             values={k: float(v) for k, v in payload["values"].items()},
-            warm_started=bool(payload["warm_started"]),
             message=str(payload.get("message", "")),
         )
 
@@ -93,53 +90,38 @@ def build_problem(request: SolveRequest):
 def solve_request(
     request: SolveRequest,
     *,
-    x0: dict[str, float] | None = None,
+    x0: dict[str, float] | None = None,  # read by the e2e harness (ROADMAP 1(iii))
     deadline: float | None = None,
-    cut_pool=None,
 ) -> SolveOutcome:
-    """Solve one request, optionally warm-started and deadline-capped.
+    """Solve one request, optionally deadline-capped.
 
     Min-max and max-min are answered by :mod:`repro.core.greedy` — exact,
-    sub-millisecond, nothing to warm-start or cap, so ``x0``, ``deadline``
-    and ``cut_pool`` are ignored — and min-sum by the MINLP its convex
-    epigraph rows make exact.
+    sub-millisecond, nothing to cap, so ``deadline`` is ignored — and
+    min-sum by the MINLP its convex epigraph rows make exact.
 
     ``deadline`` shrinks the solver's wall budget (never loosens it), so a
     per-request deadline terminates the tree search itself rather than
-    abandoning a runaway subprocess.
-
-    ``cut_pool`` optionally carries a per-family
-    :class:`repro.minlp.OACutPool` so OA re-solves on the same model family
-    reactivate earlier linearization cuts.  CAUTION: a shared pool makes
-    the solve depend on pool history, which breaks the bit-identical-replay
-    guarantee — only the service's opt-in ``share_cuts`` mode passes one.
+    abandoning a runaway subprocess.  ``x0`` seeds the tree's incumbent;
+    nothing in the service passes one.
     """
     if Objective(request.objective).has_direct_solver:
         return _direct_outcome(request, Status.OPTIMAL, "")
     fingerprint = request.fingerprint()
     problem = build_problem(request)
     if x0 is not None:
-        # Seed only the discrete decision variables: a donor's continuous
-        # auxiliaries (epigraph T, eta) belong to *its* budget and would
-        # drag the root relaxation toward the donor's optimum.
+        # Seed only the discrete decision variables: continuous auxiliaries
+        # (epigraph T, eta) from another budget's solve would drag the root
+        # relaxation toward that solve's optimum.
         discrete = {v.name for v in problem.discrete_variables()}
         x0 = {k: v for k, v in x0.items() if k in discrete} or None
     options = request.options
     if deadline is not None:
         options = options.with_budget(wall_seconds=deadline)
-    sol = solve(
-        problem, options, algorithm=request.algorithm, x0=x0, cut_pool=cut_pool
-    )
-    return _outcome(request, fingerprint, sol, warm_started=x0 is not None)
+    sol = solve(problem, options, algorithm=request.algorithm, x0=x0)
+    return _outcome(request, fingerprint, sol)
 
 
-def _outcome(
-    request: SolveRequest,
-    fingerprint: str,
-    sol: Solution,
-    *,
-    warm_started: bool,
-) -> SolveOutcome:
+def _outcome(request: SolveRequest, fingerprint: str, sol: Solution) -> SolveOutcome:
     allocation: dict[str, int] = {}
     if sol.status.is_ok:
         allocation = {
@@ -153,7 +135,6 @@ def _outcome(
         iterations=sol.stats.nodes_explored + sol.stats.nlp_solves,
         wall_time=float(sol.stats.wall_time),
         values={k: float(v) for k, v in sol.values.items()},
-        warm_started=warm_started,
         message=sol.message,
     )
 
@@ -230,7 +211,7 @@ def _direct_outcome(request: SolveRequest, status: Status, message: str) -> Solv
         )
     except ValueError as exc:
         infeasible = Solution(Status.INFEASIBLE, message=str(exc))
-        return _outcome(request, fingerprint, infeasible, warm_started=False)
+        return _outcome(request, fingerprint, infeasible)
     objective = _price(request, alloc)
     return SolveOutcome(
         fingerprint=fingerprint,
@@ -240,7 +221,6 @@ def _direct_outcome(request: SolveRequest, status: Status, message: str) -> Solv
         iterations=0,
         wall_time=time.perf_counter() - start,  # allocate + price: fast, not free
         values={f"n_{name}": float(count) for name, count in alloc.items()},
-        warm_started=False,
         message=message,
     )
 

@@ -1,12 +1,12 @@
 """Warm starts: certified incumbents, x0 plumbing, and the iteration win.
 
-The service's warm-start pool rests on three facts established here:
+The rebalancer's warm-started HSLB re-solve rests on three facts
+established here:
 
 * a partial ``x0`` is completed into a *feasible* incumbent (never handed
   to the tree uncertified);
 * both drivers accept ``x0`` and still reach the same optimum;
-* seeding the OA tree with a neighbor's solution measurably shrinks the
-  search (the speedup the service metrics report).
+* seeding the OA tree with a neighbor's solution can shrink the search.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.minlp.solution import Status
 
 # CESM-flavored T(n) = a/n + b n^c + d curves; the tight epigraph bound
 # matters — warm-start completion NLPs start from the bound midpoint, so a
-# loose bound buries the donor's head start (the service's model builder
+# loose bound buries the seed's head start (the allocation model builder
 # always sets T's bound from the single-node worst case).
 _CURVES = [(1200.0, 0.5, 1.1, 2.0), (800.0, 0.3, 1.2, 1.0), (300.0, 0.2, 1.0, 0.5)]
 
@@ -68,10 +68,10 @@ def test_x0_does_not_change_the_optimum(solver):
 
 def test_oa_warm_start_shrinks_the_search():
     # Solve a 64-node instance, then seed the neighboring 72-node instance
-    # with its solution — the service's donor scenario.
-    donor = solve_minlp_oa(_alloc(64))
-    assert donor.status is Status.OPTIMAL
-    seed = {k: v for k, v in donor.values.items() if k.startswith("n")}
+    # with its solution.
+    neighbor = solve_minlp_oa(_alloc(64))
+    assert neighbor.status is Status.OPTIMAL
+    seed = {k: v for k, v in neighbor.values.items() if k.startswith("n")}
     cold = solve_minlp_oa(_alloc(72))
     warm = solve_minlp_oa(_alloc(72), x0=seed)
     assert warm.status is Status.OPTIMAL

@@ -67,7 +67,7 @@ def test_hslb_metrics_lists_the_whole_catalogue(capsys):
 
 
 def test_a_tier_run_touches_only_catalogued_families_and_labels():
-    """Cold, warm, hit, degraded, shed, refused and chaos-ridden requests:
+    """Solved, hit, degraded, shed, refused and chaos-ridden requests:
     whatever reaches the process registry has a line in the table."""
     tier = AsyncServingTier(
         TierConfig(
@@ -93,7 +93,7 @@ def test_a_tier_run_touches_only_catalogued_families_and_labels():
 
     async def drive():
         async with tier:
-            budgets = (24, 32, 48, 24, 64, 32)  # min-sum: the path that warm-starts
+            budgets = (24, 32, 48, 24, 64, 32)  # min-sum: the path that iterates
             await asyncio.gather(
                 *(
                     tier.submit(make_minlp_request(b), priority="interactive")
@@ -108,7 +108,7 @@ def test_a_tier_run_touches_only_catalogued_families_and_labels():
     asyncio.run(drive())
     tier.slo.export(REGISTRY)
     snap = tier.snapshot()
-    assert snap["cold_solves"] and snap["warm_solves"] and snap["cache_hits"]
+    assert snap["cold_solves"] and snap["cold_iterations"] and snap["cache_hits"]
     assert snap["degraded_greedy"] == snap["overloads"] == 1
     assert snap["resilience"]["retries"]
 

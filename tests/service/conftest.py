@@ -34,10 +34,9 @@ def make_minlp_request(total_nodes: int = 64, **kwargs) -> SolveRequest:
     """A request of the one objective that still builds a MINLP.
 
     Min-max (the default) and max-min are answered directly by
-    ``repro.core.greedy`` — sub-millisecond, never warm-started, nothing a
-    deadline can cut short — so tests of the warm-start chain, the donor
-    pool, solver deadlines and anything that needs a solve to still be in
-    flight drive min-sum.
+    ``repro.core.greedy`` — sub-millisecond, no iterations, nothing a
+    deadline can cut short — so tests of solver deadlines, worker shipping
+    and anything that needs a solve to still be in flight drive min-sum.
     """
     return make_request(total_nodes, objective="min-sum", **kwargs)
 

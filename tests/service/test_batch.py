@@ -1,7 +1,6 @@
-"""The synchronous batch API (``run_requests``): order, dedup, warm chain,
+"""The synchronous batch API (``run_requests``): order, dedup,
 backpressure, deadlines — every behaviour the batch executor had, now the
-serving tier's: dedup is single-flight, donor ordering is the shard's
-serial chain, fan-out is the ring."""
+serving tier's: dedup is single-flight, fan-out is the ring."""
 
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ def test_batch_preserves_input_order_and_dedups(request64):
     # One solve per distinct fingerprint; duplicates answered from cache.
     assert [r.cached for r in responses] == [False, False, True, True]
     snap = tier.snapshot()
-    assert snap["cold_solves"] + snap["warm_solves"] == 2
+    assert snap["cold_solves"] == 2
     assert snap["cache_hits"] == 2
 
 
@@ -61,17 +60,6 @@ def test_duplicate_answers_are_bit_identical(request64):
     responses = run_requests(_tier(), [request64, request64])
     assert responses[0].allocation == responses[1].allocation
     assert responses[0].objective == responses[1].objective
-
-
-def test_donor_first_ordering_warms_the_family():
-    tier = _tier()
-    responses = run_requests(tier, [make_minlp_request(n) for n in (96, 64, 128)])
-    # The shard solves one at a time, so the first request of a family is
-    # its donor and every later member starts from an admitted sibling.
-    assert not responses[0].warm_started
-    assert responses[1].warm_started and responses[2].warm_started
-    assert responses[1].donor == responses[0].fingerprint
-    assert tier.snapshot()["warm_solves"] == 2
 
 
 def test_backpressure_refuses_oversized_batches(request64):
@@ -120,12 +108,12 @@ def test_precached_requests_hit_without_resolving(request64):
 
 
 def test_process_pool_fan_out_matches_serial(minlp64):
-    # Two distinct families, so neither is the other's donor and both are
-    # cold solves whichever shard (and worker process) they land on.
-    # Min-sum: the objective a process-mode shard ships to its worker.
+    # Two distinct families, so they may land on different shards (and
+    # worker processes).  Min-sum: the objective a process-mode shard ships
+    # to its worker.
     other = {name: dict(p, a=p["a"] * 2.0) for name, p in CURVES.items()}
     batch = [minlp64, make_minlp_request(96, curves=other)]
-    serial = run_requests(_tier(share_cuts=False), batch)
+    serial = run_requests(_tier(), batch)
     pooled_tier = _tier(worker_mode="process", shards=2)
     pooled = run_requests(pooled_tier, batch)
     for a, b in zip(serial, pooled):

@@ -51,7 +51,7 @@ def break_solver(service: AllocationService) -> list:
     """Make every exact solve die as a worker crash; returns the call log."""
     calls = []
 
-    def _dead(request, *, x0=None, deadline=None, attempt=0):
+    def _dead(request, *, deadline=None, attempt=0):
         calls.append(attempt)
         raise WorkerCrashError(worker_id=0, fingerprint=request.fingerprint())
 
@@ -64,11 +64,11 @@ def test_retry_recovers_from_a_transient_crash():
     real = service._solve
     state = {"calls": 0}
 
-    def _flaky(request, *, x0=None, deadline=None, attempt=0):
+    def _flaky(request, *, deadline=None, attempt=0):
         state["calls"] += 1
         if state["calls"] == 1:
             raise WorkerCrashError(worker_id=0)
-        return real(request, x0=x0, deadline=deadline, attempt=attempt)
+        return real(request, deadline=deadline, attempt=attempt)
 
     service._solve = _flaky
     response = service.submit(make_request(48))
@@ -142,9 +142,9 @@ def test_time_limit_is_never_retried():
     calls = []
     real = service._solve
 
-    def _slow(request, *, x0=None, deadline=None, attempt=0):
+    def _slow(request, *, deadline=None, attempt=0):
         calls.append(attempt)
-        outcome = real(request, x0=x0, deadline=deadline, attempt=attempt)
+        outcome = real(request, deadline=deadline, attempt=attempt)
         return type(outcome)(
             **{**outcome.to_dict(), "status": Status.TIME_LIMIT.value}
         )
@@ -163,9 +163,9 @@ def test_corrupt_results_are_retried_not_served():
     real = service._solve
     state = {"calls": 0}
 
-    def _corrupting(request, *, x0=None, deadline=None, attempt=0):
+    def _corrupting(request, *, deadline=None, attempt=0):
         state["calls"] += 1
-        outcome = real(request, x0=x0, deadline=deadline, attempt=attempt)
+        outcome = real(request, deadline=deadline, attempt=attempt)
         return corrupt_outcome(outcome) if state["calls"] == 1 else outcome
 
     service._solve = _corrupting

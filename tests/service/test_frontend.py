@@ -15,6 +15,7 @@ from repro.service import (
     TierConfig,
     run_requests,
     serve_stdio,
+    solve_request,
 )
 
 from tests.service.conftest import hold_solves, make_minlp_request, make_request
@@ -43,8 +44,8 @@ def test_config_validation():
 
 
 def test_for_host_matches_the_core_budget():
-    # One core: out-of-process solving buys nothing and costs cut-pool
-    # reuse, so the derived mode is in-process threads.
+    # One core: forking a worker buys no parallelism, so the derived mode
+    # is in-process threads.
     assert TierConfig.for_host(1).worker_mode == "thread"
     assert TierConfig.for_host(8).worker_mode == "process"
     # Explicit overrides always win over the derived fields.
@@ -184,23 +185,37 @@ def test_cache_hits_answer_exactly_in_the_degrade_band(request64):
 # -- process workers ----------------------------------------------------------
 
 
-def test_process_mode_solves_and_chains_warm_starts():
-    """Out-of-process shards: answers match inline, warm starts still chain."""
-    reference = run_requests(
-        _tier(shards=1), [make_minlp_request(b) for b in (48, 64, 72)]
-    )
+def test_process_mode_matches_inline():
+    """Out-of-process shards answer exactly what an inline shard does."""
+    batch = [make_minlp_request(b) for b in (48, 64, 72)]
+    reference = run_requests(_tier(shards=1), batch)
     tier = AsyncServingTier(TierConfig(shards=1, worker_mode="process"))
-    responses = run_requests(tier, [make_minlp_request(b) for b in (48, 64, 72)])
+    responses = run_requests(tier, batch)
     assert all(r.ok for r in responses)
-    # The child process solves without the parent's shared cut pool, so it
-    # may land on a different optimal tie — objectives must still agree.
     for got, want in zip(responses, reference):
-        assert got.objective == pytest.approx(want.objective, rel=1e-9)
-    snap = tier.snapshot()
-    # The shard's one thread runs donor lookup -> solve -> admit serially,
-    # so each solve sees its admitted predecessors and the family's later
-    # budgets warm-start off the earlier ones.
-    assert snap["warm_solves"] == 2
+        assert got.allocation == want.allocation
+        assert got.objective == want.objective
+        assert got.iterations == want.iterations > 0
+    assert tier.snapshot()["cold_solves"] == len(batch)
+
+
+@pytest.mark.parametrize("mode", ["inline", "thread", "process"])
+def test_a_min_sum_family_gets_cold_answers_in_any_order(mode):
+    """A default tier, one min-sum family's budgets in two orders: every
+    answer is the one a cold ``solve_request`` of that request gives —
+    nothing an earlier sibling left behind reaches a later solve."""
+    budgets = (48, 64, 72, 96)
+    cold = {b: solve_request(make_minlp_request(b)) for b in budgets}
+    for order in (budgets, budgets[::-1]):
+        tier = AsyncServingTier(TierConfig(worker_mode=mode))
+        responses = run_requests(tier, [make_minlp_request(b) for b in order])
+        for budget, response in zip(order, responses):
+            assert not response.cached
+            assert response.allocation == cold[budget].allocation, (mode, order)
+            assert response.objective == cold[budget].objective, (mode, order)
+            # The same search, not just the same optimum: no seed, no cuts
+            # carried over from a sibling.
+            assert response.iterations == cold[budget].iterations, (mode, order)
 
 
 def test_entering_the_tier_preforks_process_workers():

@@ -11,9 +11,9 @@ from repro.service.metrics import ServiceMetrics
 
 def _populate(m: ServiceMetrics) -> None:
     m.record_hit(0.001)
-    m.record_solve(0.2, warm=False, iterations=10, ok=True)
-    m.record_solve(0.05, warm=True, iterations=2, ok=True)
-    m.record_solve(0.5, warm=False, iterations=0, ok=False)
+    m.record_solve(0.2, iterations=10, ok=True)
+    m.record_solve(0.05, iterations=2, ok=True)
+    m.record_solve(0.5, iterations=0, ok=False)
     m.count("timeouts")
     m.count("overloads")
 
@@ -25,10 +25,10 @@ def test_reset_zeroes_every_counter_and_histogram():
     m.reset()
     assert m.requests == 0
     assert m.cache_hits == 0
-    assert m.cold_solves == 0 and m.warm_solves == 0
+    assert m.cold_solves == 0
     assert m.solve_errors == 0
     assert m.timeouts == 0 and m.overloads == 0
-    assert m.cold_iterations == 0 and m.warm_iterations == 0
+    assert m.cold_iterations == 0
     assert m.request_latency.count() == 0
     assert m.request_latency.sum() == 0.0
     assert m.request_latency.summary()["buckets"] == {}
@@ -74,9 +74,10 @@ def test_snapshot_values():
     assert snap["cache_misses"] == 2  # the failed solve is not a miss pair
     assert snap["solve_errors"] == 1
     assert snap["timeouts"] == 1 and snap["overloads"] == 1
-    assert snap["warm_start_speedup"] == pytest.approx(5.0)
+    assert snap["cold_solves"] == 2 and snap["cold_iterations"] == 12
+    assert snap["warm_solves"] == 0  # a literal: nothing warm-starts
     # Counter values are floats; everything a snapshot counts is an int.
-    derived = ("hit_rate", "warm_start_speedup", "latency", "resilience")
+    derived = ("hit_rate", "latency", "resilience")
     counts = {k: v for k, v in snap.items() if k not in derived}
     assert all(type(v) is int for v in counts.values()), counts
     assert all(type(v) is int for v in snap["resilience"].values())
@@ -94,10 +95,7 @@ def test_the_view_stores_nothing_itself():
     assert m.requests == sum(
         v for _, _, v in m.registry.get("service_requests_total").samples()
     )
-    assert m.warm_start_speedup == (
-        m.registry.get("service_solve_iterations_total").value(outcome="cold")
-        / m.registry.get("service_solve_iterations_total").value(outcome="warm")
-    )
+    assert m.cold_iterations == m.registry.get("service_solve_iterations_total").value()
     with pytest.raises(AttributeError):
         m.no_such_count
 
@@ -107,14 +105,13 @@ def test_registry_mirror_tracks_outcomes():
     hist = REGISTRY.histogram("service_request_seconds")
     before = {
         outcome: counter.value(outcome=outcome)
-        for outcome in ("hit", "cold", "warm", "error")
+        for outcome in ("hit", "cold", "error")
     }
     observations = hist.count()
     m = ServiceMetrics()
     _populate(m)
     assert counter.value(outcome="hit") == before["hit"] + 1
-    assert counter.value(outcome="cold") == before["cold"] + 1
-    assert counter.value(outcome="warm") == before["warm"] + 1
+    assert counter.value(outcome="cold") == before["cold"] + 2
     assert counter.value(outcome="error") == before["error"] + 1
     assert hist.count() == observations + 4
     # reset() is per-instance; the process-wide registry keeps accumulating.
@@ -172,7 +169,7 @@ def test_readers_and_two_writers_keep_the_ledger():
             if i % 7 == 0:
                 m.record_degraded("greedy", 1e-3)
             else:
-                m.record_solve(1e-2, warm=bool(i % 2), iterations=3, ok=True)
+                m.record_solve(1e-2, iterations=3, ok=True)
 
     def reader():
         try:
@@ -205,7 +202,7 @@ def test_readers_and_two_writers_keep_the_ledger():
     assert not any(t.is_alive() for t in threads) and not errors, errors
     assert m.requests == 2 * rounds == m.request_latency.count()
     assert m.requests == (
-        m.cache_hits + m.cold_solves + m.warm_solves + m.degraded_greedy
+        m.cache_hits + m.cold_solves + m.degraded_greedy
     )
     parent = m.registry.parent
     assert parent.counter("service_requests_total").total() == 2 * rounds

@@ -180,7 +180,7 @@ def test_unrecoverable_storm_ends_in_typed_degraded_answers():
     assert {r.source for r in responses} == {"greedy"}
     snap = tier.snapshot()
     assert snap["degraded_greedy"] == len(requests)
-    assert snap["cold_solves"] == snap["warm_solves"] == 0
+    assert snap["cold_solves"] == 0
     # Three deaths in a row retire a slot with a budget of two restarts.
     for shard in tier.shards.values():
         if shard.requests:
@@ -270,7 +270,7 @@ def test_metrics_ledger_adds_up_with_two_writers(worker_mode):
     for shard in tier.shards.values():
         m = shard.service.metrics
         assert m.requests == (
-            m.cache_hits + m.cold_solves + m.warm_solves + m.solve_errors
+            m.cache_hits + m.cold_solves + m.solve_errors
             + m.degraded_stale + m.degraded_greedy + m.rejections
         )
         assert m.request_latency.count() == m.requests
@@ -282,18 +282,15 @@ def test_metrics_ledger_adds_up_with_two_writers(worker_mode):
 
 def test_every_worker_mode_gives_the_same_answers():
     """One seeded mix of all three objectives, three ways to run the solve,
-    identical answers — whichever process the solve ran in.
-
-    ``share_cuts`` is off: a cut pool carried across solves may pick a
-    different optimal tie, and only in-process solves have one (the caveat
-    ``test_process_mode_solves_and_chains_warm_starts`` documents).
+    identical answers — whichever process the solve ran in, on a default
+    config: no solve reads state an earlier one left behind.
     """
     requests = [
         r for o in OBJECTIVES for r in request_mix(budgets=(24, 48), objective=o)
     ]
     answers = {}
     for mode in ("inline", "thread", "process"):
-        tier = chaos_tier(None, worker_mode=mode, share_cuts=False)
+        tier = chaos_tier(None, worker_mode=mode)
         answers[mode] = [
             (r.fingerprint, r.status, tuple(sorted(r.allocation.items())),
              r.objective)
@@ -469,7 +466,7 @@ def test_scrape_equals_snapshot_equals_shard_views(worker_mode):
         assert resilience["worker_restarts"] == dealt["crash"] + dealt["hang"]
     assert snap["requests"] == len(storm) + len(hits) + 1
     assert snap["cache_hits"] == len(hits) and snap["degraded_greedy"] == 1
-    assert snap["cold_solves"] + snap["warm_solves"] == len(storm)
+    assert snap["cold_solves"] == len(storm)
     assert snap["overloads"] == 2 == scrape["service_overloads_total", ()]
     assert snap["served"] == snap["requests"] + 1  # the shed was timed too
     assert snap["served"] == scrape["service_tier_request_seconds_count", ()]

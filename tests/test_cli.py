@@ -310,7 +310,7 @@ def test_batch_command(tmp_path, capsys):
     assert responses[0]["allocation"] == responses[1]["allocation"]
     assert responses[1]["cached"] is True
     assert metrics["cache_hits"] == 1
-    assert metrics["cold_solves"] + metrics["warm_solves"] == 2
+    assert metrics["cold_solves"] == 2
     assert metrics["worker_mode"] == "inline" and metrics["shards"] == 1
     assert json.loads(captured.err)["served"] == 3  # the tier snapshot
 
