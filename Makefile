@@ -66,11 +66,17 @@ faults-bench:
 # service/chaos/tier test suites and the commands users type at them
 # (`hslb serve` / `batch` / `chaos`), the two service benchmarks with their
 # regression gates (Zipf-mix records vs. BENCH_service.json; keyed-burst
-# accounting vs. BENCH_asyncserve.json, lost requests pinned at 0), and a
-# 250-request chaos soak through two supervised worker processes (half the
-# mix is min-sum: only what builds a MINLP ships to a worker) that fails if
-# any request is lost or if benchmarks/out/chaos_metrics.json, which it
-# writes, records no real worker death.
+# accounting vs. BENCH_asyncserve.json: lost requests pinned at 0, one solve
+# per distinct request), and a 250-request chaos soak through two
+# supervised worker processes that fails if any request is lost or if
+# benchmarks/out/chaos_metrics.json, which it writes, records no real
+# worker death.  Where a request runs: min-max / max-min on the event loop
+# in every worker mode; min-sum (it builds a MINLP) on its shard's thread,
+# and from there, in process mode, on the shard's worker, forked at the
+# shard's first min-sum request — so half the soak's mix is min-sum.
+# Wall-clock lives in the end-to-end ledger; compare a change in
+# alternating parent/change pairs of
+#   python3 benchmarks/e2e/run.py --workload serve_flash --trace 0 --seed S --out FILE
 serving:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/service tests/faults/test_chaos_plan.py tests/minlp/test_warm_start.py tests/cli/test_serving.py tests/cli/test_parser.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -q -k "serve or batch or chaos"

@@ -56,8 +56,8 @@ class GateRule:
 #:   throughput-flavoured ones gate in the "higher" direction, and
 #:   ``service_replay_mismatches`` pins bit-identical replay at exactly 0;
 #: * ``asyncserve_*`` — the async tier under a keyed burst; accounting
-#:   records (lost/answered/coalesce rate) are deterministic and gate
-#:   tight, wall-time records gate loose (the e2e ledger owns wall-clock);
+#:   records (lost/answered/dedup rate) are deterministic and gate tight,
+#:   wall-time records gate loose (the e2e ledger owns wall-clock);
 #: * ``obs_*`` — tracing-overhead contracts; their committed baselines ARE
 #:   the contract values (disabled-guard fraction 0.05, enabled ratio 1.5),
 #:   so with threshold 1.0 the gate fails exactly when a fresh run exceeds
@@ -78,7 +78,7 @@ GATED = (
     GateRule("asyncserve_throughput_rps", "higher", 2.0),
     GateRule("asyncserve_lost_requests", "lower", 1.0),
     GateRule("asyncserve_answered", "higher", 1.01),
-    GateRule("asyncserve_coalesce_rate", "higher", 1.5),
+    GateRule("asyncserve_dedup_rate", "higher", 1.01),
     GateRule("asyncserve_p50", "lower", 3.0),
     GateRule("asyncserve_p99", "lower", 3.0),
     GateRule("asyncserve_p999", "lower", 3.0),

@@ -16,7 +16,7 @@ occasionally return garbage.  This example walks the resilience stack:
    worker process killed mid-solve is contained to its shard, replaced
    under a restart budget, and the victim request re-dispatched — without
    restarting the service.  (Min-sum requests: only what builds a MINLP is
-   shipped to a worker; min-max / max-min are answered on the shard thread.)
+   shipped to a worker; min-max / max-min are answered on the event loop.)
 
 Usage:  python examples/resilient_service.py
 """

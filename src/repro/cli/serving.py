@@ -125,12 +125,12 @@ def register(sub) -> None:
         choices=("auto", "thread", "process", "inline"),
         default="auto",
         help="where a shard's MINLP solves (min-sum) run: 'process' ships "
-        "them to one supervised worker per shard (parallel on multi-core "
-        "hosts), 'thread' keeps them on the shard's thread (best on one "
-        "core), 'inline' is deterministic but blocks the loop; 'auto' "
-        "picks by host core count.  Min-max / max-min requests are "
-        "answered on the shard's thread in every mode: the sub-millisecond "
-        "heap is cheaper than the hop to a worker",
+        "them to one supervised worker per shard, forked at its first one "
+        "(parallel on multi-core hosts), 'thread' keeps them on the shard's "
+        "thread (best on one core), 'inline' is deterministic but blocks "
+        "the loop; 'auto' picks by host core count.  Min-max / max-min "
+        "requests are answered on the event loop in every mode: the "
+        "sub-millisecond heap is cheaper than any hop",
     )
     tier.add_argument(
         "--max-pending",

@@ -6,12 +6,13 @@ polynomial time with customized solvers [Ibaraki & Katoh]".  This module is
 that customized solver for the FMO-style family — one budget row
 ``sum_j n_j <= N`` over integer ``n_j`` in ``[min_nodes_j, max_nodes_j]``,
 each ``T_j(n) = a/n + b n^c + d`` unimodal — under the two §III-D objectives
-that compare components: :func:`greedy_minmax_allocation` (the classic heap)
-and :func:`maxmin_allocation` (a threshold search over level sets, for the
-one objective the heap cannot do and whose MINLP form is nonconvex).  Both
-are exact with floors and caps, and checked against brute force, the MINLP
-solvers and an independent DP (``tests/core/test_greedy.py``,
-``tests/service/test_greedy_rung.py``).  They serve four roles:
+that compare components: :func:`greedy_minmax_allocation` (the classic heap,
+run as one top-B selection) and :func:`maxmin_allocation` (a threshold
+search over level sets, for the one objective the heap cannot do and whose
+MINLP form is nonconvex).  Both are exact with floors and caps, and checked
+against brute force, the MINLP solvers and an independent DP
+(``tests/core/test_greedy.py``, ``tests/service/test_greedy_rung.py``).
+They serve four roles:
 
 * an independent oracle the tests use to certify the MINLP solvers;
 * the answer itself wherever the problem *is* this family: every min-max
@@ -29,7 +30,6 @@ solvers and an independent DP (``tests/core/test_greedy.py``,
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Mapping
 
 import numpy as np
@@ -81,38 +81,50 @@ def greedy_minmax_allocation(
 
     Each component starts at its floor (``min_nodes``, default 1); the
     remaining budget is granted one node at a time to the component with
-    the largest current time.  A component is never pushed past its integer
-    sweet spot (adding nodes beyond the curve minimum *raises* its time,
-    which can never reduce the max) nor past its ``max_nodes``.  Exact by an
-    exchange argument (any optimal solution can be permuted into the greedy
-    one without worsening the max), and leximin beyond the objective: once
-    the slowest component is capped, the *next* slowest keeps being lowered.
+    the largest current time, ties to the first name.  A component is never
+    pushed past its integer sweet spot (adding nodes beyond the curve
+    minimum *raises* its time, which can never reduce the max) nor past its
+    ``max_nodes``.  Exact by an exchange argument (any optimal solution can
+    be permuted into the greedy one without worsening the max), and leximin
+    beyond the objective: once the slowest component is capped, the *next*
+    slowest keeps being lowered.
+
+    The grants are not made one by one.  Granting node ``n + 1`` is an
+    *event* whose key is ``T(n)``; a component's keys only fall until its
+    cap, so the greedy grants the ``B`` events with the largest keys (``B``
+    the spare budget): ``np.partition`` finds the ``B``-th largest key,
+    every component takes its events above it, and the events *at* it go
+    out by name, which is the order a max-heap on ``(T, name)`` pops them in.
+    A key that rises by float round-off near the sweet spot would be popped
+    right after the lower key before it, so each component's keys are
+    replaced by their running minimum first; that leaves the grant order
+    unchanged.  ``tests/core/test_greedy.py`` keeps the heap as the oracle.
 
     Returns ``(allocation, makespan)``.
     """
     floors, hard_cap = _node_bounds(models, total_nodes, min_nodes, max_nodes)
-    soft_cap = {
-        name: min(hard_cap[name], _sweet_spot(model, total_nodes))
-        for name, model in models.items()
-    }
-    alloc = dict(floors)
-    budget = total_nodes - sum(alloc.values())
-    # One vectorised evaluation per component over the counts it can reach
-    # (bit-identical to evaluating count by count, at a fraction of the cost).
-    tables = {}
-    for name, model in models.items():
-        last = max(floors[name], min(soft_cap[name], floors[name] + budget))
-        tables[name] = model.time(np.arange(floors[name], last + 1)).tolist()
-    # Max-heap on current time (negated), skipping capped components.
-    heap = [(-table[0], name) for name, table in tables.items()]
-    heapq.heapify(heap)
-    while budget > 0 and heap:
-        _, name = heapq.heappop(heap)
-        if alloc[name] >= soft_cap[name]:
-            continue  # capped: granting more nodes would slow it down
-        alloc[name] += 1
-        budget -= 1
-        heapq.heappush(heap, (-tables[name][alloc[name] - floors[name]], name))
+    budget = total_nodes - sum(floors.values())
+    names = sorted(models)
+    # One vectorised evaluation per component over the events it can reach.
+    keys = []
+    for name in names:
+        model, floor = models[name], floors[name]
+        cap = min(hard_cap[name], _sweet_spot(model, total_nodes), floor + budget)
+        times = model.time(np.arange(floor, max(floor, cap)))
+        keys.append(np.minimum.accumulate(times))
+    grants = [len(k) for k in keys]
+    events = np.concatenate(keys)
+    if events.size > budget:  # else every event fits: each component hits its cap
+        level = np.partition(events, events.size - budget)[events.size - budget]
+        grants = [int(np.count_nonzero(k > level)) for k in keys]
+        spare = budget - sum(grants)
+        for j, k in enumerate(keys):
+            tied = min(spare, int(np.count_nonzero(k == level)))
+            grants[j] += tied
+            spare -= tied
+    alloc = {name: floors[name] for name in models}
+    for name, granted in zip(names, grants):
+        alloc[name] += granted
     return alloc, max(float(models[n].time(k)) for n, k in alloc.items())
 
 

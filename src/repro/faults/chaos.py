@@ -20,8 +20,9 @@ apply:
 
 Two execution modes share one plan and one injector (``chaotic_solve``):
 
-* **in-process**: faults are raised/applied directly — fast and fully
-  deterministic, what the seeded suite and the ``--workers 0`` soak use;
+* **in-process**: faults are raised/applied directly, nothing sleeps — fast
+  and fully deterministic, what the seeded suite and the ``--workers 0``
+  soak use, and what a tier's direct requests take on the event loop;
 * **in-worker** (``physical=True``, reached through ``chaos_pool_solve``,
   the service's one pool-worker entry point): a crash is ``os._exit``, a
   hang is a real sleep the supervisor must kill.
@@ -59,9 +60,10 @@ class ChaosPlan:
         knob for scenarios that must recover ("first try always crashes,
         retry always lands").  ``None`` leaves every attempt at risk.
     ``slow_seconds`` / ``hang_seconds``
-        Physical delays for the in-worker mode (and the in-process slow
-        sleep); the in-process hang raises immediately instead of sleeping,
-        keeping the deterministic suite fast.
+        Physical delays for the in-worker mode.  In-process nothing sleeps:
+        a slow attempt books ``slow_seconds`` on its outcome's wall time and
+        a hang raises immediately — an in-process attempt may be running on
+        the serving tier's event loop.
     """
 
     seed: int = 0
@@ -163,9 +165,10 @@ def chaotic_solve(plan: ChaosPlan, base_solve, *, physical: bool = False):
 
     The wrapper accepts the extra ``attempt`` keyword the service threads
     through, so each retry rolls its own fault draw.  In-process, a crash
-    or hang is raised as the typed error the supervised pool would raise;
-    with ``physical`` (inside a pool worker) the process really dies or
-    really sleeps ``hang_seconds``, and the supervisor has to notice.
+    or hang is raised as the typed error the supervised pool would raise
+    and a slow attempt books its delay without sleeping; with ``physical``
+    (inside a pool worker) the process really dies or really sleeps, and
+    the supervisor has to notice.
     """
 
     def _solve(request, *, deadline=None, attempt=0):
@@ -188,7 +191,7 @@ def chaotic_solve(plan: ChaosPlan, base_solve, *, physical: bool = False):
         outcome = base_solve(request, deadline=deadline)
         if kind == "slow":
             telemetry.record_fault("worker_slow", "service")
-            if plan.slow_seconds:
+            if physical and plan.slow_seconds:
                 time.sleep(plan.slow_seconds)
             outcome = dataclasses.replace(
                 outcome, wall_time=outcome.wall_time + plan.slow_seconds

@@ -31,7 +31,8 @@ Transformation to standard form ``min c·y  s.t.  Ay = b, y >= 0``:
 4. cold start: phase 1 minimizes the sum of artificials, phase 2 the true
    objective.  Warm start: the supplied basis is refactorized directly
    (``B⁻¹[A | b]`` via one dense solve), primal feasibility is restored by
-   dual-simplex pivots, and phase 1 is skipped entirely.
+   dual-simplex pivots, and phase 1 is skipped entirely — unless the dual
+   pivots find no way on, which only a cold start may call infeasible.
 
 Basis handoff protocol (used by branch-and-bound): a solve returns a
 :class:`SimplexBasis` carrying the basic column per row plus a *structure
@@ -260,8 +261,13 @@ def _dual_phase(T: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[Status, i
 
     Used after a warm start whose rhs moved (bound tightening, appended
     cuts).  Returns OPTIMAL once the rhs is nonnegative, INFEASIBLE when a
-    negative row has no eligible pivot (the LP itself is infeasible), or
-    ITERATION_LIMIT (caller falls back to a cold start).
+    negative row has no eligible pivot, or ITERATION_LIMIT.  The caller
+    cold-starts on either of the last two: a tableau refactorized from an
+    ill-conditioned warm basis can "prove" a feasible LP infeasible (a
+    serving-pool master whose basis had condition number 5e12 did, and the
+    tree pruned a node it needed), and phase 1 from a fresh tableau is the
+    certificate that holds.  Infeasible warm solves are rare (1 in 119 over
+    the Table III and FMO pipeline problems), so the re-solve costs nothing.
     """
     m = T.shape[0] - 1
     pivots = 0
@@ -366,12 +372,8 @@ def _warm_solve(
         if T[-1, :ncols].min() < -_FEAS_TOL:
             return None  # neither primal nor dual feasible: cold start
         st, dual_pivots = _dual_phase(T, basis, ncols)
-        if st is Status.ITERATION_LIMIT:
+        if st is not Status.OPTIMAL:  # a limit, or infeasible: cold start decides
             return None
-        if st is Status.INFEASIBLE:
-            res = LPResult(Status.INFEASIBLE, None, math.inf, "dual simplex certificate")
-            res.warm_started = True
-            return res, dual_pivots, 0
     st, pivots = _phase(T, basis, ncols)
     if st is Status.ITERATION_LIMIT:
         return None

@@ -46,7 +46,17 @@ class PerformanceModel:
     # -- evaluation ------------------------------------------------------
 
     def time(self, n) -> np.ndarray | float:
-        """Predicted wall-clock seconds on ``n`` nodes (scalar or array)."""
+        """Predicted wall-clock seconds on ``n`` nodes (scalar or array).
+
+        A Python ``int`` / ``float`` skips the array machinery, bit-identical
+        to the array path: the power goes through the same ``np.power`` loop
+        (Python's ``**`` calls libm, which differs from numpy's vectorised
+        ``pow`` in the last bit on AVX-512 hosts), the rest is IEEE
+        arithmetic in the same order.
+        """
+        if (type(n) is int or type(n) is float) and n > 0:
+            x = float(n)
+            return self.a / x + self.b * float(np.power(x, self.c)) + self.d
         n = np.asarray(n, dtype=float)
         if np.any(n <= 0):
             raise ValueError("node counts must be positive")

@@ -9,11 +9,8 @@ breaker trips per family, and a family's traffic stays on the shard whose
 cache already holds its answers.  No solve reads another solve's state, so
 placement decides where an answer is cached, never what it is.
 **Fine level**: within a shard, requests are coalesced (single-flight: N
-identical in-flight requests ride one solve) and solved serially on the
-shard's thread.
-Min-max and max-min requests are answered directly by ``core.greedy`` on
-that thread (:mod:`repro.service.solver` says which objective goes where);
-nothing in this module depends on which solver ran, or in which process.
+identical in-flight requests ride one solve) and solved where they are
+cheapest to solve (below).
 
 The layers, bottom-up::
 
@@ -26,20 +23,24 @@ The layers, bottom-up::
                 retries, validation, degradation ladder: every solve is
                 dispatched and booked by ``AllocationService.submit``
 
-Worker modes decide only *where* that submit's MINLP solves run; a min-max
-or max-min request is answered by the heap on the shard's own thread in
-every mode (``AllocationService`` keeps both seams and
-``Objective.has_direct_solver`` picks: the hop to a worker process costs
-several times the sub-millisecond solve it would carry — DESIGN.md, "Worker
-modes", has the numbers).  ``"thread"`` (default) gives each shard a
-one-thread executor: shard state has one solving writer, the event loop
-stays responsive and nothing forks.  ``"process"`` is thread mode whose
-service ships what builds a MINLP — min-sum today — to one supervised worker
-process per shard: the parallel mode for those, since a branch-and-bound is
-milliseconds of GIL-bound Python; a worker that dies or hangs is replaced
-and the solve re-dispatched by the service's own retry loop.  ``"inline"``
-runs submits directly on the event loop — fully deterministic, the mode the
-tests use.  All three modes give every request the same answer.
+**Where a request is answered.**  ``Objective.has_direct_solver`` is the
+one predicate.  A min-max or max-min request is answered by ``core.greedy``
+*on the event loop*, in every worker mode: the exact top-B heap is
+0.1-0.2 ms on served budgets, and a hop to the shard's thread costs more
+than that inside a burst (DESIGN.md, "Worker modes", has the numbers).  A
+request that builds a MINLP — min-sum today — goes to the shard's
+one-thread executor, so the loop stays responsive through milliseconds of
+tree search; the worker mode decides only where that thread sends it.
+``"thread"`` (default) solves it on the thread.  ``"process"`` ships it to
+one supervised worker process per shard, forked at the shard's first
+shipped solve — the parallel mode for MINLPs, since a branch-and-bound is
+GIL-bound Python; a worker that dies or hangs is replaced and the solve
+re-dispatched by the service's own retry loop.  ``"inline"`` runs every
+submit on the event loop — fully deterministic, the mode the tests use.
+All three modes give every request the same answer.  A tier that serves
+only direct objectives therefore starts no shard thread and forks no
+process, and, since a direct solve finishes before the next task runs, it
+is never *pending*: ``AdmissionPolicy.max_pending`` governs MINLP solves.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO
 
+from repro.core.objectives import Objective
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOTracker
@@ -90,8 +92,8 @@ class TierConfig:
     cache_capacity: int = 256  # per shard
     ttl: float | None = None
     resilience: ResiliencePolicy | None = None
-    # ChaosPlan: injected in-process wherever a solve runs on the shard's own
-    # thread (every solve of an inline/thread shard, the min-max / max-min
+    # ChaosPlan: injected in-process wherever a solve runs in the tier's
+    # process (every solve of an inline/thread shard, the min-max / max-min
     # ones of a process shard), shipped to — and physically enacted in — the
     # worker with every solve a process shard ships.
     chaos: object | None = None
@@ -113,9 +115,10 @@ class TierConfig:
         solves — min-sum — in parallel across cores); a single-core host
         gets ``"thread"`` workers — with one core, forking a worker buys no
         parallelism and only adds the process hop.  Either way a min-max /
-        max-min request never leaves the shard thread: a tier that serves
-        only those forks workers it never uses (one idle process per shard).
-        Explicit ``overrides`` win over the derived fields.
+        max-min request is answered on the event loop, and a worker forks
+        only when its shard first ships a solve: a tier that serves only
+        those objectives starts no thread and no process.  Explicit
+        ``overrides`` win over the derived fields.
         """
         if cores is None:
             try:
@@ -128,7 +131,7 @@ class TierConfig:
 
 
 class _Shard:
-    """One shard: its service, its flight table, its solving thread."""
+    """One shard: its service, its flight table, its MINLP thread."""
 
     def __init__(self, name: str, config: TierConfig, parent: MetricsRegistry) -> None:
         self.name = name
@@ -143,9 +146,10 @@ class _Shard:
         )
         self.flights = SingleFlight()
         self.requests = 0
-        # One thread per shard: shard state (cache, breaker) has one solving
-        # writer.  Costs no parallelism: a shard has one worker, and the
-        # direct solves this thread runs itself are sub-millisecond.
+        # One thread per shard, started by its first MINLP solve: a shard has
+        # one worker to feed.  The loop and this thread both write the
+        # shard's cache and metrics (each locks itself); a breaker's state is
+        # per family, and a family has one objective, so one writer each.
         self.executor: ThreadPoolExecutor | None = (
             None
             if self.mode == "inline"
@@ -157,9 +161,12 @@ class _Shard:
     async def solve(
         self, request: SolveRequest, deadline: float | None
     ) -> ServiceResponse:
-        """Run one ``AllocationService.submit`` on this shard's thread."""
-        if self.executor is None:
-            with span("shard.solve", shard=self.name, mode="inline"):
+        """Run one ``AllocationService.submit``: on the event loop for a
+        direct objective (or an inline shard), on this shard's thread for a
+        request that builds a MINLP."""
+        direct = Objective(request.objective).has_direct_solver
+        if direct or self.executor is None:
+            with span("shard.solve", shard=self.name, mode=self.mode):
                 return self.service.submit(request, deadline=deadline)
         # run_in_executor does NOT carry contextvars; the thread runs in a
         # copy of the current context so its spans nest under this request.
@@ -223,30 +230,7 @@ class AsyncServingTier:
                 shard.close()
 
     async def __aenter__(self) -> "AsyncServingTier":
-        await self.warm_up()
         return self
-
-    async def warm_up(self) -> None:
-        """Pre-fork process-mode pool workers while the process is quiet.
-
-        A worker pool forks lazily at first submit — by which time a
-        transport may have parked a thread in a blocking
-        ``stdin.readline`` (see :func:`serve_stdio`).  A child forked while
-        another thread holds ``sys.stdin``'s buffered-reader lock deadlocks
-        in multiprocessing's ``_close_stdin`` bootstrap before it ever runs
-        a task.  Forking every worker up front, from this thread, before
-        any transport or shard thread exists, sidesteps that entirely — and
-        moves the fork cost off the first request's latency.
-        """
-        pools = [shard.service.pool for shard in self.shards.values()]
-        started = [
-            (pool, dispatch)
-            for pool in pools
-            if pool is not None
-            for dispatch in pool.warm_up()
-        ]
-        for pool, dispatch in started:
-            pool.result(dispatch)
 
     async def __aexit__(self, *exc) -> None:
         self.close()
@@ -435,12 +419,14 @@ def serve_stdio(
                 stdout.write(json.dumps(payload) + "\n")
                 stdout.flush()
 
-        # Read from a private dup of stdin, not ``stdin`` itself: the
-        # reader thread below holds its file's lock for the whole blocking
-        # readline, and a process-pool worker forked meanwhile would
-        # deadlock closing an inherited, locked ``sys.stdin`` in its
-        # multiprocessing bootstrap.  Fake stdins without a real fd (tests)
-        # fall back to being read directly — they never fork workers.
+        # Read from a private dup of stdin, not ``stdin`` itself — the one
+        # guard of worker forks: the reader thread below holds its file's
+        # lock for the whole blocking readline, and a process shard forks
+        # its worker at its first shipped solve, whenever that arrives; a
+        # child forked meanwhile would deadlock closing an inherited, locked
+        # ``sys.stdin`` in its multiprocessing bootstrap.  Fake stdins
+        # without a real fd (tests) fall back to being read directly: they
+        # have no buffered-reader lock to hold.
         try:
             source = os.fdopen(os.dup(stdin.fileno()), "r")
         except (OSError, ValueError, AttributeError, io.UnsupportedOperation):

@@ -53,8 +53,9 @@ class ServiceMetrics:
     :meth:`record_rejection`, and ``requests`` is *defined* as the sum of
     the ``service_requests_total{outcome}`` series — so it equals the sum
     of the outcome counts by construction, whichever threads are booking
-    (behind the serving tier the event loop books hits and
-    admission-degraded answers, the shard thread solves and the ladder).
+    (behind the serving tier the event loop books hits, admission-degraded
+    answers and direct solves, the shard thread MINLP solves and their
+    ladder).
 
     ``parent`` is the registry the scope forwards to: the process registry
     by default, a tier's scope for its shards, ``None`` for a detached view.

@@ -65,12 +65,13 @@ _ALGORITHMS = ("auto", "oa", "nlpbb")
 #: (Intrepid, the paper's machine, has 40 960), and a bound on what one line
 #: of input can make the serving process do.  ``core.greedy`` tabulates each
 #: curve up to its cap before it allocates, and a direct request is answered
-#: on the tier's own shard thread, so an unbounded budget is unbounded time
-#: and memory in the parent (``total_nodes = 1e9`` asked for three tables of
-#: 1e9 floats).  Measured at this cap on three non-saturating curves
-#: (``b = 0``, the worst case — a saturating curve stops at its sweet spot):
-#: the min-max heap 0.43 s and 104 MiB of transient tables, the max-min level
-#: sets 0.20 s and 99 MiB.  Input validation, not a knob.
+#: on the tier's event loop, so an unbounded budget is unbounded time and
+#: memory in the parent, with every other request waiting (``total_nodes =
+#: 1e9`` asked for three tables of 1e9 floats).  Measured at this cap on
+#: three non-saturating curves (``b = 0``, the worst case — a saturating
+#: curve stops at its sweet spot): the min-max top-B selection 64-68 ms and
+#: 80 MiB of transient tables, the max-min level sets 0.23-0.27 s and
+#: 99 MiB.  Input validation, not a knob.
 MAX_TOTAL_NODES = 2**20
 
 

@@ -35,10 +35,11 @@ class RetryPolicy:
         solver outcome (infeasible, wall-budget exhausted) never is,
         because re-running a deterministic failure reproduces it.
     ``base_delay`` / ``max_delay`` / ``jitter``
-        Backoff before attempt ``k`` is ``min(max_delay, base_delay *
-        2**(k-1))``, shrunk by up to ``jitter`` (fraction) of itself via the
-        deterministic draw.  Jitter only ever shortens the wait, so
-        ``max_delay`` is a hard cap.
+        Backoff before re-dispatching attempt ``k`` to a worker process is
+        ``min(max_delay, base_delay * 2**(k-1))``, shrunk by up to
+        ``jitter`` (fraction) of itself via the deterministic draw.  Jitter
+        only ever shortens the wait, so ``max_delay`` is a hard cap.  An
+        attempt that runs in-process is retried without a wait.
     """
 
     max_attempts: int = 3

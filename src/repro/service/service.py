@@ -14,7 +14,8 @@ Request lifecycle::
          the request builds a MINLP *and* a
          pool is installed: then on a
          supervised worker — retried on system
-         failures with deterministic backoff   (solver.py, supervisor.py,
+         failures (a worker re-dispatch after
+         a deterministic backoff)              (solver.py, supervisor.py,
                                                 retry.py)
       -> result validation (corruption check)  (solver.py)
       -> cache insert
@@ -28,15 +29,13 @@ once — and min-sum solves chained that way measured slower than cold ones.
 service keeps two solve seams and one predicate,
 :attr:`~repro.core.objectives.Objective.has_direct_solver`, picks between
 them.  Min-max and max-min requests are answered by ``core.greedy`` on the
-calling thread (a tier's shard thread) whether or not a pool is installed:
-the hop to a worker costs several times the sub-millisecond heap it would
-carry.  What builds a MINLP — min-sum today — ships to a slot of a
-:class:`~repro.service.supervisor.SupervisedWorkerPool` as wire dicts:
-milliseconds of GIL-bound tree search are what a second core is for.
-There is no size rule (DESIGN.md, "Worker modes", records the measured hop,
-the heap's time against the node budget and where they cross): the
-admission layer's *degrade* verdict already runs the same heap on the event
-loop itself, and no workload sits above the crossover.
+calling thread whether or not a pool is installed — in a serving tier, the
+event loop itself: the sub-millisecond heap does not pay for a hop to a
+thread, let alone to a worker.  What builds a MINLP — min-sum today — ships
+to a slot of a :class:`~repro.service.supervisor.SupervisedWorkerPool` as
+wire dicts: milliseconds of GIL-bound tree search are what a second core is
+for.  There is no size rule (DESIGN.md, "Worker modes", records the
+measured hop and the heap's time against the node budget).
 
 Either way a worker that dies or hangs comes back as the same
 :class:`WorkerCrashError` / :class:`WorkerHangError` in-process chaos
@@ -45,7 +44,10 @@ that saw the worker die for an attempt that shipped, by the loop for an
 attempt that ran here (under a :class:`~repro.faults.chaos.ChaosPlan` the
 in-process seam raises its faults as those typed errors; the physical ones
 keep hitting what ships).  Worker deaths are *system* failures, so they are
-re-dispatched once even with no :class:`ResiliencePolicy` installed.
+re-dispatched once even with no :class:`ResiliencePolicy` installed.  Only
+a re-dispatch to a worker backs off first (the wait covers the replacement
+process); an attempt that runs here retries at once, so nothing on this
+path sleeps on the caller's thread.
 
 Cached answers are bit-identical to fresh solves: no solve draws a random
 number or reads state another solve left behind, so replaying the request
@@ -269,7 +271,11 @@ class AllocationService:
         for attempt in range(retry.max_attempts):
             if attempt:
                 self.metrics.count("retries")
-                self.sleeper(retry.backoff(fingerprint, attempt))
+                if ships:
+                    # The backoff waits out a replaced worker process; an
+                    # attempt run here has nothing to wait for, and may be
+                    # running on the tier's event loop.
+                    self.sleeper(retry.backoff(fingerprint, attempt))
             budget = deadline
             if deadline is not None:
                 budget = deadline - (time.perf_counter() - start)

@@ -29,7 +29,7 @@ from repro.core.greedy import greedy_minmax_allocation, maxmin_allocation
 from repro.core.objectives import Objective, evaluate_objective
 from repro.minlp import solve
 from repro.minlp.solution import Solution, Status
-from repro.service.request import SolveRequest
+from repro.service.request import ComponentSpec, SolveRequest
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,21 @@ class SolveOutcome:
         )
 
 
+def _canonical(request: SolveRequest) -> list[tuple[str, ComponentSpec]]:
+    """The request's components sorted by name, the order its fingerprint
+    lists them in: a solve, its iteration count included, then depends on
+    the fingerprint alone, not on the order the caller listed components in
+    (the wire format sorts them, so a worker sees the canonical order)."""
+    return sorted(request.components.items())
+
+
 def build_problem(request: SolveRequest):
     """The request's MINLP, via the shared allocation-model builder."""
     objective = Objective(request.objective)
     b = AllocationModelBuilder(
         f"service-{request.fingerprint()[:8]}", request.total_nodes
     )
-    for name, spec in request.components.items():
+    for name, spec in _canonical(request):
         b.add_component(
             name, spec.model, min_nodes=spec.min_nodes, max_nodes=spec.max_nodes
         )
@@ -125,7 +133,8 @@ def _outcome(request: SolveRequest, fingerprint: str, sol: Solution) -> SolveOut
     allocation: dict[str, int] = {}
     if sol.status.is_ok:
         allocation = {
-            name: int(round(sol.values[f"n_{name}"])) for name in request.components
+            name: int(round(sol.values[f"n_{name}"]))
+            for name in sorted(request.components)
         }
     return SolveOutcome(
         fingerprint=fingerprint,
@@ -143,7 +152,7 @@ def _price(request: SolveRequest, allocation: dict[str, int]) -> float:
     """The request's objective at ``allocation``, from its own curves."""
     times = {
         name: float(spec.model.time(allocation[name]))
-        for name, spec in request.components.items()
+        for name, spec in _canonical(request)
     }
     return evaluate_objective(Objective(request.objective), times)
 
@@ -198,16 +207,16 @@ def _direct_outcome(request: SolveRequest, status: Status, message: str) -> Solv
     """The request answered by :mod:`repro.core.greedy` under its node bounds:
     level sets for max-min, the min-max heap for everything else."""
     fingerprint = request.fingerprint()
-    specs = request.components
+    specs = _canonical(request)
     max_min = Objective(request.objective) is Objective.MAX_MIN
     allocate = maxmin_allocation if max_min else greedy_minmax_allocation
     start = time.perf_counter()
     try:
         alloc, _ = allocate(
-            {name: spec.model for name, spec in specs.items()},
+            {name: spec.model for name, spec in specs},
             request.total_nodes,
-            min_nodes={name: spec.min_nodes for name, spec in specs.items()},
-            max_nodes={name: spec.max_nodes for name, spec in specs.items()},
+            min_nodes={name: spec.min_nodes for name, spec in specs},
+            max_nodes={name: spec.max_nodes for name, spec in specs},
         )
     except ValueError as exc:
         infeasible = Solution(Status.INFEASIBLE, message=str(exc))

@@ -23,7 +23,6 @@ uses, where injected faults arrive as exceptions rather than dead processes.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import (
@@ -138,12 +137,14 @@ class SupervisedWorkerPool:
     """A crash-isolating pool of single-worker executors.
 
     ``factory`` builds one worker's executor; the default is a real
-    one-process :class:`ProcessPoolExecutor`.  ``restart_budget`` bounds the
-    replacements one slot may spend on *consecutive* failures.  ``metrics``
+    one-process :class:`ProcessPoolExecutor`, which forks its process inside
+    its first ``submit``: a pool nobody submits to never forks.
+    ``restart_budget`` bounds the replacements one slot may spend on
+    *consecutive* failures.  ``metrics``
     is the owner's view (a pool nobody owns gets one of its own): every
     worker death and every replacement is booked there, in :meth:`_fail`,
     the one place each death passes — including those no request ever sees
-    (an executor found broken at dispatch, a worker lost while warming up).
+    (an executor found broken at dispatch and swapped silently).
     """
 
     #: Exceptions that mean "the worker died" rather than "the task failed".
@@ -247,16 +248,6 @@ class SupervisedWorkerPool:
                 tracer.attach_remote(spans, anchor=tracer.current())
             value = value["value"]
         return value
-
-    def warm_up(self) -> list[Dispatch]:
-        """Start every slot's worker now (one no-op task each).
-
-        A process executor forks lazily at first submit, in the submitting
-        thread; calling this while the process is quiet keeps that fork off
-        the first request's latency and away from other threads' locks.
-        Harvest the returned dispatches with :meth:`result`.
-        """
-        return [self.submit(os.getpid) for _ in range(self.capacity)]
 
     # -- supervision -------------------------------------------------------
 

@@ -1,14 +1,22 @@
 """The specialized allocators must agree with the MINLP route and with
-oracles that share no code with them (enumeration, a quadratic DP)."""
+oracles that share no code with them (enumeration, a quadratic DP, the
+one-node-at-a-time heap the min-max selection replaced)."""
 
+import heapq
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.builder import AllocationModelBuilder
-from repro.core.greedy import greedy_minmax_allocation, maxmin_allocation
+from repro.core.greedy import (
+    _node_bounds,
+    _sweet_spot,
+    greedy_minmax_allocation,
+    maxmin_allocation,
+)
 from repro.core.objectives import Objective
 from repro.minlp import solve
 from repro.perf.model import PerformanceModel
@@ -93,6 +101,82 @@ def test_caps_at_the_integer_sweet_spot_not_its_floor():
     assert 42 < model.optimal_nodes() < 43 and model.time(43) < model.time(42)
     alloc, makespan = greedy_minmax_allocation({"u": model}, 64)
     assert alloc == {"u": 43} and makespan == model.time(43)
+
+
+# -- min-max: the top-B selection against the heap it replaced --------------
+
+
+def _heap_minmax_allocation(models, total_nodes, *, min_nodes=None, max_nodes=None):
+    """The reference: grant one node at a time to the slowest component
+    (max-heap on ``(T, name)``), never past its sweet spot or cap."""
+    floors, hard_cap = _node_bounds(models, total_nodes, min_nodes, max_nodes)
+    soft_cap = {
+        name: min(hard_cap[name], _sweet_spot(model, total_nodes))
+        for name, model in models.items()
+    }
+    alloc = dict(floors)
+    budget = total_nodes - sum(alloc.values())
+    tables = {}
+    for name, model in models.items():
+        last = max(floors[name], min(soft_cap[name], floors[name] + budget))
+        tables[name] = model.time(np.arange(floors[name], last + 1)).tolist()
+    heap = [(-table[0], name) for name, table in tables.items()]
+    heapq.heapify(heap)
+    while budget > 0 and heap:
+        _, name = heapq.heappop(heap)
+        if alloc[name] >= soft_cap[name]:
+            continue
+        alloc[name] += 1
+        budget -= 1
+        heapq.heappush(heap, (-tables[name][alloc[name] - floors[name]], name))
+    return alloc, max(float(models[n].time(k)) for n, k in alloc.items())
+
+
+def _minmax_spec(case: int):
+    """Keyed spec: up to five curves — ``b = 0``, ``c < 1``, ``a = 0`` and
+    exact copies of the previous curve under another name (ties) among
+    them — with floors and caps on some, names in no particular order."""
+    rng = keyed_rng(2601, "minmax", case)
+    room = int(rng.choice([4, 24, 96, 400]))
+    models, floors, caps, previous = {}, {}, {}, None
+    for j in range(int(rng.integers(1, 6))):
+        shape = int(rng.integers(0, 4))
+        if shape == 3 and previous is not None:
+            model = previous
+        else:
+            model = PerformanceModel(
+                a=0.0 if rng.random() < 0.05 else float(rng.uniform(1, 60 * room)),
+                b=0.0 if shape == 0 else float(rng.uniform(0.01, 4.0)),
+                c=float(rng.uniform(0.3, 0.95) if shape == 1 else rng.uniform(1.0, 1.6)),
+                d=float(rng.uniform(0.0, 5.0)),
+            )
+        name = f"{'zyxwv'[int(rng.integers(0, 5))]}{j}"
+        models[name], previous = model, model
+        floors[name] = int(rng.integers(1, 6)) if rng.random() < 0.4 else 1
+        if rng.random() < 0.4:
+            caps[name] = floors[name] + int(rng.integers(0, room))
+    base = sum(floors.values())
+    return models, int(rng.integers(base, base + room + 1)), floors, caps
+
+
+def test_minmax_selection_is_the_heap_on_keyed_specs():
+    for case in range(600):
+        models, total, floors, caps = _minmax_spec(case)
+        bounds = dict(min_nodes=floors, max_nodes=caps)
+        got = greedy_minmax_allocation(models, total, **bounds)
+        assert got == _heap_minmax_allocation(models, total, **bounds), case
+        assert list(got[0]) == list(models)
+
+
+def test_minmax_ties_go_to_the_first_name_as_the_heap_pops_them():
+    model = PerformanceModel(a=120.0, d=1.0)  # b = 0: no sweet spot to stop at
+    for names in (("b", "a"), ("a", "b"), ("c", "a", "b")):
+        models = {name: model for name in names}
+        # One node past an even split: only the first name may take it.
+        total = 7 * len(names) + 1
+        alloc, _ = greedy_minmax_allocation(models, total)
+        assert alloc == _heap_minmax_allocation(models, total)[0]
+        assert alloc["a"] == 8 and all(alloc[n] == 7 for n in names if n != "a")
 
 
 # -- max-min by level sets, against enumeration and a DP ---------------------

@@ -1,15 +1,21 @@
 """The pure-Python simplex must agree with HiGHS."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.minlp import simplex
+from repro.minlp.cutpool import OACutPool
 from repro.minlp.linprog import LinearProgram, solve_lp
+from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.simplex import solve_lp_simplex
 from repro.minlp.solution import Status
+from repro.service.solver import build_problem
+from tests.minlp.test_engine_independence import _request_pool
 
 
 def _lp(c, A, row_lb, row_ub, var_lb, var_ub, **kw):
@@ -145,3 +151,28 @@ def test_tiny_coefficient_is_kept_by_the_simplex():
     ref = solve_lp(lp)
     if ref.objective != pytest.approx(0.0):  # the engine's quirk, not a contract
         assert lp.A[1] @ ref.x > 0.0
+
+
+def test_a_warm_start_never_calls_a_feasible_lp_infeasible(monkeypatch):
+    """One serving family's four min-max budgets, solved by OA against one
+    shared cut pool, components in canonical order: the 96-node tree's warm
+    bases are ill-conditioned (condition numbers 2e10-5e12), and the dual
+    simplex once read three of its feasible node LPs as infeasible off the
+    refactorized tableau — the tree came back empty, "infeasible (tree
+    exhausted)".  Every warm-started LP must get HiGHS's status."""
+    warm = []
+    real = simplex.solve_lp_simplex
+
+    def spy(lp, basis=None):
+        res = real(lp, basis=basis)
+        if basis is not None:
+            warm.append((lp, res.status))
+        return res
+
+    monkeypatch.setattr(simplex, "solve_lp_simplex", spy)
+    pool = OACutPool()
+    for request in _request_pool()[:4]:
+        problem = build_problem(replace(request, objective="min-max"))
+        assert solve_minlp_oa(problem, cut_pool=pool).status.is_ok
+    assert warm
+    assert [status for _, status in warm] == [solve_lp(lp).status for lp, _ in warm]

@@ -22,12 +22,34 @@ def test_time_vectorized():
     np.testing.assert_allclose(out, [11.0, 6.0, 3.0])
 
 
+def test_scalar_time_is_the_array_element_to_the_bit():
+    """A Python ``int`` / ``float`` skips the array machinery but not its
+    ``pow``: over keyed curves — ``a = 0``, ``b = 0``, and exponents that
+    overflow ``n**c`` to ``inf`` (``b * inf``, or ``nan`` when ``b = 0``) —
+    every scalar answer has the bits of the array path's element."""
+    rng = np.random.default_rng(2026)
+    nodes = np.concatenate([[1, 2, 3, 64, 2**20], rng.integers(1, 2**20, 40)])
+    for case in range(300):
+        m = PerformanceModel(
+            a=0.0 if case % 7 == 0 else float(rng.uniform(0, 1e4)),
+            b=0.0 if case % 3 == 0 else float(rng.uniform(0, 5)),
+            c=float(rng.uniform(0, 2) if case % 2 else rng.uniform(60, 2000)),
+            d=float(rng.uniform(0, 5)),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = m.time(nodes.astype(float))
+            for n, want in zip(nodes.tolist(), table):
+                for scalar in (n, float(n)):
+                    got = m.time(scalar)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == want.tobytes(), (m, scalar)
+
+
 def test_nonpositive_nodes_rejected():
     m = PerformanceModel(a=1.0)
-    with pytest.raises(ValueError):
-        m.time(0)
-    with pytest.raises(ValueError):
-        m.time(np.array([1.0, -2.0]))
+    for bad in (0, 0.0, -3, np.array([1.0, -2.0])):
+        with pytest.raises(ValueError):
+            m.time(bad)
 
 
 def test_negative_parameters_rejected():

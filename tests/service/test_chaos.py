@@ -145,7 +145,7 @@ def test_end_to_end_pool_crash_recovery():
     First attempts on every unique request crash physically; retries are
     immune, so the batch must recover every answer exactly — without the
     service process restarting.  Min-sum: the objective a process-mode shard
-    ships to its worker (a min-max request never leaves the shard thread).
+    ships to its worker (a min-max request is answered on the event loop).
     """
     plan = ChaosPlan(seed=1, crash_rate=0.97, immune_after=1)
     tier = AsyncServingTier(

@@ -5,6 +5,11 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import os
+import queue
+import sys
+import threading
+import time
 
 import pytest
 
@@ -18,7 +23,12 @@ from repro.service import (
     solve_request,
 )
 
-from tests.service.conftest import hold_solves, make_minlp_request, make_request
+from tests.service.conftest import (
+    dispatched,
+    hold_solves,
+    make_minlp_request,
+    make_request,
+)
 
 #: A second curve family, so routing tests have two distinct family keys.
 OTHER_CURVES = {
@@ -218,25 +228,55 @@ def test_a_min_sum_family_gets_cold_answers_in_any_order(mode):
             assert response.iterations == cold[budget].iterations, (mode, order)
 
 
-def test_entering_the_tier_preforks_process_workers():
-    """``async with tier`` must fork every pool worker up front.
+def test_a_parked_stdin_reader_does_not_wedge_a_late_worker_fork(monkeypatch):
+    """``serve_stdio`` in process mode on a real pipe: the reader thread is
+    parked in ``readline`` when the first min-sum line arrives, so the shard
+    forks its worker while that thread holds its file's lock.  A child
+    forked while ``sys.stdin``'s lock is held deadlocks closing it in
+    multiprocessing's bootstrap; serving a private ``dup`` keeps the lock
+    off ``sys.stdin``, and the line must be answered."""
+    read_fd, write_fd = os.pipe()
+    stdin = os.fdopen(read_fd, "r")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    replies: queue.Queue = queue.Queue()
 
-    A lazily-forked worker inherits whatever locks other threads hold at
-    first-submit time — in particular a transport thread parked in a
-    blocking ``sys.stdin.readline`` holds the buffered-reader lock, and
-    the child then deadlocks closing stdin in its multiprocessing
-    bootstrap.  Forking before any transport thread exists is the guard.
-    """
-    tier = AsyncServingTier(TierConfig(shards=2, worker_mode="process"))
+    class Replies(io.StringIO):
+        def write(self, text: str) -> int:
+            for line in text.splitlines():
+                replies.put(json.loads(line))
+            return len(text)
 
-    async def main():
-        async with tier:
-            return [s.service.pool.snapshot()["workers"] for s in tier.shards.values()]
-
-    workers_per_shard = asyncio.run(main())
-    assert len(workers_per_shard) == 2
-    for (worker,) in workers_per_shard:  # one supervised slot per shard
-        assert worker["dispatched"] == worker["completed"] == 1
+    tier = AsyncServingTier(TierConfig(shards=1, worker_mode="process"))
+    before = set(threading.enumerate())
+    server = threading.Thread(
+        target=serve_stdio, args=(tier, stdin, Replies()), daemon=True
+    )
+    server.start()
+    feed = os.fdopen(write_fd, "w")
+    try:
+        # Wait for the loop's reader thread, then give it time to block.
+        deadline = time.monotonic() + 30.0
+        while not any(
+            t.name.startswith("asyncio") for t in set(threading.enumerate()) - before
+        ):
+            assert time.monotonic() < deadline, "the reader thread never started"
+            time.sleep(0.01)
+        time.sleep(0.2)
+        assert dispatched(tier) == [0]  # no worker forked yet
+        feed.write(json.dumps({**make_minlp_request(64).to_dict(), "id": 7}) + "\n")
+        feed.flush()
+        reply = replies.get(timeout=60.0)
+    finally:
+        feed.close()  # EOF ends the serve
+        server.join(timeout=10.0)
+        if server.is_alive():  # wedged: kill the worker so the thread drains
+            tier.close()
+            server.join(timeout=10.0)
+        stdin.close()
+    assert reply["id"] == 7 and reply["status"] == "optimal"
+    assert reply["iterations"] > 0  # a MINLP, solved by the forked worker
+    assert dispatched(tier) == [1]
+    assert not server.is_alive()
 
 
 # -- the JSONL transport ------------------------------------------------------

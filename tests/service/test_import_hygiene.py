@@ -129,13 +129,15 @@ def test_a_process_tier_pays_the_import_in_its_worker_inside_the_deadline():
 
 
 def test_a_process_tier_parent_answers_direct_requests_itself_scipy_free():
-    """(iv) a process-mode tier answers min-max / max-min on its own shard
-    threads — nothing is dispatched to the forked workers beyond their
-    warm-up — and doing so loads no ``scipy*`` module into the parent; the
-    min-sum request that follows is the first thing shipped, and the parent
-    is still scipy-free after its answer came back."""
+    """(iv) a process-mode tier answers min-max / max-min on its event loop —
+    nothing is dispatched, no worker is forked — and doing so loads no
+    ``scipy*`` module into the parent; the min-sum request that follows is
+    the first thing shipped (its shard forks its worker for it), and the
+    parent is still scipy-free after its answer came back."""
     out = _probe(
         """
+        import multiprocessing
+
         async def drive():
             config = TierConfig(shards=2, worker_mode="process")
             async with AsyncServingTier(config) as tier:
@@ -146,18 +148,22 @@ def test_a_process_tier_parent_answers_direct_requests_itself_scipy_free():
                 ))
                 out["direct"] = sorted({(r.status, r.iterations) for r in direct})
                 out["dispatched_after_direct"] = dispatched(tier)
+                out["children_after_direct"] = len(multiprocessing.active_children())
                 out["parent_after_direct"] = scipy_modules()
                 shipped = await tier.submit(request("min-sum"))
                 out["min_sum"] = (shipped.status, shipped.iterations > 0)
                 out["dispatched_after_min_sum"] = sorted(dispatched(tier))
+                out["children_after_min_sum"] = len(multiprocessing.active_children())
 
         asyncio.run(drive())
         out["parent"] = scipy_modules()
         """
     )
     assert out["direct"] == [["optimal", 0]]
-    assert out["dispatched_after_direct"] == [1, 1]
+    assert out["dispatched_after_direct"] == [0, 0]
+    assert out["children_after_direct"] == 0
     assert out["parent_after_direct"] == []
     assert out["min_sum"] == ["optimal", True]
-    assert out["dispatched_after_min_sum"] == [1, 2]
+    assert out["dispatched_after_min_sum"] == [0, 1]
+    assert out["children_after_min_sum"] == 1
     assert out["parent"] == []

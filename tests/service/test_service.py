@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.minlp.bnb import BnBOptions
 from repro.service import (
     AllocationService,
     ServiceTimeoutError,
+    SolveRequest,
     solve_request,
 )
 
-from tests.service.conftest import make_minlp_request, make_request
+from tests.service.conftest import CURVES, make_minlp_request, make_request
 
 
 def test_hit_is_bit_identical_to_the_fresh_solve(request64):
@@ -34,6 +37,30 @@ def test_solve_is_deterministic_across_services(request64):
     assert a.allocation == b.allocation
     assert a.objective == b.objective
     assert a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("objective", ["min-max", "max-min", "min-sum"])
+def test_the_answer_does_not_depend_on_component_order(objective):
+    """The wire format lists components sorted (what a worker receives), a
+    caller in any order: every order, on either side of the wire, is the
+    same search — allocation, objective *and* iteration count.  Min-sum at
+    96 nodes explored 10 nodes in the caller's order and 8 in the sorted
+    one (single-threaded BLAS) before the solver iterated in canonical
+    order."""
+    for budget in (48, 96):
+        answers = set()
+        for order in itertools.permutations(CURVES):
+            request = make_request(
+                budget, curves={n: CURVES[n] for n in order}, objective=objective
+            )
+            wired = SolveRequest.from_dict(request.to_dict())
+            for outcome in (solve_request(request), solve_request(wired)):
+                answers.add((
+                    tuple(sorted(outcome.allocation.items())),
+                    outcome.objective,
+                    outcome.iterations,
+                ))
+        assert len(answers) == 1, (objective, budget, answers)
 
 
 @pytest.mark.parametrize("objective", ["min-max", "max-min"])

@@ -6,6 +6,7 @@ stays fast; everything policy-shaped runs on the inline executor.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -127,11 +128,23 @@ def test_restart_budget_bounds_consecutive_failures_only():
         assert pool.capacity == 0
 
 
-def test_warm_up_starts_every_worker():
+def test_each_slot_forks_its_own_worker_at_its_first_submit():
+    children = set(multiprocessing.active_children())
+
+    def forked() -> int:
+        return len(set(multiprocessing.active_children()) - children)
+
     with SupervisedWorkerPool(2) as pool:
-        pids = [pool.result(d, timeout=30.0) for d in pool.warm_up()]
-        assert len(set(pids)) == 2 and os.getpid() not in pids
-        assert all(w["completed"] == 1 for w in pool.snapshot()["workers"])
+        assert forked() == 0  # building a pool forks nothing
+        first = pool.result(pool.submit(os.getpid), timeout=30.0)
+        assert forked() == 1
+        busy = pool.submit(_nap, 0.5)  # the idle first slot takes it
+        assert forked() == 1
+        second = pool.result(pool.submit(os.getpid), timeout=30.0)
+        assert forked() == 2
+        assert pool.result(busy, timeout=30.0) == "woke"
+        assert len({first, second}) == 2 and os.getpid() not in (first, second)
+        assert [w["completed"] for w in pool.snapshot()["workers"]] == [2, 1]
 
 
 def test_shutdown_does_not_respawn_a_dying_slot():

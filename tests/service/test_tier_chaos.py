@@ -5,20 +5,22 @@ every request that ships — the ones that build a MINLP, so the mix here is
 min-sum — and those faults are *physical*: a crash is ``os._exit`` in the
 worker, a hang is a real sleep the supervisor has to kill, a corrupt
 outcome really crosses the process boundary.  Min-max and max-min requests
-are answered on the shard thread and take the same plan's faults as typed
-errors.  Every request must still end in an exact answer after re-dispatch
-or in a typed ``stale``/``greedy``/``rejected`` response; nothing corrupt
-may reach the cache; and the counters must equal the faults the plan
-injected, whichever seam each attempt ran on.
+are answered on the event loop and take the same plan's faults as typed
+errors, without a sleep.  Every request must still end in an exact answer
+after re-dispatch or in a typed ``stale``/``greedy``/``rejected`` response;
+nothing corrupt may reach the cache; and the counters must equal the faults
+the plan injected, whichever seam each attempt ran on.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import multiprocessing
 import os
 import signal
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -219,7 +221,7 @@ def test_worker_killed_between_requests_is_replaced_transparently():
             first = await tier.submit(make_minlp_request(24))
             (shard,) = tier.shards.values()
             pool = shard.service.pool
-            (pid,) = [pool.result(d, timeout=30.0) for d in pool.warm_up()]
+            pid = pool.result(pool.submit(os.getpid), timeout=30.0)
             os.kill(pid, signal.SIGKILL)
             second = await tier.submit(make_minlp_request(32))
             return first, second, pool.snapshot()
@@ -303,42 +305,57 @@ def test_every_worker_mode_gives_the_same_answers():
 # -- the routing: only what builds a MINLP crosses the process boundary --------
 
 
-def test_direct_objectives_never_leave_the_shard_thread(tracer):
-    """A process-mode tier answers a min-max / max-min burst itself: every
-    pool stays at its warm-up dispatch.  The min-sum request that follows is
-    the first thing its shard ships, and the only trace with a worker span."""
+def shard_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("hslb-shard")]
+
+
+def test_direct_objectives_are_answered_on_the_event_loop(tracer):
+    """A process-mode tier answers a min-max / max-min burst on its event
+    loop: no shard thread starts, no worker forks, nothing is dispatched and
+    no trace crosses a queue.  The min-sum request that follows is the first
+    thing its shard ships — one thread, one worker, on the shard it routes
+    to — and the only trace with a queue hop and a worker span."""
     burst = [
         r for o in ("min-max", "max-min")
         for r in request_mix(repeats=1, objective=o)
     ]
+    min_sum = make_minlp_request(40)
     tier = chaos_tier(None)
+    children = set(multiprocessing.active_children())
+
+    def forked():
+        return set(multiprocessing.active_children()) - children
 
     async def drive():
         async with tier:
             answers = await asyncio.gather(*(tier.submit(r) for r in burst))
-            after_burst = dispatched(tier)
-            shipped = await tier.submit(make_minlp_request(40))
-            return answers, after_burst, shipped
+            after_burst = dispatched(tier), shard_threads(), forked()
+            shipped = await tier.submit(min_sum)
+            return answers, after_burst, shipped, shard_threads(), forked()
 
-    answers, after_burst, shipped = asyncio.run(drive())
+    answers, after_burst, shipped, threads, workers = asyncio.run(drive())
     assert all(r.ok and r.source == "exact" and r.iterations == 0 for r in answers)
-    assert after_burst == [1, 1]
-    assert sorted(dispatched(tier)) == [1, 2]
+    assert after_burst == ([0, 0], [], set())
+    owner = tier.route(min_sum)
+    assert dispatched(tier) == [int(name == owner) for name in tier.shards]
+    assert [name.split("_")[0] for name in threads] == [f"hslb-{owner}"]
+    assert len(workers) == 1
     assert shipped.ok and shipped.iterations > 0
 
     def span_names(response):
         (root,) = tracer.trace_roots(response.trace_id)
         return {s.name for s, _ in root.walk()}
 
-    assert "worker.solve" in span_names(shipped)
-    assert not any("worker.solve" in span_names(r) for r in answers)
+    assert {"shard.queue", "worker.solve"} <= span_names(shipped)
+    for response in answers:
+        assert not {"shard.queue", "worker.solve"} & span_names(response)
 
 
 def test_mixed_objectives_under_chaos_book_each_fault_once_across_both_seams():
     """Crash / hang / corrupt chaos over a process-mode tier serving all three
     objectives: min-sum attempts die physically in the worker (booked by the
     pool that saw it), min-max / max-min attempts take the same plan's faults
-    as typed errors on the shard thread (booked by the retry loop — although
+    as typed errors on the event loop (booked by the retry loop — although
     a pool *is* installed).  Nothing is lost and every counter equals the
     faults dealt, with restarts only for the deaths that were real."""
     plan = ChaosPlan(
@@ -369,6 +386,48 @@ def test_mixed_objectives_under_chaos_book_each_fault_once_across_both_seams():
     assert resilience["retries"] == sum(dealt.values())
     assert resilience["worker_restarts"] == shipped["crash"] + shipped["hang"]
     assert_nothing_corrupt_cached(tier, requests)
+
+
+def test_nothing_sleeps_on_the_event_loop(monkeypatch):
+    """Thread-mode chaos over all three objectives with ``time.sleep``
+    raising on the loop thread: the direct requests' retries (no backoff for
+    an attempt that runs in-process) and slow faults (booked, not slept)
+    never wait there, and every count is still the plan's."""
+    loop_thread = threading.current_thread()  # run_requests runs its loop here
+    real_sleep = time.sleep
+
+    def sleep(seconds):
+        if threading.current_thread() is loop_thread:
+            raise AssertionError(f"slept {seconds} s on the event loop")
+        real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    plan = ChaosPlan(
+        seed=3, crash_rate=0.25, hang_rate=0.1, slow_rate=0.15,
+        corrupt_rate=0.1, immune_after=2, slow_seconds=0.05,
+    )
+    requests = [
+        r for o in OBJECTIVES
+        for r in request_mix(budgets=(24, 28, 32, 36), repeats=1, objective=o)
+    ]
+    dealt = expected_faults(plan, prints(requests), max_attempts=3)
+    assert all(dealt[kind] for kind in ("crash", "hang", "slow", "corrupt"))
+    # A real backoff between attempts, were anything to take one.
+    tier = chaos_tier(
+        plan, policy(retry=RetryPolicy(max_attempts=3, base_delay=0.05)),
+        worker_mode="thread",
+    )
+    for shard in tier.shards.values():
+        shard.service.sleeper = time.sleep
+    responses = run_requests(tier, requests)
+    assert len(responses) == len(requests)  # zero lost
+    assert all(r.ok and r.source == "exact" for r in responses)
+    resilience = tier.snapshot()["resilience"]
+    assert resilience["worker_crashes"] == dealt["crash"]
+    assert resilience["worker_hangs"] == dealt["hang"]
+    assert resilience["corruptions"] == dealt["corrupt"]
+    assert resilience["retries"] == dealt["crash"] + dealt["hang"] + dealt["corrupt"]
+    assert resilience["worker_restarts"] == 0
 
 
 # -- one metrics stack: scrape == snapshot == shard views ----------------------

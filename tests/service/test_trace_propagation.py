@@ -1,8 +1,9 @@
 """End-to-end trace propagation through the async tier (the acceptance bar).
 
 Concurrent requests enter the tier, cross the admission gate, the
-single-flight table, a shard queue, and — in process mode — a genuine
-process boundary into the worker that solves; every response must come
+single-flight table, and — for a request that builds a MINLP — a shard
+queue and, in process mode, a genuine process boundary into the worker
+that solves; every response must come
 back stamped with a ``trace_id`` that resolves, in the parent tracer, to
 ONE well-nested tree containing the admission, shard, and in-worker solve
 spans.
@@ -98,16 +99,17 @@ def test_process_mode_stitches_worker_spans(tracer):
         assert _tags(root, "shard.solve")["mode"] == "process"
 
 
-def test_process_mode_answers_direct_objectives_on_the_shard_thread(tracer):
-    """``ran`` says where the solve ran, ``mode`` how the tier is configured:
-    a min-max / max-min request in a process-mode tier is ``ran="shard"``
-    under ``mode="process"``, with no worker span to stitch."""
+def test_process_mode_answers_direct_objectives_on_the_event_loop(tracer):
+    """``ran`` says which process the solve ran in, ``mode`` how the tier is
+    configured: a min-max / max-min request in a process-mode tier is
+    ``ran="shard"`` under ``mode="process"``, answered on the event loop —
+    no queue span (no hop to the shard's thread), no worker span."""
     tier = AsyncServingTier(TierConfig(shards=2, worker_mode="process"))
     requests = [make_request(64), make_request(64, objective="max-min")]
     for response in _submit_all(tier, requests):
         assert response.ok and response.trace_id
         (root,) = tracer.trace_roots(response.trace_id)
-        assert "worker.solve" not in _names(root)
+        assert not {"shard.queue", "worker.solve"} & _names(root)
         assert _tags(root, "service.submit")["ran"] == "shard"
         assert _tags(root, "shard.solve")["mode"] == "process"
         _assert_well_nested(root)

@@ -346,7 +346,7 @@ def test_chaos_soak_through_worker_processes(capsys):
     # Only the soak's min-sum half (``iterations > 0``: it built a MINLP)
     # ships to the workers, so only its crashes are process deaths that cost a
     # restart; the min-max half takes the same plan's crashes as typed errors
-    # on the shard thread.
+    # on the event loop.
     from repro.faults import ChaosPlan
     from tests.service.conftest import expected_faults
 
