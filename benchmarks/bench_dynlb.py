@@ -91,7 +91,7 @@ def test_dynlb_strategy_comparison(benchmark):
         )
         assert results[name].migrations >= 1
     # The two-level hybrid also smooths intra-component imbalance, so it
-    # must beat the single-level MINLP re-solve it extends.
+    # must beat the single-level exact re-solve (the heap) it extends.
     assert results["two-level"].total_seconds < results["hslb"].total_seconds
     benchmark.extra_info["vs_static_pct"] = {
         name: round(100.0 * (static - r.total_seconds) / static, 2)

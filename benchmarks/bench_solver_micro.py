@@ -178,20 +178,30 @@ def test_layout1_full_solve(benchmark):
 
 
 def test_many_fragment_minlp_stress(benchmark):
-    """Scalability guard: a 24-fragment min-max MINLP at 2048 nodes."""
+    """Scalability guard: OA on a 24-fragment min-max MINLP at 2048 nodes.
+
+    ``hslb_schedule`` answers this problem with the heap; the OA tree is
+    timed directly because it is what the FMO pipeline still runs.
+    """
+    from repro.core.builder import AllocationModelBuilder
+    from repro.core.objectives import Objective
     from repro.fmo.molecules import protein_like
-    from repro.fmo.schedulers import hslb_schedule
+    from repro.fmo.schedulers import fragment_models
 
     system = protein_like(24, default_rng(6))
+    builder = AllocationModelBuilder(f"fmo-{system.name}", 2048)
+    for i, model in fragment_models(system).items():
+        builder.add_component(f"frag{i}", model)
+    builder.limit_total_nodes()
+    builder.set_objective(Objective.MIN_MAX)
+    problem = builder.build()
 
-    def run():
-        schedule, sol = hslb_schedule(system, 2048)
-        return schedule, sol
-
-    schedule, sol = benchmark.pedantic(run, rounds=1, iterations=1)
+    sol = benchmark.pedantic(
+        lambda: solve_minlp_oa(problem), rounds=1, iterations=1
+    )
     assert sol.status.value in ("optimal", "feasible")
-    assert schedule.total_nodes <= 2048
-    assert len(schedule.group_sizes) == 24
+    counts = [round(sol.values[f"n_frag{i}"]) for i in range(24)]
+    assert sum(counts) <= 2048
 
 
 def test_fitting_throughput(benchmark):

@@ -10,22 +10,25 @@ that compare components: :func:`greedy_minmax_allocation` (the classic heap,
 run as one top-B selection) and :func:`maxmin_allocation` (a threshold
 search over level sets, for the one objective the heap cannot do and whose
 MINLP form is nonconvex).  Both are exact with floors and caps, and checked
-against brute force, the MINLP solvers and an independent DP
-(``tests/core/test_greedy.py``, ``tests/service/test_greedy_rung.py``).
-They serve four roles:
+against brute force, OA on the same problem and an independent DP
+(``tests/core/test_greedy.py``, ``tests/service/test_greedy_rung.py``,
+``tests/fmo/test_direct_oracle.py``).  :func:`direct_allocation` picks
+between them by objective.  They serve three roles:
 
-* an independent oracle the tests use to certify the MINLP solvers;
-* the answer itself wherever the problem *is* this family: every min-max
-  and max-min ``solve_request`` (a served request is one budget row with
-  box bounds — ``Objective.has_direct_solver``), and ``hslb_schedule`` under
-  max-min;
+* the answer itself wherever the problem *is* this family, selected by
+  ``Objective.has_direct_solver``: every min-max and max-min
+  ``solve_request`` (a served request is one budget row with box bounds),
+  ``hslb_schedule``, the two-phase monomer sizing
+  (``hslb_two_phase_schedule``) and the dynlb re-solve
+  (``HSLBRebalancer``, with the floors as ``min_nodes``), as well as
+  dynlb's step-0 plan and its crash re-plan;
 * the last rung of both degradation ladders (the pipeline's
   ``fallback_allocation`` and the service's ``greedy_outcome``, which adds
-  the request's node bounds) and the rebalancer's starting point;
-* a demonstration that HSLB's general MINLP route matches the specialized
-  algorithm where both apply (general layouts with sequencing constraints
-  and SOS node sets are beyond their reach — that is why the paper needs
-  MINLP at all).
+  the request's node bounds);
+* a cross-check of HSLB's general MINLP route where both apply (general
+  layouts with sequencing constraints and SOS node sets are beyond their
+  reach — that is why the paper needs MINLP at all).  The tests run it one
+  way only: OA on the built problem certifies these solvers.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from repro.core.objectives import Objective
 from repro.perf.model import PerformanceModel
 
 _Runs = list[tuple[int, int]]  # disjoint inclusive integer intervals, ascending
@@ -215,3 +219,26 @@ def maxmin_allocation(
         rest -= counts[-1]
     alloc = dict(zip(names, [rest, *reversed(counts)]))
     return alloc, min(float(models[n].time(k)) for n, k in alloc.items())
+
+
+def direct_allocation(
+    objective: Objective,
+    models: Mapping[str, PerformanceModel],
+    total_nodes: int,
+    *,
+    min_nodes: Mapping[str, int] | None = None,
+    max_nodes: Mapping[str, int | None] | None = None,
+) -> tuple[dict[str, int], float]:
+    """One budget row answered without a tree: level sets for max-min, the
+    min-max heap for everything else.
+
+    Exact wherever ``objective.has_direct_solver``; for min-sum the heap's
+    allocation is only a feasible answer (the service's ``greedy`` rung).
+    Returns the allocation and the selected solver's value: the makespan
+    from the heap, the floor from the level sets.
+    """
+    allocate = (
+        maxmin_allocation if objective is Objective.MAX_MIN
+        else greedy_minmax_allocation
+    )
+    return allocate(models, total_nodes, min_nodes=min_nodes, max_nodes=max_nodes)

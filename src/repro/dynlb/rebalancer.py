@@ -4,10 +4,9 @@ Four real strategies plus the frozen-plan control:
 
 * :class:`StaticRebalancer`    — never moves; the paper's HSLB plan frozen
   at step 0 (the control arm every comparison is measured against);
-* :class:`HSLBRebalancer`      — full MINLP re-solve of the min-max
-  allocation over the *refitted* curves, warm-started from the current
-  allocation (the PR 2 donor machinery via ``x0``) with OA cuts pooled
-  across consecutive re-solves when the curves are unchanged (PR 7);
+* :class:`HSLBRebalancer`      — exact re-solve of the min-max allocation
+  over the *refitted* curves under the floors: one budget row, so the heap
+  of :mod:`repro.core.greedy` answers it (§III-E), no MINLP;
 * :class:`DiffusionRebalancer` — iterative nearest-neighbor load
   diffusion (SNIPPETS.md snippet 2): neighbors on a ring exchange nodes
   proportionally to their time gap until no exchange helps;
@@ -29,19 +28,14 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-from repro.core.builder import AllocationModelBuilder
 from repro.core.greedy import greedy_minmax_allocation
-from repro.core.objectives import Objective
 from repro.core.spec import Allocation
-from repro.minlp import BnBOptions, OACutPool, solve
 from repro.obs.trace import span
 from repro.perf.model import PerformanceModel
 
 #: Strategy names accepted by :func:`make_rebalancer` (and the CLI).
 STRATEGIES = ("static", "hslb", "diffusion", "sweep", "two-level")
 
-#: Solver budget of one online re-solve (a decision must cost less than it saves).
-_RESOLVE_OPTIONS = BnBOptions(time_limit=10.0, node_limit=20_000)
 _DIFFUSION_ROUNDS_PER_COMPONENT = 10  # sweeps of the ring before giving up
 
 
@@ -87,69 +81,23 @@ class StaticRebalancer(Rebalancer):
 
 
 class HSLBRebalancer(Rebalancer):
-    """Full min-max MINLP re-solve over the refitted curves.
+    """Exact min-max re-solve over the refitted curves, floors kept.
 
-    Warm starts: the incumbent allocation seeds ``x0`` (the donor-pool
-    trick the allocation service uses for neighbor requests), and the OA
-    cut pool persists across calls.  Pooled cuts are linearizations of
-    the component curves, so they are only *valid* while the curves are
-    unchanged — the pool is fingerprinted on the model coefficients and
-    reset whenever the refitter has moved them.  In practice that makes
-    the pool pay off exactly where re-solves cluster: crash recovery
-    (same curves, smaller budget) and repeated gated decisions between
-    refits.
+    The re-solve is the paper's problem with floors — one budget row over
+    univariate curves — so the heap answers it exactly in milliseconds and
+    depends on nothing but its context: no warm start, no state carried
+    between decisions.  Mohammed et al. (arXiv 1911.06714) ask of a
+    two-level rebalancer that a decision cost less than it saves.
     """
 
     name = "hslb"
 
-    def __init__(self) -> None:
-        self._pool = OACutPool()
-        self._pool_key: tuple | None = None
-        self.solves = 0
-        self.pool_reuses = 0
-
-    def _pooled(self, models: dict[str, PerformanceModel]) -> OACutPool:
-        key = tuple(
-            (name, m.a, m.b, m.c, m.d) for name, m in sorted(models.items())
-        )
-        if key != self._pool_key:
-            self._pool = OACutPool()
-            self._pool_key = key
-        else:
-            self.pool_reuses += 1
-        return self._pool
-
     def propose(self, ctx: RebalanceContext) -> Allocation:
-        builder = AllocationModelBuilder(f"dynlb-{self.name}-{ctx.step}", ctx.total_nodes)
-        for name in sorted(ctx.models):
-            builder.add_component(name, ctx.models[name], min_nodes=ctx.floor(name))
-        builder.limit_total_nodes()
-        builder.set_objective(Objective.MIN_MAX)
-        problem = builder.build()
-        x0 = {
-            f"n_{name}": float(count)
-            for name, count in ctx.allocation.items()
-            if name in ctx.models and count <= ctx.total_nodes
-        }
-        self.solves += 1
         with span("dynlb.resolve", strategy=self.name, step=int(ctx.step)):
-            solution = solve(
-                problem,
-                _RESOLVE_OPTIONS,
-                algorithm="oa",
-                x0=x0,
-                cut_pool=self._pooled(ctx.models),
-            )
-        if not solution.status.is_ok:
             counts, _ = greedy_minmax_allocation(
                 ctx.models, ctx.total_nodes, min_nodes=ctx.min_nodes
             )
-            return Allocation(counts)
-        counts = {
-            name: max(int(round(solution.values[f"n_{name}"])), ctx.floor(name))
-            for name in ctx.models
-        }
-        return _respect_floors(counts, ctx)
+        return Allocation(counts)
 
 
 class TwoLevelRebalancer(HSLBRebalancer):
@@ -259,18 +207,6 @@ def _proportional_split(
         )
         counts[donor] -= 1
     return counts
-
-
-def _respect_floors(counts: dict[str, int], ctx: RebalanceContext) -> Allocation:
-    """Clamp a raw count vector to the floors and the budget."""
-    out = {name: max(int(counts.get(name, 1)), ctx.floor(name)) for name in ctx.models}
-    while sum(out.values()) > ctx.total_nodes:
-        donor = max(
-            (n for n in out if out[n] > ctx.floor(n)),
-            key=lambda n: (out[n], n),
-        )
-        out[donor] -= 1
-    return Allocation(out)
 
 
 def make_rebalancer(name: str, **kwargs) -> Rebalancer:

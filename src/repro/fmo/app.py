@@ -2,7 +2,9 @@
 
 Components are fragments (``frag0`` ... ``fragK``); the MINLP is the
 min-max one-group-per-fragment sizing problem; execution runs the resulting
-schedule through the simulator.
+schedule through the simulator.  That MINLP is one budget row, the problem
+:func:`repro.fmo.schedulers.hslb_schedule` answers with the heap; the
+pipeline still solves it by OA.
 """
 
 from __future__ import annotations
@@ -33,21 +35,15 @@ class FMOApplication(Application):
         system: FragmentedSystem,
         *,
         noise: float = 0.02,
-        objective: Objective = Objective.MIN_MAX,
         faults: FaultPlan | None = None,
     ) -> None:
         self.system = system
-        self.objective = objective
         self.fault_plan = faults
         self.simulator = FMOSimulator(system, noise=noise, faults=faults)
 
     @property
     def component_names(self) -> tuple[str, ...]:
         return tuple(f"frag{f.index}" for f in self.system.fragments)
-
-    @property
-    def requires_nonconvex_solver(self) -> bool:
-        return not self.objective.oa_safe
 
     def benchmark(
         self, node_counts: Sequence[int], rng: np.random.Generator
@@ -75,8 +71,8 @@ class FMOApplication(Application):
         b = AllocationModelBuilder(f"fmo-{self.system.name}", total_nodes)
         for name in self.component_names:
             b.add_component(name, models[name])
-        b.limit_total_nodes(exact=not self.objective.oa_safe)
-        b.set_objective(self.objective)
+        b.limit_total_nodes()
+        b.set_objective(Objective.MIN_MAX)
         return b.build()
 
     def allocation_from_solution(self, solution: Solution) -> Allocation:

@@ -1,9 +1,11 @@
 """Fragment-to-group schedulers: HSLB and the baselines it is compared to.
 
-* :func:`hslb_schedule` — the paper's algorithm: a MINLP sizes one group per
-  fragment (min-max over fitted ``T_i(n_i)`` with ``sum n_i <= N``), solved
-  by LP/NLP branch-and-bound (max-min, the §III-D alternative, by the exact
-  level-set search of :mod:`repro.core.greedy`).
+* :func:`hslb_schedule` — the paper's algorithm: one group per fragment,
+  sized globally (min-max over ``T_i(n_i)`` with ``sum n_i <= N``).  That
+  is one budget row, which §III-E says "can be solved in polynomial time
+  with customized solvers": min-max and max-min are answered exactly by
+  :func:`repro.core.greedy.direct_allocation` (the heap, the level sets),
+  and only min-sum builds the MINLP and runs LP/NLP branch-and-bound.
 * :func:`uniform_static_schedule` — naive SLB: equal groups, fragments dealt
   round-robin with no regard for size.
 * :func:`greedy_dynamic_schedule` — idealized DLB: equal groups, fragments
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.builder import AllocationModelBuilder
-from repro.core.greedy import maxmin_allocation
+from repro.core.greedy import direct_allocation
 from repro.core.objectives import Objective
 from repro.fmo.gddi import GroupSchedule, even_group_sizes
 from repro.fmo.molecules import FragmentedSystem
@@ -39,28 +41,28 @@ def hslb_schedule(
     *,
     objective: Objective = Objective.MIN_MAX,
 ) -> tuple[GroupSchedule, Solution]:
-    """Solve the HSLB MINLP: one group per fragment, sizes chosen globally.
+    """HSLB's sizing: one group per fragment, sizes chosen globally.
 
     The curves are the analytic ground truth; the full pipeline path
     (benchmark, then fit) goes through :class:`repro.fmo.app.FMOApplication`.
-    Returns the schedule and the MINLP solution (prediction = objective).
+    Returns the schedule and the solution (prediction = objective); a
+    direct answer explores no tree, so its ``stats`` are zero.
     """
     if total_nodes < system.n_fragments:
         raise ValueError(
             f"{total_nodes} nodes cannot host {system.n_fragments} one-fragment groups"
         )
     models = {f"frag{i}": m for i, m in fragment_models(system).items()}
-    if objective is Objective.MAX_MIN:
-        # Its epigraph rows are nonconvex; one budget row needs no tree.
-        alloc, floor = maxmin_allocation(models, total_nodes)
+    if objective.has_direct_solver:
+        alloc, value = direct_allocation(objective, models, total_nodes)
         values = {f"n_{name}": float(count) for name, count in alloc.items()}
-        sol = Solution(Status.OPTIMAL, values=values, objective=floor)
+        sol = Solution(Status.OPTIMAL, values=values, objective=value)
     else:
         b = AllocationModelBuilder(f"fmo-{system.name}", total_nodes)
         for name, model in models.items():
             b.add_component(name, model)
-        # MIN_MAX/MIN_SUM never profit from extra nodes beyond each curve's
-        # minimum, so the cheaper-to-solve `<=` budget is equivalent for them.
+        # MIN_SUM never profits from extra nodes beyond each curve's
+        # minimum, so the cheaper-to-solve `<=` budget is equivalent.
         b.limit_total_nodes()
         b.set_objective(objective)
         sol = solve(b.build()).require_ok()

@@ -13,7 +13,8 @@ fragment its whole per-run work at once.  Real FMO2 is structured:
 
 This module models that structure and schedules both phases:
 
-* monomer groups sized by the HSLB MINLP over per-iteration monomer models;
+* monomer groups sized by HSLB's min-max over per-iteration monomer models —
+  one budget row, answered exactly by the heap of :mod:`repro.core.greedy`;
 * dimer tasks dispatched longest-first onto the same groups (the GAMESS
   pattern: the GDDI partition persists across phases).
 """
@@ -29,9 +30,7 @@ from repro.fmo.molecules import FragmentedSystem
 from repro.fmo.schedulers import uniform_static_schedule
 from repro.fmo.simulator import FMOSimulator
 from repro.fmo.timing import dimer_model, monomer_model
-from repro.core.builder import AllocationModelBuilder
-from repro.core.objectives import Objective
-from repro.minlp import solve
+from repro.core.greedy import greedy_minmax_allocation
 from repro.util.rng import default_rng
 
 
@@ -153,24 +152,20 @@ def hslb_two_phase_schedule(
 ) -> TwoPhaseSchedule:
     """HSLB for the two-phase structure.
 
-    The monomer phase dominates (SCC-iterated), so group sizes come from a
-    min-max MINLP over *per-iteration monomer* models; dimers then ride the
-    same partition via LPT.
+    The monomer phase dominates (SCC-iterated), so group sizes are the
+    min-max allocation over *per-iteration monomer* models; dimers then ride
+    the same partition via LPT.
     """
     if total_nodes < system.n_fragments:
         raise ValueError(
             f"{total_nodes} nodes cannot host {system.n_fragments} groups"
         )
     sim = TwoPhaseSimulator(system, noise=0.0)
-    b = AllocationModelBuilder(f"fmo2-{system.name}", total_nodes)
-    for frag in system.fragments:
-        b.add_component(f"frag{frag.index}", sim._monomer[frag.index])
-    b.limit_total_nodes()
-    b.set_objective(Objective.MIN_MAX)
-    sol = solve(b.build()).require_ok()
-    sizes = tuple(
-        int(round(sol.values[f"n_frag{f.index}"])) for f in system.fragments
+    alloc, _ = greedy_minmax_allocation(
+        {f"frag{f.index}": sim._monomer[f.index] for f in system.fragments},
+        total_nodes,
     )
+    sizes = tuple(alloc[f"frag{f.index}"] for f in system.fragments)
     monomer = GroupSchedule(
         group_sizes=sizes,
         assignment=tuple(range(system.n_fragments)),

@@ -23,7 +23,6 @@ from repro.minlp.ampl_export import problem_to_ampl
 from repro.minlp.bnb import BnBOptions, BranchAndBound
 from repro.minlp.brute import solve_brute_force
 from repro.minlp.cutpool import OACutPool
-from repro.minlp.ecp import solve_minlp_ecp
 from repro.minlp.expr import (
     Constant,
     Expr,
@@ -81,7 +80,6 @@ __all__ = [
     "solve_lp",
     "solve_lp_simplex",
     "solve_milp",
-    "solve_minlp_ecp",
     "solve_minlp_nlpbb",
     "solve_minlp_oa",
     "solve_minlp_oa_multitree",
@@ -99,7 +97,6 @@ def solve(
     *,
     algorithm: str = "auto",
     x0: dict[str, float] | None = None,
-    cut_pool: OACutPool | None = None,
 ) -> Solution:
     """Solve ``problem`` with an automatically (or explicitly) chosen algorithm.
 
@@ -107,15 +104,13 @@ def solve(
     relaxations; continuous NLP -> SLSQP; convex MINLP -> LP/NLP-based
     branch-and-bound (falling back to NLP-based B&B when the model has
     nonlinear lower-bounded constraints OA cannot relax safely).
-    Explicit MINLP choices: ``"oa"``, ``"nlpbb"``, ``"ecp"``.  The other
+    Explicit MINLP choices: ``"oa"``, ``"nlpbb"``.  The other
     engines (:func:`solve_milp`, :func:`solve_nlp`,
     :func:`solve_minlp_oa_multitree`, :func:`solve_brute_force`, ...) are
     functions to call, not names to pass.
 
     ``x0`` is an optional (possibly partial) warm-start point, honored by
-    the NLP, OA, and NLP-B&B routes and ignored by the rest.  ``cut_pool``
-    shares an :class:`OACutPool` across successive OA solves (see
-    :func:`repro.minlp.oa.solve_minlp_oa`); other routes ignore it.
+    the NLP, OA, and NLP-B&B routes and ignored by the rest.
     """
     if algorithm == "auto":
         if problem.is_linear():
@@ -123,15 +118,13 @@ def solve(
         if not problem.is_mip():
             return solve_nlp(problem, x0=x0)
         try:
-            return solve_minlp_oa(problem, options, x0=x0, cut_pool=cut_pool)
+            return solve_minlp_oa(problem, options, x0=x0)
         except ValueError:
             return solve_minlp_nlpbb(problem, options, x0=x0)
     if algorithm == "oa":
-        return solve_minlp_oa(problem, options, x0=x0, cut_pool=cut_pool)
+        return solve_minlp_oa(problem, options, x0=x0)
     if algorithm == "nlpbb":
         return solve_minlp_nlpbb(problem, options, x0=x0)
-    if algorithm == "ecp":
-        return solve_minlp_ecp(problem, options)
     raise ValueError(
-        f"unknown algorithm {algorithm!r}; expected 'auto', 'oa', 'nlpbb' or 'ecp'"
+        f"unknown algorithm {algorithm!r}; expected 'auto', 'oa' or 'nlpbb'"
     )

@@ -104,7 +104,7 @@ class _Master:
     """The mixed-integer *linear* master of one solve and the cuts it holds.
 
     Every nonlinear row enters only through tangents served by ``pool`` —
-    the one cut builder OA (single- and multi-tree) and ECP share.
+    the one cut builder single- and multi-tree OA share.
     """
 
     def __init__(
@@ -132,14 +132,13 @@ class _Master:
         for con in self.nonlin:
             self.install(self.pool.cut_for(con, point))
 
-    def seed(self, root: dict[str, float]) -> tuple[int, int]:
-        """Install the starting cuts; returns ``(reactivated, seeded)``.
+    def seed(self, root: dict[str, float]) -> int:
+        """Install the starting cuts; returns how many seeds were added.
 
-        Cuts surviving in the pool from earlier solves come first, then the
-        tangents at the root relaxation, then — the seeds — at the root with
-        the discrete variables each row is nonlinear in moved to their floor
-        and to their ceiling (clipped to the bounds: an ``a/n`` row never
-        sees ``n = 0``).  A row nonlinear in several of them gets the
+        The tangents at the root relaxation come first, then — the seeds —
+        at the root with the discrete variables each row is nonlinear in
+        moved to their floor and to their ceiling (clipped to the bounds: an
+        ``a/n`` row never sees ``n = 0``).  A row nonlinear in several of them gets the
         all-floor and the all-ceiling point, two cuts, not 2^k.
 
         The paper's rows ``T >= a/n + b*n^c + d`` are nonlinear in one integer
@@ -149,9 +148,6 @@ class _Master:
         answer almost always is.  Any tangent of a convex row is valid, so
         bounds, branching, lazy cuts and exactness do not depend on this.
         """
-        reactivated = self.pool.active_cuts()
-        for cut in reactivated:
-            self.install(cut)
         self.add_cuts_at(root)
         before = self.stats.cuts_added
         for con in self.nonlin:
@@ -167,7 +163,7 @@ class _Master:
                 for v in moving:
                     point[v.name] = min(max(float(snap(root[v.name])), v.lb), v.ub)
                 self.install(self.pool.cut_for(con, point))
-        return len(reactivated), self.stats.cuts_added - before
+        return self.stats.cuts_added - before
 
 
 def _integer_assignment(work: Problem, values: dict[str, float]) -> dict[str, float]:
@@ -209,7 +205,6 @@ def solve_minlp_oa(
     options: BnBOptions | None = None,
     *,
     x0: dict[str, float] | None = None,
-    cut_pool: OACutPool | None = None,
 ) -> Solution:
     """Solve a convex MINLP with single-tree LP/NLP branch-and-bound.
 
@@ -222,16 +217,12 @@ def solve_minlp_oa(
     cuts at the incumbent before the first master solve.  An infeasible or
     useless ``x0`` costs two small NLP solves and is otherwise ignored.
 
-    ``cut_pool`` optionally shares an :class:`OACutPool` across solves:
-    cuts surviving earlier solves on the same model family are preinstalled
-    into this master, and cuts built here stay available to later solves.
-    Without one, a private per-solve pool still dedups repeated
-    linearization points within this tree.  Sharing a pool changes which
-    cuts a master starts with, so callers that promise bit-identical
-    replays must keep it per-solve.
+    Every cut comes from a per-solve :class:`OACutPool`, which dedups
+    repeated linearization points within this tree; nothing outlives the
+    solve, so the same problem and ``x0`` always build the same master.
     """
     with span("minlp.oa", problem=problem.name) as oa_span:
-        sol = _solve_minlp_oa_impl(problem, options, oa_span, x0=x0, cut_pool=cut_pool)
+        sol = _solve_minlp_oa_impl(problem, options, oa_span, x0=x0)
         telemetry.record_warm_start(x0 is not None)
         telemetry.record_solve("oa", sol.stats, sol.status.value)
     return sol
@@ -243,7 +234,6 @@ def _solve_minlp_oa_impl(
     oa_span,
     *,
     x0: dict[str, float] | None,
-    cut_pool: OACutPool | None,
 ) -> Solution:
     opts = options or BnBOptions()
     work, has_eta = _epigraph_form(problem)
@@ -255,8 +245,7 @@ def _solve_minlp_oa_impl(
 
     stats = SolveStats()
     timer = Timer().start()
-    pool = cut_pool if cut_pool is not None else OACutPool()
-    epoch = pool.begin_solve()
+    pool = OACutPool()
 
     # Root relaxation: continuous NLP over the full model.  Its solution
     # seeds the initial linearizations so the first master is meaningful.
@@ -270,14 +259,8 @@ def _solve_minlp_oa_impl(
         return Solution(Status.INFEASIBLE, stats=stats, message="NLP relaxation infeasible")
 
     master = _Master(work, nonlin, pool, stats)
-    hits_before = pool.stats.hits
-    reactivated, seeded = master.seed(root.values)
-    trace_event(
-        "oa.cut_pool.master",
-        epoch=epoch,
-        reactivated=reactivated,
-        installed=len(master.installed),
-    )
+    seeded = master.seed(root.values)
+    trace_event("oa.cut_pool.master", installed=len(master.installed))
 
     incumbent: tuple[dict[str, float], float] | None = None
     if x0 is not None:
@@ -352,12 +335,11 @@ def _solve_minlp_oa_impl(
         oa_span.set_tag(tag, count)
     # Short of seeds or long on lazy rounds: what a slow solve looks like.
     oa_span.set_tag("cuts_seeded", seeded)
-    oa_span.set_tag("cut_pool_hits", pool.stats.hits - hits_before)
+    oa_span.set_tag("cut_pool_hits", pool.stats.hits)
     oa_span.set_tag("lazy_rounds", lazy_rounds)
     stats.merge(sol.stats)
     stats.wall_time = timer.stop()
     sol.stats = stats
-    pool.end_solve(sol.values if sol.status.is_ok else None)
     return _strip_eta(sol, problem, has_eta)
 
 
@@ -376,15 +358,13 @@ _MULTITREE_MAX_ROUNDS = 50
 def solve_minlp_oa_multitree(
     problem: Problem,
     options: BnBOptions | None = None,
-    *,
-    cut_pool: OACutPool | None = None,
 ) -> Solution:
     """Solve a convex MINLP by alternating MILP masters and NLP subproblems.
 
     Kept as an algorithmic cross-check for :func:`solve_minlp_oa`; both must
     agree on convex instances (a test enforces this).  Successive masters in
-    one run share the (given or per-solve) :class:`OACutPool`, so a round
-    revisiting a linearization point re-installs nothing.
+    one run share one :class:`OACutPool`, so a round revisiting a
+    linearization point re-installs nothing.
     """
     opts = options or BnBOptions()
     work, has_eta = _epigraph_form(problem)
@@ -396,8 +376,7 @@ def solve_minlp_oa_multitree(
     sign = -1.0 if problem.sense is Sense.MAXIMIZE else 1.0
     stats = SolveStats()
     timer = Timer().start()
-    pool = cut_pool if cut_pool is not None else OACutPool()
-    pool.begin_solve()
+    pool = OACutPool()
 
     root = solve_nlp(work)
     stats.merge(root.stats)
@@ -464,7 +443,6 @@ def solve_minlp_oa_multitree(
             break
 
     stats.wall_time = timer.stop()
-    pool.end_solve(best.values if best is not None else None)
     if best is None:
         return Solution(
             status if status is Status.INFEASIBLE else Status.ERROR,

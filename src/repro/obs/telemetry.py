@@ -47,7 +47,6 @@ CATALOGUE = (
     _counter("solver_warm_starts_total", "x0 warm-start attempts", "used"),
     _counter("solver_basis_reuse_total", "B&B parent-basis reuse hits/misses", "outcome"),
     _counter("solver_simplex_pivots_total", "simplex pivots by phase", "phase"),
-    _counter("solver_cut_pool_total", "OA cut-pool events", "event"),
     _histogram("solver_wall_seconds", "per-solve wall time", "algorithm", "status"),
     _counter("hslb_degradations_total", "solver tier fallbacks", "from_tier", "to_tier"),
     _counter("hslb_pipeline_runs_total", "HSLB pipeline entries"),
@@ -176,14 +175,6 @@ def record_simplex(
             warm=warm,
             attempted=attempted,
         )
-
-
-def record_cut_pool(event: str, count: int = 1) -> None:
-    """A cut-pool lifecycle event: hit, miss, reactivated, or evicted."""
-    if count:
-        REGISTRY.counter("solver_cut_pool_total").inc(count, event=event)
-    if _TR.enabled:
-        _TR.event("oa.cut_pool", event=event, count=count)
 
 
 def record_degradation(from_tier: str, to_tier: str, status: str, reason: str) -> None:

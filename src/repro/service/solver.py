@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.builder import AllocationModelBuilder
-from repro.core.greedy import greedy_minmax_allocation, maxmin_allocation
+from repro.core.greedy import direct_allocation
 from repro.core.objectives import Objective, evaluate_objective
 from repro.minlp import solve
 from repro.minlp.solution import Solution, Status
@@ -204,15 +204,14 @@ def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None
 
 
 def _direct_outcome(request: SolveRequest, status: Status, message: str) -> SolveOutcome:
-    """The request answered by :mod:`repro.core.greedy` under its node bounds:
-    level sets for max-min, the min-max heap for everything else."""
+    """The request answered by :func:`repro.core.greedy.direct_allocation`
+    under its node bounds."""
     fingerprint = request.fingerprint()
     specs = _canonical(request)
-    max_min = Objective(request.objective) is Objective.MAX_MIN
-    allocate = maxmin_allocation if max_min else greedy_minmax_allocation
     start = time.perf_counter()
     try:
-        alloc, _ = allocate(
+        alloc, _ = direct_allocation(
+            Objective(request.objective),
             {name: spec.model for name, spec in specs},
             request.total_nodes,
             min_nodes={name: spec.min_nodes for name, spec in specs},

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.hslb import HSLBOptimizer
-from repro.core.objectives import Objective
 from repro.core.spec import Allocation
 from repro.fmo.app import FMOApplication
 from repro.fmo.gddi import GroupSchedule
@@ -122,12 +121,6 @@ def test_schedule_from_allocation(system):
     sched = app.schedule_from_allocation(alloc)
     assert sched.group_sizes == tuple(range(1, system.n_fragments + 1))
     assert sched.assignment == tuple(range(system.n_fragments))
-
-
-def test_max_min_objective_flags_nonconvex(system):
-    app = FMOApplication(system, objective=Objective.MAX_MIN)
-    assert app.requires_nonconvex_solver
-    assert not FMOApplication(system).requires_nonconvex_solver
 
 
 def test_execution_metadata(system):

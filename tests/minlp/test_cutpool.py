@@ -1,4 +1,4 @@
-"""OA cut pool: memoization, stable names, ageing, and OA integration."""
+"""OA cut pool: memoization, stable names, quantization, and OA integration."""
 
 import math
 
@@ -19,7 +19,6 @@ def _con(name="g"):
 
 def test_cut_for_memoizes_and_names_stably():
     pool = OACutPool()
-    pool.begin_solve()
     c1 = pool.cut_for(_con(), {"x": 1.0})
     c2 = pool.cut_for(_con(), {"x": 1.0})
     assert c1[0] == c2[0]
@@ -27,13 +26,11 @@ def test_cut_for_memoizes_and_names_stably():
     assert pool.stats.hits == 1 and pool.stats.misses == 1
     # A fresh pool derives the identical name for the identical key.
     other = OACutPool()
-    other.begin_solve()
     assert other.cut_for(_con(), {"x": 1.0})[0] == c1[0]
 
 
 def test_point_quantization_merges_nearby_points():
     pool = OACutPool()
-    pool.begin_solve()
     eps = 10 ** -(_POINT_DECIMALS + 2)
     a = pool.cut_for(_con(), {"x": 1.0})
     b = pool.cut_for(_con(), {"x": 1.0 + eps})
@@ -41,49 +38,6 @@ def test_point_quantization_merges_nearby_points():
     assert a[0] == b[0]
     assert a[0] != c[0]
     assert len(pool) == 2
-
-
-def test_reactivation_across_epochs():
-    pool = OACutPool()
-    pool.begin_solve()
-    pool.cut_for(_con(), {"x": 2.0})
-    pool.end_solve({"x": 2.0})  # binding at x=2 (cut: 4x - 4 <= 4)
-    pool.begin_solve()
-    cuts = pool.active_cuts()
-    assert len(cuts) == 1
-    assert pool.stats.reactivated == 1
-
-
-def test_slack_cuts_age_out_and_binding_cuts_survive():
-    pool = OACutPool(max_age=2)
-    pool.begin_solve()
-    pool.cut_for(_con("bind"), {"x": 2.0})
-    pool.cut_for(_con("slack"), {"x": -2.0})  # -4x - 4 <= 4: slack at x=2
-    for _ in range(2):
-        pool.begin_solve()
-        evicted = pool.end_solve({"x": 2.0})
-    assert evicted == 1
-    assert len(pool) == 1
-    names = [name for name, *_ in pool.active_cuts()]
-    assert any("bind" in n for n in names)
-    assert pool.stats.evicted == 1
-
-
-def test_every_cut_ages_without_a_point():
-    pool = OACutPool(max_age=1)
-    pool.begin_solve()
-    pool.cut_for(_con(), {"x": 1.0})
-    assert pool.end_solve(None) == 1
-    assert len(pool) == 0
-
-
-def test_lru_cap_evicts_oldest():
-    pool = OACutPool(max_cuts=3)
-    pool.begin_solve()
-    for i in range(5):
-        pool.cut_for(_con(), {"x": float(i)})
-    assert len(pool) == 3
-    assert pool.stats.evicted == 2
 
 
 def _minlp(seed=0):
@@ -95,35 +49,11 @@ def _minlp(seed=0):
     return m.build()
 
 
-def test_oa_solve_with_private_pool_matches_without():
-    problem = _minlp()
-    base = solve_minlp_oa(problem, BnBOptions())
-    pooled = solve_minlp_oa(problem, BnBOptions(), cut_pool=OACutPool())
-    assert base.status is Status.OPTIMAL
-    assert pooled.status is Status.OPTIMAL
-    assert pooled.objective == pytest.approx(base.objective, abs=1e-7)
-
-
-def test_shared_pool_reactivates_cuts_on_resolve():
-    pool = OACutPool()
-    problem = _minlp()
-    first = solve_minlp_oa(problem, BnBOptions(), cut_pool=pool)
-    assert first.status is Status.OPTIMAL
-    misses_after_first = pool.stats.misses
-    second = solve_minlp_oa(problem, BnBOptions(), cut_pool=pool)
-    assert second.status is Status.OPTIMAL
-    assert second.objective == pytest.approx(first.objective, abs=1e-9)
-    # The re-solve reactivated prior linearizations instead of rebuilding all.
-    assert pool.stats.reactivated > 0
-    assert pool.stats.misses - misses_after_first < misses_after_first
-
-
 def test_multitree_dedups_repeated_linearization_points():
     from repro.minlp import solve_minlp_oa_multitree
 
-    pool = OACutPool()
     problem = _minlp(1)
-    sol = solve_minlp_oa_multitree(problem, BnBOptions(), cut_pool=pool)
+    sol = solve_minlp_oa_multitree(problem, BnBOptions())
     assert sol.status in (Status.OPTIMAL, Status.FEASIBLE)
     ref = solve_minlp_oa(problem, BnBOptions())
     assert sol.objective == pytest.approx(ref.objective, abs=1e-6)

@@ -1,11 +1,9 @@
-"""Tests for the ECP solver and pseudocost branching."""
+"""Tests for pseudocost branching."""
 
 import pytest
 
-from repro.minlp import solve
 from repro.minlp.bnb import BnBOptions
 from repro.minlp.brute import solve_brute_force
-from repro.minlp.ecp import solve_minlp_ecp
 from repro.minlp.milp import solve_milp
 from repro.minlp.modeling import Model
 from repro.minlp.oa import solve_minlp_oa
@@ -14,7 +12,7 @@ from repro.minlp.solution import Status
 
 
 def _alloc_problem(budget=12):
-    m = Model("ecp-alloc")
+    m = Model("pc-alloc")
     t = m.var("T", 0, 1e4)
     na = m.integer_var("na", 1, budget - 1)
     no = m.integer_var("no", 1, budget - 1)
@@ -23,63 +21,6 @@ def _alloc_problem(budget=12):
     m.add(t >= 60.0 / no + 1.0)
     m.minimize(t)
     return m.build()
-
-
-def test_ecp_matches_brute_and_oa():
-    p = _alloc_problem()
-    ref = solve_brute_force(p)
-    ecp = solve_minlp_ecp(p)
-    oa = solve_minlp_oa(p)
-    assert ecp.status is Status.OPTIMAL
-    assert ecp.objective == pytest.approx(ref.objective, rel=1e-5)
-    assert ecp.objective == pytest.approx(oa.objective, rel=1e-5)
-
-
-def test_ecp_nonlinear_objective_epigraph():
-    m = Model()
-    x = m.integer_var("x", 1, 20)
-    m.minimize(150.0 / x + 3.0 * x)
-    p = m.build()
-    sol = solve_minlp_ecp(p)
-    assert sol.status is Status.OPTIMAL
-    assert sol.objective == pytest.approx(solve_brute_force(p).objective, rel=1e-6)
-    assert "_oa_eta" not in sol.values
-
-
-def test_ecp_infeasible():
-    m = Model()
-    x = m.integer_var("x", 1, 3)
-    t = m.var("t", 0, 1.0)
-    m.add(t >= 10.0 / x)
-    m.minimize(t)
-    assert solve_minlp_ecp(m.build()).status is Status.INFEASIBLE
-
-
-def test_ecp_pure_milp_passthrough():
-    m = Model()
-    x = m.integer_var("x", 0, 9)
-    m.add(2 * x <= 11)
-    m.maximize(x)
-    assert solve_minlp_ecp(m.build()).objective == pytest.approx(5.0)
-
-
-def test_ecp_adds_cuts_without_nlp_solves():
-    sol = solve_minlp_ecp(_alloc_problem())
-    assert sol.stats.cuts_added >= 1
-    assert sol.stats.nlp_solves == 0  # the defining property of ECP
-
-
-def test_ecp_via_dispatcher():
-    sol = solve(_alloc_problem(), algorithm="ecp")
-    assert sol.status is Status.OPTIMAL
-
-
-def test_ecp_round_limit_reported():
-    sol = solve_minlp_ecp(_alloc_problem(), max_rounds=1)
-    assert sol.status in (Status.ITERATION_LIMIT, Status.OPTIMAL)
-
-
-# --- pseudocost branching ----------------------------------------------------
 
 
 def _hard_milp():

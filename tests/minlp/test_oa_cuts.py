@@ -19,7 +19,6 @@ in one integer, linear in the epigraph variable.  The oracles here:
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +27,8 @@ from repro.core.builder import AllocationModelBuilder
 from repro.core.objectives import Objective
 from repro.minlp import BnBOptions, Model, OACutPool, solve, solve_minlp_oa
 from repro.minlp import nlp as nlp_module
+from repro.minlp import oa as oa_module
+from repro.minlp.bnb import BranchAndBound
 from repro.minlp.brute import solve_brute_force
 from repro.minlp.expr import Linearizer, exp, linearize
 from repro.minlp.nlp import solve_nlp
@@ -80,7 +81,6 @@ def test_pool_cut_equals_linearize(name):
     con = _constraint(problem, name)
     names = sorted(con.body.variables())
     pool = OACutPool()
-    pool.begin_solve()
     rng = keyed_rng(1507, name)
     for _ in range(25):
         point = {"n": float(rng.uniform(1, 40)), "x": float(rng.uniform(0, 6)),
@@ -103,7 +103,6 @@ def test_pool_cut_equals_linearize(name):
 def test_key_uses_only_the_nonlinear_coordinates():
     problem = _row_model()
     pool = OACutPool()
-    pool.begin_solve()
     ge, exp2, sq2 = (_constraint(problem, n) for n in ("ge", "exp2", "sq2"))
     assert pool.nonlinear_variables(ge) == ("n",)
     assert pool.nonlinear_variables(exp2) == ("x", "y")
@@ -138,7 +137,6 @@ def test_linearizer_differentiates_once(monkeypatch):
 def _seeded(problem, root):
     nonlin = list(problem.nonlinear_constraints())
     pool = OACutPool()
-    pool.begin_solve()
     master = _Master(problem, nonlin, pool, SolveStats())
     return master, master.seed(root)
 
@@ -154,8 +152,8 @@ def _univariate(lb=1, ub=40):
 
 def test_seeds_are_the_floor_and_ceiling_tangents():
     problem = _univariate()
-    master, (reactivated, seeded) = _seeded(problem, {"n": 7.3, "t": 28.3})
-    assert (reactivated, seeded) == (0, 2)
+    master, seeded = _seeded(problem, {"n": 7.3, "t": 28.3})
+    assert seeded == 2
     assert len(master.installed) == 3  # root tangent + two seeds
     row = _constraint(problem, "row")
     for n in (7.0, 8.0):
@@ -171,17 +169,17 @@ def test_seeds_are_the_floor_and_ceiling_tangents():
 
 
 def test_integral_root_gets_one_cut():
-    master, (_, seeded) = _seeded(_univariate(), {"n": 7.0, "t": 28.3})
+    master, seeded = _seeded(_univariate(), {"n": 7.0, "t": 28.3})
     assert seeded == 0 and len(master.installed) == 1  # floor = ceil = root
 
 
 def test_bracket_is_clipped_to_the_bounds():
     """``n`` at ``min_nodes``: no tangent below it (an a/n row never sees 0)."""
-    master, (_, seeded) = _seeded(_univariate(lb=1), {"n": 1.0, "t": 102.0})
+    master, seeded = _seeded(_univariate(lb=1), {"n": 1.0, "t": 102.0})
     assert seeded == 0 and len(master.installed) == 1
     # A fractional bound above the root's floor: the floor point moves onto it.
     problem = _univariate(lb=1.5)
-    master, (_, seeded) = _seeded(problem, {"n": 1.7, "t": 62.0})
+    master, seeded = _seeded(problem, {"n": 1.7, "t": 62.0})
     assert seeded == 2
     pool_points = {
         round(-c.body.linear_coefficients()[0]["n"], 6)
@@ -194,7 +192,7 @@ def test_bracket_is_clipped_to_the_bounds():
 def test_row_with_two_integers_gets_all_floor_and_all_ceiling():
     problem = _row_model()
     root = {"n": 9.5, "x": 1.4, "y": 2.6, "t": 14.0}
-    master, (_, seeded) = _seeded(problem, root)
+    master, seeded = _seeded(problem, root)
     # ge, le: 2 each; exp2, sq2: 2 each (not 2^2).
     assert seeded == 8
     assert len(master.installed) == 12
@@ -216,7 +214,7 @@ def test_continuous_nonlinear_coordinates_stay_at_the_root():
     m.add(w >= 1.25)
     m.minimize(t)
     problem = m.build()
-    master, (_, seeded) = _seeded(problem, {"n": 3.5, "w": 1.25, "t": 16.0})
+    master, seeded = _seeded(problem, {"n": 3.5, "w": 1.25, "t": 16.0})
     assert seeded == 2
     for c in master.problem.constraints:
         if c.name.startswith("oa_"):
@@ -275,18 +273,48 @@ def test_specs_pinned_to_their_bounds_match_brute_force_and_nlpbb():
         _agree_with_oracles(_floor_spec(case))
 
 
-def test_bound_clipped_root_needs_one_cut_and_no_branching():
+def test_bound_clipped_root_needs_one_cut_and_no_branching(last_solve):
     """n = 8 is the relaxed optimum (sqrt(50) is outside) and the answer."""
     problem = _univariate(lb=8, ub=12)
-    pool = OACutPool()
-    sol = solve_minlp_oa(problem, cut_pool=pool).require_ok()
+    sol = solve_minlp_oa(problem).require_ok()
     assert sol.values["n"] == 8.0
     assert sol.objective == pytest.approx(28.5)
-    assert sol.stats.cuts_added == len(pool) == 1
+    assert sol.stats.cuts_added == len(last_solve["pool"]) == 1
+    assert len(_master_rows(last_solve["tree"])) == 1
     assert sol.stats.nodes_explored == 1
 
 
 # -- no duplicate master rows --------------------------------------------------
+
+
+@pytest.fixture
+def last_solve(monkeypatch):
+    """The per-solve cut pool and the tree of the latest OA solve."""
+    seen = {}
+
+    class Pool(OACutPool):
+        def __init__(self):
+            super().__init__()
+            seen["pool"] = self
+
+    class Tree(BranchAndBound):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen["tree"] = self
+
+    monkeypatch.setattr(oa_module, "OACutPool", Pool)
+    monkeypatch.setattr(oa_module, "BranchAndBound", Tree)
+    return seen
+
+
+def _master_rows(tree):
+    """Every cut the master LP holds: the seeds it was built with, then the
+    lazy cuts the tree installed."""
+    seeded = [
+        (c.name, c.body, c.lb, c.ub)
+        for c in tree.problem.constraints if c.name.startswith("oa_")
+    ]
+    return seeded + list(tree._cuts)
 
 
 def _duplicate_rows(cuts):
@@ -305,12 +333,12 @@ def _duplicate_rows(cuts):
     ]
 
 
-def _solve_and_check_rows(problem, pool=None, **kw):
-    pool = pool if pool is not None else OACutPool()
-    sol = solve_minlp_oa(problem, cut_pool=pool, **kw).require_ok()
-    # Every cut the master ever held was served by the pool.
-    cuts = pool.active_cuts()
+def _solve_and_check_rows(spy, problem, **kw):
+    sol = solve_minlp_oa(problem, **kw).require_ok()
+    cuts = _master_rows(spy["tree"])
     assert len({name for name, *_ in cuts}) == len(cuts)
+    # Every cut the pool built went into the master, once.
+    assert len(cuts) == spy["pool"].stats.misses
     assert _duplicate_rows(cuts) == []
     return sol
 
@@ -326,49 +354,38 @@ def test_duplicate_detector_sees_a_t_only_copy():
 @pytest.mark.parametrize(
     "index", range(len(TABLE3_BLOCKS)), ids=[b[0] for b in TABLE3_BLOCKS]
 )
-def test_table3_masters_hold_no_duplicate_rows(index):
-    _solve_and_check_rows(_table3_problem(index))
+def test_table3_masters_hold_no_duplicate_rows(index, last_solve):
+    _solve_and_check_rows(last_solve, _table3_problem(index))
 
 
 @pytest.mark.parametrize(
     "index", range(len(FMO_LADDER)), ids=[f"protein-{f}@{n}" for f, n in FMO_LADDER]
 )
-def test_fmo_ladder_masters_hold_no_duplicate_rows(index):
-    _solve_and_check_rows(_fmo_problem(index))
+def test_fmo_ladder_masters_hold_no_duplicate_rows(index, last_solve):
+    _solve_and_check_rows(last_solve, _fmo_problem(index))
 
 
-def test_serving_pool_masters_hold_no_duplicate_rows_and_stay_short():
+def test_serving_pool_masters_hold_no_duplicate_rows_and_stay_short(last_solve):
     """The serving tier answers these min-max requests with the heap; their
     MINLPs stay the pinned instances the OA master is kept short on."""
     def work(sol):
         return sol.stats.nodes_explored + sol.stats.nlp_solves
 
     problems = [build_problem(request) for request in _request_pool()]
-    iterations = sum(work(_solve_and_check_rows(problem)) for problem in problems)
+    iterations = sum(
+        work(_solve_and_check_rows(last_solve, problem)) for problem in problems
+    )
     assert iterations == sum(work(solve(problem)) for problem in problems)
     # 835 before masters were seeded, 427 with; counts are chaotic in the cut
     # set, so the guard is a ceiling, not a number.
     assert iterations <= 520
 
 
-def test_shared_pool_resolves_hold_no_duplicate_rows():
-    """One family, four budgets, each solved twice against the family's pool
-    — under min-max and under min-sum, whose epigraph rows differ."""
-    for objective in ("min-max", "min-sum"):
-        family = [replace(r, objective=objective) for r in _request_pool()[:4]]
-        pool = OACutPool()
-        for request in family + family:
-            shared = _solve_and_check_rows(build_problem(request), pool)
-            alone = solve_minlp_oa(build_problem(request)).require_ok()
-            assert shared.objective == pytest.approx(alone.objective, rel=1e-9)
-        assert pool.stats.reactivated > 0, objective
-
-
-def test_warm_started_master_holds_no_duplicate_rows():
+def test_warm_started_master_holds_no_duplicate_rows(last_solve):
     cold = solve_minlp_oa(_fmo_problem(0)).require_ok()
     discrete = {v.name for v in _fmo_problem(0).discrete_variables()}
     x0 = {k: v for k, v in cold.values.items() if k in discrete}
-    warm = _solve_and_check_rows(_fmo_problem(0), x0=x0)
+    warm = _solve_and_check_rows(last_solve, _fmo_problem(0), x0=x0)
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
@@ -426,14 +443,17 @@ def test_unbounded_lp_is_left_to_the_nlp_engine(monkeypatch):
 # -- what the span says -------------------------------------------------------
 
 
-def test_oa_span_says_how_the_master_was_fed(tracer):
+def test_oa_span_says_how_the_master_was_fed(tracer, last_solve):
     problem = _fmo_problem(0)
     nonlin = len(problem.nonlinear_constraints())
-    pool = OACutPool()
-    sol = solve_minlp_oa(problem, cut_pool=pool).require_ok()
+    sol = solve_minlp_oa(problem).require_ok()
     tags = tracer.find("minlp.oa").tags
     assert 0 < tags["cuts_seeded"] <= 2 * nonlin
-    assert tags["cut_pool_hits"] == pool.stats.hits
+    assert tags["cut_pool_hits"] == last_solve["pool"].stats.hits
+    # The master starts with one root tangent per row plus the seeds.
+    tree = last_solve["tree"]
+    built_with = [c for c in tree.problem.constraints if c.name.startswith("oa_")]
+    assert len(built_with) == nonlin + tags["cuts_seeded"]
     assert 1 <= tags["lazy_rounds"] <= sol.stats.nodes_explored
     # Each lazy round solves one fixed-integer subproblem; the root is the rest.
     assert tags["lazy_rounds"] == sol.stats.nlp_solves - 1

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.minlp import solve_milp
 from repro.minlp.brute import solve_brute_force
-from repro.minlp.ecp import solve_minlp_ecp
 from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp, solve_problem_lp
 from repro.minlp.modeling import Model
 from repro.minlp.nlpbb import solve_minlp_nlpbb
@@ -149,8 +148,8 @@ def test_incremental_lp_crossed_override_infeasible():
 @given(data=st.data())
 def test_all_solvers_agree_on_random_allocation_minlp(data):
     """Random HSLB-family instances: min-max allocation over 2-3 components
-    with Amdahl curves; OA single-tree, OA multi-tree, NLP-BB, and ECP must
-    all match brute-force enumeration."""
+    with Amdahl curves; OA single-tree, OA multi-tree and NLP-BB must all
+    match brute-force enumeration."""
     k = data.draw(st.integers(2, 3), label="k")
     budget = data.draw(st.integers(k + 2, 16), label="budget")
     params = [
@@ -176,7 +175,6 @@ def test_all_solvers_agree_on_random_allocation_minlp(data):
         solve_minlp_oa,
         solve_minlp_oa_multitree,
         solve_minlp_nlpbb,
-        solve_minlp_ecp,
     ):
         sol = solver(p)
         assert sol.status is Status.OPTIMAL, solver.__name__

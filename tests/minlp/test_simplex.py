@@ -1,7 +1,6 @@
 """The pure-Python simplex must agree with HiGHS."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.minlp import simplex
-from repro.minlp.cutpool import OACutPool
 from repro.minlp.linprog import LinearProgram, solve_lp
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.simplex import solve_lp_simplex
 from repro.minlp.solution import Status
-from repro.service.solver import build_problem
-from tests.minlp.test_engine_independence import _request_pool
+from tests.minlp.test_engine_independence import TABLE3_BLOCKS, _table3_problem
 
 
 def _lp(c, A, row_lb, row_ub, var_lb, var_ub, **kw):
@@ -154,25 +151,30 @@ def test_tiny_coefficient_is_kept_by_the_simplex():
 
 
 def test_a_warm_start_never_calls_a_feasible_lp_infeasible(monkeypatch):
-    """One serving family's four min-max budgets, solved by OA against one
-    shared cut pool, components in canonical order: the 96-node tree's warm
-    bases are ill-conditioned (condition numbers 2e10-5e12), and the dual
-    simplex once read three of its feasible node LPs as infeasible off the
-    refactorized tableau — the tree came back empty, "infeasible (tree
-    exhausted)".  Every warm-started LP must get HiGHS's status."""
-    warm = []
-    real = simplex.solve_lp_simplex
+    """Table III's eighth-32768 block, solved by OA as the pipeline does: its
+    tree meets warm bases off which the dual simplex reads feasible node LPs
+    as infeasible (a serving-pool basis of condition number 5e12 once did,
+    and the tree came back empty, "infeasible (tree exhausted)").  Those
+    reads must go to a cold re-solve, so every warm-started LP gets HiGHS's
+    status — and the block must still exercise that path."""
+    warm, infeasible_reads = [], []
+    real_solve, real_dual = simplex.solve_lp_simplex, simplex._dual_phase
 
     def spy(lp, basis=None):
-        res = real(lp, basis=basis)
+        res = real_solve(lp, basis=basis)
         if basis is not None:
             warm.append((lp, res.status))
         return res
 
+    def dual(*args):
+        status, pivots = real_dual(*args)
+        if status is Status.INFEASIBLE:
+            infeasible_reads.append(status)
+        return status, pivots
+
     monkeypatch.setattr(simplex, "solve_lp_simplex", spy)
-    pool = OACutPool()
-    for request in _request_pool()[:4]:
-        problem = build_problem(replace(request, objective="min-max"))
-        assert solve_minlp_oa(problem, cut_pool=pool).status.is_ok
-    assert warm
+    monkeypatch.setattr(simplex, "_dual_phase", dual)
+    index = [block[0] for block in TABLE3_BLOCKS].index("eighth-32768")
+    assert solve_minlp_oa(_table3_problem(index)).status is Status.OPTIMAL
+    assert infeasible_reads
     assert [status for _, status in warm] == [solve_lp(lp).status for lp, _ in warm]
