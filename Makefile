@@ -65,17 +65,14 @@ faults-bench:
 # Everything about the serving path, one target (it is one path): the
 # service/chaos/tier test suites and the commands users type at them
 # (`hslb serve` / `batch` / `chaos`), the two service benchmarks with their
-# regression gates (Zipf-mix records vs. BENCH_service.json; keyed-burst
-# accounting vs. BENCH_asyncserve.json: lost requests pinned at 0, one solve
-# per distinct request), and a 250-request chaos soak through two
-# supervised worker processes that fails if any request is lost or if
-# benchmarks/out/chaos_metrics.json, which it writes, records no real
-# worker death.  Where a request runs: min-max / max-min on the event loop
-# in every worker mode; min-sum (it builds a MINLP) on its shard's thread,
-# and from there, in process mode, on the shard's worker, forked at the
-# shard's first min-sum request — so half the soak's mix is min-sum.
-# Wall-clock lives in the end-to-end ledger; compare a change in
-# alternating parent/change pairs of
+# deterministic regression gates (Zipf-mix hit rate and bit-identical replay
+# vs. BENCH_service.json; keyed-burst accounting vs. BENCH_asyncserve.json:
+# lost requests pinned at 0, one solve per distinct request), and a
+# 250-request in-process chaos soak over all three objectives that fails if
+# any request is lost or if benchmarks/out/chaos_metrics.json, which it
+# writes, counts no injected crash.  Every request is answered on the tier's
+# event loop.  Wall-clock lives in the end-to-end ledger; compare a change
+# in alternating parent/change pairs of
 #   python3 benchmarks/e2e/run.py --workload serve_flash --trace 0 --seed S --out FILE
 serving:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/service tests/faults/test_chaos_plan.py tests/minlp/test_warm_start.py tests/cli/test_serving.py tests/cli/test_parser.py -q
@@ -90,16 +87,16 @@ serving:
 	$(PYTHON) benchmarks/check_bench.py --fresh benchmarks/out/BENCH_asyncserve.fresh.json \
 		--baseline benchmarks/out/BENCH_asyncserve.json
 	rm -f benchmarks/out/BENCH_asyncserve.fresh.json
-	PYTHONPATH=src $(PYTHON) -m repro chaos --requests 250 --workers 2 --deadline 10 \
+	PYTHONPATH=src $(PYTHON) -m repro chaos --requests 250 \
 		--chaos-seed 20260808 --metrics-out benchmarks/out/chaos_metrics.json
 	$(PYTHON) -c "import json; s = json.load(open('benchmarks/out/chaos_metrics.json')); r = s['resilience']; \
-		assert r['worker_crashes'] > 0 and r['worker_restarts'] > 0, ('the soak killed no worker process', r); \
+		assert r['worker_crashes'] > 0, ('the soak injected no crash', r); \
 		assert s['requests'] + s['coalesce']['riders'] == 250, ('lost requests', s)"
 
 # The one metrics stack, one list: the obs suites plus the two service
 # suites that pin it (the view over a registry scope; scrape == tier
-# snapshot == shard views under chaos in every worker mode), and the
-# `hslb trace` / `top` / `metrics` commands.  CI calls this.
+# snapshot == shard views under chaos), and the `hslb trace` / `top` /
+# `metrics` commands.  CI calls this.
 obs-test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/obs tests/service/test_metrics.py tests/service/test_tier_chaos.py tests/cli/test_obs.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -q -k "trace or top"

@@ -52,12 +52,12 @@ class GateRule:
 #:   losing the seeded master or the nonlinear-only cut key costs ~2.5x);
 #: * ``dynlb_total_*`` — *simulated* seconds under the keyed-RNG workload,
 #:   deterministic, so a regression is an algorithmic change;
-#: * ``service_*`` — the allocation-service Zipf-mix records; the
-#:   throughput-flavoured ones gate in the "higher" direction, and
-#:   ``service_replay_mismatches`` pins bit-identical replay at exactly 0;
-#: * ``asyncserve_*`` — the async tier under a keyed burst; accounting
-#:   records (lost/answered/dedup rate) are deterministic and gate tight,
-#:   wall-time records gate loose (the e2e ledger owns wall-clock);
+#: * ``service_*`` — the allocation-service Zipf-mix records, all
+#:   deterministic: the hit rate, and ``service_replay_mismatches`` pinning
+#:   bit-identical replay at exactly 0;
+#: * ``asyncserve_*`` — the async tier under a keyed burst; its accounting
+#:   records (lost/answered/dedup rate) are deterministic and gate tight
+#:   (the e2e ledger owns wall-clock);
 #: * ``obs_*`` — tracing-overhead contracts; their committed baselines ARE
 #:   the contract values (disabled-guard fraction 0.05, enabled ratio 1.5),
 #:   so with threshold 1.0 the gate fails exactly when a fresh run exceeds
@@ -71,17 +71,11 @@ GATED = (
     GateRule("test_layout1_full_solve"),
     GateRule("test_oa_master_iterations*"),
     GateRule("dynlb_total_*"),
-    GateRule("service_throughput_rps", "higher", 3.0),
-    GateRule("service_speedup", "higher", 2.0),
     GateRule("service_hit_rate", "higher", 1.2),
     GateRule("service_replay_mismatches", "lower", 1.0),
-    GateRule("asyncserve_throughput_rps", "higher", 2.0),
     GateRule("asyncserve_lost_requests", "lower", 1.0),
     GateRule("asyncserve_answered", "higher", 1.01),
     GateRule("asyncserve_dedup_rate", "higher", 1.01),
-    GateRule("asyncserve_p50", "lower", 3.0),
-    GateRule("asyncserve_p99", "lower", 3.0),
-    GateRule("asyncserve_p999", "lower", 3.0),
     GateRule("obs_disabled_overhead_fraction", "lower", 1.0),
     GateRule("obs_enabled_overhead_ratio", "lower", 1.0),
 )

@@ -53,9 +53,6 @@ def main(argv=None) -> int:
     trace.add_argument("--flash-magnitude", type=float, default=4.0)
     tier = parser.add_argument_group("tier")
     tier.add_argument("--shards", type=int, default=4)
-    tier.add_argument(
-        "--worker-mode", choices=("thread", "process", "inline"), default="thread"
-    )
     tier.add_argument("--no-coalesce", action="store_true")
     tier.add_argument(
         "--max-pending",
@@ -70,7 +67,6 @@ def main(argv=None) -> int:
         default=0.0,
         help="trace-time speedup; 0 replays the whole trace as one burst",
     )
-    run.add_argument("--deadline", type=float, default=None)
     run.add_argument("--out", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
 
@@ -89,16 +85,10 @@ def main(argv=None) -> int:
     max_pending = args.max_pending or 2 * len(events)
     config = TierConfig(
         shards=args.shards,
-        worker_mode=args.worker_mode,
         coalesce=not args.no_coalesce,
         admission=AdmissionPolicy(max_pending=max_pending),
     )
-    report = replay(
-        AsyncServingTier(config),
-        events,
-        speed=args.speed,
-        deadline=args.deadline,
-    )
+    report = replay(AsyncServingTier(config), events, speed=args.speed)
     payload = report.snapshot()
     payload["trace_priorities"] = priority_histogram(events)
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -10,13 +10,13 @@ optimizer:
 1. **fingerprint cache** — identical problems (any component order, any
    last-bit float noise) share one cache slot; hits are bit-identical to
    the solve that produced them and cost microseconds;
-2. **the solver follows the objective** — a request is one budget row over
-   fitted curves, the family §III-E says needs no MINLP: min-max (the
-   default) and max-min are answered directly and exactly by
-   ``repro.core.greedy`` (0 iterations, a fraction of a millisecond); only
-   min-sum builds a MINLP, solved from the request alone — a miss never
-   borrows from what the cache already holds, so every answer is the one a
-   fresh solve would give;
+2. **no MINLP** — a request is one budget row over fitted curves, the
+   family §III-E says "can be solved in polynomial time with customized
+   solvers": every objective is answered directly and exactly by
+   ``repro.core.greedy`` (the heap for min-max, the default; level sets
+   for max-min; marginal gain for min-sum — 0 iterations, a fraction of a
+   millisecond), from the request alone: every answer is the one a fresh
+   solve would give;
 3. **batches**           — ``run_requests`` answers a whole request list
    through the serving tier in one call: duplicates share one solve,
    answers come back in input order.
@@ -64,17 +64,17 @@ def main() -> None:
           f"({again.latency * 1e3:.3f} ms, bit-identical: "
           f"{again.allocation == first.allocation and again.objective == first.objective})")
 
-    # -- 2. min-sum builds a MINLP, from the request alone ---------------
+    # -- 2. min-sum by marginal gain, from the request alone -------------
     print()
     for nodes in (64, 72):
         solved = service.submit(request(nodes, "min-sum"))
         print(f"min-sum, {nodes} nodes: {solved.allocation}  "
               f"sum T={solved.objective:.2f}s  ({solved.latency * 1e3:.1f} ms, "
-              f"{solved.iterations} iterations: a MINLP)")
+              f"{solved.iterations} iterations: marginal gain)")
 
     # -- 3. batch: a min-sum machine-size sweep with duplicates, one call --
     sweep = [request(n, "min-sum") for n in (48, 56, 64, 64, 80, 96, 96, 128)]
-    tier = AsyncServingTier(TierConfig(shards=1, worker_mode="inline"))
+    tier = AsyncServingTier(TierConfig(shards=1))
     responses = run_requests(tier, sweep)
     print("\nmachine-size sweep (duplicates answered from cache):")
     for req, resp in zip(sweep, responses):

@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Crash-and-recover: the resilient serving tier under injected faults.
 
-The plain :class:`AllocationService` assumes solves finish.  In a real
-deployment workers crash mid-solve, hang past any reasonable budget, and
-occasionally return garbage.  This example walks the resilience stack:
+The plain :class:`AllocationService` assumes solves finish.  A
+:class:`~repro.faults.ChaosPlan` makes them crash, hang, come back slow or
+return garbage — typed, in-process, seeded — and this example walks the
+resilience stack that absorbs it:
 
-1. **retries** — a crashed solve is re-dispatched (solves are
-   fingerprint-seeded and idempotent) with deterministic backoff;
+1. **retries** — a crashed solve is run again at once (solves are
+   fingerprint-seeded and idempotent);
 2. **degradation ladder** — when exact solving is unavailable the request
    walks explicit rungs: stale cache entry (age attached) -> greedy
    approximation -> typed rejection; every answer carries its ``source``;
-3. **circuit breaker** — a request family that keeps killing workers is
-   short-circuited straight to the ladder instead of burning more workers;
-4. **supervised workers** — the serving tier in process mode: a real
-   worker process killed mid-solve is contained to its shard, replaced
-   under a restart budget, and the victim request re-dispatched — without
-   restarting the service.  (Min-sum requests: only what builds a MINLP is
-   shipped to a worker; min-max / max-min are answered on the event loop.)
+3. **circuit breaker** — a request family whose solves keep dying is
+   short-circuited straight to the ladder instead of burning more retries;
+4. **the serving tier** — a sharded batch of all three objectives under a
+   crash storm: every request is retried to an exact answer, none is lost.
 
 Usage:  python examples/resilient_service.py
 """
@@ -62,9 +60,8 @@ def show(label: str, response) -> None:
 
 def main() -> None:
     policy = ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=3, base_delay=0.01),
+        retry=RetryPolicy(max_attempts=3),
         max_stale=3600.0,
-        restart_budget=8,
     )
 
     # -- 1. retries: every first attempt crashes, every retry lands -------
@@ -103,26 +100,26 @@ def main() -> None:
           f"greedy={service.metrics.degraded_greedy} "
           f"breaker blocks={service.metrics.breaker_blocks}")
 
-    # -- 4. supervised workers: a real worker death, recovered ------------
-    print("\n== supervised workers: real worker crashes, batch recovers ==")
+    # -- 4. the serving tier: a crash storm over all three objectives -----
+    print("\n== serving tier: crashed solves retried, batch recovers ==")
     tier = AsyncServingTier(
         TierConfig(
             shards=2,
-            worker_mode="process",
             resilience=policy,
             chaos=ChaosPlan(seed=5, crash_rate=0.9, immune_after=1),
         )
     )
-    responses = run_requests(
-        tier,
-        [request(n, objective="min-sum") for n in (24, 32, 40, 56)],
-        deadline=30.0,
-    )
+    batch = [
+        request(n, objective=objective)
+        for objective in ("min-max", "max-min", "min-sum")
+        for n in (24, 40)
+    ]
+    responses = run_requests(tier, batch)
     for r in responses:
         show("recovered batch", r)
     m = tier.snapshot()["resilience"]
-    print(f"worker crashes: {m['worker_crashes']}, replacements: "
-          f"{m['worker_restarts']}, all answered: {len(responses) == 4}")
+    print(f"crashes: {m['worker_crashes']}, retries: {m['retries']}, "
+          f"all answered: {len(responses) == len(batch)}")
 
 
 if __name__ == "__main__":

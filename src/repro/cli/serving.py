@@ -23,10 +23,6 @@ from repro.cli._common import (
     usage_errors,
 )
 
-#: How long an injected hang sleeps in a worker process: far below
-#: ``ChaosPlan.hang_seconds``' 30 s, so a soak spends its wall time on requests.
-_CHAOS_HANG_SECONDS = 2.0
-
 #: What ``hslb chaos`` injects when no ``--chaos-*-rate`` is given: a soak
 #: with nothing injected proves nothing.  Any rate implies the resilient
 #: path, so the soak never runs without it.
@@ -37,15 +33,11 @@ _DEFAULT_SOAK_RATES = dict(
     chaos_corrupt_rate=0.05,
 )
 
+_SOAK_OBJECTIVES = ("min-max", "max-min", "min-sum")
+
 
 def _add_tier_args(parser: argparse.ArgumentParser) -> None:
     """The flags every serving subcommand builds its tier from."""
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="per-request wall deadline in seconds",
-    )
     group = parser.add_argument_group("resilience (retry / breaker / degradation)")
     group.add_argument(
         "--resilient",
@@ -64,19 +56,19 @@ def _add_tier_args(parser: argparse.ArgumentParser) -> None:
         "--chaos-crash-rate",
         type=float,
         default=0.0,
-        help="probability a solve dies as a worker crash",
+        help="probability a solve attempt crashes (typed, in-process)",
     )
     group.add_argument(
         "--chaos-hang-rate",
         type=float,
         default=0.0,
-        help="probability a solve hangs until the harvest timeout",
+        help="probability a solve attempt hangs (typed, in-process)",
     )
     group.add_argument(
         "--chaos-slow-rate",
         type=float,
         default=0.0,
-        help="probability a solve is straggler-delayed",
+        help="probability a solve is straggler-delayed (booked, not slept)",
     )
     group.add_argument(
         "--chaos-corrupt-rate",
@@ -121,18 +113,6 @@ def register(sub) -> None:
         help="cache shards on the consistent-hash ring (async tier)",
     )
     tier.add_argument(
-        "--worker-mode",
-        choices=("auto", "thread", "process", "inline"),
-        default="auto",
-        help="where a shard's MINLP solves (min-sum) run: 'process' ships "
-        "them to one supervised worker per shard, forked at its first one "
-        "(parallel on multi-core hosts), 'thread' keeps them on the shard's "
-        "thread (best on one core), 'inline' is deterministic but blocks "
-        "the loop; 'auto' picks by host core count.  Min-max / max-min "
-        "requests are answered on the event loop in every mode: the "
-        "sub-millisecond heap is cheaper than any hop",
-    )
-    tier.add_argument(
         "--max-pending",
         type=int,
         default=1024,
@@ -161,13 +141,6 @@ def register(sub) -> None:
     bat.add_argument("requests", help="path to a JSON array of request objects")
     _add_tier_args(bat)
     bat.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes MINLP (min-sum) solves fan out to, one shard "
-        "each (0 = one inline shard; min-max / max-min never leave it)",
-    )
-    bat.add_argument(
         "--max-pending",
         type=int,
         default=1024,
@@ -190,13 +163,6 @@ def register(sub) -> None:
         type=int,
         default=200,
         help="how many requests the deterministic soak mix contains",
-    )
-    cha.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="supervised-pool size (0 = deterministic in-process chaos); "
-        "the soak's min-sum half ships to the workers and dies physically",
     )
     add_json_arg(cha)
     cha.add_argument(
@@ -226,14 +192,13 @@ def _chaos_plan(args: argparse.Namespace):
         immune_after=(
             None if args.chaos_immune_after < 0 else args.chaos_immune_after
         ),
-        hang_seconds=_CHAOS_HANG_SECONDS,
         **rates,
     )
     log.info(f"chaos plan: {chaos.describe()}")
     return chaos
 
 
-def _tier(args: argparse.Namespace, worker_mode: str, **config: object):
+def _tier(args: argparse.Namespace, **config: object):
     """The serving tier every service subcommand drives: ``config`` goes to
     ``TierConfig`` beside what the resilience and chaos flags ask for."""
     from repro.service import (
@@ -249,16 +214,12 @@ def _tier(args: argparse.Namespace, worker_mode: str, **config: object):
             config["resilience"] = ResiliencePolicy(
                 retry=RetryPolicy(max_attempts=max(1, args.retries))
             )
-        # "auto" leaves the mode to for_host (by core count).
-        if worker_mode != "auto":
-            config["worker_mode"] = worker_mode
-        return AsyncServingTier(TierConfig.for_host(chaos=chaos, **config))
+        return AsyncServingTier(TierConfig(chaos=chaos, **config))
 
 
-def _batch_tier(args: argparse.Namespace, max_pending: int, workers: int):
-    """A tier with all-or-nothing admission: ``workers=0`` solves inline on
-    one shard (deterministic, answers in input order), ``workers=N`` on N
-    shards that ship their MINLP solves to one supervised worker process each.
+def _batch_tier(args: argparse.Namespace, max_pending: int):
+    """One shard with all-or-nothing admission (deterministic, answers in
+    input order).
 
     The ``max_pending`` refusal is the only admission gate: every admitted
     request gets the exact path, none is degraded or shed by class.
@@ -273,18 +234,13 @@ def _batch_tier(args: argparse.Namespace, max_pending: int, workers: int):
                 DEFAULT_PRIORITY: ClassThresholds(degrade_at=1.0, shed_at=1.0)
             },
         )
-    return _tier(
-        args,
-        "process" if workers else "inline",
-        shards=max(1, workers),
-        admission=admission,
-    )
+    return _tier(args, shards=1, admission=admission)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """JSONL over stdio through the serving tier: plain ``serve`` is the
-    inline one-shard tier of ``batch --workers 0`` (one request at a time,
-    answers in input order), ``--async`` the sharded concurrent preset."""
+    one-shard tier of ``batch`` (answers in input order), ``--async`` the
+    sharded preset."""
     from repro.service import AdmissionPolicy, serve_stdio
 
     if args.use_async:
@@ -292,20 +248,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             admission = AdmissionPolicy(max_pending=args.max_pending)
         tier = _tier(
             args,
-            args.worker_mode,
             shards=args.shards,
             admission=admission,
             coalesce=not args.no_coalesce,
         )
     else:
-        tier = _batch_tier(args, args.max_pending, workers=0)
+        tier = _batch_tier(args, args.max_pending)
     with tracing(args.trace_out):
         served = serve_stdio(
-            tier,
-            sys.stdin,
-            sys.stdout,
-            deadline=args.deadline,
-            metrics_port=args.metrics_port,
+            tier, sys.stdin, sys.stdout, metrics_port=args.metrics_port
         )
     log.info(f"served {served} request(s)")
     if args.use_async:
@@ -330,9 +281,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         requests = [SolveRequest.from_dict(p) for p in payloads]
     except ServiceRequestError as exc:
         raise UsageError(str(exc)) from exc
-    tier = _batch_tier(args, args.max_pending, args.workers)
+    tier = _batch_tier(args, args.max_pending)
     try:
-        responses = run_requests(tier, requests, deadline=args.deadline)
+        responses = run_requests(tier, requests)
     except ServiceOverloadError as exc:
         log.error(str(exc))
         return 3
@@ -353,18 +304,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         raise UsageError("--requests must be >= 1")
     if not any(getattr(args, name) for name in _DEFAULT_SOAK_RATES):
         vars(args).update(_DEFAULT_SOAK_RATES)
-    tier = _batch_tier(args, max(args.requests, 1024), args.workers)
+    tier = _batch_tier(args, max(args.requests, 1024))
     # Cycle the load generator's pool (families x node budgets).  Repeats
     # are intentional: they exercise the cache and dedup paths while the
-    # distinct requests exercise solves.  Every other entry
-    # is made min-sum: with ``--workers N`` only a request that builds a
-    # MINLP ships to a worker process, so an all-min-max soak would kill none.
+    # distinct requests exercise solves.  The entries cycle through the
+    # three objectives, so every solver takes the faults.
     pool = [
-        replace(request, objective="min-sum") if index % 2 else request
+        replace(request, objective=_SOAK_OBJECTIVES[index % 3])
         for index, request in enumerate(request_pool(TraceSpec()))
     ]
     requests = [pool[i % len(pool)] for i in range(args.requests)]
-    responses = run_requests(tier, requests, deadline=args.deadline)
+    responses = run_requests(tier, requests)
     sources = Counter(r.source for r in responses)
     snapshot = tier.snapshot()
     if args.metrics_out:

@@ -16,7 +16,11 @@ supply the benchmarking, model-building, and execution callbacks.
 """
 
 from repro.core.builder import AllocationModelBuilder, DiscreteNodeSet
-from repro.core.greedy import greedy_minmax_allocation, maxmin_allocation
+from repro.core.greedy import (
+    greedy_minmax_allocation,
+    maxmin_allocation,
+    minsum_allocation,
+)
 from repro.core.hslb import HSLBConfig, HSLBOptimizer, HSLBResult
 from repro.core.objectives import Objective
 from repro.core.predictor import (
@@ -44,6 +48,7 @@ __all__ = [
     "component_swap_effect",
     "greedy_minmax_allocation",
     "maxmin_allocation",
+    "minsum_allocation",
     "optimal_job_size",
     "sweep_machine_sizes",
 ]

@@ -108,6 +108,7 @@ class AllocationModelBuilder:
         self._node_vars: dict[str, VarRef] = {}
         self._time_exprs: dict[str, Expr] = {}
         self._models: dict[str, PerformanceModel] = {}
+        self._caps: dict[str, int] = {}  # the largest count each may take
         self._objective_installed = False
 
     # -- components ------------------------------------------------------
@@ -144,6 +145,7 @@ class AllocationModelBuilder:
             raise ValueError(f"unknown encoding {encoding!r}")
         if allowed is None:
             hi = self.total_nodes if max_nodes is None else int(max_nodes)
+            self._caps[name] = hi
             n = self.model.integer_var(f"n_{name}", max(1, int(min_nodes)), hi)
         else:
             n = self._discrete_node_var(name, allowed, max_nodes, encoding)
@@ -163,6 +165,7 @@ class AllocationModelBuilder:
                 f"(set minimum is {allowed.min})"
             )
         trimmed = DiscreteNodeSet(tuple(usable))
+        self._caps[name] = trimmed.max
         if encoding == "value":
             return self._value_encoded_var(name, trimmed)
         runs = trimmed.runs()
@@ -240,10 +243,24 @@ class AllocationModelBuilder:
             self.model.add(total <= self.total_nodes, "machine_capacity")
 
     def time_upper_bound(self) -> float:
-        """A safe upper bound on any component time: T_j at its minimum nodes."""
-        worst = 0.0
-        for name, model in self._models.items():
-            worst = max(worst, float(model.time(1)))
+        """A safe upper bound on any component time, with room to spare.
+
+        Each curve is unimodal, so on ``[1, cap_j]`` — which holds the
+        component's whole node range — it peaks at an end: ``T_j(1)`` or,
+        once the range reaches past the sweet spot, ``T_j(cap_j)``.
+        Bounding by ``T_j(1)`` alone, as this once did, cut off feasible
+        allocations whose floor sits past the sweet spot (OA then answered
+        them "infeasible").  The floor itself would give a tighter bound,
+        but a tighter bound changes the OA tree on every pipeline block with
+        floors above one node.
+        """
+        worst = max(
+            (
+                max(float(model.time(1)), float(model.time(self._caps[name])))
+                for name, model in self._models.items()
+            ),
+            default=0.0,
+        )
         return 2.0 * worst + 1.0
 
     def set_objective(self, objective: Objective = Objective.MIN_MAX) -> VarRef | None:

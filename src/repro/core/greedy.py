@@ -5,18 +5,19 @@ constrained MINLPs with non-increasing objectives, can be solved in
 polynomial time with customized solvers [Ibaraki & Katoh]".  This module is
 that customized solver for the FMO-style family — one budget row
 ``sum_j n_j <= N`` over integer ``n_j`` in ``[min_nodes_j, max_nodes_j]``,
-each ``T_j(n) = a/n + b n^c + d`` unimodal — under the two §III-D objectives
-that compare components: :func:`greedy_minmax_allocation` (the classic heap,
-run as one top-B selection) and :func:`maxmin_allocation` (a threshold
-search over level sets, for the one objective the heap cannot do and whose
-MINLP form is nonconvex).  Both are exact with floors and caps, and checked
-against brute force, OA on the same problem and an independent DP
+each ``T_j(n) = a/n + b n^c + d`` unimodal — under all three §III-D
+objectives: :func:`greedy_minmax_allocation` (the classic heap, run as one
+top-B selection), :func:`maxmin_allocation` (a threshold search over level
+sets, for the objective the heap cannot do and whose MINLP form is
+nonconvex) and :func:`minsum_allocation` (marginal gain, the Fox /
+Ibaraki–Katoh greedy for separable convex resource allocation, run as the
+same top-B selection).  All three are exact with floors and caps, and
+checked against brute force, OA on the same problem and an independent DP
 (``tests/core/test_greedy.py``, ``tests/service/test_greedy_rung.py``,
 ``tests/fmo/test_direct_oracle.py``).  :func:`direct_allocation` picks
 between them by objective.  They serve three roles:
 
-* the answer itself wherever the problem *is* this family, selected by
-  ``Objective.has_direct_solver``: every min-max and max-min
+* the answer itself wherever the problem *is* this family: every
   ``solve_request`` (a served request is one budget row with box bounds),
   ``hslb_schedule``, the two-phase monomer sizing
   (``hslb_two_phase_schedule``) and the dynlb re-solve
@@ -24,7 +25,7 @@ between them by objective.  They serve three roles:
   dynlb's step-0 plan and its crash re-plan;
 * the last rung of both degradation ladders (the pipeline's
   ``fallback_allocation`` and the service's ``greedy_outcome``, which adds
-  the request's node bounds);
+  the request's node bounds and the request's objective);
 * a cross-check of HSLB's general MINLP route where both apply (general
   layouts with sequencing constraints and SOS node sets are beyond their
   reach — that is why the paper needs MINLP at all).  The tests run it one
@@ -96,40 +97,90 @@ def greedy_minmax_allocation(
     The grants are not made one by one.  Granting node ``n + 1`` is an
     *event* whose key is ``T(n)``; a component's keys only fall until its
     cap, so the greedy grants the ``B`` events with the largest keys (``B``
-    the spare budget): ``np.partition`` finds the ``B``-th largest key,
-    every component takes its events above it, and the events *at* it go
-    out by name, which is the order a max-heap on ``(T, name)`` pops them in.
-    A key that rises by float round-off near the sweet spot would be popped
-    right after the lower key before it, so each component's keys are
-    replaced by their running minimum first; that leaves the grant order
-    unchanged.  ``tests/core/test_greedy.py`` keeps the heap as the oracle.
+    the spare budget; :func:`_grant_top`).  A key that rises by float
+    round-off near the sweet spot would be popped right after the lower key
+    before it, so each component's keys are replaced by their running
+    minimum first; that leaves the grant order unchanged.
+    ``tests/core/test_greedy.py`` keeps the heap as the oracle.
 
     Returns ``(allocation, makespan)``.
+    """
+
+    def keys(model: PerformanceModel, floor: int, top: int) -> np.ndarray:
+        return np.minimum.accumulate(model.time(np.arange(floor, top)))
+
+    alloc = _grant_top(models, total_nodes, min_nodes, max_nodes, keys)
+    return alloc, max(float(models[n].time(k)) for n, k in alloc.items())
+
+
+def minsum_allocation(
+    models: Mapping[str, PerformanceModel],
+    total_nodes: int,
+    *,
+    min_nodes: Mapping[str, int] | None = None,
+    max_nodes: Mapping[str, int | None] | None = None,
+) -> tuple[dict[str, int], float]:
+    """Exact min-sum allocation by marginal gain (Fox; Ibaraki & Katoh).
+
+    Each component starts at its floor; the budget goes one node at a time
+    to the component whose time the node lowers most, ``T(n) - T(n + 1)``,
+    ties to the first name, while that gain is positive — so the budget
+    need not be spent, and no component passes its integer sweet spot.  The
+    greedy is exact when every gain sequence is non-increasing, i.e. each
+    curve is discretely convex where the greedy walks.  It is for every
+    curve the family admits: ``T''(n) = 2a/n^3 - bc(1-c) n^(c-2)`` and the
+    sweet spot ``n*`` satisfies ``bc n*^(c+1) = a``, so for ``c < 1``
+    ``T'' > 0`` on ``(0, n*]`` and on to at least ``2 n*`` (the integer
+    sweet spot lies below ``n* + 1``); for ``c >= 1`` every term is convex.
+
+    The grants are the same top-B selection as
+    :func:`greedy_minmax_allocation`, keyed by the gains, each component's
+    gains replaced by their running minimum against round-off.
+
+    Returns ``(allocation, summed time)``.
+    """
+
+    def keys(model: PerformanceModel, floor: int, top: int) -> np.ndarray:
+        gains = np.minimum.accumulate(-np.diff(model.time(np.arange(floor, top + 1))))
+        return gains[gains > 0]  # a prefix: the gains only fall
+
+    alloc = _grant_top(models, total_nodes, min_nodes, max_nodes, keys)
+    return alloc, sum(float(models[n].time(k)) for n, k in alloc.items())
+
+
+def _grant_top(models, total_nodes, min_nodes, max_nodes, keys) -> dict[str, int]:
+    """Grant the spare budget ``B`` to the events with the largest keys.
+
+    ``keys(model, floor, top)`` lists, non-increasing, the keys of granting
+    node ``n + 1`` for ``n`` from ``floor`` on and short of ``top``, the
+    last reachable count: the cap, the integer sweet spot or the floor plus
+    ``B``, whichever is least.  ``np.partition`` finds the ``B``-th
+    largest key, every component takes its events above it, and the events
+    *at* it go out by name — the order a max-heap on ``(key, name)`` pops
+    them in.
     """
     floors, hard_cap = _node_bounds(models, total_nodes, min_nodes, max_nodes)
     budget = total_nodes - sum(floors.values())
     names = sorted(models)
-    # One vectorised evaluation per component over the events it can reach.
-    keys = []
+    tables = []
     for name in names:
         model, floor = models[name], floors[name]
-        cap = min(hard_cap[name], _sweet_spot(model, total_nodes), floor + budget)
-        times = model.time(np.arange(floor, max(floor, cap)))
-        keys.append(np.minimum.accumulate(times))
-    grants = [len(k) for k in keys]
-    events = np.concatenate(keys)
+        top = min(hard_cap[name], _sweet_spot(model, total_nodes), floor + budget)
+        tables.append(keys(model, floor, max(floor, top)))
+    grants = [len(k) for k in tables]
+    events = np.concatenate(tables)
     if events.size > budget:  # else every event fits: each component hits its cap
         level = np.partition(events, events.size - budget)[events.size - budget]
-        grants = [int(np.count_nonzero(k > level)) for k in keys]
+        grants = [int(np.count_nonzero(k > level)) for k in tables]
         spare = budget - sum(grants)
-        for j, k in enumerate(keys):
+        for j, k in enumerate(tables):
             tied = min(spare, int(np.count_nonzero(k == level)))
             grants[j] += tied
             spare -= tied
     alloc = {name: floors[name] for name in models}
     for name, granted in zip(names, grants):
         alloc[name] += granted
-    return alloc, max(float(models[n].time(k)) for n, k in alloc.items())
+    return alloc
 
 
 def _true_runs(mask: np.ndarray, first: int) -> _Runs:
@@ -229,16 +280,15 @@ def direct_allocation(
     min_nodes: Mapping[str, int] | None = None,
     max_nodes: Mapping[str, int | None] | None = None,
 ) -> tuple[dict[str, int], float]:
-    """One budget row answered without a tree: level sets for max-min, the
-    min-max heap for everything else.
+    """One budget row answered exactly without a tree: level sets for
+    max-min, marginal gain for min-sum, the heap for min-max.
 
-    Exact wherever ``objective.has_direct_solver``; for min-sum the heap's
-    allocation is only a feasible answer (the service's ``greedy`` rung).
-    Returns the allocation and the selected solver's value: the makespan
-    from the heap, the floor from the level sets.
+    Returns the allocation and its objective value: the makespan, the floor
+    or the summed time.
     """
-    allocate = (
-        maxmin_allocation if objective is Objective.MAX_MIN
-        else greedy_minmax_allocation
-    )
+    allocate = {
+        Objective.MIN_MAX: greedy_minmax_allocation,
+        Objective.MAX_MIN: maxmin_allocation,
+        Objective.MIN_SUM: minsum_allocation,
+    }[objective]
     return allocate(models, total_nodes, min_nodes=min_nodes, max_nodes=max_nodes)

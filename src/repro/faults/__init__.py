@@ -11,7 +11,7 @@ Everything is seeded and deterministic: a :class:`FaultPlan` with the same
 seed injects byte-identical faults, so every degraded run is reproducible.
 """
 
-from repro.faults.chaos import ChaosPlan, chaos_pool_solve, chaotic_solve
+from repro.faults.chaos import ChaosPlan, chaotic_solve
 from repro.faults.plan import (
     BenchmarkFault,
     BenchmarkRunError,
@@ -27,6 +27,5 @@ __all__ = [
     "FaultInjectionError",
     "FaultPlan",
     "NodeCrashError",
-    "chaos_pool_solve",
     "chaotic_solve",
 ]

@@ -3,9 +3,9 @@
 * :func:`hslb_schedule` — the paper's algorithm: one group per fragment,
   sized globally (min-max over ``T_i(n_i)`` with ``sum n_i <= N``).  That
   is one budget row, which §III-E says "can be solved in polynomial time
-  with customized solvers": min-max and max-min are answered exactly by
-  :func:`repro.core.greedy.direct_allocation` (the heap, the level sets),
-  and only min-sum builds the MINLP and runs LP/NLP branch-and-bound.
+  with customized solvers": every objective is answered exactly by
+  :func:`repro.core.greedy.direct_allocation` (the heap, the level sets,
+  marginal gain).
 * :func:`uniform_static_schedule` — naive SLB: equal groups, fragments dealt
   round-robin with no regard for size.
 * :func:`greedy_dynamic_schedule` — idealized DLB: equal groups, fragments
@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.builder import AllocationModelBuilder
 from repro.core.greedy import direct_allocation
 from repro.core.objectives import Objective
 from repro.fmo.gddi import GroupSchedule, even_group_sizes
 from repro.fmo.molecules import FragmentedSystem
 from repro.fmo.timing import total_fragment_model
-from repro.minlp import solve
 from repro.minlp.solution import Solution, Status
 from repro.perf.model import PerformanceModel
 
@@ -53,22 +51,10 @@ def hslb_schedule(
             f"{total_nodes} nodes cannot host {system.n_fragments} one-fragment groups"
         )
     models = {f"frag{i}": m for i, m in fragment_models(system).items()}
-    if objective.has_direct_solver:
-        alloc, value = direct_allocation(objective, models, total_nodes)
-        values = {f"n_{name}": float(count) for name, count in alloc.items()}
-        sol = Solution(Status.OPTIMAL, values=values, objective=value)
-    else:
-        b = AllocationModelBuilder(f"fmo-{system.name}", total_nodes)
-        for name, model in models.items():
-            b.add_component(name, model)
-        # MIN_SUM never profits from extra nodes beyond each curve's
-        # minimum, so the cheaper-to-solve `<=` budget is equivalent.
-        b.limit_total_nodes()
-        b.set_objective(objective)
-        sol = solve(b.build()).require_ok()
-    sizes = tuple(
-        int(round(sol.values[f"n_frag{f.index}"])) for f in system.fragments
-    )
+    alloc, value = direct_allocation(objective, models, total_nodes)
+    values = {f"n_{name}": float(count) for name, count in alloc.items()}
+    sol = Solution(Status.OPTIMAL, values=values, objective=value)
+    sizes = tuple(alloc[f"frag{f.index}"] for f in system.fragments)
     schedule = GroupSchedule(
         group_sizes=sizes,
         assignment=tuple(range(system.n_fragments)),

@@ -7,8 +7,8 @@ service, built from small pieces:
   produces a nested span tree with wall-times, tags, and point events;
   span stacks live in :mod:`contextvars`, so concurrent asyncio tasks and
   threads each nest correctly, and every span carries
-  ``trace_id``/``span_id``/``parent_id`` — request trees are real trees,
-  stitched across process boundaries via :class:`TraceContext`.  Disabled
+  ``trace_id``/``span_id``/``parent_id`` — request trees are real trees
+  across tasks and threads.  Disabled
   (the default) it costs one attribute check and returns a shared no-op
   span, so instrumented hot paths stay hot.
 * :mod:`repro.obs.metrics` — registries of counters, gauges, and
@@ -43,10 +43,8 @@ from repro.obs.metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegist
 from repro.obs.slo import DEFAULT_TARGETS, SLOTarget, SLOTracker
 from repro.obs.trace import (
     Span,
-    TraceContext,
     Tracer,
     get_tracer,
-    run_traced_child,
     span,
     trace_event,
 )
@@ -61,12 +59,10 @@ __all__ = [
     "SLOTarget",
     "SLOTracker",
     "Span",
-    "TraceContext",
     "Tracer",
     "configure_logging",
     "get_logger",
     "get_tracer",
-    "run_traced_child",
     "set_verbosity",
     "span",
     "trace_event",

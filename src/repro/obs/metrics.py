@@ -417,7 +417,7 @@ REGISTRY = MetricsRegistry()
 
 
 def _fresh_locks_after_fork() -> None:
-    # Pool workers are forked while other threads may be mid-``inc``; a lock
+    # A child may be forked while other threads are mid-``inc``; a lock
     # copied in the held state would deadlock the child's first metric call.
     # Scopes are covered too: a write to one walks up to ``REGISTRY``.
     for registry in list(_LIVE):

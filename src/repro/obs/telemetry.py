@@ -58,11 +58,9 @@ CATALOGUE = (
     _histogram("service_request_seconds", "service-side latency of every booked request"),
     _counter("service_solve_iterations_total", "solver iterations of exact solves"),
     _histogram("service_tier_request_seconds", "end-to-end tier latency, queue wait included"),
-    _counter("service_timeouts_total", "solves that exhausted their wall budget"),
     _counter("service_overloads_total", "shed requests and refused batches"),
-    _counter("service_retries_total", "service solve re-dispatches"),
-    _counter("service_worker_failures_total", "worker crashes/hangs by kind", "kind"),
-    _counter("service_worker_restarts_total", "supervised worker replacements"),
+    _counter("service_retries_total", "service solve retries"),
+    _counter("service_worker_failures_total", "injected solve crashes/hangs by kind", "kind"),
     _counter("service_corruptions_total", "corrupt results caught by validation"),
     _counter("service_breaker_transitions_total", "breaker state changes", "to"),
     _counter("service_breaker_blocks_total", "requests blocked by an open breaker"),

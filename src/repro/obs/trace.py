@@ -25,13 +25,8 @@ open when the task was spawned), every thread still starts fresh, and a
 stack across ``run_in_executor`` hops.  Each span carries a ``trace_id``
 (shared by the whole request tree), its own ``span_id``, and its parent's
 ``parent_id`` — so a request's spans form a real tree even when parts of
-it were recorded in another task, thread, or process.
-
-**Cross-process spans.**  A :class:`TraceContext` serializes the current
-position in the tree; a worker process passes it to
-:func:`run_traced_child`, which records the worker-side spans under that
-parent and ships them back as dicts for the parent to graft with
-:meth:`Tracer.attach_remote`.
+it were recorded in another task or thread.  Nothing is grafted across
+processes: every served request is answered in the process that took it.
 
 Determinism contract: spans record wall-clock for *reporting only*.  No
 caller may branch on span state or timings, and nothing here touches RNG
@@ -44,9 +39,7 @@ import itertools
 import os
 import threading
 import time
-from collections.abc import Callable
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Any
 
 _ID_COUNTER = itertools.count(1)
@@ -56,37 +49,12 @@ _ID_LOCK = threading.Lock()
 def _next_id() -> str:
     """A process-unique id: ``<pid hex>-<counter hex>``.
 
-    The pid is read at mint time (not cached) so forked pool workers mint
-    ids in their own namespace even though they inherit the counter.
+    The pid is read at mint time (not cached), so a forked child mints ids
+    in its own namespace even though it inherits the counter.
     """
     with _ID_LOCK:
         n = next(_ID_COUNTER)
     return f"{os.getpid():x}-{n:x}"
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """A serializable position in a trace: enough to parent remote spans.
-
-    ``pid`` records the minting process so :func:`run_traced_child` can
-    tell a real process hop from an inline executor running in-process
-    (where the live tracer already records spans and must not be reset).
-    """
-
-    trace_id: str
-    span_id: str
-    pid: int
-
-    def to_dict(self) -> dict:
-        return {"trace_id": self.trace_id, "span_id": self.span_id, "pid": self.pid}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TraceContext":
-        return cls(
-            trace_id=str(payload["trace_id"]),
-            span_id=str(payload["span_id"]),
-            pid=int(payload.get("pid", -1)),
-        )
 
 
 class _NullSpan:
@@ -150,12 +118,6 @@ class Span:
         )
         return self
 
-    def context(self) -> TraceContext:
-        """This span as a propagatable parent (serialize for workers)."""
-        return TraceContext(
-            trace_id=self.trace_id, span_id=self.span_id, pid=os.getpid()
-        )
-
     def __enter__(self) -> "Span":
         self.start = self._tracer._clock()
         self._tracer._push(self)
@@ -211,9 +173,6 @@ class Tracer:
         self._stack_var: ContextVar[tuple[Span, ...]] = ContextVar(
             "hslb_span_stack", default=()
         )
-        self._remote_var: ContextVar[TraceContext | None] = ContextVar(
-            "hslb_remote_parent", default=None
-        )
         self._lock = threading.Lock()
         self._epoch = 0.0  # perf_counter at enable(); spans are relative
 
@@ -234,14 +193,13 @@ class Tracer:
     def reset(self) -> "Tracer":
         """Drop all recorded spans (does not change enabled state).
 
-        Re-minting the context variables is the only way to clear stacks
+        Re-minting the context variable is the only way to clear stacks
         captured in *other* contexts (tasks, threads) — stale values held
         there die with the old variable.
         """
         with self._lock:
             self.roots = []
         self._stack_var = ContextVar("hslb_span_stack", default=())
-        self._remote_var = ContextVar("hslb_remote_parent", default=None)
         self._epoch = time.perf_counter()
         return self
 
@@ -272,28 +230,6 @@ class Tracer:
         stack = self._stack_var.get()
         return stack[-1] if stack else None
 
-    def current_context(self) -> TraceContext | None:
-        """The position new child spans would attach to, if any.
-
-        The innermost open span wins; with no open span, an adopted remote
-        parent (see :meth:`adopt`) is returned so nested propagation hops
-        keep pointing at the original request.
-        """
-        current = self.current()
-        if current is not None:
-            return current.context()
-        return self._remote_var.get()
-
-    def adopt(self, context: TraceContext | None) -> None:
-        """Parent subsequent root spans *in this context* under ``context``.
-
-        Used by worker processes (via :func:`run_traced_child`) and by any
-        execution hop that cannot carry the live stack: spans recorded
-        afterwards keep the caller's ``trace_id`` and point their
-        ``parent_id`` at the serialized span.
-        """
-        self._remote_var.set(context)
-
     def _push(self, span: Span) -> None:
         stack = self._stack_var.get()
         if stack:
@@ -302,12 +238,7 @@ class Tracer:
             span.parent_id = parent.span_id
             parent.children.append(span)
         else:
-            remote = self._remote_var.get()
-            if remote is not None:
-                span.trace_id = remote.trace_id
-                span.parent_id = remote.span_id
-            else:
-                span.trace_id = _next_id()
+            span.trace_id = _next_id()
             with self._lock:
                 self.roots.append(span)
         self._stack_var.set(stack + (span,))
@@ -318,51 +249,6 @@ class Tracer:
             self._stack_var.set(stack[:-1])
         elif span in stack:  # unbalanced exit: recover rather than corrupt
             self._stack_var.set(tuple(s for s in stack if s is not span))
-
-    # -- remote span grafting ----------------------------------------------
-
-    def attach_remote(
-        self, records: list[dict], anchor: Span | None = None
-    ) -> list[Span]:
-        """Graft worker-shipped span dicts into the local tree.
-
-        ``records`` is the nested ``to_dict`` form produced by
-        :func:`run_traced_child` in another process.  Remote clocks differ
-        from ours, so the subtree is rebased: the earliest remote start
-        maps onto ``anchor.start`` (the dispatch span the work happened
-        inside).  Remote ids are preserved — the grafted spans keep their
-        worker-minted ``span_id``s and their ``parent_id`` links.
-        """
-        if not records:
-            return []
-        grafted = [self._revive(r) for r in records]
-        base = min(s.start for s in grafted)
-        offset = (anchor.start if anchor is not None else 0.0) - base
-        for root in grafted:
-            for s, _ in root.walk():
-                s.start += offset
-                if s.end is not None:
-                    s.end += offset
-            if anchor is not None:
-                if root.parent_id is None:
-                    root.parent_id = anchor.span_id
-                anchor.children.append(root)
-            else:
-                with self._lock:
-                    self.roots.append(root)
-        return grafted
-
-    def _revive(self, record: dict) -> Span:
-        span = Span(self, str(record["name"]), dict(record.get("tags", {})))
-        span.span_id = str(record.get("span_id") or span.span_id)
-        span.trace_id = str(record.get("trace_id", ""))
-        parent_id = record.get("parent_id")
-        span.parent_id = str(parent_id) if parent_id is not None else None
-        span.start = float(record.get("start", 0.0))
-        span.end = span.start + float(record.get("duration", 0.0))
-        span.events = [dict(e) for e in record.get("events", [])]
-        span.children = [self._revive(c) for c in record.get("children", [])]
-        return span
 
     # -- views ---------------------------------------------------------------
 
@@ -403,7 +289,7 @@ _TRACER = Tracer()
 
 
 def _fresh_locks_after_fork() -> None:
-    # Same hazard as the metrics registry: a pool worker forked while another
+    # Same hazard as the metrics registry: a child forked while another
     # thread mints a span id would inherit that lock held.
     global _ID_LOCK
     _ID_LOCK = threading.Lock()
@@ -427,33 +313,3 @@ def trace_event(name: str, **fields: Any) -> None:
     """Shortcut for ``get_tracer().event(...)``; no-op while disabled."""
     if _TRACER.enabled:
         _TRACER.event(name, **fields)
-
-
-def run_traced_child(
-    context: dict | None, fn: Callable[[], Any]
-) -> tuple[Any, list[dict] | None]:
-    """Run ``fn`` in a worker process under a shipped :class:`TraceContext`.
-
-    Returns ``(value, spans)`` where ``spans`` is the worker-side span
-    forest (nested dicts, parented under the context) for the dispatching
-    process to graft via :meth:`Tracer.attach_remote` — or ``None`` when no
-    context was shipped *or* we are still in the minting process (inline
-    executors): there the live tracer records spans directly and resetting
-    it would destroy the caller's trace mid-flight.
-    """
-    if context is None:
-        return fn(), None
-    ctx = TraceContext.from_dict(context)
-    if ctx.pid == os.getpid():
-        return fn(), None
-    tracer = get_tracer()
-    tracer.reset()
-    tracer.enable()
-    tracer.adopt(ctx)
-    try:
-        value = fn()
-    finally:
-        spans = tracer.to_dicts()
-        tracer.disable()
-        tracer.reset()
-    return value, spans

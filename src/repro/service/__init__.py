@@ -16,11 +16,8 @@ Layers (each its own module, composable in isolation):
   corruption validator, and the greedy approximate fallback;
 * :mod:`~repro.service.service`    — the one dispatch path: cache,
   breaker, retries, validation, metrics and the
-  degradation ladder (exact → stale → greedy → typed rejection), with the
-  solve itself run in-process or on a supervised worker;
-* :mod:`~repro.service.supervisor` — crash-isolating worker pool with
-  per-worker health and bounded restarts (the only owner of processes);
-* :mod:`~repro.service.retry`      — deterministic capped backoff;
+  degradation ladder (exact → stale → greedy → typed rejection);
+* :mod:`~repro.service.retry`      — how many attempts a request gets;
 * :mod:`~repro.service.breaker`    — per-family circuit breaker;
 * :mod:`~repro.service.sharding`   — consistent-hash ring placing request
   families onto cache shards;
@@ -35,8 +32,8 @@ Layers (each its own module, composable in isolation):
   diurnal + flash-crowd shapes) and async replay;
 * :mod:`~repro.service.metrics`    — :class:`ServiceMetrics`, a view over a
   scope of the :mod:`repro.obs.metrics` registry (shard → tier → process);
-* :mod:`~repro.service.errors`     — typed failures (timeout, overload,
-  rejection, worker crash/hang, restart-budget exhaustion).
+* :mod:`~repro.service.errors`     — typed failures (overload, rejection,
+  injected crash/hang).
 """
 
 from repro.service.admission import (
@@ -49,12 +46,10 @@ from repro.service.breaker import BreakerPolicy, CircuitBreaker
 from repro.service.cache import CacheStats, SolutionCache
 from repro.service.coalesce import FlightStats, SingleFlight
 from repro.service.errors import (
-    RestartBudgetError,
     ServiceError,
     ServiceOverloadError,
     ServiceRejectedError,
     ServiceRequestError,
-    ServiceTimeoutError,
     WorkerCrashError,
     WorkerHangError,
 )
@@ -79,11 +74,6 @@ from repro.service.retry import RetryPolicy
 from repro.service.service import AllocationService, ResiliencePolicy
 from repro.service.sharding import HashRing
 from repro.service.solver import SolveOutcome, greedy_outcome, solve_request
-from repro.service.supervisor import (
-    InlineExecutor,
-    SupervisedWorkerPool,
-    WorkerHealth,
-)
 
 __all__ = [
     "AdmissionController",
@@ -98,10 +88,8 @@ __all__ = [
     "ComponentSpec",
     "FlightStats",
     "HashRing",
-    "InlineExecutor",
     "ResiliencePolicy",
     "ReplayReport",
-    "RestartBudgetError",
     "RetryPolicy",
     "ServiceError",
     "ServiceMetrics",
@@ -109,18 +97,15 @@ __all__ = [
     "ServiceRejectedError",
     "ServiceRequestError",
     "ServiceResponse",
-    "ServiceTimeoutError",
     "SingleFlight",
     "SolutionCache",
     "SolveOutcome",
     "SolveRequest",
-    "SupervisedWorkerPool",
     "TierConfig",
     "TraceEvent",
     "TraceSpec",
     "WorkerCrashError",
     "WorkerHangError",
-    "WorkerHealth",
     "generate_trace",
     "greedy_outcome",
     "replay",

@@ -3,8 +3,8 @@ keeps killing solves.
 
 Requests in one *family* (same curves/objective/options, any node budget —
 see :meth:`repro.service.request.SolveRequest.family_key`) hit the same
-corner of the solver; when that corner reliably crashes or times out, every
-further exact attempt burns a worker and a deadline for nothing.  The
+corner of the solver; when that corner reliably crashes or hangs, every
+further exact attempt burns its retries for nothing.  The
 breaker is the classic three-state machine, per family key:
 
 * **closed** — normal operation; ``failure_threshold`` *consecutive* system
@@ -15,7 +15,7 @@ breaker is the classic three-state machine, per family key:
   pass through; ``successes_to_close`` probe successes close the breaker,
   one probe failure re-opens it (with a fresh timeout).
 
-Only system failures (crash, hang, timeout, corruption) count; a model
+Only system failures (crash, hang, corruption) count; a model
 that is legitimately infeasible is an *answer*, not a breaker event.
 """
 

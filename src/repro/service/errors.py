@@ -16,19 +16,6 @@ class ServiceRequestError(ServiceError):
     """A request that cannot be canonicalized or solved (caller's fault)."""
 
 
-class ServiceTimeoutError(ServiceError):
-    """A solve blew through its per-request deadline without an answer."""
-
-    def __init__(self, *, fingerprint: str, deadline: float, elapsed: float) -> None:
-        self.fingerprint = fingerprint
-        self.deadline = float(deadline)
-        self.elapsed = float(elapsed)
-        super().__init__(
-            f"request {fingerprint[:12]} missed its {self.deadline:.3g}s "
-            f"deadline ({self.elapsed:.3g}s elapsed, no incumbent)"
-        )
-
-
 class ServiceOverloadError(ServiceError):
     """The admission queue is full; the caller must back off and retry.
 
@@ -68,40 +55,20 @@ class ServiceRejectedError(ServiceError):
 
 
 class WorkerCrashError(ServiceError):
-    """A pool worker died mid-solve (process exit or injected crash)."""
+    """A solve died mid-flight (a chaos-injected crash)."""
 
-    def __init__(
-        self, *, worker_id: int, fingerprint: str = "", detail: str = ""
-    ) -> None:
-        self.worker_id = worker_id
+    def __init__(self, *, fingerprint: str = "", detail: str = "") -> None:
         self.fingerprint = fingerprint
         self.detail = detail
-        what = f" solving {fingerprint[:12]}" if fingerprint else ""
+        what = f" of {fingerprint[:12]}" if fingerprint else ""
         why = f": {detail}" if detail else ""
-        super().__init__(f"worker {worker_id} crashed{what}{why}")
+        super().__init__(f"solve{what} crashed{why}")
 
 
 class WorkerHangError(ServiceError):
-    """A pool worker stopped answering; its slot was killed and replaced."""
+    """A solve stopped answering (a chaos-injected hang)."""
 
-    def __init__(
-        self, *, worker_id: int, timeout: float | None, fingerprint: str = ""
-    ) -> None:
-        self.worker_id = worker_id
-        self.timeout = timeout
+    def __init__(self, *, fingerprint: str = "") -> None:
         self.fingerprint = fingerprint
-        what = f" on {fingerprint[:12]}" if fingerprint else ""
-        budget = f"{timeout:.3g}s" if timeout is not None else "its"
-        super().__init__(f"worker {worker_id} hung{what} past {budget} budget")
-
-
-class RestartBudgetError(ServiceError):
-    """Every slot of the supervised pool retired: its workers kept dying."""
-
-    def __init__(self, *, budget: int) -> None:
-        self.budget = budget
-        super().__init__(
-            f"supervised pool has no worker left (each slot failed more than "
-            f"{budget} time(s) in a row); remaining work must degrade or be "
-            "rejected"
-        )
+        what = f" of {fingerprint[:12]}" if fingerprint else ""
+        super().__init__(f"solve{what} hung")

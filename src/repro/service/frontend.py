@@ -9,8 +9,8 @@ breaker trips per family, and a family's traffic stays on the shard whose
 cache already holds its answers.  No solve reads another solve's state, so
 placement decides where an answer is cached, never what it is.
 **Fine level**: within a shard, requests are coalesced (single-flight: N
-identical in-flight requests ride one solve) and solved where they are
-cheapest to solve (below).
+identical in-flight requests ride one solve) and solved on the event loop
+(below).
 
 The layers, bottom-up::
 
@@ -23,41 +23,25 @@ The layers, bottom-up::
                 retries, validation, degradation ladder: every solve is
                 dispatched and booked by ``AllocationService.submit``
 
-**Where a request is answered.**  ``Objective.has_direct_solver`` is the
-one predicate.  A min-max or max-min request is answered by ``core.greedy``
-*on the event loop*, in every worker mode: the exact top-B heap is
-0.1-0.2 ms on served budgets, and a hop to the shard's thread costs more
-than that inside a burst (DESIGN.md, "Worker modes", has the numbers).  A
-request that builds a MINLP — min-sum today — goes to the shard's
-one-thread executor, so the loop stays responsive through milliseconds of
-tree search; the worker mode decides only where that thread sends it.
-``"thread"`` (default) solves it on the thread.  ``"process"`` ships it to
-one supervised worker process per shard, forked at the shard's first
-shipped solve — the parallel mode for MINLPs, since a branch-and-bound is
-GIL-bound Python; a worker that dies or hangs is replaced and the solve
-re-dispatched by the service's own retry loop.  ``"inline"`` runs every
-submit on the event loop — fully deterministic, the mode the tests use.
-All three modes give every request the same answer.  A tier that serves
-only direct objectives therefore starts no shard thread and forks no
-process, and, since a direct solve finishes before the next task runs, it
-is never *pending*: ``AdmissionPolicy.max_pending`` governs MINLP solves.
+**Where a request is answered.**  On the event loop, always: every
+request is one budget row that ``core.greedy`` answers exactly in 0.1-0.2 ms
+on served budgets (tens of milliseconds at the largest budget a request may
+carry), less than a hop to a thread or a process would cost.  A tier
+therefore starts no thread and forks no process.  A solve finishes before
+the next task runs, so it is never *pending*: on real traffic admission's
+degrade / shed bands and single-flight riders cannot fire.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextvars
-import io
 import json
-import os
 import time
 import traceback
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO
 
-from repro.core.objectives import Objective
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOTracker
@@ -76,9 +60,6 @@ from repro.service.request import SolveRequest
 from repro.service.response import ServiceResponse, error_payload
 from repro.service.service import AllocationService, ResiliencePolicy
 from repro.service.sharding import HashRing
-from repro.service.supervisor import SupervisedWorkerPool
-
-_WORKER_MODES = ("thread", "process", "inline")
 
 
 @dataclass(frozen=True)
@@ -86,112 +67,53 @@ class TierConfig:
     """Everything the async tier needs, in one value object."""
 
     shards: int = 4
-    worker_mode: str = "thread"
+    # One accepted value, "inline"; set and recorded by the e2e harness
+    # (ROADMAP 1(iii)).  Every solve runs on the event loop.
+    worker_mode: str = "inline"
     coalesce: bool = True
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     cache_capacity: int = 256  # per shard
     ttl: float | None = None
     resilience: ResiliencePolicy | None = None
-    # ChaosPlan: injected in-process wherever a solve runs in the tier's
-    # process (every solve of an inline/thread shard, the min-max / max-min
-    # ones of a process shard), shipped to — and physically enacted in — the
-    # worker with every solve a process shard ships.
-    chaos: object | None = None
+    chaos: object | None = None  # ChaosPlan, injected into every solve
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("the tier needs at least one shard")
-        if self.worker_mode not in _WORKER_MODES:
+        if self.worker_mode != "inline":
             raise ValueError(
-                f"unknown worker mode {self.worker_mode!r}; "
-                f"expected one of {_WORKER_MODES}"
+                f"unknown worker mode {self.worker_mode!r}; every solve runs "
+                "inline, on the event loop"
             )
 
     @classmethod
     def for_host(cls, cores: int | None = None, **overrides) -> "TierConfig":
-        """A config matched to the host's CPU budget.
-
-        Multi-core hosts get ``"process"`` workers (shards run their MINLP
-        solves — min-sum — in parallel across cores); a single-core host
-        gets ``"thread"`` workers — with one core, forking a worker buys no
-        parallelism and only adds the process hop.  Either way a min-max /
-        max-min request is answered on the event loop, and a worker forks
-        only when its shard first ships a solve: a tier that serves only
-        those objectives starts no thread and no process.  Explicit
-        ``overrides`` win over the derived fields.
-        """
-        if cores is None:
-            try:
-                cores = len(os.sched_getaffinity(0))
-            except AttributeError:  # platforms without affinity
-                cores = os.cpu_count() or 1
-        derived = {"worker_mode": "process" if cores > 1 else "thread"}
-        derived.update(overrides)
-        return cls(**derived)
+        """``TierConfig(**overrides)``: the host's core count changes nothing,
+        since no solve leaves the event loop.  The signature is the e2e
+        harness's (ROADMAP 1(iii))."""
+        del cores
+        return cls(**overrides)
 
 
 class _Shard:
-    """One shard: its service, its flight table, its MINLP thread."""
+    """One shard: its service and its flight table."""
 
     def __init__(self, name: str, config: TierConfig, parent: MetricsRegistry) -> None:
         self.name = name
-        self.mode = config.worker_mode
         self.service = AllocationService(
             cache_capacity=config.cache_capacity,
             ttl=config.ttl,
             resilience=config.resilience,
             chaos=config.chaos,
-            pool=SupervisedWorkerPool(1) if self.mode == "process" else None,
             metrics=ServiceMetrics(parent=parent),
         )
         self.flights = SingleFlight()
         self.requests = 0
-        # One thread per shard, started by its first MINLP solve: a shard has
-        # one worker to feed.  The loop and this thread both write the
-        # shard's cache and metrics (each locks itself); a breaker's state is
-        # per family, and a family has one objective, so one writer each.
-        self.executor: ThreadPoolExecutor | None = (
-            None
-            if self.mode == "inline"
-            else ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"hslb-{name}"
-            )
-        )
 
-    async def solve(
-        self, request: SolveRequest, deadline: float | None
-    ) -> ServiceResponse:
-        """Run one ``AllocationService.submit``: on the event loop for a
-        direct objective (or an inline shard), on this shard's thread for a
-        request that builds a MINLP."""
-        direct = Objective(request.objective).has_direct_solver
-        if direct or self.executor is None:
-            with span("shard.solve", shard=self.name, mode=self.mode):
-                return self.service.submit(request, deadline=deadline)
-        # run_in_executor does NOT carry contextvars; the thread runs in a
-        # copy of the current context so its spans nest under this request.
-        # The queue span lives in that copy only: opened here at submit,
-        # closed by the shard thread when it picks the request up.
-        ctx = contextvars.copy_context()
-        queued = span("shard.queue", shard=self.name)
-        ctx.run(queued.__enter__)
-
-        def on_shard_thread() -> ServiceResponse:
-            queued.__exit__(None, None, None)
-            with span("shard.solve", shard=self.name, mode=self.mode):
-                return self.service.submit(request, deadline=deadline)
-
-        return await asyncio.get_running_loop().run_in_executor(
-            self.executor, ctx.run, on_shard_thread
-        )
-
-    def close(self) -> None:
-        # Workers first: a solve still in flight dies with its worker and
-        # surfaces as a typed error, so the thread below always drains.
-        if self.service.pool is not None:
-            self.service.pool.shutdown()
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
+    async def solve(self, request: SolveRequest) -> ServiceResponse:
+        """Run one ``AllocationService.submit`` on the event loop."""
+        with span("shard.solve", shard=self.name):
+            return self.service.submit(request)
 
 
 class AsyncServingTier:
@@ -218,16 +140,12 @@ class AsyncServingTier:
         self.latency = family(self.metrics.registry, "service_tier_request_seconds")
         self.slo = slo if slo is not None else SLOTracker()
         self.pending = 0
-        self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down shard workers (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            for shard in self.shards.values():
-                shard.close()
+        """Nothing to release — the tier owns no thread or process; kept so
+        ``async with`` and explicit callers need not know that."""
 
     async def __aenter__(self) -> "AsyncServingTier":
         return self
@@ -246,7 +164,6 @@ class AsyncServingTier:
         request: SolveRequest,
         *,
         priority: str = DEFAULT_PRIORITY,
-        deadline: float | None = None,
     ) -> ServiceResponse:
         """Answer one request through admission, routing, and coalescing.
 
@@ -304,7 +221,7 @@ class AsyncServingTier:
             async def _leader_solve():
                 nonlocal led
                 led = True
-                return await shard.solve(request, deadline)
+                return await shard.solve(request)
 
             try:
                 if self.config.coalesce:
@@ -314,7 +231,7 @@ class AsyncServingTier:
                         )
                     flight.set_tag("role", "leader" if led else "rider")
                 else:
-                    response = await shard.solve(request, deadline)
+                    response = await shard.solve(request)
             except ServiceError:
                 self.slo.record(
                     priority, time.perf_counter() - start, "error"
@@ -371,7 +288,6 @@ class AsyncServingTier:
         return {
             **totals,
             "shards": len(self.shards),
-            "worker_mode": self.config.worker_mode,
             "served": self.latency.count(),
             "pending": self.pending,
             "admission": self.admission.as_dict(),
@@ -393,7 +309,6 @@ def serve_stdio(
     stdin: IO[str],
     stdout: IO[str],
     *,
-    deadline: float | None = None,
     metrics_port: int | None = None,
     metrics_host: str = "127.0.0.1",
 ) -> int:
@@ -419,23 +334,9 @@ def serve_stdio(
                 stdout.write(json.dumps(payload) + "\n")
                 stdout.flush()
 
-        # Read from a private dup of stdin, not ``stdin`` itself — the one
-        # guard of worker forks: the reader thread below holds its file's
-        # lock for the whole blocking readline, and a process shard forks
-        # its worker at its first shipped solve, whenever that arrives; a
-        # child forked meanwhile would deadlock closing an inherited, locked
-        # ``sys.stdin`` in its multiprocessing bootstrap.  Fake stdins
-        # without a real fd (tests) fall back to being read directly: they
-        # have no buffered-reader lock to hold.
-        try:
-            source = os.fdopen(os.dup(stdin.fileno()), "r")
-        except (OSError, ValueError, AttributeError, io.UnsupportedOperation):
-            source = None
-
         async def lines():
-            reader = source if source is not None else stdin
             while True:
-                line = await loop.run_in_executor(None, reader.readline)
+                line = await loop.run_in_executor(None, stdin.readline)
                 if not line:
                     return
                 yield line
@@ -460,14 +361,10 @@ def serve_stdio(
             )
         try:
             async with tier:
-                return await _serve_lines(
-                    tier, lines(), emit, deadline=deadline
-                )
+                return await _serve_lines(tier, lines(), emit)
         finally:
             if server is not None:
                 await server.stop()
-            if source is not None:
-                source.close()
 
     return asyncio.run(_run())
 
@@ -476,8 +373,6 @@ async def _serve_lines(
     tier: AsyncServingTier,
     lines,
     emit: Callable[[dict], object],
-    *,
-    deadline: float | None = None,
 ) -> int:
     """The transport-agnostic request loop: parse, dispatch, drain."""
     served = 0
@@ -491,7 +386,6 @@ async def _serve_lines(
             answer = await tier.submit(
                 request,
                 priority=str(payload.get("priority", DEFAULT_PRIORITY)),
-                deadline=deadline,
             )
             response = {**answer.to_dict(), "shard": tier.route(request)}
         except ServiceError as exc:
@@ -544,7 +438,6 @@ def run_requests(
     requests: Iterable[SolveRequest],
     *,
     priority: str = DEFAULT_PRIORITY,
-    deadline: float | None = None,
 ) -> list[ServiceResponse]:
     """The synchronous batch API: answer ``requests`` in input order.
 
@@ -559,7 +452,7 @@ def run_requests(
     :class:`ServiceOverloadError` (classic queue backpressure, not silent
     truncation) before any request is admitted; ``retry_after`` is the
     time to drain the excess at the observed mean latency, falling back to
-    ``deadline`` and then to a conservative constant.
+    a conservative constant.
     """
     requests = list(requests)
     capacity = tier.config.admission.max_pending
@@ -570,17 +463,13 @@ def run_requests(
         raise ServiceOverloadError(
             pending=len(requests),
             capacity=capacity,
-            retry_after=tier._retry_after(
-                len(requests) - capacity, deadline or 0.1
-            ),
+            retry_after=tier._retry_after(len(requests) - capacity, 0.1),
         )
 
     async def _run() -> list[ServiceResponse]:
         async def one(req: SolveRequest) -> ServiceResponse:
             try:
-                return await tier.submit(
-                    req, priority=priority, deadline=deadline
-                )
+                return await tier.submit(req, priority=priority)
             except ServiceError as exc:
                 return ServiceResponse.from_error(exc, req.fingerprint())
 

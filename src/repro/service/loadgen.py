@@ -264,7 +264,6 @@ async def replay_async(
     trace: list[TraceEvent],
     *,
     speed: float = 0.0,
-    deadline: float | None = None,
 ) -> ReplayReport:
     """Replay ``trace`` against ``tier``; every event gets an account.
 
@@ -285,7 +284,7 @@ async def replay_async(
         t0 = time.perf_counter()
         try:
             response: ServiceResponse = await tier.submit(
-                event.request, priority=event.priority, deadline=deadline
+                event.request, priority=event.priority
             )
         except ServiceOverloadError:
             report.shed += 1
@@ -311,7 +310,6 @@ async def replay_async(
     report.coalesce = tier.snapshot()["coalesce"]
     report.tier = {
         "shards": len(tier.shards),
-        "worker_mode": tier.config.worker_mode,
         "hit_rate": tier.snapshot()["hit_rate"],
         "admission": tier.admission.as_dict(),
     }
@@ -323,12 +321,9 @@ def replay(
     trace: list[TraceEvent],
     *,
     speed: float = 0.0,
-    deadline: float | None = None,
 ) -> ReplayReport:
     """Synchronous wrapper around :func:`replay_async` (fresh event loop)."""
-    return asyncio.run(
-        replay_async(tier, trace, speed=speed, deadline=deadline)
-    )
+    return asyncio.run(replay_async(tier, trace, speed=speed))
 
 
 def priority_histogram(trace: list[TraceEvent]) -> dict[str, int]:

@@ -9,8 +9,8 @@ Every attribute the view exposes is read back from those series, so a
 snapshot and a scrape cannot disagree.
 
 The headline derived number is the **cache hit rate**; solver iterations
-(``cold_iterations``) are summed over the exact solves that built a MINLP —
-a min-max / max-min answer books 0.
+(``cold_iterations``) are summed over the exact solves — 0 while every
+request is answered without a tree.
 """
 
 from __future__ import annotations
@@ -28,19 +28,16 @@ _COUNTS = {
     "degraded_greedy": ("service_requests_total", {"outcome": "greedy"}),
     "rejections": ("service_requests_total", {"outcome": "rejected"}),
     "cold_iterations": ("service_solve_iterations_total", {}),
-    "timeouts": ("service_timeouts_total", {}),
     "overloads": ("service_overloads_total", {}),
     "retries": ("service_retries_total", {}),
     "worker_crashes": ("service_worker_failures_total", {"kind": "crash"}),
     "worker_hangs": ("service_worker_failures_total", {"kind": "hang"}),
-    "worker_restarts": ("service_worker_restarts_total", {}),
     "corruptions": ("service_corruptions_total", {}),
     "breaker_blocks": ("service_breaker_blocks_total", {}),
 }
 
 _RESILIENCE = (
-    "retries", "worker_crashes", "worker_hangs", "worker_restarts",
-    "corruptions", "degraded_stale", "degraded_greedy", "rejections",
+    "retries", "worker_crashes", "worker_hangs", "corruptions", "degraded_stale", "degraded_greedy", "rejections",
     "breaker_blocks",
 )
 
@@ -53,9 +50,7 @@ class ServiceMetrics:
     :meth:`record_rejection`, and ``requests`` is *defined* as the sum of
     the ``service_requests_total{outcome}`` series — so it equals the sum
     of the outcome counts by construction, whichever threads are booking
-    (behind the serving tier the event loop books hits, admission-degraded
-    answers and direct solves, the shard thread MINLP solves and their
-    ladder).
+    (behind the serving tier the event loop books all of them).
 
     ``parent`` is the registry the scope forwards to: the process registry
     by default, a tier's scope for its shards, ``None`` for a detached view.
@@ -110,9 +105,8 @@ class ServiceMetrics:
 
     def count(self, name: str, amount: int = 1) -> None:
         """Bump a count that is not a request's booking: ``retries``,
-        ``timeouts``, ``overloads``, ``corruptions``, ``breaker_blocks``,
-        ``worker_crashes`` / ``worker_hangs`` (one worker death, supervised
-        or in-process chaos alike), ``worker_restarts``."""
+        ``overloads``, ``corruptions``, ``breaker_blocks``,
+        ``worker_crashes`` / ``worker_hangs`` (one injected fault each)."""
         self._series[name].inc(amount)
 
     def reset(self) -> None:
@@ -142,12 +136,10 @@ class ServiceMetrics:
             ["cache hits", snap["cache_hits"]],
             ["hit rate", f"{snap['hit_rate']:.1%}"],
             ["solves", snap["cold_solves"]],
-            ["errors / timeouts / overloads",
-             f"{snap['solve_errors']} / {snap['timeouts']} / {snap['overloads']}"],
+            ["errors / overloads", f"{snap['solve_errors']} / {snap['overloads']}"],
             ["retries", snap["retries"]],
-            ["worker crashes / hangs / restarts",
-             f"{snap['worker_crashes']} / {snap['worker_hangs']}"
-             f" / {snap['worker_restarts']}"],
+            ["injected crashes / hangs",
+             f"{snap['worker_crashes']} / {snap['worker_hangs']}"],
             ["degraded stale / greedy / rejected",
              f"{snap['degraded_stale']} / {snap['degraded_greedy']}"
              f" / {snap['rejections']}"],

@@ -32,11 +32,10 @@ coalescing, the cache, validation and the solver — is an attribute read.
 fresh identity; a pickled or copied request carries the one it had.
 
 A request is always one budget row over univariate curves with optional box
-bounds, so its ``objective`` alone decides the solver
-(:attr:`repro.core.objectives.Objective.has_direct_solver`): min-max and
-max-min are answered directly by :mod:`repro.core.greedy`, min-sum by a
-MINLP.  ``algorithm`` and the ``solver`` block steer that MINLP only; they
-stay in the canonical form of every request because the digest is pinned.
+bounds, answered under every objective by :mod:`repro.core.greedy`.
+``algorithm`` and the ``solver`` block steer no solve; they stay in the
+canonical form of every request because the e2e harness pins the pool's
+``to_dict()`` digest (ROADMAP 1(iii)).
 """
 
 from __future__ import annotations
@@ -108,6 +107,7 @@ class SolveRequest:
     components: Mapping[str, ComponentSpec]
     total_nodes: int
     objective: str = Objective.MIN_MAX.value
+    # Canonical form only; pinned by the e2e harness (ROADMAP 1(iii)).
     algorithm: str = "auto"
     options: BnBOptions = field(default_factory=BnBOptions)
 

@@ -24,7 +24,6 @@ from repro.service.errors import (
     ServiceError,
     ServiceOverloadError,
     ServiceRejectedError,
-    ServiceTimeoutError,
 )
 from repro.service.solver import SolveOutcome
 
@@ -35,15 +34,13 @@ SOURCES = ("exact", "cache", "stale", "greedy", "rejected")
 def error_payload(exc: ServiceError) -> dict:
     """The one :class:`ServiceError` -> wire mapping (JSONL error lines).
 
-    ``status`` names the failure (``overload`` / ``time_limit`` /
-    ``rejected`` / ``error``); the error's identity rides along where it
+    ``status`` names the failure (``overload`` / ``rejected`` /
+    ``error``); the error's identity rides along where it
     has one (``fingerprint``, and ``retry_after`` for a shed request).
     """
     payload = {"error": str(exc), "status": Status.ERROR.value}
     if isinstance(exc, ServiceOverloadError):
         payload.update(status="overload", retry_after=exc.retry_after)
-    elif isinstance(exc, ServiceTimeoutError):
-        payload["status"] = Status.TIME_LIMIT.value
     elif isinstance(exc, ServiceRejectedError):
         payload["status"] = "rejected"
     if getattr(exc, "fingerprint", ""):
@@ -126,7 +123,7 @@ class ServiceResponse:
         source: str = "exact",
         latency: float = 0.0,
     ) -> "ServiceResponse":
-        """A failed request (timeout, overload, rejection) as an envelope."""
+        """A failed request (overload, rejection, error) as an envelope."""
         return cls(
             fingerprint=fingerprint,
             allocation={},

@@ -10,44 +10,25 @@ Request lifecycle::
       -> canonicalize + fingerprint            (request.py)
       -> cache lookup                          (cache.py; hit: done, ~µs)
       -> circuit breaker check                 (breaker.py; open: degrade)
-      -> solve — on the calling thread, unless
-         the request builds a MINLP *and* a
-         pool is installed: then on a
-         supervised worker — retried on system
-         failures (a worker re-dispatch after
-         a deterministic backoff)              (solver.py, supervisor.py,
-                                                retry.py)
+      -> solve on the calling thread — in a
+         serving tier, the event loop — retried
+         at once on an injected crash or hang  (solver.py, retry.py)
       -> result validation (corruption check)  (solver.py)
       -> cache insert
       -> metrics
 
 A solve sees its request and nothing else: no starting point and no OA cuts
-carry over from earlier solves.  The balancer is static — fit once, solve
-once — and min-sum solves chained that way measured slower than cold ones.
+carry over from earlier solves.  Every request is one budget row, answered
+exactly by ``core.greedy`` in well under a millisecond (``solver.py``), so
+a solve runs where it is submitted: no worker process, no thread hop, no
+time budget to enforce.
 
-**A solve crosses a process boundary only when it builds a MINLP.**  A
-service keeps two solve seams and one predicate,
-:attr:`~repro.core.objectives.Objective.has_direct_solver`, picks between
-them.  Min-max and max-min requests are answered by ``core.greedy`` on the
-calling thread whether or not a pool is installed — in a serving tier, the
-event loop itself: the sub-millisecond heap does not pay for a hop to a
-thread, let alone to a worker.  What builds a MINLP — min-sum today — ships
-to a slot of a :class:`~repro.service.supervisor.SupervisedWorkerPool` as
-wire dicts: milliseconds of GIL-bound tree search are what a second core is
-for.  There is no size rule (DESIGN.md, "Worker modes", records the
-measured hop and the heap's time against the node budget).
-
-Either way a worker that dies or hangs comes back as the same
-:class:`WorkerCrashError` / :class:`WorkerHangError` in-process chaos
-raises — caught and retried by the same loop, counted once: by the pool
-that saw the worker die for an attempt that shipped, by the loop for an
-attempt that ran here (under a :class:`~repro.faults.chaos.ChaosPlan` the
-in-process seam raises its faults as those typed errors; the physical ones
-keep hitting what ships).  Worker deaths are *system* failures, so they are
-re-dispatched once even with no :class:`ResiliencePolicy` installed.  Only
-a re-dispatch to a worker backs off first (the wait covers the replacement
-process); an attempt that runs here retries at once, so nothing on this
-path sleeps on the caller's thread.
+Faults are typed and in-process.  Under a
+:class:`~repro.faults.chaos.ChaosPlan` the solve raises
+:class:`WorkerCrashError` / :class:`WorkerHangError` or returns a slow or
+corrupt outcome; the loop below catches, counts and retries them.  Crashes
+and hangs are *system* failures, so they are retried once even with no
+:class:`ResiliencePolicy` installed.  Nothing on this path sleeps.
 
 Cached answers are bit-identical to fresh solves: no solve draws a random
 number or reads state another solve left behind, so replaying the request
@@ -55,9 +36,9 @@ in any process, in any order, yields the same allocation and objective the
 cache stored.
 
 **The degradation ladder.**  With a :class:`ResiliencePolicy` installed, a
-request that cannot get an exact answer — worker crashes/hangs exhausted
-their retries, the solver blew its deadline, the family's circuit breaker
-is open — walks down explicit rungs instead of failing:
+request that cannot get an exact answer — injected crashes, hangs or
+corruptions exhausted its retries, or the family's circuit breaker is
+open — walks down explicit rungs instead of failing:
 
 1. **stale cache** — a TTL-expired entry within ``max_stale`` seconds of
    age, served with ``source="stale"`` and its age attached;
@@ -76,15 +57,12 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.core.objectives import Objective
 from repro.minlp.solution import Status
 from repro.obs.trace import span
 from repro.service.breaker import BreakerPolicy, CircuitBreaker
 from repro.service.cache import SolutionCache
 from repro.service.errors import (
-    RestartBudgetError,
     ServiceRejectedError,
-    ServiceTimeoutError,
     WorkerCrashError,
     WorkerHangError,
 )
@@ -98,11 +76,9 @@ from repro.service.solver import (
     solve_request,
     validate_outcome,
 )
-from repro.service.supervisor import SupervisedWorkerPool
 
-#: Without a policy a worker death still earns one re-dispatch.
+#: Without a policy an injected crash or hang still earns one retry.
 _SYSTEM_RETRY = RetryPolicy(max_attempts=2)
-_MIN_ATTEMPT_BUDGET = 1e-3  # seconds of deadline below which no new attempt starts
 
 
 @dataclass(frozen=True)
@@ -110,19 +86,12 @@ class ResiliencePolicy:
     """Every knob of the resilient request path, in one value object.
 
     ``retry`` / ``breaker``
-        Re-dispatch and circuit-breaking policies (their own modules).
+        Retry and circuit-breaking policies (their own modules).
     ``max_stale``
         Oldest entry age (seconds since insert) the stale rung may serve;
         ``None`` serves any entry still physically cached.
     ``allow_stale`` / ``allow_greedy``
         Switch individual rungs off (a rejected request is still typed).
-    ``restart_budget``
-        Replacements a supervised worker may spend on *consecutive*
-        failures before its slot retires.
-    ``hang_timeout``
-        Harvest timeout (seconds) for worker dispatches when no per-request
-        deadline implies one; the backstop that turns a silent worker hang
-        into a typed, retryable failure.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -130,16 +99,10 @@ class ResiliencePolicy:
     max_stale: float | None = None
     allow_stale: bool = True
     allow_greedy: bool = True
-    restart_budget: int = 3
-    hang_timeout: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_stale is not None and self.max_stale < 0:
             raise ValueError("max_stale must be >= 0 (or None)")
-        if self.restart_budget < 0:
-            raise ValueError("restart_budget must be >= 0")
-        if self.hang_timeout <= 0:
-            raise ValueError("hang_timeout must be positive")
 
 
 class AllocationService:
@@ -153,8 +116,6 @@ class AllocationService:
         clock: Callable[[], float] = time.monotonic,
         resilience: ResiliencePolicy | None = None,
         chaos=None,  # ChaosPlan | None; annotation-free to avoid an import cycle
-        sleeper: Callable[[float], None] = time.sleep,
-        pool: SupervisedWorkerPool | None = None,
         metrics: ServiceMetrics | None = None,
     ) -> None:
         self.cache: SolutionCache[SolveOutcome] = SolutionCache(
@@ -165,79 +126,38 @@ class AllocationService:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.resilience = resilience
         self.chaos = chaos
-        self.sleeper = sleeper
         self.breaker = (
             CircuitBreaker(resilience.breaker, clock=clock) if resilience else None
         )
-        # The two solve seams.  ``_solve`` runs ``solve_request`` on the
-        # calling thread (under a chaos plan, with its faults raised as typed
-        # errors); ``_solve_on_worker`` ships it to a supervised worker (the
-        # plan ships with the request and faults happen physically).  With a
-        # pool installed ``_submit`` sends what builds a MINLP to the worker
-        # and everything else here; without one, everything runs here.
-        self.pool = pool
-        if pool is not None:
-            from repro.faults.chaos import chaos_pool_solve
-
-            pool.metrics = self.metrics
-            if resilience is not None:
-                pool.restart_budget = resilience.restart_budget
-            self._worker_call = (
-                chaos_pool_solve, chaos.to_dict() if chaos is not None else None
-            )
+        # The one solve seam: ``solve_request``, under a chaos plan with its
+        # faults raised as typed errors.
         if chaos is not None:
             from repro.faults.chaos import chaotic_solve
 
             self._solve = chaotic_solve(chaos, solve_request)
         else:
-            self._solve = lambda request, *, deadline=None, attempt=0: (
-                solve_request(request, deadline=deadline)
-            )
-
-    def _solve_on_worker(
-        self, request: SolveRequest, *, deadline=None, attempt=0
-    ) -> SolveOutcome:
-        """Ship one solve to a pool slot and block on its answer."""
-        entry, chaos = self._worker_call
-        dispatch = self.pool.submit(
-            entry, request.to_dict(), deadline, chaos, attempt
-        )
-        # The solver's own wall budget enforces the deadline; the grace only
-        # covers process scheduling — and turns a hung worker into a typed,
-        # retryable failure instead of a stuck shard.
-        hang = self.resilience.hang_timeout if self.resilience else None
-        grace = hang
-        if deadline is not None:
-            grace = 2.0 * deadline + 5.0
-            if hang is not None:
-                grace = min(grace, deadline + hang)
-        return SolveOutcome.from_dict(self.pool.result(dispatch, timeout=grace))
+            self._solve = lambda request, *, attempt=0: solve_request(request)
 
     # -- the request path --------------------------------------------------
 
-    def submit(
-        self, request: SolveRequest, *, deadline: float | None = None
-    ) -> ServiceResponse:
+    def submit(self, request: SolveRequest) -> ServiceResponse:
         """Answer one request from cache, a solve, or the ladder.
 
-        Raises :class:`ServiceTimeoutError` when the per-request ``deadline``
-        expires with no usable incumbent and no resilience policy is
-        installed (or the worker error itself, when the one free
-        re-dispatch also died), and :class:`ServiceRejectedError` when the
-        degradation ladder runs out of rungs; solver failures that are the
-        *model's* fault (infeasible, error) come back as a response with
-        ``ok=False`` instead — the caller's retry policy differs.
+        With no resilience policy installed, an injected crash or hang that
+        outlives its one free retry propagates as its typed error; with
+        one, :class:`ServiceRejectedError` is raised when the degradation
+        ladder runs out of rungs.  An infeasible request comes back as a
+        response with ``ok=False`` instead — the caller's retry policy
+        differs.
         """
         with span("service.submit") as sp:
-            response = self._submit(request, deadline=deadline, sp=sp)
+            response = self._submit(request)
             sp.set_tag("cached", response.cached)
             sp.set_tag("status", response.status)
             sp.set_tag("source", response.source)
         return response
 
-    def _submit(
-        self, request: SolveRequest, *, deadline: float | None, sp
-    ) -> ServiceResponse:
+    def _submit(self, request: SolveRequest) -> ServiceResponse:
         start = time.perf_counter()
         fingerprint = request.fingerprint()
         cached = self.cache.get(fingerprint)
@@ -257,47 +177,20 @@ class AllocationService:
                 reason=f"circuit breaker open for family {family[:12]}",
                 start=start,
             )
-        # The one routing decision: only a request that builds a MINLP is
-        # worth the hop to a worker process (module docstring).
-        ships = (
-            self.pool is not None
-            and not Objective(request.objective).has_direct_solver
-        )
-        solve = self._solve_on_worker if ships else self._solve
-        sp.set_tag("ran", "worker" if ships else "shard")
         retry = policy.retry if policy else _SYSTEM_RETRY
         last_reason = "no solve attempt ran"
         worker_error = None
         for attempt in range(retry.max_attempts):
             if attempt:
                 self.metrics.count("retries")
-                if ships:
-                    # The backoff waits out a replaced worker process; an
-                    # attempt run here has nothing to wait for, and may be
-                    # running on the tier's event loop.
-                    self.sleeper(retry.backoff(fingerprint, attempt))
-            budget = deadline
-            if deadline is not None:
-                budget = deadline - (time.perf_counter() - start)
-                if policy and budget <= _MIN_ATTEMPT_BUDGET:
-                    last_reason = "deadline exhausted before another attempt"
-                    break
             try:
-                outcome = solve(request, deadline=budget, attempt=attempt)
+                outcome = self._solve(request, attempt=attempt)
             except (WorkerCrashError, WorkerHangError) as exc:
-                if not ships:
-                    # In-process chaos: no pool saw this death, so book it
-                    # here (a supervised worker's is booked by its pool).
-                    hang = isinstance(exc, WorkerHangError)
-                    self.metrics.count("worker_hangs" if hang else "worker_crashes")
+                hang = isinstance(exc, WorkerHangError)
+                self.metrics.count("worker_hangs" if hang else "worker_crashes")
                 last_reason = str(exc)
                 worker_error = exc
                 continue
-            except RestartBudgetError as exc:
-                # Every slot retired: no attempt can run, so none is owed.
-                last_reason = str(exc)
-                worker_error = exc
-                break
             worker_error = None
             if policy is not None:
                 corrupt = validate_outcome(request, outcome)
@@ -308,17 +201,11 @@ class AllocationService:
             latency = time.perf_counter() - start
             ok = outcome.status in (Status.OPTIMAL.value, Status.FEASIBLE.value)
             self.metrics.record_solve(latency, iterations=outcome.iterations, ok=ok)
-            if outcome.status == Status.TIME_LIMIT.value:
-                # Deterministic under a fixed budget, so spend the remaining
-                # deadline on the ladder, not on an identical re-run.
-                self.metrics.count("timeouts")
-                last_reason = "solver exhausted its wall budget"
-                break
-            # A finished solve — optimal/feasible, or a *model*-fault
-            # terminal status (infeasible, error) that no retry changes.
+            # A finished solve — optimal, or an infeasible request that no
+            # retry changes.
             if self.breaker is not None:
                 # Any *completed* solve is a system success — even an
-                # infeasible model proves the workers and solver ran.
+                # infeasible request proves the solver ran.
                 self.breaker.record_success(family)
             if ok:
                 self.admit(request, outcome)
@@ -326,15 +213,9 @@ class AllocationService:
         if self.breaker is not None:
             self.breaker.record_failure(family)
         if policy is None:
-            if worker_error is not None:
-                raise worker_error
-            raise ServiceTimeoutError(
-                fingerprint=fingerprint,
-                deadline=(
-                    deadline if deadline is not None else request.options.time_limit
-                ),
-                elapsed=time.perf_counter() - start,
-            )
+            # Without a policy nothing validates, so only a crash or a hang
+            # on every attempt ends the loop.
+            raise worker_error
         return self.fallback(request, fingerprint, reason=last_reason, start=start)
 
     # -- the degradation ladder --------------------------------------------

@@ -1,21 +1,20 @@
 """The pure solve at the bottom of the service: request in, outcome out.
 
-Kept free of any cache/metrics state so the same function runs in-process
-and inside the supervised pool's worker processes.  No solve draws a random
-number or reads anything but its request, so the same canonical request
-produces a bit-identical answer in any process and in any order — the
-property that lets cached responses stand in for fresh solves.
+Kept free of any cache/metrics state.  No solve draws a random number or
+reads anything but its request, so the same canonical request produces a
+bit-identical answer in any process and in any order — the property that
+lets cached responses stand in for fresh solves.
 
 **Which solver answers.**  Every request the tier can express is one budget
 row over univariate curves with optional box bounds — the family §III-E
-says needs no MINLP.  :attr:`Objective.has_direct_solver` is the one
-predicate: min-max and max-min requests are answered by
-:mod:`repro.core.greedy` (the exact heap, the exact level-set search;
-``status="optimal"``, ``iterations == 0``), and only min-sum builds a
-problem and calls :func:`repro.minlp.solve`, whose tree search a deadline
-can cap.  For the direct objectives the ladder's ``greedy`` rung returns the
-same allocation as the exact path and differs only in provenance
-(``status="feasible"``, never cached).
+says needs no MINLP — so every request, whatever its objective, is answered
+exactly by :func:`repro.core.greedy.direct_allocation` (the heap for
+min-max, level sets for max-min, marginal gain for min-sum;
+``status="optimal"``, ``iterations == 0``).  :func:`build_problem` still
+builds the request's MINLP: it is the independent reference the tests
+solve by OA.  The ladder's ``greedy`` rung returns the same allocation as
+the exact path and differs only in provenance (``status="feasible"``,
+never cached).
 """
 
 from __future__ import annotations
@@ -27,26 +26,25 @@ from dataclasses import dataclass
 from repro.core.builder import AllocationModelBuilder
 from repro.core.greedy import direct_allocation
 from repro.core.objectives import Objective, evaluate_objective
-from repro.minlp import solve
-from repro.minlp.solution import Solution, Status
+from repro.minlp.solution import Status
 from repro.service.request import ComponentSpec, SolveRequest
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Everything the service stores (and ships across process boundaries)."""
+    """Everything the service stores for one answered request."""
 
     fingerprint: str
     allocation: dict[str, int]
     objective: float
     status: str
-    iterations: int  # B&B nodes + NLP solves
+    iterations: int  # tree nodes explored: 0, no served request builds one
     wall_time: float
     values: dict[str, float]  # read by the e2e harness (ROADMAP 1(iii))
     message: str = ""
     warm_started: bool = False  # always; read by the e2e harness (ROADMAP 1(iii))
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict:  # read by the e2e harness (ROADMAP 1(iii))
         return {
             "fingerprint": self.fingerprint,
             "allocation": dict(self.allocation),
@@ -58,30 +56,17 @@ class SolveOutcome:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SolveOutcome":
-        return cls(
-            fingerprint=str(payload["fingerprint"]),
-            allocation={k: int(v) for k, v in payload["allocation"].items()},
-            objective=float(payload["objective"]),
-            status=str(payload["status"]),
-            iterations=int(payload["iterations"]),
-            wall_time=float(payload["wall_time"]),
-            values={k: float(v) for k, v in payload["values"].items()},
-            message=str(payload.get("message", "")),
-        )
-
 
 def _canonical(request: SolveRequest) -> list[tuple[str, ComponentSpec]]:
     """The request's components sorted by name, the order its fingerprint
-    lists them in: a solve, its iteration count included, then depends on
-    the fingerprint alone, not on the order the caller listed components in
-    (the wire format sorts them, so a worker sees the canonical order)."""
+    lists them in: a solve then depends on the fingerprint alone, not on
+    the order the caller listed components in."""
     return sorted(request.components.items())
 
 
 def build_problem(request: SolveRequest):
-    """The request's MINLP, via the shared allocation-model builder."""
+    """The request's MINLP, via the shared allocation-model builder: what
+    OA solves to certify the direct answer (tests, the e2e harness)."""
     objective = Objective(request.objective)
     b = AllocationModelBuilder(
         f"service-{request.fingerprint()[:8]}", request.total_nodes
@@ -99,53 +84,11 @@ def solve_request(
     request: SolveRequest,
     *,
     x0: dict[str, float] | None = None,  # read by the e2e harness (ROADMAP 1(iii))
-    deadline: float | None = None,
 ) -> SolveOutcome:
-    """Solve one request, optionally deadline-capped.
-
-    Min-max and max-min are answered by :mod:`repro.core.greedy` — exact,
-    sub-millisecond, nothing to cap, so ``deadline`` is ignored — and
-    min-sum by the MINLP its convex epigraph rows make exact.
-
-    ``deadline`` shrinks the solver's wall budget (never loosens it), so a
-    per-request deadline terminates the tree search itself rather than
-    abandoning a runaway subprocess.  ``x0`` seeds the tree's incumbent;
-    nothing in the service passes one.
-    """
-    if Objective(request.objective).has_direct_solver:
-        return _direct_outcome(request, Status.OPTIMAL, "")
-    fingerprint = request.fingerprint()
-    problem = build_problem(request)
-    if x0 is not None:
-        # Seed only the discrete decision variables: continuous auxiliaries
-        # (epigraph T, eta) from another budget's solve would drag the root
-        # relaxation toward that solve's optimum.
-        discrete = {v.name for v in problem.discrete_variables()}
-        x0 = {k: v for k, v in x0.items() if k in discrete} or None
-    options = request.options
-    if deadline is not None:
-        options = options.with_budget(wall_seconds=deadline)
-    sol = solve(problem, options, algorithm=request.algorithm, x0=x0)
-    return _outcome(request, fingerprint, sol)
-
-
-def _outcome(request: SolveRequest, fingerprint: str, sol: Solution) -> SolveOutcome:
-    allocation: dict[str, int] = {}
-    if sol.status.is_ok:
-        allocation = {
-            name: int(round(sol.values[f"n_{name}"]))
-            for name in sorted(request.components)
-        }
-    return SolveOutcome(
-        fingerprint=fingerprint,
-        allocation=allocation,
-        objective=float(sol.objective),
-        status=sol.status.value,
-        iterations=sol.stats.nodes_explored + sol.stats.nlp_solves,
-        wall_time=float(sol.stats.wall_time),
-        values={k: float(v) for k, v in sol.values.items()},
-        message=sol.message,
-    )
+    """Answer one request exactly by :mod:`repro.core.greedy` under its
+    objective and node bounds; ``x0`` is ignored."""
+    del x0
+    return _direct_outcome(request, Status.OPTIMAL, "")
 
 
 def _price(request: SolveRequest, allocation: dict[str, int]) -> float:
@@ -164,9 +107,8 @@ def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None
     component outside its node bounds, a budget over- or (for objectives
     that need it exact) under-spent, an objective that is not what the
     request's own curves give at the allocation — and ``None`` when it
-    does.  A worker that died halfway through writing its result, or
-    chaos-injected corruption, fails here and is retried like a crash; a
-    legitimately infeasible model passes (empty allocation with a not-ok
+    does.  Chaos-injected corruption fails here and is retried like a
+    crash; a legitimately infeasible request passes (empty allocation with a not-ok
     status is an answer, not corruption).
     """
     if outcome.fingerprint != request.fingerprint():
@@ -206,7 +148,6 @@ def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None
 def _direct_outcome(request: SolveRequest, status: Status, message: str) -> SolveOutcome:
     """The request answered by :func:`repro.core.greedy.direct_allocation`
     under its node bounds."""
-    fingerprint = request.fingerprint()
     specs = _canonical(request)
     start = time.perf_counter()
     try:
@@ -217,14 +158,21 @@ def _direct_outcome(request: SolveRequest, status: Status, message: str) -> Solv
             min_nodes={name: spec.min_nodes for name, spec in specs},
             max_nodes={name: spec.max_nodes for name, spec in specs},
         )
-    except ValueError as exc:
-        infeasible = Solution(Status.INFEASIBLE, message=str(exc))
-        return _outcome(request, fingerprint, infeasible)
-    objective = _price(request, alloc)
+    except ValueError as exc:  # the floors alone overspend the budget
+        return SolveOutcome(
+            fingerprint=request.fingerprint(),
+            allocation={},
+            objective=math.nan,
+            status=Status.INFEASIBLE.value,
+            iterations=0,
+            wall_time=0.0,
+            values={},
+            message=str(exc),
+        )
     return SolveOutcome(
-        fingerprint=fingerprint,
+        fingerprint=request.fingerprint(),
         allocation=alloc,
-        objective=objective,
+        objective=_price(request, alloc),
         status=status.value,
         iterations=0,
         wall_time=time.perf_counter() - start,  # allocate + price: fast, not free
@@ -236,12 +184,10 @@ def _direct_outcome(request: SolveRequest, status: Status, message: str) -> Solv
 def greedy_outcome(request: SolveRequest) -> SolveOutcome:
     """Polynomial-time answer: the degradation ladder's third rung.
 
-    :mod:`repro.core.greedy` under the request's ``min_nodes``/``max_nodes``
-    bounds, priced under the request's objective.  Exact for min-max (the
-    heap) and max-min (level sets); for min-sum the min-max allocation is a
-    feasible approximation — either way an answer with explicit ``greedy
-    fallback`` provenance instead of a refused request.  A request whose
-    floors alone overspend the budget is infeasible here as it is exactly.
+    The exact path's own allocation under explicit ``greedy fallback``
+    provenance (``status="feasible"``), so the ladder answers instead of
+    refusing.  A request whose floors alone overspend the budget is
+    infeasible here as it is exactly.
     """
     return _direct_outcome(
         request, Status.FEASIBLE, "greedy fallback (exact solve unavailable)"

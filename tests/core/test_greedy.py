@@ -1,6 +1,6 @@
 """The specialized allocators must agree with the MINLP route and with
 oracles that share no code with them (enumeration, a quadratic DP, the
-one-node-at-a-time heap the min-max selection replaced)."""
+one-node-at-a-time heaps the top-B selections replaced)."""
 
 import heapq
 import itertools
@@ -16,10 +16,13 @@ from repro.core.greedy import (
     _sweet_spot,
     greedy_minmax_allocation,
     maxmin_allocation,
+    minsum_allocation,
 )
 from repro.core.objectives import Objective
 from repro.minlp import solve
 from repro.perf.model import PerformanceModel
+from repro.service import ComponentSpec, SolveRequest
+from repro.service.solver import build_problem, solve_request
 from repro.util.rng import keyed_rng
 
 
@@ -322,3 +325,223 @@ def test_maxmin_validation_is_the_heaps():
         maxmin_allocation({}, 4)
     with pytest.raises(ValueError, match="cannot give"):
         maxmin_allocation({"a": _U, "b": _U}, 8, min_nodes={"a": 6, "b": 6})
+
+
+# -- min-sum by marginal gain, against the heap, enumeration and OA ----------
+
+
+def _heap_minsum_allocation(models, total_nodes, *, min_nodes=None, max_nodes=None):
+    """The reference: grant one node at a time to the largest positive gain
+    ``T(n) - T(n + 1)`` (max-heap on ``(gain, name)``), never past a
+    component's sweet spot or cap."""
+    floors, hard_cap = _node_bounds(models, total_nodes, min_nodes, max_nodes)
+    soft_cap = {
+        name: min(hard_cap[name], _sweet_spot(model, total_nodes))
+        for name, model in models.items()
+    }
+    alloc = dict(floors)
+    budget = total_nodes - sum(alloc.values())
+
+    def gain(name):
+        n = alloc[name]
+        return float(models[name].time(n)) - float(models[name].time(n + 1))
+
+    heap = [(-gain(name), name) for name in models if alloc[name] < soft_cap[name]]
+    heapq.heapify(heap)
+    while budget > 0 and heap:
+        negative_gain, name = heapq.heappop(heap)
+        if negative_gain >= 0:
+            break
+        alloc[name] += 1
+        budget -= 1
+        if alloc[name] < soft_cap[name]:
+            heapq.heappush(heap, (-gain(name), name))
+    return alloc
+
+
+def _minsum_spec(case: int, *, room: int, components: int):
+    """Keyed spec: up to ``components`` curves with ``c`` anywhere in
+    ``[0, 2]`` — ``a = 0`` or ``b = 0`` on some, exact copies of the previous
+    curve under another name (ties) — a quarter of them floored past their
+    sweet spot, others floored low or capped, names in no particular order."""
+    rng = keyed_rng(2801, "minsum", room, case)
+    models, floors, caps, previous = {}, {}, {}, None
+    for j in range(int(rng.integers(1, components + 1))):
+        shape = int(rng.integers(0, 5))
+        if shape == 4 and previous is not None:
+            model = previous
+        else:
+            model = PerformanceModel(
+                a=0.0 if shape == 0 else float(rng.uniform(1, 40 * room)),
+                b=0.0 if shape == 1 else float(rng.uniform(0.01, 4.0)),
+                c=float(rng.uniform(0.0, 2.0)),
+                d=float(rng.uniform(0.0, 5.0)),
+            )
+        name = f"{'zyxw'[int(rng.integers(0, 4))]}{j}"
+        models[name], previous = model, model
+        u = rng.random()
+        if u < 0.25:
+            floors[name] = _sweet_spot(model, room) + int(rng.integers(1, 4))
+        else:
+            floors[name] = int(rng.integers(1, 4)) if u < 0.5 else 1
+        if rng.random() < 0.3:
+            caps[name] = floors[name] + int(rng.integers(0, room // 2 + 1))
+    base = sum(floors.values())
+    return models, int(rng.integers(base, base + room + 1)), floors, caps
+
+
+def _summed(models, alloc) -> float:
+    return sum(float(models[name].time(count)) for name, count in alloc.items())
+
+
+def _minsum_brute_force(models, total, floors, caps) -> float:
+    """The least summed time over every count vector inside the bounds that
+    spends at most ``total``, by enumeration."""
+    lo, hi = _node_bounds(models, total, floors, caps)
+    counts = [np.arange(lo[name], hi[name] + 1) for name in models]
+    tables = [models[name].time(n) for name, n in zip(models, counts)]
+    spent = sum(np.meshgrid(*counts, indexing="ij", sparse=True))
+    cost = sum(np.meshgrid(*tables, indexing="ij", sparse=True))
+    return float(np.min(np.where(spent <= total, cost, np.inf)))
+
+
+def _check_minsum(models, total, floors, caps):
+    alloc, value = minsum_allocation(models, total, min_nodes=floors, max_nodes=caps)
+    lo, hi = _node_bounds(models, total, floors, caps)
+    assert list(alloc) == list(models)
+    assert sum(alloc.values()) <= total
+    assert all(lo[name] <= alloc[name] <= hi[name] for name in models)
+    assert value == _summed(models, alloc)
+    return alloc, value
+
+
+def test_minsum_selection_is_the_heap_on_keyed_specs():
+    for case in range(400):
+        models, total, floors, caps = _minsum_spec(case, room=96, components=5)
+        bounds = dict(min_nodes=floors, max_nodes=caps)
+        alloc, _ = _check_minsum(models, total, floors, caps)
+        assert alloc == _heap_minsum_allocation(models, total, **bounds), case
+
+
+def _minsum_dp(models, total, floors, caps) -> float:
+    """``O(K N^2)``: ``best[s]`` = least summed time of the components so far
+    spending exactly ``s`` nodes."""
+    lo, hi = _node_bounds(models, total, floors, caps)
+    best = np.full(total + 1, np.inf)
+    best[0] = 0.0
+    for name, model in models.items():
+        step = np.full(total + 1, np.inf)
+        for k in range(lo[name], hi[name] + 1):
+            step[k:] = np.minimum(step[k:], best[: total + 1 - k] + model.time(k))
+        best = step
+    return float(best.min())
+
+
+def test_minsum_matches_brute_force_on_small_keyed_specs():
+    """Up to three components: every count vector enumerated."""
+    for case in range(300):
+        models, total, floors, caps = _minsum_spec(case, room=40, components=3)
+        _, value = _check_minsum(models, total, floors, caps)
+        assert value == pytest.approx(
+            _minsum_brute_force(models, total, floors, caps), rel=1e-9
+        ), case
+
+
+def test_minsum_matches_the_dp_on_keyed_specs():
+    for case in range(40):
+        models, total, floors, caps = _minsum_spec(case, room=400, components=5)
+        _, value = _check_minsum(models, total, floors, caps)
+        assert value == pytest.approx(
+            _minsum_dp(models, total, floors, caps), rel=1e-9
+        ), case
+
+
+def _request(models, total, floors, caps, objective="min-sum") -> SolveRequest:
+    return SolveRequest(
+        components={
+            name: ComponentSpec(model, floors[name], caps.get(name))
+            for name, model in models.items()
+        },
+        total_nodes=total,
+        objective=objective,
+    )
+
+
+def test_served_minsum_equals_oa_on_the_built_problem():
+    """OA on ``build_problem`` certifies the served answer — the priced
+    objectives agree to 1e-9 — on the keyed requests up to K = 5, N ~ 400
+    whose curves are all convex.  OA's exactness needs convex rows: where
+    some ``c < 1`` curve turns concave its tangent cuts are not valid, and
+    keyed case 17 reads "optimal" at 275.6428 s or at the true 275.6297 s
+    depending on the BLAS thread count.  Enumeration and the DP above cover
+    those curves."""
+    checked = 0
+    for case in range(120):
+        models, total, floors, caps = _minsum_spec(case, room=400, components=5)
+        if not all(model.is_convex for model in models.values()):
+            continue
+        checked += 1
+        request = _request(models, total, floors, caps)
+        served = solve_request(request)
+        assert served.status == "optimal" and served.iterations == 0
+        sol = solve(build_problem(request))
+        assert sol.status.value == "optimal", (case, sol.message)
+        oa = {name: int(round(sol.values[f"n_{name}"])) for name in models}
+        assert served.objective == pytest.approx(_summed(models, oa), rel=1e-9), case
+    assert checked >= 40
+
+
+def test_minsum_ties_go_to_the_first_name_as_the_heap_pops_them():
+    model = PerformanceModel(a=120.0, d=1.0)  # b = 0: every gain positive
+    for names in (("b", "a"), ("a", "b"), ("c", "a", "b")):
+        models = {name: model for name in names}
+        total = 7 * len(names) + 1
+        alloc, _ = minsum_allocation(models, total)
+        assert alloc == _heap_minsum_allocation(models, total)
+        assert alloc["a"] == 8 and all(alloc[n] == 7 for n in names if n != "a")
+
+
+def test_minsum_stops_at_the_sweet_spot_and_leaves_budget_unspent():
+    flat = PerformanceModel(a=0.0, d=3.0)  # no gain anywhere: stays at its floor
+    u = PerformanceModel(a=100.0, b=1.0, c=1.0, d=0.0)  # minimum T(10) = 20
+    alloc, value = minsum_allocation({"flat": flat, "u": u}, 64)
+    assert alloc == {"flat": 1, "u": 10} and value == 23.0
+    # A floor past the sweet spot is kept, not walked back.
+    alloc, _ = minsum_allocation({"u": u}, 64, min_nodes={"u": 30})
+    assert alloc == {"u": 30}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(0.0, 1e4),
+    b=st.floats(0.0, 10.0),
+    c=st.floats(0.0, 2.0),
+    d=st.floats(0.0, 100.0),
+)
+def test_gains_only_fall_up_to_the_sweet_spot(a, b, c, d):
+    """Discrete convexity where marginal gain walks: ``T(n) - T(n + 1)`` is
+    non-increasing on ``[1, sweet spot]`` for every curve the family admits,
+    ``c < 1`` included — what makes the greedy exact with no runtime check."""
+    model = PerformanceModel(a=a, b=b, c=c, d=d)
+    top = _sweet_spot(model, 4096)
+    times = model.time(np.arange(1, top + 1))
+    gains = -np.diff(times)
+    slack = 16 * np.finfo(float).eps * max(float(times[0]), 1.0)
+    assert np.all(np.diff(gains) <= slack)
+
+
+def test_the_formerly_infeasible_request_is_answered_optimal():
+    """Five components at 4096 nodes, one floored at 385 — past its sweet
+    spot: OA once answered it "infeasible" (its epigraph bound is fixed in
+    the builder); the service answers it, and OA now agrees."""
+    from tests.core.test_builder import FAR_FLOOR
+
+    models = {name: model for name, (model, _) in FAR_FLOOR.items()}
+    floors = {name: floor for name, (_, floor) in FAR_FLOOR.items()}
+    request = _request(models, 4096, floors, {})
+    served = solve_request(request)
+    assert served.status == "optimal" and served.allocation["c0"] == 385
+    sol = solve(build_problem(request))
+    assert sol.status.value == "optimal", sol.message
+    oa = {name: int(round(sol.values[f"n_{name}"])) for name in models}
+    assert served.objective == pytest.approx(_summed(models, oa), rel=1e-9)

@@ -1,11 +1,13 @@
 """One budget row takes §III-E's polynomial solvers, and OA certifies them.
 
-``hslb_schedule``, ``hslb_two_phase_schedule`` and the dynlb re-solve
-(``HSLBRebalancer``) each size components under one row ``sum n_j <= N``,
-so :mod:`repro.core.greedy` answers them without a tree.  Two checks:
+``hslb_schedule``, ``hslb_two_phase_schedule``, the dynlb re-solve
+(``HSLBRebalancer``) and every served request each size components under
+one row ``sum n_j <= N``, so :mod:`repro.core.greedy` answers them without
+a tree.  Two checks:
 
 * *routing* — with every MINLP entry point made to raise, all of them (and
-  ``compare_strategies`` on both ``bench_dynlb.py`` scenarios) still answer;
+  ``compare_strategies`` on both ``bench_dynlb.py`` scenarios, and the
+  service under all three objectives) still answer;
 * *oracle* — on keyed instances, every routed objective equals
   ``solve_minlp_oa`` on the same problem built by
   :class:`AllocationModelBuilder` to 1e-9.  OA is the reference, never the
@@ -33,16 +35,24 @@ from repro.minlp.brute import solve_brute_force
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.solution import Status
 from repro.perf.model import PerformanceModel
+from repro.service import (
+    AsyncServingTier,
+    ComponentSpec,
+    SolveRequest,
+    TierConfig,
+    run_requests,
+)
+from repro.service.solver import greedy_outcome, solve_request, validate_outcome
 from repro.util.rng import default_rng, keyed_rng
 
 
-def _oa_objective(models, total_nodes, floors=None):
-    """OA on the flat min-max MINLP the call sites used to build."""
+def _oa_objective(models, total_nodes, floors=None, objective=Objective.MIN_MAX):
+    """OA on the flat MINLP the call sites used to build."""
     b = AllocationModelBuilder("oracle", total_nodes)
     for name, model in models.items():
         b.add_component(name, model, min_nodes=(floors or {}).get(name, 1))
     b.limit_total_nodes()
-    b.set_objective(Objective.MIN_MAX)
+    b.set_objective(objective)
     sol = solve_minlp_oa(b.build()).require_ok()
     assert sol.status is Status.OPTIMAL
     return sol.objective
@@ -85,6 +95,33 @@ def test_hslb_schedule_min_max_equals_oa(kind, fragments, seed, nodes):
     assert sum(counts.values()) <= nodes
     assert sol.objective == _makespan(models, counts)
     assert sol.objective == pytest.approx(_oa_objective(models, nodes), rel=1e-9)
+
+
+# A1's system and four more; every fragment curve is convex (c = 1), so OA
+# is exact on their min-sum rows.
+MIN_SUM_SCHEDULES = [
+    ("protein", 10, 7, 192),
+    ("protein", 8, 0, 64),
+    ("protein", 12, 1, 128),
+    ("protein", 12, 3, 128),
+    ("water", 16, 1, 64),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, fragments, seed, nodes", MIN_SUM_SCHEDULES,
+    ids=[f"{k}-{f}-s{s}@{n}" for k, f, s, n in MIN_SUM_SCHEDULES],
+)
+def test_hslb_schedule_min_sum_equals_oa(kind, fragments, seed, nodes):
+    system = _system(kind, fragments, seed)
+    models = {f"frag{i}": m for i, m in fragment_models(system).items()}
+    schedule, sol = hslb_schedule(system, nodes, objective=Objective.MIN_SUM)
+    counts = {f"frag{i}": n for i, n in enumerate(schedule.group_sizes)}
+    assert sum(counts.values()) <= nodes
+    assert sol.objective == sum(float(models[k].time(n)) for k, n in counts.items())
+    assert sol.objective == pytest.approx(
+        _oa_objective(models, nodes, objective=Objective.MIN_SUM), rel=1e-9
+    )
 
 
 TWO_PHASE = [(1, 32), (1, 64), (1, 128), (1, 256), (2, 64)]  # seed 1 @ 64, 256: ties
@@ -160,10 +197,26 @@ def test_one_budget_row_call_sites_never_run_a_minlp(monkeypatch):
     monkeypatch.setattr(BranchAndBound, "solve", refuse)
 
     system = protein_like(10, default_rng(1))
-    for objective in (Objective.MIN_MAX, Objective.MAX_MIN):
+    for objective in Objective:
         schedule, sol = hslb_schedule(system, 128, objective=objective)
         assert sol.status is Status.OPTIMAL and schedule.total_nodes <= 128
     assert hslb_two_phase_schedule(system, 128).monomer.total_nodes <= 128
+
+    # The service, every objective: the solve, the ladder's rung, a tier.
+    components = {
+        f"frag{i}": ComponentSpec(model, min_nodes=4 if i == 0 else 1)
+        for i, model in fragment_models(system).items()
+    }
+    requests = [
+        SolveRequest(components, 128, objective=objective.value)
+        for objective in Objective
+    ]
+    for request in requests:
+        for outcome in (solve_request(request), greedy_outcome(request)):
+            assert outcome.allocation and validate_outcome(request, outcome) is None
+    tier = AsyncServingTier(TierConfig(shards=2))
+    responses = run_requests(tier, requests)
+    assert all(r.ok and r.iterations == 0 for r in responses)
 
     models = {f"frag{i}": m for i, m in fragment_models(system).items()}
     ctx = RebalanceContext(

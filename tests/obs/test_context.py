@@ -1,4 +1,4 @@
-"""Context propagation: span stacks across asyncio tasks, threads, hops.
+"""Context propagation: span stacks across asyncio tasks and threads.
 
 The regression this file pins: under the old thread-local stack, two
 asyncio tasks interleaving on one loop thread would stitch their spans
@@ -11,12 +11,7 @@ import asyncio
 import contextvars
 import threading
 
-from repro.obs.trace import (
-    TraceContext,
-    get_tracer,
-    run_traced_child,
-    span,
-)
+from repro.obs.trace import span
 
 
 async def _request(name: str, delay: float) -> None:
@@ -122,77 +117,3 @@ def test_copied_context_carries_the_stack_across_a_thread(tracer):
     assert root is parent
     assert [c.name for c in root.children] == ["executor-side"]
     assert root.children[0].parent_id == parent.span_id
-
-
-def test_adopt_parents_new_roots_under_a_remote_context(tracer):
-    ctx = TraceContext(trace_id="t-1", span_id="s-1", pid=-1)
-    tracer.adopt(ctx)
-    with span("adopted"):
-        pass
-    (root,) = tracer.roots
-    assert root.trace_id == "t-1"
-    assert root.parent_id == "s-1"
-    tracer.adopt(None)
-
-
-def test_current_context_reports_innermost_span(tracer):
-    assert tracer.current_context() is None
-    with span("outer") as outer:
-        with span("inner") as inner:
-            ctx = tracer.current_context()
-            assert ctx.trace_id == outer.trace_id
-            assert ctx.span_id == inner.span_id
-    assert tracer.current_context() is None
-
-
-def test_run_traced_child_inline_passthrough(tracer):
-    """Same-pid contexts run inline: the live tracer keeps recording."""
-    import os
-
-    with span("parent") as parent:
-        ctx = TraceContext(parent.trace_id, parent.span_id, os.getpid())
-        value, spans = run_traced_child(ctx.to_dict(), lambda: 41 + 1)
-    assert value == 42
-    assert spans is None  # nothing shipped: spans landed in the live tree
-    assert tracer.roots == [parent]
-
-
-def test_run_traced_child_foreign_pid_ships_spans(tracer):
-    """A foreign-pid context records in isolation and returns span dicts."""
-    ctx = TraceContext(trace_id="t-far", span_id="s-far", pid=-1)
-
-    def work():
-        with span("worker.solve"):
-            pass
-        return "done"
-
-    value, spans = run_traced_child(ctx.to_dict(), work)
-    assert value == "done"
-    assert spans is not None and spans[0]["name"] == "worker.solve"
-    assert spans[0]["trace_id"] == "t-far"
-    assert spans[0]["parent_id"] == "s-far"
-    # The worker-side tracer is scrubbed afterwards: nothing recorded
-    # leaks into the next task that lands on this (worker) process.
-    assert get_tracer() is tracer
-    assert not tracer.enabled and tracer.roots == []
-
-
-def test_attach_remote_grafts_and_rebases(tracer):
-    records = [
-        {
-            "name": "worker.solve",
-            "trace_id": "t-x",
-            "span_id": "w-1",
-            "parent_id": "s-x",
-            "start": 100.0,
-            "duration": 0.5,
-            "children": [],
-        }
-    ]
-    with span("dispatch") as anchor:
-        tracer.attach_remote(records, anchor=anchor)
-    (grafted,) = anchor.children
-    assert grafted.name == "worker.solve"
-    assert grafted.span_id == "w-1"  # remote ids survive the graft
-    assert grafted.start == anchor.start  # rebased onto the dispatch span
-    assert grafted.end - grafted.start == 0.5

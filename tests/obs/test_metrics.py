@@ -224,7 +224,7 @@ def test_scoped_histogram_must_share_its_enclosing_buckets():
 
 
 def test_forked_child_writes_through_a_scope_locked_at_fork():
-    """A pool worker is forked while a shard thread may be mid-``inc``."""
+    """A child may be forked while another thread is mid-``inc``."""
     import os
     import signal
 

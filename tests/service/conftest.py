@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import time
+import asyncio
 from collections import Counter
 
 import pytest
@@ -30,43 +30,23 @@ def make_request(
     return SolveRequest(components=components, total_nodes=total_nodes, **kwargs)
 
 
-def make_minlp_request(total_nodes: int = 64, **kwargs) -> SolveRequest:
-    """A request of the one objective that still builds a MINLP.
-
-    Min-max (the default) and max-min are answered directly by
-    ``repro.core.greedy`` — sub-millisecond, no iterations, nothing a
-    deadline can cut short — so tests of solver deadlines, worker shipping
-    and anything that needs a solve to still be in flight drive min-sum.
-    """
-    return make_request(total_nodes, objective="min-sum", **kwargs)
-
-
 def hold_solves(tier, seconds: float = 0.05) -> None:
     """Keep every solve of ``tier`` in flight for ``seconds`` before it runs.
 
-    A shard thread's first solve can finish inside one GIL switch interval
-    (5 ms) — before the event loop has looked at the duplicates queued behind
-    it, which then land on the cache instead of the flight table.  Tests that
-    assert on riders sleep the worker (GIL released) so the followers always
-    arrive while the leader is still solving.
+    A solve finishes on the event loop before the next task runs, so the
+    duplicates of a request would land on the cache instead of the flight
+    table.  Each shard's ``solve`` is swapped for one that first awaits, so
+    followers arrive while the leader is still in flight — the one way a
+    rider, a pending count or a shed can be exercised.
     """
     for shard in tier.shards.values():
-        solve = shard.service._solve
+        solve = shard.solve
 
-        def held(request, _solve=solve, **kwargs):
-            time.sleep(seconds)
-            return _solve(request, **kwargs)
+        async def held(request, _solve=solve):
+            await asyncio.sleep(seconds)
+            return await _solve(request)
 
-        shard.service._solve = held
-
-
-def dispatched(tier) -> list[int]:
-    """Tasks each process-mode shard's one worker was ever handed: ``0``
-    means nothing was shipped to it (and so no worker was forked for it)."""
-    return [
-        shard.service.pool.snapshot()["workers"][0]["dispatched"]
-        for shard in tier.shards.values()
-    ]
+        shard.solve = held
 
 
 def expected_faults(plan, fingerprints, max_attempts: int) -> Counter:
@@ -87,8 +67,3 @@ def expected_faults(plan, fingerprints, max_attempts: int) -> Counter:
 @pytest.fixture
 def request64() -> SolveRequest:
     return make_request(64)
-
-
-@pytest.fixture
-def minlp64() -> SolveRequest:
-    return make_minlp_request(64)

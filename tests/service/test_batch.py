@@ -1,31 +1,36 @@
 """The synchronous batch API (``run_requests``): order, dedup,
-backpressure, deadlines — every behaviour the batch executor had, now the
+backpressure, error envelopes — every behaviour the batch executor had, now the
 serving tier's: dedup is single-flight, fan-out is the ring."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.minlp.bnb import BnBOptions
+from repro.perf.model import PerformanceModel
 from repro.service import (
     AdmissionPolicy,
     AsyncServingTier,
+    ComponentSpec,
     ServiceOverloadError,
+    SolveRequest,
     TierConfig,
     run_requests,
 )
 
-from tests.service.conftest import (
-    CURVES,
-    dispatched,
-    hold_solves,
-    make_minlp_request,
-    make_request,
+from tests.service.conftest import CURVES, hold_solves, make_request
+
+#: Two components floored at 40 nodes each against a budget of 64: no
+#: allocation exists, so the answer is ``infeasible``.
+DOOMED = SolveRequest(
+    components={
+        name: ComponentSpec(PerformanceModel(a=100.0, d=1.0), min_nodes=40)
+        for name in ("x", "y")
+    },
+    total_nodes=64,
 )
 
 
 def _tier(**overrides) -> AsyncServingTier:
-    overrides.setdefault("worker_mode", "inline")
     overrides.setdefault("shards", 1)
     return AsyncServingTier(TierConfig(**overrides))
 
@@ -44,12 +49,12 @@ def test_batch_preserves_input_order_and_dedups(request64):
     assert snap["cache_hits"] == 2
 
 
-def test_concurrent_duplicates_ride_one_solve(minlp64):
-    # Off the event loop the duplicates are in flight together: they ride
-    # the leader's solve (the tier's dedup count is ``coalesce.riders``).
-    tier = _tier(worker_mode="thread")
+def test_concurrent_duplicates_ride_one_solve(request64):
+    # Held in flight, the duplicates are pending together: they ride the
+    # leader's solve (the tier's dedup count is ``coalesce.riders``).
+    tier = _tier()
     hold_solves(tier)
-    responses = run_requests(tier, [minlp64, minlp64, minlp64])
+    responses = run_requests(tier, [request64, request64, request64])
     assert all(r.ok for r in responses)
     snap = tier.snapshot()
     assert snap["cold_solves"] == 1
@@ -70,29 +75,24 @@ def test_backpressure_refuses_oversized_batches(request64):
     assert tier.snapshot()["overloads"] == 1
 
 
-def test_deadline_miss_is_an_error_envelope_not_a_crash(request64):
-    # An enormous instance with a sub-microsecond budget cannot finish; its
-    # slot carries a typed error while the rest of the batch succeeds.
+def test_an_infeasible_request_is_an_error_envelope_not_a_crash(request64):
+    # Its slot carries a typed status while the rest of the batch succeeds.
     tier = _tier()
-    doomed = make_minlp_request(4096, options=BnBOptions(time_limit=1e-9))
-    responses = run_requests(tier, [doomed, request64])
+    responses = run_requests(tier, [DOOMED, request64])
     assert not responses[0].ok
-    assert responses[0].status == "time_limit"
-    assert responses[0].fingerprint == doomed.fingerprint()
+    assert responses[0].status == "infeasible"
+    assert responses[0].fingerprint == DOOMED.fingerprint()
     assert responses[1].ok
     assert tier.snapshot()["resilience"]["rejections"] == 0
-    assert sum(
-        s.service.metrics.timeouts for s in tier.shards.values()
-    ) == 1
+    assert tier.snapshot()["solve_errors"] == 1
 
 
 def test_failed_duplicates_reuse_the_error_envelope():
-    tier = _tier(worker_mode="thread")
+    tier = _tier()
     hold_solves(tier)
-    doomed = make_minlp_request(4096, options=BnBOptions(time_limit=1e-9))
-    responses = run_requests(tier, [doomed, doomed], deadline=1e-9)
+    responses = run_requests(tier, [DOOMED, DOOMED])
     assert [r.ok for r in responses] == [False, False]
-    assert [r.status for r in responses] == ["time_limit", "time_limit"]
+    assert [r.status for r in responses] == ["infeasible", "infeasible"]
     # The duplicate rides the first request's flight instead of re-solving.
     (shard,) = tier.shards.values()
     assert shard.service.metrics.solve_errors == 1
@@ -107,18 +107,18 @@ def test_precached_requests_hit_without_resolving(request64):
     assert tier.snapshot()["cold_solves"] == 1
 
 
-def test_process_pool_fan_out_matches_serial(minlp64):
-    # Two distinct families, so they may land on different shards (and
-    # worker processes).  Min-sum: the objective a process-mode shard ships
-    # to its worker.
+def test_shard_fan_out_matches_serial():
+    # Two distinct families, so they may land on different shards.
     other = {name: dict(p, a=p["a"] * 2.0) for name, p in CURVES.items()}
-    batch = [minlp64, make_minlp_request(96, curves=other)]
+    batch = [
+        make_request(b, curves=curves, objective=objective)
+        for objective in ("min-max", "max-min", "min-sum")
+        for b, curves in ((64, None), (96, other))
+    ]
     serial = run_requests(_tier(), batch)
-    pooled_tier = _tier(worker_mode="process", shards=2)
-    pooled = run_requests(pooled_tier, batch)
-    for a, b in zip(serial, pooled):
+    sharded_tier = _tier(shards=2)
+    sharded = run_requests(sharded_tier, batch)
+    for a, b in zip(serial, sharded):
         assert a.allocation == b.allocation
         assert a.objective == b.objective  # no solve draws: bit-identical
-        assert b.iterations > 0
-    # Both were shipped, one dispatch each; nothing else reached a worker.
-    assert sum(dispatched(pooled_tier)) == len(batch)
+    assert len({sharded_tier.route(r) for r in batch}) == 2

@@ -36,24 +36,21 @@ class FakeClock:
 
 
 def make_service(clock=None, *, ttl=None, **policy_kwargs) -> AllocationService:
-    policy_kwargs.setdefault(
-        "retry", RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-    )
+    policy_kwargs.setdefault("retry", RetryPolicy(max_attempts=2))
     return AllocationService(
         ttl=ttl,
         clock=clock or FakeClock(),
         resilience=ResiliencePolicy(**policy_kwargs),
-        sleeper=lambda _s: None,
     )
 
 
 def break_solver(service: AllocationService) -> list:
-    """Make every exact solve die as a worker crash; returns the call log."""
+    """Make every exact solve die as a crash; returns the call log."""
     calls = []
 
-    def _dead(request, *, deadline=None, attempt=0):
+    def _dead(request, *, attempt=0):
         calls.append(attempt)
-        raise WorkerCrashError(worker_id=0, fingerprint=request.fingerprint())
+        raise WorkerCrashError(fingerprint=request.fingerprint())
 
     service._solve = _dead
     return calls
@@ -64,11 +61,11 @@ def test_retry_recovers_from_a_transient_crash():
     real = service._solve
     state = {"calls": 0}
 
-    def _flaky(request, *, deadline=None, attempt=0):
+    def _flaky(request, *, attempt=0):
         state["calls"] += 1
         if state["calls"] == 1:
-            raise WorkerCrashError(worker_id=0)
-        return real(request, deadline=deadline, attempt=attempt)
+            raise WorkerCrashError()
+        return real(request, attempt=attempt)
 
     service._solve = _flaky
     response = service.submit(make_request(48))
@@ -137,23 +134,22 @@ def test_without_a_policy_crashes_propagate():
         service.submit(make_request(64))
 
 
-def test_time_limit_is_never_retried():
-    service = make_service(retry=RetryPolicy(max_attempts=5, base_delay=0.0))
+def test_an_infeasible_answer_is_never_retried():
+    service = make_service(retry=RetryPolicy(max_attempts=5))
     calls = []
     real = service._solve
 
-    def _slow(request, *, deadline=None, attempt=0):
+    def _counted(request, *, attempt=0):
         calls.append(attempt)
-        outcome = real(request, deadline=deadline, attempt=attempt)
-        return type(outcome)(
-            **{**outcome.to_dict(), "status": Status.TIME_LIMIT.value}
-        )
+        return real(request, attempt=attempt)
 
-    service._solve = _slow
-    response = service.submit(make_request(64))
-    assert len(calls) == 1  # deterministic failure: no identical re-run
-    assert response.source == "greedy"
-    assert service.metrics.timeouts == 1
+    service._solve = _counted
+    floored = {name: ComponentSpec(PerformanceModel(a=10.0), 40) for name in "xy"}
+    response = service.submit(SolveRequest(components=floored, total_nodes=64))
+    assert len(calls) == 1  # deterministic answer: no identical re-run
+    assert response.status == Status.INFEASIBLE.value and not response.ok
+    assert response.source == "exact"
+    assert service.metrics.solve_errors == 1
 
 
 def test_corrupt_results_are_retried_not_served():
@@ -163,9 +159,9 @@ def test_corrupt_results_are_retried_not_served():
     real = service._solve
     state = {"calls": 0}
 
-    def _corrupting(request, *, deadline=None, attempt=0):
+    def _corrupting(request, *, attempt=0):
         state["calls"] += 1
-        outcome = real(request, deadline=deadline, attempt=attempt)
+        outcome = real(request, attempt=attempt)
         return corrupt_outcome(outcome) if state["calls"] == 1 else outcome
 
     service._solve = _corrupting

@@ -5,11 +5,6 @@ from __future__ import annotations
 import asyncio
 import io
 import json
-import os
-import queue
-import sys
-import threading
-import time
 
 import pytest
 
@@ -23,12 +18,7 @@ from repro.service import (
     solve_request,
 )
 
-from tests.service.conftest import (
-    dispatched,
-    hold_solves,
-    make_minlp_request,
-    make_request,
-)
+from tests.service.conftest import hold_solves, make_request
 
 #: A second curve family, so routing tests have two distinct family keys.
 OTHER_CURVES = {
@@ -38,7 +28,6 @@ OTHER_CURVES = {
 
 
 def _tier(**overrides) -> AsyncServingTier:
-    overrides.setdefault("worker_mode", "inline")
     overrides.setdefault("shards", 4)
     return AsyncServingTier(TierConfig(**overrides))
 
@@ -49,18 +38,16 @@ def _tier(**overrides) -> AsyncServingTier:
 def test_config_validation():
     with pytest.raises(ValueError):
         TierConfig(shards=0)
-    with pytest.raises(ValueError):
-        TierConfig(worker_mode="quantum")
+    for mode in ("thread", "process", "quantum"):
+        with pytest.raises(ValueError, match="inline"):
+            TierConfig(worker_mode=mode)
 
 
-def test_for_host_matches_the_core_budget():
-    # One core: forking a worker buys no parallelism, so the derived mode
-    # is in-process threads.
-    assert TierConfig.for_host(1).worker_mode == "thread"
-    assert TierConfig.for_host(8).worker_mode == "process"
-    # Explicit overrides always win over the derived fields.
-    assert TierConfig.for_host(8, worker_mode="inline").worker_mode == "inline"
-    assert TierConfig.for_host().worker_mode in ("thread", "process")
+def test_for_host_is_the_plain_config():
+    # No solve leaves the event loop, so the core count changes nothing.
+    assert TierConfig.for_host(1) == TierConfig.for_host(8) == TierConfig()
+    assert TierConfig.for_host(8, shards=2) == TierConfig(shards=2)
+    assert TierConfig.for_host().worker_mode == "inline"
 
 
 # -- routing ------------------------------------------------------------------
@@ -94,18 +81,16 @@ def test_serves_and_caches_across_repeats(request64):
     assert snap["cold_solves"] == 1
 
 
-def test_concurrent_identical_requests_coalesce_to_one_solve(minlp64):
+def test_concurrent_identical_requests_coalesce_to_one_solve(request64):
     """The tentpole invariant end-to-end: N identical in-flight -> 1 solve."""
-    tier = AsyncServingTier(
-        TierConfig(shards=2, worker_mode="thread")
-    )
+    tier = AsyncServingTier(TierConfig(shards=2))
     hold_solves(tier)
     n = 8
 
     async def main():
         async with tier:
             return await asyncio.gather(
-                *(tier.submit(minlp64) for _ in range(n))
+                *(tier.submit(request64) for _ in range(n))
             )
 
     responses = asyncio.run(main())
@@ -117,9 +102,8 @@ def test_concurrent_identical_requests_coalesce_to_one_solve(minlp64):
 
 
 def test_coalescing_can_be_disabled(request64):
-    tier = AsyncServingTier(
-        TierConfig(shards=1, worker_mode="thread", coalesce=False)
-    )
+    tier = AsyncServingTier(TierConfig(shards=1, coalesce=False))
+    hold_solves(tier)
 
     async def main():
         async with tier:
@@ -130,7 +114,7 @@ def test_coalescing_can_be_disabled(request64):
     asyncio.run(main())
     snap = tier.snapshot()
     assert snap["coalesce"]["riders"] == 0
-    assert snap["cold_solves"] >= 1
+    assert snap["cold_solves"] + snap["cache_hits"] == 4
 
 
 def test_degraded_requests_answer_from_the_greedy_rung(request64):
@@ -192,98 +176,31 @@ def test_cache_hits_answer_exactly_in_the_degrade_band(request64):
     assert tier.snapshot()["degraded_greedy"] == 0
 
 
-# -- process workers ----------------------------------------------------------
+# -- every objective ----------------------------------------------------------
 
 
-def test_process_mode_matches_inline():
-    """Out-of-process shards answer exactly what an inline shard does."""
-    batch = [make_minlp_request(b) for b in (48, 64, 72)]
-    reference = run_requests(_tier(shards=1), batch)
-    tier = AsyncServingTier(TierConfig(shards=1, worker_mode="process"))
-    responses = run_requests(tier, batch)
-    assert all(r.ok for r in responses)
-    for got, want in zip(responses, reference):
-        assert got.allocation == want.allocation
-        assert got.objective == want.objective
-        assert got.iterations == want.iterations > 0
-    assert tier.snapshot()["cold_solves"] == len(batch)
-
-
-@pytest.mark.parametrize("mode", ["inline", "thread", "process"])
-def test_a_min_sum_family_gets_cold_answers_in_any_order(mode):
-    """A default tier, one min-sum family's budgets in two orders: every
-    answer is the one a cold ``solve_request`` of that request gives —
-    nothing an earlier sibling left behind reaches a later solve."""
+@pytest.mark.parametrize("objective", ["min-max", "max-min", "min-sum"])
+def test_a_family_gets_cold_answers_in_any_order(objective):
+    """A default tier, one family's budgets in two orders: every answer is
+    the one a cold ``solve_request`` of that request gives — nothing an
+    earlier sibling left behind reaches a later solve."""
     budgets = (48, 64, 72, 96)
-    cold = {b: solve_request(make_minlp_request(b)) for b in budgets}
+    requests = {b: make_request(b, objective=objective) for b in budgets}
+    cold = {b: solve_request(request) for b, request in requests.items()}
     for order in (budgets, budgets[::-1]):
-        tier = AsyncServingTier(TierConfig(worker_mode=mode))
-        responses = run_requests(tier, [make_minlp_request(b) for b in order])
+        tier = AsyncServingTier(TierConfig())
+        responses = run_requests(tier, [requests[b] for b in order])
         for budget, response in zip(order, responses):
             assert not response.cached
-            assert response.allocation == cold[budget].allocation, (mode, order)
-            assert response.objective == cold[budget].objective, (mode, order)
-            # The same search, not just the same optimum: no seed, no cuts
-            # carried over from a sibling.
-            assert response.iterations == cold[budget].iterations, (mode, order)
-
-
-def test_a_parked_stdin_reader_does_not_wedge_a_late_worker_fork(monkeypatch):
-    """``serve_stdio`` in process mode on a real pipe: the reader thread is
-    parked in ``readline`` when the first min-sum line arrives, so the shard
-    forks its worker while that thread holds its file's lock.  A child
-    forked while ``sys.stdin``'s lock is held deadlocks closing it in
-    multiprocessing's bootstrap; serving a private ``dup`` keeps the lock
-    off ``sys.stdin``, and the line must be answered."""
-    read_fd, write_fd = os.pipe()
-    stdin = os.fdopen(read_fd, "r")
-    monkeypatch.setattr(sys, "stdin", stdin)
-    replies: queue.Queue = queue.Queue()
-
-    class Replies(io.StringIO):
-        def write(self, text: str) -> int:
-            for line in text.splitlines():
-                replies.put(json.loads(line))
-            return len(text)
-
-    tier = AsyncServingTier(TierConfig(shards=1, worker_mode="process"))
-    before = set(threading.enumerate())
-    server = threading.Thread(
-        target=serve_stdio, args=(tier, stdin, Replies()), daemon=True
-    )
-    server.start()
-    feed = os.fdopen(write_fd, "w")
-    try:
-        # Wait for the loop's reader thread, then give it time to block.
-        deadline = time.monotonic() + 30.0
-        while not any(
-            t.name.startswith("asyncio") for t in set(threading.enumerate()) - before
-        ):
-            assert time.monotonic() < deadline, "the reader thread never started"
-            time.sleep(0.01)
-        time.sleep(0.2)
-        assert dispatched(tier) == [0]  # no worker forked yet
-        feed.write(json.dumps({**make_minlp_request(64).to_dict(), "id": 7}) + "\n")
-        feed.flush()
-        reply = replies.get(timeout=60.0)
-    finally:
-        feed.close()  # EOF ends the serve
-        server.join(timeout=10.0)
-        if server.is_alive():  # wedged: kill the worker so the thread drains
-            tier.close()
-            server.join(timeout=10.0)
-        stdin.close()
-    assert reply["id"] == 7 and reply["status"] == "optimal"
-    assert reply["iterations"] > 0  # a MINLP, solved by the forked worker
-    assert dispatched(tier) == [1]
-    assert not server.is_alive()
+            assert response.allocation == cold[budget].allocation, order
+            assert response.objective == cold[budget].objective, order
+            assert response.iterations == cold[budget].iterations == 0
 
 
 # -- the JSONL transport ------------------------------------------------------
 
 
 def _serve(lines: list[str], **config) -> tuple[int, list[dict]]:
-    config.setdefault("worker_mode", "thread")
     tier = AsyncServingTier(TierConfig(**config))
     out = io.StringIO()
     served = serve_stdio(tier, io.StringIO("\n".join(lines) + "\n"), out)
@@ -308,11 +225,10 @@ def test_stdio_serves_and_echoes_ids(request64):
 
 def test_stdio_control_lines(request64):
     line = json.dumps(request64.to_dict())
-    # Inline workers make the sequence deterministic: the request's task
-    # finishes before the loop reads the metrics line.
+    # The request's task finishes on the loop before it reads the metrics
+    # line, so the sequence is deterministic.
     served, replies = _serve(
         [line, '{"cmd": "metrics"}', '{"cmd": "quit"}', line],
-        worker_mode="inline",
     )
     assert served == 1  # the quit stopped the loop before the second request
     metrics = next(r["metrics"] for r in replies if "metrics" in r)

@@ -2,10 +2,10 @@
 
 The service's ``greedy_outcome`` and the pipeline's ``fallback_allocation``
 are one module (:mod:`repro.core.greedy`: the heap for min-max, level sets
-for max-min).  It is checked here against values — a pinned table — and
-against solvers that share no code with it (OA, NLP-B&B, brute force) on
-keyed-RNG requests and on both pinned serving pools, so a later edit is not
-checked against itself.  ``solve_request`` answers min-max and max-min with
+for max-min, marginal gain for min-sum).  It is checked here against values
+— a pinned table — and against solvers that share no code with it (OA,
+NLP-B&B, brute force) on keyed-RNG requests and on both pinned serving
+pools, so a later edit is not checked against itself.  ``solve_request`` answers every objective with
 this module too, so the exact side of every comparison is OA on
 ``build_problem(request)`` (:func:`_oa`), never ``solve_request``.
 """
@@ -16,7 +16,11 @@ import inspect
 
 import pytest
 
-from repro.core.greedy import greedy_minmax_allocation, maxmin_allocation
+from repro.core.greedy import (
+    greedy_minmax_allocation,
+    maxmin_allocation,
+    minsum_allocation,
+)
 from repro.core.objectives import Objective
 from repro.fmo.schedulers import hslb_schedule
 from repro.minlp import (
@@ -72,38 +76,37 @@ def _pinned_spec(i: int) -> SolveRequest:
 
 #: Per spec: the service rung's (allocation, objective) under the request's
 #: bounds and objective, then the min-max heap's (allocation, makespan) on the
-#: bare curves.  Every min-max and max-min objective and every core makespan
-#: is the exact optimum (the tests below check them against OA and NLP-B&B);
-#: the min-sum rows price the min-max allocation, a feasible approximation.
+#: bare curves.  Every objective and every core makespan is the exact optimum
+#: (the tests below check them against OA, NLP-B&B and brute force).
 #: Specs 1, 7, 13 and 19 are max-min requests whose caps sum to less than the
 #: budget: every cap binds and the rest stays unspent.
 PINNED = [
     ((6,), 16.666666666666668, (6,), 16.666666666666668),
     ((6, 9), 34.30285870735532, (6, 12), 55.617943024159864),
-    ((4, 8, 10), 250.5, (4, 7, 11), 87.71428571428571),
+    ((5, 8, 9), 247.04016994374945, (4, 7, 11), 87.71428571428571),
     ((4, 7, 12, 15), 115.63571428571429, (4, 7, 12, 15), 115.63571428571429),
     ((3, 6, 9, 13, 7), 161.79626512346883, (3, 5, 7, 10, 13), 216.78571428571428),
-    ((3, 5, 8, 10, 14, 18), 253.57617140279282,
+    ((5, 8, 9, 10, 13, 13), 237.36896682104057,
      (3, 5, 8, 12, 13, 17), 44.79875742883384),
     ((48,), 4.166666666666667, (48,), 4.166666666666667),
     ((14, 19), 26.9949083373517, (19, 35), 36.14285714285714),
     ((12, 41, 11), 175.76058118088912, (10, 18, 36), 47.13333333333334),
     ((11, 8, 15, 46), 159.16493416739416, (9, 19, 15, 37), 159.16493416739416),
     ((10, 7, 33, 10, 20), 11.590909090909092, (6, 7, 18, 36, 13), 66.39762175205439),
-    ((7, 11, 18, 15, 29, 20), 314.0479654957993, (6, 9, 14, 16, 24, 31), 86.0),
+    ((6, 16, 19, 14, 25, 20), 308.7311231768954, (6, 9, 14, 16, 24, 31), 86.0),
     ((90,), 3.3333333333333335, (90,), 3.3333333333333335),
     ((18, 16), 24.576012651738626, (49, 16), 83.5),
     ((13, 81, 12), 205.84330076440006, (13, 34, 59), 62.89762175205439),
     ((13, 18, 16, 75), 36.75, (11, 30, 16, 65), 36.75),
     ((16, 19, 54, 17, 16), 13.61111111111111, (8, 18, 23, 28, 45), 49.22222222222222),
-    ((5, 30, 5, 7, 88, 7), 735.6171934100294,
+    ((5, 46, 5, 7, 72, 7), 732.4485504587776,
      (6, 11, 19, 29, 28, 49), 59.88469387755103),
     ((132,), 3.0303030303030303, (132,), 3.0303030303030303),
     ((9, 9), 58.39382414577354, (23, 45), 46.22222222222222),
     ((7, 128, 13), 50.768745691688956, (14, 106, 28), 21.122389385266565),
     ((21, 15, 11, 117), 89.76603399540934, (19, 31, 11, 103), 89.76603399540934),
     ((9, 14, 122, 7, 12), 9.87704918032787, (13, 11, 39, 80, 21), 124.04561622560774),
-    ((9, 38, 8, 12, 110, 7), 776.0593831208955,
+    ((9, 57, 8, 12, 91, 7), 772.8380430574502,
      (9, 18, 29, 21, 46, 61), 128.3075209875125),
 ]
 
@@ -316,7 +319,7 @@ def test_max_min_is_never_below_nlpbb_started_from_the_heap():
     assert trapped.objective == pytest.approx(47.547, abs=1e-3)  # the tree: 13.67
 
 
-# -- the routing facts ``Objective`` carries -----------------------------------
+# -- every route against enumeration -----------------------------------------
 
 
 def _small_request(objective: str, case: int) -> SolveRequest:
@@ -337,17 +340,16 @@ def _small_request(objective: str, case: int) -> SolveRequest:
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_solve_request_matches_brute_force(objective):
-    """The heap for min-max, level sets for max-min, OA for min-sum: every
-    route returns the optimum brute force enumerates on ``build_problem``
-    (for max-min the ``==``-budget reference formulation)."""
+    """The heap for min-max, level sets for max-min, marginal gain for
+    min-sum: every route returns the optimum brute force enumerates on
+    ``build_problem`` (for max-min the ``==``-budget reference formulation)."""
     assert Objective(objective).oa_safe == (objective != "max-min")
-    assert Objective(objective).has_direct_solver == (objective != "min-sum")
     for case in range(8):
         request = _small_request(objective, case)
         brute = solve_brute_force(build_problem(request)).require_ok()
         outcome = solve_request(request)
         assert outcome.status == "optimal", case
-        assert (outcome.iterations == 0) == (objective != "min-sum"), case
+        assert outcome.iterations == 0, case
         assert outcome.objective == pytest.approx(brute.objective, rel=1e-6), case
         assert validate_outcome(request, outcome) is None, case
 
@@ -359,7 +361,7 @@ def test_solve_entry_points_take_no_rng_spend_all_or_options():
     """No solve draws a random number and max-min is one function, so the
     parameters that existed to thread a generator through the entry points,
     to patch the heap for max-min and to cap its tree search stay deleted."""
-    allocators = (greedy_minmax_allocation, maxmin_allocation)
+    allocators = (greedy_minmax_allocation, maxmin_allocation, minsum_allocation)
     for entry in (
         solve, solve_minlp_oa, rounding_heuristic, warm_start_incumbent,
         solve_request, hslb_schedule, *allocators,
@@ -369,6 +371,7 @@ def test_solve_entry_points_take_no_rng_spend_all_or_options():
     # ``options`` survives only where it is a tree search's own budget.
     for entry in (solve_request, hslb_schedule, *allocators):
         assert "options" not in inspect.signature(entry).parameters, entry.__name__
-    assert inspect.signature(maxmin_allocation) == inspect.signature(
-        greedy_minmax_allocation
-    )
+    for allocate in (maxmin_allocation, minsum_allocation):
+        assert inspect.signature(allocate) == inspect.signature(
+            greedy_minmax_allocation
+        )

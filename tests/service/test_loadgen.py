@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -21,19 +20,9 @@ from repro.service.loadgen import (
     priority_histogram,
     request_pool,
 )
+from tests.service.conftest import hold_solves
 
 SPEC = TraceSpec(n_requests=200, seed=7, n_families=3, duration=10.0)
-
-
-def min_sum_trace(spec: TraceSpec) -> list:
-    """``spec``'s trace re-targeted at min-sum, the objective that still
-    builds a MINLP: a min-max / max-min request is answered on the event
-    loop before the next arrival is even admitted, so it never rides a
-    flight and never counts as pending."""
-    return [
-        replace(e, request=replace(e.request, objective="min-sum"))
-        for e in generate_trace(spec)
-    ]
 
 
 def test_trace_is_bit_identical_across_generations():
@@ -113,14 +102,13 @@ def test_spec_validation():
 
 def test_replay_accounts_for_every_event():
     spec = TraceSpec(n_requests=60, seed=11, n_families=2, budgets=(48, 64))
-    trace = min_sum_trace(spec)
+    trace = generate_trace(spec)
     tier = AsyncServingTier(
         TierConfig(
-            shards=2,
-            worker_mode="thread",
-            admission=AdmissionPolicy(max_pending=2 * len(trace)),
+            shards=2, admission=AdmissionPolicy(max_pending=2 * len(trace))
         )
     )
+    hold_solves(tier)  # in flight together, as a burst of slow solves would be
     report = replay(tier, trace, speed=0.0)
     assert report.lost == 0
     assert report.shed == 0
@@ -140,9 +128,7 @@ def test_replay_reports_per_priority_percentiles():
     trace = generate_trace(spec)
     tier = AsyncServingTier(
         TierConfig(
-            shards=2,
-            worker_mode="thread",
-            admission=AdmissionPolicy(max_pending=2 * len(trace)),
+            shards=2, admission=AdmissionPolicy(max_pending=2 * len(trace))
         )
     )
     snap = replay(tier, trace, speed=0.0).snapshot()
@@ -202,14 +188,11 @@ def test_report_percentiles_are_pinned_on_a_fixed_latency_stream():
 
 def test_replay_sheds_under_a_tiny_admission_budget():
     spec = TraceSpec(n_requests=40, seed=11, n_families=2, budgets=(48, 64))
-    trace = min_sum_trace(spec)
+    trace = generate_trace(spec)
     tier = AsyncServingTier(
-        TierConfig(
-            shards=1,
-            worker_mode="thread",
-            admission=AdmissionPolicy(max_pending=2),
-        )
+        TierConfig(shards=1, admission=AdmissionPolicy(max_pending=2))
     )
+    hold_solves(tier)
     report = replay(tier, trace, speed=0.0)
     assert report.lost == 0  # shed is an *answer*, not a loss
     assert report.shed > 0

@@ -14,20 +14,20 @@ def _populate(m: ServiceMetrics) -> None:
     m.record_solve(0.2, iterations=10, ok=True)
     m.record_solve(0.05, iterations=2, ok=True)
     m.record_solve(0.5, iterations=0, ok=False)
-    m.count("timeouts")
+    m.count("retries")
     m.count("overloads")
 
 
 def test_reset_zeroes_every_counter_and_histogram():
     m = ServiceMetrics()
     _populate(m)
-    assert m.requests and m.overloads and m.timeouts
+    assert m.requests and m.overloads and m.retries
     m.reset()
     assert m.requests == 0
     assert m.cache_hits == 0
     assert m.cold_solves == 0
     assert m.solve_errors == 0
-    assert m.timeouts == 0 and m.overloads == 0
+    assert m.retries == 0 and m.overloads == 0
     assert m.cold_iterations == 0
     assert m.request_latency.count() == 0
     assert m.request_latency.sum() == 0.0
@@ -73,7 +73,7 @@ def test_snapshot_values():
     assert snap["cache_hits"] == 1
     assert snap["cache_misses"] == 2  # the failed solve is not a miss pair
     assert snap["solve_errors"] == 1
-    assert snap["timeouts"] == 1 and snap["overloads"] == 1
+    assert snap["retries"] == 1 and snap["overloads"] == 1
     assert snap["cold_solves"] == 2 and snap["cold_iterations"] == 12
     assert snap["warm_solves"] == 0  # a literal: nothing warm-starts
     # Counter values are floats; everything a snapshot counts is an int.
@@ -119,15 +119,15 @@ def test_registry_mirror_tracks_outcomes():
     assert counter.value(outcome="hit") == before["hit"] + 1
 
 
-def test_registry_mirror_tracks_timeouts_overloads_batches():
+def test_registry_mirror_tracks_retries_and_overloads():
     # The batch counters went with the batch executor: a whole-batch
     # refusal is an overload, batch dedup is the tier's coalesce.riders.
-    names = ("service_timeouts_total", "service_overloads_total")
+    names = ("service_retries_total", "service_overloads_total")
     before = {n: REGISTRY.counter(n).value() for n in names}
     m = ServiceMetrics()
     _populate(m)
-    assert REGISTRY.counter("service_timeouts_total").value() == before[
-        "service_timeouts_total"
+    assert REGISTRY.counter("service_retries_total").value() == before[
+        "service_retries_total"
     ] + 1
     assert REGISTRY.counter("service_overloads_total").value() == before[
         "service_overloads_total"
@@ -155,7 +155,7 @@ def test_a_shard_view_is_its_tiers_total_and_the_scrape():
 
 
 def test_readers_and_two_writers_keep_the_ledger():
-    """The loop books hits while a shard thread books solves and something
+    """One thread books hits while another books solves and something
     scrapes: no read may raise, no write may be lost."""
     m = ServiceMetrics(parent=MetricsRegistry())
     rounds, errors, done = 4000, [], threading.Event()

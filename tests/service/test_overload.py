@@ -17,11 +17,7 @@ from tests.service.conftest import make_request
 
 def tier_with_capacity(max_pending: int) -> AsyncServingTier:
     return AsyncServingTier(
-        TierConfig(
-            shards=1,
-            worker_mode="inline",
-            admission=AdmissionPolicy(max_pending=max_pending),
-        )
+        TierConfig(shards=1, admission=AdmissionPolicy(max_pending=max_pending))
     )
 
 
@@ -39,14 +35,14 @@ def test_oversized_batch_is_refused_with_a_typed_error():
 def test_retry_after_hint_scales_with_the_excess():
     tier = tier_with_capacity(2)
     with pytest.raises(ServiceOverloadError) as err:
-        run_requests(tier, oversized_batch(5), deadline=0.5)
-    # No latency history yet: the hint falls back to excess x deadline.
-    assert err.value.retry_after == pytest.approx(3 * 0.5)
+        run_requests(tier, oversized_batch(5))
+    # No latency history yet: the hint falls back to excess x 0.1 s.
+    assert err.value.retry_after == pytest.approx(3 * 0.1)
     assert "retry after" in str(err.value)
     # With observed traffic the hint tracks the measured mean latency.
     tier.latency.observe(0.2)
     with pytest.raises(ServiceOverloadError) as err:
-        run_requests(tier, oversized_batch(4), deadline=0.5)
+        run_requests(tier, oversized_batch(4))
     assert err.value.retry_after == pytest.approx(2 * 0.2)
 
 

@@ -47,10 +47,10 @@ def test_metrics_command(monkeypatch, capsys):
     # The tier snapshot is a superset of what the service's own answered.
     for key in (
         "cache_hits", "cache_misses", "hit_rate", "cold_solves", "warm_solves",
-        "solve_errors", "timeouts", "overloads", "latency", "resilience",
+        "solve_errors", "overloads", "latency", "resilience",
     ):
         assert key in metrics, key
-    assert metrics["worker_mode"] == "inline" and metrics["shards"] == 1
+    assert metrics["shards"] == 1
 
 
 def test_quit_stops_the_loop(request64, monkeypatch, capsys):
