@@ -34,11 +34,6 @@ from repro.minlp.expr import (
     sqrt,
     sum_exprs,
 )
-from repro.minlp.heuristics import (
-    diving_heuristic,
-    rounding_heuristic,
-    warm_start_incumbent,
-)
 from repro.minlp.linprog import LinearProgram, solve_lp, solve_problem_lp
 from repro.minlp.milp import solve_milp
 from repro.minlp.modeling import Model
@@ -56,7 +51,6 @@ __all__ = [
     "Constant",
     "Constraint",
     "Domain",
-    "diving_heuristic",
     "Expr",
     "LinearProgram",
     "Model",
@@ -74,7 +68,6 @@ __all__ = [
     "log",
     "presolve",
     "problem_to_ampl",
-    "rounding_heuristic",
     "solve",
     "solve_brute_force",
     "solve_lp",
@@ -87,44 +80,25 @@ __all__ = [
     "solve_problem_lp",
     "sqrt",
     "sum_exprs",
-    "warm_start_incumbent",
 ]
 
 
-def solve(
-    problem: Problem,
-    options: BnBOptions | None = None,
-    *,
-    algorithm: str = "auto",
-    x0: dict[str, float] | None = None,
-) -> Solution:
-    """Solve ``problem`` with an automatically (or explicitly) chosen algorithm.
+def solve(problem: Problem) -> Solution:
+    """Solve ``problem`` with the algorithm its structure calls for.
 
-    ``auto`` routes: pure LP -> HiGHS; MILP -> branch-and-bound over LP
-    relaxations; continuous NLP -> SLSQP; convex MINLP -> LP/NLP-based
-    branch-and-bound (falling back to NLP-based B&B when the model has
-    nonlinear lower-bounded constraints OA cannot relax safely).
-    Explicit MINLP choices: ``"oa"``, ``"nlpbb"``.  The other
-    engines (:func:`solve_milp`, :func:`solve_nlp`,
-    :func:`solve_minlp_oa_multitree`, :func:`solve_brute_force`, ...) are
-    functions to call, not names to pass.
-
-    ``x0`` is an optional (possibly partial) warm-start point, honored by
-    the NLP, OA, and NLP-B&B routes and ignored by the rest.
+    Pure LP -> HiGHS; MILP -> branch-and-bound over LP relaxations;
+    continuous NLP -> SLSQP; convex MINLP -> LP/NLP-based branch-and-bound
+    (falling back to NLP-based B&B when the model has nonlinear equality or
+    range constraints OA cannot relax safely).  Every solve starts cold with
+    default :class:`BnBOptions`; the engines themselves
+    (:func:`solve_minlp_oa`, :func:`solve_minlp_nlpbb`, :func:`solve_milp`,
+    :func:`solve_nlp`, ...) are functions to call directly.
     """
-    if algorithm == "auto":
-        if problem.is_linear():
-            return solve_milp(problem, options) if problem.is_mip() else solve_problem_lp(problem)
-        if not problem.is_mip():
-            return solve_nlp(problem, x0=x0)
-        try:
-            return solve_minlp_oa(problem, options, x0=x0)
-        except ValueError:
-            return solve_minlp_nlpbb(problem, options, x0=x0)
-    if algorithm == "oa":
-        return solve_minlp_oa(problem, options, x0=x0)
-    if algorithm == "nlpbb":
-        return solve_minlp_nlpbb(problem, options, x0=x0)
-    raise ValueError(
-        f"unknown algorithm {algorithm!r}; expected 'auto', 'oa' or 'nlpbb'"
-    )
+    if problem.is_linear():
+        return solve_milp(problem) if problem.is_mip() else solve_problem_lp(problem)
+    if not problem.is_mip():
+        return solve_nlp(problem)
+    try:
+        return solve_minlp_oa(problem)
+    except ValueError:
+        return solve_minlp_nlpbb(problem)

@@ -13,7 +13,7 @@ parameterized by a *relaxation solver* so the same engine drives:
 
 Two branching mechanisms are supported:
 
-* classic variable dichotomy on a fractional integer variable;
+* classic variable dichotomy on the most fractional integer variable;
 * **SOS1 branching**: a violated special-ordered set is split around its
   weighted midpoint and each child forbids one half of the set.  The paper
   reports this is what made the atmosphere sweet-spot sets tractable
@@ -54,11 +54,6 @@ LazyCutCallback = Callable[
 class _Node:
     bounds: dict[str, tuple[float, float]]
     sos_allowed: dict[str, tuple[int, ...]]
-    parent_bound: float
-    depth: int
-    # Pseudocost bookkeeping: how this node was created.
-    branch_var: str | None = None
-    branch_frac: float = 0.0  # fractional distance moved by the branching
     # Parent node's final simplex basis (a SimplexBasis), inherited so the
     # child LP warm-starts via dual-simplex restoration instead of a cold
     # two-phase solve.  None at the root or when HiGHS solved the parent.
@@ -74,13 +69,11 @@ class BnBOptions:
     gap_rel: float = 1e-7
     node_limit: int = 100_000
     time_limit: float = 120.0
-    branch_rule: str = "most_fractional"  # or "first_fractional"/"pseudocost"
     sos_branching: bool = True  # False: branch SOS members as plain binaries
     #: Hand each child node its parent's final basis (simplex-solved LPs only).
     #: Node solutions are bit-identical with this on or off; off forces a
     #: cold two-phase solve per node (the baseline the benchmarks compare).
     basis_reuse: bool = True
-    log: Callable[[str], None] | None = None
 
     def with_budget(self, wall_seconds: float) -> "BnBOptions":
         """A copy capped to a remaining wall budget (never loosened).
@@ -109,22 +102,17 @@ class BranchAndBound:
         relax_solver: RelaxSolver | str,
         options: BnBOptions | None = None,
         lazy_cuts: LazyCutCallback | None = None,
-        incumbent: tuple[dict[str, float], float] | None = None,
         known_cuts: set[str] | None = None,
     ) -> None:
         self.problem = problem
         self.opts = options or BnBOptions()
         self.lazy_cuts = lazy_cuts
-        #: Optional warm-start incumbent ``(values, objective)``.  The point
-        #: must be feasible for ``problem`` (callers certify it, e.g. via
-        #: :func:`repro.minlp.heuristics.warm_start_incumbent`); the tree
-        #: then starts with a finite primal bound and prunes from node one.
-        self.initial_incumbent = incumbent
         self._sign = -1.0 if problem.sense is Sense.MAXIMIZE else 1.0
         self._cuts: list[tuple[str, Expr, float, float]] = []
-        # Cut names already present in ``problem`` itself (e.g. pooled OA
-        # cuts preinstalled into the master): a lazy callback re-proposing
-        # one is a duplicate, and the node fathoms instead of re-queuing.
+        # Cut names already present in ``problem`` itself (OA's seeded
+        # tangents, installed in the master before the tree starts): a lazy
+        # callback re-proposing one is a duplicate, and the node fathoms
+        # instead of re-queuing.
         self._cut_names: set[str] = set(known_cuts or ())
         self._incremental = None
         if relax_solver == "lp":
@@ -138,10 +126,6 @@ class BranchAndBound:
             self.relax = relax_solver
         else:
             raise TypeError(f"relax_solver must be callable or 'lp', got {relax_solver!r}")
-        # Pseudocosts: per variable, (degradation sum, observation count) —
-        # the average objective worsening per unit of fractional distance
-        # removed, learned from solved child nodes.
-        self._pseudo: dict[str, list[float]] = {}
 
     @property
     def lp_report(self) -> dict[str, int]:
@@ -179,43 +163,6 @@ class BranchAndBound:
                 return sos, allowed
         return None
 
-    def _select_branch_var(self, fracs: list[tuple[str, float]]) -> str:
-        if self.opts.branch_rule == "first_fractional":
-            return fracs[0][0]
-        if self.opts.branch_rule == "pseudocost":
-            return self._select_pseudocost(fracs)
-        # most fractional: distance to nearest integer closest to 0.5
-        return max(fracs, key=lambda nf: min(nf[1], 1.0 - nf[1]))[0]
-
-    def _pseudocost(self, name: str) -> float:
-        """Learned per-unit degradation; global average before any history."""
-        entry = self._pseudo.get(name)
-        if entry and entry[1] > 0:
-            return entry[0] / entry[1]
-        totals = [s / c for s, c in self._pseudo.values() if c > 0]
-        return sum(totals) / len(totals) if totals else 1.0
-
-    def _select_pseudocost(self, fracs: list[tuple[str, float]]) -> str:
-        # Score each candidate by its expected objective movement weighted by
-        # how much fractionality the dichotomy removes (product rule over
-        # the min of the two directions — the standard reliability proxy).
-        def score(nf: tuple[str, float]) -> float:
-            name, frac = nf
-            per_unit = self._pseudocost(name)
-            return per_unit * min(frac, 1.0 - frac)
-
-        return max(fracs, key=score)[0]
-
-    def _update_pseudocost(self, node: _Node, child_bound: float) -> None:
-        if node.branch_var is None or node.branch_frac <= 0:
-            return
-        if not (math.isfinite(node.parent_bound) and math.isfinite(child_bound)):
-            return
-        degradation = max(0.0, child_bound - node.parent_bound)
-        entry = self._pseudo.setdefault(node.branch_var, [0.0, 0.0])
-        entry[0] += degradation / node.branch_frac
-        entry[1] += 1.0
-
     def _branch_sos(
         self, node: _Node, sos: SOS1, allowed: tuple[int, ...], values: dict[str, float]
     ) -> list[_Node]:
@@ -241,35 +188,18 @@ class BranchAndBound:
             else:
                 sos_allowed = dict(node.sos_allowed)
                 sos_allowed[sos.name] = keep
-                children.append(
-                    _Node(bounds, sos_allowed, node.parent_bound, node.depth + 1)
-                )
+                children.append(_Node(bounds, sos_allowed))
         return children
 
     def _branch_int(self, node: _Node, name: str, value: float) -> list[_Node]:
         var = self.problem.variable(name)
         lo, hi = node.bounds.get(name, (var.lb, var.ub))
-        floor_v, ceil_v = math.floor(value), math.ceil(value)
-        frac = value - floor_v
         children = []
-        if floor_v >= lo:
-            b = dict(node.bounds)
-            b[name] = (lo, float(floor_v))
-            children.append(
-                _Node(
-                    b, dict(node.sos_allowed), node.parent_bound, node.depth + 1,
-                    branch_var=name, branch_frac=max(frac, 1e-6),
-                )
-            )
-        if ceil_v <= hi:
-            b = dict(node.bounds)
-            b[name] = (float(ceil_v), hi)
-            children.append(
-                _Node(
-                    b, dict(node.sos_allowed), node.parent_bound, node.depth + 1,
-                    branch_var=name, branch_frac=max(1.0 - frac, 1e-6),
-                )
-            )
+        for low, high in ((lo, float(math.floor(value))), (float(math.ceil(value)), hi)):
+            if low <= high:  # the down child, then the up child, when non-empty
+                b = dict(node.bounds)
+                b[name] = (low, high)
+                children.append(_Node(b, dict(node.sos_allowed)))
         return children
 
     def add_global_cut(self, name: str, body: Expr, lb: float, ub: float) -> bool:
@@ -293,21 +223,11 @@ class BranchAndBound:
 
         incumbent: dict[str, float] | None = None
         incumbent_obj = math.inf  # in minimize-sign space
-        if self.initial_incumbent is not None:
-            values, obj = self.initial_incumbent
-            incumbent = dict(values)
-            incumbent_obj = sign * float(obj)
-            if opts.log:
-                opts.log(f"warm-start incumbent {obj:.6g}")
 
         counter = itertools.count()
-        root = _Node({}, {}, -math.inf, 0)
+        root = _Node({}, {})
         heap: list[tuple[float, int, _Node]] = [(-math.inf, next(counter), root)]
         status = Status.OPTIMAL
-
-        def log(msg: str) -> None:
-            if opts.log:
-                opts.log(msg)
 
         while heap:
             if stats.nodes_explored >= opts.node_limit:
@@ -349,7 +269,6 @@ class BranchAndBound:
                 continue
 
             bound = sign * rel.objective
-            self._update_pseudocost(node, bound)
             if bound >= incumbent_obj - opts.gap_abs:
                 stats.nodes_pruned += 1
                 continue
@@ -376,7 +295,6 @@ class BranchAndBound:
                         if cand_signed < incumbent_obj - opts.gap_abs:
                             incumbent, incumbent_obj = dict(cand_values), cand_signed
                             stats.incumbent_updates += 1
-                            log(f"incumbent (NLP) {cand_obj:.6g}")
                             if _TRACER.enabled:
                                 _TRACER.event(
                                     "bnb.incumbent",
@@ -400,7 +318,6 @@ class BranchAndBound:
                 if obj_signed < incumbent_obj - opts.gap_abs:
                     incumbent, incumbent_obj = dict(values), obj_signed
                     stats.incumbent_updates += 1
-                    log(f"incumbent {rel.objective:.6g}")
                     if _TRACER.enabled:
                         _TRACER.event(
                             "bnb.incumbent",
@@ -413,10 +330,9 @@ class BranchAndBound:
             if sos_viol is not None:
                 children = self._branch_sos(node, *sos_viol, values)
             else:
-                name = self._select_branch_var(fracs)
+                name = max(fracs, key=lambda nf: min(nf[1], 1.0 - nf[1]))[0]
                 children = self._branch_int(node, name, values[name])
             for child in children:
-                child.parent_bound = bound
                 child.basis = node_basis
                 heapq.heappush(heap, (bound, next(counter), child))
 

@@ -25,7 +25,6 @@ def solve_minlp_nlpbb(
     *,
     multistart: int = 1,
     rng: np.random.Generator | None = None,
-    x0: dict[str, float] | None = None,
 ) -> Solution:
     """Solve ``problem`` by branch-and-bound with NLP relaxations.
 
@@ -33,39 +32,13 @@ def solve_minlp_nlpbb(
     which guards against local minima on nonconvex instances at the price of
     proportionally more NLP solves.  The wall budget is the one ``options``
     carries (the degradation chain in :mod:`repro.core.hslb` shrinks it with
-    :meth:`BnBOptions.with_budget`).
-
-    ``x0`` warm-starts the tree: the (possibly partial) point is completed
-    into a feasible incumbent before the search (finite primal bound from
-    node one) and seeds every node relaxation's NLP solve.
+    :meth:`BnBOptions.with_budget`).  Every solve starts cold.
     """
-    with span("minlp.nlpbb", problem=problem.name):
-        sol = _solve_minlp_nlpbb_impl(
-            problem, options, multistart=multistart, rng=rng, x0=x0
-        )
-        telemetry.record_warm_start(x0 is not None)
-        telemetry.record_solve("nlpbb", sol.stats, sol.status.value)
-    return sol
-
-
-def _solve_minlp_nlpbb_impl(
-    problem: Problem,
-    options: BnBOptions | None,
-    *,
-    multistart: int,
-    rng: np.random.Generator | None,
-    x0: dict[str, float] | None,
-) -> Solution:
-    incumbent: tuple[dict[str, float], float] | None = None
-    if x0 is not None:
-        from repro.minlp.heuristics import warm_start_incumbent
-
-        warm = warm_start_incumbent(problem, x0)
-        if warm.status.is_ok:
-            incumbent = (dict(warm.values), float(warm.objective))
 
     def relax(node_problem: Problem) -> Solution:
-        return solve_nlp(node_problem, x0=x0, multistart=multistart, rng=rng)
+        return solve_nlp(node_problem, multistart=multistart, rng=rng)
 
-    engine = BranchAndBound(problem, relax, options, incumbent=incumbent)
-    return engine.solve()
+    with span("minlp.nlpbb", problem=problem.name):
+        sol = BranchAndBound(problem, relax, options).solve()
+        telemetry.record_solve("nlpbb", sol.stats, sol.status.value)
+    return sol

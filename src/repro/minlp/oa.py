@@ -200,40 +200,25 @@ def _solve_fixed_subproblem(work: Problem, values: dict[str, float]) -> Solution
     return sub
 
 
-def solve_minlp_oa(
-    problem: Problem,
-    options: BnBOptions | None = None,
-    *,
-    x0: dict[str, float] | None = None,
-) -> Solution:
+def solve_minlp_oa(problem: Problem, options: BnBOptions | None = None) -> Solution:
     """Solve a convex MINLP with single-tree LP/NLP branch-and-bound.
 
     The wall budget is the one ``options`` carries (the pipeline's
     degradation chain shrinks it with :meth:`BnBOptions.with_budget`).
 
-    ``x0`` warm-starts the search: the (possibly partial) point seeds the
-    root relaxation, is completed into a feasible incumbent (so the tree
-    prunes against a finite primal bound from node one), and contributes OA
-    cuts at the incumbent before the first master solve.  An infeasible or
-    useless ``x0`` costs two small NLP solves and is otherwise ignored.
-
-    Every cut comes from a per-solve :class:`OACutPool`, which dedups
-    repeated linearization points within this tree; nothing outlives the
-    solve, so the same problem and ``x0`` always build the same master.
+    Every solve starts cold.  Every cut comes from a per-solve
+    :class:`OACutPool`, which dedups repeated linearization points within
+    this tree; nothing outlives the solve, so the same problem always builds
+    the same master.
     """
     with span("minlp.oa", problem=problem.name) as oa_span:
-        sol = _solve_minlp_oa_impl(problem, options, oa_span, x0=x0)
-        telemetry.record_warm_start(x0 is not None)
+        sol = _solve_minlp_oa_impl(problem, options, oa_span)
         telemetry.record_solve("oa", sol.stats, sol.status.value)
     return sol
 
 
 def _solve_minlp_oa_impl(
-    problem: Problem,
-    options: BnBOptions | None,
-    oa_span,
-    *,
-    x0: dict[str, float] | None,
+    problem: Problem, options: BnBOptions | None, oa_span
 ) -> Solution:
     opts = options or BnBOptions()
     work, has_eta = _epigraph_form(problem)
@@ -249,7 +234,7 @@ def _solve_minlp_oa_impl(
 
     # Root relaxation: continuous NLP over the full model.  Its solution
     # seeds the initial linearizations so the first master is meaningful.
-    root = solve_nlp(work, x0=x0)
+    root = solve_nlp(work)
     stats.merge(root.stats)
     oa_span.set_tag("root_nlp_ms", root.stats.wall_time * 1e3)
     if root.status is Status.INFEASIBLE:
@@ -261,22 +246,6 @@ def _solve_minlp_oa_impl(
     master = _Master(work, nonlin, pool, stats)
     seeded = master.seed(root.values)
     trace_event("oa.cut_pool.master", installed=len(master.installed))
-
-    incumbent: tuple[dict[str, float], float] | None = None
-    if x0 is not None:
-        from repro.minlp.heuristics import warm_start_incumbent
-
-        warm = warm_start_incumbent(work, {**root.values, **x0})
-        stats.nlp_solves += warm.stats.nlp_solves
-        if warm.status.is_ok:
-            warm_values = dict(warm.values)
-            warm_obj = problem.objective_value(warm_values)
-            if has_eta:
-                warm_values[_OBJ_VAR] = warm_obj
-            incumbent = (warm_values, warm_obj)
-            # Linearize at the incumbent too: the cuts make the first master
-            # tight around the warm-start's neighborhood.
-            master.add_cuts_at(warm.values)
 
     lazy_rounds = 0
 
@@ -308,8 +277,6 @@ def _solve_minlp_oa_impl(
         if violated:
             at = {**values, **_integer_assignment(work, values)}
             cuts.extend(pool.cut_for(con, at) for con in violated)
-        if violated and candidate is None and sub.status is Status.INFEASIBLE:
-            pass  # feasibility cuts above already exclude this assignment's point
         trace_event(
             "oa.iteration",
             cuts=len(cuts),
@@ -327,7 +294,6 @@ def _solve_minlp_oa_impl(
         "lp",
         opts.with_budget(opts.time_limit - timer.peek()),
         lazy_cuts=lazy,
-        incumbent=incumbent,
         known_cuts=master.installed,
     )
     sol = engine.solve()

@@ -44,7 +44,6 @@ CATALOGUE = (
     _counter("solver_lp_solves_total", "LP relaxation solves", "algorithm"),
     _counter("solver_cuts_added_total", "OA linearization cuts added", "algorithm"),
     _counter("solver_incumbent_updates_total", "incumbent improvements", "algorithm"),
-    _counter("solver_warm_starts_total", "x0 warm-start attempts", "used"),
     _counter("solver_basis_reuse_total", "B&B parent-basis reuse hits/misses", "outcome"),
     _counter("solver_simplex_pivots_total", "simplex pivots by phase", "phase"),
     _histogram("solver_wall_seconds", "per-solve wall time", "algorithm", "status"),
@@ -56,7 +55,6 @@ CATALOGUE = (
     _counter("faults_injected_total", "injected faults by kind", "kind", "stage"),
     _counter("service_requests_total", "requests booked, by how each was answered", "outcome"),
     _histogram("service_request_seconds", "service-side latency of every booked request"),
-    _counter("service_solve_iterations_total", "solver iterations of exact solves"),
     _histogram("service_tier_request_seconds", "end-to-end tier latency, queue wait included"),
     _counter("service_overloads_total", "shed requests and refused batches"),
     _counter("service_retries_total", "service solve retries"),
@@ -136,10 +134,6 @@ def record_solve(algorithm: str, stats, status: str) -> None:
             cuts=stats.cuts_added,
             incumbents=stats.incumbent_updates,
         )
-
-
-def record_warm_start(used: bool) -> None:
-    REGISTRY.counter("solver_warm_starts_total").inc(used=str(bool(used)).lower())
 
 
 def record_basis_reuse(outcome: str) -> None:

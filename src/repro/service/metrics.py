@@ -8,9 +8,7 @@ service → its tier → the process ``REGISTRY``) and the Prometheus scrape.
 Every attribute the view exposes is read back from those series, so a
 snapshot and a scrape cannot disagree.
 
-The headline derived number is the **cache hit rate**; solver iterations
-(``cold_iterations``) are summed over the exact solves — 0 while every
-request is answered without a tree.
+The headline derived number is the **cache hit rate**.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ _COUNTS = {
     "degraded_stale": ("service_requests_total", {"outcome": "stale"}),
     "degraded_greedy": ("service_requests_total", {"outcome": "greedy"}),
     "rejections": ("service_requests_total", {"outcome": "rejected"}),
-    "cold_iterations": ("service_solve_iterations_total", {}),
     "overloads": ("service_overloads_total", {}),
     "retries": ("service_retries_total", {}),
     "worker_crashes": ("service_worker_failures_total", {"kind": "crash"}),
@@ -88,12 +85,8 @@ class ServiceMetrics:
     def record_hit(self, latency: float) -> None:
         self._book("cache_hits", latency)
 
-    def record_solve(self, latency: float, *, iterations: int, ok: bool) -> None:
-        if not ok:
-            self._book("solve_errors", latency)
-        else:
-            self.count("cold_iterations", iterations)
-            self._book("cold_solves", latency)
+    def record_solve(self, latency: float, *, ok: bool) -> None:
+        self._book("cold_solves" if ok else "solve_errors", latency)
 
     def record_degraded(self, mode: str, latency: float) -> None:
         """A request answered by a ladder rung below exact (stale/greedy)."""

@@ -200,7 +200,7 @@ class AllocationService:
                     continue
             latency = time.perf_counter() - start
             ok = outcome.status in (Status.OPTIMAL.value, Status.FEASIBLE.value)
-            self.metrics.record_solve(latency, iterations=outcome.iterations, ok=ok)
+            self.metrics.record_solve(latency, ok=ok)
             # A finished solve — optimal, or an infeasible request that no
             # retry changes.
             if self.breaker is not None:

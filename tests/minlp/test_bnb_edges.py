@@ -22,14 +22,6 @@ def _knapsack(n=14, cap=23):
     return m.build()
 
 
-def test_log_callback_receives_incumbents():
-    messages = []
-    opts = BnBOptions(log=messages.append)
-    sol = solve_milp(_knapsack(), opts)
-    assert sol.status is Status.OPTIMAL
-    assert any("incumbent" in m for m in messages)
-
-
 def test_time_limit_returns_best_found():
     # A time limit of ~0 forces an immediate stop; with no incumbent the
     # engine must say so rather than fabricate a point.

@@ -122,13 +122,6 @@ def test_bound_gap_reported_on_optimal():
     assert sol.bound == pytest.approx(sol.objective)
 
 
-def test_branch_rule_first_fractional():
-    p, _ = _knapsack([5, 4, 3], [4, 3, 2], 6)
-    sol = solve_milp(p, BnBOptions(branch_rule="first_fractional"))
-    assert sol.status is Status.OPTIMAL
-    assert sol.objective == pytest.approx(8.0)  # items 1+3: w=6 v=8
-
-
 def test_nonlinear_rejected():
     m = Model()
     x = m.integer_var("x", 1, 5)

@@ -187,10 +187,6 @@ def test_auto_dispatch_routes():
     x = m.var("x", 0.5, 4)
     m.minimize(1 / x + x)
     assert solve(m.build()).objective == pytest.approx(2.0, abs=1e-5)
-    # unknown algorithm; engines that are functions, not names
-    for name in ("simulated-annealing", "milp", "lp", "nlp", "oa-multitree", "brute"):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            solve(m.build(), algorithm=name)
 
 
 def test_enumerate_assignments_counts():

@@ -333,8 +333,8 @@ def _duplicate_rows(cuts):
     ]
 
 
-def _solve_and_check_rows(spy, problem, **kw):
-    sol = solve_minlp_oa(problem, **kw).require_ok()
+def _solve_and_check_rows(spy, problem):
+    sol = solve_minlp_oa(problem).require_ok()
     cuts = _master_rows(spy["tree"])
     assert len({name for name, *_ in cuts}) == len(cuts)
     # Every cut the pool built went into the master, once.
@@ -379,14 +379,6 @@ def test_serving_pool_masters_hold_no_duplicate_rows_and_stay_short(last_solve):
     # 835 before masters were seeded, 427 with; counts are chaotic in the cut
     # set, so the guard is a ceiling, not a number.
     assert iterations <= 520
-
-
-def test_warm_started_master_holds_no_duplicate_rows(last_solve):
-    cold = solve_minlp_oa(_fmo_problem(0)).require_ok()
-    discrete = {v.name for v in _fmo_problem(0).discrete_variables()}
-    x0 = {k: v for k, v in cold.values.items() if k in discrete}
-    warm = _solve_and_check_rows(last_solve, _fmo_problem(0), x0=x0)
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 # -- fixed integers: an LP is an LP ------------------------------------------

@@ -1,15 +1,9 @@
-"""Tests for presolve bound tightening and primal heuristics."""
-
-import math
+"""Tests for presolve bound tightening."""
 
 import pytest
 
-from repro.minlp.heuristics import rounding_heuristic
 from repro.minlp.modeling import Model
-from repro.minlp.nlp import solve_nlp
 from repro.minlp.presolve import presolve
-from repro.minlp.problem import Domain
-from repro.minlp.solution import Status
 
 
 def test_propagation_tightens_upper_bound():
@@ -93,121 +87,3 @@ def test_nonlinear_rows_ignored_not_crashing():
     m.minimize(x)
     tight, report = presolve(m.build())
     assert tight.variable("y").ub == pytest.approx(4.0)
-
-
-def test_rounding_heuristic_produces_feasible_point():
-    m = Model()
-    t = m.var("T", 0, 1e4)
-    na = m.integer_var("na", 1, 11)
-    no = m.integer_var("no", 1, 11)
-    m.add(na + no <= 12)
-    m.add(t >= 100.0 / na + 2.0)
-    m.add(t >= 60.0 / no + 1.0)
-    m.minimize(t)
-    p = m.build()
-    relax = solve_nlp(p)
-    sol = rounding_heuristic(p, relax.values)
-    assert sol.status is Status.FEASIBLE
-    assert p.is_feasible(sol.values, tol=1e-5)
-    assert sol.objective >= relax.objective - 1e-6  # heuristic can't beat bound
-
-
-def test_rounding_heuristic_respects_sos():
-    m = Model()
-    zs = m.var_list("z", 3, 0, 1, domain=Domain.BINARY)
-    n = m.var("n", 0, 50)
-    spots = [5.0, 20.0, 50.0]
-    m.add_equals(sum(zs), 1)
-    m.add_equals(sum(s * z for s, z in zip(spots, zs)), n)
-    m.sos1(zs, weights=spots)
-    t = m.var("T", 0, 1e4)
-    m.add(t >= 100.0 / n)
-    m.minimize(t)
-    p = m.build()
-    relax = solve_nlp(p)
-    sol = rounding_heuristic(p, relax.values)
-    assert sol.status is Status.FEASIBLE
-    nonzero = [i for i in range(3) if sol.values[f"z[{i}]"] > 1e-6]
-    assert len(nonzero) == 1
-
-
-def test_rounding_heuristic_reports_infeasible():
-    m = Model()
-    n = m.integer_var("n", 0, 10)
-    x = m.var("x", 0, 10)
-    m.add_equals(n + x * 0, 0.5)  # n must equal 0.5: integrally impossible
-    m.minimize(n)
-    p = m.build()
-    sol = rounding_heuristic(p, {"n": 0.5, "x": 0.0})
-    assert sol.status is Status.INFEASIBLE
-
-
-# --- diving heuristic ---------------------------------------------------------
-
-
-def _alloc_problem():
-    m = Model()
-    t = m.var("T", 0, 1e4)
-    na = m.integer_var("na", 1, 11)
-    no = m.integer_var("no", 1, 11)
-    m.add(na + no <= 12)
-    m.add(t >= 100.0 / na + 2.0)
-    m.add(t >= 60.0 / no + 1.0)
-    m.minimize(t)
-    return m.build()
-
-
-def test_diving_heuristic_finds_feasible_point():
-    from repro.minlp.heuristics import diving_heuristic
-
-    p = _alloc_problem()
-    sol = diving_heuristic(p)
-    assert sol.status is Status.FEASIBLE
-    assert p.is_feasible(sol.values, tol=1e-5)
-    # Heuristic value is an upper bound on the true optimum.
-    from repro.minlp.brute import solve_brute_force
-
-    opt = solve_brute_force(p)
-    assert sol.objective >= opt.objective - 1e-6
-    # On this smooth model the dive should land near-optimal.
-    assert sol.objective <= opt.objective * 1.15
-
-
-def test_diving_heuristic_resolves_sos():
-    from repro.minlp.heuristics import diving_heuristic
-
-    m = Model()
-    zs = m.var_list("z", 3, 0, 1, domain=Domain.BINARY)
-    n = m.var("n", 0, 50)
-    spots = [5.0, 20.0, 50.0]
-    m.add_equals(sum(zs), 1)
-    m.add_equals(sum(s * z for s, z in zip(spots, zs)), n)
-    m.sos1(zs, weights=spots)
-    t = m.var("T", 0, 1e4)
-    m.add(t >= 100.0 / n)
-    m.minimize(t)
-    p = m.build()
-    sol = diving_heuristic(p)
-    assert sol.status is Status.FEASIBLE
-    nonzero = [i for i in range(3) if sol.values[f"z[{i}]"] > 1e-6]
-    assert len(nonzero) == 1
-
-
-def test_diving_heuristic_reports_infeasible():
-    from repro.minlp.heuristics import diving_heuristic
-
-    m = Model()
-    x = m.integer_var("x", 0, 3)
-    m.add(x >= 1.2)
-    m.add(x <= 1.8)
-    m.minimize(x)
-    sol = diving_heuristic(m.build())
-    assert sol.status is Status.INFEASIBLE
-
-
-def test_diving_budget_limit():
-    from repro.minlp.heuristics import diving_heuristic
-
-    p = _alloc_problem()
-    sol = diving_heuristic(p, max_dives=0)
-    assert sol.status in (Status.FEASIBLE, Status.ITERATION_LIMIT)

@@ -203,20 +203,7 @@ def test_no_table3_nlp_solve_sees_more_than_ten_variables(key, tracer):
     spans = _nlp_spans(tracer)
     assert spans
     assert max(s.tags["vars"] for s in spans) <= 10
+    if key == "1deg-2048":  # the ocean set's ~240 run binaries never reach scipy
+        assert any(s.tags["eliminated"] > 200 and s.tags["lifted"] for s in spans)
     oa = tracer.find("minlp.oa")
     assert 0.0 < oa.tags["root_nlp_ms"] <= oa.duration * 1e3
-
-
-def test_warm_started_oa_on_1deg_2048_stays_in_the_projected_space(tracer):
-    result = run_table3_block("1deg-2048").hslb
-    models = {name: fit.model for name, fit in result.fits.items()}
-    problem = formulate_layout(models, 2048, one_degree())
-    assert problem.num_variables > 200
-    tracer.reset()
-
-    x0 = {f"n_{c}": float(n) for c, n in result.allocation.items()}
-    warm = solve_minlp_oa(problem, x0=x0).require_ok()
-    assert warm.objective == pytest.approx(result.solution.objective, rel=1e-6)
-    spans = _nlp_spans(tracer)
-    assert max(s.tags["vars"] for s in spans) <= 10
-    assert any(s.tags["eliminated"] > 200 and s.tags["lifted"] for s in spans)

@@ -11,9 +11,9 @@ from repro.service.metrics import ServiceMetrics
 
 def _populate(m: ServiceMetrics) -> None:
     m.record_hit(0.001)
-    m.record_solve(0.2, iterations=10, ok=True)
-    m.record_solve(0.05, iterations=2, ok=True)
-    m.record_solve(0.5, iterations=0, ok=False)
+    m.record_solve(0.2, ok=True)
+    m.record_solve(0.05, ok=True)
+    m.record_solve(0.5, ok=False)
     m.count("retries")
     m.count("overloads")
 
@@ -28,7 +28,6 @@ def test_reset_zeroes_every_counter_and_histogram():
     assert m.cold_solves == 0
     assert m.solve_errors == 0
     assert m.retries == 0 and m.overloads == 0
-    assert m.cold_iterations == 0
     assert m.request_latency.count() == 0
     assert m.request_latency.sum() == 0.0
     assert m.request_latency.summary()["buckets"] == {}
@@ -74,7 +73,7 @@ def test_snapshot_values():
     assert snap["cache_misses"] == 2  # the failed solve is not a miss pair
     assert snap["solve_errors"] == 1
     assert snap["retries"] == 1 and snap["overloads"] == 1
-    assert snap["cold_solves"] == 2 and snap["cold_iterations"] == 12
+    assert snap["cold_solves"] == 2 and "cold_iterations" not in snap
     assert snap["warm_solves"] == 0  # a literal: nothing warm-starts
     # Counter values are floats; everything a snapshot counts is an int.
     derived = ("hit_rate", "latency", "resilience")
@@ -95,7 +94,7 @@ def test_the_view_stores_nothing_itself():
     assert m.requests == sum(
         v for _, _, v in m.registry.get("service_requests_total").samples()
     )
-    assert m.cold_iterations == m.registry.get("service_solve_iterations_total").value()
+    assert m.cold_solves == m.registry.get("service_requests_total").value(outcome="cold")
     with pytest.raises(AttributeError):
         m.no_such_count
 
@@ -169,7 +168,7 @@ def test_readers_and_two_writers_keep_the_ledger():
             if i % 7 == 0:
                 m.record_degraded("greedy", 1e-3)
             else:
-                m.record_solve(1e-2, iterations=3, ok=True)
+                m.record_solve(1e-2, ok=True)
 
     def reader():
         try:
