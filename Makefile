@@ -75,7 +75,7 @@ faults-bench:
 # in alternating parent/change pairs of
 #   python3 benchmarks/e2e/run.py --workload serve_flash --trace 0 --seed S --out FILE
 serving:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/service tests/faults/test_chaos_plan.py tests/minlp/test_warm_start.py tests/cli/test_serving.py tests/cli/test_parser.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/service tests/faults/test_chaos_plan.py tests/cli/test_serving.py tests/cli/test_parser.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_cli.py -q -k "serve or batch or chaos"
 	HSLB_BENCH_SERVICE_OUT=benchmarks/out/BENCH_service.fresh.json \
 		PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_service.py --benchmark-only -q

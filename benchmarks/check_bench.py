@@ -49,7 +49,9 @@ class GateRule:
 #:   deliberately; a >2x wall-time regression is a code problem, not noise
 #:   (``test_layout1_full_solve`` included: losing the relaxation
 #:   projection costs it ~9x; ``test_oa_master_iterations*`` included:
-#:   losing the seeded master or the nonlinear-only cut key costs ~2.5x);
+#:   losing the seeded master or the nonlinear-only cut key costs ~2.5x;
+#:   ``test_fitting_throughput`` included: going back to scipy's
+#:   ``least_squares`` wrappers costs the five-start fit ~2.3x);
 #: * ``dynlb_total_*`` — *simulated* seconds under the keyed-RNG workload,
 #:   deterministic, so a regression is an algorithmic change;
 #: * ``service_*`` — the allocation-service Zipf-mix records, all
@@ -70,6 +72,7 @@ GATED = (
     GateRule("test_bnb_node_throughput*"),
     GateRule("test_layout1_full_solve"),
     GateRule("test_oa_master_iterations*"),
+    GateRule("test_fitting_throughput"),
     GateRule("dynlb_total_*"),
     GateRule("service_hit_rate", "higher", 1.2),
     GateRule("service_replay_mismatches", "lower", 1.0),

@@ -4,6 +4,7 @@ Implements Table II line 10::
 
     min_{a,b,c,d >= 0}  sum_i ( y_i - a/n_i - b n_i^{c} - d )^2
 
+by bounded Trust Region Reflective least squares (:mod:`repro.perf.trf`)
 with an analytic Jacobian and multistart (the paper notes the problem "is,
 in general, not convex, and there may be several locally optimal solutions
 ... selecting a different starting point may lead the solver to a different
@@ -16,6 +17,14 @@ optimality (§III-E).  On well-scaling codes like CESM the fitted ``b`` is
 nearly zero, so this restriction costs essentially nothing — a benchmark
 quantifies that claim.  Only :func:`fit_performance_model` can lift it:
 component and suite fits feed the MINLP and are always convex.
+
+The solver contract: every start is solved by
+:func:`repro.perf.trf.least_squares_trf`, a port of scipy's bounded TRF that
+is bit-identical to ``scipy.optimize.least_squares(method="trf")`` — the
+same ``x``, ``cost``, ``status`` and ``nfev`` on every start — at less than
+half the cost, because at 4 parameters and 2-10 observations scipy's wrappers,
+not its arithmetic, dominate.  scipy stays the test oracle
+(``tests/perf/test_trf.py``); this module imports no scipy at all.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import numpy as np
 from repro.obs.trace import span
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark
 from repro.perf.model import PerformanceModel
+from repro.perf.trf import least_squares_trf
 from repro.util.rng import default_rng
 
 #: Upper bound for the exponent c.  The paper's T^nln is a gentle correction
@@ -45,10 +55,6 @@ class FitResult:
     n_points: int
     starts_tried: int
 
-    @property
-    def degrees_of_freedom(self) -> int:
-        return max(0, self.n_points - 4)
-
     def __repr__(self) -> str:
         return (
             f"FitResult({self.model!r}, R^2={self.r_squared:.5f}, "
@@ -61,13 +67,14 @@ def _residuals(params: np.ndarray, n: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - (a / n + b * n**c + d)
 
 
-def _jacobian(params: np.ndarray, n: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _jacobian(params: np.ndarray, n: np.ndarray, log_n: np.ndarray) -> np.ndarray:
+    """``dr/dθ`` at ``params``; ``log_n`` is ``np.log(n)``, taken once per fit."""
     a, b, c, d = params
     nc = n**c
     J = np.empty((n.size, 4))
     J[:, 0] = -1.0 / n
     J[:, 1] = -nc
-    J[:, 2] = -b * np.log(n) * nc
+    J[:, 2] = -b * log_n * nc
     J[:, 3] = -1.0
     return J
 
@@ -120,10 +127,6 @@ def fit_performance_model(
         performance data" risk, mitigated.  Residuals are scaled relative to
         the observed times so the robust threshold is resolution-independent.
     """
-    # Imported here, not at module level: scipy.optimize is ~50 MiB and
-    # ~0.4 s per process, and a serving process that never fits never pays.
-    from scipy.optimize import least_squares
-
     if loss not in ("linear", "huber", "soft_l1"):
         raise ValueError(f"unknown loss {loss!r}")
     n = np.asarray(nodes, dtype=float)
@@ -156,8 +159,10 @@ def fit_performance_model(
         r = _residuals(params, n, y)
         return r * w if w is not None else r
 
+    log_n = np.log(n)
+
     def jac(params: np.ndarray) -> np.ndarray:
-        J = _jacobian(params, n, y)
+        J = _jacobian(params, n, log_n)
         return J * w[:, None] if w is not None else J
 
     rng = rng or default_rng()
@@ -186,12 +191,12 @@ def fit_performance_model(
     for x0 in starts:
         tried += 1
         try:
-            res = least_squares(
+            res = least_squares_trf(
                 objective,
+                jac,
                 np.clip(x0, lower, upper),
-                jac=jac,
-                bounds=(lower, upper),
-                method="trf",
+                lower,
+                upper,
                 max_nfev=2000,
                 loss=loss,
                 f_scale=f_scale,
@@ -297,16 +302,3 @@ def fit_suite(
         fits[name] = fit
     return fits
 
-
-def leave_one_out_rmse(bench: ComponentBenchmark) -> float:
-    """Leave-one-out prediction RMSE — a sharper fit-quality diagnostic than
-    in-sample R² when deciding whether more benchmark points are needed."""
-    n, y = bench.arrays()
-    if n.size < 3:
-        raise ValueError("leave-one-out needs at least 3 observations")
-    errors = []
-    for i in range(n.size):
-        mask = np.arange(n.size) != i
-        fit = fit_performance_model(n[mask], y[mask])
-        errors.append(float(fit.model.time(n[i])) - y[i])
-    return float(np.sqrt(np.mean(np.square(errors))))

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark
-from repro.perf.fitting import (
-    fit_component,
-    fit_performance_model,
-    fit_suite,
-    leave_one_out_rmse,
-)
+from repro.perf.fitting import fit_component, fit_performance_model, fit_suite
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -151,15 +146,6 @@ def test_fit_component_and_suite(rng):
         assert f.r_squared > 0.999
     single = fit_component(suite["atm"], rng=rng)
     assert single.model.time(104) == pytest.approx(307.0, rel=0.02)
-
-
-def test_leave_one_out_rmse_small_for_clean_data(rng):
-    truth = PerformanceModel(a=400.0, d=2.0)
-    n, y = _samples(truth, [4, 8, 16, 32, 64])
-    rmse = leave_one_out_rmse(ComponentBenchmark.from_pairs("x", zip(n.astype(int), y)))
-    assert rmse < 0.5
-    with pytest.raises(ValueError, match="at least 3"):
-        leave_one_out_rmse(ComponentBenchmark.from_pairs("x", [(1, 2.0), (2, 1.0)]))
 
 
 @settings(max_examples=15, deadline=None)
