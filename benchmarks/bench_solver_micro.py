@@ -177,6 +177,25 @@ def test_layout1_full_solve(benchmark):
     assert sol.status.value == "optimal"
 
 
+def test_wide_sos_formulate(benchmark):
+    """Build the 1-degree layout-1 model at 2048 (its ocean set is 241
+    selection binaries, one SOS1 row each way) and substitute one integer
+    assignment out of it, as an OA fixed-integer subproblem does."""
+    problem = formulate_layout(_MODELS, 2048, one_degree(), layout=Layout.HYBRID)
+    sol = solve_minlp_oa(problem)
+    fixed = {
+        v.name: (round(sol.values[v.name]),) * 2 for v in problem.discrete_variables()
+    }
+
+    def formulate_and_reduce():
+        wide = formulate_layout(_MODELS, 2048, one_degree(), layout=Layout.HYBRID)
+        return wide.with_bounds(fixed).reduce_fixed()
+
+    reduced, values = benchmark(formulate_and_reduce)
+    assert len(values) == len(fixed) > 241
+    assert reduced.is_linear()
+
+
 def test_many_fragment_minlp_stress(benchmark):
     """Scalability guard: OA on a 24-fragment min-max MINLP at 2048 nodes.
 

@@ -51,7 +51,11 @@ class GateRule:
 #:   projection costs it ~9x; ``test_oa_master_iterations*`` included:
 #:   losing the seeded master or the nonlinear-only cut key costs ~2.5x;
 #:   ``test_fitting_throughput`` included: going back to scipy's
-#:   ``least_squares`` wrappers costs the five-start fit ~2.3x);
+#:   ``least_squares`` wrappers costs the five-start fit ~2.3x;
+#:   ``test_wide_sos_formulate`` included: a quadratic ``sum_exprs`` and
+#:   unmemoized ``variables()`` / ``is_linear()`` cost the 241-binary
+#:   ocean rows ~2.2x; ``test_expression_differentiation`` included:
+#:   symbolic ``diff`` builds its sums through the same ``sum_exprs``);
 #: * ``dynlb_total_*`` — *simulated* seconds under the keyed-RNG workload,
 #:   deterministic, so a regression is an algorithmic change;
 #: * ``service_*`` — the allocation-service Zipf-mix records, all
@@ -73,6 +77,8 @@ GATED = (
     GateRule("test_layout1_full_solve"),
     GateRule("test_oa_master_iterations*"),
     GateRule("test_fitting_throughput"),
+    GateRule("test_wide_sos_formulate"),
+    GateRule("test_expression_differentiation"),
     GateRule("dynlb_total_*"),
     GateRule("service_hit_rate", "higher", 1.2),
     GateRule("service_replay_mismatches", "lower", 1.0),

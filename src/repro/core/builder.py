@@ -23,7 +23,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.objectives import Objective, apply_objective
-from repro.minlp.expr import Expr, Relation, VarRef
+from repro.minlp.expr import Expr, Relation, VarRef, sum_exprs
 from repro.minlp.modeling import Model
 from repro.minlp.problem import Problem
 from repro.perf.model import PerformanceModel
@@ -48,16 +48,40 @@ class DiscreteNodeSet:
         return cls(tuple(values))
 
     @classmethod
+    def _presorted(cls, values: tuple[int, ...]) -> "DiscreteNodeSet":
+        """Wrap ``values`` that are already what ``__post_init__`` would make
+        of them — non-empty, strictly increasing ints, all >= 1 — unsorted."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        return out
+
+    @classmethod
+    def _range_plus(cls, run: range, extras: Sequence[int]) -> "DiscreteNodeSet":
+        """``run`` plus ``extras``, sorting only when the extras do not
+        already continue the run upward (the paper's sets all do)."""
+        tail = tuple(int(v) for v in extras)
+        if run and run[0] >= 1 and all(
+            a < b for a, b in zip((run[-1],) + tail, tail)
+        ):
+            return cls._presorted(tuple(run) + tail)
+        return cls(tuple(run) + tail)
+
+    @classmethod
     def even_range(cls, start: int, stop: int, extras: Sequence[int] = ()) -> "DiscreteNodeSet":
         """Even counts ``start..stop`` plus ``extras`` — the shape of the
         paper's ocean set ``{2, 4, ..., 480, 768}``."""
-        return cls(tuple(range(start, stop + 1, 2)) + tuple(extras))
+        return cls._range_plus(range(start, stop + 1, 2), extras)
 
     @classmethod
     def contiguous(cls, lo: int, hi: int, extras: Sequence[int] = ()) -> "DiscreteNodeSet":
         """All integers ``lo..hi`` plus ``extras`` — the shape of the paper's
         atmosphere set ``{1, 2, ..., 1638, 1664}``."""
-        return cls(tuple(range(lo, hi + 1)) + tuple(extras))
+        return cls._range_plus(range(lo, hi + 1), extras)
+
+    def up_to(self, cap: int) -> "DiscreteNodeSet | None":
+        """The members ``<= cap``, or None when there are none."""
+        head = self.values[:bisect_right(self.values, cap)]
+        return self._presorted(head) if head else None
 
     @property
     def min(self) -> int:
@@ -158,13 +182,12 @@ class AllocationModelBuilder:
         self, name: str, allowed: DiscreteNodeSet, max_nodes: int | None, encoding: str
     ) -> VarRef:
         cap = self.total_nodes if max_nodes is None else int(max_nodes)
-        usable = [v for v in allowed.values if v <= cap]
-        if not usable:
+        trimmed = allowed.up_to(cap)
+        if trimmed is None:
             raise ValueError(
                 f"component {name!r}: no admissible node count <= {cap} "
                 f"(set minimum is {allowed.min})"
             )
-        trimmed = DiscreteNodeSet(tuple(usable))
         self._caps[name] = trimmed.max
         if encoding == "value":
             return self._value_encoded_var(name, trimmed)
@@ -176,14 +199,14 @@ class AllocationModelBuilder:
         zs = [
             self.model.binary_var(f"z_{name}[{k}]") for k in range(len(runs))
         ]
-        self.model.add_equals(sum(zs), 1, f"{name}_one_run")
+        self.model.add_equals(sum_exprs(zs), 1, f"{name}_one_run")
         # n must lie inside the selected run.
         self.model.add(
-            n >= sum(lo * z for (lo, _), z in zip(runs, zs)),
+            n >= sum_exprs(lo * z for (lo, _), z in zip(runs, zs)),
             f"{name}_run_lo",
         )
         self.model.add(
-            n <= sum(hi * z for (_, hi), z in zip(runs, zs)),
+            n <= sum_exprs(hi * z for (_, hi), z in zip(runs, zs)),
             f"{name}_run_hi",
         )
         self.model.sos1(zs, weights=[float(lo) for lo, _ in runs], name=f"sos_{name}")
@@ -196,9 +219,9 @@ class AllocationModelBuilder:
         # the integrality, exactly as in the paper's AMPL model.
         n = self.model.var(f"n_{name}", float(trimmed.min), float(trimmed.max))
         zs = [self.model.binary_var(f"z_{name}[{k}]") for k in range(len(values))]
-        self.model.add_equals(sum(zs), 1, f"{name}_one_value")
+        self.model.add_equals(sum_exprs(zs), 1, f"{name}_one_value")
         self.model.add_equals(
-            sum(float(v) * z for v, z in zip(values, zs)), n, f"{name}_value_link"
+            sum_exprs(float(v) * z for v, z in zip(values, zs)), n, f"{name}_value_link"
         )
         self.model.sos1(zs, weights=[float(v) for v in values], name=f"sos_{name}")
         return n
@@ -236,7 +259,7 @@ class AllocationModelBuilder:
         """
         if not self._node_vars:
             raise ValueError("no components to constrain")
-        total = sum(self._node_vars.values())
+        total = sum_exprs(self._node_vars.values())
         if exact:
             self.model.add_equals(total, self.total_nodes, "machine_capacity")
         else:

@@ -21,12 +21,20 @@ Design notes
 * ``linear_coefficients`` extracts ``(coeffs, constant)`` when an expression
   is affine; LP/MILP layers use it to route linear constraints away from the
   nonlinear machinery.
+* Sums take one pass: :func:`sum_exprs` builds a row of ``n`` terms in
+  ``O(n)`` — the same tree as folding ``+`` left to right, which rebuilds
+  the term tuple at every step.  A 241-binary sweet-spot row is built,
+  substituted and differentiated through it.
+* Analysis is memoized because nodes are immutable: a composite node
+  computes ``variables()`` and ``is_linear()`` once, on first call, and
+  keeps the answer in a slot.  Problem transforms ask both of every
+  constraint body they copy.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Union
 
 import numpy as np
@@ -121,9 +129,6 @@ class Expr:
     def is_constant(self) -> bool:
         return isinstance(self, Constant)
 
-    def children(self) -> tuple["Expr", ...]:
-        return ()
-
     def _key(self) -> tuple:
         raise NotImplementedError
 
@@ -152,10 +157,6 @@ class Expr:
         Raises :class:`NonlinearExpressionError` for nonlinear trees.
         """
         raise NotImplementedError
-
-    def gradient(self, values: Mapping[str, Number]) -> dict[str, float]:
-        """Evaluate all partial derivatives at ``values``."""
-        return {v: float(self.diff(v).evaluate(values)) for v in self.variables()}
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Return a copy with variables replaced by expressions."""
@@ -189,6 +190,9 @@ class Constant(Expr):
 
     def variables(self) -> frozenset[str]:
         return frozenset()
+
+    def is_linear(self) -> bool:
+        return True
 
     def linear_coefficients(self):
         return {}, self.value
@@ -228,6 +232,9 @@ class VarRef(Expr):
     def variables(self) -> frozenset[str]:
         return frozenset((self.name,))
 
+    def is_linear(self) -> bool:
+        return True
+
     def linear_coefficients(self):
         return {self.name: 1.0}, 0.0
 
@@ -241,7 +248,31 @@ class VarRef(Expr):
         return self.name
 
 
-class _NAry(Expr):
+class _Composite(Expr):
+    """A node with children: ``variables()`` and ``is_linear()`` are
+    computed once and kept in a slot (the node cannot change under them)."""
+
+    __slots__ = ("_vars", "_linear")
+
+    def variables(self) -> frozenset[str]:
+        out = getattr(self, "_vars", None)  # an unset slot reads as None
+        if out is None:
+            out = self._collect_variables()
+            object.__setattr__(self, "_vars", out)
+        return out
+
+    def is_linear(self) -> bool:
+        out = getattr(self, "_linear", None)
+        if out is None:
+            out = Expr.is_linear(self)
+            object.__setattr__(self, "_linear", out)
+        return out
+
+    def _collect_variables(self) -> frozenset[str]:
+        raise NotImplementedError
+
+
+class _NAry(_Composite):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[Expr, ...]) -> None:
@@ -250,14 +281,8 @@ class _NAry(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def children(self):
-        return self.terms
-
-    def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for t in self.terms:
-            out |= t.variables()
-        return out
+    def _collect_variables(self) -> frozenset[str]:
+        return frozenset().union(*[t.variables() for t in self.terms])
 
 
 class Add(_NAry):
@@ -343,7 +368,7 @@ class Mul(_NAry):
         return "(" + " * ".join(map(repr, self.terms)) + ")"
 
 
-class Div(Expr):
+class Div(_Composite):
     """Quotient ``num / den``."""
 
     __slots__ = ("num", "den")
@@ -354,9 +379,6 @@ class Div(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def children(self):
-        return (self.num, self.den)
 
     def evaluate(self, values):
         den = self.den.evaluate(values)
@@ -373,7 +395,7 @@ class Div(Expr):
             terms.append(_neg(_div(_mul(self.num, dv), _pow(self.den, Constant(2.0)))))
         return sum_exprs(terms)
 
-    def variables(self) -> frozenset[str]:
+    def _collect_variables(self) -> frozenset[str]:
         return self.num.variables() | self.den.variables()
 
     def linear_coefficients(self):
@@ -394,7 +416,7 @@ class Div(Expr):
         return f"({self.num!r} / {self.den!r})"
 
 
-class Pow(Expr):
+class Pow(_Composite):
     """Power ``base ** exponent`` (either side may contain variables)."""
 
     __slots__ = ("base", "exponent")
@@ -405,9 +427,6 @@ class Pow(Expr):
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def children(self):
-        return (self.base, self.exponent)
 
     def evaluate(self, values):
         base = self.base.evaluate(values)
@@ -432,7 +451,7 @@ class Pow(Expr):
         # General case: b^e = exp(e ln b)
         return _mul(self, _add(_mul(de, log(self.base)), _div(_mul(self.exponent, db), self.base)))
 
-    def variables(self) -> frozenset[str]:
+    def _collect_variables(self) -> frozenset[str]:
         return self.base.variables() | self.exponent.variables()
 
     def linear_coefficients(self):
@@ -452,7 +471,7 @@ class Pow(Expr):
         return f"({self.base!r} ** {self.exponent!r})"
 
 
-class Unary(Expr):
+class Unary(_Composite):
     """Elementary transcendental function applied to a sub-expression."""
 
     __slots__ = ("func", "arg")
@@ -473,9 +492,6 @@ class Unary(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def children(self):
-        return (self.arg,)
-
     def evaluate(self, values):
         arg = self.arg.evaluate(values)
         if isinstance(arg, np.ndarray):
@@ -488,7 +504,7 @@ class Unary(Expr):
             return ZERO
         return _mul(self._DERIVS[self.func](self.arg), da)
 
-    def variables(self) -> frozenset[str]:
+    def _collect_variables(self) -> frozenset[str]:
         return self.arg.variables()
 
     def linear_coefficients(self):
@@ -613,12 +629,34 @@ def _pow(a: Expr, b: Expr) -> Expr:
     return Pow(a, b)
 
 
-def sum_exprs(terms: list[Expr]) -> Expr:
-    """Sum a list of expressions (ZERO for an empty list)."""
-    out: Expr = ZERO
+def sum_exprs(terms: Iterable[Expr]) -> Expr:
+    """Sum expressions in one pass (ZERO for none).
+
+    The tree is the one folding ``_add`` left to right from ZERO builds:
+    operands' Add terms spliced in order, constants summed in the order met
+    into one trailing Constant, dropped when exactly 0.  The fold does that
+    in ``O(n^2)``, rebuilding the term tuple at each step; this keeps the
+    running terms and constant instead.
+    """
+    out: list[Expr] = []
+    const = 0.0
     for t in terms:
-        out = _add(out, t)
-    return out
+        operands = (t,)
+        if len(out) == 1 and const == 0.0 and isinstance(out[0], Add):
+            # The fold's running sum is this lone nested Add, which its
+            # next step splices like any other operand.
+            operands = (out.pop(), t)
+        for operand in operands:
+            for s in operand.terms if isinstance(operand, Add) else (operand,):
+                if isinstance(s, Constant):
+                    const += s.value
+                else:
+                    out.append(s)
+    if const != 0.0 or not out:
+        out.append(Constant(const))
+    if len(out) == 1:
+        return out[0]
+    return Add(tuple(out))
 
 
 def prod_exprs(factors: list[Expr]) -> Expr:

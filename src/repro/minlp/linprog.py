@@ -2,10 +2,19 @@
 
 Canonical LP container plus two engines:
 
-* :func:`solve_lp` — scipy's HiGHS (standing in for the CLP solver MINOTAUR
-  uses for its LP relaxations);
+* :func:`solve_lp` — HiGHS (standing in for the CLP solver MINOTAUR uses for
+  its LP relaxations), called through scipy's binding of its core;
 * :func:`repro.minlp.simplex.solve_lp_simplex` — the built-in vectorized
   simplex, ~10x faster on the small LPs branch-and-bound re-solves.
+
+The HiGHS call is ``linprog(method="highs")`` without the wrapper: the same
+model (linprog's row order, its CSC matrix, its options) goes to a fresh
+``scipy.optimize._highspy._core._Highs`` per solve, and the status and
+message follow linprog's rules, so every solve returns what ``linprog``
+would, bit for bit (``tests/minlp/test_highs_direct.py`` replays both).
+What the wrapper adds per call — input cleaning, a fresh CSC matrix, duals,
+the result object — was about half of a node LP's cost on the shapes HiGHS
+gets here.
 
 :class:`IncrementalLPSolver` is the one LP path at branch-and-bound nodes: it
 routes each solve to an engine by LP size and polishes the optimum toward
@@ -19,6 +28,7 @@ rows for two-sided constraints.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -131,7 +141,7 @@ _SCIPY_STATUS = {
 def _split_rows(
     A: np.ndarray, row_lb: np.ndarray, row_ub: np.ndarray
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Vectorized range-row split into scipy's ``(A_ub, b_ub, A_eq, b_eq)``.
+    """Vectorized range-row split into linprog's ``(A_ub, b_ub, A_eq, b_eq)``.
 
     Two-sided rows are split into <=/>= pairs only where needed; equality
     rows go through ``A_eq`` directly.  The <=/>= pair of a two-sided row
@@ -157,38 +167,130 @@ def _split_rows(
     return A_ub, b_ub, A_eq, b_eq
 
 
+@dataclass(frozen=True)
+class _HighsRows:
+    """The row side of the model ``linprog`` hands HiGHS: ``A_ub`` rows then
+    ``A_eq`` rows as one CSC matrix, ``-inf <= A_ub x <= b_ub`` and
+    ``b_eq <= A_eq x <= b_eq``."""
+
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    num_ub: int
+
+    @classmethod
+    def from_split(cls, split: tuple, num_cols: int) -> "_HighsRows":
+        A_ub, b_ub, A_eq, b_eq = split
+        empty_rows, empty_rhs = np.zeros((0, num_cols)), np.zeros(0)
+        A_ub = empty_rows if A_ub is None else A_ub
+        b_ub = empty_rhs if b_ub is None else b_ub
+        A_eq = empty_rows if A_eq is None else A_eq
+        b_eq = empty_rhs if b_eq is None else b_eq
+        A = np.vstack((A_ub, A_eq))
+        # Column-major nonzeros, rows ascending inside a column: the arrays
+        # scipy.sparse.csc_array(A) holds (explicit zeros, -0.0 too, dropped).
+        cols, rows = np.nonzero(A.T)
+        start = np.zeros(num_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=num_cols), out=start[1:])
+        return cls(
+            start=start,
+            index=rows.astype(np.int32),
+            value=A[rows, cols],
+            lower=np.concatenate((np.full(b_ub.size, -np.inf), b_eq)),
+            upper=np.concatenate((b_ub, b_eq)),
+            num_ub=int(b_ub.size),
+        )
+
+
+@functools.cache
+def _highs_options():
+    """The options ``linprog(method="highs")`` passes with its defaults
+    (``None``-valued ones it skips); read-only once built."""
+    import scipy.optimize._highspy._core as core
+
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
 def _run_highs(
     c: np.ndarray,
     c0: float,
-    split: tuple,
+    rows: _HighsRows,
     var_lb: np.ndarray,
     var_ub: np.ndarray,
 ) -> LPResult:
+    """One solve on a fresh HiGHS instance (a reused one keeps its basis and
+    lands on other vertices of degenerate faces than linprog does)."""
     # Imported at the call site (a sys.modules lookup after the first): a
     # process whose LPs all fit the built-in simplex never loads scipy.
-    from scipy.optimize import linprog
+    import scipy.optimize._highspy._core as core
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+    from scipy.optimize._linprog_util import _check_result
 
-    A_ub, b_ub, A_eq, b_eq = split
-    res = linprog(
-        c=c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([var_lb, var_ub]),
-        method="highs",
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = c.size
+    model.num_row_ = model.a_matrix_.num_row_ = rows.upper.size
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = rows.start
+    model.a_matrix_.index_ = rows.index
+    model.a_matrix_.value_ = rows.value
+    model.col_cost_ = c
+    model.col_lower_ = var_lb
+    model.col_upper_ = var_ub
+    model.row_lower_ = rows.lower
+    model.row_upper_ = rows.upper
+
+    highs = core._Highs()
+    x = fun = slack = con = None
+    if highs.passOptions(_highs_options()) == core.HighsStatus.kError:
+        status = highs.getModelStatus()
+        message = highs.modelStatusToString(status)
+    elif highs.passModel(model) == core.HighsStatus.kError:
+        status = core.HighsModelStatus.kModelError
+        message = highs.modelStatusToString(status)
+    elif highs.run() == core.HighsStatus.kError:
+        status = highs.getModelStatus()
+        message = highs.modelStatusToString(status)
+    else:
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        if status == core.HighsModelStatus.kOptimal:
+            message = highs.modelStatusToString(status)
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            fun = info.objective_function_value
+            residual = rows.upper - solution.row_value
+            slack, con = residual[:rows.num_ub], residual[rows.num_ub:]
+        else:
+            message = (
+                f"model_status is {highs.modelStatusToString(status)}; "
+                "primal_status is "
+                f"{highs.solutionStatusToString(info.primal_solution_status)}"
+            )
+    code, message = _highs_to_scipy_status_message(status, message)
+    code, message = _check_result(
+        x, fun, code, slack, con, np.column_stack([var_lb, var_ub]), 1e-9,
+        message, None,
     )
-    status = _SCIPY_STATUS.get(res.status, Status.ERROR)
+    status = _SCIPY_STATUS.get(code, Status.ERROR)
     if status is Status.OPTIMAL:
-        return LPResult(status, np.asarray(res.x), float(res.fun) + c0, res.message)
-    return LPResult(status, None, math.inf, res.message)
+        return LPResult(status, x, float(fun) + c0, message)
+    return LPResult(status, None, math.inf, message)
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
-    """Solve ``lp`` with scipy's HiGHS backend."""
-    return _run_highs(
-        lp.c, lp.c0, _split_rows(lp.A, lp.row_lb, lp.row_ub), lp.var_lb, lp.var_ub
+    """Solve ``lp`` with HiGHS; the answer ``linprog(method="highs")`` gives."""
+    rows = _HighsRows.from_split(
+        _split_rows(lp.A, lp.row_lb, lp.row_ub), lp.num_vars
     )
+    return _run_highs(lp.c, lp.c0, rows, lp.var_lb, lp.var_ub)
 
 
 #: Node LPs run on the built-in simplex while they fit its dense tableau and
@@ -318,12 +420,12 @@ class IncrementalLPSolver:
     problem and re-extracting coefficients per node dominates runtime on
     models like the paper's 1-degree ocean set (241 selection binaries); this
     class extracts the matrix once, consolidates appended cut rows lazily,
-    and caches the HiGHS eq/ub row split so a node re-solve touches no
-    Python-level row loop at all.
+    and caches the HiGHS row model (linprog's eq/ub split, as one CSC
+    matrix) so a node re-solve touches no Python-level row loop at all.
 
     Each solve runs on the built-in vectorized simplex (which accepts a
     parent basis and warm-starts dual-simplex style) while the LP is small
-    enough for its dense tableau to beat scipy's call overhead, and on HiGHS
+    enough for its dense tableau to beat a HiGHS call, and on HiGHS
     beyond that; the optimum of either is then polished toward integrality
     (:func:`polish_integrality`), so which engine ran does not shape the
     tree.  After every simplex solve the final basis is published on
@@ -350,7 +452,7 @@ class IncrementalLPSolver:
         self._discrete[[self._col[v.name] for v in problem.discrete_variables()]] = True
         self._matrix_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._polish_cols: np.ndarray | None = None
-        self._split_cache: tuple | None = None
+        self._rows_cache: _HighsRows | None = None
         #: Final basis of the most recent simplex solve (or None).
         self.last_basis = None
         #: LPs solved per engine and variables snapped by the polish, for the
@@ -368,7 +470,7 @@ class IncrementalLPSolver:
         self._ub_blocks.append(np.array([ub - k]))
         self._num_rows += 1
         self._matrix_cache = None
-        self._split_cache = None
+        self._rows_cache = None
 
     def _matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._matrix_cache is None:
@@ -388,11 +490,13 @@ class IncrementalLPSolver:
             )
         return self._matrix_cache
 
-    def _split(self) -> tuple:
-        if self._split_cache is None:
+    def _highs_rows(self) -> _HighsRows:
+        if self._rows_cache is None:
             A, row_lb, row_ub = self._matrix()
-            self._split_cache = _split_rows(A, row_lb, row_ub)
-        return self._split_cache
+            self._rows_cache = _HighsRows.from_split(
+                _split_rows(A, row_lb, row_ub), self._c.size
+            )
+        return self._rows_cache
 
     def solve(
         self,
@@ -440,7 +544,7 @@ class IncrementalLPSolver:
     def _solve_highs(self, var_lb, var_ub) -> LPResult:
         self.last_basis = None
         self.report["lp_highs"] += 1
-        return _run_highs(self._c, self._c0, self._split(), var_lb, var_ub)
+        return _run_highs(self._c, self._c0, self._highs_rows(), var_lb, var_ub)
 
     def _solve_simplex(self, var_lb, var_ub, basis) -> LPResult:
         from repro.minlp.simplex import solve_lp_simplex

@@ -1,5 +1,9 @@
 """Tests for CESM configurations and admissible node sets."""
 
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 from repro.cesm.grids import (
@@ -115,3 +119,84 @@ def test_lookups_agree_with_a_linear_scan(case):
         assert s.nearest(n) == min(s.values, key=lambda v: (abs(v - n), v))
         assert s.below(n) == max((v for v in s.values if v <= n), default=s.min)
         assert (n in s) == (int(n) in set(s.values))
+
+
+# --- sets handed over sorted ------------------------------------------------
+
+
+def _validated(values):
+    """The construction every set used to take: sort and dedupe."""
+    return DiscreteNodeSet(tuple(values)).values
+
+
+@pytest.mark.parametrize(
+    "make, old",
+    [
+        (lambda: DiscreteNodeSet.contiguous(1, 1638, extras=(1664,)),
+         lambda: (*range(1, 1639), 1664)),
+        (lambda: DiscreteNodeSet.even_range(2, 480, extras=(768,)),
+         lambda: (*range(2, 481, 2), 768)),
+        (lambda: DiscreteNodeSet.contiguous(5, 9, extras=(12.0, 11, 30)),
+         lambda: (*range(5, 10), 12.0, 11, 30)),
+        (lambda: DiscreteNodeSet.contiguous(5, 9, extras=(3, 7, 9, 40)),
+         lambda: (*range(5, 10), 3, 7, 9, 40)),
+        (lambda: DiscreteNodeSet.even_range(4, 2, extras=(6,)), lambda: (6,)),
+        (lambda: DiscreteNodeSet.contiguous(5, 9), lambda: range(5, 10)),
+    ],
+)
+def test_range_constructors_equal_the_sorting_construction(make, old):
+    s = make()
+    assert s.values == _validated(old())
+    assert all(type(v) is int for v in s.values)
+
+
+def test_range_constructors_still_validate():
+    with pytest.raises(ValueError):
+        DiscreteNodeSet.contiguous(0, 4)
+    with pytest.raises(ValueError):
+        DiscreteNodeSet.even_range(4, 2)
+
+
+def test_up_to_is_the_filtered_set():
+    s = DiscreteNodeSet((2, 4, 8, 16))
+    assert s.up_to(1) is None
+    assert s.up_to(8).values == (2, 4, 8)
+    assert s.up_to(9.5).values == (2, 4, 8)
+    assert s.up_to(10**6).values == s.values
+
+
+@pytest.fixture(scope="module")
+def ledger_blocks():
+    """The ledger's Table III blocks, loaded from the harness itself."""
+    path = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/e2e/catalogue.py"
+    spec = importlib.util.spec_from_file_location("e2e_catalogue", path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, module)  # for its dataclasses
+        spec.loader.exec_module(module)
+        yield module.cesm_blocks()
+
+
+def test_every_ledger_blocks_sets_equal_the_old_construction(ledger_blocks):
+    """Each Table III block's sweet-spot sets, and the sets the builder
+    trims them to at the block's budget, are what sorting gave."""
+    from repro.cesm.layouts import Layout, formulate_layout
+    from repro.perf.model import PerformanceModel
+
+    models = {c: PerformanceModel(a=1000.0, d=1.0) for c in ("lnd", "ice", "atm", "ocn")}
+    for block in ledger_blocks:
+        config = block.make_app().config
+        problem = formulate_layout(models, block.total_nodes, config, layout=Layout.HYBRID)
+        sos = {s.name: s for s in problem.sos1_sets}
+        for comp, allowed in (("atm", config.atm_allowed), ("ocn", config.ocean_allowed)):
+            if allowed is None:
+                continue
+            assert allowed.values == _validated(allowed.values), block.key
+            cap = block.total_nodes
+            trimmed = allowed.up_to(cap)
+            assert trimmed.values == _validated(v for v in allowed.values if v <= cap)
+            runs = trimmed.runs()
+            if len(runs) > 1:
+                assert sos[f"sos_{comp}"].weights == tuple(float(lo) for lo, _ in runs)
+            else:
+                assert f"sos_{comp}" not in sos

@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.minlp.expr import (
+    ZERO,
+    Add,
     Constant,
+    Div,
+    Mul,
     NonlinearExpressionError,
+    Pow,
+    Unary,
     Relation,
     VarRef,
     as_expr,
@@ -20,6 +26,7 @@ from repro.minlp.expr import (
     sqrt,
     sum_exprs,
 )
+from repro.minlp.expr import _add
 
 X = VarRef("x")
 Y = VarRef("y")
@@ -175,12 +182,6 @@ def test_derivative_of_constant_is_zero():
     assert Y.diff("x").evaluate({}) == 0.0
 
 
-def test_gradient_dict():
-    e = X**2 + 3 * Y
-    g = e.gradient({"x": 2.0, "y": 1.0})
-    assert g == pytest.approx({"x": 4.0, "y": 3.0})
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(0.1, 100.0),
@@ -298,3 +299,131 @@ def test_sum_prod_helpers():
 def test_as_expr_rejects_junk():
     with pytest.raises(TypeError):
         as_expr("not an expression")
+
+
+# ------------------------------------------------ one-pass sums, memoization
+
+
+def _fold_sum(terms):
+    """The sum as ``_add`` folds it left to right from ZERO — the tree
+    :func:`sum_exprs` must build in one pass."""
+    out = ZERO
+    for t in terms:
+        out = _add(out, t)
+    return out
+
+
+_Z = [VarRef(f"z{k}") for k in range(4)]
+_SUM_CONSTANTS = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -3.0, 1e16, -1e16, 1e-300, math.inf]
+
+
+@st.composite
+def _sum_term(draw, depth=2):
+    kind = draw(st.sampled_from(
+        ("const", "var", "scaled", "add", "nested", "mul", "div", "pow", "log")
+        if depth else ("const", "var")
+    ))
+    if kind == "const":
+        return Constant(draw(st.sampled_from(_SUM_CONSTANTS)))
+    if kind == "var":
+        return draw(st.sampled_from(_Z))
+    if kind == "scaled":
+        return draw(st.sampled_from(_SUM_CONSTANTS[2:7])) * draw(st.sampled_from(_Z))
+    part = st.lists(_sum_term(depth - 1), min_size=1, max_size=4)
+    if kind == "add":  # built by the operators: flat, constant last
+        return sum_exprs(draw(part))
+    if kind == "nested":  # built directly: Adds and constants anywhere
+        return Add(tuple(draw(st.lists(_sum_term(depth - 1), min_size=1, max_size=3))))
+    if kind == "mul":
+        return Mul(tuple(draw(st.lists(_sum_term(depth - 1), min_size=2, max_size=3))))
+    if kind == "div":
+        return Div(draw(_sum_term(depth - 1)), draw(st.sampled_from(_Z)))
+    if kind == "pow":
+        return Pow(draw(st.sampled_from(_Z)), draw(_sum_term(depth - 1)))
+    return Unary("log", _add(draw(st.sampled_from(_Z)), draw(_sum_term(depth - 1))))
+
+
+def _same_tree(a, b):
+    assert type(a) is type(b)
+    assert a._key() == b._key()
+    assert repr(a) == repr(b)  # tells 0.0 from -0.0, which _key does not
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=st.lists(_sum_term(), max_size=12))
+def test_sum_exprs_builds_the_fold_tree(terms):
+    """One pass, same tree: term order, the constants' summation order, the
+    dropped exact-0 constant, cancellation at 1e16, and lone nested Adds
+    (which the fold splices on its next step)."""
+    _same_tree(sum_exprs(terms), _fold_sum(terms))
+    _same_tree(sum_exprs(iter(terms)), _fold_sum(terms))
+
+
+def test_sum_exprs_cases_the_fold_decides():
+    inner = Add((X, Constant(2.0), Y))
+    for terms in (
+        [Constant(1e16), X, Constant(1.0), Constant(-1e16)],
+        [X, Constant(3.0), Constant(-3.0)],
+        [Constant(-0.0)],
+        [Constant(-0.0), X],
+        [inner],
+        [inner, Y],
+        [Constant(5.0), inner, Constant(-5.0), Y],
+        [Add((inner, Constant(0.0))), X],
+    ):
+        _same_tree(sum_exprs(terms), _fold_sum(terms))
+
+
+def test_builtin_sum_and_sum_exprs_agree():
+    """The builder's rows moved from builtin ``sum`` (pairwise ``__radd__``
+    then ``__add__``) to :func:`sum_exprs`; the trees are the same."""
+    zs = [VarRef(f"z[{k}]") for k in range(241)]
+    _same_tree(sum_exprs(zs), sum(zs))
+    scaled = [float(2 * k + 2) * z for k, z in enumerate(zs)]
+    _same_tree(sum_exprs(scaled), sum(scaled))
+
+
+def _fresh_variables(e):
+    """``variables()`` computed from scratch, touching no memo."""
+    if isinstance(e, Constant):
+        return frozenset()
+    if isinstance(e, VarRef):
+        return frozenset((e.name,))
+    if isinstance(e, (Add, Mul)):
+        return frozenset().union(*map(_fresh_variables, e.terms))
+    if isinstance(e, Div):
+        return _fresh_variables(e.num) | _fresh_variables(e.den)
+    if isinstance(e, Pow):
+        return _fresh_variables(e.base) | _fresh_variables(e.exponent)
+    return _fresh_variables(e.arg)
+
+
+def _fresh_is_linear(e):
+    try:
+        e.linear_coefficients()
+    except NonlinearExpressionError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(_sum_term(), min_size=1, max_size=6))
+def test_memoized_analysis_equals_a_fresh_computation(terms):
+    e = sum_exprs(terms)
+    fresh_vars, fresh_linear = _fresh_variables(e), _fresh_is_linear(e)
+    for _ in range(2):  # computes, then reads the slot
+        assert e.variables() == fresh_vars
+        assert e.is_linear() is fresh_linear
+    # Children answered from their own slots on the way; still correct.
+    for t in getattr(e, "terms", ()):
+        assert t.variables() == _fresh_variables(t)
+
+
+def test_memo_survives_immutability():
+    e = X * Y + log(X)
+    assert e.variables() == {"x", "y"} and not e.is_linear()
+    assert e.variables() is e.variables()
+    with pytest.raises(AttributeError):
+        e.terms = ()
+    with pytest.raises(AttributeError):
+        e._vars = frozenset()
