@@ -29,13 +29,13 @@ e2e-bench:
 	python3 benchmarks/e2e/run.py --trace 0
 	python3 -m pytest benchmarks/e2e/test_e2e.py
 
-# Solver hot-path micro-benchmarks (simplex, warm restarts, B&B node
+# Solver hot-path micro-benchmarks (HiGHS LP, node re-solve, B&B node
 # throughput, OA masters); updates benchmarks/out/BENCH_solver_micro.json.
 solver-bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_solver_micro.py --benchmark-only
 
 # Regression gate: run the solver micro-benchmarks to a scratch file and
-# fail if any gated (simplex/LP) mean regressed >2x vs. the committed
+# fail if any gated (LP/B&B/OA/fit) mean regressed >2x vs. the committed
 # baseline. CI runs this on every push.  The scratch *.fresh.json is
 # removed after a passing gate so it cannot go stale on disk; pass
 # --update to check_bench.py instead to promote it into the baseline.

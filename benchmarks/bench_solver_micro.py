@@ -16,7 +16,6 @@ from repro.cesm.grids import one_degree
 from repro.cesm.layouts import Layout, formulate_layout
 from repro.minlp import Model, solve_minlp_oa
 from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp
-from repro.minlp.simplex import solve_lp_simplex
 from repro.perf.fitting import fit_performance_model
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
@@ -88,28 +87,6 @@ def test_lp_highs_backend(benchmark):
     assert result.status.value == "optimal"
 
 
-def test_lp_pure_python_simplex(benchmark):
-    lp = _random_lp(n=15, m=10)
-    result = benchmark(lambda: solve_lp_simplex(lp))
-    assert result.status.value == "optimal"
-
-
-def test_lp_simplex_warm_restart(benchmark):
-    """Child-node re-solve from the parent basis (the B&B inner loop)."""
-    parent = _random_lp(n=15, m=10)
-    root = solve_lp_simplex(parent)
-    assert root.basis is not None
-    child_ub = parent.var_ub.copy()
-    child_ub[3] = 4.0
-    child = LinearProgram(
-        c=parent.c, A=parent.A, row_lb=parent.row_lb, row_ub=parent.row_ub,
-        var_lb=parent.var_lb, var_ub=child_ub,
-    )
-    result = benchmark(lambda: solve_lp_simplex(child, basis=root.basis))
-    assert result.status.value == "optimal"
-    assert result.warm_started
-
-
 def _bnb_knapsack(items, seed=0):
     rng = default_rng(seed)
     value = rng.uniform(1.0, 10.0, items)
@@ -123,7 +100,7 @@ def _bnb_knapsack(items, seed=0):
 
 @pytest.mark.parametrize("items", [8, 16, 28], ids=["small", "medium", "large"])
 def test_bnb_node_throughput(benchmark, items):
-    """B&B node throughput on default options (simplex-sized node LPs)."""
+    """B&B node throughput on default options (small HiGHS node LPs)."""
     from repro.minlp.milp import solve_milp
 
     problem = _bnb_knapsack(items)

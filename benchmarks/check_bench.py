@@ -69,8 +69,6 @@ class GateRule:
 #:   so with threshold 1.0 the gate fails exactly when a fresh run exceeds
 #:   the contract, not when it drifts relative to a lucky measurement.
 GATED = (
-    GateRule("test_lp_pure_python_simplex"),
-    GateRule("test_lp_simplex_warm_restart"),
     GateRule("test_lp_highs_backend"),
     GateRule("test_incremental_lp_node_resolve"),
     GateRule("test_bnb_node_throughput*"),

@@ -457,9 +457,8 @@ class HSLBOptimizer:
         fallback) under ``config.solver_wall_budget``; the chosen tier and
         the reason for every fallback are stored in
         :attr:`last_provenance` and threaded onto :class:`HSLBResult` by the
-        pipeline entry points.  Every solve is cold: warm starts and shared
-        cut pools live in :func:`repro.minlp.solve`, which the allocation
-        service and the rebalancer call directly.
+        pipeline entry points.  Every solve is cold: no tier is handed a
+        starting point or cuts from an earlier solve.
         """
         self.last_provenance = None
         models = {

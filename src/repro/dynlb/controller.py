@@ -17,10 +17,11 @@ One :class:`RebalanceController` drives one strategy through one
    charged when it lands — and a node crash inside the window aborts the
    move (the PR 1 interplay the fault tests pin).
 
-Crash recovery reuses the static re-plan path: the surviving budget is
-re-solved (warm-started for the MINLP strategies, exact-greedy otherwise)
-and the recovery migration is applied unconditionally — consistency, not
-profit, is the point.  Everything is deterministic under a fixed seed:
+Crash recovery reuses the static re-plan path: the heap
+(:func:`~repro.core.greedy.greedy_minmax_allocation`) re-solves the
+surviving budget exactly, the strategy proposes from that seed, and the
+recovery migration is applied unconditionally — consistency, not profit, is
+the point.  Everything is deterministic under a fixed seed:
 the workload draws are keyed, the controller holds no wall-clock state,
 and results carry only simulated seconds.
 """

@@ -42,7 +42,6 @@ from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa, solve_minlp_oa_multitree
 from repro.minlp.presolve import presolve
 from repro.minlp.problem import Constraint, Domain, Problem, Sense, SOS1, Variable
-from repro.minlp.simplex import solve_lp_simplex
 from repro.minlp.solution import Solution, SolveStats, Status
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "solve",
     "solve_brute_force",
     "solve_lp",
-    "solve_lp_simplex",
     "solve_milp",
     "solve_minlp_nlpbb",
     "solve_minlp_oa",

@@ -54,10 +54,6 @@ LazyCutCallback = Callable[
 class _Node:
     bounds: dict[str, tuple[float, float]]
     sos_allowed: dict[str, tuple[int, ...]]
-    # Parent node's final simplex basis (a SimplexBasis), inherited so the
-    # child LP warm-starts via dual-simplex restoration instead of a cold
-    # two-phase solve.  None at the root or when HiGHS solved the parent.
-    basis: object | None = None
 
 
 @dataclass
@@ -70,10 +66,6 @@ class BnBOptions:
     node_limit: int = 100_000
     time_limit: float = 120.0
     sos_branching: bool = True  # False: branch SOS members as plain binaries
-    #: Hand each child node its parent's final basis (simplex-solved LPs only).
-    #: Node solutions are bit-identical with this on or off; off forces a
-    #: cold two-phase solve per node (the baseline the benchmarks compare).
-    basis_reuse: bool = True
 
     def with_budget(self, wall_seconds: float) -> "BnBOptions":
         """A copy capped to a remaining wall budget (never loosened).
@@ -128,9 +120,9 @@ class BranchAndBound:
             raise TypeError(f"relax_solver must be callable or 'lp', got {relax_solver!r}")
 
     @property
-    def lp_report(self) -> dict[str, int]:
-        """LPs per engine and variables snapped by the polish (span tags)."""
-        return dict(self._incremental.report) if self._incremental else {}
+    def polish_snapped(self) -> int:
+        """Variables the LP polish snapped (a span tag)."""
+        return self._incremental.polish_snapped if self._incremental else 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -243,12 +235,8 @@ class BranchAndBound:
                 continue
 
             stats.nodes_explored += 1
-            node_basis = None
             if self._incremental is not None:
-                prior = node.basis if opts.basis_reuse else None
-                rel = self._incremental.solve(node.bounds, basis=prior)
-                if opts.basis_reuse:
-                    node_basis = self._incremental.last_basis
+                rel = self._incremental.solve(node.bounds)
             else:
                 rel = self.relax(self._node_problem(node))
             stats.lp_solves += rel.stats.lp_solves
@@ -308,10 +296,7 @@ class BranchAndBound:
                             added += 1
                     stats.cuts_added += added
                     if added:
-                        # Re-queue this node: its relaxation changed.  Its own
-                        # final basis extends naturally across the appended
-                        # cut rows, so the re-solve is a few dual pivots.
-                        node.basis = node_basis
+                        # Re-queue this node: its relaxation changed.
                         heapq.heappush(heap, (bound, next(counter), node))
                         continue
                 obj_signed = sign * rel.objective
@@ -333,7 +318,6 @@ class BranchAndBound:
                 name = max(fracs, key=lambda nf: min(nf[1], 1.0 - nf[1]))[0]
                 children = self._branch_int(node, name, values[name])
             for child in children:
-                child.basis = node_basis
                 heapq.heappush(heap, (bound, next(counter), child))
 
         stats.wall_time = timer.stop()

@@ -1,11 +1,8 @@
 """Linear-programming layer.
 
-Canonical LP container plus two engines:
-
-* :func:`solve_lp` — HiGHS (standing in for the CLP solver MINOTAUR uses for
-  its LP relaxations), called through scipy's binding of its core;
-* :func:`repro.minlp.simplex.solve_lp_simplex` — the built-in vectorized
-  simplex, ~10x faster on the small LPs branch-and-bound re-solves.
+Canonical LP container plus its one engine: HiGHS (standing in for the CLP
+solver MINOTAUR uses for its LP relaxations), called through scipy's binding
+of its core.  Every LP in :mod:`repro.minlp` goes through :func:`_run_highs`.
 
 The HiGHS call is ``linprog(method="highs")`` without the wrapper: the same
 model (linprog's row order, its CSC matrix, its options) goes to a fresh
@@ -16,9 +13,9 @@ What the wrapper adds per call — input cleaning, a fresh CSC matrix, duals,
 the result object — was about half of a node LP's cost on the shapes HiGHS
 gets here.
 
-:class:`IncrementalLPSolver` is the one LP path at branch-and-bound nodes: it
-routes each solve to an engine by LP size and polishes the optimum toward
-integrality so the tree does not depend on which engine ran.
+:class:`IncrementalLPSolver` is the LP path at branch-and-bound nodes: it
+caches the row model across nodes and polishes each optimum toward
+integrality, which keeps the trees small (DESIGN.md "Solver hot path").
 
 LPs here are stated over **row ranges**: minimize ``c·x + c0`` subject to
 ``row_lb <= A x <= row_ub`` and ``var_lb <= x <= var_ub``.  That matches how
@@ -37,7 +34,6 @@ import numpy as np
 
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution, SolveStats, Status
-from repro.obs import telemetry
 
 
 @dataclass
@@ -114,14 +110,6 @@ class LPResult:
     x: np.ndarray | None
     objective: float
     message: str = ""
-    #: Final simplex basis (a :class:`repro.minlp.simplex.SimplexBasis`) when
-    #: the built-in backend solved this LP; None for HiGHS solves.  Feed it
-    #: back via ``solve_lp_simplex(..., basis=...)`` to warm-start a related
-    #: solve (branch-and-bound child nodes do exactly this).
-    basis: object | None = None
-    #: True when a supplied basis was structurally compatible and actually
-    #: seeded this solve (the hit/miss signal behind ``solver_basis_reuse``).
-    warm_started: bool = False
 
     def values(self, lp: LinearProgram) -> dict[str, float]:
         if self.x is None:
@@ -229,7 +217,7 @@ def _run_highs(
     """One solve on a fresh HiGHS instance (a reused one keeps its basis and
     lands on other vertices of degenerate faces than linprog does)."""
     # Imported at the call site (a sys.modules lookup after the first): a
-    # process whose LPs all fit the built-in simplex never loads scipy.
+    # served request solves no LP, so a serving process never loads scipy.
     import scipy.optimize._highspy._core as core
     from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
     from scipy.optimize._linprog_util import _check_result
@@ -293,36 +281,42 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     return _run_highs(lp.c, lp.c0, rows, lp.var_lb, lp.var_ub)
 
 
-#: Node LPs run on the built-in simplex while they fit its dense tableau and
-#: on HiGHS beyond.  Set from the measured per-LP crossover on the ledger's
-#: own LP shapes (table in DESIGN.md "Solver hot path"): the simplex wins on
-#: every shape up to 88 rows / 86 columns (0.3-0.75x of HiGHS's ~1.9 ms, most
-#: of which is scipy's wrapper) and loses from 92 rows / 102 columns on, by
-#: 2-180x.  Past the crossover the loss grows fast, so the limits sit on its
-#: near side.
-_AUTO_SIMPLEX_MAX_ROWS = 88
-_AUTO_SIMPLEX_MAX_COLS = 88
+#: HiGHS's ``small_matrix_value``: it drops matrix entries no larger than
+#: this, and then solves a different LP than the one it was handed.
+_HIGHS_SMALL_ENTRY = 1e-9
 
 
-def _fits_simplex(rows: int, cols: int) -> bool:
-    """The one routing rule: does an LP of this shape run on the simplex?"""
-    return rows <= _AUTO_SIMPLEX_MAX_ROWS and cols <= _AUTO_SIMPLEX_MAX_COLS
+def fold_small_entries(
+    A: np.ndarray,
+    row_lb: np.ndarray,
+    row_ub: np.ndarray,
+    var_lb: np.ndarray,
+    var_ub: np.ndarray,
+) -> None:
+    """Move the entries HiGHS would drop into their row ranges, in place.
 
-
-def solve_lp_routed(lp: LinearProgram) -> LPResult:
-    """Solve a one-off LP on the engine a node LP of its shape would run on."""
-    if _fits_simplex(lp.num_rows, lp.num_vars):
-        from repro.minlp.simplex import solve_lp_simplex
-
-        res = solve_lp_simplex(lp)
-        if res.status not in (Status.ITERATION_LIMIT, Status.ERROR):
-            return res
-    return solve_lp(lp)
+    An entry ``a`` on a column boxed in ``[l, u]`` adds ``a*x`` in
+    ``[min(a*l, a*u), max(a*l, a*u)]`` to its row.  Zeroing it and widening
+    the row range by that interval keeps every point of the stated row
+    feasible: the row is relaxed by at most ``|a|*(u - l)``, where dropping
+    the entry outright can cut a feasible point off.  An OA tangent taken at
+    a curve's sweet spot has such a slope (``eighth-32768``'s ice row,
+    -9.5e-11).  Entries on unbounded columns stay.
+    """
+    small = (A != 0.0) & (np.abs(A) <= _HIGHS_SMALL_ENTRY)
+    small &= np.isfinite(var_lb) & np.isfinite(var_ub)
+    rows, cols = np.nonzero(small)
+    if rows.size:
+        a = A[rows, cols]
+        ends = np.stack([a * var_lb[cols], a * var_ub[cols]])
+        np.subtract.at(row_lb, rows, ends.max(axis=0))
+        np.subtract.at(row_ub, rows, ends.min(axis=0))
+        A[rows, cols] = 0.0
 
 
 #: A discrete value further than this from an integer is a polish candidate.
 _POLISH_INT_TOL = 1e-9
-#: A polished point may sit this far outside a row range — the engines' own
+#: A polished point may sit this far outside a row range — the engine's own
 #: primal feasibility tolerance — or as far out as the engine's point was.
 _POLISH_ROW_TOL = 1e-7
 
@@ -370,9 +364,9 @@ def polish_integrality(
     branch-and-bound never needed: the bound is the LP value, a dichotomy on
     any fractional coordinate of any feasible point is valid, and an integral
     optimum of the relaxation is an integer-feasible point worth that bound.
-    Degenerate allocation LPs have whole faces of optima and each engine
-    lands on a different vertex of the face; pulling every such vertex toward
-    the same integral corner is what makes the search tree engine-independent.
+    Degenerate allocation LPs have whole faces of optima, and the vertex
+    HiGHS reports is often fractional where an integral optimum exists;
+    pulling it toward an integral corner roughly halves the ledger's trees.
 
     Passes repeat until no candidate can move (a move can free room for an
     earlier candidate), so polishing a polished point changes nothing.
@@ -413,7 +407,7 @@ def polish_integrality(
 
 
 class IncrementalLPSolver:
-    """LP relaxation engine with a cached matrix form and basis reuse.
+    """LP relaxation engine with a cached matrix form.
 
     Branch-and-bound solves thousands of LPs that differ from the root only
     in variable bounds and appended cut rows.  Rebuilding the symbolic
@@ -422,20 +416,14 @@ class IncrementalLPSolver:
     class extracts the matrix once, consolidates appended cut rows lazily,
     and caches the HiGHS row model (linprog's eq/ub split, as one CSC
     matrix) so a node re-solve touches no Python-level row loop at all.
-
-    Each solve runs on the built-in vectorized simplex (which accepts a
-    parent basis and warm-starts dual-simplex style) while the LP is small
-    enough for its dense tableau to beat a HiGHS call, and on HiGHS
-    beyond that; the optimum of either is then polished toward integrality
-    (:func:`polish_integrality`), so which engine ran does not shape the
-    tree.  After every simplex solve the final basis is published on
-    :attr:`last_basis` for the caller to hand to child-node solves.
+    Entries HiGHS would drop are folded into their rows first
+    (:func:`fold_small_entries`), and each optimum is polished toward
+    integrality (:func:`polish_integrality`).
     """
 
     def __init__(self, problem: Problem) -> None:
         if not problem.is_linear():
             raise ValueError(f"{problem.name!r} has nonlinear pieces")
-        self._problem = problem
         self._sign = -1.0 if problem.sense.value == "maximize" else 1.0
         c, c0, A, row_lb, row_ub, var_lb, var_ub = problem.linear_matrix_form()
         self._c = self._sign * c
@@ -443,7 +431,6 @@ class IncrementalLPSolver:
         self._blocks: list[np.ndarray] = [np.atleast_2d(A)] if A.size else []
         self._lb_blocks: list[np.ndarray] = [np.asarray(row_lb, dtype=float)]
         self._ub_blocks: list[np.ndarray] = [np.asarray(row_ub, dtype=float)]
-        self._num_rows = int(A.shape[0])
         self._base_lb = var_lb
         self._base_ub = var_ub
         self._names = problem.variable_names
@@ -453,11 +440,8 @@ class IncrementalLPSolver:
         self._matrix_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._polish_cols: np.ndarray | None = None
         self._rows_cache: _HighsRows | None = None
-        #: Final basis of the most recent simplex solve (or None).
-        self.last_basis = None
-        #: LPs solved per engine and variables snapped by the polish, for the
-        #: solve's trace span ("which engine ran, did the polish engage?").
-        self.report = {"lp_simplex": 0, "lp_highs": 0, "polish_snapped": 0}
+        #: Variables snapped by the polish, for the solve's trace span.
+        self.polish_snapped = 0
 
     def add_row(self, body, lb: float, ub: float) -> None:
         """Append a (linear) cut row, e.g. an outer-approximation cut."""
@@ -468,7 +452,6 @@ class IncrementalLPSolver:
         self._blocks.append(row[None, :])
         self._lb_blocks.append(np.array([lb - k]))
         self._ub_blocks.append(np.array([ub - k]))
-        self._num_rows += 1
         self._matrix_cache = None
         self._rows_cache = None
 
@@ -481,6 +464,7 @@ class IncrementalLPSolver:
             )
             row_lb = np.concatenate(self._lb_blocks)
             row_ub = np.concatenate(self._ub_blocks)
+            fold_small_entries(A, row_lb, row_ub, self._base_lb, self._base_ub)
             self._blocks = [A] if A.size else []
             self._lb_blocks = [row_lb]
             self._ub_blocks = [row_ub]
@@ -498,20 +482,8 @@ class IncrementalLPSolver:
             )
         return self._rows_cache
 
-    def solve(
-        self,
-        bounds: Mapping[str, tuple[float, float]],
-        basis=None,
-    ) -> Solution:
-        """Solve with per-variable bound overrides (intersected with base).
-
-        ``basis`` optionally carries a parent node's final simplex basis;
-        when the simplex engine handles this solve it warm-starts from it
-        (dual-simplex restoration after the bound change) instead of
-        re-running two-phase simplex from artificials.  Reuse hits/misses
-        are recorded under the ``solver_basis_reuse_total`` metric — only
-        for simplex solves, HiGHS can never use a basis.
-        """
+    def solve(self, bounds: Mapping[str, tuple[float, float]]) -> Solution:
+        """Solve with per-variable bound overrides (intersected with base)."""
         var_lb = self._base_lb.copy()
         var_ub = self._base_ub.copy()
         for name, (lo, hi) in bounds.items():
@@ -525,14 +497,11 @@ class IncrementalLPSolver:
                     message=f"crossed bounds on {name}",
                 )
         stats = SolveStats(lp_solves=1)
-        if _fits_simplex(self._num_rows, self._c.size):
-            res = self._solve_simplex(var_lb, var_ub, basis)
-        else:
-            res = self._solve_highs(var_lb, var_ub)
+        res = _run_highs(self._c, self._c0, self._highs_rows(), var_lb, var_ub)
         if res.status is not Status.OPTIMAL:
             return Solution(res.status, stats=stats, message=res.message)
         A, row_lb, row_ub = self._matrix()
-        self.report["polish_snapped"] += polish_integrality(
+        self.polish_snapped += polish_integrality(
             res.x, self._polish_cols, A, row_lb, row_ub, var_lb, var_ub
         )
         values = {n: float(v) for n, v in zip(self._names, res.x)}
@@ -540,35 +509,6 @@ class IncrementalLPSolver:
         return Solution(
             Status.OPTIMAL, values=values, objective=obj, bound=obj, stats=stats
         )
-
-    def _solve_highs(self, var_lb, var_ub) -> LPResult:
-        self.last_basis = None
-        self.report["lp_highs"] += 1
-        return _run_highs(self._c, self._c0, self._highs_rows(), var_lb, var_ub)
-
-    def _solve_simplex(self, var_lb, var_ub, basis) -> LPResult:
-        from repro.minlp.simplex import solve_lp_simplex
-
-        A, row_lb, row_ub = self._matrix()
-        lp = LinearProgram(
-            c=self._c,
-            A=A,
-            row_lb=row_lb,
-            row_ub=row_ub,
-            var_lb=var_lb,
-            var_ub=var_ub,
-            c0=self._c0,
-            names=self._names,
-        )
-        res = solve_lp_simplex(lp, basis=basis)
-        if basis is not None:
-            telemetry.record_basis_reuse("hit" if res.warm_started else "miss")
-        if res.status in (Status.ITERATION_LIMIT, Status.ERROR):
-            # Numerical trouble in the dense tableau: HiGHS is the safety net.
-            return self._solve_highs(var_lb, var_ub)
-        self.report["lp_simplex"] += 1
-        self.last_basis = res.basis
-        return res
 
 
 def solve_problem_lp(problem: Problem) -> Solution:

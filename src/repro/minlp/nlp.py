@@ -17,7 +17,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.minlp.expr import Expr
-from repro.minlp.linprog import LinearProgram, solve_lp_routed
+from repro.minlp.linprog import LinearProgram, solve_lp
 from repro.minlp.problem import Problem, vector_to_values
 from repro.minlp.projection import Projection, project_sos1
 from repro.minlp.solution import Solution, SolveStats, Status
@@ -264,7 +264,7 @@ def _lp_run(small: Problem, fallback: Iterator[_Run]) -> Iterator[_Run]:
     failure) is left to ``fallback``, so those answers stay what they were.
     """
     lp = LinearProgram.from_problem(small)
-    res = solve_lp_routed(lp)
+    res = solve_lp(lp)
     if res.status is Status.OPTIMAL:
         yield res.x, True, "LP optimal"
     elif res.status is Status.INFEASIBLE:

@@ -297,8 +297,7 @@ def _solve_minlp_oa_impl(
         known_cuts=master.installed,
     )
     sol = engine.solve()
-    for tag, count in engine.lp_report.items():
-        oa_span.set_tag(tag, count)
+    oa_span.set_tag("polish_snapped", engine.polish_snapped)
     # Short of seeds or long on lazy rounds: what a slow solve looks like.
     oa_span.set_tag("cuts_seeded", seeded)
     oa_span.set_tag("cut_pool_hits", pool.stats.hits)

@@ -44,8 +44,6 @@ CATALOGUE = (
     _counter("solver_lp_solves_total", "LP relaxation solves", "algorithm"),
     _counter("solver_cuts_added_total", "OA linearization cuts added", "algorithm"),
     _counter("solver_incumbent_updates_total", "incumbent improvements", "algorithm"),
-    _counter("solver_basis_reuse_total", "B&B parent-basis reuse hits/misses", "outcome"),
-    _counter("solver_simplex_pivots_total", "simplex pivots by phase", "phase"),
     _histogram("solver_wall_seconds", "per-solve wall time", "algorithm", "status"),
     _counter("hslb_degradations_total", "solver tier fallbacks", "from_tier", "to_tier"),
     _counter("hslb_pipeline_runs_total", "HSLB pipeline entries"),
@@ -133,39 +131,6 @@ def record_solve(algorithm: str, stats, status: str) -> None:
             nlp_solves=stats.nlp_solves,
             cuts=stats.cuts_added,
             incumbents=stats.incumbent_updates,
-        )
-
-
-def record_basis_reuse(outcome: str) -> None:
-    """A node LP was offered a parent basis; ``outcome`` is "hit" or "miss"."""
-    REGISTRY.counter("solver_basis_reuse_total").inc(outcome=outcome)
-    if _TR.enabled:
-        _TR.event("simplex.basis_reuse", outcome=outcome)
-
-
-def record_simplex(
-    phase1: int, phase2: int, dual: int, warm: bool, attempted: bool
-) -> None:
-    """Fold one simplex solve's pivot counts into the registry.
-
-    ``dual`` counts dual-simplex restoration pivots during a warm start;
-    ``attempted``/``warm`` distinguish "no basis offered" from a reuse miss.
-    """
-    c = REGISTRY.counter("solver_simplex_pivots_total")
-    if phase1:
-        c.inc(phase1, phase="phase1")
-    if phase2:
-        c.inc(phase2, phase="phase2")
-    if dual:
-        c.inc(dual, phase="dual")
-    if _TR.enabled:
-        _TR.event(
-            "simplex.solve",
-            phase1=phase1,
-            phase2=phase2,
-            dual=dual,
-            warm=warm,
-            attempted=attempted,
         )
 
 

@@ -1,11 +1,11 @@
 """Reference pure-Python two-phase primal simplex (per-row loops, Bland).
 
 This is the original loop-based implementation, retained verbatim as a
-**validation oracle**: property-based tests solve random LPs with three
-independent backends — HiGHS (:func:`repro.minlp.linprog.solve_lp`), the
-vectorized simplex (:func:`repro.minlp.simplex.solve_lp_simplex`), and this
-module — and assert they agree.  A regression in the vectorized pivot or in
-the standard-form translation shows up as a three-way disagreement.
+**validation oracle** for the one LP engine: property-based tests solve
+random LPs with HiGHS (:func:`repro.minlp.linprog.solve_lp`) and with this
+module and assert they agree, and branch-and-bound over its relaxations
+must reach HiGHS's MILP optima.  A regression in the HiGHS call or in the
+row split shows up as a disagreement.
 
 It is deliberately slow and simple (dense tableau, per-row Python loops,
 pure Bland's rule); do not use it on a hot path.

@@ -1,23 +1,30 @@
-"""The search tree must not depend on which LP engine ran.
+"""The search tree's answers must not depend on the LP engine.
 
-Node LPs run on the built-in simplex or on HiGHS by size alone, and every LP
-optimum is polished toward integrality before branch-and-bound sees it
-(:func:`repro.minlp.linprog.polish_integrality`).  The oracles here:
+HiGHS answers every node LP, and every LP optimum is polished toward
+integrality before branch-and-bound sees it
+(:func:`repro.minlp.linprog.polish_integrality`).  So no answer here is
+checked against another LP engine; each is checked against an oracle that
+runs no LP at all:
 
-* the three routings — all-simplex, all-HiGHS, routed by size — must reach
-  the same OA objective on every instance the end-to-end ledger pins (the six
-  Table III blocks, the FMO ladder, the 48 serving requests; rebuilt from
-  their constants, not imported from ``benchmarks/``) and on keyed-RNG random
-  allocation specs, where brute force over the finite sets is the ground
-  truth;
-* the FMO trees of the two forced engines stay within 2x of each other — at
-  the parent commit the unpolished simplex vertices blew ``protein-16@128``
-  up from 65 to 1486 nodes and sent ``protein-24@256`` into ``node_limit``;
+* the OA objective on every instance the end-to-end ledger pins (rebuilt
+  from their constants, not imported from ``benchmarks/``): the six Table
+  III blocks against the ledger's own pins (``benchmarks/e2e/reference.json``,
+  read, never written), the FMO ladder and the 48 serving requests against
+  the heap (:func:`repro.core.greedy.greedy_minmax_allocation`, exact on a
+  one-budget-row min-max problem);
+* the FMO trees with the polish against the same trees without it — the
+  polish must never grow a tree (HiGHS's fractional vertices cost the
+  ladder ~2x the nodes without it);
+* OA against brute force over the finite sets on keyed-RNG random
+  allocation specs;
 * the polish itself keeps objective, rows and bounds, never adds a fractional
-  coordinate, and is idempotent, as a property over random LPs.
+  coordinate, and is idempotent, as a property over random LPs whose optima
+  come from HiGHS and from the test-only reference simplex.
 """
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -27,11 +34,12 @@ from hypothesis import strategies as st
 from repro.cesm.app import CESMApplication
 from repro.cesm.grids import eighth_degree, one_degree
 from repro.core.builder import AllocationModelBuilder, DiscreteNodeSet
+from repro.core.greedy import greedy_minmax_allocation
 from repro.core.hslb import HSLBOptimizer
 from repro.core.objectives import Objective
 from repro.fmo.app import FMOApplication
 from repro.fmo.molecules import protein_like
-from repro.minlp import BnBOptions
+from repro.minlp import linprog
 from repro.minlp.brute import solve_brute_force
 from repro.minlp.linprog import (
     _POLISH_ROW_TOL,
@@ -42,14 +50,14 @@ from repro.minlp.linprog import (
     solve_lp,
 )
 from repro.minlp.oa import solve_minlp_oa
-from repro.minlp.simplex import solve_lp_simplex
 from repro.minlp.solution import Status
 from repro.perf.model import PerformanceModel
 from repro.service.request import ComponentSpec, SolveRequest
 from repro.service.solver import build_problem
 from repro.util.rng import keyed_rng
+from tests.minlp.simplex_reference import solve_lp_simplex_reference
 
-ENGINES = ("simplex", "highs", "routed")
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 # -- the ledger's pinned instances, rebuilt from their constants -------------
 
@@ -83,11 +91,13 @@ def _pinned_rng(tag: str, index: int) -> np.random.Generator:
     return np.random.default_rng([CATALOGUE_SEED & 0xFFFFFFFF, _TAG[tag], index])
 
 
-def _pipeline_problem(app, campaign, total_nodes, rng):
-    """Gather -> fit -> formulate, as ``HSLBOptimizer.run`` does before solving."""
+def _pipeline_case(app, campaign, total_nodes, rng):
+    """Gather -> fit -> formulate, as ``HSLBOptimizer.run`` does before
+    solving; returns the problem and the fitted models."""
     opt = HSLBOptimizer(app)
     fits = opt.fit(opt.gather(campaign, rng), rng)
-    return app.formulate({name: f.model for name, f in fits.items()}, total_nodes)
+    models = {name: f.model for name, f in fits.items()}
+    return app.formulate(models, total_nodes), models
 
 
 def _table3_problem(index: int):
@@ -96,18 +106,23 @@ def _table3_problem(index: int):
         one_degree() if resolution == "1deg"
         else eighth_degree(constrained_ocean=constrained)
     )
-    return _pipeline_problem(
+    problem, _ = _pipeline_case(
         CESMApplication(config), GATHER_CAMPAIGNS[resolution], nodes,
         _pinned_rng("plan", index),
+    )
+    return problem
+
+
+def _fmo_case(index: int):
+    fragments, nodes = FMO_LADDER[index]
+    system = protein_like(fragments, _pinned_rng("system", index))
+    return _pipeline_case(
+        FMOApplication(system), FMO_GATHER, nodes, _pinned_rng("plan", index)
     )
 
 
 def _fmo_problem(index: int):
-    fragments, nodes = FMO_LADDER[index]
-    system = protein_like(fragments, _pinned_rng("system", index))
-    return _pipeline_problem(
-        FMOApplication(system), FMO_GATHER, nodes, _pinned_rng("plan", index)
-    )
+    return _fmo_case(index)[0]
 
 
 def _request_pool() -> list[SolveRequest]:
@@ -127,44 +142,53 @@ def _request_pool() -> list[SolveRequest]:
     return pool
 
 
-def _solve_on_every_engine(problem, force_lp_engine):
-    """OA under each routing; objectives must agree to 1e-9 relative."""
-    solutions = {}
-    for engine in ENGINES:
-        force_lp_engine(engine)
-        solutions[engine] = solve_minlp_oa(problem).require_ok()
-        assert solutions[engine].status is Status.OPTIMAL, engine
-    reference = solutions["highs"].objective
-    for engine, sol in solutions.items():
-        assert sol.objective == pytest.approx(reference, rel=1e-9), engine
-        assert problem.max_violation(sol.values) <= 1e-5, engine
-    return solutions
+def _solve(problem):
+    """OA's optimal answer, checked feasible."""
+    sol = solve_minlp_oa(problem).require_ok()
+    assert sol.status is Status.OPTIMAL
+    assert problem.max_violation(sol.values) <= 1e-5
+    return sol
+
+
+def _heap_makespan(models, total_nodes):
+    return greedy_minmax_allocation(models, total_nodes)[1]
 
 
 @pytest.mark.parametrize(
     "index", range(len(TABLE3_BLOCKS)), ids=[b[0] for b in TABLE3_BLOCKS]
 )
-def test_table3_objective_is_engine_independent(index, force_lp_engine):
-    _solve_on_every_engine(_table3_problem(index), force_lp_engine)
+def test_table3_objective_is_engine_independent(index):
+    pins = json.loads((REPO / "benchmarks/e2e/reference.json").read_text())
+    problem = _table3_problem(index)
+    reference = pins["objectives"]["cesm_table3"][TABLE3_BLOCKS[index][0]]
+    assert _solve(problem).objective == pytest.approx(reference, rel=1e-6)
 
 
 @pytest.mark.parametrize(
     "index", range(len(FMO_LADDER)), ids=[f"protein-{f}@{n}" for f, n in FMO_LADDER]
 )
-def test_fmo_ladder_objective_and_tree_are_engine_independent(index, force_lp_engine):
-    solutions = _solve_on_every_engine(_fmo_problem(index), force_lp_engine)
-    simplex = solutions["simplex"].stats.nodes_explored
-    highs = solutions["highs"].stats.nodes_explored
-    # The explosion guard.  Counts are chaotic in the vertex choice, so only
-    # the ratio is promised, never a number.
-    assert simplex <= 2 * highs and highs <= 2 * simplex, (simplex, highs)
+def test_fmo_ladder_objective_and_tree_are_engine_independent(index, monkeypatch):
+    problem, models = _fmo_case(index)
+    polished = _solve(problem)
+    assert polished.objective == pytest.approx(
+        _heap_makespan(models, FMO_LADDER[index][1]), rel=1e-7
+    )
+    monkeypatch.setattr(linprog, "polish_integrality", lambda *args: 0)
+    raw = _solve(problem)
+    assert raw.objective == pytest.approx(polished.objective, rel=1e-7)
+    # The polish is part of the one-engine path because of this.  Counts
+    # are chaotic in the vertex choice, so only the order is promised.
+    assert polished.stats.nodes_explored <= raw.stats.nodes_explored
 
 
-def test_serving_pool_objectives_are_engine_independent(force_lp_engine):
+def test_serving_pool_objectives_are_engine_independent():
     pool = _request_pool()
     assert len(pool) == 48
     for request in pool:
-        _solve_on_every_engine(build_problem(request), force_lp_engine)
+        models = {name: spec.model for name, spec in request.components.items()}
+        assert _solve(build_problem(request)).objective == pytest.approx(
+            _heap_makespan(models, request.total_nodes), rel=1e-7
+        )
 
 
 # -- keyed-RNG random allocation specs against brute force -------------------
@@ -194,42 +218,13 @@ def _random_spec(objective: Objective, sweet_spots: bool, case: int):
 @pytest.mark.parametrize("sweet_spots", [False, True], ids=["plain", "sweet-spots"])
 @pytest.mark.parametrize("objective", [Objective.MIN_MAX, Objective.MIN_SUM],
                          ids=lambda o: o.value)
-def test_random_specs_match_brute_force_on_every_engine(
-    objective, sweet_spots, force_lp_engine
-):
+def test_random_specs_match_brute_force_on_every_engine(objective, sweet_spots):
     for case in range(4):
         problem = _random_spec(objective, sweet_spots, case)
-        solutions = _solve_on_every_engine(problem, force_lp_engine)
         brute = solve_brute_force(problem).require_ok()
-        assert solutions["routed"].objective == pytest.approx(
+        assert _solve(problem).objective == pytest.approx(
             brute.objective, rel=1e-6
         ), case
-
-
-# -- basis reuse, span tags --------------------------------------------------
-
-
-def test_basis_reuse_on_off_bit_identical_where_the_polish_engages(tracer):
-    """Knapsack LPs have no zero-cost column to snap; allocation LPs do."""
-    problem = _fmo_problem(0)
-    on = solve_minlp_oa(problem, BnBOptions(basis_reuse=True))
-    off = solve_minlp_oa(problem, BnBOptions(basis_reuse=False))
-    assert on.objective == off.objective  # exact, not approx
-    assert on.values == off.values
-    assert on.stats.nodes_explored == off.stats.nodes_explored
-    first, second = (s for s, _ in tracer.walk() if s.name == "minlp.oa")
-    assert first.tags["polish_snapped"] == second.tags["polish_snapped"] > 0
-
-
-def test_oa_span_says_which_engine_ran(tracer, force_lp_engine):
-    problem = _fmo_problem(0)
-    for engine, idle in (("simplex", "lp_highs"), ("highs", "lp_simplex")):
-        force_lp_engine(engine)
-        tracer.reset()
-        sol = solve_minlp_oa(problem)
-        tags = tracer.find("minlp.oa").tags
-        assert tags[idle] == 0
-        assert tags["lp_simplex"] + tags["lp_highs"] == sol.stats.lp_solves
 
 
 # -- the polish as a property over random LPs --------------------------------
@@ -268,7 +263,7 @@ def _polishable_lps(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_polishable_lps(), st.sampled_from([solve_lp, solve_lp_simplex]))
+@given(_polishable_lps(), st.sampled_from([solve_lp, solve_lp_simplex_reference]))
 def test_polish_keeps_the_optimum_and_only_removes_fractions(case, engine):
     lp, discrete = case
     res = engine(lp)
@@ -308,9 +303,9 @@ def test_polish_keeps_the_optimum_and_only_removes_fractions(case, engine):
 def test_polish_pulls_the_budget_tight_vertex_onto_an_integral_optimum():
     """min t, t >= 4 - n1, t >= 3 - n2, n1 + n2 <= 5.5 with n1 <= 2.
 
-    t = 2 is forced by n1; every n2 in [1, 3.5] is then optimal.  HiGHS tends
-    to report an integral end of such a face, the simplex the end where the
-    budget row is tight — one more fractional n_i at almost every node.
+    t = 2 is forced by n1; every n2 in [1, 3.5] is then optimal.  An engine
+    may report either end of such a face; the end where the budget row is
+    tight is one more fractional n_i, at almost every node of a tree.
     """
     lp = LinearProgram(
         c=[1.0, 0.0, 0.0],

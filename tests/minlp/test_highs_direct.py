@@ -129,10 +129,38 @@ def test_every_ledger_highs_call_matches_linprog(catalogue, monkeypatch, kind, i
         block.campaign, block.total_nodes, block.plan_rng(), execute=False
     )
     assert plan.solution.status is Status.OPTIMAL
-    if block.key == "1deg-2048":
-        # The 241-run ocean set: the one block whose node LPs outgrow the
-        # built-in simplex.
-        assert oracle.calls > 0
+    assert oracle.calls > 0  # HiGHS answers every node LP
+
+
+#: HiGHS's ``small_matrix_value``: it drops matrix entries no larger.
+_HIGHS_DROPS = 1e-9
+
+
+@pytest.mark.parametrize("kind,index", _BLOCKS, ids=[f"{k}{i}" for k, i in _BLOCKS])
+def test_no_ledger_lp_has_an_entry_highs_would_drop(catalogue, monkeypatch, kind, index):
+    """HiGHS presolves a matrix entry with ``|a| <= 1e-9`` away and can then
+    answer a point that violates the row as written
+    (``test_simplex.py::test_tiny_coefficient_is_kept_by_the_simplex``).
+    Every coefficient of a node LP comes from the model or from a tangent
+    of a fitted curve; this checks that no LP of the ledger's nine blocks,
+    solved as the pipeline solves them, holds one that small."""
+    smallest = []
+    run_highs = linprog_mod._run_highs
+
+    def recording_run_highs(c, c0, rows, var_lb, var_ub):
+        if rows.value.size:
+            smallest.append(float(np.abs(rows.value).min()))
+        return run_highs(c, c0, rows, var_lb, var_ub)
+
+    monkeypatch.setattr(linprog_mod, "_run_highs", recording_run_highs)
+    blocks = catalogue.cesm_blocks() if kind == "cesm" else catalogue.fmo_blocks()
+    block = blocks[index]
+    plan = HSLBOptimizer(block.make_app()).run(
+        block.campaign, block.total_nodes, block.plan_rng(), execute=False
+    )
+    assert plan.solution.status is Status.OPTIMAL
+    assert smallest
+    assert min(smallest) > _HIGHS_DROPS, min(smallest)
 
 
 def _keyed_lp(key: int, shape: str) -> LinearProgram:

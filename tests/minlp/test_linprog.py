@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.minlp import Model
 from repro.minlp.expr import VarRef
-from repro.minlp.linprog import LinearProgram, solve_lp, solve_problem_lp
+from repro.minlp.linprog import (
+    IncrementalLPSolver,
+    LinearProgram,
+    fold_small_entries,
+    solve_lp,
+    solve_problem_lp,
+)
 from repro.minlp.problem import Problem, Sense
 from repro.minlp.solution import Status
 
@@ -114,3 +121,65 @@ def test_lp_result_values_mapping():
     vals = res.values(lp)
     assert set(vals) == {"a", "b"}
     assert vals["a"] + vals["b"] == pytest.approx(2.0)
+
+
+def test_a_sweet_spot_tangent_is_solved_as_stated():
+    """min T  s.t.  T >= 274.311... - 9.5e-11 n,  n in [64, 32768].
+
+    The OA tangent of ``eighth-32768``'s ice curve near its sweet spot.  The
+    optimum is at n = 32768, 3.1e-6 below the constant.  HiGHS drops the
+    -9.5e-11 entry and answers the constant; the node-LP path folds the
+    entry into the row range first and answers the stated optimum.
+    """
+    slope, level = 9.47728553621352e-11, 274.31131236063953
+    m = Model("tangent")
+    n = m.var("n", 64.0, 32768.0)
+    t = m.var("T", 0.0, 1e4)
+    m.add(t + slope * n >= level)
+    m.minimize(t)
+    problem = m.build()
+    stated = level - slope * 32768.0
+    node = IncrementalLPSolver(problem).solve({})
+    assert node.objective == pytest.approx(stated, abs=1e-12)
+    direct = solve_lp(LinearProgram.from_problem(problem))
+    if direct.objective != pytest.approx(stated, abs=1e-9):  # the engine's quirk
+        assert direct.objective == pytest.approx(level, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fold_small_entries_is_a_sound_relaxation(seed):
+    """Every box point the stated rows admit, the folded rows admit; each
+    row is widened by at most sum |a| (u - l) over its folded entries; only
+    entries HiGHS would drop, on bounded columns, are folded."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    A = rng.normal(size=(m, n))
+    tiny = rng.uniform(size=A.shape) < 0.4
+    A[tiny] = rng.choice([-1.0, 1.0], size=int(tiny.sum())) * 10.0 ** rng.uniform(
+        -14, -9, int(tiny.sum())
+    )
+    var_lb = rng.uniform(-5.0, 0.0, n)
+    var_ub = var_lb + rng.uniform(0.0, 1e5, n)
+    var_ub[rng.uniform(size=n) < 0.2] = math.inf
+    points = rng.uniform(var_lb, np.minimum(var_ub, var_lb + 1e5), size=(200, n))
+    act = points @ A.T
+    row_lb = np.where(rng.uniform(size=m) < 0.3, -math.inf, np.quantile(act, 0.1, axis=0))
+    row_ub = np.where(rng.uniform(size=m) < 0.3, math.inf, np.quantile(act, 0.9, axis=0))
+    folded = (A.copy(), row_lb.copy(), row_ub.copy())
+    fold_small_entries(*folded, var_lb, var_ub)
+
+    expected = tiny & np.isfinite(var_ub)
+    assert np.array_equal(folded[0], np.where(expected, 0.0, A))
+    kept = folded[0] @ points.T
+    inside = ((act >= row_lb) & (act <= row_ub)).all(axis=1)
+    assert inside.any()
+    slack = 1e-9 * (1.0 + np.abs(kept.T))
+    assert ((kept.T >= folded[1] - slack) & (kept.T <= folded[2] + slack))[inside].all()
+    width = (np.abs(np.where(expected, A, 0.0)) * np.where(
+        expected, var_ub - var_lb, 0.0
+    )).sum(axis=1)
+    for stated, relaxed, sign in ((row_lb, folded[1], 1.0), (row_ub, folded[2], -1.0)):
+        finite = np.isfinite(stated)
+        widened = sign * (stated[finite] - relaxed[finite])
+        assert np.all(widened <= width[finite] + 1e-15 * (1.0 + np.abs(stated[finite])))
+

@@ -1,4 +1,6 @@
-"""The pure-Python simplex must agree with HiGHS."""
+"""HiGHS (:func:`solve_lp`, the one LP engine) must agree with the
+test-only reference simplex (:mod:`tests.minlp.simplex_reference`), an
+independent dense two-phase implementation kept as the oracle."""
 
 import math
 
@@ -7,12 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.minlp import simplex
 from repro.minlp.linprog import LinearProgram, solve_lp
-from repro.minlp.oa import solve_minlp_oa
-from repro.minlp.simplex import solve_lp_simplex
 from repro.minlp.solution import Status
-from tests.minlp.test_engine_independence import TABLE3_BLOCKS, _table3_problem
+from tests.minlp.simplex_reference import solve_lp_simplex_reference
 
 
 def _lp(c, A, row_lb, row_ub, var_lb, var_ub, **kw):
@@ -28,8 +27,8 @@ def _lp(c, A, row_lb, row_ub, var_lb, var_ub, **kw):
 
 
 def _agree(lp, atol=1e-6):
-    ours = solve_lp_simplex(lp)
-    ref = solve_lp(lp)
+    ours = solve_lp(lp)
+    ref = solve_lp_simplex_reference(lp)
     assert ours.status is ref.status, (ours.message, ref.message)
     if ref.status is Status.OPTIMAL:
         assert ours.objective == pytest.approx(ref.objective, abs=atol)
@@ -54,37 +53,39 @@ def test_infeasible_agreement():
 
 def test_unbounded_detected():
     lp = _lp([-1], [[0.0]], [-math.inf], [1.0], [0], [math.inf])
-    assert solve_lp_simplex(lp).status is Status.UNBOUNDED
+    ours, _ = _agree(lp)
+    assert ours.status is Status.UNBOUNDED
 
 
 def test_free_variable_split():
     # min x s.t. x >= -7 (free variable, negative optimum).
     lp = _lp([1], [[1]], [-7], [math.inf], [-math.inf], [math.inf])
-    res = solve_lp_simplex(lp)
-    assert res.status is Status.OPTIMAL
-    assert res.objective == pytest.approx(-7.0)
-    assert res.x[0] == pytest.approx(-7.0)
+    for res in _agree(lp):
+        assert res.status is Status.OPTIMAL
+        assert res.objective == pytest.approx(-7.0)
+        assert res.x[0] == pytest.approx(-7.0)
 
 
 def test_mirror_variable_only_upper_bound():
     # min -x with x <= 9 and a row keeping it feasible.
     lp = _lp([-1], [[1]], [-math.inf], [9], [-math.inf], [9])
-    res = solve_lp_simplex(lp)
-    assert res.status is Status.OPTIMAL
-    assert res.objective == pytest.approx(-9.0)
+    for res in _agree(lp):
+        assert res.status is Status.OPTIMAL
+        assert res.objective == pytest.approx(-9.0)
 
 
 def test_shifted_lower_bound():
     # min x with x >= 2.5 via variable bound only (no rows).
     lp = _lp([1], np.zeros((0, 1)), [], [], [2.5], [7.0])
-    res = solve_lp_simplex(lp)
-    assert res.status is Status.OPTIMAL
-    assert res.x[0] == pytest.approx(2.5)
+    for res in _agree(lp):
+        assert res.status is Status.OPTIMAL
+        assert res.x[0] == pytest.approx(2.5)
 
 
 def test_box_only_unbounded():
     lp = _lp([-1], np.zeros((0, 1)), [], [], [0.0], [math.inf])
-    assert solve_lp_simplex(lp).status is Status.UNBOUNDED
+    ours, _ = _agree(lp)
+    assert ours.status is Status.UNBOUNDED
 
 
 def test_degenerate_redundant_rows():
@@ -102,14 +103,15 @@ def test_degenerate_redundant_rows():
 
 def test_constant_offset():
     lp = _lp([1], [[1]], [1], [math.inf], [0], [5], c0=3.0)
-    res = solve_lp_simplex(lp)
-    assert res.objective == pytest.approx(4.0)
+    for res in _agree(lp):
+        assert res.objective == pytest.approx(4.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_lps_agree_with_highs(data):
-    """Property: on random bounded LPs both backends agree on status/value."""
+    """Property: on random bounded LPs HiGHS and the reference agree on
+    status and value."""
     n = data.draw(st.integers(1, 4), label="n")
     m = data.draw(st.integers(0, 4), label="m")
     # Coefficients on a 1/8 grid: a float strategy eventually draws |a| ~ 1e-9,
@@ -133,48 +135,19 @@ def test_random_lps_agree_with_highs(data):
 def test_tiny_coefficient_is_kept_by_the_simplex():
     """min -y  s.t.  y <= 2x,  1e-9*y <= 0,  (x, y) in [0, 1]^2.
 
-    The second row forces y = 0, so the optimum is 0: the simplex is right.
-    HiGHS drops matrix entries that small and answers -1 at (1, 1), a point
-    that violates the row as written.  The random property above found this
+    The second row forces y = 0, so the optimum is 0: the reference simplex
+    is right.  HiGHS drops matrix entries that small (its
+    ``small_matrix_value``, 1e-9) and answers -1 at (1, 1), a point that
+    violates the row as written.  The random property above found this
     example while it drew coefficients from ``st.floats``; branch-and-bound
-    never meets one — every coefficient of a node LP comes from the model or
-    from a tangent of a fitted curve, O(1e-3 ... 1e6).
+    never meets one (``test_highs_direct.py`` checks every node LP of the
+    ledger's nine blocks for an entry that small).
     """
     lp = _lp([0, -1], [[-2, 1], [0, 1e-9]], [-math.inf] * 2, [0, 0], [0, 0], [1, 1])
-    ours = solve_lp_simplex(lp)
-    assert ours.status is Status.OPTIMAL
-    assert ours.objective == 0.0
-    assert ours.x.tolist() == [0.0, 0.0]
-    ref = solve_lp(lp)
-    if ref.objective != pytest.approx(0.0):  # the engine's quirk, not a contract
-        assert lp.A[1] @ ref.x > 0.0
-
-
-def test_a_warm_start_never_calls_a_feasible_lp_infeasible(monkeypatch):
-    """Table III's eighth-32768 block, solved by OA as the pipeline does: its
-    tree meets warm bases off which the dual simplex reads feasible node LPs
-    as infeasible (a serving-pool basis of condition number 5e12 once did,
-    and the tree came back empty, "infeasible (tree exhausted)").  Those
-    reads must go to a cold re-solve, so every warm-started LP gets HiGHS's
-    status — and the block must still exercise that path."""
-    warm, infeasible_reads = [], []
-    real_solve, real_dual = simplex.solve_lp_simplex, simplex._dual_phase
-
-    def spy(lp, basis=None):
-        res = real_solve(lp, basis=basis)
-        if basis is not None:
-            warm.append((lp, res.status))
-        return res
-
-    def dual(*args):
-        status, pivots = real_dual(*args)
-        if status is Status.INFEASIBLE:
-            infeasible_reads.append(status)
-        return status, pivots
-
-    monkeypatch.setattr(simplex, "solve_lp_simplex", spy)
-    monkeypatch.setattr(simplex, "_dual_phase", dual)
-    index = [block[0] for block in TABLE3_BLOCKS].index("eighth-32768")
-    assert solve_minlp_oa(_table3_problem(index)).status is Status.OPTIMAL
-    assert infeasible_reads
-    assert [status for _, status in warm] == [solve_lp(lp).status for lp, _ in warm]
+    ref = solve_lp_simplex_reference(lp)
+    assert ref.status is Status.OPTIMAL
+    assert ref.objective == 0.0
+    assert ref.x[1] == 0.0  # x is free in [0, 1]: every such point is optimal
+    ours = solve_lp(lp)
+    if ours.objective != pytest.approx(0.0):  # the engine's quirk, not a contract
+        assert lp.A[1] @ ours.x > 0.0

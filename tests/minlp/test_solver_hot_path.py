@@ -1,13 +1,9 @@
-"""Solver hot-path guarantees: three-way LP agreement and basis reuse.
+"""Solver hot-path guarantees: LP agreement and the incremental LP path.
 
-Three independent LP implementations must agree on random instances —
-HiGHS (:func:`solve_lp`), the vectorized simplex (:func:`solve_lp_simplex`),
-and the retained loop-based reference
-(:func:`solve_lp_simplex_reference`) — including degenerate, redundant-row,
-and free-variable cases.  On top of that, warm-started solves (parent basis
-handed to a child) must return **bit-identical** results to cold solves,
-which is what lets branch-and-bound turn basis reuse on without changing a
-single incumbent.
+HiGHS (:func:`solve_lp`, the one LP engine) must agree with the retained
+loop-based reference simplex (:func:`solve_lp_simplex_reference`) on random
+instances — including degenerate, redundant-row, and free-variable cases —
+and branch-and-bound over either must reach the same MILP optimum.
 """
 
 import math
@@ -15,12 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.minlp import BnBOptions, Model
+from repro.minlp import BranchAndBound, Model
 from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp
 from repro.minlp.milp import solve_milp
-from repro.minlp.simplex import basis_compatible, solve_lp_simplex
-from repro.minlp.solution import Status
-from repro.obs.metrics import REGISTRY
+from repro.minlp.solution import Solution, Status
 from tests.minlp.simplex_reference import solve_lp_simplex_reference
 
 
@@ -65,103 +59,24 @@ def _random_lp(rng, n, m, *, degenerate=False, redundant=False, free=False):
     ids=["plain", "degenerate", "redundant", "free", "all"],
 )
 def test_three_way_agreement(shape):
-    """Vectorized simplex == HiGHS == loop reference within 1e-7."""
+    """HiGHS == loop reference within 1e-7, and HiGHS's point is feasible."""
     for seed in range(25):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 10))
         m = int(rng.integers(1, 8))
         lp = _random_lp(rng, n, m, **shape)
-        ours = solve_lp_simplex(lp)
         highs = solve_lp(lp)
         ref = solve_lp_simplex_reference(lp)
-        assert ours.status is ref.status, (seed, ours.message, ref.message)
         if not (
-            ours.status is Status.UNBOUNDED and highs.status is Status.INFEASIBLE
+            ref.status is Status.UNBOUNDED and highs.status is Status.INFEASIBLE
         ):
             # HiGHS presolve reports "infeasible OR unbounded" as infeasible;
-            # when both simplex codes prove unboundedness that's the same ray.
-            assert ours.status is highs.status, (seed, ours.message, highs.message)
+            # when the reference proves unboundedness that's the same ray.
+            assert highs.status is ref.status, (seed, highs.message, ref.message)
         if highs.status is Status.OPTIMAL:
-            assert ours.objective == pytest.approx(highs.objective, abs=1e-7)
-            assert ours.objective == pytest.approx(ref.objective, abs=1e-7)
-            assert np.all(lp.A @ ours.x <= lp.row_ub + 1e-7)
-            assert np.all(lp.A @ ours.x >= lp.row_lb - 1e-7)
-
-
-def test_warm_start_bit_identical_to_cold():
-    """A reused parent basis never changes the answer — only the path to it."""
-    hits = 0
-    for seed in range(40):
-        rng = np.random.default_rng(1000 + seed)
-        n = int(rng.integers(4, 14))
-        m = int(rng.integers(2, 10))
-        parent = _random_lp(rng, n, m)
-        root = solve_lp_simplex(parent)
-        if root.status is not Status.OPTIMAL or root.basis is None:
-            continue
-        # Child: tighten one variable bound, as branching does.
-        j = int(rng.integers(n))
-        ub = parent.var_ub.copy()
-        ub[j] = float(rng.uniform(0.2, 0.8))
-        child = LinearProgram(
-            c=parent.c, A=parent.A, row_lb=parent.row_lb, row_ub=parent.row_ub,
-            var_lb=parent.var_lb, var_ub=ub,
-        )
-        warm = solve_lp_simplex(child, basis=root.basis)
-        cold = solve_lp_simplex(child)
-        hits += warm.warm_started
-        assert warm.status is cold.status
-        if cold.status is Status.OPTIMAL:
-            assert warm.objective == cold.objective  # exact, not approx
-            assert np.array_equal(warm.x, cold.x)
-    assert hits >= 30  # reuse must actually engage, not silently cold-start
-
-
-def test_warm_start_extends_over_appended_cut_rows():
-    rng = np.random.default_rng(7)
-    parent = _random_lp(rng, 10, 6)
-    root = solve_lp_simplex(parent)
-    assert root.basis is not None
-    cut = rng.normal(size=10)
-    child = LinearProgram(
-        c=parent.c,
-        A=np.vstack([parent.A, cut]),
-        row_lb=np.append(parent.row_lb, -math.inf),
-        row_ub=np.append(parent.row_ub, float(cut @ (np.ones(10) * 0.3))),
-        var_lb=parent.var_lb,
-        var_ub=parent.var_ub,
-    )
-    warm = solve_lp_simplex(child, basis=root.basis)
-    cold = solve_lp_simplex(child)
-    assert warm.warm_started
-    assert warm.status is cold.status
-    if cold.status is Status.OPTIMAL:
-        assert warm.objective == cold.objective
-        assert np.array_equal(warm.x, cold.x)
-
-
-def test_incompatible_basis_falls_back_to_cold():
-    rng = np.random.default_rng(11)
-    a = _random_lp(rng, 6, 4)
-    b = _random_lp(rng, 8, 4)  # different variable structure
-    ra = solve_lp_simplex(a)
-    rb = solve_lp_simplex(b, basis=ra.basis)
-    assert not rb.warm_started
-    assert rb.status is solve_lp_simplex(b).status
-
-
-def test_basis_compatible_prefix_rule():
-    rng = np.random.default_rng(13)
-    lp = _random_lp(rng, 5, 3)
-    res = solve_lp_simplex(lp)
-    sig = res.basis.signature
-    assert basis_compatible(res.basis, sig)
-    # Extra trailing rows (appended cuts) keep compatibility...
-    extended = (sig[0], sig[1], sig[2], sig[3] + (1,))
-    assert basis_compatible(res.basis, extended)
-    # ...but any change to variable structure or upper-row count breaks it.
-    assert not basis_compatible(res.basis, (sig[0], sig[1] + 1, sig[2], sig[3]))
-    assert not basis_compatible(res.basis, (sig[0], sig[1], sig[2] + 1, sig[3]))
+            assert highs.objective == pytest.approx(ref.objective, abs=1e-7)
+            assert np.all(lp.A @ highs.x <= lp.row_ub + 1e-7)
+            assert np.all(lp.A @ highs.x >= lp.row_lb - 1e-7)
 
 
 def _knapsack_problem(seed=0, items=10):
@@ -175,56 +90,28 @@ def _knapsack_problem(seed=0, items=10):
     return m.build()
 
 
-@pytest.mark.parametrize("engine", ["simplex", "auto"])
-def test_bnb_basis_reuse_bit_identical_incumbents(engine, force_lp_engine):
-    """Same tree, same incumbents, same objective — reuse on vs. off."""
-    force_lp_engine("routed" if engine == "auto" else engine)
-    for seed in range(6):
-        problem = _knapsack_problem(seed)
-        on = solve_milp(problem, BnBOptions(basis_reuse=True))
-        off = solve_milp(problem, BnBOptions(basis_reuse=False))
-        assert on.status is off.status
-        assert on.objective == off.objective  # bit-identical, not approx
-        assert on.values == off.values
-        assert on.stats.nodes_explored == off.stats.nodes_explored
+def _reference_relaxation(problem):
+    """A node relaxation answered by the reference simplex, not HiGHS."""
+    lp = LinearProgram.from_problem(problem)
+    res = solve_lp_simplex_reference(lp)
+    if res.status is not Status.OPTIMAL:
+        return Solution(res.status, message=res.message)
+    sign = -1.0 if problem.sense.value == "maximize" else 1.0
+    obj = sign * res.objective
+    return Solution(
+        Status.OPTIMAL, values=res.values(lp), objective=obj, bound=obj
+    )
 
 
-def _reuse_counts():
-    counter = REGISTRY.counter("solver_basis_reuse_total")
-    return counter.value(outcome="hit"), counter.value(outcome="miss")
-
-
-def test_bnb_reuse_counters_recorded():
-    before_hit, _ = _reuse_counts()
-    solve_milp(_knapsack_problem(3))  # default options: small LPs -> simplex
-    after_hit, _ = _reuse_counts()
-    assert after_hit > before_hit  # child nodes actually reused parent bases
-
-
-def test_reuse_counters_ignore_highs_solves(force_lp_engine):
-    """HiGHS can never use a basis, so offering it one is not a miss."""
-    problem = _knapsack_problem(1, items=5)
-    solver = IncrementalLPSolver(problem)
-    solver.solve({})
-    basis = solver.last_basis
-    assert basis is not None
-    force_lp_engine("highs")
-    before = _reuse_counts()
-    assert solver.solve({"x0": (0.0, 0.0)}, basis=basis).status is Status.OPTIMAL
-    assert _reuse_counts() == before
-    assert solver.last_basis is None
-    assert solver.report["lp_highs"] == 1 and solver.report["lp_simplex"] == 1
-
-
-def test_simplex_backend_agrees_with_highs_milp(force_lp_engine):
+def test_simplex_backend_agrees_with_highs_milp():
+    """The same tree search over reference-simplex relaxations reaches the
+    optimum branch-and-bound on HiGHS reaches."""
     for seed in range(4):
         problem = _knapsack_problem(seed, items=8)
-        force_lp_engine("simplex")
-        fast = solve_milp(problem)
-        force_lp_engine("highs")
-        ref = solve_milp(problem)
-        assert fast.status is ref.status
-        assert fast.objective == pytest.approx(ref.objective, abs=1e-7)
+        reference = BranchAndBound(problem, _reference_relaxation).solve()
+        highs = solve_milp(problem)
+        assert highs.status is reference.status
+        assert highs.objective == pytest.approx(reference.objective, abs=1e-7)
 
 
 def test_incremental_solver_add_row_invalidates_cache():
@@ -237,6 +124,6 @@ def test_incremental_solver_add_row_invalidates_cache():
     # A cut that actually binds: forbid the current all-or-nothing optimum.
     body = sum(VarRef(f"x{i}") for i in range(5))
     solver.add_row(body, -math.inf, 2.0)
-    second = solver.solve({}, basis=solver.last_basis)
+    second = solver.solve({})
     assert second.status is Status.OPTIMAL
     assert sum(v for k, v in second.values.items() if k.startswith("x")) <= 2 + 1e-9

@@ -27,17 +27,6 @@ ENTRY_POINTS = {
     for f in (solve, solve_minlp_oa, solve_minlp_nlpbb, solve_nlp, BranchAndBound)
 }
 
-#: Settable values kept with no non-test caller, each for the test that
-#: compares against the path it selects.
-REFERENCE_PATHS = {
-    "BnBOptions.basis_reuse": (
-        "tests/minlp/test_engine_independence.py::"
-        "test_basis_reuse_on_off_bit_identical_where_the_polish_engages",
-        "tests/minlp/test_solver_hot_path.py::"
-        "test_bnb_basis_reuse_bit_identical_incumbents",
-    ),
-}
-
 
 def _options() -> dict[str, tuple[int, list[tuple[str, object]]]]:
     """Callee -> (the positional slot its options start at, its options as
@@ -91,8 +80,7 @@ def _caller_census() -> dict[str, set[str]]:
 def test_every_solver_option_has_a_non_test_caller():
     """A keyword of ``minlp.solve``, ``solve_minlp_oa``, ``solve_minlp_nlpbb``,
     ``solve_nlp`` or ``BranchAndBound``, or a ``BnBOptions`` field, stays only
-    while ``src/``, ``benchmarks/`` or ``examples/`` passes it — or while it
-    selects a reference path a named test compares against.  Adding an
+    while ``src/``, ``benchmarks/`` or ``examples/`` passes it.  Adding an
     option means adding its caller."""
     seen = _caller_census()
     orphans = {
@@ -101,11 +89,4 @@ def test_every_solver_option_has_a_non_test_caller():
         for name, _ in options
         if name not in seen[callee]
     }
-    assert orphans == set(REFERENCE_PATHS), (
-        f"options with no non-test caller: {sorted(orphans - set(REFERENCE_PATHS))}; "
-        f"exempt but called: {sorted(set(REFERENCE_PATHS) - orphans)}"
-    )
-    for tests in REFERENCE_PATHS.values():
-        for test in tests:
-            path, name = test.split("::")
-            assert f"def {name}(" in (REPO / path).read_text(), test
+    assert not orphans, f"options with no non-test caller: {sorted(orphans)}"
