@@ -200,6 +200,41 @@ def test_many_fragment_minlp_stress(benchmark):
     assert sum(counts) <= 2048
 
 
+def _fmo_minmax(fragments: int, nodes: int):
+    """``protein-<fragments>@<nodes>``'s min-max MINLP on ground-truth curves."""
+    from repro.core.builder import AllocationModelBuilder
+    from repro.core.objectives import Objective
+    from repro.fmo.molecules import protein_like
+    from repro.fmo.schedulers import fragment_models
+
+    system = protein_like(fragments, default_rng(fragments))
+    builder = AllocationModelBuilder(f"fmo-{system.name}", nodes)
+    for i, model in fragment_models(system).items():
+        builder.add_component(f"frag{i}", model)
+    builder.limit_total_nodes()
+    builder.set_objective(Objective.MIN_MAX)
+    return builder.build()
+
+
+_ROOTS = {
+    "1deg-2048": lambda: formulate_layout(_MODELS, 2048, one_degree(), layout=Layout.HYBRID),
+    "protein-24@256": lambda: _fmo_minmax(24, 256),
+}
+
+
+@pytest.mark.parametrize("key", list(_ROOTS))
+def test_root_relaxation(benchmark, key):
+    """OA's root relaxation: ``solve_nlp`` on the epigraph form, one SLSQP
+    run (the 1-degree ocean set projected out first)."""
+    from repro.minlp.nlp import solve_nlp
+    from repro.minlp.oa import _epigraph_form
+
+    work, _ = _epigraph_form(_ROOTS[key]())
+    sol = benchmark(lambda: solve_nlp(work))
+    assert sol.status.value == "optimal"
+    benchmark.extra_info["nlp_solves"] = sol.stats.nlp_solves
+
+
 def test_fitting_throughput(benchmark):
     truth = PerformanceModel(a=27380.0, b=1e-3, c=1.0, d=43.0)
     rng = default_rng(1)

@@ -48,7 +48,9 @@ class GateRule:
 #: * solver micro-benchmarks — the hot path this repo optimizes
 #:   deliberately; a >2x wall-time regression is a code problem, not noise
 #:   (``test_layout1_full_solve`` included: losing the relaxation
-#:   projection costs it ~9x; ``test_oa_master_iterations*`` included:
+#:   projection costs it ~9x; ``test_root_relaxation*`` included: SLSQP
+#:   back behind ``minimize``'s per-row closures and tree walks costs the
+#:   root relaxation ~2x; ``test_oa_master_iterations*`` included:
 #:   losing the seeded master or the nonlinear-only cut key costs ~2.5x;
 #:   ``test_fitting_throughput`` included: going back to scipy's
 #:   ``least_squares`` wrappers costs the five-start fit ~2.3x;
@@ -73,6 +75,7 @@ GATED = (
     GateRule("test_incremental_lp_node_resolve"),
     GateRule("test_bnb_node_throughput*"),
     GateRule("test_layout1_full_solve"),
+    GateRule("test_root_relaxation*"),
     GateRule("test_oa_master_iterations*"),
     GateRule("test_fitting_throughput"),
     GateRule("test_wide_sos_formulate"),

@@ -3,15 +3,15 @@
 Building an OA cut means linearizing a nonlinear constraint body at a point.
 The pool does the symbolic half of that once per constraint (a compiled row:
 the ``g <= ub`` form, its gradient expressions, the variables it is
-nonlinear in) and memoizes the cuts themselves by **constraint + quantized
-linearization point, nonlinear coordinates only**, so a repeated expansion
-point returns the cached cut — the stable digest name then makes
-:meth:`BranchAndBound.add_global_cut`'s duplicate check a no-op, which
-correctly fathoms the node instead of re-queuing it.  That includes the
-point that differs only in a variable the row is linear in, e.g. the
-epigraph ``T`` of ``T >= a/n + b*n^c + d``: the tangent at
-``(n, T_subproblem)`` and at ``(n, T_master)`` is one inequality and is
-installed once.
+nonlinear in, the body and the partials as generated code) and memoizes the
+cuts themselves by **constraint + quantized linearization point, nonlinear
+coordinates only**, so a repeated expansion point returns the cached cut —
+the stable digest name then makes :meth:`BranchAndBound.add_global_cut`'s
+duplicate check a no-op, which correctly fathoms the node instead of
+re-queuing it.  That includes the point that differs only in a variable the
+row is linear in, e.g. the epigraph ``T`` of ``T >= a/n + b*n^c + d``: the
+tangent at ``(n, T_subproblem)`` and at ``(n, T_master)`` is one inequality
+and is installed once.
 
 One pool lives for one solve (single-tree OA, or every master of one
 multi-tree run); nothing is shared across solves, so a solve's master
@@ -43,10 +43,10 @@ class _CompiledRow:
     """A single-sided nonlinear row as ``g(x) <= ub``, differentiated once.
 
     ``g(x) >= lb`` is normalized to ``-g(x) <= -lb`` (the caller has asserted
-    that side is convex).
+    that side is convex).  ``body`` is the row's own body, compiled.
     """
 
-    __slots__ = ("con", "ub", "tangent")
+    __slots__ = ("con", "ub", "tangent", "body")
 
     def __init__(self, con: Constraint) -> None:
         self.con = con
@@ -55,6 +55,7 @@ class _CompiledRow:
         else:
             body, self.ub = -con.body, -con.lb
         self.tangent = Linearizer(body)
+        self.body = con.body.compiled()
 
 
 @dataclass
@@ -83,6 +84,11 @@ class OACutPool:
         if row is None or row.con is not con:
             row = self._rows[con.name] = _CompiledRow(con)
         return row
+
+    def violation(self, con: Constraint, values: Mapping[str, float]) -> float:
+        """``con.violation(values)``, on the compiled row."""
+        g = float(self._row(con).body(values))
+        return max(0.0, con.lb - g, g - con.ub)
 
     def nonlinear_variables(self, con: Constraint) -> tuple[str, ...]:
         """Variables ``con`` is nonlinear in — the ones a cut's point is keyed by."""

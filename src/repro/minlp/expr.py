@@ -29,12 +29,18 @@ Design notes
   computes ``variables()`` and ``is_linear()`` once, on first call, and
   keeps the answer in a slot.  Problem transforms ask both of every
   constraint body they copy.
+* Solvers evaluate a tree through :meth:`Expr.compiled`: ``evaluate`` as
+  straight-line Python generated from the tree, the same operations in the
+  same order on the same scalar types.  The generated source holds no
+  number and no name: variables are read by position and constants bound
+  by reference, so every tree of one shape shares one code object.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from typing import Union
 
 import numpy as np
@@ -125,6 +131,27 @@ class Expr:
     def variables(self) -> frozenset[str]:
         """Names of all variables appearing in the tree."""
         raise NotImplementedError
+
+    def compiled(self, index: Mapping[str, Hashable] | None = None) -> Callable:
+        """:meth:`evaluate` for scalar values, as one generated function.
+
+        The function takes one container and reads variable ``name`` from
+        ``container[index[name]]`` — from ``container[name]`` without an
+        ``index``, so ``self.compiled()(values)`` is ``self.evaluate(values)``
+        for a mapping of scalars, bit for bit, warnings and errors included
+        (a NaN's sign bit aside: CPython's float ``+``, ``-`` and ``*`` do not
+        fix it when both operands are NaN, not even for ``evaluate``).
+        """
+        source, consts, names = self._code()
+        keys = names if index is None else tuple(index[n] for n in names)
+        return _factory(source)(consts, keys)
+
+    def _code(self) -> tuple[str, tuple[float, ...], tuple[str, ...]]:
+        """``(source, constants, variables)``: what :meth:`compiled` binds."""
+        names = tuple(sorted(self.variables()))
+        gen = _Codegen(names)
+        result = gen.operand(self)
+        return gen.source(result), tuple(gen.consts), names
 
     def is_constant(self) -> bool:
         return isinstance(self, Constant)
@@ -249,10 +276,11 @@ class VarRef(Expr):
 
 
 class _Composite(Expr):
-    """A node with children: ``variables()`` and ``is_linear()`` are
-    computed once and kept in a slot (the node cannot change under them)."""
+    """A node with children: ``variables()``, ``is_linear()`` and the
+    generated code are computed once and kept in a slot (the node cannot
+    change under them)."""
 
-    __slots__ = ("_vars", "_linear")
+    __slots__ = ("_vars", "_linear", "_compiled")
 
     def variables(self) -> frozenset[str]:
         out = getattr(self, "_vars", None)  # an unset slot reads as None
@@ -266,6 +294,13 @@ class _Composite(Expr):
         if out is None:
             out = Expr.is_linear(self)
             object.__setattr__(self, "_linear", out)
+        return out
+
+    def _code(self):
+        out = getattr(self, "_compiled", None)
+        if out is None:
+            out = Expr._code(self)
+            object.__setattr__(self, "_compiled", out)
         return out
 
     def _collect_variables(self) -> frozenset[str]:
@@ -691,6 +726,76 @@ def sqrt(arg: ExprLike) -> Expr:
     return Unary("sqrt", arg)
 
 
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+# ---------------------------------------------------------------------------
+
+#: What generated code calls: ``Pow`` and ``Unary`` on scalars, as ``evaluate``.
+_CODE_GLOBALS = {
+    "_pow": math.pow,
+    "_float": float,
+    **{f"_{name}": func for name, func in _EVAL_FUNCS.items()},
+}
+
+
+class _Codegen:
+    """One statement per operation, in ``evaluate``'s order: ``Add`` and
+    ``Mul`` fold left, ``Div`` takes its denominator first."""
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        self.slots = {name: f"x{i}" for i, name in enumerate(names)}
+        self.consts: list[float] = []
+        self.lines: list[str] = []
+
+    def _temp(self, expression: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {expression}")
+        return name
+
+    def operand(self, node: Expr) -> str:
+        kind = type(node)
+        if kind is Constant:
+            self.consts.append(node.value)
+            return f"c{len(self.consts) - 1}"
+        if kind is VarRef:
+            return self.slots[node.name]
+        if kind is Add or kind is Mul:
+            op = " + " if kind is Add else " * "
+            total = self.operand(node.terms[0])
+            for term in node.terms[1:]:
+                rhs = self.operand(term)
+                total = self._temp(total + op + rhs)
+            return total
+        if kind is Div:
+            den = self.operand(node.den)
+            return self._temp(f"{self.operand(node.num)} / {den}")
+        if kind is Pow:
+            base = self.operand(node.base)
+            return self._temp(f"_pow({base}, {self.operand(node.exponent)})")
+        if kind is Unary:
+            return self._temp(f"_float(_{node.func}({self.operand(node.arg)}))")
+        raise TypeError(f"cannot compile {kind.__name__}")
+
+    def source(self, result: str) -> str:
+        head = ["def make(c, p):"]
+        if self.consts:
+            head.append("    " + "".join(f"c{i}, " for i in range(len(self.consts))) + "= c")
+        if self.slots:
+            head.append("    " + "".join(f"p{i}, " for i in range(len(self.slots))) + "= p")
+        head.append("    def f(v):")
+        body = [f"x{i} = v[p{i}]" for i in range(len(self.slots))] + self.lines
+        body.append(f"return {result}")
+        return "\n".join(head + ["        " + line for line in body] + ["    return f"])
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str) -> Callable:
+    """``make(constants, keys)`` for one generated source (one tree shape)."""
+    namespace = dict(_CODE_GLOBALS)
+    exec(compile(source, "<compiled expr>", "exec"), namespace)
+    return namespace["make"]
+
+
 def linearize(expr: Expr, point: Mapping[str, float]) -> Expr:
     """First-order Taylor expansion of ``expr`` around ``point``.
 
@@ -710,7 +815,7 @@ def linearize(expr: Expr, point: Mapping[str, float]) -> Expr:
 
 
 class Linearizer:
-    """``expr`` differentiated once, expanded at any number of points.
+    """``expr`` differentiated and compiled once, expanded at any number of points.
 
     :attr:`nonlinear` names the variables whose partial derivative is not a
     constant.  The tangent depends on the expansion point through those
@@ -718,20 +823,22 @@ class Linearizer:
     ``c·x + h(rest)``, and ``x0`` cancels out of ``f(x0) + c·(x − x0)``.
     """
 
-    __slots__ = ("expr", "_grads", "nonlinear")
+    __slots__ = ("expr", "_value", "_grads", "nonlinear")
 
     def __init__(self, expr: Expr) -> None:
         self.expr = expr
-        self._grads = [(name, expr.diff(name)) for name in sorted(expr.variables())]
+        self._value = expr.compiled()
+        grads = [(name, expr.diff(name)) for name in sorted(expr.variables())]
+        self._grads = [(name, grad.compiled()) for name, grad in grads]
         self.nonlinear: tuple[str, ...] = tuple(
-            name for name, grad in self._grads if grad.variables()
+            name for name, grad in grads if grad.variables()
         )
 
     def at(self, point: Mapping[str, float]) -> Expr:
         """Same affine expression as ``linearize(self.expr, point)``."""
-        terms: list[Expr] = [Constant(float(self.expr.evaluate(point)))]
+        terms: list[Expr] = [Constant(float(self._value(point)))]
         for name, grad in self._grads:
-            g = float(grad.evaluate(point))
+            g = float(grad(point))
             if g != 0.0:
                 terms.append(Constant(g) * (VarRef(name) - float(point[name])))
         return sum_exprs(terms)

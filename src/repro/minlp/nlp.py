@@ -7,12 +7,22 @@ differencing.  Because the load-balancing models in this library are convex
 (all fitted coefficients nonnegative, exponents >= 1), a local solution is
 global; for general use a ``multistart`` option restarts from random interior
 points and keeps the best feasible result.
+
+The engine is scipy's SLSQP, driven without ``minimize``: :func:`_slsqp`
+ports scipy 1.17's reverse-communication loop around the C routine
+(``scipy.optimize._slsqplib.slsqp``), and every row value and partial
+derivative it asks for comes from a tree compiled once per solve
+(:meth:`Expr.compiled`).  The C routine sees the bytes ``minimize`` would
+hand it, so every answer is the one ``minimize`` gives, bit for bit
+(``tests/minlp/test_slsqp_direct.py`` replays each run through it); at a
+handful of variables its per-row closures and tree walks, not SLSQP, were
+most of the time.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -35,67 +45,178 @@ _MAX_ITER = 300
 _FEAS_TOL = 1e-6
 
 
-class _Iterate:
-    """The clipped name -> value view of the current iterate.
+class _Gradient:
+    """The gradient of one expression against the problem's variable order.
 
-    scipy evaluates the objective, every constraint and all their gradients
-    at the same ``x`` before moving on; the mapping is built once per
-    distinct ``x`` and shared by all of those closures.
+    Affine expressions keep their coefficient vector — no symbolic
+    differentiation.  This matters: HSLB masters carry
+    sum-over-hundreds-of-binaries rows whose term-by-term product-rule walk
+    would dominate solve time.  Otherwise every variable the expression
+    contains gets its partial derivative, compiled (:meth:`Expr.compiled`).
     """
 
-    def __init__(self, names: tuple[str, ...], lo: np.ndarray, hi: np.ndarray) -> None:
-        self._names = names
-        self._lo = lo
-        self._hi = hi
-        self._key: bytes | None = None
-        self._values: dict[str, float] = {}
+    __slots__ = ("base", "partials")
 
-    def at(self, x: np.ndarray) -> dict[str, float]:
-        key = x.tobytes()
-        if key != self._key:
-            self._key = key
-            self._values = dict(zip(self._names, np.clip(x, self._lo, self._hi)))
-        return self._values
-
-
-class _Compiled:
-    """Expression compiled against a fixed variable ordering.
-
-    Affine expressions get a constant gradient straight from their
-    coefficients — no symbolic differentiation.  This matters: HSLB masters
-    carry sum-over-hundreds-of-binaries rows whose term-by-term product-rule
-    walk would dominate solve time.
-    """
-
-    def __init__(self, expr: Expr, names: tuple[str, ...], iterate: _Iterate) -> None:
-        self.expr = expr
-        self._iterate = iterate
-        self._const_grad: np.ndarray | None = None
-        self.grad_exprs: list[Expr] | None = None
+    def __init__(self, expr: Expr, index: dict[str, int]) -> None:
+        self.base = np.zeros(len(index))
+        #: ``(column, compiled partial)`` in column order.
+        self.partials: list[tuple[int, Callable]] = []
         try:
             coeffs, _ = expr.linear_coefficients()
         except Exception:
             active = expr.variables()
-            # Only differentiate w.r.t. variables that actually appear.
-            self.grad_exprs = [
-                expr.diff(n) if n in active else None for n in names
+            self.partials = [
+                (j, expr.diff(name).compiled(index))
+                for name, j in index.items()
+                if name in active
             ]
         else:
-            self._const_grad = np.array(
-                [coeffs.get(n, 0.0) for n in names], dtype=float
-            )
+            for name, coeff in coeffs.items():
+                self.base[index[name]] = coeff
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.expr.evaluate(self._iterate.at(x)))
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        if self._const_grad is not None:
-            return self._const_grad.copy()
-        values = self._iterate.at(x)
-        return np.array(
-            [0.0 if g is None else g.evaluate(values) for g in self.grad_exprs],
-            dtype=float,
-        )
+class _SLSQPProblem:
+    """``small`` in the form SLSQP's C routine reads, compiled once.
+
+    The objective is ``sign * f`` (SLSQP minimizes).  Rows follow scipy's
+    dict-constraint convention, one block of equalities ``g - lb = 0`` and one
+    of inequalities ``>= 0``; a constraint contributes ``ub - g`` and then
+    ``g - lb``, for each side that is finite.  Every value and derivative is
+    read at ``np.clip(x, lo, hi)``: SLSQP may step an ulp or two outside the
+    box, and scipy's wrappers clip there too.
+    """
+
+    def __init__(self, small: Problem, lo: np.ndarray, hi: np.ndarray) -> None:
+        index = {name: j for j, name in enumerate(small.variable_names)}
+        self.lo, self.hi = lo, hi
+        self.sign = -1.0 if small.sense.value == "maximize" else 1.0
+        self.objective = small.objective.compiled(index)
+        self.gradient = _Gradient(small.objective, index)
+        eq, ineq = [], []
+        for con in small.constraints:
+            value = con.body.compiled(index)
+            grad = _Gradient(con.body, index)
+            if con.is_equality:
+                eq.append((value, grad, 1.0, con.lb))
+                continue
+            if math.isfinite(con.ub):
+                ineq.append((value, grad, -1.0, con.ub))
+            if math.isfinite(con.lb):
+                ineq.append((value, grad, 1.0, con.lb))
+        #: ``(compiled body, gradient, side, bound)``: the row is
+        #: ``side * (g - bound)``, written as scipy's closures wrote it.
+        self.rows = eq + ineq
+        self.meq = len(eq)
+        # The constant part of the Jacobian; a row of ``ub - g`` is the
+        # negated gradient, its structural zeros included.
+        self.jacobian = np.array(
+            [side * grad.base for _, grad, side, _ in self.rows]
+        ).reshape(len(self.rows), len(index))
+
+    def point(self, x: np.ndarray) -> list:
+        """The clipped iterate as ``np.float64`` scalars, what a tree reads."""
+        return list(np.clip(x, self.lo, self.hi))
+
+    def fun(self, xs: list) -> float:
+        return self.sign * float(self.objective(xs))
+
+    def grad(self, xs: list) -> np.ndarray:
+        g = self.gradient.base.copy()
+        for j, partial in self.gradient.partials:
+            g[j] = partial(xs)
+        return self.sign * g
+
+    def constraints(self, xs: list, d: np.ndarray) -> None:
+        """Row values into ``d``."""
+        for i, (value, _, side, bound) in enumerate(self.rows):
+            g = float(value(xs))
+            d[i] = bound - g if side < 0 else g - bound
+
+    def normals(self, xs: list, C: np.ndarray) -> None:
+        """Row gradients into ``C``."""
+        C[: len(self.rows)] = self.jacobian
+        for i, (_, grad, side, _) in enumerate(self.rows):
+            for j, partial in grad.partials:
+                C[i, j] = -partial(xs) if side < 0 else partial(xs)
+
+
+#: scipy's texts for SLSQP's exit modes.
+_EXIT_MODES = {
+    -1: "Gradient evaluation required (g & a)",
+    0: "Optimization terminated successfully",
+    1: "Function evaluation required (f & c)",
+    2: "More equality constraints than independent variables",
+    3: "More than 3*n iterations in LSQ subproblem",
+    4: "Inequality constraints incompatible",
+    5: "Singular matrix E in LSQ subproblem",
+    6: "Singular matrix C in LSQ subproblem",
+    7: "Rank-deficient equality constraint subproblem HFTI",
+    8: "Positive directional derivative for linesearch",
+    9: "Iteration limit reached",
+}
+
+
+def _slsqp(prob: _SLSQPProblem, start: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """scipy 1.17's ``_minimize_slsqp`` driving loop on ``prob``.
+
+    Returns ``(x, iterations, exit mode)``.  The start clipped into the box,
+    the state dict, the workspace sizes, the NaN-marked infinite bounds and
+    the evaluation protocol (mode 1: objective and row values; mode -1:
+    their gradients) are scipy's, so every call of the C routine sees the
+    bytes ``minimize`` would hand it; ``tests/minlp/test_slsqp_direct.py``
+    replays each run through ``minimize``.
+    """
+    # Imported where SLSQP is called: min-max / max-min answers and closed-form
+    # or LP subproblems never get here, so they never load scipy.
+    from scipy.optimize._slsqplib import slsqp
+
+    lo, hi = prob.lo, prob.hi
+    x = np.clip(start, lo, hi)
+    n = x.size
+    if not n:  # ``minimize`` fails to unpack the empty bounds list
+        raise ValueError("no variables to optimize")
+    m = len(prob.rows)
+    meq = prob.meq
+    xl = np.where(np.isfinite(lo), lo, np.nan)
+    xu = np.where(np.isfinite(hi), hi, np.nan)
+    state = {
+        "acc": _TOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
+        "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _TOL,
+        "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0,
+        "itermax": _MAX_ITER, "line": 0, "m": m, "meq": meq, "mode": 0, "n": n,
+    }
+    indices = np.zeros([max(m + 2 * n + 2, 1)], dtype=np.int32)
+    buffer_size = (
+        n * (n + 1) // 2 + 3 * m * n - (m + 5 * n + 7) * meq + 9 * m + 8 * n * n
+        + 35 * n + meq * meq + 28
+    )
+    if m == meq:
+        buffer_size += 2 * n * (n + 1)
+    buffer = np.zeros(max(buffer_size, 1), dtype=np.float64)
+    mult = np.zeros([max(1, m + 2 * n + 2)], dtype=np.float64)
+    C = np.zeros([max(1, m), n], dtype=np.float64, order="F")
+    d = np.zeros([max(1, m)], dtype=np.float64)
+
+    # scipy's order at the start: the rows (counting them), the objective
+    # and its gradient, then the row gradients.
+    xs = prob.point(x)
+    prob.constraints(xs, d)
+    fx = prob.fun(xs)
+    g = prob.grad(xs)
+    prob.normals(xs, C)
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:
+            xs = prob.point(x)
+            fx = prob.fun(xs)
+            prob.constraints(xs, d)
+        elif mode == -1:
+            xs = prob.point(x)
+            g = prob.grad(xs)
+            prob.normals(xs, C)
+        else:
+            return x, state["iter"], mode
 
 
 def _sample_box(problem: Problem, rng: np.random.Generator) -> np.ndarray:
@@ -281,62 +402,15 @@ def _scipy_runs(
     multistart: int,
     rng: np.random.Generator | None,
 ) -> Iterator[_Run]:
-    """One scipy run from the warm/default start, then the random restarts."""
-    # Imported where SLSQP is called: min-max / max-min answers and closed-form
-    # or LP subproblems never reach this generator, so they never load scipy.
-    from scipy.optimize import minimize
-
-    names = small.variable_names
-    sign = -1.0 if small.sense.value == "maximize" else 1.0
-    iterate = _Iterate(names, lo, hi)
-    obj = _Compiled(small.objective, names, iterate)
-
-    def fun(x: np.ndarray) -> float:
-        return sign * obj.value(x)
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return sign * obj.grad(x)
-
-    # scipy's dict-constraint convention: ineq means g(x) >= 0.
-    cons = []
-    for con in small.constraints:
-        comp = _Compiled(con.body, names, iterate)
-        if con.is_equality:
-            cons.append(
-                {
-                    "type": "eq",
-                    "fun": (lambda x, c=comp, b=con.lb: c.value(x) - b),
-                    "jac": comp.grad,
-                }
-            )
-            continue
-        if math.isfinite(con.ub):
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda x, c=comp, b=con.ub: b - c.value(x)),
-                    "jac": (lambda x, c=comp: -c.grad(x)),
-                }
-            )
-        if math.isfinite(con.lb):
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda x, c=comp, b=con.lb: c.value(x) - b),
-                    "jac": comp.grad,
-                }
-            )
-
-    bounds = [
-        (v.lb if math.isfinite(v.lb) else None, v.ub if math.isfinite(v.ub) else None)
-        for v in small.variables
-    ]
-
+    """One SLSQP run from the warm/default start, then the random restarts."""
+    prob = _SLSQPProblem(small, lo, hi)
     start = _initial_point(small)
     if x0 is not None:
         # Partial warm starts are fine: unnamed variables begin at the
         # default midpoint, and out-of-bounds donor values are clipped.
-        start = np.array([float(x0.get(n, d)) for n, d in zip(names, start)])
+        start = np.array(
+            [float(x0.get(n, d)) for n, d in zip(small.variable_names, start)]
+        )
     starts = [start]
     if multistart > 1:
         rng = rng or default_rng()
@@ -344,17 +418,8 @@ def _scipy_runs(
 
     for start in starts:
         try:
-            res = minimize(
-                fun,
-                np.clip(start, lo, hi),
-                jac=jac,
-                bounds=bounds,
-                constraints=cons,
-                method="SLSQP",
-                tol=_TOL,
-                options={"maxiter": _MAX_ITER},
-            )
+            x, _, mode = _slsqp(prob, start)
         except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
             yield None
             continue
-        yield np.asarray(res.x, dtype=float), bool(res.success), str(res.message)
+        yield x, mode == 0, _EXIT_MODES[mode]

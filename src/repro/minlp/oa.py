@@ -24,10 +24,11 @@ make the linearized master a non-relaxation, so it is rejected loudly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from repro.minlp.bnb import BnBOptions, BranchAndBound
 from repro.minlp.cutpool import OACutPool
-from repro.minlp.expr import Expr, VarRef
+from repro.minlp.expr import Add, Div, Expr, Mul, Pow, Unary, VarRef
 from repro.obs import telemetry
 from repro.obs.trace import span, trace_event
 from repro.minlp.milp import solve_milp
@@ -171,21 +172,80 @@ def _integer_assignment(work: Problem, values: dict[str, float]) -> dict[str, fl
     return {v.name: float(round(values[v.name])) for v in work.discrete_variables()}
 
 
-def _solve_fixed_subproblem(work: Problem, values: dict[str, float]) -> Solution:
+def _folds_to_constant(expr: Expr) -> bool:
+    """Whether substituting numbers for every variable of ``expr`` leaves a
+    :class:`Constant`: every constructor folds constant operands except
+    :class:`Unary`'s."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Unary):
+            return False
+        if isinstance(node, (Add, Mul)):
+            stack.extend(node.terms)
+        elif isinstance(node, Div):
+            stack += (node.num, node.den)
+        elif isinstance(node, Pow):
+            stack += (node.base, node.exponent)
+    return True
+
+
+class _FixedSplit:
+    """``work``'s rows split once per solve for its fixed-integer subproblems.
+
+    A row in discrete variables only becomes a constant once the integers
+    are fixed — the wide sweet-spot rows and the node budgets — so it is
+    checked at the integer point, compiled, with
+    :meth:`Problem.reduce_fixed`'s 1e-6 rule, instead of being copied and
+    substituted in every round.  Every other row goes through
+    ``with_bounds`` and ``reduce_fixed`` as the whole of ``work`` did, so
+    :meth:`reduce` answers ``work.with_bounds(...).reduce_fixed()``: the same
+    rows, fixed values and status.
+    """
+
+    def __init__(self, work: Problem) -> None:
+        self.work = work
+        discrete = {v.name for v in work.discrete_variables()}
+        self.checks: list[tuple[Callable, float, float]] = []
+        self.free = Problem(work.name)
+        for v in work.variables:
+            self.free.add_variable(v.name, v.lb, v.ub, v.domain)
+        for c in work.constraints:
+            if c.body.variables() <= discrete and _folds_to_constant(c.body):
+                self.checks.append((c.body.compiled(), c.lb, c.ub))
+            else:
+                self.free.add_constraint(c.name, c.body, c.lb, c.ub)
+        for s in work.sos1_sets:
+            self.free.add_sos1(s.name, s.members, s.weights)
+        self.free.set_objective(work.objective, work.sense)
+
+    def reduce(self, values: dict[str, float]) -> tuple[Problem, dict[str, float]] | None:
+        """``work`` with ``values``' integers fixed and substituted out, or
+        ``None`` when the fixing violates a row."""
+        assignment = _integer_assignment(self.work, values)
+        # Bounds first: an integer outside its box raises there, as before.
+        fixed = self.free.with_bounds({name: (x, x) for name, x in assignment.items()})
+        for body, lb, ub in self.checks:
+            value = float(body(assignment))
+            if value < lb - 1e-6 or value > ub + 1e-6:
+                return None
+        return fixed.reduce_fixed()
+
+
+def _solve_fixed_subproblem(split: _FixedSplit, values: dict[str, float]) -> Solution:
     """NLP subproblem at a fixed integer assignment, on the reduced space.
 
-    Substituting the fixed integers out before calling the NLP solver keeps
-    the subproblem tiny (for HSLB layouts: the epigraph variables only) —
-    the full-space version spends most of its time differentiating constant
-    rows and moving pinned variables.
+    Single- and multi-tree OA both come here, with the split their solve
+    built once.  Substituting the fixed integers out before calling the NLP
+    solver keeps the subproblem tiny (for HSLB layouts: the epigraph
+    variables only) — the full-space version spends most of its time
+    differentiating constant rows and moving pinned variables.
     """
-    fixed_problem = work.with_bounds(
-        {name: (x, x) for name, x in _integer_assignment(work, values).items()}
-    )
-    reduced = fixed_problem.reduce_fixed()
+    reduced = split.reduce(values)
     if reduced is None:
         return Solution(Status.INFEASIBLE, message="fixing violates a constraint")
     small, fixed_values = reduced
+    work = split.work
     if small.num_variables == 0:
         merged = dict(fixed_values)
         if work.max_violation(merged) > _FEAS_TOL:
@@ -245,6 +305,7 @@ def _solve_minlp_oa_impl(
 
     master = _Master(work, nonlin, pool, stats)
     seeded = master.seed(root.values)
+    split = _FixedSplit(work)
     trace_event("oa.cut_pool.master", installed=len(master.installed))
 
     lazy_rounds = 0
@@ -255,7 +316,7 @@ def _solve_minlp_oa_impl(
         cuts: list[tuple[str, Expr, float, float]] = []
         candidate = None
 
-        sub = _solve_fixed_subproblem(work, values)
+        sub = _solve_fixed_subproblem(split, values)
         stats.nlp_solves += sub.stats.nlp_solves
         if sub.status.is_ok:
             cand_values = dict(sub.values)
@@ -273,7 +334,7 @@ def _solve_minlp_oa_impl(
         # reports integers to ~1e-9; expanding on the exact integers moves
         # the cut by a second-order nothing and makes it the subproblem's
         # cut above (a pool hit) instead of its near-copy.
-        violated = [c for c in nonlin if c.violation(values) > _FEAS_TOL]
+        violated = [c for c in nonlin if pool.violation(c, values) > _FEAS_TOL]
         if violated:
             at = {**values, **_integer_assignment(work, values)}
             cuts.extend(pool.cut_for(con, at) for con in violated)
@@ -351,6 +412,7 @@ def solve_minlp_oa_multitree(
 
     master = _Master(work, nonlin, pool, stats)
     master.seed(root.values)
+    split = _FixedSplit(work)
 
     best: Solution | None = None
     best_signed = math.inf
@@ -379,7 +441,7 @@ def solve_minlp_oa_multitree(
 
         assignment = tuple(sorted(_integer_assignment(work, msol.values).items()))
         cuts_before = stats.cuts_added
-        sub = _solve_fixed_subproblem(work, msol.values)
+        sub = _solve_fixed_subproblem(split, msol.values)
         stats.merge(sub.stats)
         if sub.status.is_ok:
             obj = problem.objective_value(sub.values)

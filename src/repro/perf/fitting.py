@@ -67,16 +67,41 @@ def _residuals(params: np.ndarray, n: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - (a / n + b * n**c + d)
 
 
-def _jacobian(params: np.ndarray, n: np.ndarray, log_n: np.ndarray) -> np.ndarray:
-    """``dr/dθ`` at ``params``; ``log_n`` is ``np.log(n)``, taken once per fit."""
-    a, b, c, d = params
-    nc = n**c
-    J = np.empty((n.size, 4))
-    J[:, 0] = -1.0 / n
-    J[:, 1] = -nc
-    J[:, 2] = -b * log_n * nc
-    J[:, 3] = -1.0
-    return J
+class _Curve:
+    """Residuals and Jacobian of one fit's data, for the TRF.
+
+    The solver asks for the Jacobian at a point whose residuals it has just
+    evaluated, so the two share ``n**c`` (keyed by ``c``, the only parameter
+    it depends on).  ``log n`` and the constant columns ``-1/n`` and ``-1``
+    are computed once per fit.
+    """
+
+    def __init__(self, n: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> None:
+        self.n, self.y, self.w = n, y, w
+        self.log_n = np.log(n)
+        self.template = np.empty((n.size, 4))
+        self.template[:, 0] = -1.0 / n
+        self.template[:, 3] = -1.0
+        self._c, self._nc = math.nan, n  # no ``c`` compares equal to NaN
+
+    def _power(self, c) -> np.ndarray:
+        if c != self._c:
+            self._c, self._nc = c, self.n**c
+        return self._nc
+
+    def residuals(self, params: np.ndarray) -> np.ndarray:
+        a, b, c, d = params
+        r = self.y - (a / self.n + b * self._power(c) + d)
+        return r * self.w if self.w is not None else r
+
+    def jacobian(self, params: np.ndarray) -> np.ndarray:
+        """``dr/dθ`` at ``params``."""
+        a, b, c, d = params
+        nc = self._power(c)
+        J = self.template.copy()
+        J[:, 1] = -nc
+        J[:, 2] = -b * self.log_n * nc
+        return J * self.w[:, None] if self.w is not None else J
 
 
 def _heuristic_start(n: np.ndarray, y: np.ndarray, c_min: float) -> np.ndarray:
@@ -155,16 +180,7 @@ def fit_performance_model(
     lower = np.array([0.0, 0.0, c_min, 0.0])
     upper = np.array([np.inf, np.inf, _C_MAX, np.inf])
 
-    def objective(params: np.ndarray) -> np.ndarray:
-        r = _residuals(params, n, y)
-        return r * w if w is not None else r
-
-    log_n = np.log(n)
-
-    def jac(params: np.ndarray) -> np.ndarray:
-        J = _jacobian(params, n, log_n)
-        return J * w[:, None] if w is not None else J
-
+    curve = _Curve(n, y, w)
     rng = rng or default_rng()
     starts = [_heuristic_start(n, y, c_min)]
     y_scale = float(y.max())
@@ -192,8 +208,8 @@ def fit_performance_model(
         tried += 1
         try:
             res = least_squares_trf(
-                objective,
-                jac,
+                curve.residuals,
+                curve.jacobian,
                 np.clip(x0, lower, upper),
                 lower,
                 upper,

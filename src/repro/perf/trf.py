@@ -11,7 +11,11 @@ Why a port: Table II line 10 is a 4-parameter problem on 2-10 observations,
 fitted from five starts per component.  At that size scipy spends most of
 each residual evaluation in its wrappers (``VectorFunction`` memoisation,
 ``scipy.linalg.svd``'s argument checks, boolean-mask bookkeeping on
-length-4 vectors), not in arithmetic.
+length-4 vectors), not in arithmetic.  The same goes for the port's own
+glue, so it takes the short form of each step: the LAPACK routine is looked
+up once per call, finiteness is one ``logical_and.reduce``, ``‖x‖`` is
+taken once per outer iteration, and the in-loop nudge off the bounds
+(``rstep = 0``) has its own loop.
 
 What may run on Python floats, and what must stay numpy:
 
@@ -19,16 +23,17 @@ What may run on Python floats, and what must stay numpy:
   step-to-bound, the strict-feasibility nudge (``math.nextafter``), the
   ∞-norm of ``g·v`` and ``d = sqrt(v)`` — is correctly rounded IEEE
   arithmetic either way, so it runs on Python floats.
-* Every reduction stays numpy: ``np.dot`` and matrix-vector products go to
-  BLAS, whose summation order differs from a Python loop (on length-4
-  vectors they disagree in about a quarter of random draws), and ``np.sum``
-  is pairwise.  So do the loss kernels (array ``**`` is numpy's ``pow``)
-  and the SVD, which calls the same LAPACK ``gesdd`` with the same
-  ``lwork`` that ``scipy.linalg.svd`` would.
+* Every reduction stays numpy: dot products (``a.dot(b)``, the BLAS call
+  ``np.dot`` makes) and matrix-vector products go to BLAS, whose summation
+  order differs from a Python loop (on length-4 vectors they disagree in
+  about a quarter of random draws), and sums are ``np.add.reduce``
+  (pairwise, what ``np.sum`` calls).  So do the loss kernels (array ``**``
+  is numpy's ``pow``) and the SVD, which calls the same LAPACK ``gesdd``
+  with the same ``lwork`` that ``scipy.linalg.svd`` would.
 * Scalars stay the type scipy gives them (``np.float64`` out of a
   reduction), so a division by zero is ``inf`` with a warning, as there.
 
-scipy is imported on the first SVD of a shape, never at module level: a
+scipy is imported on the first fit of a shape, never at module level: a
 serving process never fits and must not pay for scipy.
 """
 
@@ -93,7 +98,7 @@ def _loss_function(m: int, loss: str, f_scale: float):
         z = (f / f_scale) ** 2
         kernel(z, rho, cost_only)
         if cost_only:
-            return 0.5 * f_scale**2 * np.sum(rho[0])
+            return 0.5 * f_scale**2 * np.add.reduce(rho[0])
         rho[0] *= f_scale**2
         rho[2] /= f_scale**2
         return rho
@@ -133,11 +138,11 @@ def _gesdd(rows: int, cols: int) -> tuple[Callable, int]:
     return gesdd, lwork
 
 
-def _svd(a: np.ndarray):
-    """``scipy.linalg.svd(a, full_matrices=False)``: the same LAPACK routine
-    and ``lwork``, the same finiteness check and errors, none of the rest."""
-    gesdd, lwork = _gesdd(*a.shape)
-    if not np.isfinite(a).all():
+def _svd(a: np.ndarray, gesdd: Callable, lwork: int):
+    """``scipy.linalg.svd(a, full_matrices=False)`` with ``_gesdd(*a.shape)``:
+    the same LAPACK routine and ``lwork``, the same finiteness check and
+    errors, none of the rest."""
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("array must not contain infs or NaNs")
     u, s, vt, info = gesdd(
         a, compute_uv=True, lwork=lwork, full_matrices=False, overwrite_a=False
@@ -176,7 +181,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha):
         denom = s2 + alpha
         p_norm = _norm(suf / denom)
         phi = p_norm - Delta
-        phi_prime = -np.sum(suf2 / denom**3) / p_norm
+        phi_prime = -np.add.reduce(suf2 / denom**3) / p_norm
         return phi, phi_prime
 
     alpha_upper = _norm(suf) / Delta
@@ -213,11 +218,11 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha):
 
 
 def _intersect_trust_region(x, s, Delta):
-    a = np.dot(s, s)
+    a = s.dot(s)
     if a == 0:
         raise ValueError("`s` is zero.")
-    b = np.dot(x, s)
-    c = np.dot(x, x) - Delta**2
+    b = x.dot(s)
+    c = x.dot(x) - Delta**2
     if c > 0:
         raise ValueError("`x` is not within the trust region.")
     d = np.sqrt(b * b - a * c)
@@ -229,17 +234,17 @@ def _intersect_trust_region(x, s, Delta):
 
 def _build_quadratic_1d(J, g, s, diag, s0=None):
     v = J.dot(s)
-    a = np.dot(v, v)
-    a += np.dot(s * diag, s)
+    a = v.dot(v)
+    a += (s * diag).dot(s)
     a *= 0.5
-    b = np.dot(g, s)
+    b = g.dot(s)
     if s0 is None:
         return a, b
     u = J.dot(s0)
-    b += np.dot(u, v)
-    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
-    b += np.dot(s0 * diag, s)
-    c += 0.5 * np.dot(s0 * diag, s0)
+    b += u.dot(v)
+    c = 0.5 * u.dot(u) + g.dot(s0)
+    b += (s0 * diag).dot(s)
+    c += 0.5 * (s0 * diag).dot(s0)
     return a, b, c
 
 
@@ -262,9 +267,9 @@ def _minimize_quadratic_1d(a, b, lb, ub, c=0):
 
 def _evaluate_quadratic(J, g, s, diag):
     Js = J.dot(s)
-    q = np.dot(Js, Js)
-    q += np.dot(s * diag, s)
-    return 0.5 * q + np.dot(s, g)
+    q = Js.dot(Js)
+    q += (s * diag).dot(s)
+    return 0.5 * q + s.dot(g)
 
 
 def _step_size_to_bound(x, s, lb, ub):
@@ -362,24 +367,33 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
 
 
 def _strictly_feasible(x, lb, ub, rstep):
-    """scipy's ``make_strictly_feasible`` on Python floats."""
+    """scipy's ``make_strictly_feasible`` on Python floats, ``rstep > 0``."""
     out = []
     for xi, li, ui in zip(x, lb, ub):
-        if rstep == 0:
-            if xi >= ui:
-                xi = math.nextafter(ui, li)
-            elif xi <= li:
-                xi = math.nextafter(li, ui)
-        else:
-            lower_dist, upper_dist = xi - li, ui - xi
-            if math.isfinite(ui) and upper_dist <= min(
-                lower_dist, rstep * max(1.0, abs(ui))
-            ):
-                xi = ui - rstep * max(1.0, abs(ui))
-            elif math.isfinite(li) and lower_dist <= min(
-                upper_dist, rstep * max(1.0, abs(li))
-            ):
-                xi = li + rstep * max(1.0, abs(li))
+        lower_dist, upper_dist = xi - li, ui - xi
+        if math.isfinite(ui) and upper_dist <= min(
+            lower_dist, rstep * max(1.0, abs(ui))
+        ):
+            xi = ui - rstep * max(1.0, abs(ui))
+        elif math.isfinite(li) and lower_dist <= min(
+            upper_dist, rstep * max(1.0, abs(li))
+        ):
+            xi = li + rstep * max(1.0, abs(li))
+        if xi < li or xi > ui:
+            xi = 0.5 * (li + ui)
+        out.append(xi)
+    return out
+
+
+def _strictly_inside(x, lb, ub):
+    """``make_strictly_feasible(x, lb, ub, rstep=0)``: a coordinate on or
+    past a bound moves one ulp inside it."""
+    out = []
+    for xi, li, ui in zip(x, lb, ub):
+        if xi >= ui:
+            xi = math.nextafter(ui, li)
+        elif xi <= li:
+            xi = math.nextafter(li, ui)
         if xi < li or xi > ui:
             xi = 0.5 * (li + ui)
         out.append(xi)
@@ -440,17 +454,17 @@ def least_squares_trf(
 
     f = fun(x)
     J = jac(x)
-    if not np.isfinite(f).all():
+    if not np.logical_and.reduce(np.isfinite(f)):
         raise ValueError("Residuals are not finite in the initial point.")
     m, n = J.shape
 
     loss_function = _loss_function(m, loss, f_scale)
     if loss_function is not None:
         rho = loss_function(f)
-        cost = 0.5 * np.sum(rho[0])
+        cost = 0.5 * np.add.reduce(rho[0])
         J, f = _scale_for_robust_loss(J, f, rho)
     else:
-        cost = 0.5 * np.dot(f, f)
+        cost = 0.5 * f.dot(f)
     g = J.T.dot(f)
 
     d, _, _ = _scaling(xl, g.tolist(), lbl, ubl)
@@ -461,6 +475,7 @@ def least_squares_trf(
     f_augmented = np.zeros(m + n)
     J_augmented = np.zeros((m + n, n))
     J_h = J_augmented[:m]
+    gesdd, lwork = _gesdd(m + n, n)
     alpha = 0.0
     nfev = 1
     status = None
@@ -480,12 +495,13 @@ def least_squares_trf(
         np.multiply(J, d, out=J_h)
         for i, value in enumerate(diag_l):
             J_augmented[m + i, i] = math.sqrt(value)
-        U, s, V = _svd(J_augmented)
+        U, s, V = _svd(J_augmented, gesdd, lwork)
         V = V.T
         uf = U.T.dot(f_augmented)
 
         # theta controls the step back from the bounds.
         theta = max(0.995, 1 - g_norm)
+        x_norm = _norm(x)
 
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < max_nfev:
@@ -495,8 +511,8 @@ def least_squares_trf(
                 xl, J_h, diag_h, g_h, p, p_h, d, Delta, lbl, ubl, theta
             )
 
-            xl_new = _strictly_feasible(
-                [xi + si for xi, si in zip(xl, step.tolist())], lbl, ubl, rstep=0
+            xl_new = _strictly_inside(
+                [xi + si for xi, si in zip(xl, step.tolist())], lbl, ubl
             )
             x_new = np.array(xl_new)
             f_new = fun(x_new)
@@ -504,14 +520,14 @@ def least_squares_trf(
 
             step_h_norm = _norm(step_h)
 
-            if not np.isfinite(f_new).all():
+            if not np.logical_and.reduce(np.isfinite(f_new)):
                 Delta = 0.25 * step_h_norm
                 continue
 
             if loss_function is not None:
                 cost_new = loss_function(f_new, cost_only=True)
             else:
-                cost_new = 0.5 * np.dot(f_new, f_new)
+                cost_new = 0.5 * f_new.dot(f_new)
             actual_reduction = cost - cost_new
 
             # scipy's update_tr_radius.
@@ -529,7 +545,7 @@ def least_squares_trf(
 
             # scipy's check_termination.
             ftol_ok = actual_reduction < _TOL * cost and ratio > 0.25
-            xtol_ok = _norm(step) < _TOL * (_TOL + _norm(x))
+            xtol_ok = _norm(step) < _TOL * (_TOL + x_norm)
             if ftol_ok or xtol_ok:
                 status = 4 if ftol_ok and xtol_ok else (2 if ftol_ok else 3)
                 break
