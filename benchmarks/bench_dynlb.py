@@ -19,14 +19,14 @@ import pathlib
 
 import pytest
 
-from repro.dynlb import DynlbConfig, cesm_workload, compare_strategies, fmo_workload
+from repro.dynlb import cesm_workload, compare_strategies, fmo_workload
 from repro.faults.plan import FaultPlan
 
 #: The canonical comparison scenario: CESM 1-degree, the atmosphere drifting
 #: +80% over the run while the other components ease off — the regime where
 #: a frozen static plan decays and rebalancing pays.
 _SCENARIO = dict(total_nodes=96, steps=40, drift="linear", drift_rate=0.8, seed=7)
-_CONFIG = DynlbConfig(interval=8)
+_INTERVAL = 8
 
 _RESULTS: dict = {}
 
@@ -79,7 +79,7 @@ def test_dynlb_strategy_comparison(benchmark):
     workload = cesm_workload(**_SCENARIO)
 
     results = benchmark.pedantic(
-        lambda: compare_strategies(workload, config=_CONFIG), rounds=1, iterations=1
+        lambda: compare_strategies(workload, interval=_INTERVAL), rounds=1, iterations=1
     )
     _RESULTS.update(results)
 
@@ -107,7 +107,7 @@ def test_dynlb_crash_recovery(benchmark):
     )
 
     results = benchmark.pedantic(
-        lambda: compare_strategies(workload, ("static", "hslb"), _CONFIG),
+        lambda: compare_strategies(workload, ("static", "hslb"), interval=_INTERVAL),
         rounds=1,
         iterations=1,
     )

@@ -102,68 +102,3 @@ def plan_campaign(
         counts.insert(i + 1, int(round(math.sqrt(counts[i] * counts[i + 1]))))
         counts = sorted(set(counts))
     return tuple(counts)
-
-
-def replacement_counts(
-    planned: tuple[int, ...] | list[int],
-    dropped: tuple[int, ...] | list[int],
-    *,
-    points: int | None = None,
-) -> tuple[int, ...]:
-    """Fresh node counts to gather at after some campaign points died.
-
-    When the resilient gather drops a node count for good (a bad midplane,
-    a recurring boot failure — see ``GatherReport.dropped_counts``), the
-    campaign should not just shrink below the §III-C minimum.  This proposes
-    replacements at geometric midpoints of the widest surviving gaps,
-    avoiding every count already tried, until the campaign is back to
-    ``points`` counts (default: the original size) or no fresh integer
-    count fits anywhere.
-    """
-    planned_sorted = sorted(set(int(n) for n in planned))
-    dead = set(int(n) for n in dropped)
-    surviving = [n for n in planned_sorted if n not in dead]
-    if len(surviving) < 2:
-        raise ValueError(
-            "fewer than two node counts survived; re-plan the whole campaign"
-        )
-    target = len(planned_sorted) if points is None else int(points)
-    tried = set(planned_sorted)
-    counts = list(surviving)
-    fresh: list[int] = []
-    while len(counts) < target:
-        gaps = sorted(
-            ((counts[i + 1] / counts[i], i) for i in range(len(counts) - 1)),
-            reverse=True,
-        )
-        cand = None
-        for _, i in gaps:
-            cand = _fresh_in_gap(counts[i], counts[i + 1], tried)
-            if cand is not None:
-                break
-        if cand is None:
-            break  # every gap is saturated with already-tried counts
-        tried.add(cand)
-        fresh.append(cand)
-        counts = sorted(counts + [cand])
-    return tuple(sorted(fresh))
-
-
-def _fresh_in_gap(lo: int, hi: int, tried: set[int]) -> int | None:
-    """Best untried integer in the open interval ``(lo, hi)``.
-
-    Log-space bisection, widest sub-gap first: the geometric midpoint is
-    ideal, but when it was already tried (typically it *is* the dead
-    count) the midpoints of the two half-gaps are the next-best probes,
-    and so on down.  Returns ``None`` when the gap holds no fresh integer.
-    """
-    queue = [(lo, hi)]
-    while queue:
-        a, b = queue.pop(0)
-        cand = int(round(math.sqrt(a * b)))
-        if not a < cand < b:
-            continue  # gap too narrow to split further
-        if cand not in tried:
-            return cand
-        queue.extend([(a, cand), (cand, b)])
-    return None

@@ -71,17 +71,3 @@ EXASCALE_SKETCH = MachineProfile(
     serial_speedup=6.0,
     nodes=9_000,
 )
-
-
-def amdahl_ceiling(model: PerformanceModel) -> float:
-    """Best-case speedup of one component on unlimited nodes: T(1)/d-ish.
-
-    With the serial floor ``d`` untouched by parallelism, the component's
-    wall time can never drop below it — the quantity new-hardware what-ifs
-    must surface (a machine that multiplies compute by 80x but serial by 6x
-    moves the ceiling by 6x, not 80x).
-    """
-    floor = model.d
-    if floor <= 0:
-        return float("inf")
-    return float(model.time(1)) / floor

@@ -23,9 +23,9 @@ class UsageError(Exception):
 def usage_errors():
     """Turn a library value object's ``ValueError`` into a :class:`UsageError`.
 
-    ``FaultPlan``, ``ChaosPlan``, ``TierConfig``, ``DynlbConfig`` and the
-    workloads validate themselves; built from flags, a rejected value is
-    the user's mistake.  Wrap only that *construction*, never a whole
+    ``FaultPlan``, ``ChaosPlan``, ``TierConfig`` and the workloads
+    validate themselves; built from flags, a rejected value is the user's
+    mistake.  Wrap only that *construction*, never a whole
     handler: a ``ValueError`` out of a solver must stay a traceback.
     """
     try:

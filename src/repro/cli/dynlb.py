@@ -79,7 +79,6 @@ def register(sub) -> None:
 def _cmd_dynlb(args: argparse.Namespace) -> int:
     from repro.dynlb import (
         STRATEGIES,
-        DynlbConfig,
         cesm_workload,
         compare_strategies,
         fmo_workload,
@@ -94,6 +93,8 @@ def _cmd_dynlb(args: argparse.Namespace) -> int:
         )
     if not strategies:
         raise UsageError("--strategies must name at least one strategy")
+    if args.interval < 1:
+        raise UsageError(f"interval must be >= 1, got {args.interval}")
     crashing = args.crash_step is not None
     plan = fault_plan(
         args,
@@ -114,10 +115,11 @@ def _cmd_dynlb(args: argparse.Namespace) -> int:
             workload = cesm_workload(**common)
         else:
             workload = fmo_workload(fragments=args.fragments, **common)
-        config = DynlbConfig(interval=args.interval)
     log.info(workload.describe())
     with tracing(args.trace_out):
-        results = compare_strategies(workload, strategies, config, seed=seed)
+        results = compare_strategies(
+            workload, strategies, interval=args.interval, seed=seed
+        )
     report = DynlbComparisonResult(workload=workload.describe(), results=results)
     if args.json:
         doc = {

@@ -21,7 +21,7 @@ from repro.core.greedy import (
     maxmin_allocation,
     minsum_allocation,
 )
-from repro.core.hslb import HSLBConfig, HSLBOptimizer, HSLBResult
+from repro.core.hslb import HSLBOptimizer, HSLBResult
 from repro.core.objectives import Objective
 from repro.core.predictor import (
     compare_layouts,
@@ -38,7 +38,6 @@ __all__ = [
     "Application",
     "DiscreteNodeSet",
     "ExecutionResult",
-    "HSLBConfig",
     "HSLBOptimizer",
     "HSLBResult",
     "Objective",

@@ -8,22 +8,21 @@ can be avoided altogether if reliable benchmarks are already available").
 Every step degrades gracefully when an application carries a fault plan
 (:mod:`repro.faults`) or when the real machine misbehaves:
 
-* **gather** retries failed benchmark runs with capped exponential backoff,
+* **gather** retries failed benchmark runs with exponential backoff,
   drops irrecoverable points, and raises a typed
   :class:`GatherDegradedError` (never a downstream scipy crash) when a
   component ends up unfittable;
-* **fit** prunes straggler-flagged observations and can skip-and-report
-  degenerate components;
+* **fit** prunes straggler-flagged observations (when enough clean points
+  remain);
 * **solve** walks a degradation chain — OA, then NLP-based branch-and-bound,
-  then the greedy proportional fallback — under a wall-clock budget, and
-  records the chosen tier as provenance on :class:`HSLBResult`;
+  then the greedy proportional fallback — and records the chosen tier as
+  provenance on :class:`HSLBResult`;
 * **execute** survives a mid-run node-group crash by re-solving the
   allocation on the surviving nodes and re-running (static re-plan).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -35,13 +34,12 @@ from repro.faults.plan import BenchmarkRunError, NodeCrashError
 from repro.obs import telemetry
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span, trace_event
-from repro.minlp.bnb import BnBOptions
 from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution, Status
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark
-from repro.perf.fitting import FitResult, fit_suite
+from repro.perf.fitting import FIT_LOSSES, FitResult, fit_suite
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -63,23 +61,10 @@ def _annotate_retries(bench: ComponentBenchmark, attempt: int) -> ComponentBench
 # -- gather resilience -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GatherPolicy:
-    """Retry discipline for the gather step."""
-
-    max_retries: int = 3
-    backoff_base: float = 2.0  # seconds before the first retry
-    backoff_cap: float = 60.0  # ceiling for the exponential backoff
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError("need 0 < backoff_base <= backoff_cap")
-
-    def backoff(self, attempt: int) -> float:
-        """Simulated wait before retry ``attempt`` (capped exponential)."""
-        return min(self.backoff_base * (2.0**attempt), self.backoff_cap)
+#: Retries a recoverable failed benchmark run gets before its count is dropped.
+GATHER_MAX_RETRIES = 3
+#: Simulated wait before the first retry, doubled before each later one.
+GATHER_BACKOFF_BASE = 2.0
 
 
 @dataclass(frozen=True)
@@ -158,7 +143,7 @@ class SolverAttempt:
     """One tier of the degradation chain: what was tried and how it ended."""
 
     tier: str  # "oa" | "nlpbb" | "greedy"
-    status: str  # "ok", or why not: "skipped" | "stalled" | "error" | a solution status
+    status: str  # "ok", or why not: "stalled" | "error" | a solution status
     reason: str
     wall_time: float = 0.0
 
@@ -197,36 +182,6 @@ class ExecutionRecovery:
             f"{self.component!r} {100 * self.crash_fraction:.0f}% into the "
             f"run; re-planned on survivors ({self.wasted_seconds:.0f}s wasted)"
         )
-
-
-@dataclass
-class HSLBConfig:
-    """Pipeline knobs — what the fault-tolerant pipeline lets a caller set.
-
-    The fit is always the convex one (exponents >= 1, so the MINLP is
-    certifiably convex and the OA solver returns the global optimum,
-    §III-E) and the solver is always the degradation chain of
-    :meth:`HSLBOptimizer.solve`.  ``fit_loss`` picks the least-squares loss
-    (``"huber"``/``"soft_l1"`` shrug off outlier runs); ``gather`` sets the
-    retry/backoff discipline; ``prune_stragglers`` drops straggler-flagged
-    observations before fitting (when enough clean points remain);
-    ``fit_skip_degenerate`` lets the fit step skip-and-report unfittable
-    components instead of aborting; ``solver_wall_budget`` caps the *total*
-    wall-clock the chain may spend across all MINLP tiers before the greedy
-    fallback takes over (None: each tier keeps the ``BnBOptions`` default).
-    """
-
-    fit_loss: str = "linear"
-    gather: GatherPolicy = field(default_factory=GatherPolicy)
-    prune_stragglers: bool = True
-    fit_skip_degenerate: bool = False
-    solver_wall_budget: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.fit_loss not in ("linear", "huber", "soft_l1"):
-            raise ValueError(f"unknown fit loss {self.fit_loss!r}")
-        if self.solver_wall_budget is not None and self.solver_wall_budget <= 0:
-            raise ValueError("solver_wall_budget must be positive")
 
 
 @dataclass
@@ -277,11 +232,21 @@ class HSLBResult:
 
 
 class HSLBOptimizer:
-    """Run the HSLB algorithm against an application adapter."""
+    """Run the HSLB algorithm against an application adapter.
 
-    def __init__(self, application: Application, config: HSLBConfig | None = None) -> None:
+    The one modelling choice a caller makes is the fit's least-squares loss:
+    ``fit_loss="linear"`` is Table II's plain least squares, ``"huber"`` /
+    ``"soft_l1"`` shrug off outlier benchmark runs.  The fit is always the
+    convex one (exponents >= 1, so the MINLP is certifiably convex and the
+    OA solver returns the global optimum, §III-E) and the solver is always
+    the degradation chain of :meth:`solve`.
+    """
+
+    def __init__(self, application: Application, *, fit_loss: str = "linear") -> None:
+        if fit_loss not in FIT_LOSSES:
+            raise ValueError(f"unknown fit loss {fit_loss!r}")
         self.app = application
-        self.config = config or HSLBConfig()
+        self.fit_loss = fit_loss
         #: Reports from the most recent gather/solve, for callers that use
         #: the per-step API instead of :meth:`run`.
         self.last_gather_report: GatherReport | None = None
@@ -296,14 +261,14 @@ class HSLBOptimizer:
     ) -> BenchmarkSuite:
         """Benchmark the application at each total node count.
 
-        §III-C guidance is encoded as validation: at least two counts are
-        required, and fewer than four earns a warning in the suite metadata
-        (the caller can still proceed — small campaigns are legitimate for
-        cheap configurations).
+        At least two node counts are required (``ValueError`` otherwise);
+        nothing here warns about small campaigns.  §III-C's five-point rule,
+        and where to place the counts, lives in
+        :func:`repro.cesm.campaign.plan_campaign`.
 
         When the application carries a fault plan, benchmark runs may fail;
-        each failed run is retried with capped exponential backoff
-        (:class:`GatherPolicy`), irrecoverable node counts are dropped, and
+        each failed run is retried up to :data:`GATHER_MAX_RETRIES` times
+        with exponential backoff, irrecoverable node counts are dropped, and
         a :class:`GatherDegradedError` is raised only when some component's
         surviving observations fall below the fitter's minimum of
         :data:`FIT_MIN_POINTS`.
@@ -323,7 +288,6 @@ class HSLBOptimizer:
     def _gather_resilient(
         self, counts: list[int], rng: np.random.Generator
     ) -> BenchmarkSuite:
-        policy = self.config.gather
         suite = BenchmarkSuite()
         report = GatherReport()
         biggest = counts[-1]
@@ -331,7 +295,7 @@ class HSLBOptimizer:
             kinds: list[str] = []
             backoff = 0.0
             recovered = False
-            for attempt in range(policy.max_retries + 1):
+            for attempt in range(GATHER_MAX_RETRIES + 1):
                 try:
                     part = self.app.benchmark_run(
                         count,
@@ -344,8 +308,8 @@ class HSLBOptimizer:
                     if not exc.fault.recoverable:
                         # A dead point: no retry will revive it.
                         break
-                    if attempt < policy.max_retries:
-                        backoff += policy.backoff(attempt)
+                    if attempt < GATHER_MAX_RETRIES:
+                        backoff += GATHER_BACKOFF_BASE * 2.0**attempt
                     continue
                 for bench in part.values():
                     suite.add(_annotate_retries(bench, attempt))
@@ -418,30 +382,15 @@ class HSLBOptimizer:
         """Fit each component's performance function (Table II).
 
         Straggler-flagged observations are pruned first (when enough clean
-        points remain); with ``fit_skip_degenerate`` unfittable components
-        are skipped and recorded as warnings on the gather report instead of
-        aborting the suite.
+        points remain); a component left with fewer than
+        :data:`FIT_MIN_POINTS` aborts the fit with ``ValueError``.
         """
         missing = set(self.app.component_names) - set(suite.components)
         if missing:
             raise ValueError(f"benchmark suite missing components: {sorted(missing)}")
-        if self.config.prune_stragglers:
-            suite = suite.pruned(min_points=FIT_MIN_POINTS)
-        skipped: dict[str, str] = {}
+        suite = suite.pruned(min_points=FIT_MIN_POINTS)
         with span("hslb.fit", components=len(suite.components)):
-            fits = fit_suite(
-                suite,
-                rng=rng or default_rng(),
-                loss=self.config.fit_loss,
-                skip_degenerate=self.config.fit_skip_degenerate,
-                skipped=skipped,
-            )
-        if skipped and self.last_gather_report is not None:
-            for name, reason in sorted(skipped.items()):
-                self.last_gather_report.warnings.append(
-                    f"fit skipped {name!r}: {reason}"
-                )
-        return fits
+            return fit_suite(suite, rng=rng or default_rng(), loss=self.fit_loss)
 
     # -- step 3: solve ------------------------------------------------------
 
@@ -454,10 +403,10 @@ class HSLBOptimizer:
         """Solve the allocation MINLP for a machine of ``total_nodes``.
 
         Walks the degradation chain (OA -> NLP-B&B -> greedy proportional
-        fallback) under ``config.solver_wall_budget``; the chosen tier and
-        the reason for every fallback are stored in
-        :attr:`last_provenance` and threaded onto :class:`HSLBResult` by the
-        pipeline entry points.  Every solve is cold: no tier is handed a
+        fallback), each MINLP tier under the default ``BnBOptions`` wall
+        limit; the chosen tier and the reason for every fallback are stored
+        in :attr:`last_provenance` and threaded onto :class:`HSLBResult` by
+        the pipeline entry points.  Every solve is cold: no tier is handed a
         starting point or cuts from an earlier solve.
         """
         self.last_provenance = None
@@ -476,17 +425,13 @@ class HSLBOptimizer:
         return allocation, solution
 
     def _solve_tier(
-        self,
-        tier: str,
-        problem: Problem,
-        opts: BnBOptions,
-        rng: np.random.Generator | None,
+        self, tier: str, problem: Problem, rng: np.random.Generator | None
     ) -> Solution:
         if tier == "oa":
-            return solve_minlp_oa(problem, opts)
+            return solve_minlp_oa(problem)
         # Nonconvex rows can trap a node NLP in a local minimum: restart it.
         multistart = 3 if self.app.requires_nonconvex_solver else 1
-        return solve_minlp_nlpbb(problem, opts, multistart=multistart, rng=rng)
+        return solve_minlp_nlpbb(problem, multistart=multistart, rng=rng)
 
     def _solve_chain(
         self,
@@ -496,8 +441,6 @@ class HSLBOptimizer:
         rng: np.random.Generator | None,
     ) -> tuple[Allocation, Solution, SolverProvenance]:
         plan = getattr(self.app, "fault_plan", None)
-        budget = self.config.solver_wall_budget
-        start = time.perf_counter()
         attempts: list[SolverAttempt] = []
         # OA cuts are invalid on nonconvex models; skip that tier.
         tiers = ["nlpbb"] if self.app.requires_nonconvex_solver else ["oa", "nlpbb"]
@@ -505,19 +448,14 @@ class HSLBOptimizer:
         # tier (greedy after the last MINLP tier) and emits exactly one
         # telemetry event carrying the triggering reason.
         for tier, next_tier in zip(tiers, [*tiers[1:], "greedy"]):
-            remaining = math.inf if budget is None else budget - (time.perf_counter() - start)
             sol, wall = None, 0.0
-            if remaining <= 0:
-                status, reason = "skipped", "wall budget exhausted"
-            elif plan is not None and plan.solver_fails(tier):
+            if plan is not None and plan.solver_fails(tier):
                 telemetry.record_fault("solver_stall", "solve")
                 status, reason = "stalled", "injected solver stall"
             else:
                 tick = time.perf_counter()
                 try:
-                    sol = self._solve_tier(
-                        tier, problem, BnBOptions().with_budget(wall_seconds=remaining), rng
-                    )
+                    sol = self._solve_tier(tier, problem, rng)
                 except (ValueError, RuntimeError, FloatingPointError) as exc:
                     status, reason = "error", f"{type(exc).__name__}: {exc}"
                 else:

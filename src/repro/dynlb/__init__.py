@@ -21,7 +21,6 @@ curves?" once.  This package keeps answering it *while the run drifts*:
 
 from repro.dynlb.controller import (
     CrashRecord,
-    DynlbConfig,
     DynlbRunResult,
     RebalanceController,
     compare_strategies,
@@ -39,7 +38,7 @@ from repro.dynlb.rebalancer import (
     TwoLevelRebalancer,
     make_rebalancer,
 )
-from repro.dynlb.refit import DriftAwareRefitter, RefitConfig
+from repro.dynlb.refit import DriftAwareRefitter
 from repro.dynlb.workload import (
     INTRA_POLICIES,
     DynamicWorkload,
@@ -54,7 +53,6 @@ __all__ = [
     "DriftProfile",
     "DriftSpec",
     "DynamicWorkload",
-    "DynlbConfig",
     "DynlbRunResult",
     "HSLBRebalancer",
     "INTRA_POLICIES",
@@ -63,7 +61,6 @@ __all__ = [
     "RebalanceContext",
     "RebalanceController",
     "Rebalancer",
-    "RefitConfig",
     "STRATEGIES",
     "StaticRebalancer",
     "SweepRebalancer",

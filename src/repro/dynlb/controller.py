@@ -11,11 +11,12 @@ One :class:`RebalanceController` drives one strategy through one
    out-of-band when the refitter flags a model stale, ask the strategy
    for a proposal over the refitted curves.
 4. **Migrate** — apply the proposal only when the predicted makespan gain
-   over the remaining steps clears ``gain_factor`` times the calibrated
-   migration cost.  An accepted migration opens a *window*: the old
-   allocation keeps running while the move is in flight, the stall is
-   charged when it lands — and a node crash inside the window aborts the
-   move (the PR 1 interplay the fault tests pin).
+   over the remaining steps clears :data:`GAIN_FACTOR` times the migration
+   cost calibrated off the first step.  An accepted migration opens a
+   *window*: the old allocation keeps running while the move is in flight
+   (:data:`MIGRATION_STEPS`), the stall is charged when it lands — and a
+   node crash inside the window aborts the move (the interplay the fault
+   tests pin).
 
 Crash recovery reuses the static re-plan path: the heap
 (:func:`~repro.core.greedy.greedy_minmax_allocation`) re-solves the
@@ -47,23 +48,11 @@ from repro.obs.trace import span
 from repro.util.rng import default_rng
 
 
-@dataclass(frozen=True)
-class DynlbConfig:
-    """Controller knobs shared by every strategy in a comparison."""
-
-    interval: int = 10  # decision cadence in steps
-    gain_factor: float = 1.2  # required predicted_gain / migration_cost
-    migration_steps: int = 1  # steps a migration window spans
-    migration: MigrationCostModel | None = None  # None: calibrate from step 0
-    max_migrations: int | None = None  # safety valve for thrashing strategies
-
-    def __post_init__(self) -> None:
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-        if self.gain_factor < 0:
-            raise ValueError("gain_factor must be >= 0")
-        if self.migration_steps < 1:
-            raise ValueError("migration_steps must be >= 1")
+#: A proposal is applied only when its predicted gain exceeds this multiple of
+#: the migration cost.
+GAIN_FACTOR = 1.2
+#: Steps a migration window spans: the old plan runs until the move lands.
+MIGRATION_STEPS = 1
 
 
 @dataclass(frozen=True)
@@ -159,13 +148,17 @@ class RebalanceController:
         self,
         workload: DynamicWorkload,
         rebalancer: Rebalancer | str,
-        config: DynlbConfig | None = None,
+        *,
+        interval: int = 10,
     ) -> None:
+        if interval < 1:
+            raise ValueError(f"interval must be >= 1, got {interval}")
         self.workload = workload
         self.rebalancer = (
             make_rebalancer(rebalancer) if isinstance(rebalancer, str) else rebalancer
         )
-        self.config = config or DynlbConfig()
+        #: The decision cadence, in steps.
+        self.interval = interval
 
     # -- the loop ----------------------------------------------------------
 
@@ -173,7 +166,6 @@ class RebalanceController:
         self, initial: Allocation | None = None, *, seed: int | None = None
     ) -> DynlbRunResult:
         w = self.workload
-        cfg = self.config
         strategy = self.rebalancer.name
         policy = self.rebalancer.intra_policy
         rng = default_rng(w.seed if seed is None else seed)
@@ -183,7 +175,7 @@ class RebalanceController:
         initial_counts = {k: int(v) for k, v in allocation.items()}
         budget = w.total_nodes
         refitter = DriftAwareRefitter(dict(w.models), rng=rng)
-        cost_model = cfg.migration
+        cost_model: MigrationCostModel | None = None
         pending: _Pending | None = None
         crash: CrashRecord | None = None
 
@@ -249,18 +241,12 @@ class RebalanceController:
                 stale = refitter.any_stale()
                 if stale:
                     stale_events += 1
-                due = (step + 1) % cfg.interval == 0
+                due = (step + 1) % self.interval == 0
                 last_step = step >= w.steps - 1
-                migrations_capped = (
-                    cfg.max_migrations is not None
-                    and sum(1 for e in events if e.outcome == "applied")
-                    >= cfg.max_migrations
-                )
                 if (
                     (due or stale)
                     and pending is None
                     and not last_step
-                    and not migrations_capped
                     and not isinstance(self.rebalancer, StaticRebalancer)
                 ):
                     # The decision consumes the staleness flag; clearing it
@@ -289,16 +275,14 @@ class RebalanceController:
                         )
                         # The window still runs the old plan, so the gain only
                         # accrues over the steps after the move lands.
-                        effective = max(
-                            w.steps - step - 1 - cfg.migration_steps, 0
-                        )
+                        effective = max(w.steps - step - 1 - MIGRATION_STEPS, 0)
                         gain = (current_pred - proposed_pred) * effective
                         cost = cost_model.cost(allocation, proposal)
-                        if gain > cfg.gain_factor * cost:
+                        if gain > GAIN_FACTOR * cost:
                             pending = _Pending(
                                 target=proposal,
                                 decided_at=step,
-                                apply_at=step + cfg.migration_steps,
+                                apply_at=step + MIGRATION_STEPS,
                                 gain=gain,
                                 cost=cost,
                                 reason=reason,
@@ -426,8 +410,8 @@ class RebalanceController:
 def compare_strategies(
     workload: DynamicWorkload,
     strategies: tuple[str, ...] = ("static", "hslb", "diffusion", "sweep", "two-level"),
-    config: DynlbConfig | None = None,
     *,
+    interval: int = 10,
     seed: int | None = None,
 ) -> dict[str, DynlbRunResult]:
     """Run every strategy over the *same* workload draws and collect results.
@@ -438,6 +422,8 @@ def compare_strategies(
     """
     results: dict[str, DynlbRunResult] = {}
     for name in strategies:
-        controller = RebalanceController(workload, make_rebalancer(name), config)
+        controller = RebalanceController(
+            workload, make_rebalancer(name), interval=interval
+        )
         results[name] = controller.run(seed=seed)
     return results

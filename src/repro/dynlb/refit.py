@@ -12,10 +12,10 @@ holds, so the refitter splits the problem:
   sensitivity information survives even though the stream only probes
   one node count at a time.
 * **Staleness detection**: an EWMA of the relative prediction error.
-  When it exceeds the threshold for ``patience`` consecutive steps, the
-  component is flagged stale — the controller treats that as an
-  out-of-band rebalance trigger rather than waiting for the next
-  scheduled decision.
+  When it exceeds :data:`STALE_ERROR` for :data:`STALE_PATIENCE`
+  consecutive steps, the component is flagged stale — the controller
+  treats that as an out-of-band rebalance trigger rather than waiting for
+  the next scheduled decision.
 * **Windowed full refit** (after migrations): once the window of recent
   observations spans >= 2 distinct node counts (which only happens after
   a migration changed the component's allocation), the whole curve is
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,40 +39,30 @@ from repro.perf.model import PerformanceModel
 MIN_REFIT_SPAN = 1.5
 
 
-@dataclass(frozen=True)
-class RefitConfig:
-    """Knobs for the incremental refitter."""
-
-    alpha: float = 0.25  # EWMA weight of the newest scale sample
-    stale_error: float = 0.15  # EWMA relative error that flags staleness
-    stale_patience: int = 3  # consecutive bad steps before the flag trips
-    window: int = 64  # observations retained per component
-    decay: float = 0.92  # per-step age decay of full-refit weights
-    min_refit_points: int = 6  # window size required before a full refit
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.stale_error <= 0:
-            raise ValueError("stale_error must be > 0")
-        if self.stale_patience < 1:
-            raise ValueError("stale_patience must be >= 1")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if not (0.0 < self.decay <= 1.0):
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
+#: EWMA weight of the newest scale (and error) sample.
+ALPHA = 0.25
+#: EWMA relative prediction error that flags a component stale ...
+STALE_ERROR = 0.15
+#: ... once it has stayed above it this many consecutive steps.
+STALE_PATIENCE = 3
+#: Observations retained per component for a full refit.
+WINDOW = 64
+#: Per-step age decay of the full-refit weights.
+DECAY = 0.92
+#: Window size required before a full refit.
+MIN_REFIT_POINTS = 6
 
 
 class _ComponentState:
     __slots__ = ("base", "scale", "err", "bad_steps", "stale", "obs")
 
-    def __init__(self, base: PerformanceModel, window: int) -> None:
+    def __init__(self, base: PerformanceModel) -> None:
         self.base = base
         self.scale = 1.0
         self.err = 0.0
         self.bad_steps = 0
         self.stale = False
-        self.obs: deque[tuple[int, int, float]] = deque(maxlen=window)
+        self.obs: deque[tuple[int, int, float]] = deque(maxlen=WINDOW)
 
 
 class DriftAwareRefitter:
@@ -82,17 +71,14 @@ class DriftAwareRefitter:
     def __init__(
         self,
         base_models: Mapping[str, PerformanceModel],
-        config: RefitConfig | None = None,
         *,
         rng: np.random.Generator | None = None,
     ) -> None:
         if not base_models:
             raise ValueError("refitter needs at least one base model")
-        self.config = config or RefitConfig()
         self._rng = rng
         self._state = {
-            name: _ComponentState(model, self.config.window)
-            for name, model in base_models.items()
+            name: _ComponentState(model) for name, model in base_models.items()
         }
         self.scale_updates = 0
         self.full_refits = 0
@@ -102,19 +88,18 @@ class DriftAwareRefitter:
     def observe(self, step: int, component: str, nodes: int, seconds: float) -> None:
         """Fold one (component, step) wall time into the running estimates."""
         st = self._state[component]
-        cfg = self.config
         predicted_base = st.base.time(nodes)
         if predicted_base <= 0 or seconds <= 0:
             return
         ratio = seconds / predicted_base
-        st.scale = (1.0 - cfg.alpha) * st.scale + cfg.alpha * ratio
+        st.scale = (1.0 - ALPHA) * st.scale + ALPHA * ratio
         self.scale_updates += 1
         telemetry.record_dynlb_refit("scale")
         rel_err = abs(seconds - st.scale * predicted_base) / seconds
-        st.err = (1.0 - cfg.alpha) * st.err + cfg.alpha * rel_err
-        if st.err > cfg.stale_error:
+        st.err = (1.0 - ALPHA) * st.err + ALPHA * rel_err
+        if st.err > STALE_ERROR:
             st.bad_steps += 1
-            if st.bad_steps >= cfg.stale_patience and not st.stale:
+            if st.bad_steps >= STALE_PATIENCE and not st.stale:
                 st.stale = True
                 telemetry.record_dynlb_stale(component)
         else:
@@ -171,9 +156,8 @@ class DriftAwareRefitter:
         from repro.perf.fitting import fit_performance_model
 
         st = self._state[component]
-        cfg = self.config
         obs = list(st.obs)
-        if len(obs) < cfg.min_refit_points:
+        if len(obs) < MIN_REFIT_POINTS:
             return False
         counts = {n for _, n, _ in obs}
         if len(counts) < 2 or max(counts) < MIN_REFIT_SPAN * min(counts):
@@ -181,7 +165,7 @@ class DriftAwareRefitter:
         latest = max(s for s, _, _ in obs)
         nodes = np.array([n for _, n, _ in obs], dtype=float)
         secs = np.array([t for _, _, t in obs], dtype=float)
-        weights = np.array([cfg.decay ** (latest - s) for s, _, _ in obs])
+        weights = np.array([DECAY ** (latest - s) for s, _, _ in obs])
         try:
             fit = fit_performance_model(nodes, secs, rng=self._rng, weights=weights)
         except (ValueError, RuntimeError):

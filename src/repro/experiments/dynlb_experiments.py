@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dynlb import (
-    DynlbConfig,
     DynlbRunResult,
     cesm_workload,
     compare_strategies,
@@ -107,7 +106,7 @@ def run_dynlb_comparison(
         )
     else:
         raise ValueError(f"unknown scenario {scenario!r}; expected cesm or fmo")
-    results = compare_strategies(workload, config=DynlbConfig(interval=interval))
+    results = compare_strategies(workload, interval=interval)
     return DynlbComparisonResult(workload=workload.describe(), results=results)
 
 
@@ -141,8 +140,7 @@ def run_dynlb_drift_sweep(
             drift_rate=drift_rate, seed=seed,
         )
         results = compare_strategies(
-            workload, ("static", "hslb", "two-level"),
-            DynlbConfig(interval=interval),
+            workload, ("static", "hslb", "two-level"), interval=interval
         )
         static = results["static"].total_seconds
         rows.append(

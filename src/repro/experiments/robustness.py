@@ -20,7 +20,7 @@ from repro.cesm.app import CESMApplication
 from repro.cesm.components import GroundTruthComponent
 from repro.cesm.grids import CESMConfiguration, one_degree
 from repro.cesm.layouts import Layout, layout_total_time
-from repro.core.hslb import HSLBConfig, HSLBOptimizer
+from repro.core.hslb import HSLBOptimizer
 from repro.core.spec import Allocation
 from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
 from repro.util.rng import default_rng
@@ -144,7 +144,7 @@ def run_outlier_robustness(
             outlier_scale=4.0,
             benchmark_runs_per_count=2,
         )
-        opt = HSLBOptimizer(app, HSLBConfig(fit_loss=loss))
+        opt = HSLBOptimizer(app, fit_loss=loss)
         rng = default_rng(seed)
         suite = opt.gather(BENCHMARK_CAMPAIGN["1deg"], rng)
         fits = opt.fit(suite, rng)

@@ -128,8 +128,3 @@ def run_table3_block(key: str, *, seed: int = 2014) -> Table3Result:
         manual_execution=manual_exec,
         hslb=hslb,
     )
-
-
-def run_full_table3(*, seed: int = 2014) -> dict[str, Table3Result]:
-    """All six blocks (reusing one seed family for reproducibility)."""
-    return {key: run_table3_block(key, seed=seed) for key in TABLE3}

@@ -71,24 +71,6 @@ def dimer_model(
     )
 
 
-def fragment_workload(system: FragmentedSystem) -> dict[int, float]:
-    """Single-node seconds per fragment for one whole FMO run.
-
-    Monomer cost is one SCF iteration times the SCC iteration count; each
-    dimer's cost is charged half to each participating fragment (a standard
-    work-accounting convention for per-fragment load estimates).
-    """
-    load = {
-        f.index: system.scc_iterations * monomer_model(f).time(1)
-        for f in system.fragments
-    }
-    for i, j in system.dimer_pairs():
-        cost = dimer_model(system.fragments[i], system.fragments[j]).time(1)
-        load[i] += 0.5 * cost
-        load[j] += 0.5 * cost
-    return load
-
-
 def total_fragment_model(
     system: FragmentedSystem, fragment: Fragment
 ) -> PerformanceModel:

@@ -70,9 +70,9 @@ class BnBOptions:
     def with_budget(self, wall_seconds: float) -> "BnBOptions":
         """A copy capped to a remaining wall budget (never loosened).
 
-        The solver degradation chain hands each tier whatever is left of the
-        pipeline's overall budget; the limit only ever shrinks so a caller's
-        own tighter setting survives.
+        OA hands its tree whatever is left of the solve's budget after the
+        root; the limit only ever shrinks so a caller's own tighter setting
+        survives.
         """
         from dataclasses import replace
 

@@ -3,15 +3,15 @@
 Each tree node solves the node's continuous NLP relaxation.  Slower per node
 than the LP/NLP scheme in :mod:`repro.minlp.oa`, but it does not require
 convexity for *correct feasible* answers (only for proven global optimality),
-so it doubles as the fallback when a performance model is fitted without the
-convexity restriction (exponent < 1).
+so it is the solver for nonconvex models (the exact ``Tsync`` coupling) and
+the pipeline's fallback tier after OA.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.minlp.bnb import BnBOptions, BranchAndBound
+from repro.minlp.bnb import BranchAndBound
 from repro.minlp.nlp import solve_nlp
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution
@@ -21,7 +21,6 @@ from repro.obs.trace import span
 
 def solve_minlp_nlpbb(
     problem: Problem,
-    options: BnBOptions | None = None,
     *,
     multistart: int = 1,
     rng: np.random.Generator | None = None,
@@ -30,15 +29,14 @@ def solve_minlp_nlpbb(
 
     ``multistart > 1`` restarts each node's NLP from extra random points,
     which guards against local minima on nonconvex instances at the price of
-    proportionally more NLP solves.  The wall budget is the one ``options``
-    carries (the degradation chain in :mod:`repro.core.hslb` shrinks it with
-    :meth:`BnBOptions.with_budget`).  Every solve starts cold.
+    proportionally more NLP solves.  The tree runs under the default
+    :class:`~repro.minlp.bnb.BnBOptions`.  Every solve starts cold.
     """
 
     def relax(node_problem: Problem) -> Solution:
         return solve_nlp(node_problem, multistart=multistart, rng=rng)
 
     with span("minlp.nlpbb", problem=problem.name):
-        sol = BranchAndBound(problem, relax, options).solve()
+        sol = BranchAndBound(problem, relax).solve()
         telemetry.record_solve("nlpbb", sol.stats, sol.status.value)
     return sol

@@ -263,8 +263,7 @@ def _solve_fixed_subproblem(split: _FixedSplit, values: dict[str, float]) -> Sol
 def solve_minlp_oa(problem: Problem, options: BnBOptions | None = None) -> Solution:
     """Solve a convex MINLP with single-tree LP/NLP branch-and-bound.
 
-    The wall budget is the one ``options`` carries (the pipeline's
-    degradation chain shrinks it with :meth:`BnBOptions.with_budget`).
+    The wall budget is the one ``options`` carries.
 
     Every solve starts cold.  Every cut comes from a per-solve
     :class:`OACutPool`, which dedups repeated linearization points within

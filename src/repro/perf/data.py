@@ -114,35 +114,6 @@ class ComponentBenchmark:
         lo, hi = self.node_range
         return lo <= nodes <= hi
 
-    def aggregate(self) -> list[tuple[int, float, float, int]]:
-        """Group replicates by node count: ``(nodes, mean, std, count)`` rows.
-
-        ``std`` is the sample standard deviation (ddof=1), 0.0 for single
-        observations.  Feeds the variance-weighted fitting path.
-        """
-        by_nodes: dict[int, list[float]] = {}
-        for obs in self._obs:
-            by_nodes.setdefault(int(obs.nodes), []).append(float(obs.seconds))
-        out = []
-        for nodes in sorted(by_nodes):
-            ys = np.array(by_nodes[nodes])
-            std = float(ys.std(ddof=1)) if ys.size > 1 else 0.0
-            out.append((nodes, float(ys.mean()), std, int(ys.size)))
-        return out
-
-    def relative_noise(self) -> float:
-        """Pooled relative run-to-run scatter across replicated node counts.
-
-        Returns 0.0 when no node count has replicates — callers fall back
-        to unweighted fitting then.
-        """
-        ratios = [
-            std / mean
-            for _, mean, std, count in self.aggregate()
-            if count > 1 and mean > 0
-        ]
-        return float(np.sqrt(np.mean(np.square(ratios)))) if ratios else 0.0
-
     def flagged_count(self) -> int:
         """Observations whose status is not "ok" (e.g. flagged stragglers)."""
         return sum(1 for o in self._obs if not o.clean)

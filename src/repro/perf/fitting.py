@@ -11,12 +11,12 @@ in general, not convex, and there may be several locally optimal solutions
 local solution", and that different local optima "led to similar quality
 node allocations" — tests pin both behaviours).
 
-``convex=True`` additionally constrains ``c >= 1`` so the fitted model is
+Every fit additionally constrains ``c >= 1`` so the fitted model is
 certifiably convex, which the outer-approximation solver needs for global
 optimality (§III-E).  On well-scaling codes like CESM the fitted ``b`` is
-nearly zero, so this restriction costs essentially nothing — a benchmark
-quantifies that claim.  Only :func:`fit_performance_model` can lift it:
-component and suite fits feed the MINLP and are always convex.
+nearly zero, so this restriction costs essentially nothing.  Every fit
+tries :data:`FIT_STARTS` starts: the heuristic one, then random restarts
+drawn from the caller's ``rng``.
 
 The solver contract: every start is solved by
 :func:`repro.perf.trf.least_squares_trf`, a port of scipy's bounded TRF that
@@ -40,9 +40,17 @@ from repro.perf.model import PerformanceModel
 from repro.perf.trf import least_squares_trf
 from repro.util.rng import default_rng
 
-#: Upper bound for the exponent c.  The paper's T^nln is a gentle correction
-#: term; anything steeper than cubic is certainly noise amplification.
+#: Bounds for the exponent c.  ``c >= 1`` keeps the fitted curve convex; the
+#: paper's T^nln is a gentle correction term, and anything steeper than cubic
+#: is certainly noise amplification.
+_C_MIN = 1.0
 _C_MAX = 3.0
+
+#: Optimizer starts per fit: one heuristic start plus random restarts.
+FIT_STARTS = 5
+
+#: The least-squares losses a fit accepts (Table II is ``"linear"``).
+FIT_LOSSES = ("linear", "huber", "soft_l1")
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ class _Curve:
         return J * self.w[:, None] if self.w is not None else J
 
 
-def _heuristic_start(n: np.ndarray, y: np.ndarray, c_min: float) -> np.ndarray:
+def _heuristic_start(n: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A physically-motivated initial point.
 
     ``d`` starts at a fraction of the fastest time (the serial floor is at
@@ -115,16 +123,13 @@ def _heuristic_start(n: np.ndarray, y: np.ndarray, c_min: float) -> np.ndarray:
     d0 = 0.5 * float(y.min())
     a0 = max((float(y[0]) - d0) * float(n[0]), 1e-6)
     b0 = 1e-6
-    c0 = max(1.0, c_min)
-    return np.array([a0, b0, c0, d0])
+    return np.array([a0, b0, _C_MIN, d0])
 
 
 def fit_performance_model(
     nodes: np.ndarray,
     seconds: np.ndarray,
     *,
-    convex: bool = True,
-    multistart: int = 5,
     rng: np.random.Generator | None = None,
     weights: np.ndarray | None = None,
     loss: str = "linear",
@@ -136,12 +141,8 @@ def fit_performance_model(
     nodes, seconds:
         Observation arrays (``D_j`` entries each, D >= 2 required; the paper
         recommends >= 4 and a benchmark quantifies why).
-    convex:
-        Constrain ``c >= 1`` so the fitted curve is convex (default, required
-        by the OA solver).  ``False`` reproduces the paper's raw Table II
-        bounds (``c >= 0``).
-    multistart:
-        Number of optimizer starts: one heuristic start plus random restarts.
+    rng:
+        Draws the random restarts.
     weights:
         Optional per-observation weights (1/sigma_i); residuals are scaled.
     loss:
@@ -152,7 +153,7 @@ def fit_performance_model(
         performance data" risk, mitigated.  Residuals are scaled relative to
         the observed times so the robust threshold is resolution-independent.
     """
-    if loss not in ("linear", "huber", "soft_l1"):
+    if loss not in FIT_LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
     n = np.asarray(nodes, dtype=float)
     y = np.asarray(seconds, dtype=float)
@@ -168,29 +169,26 @@ def fit_performance_model(
             raise ValueError("weights must be positive and match observations")
     else:
         w = None
-    if multistart < 1:
-        raise ValueError("multistart must be >= 1")
 
     order = np.argsort(n)
     n, y = n[order], y[order]
     if w is not None:
         w = w[order]
 
-    c_min = 1.0 if convex else 0.0
-    lower = np.array([0.0, 0.0, c_min, 0.0])
+    lower = np.array([0.0, 0.0, _C_MIN, 0.0])
     upper = np.array([np.inf, np.inf, _C_MAX, np.inf])
 
     curve = _Curve(n, y, w)
     rng = rng or default_rng()
-    starts = [_heuristic_start(n, y, c_min)]
+    starts = [_heuristic_start(n, y)]
     y_scale = float(y.max())
-    for _ in range(multistart - 1):
+    for _ in range(FIT_STARTS - 1):
         starts.append(
             np.array(
                 [
                     rng.uniform(0.0, 2.0 * y_scale * n[0]),
-                    rng.uniform(0.0, 0.1 * y_scale / max(n[-1] ** c_min, 1.0)),
-                    rng.uniform(c_min, _C_MAX),
+                    rng.uniform(0.0, 0.1 * y_scale / max(n[-1], 1.0)),
+                    rng.uniform(_C_MIN, _C_MAX),
                     rng.uniform(0.0, y.min()),
                 ]
             )
@@ -243,59 +241,25 @@ def fit_performance_model(
 def fit_component(
     bench: ComponentBenchmark,
     *,
-    multistart: int = 5,
     rng: np.random.Generator | None = None,
     loss: str = "linear",
-    weighted: bool = False,
 ) -> FitResult:
-    """Fit one component's benchmark data.
-
-    ``weighted=True`` aggregates replicates per node count and performs
-    variance-weighted least squares: each mean observation is weighted by
-    ``sqrt(count) / sigma`` with ``sigma`` the replicate standard deviation
-    (falling back to the pooled relative scatter for un-replicated counts).
-    With multiplicative timing noise this prevents the slow small-node runs
-    from dominating the residual purely by magnitude.
-    """
-    if not weighted:
-        n, y = bench.arrays()
-        return fit_performance_model(n, y, multistart=multistart, rng=rng, loss=loss)
-    rows = bench.aggregate()
-    pooled = bench.relative_noise()
-    n = np.array([r[0] for r in rows], dtype=float)
-    y = np.array([r[1] for r in rows], dtype=float)
-    sigmas = []
-    for _, mean, std, count in rows:
-        if std > 0:
-            sigmas.append(std / math.sqrt(count))
-        elif pooled > 0:
-            sigmas.append(pooled * mean)
-        else:
-            sigmas.append(0.02 * mean)  # generic 2% prior scatter
-    weights = 1.0 / np.maximum(np.array(sigmas), 1e-12)
-    return fit_performance_model(
-        n, y, multistart=multistart, rng=rng, loss=loss, weights=weights
-    )
+    """Fit one component's benchmark data, every observation weighted alike."""
+    n, y = bench.arrays()
+    return fit_performance_model(n, y, rng=rng, loss=loss)
 
 
 def fit_suite(
     suite: BenchmarkSuite,
     *,
-    multistart: int = 5,
     rng: np.random.Generator | None = None,
     loss: str = "linear",
-    skip_degenerate: bool = False,
-    skipped: dict[str, str] | None = None,
 ) -> dict[str, FitResult]:
     """Fit every component in a suite (step 2 of the HSLB algorithm).
 
-    ``skip_degenerate`` controls what happens when a component's benchmark
-    data is degenerate (fewer than 2 usable points — e.g. after a degraded
-    gather campaign pruned its failures): by default the first such
-    component aborts the whole suite with ``ValueError``; with
-    ``skip_degenerate=True`` the component is skipped and reported (in the
-    optional ``skipped`` out-mapping, name -> reason) while every healthy
-    component still gets its fit.
+    A component with degenerate benchmark data (fewer than 2 usable points —
+    e.g. after a degraded gather campaign pruned its failures) aborts the
+    whole suite with ``ValueError`` naming it.
 
     Components are fitted one after another from the one ``rng`` stream, so
     a suite has exactly one answer per seed (the ledger pins objectives).
@@ -303,18 +267,13 @@ def fit_suite(
     rng = rng or default_rng()
     degenerate = suite.degenerate_components(min_points=2)
     if degenerate:
-        if not skip_degenerate:
-            name, reason = next(iter(sorted(degenerate.items())))
-            raise ValueError(f"component {name!r} is unfittable: {reason}")
-        if skipped is not None:
-            skipped.update(degenerate)
-    fittable = [name for name in suite if name not in degenerate]
+        name, reason = next(iter(sorted(degenerate.items())))
+        raise ValueError(f"component {name!r} is unfittable: {reason}")
     fits: dict[str, FitResult] = {}
-    for name in fittable:
+    for name in suite:
         with span("fit.component", component=name) as sp:
-            fit = fit_component(suite[name], multistart=multistart, rng=rng, loss=loss)
+            fit = fit_component(suite[name], rng=rng, loss=loss)
             sp.set_tag("r_squared", round(fit.r_squared, 6))
             sp.set_tag("points", fit.n_points)
         fits[name] = fit
     return fits
-

@@ -42,7 +42,7 @@ from repro.service.admission import (
     AdmissionPolicy,
     ClassThresholds,
 )
-from repro.service.breaker import BreakerPolicy, CircuitBreaker
+from repro.service.breaker import CircuitBreaker
 from repro.service.cache import CacheStats, SolutionCache
 from repro.service.coalesce import FlightStats, SingleFlight
 from repro.service.errors import (
@@ -81,7 +81,6 @@ __all__ = [
     "AdmissionPolicy",
     "AllocationService",
     "AsyncServingTier",
-    "BreakerPolicy",
     "CacheStats",
     "CircuitBreaker",
     "ClassThresholds",

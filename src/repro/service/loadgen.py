@@ -57,6 +57,9 @@ BASE_CURVES = {
 _DIURNAL_PERIODS = 1.0  # "days" the diurnal swing completes across a trace
 _FLASH_WIDTH = 0.02  # flash-crowd sigma, as a fraction of the trace's duration
 
+#: Admission classes of trace events, with their shares of the traffic.
+PRIORITY_MIX = (("interactive", 0.5), ("batch", 0.3), ("background", 0.2))
+
 
 @dataclass(frozen=True)
 class TraceSpec:
@@ -71,11 +74,6 @@ class TraceSpec:
     diurnal_amplitude: float = 0.5  # rate swing, 0 = flat, <1 keeps rate > 0
     flash_crowds: int = 1
     flash_magnitude: float = 4.0  # rate multiplier at a spike's peak
-    priority_mix: tuple[tuple[str, float], ...] = (
-        ("interactive", 0.5),
-        ("batch", 0.3),
-        ("background", 0.2),
-    )
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:
@@ -86,9 +84,6 @@ class TraceSpec:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
         if self.flash_crowds < 0 or self.flash_magnitude < 0:
             raise ValueError("flash crowd parameters must be non-negative")
-        total = sum(w for _, w in self.priority_mix)
-        if total <= 0 or any(w < 0 for _, w in self.priority_mix):
-            raise ValueError("priority mix weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,8 @@ def generate_trace(spec: TraceSpec) -> list[TraceEvent]:
     weights = 1.0 / np.arange(1, len(pool) + 1) ** spec.zipf_exponent
     weights /= weights.sum()
     times = arrival_times(spec)
-    names = tuple(name for name, _ in spec.priority_mix)
-    mix = np.array([w for _, w in spec.priority_mix], dtype=float)
+    names = tuple(name for name, _ in PRIORITY_MIX)
+    mix = np.array([w for _, w in PRIORITY_MIX], dtype=float)
     mix /= mix.sum()
     events: list[TraceEvent] = []
     for i in range(spec.n_requests):

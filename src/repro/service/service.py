@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 from repro.minlp.solution import Status
 from repro.obs.trace import span
-from repro.service.breaker import BreakerPolicy, CircuitBreaker
+from repro.service.breaker import CircuitBreaker
 from repro.service.cache import SolutionCache
 from repro.service.errors import (
     ServiceRejectedError,
@@ -85,8 +85,9 @@ _SYSTEM_RETRY = RetryPolicy(max_attempts=2)
 class ResiliencePolicy:
     """Every knob of the resilient request path, in one value object.
 
-    ``retry`` / ``breaker``
-        Retry and circuit-breaking policies (their own modules).
+    ``retry``
+        The retry policy (its own module); the circuit breaker's thresholds
+        are constants of :mod:`repro.service.breaker`.
     ``max_stale``
         Oldest entry age (seconds since insert) the stale rung may serve;
         ``None`` serves any entry still physically cached.
@@ -95,7 +96,6 @@ class ResiliencePolicy:
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     max_stale: float | None = None
     allow_stale: bool = True
     allow_greedy: bool = True
@@ -127,7 +127,7 @@ class AllocationService:
         self.resilience = resilience
         self.chaos = chaos
         self.breaker = (
-            CircuitBreaker(resilience.breaker, clock=clock) if resilience else None
+            CircuitBreaker(clock=clock) if resilience else None
         )
         # The one solve seam: ``solve_request``, under a chaos plan with its
         # faults raised as typed errors.

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.cesm.app import CESMApplication
-from repro.cesm.campaign import (
-    MEMORY_MODELS,
-    MemoryModel,
-    plan_campaign,
-    replacement_counts,
-)
+from repro.cesm.campaign import MEMORY_MODELS, MemoryModel, plan_campaign
 from repro.cesm.grids import eighth_degree, one_degree
 from repro.core.hslb import HSLBOptimizer
 from repro.util.rng import default_rng
@@ -69,48 +64,3 @@ def test_planned_campaign_drives_pipeline():
         assert fit.r_squared > 0.97
     # Interpolation guaranteed: target inside the campaign bracket.
     assert counts[0] <= 128 <= counts[-1]
-
-
-def test_replacement_counts_fill_the_widest_gap():
-    # Dropping 64 leaves a 16..256 gap; the geometric midpoint (64) was
-    # already tried, so the proposal splits the gap elsewhere.
-    fresh = replacement_counts([16, 64, 256, 512], [64])
-    assert len(fresh) == 1
-    (cand,) = fresh
-    assert 16 < cand < 256 and cand != 64
-    # Replacements never repeat a planned (even dead) count.
-    assert cand not in {16, 64, 256, 512}
-
-
-def test_replacement_counts_restore_campaign_size():
-    planned = [16, 32, 64, 128, 256]
-    dropped = [32, 128]
-    fresh = replacement_counts(planned, dropped)
-    surviving = sorted(set(planned) - set(dropped))
-    assert len(surviving) + len(fresh) == len(planned)
-    assert fresh == tuple(sorted(fresh))
-    for cand in fresh:
-        assert surviving[0] < cand < surviving[-1]
-        assert cand not in planned
-
-
-def test_replacement_counts_nothing_dropped():
-    assert replacement_counts([16, 64, 256], []) == ()
-
-
-def test_replacement_counts_requires_two_survivors():
-    with pytest.raises(ValueError, match="re-plan the whole campaign"):
-        replacement_counts([16, 64], [16, 64])
-    with pytest.raises(ValueError, match="re-plan the whole campaign"):
-        replacement_counts([16, 64], [64])
-
-
-def test_replacement_counts_saturated_gaps_stop_early():
-    # Adjacent integers leave no fresh midpoint to propose.
-    assert replacement_counts([4, 5, 6], [5]) == ()
-
-
-def test_replacement_counts_extra_points():
-    fresh = replacement_counts([16, 256], [], points=4)
-    assert len(fresh) == 2
-    assert all(16 < c < 256 for c in fresh)

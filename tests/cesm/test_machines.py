@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cesm.machines import (
-    EXASCALE_SKETCH,
-    INTREPID,
-    MachineProfile,
-    amdahl_ceiling,
-)
+from repro.cesm.machines import EXASCALE_SKETCH, INTREPID, MachineProfile
 from repro.perf.model import PerformanceModel
 
 MODEL = PerformanceModel(a=27380.0, b=1e-3, c=1.0, d=43.0)
@@ -42,21 +37,3 @@ def test_transform_all():
     out = EXASCALE_SKETCH.transform_all(models)
     assert set(out) == {"atm", "ocn"}
     assert out["atm"].a == pytest.approx(MODEL.a / EXASCALE_SKETCH.compute_speedup)
-
-
-def test_amdahl_ceiling_shrinks_when_compute_outruns_serial():
-    base_ceiling = amdahl_ceiling(MODEL)
-    new_ceiling = amdahl_ceiling(EXASCALE_SKETCH.transform(MODEL))
-    # The ceiling is T(1)/d.  T(1) is compute-dominated, so it shrinks by
-    # ~compute_speedup while d only shrinks by serial_speedup: the new
-    # machine has LESS parallel headroom (you start closer to the serial
-    # wall) by roughly serial/compute — the §IV-C reliability caveat made
-    # quantitative.
-    ratio = new_ceiling / base_ceiling
-    expected = EXASCALE_SKETCH.serial_speedup / EXASCALE_SKETCH.compute_speedup
-    assert ratio == pytest.approx(expected, rel=0.10)
-    assert new_ceiling < base_ceiling
-
-
-def test_amdahl_ceiling_infinite_without_floor():
-    assert amdahl_ceiling(PerformanceModel(a=10.0, d=0.0)) == float("inf")

@@ -6,16 +6,12 @@ import pytest
 from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
 from repro.core.builder import AllocationModelBuilder
-from repro.core.hslb import (
-    GatherDegradedError,
-    GatherPolicy,
-    HSLBConfig,
-    HSLBOptimizer,
-)
+from repro.core.hslb import GATHER_MAX_RETRIES, GatherDegradedError, HSLBOptimizer
 from repro.core.objectives import Objective
 from repro.core.spec import Allocation, Application, ExecutionResult
 from repro.faults import BenchmarkFault, BenchmarkRunError, FaultPlan
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark, ScalingObservation
+from repro.perf.fitting import fit_suite
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -97,7 +93,7 @@ def test_gather_retries_transient_failure():
     [record] = report.records
     assert record.attempts == 3
     assert record.kinds == ("failure", "timeout")
-    # Capped exponential backoff: 2s after attempt 0, 4s after attempt 1.
+    # Exponential backoff: 2s after attempt 0, 4s after attempt 1.
     assert record.backoff_seconds == pytest.approx(6.0)
     # Surviving observations carry their retry count.
     recovered = [o for o in suite["alpha"] if o.nodes == 32]
@@ -124,16 +120,27 @@ def test_gather_drops_permanent_point_and_warns():
 
 
 def test_gather_exhausted_retries_drop_the_point():
-    policy = GatherPolicy(max_retries=2)
-    app = ScriptedApp(script={(32, a): "failure" for a in range(3)})
-    opt = HSLBOptimizer(app, HSLBConfig(gather=policy))
+    app = ScriptedApp(
+        script={(32, a): "failure" for a in range(GATHER_MAX_RETRIES + 1)}
+    )
+    opt = HSLBOptimizer(app)
     suite = opt.gather([16, 32, 64], default_rng(0))
     assert sorted(o.nodes for o in suite["alpha"]) == [16, 64]
     [record] = opt.last_gather_report.records
     assert record.outcome == "dropped"
-    assert record.attempts == 3  # initial try + 2 retries
+    assert record.attempts == 4  # initial try + 3 retries
     # Backoff accrues only before an attempt that actually happens.
-    assert record.backoff_seconds == pytest.approx(2.0 + 4.0)
+    assert record.backoff_seconds == pytest.approx(2.0 + 4.0 + 8.0)
+
+
+def test_gather_retry_that_lands_on_the_last_attempt_recovers():
+    app = ScriptedApp(script={(32, a): "failure" for a in range(GATHER_MAX_RETRIES)})
+    opt = HSLBOptimizer(app)
+    suite = opt.gather([16, 32, 64], default_rng(0))
+    assert sorted(o.nodes for o in suite["alpha"]) == [16, 32, 64]
+    [record] = opt.last_gather_report.records
+    assert record.outcome == "recovered"
+    assert record.attempts == 4
 
 
 def test_gather_degraded_error_when_unfittable():
@@ -176,17 +183,6 @@ def test_failed_solve_does_not_leave_the_previous_provenance_behind():
     with pytest.raises(KeyError):
         opt.solve({"alpha": MODELS["alpha"]}, 64, default_rng(0))  # no beta
     assert opt.last_provenance is None
-
-
-def test_backoff_is_capped():
-    policy = GatherPolicy(max_retries=10, backoff_base=2.0, backoff_cap=16.0)
-    assert policy.backoff(0) == 2.0
-    assert policy.backoff(3) == 16.0
-    assert policy.backoff(9) == 16.0
-    with pytest.raises(ValueError):
-        GatherPolicy(backoff_base=0.0)
-    with pytest.raises(ValueError):
-        GatherPolicy(max_retries=-1)
 
 
 def test_clean_gather_uses_single_call_path():
@@ -243,19 +239,6 @@ def test_solver_chain_greedy_fallback_records_tier():
     assert result.degraded
 
 
-def test_solver_wall_budget_exhaustion_skips_tiers():
-    app = ScriptedApp()
-    opt = HSLBOptimizer(app, HSLBConfig(solver_wall_budget=1e-12))
-    suite = opt.gather([16, 32, 64], default_rng(0))
-    fits = opt.fit(suite, default_rng(0))
-    # Budget gone before any tier starts: straight to greedy, reasons say so.
-    allocation, solution = opt.solve(fits, 64, default_rng(0))
-    prov = opt.last_provenance
-    assert prov.tier == "greedy"
-    assert all(a.status == "skipped" for a in prov.attempts)
-    assert all("budget" in a.reason for a in prov.attempts)
-
-
 def test_run_threads_provenance_and_report():
     app = ScriptedApp(script={(32, 0): "failure"})
     opt = HSLBOptimizer(app)
@@ -300,17 +283,15 @@ def test_fault_free_cesm_pipeline_is_unchanged():
     assert not result.gather_report.degraded
 
 
-def test_fit_skip_degenerate_records_warning():
-    app = ScriptedApp()
-    opt = HSLBOptimizer(app, HSLBConfig(fit_skip_degenerate=True))
+def test_fit_aborts_on_a_starved_component():
+    opt = HSLBOptimizer(ScriptedApp())
     suite = opt.gather([16, 32, 64], default_rng(0))
     # Starve one component below the fitter's minimum.
     crippled = BenchmarkSuite()
     crippled.add(ComponentBenchmark("alpha", list(suite["alpha"])))
     crippled.add(ComponentBenchmark("beta", [list(suite["beta"])[0]]))
-    fits = opt.fit(crippled, default_rng(0))
-    assert set(fits) == {"alpha"}
-    assert any("skipped 'beta'" in w for w in opt.last_gather_report.warnings)
+    with pytest.raises(ValueError, match="'beta' is unfittable"):
+        opt.fit(crippled, default_rng(0))
 
 
 def test_stragglers_are_pruned_before_fitting():
@@ -330,9 +311,7 @@ def test_stragglers_are_pruned_before_fitting():
     assert fits["alpha"].model.time(64) == pytest.approx(
         float(MODELS["alpha"].time(64)), rel=1e-3
     )
-    kept = HSLBOptimizer(app, HSLBConfig(prune_stragglers=False)).fit(
-        suite, default_rng(0)
-    )
+    kept = fit_suite(suite, rng=default_rng(0))  # the straggler left in
     assert abs(kept["alpha"].model.time(64) - float(MODELS["alpha"].time(64))) > (
         abs(fits["alpha"].model.time(64) - float(MODELS["alpha"].time(64)))
     )

@@ -10,9 +10,8 @@ carved out of the survivors, exactly like the PR 1 replan recovery).
 
 import pytest
 
-from repro.dynlb.controller import DynlbConfig, RebalanceController, compare_strategies
+from repro.dynlb.controller import RebalanceController, compare_strategies
 from repro.dynlb.drift import DriftProfile, DriftSpec
-from repro.dynlb.migration import MigrationCostModel
 from repro.dynlb.workload import DynamicWorkload, fmo_workload
 from repro.faults.plan import FaultPlan
 from repro.perf.model import PerformanceModel
@@ -25,7 +24,9 @@ _MODELS = {
 
 
 def _workload(crash_step, crash_component="mid", steps=20):
-    drift = DriftProfile({"big": DriftSpec("linear", rate=2.0)}, steps)
+    # Drift hard enough that the cadence decision at the end of step 5
+    # clears the gate: its window lands at step 6.
+    drift = DriftProfile({"big": DriftSpec("linear", rate=4.0)}, steps)
     plan = FaultPlan(seed=1, crash_step=crash_step, crash_component=crash_component)
     return DynamicWorkload(
         "crashy", _MODELS, total_nodes=48, steps=steps, drift=drift,
@@ -33,27 +34,21 @@ def _workload(crash_step, crash_component="mid", steps=20):
     )
 
 
-def _window_config(migration_steps=3):
-    # Free, always-beneficial migrations: the decision at step 5 is
-    # guaranteed to open a window spanning steps 6..8.
-    return DynlbConfig(
-        interval=6,
-        migration_steps=migration_steps,
-        gain_factor=0.0,
-        migration=MigrationCostModel(fixed_seconds=0.0, per_node_seconds=0.0),
-    )
+#: The crash one step after the decision step: it preempts the landing.
+IN_WINDOW = 6
 
 
 def test_crash_inside_the_window_aborts_the_in_flight_move():
-    # Decision at step 5 opens a window landing at step 8; crash at 7.
-    result = RebalanceController(_workload(crash_step=7), "diffusion",
-                                 _window_config()).run()
+    # Decision at step 5 opens a window landing at step 6; the crash fires
+    # at the top of step 6, before the move lands.
+    result = RebalanceController(_workload(crash_step=IN_WINDOW), "diffusion",
+                                 interval=6).run()
     assert result.crash is not None
-    assert result.crash.step == 7
+    assert result.crash.step == IN_WINDOW
     assert result.crash.aborted_migration is True
     assert result.aborted == 1
     aborted = [e for e in result.events if e.outcome == "aborted"]
-    assert aborted[0].step == 7
+    assert aborted[0].step == IN_WINDOW
     # The aborted target never became the running allocation: the recovery
     # event's `old` is the pre-crash plan, not the in-flight target.
     recovery = [e for e in result.events if e.reason == "crash"]
@@ -63,8 +58,8 @@ def test_crash_inside_the_window_aborts_the_in_flight_move():
 
 
 def test_recovery_allocation_is_consistent_with_the_surviving_budget():
-    workload = _workload(crash_step=7)
-    result = RebalanceController(workload, "diffusion", _window_config()).run()
+    workload = _workload(crash_step=IN_WINDOW)
+    result = RebalanceController(workload, "diffusion", interval=6).run()
     survivors = workload.total_nodes - result.crash.lost_nodes
     recovery = [e for e in result.events if e.reason == "crash"][0]
     # (b) nothing is scheduled on the dead nodes...
@@ -76,24 +71,24 @@ def test_recovery_allocation_is_consistent_with_the_surviving_budget():
     assert all(n >= 1 for n in result.final_allocation.values())
     # Every post-crash migration stays inside the shrunken budget too.
     for event in result.events:
-        if event.outcome == "applied" and event.step > 7:
+        if event.outcome == "applied" and event.step > IN_WINDOW:
             assert sum(event.new.values()) <= survivors
 
 
 def test_crash_outside_the_window_aborts_nothing():
-    # The first window spans steps 6..8 and the next decision is at 11,
-    # so a crash at 10 finds no pending move.
-    result = RebalanceController(_workload(crash_step=10), "diffusion",
-                                 _window_config()).run()
+    # The first window lands at step 6 and nothing is decided at step 7,
+    # so a crash at 8 finds no pending move.
+    result = RebalanceController(_workload(crash_step=8), "diffusion",
+                                 interval=6).run()
     assert result.crash is not None
     assert result.crash.aborted_migration is False
     assert result.aborted == 0
-    assert result.migrations >= 1  # the step-8 landing plus the forced recovery
+    assert result.migrations >= 2  # the step-6 landing plus the forced recovery
 
 
 def test_crash_penalty_and_forced_move_are_charged():
-    result = RebalanceController(_workload(crash_step=7), "diffusion",
-                                 _window_config()).run()
+    result = RebalanceController(_workload(crash_step=IN_WINDOW), "diffusion",
+                                 interval=6).run()
     assert result.crash_seconds > 0.0
     assert result.crash_seconds == pytest.approx(result.crash.penalty_seconds)
     assert result.total_seconds == pytest.approx(
@@ -104,8 +99,8 @@ def test_crash_penalty_and_forced_move_are_charged():
 def test_every_strategy_recovers_consistently():
     """Static and MINLP strategies alike must satisfy the invariant."""
     for strategy in ("static", "hslb", "sweep"):
-        workload = _workload(crash_step=7)
-        result = RebalanceController(workload, strategy, _window_config()).run()
+        workload = _workload(crash_step=IN_WINDOW)
+        result = RebalanceController(workload, strategy, interval=6).run()
         assert result.crash is not None, strategy
         survivors = workload.total_nodes - result.crash.lost_nodes
         assert sum(result.final_allocation.values()) <= survivors, strategy
@@ -114,8 +109,8 @@ def test_every_strategy_recovers_consistently():
 
 def test_crash_recovery_is_deterministic():
     runs = [
-        RebalanceController(_workload(crash_step=7), "diffusion",
-                            _window_config()).run().to_dict()
+        RebalanceController(_workload(crash_step=IN_WINDOW), "diffusion",
+                            interval=6).run().to_dict()
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -127,9 +122,7 @@ def test_fmo_crash_scenario_end_to_end():
     workload = fmo_workload(
         fragments=5, total_nodes=40, steps=18, seed=3, faults=plan
     )
-    results = compare_strategies(
-        workload, ("static", "diffusion"), DynlbConfig(interval=4)
-    )
+    results = compare_strategies(workload, ("static", "diffusion"), interval=4)
     for name, result in results.items():
         assert result.crash is not None, name
         survivors = workload.total_nodes - result.crash.lost_nodes
@@ -154,7 +147,7 @@ def test_recovery_fits_the_survivors_when_a_floor_exceeds_the_greedy_count(strat
     the heap alone would give ``small`` 4 nodes: raising it to its floor of
     10 afterwards, as the recovery once did, overspent the machine."""
     workload = _floored_workload({"small": 10})
-    result = RebalanceController(workload, strategy, DynlbConfig(interval=6)).run()
+    result = RebalanceController(workload, strategy, interval=6).run()
     survivors = workload.total_nodes - result.crash.lost_nodes
     recovery = [e for e in result.events if e.reason == "crash"][0]
     assert sum(recovery.new.values()) <= survivors

@@ -4,9 +4,8 @@ import pytest
 
 from repro.core.greedy import greedy_minmax_allocation
 from repro.core.spec import Allocation
-from repro.dynlb.controller import DynlbConfig, RebalanceController
+from repro.dynlb.controller import RebalanceController
 from repro.dynlb.drift import DriftProfile, DriftSpec
-from repro.dynlb.migration import MigrationCostModel
 from repro.dynlb.rebalancer import (
     STRATEGIES,
     DiffusionRebalancer,
@@ -191,16 +190,12 @@ def _drifting_workload(case: int) -> DynamicWorkload:
 
 @pytest.mark.parametrize("strategy", ("diffusion", "sweep", "two-level", "hslb"))
 def test_every_proposal_of_a_run_conserves_the_budget_and_the_floors(strategy):
-    """Free migrations on a short cadence, so a run is mostly proposals —
-    including the one made on the survivors right after a crash."""
-    config = DynlbConfig(
-        interval=3, gain_factor=0.0,
-        migration=MigrationCostModel(fixed_seconds=0.0, per_node_seconds=0.0),
-    )
+    """A short cadence, so a run is mostly proposals — including the one
+    made on the survivors right after a crash."""
     for case in range(6):
         workload = _drifting_workload(case)
         recorded = _Recorded(make_rebalancer(strategy))
-        result = RebalanceController(workload, recorded, config).run()
+        result = RebalanceController(workload, recorded, interval=3).run()
         assert len(recorded.calls) >= 4, case
         for ctx, proposal in recorded.calls:
             assert set(proposal) == set(workload.components), (case, ctx.step)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dynlb.refit import DriftAwareRefitter, RefitConfig
+from repro.dynlb.refit import MIN_REFIT_POINTS, STALE_PATIENCE, DriftAwareRefitter
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -31,13 +31,14 @@ def test_error_stays_low_when_the_model_tracks():
 
 
 def test_staleness_trips_after_patience_and_clears():
-    config = RefitConfig(alpha=0.25, stale_error=0.15, stale_patience=2)
-    refitter = DriftAwareRefitter(_BASE, config)
+    refitter = DriftAwareRefitter(_BASE)
     base_time = _BASE["c"].time(16)
     # A sudden 3x slowdown: the EWMA scale lags, so the relative error
-    # stays above the threshold for several consecutive steps.
-    for step in range(4):
+    # crosses the threshold at the second step and stays above it.
+    for step in range(STALE_PATIENCE):
         refitter.observe(step, "c", 16, 3.0 * base_time)
+    assert not refitter.any_stale()  # one bad step short of the patience
+    refitter.observe(STALE_PATIENCE, "c", 16, 3.0 * base_time)
     assert refitter.is_stale("c")
     assert refitter.any_stale()
     refitter.clear_stale()
@@ -58,9 +59,10 @@ def test_full_refit_refuses_clustered_node_counts():
 
 
 def test_full_refit_needs_enough_points():
-    refitter = DriftAwareRefitter(_BASE, RefitConfig(min_refit_points=6))
-    refitter.observe(0, "c", 8, _BASE["c"].time(8))
-    refitter.observe(1, "c", 32, _BASE["c"].time(32))
+    refitter = DriftAwareRefitter(_BASE)
+    for step in range(MIN_REFIT_POINTS - 1):
+        n = (8, 32)[step % 2]
+        refitter.observe(step, "c", n, _BASE["c"].time(n))
     assert refitter.maybe_full_refit("c") is False
 
 
@@ -96,14 +98,6 @@ def test_full_refit_keeps_scaled_model_when_it_already_fits():
 def test_validation_errors():
     with pytest.raises(ValueError, match="at least one base model"):
         DriftAwareRefitter({})
-    with pytest.raises(ValueError, match="alpha"):
-        RefitConfig(alpha=0.0)
-    with pytest.raises(ValueError, match="stale_error"):
-        RefitConfig(stale_error=-1.0)
-    with pytest.raises(ValueError, match="window"):
-        RefitConfig(window=1)
-    with pytest.raises(ValueError, match="decay"):
-        RefitConfig(decay=1.5)
 
 
 def test_models_view_covers_every_component():

@@ -23,7 +23,7 @@ import repro.minlp
 from repro.core.builder import AllocationModelBuilder
 from repro.core.objectives import Objective
 from repro.core.spec import Allocation
-from repro.dynlb import DynlbConfig, cesm_workload, compare_strategies, fmo_workload
+from repro.dynlb import cesm_workload, compare_strategies, fmo_workload
 from repro.dynlb.rebalancer import HSLBRebalancer, RebalanceContext, TwoLevelRebalancer
 from repro.faults.plan import FaultPlan
 from repro.fmo.molecules import protein_like, water_cluster
@@ -231,12 +231,11 @@ def test_one_budget_row_call_sites_never_run_a_minlp(monkeypatch):
         assert proposal.total() <= 120 and proposal["frag0"] >= 20
 
     # The two bench_dynlb.py scenarios.
-    config = DynlbConfig(interval=8)
     cesm = cesm_workload(total_nodes=96, steps=40, drift="linear", drift_rate=0.8, seed=7)
-    assert set(compare_strategies(cesm, config=config)) >= {"hslb", "two-level"}
+    assert set(compare_strategies(cesm, interval=8)) >= {"hslb", "two-level"}
     crash = fmo_workload(
         fragments=6, total_nodes=64, steps=26, drift="step", seed=7,
         faults=FaultPlan(seed=7, crash_step=13),
     )
-    for result in compare_strategies(crash, ("static", "hslb"), config).values():
+    for result in compare_strategies(crash, ("static", "hslb"), interval=8).values():
         assert result.crash is not None

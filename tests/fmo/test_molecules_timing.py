@@ -13,7 +13,6 @@ from repro.fmo.molecules import (
 from repro.fmo.timing import (
     MachineCalibration,
     dimer_model,
-    fragment_workload,
     monomer_model,
     total_fragment_model,
 )
@@ -104,18 +103,18 @@ def test_calibration_validation():
         MachineCalibration(dimer_factor=-1.0)
 
 
-def test_fragment_workload_accounts_dimers(rng):
-    sys_ = water_cluster(6, rng)
-    load = fragment_workload(sys_)
-    assert set(load) == set(range(6))
-    # Every fragment must at least carry its monomer SCC cost.
-    mono = sys_.scc_iterations * monomer_model(sys_.fragments[0]).time(1)
-    assert all(v >= mono - 1e-12 for v in load.values())
-
-
 def test_total_fragment_model_consistent_with_workload(rng):
+    """On one node a fragment's model is its work: its SCC iterations of
+    monomer SCF plus half of every dimer it belongs to."""
     sys_ = protein_like(8, rng)
-    load = fragment_workload(sys_)
+    load = {
+        f.index: sys_.scc_iterations * monomer_model(f).time(1)
+        for f in sys_.fragments
+    }
+    for i, j in sys_.dimer_pairs():
+        cost = dimer_model(sys_.fragments[i], sys_.fragments[j]).time(1)
+        load[i] += 0.5 * cost
+        load[j] += 0.5 * cost
     for f in sys_.fragments:
         model = total_fragment_model(sys_, f)
         assert model.time(1) == pytest.approx(load[f.index], rel=1e-9)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.perf.fitting as fitting
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark
-from repro.perf.fitting import fit_component, fit_performance_model, fit_suite
+from repro.perf.fitting import FIT_STARTS, fit_component, fit_performance_model, fit_suite
+from repro.perf.trf import least_squares_trf
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -34,7 +36,7 @@ def test_exact_recovery_amdahl():
 def test_exact_recovery_with_nln_term():
     truth = PerformanceModel(a=5000.0, b=0.004, c=1.4, d=10.0)
     n, y = _samples(truth, [8, 16, 32, 64, 128, 256, 512, 1024])
-    fit = fit_performance_model(n, y, multistart=8, rng=default_rng(3))
+    fit = fit_performance_model(n, y, rng=default_rng(3))
     assert fit.r_squared > 0.99999
     for probe in (12, 100, 900):
         assert fit.model.time(probe) == pytest.approx(truth.time(probe), rel=5e-3)
@@ -67,32 +69,38 @@ def test_parameters_nonnegative_constraint_respected(rng):
 
 
 def test_convex_flag_bounds_exponent(rng):
+    """The convex bound is unconditional: even data from a concave ``n^c``
+    term fits a curve with ``c >= 1`` (the MINLP must stay convex)."""
     truth = PerformanceModel(a=50.0, b=0.5, c=0.4, d=0.0)  # concave nln term
     n, y = _samples(truth, [1, 2, 4, 8, 16, 32, 64])
-    convex_fit = fit_performance_model(n, y, convex=True, rng=rng)
+    convex_fit = fit_performance_model(n, y, rng=rng)
     assert convex_fit.model.c >= 1.0 - 1e-12
     assert convex_fit.model.is_convex
-    raw_fit = fit_performance_model(n, y, convex=False, multistart=10, rng=rng)
-    assert raw_fit.rss <= convex_fit.rss + 1e-9  # relaxing bounds can't hurt
 
 
-def test_multistart_finds_no_worse_fit(rng):
+def test_multistart_finds_no_worse_fit(rng, monkeypatch):
+    """Every one of the ``FIT_STARTS`` starts is solved, and the fit keeps
+    the best: no worse than any start, the heuristic first one included."""
     truth = PerformanceModel(a=1000.0, b=0.01, c=1.8, d=3.0)
     n, y = _samples(truth, [4, 8, 16, 32, 64, 128, 256], rng=rng, noise=0.03)
-    single = fit_performance_model(n, y, multistart=1, rng=default_rng(1))
-    multi = fit_performance_model(n, y, multistart=10, rng=default_rng(1))
-    assert multi.rss <= single.rss + 1e-9
-    assert multi.starts_tried == 10
+    costs = []
+
+    def recording(*args, **kwargs):
+        res = least_squares_trf(*args, **kwargs)
+        costs.append(float(res.cost))
+        return res
+
+    monkeypatch.setattr(fitting, "least_squares_trf", recording)
+    multi = fit_performance_model(n, y, rng=default_rng(1))
+    assert multi.starts_tried == len(costs) == FIT_STARTS
+    assert multi.rss == pytest.approx(2.0 * min(costs), rel=1e-9)  # cost = rss / 2
 
 
 def test_local_optima_give_similar_allocation_quality():
     """Paper §III-C: different local optima -> similar predicted times."""
     truth = PerformanceModel(a=2000.0, b=0.02, c=1.2, d=8.0)
     n, y = _samples(truth, [8, 32, 128, 512])
-    fits = [
-        fit_performance_model(n, y, multistart=1, rng=default_rng(seed))
-        for seed in range(5)
-    ]
+    fits = [fit_performance_model(n, y, rng=default_rng(seed)) for seed in range(5)]
     probes = np.array([16.0, 64.0, 256.0])
     preds = np.array([f.model.time(probes) for f in fits])
     spread = preds.max(axis=0) - preds.min(axis=0)
@@ -119,10 +127,6 @@ def test_input_validation():
         fit_performance_model(np.array([1.0, -2.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="equal length"):
         fit_performance_model(np.array([1.0, 2.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="multistart"):
-        fit_performance_model(
-            np.array([1.0, 2.0]), np.array([2.0, 1.0]), multistart=0
-        )
     with pytest.raises(ValueError, match="weights"):
         fit_performance_model(
             np.array([1.0, 2.0]), np.array([2.0, 1.0]), weights=np.array([1.0])
@@ -157,7 +161,7 @@ def test_recovery_property_amdahl_family(a, d):
     """Property: noiseless Amdahl data is recovered with near-perfect R²."""
     truth = PerformanceModel(a=a, d=d)
     n = np.array([4.0, 16.0, 64.0, 256.0, 1024.0])
-    fit = fit_performance_model(n, truth.time(n), multistart=1)
+    fit = fit_performance_model(n, truth.time(n))
     assert fit.r_squared > 1 - 1e-6
     preds = fit.model.time(n)
     np.testing.assert_allclose(preds, truth.time(n), rtol=1e-3)

@@ -33,33 +33,6 @@ def test_fit_suite_raises_on_degenerate_by_default():
         fit_suite(suite, rng=default_rng(0))
 
 
-def test_fit_suite_skips_and_reports_degenerate():
-    suite = BenchmarkSuite(
-        [
-            _bench("good", COUNTS, MODEL),
-            ComponentBenchmark("thin", [ScalingObservation(16, 53.0)]),
-        ]
-    )
-    skipped = {}
-    fits = fit_suite(
-        suite, rng=default_rng(0), skip_degenerate=True, skipped=skipped
-    )
-    assert set(fits) == {"good"}
-    assert set(skipped) == {"thin"}
-    assert "1" in skipped["thin"]  # reason mentions the point count
-    # The healthy component's fit is unaffected by the skip.
-    assert float(fits["good"].model.time(64)) == pytest.approx(
-        float(MODEL.time(64)), rel=0.05
-    )
-
-
-def test_fit_suite_skip_degenerate_without_out_mapping():
-    suite = BenchmarkSuite(
-        [ComponentBenchmark("thin", [ScalingObservation(16, 53.0)])]
-    )
-    assert fit_suite(suite, rng=default_rng(0), skip_degenerate=True) == {}
-
-
 def test_all_outlier_column_huber_beats_linear():
     """R2 unit check: when every replicate at one node count is inflated 4x,
     the robust loss shrugs the column off while least squares chases it."""

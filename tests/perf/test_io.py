@@ -76,7 +76,7 @@ def test_loaded_suite_usable_by_pipeline(suite, tmp_path):
     from repro.perf.fitting import fit_suite
 
     loaded = load_suite(save_suite(suite, tmp_path / "b.json"))
-    fits = fit_suite(loaded, multistart=2)
+    fits = fit_suite(loaded)
     assert set(fits) == {"atm", "ocn"}
 
 

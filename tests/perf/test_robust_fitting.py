@@ -13,7 +13,7 @@ import pytest
 from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
 from repro.cesm.simulator import CESMSimulator
-from repro.core.hslb import HSLBConfig, HSLBOptimizer
+from repro.core.hslb import HSLBOptimizer
 from repro.perf.fitting import fit_performance_model
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
@@ -95,7 +95,7 @@ def test_pipeline_with_outliers_huber_beats_plain():
     def run(loss, seed=31):
         app = CESMApplication(one_degree(), outlier_prob=0.18, outlier_scale=4.0,
                               benchmark_runs_per_count=2)
-        opt = HSLBOptimizer(app, HSLBConfig(fit_loss=loss))
+        opt = HSLBOptimizer(app, fit_loss=loss)
         rng = default_rng(seed)
         suite = opt.gather([32, 64, 128, 256, 512, 1024, 2048], rng)
         fits = opt.fit(suite, rng)
@@ -114,4 +114,4 @@ def test_pipeline_with_outliers_huber_beats_plain():
 
 def test_config_rejects_unknown_loss():
     with pytest.raises(ValueError, match="fit loss"):
-        HSLBConfig(fit_loss="tukey")
+        HSLBOptimizer(CESMApplication(one_degree()), fit_loss="tukey")

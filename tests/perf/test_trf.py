@@ -5,8 +5,8 @@
 each call a fit makes is replayed through ``scipy.optimize.least_squares``,
 and the two must agree on the bytes of ``x`` and on ``cost``, ``status``
 and ``nfev``.  The calls come from the ledger's own instances (every
-``cesm_table3`` and ``fmo_ladder`` component, as the pipeline fits them and
-under every loss, weighted or not, and with ``convex=False``) and from keyed
+``cesm_table3`` and ``fmo_ladder`` component, as the pipeline fits them,
+under every loss, and with the refitter's age-decay weights) and from keyed
 draws.
 """
 
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.perf.fitting as fitting
 from repro.core.hslb import HSLBOptimizer
-from repro.perf.fitting import _C_MAX, fit_component, fit_performance_model
+from repro.perf.fitting import _C_MAX, FIT_STARTS, fit_component, fit_performance_model
 from repro.perf.model import PerformanceModel
 from repro.perf.trf import least_squares_trf
 from repro.util.rng import keyed_rng
@@ -91,8 +91,8 @@ _BLOCKS = [("cesm", i) for i in range(6)] + [("fmo", i) for i in range(3)]
 @pytest.mark.parametrize("kind,index", _BLOCKS, ids=[f"{k}{i}" for k, i in _BLOCKS])
 def test_every_catalogue_component_fits_bit_identically(catalogue, oracle, kind, index):
     """The pipeline's own fits (five starts, one RNG stream), then every
-    component under each loss, weighted and unweighted, and with the raw
-    ``c >= 0`` bound (two starts each: the heuristic one and a random one)."""
+    component under each loss, and weighted as the dynlb refitter weights a
+    window (five starts each: the heuristic one and four random ones)."""
     blocks = catalogue.cesm_blocks() if kind == "cesm" else catalogue.fmo_blocks()
     block = blocks[index]
     opt = HSLBOptimizer(block.make_app())
@@ -100,18 +100,15 @@ def test_every_catalogue_component_fits_bit_identically(catalogue, oracle, kind,
     suite = opt.gather(block.campaign, rng)
     opt.fit(suite, rng)
     pipeline_calls = oracle.calls
-    assert pipeline_calls == 5 * len(list(suite))
+    assert pipeline_calls == FIT_STARTS * len(list(suite))
 
     for name in suite:
         for loss in ("linear", "huber", "soft_l1"):
-            for weighted in (False, True):
-                fit_component(
-                    suite[name], multistart=2, rng=np.random.default_rng(7),
-                    loss=loss, weighted=weighted,
-                )
+            fit_component(suite[name], rng=np.random.default_rng(7), loss=loss)
         n, y = suite[name].arrays()
-        fit_performance_model(n, y, convex=False, multistart=2, rng=np.random.default_rng(3))
-    assert oracle.calls == pipeline_calls + 14 * len(list(suite))
+        decay = 0.92 ** np.arange(n.size)[::-1]
+        fit_performance_model(n, y, rng=np.random.default_rng(3), weights=decay)
+    assert oracle.calls == pipeline_calls + 4 * FIT_STARTS * len(list(suite))
 
 
 @settings(max_examples=30, deadline=None)
@@ -121,12 +118,13 @@ def test_every_catalogue_component_fits_bit_identically(catalogue, oracle, kind,
     noise=st.sampled_from([0.0, 0.02, 0.1]),
     c=st.sampled_from([1.0, _C_MAX, None]),
     loss=st.sampled_from(["linear", "huber", "soft_l1"]),
-    convex=st.booleans(),
+    weighted=st.booleans(),
 )
-def test_keyed_draws_fit_bit_identically(key, points, noise, c, loss, convex):
-    """D = 2..10 noise-free and noisy observations of a curve whose exponent
-    sits on either bound (``c`` = 1 or ``_C_MAX``) or anywhere between."""
-    rng = keyed_rng(key, "trf", points, noise, c, loss, convex)
+def test_keyed_draws_fit_bit_identically(key, points, noise, c, loss, weighted):
+    """D = 2..10 noise-free and noisy observations, weighted or not, of a
+    curve whose exponent sits on either bound (``c`` = 1 or ``_C_MAX``), or
+    anywhere between, or below the fit's convex bound."""
+    rng = keyed_rng(key, "trf", points, noise, c, loss, weighted)
     n = np.unique(rng.integers(1, 40_000, size=4 * points).astype(float))[:points]
     truth = PerformanceModel(
         a=float(rng.uniform(10.0, 1e5)),
@@ -135,14 +133,15 @@ def test_keyed_draws_fit_bit_identically(key, points, noise, c, loss, convex):
         d=float(rng.uniform(0.0, 50.0)),
     )
     y = truth.time(n) * np.exp(rng.normal(0.0, noise, n.size))
+    weights = rng.uniform(0.1, 1.0, n.size) if weighted else None
     replay = _Oracle()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "least_squares_trf", replay)
         try:
-            fit_performance_model(n, y, convex=convex, rng=rng, loss=loss)
+            fit_performance_model(n, y, rng=rng, loss=loss, weights=weights)
         except RuntimeError:  # every start refused: both sides agreed on each
             pass
-    assert replay.calls == 5
+    assert replay.calls == FIT_STARTS
 
 
 def _amdahl_problem():

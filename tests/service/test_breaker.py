@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import BreakerPolicy, CircuitBreaker
-from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.service import CircuitBreaker
+from repro.service.breaker import (
+    CLOSED,
+    FAILURE_THRESHOLD,
+    HALF_OPEN,
+    OPEN,
+    RESET_TIMEOUT,
+)
 
 
 class FakeClock:
@@ -24,17 +30,22 @@ def clock() -> FakeClock:
     return FakeClock()
 
 
-def make(clock, **kwargs) -> CircuitBreaker:
-    defaults = dict(failure_threshold=2, reset_timeout=10.0)
-    defaults.update(kwargs)
-    return CircuitBreaker(BreakerPolicy(**defaults), clock=clock)
+def make(clock) -> CircuitBreaker:
+    return CircuitBreaker(clock=clock)
+
+
+def trip(br: CircuitBreaker, key: str = "fam") -> None:
+    """Exactly enough consecutive failures to open ``key``."""
+    for _ in range(FAILURE_THRESHOLD):
+        br.record_failure(key)
 
 
 def test_consecutive_failures_open_the_breaker(clock):
     br = make(clock)
-    assert br.allow("fam")
-    br.record_failure("fam")
-    assert br.allow("fam")  # one failure: still closed
+    for _ in range(FAILURE_THRESHOLD - 1):
+        assert br.allow("fam")
+        br.record_failure("fam")
+    assert br.allow("fam")  # one failure short: still closed
     br.record_failure("fam")
     assert br.state("fam") == OPEN
     assert not br.allow("fam")
@@ -42,7 +53,8 @@ def test_consecutive_failures_open_the_breaker(clock):
 
 def test_success_resets_the_failure_streak(clock):
     br = make(clock)
-    br.record_failure("fam")
+    for _ in range(FAILURE_THRESHOLD - 1):
+        br.record_failure("fam")
     br.record_success("fam")
     br.record_failure("fam")
     assert br.state("fam") == CLOSED
@@ -50,12 +62,11 @@ def test_success_resets_the_failure_streak(clock):
 
 def test_half_open_probe_success_closes(clock):
     br = make(clock)
-    br.record_failure("fam")
-    br.record_failure("fam")
-    clock.advance(10.0)
+    trip(br)
+    clock.advance(RESET_TIMEOUT)
     assert br.state("fam") == HALF_OPEN
     assert br.allow("fam")  # the probe
-    assert not br.allow("fam")  # probe_limit=1: no second probe
+    assert not br.allow("fam")  # one probe at a time
     br.record_success("fam")
     assert br.state("fam") == CLOSED
     assert br.allow("fam")
@@ -63,13 +74,12 @@ def test_half_open_probe_success_closes(clock):
 
 def test_half_open_probe_failure_reopens_with_fresh_timeout(clock):
     br = make(clock)
-    br.record_failure("fam")
-    br.record_failure("fam")
-    clock.advance(10.0)
+    trip(br)
+    clock.advance(RESET_TIMEOUT)
     assert br.allow("fam")
     br.record_failure("fam")
     assert br.state("fam") == OPEN
-    clock.advance(9.0)  # fresh timeout: 9s into the *new* open window
+    clock.advance(RESET_TIMEOUT - 1.0)  # 1 s short of the *new* window's end
     assert not br.allow("fam")
     clock.advance(1.0)
     assert br.allow("fam")
@@ -77,54 +87,23 @@ def test_half_open_probe_failure_reopens_with_fresh_timeout(clock):
 
 def test_open_blocks_until_reset_timeout(clock):
     br = make(clock)
-    br.record_failure("fam")
-    br.record_failure("fam")
-    clock.advance(9.99)
+    trip(br)
+    clock.advance(RESET_TIMEOUT - 0.01)
     assert not br.allow("fam")
     assert br.state("fam") == OPEN
 
 
 def test_families_are_isolated(clock):
     br = make(clock)
-    br.record_failure("a")
-    br.record_failure("a")
+    trip(br, "a")
     assert not br.allow("a")
     assert br.allow("b")
     assert br.state("b") == CLOSED
 
 
-def test_multi_probe_policy(clock):
-    br = make(clock, probe_limit=2, successes_to_close=2)
-    br.record_failure("fam")
-    br.record_failure("fam")
-    clock.advance(10.0)
-    assert br.allow("fam")
-    assert br.allow("fam")
-    assert not br.allow("fam")  # both probe slots consumed
-    br.record_success("fam")
-    assert br.state("fam") == HALF_OPEN  # needs 2 successes
-    br.record_success("fam")
-    assert br.state("fam") == CLOSED
-
-
 def test_snapshot_reports_state_and_opens(clock):
     br = make(clock)
-    br.record_failure("fam")
-    br.record_failure("fam")
+    trip(br)
     snap = br.snapshot()
     assert snap["fam"]["state"] == OPEN
     assert snap["fam"]["opens"] == 1
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"failure_threshold": 0},
-        {"reset_timeout": 0.0},
-        {"probe_limit": 0},
-        {"probe_limit": 1, "successes_to_close": 2},
-    ],
-)
-def test_policy_validation(kwargs):
-    with pytest.raises(ValueError):
-        BreakerPolicy(**kwargs)

@@ -18,8 +18,7 @@ from repro.service import (
     WorkerCrashError,
     greedy_outcome,
 )
-from repro.service.breaker import OPEN
-from repro.service.service import BreakerPolicy
+from repro.service.breaker import FAILURE_THRESHOLD, OPEN, RESET_TIMEOUT
 from repro.service.solver import solve_request, validate_outcome
 from tests.service.conftest import make_request
 
@@ -174,15 +173,21 @@ def test_corrupt_results_are_retried_not_served():
     )) is None
 
 
+#: Budgets of one family, each a distinct request (none is a cache hit).
+_FAMILY_BUDGETS = (64, 56, 72, 80)
+
+
+def _open_breaker(service: AllocationService) -> None:
+    """Fail ``FAILURE_THRESHOLD`` requests of one family in a row."""
+    for budget in _FAMILY_BUDGETS[:FAILURE_THRESHOLD]:
+        assert service.submit(make_request(budget)).source == "greedy"
+
+
 def test_breaker_opens_and_short_circuits_the_family():
     clock = FakeClock()
-    service = make_service(
-        clock,
-        breaker=BreakerPolicy(failure_threshold=1, reset_timeout=60.0),
-    )
+    service = make_service(clock)
     calls = break_solver(service)
-    first = service.submit(make_request(64))
-    assert first.source == "greedy"
+    _open_breaker(service)
     assert service.breaker.state(make_request(64).family_key()) == OPEN
     before = len(calls)
     # Same family, different budget: blocked before any solve attempt.
@@ -194,15 +199,12 @@ def test_breaker_opens_and_short_circuits_the_family():
 
 def test_breaker_closes_after_a_successful_probe():
     clock = FakeClock()
-    service = make_service(
-        clock,
-        breaker=BreakerPolicy(failure_threshold=1, reset_timeout=30.0),
-    )
+    service = make_service(clock)
     real = service._solve
     break_solver(service)
-    service.submit(make_request(64))  # opens the breaker
+    _open_breaker(service)
     service._solve = real  # the corner of the solver "recovers"
-    clock.advance(30.0)
+    clock.advance(RESET_TIMEOUT)
     probe = service.submit(make_request(48))  # half-open probe passes through
     assert probe.source == "exact"
     assert service.breaker.state(make_request(48).family_key()) == "closed"

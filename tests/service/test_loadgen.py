@@ -96,8 +96,6 @@ def test_spec_validation():
         TraceSpec(n_families=0)
     with pytest.raises(ValueError):
         TraceSpec(diurnal_amplitude=1.0)
-    with pytest.raises(ValueError):
-        TraceSpec(priority_mix=(("batch", -1.0),))
 
 
 def test_replay_accounts_for_every_event():

@@ -457,72 +457,6 @@ def test_serve_async_rejects_bad_shard_count(capsys):
     assert "shard" in capsys.readouterr().err
 
 
-def test_dynlb_command_table(capsys):
-    code = main(
-        [
-            "--seed", "5",
-            "dynlb", "--nodes", "64", "--steps", "16", "--interval", "4",
-            "--strategies", "static,diffusion,sweep",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "cesm-1deg" in out
-    assert "vs static" in out
-    for strategy in ("static", "diffusion", "sweep"):
-        assert strategy in out
-
-
-def test_dynlb_json_report(capsys):
-    import json
-
-    code = main(
-        [
-            "--seed", "5",
-            "dynlb", "--scenario", "fmo", "--fragments", "4", "--nodes", "32",
-            "--steps", "12", "--interval", "4",
-            "--strategies", "static,sweep", "--json",
-        ]
-    )
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc["strategies"]) == {"static", "sweep"}
-    assert doc["strategies"]["sweep"]["steps"] == 12
-    assert "vs_static_pct" in doc
-    assert doc["vs_static_pct"]["static"] == 0.0
-
-
-def test_dynlb_crash_run_reports_recovery(capsys):
-    code = main(
-        [
-            "--seed", "5",
-            "dynlb", "--nodes", "64", "--steps", "16", "--interval", "4",
-            "--strategies", "static,diffusion", "--crash-step", "7",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "crash:" in out
-    assert "re-planned on the survivors" in out
-
-
-def test_dynlb_unknown_strategy_is_a_clean_error(capsys):
-    assert main(["dynlb", "--strategies", "static,magic"]) == 2
-    assert "unknown" in capsys.readouterr().err
-
-
-def test_dynlb_determinism_across_runs(capsys):
-    argv = [
-        "--seed", "9",
-        "dynlb", "--nodes", "48", "--steps", "12", "--interval", "4",
-        "--strategies", "static,sweep", "--json",
-    ]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
-
-
 def _trace_dump(tmp_path):
     """A two-request JSONL trace dump; returns (path, first trace_id)."""
     from repro.obs.trace import get_tracer, span
