@@ -13,11 +13,14 @@ import numpy as np
 from repro.cesm.components import COMPONENTS
 from repro.cesm.grids import CESMConfiguration
 from repro.cesm.layouts import (
+    MINOR_HOSTS,
     Layout,
     allocation_from_solution,
+    direct_layout,
     formulate_layout,
 )
 from repro.cesm.simulator import CESMSimulator
+from repro.core.builder import AllocationModelBuilder
 from repro.core.spec import Allocation, Application, ExecutionResult
 from repro.faults.plan import FaultPlan
 from repro.minlp.problem import Problem
@@ -59,8 +62,6 @@ class CESMApplication(Application):
     @property
     def component_names(self) -> tuple[str, ...]:
         if self.include_minor_components:
-            from repro.cesm.layouts import MINOR_HOSTS
-
             minors = tuple(
                 m for m in MINOR_HOSTS if m in self.config.minor_ground_truth
             )
@@ -95,22 +96,52 @@ class CESMApplication(Application):
             attempt=attempt,
         )
 
+    def _minor_models(
+        self, models: Mapping[str, PerformanceModel]
+    ) -> dict[str, PerformanceModel] | None:
+        if not self.include_minor_components:
+            return None
+        return {m: models[m] for m in MINOR_HOSTS if m in models}
+
     def formulate(
         self, models: Mapping[str, PerformanceModel], total_nodes: int
     ) -> Problem:
-        minor_models = None
-        if self.include_minor_components:
-            from repro.cesm.layouts import MINOR_HOSTS
-
-            minor_models = {m: models[m] for m in MINOR_HOSTS if m in models}
         return formulate_layout(
             models,
             total_nodes,
             self.config,
             layout=self.layout,
             tsync=self.tsync,
-            minor_models=minor_models,
+            minor_models=self._minor_models(models),
         )
+
+    def direct_start(
+        self, models: Mapping[str, PerformanceModel], total_nodes: int
+    ) -> dict[str, float] | None:
+        """:func:`direct_layout`'s optimum as a discrete assignment of
+        :meth:`formulate`'s problem; ``None`` under Tsync (NLP-B&B's model)
+        or when the layout has no feasible allocation."""
+        if self.tsync is not None:
+            return None
+        found = direct_layout(
+            models,
+            total_nodes,
+            self.config,
+            layout=self.layout,
+            minor_models=self._minor_models(models),
+        )
+        if found is None:
+            return None
+        allocation, _ = found
+        start = {}
+        for comp, count in allocation.items():
+            start[f"n_{comp}"] = float(count)
+            allowed = self.config.allowed(comp)
+            if allowed is not None:
+                start.update(
+                    AllocationModelBuilder.run_binaries(comp, allowed, total_nodes, count)
+                )
+        return start
 
     def allocation_from_solution(self, solution: Solution) -> Allocation:
         return allocation_from_solution(solution)
@@ -127,8 +158,6 @@ class CESMApplication(Application):
     ) -> dict[str, float]:
         out = super().predicted_times(models, allocation)
         if self.include_minor_components:
-            from repro.cesm.layouts import MINOR_HOSTS
-
             for minor, host in MINOR_HOSTS.items():
                 if minor in models:
                     out[minor] = float(models[minor].time(allocation[host]))

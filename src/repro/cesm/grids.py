@@ -59,6 +59,10 @@ class CESMConfiguration:
     def component_min_nodes(self, name: str) -> int:
         return int(self.min_nodes.get(name, 1))
 
+    def allowed(self, name: str) -> DiscreteNodeSet | None:
+        """Component ``name``'s sweet-spot set; ``None``: any count."""
+        return {"atm": self.atm_allowed, "ocn": self.ocean_allowed}.get(name)
+
     def ocean_values_upto(self, cap: int) -> tuple[int, ...]:
         """Admissible ocean counts within a machine of ``cap`` nodes."""
         if self.ocean_allowed is None:

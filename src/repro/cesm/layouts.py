@@ -25,12 +25,19 @@ flag such models (``requires_nonconvex_solver``) so the HSLB pipeline
 automatically routes them to NLP-based branch-and-bound.  With
 ``tsync=None`` (the default, and the configuration every Table III number
 uses) the model stays convex and OA applies.
+
+:func:`direct_layout` answers the same problems without Tsync exactly and
+without a tree, by prefix minima over each component's curve; the pipeline
+starts OA from its answer and certifies the two against each other.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.cesm.components import COMPONENTS
 from repro.cesm.grids import CESMConfiguration
@@ -111,17 +118,12 @@ def formulate_layout(
     b = AllocationModelBuilder(f"cesm-{config.name}-layout{layout.value}", total_nodes)
     n = {}
     for comp in COMPONENTS:
-        allowed = None
-        if comp == "atm":
-            allowed = config.atm_allowed
-        elif comp == "ocn":
-            allowed = config.ocean_allowed
         n[comp] = b.add_component(
             comp,
             models[comp],
             min_nodes=config.component_min_nodes(comp),
             max_nodes=total_nodes,
-            allowed=allowed,
+            allowed=config.allowed(comp),
             encoding=(
                 sos_encoding
                 if isinstance(sos_encoding, str)
@@ -129,7 +131,17 @@ def formulate_layout(
             ),
         )
 
-    t_ub = b.time_upper_bound()
+    minor_models = minor_models or {}
+    unknown = set(minor_models) - set(MINOR_HOSTS)
+    if unknown:
+        raise ValueError(f"unknown minor components {sorted(unknown)}")
+    # The builder bounds one curve; the summed layouts, and minors riding
+    # their hosts, need every side of the makespan at its worst.  (Layout 1
+    # without minors never exceeds the builder's bound, which is kept.)
+    worst = {comp: b.worst_time(comp) for comp in COMPONENTS}
+    for minor, model in minor_models.items():
+        worst[minor] = b.worst_time(MINOR_HOSTS[minor], model)
+    t_ub = max(b.time_upper_bound(), layout_total_time(layout, worst) + 1.0)
     m = b.model
     T = m.var("T", lb=0.0, ub=t_ub)
     t_ice = b.time_expr("ice")
@@ -137,9 +149,6 @@ def formulate_layout(
     t_atm = b.time_expr("atm")
     t_ocn = b.time_expr("ocn")
     if minor_models:
-        unknown = set(minor_models) - set(MINOR_HOSTS)
-        if unknown:
-            raise ValueError(f"unknown minor components {sorted(unknown)}")
         # The minors ride their hosts' nodes sequentially.
         if "rtm" in minor_models:
             t_lnd = t_lnd + minor_models["rtm"].expression(n["lnd"])
@@ -170,6 +179,142 @@ def formulate_layout(
 
     m.minimize(T)
     return b.build()
+
+
+# -- the exact direct allocator ----------------------------------------------
+
+
+class _Curve(NamedTuple):
+    """One component's fitted time over ``n = 0..N``, with its prefix minima."""
+
+    time: np.ndarray  # T(n), +inf where n is not an admissible count
+    best: np.ndarray  # min of T(m) over m <= n (nonincreasing)
+
+    def fastest(self, budget: int) -> int:
+        """The smallest count ``<= budget`` with the least time."""
+        return int(np.argmin(self.time[: budget + 1]))
+
+
+def _curve(
+    model: PerformanceModel,
+    domain: np.ndarray,
+    total_nodes: int,
+    minor: PerformanceModel | None,
+) -> _Curve:
+    time = np.full(total_nodes + 1, np.inf)
+    x = domain.astype(float)
+    time[domain] = model.time(x) if minor is None else model.time(x) + minor.time(x)
+    return _Curve(time, np.minimum.accumulate(time))
+
+
+def _min_max_pair(one: _Curve, other: _Curve) -> np.ndarray:
+    """``f[m]``, the least ``max(T_one(p), T_other(q))`` over ``p + q <= m``,
+    for every ``m = 0..N``.
+
+    With ``B1``, ``B2`` the two prefix-minimum curves over ``0..N``,
+    ``f(m)`` is the ``(m + 1)``-th largest ``v`` of their ``2(N + 1)``
+    values taken together.  Each curve has ``N + 1`` values, all at least
+    its minimum, so ``v`` is at least both minima and each curve has a
+    cheapest count reaching ``v``; on a nonincreasing curve the values
+    strictly above ``v`` are exactly the counts below it, and at most ``m``
+    values lie strictly above ``v``, so the two cheapest counts fit in
+    ``m``.  Conversely a split ``p + q <= m`` at level ``w`` has at most
+    ``p + q`` values strictly above ``w``, so ``w >= v``.
+    """
+    merged = np.sort(
+        np.concatenate([one.best[::-1], other.best[::-1]]), kind="stable"
+    )  # two ascending runs: a merge
+    return merged[::-1][: len(one.best)]
+
+
+def _domain(config: CESMConfiguration, comp: str, total_nodes: int) -> np.ndarray:
+    """The counts :func:`formulate_layout` lets ``comp`` take (maybe none)."""
+    allowed = config.allowed(comp)
+    if allowed is None:
+        lo = max(1, config.component_min_nodes(comp))
+        return np.arange(lo, total_nodes + 1)
+    trimmed = allowed.up_to(total_nodes)
+    if trimmed is None:
+        return np.zeros(0, dtype=np.int64)
+    return np.fromiter(trimmed.values, dtype=np.int64, count=len(trimmed))
+
+
+def direct_layout(
+    models: Mapping[str, PerformanceModel],
+    total_nodes: int,
+    config: CESMConfiguration,
+    *,
+    layout: Layout = Layout.HYBRID,
+    minor_models: Mapping[str, PerformanceModel] | None = None,
+) -> tuple[Allocation, float] | None:
+    """The Table I optimum of ``layout`` by direct scan, or ``None`` when the
+    problem :func:`formulate_layout` builds from the same inputs (without
+    Tsync) has no feasible allocation.
+
+    Every side of a layout's makespan is a sum of univariate curves under
+    node budgets, so prefix minima ("the best time on at most ``r`` nodes")
+    answer each side exactly for every budget at once:
+
+    * *fully sequential* — separable: each component at its best on ``N``;
+    * *sequential group* — for each ocean count ``o``, ice, land and
+      atmosphere each take their best on ``N - o``;
+    * *hybrid* — ``f(m)``, the least ``max(T_ice, T_lnd)`` with
+      ``n_ice + n_lnd <= m``, is an order statistic of the two
+      prefix-minimum curves (:func:`_min_max_pair`); then one argmin over
+      the atmosphere's counts of
+      ``max(f(n_atm) + T_atm(n_atm), best_ocn(N - n_atm))``.
+
+    No convexity is assumed.  A minor component's curve is added to its
+    host's (rtm on lnd, cpl on atm).  Among co-optimal allocations the
+    smallest count of the scanned component (atmosphere, ocean) wins, ice
+    and land take their cheapest counts at the optimal level, and every
+    side component its fastest count within its budget.  The objective is
+    :func:`layout_total_time` at the model-predicted times.
+    """
+    missing = set(COMPONENTS) - set(models)
+    if missing:
+        raise ValueError(f"missing fitted models for {sorted(missing)}")
+    N = int(total_nodes)
+    minors = {MINOR_HOSTS[m]: model for m, model in (minor_models or {}).items()}
+    domain = {comp: _domain(config, comp, N) for comp in COMPONENTS}
+    curve = {
+        comp: _curve(models[comp], domain[comp], N, minors.get(comp))
+        for comp in COMPONENTS
+    }
+    ice, lnd, atm, ocn = (curve[c] for c in ("ice", "lnd", "atm", "ocn"))
+    if layout is Layout.HYBRID:
+        inner = _min_max_pair(ice, lnd)
+        n_atm = domain["atm"]
+        sides = np.maximum(inner[n_atm] + atm.time[n_atm], ocn.best[N - n_atm])
+        if not sides.size or not np.isfinite(sides.min()):
+            return None
+        a = int(n_atm[np.argmin(sides)])
+        level = inner[a]
+        nodes = {
+            "ice": int(np.argmax(ice.best <= level)),
+            "lnd": int(np.argmax(lnd.best <= level)),
+            "atm": a,
+            "ocn": ocn.fastest(N - a),
+        }
+    elif layout is Layout.SEQUENTIAL_GROUP:
+        n_ocn = domain["ocn"]
+        rest = N - n_ocn
+        group = ice.best[rest] + lnd.best[rest] + atm.best[rest]
+        sides = np.maximum(group, ocn.time[n_ocn])
+        if not sides.size or not np.isfinite(sides.min()):
+            return None
+        o = int(n_ocn[np.argmin(sides)])
+        nodes = {c: curve[c].fastest(N - o) for c in ("ice", "lnd", "atm")}
+        nodes["ocn"] = o
+    else:  # FULLY_SEQUENTIAL
+        if not all(np.isfinite(curve[c].best[N]) for c in COMPONENTS):
+            return None
+        nodes = {c: curve[c].fastest(N) for c in COMPONENTS}
+    allocation = Allocation({c: nodes[c] for c in COMPONENTS})
+    times = {c: float(models[c].time(allocation[c])) for c in COMPONENTS}
+    for minor, model in (minor_models or {}).items():
+        times[minor] = float(model.time(allocation[MINOR_HOSTS[minor]]))
+    return allocation, float(layout_total_time(layout, times))
 
 
 def allocation_from_solution(solution: Solution) -> Allocation:

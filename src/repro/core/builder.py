@@ -99,16 +99,31 @@ class DiscreteNodeSet:
         return i < len(self.values) and self.values[i] == int(n)
 
     def runs(self) -> list[tuple[int, int]]:
-        """Maximal runs of consecutive integers, as (lo, hi) pairs."""
+        """Maximal runs of consecutive integers, as (lo, hi) pairs.
+
+        ``values[j] - j`` is nondecreasing and constant exactly along a run,
+        so each run's last member is found by galloping then bisecting on
+        it: the 26 k-count atmosphere range costs a few dozen probes, not a
+        pass over the set.
+        """
+        vals = self.values
         out: list[tuple[int, int]] = []
-        lo = hi = self.values[0]
-        for v in self.values[1:]:
-            if v == hi + 1:
-                hi = v
-            else:
-                out.append((lo, hi))
-                lo = hi = v
-        out.append((lo, hi))
+        first = 0
+        while first < len(vals):
+            offset = vals[first] - first
+            last, beyond, step = first, first + 1, 1  # last: in the run
+            while beyond < len(vals) and vals[beyond] - beyond == offset:
+                last, step = beyond, 2 * step
+                beyond = last + step
+            beyond = min(beyond, len(vals))
+            while beyond - last > 1:
+                mid = (last + beyond) // 2
+                if vals[mid] - mid == offset:
+                    last = mid
+                else:
+                    beyond = mid
+            out.append((vals[first], vals[last]))
+            first = last + 1
         return out
 
     def nearest(self, n: float) -> int:
@@ -212,6 +227,23 @@ class AllocationModelBuilder:
         self.model.sos1(zs, weights=[float(lo) for lo, _ in runs], name=f"sos_{name}")
         return n
 
+    @staticmethod
+    def run_binaries(
+        name: str, allowed: DiscreteNodeSet, max_nodes: int, count: int
+    ) -> dict[str, float]:
+        """The selection binaries :meth:`_discrete_node_var` declares for
+        ``name`` under the run encoding (``allowed`` trimmed to
+        ``max_nodes``), valued for the admissible ``count``: 1 on the run
+        holding it, 0 on the others.  A set that trims to one run has none.
+        With the node counts, this completes a discrete assignment — what
+        :func:`repro.minlp.oa.solve_minlp_oa` takes as its ``start``."""
+        runs = allowed.up_to(max_nodes).runs()
+        if len(runs) == 1:
+            return {}
+        return {
+            f"z_{name}[{k}]": float(lo <= count <= hi) for k, (lo, hi) in enumerate(runs)
+        }
+
     def _value_encoded_var(self, name: str, trimmed: DiscreteNodeSet) -> VarRef:
         """Paper-literal encoding: sum z_k = 1, sum z_k O_k = n (lines 29-31)."""
         values = trimmed.values
@@ -277,14 +309,15 @@ class AllocationModelBuilder:
         but a tighter bound changes the OA tree on every pipeline block with
         floors above one node.
         """
-        worst = max(
-            (
-                max(float(model.time(1)), float(model.time(self._caps[name])))
-                for name, model in self._models.items()
-            ),
-            default=0.0,
-        )
+        worst = max((self.worst_time(name) for name in self._models), default=0.0)
         return 2.0 * worst + 1.0
+
+    def worst_time(self, name: str, model: PerformanceModel | None = None) -> float:
+        """The largest time ``model`` (by default ``name``'s own curve) takes
+        anywhere on ``name``'s node range ``[1, cap]``: at one end, since
+        every curve is unimodal."""
+        model = model or self._models[name]
+        return max(float(model.time(1)), float(model.time(self._caps[name])))
 
     def set_objective(self, objective: Objective = Objective.MIN_MAX) -> VarRef | None:
         """Install a §III-D objective over ALL component times.

@@ -16,7 +16,8 @@ Every step degrades gracefully when an application carries a fault plan
   remain);
 * **solve** walks a degradation chain — OA, then NLP-based branch-and-bound,
   then the greedy proportional fallback — and records the chosen tier as
-  provenance on :class:`HSLBResult`;
+  provenance on :class:`HSLBResult`; OA starts from the application's exact
+  direct answer when it has one, and the gap between the two is recorded;
 * **execute** survives a mid-run node-group crash by re-solving the
   allocation on the surviving nodes and re-running (static re-plan).
 """
@@ -148,13 +149,27 @@ class SolverAttempt:
     wall_time: float = 0.0
 
 
+#: Relative gap above which OA's answer beats the application's direct
+#: start: the direct algorithm missed the optimum.
+DIRECT_GAP_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SolverProvenance:
-    """Which solver tier produced the allocation, and why."""
+    """Which solver tier produced the allocation, and why.
+
+    ``direct_gap`` is the certificate of the application's exact direct
+    algorithm (:meth:`repro.core.spec.Application.direct_start`): the start's
+    objective minus the MINLP tier's, relative to ``max(1, |objective|)``.
+    ``None`` when the application has no direct algorithm or no MINLP tier
+    answered.  Above :data:`DIRECT_GAP_TOL` the direct algorithm missed the
+    optimum.
+    """
 
     tier: str
     reason: str
     attempts: tuple[SolverAttempt, ...] = ()
+    direct_gap: float | None = None
 
     @property
     def degraded(self) -> bool:
@@ -163,7 +178,10 @@ class SolverProvenance:
 
     def summary(self) -> str:
         chain = " -> ".join(f"{a.tier}[{a.status}]" for a in self.attempts)
-        return f"solver: {self.tier} ({self.reason}); chain: {chain}"
+        line = f"solver: {self.tier} ({self.reason}); chain: {chain}"
+        if self.direct_gap is not None:
+            line += f"; direct gap {self.direct_gap:.1e}"
+        return line
 
 
 @dataclass(frozen=True)
@@ -406,8 +424,11 @@ class HSLBOptimizer:
         fallback), each MINLP tier under the default ``BnBOptions`` wall
         limit; the chosen tier and the reason for every fallback are stored
         in :attr:`last_provenance` and threaded onto :class:`HSLBResult` by
-        the pipeline entry points.  Every solve is cold: no tier is handed a
-        starting point or cuts from an earlier solve.
+        the pipeline entry points.  When the application has an exact direct
+        algorithm (:meth:`~repro.core.spec.Application.direct_start`), OA
+        starts from that algorithm's answer for this solve's own problem and
+        the gap between the two is recorded as a certificate; nothing is
+        ever carried over from an earlier solve.
         """
         self.last_provenance = None
         models = {
@@ -425,10 +446,14 @@ class HSLBOptimizer:
         return allocation, solution
 
     def _solve_tier(
-        self, tier: str, problem: Problem, rng: np.random.Generator | None
+        self,
+        tier: str,
+        problem: Problem,
+        rng: np.random.Generator | None,
+        start: dict[str, float] | None,
     ) -> Solution:
         if tier == "oa":
-            return solve_minlp_oa(problem)
+            return solve_minlp_oa(problem, start=start)
         # Nonconvex rows can trap a node NLP in a local minimum: restart it.
         multistart = 3 if self.app.requires_nonconvex_solver else 1
         return solve_minlp_nlpbb(problem, multistart=multistart, rng=rng)
@@ -441,6 +466,7 @@ class HSLBOptimizer:
         rng: np.random.Generator | None,
     ) -> tuple[Allocation, Solution, SolverProvenance]:
         plan = getattr(self.app, "fault_plan", None)
+        start = self.app.direct_start(models, total_nodes)
         attempts: list[SolverAttempt] = []
         # OA cuts are invalid on nonconvex models; skip that tier.
         tiers = ["nlpbb"] if self.app.requires_nonconvex_solver else ["oa", "nlpbb"]
@@ -455,7 +481,7 @@ class HSLBOptimizer:
             else:
                 tick = time.perf_counter()
                 try:
-                    sol = self._solve_tier(tier, problem, rng)
+                    sol = self._solve_tier(tier, problem, rng, start)
                 except (ValueError, RuntimeError, FloatingPointError) as exc:
                     status, reason = "error", f"{type(exc).__name__}: {exc}"
                 else:
@@ -473,7 +499,12 @@ class HSLBOptimizer:
                 return (
                     self.app.allocation_from_solution(sol),
                     sol,
-                    SolverProvenance(tier=tier, reason=reason, attempts=tuple(attempts)),
+                    SolverProvenance(
+                        tier=tier,
+                        reason=reason,
+                        attempts=tuple(attempts),
+                        direct_gap=self._certify(start, sol, models),
+                    ),
                 )
             attempts.append(SolverAttempt(tier, status, reason, wall))
             telemetry.record_degradation(tier, next_tier, status, reason)
@@ -495,6 +526,24 @@ class HSLBOptimizer:
             solution,
             SolverProvenance(tier="greedy", reason=reason, attempts=tuple(attempts)),
         )
+
+    def _certify(
+        self,
+        start: dict[str, float] | None,
+        solution: Solution,
+        models: Mapping[str, PerformanceModel],
+    ) -> float | None:
+        """The direct start's relative gap to the MINLP tier's answer."""
+        if start is None:
+            return None
+        allocation = self.app.allocation_from_solution(
+            Solution(Status.FEASIBLE, values=start)
+        )
+        direct = self.app.predicted_total(models, allocation)
+        gap = (direct - solution.objective) / max(1.0, abs(solution.objective))
+        if gap > DIRECT_GAP_TOL:
+            telemetry.record_direct_miss(gap)
+        return gap
 
     # -- step 4: execute ------------------------------------------------------
 

@@ -140,6 +140,23 @@ class Application(abc.ABC):
             if name in models
         }
 
+    def direct_start(
+        self,
+        models: Mapping[str, PerformanceModel],
+        total_nodes: int,
+    ) -> dict[str, float] | None:
+        """An optimal discrete assignment of :meth:`formulate`'s problem,
+        from an exact direct algorithm, or ``None`` when there is none.
+
+        The assignment values every discrete variable of the problem (node
+        counts and selection binaries).  The pipeline hands it to OA as its
+        start and records the gap between its objective and OA's answer as a
+        certificate (:attr:`repro.core.hslb.SolverProvenance.direct_gap`).
+        The default has no direct algorithm.
+        """
+        del models, total_nodes
+        return None
+
     # -- resilience hooks (defaults suit min-max applications) ---------------
 
     def benchmark_run(

@@ -95,8 +95,13 @@ class BranchAndBound:
         options: BnBOptions | None = None,
         lazy_cuts: LazyCutCallback | None = None,
         known_cuts: set[str] | None = None,
+        incumbent: tuple[dict[str, float], float] | None = None,
     ) -> None:
         self.problem = problem
+        # A feasible ``(values, objective)`` known before the search (OA's
+        # start): the tree prunes against it from the root on, and returns
+        # it unless it finds something better by more than ``gap_abs``.
+        self.incumbent = incumbent
         self.opts = options or BnBOptions()
         self.lazy_cuts = lazy_cuts
         self._sign = -1.0 if problem.sense is Sense.MAXIMIZE else 1.0
@@ -215,6 +220,9 @@ class BranchAndBound:
 
         incumbent: dict[str, float] | None = None
         incumbent_obj = math.inf  # in minimize-sign space
+        if self.incumbent is not None:
+            incumbent = dict(self.incumbent[0])
+            incumbent_obj = sign * self.incumbent[1]
 
         counter = itertools.count()
         root = _Node({}, {})

@@ -24,7 +24,7 @@ make the linearized master a non-relaxation, so it is rejected loudly.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 
 from repro.minlp.bnb import BnBOptions, BranchAndBound
 from repro.minlp.cutpool import OACutPool
@@ -136,8 +136,8 @@ class _Master:
     def seed(self, root: dict[str, float]) -> int:
         """Install the starting cuts; returns how many seeds were added.
 
-        The tangents at the root relaxation come first, then — the seeds —
-        at the root with the discrete variables each row is nonlinear in
+        The tangents at ``root`` come first, then — the seeds — at ``root``
+        with the discrete variables each row is nonlinear in
         moved to their floor and to their ceiling (clipped to the bounds: an
         ``a/n`` row never sees ``n = 0``).  A row nonlinear in several of them gets the
         all-floor and the all-ceiling point, two cuts, not 2^k.
@@ -148,6 +148,8 @@ class _Master:
         bracketing every component's relaxed optimum, which is where the
         answer almost always is.  Any tangent of a convex row is valid, so
         bounds, branching, lazy cuts and exactness do not depend on this.
+        ``root`` is the root relaxation's optimum, or a start's subproblem
+        optimum, whose integers make every seed a repeat of its tangent.
         """
         self.add_cuts_at(root)
         before = self.stats.cuts_added
@@ -260,24 +262,55 @@ def _solve_fixed_subproblem(split: _FixedSplit, values: dict[str, float]) -> Sol
     return sub
 
 
-def solve_minlp_oa(problem: Problem, options: BnBOptions | None = None) -> Solution:
+def _solve_start(split: _FixedSplit, start: Mapping[str, float]) -> Solution:
+    """The fixed-integer subproblem at ``start``; a start outside the
+    variable bounds is an infeasible fixing like any other."""
+    discrete = split.work.discrete_variables()
+    missing = sorted(v.name for v in discrete if v.name not in start)
+    if missing:
+        raise ValueError(f"start has no value for discrete variables {missing}")
+    if any(not v.lb <= round(start[v.name]) <= v.ub for v in discrete):
+        return Solution(Status.INFEASIBLE, message="start outside the bounds")
+    return _solve_fixed_subproblem(split, dict(start))
+
+
+def solve_minlp_oa(
+    problem: Problem,
+    options: BnBOptions | None = None,
+    *,
+    start: Mapping[str, float] | None = None,
+) -> Solution:
     """Solve a convex MINLP with single-tree LP/NLP branch-and-bound.
 
     The wall budget is the one ``options`` carries.
 
-    Every solve starts cold.  Every cut comes from a per-solve
-    :class:`OACutPool`, which dedups repeated linearization points within
-    this tree; nothing outlives the solve, so the same problem always builds
-    the same master.
+    Without ``start`` the solve is cold: the root relaxation NLP seeds the
+    master.  ``start`` is a value for every discrete variable (an exact
+    direct algorithm's answer, say).  Its fixed-integer subproblem is solved
+    first; the master is seeded with the tangents at that point instead of
+    the root relaxation's, and the tree starts with it as its incumbent, so
+    a start at the optimum leaves the tree only the proof.  A start whose
+    fixing violates a row or a bound is dropped (the span's ``start`` tag
+    reads ``rejected``) and the solve runs cold.  The answer is optimal
+    either way; only which of several co-optimal points comes back can
+    differ.  A problem with no nonlinear row goes to the MILP solver, which
+    takes no start.
+
+    Every cut comes from a per-solve :class:`OACutPool`, which dedups
+    repeated linearization points within this tree; nothing outlives the
+    solve, so the same problem and start always build the same master.
     """
     with span("minlp.oa", problem=problem.name) as oa_span:
-        sol = _solve_minlp_oa_impl(problem, options, oa_span)
+        sol = _solve_minlp_oa_impl(problem, options, start, oa_span)
         telemetry.record_solve("oa", sol.stats, sol.status.value)
     return sol
 
 
 def _solve_minlp_oa_impl(
-    problem: Problem, options: BnBOptions | None, oa_span
+    problem: Problem,
+    options: BnBOptions | None,
+    start: Mapping[str, float] | None,
+    oa_span,
 ) -> Solution:
     opts = options or BnBOptions()
     work, has_eta = _epigraph_form(problem)
@@ -290,21 +323,35 @@ def _solve_minlp_oa_impl(
     stats = SolveStats()
     timer = Timer().start()
     pool = OACutPool()
+    split = _FixedSplit(work)
 
-    # Root relaxation: continuous NLP over the full model.  Its solution
-    # seeds the initial linearizations so the first master is meaningful.
-    root = solve_nlp(work)
-    stats.merge(root.stats)
-    oa_span.set_tag("root_nlp_ms", root.stats.wall_time * 1e3)
-    if root.status is Status.INFEASIBLE:
-        # The continuous relaxation is infeasible => the MINLP is infeasible
-        # (for convex models; NLP multistart covers solver failures).
-        stats.wall_time = timer.stop()
-        return Solution(Status.INFEASIBLE, stats=stats, message="NLP relaxation infeasible")
+    incumbent = None
+    if start is not None:
+        first = _solve_start(split, start)
+        stats.nlp_solves += first.stats.nlp_solves
+        oa_span.set_tag("start", "accepted" if first.status.is_ok else "rejected")
+        if first.status.is_ok:
+            incumbent = _candidate(problem, first.values, has_eta)
+    if incumbent is not None:
+        seed_point = first.values
+    else:
+        # Root relaxation: continuous NLP over the full model.  Its solution
+        # seeds the initial linearizations so the first master is meaningful.
+        root = solve_nlp(work)
+        stats.merge(root.stats)
+        oa_span.set_tag("root_nlp_ms", root.stats.wall_time * 1e3)
+        if root.status is Status.INFEASIBLE:
+            # The continuous relaxation is infeasible => the MINLP is
+            # infeasible (for convex models; NLP multistart covers solver
+            # failures).
+            stats.wall_time = timer.stop()
+            return Solution(
+                Status.INFEASIBLE, stats=stats, message="NLP relaxation infeasible"
+            )
+        seed_point = root.values
 
     master = _Master(work, nonlin, pool, stats)
-    seeded = master.seed(root.values)
-    split = _FixedSplit(work)
+    seeded = master.seed(seed_point)
     trace_event("oa.cut_pool.master", installed=len(master.installed))
 
     lazy_rounds = 0
@@ -318,11 +365,7 @@ def _solve_minlp_oa_impl(
         sub = _solve_fixed_subproblem(split, values)
         stats.nlp_solves += sub.stats.nlp_solves
         if sub.status.is_ok:
-            cand_values = dict(sub.values)
-            cand_obj = problem.objective_value(cand_values)
-            if has_eta:
-                cand_values[_OBJ_VAR] = cand_obj
-            candidate = (cand_values, cand_obj)
+            candidate = _candidate(problem, sub.values, has_eta)
             for con in nonlin:
                 cuts.append(pool.cut_for(con, sub.values))
 
@@ -355,6 +398,7 @@ def _solve_minlp_oa_impl(
         opts.with_budget(opts.time_limit - timer.peek()),
         lazy_cuts=lazy,
         known_cuts=master.installed,
+        incumbent=incumbent,
     )
     sol = engine.solve()
     oa_span.set_tag("polish_snapped", engine.polish_snapped)
@@ -366,6 +410,17 @@ def _solve_minlp_oa_impl(
     stats.wall_time = timer.stop()
     sol.stats = stats
     return _strip_eta(sol, problem, has_eta)
+
+
+def _candidate(
+    problem: Problem, values: dict[str, float], has_eta: bool
+) -> tuple[dict[str, float], float]:
+    """A subproblem optimum as a tree incumbent: ``(values, objective)``."""
+    out = dict(values)
+    objective = problem.objective_value(out)
+    if has_eta:
+        out[_OBJ_VAR] = objective
+    return out, objective
 
 
 def _strip_eta(sol: Solution, original: Problem, has_eta: bool) -> Solution:

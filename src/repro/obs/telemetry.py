@@ -47,6 +47,7 @@ CATALOGUE = (
     _histogram("solver_wall_seconds", "per-solve wall time", "algorithm", "status"),
     _counter("hslb_degradations_total", "solver tier fallbacks", "from_tier", "to_tier"),
     _counter("hslb_pipeline_runs_total", "HSLB pipeline entries"),
+    _counter("hslb_direct_misses_total", "pipeline solves OA answered better than the direct start"),
     _counter("hslb_gather_retries_total", "gather benchmark retries"),
     _counter("hslb_gather_dropped_total", "gather points dropped"),
     _counter("hslb_execution_recoveries_total", "mid-run crash recoveries"),
@@ -151,6 +152,14 @@ def record_degradation(from_tier: str, to_tier: str, status: str, reason: str) -
             status=status,
             reason=reason,
         )
+
+
+def record_direct_miss(gap: float) -> None:
+    """OA beat the application's exact direct algorithm by ``gap``
+    (relative): the direct algorithm missed the optimum."""
+    REGISTRY.counter("hslb_direct_misses_total").inc()
+    if _TR.enabled:
+        _TR.event("solver.direct_miss", gap=gap)
 
 
 def record_fault(kind: str, stage: str) -> None:

@@ -1,0 +1,219 @@
+"""The exact layout scan (``cesm.layouts.direct_layout``) against oracles
+that share no code with it.
+
+* Brute force over the Table I MINLP itself on small keyed specs: every
+  layout, constrained and free ocean, with and without the minor components.
+* Cold OA on every Table III block, on A4's machine sizes and on fifteen
+  budgets over the ground-truth curves (1° at 48-3000, 1/8° constrained and
+  free-ocean at 2048-40 960).
+
+The pipeline starts OA at the scan's answer and records the gap between the
+two on ``SolverProvenance``; the Table III and A4 tests check that
+certificate too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cesm.app import CESMApplication
+from repro.cesm.components import COMPONENTS, one_degree_ground_truth
+from repro.cesm.grids import CESMConfiguration, eighth_degree, one_degree
+from repro.cesm.layouts import (
+    MINOR_HOSTS,
+    Layout,
+    direct_layout,
+    formulate_layout,
+    layout_total_time,
+)
+from repro.core.builder import DiscreteNodeSet
+from repro.core.hslb import DIRECT_GAP_TOL, HSLBOptimizer
+from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
+from repro.experiments.table3 import TABLE3, config_for
+from repro.minlp.brute import solve_brute_force
+from repro.minlp.oa import solve_minlp_oa
+from repro.perf.model import PerformanceModel
+from repro.util.rng import default_rng, keyed_rng
+
+SEED = 3671
+
+
+def _keyed_spec(key: int, layout: Layout, free_ocean: bool, minors: bool):
+    """A layout instance small enough for brute force: ``N`` in 3-6, random
+    sweet-spot sets (gaps and all), floors of 1-2 nodes, convex curves whose
+    minimum often lies inside the machine (so a budget past it must not
+    buy the slower counts)."""
+    rng = keyed_rng(SEED + key, "direct-layout", layout.value, free_ocean, minors)
+    total = int(rng.integers(3, 7))
+
+    def curve() -> PerformanceModel:
+        b = float(rng.uniform(0.0, 40.0)) if rng.uniform() < 0.7 else 0.0
+        return PerformanceModel(
+            a=float(rng.uniform(1.0, 100.0)),
+            b=b,
+            c=float(rng.uniform(1.0, 2.0)),
+            d=float(rng.uniform(0.0, 5.0)),
+        )
+
+    def sweet_spots() -> DiscreteNodeSet:
+        size = int(rng.integers(1, total + 1))
+        picked = rng.choice(np.arange(1, total + 1), size=size, replace=False)
+        return DiscreteNodeSet(tuple(int(v) for v in picked))
+
+    config = CESMConfiguration(
+        name="keyed",
+        description="keyed small spec",
+        ground_truth=one_degree_ground_truth(),
+        atm_allowed=sweet_spots(),
+        ocean_allowed=None if free_ocean else sweet_spots(),
+        min_nodes={c: int(rng.integers(1, 3)) for c in ("lnd", "ice", "ocn")},
+    )
+    models = {c: curve() for c in COMPONENTS}
+    minor_models = {m: curve() for m in MINOR_HOSTS} if minors else None
+    return models, total, config, minor_models
+
+
+def _assert_admissible(alloc, total, config, layout) -> None:
+    """The allocation obeys Table I's sets, floors and node budgets."""
+    assert alloc["atm"] in config.atm_allowed
+    if config.ocean_allowed is not None:
+        assert alloc["ocn"] in config.ocean_allowed
+    else:
+        assert alloc["ocn"] >= config.component_min_nodes("ocn")
+    for comp in ("ice", "lnd"):
+        assert alloc[comp] >= config.component_min_nodes(comp)
+    if layout is Layout.HYBRID:
+        assert alloc["ice"] + alloc["lnd"] <= alloc["atm"]
+        assert alloc["atm"] + alloc["ocn"] <= total
+    elif layout is Layout.SEQUENTIAL_GROUP:
+        assert max(alloc["ice"], alloc["lnd"], alloc["atm"]) + alloc["ocn"] <= total
+    else:
+        assert max(alloc[c] for c in COMPONENTS) <= total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.integers(0, 10_000),
+    layout=st.sampled_from(list(Layout)),
+    free_ocean=st.booleans(),
+    minors=st.booleans(),
+)
+def test_scan_matches_brute_force(key, layout, free_ocean, minors):
+    models, total, config, minor_models = _keyed_spec(key, layout, free_ocean, minors)
+    problem = formulate_layout(
+        models, total, config, layout=layout, minor_models=minor_models
+    )
+    brute = solve_brute_force(problem)
+    found = direct_layout(
+        models, total, config, layout=layout, minor_models=minor_models
+    )
+    if found is None:
+        assert not brute.status.is_ok
+        return
+    alloc, objective = found
+    assert brute.status.is_ok
+    assert objective == pytest.approx(brute.objective, rel=1e-9, abs=1e-9)
+    _assert_admissible(alloc, total, config, layout)
+    times = {c: float(models[c].time(alloc[c])) for c in COMPONENTS}
+    for minor, model in (minor_models or {}).items():
+        times[minor] = float(model.time(alloc[MINOR_HOSTS[minor]]))
+    assert objective == layout_total_time(layout, times)
+
+
+def test_scan_reports_an_empty_layout():
+    """No admissible atmosphere count inside the machine: no allocation."""
+    models, _, config, _ = _keyed_spec(0, Layout.HYBRID, True, False)
+    config = CESMConfiguration(
+        name="empty",
+        description="atm sweet spots beyond the machine",
+        ground_truth=config.ground_truth,
+        atm_allowed=DiscreteNodeSet((50, 60)),
+        ocean_allowed=None,
+    )
+    for layout in Layout:
+        assert direct_layout(models, 8, config, layout=layout) is None
+
+
+def _paper_fits(resolution: str, config, seed: int = 2014):
+    """The fitted curves ``run_table3_block`` solves with (same RNG stream)."""
+    rng = default_rng(seed)
+    opt = HSLBOptimizer(CESMApplication(config))
+    suite = opt.gather(BENCHMARK_CAMPAIGN[resolution], rng)
+    return opt, {name: fit.model for name, fit in opt.fit(suite, rng).items()}
+
+
+@pytest.mark.parametrize("key", list(TABLE3))
+def test_table3_blocks_match_cold_oa_and_certify(key):
+    block = TABLE3[key]
+    config = config_for(block)
+    opt, models = _paper_fits(block.resolution, config)
+    cold = solve_minlp_oa(formulate_layout(models, block.total_nodes, config))
+    _, objective = direct_layout(models, block.total_nodes, config)
+    assert objective == pytest.approx(cold.require_ok().objective, rel=1e-9)
+    _, solution = opt.solve(models, block.total_nodes)
+    assert opt.last_provenance.tier == "oa"
+    assert abs(opt.last_provenance.direct_gap) <= DIRECT_GAP_TOL
+    assert solution.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+def test_a4_sizes_match_cold_oa_and_certify():
+    """Ablation A4's machine sizes (1° layout 1, fits from seed 2014)."""
+    opt, models = _paper_fits("1deg", one_degree())
+    for total in (128, 512, 2048, 8192, 40960):
+        cold = solve_minlp_oa(formulate_layout(models, total, one_degree()))
+        _, solution = opt.solve(models, total)
+        assert abs(opt.last_provenance.direct_gap) <= DIRECT_GAP_TOL, total
+        assert solution.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+_PROBE_BUDGETS = [
+    ("1deg", one_degree, (48, 128, 512, 1024, 3000)),
+    ("eighth", eighth_degree, (2048, 8192, 16384, 32768, 40960)),
+    ("eighth-freeocn", lambda: eighth_degree(constrained_ocean=False),
+     (2048, 8192, 16384, 32768, 40960)),
+]
+
+
+@pytest.mark.parametrize(
+    "make_config,total",
+    [(make, total) for _, make, budgets in _PROBE_BUDGETS for total in budgets],
+    ids=[f"{name}-{total}" for name, _, budgets in _PROBE_BUDGETS for total in budgets],
+)
+def test_ground_truth_budgets_match_cold_oa(make_config, total):
+    config = make_config()
+    models = {c: truth.model for c, truth in config.ground_truth.items()}
+    cold = solve_minlp_oa(formulate_layout(models, total, config)).require_ok()
+    alloc, objective = direct_layout(models, total, config)
+    assert objective == pytest.approx(cold.objective, rel=1e-9)
+    if config.name == "eighth" and total == 40960:
+        assert objective == pytest.approx(1129.387575, abs=1e-6)
+        assert (alloc["ice"], alloc["lnd"]) == (21189, 311)
+
+
+def test_start_is_a_full_discrete_assignment():
+    """``direct_start`` values every discrete variable of ``formulate``'s
+    problem — run binaries included — and is ``None`` under Tsync."""
+    for config, total in ((one_degree(), 2048), (one_degree(), 64),
+                          (eighth_degree(), 32768),
+                          (eighth_degree(constrained_ocean=False), 8192)):
+        app = CESMApplication(config)
+        models = {c: truth.model for c, truth in config.ground_truth.items()}
+        start = app.direct_start(models, total)
+        problem = app.formulate(models, total)
+        assert set(start) == {v.name for v in problem.discrete_variables()}
+        sos_members = {m for s in problem.sos1_sets for m in s.members}
+        assert sum(start[m] for m in sos_members) == len(problem.sos1_sets)
+    models = {c: truth.model for c, truth in one_degree().ground_truth.items()}
+    assert CESMApplication(one_degree(), tsync=5.0).direct_start(models, 128) is None
+
+
+def test_fine_tuning_pipeline_certifies():
+    """With the minor components on, each rides its host's curve."""
+    app = CESMApplication(one_degree(), include_minor_components=True)
+    opt = HSLBOptimizer(app)
+    plan = opt.run((32, 64, 128, 256, 512), 256, default_rng(11), execute=False)
+    assert plan.solver_tier == "oa"
+    assert abs(plan.provenance.direct_gap) <= DIRECT_GAP_TOL

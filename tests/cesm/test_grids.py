@@ -108,6 +108,17 @@ def test_contains():
     assert 4 in s and 5 not in s
 
 
+def _runs_by_scan(values):
+    """Maximal runs of consecutive integers, one pass (``runs``' reference)."""
+    runs = []
+    for v in values:
+        if runs and v == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], v)
+        else:
+            runs.append((v, v))
+    return runs
+
+
 @pytest.mark.parametrize("case", range(20))
 def test_lookups_agree_with_a_linear_scan(case):
     """Bisect lookups against the scans they replaced, ties included."""
@@ -119,6 +130,13 @@ def test_lookups_agree_with_a_linear_scan(case):
         assert s.nearest(n) == min(s.values, key=lambda v: (abs(v - n), v))
         assert s.below(n) == max((v for v in s.values if v <= n), default=s.min)
         assert (n in s) == (int(n) in set(s.values))
+    assert s.runs() == _runs_by_scan(s.values)
+    # Long runs too: the galloping search must land on every run's end.
+    lo = int(rng.integers(1, 500))
+    long = DiscreteNodeSet.contiguous(
+        lo, lo + int(rng.integers(0, 3000)), extras=rng.integers(1, 5000, 30).tolist()
+    )
+    assert long.runs() == _runs_by_scan(long.values)
 
 
 # --- sets handed over sorted ------------------------------------------------

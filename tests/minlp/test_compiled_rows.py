@@ -155,9 +155,9 @@ def ledger_problem(catalogue, monkeypatch, kind, index):
     seen = []
     solve = hslb.solve_minlp_oa
 
-    def recording(problem, options=None):
+    def recording(problem, options=None, *, start=None):
         seen.append(problem)
-        return solve(problem, options)
+        return solve(problem, options, start=start)
 
     monkeypatch.setattr(hslb, "solve_minlp_oa", recording)
     blocks = catalogue.cesm_blocks() if kind == "cesm" else catalogue.fmo_blocks()

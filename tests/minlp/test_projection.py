@@ -9,10 +9,11 @@ import dataclasses
 
 import pytest
 
+from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
 from repro.cesm.layouts import Layout, formulate_layout
 from repro.core.builder import DiscreteNodeSet
-from repro.experiments.table3 import TABLE3, run_table3_block
+from repro.experiments.table3 import TABLE3, config_for, run_table3_block
 from repro.minlp.brute import solve_brute_force
 from repro.minlp.modeling import Model
 from repro.minlp.nlp import solve_nlp
@@ -199,7 +200,19 @@ def test_nlpbb_on_tsync_layout_keeps_its_objective():
 
 @pytest.mark.parametrize("key", list(TABLE3))
 def test_no_table3_nlp_solve_sees_more_than_ten_variables(key, tracer):
-    run_table3_block(key)
+    """The pipeline's OA starts at the direct scan and solves no root
+    relaxation, so the spans checked are those of the cold OA solve of the
+    block's formulated problem: the path ablations A2/A4 take."""
+    result = run_table3_block(key)
+    seeded = tracer.find("minlp.oa")
+    assert seeded.tags["start"] == "accepted" and "root_nlp_ms" not in seeded.tags
+    models = {name: fit.model for name, fit in result.hslb.fits.items()}
+    problem = CESMApplication(config_for(TABLE3[key])).formulate(
+        models, result.hslb.total_nodes
+    )
+    tracer.reset()
+    cold = solve_minlp_oa(problem).require_ok()
+    assert cold.objective == pytest.approx(result.hslb.predicted_total, rel=1e-9)
     spans = _nlp_spans(tracer)
     assert spans
     assert max(s.tags["vars"] for s in spans) <= 10

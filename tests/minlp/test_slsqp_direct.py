@@ -31,6 +31,7 @@ from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
 from repro.core.hslb import HSLBOptimizer
 from repro.minlp.expr import VarRef, exp, log, sqrt
+from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.problem import Problem, Sense
 from repro.minlp.solution import Status
 from repro.util.rng import keyed_rng
@@ -138,16 +139,27 @@ _BLOCKS = [("cesm", i) for i in range(6)] + [("fmo", i) for i in range(3)]
 
 
 @pytest.mark.parametrize("kind,index", _BLOCKS, ids=[f"{k}{i}" for k, i in _BLOCKS])
-def test_every_ledger_slsqp_run_matches_minimize(catalogue, monkeypatch, kind, index):
+def test_every_ledger_slsqp_run_matches_minimize(
+    catalogue, monkeypatch, tracer, kind, index
+):
     """The pipeline's own run (gather, fit, solve) of each ledger block,
-    every SLSQP run of its solve replayed through ``minimize``."""
+    every SLSQP run of its solve replayed through ``minimize``.  A CESM
+    pipeline's OA starts at the direct scan and solves no root relaxation,
+    so a CESM block also replays the cold OA solve of the same formulated
+    problem: the path ablations A2/A4 take."""
     oracle = _Oracle(monkeypatch)
     blocks = catalogue.cesm_blocks() if kind == "cesm" else catalogue.fmo_blocks()
     block = blocks[index]
-    plan = HSLBOptimizer(block.make_app()).run(
+    app = block.make_app()
+    plan = HSLBOptimizer(app).run(
         block.campaign, block.total_nodes, block.plan_rng(), execute=False
     )
     assert plan.solution.status is Status.OPTIMAL
+    if kind == "cesm":
+        assert tracer.find("minlp.oa").tags["start"] == "accepted"
+        models = {name: fit.model for name, fit in plan.fits.items()}
+        cold = solve_minlp_oa(app.formulate(models, block.total_nodes))
+        assert cold.objective == pytest.approx(plan.predicted_total, rel=1e-9)
     assert oracle.calls > 0  # at least the root relaxation
 
 
