@@ -47,4 +47,4 @@ def test_f2_pipeline_survives_faults(benchmark, save_report):
     # failure rate plus one mid-run crash, and record their solver tier.
     assert [r[1] for r in result.rows] == ["yes", "yes"]
     for tier in result.tiers.values():
-        assert tier in ("oa", "nlpbb", "greedy")
+        assert tier in ("oa", "direct", "greedy")

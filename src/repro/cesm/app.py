@@ -70,8 +70,9 @@ class CESMApplication(Application):
 
     @property
     def requires_nonconvex_solver(self) -> bool:
-        # The exact Tsync coupling (Table I lines 18-19) is nonconvex.
-        return self.tsync is not None
+        # The exact Tsync coupling (Table I lines 18-19) is nonconvex; only
+        # the hybrid layout has it.
+        return self.tsync is not None and self.layout is Layout.HYBRID
 
     def benchmark(
         self, node_counts: Sequence[int], rng: np.random.Generator
@@ -119,15 +120,14 @@ class CESMApplication(Application):
         self, models: Mapping[str, PerformanceModel], total_nodes: int
     ) -> dict[str, float] | None:
         """:func:`direct_layout`'s optimum as a discrete assignment of
-        :meth:`formulate`'s problem; ``None`` under Tsync (NLP-B&B's model)
-        or when the layout has no feasible allocation."""
-        if self.tsync is not None:
-            return None
+        :meth:`formulate`'s problem; ``None`` when the layout has no feasible
+        allocation."""
         found = direct_layout(
             models,
             total_nodes,
             self.config,
             layout=self.layout,
+            tsync=self.tsync,
             minor_models=self._minor_models(models),
         )
         if found is None:

@@ -21,14 +21,14 @@ The ``Tsync`` tolerance of Table I lines 18–19 couples the ice and land
 times: ``|T_l(n_l) - T_i(n_i)| <= Tsync``.  This is a *difference of convex*
 functions, i.e. genuinely nonconvex — outer approximation would generate
 invalid cuts for it.  The formulation states it exactly, and applications
-flag such models (``requires_nonconvex_solver``) so the HSLB pipeline
-automatically routes them to NLP-based branch-and-bound.  With
-``tsync=None`` (the default, and the configuration every Table III number
-uses) the model stays convex and OA applies.
+flag such models (``requires_nonconvex_solver``) so the HSLB pipeline skips
+OA for them.  With ``tsync=None`` (the default, and the configuration every
+Table III number uses) the model stays convex and OA applies.
 
-:func:`direct_layout` answers the same problems without Tsync exactly and
+:func:`direct_layout` answers the same problems, Tsync included, exactly and
 without a tree, by prefix minima over each component's curve; the pipeline
-starts OA from its answer and certifies the two against each other.
+starts OA from its answer and certifies the two against each other, and
+answers with it alone when OA cannot run.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def formulate_layout(
         m.add(T_icelnd >= t_ice, "icelnd_ge_ice")          # Table I line 15
         m.add(T_icelnd >= t_lnd, "icelnd_ge_lnd")          # line 16
         if tsync is not None:
-            # Lines 18-19, stated exactly.  Nonconvex: solve with NLP-BB.
+            # Lines 18-19, stated exactly.  Nonconvex: direct_layout answers.
             m.add(t_lnd - t_ice <= tsync, "tsync_upper")
             m.add(t_ice - t_lnd <= tsync, "tsync_lower")
         m.add(T >= T_icelnd + t_atm, "makespan_atm_side")   # line 17
@@ -207,24 +207,46 @@ def _curve(
     return _Curve(time, np.minimum.accumulate(time))
 
 
-def _min_max_pair(one: _Curve, other: _Curve) -> np.ndarray:
-    """``f[m]``, the least ``max(T_one(p), T_other(q))`` over ``p + q <= m``,
-    for every ``m = 0..N``.
+def _least_count(curve: _Curve, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each ``k``, the least count whose time lies in ``[lo[k], hi[k]]``
+    (``N + 1`` where none does).
 
-    With ``B1``, ``B2`` the two prefix-minimum curves over ``0..N``,
-    ``f(m)`` is the ``(m + 1)``-th largest ``v`` of their ``2(N + 1)``
-    values taken together.  Each curve has ``N + 1`` values, all at least
-    its minimum, so ``v`` is at least both minima and each curve has a
-    cheapest count reaching ``v``; on a nonincreasing curve the values
-    strictly above ``v`` are exactly the counts below it, and at most ``m``
-    values lie strictly above ``v``, so the two cheapest counts fit in
-    ``m``.  Conversely a split ``p + q <= m`` at level ``w`` has at most
-    ``p + q`` values strictly above ``w``, so ``w >= v``.
+    The least count with time ``<= hi`` is where the prefix minima first
+    reach ``hi``; it answers unless its time is below ``lo`` too.  Those
+    windows go to a range minimum over the counts sorted by time.
     """
-    merged = np.sort(
-        np.concatenate([one.best[::-1], other.best[::-1]]), kind="stable"
-    )  # two ascending runs: a merge
-    return merged[::-1][: len(one.best)]
+    end = curve.time.size  # N + 1: no count
+    first = end - np.searchsorted(curve.best[::-1], hi, "right")
+    undershoots = np.append(curve.time, np.inf)[first] < lo
+    least = np.where(undershoots, end, first)
+    slow = np.flatnonzero(undershoots)
+    if slow.size:
+        counts = np.flatnonzero(np.isfinite(curve.time))
+        order = np.argsort(curve.time[counts], kind="stable")
+        times = curve.time[counts][order]
+        i = np.searchsorted(times, lo[slow], "left")
+        size = np.searchsorted(times, hi[slow], "right") - i
+        k = np.frexp(np.maximum(size, 1))[1] - 1  # floor(log2(size))
+        # table[k, i]: the least count among the 2**k from position i.
+        table = np.full((k.max() + 1, counts.size + 1), end)
+        table[0, :-1] = counts[order]
+        for j in range(1, len(table)):
+            half = 1 << (j - 1)
+            table[j, :-half] = np.minimum(table[j - 1, :-half], table[j - 1, half:])
+        pair = np.minimum(table[k, i], table[k, i + size - (1 << k)])
+        least[slow] = np.where(size > 0, pair, end)
+    return least
+
+
+def _candidates(one: _Curve, other: _Curve, tsync: float) -> tuple[np.ndarray, ...]:
+    """``(value, n_one, n_other)``: each admissible count of ``one`` with the
+    least count of ``other`` whose time lies in ``[T - tsync, T]``, ``T``
+    being its own time and the pair's value; only pairs within ``N``."""
+    own = np.flatnonzero(np.isfinite(one.time))
+    value = one.time[own]
+    partner = _least_count(other, value - tsync, value)
+    keep = own + partner < one.time.size
+    return value[keep], own[keep], partner[keep]
 
 
 def _domain(config: CESMConfiguration, comp: str, total_nodes: int) -> np.ndarray:
@@ -245,11 +267,12 @@ def direct_layout(
     config: CESMConfiguration,
     *,
     layout: Layout = Layout.HYBRID,
+    tsync: float | None = None,
     minor_models: Mapping[str, PerformanceModel] | None = None,
 ) -> tuple[Allocation, float] | None:
     """The Table I optimum of ``layout`` by direct scan, or ``None`` when the
-    problem :func:`formulate_layout` builds from the same inputs (without
-    Tsync) has no feasible allocation.
+    problem :func:`formulate_layout` builds from the same inputs has no
+    feasible allocation.
 
     Every side of a layout's makespan is a sum of univariate curves under
     node budgets, so prefix minima ("the best time on at most ``r`` nodes")
@@ -258,22 +281,28 @@ def direct_layout(
     * *fully sequential* — separable: each component at its best on ``N``;
     * *sequential group* — for each ocean count ``o``, ice, land and
       atmosphere each take their best on ``N - o``;
-    * *hybrid* — ``f(m)``, the least ``max(T_ice, T_lnd)`` with
-      ``n_ice + n_lnd <= m``, is an order statistic of the two
-      prefix-minimum curves (:func:`_min_max_pair`); then one argmin over
-      the atmosphere's counts of
-      ``max(f(n_atm) + T_atm(n_atm), best_ocn(N - n_atm))``.
+    * *hybrid* — ``h(m)``, the least ``max(T_ice, T_lnd)`` with
+      ``n_ice + n_lnd <= m`` and ``|T_ice - T_lnd| <= tsync``, is the prefix
+      minimum, over node cost, of the candidate pairs' values
+      (:func:`_candidates`): every feasible pair is dominated by the
+      candidate of its slower side;
+      then one argmin over the atmosphere's counts of
+      ``max(h(n_atm) + T_atm(n_atm), best_ocn(N - n_atm))``.
 
     No convexity is assumed.  A minor component's curve is added to its
-    host's (rtm on lnd, cpl on atm).  Among co-optimal allocations the
-    smallest count of the scanned component (atmosphere, ocean) wins, ice
-    and land take their cheapest counts at the optimal level, and every
-    side component its fastest count within its budget.  The objective is
+    host's (rtm on lnd, cpl on atm), so Tsync compares land + rtm with ice,
+    as the MINLP does; like :func:`formulate_layout`, only the hybrid layout
+    has Tsync rows.  Among co-optimal allocations the smallest count of the
+    scanned component (atmosphere, ocean) wins, then the smallest ice count
+    and the smallest land count at the optimal ice/land level, and every side
+    component its fastest count within its budget.  The objective is
     :func:`layout_total_time` at the model-predicted times.
     """
     missing = set(COMPONENTS) - set(models)
     if missing:
         raise ValueError(f"missing fitted models for {sorted(missing)}")
+    if tsync is not None and tsync < 0:
+        raise ValueError(f"tsync must be nonnegative, got {tsync}")
     N = int(total_nodes)
     minors = {MINOR_HOSTS[m]: model for m, model in (minor_models or {}).items()}
     domain = {comp: _domain(config, comp, N) for comp in COMPONENTS}
@@ -283,16 +312,25 @@ def direct_layout(
     }
     ice, lnd, atm, ocn = (curve[c] for c in ("ice", "lnd", "atm", "ocn"))
     if layout is Layout.HYBRID:
-        inner = _min_max_pair(ice, lnd)
+        # Without Tsync every window is open below.
+        sync = np.inf if tsync is None else tsync
+        (v_i, i_i, l_i), (v_l, l_l, i_l) = (
+            _candidates(ice, lnd, sync), _candidates(lnd, ice, sync)
+        )
+        value, n_ice, n_lnd = np.r_[v_i, v_l], np.r_[i_i, i_l], np.r_[l_i, l_l]
+        inner = np.full(N + 1, np.inf)
+        np.minimum.at(inner, n_ice + n_lnd, value)
+        inner = np.minimum.accumulate(inner)
         n_atm = domain["atm"]
         sides = np.maximum(inner[n_atm] + atm.time[n_atm], ocn.best[N - n_atm])
         if not sides.size or not np.isfinite(sides.min()):
             return None
         a = int(n_atm[np.argmin(sides)])
-        level = inner[a]
+        at_level = np.flatnonzero((n_ice + n_lnd <= a) & (value == inner[a]))
+        pick = at_level[np.lexsort((n_lnd[at_level], n_ice[at_level]))[0]]
         nodes = {
-            "ice": int(np.argmax(ice.best <= level)),
-            "lnd": int(np.argmax(lnd.best <= level)),
+            "ice": int(n_ice[pick]),
+            "lnd": int(n_lnd[pick]),
             "atm": a,
             "ocn": ocn.fastest(N - a),
         }

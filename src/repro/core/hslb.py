@@ -14,10 +14,10 @@ Every step degrades gracefully when an application carries a fault plan
   component ends up unfittable;
 * **fit** prunes straggler-flagged observations (when enough clean points
   remain);
-* **solve** walks a degradation chain — OA, then NLP-based branch-and-bound,
-  then the greedy proportional fallback — and records the chosen tier as
-  provenance on :class:`HSLBResult`; OA starts from the application's exact
-  direct answer when it has one, and the gap between the two is recorded;
+* **solve** walks a degradation chain — OA, then the application's exact
+  direct answer, then the greedy fallback — and records the chosen tier as
+  provenance on :class:`HSLBResult`; OA starts from the direct answer when
+  there is one, and the gap between the two is recorded;
 * **execute** survives a mid-run node-group crash by re-solving the
   allocation on the surviving nodes and re-running (static re-plan).
 """
@@ -35,7 +35,7 @@ from repro.faults.plan import BenchmarkRunError, NodeCrashError
 from repro.obs import telemetry
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span, trace_event
-from repro.minlp.nlpbb import solve_minlp_nlpbb
+from repro.minlp.nlpbb import solve_minlp_nlpbb  # noqa: F401  (ROADMAP 1 PR-B)
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution, Status
@@ -143,7 +143,7 @@ class GatherDegradedError(RuntimeError):
 class SolverAttempt:
     """One tier of the degradation chain: what was tried and how it ended."""
 
-    tier: str  # "oa" | "nlpbb" | "greedy"
+    tier: str  # "oa" | "direct" | "greedy"
     status: str  # "ok", or why not: "stalled" | "error" | a solution status
     reason: str
     wall_time: float = 0.0
@@ -416,19 +416,20 @@ class HSLBOptimizer:
         self,
         fits: Mapping[str, FitResult] | Mapping[str, PerformanceModel],
         total_nodes: int,
-        rng: np.random.Generator | None = None,
     ) -> tuple[Allocation, Solution]:
         """Solve the allocation MINLP for a machine of ``total_nodes``.
 
-        Walks the degradation chain (OA -> NLP-B&B -> greedy proportional
-        fallback), each MINLP tier under the default ``BnBOptions`` wall
-        limit; the chosen tier and the reason for every fallback are stored
-        in :attr:`last_provenance` and threaded onto :class:`HSLBResult` by
-        the pipeline entry points.  When the application has an exact direct
-        algorithm (:meth:`~repro.core.spec.Application.direct_start`), OA
-        starts from that algorithm's answer for this solve's own problem and
-        the gap between the two is recorded as a certificate; nothing is
-        ever carried over from an earlier solve.
+        Walks the degradation chain (OA under the default ``BnBOptions``
+        wall limit, then the application's exact direct answer, then the
+        greedy fallback); the chosen tier and the reason for every fallback
+        are stored in :attr:`last_provenance` and threaded onto
+        :class:`HSLBResult` by the pipeline entry points.  When the
+        application has an exact direct algorithm
+        (:meth:`~repro.core.spec.Application.direct_start`), OA starts from
+        that algorithm's answer for this solve's own problem and the gap
+        between the two is recorded as a certificate; when OA cannot run (a
+        nonconvex model) or fails, that answer is the allocation.  Nothing
+        is ever carried over from an earlier solve.
         """
         self.last_provenance = None
         models = {
@@ -438,50 +439,34 @@ class HSLBOptimizer:
         with span("hslb.solve", total_nodes=int(total_nodes)) as sp:
             problem = self.app.formulate(models, int(total_nodes))
             allocation, solution, provenance = self._solve_chain(
-                problem, models, int(total_nodes), rng
+                problem, models, int(total_nodes)
             )
             sp.set_tag("tier", provenance.tier)
             sp.set_tag("status", solution.status.value)
         self.last_provenance = provenance
         return allocation, solution
 
-    def _solve_tier(
-        self,
-        tier: str,
-        problem: Problem,
-        rng: np.random.Generator | None,
-        start: dict[str, float] | None,
-    ) -> Solution:
-        if tier == "oa":
-            return solve_minlp_oa(problem, start=start)
-        # Nonconvex rows can trap a node NLP in a local minimum: restart it.
-        multistart = 3 if self.app.requires_nonconvex_solver else 1
-        return solve_minlp_nlpbb(problem, multistart=multistart, rng=rng)
-
     def _solve_chain(
         self,
         problem: Problem,
         models: Mapping[str, PerformanceModel],
         total_nodes: int,
-        rng: np.random.Generator | None,
     ) -> tuple[Allocation, Solution, SolverProvenance]:
         plan = getattr(self.app, "fault_plan", None)
+        tick = time.perf_counter()
         start = self.app.direct_start(models, total_nodes)
+        direct_wall = time.perf_counter() - tick
         attempts: list[SolverAttempt] = []
-        # OA cuts are invalid on nonconvex models; skip that tier.
-        tiers = ["nlpbb"] if self.app.requires_nonconvex_solver else ["oa", "nlpbb"]
-        # Degradation provenance: every failed attempt hands off to the next
-        # tier (greedy after the last MINLP tier) and emits exactly one
-        # telemetry event carrying the triggering reason.
-        for tier, next_tier in zip(tiers, [*tiers[1:], "greedy"]):
+        # OA cuts are invalid on nonconvex models; the direct answer stands.
+        if not self.app.requires_nonconvex_solver:
             sol, wall = None, 0.0
-            if plan is not None and plan.solver_fails(tier):
+            if plan is not None and plan.solver_fails("oa"):
                 telemetry.record_fault("solver_stall", "solve")
                 status, reason = "stalled", "injected solver stall"
             else:
                 tick = time.perf_counter()
                 try:
-                    sol = self._solve_tier(tier, problem, rng, start)
+                    sol = solve_minlp_oa(problem, start=start)
                 except (ValueError, RuntimeError, FloatingPointError) as exc:
                     status, reason = "error", f"{type(exc).__name__}: {exc}"
                 else:
@@ -489,43 +474,50 @@ class HSLBOptimizer:
                     reason = sol.message or f"solver returned {status}"
                 wall = time.perf_counter() - tick
             if sol is not None and sol.status.is_ok:
-                attempts.append(SolverAttempt(tier, "ok", "solved", wall))
-                reason = (
-                    "first-choice tier"
-                    if len(attempts) == 1
-                    else "earlier tier(s) failed: "
-                    + ", ".join(f"{a.tier}={a.status}" for a in attempts[:-1])
-                )
                 return (
                     self.app.allocation_from_solution(sol),
                     sol,
                     SolverProvenance(
-                        tier=tier,
-                        reason=reason,
-                        attempts=tuple(attempts),
+                        tier="oa",
+                        reason="first-choice tier",
+                        attempts=(SolverAttempt("oa", "ok", "solved", wall),),
                         direct_gap=self._certify(start, sol, models),
                     ),
                 )
-            attempts.append(SolverAttempt(tier, status, reason, wall))
-            telemetry.record_degradation(tier, next_tier, status, reason)
-        # Tier 3: the greedy proportional fallback never fails — it needs no
-        # solver, only the fitted curves (and the app's feasibility rules).
-        allocation = self.app.fallback_allocation(models, total_nodes)
-        objective = self.app.predicted_total(models, allocation)
-        solution = Solution(
-            status=Status.FEASIBLE,
-            values={f"n_{name}": float(count) for name, count in allocation.items()},
-            objective=float(objective),
-            message="greedy proportional fallback (all MINLP tiers failed)",
-        )
-        reason = "all MINLP tiers failed: " + ", ".join(
-            f"{a.tier}={a.status}" for a in attempts
-        )
+            attempts.append(SolverAttempt("oa", status, reason, wall))
+            # A failed OA books one degradation event, carrying its reason.
+            telemetry.record_degradation(
+                "oa", "greedy" if start is None else "direct", status, reason
+            )
+        reason = f"OA {attempts[0].status}" if attempts else "nonconvex: OA skipped"
+        if start is not None:
+            # The exact direct algorithm needs no solver and cannot stall.
+            allocation, objective = self._direct_answer(start, models)
+            attempts.append(SolverAttempt("direct", "ok", "solved", direct_wall))
+            tier, status, values = "direct", Status.OPTIMAL, dict(start)
+            message = "exact direct algorithm"
+        else:
+            # The greedy fallback never fails: it needs only the fitted
+            # curves (and the app's feasibility rules).
+            allocation = self.app.fallback_allocation(models, total_nodes)
+            objective = float(self.app.predicted_total(models, allocation))
+            tier, status = "greedy", Status.FEASIBLE
+            values = {f"n_{name}": float(n) for name, n in allocation.items()}
+            message = "greedy fallback (no MINLP tier or direct answer)"
         return (
             allocation,
-            solution,
-            SolverProvenance(tier="greedy", reason=reason, attempts=tuple(attempts)),
+            Solution(status, values=values, objective=objective, message=message),
+            SolverProvenance(tier=tier, reason=reason, attempts=tuple(attempts)),
         )
+
+    def _direct_answer(
+        self, start: dict[str, float], models: Mapping[str, PerformanceModel]
+    ) -> tuple[Allocation, float]:
+        """The direct start's allocation and its predicted total."""
+        allocation = self.app.allocation_from_solution(
+            Solution(Status.FEASIBLE, values=start)
+        )
+        return allocation, float(self.app.predicted_total(models, allocation))
 
     def _certify(
         self,
@@ -536,10 +528,7 @@ class HSLBOptimizer:
         """The direct start's relative gap to the MINLP tier's answer."""
         if start is None:
             return None
-        allocation = self.app.allocation_from_solution(
-            Solution(Status.FEASIBLE, values=start)
-        )
-        direct = self.app.predicted_total(models, allocation)
+        _, direct = self._direct_answer(start, models)
         gap = (direct - solution.objective) / max(1.0, abs(solution.objective))
         if gap > DIRECT_GAP_TOL:
             telemetry.record_direct_miss(gap)
@@ -584,7 +573,7 @@ class HSLBOptimizer:
         """Steps 3–4 when benchmark data/fits already exist."""
         rng = rng or default_rng()
         REGISTRY.counter("hslb_pipeline_runs_total").inc()
-        allocation, solution = self.solve(fits, total_nodes, rng)
+        allocation, solution = self.solve(fits, total_nodes)
         models = {name: f.model for name, f in fits.items()}
         predicted = self.app.predicted_times(models, allocation)
         result = HSLBResult(
@@ -637,7 +626,7 @@ class HSLBOptimizer:
         )
         problem = self.app.formulate(models, surviving)
         allocation, solution, provenance = self._solve_chain(
-            problem, models, surviving, rng
+            problem, models, surviving
         )
         execution = self.execute(allocation, rng)
         execution.total_time += wasted

@@ -95,8 +95,9 @@ class Application(abc.ABC):
     @property
     def requires_nonconvex_solver(self) -> bool:
         """True when :meth:`formulate` emits nonconvex constraints (e.g. the
-        Tsync coupling), so OA's linearization cuts would be invalid and the
-        pipeline must use NLP-based branch-and-bound instead."""
+        Tsync coupling), so OA's linearization cuts would be invalid: the
+        pipeline skips OA and answers with :meth:`direct_start` (or, without
+        one, :meth:`fallback_allocation`)."""
         return False
 
     @abc.abstractmethod
@@ -151,7 +152,8 @@ class Application(abc.ABC):
         The assignment values every discrete variable of the problem (node
         counts and selection binaries).  The pipeline hands it to OA as its
         start and records the gap between its objective and OA's answer as a
-        certificate (:attr:`repro.core.hslb.SolverProvenance.direct_gap`).
+        certificate (:attr:`repro.core.hslb.SolverProvenance.direct_gap`);
+        when OA is skipped or fails, it is the answer (tier ``"direct"``).
         The default has no direct algorithm.
         """
         del models, total_nodes
@@ -185,7 +187,8 @@ class Application(abc.ABC):
         models: Mapping[str, PerformanceModel],
         total_nodes: int,
     ) -> Allocation:
-        """Last-resort allocation when every MINLP solver tier has failed.
+        """Last-resort allocation when OA has failed (or cannot run) and
+        there is no :meth:`direct_start`.
 
         The default is the exact polynomial-time greedy for single-budget
         min-max problems (:mod:`repro.core.greedy`) — proportional in the

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
-from repro.cesm.layouts import Layout, formulate_layout
+from repro.cesm.layouts import Layout, direct_layout, formulate_layout
 from repro.core.hslb import HSLBOptimizer
 from repro.core.objectives import Objective, evaluate_objective
 from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
@@ -23,7 +23,6 @@ from repro.fmo.molecules import protein_like
 from repro.fmo.schedulers import hslb_schedule
 from repro.fmo.simulator import FMOSimulator
 from repro.minlp.bnb import BnBOptions
-from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa
 from repro.util.rng import default_rng
 from repro.util.tables import format_table
@@ -191,7 +190,12 @@ def run_tsync_ablation(
     *, total_nodes: int = 128, seed: int = 2014,
     tsync_values: tuple[float | None, ...] = (None, 60.0, 20.0, 5.0, 1.0),
 ) -> TsyncAblationResult:
-    """Sweep Tsync from disabled to tight on the 1° layout-1 model."""
+    """Sweep Tsync from disabled to tight on the 1° layout-1 model.
+
+    Every value is answered by the exact layout scan
+    (:func:`repro.cesm.layouts.direct_layout`): the Tsync rows are
+    nonconvex, so OA cannot certify them, and the scan needs no tree.
+    """
     rng = default_rng(seed)
     app = CESMApplication(one_degree())
     opt = HSLBOptimizer(app)
@@ -199,16 +203,10 @@ def run_tsync_ablation(
     fits = opt.fit(suite, rng)
     models = {k: f.model for k, f in fits.items()}
 
-    totals = []
-    for tsync in tsync_values:
-        problem = formulate_layout(
-            models, total_nodes, one_degree(), layout=Layout.HYBRID, tsync=tsync
-        )
-        if tsync is None:
-            sol = solve_minlp_oa(problem).require_ok()
-        else:
-            sol = solve_minlp_nlpbb(problem, multistart=3, rng=rng).require_ok()
-        totals.append(sol.objective)
+    totals = [
+        direct_layout(models, total_nodes, one_degree(), tsync=tsync)[1]
+        for tsync in tsync_values
+    ]
     return TsyncAblationResult(tsync_values=tsync_values, predicted_totals=totals)
 
 

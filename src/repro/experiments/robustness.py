@@ -148,7 +148,7 @@ def run_outlier_robustness(
         rng = default_rng(seed)
         suite = opt.gather(BENCHMARK_CAMPAIGN["1deg"], rng)
         fits = opt.fit(suite, rng)
-        allocation, _ = opt.solve(fits, total_nodes, rng)
+        allocation, _ = opt.solve(fits, total_nodes)
         true_time = _true_makespan(config, allocation)
         fit_errors = []
         for comp, fit in fits.items():

@@ -97,8 +97,9 @@ class FaultPlan:
     Solve-step knobs:
 
     ``solver_stall``
-        Solver tiers ("oa", "nlpbb") forced to stall, exercising the
-        degradation chain down to the greedy proportional fallback.
+        Solver tiers forced to stall; the one MINLP tier is ``"oa"``.  A
+        stalled OA hands the solve to the application's exact direct
+        answer, or to the greedy fallback when it has none.
 
     Execute-step knobs:
 
@@ -140,7 +141,7 @@ class FaultPlan:
             raise ValueError("crash_fraction must be in (0, 1)")
         object.__setattr__(self, "solver_stall", tuple(self.solver_stall))
         for tier in self.solver_stall:
-            if tier not in ("oa", "nlpbb"):
+            if tier != "oa":
                 raise ValueError(f"unknown solver tier {tier!r}")
         if self.crash_component is not None and self.crash_group is not None:
             raise ValueError("specify crash_component or crash_group, not both")

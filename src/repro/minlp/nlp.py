@@ -5,8 +5,8 @@ Plays the role filterSQP plays inside MINOTAUR: given a (continuous)
 the symbolic differentiation in :mod:`repro.minlp.expr` — no finite
 differencing.  Because the load-balancing models in this library are convex
 (all fitted coefficients nonnegative, exponents >= 1), a local solution is
-global; for general use a ``multistart`` option restarts from random interior
-points and keeps the best feasible result.
+global.  Every solve is one deterministic run: from the caller's warm start,
+else from the box midpoint.
 
 The engine is scipy's SLSQP, driven without ``minimize``: :func:`_slsqp`
 ports scipy 1.17's reverse-communication loop around the C routine
@@ -32,10 +32,9 @@ from repro.minlp.problem import Problem, vector_to_values
 from repro.minlp.projection import Projection, project_sos1
 from repro.minlp.solution import Solution, SolveStats, Status
 from repro.obs.trace import span
-from repro.util.rng import default_rng
 from repro.util.timing import Timer
 
-#: Fallback half-width of the sampling box for unbounded variables.
+#: Half-width of the start box for unbounded variables.
 _BIG = 1e4
 
 #: scipy termination tolerance and iteration cap of one SLSQP run.
@@ -219,12 +218,6 @@ def _slsqp(prob: _SLSQPProblem, start: np.ndarray) -> tuple[np.ndarray, int, int
             return x, state["iter"], mode
 
 
-def _sample_box(problem: Problem, rng: np.random.Generator) -> np.ndarray:
-    lo = np.array([max(v.lb, -_BIG) for v in problem.variables])
-    hi = np.array([min(v.ub, _BIG) for v in problem.variables])
-    return rng.uniform(lo, hi)
-
-
 def _initial_point(problem: Problem) -> np.ndarray:
     """Deterministic starting point: the box midpoint, clipped to finite."""
     x0 = []
@@ -238,9 +231,6 @@ def _initial_point(problem: Problem) -> np.ndarray:
 def solve_nlp(
     problem: Problem,
     x0: np.ndarray | dict[str, float] | None = None,
-    *,
-    multistart: int = 1,
-    rng: np.random.Generator | None = None,
 ) -> Solution:
     """Solve the continuous problem, ignoring integrality and SOS1 sets.
 
@@ -248,9 +238,9 @@ def solve_nlp(
     eligible are not handed to scipy; they are reconstructed for the
     returned point, so ``Solution.values`` is always complete.
 
-    Optional warm start ``x0`` and ``multistart`` extra random restarts;
-    every run is scipy's SLSQP.  Returns the best feasible KKT point found;
-    ``Status.INFEASIBLE`` when every start ends infeasible.
+    Optional warm start ``x0``; the run is scipy's SLSQP, or an LP solve
+    when the problem is affine.  Returns the feasible KKT point found;
+    ``Status.INFEASIBLE`` when the run ends infeasible.
     """
     # Substitute out variables pinned by equal bounds.  SLSQP mishandles
     # degenerate lb == ub box constraints (it can declare success at an
@@ -292,12 +282,12 @@ def solve_nlp(
             stats=SolveStats(nlp_solves=1),
             message="no SOS1 member choice satisfies a row",
         )
-    sol, exact = _solve_projected(free, projection, x0, multistart, rng)
+    sol, exact = _solve_projected(free, projection, x0)
     if not exact:
         # Some row pattern is jointly tighter than its per-row intervals:
         # this relaxation is solved in the full space, and both are counted.
         spent = sol.stats
-        sol, _ = _solve_projected(free, Projection(free), x0, multistart, rng)
+        sol, _ = _solve_projected(free, Projection(free), x0)
         sol.stats.merge(spent)
     if sol.status.is_ok:
         sol.values = {**sol.values, **pinned}
@@ -308,28 +298,24 @@ def _solve_projected(
     problem: Problem,
     projection: Projection,
     x0: dict[str, float] | None,
-    multistart: int,
-    rng: np.random.Generator | None,
 ) -> tuple[Solution, bool]:
     """Solve ``projection.problem``; answer for ``problem``.
 
     A problem that is affine throughout is an LP and is solved as one — with
     the integers fixed, every OA subproblem of the paper's models is
-    ``min T  s.t.  T >= const_j`` — anything else goes to scipy.  Every
+    ``min T  s.t.  T >= const_j`` — anything else goes to scipy.  The
     candidate is lifted back and checked against ``problem`` itself.  The
-    flag is False when a lift failed: the projection was not exact, and
+    flag is False when the lift failed: the projection was not exact, and
     neither the answer nor an INFEASIBLE can be trusted.
     """
     small = projection.problem
-    sign = -1.0 if small.sense.value == "maximize" else 1.0
     lo = np.array([v.lb for v in small.variables])
     hi = np.array([v.ub for v in small.variables])
     linear = small.is_linear()
-    runs = _scipy_runs(small, x0, lo, hi, multistart, rng)
+    runs = _slsqp_run(small, x0, lo, hi)
     if linear:
         runs = _lp_run(small, runs)
 
-    stats = SolveStats()
     best: Solution | None = None
     exact = True
     timer = Timer().start()
@@ -340,37 +326,26 @@ def _solve_projected(
         eliminated=len(projection.members),
         linear=linear,
     ) as nlp_span:
-        for run in runs:
-            stats.nlp_solves += 1
-            if run is None:
-                continue
+        run = next(runs)
+        if run is not None:
             x, converged, message = run
             values = projection.lift(vector_to_values(small, np.clip(x, lo, hi)))
             if values is None:
                 exact = False
-                continue
-            viol = max(
+            elif max(
                 (c.violation(values) for c in problem.constraints), default=0.0
-            )
-            if viol > _FEAS_TOL:
-                continue
-            objective = problem.objective_value(values)
-            better = best is None or (
-                sign * objective < sign * best.objective - 1e-12
-            )
-            if better:
+            ) <= _FEAS_TOL:
                 best = Solution(
                     Status.OPTIMAL if converged else Status.FEASIBLE,
                     values=values,
-                    objective=objective,
-                    bound=-math.inf if sign > 0 else math.inf,
+                    objective=problem.objective_value(values),
+                    bound=math.inf if small.sense.value == "maximize" else -math.inf,
                     message=message,
                 )
         nlp_span.set_tag("lifted", best is not None and bool(projection.members))
-    stats.wall_time = timer.stop()
     if best is None:
         best = Solution(Status.INFEASIBLE, message="no feasible KKT point")
-    best.stats = stats
+    best.stats = SolveStats(nlp_solves=1, wall_time=timer.stop())
     return best, exact
 
 
@@ -394,15 +369,13 @@ def _lp_run(small: Problem, fallback: Iterator[_Run]) -> Iterator[_Run]:
         yield from fallback
 
 
-def _scipy_runs(
+def _slsqp_run(
     small: Problem,
     x0: dict[str, float] | None,
     lo: np.ndarray,
     hi: np.ndarray,
-    multistart: int,
-    rng: np.random.Generator | None,
 ) -> Iterator[_Run]:
-    """One SLSQP run from the warm/default start, then the random restarts."""
+    """The SLSQP run from the warm/default start, built only when asked for."""
     prob = _SLSQPProblem(small, lo, hi)
     start = _initial_point(small)
     if x0 is not None:
@@ -411,15 +384,9 @@ def _scipy_runs(
         start = np.array(
             [float(x0.get(n, d)) for n, d in zip(small.variable_names, start)]
         )
-    starts = [start]
-    if multistart > 1:
-        rng = rng or default_rng()
-        starts.extend(_sample_box(small, rng) for _ in range(multistart - 1))
-
-    for start in starts:
-        try:
-            x, _, mode = _slsqp(prob, start)
-        except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
-            yield None
-            continue
-        yield x, mode == 0, _EXIT_MODES[mode]
+    try:
+        x, _, mode = _slsqp(prob, start)
+    except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
+        yield None
+        return
+    yield x, mode == 0, _EXIT_MODES[mode]

@@ -2,14 +2,12 @@
 
 Each tree node solves the node's continuous NLP relaxation.  Slower per node
 than the LP/NLP scheme in :mod:`repro.minlp.oa`, but it does not require
-convexity for *correct feasible* answers (only for proven global optimality),
-so it is the solver for nonconvex models (the exact ``Tsync`` coupling) and
-the pipeline's fallback tier after OA.
+convexity for *correct feasible* answers (only for proven global optimality):
+it is :func:`repro.minlp.solve`'s fallback when OA refuses a model, and the
+tests' independent check on nonconvex ones.  No pipeline tier uses it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.minlp.bnb import BranchAndBound
 from repro.minlp.nlp import solve_nlp
@@ -19,24 +17,13 @@ from repro.obs import telemetry
 from repro.obs.trace import span
 
 
-def solve_minlp_nlpbb(
-    problem: Problem,
-    *,
-    multistart: int = 1,
-    rng: np.random.Generator | None = None,
-) -> Solution:
+def solve_minlp_nlpbb(problem: Problem) -> Solution:
     """Solve ``problem`` by branch-and-bound with NLP relaxations.
 
-    ``multistart > 1`` restarts each node's NLP from extra random points,
-    which guards against local minima on nonconvex instances at the price of
-    proportionally more NLP solves.  The tree runs under the default
-    :class:`~repro.minlp.bnb.BnBOptions`.  Every solve starts cold.
+    The tree runs under the default :class:`~repro.minlp.bnb.BnBOptions`.
+    Every node NLP is one cold, deterministic run.
     """
-
-    def relax(node_problem: Problem) -> Solution:
-        return solve_nlp(node_problem, multistart=multistart, rng=rng)
-
     with span("minlp.nlpbb", problem=problem.name):
-        sol = BranchAndBound(problem, relax).solve()
+        sol = BranchAndBound(problem, solve_nlp).solve()
         telemetry.record_solve("nlpbb", sol.stats, sol.status.value)
     return sol

@@ -342,8 +342,7 @@ def _solve_minlp_oa_impl(
         oa_span.set_tag("root_nlp_ms", root.stats.wall_time * 1e3)
         if root.status is Status.INFEASIBLE:
             # The continuous relaxation is infeasible => the MINLP is
-            # infeasible (for convex models; NLP multistart covers solver
-            # failures).
+            # infeasible (for convex models).
             stats.wall_time = timer.stop()
             return Solution(
                 Status.INFEASIBLE, stats=stats, message="NLP relaxation infeasible"

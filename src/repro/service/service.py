@@ -43,7 +43,7 @@ open — walks down explicit rungs instead of failing:
 1. **stale cache** — a TTL-expired entry within ``max_stale`` seconds of
    age, served with ``source="stale"`` and its age attached;
 2. **greedy approximate** — the polynomial-time bounded greedy (the same
-   final rung as the PR 1 oa -> nlpbb -> greedy chain), ``source="greedy"``;
+   final rung as the pipeline's greedy fallback), ``source="greedy"``;
 3. **typed rejection** — :class:`ServiceRejectedError`, never a silent drop.
 
 Every rung books its own ``service_requests_total{outcome}`` series

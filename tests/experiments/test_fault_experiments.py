@@ -37,7 +37,7 @@ def test_pipeline_completes_under_faults():
         "fmo-protein-12-256",
     ]
     assert all(row[1] == "yes" for row in result.rows)  # completed
-    assert all(tier in {"oa", "nlpbb", "greedy"} for tier in result.tiers.values())
+    assert all(tier in {"oa", "direct", "greedy"} for tier in result.tiers.values())
     assert all(row[4] > 0.0 for row in result.rows)  # finite makespan
     text = result.render()
     assert "cesm-1deg-128" in text and "fmo-protein-12-256" in text

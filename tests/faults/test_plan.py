@@ -26,6 +26,8 @@ def test_validation_rejects_bad_rates():
         FaultPlan(crash_component="ocn", crash_fraction=1.0)
     with pytest.raises(ValueError, match="solver tier"):
         FaultPlan(solver_stall=("simplex",))
+    with pytest.raises(ValueError, match="solver tier"):
+        FaultPlan(solver_stall=("nlpbb",))  # no longer a pipeline tier
     with pytest.raises(ValueError, match="not both"):
         FaultPlan(crash_component="ocn", crash_group=1)
 
@@ -150,7 +152,7 @@ def test_zero_rate_plan_is_silent():
 
 def test_solver_stall_and_crash_flags():
     plan = FaultPlan(solver_stall=("oa",), crash_group=2, crash_fraction=0.3)
-    assert plan.solver_fails("oa") and not plan.solver_fails("nlpbb")
+    assert plan.solver_fails("oa") and not FaultPlan().solver_fails("oa")
     assert plan.has_crash
     assert FaultPlan(crash_component="ocn").has_crash
 
@@ -163,5 +165,5 @@ def test_describe_echoes_the_knobs():
     assert "fail=10%" in text
     assert "crash=ocn@50%" in text
     assert "timeout" not in text  # silent knobs stay out of the echo
-    grp = FaultPlan(crash_group=1, solver_stall=("oa", "nlpbb")).describe()
-    assert "crash=group1@50%" in grp and "solver_stall=oa,nlpbb" in grp
+    grp = FaultPlan(crash_group=1, solver_stall=("oa",)).describe()
+    assert "crash=group1@50%" in grp and "solver_stall=oa" in grp

@@ -1,7 +1,5 @@
 """Tests for the NLP layer."""
 
-import math
-
 import pytest
 
 from repro.minlp.modeling import Model
@@ -99,21 +97,9 @@ def test_warm_start_dict_accepted():
     assert sol.values["x"] == pytest.approx(1.0, abs=1e-4)
 
 
-def test_multistart_uses_rng(rng):
-    m = Model()
-    x = m.var("x", -4, 4)
-    # Double well: global min at x = -2 (value -16-8=-24 vs -16+8=-8 at 2).
-    m.minimize(x**4 - 8 * x**2 + 2 * x)
-    sol = solve_nlp(m.build(), multistart=8, rng=rng)
-    assert sol.values["x"] == pytest.approx(-2.06, abs=0.2)
-
-
 def test_stats_count_solves():
     m = Model()
     x = m.var("x", 0, 1)
-    m.minimize(x * x)
-    sol = solve_nlp(m.build(), multistart=3)
-    assert sol.stats.nlp_solves == 3
-    # An LP has one exact answer: solved once, restarts would add nothing.
+    # An LP has one exact answer: solved once.
     m.minimize(x)
-    assert solve_nlp(m.build(), multistart=3).stats.nlp_solves == 1
+    assert solve_nlp(m.build()).stats.nlp_solves == 1

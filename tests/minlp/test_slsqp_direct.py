@@ -7,8 +7,8 @@ constraint per row side and closures that walk the trees with
 ``Expr.evaluate`` — how the NLP layer called it before.  Every run is
 replayed through it and the two must agree on the bytes of ``x``, the
 iteration count, the exit mode and the message.  The runs come from the
-ledger's nine pipeline blocks (every SLSQP call their solves make), from a
-Tsync NLP-B&B solve (three starts per node) and from keyed NLPs with
+ledger's nine pipeline blocks (every SLSQP call their solves make), from an
+NLP-B&B solve of a Tsync layout and from keyed NLPs with
 equality and range rows, maximization, free variables, infeasible
 starts and infeasible problems.
 """
@@ -31,6 +31,7 @@ from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
 from repro.core.hslb import HSLBOptimizer
 from repro.minlp.expr import VarRef, exp, log, sqrt
+from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.problem import Problem, Sense
 from repro.minlp.solution import Status
@@ -164,14 +165,20 @@ def test_every_ledger_slsqp_run_matches_minimize(
 
 
 def test_tsync_nlpbb_runs_match_minimize(monkeypatch):
-    """NLP-B&B on the nonconvex Tsync layout restarts every node NLP from
-    three points (two of them random): each run matches."""
-    oracle = _Oracle(monkeypatch)
-    opt = HSLBOptimizer(CESMApplication(one_degree(), tsync=0.5))
+    """NLP-B&B on the nonconvex Tsync layout (the pipeline's fits; the
+    pipeline itself answers it with the layout scan): every node NLP run
+    matches."""
+    app = CESMApplication(one_degree(), tsync=0.5)
+    opt = HSLBOptimizer(app)
     plan = opt.run((32, 64, 128, 256, 512), 128, np.random.default_rng(7), execute=False)
-    assert plan.solver_tier == "nlpbb"
-    assert plan.solution.status is Status.OPTIMAL
-    assert oracle.calls > 10
+    assert plan.solver_tier == "direct"
+    models = {name: fit.model for name, fit in plan.fits.items()}
+    oracle = _Oracle(monkeypatch)
+    sol = solve_minlp_nlpbb(app.formulate(models, 128))
+    assert sol.status is Status.OPTIMAL
+    assert sol.objective >= plan.predicted_total - 1e-6
+    # One SLSQP run per node NLP, each replayed.
+    assert oracle.calls == sol.stats.nlp_solves >= sol.stats.nodes_explored > 1
 
 
 def _keyed_nlp(key: int, shape: str) -> tuple[Problem, dict[str, float] | None]:
@@ -221,15 +228,13 @@ _SHAPES = ("plain", "equality", "range", "maximize", "free", "infeasible-start",
 
 
 @settings(max_examples=60, deadline=None)
-@given(key=st.integers(0, 2**31 - 1), shape=st.sampled_from(_SHAPES),
-       starts=st.integers(1, 3))
-def test_keyed_nlps_match_minimize(key, shape, starts):
+@given(key=st.integers(0, 2**31 - 1), shape=st.sampled_from(_SHAPES))
+def test_keyed_nlps_match_minimize(key, shape):
     problem, x0 = _keyed_nlp(key, shape)
     with pytest.MonkeyPatch.context() as mp:
         oracle = _Oracle(mp)
-        nlp.solve_nlp(problem, x0=x0, multistart=starts,
-                      rng=keyed_rng(key, "slsqp-starts"))
-    assert oracle.calls == starts
+        nlp.solve_nlp(problem, x0=x0)
+    assert oracle.calls == 1
 
 
 def test_a_problem_without_variables_is_refused_like_minimize():

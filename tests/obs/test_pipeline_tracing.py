@@ -6,6 +6,8 @@ injected solver stalls) so the traces are fast and deterministic.
 
 import pytest
 
+from repro.cesm.app import CESMApplication
+from repro.cesm.grids import one_degree
 from repro.core.builder import AllocationModelBuilder
 from repro.core.hslb import HSLBOptimizer
 from repro.core.objectives import Objective
@@ -119,54 +121,48 @@ def test_solver_telemetry_counters_accumulate(tracer):
 
 
 def test_degradation_chain_emits_one_event_per_transition(tracer):
-    opt = HSLBOptimizer(TwoComponentApp(solver_stall=("oa", "nlpbb")))
-    before = {
-        ("oa", "nlpbb"): _counter(
-            "hslb_degradations_total", from_tier="oa", to_tier="nlpbb"
+    """A stalled OA hands over to the exact direct answer when the app has
+    one (CESM), else to the greedy fallback: one event, one counter bump."""
+    cesm_models = {c: truth.model for c, truth in one_degree().ground_truth.items()}
+    for app, models, fallback in (
+        (
+            CESMApplication(one_degree(), faults=FaultPlan(solver_stall=("oa",))),
+            cesm_models,
+            "direct",
         ),
-        ("nlpbb", "greedy"): _counter(
-            "hslb_degradations_total", from_tier="nlpbb", to_tier="greedy"
-        ),
-    }
+        (TwoComponentApp(solver_stall=("oa",)), MODELS, "greedy"),
+    ):
+        tracer.reset()
+        opt = HSLBOptimizer(app)
+        labels = {"from_tier": "oa", "to_tier": fallback}
+        before = _counter("hslb_degradations_total", **labels)
+        opt.solve(models, 64)
+        assert opt.last_provenance.tier == fallback
+        # Counters: exactly one bump for the one transition.
+        assert _counter("hslb_degradations_total", **labels) == before + 1
+        # Trace: one solver.degraded event, carrying the reason.
+        solve = tracer.find("hslb.solve")
+        degraded = [e for e in solve.events if e["name"] == "solver.degraded"]
+        assert [(e["from_tier"], e["to_tier"]) for e in degraded] == [("oa", fallback)]
+        assert degraded[0]["reason"] == "injected solver stall"
+        # The injected stall was recorded as a fault too.
+        stalls = [e for e in solve.events if e["name"] == "fault.injected"]
+        assert len(stalls) == 1
+
+
+def test_degradation_event_carries_the_triggering_exception(tracer, monkeypatch):
+    import repro.core.hslb as hslb
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("synthetic oa blow-up")
+
+    monkeypatch.setattr(hslb, "solve_minlp_oa", failing)
+    opt = HSLBOptimizer(TwoComponentApp())
     result = opt.run([16, 32, 64], 64, default_rng(0), execute=False)
     assert result.solver_tier == "greedy"
-    # Counters: exactly one bump per transition in the chain.
-    assert (
-        _counter("hslb_degradations_total", from_tier="oa", to_tier="nlpbb")
-        == before[("oa", "nlpbb")] + 1
-    )
-    assert (
-        _counter("hslb_degradations_total", from_tier="nlpbb", to_tier="greedy")
-        == before[("nlpbb", "greedy")] + 1
-    )
-    # Trace: one solver.degraded event per transition, carrying the reason.
-    solve = tracer.find("hslb.solve")
-    degraded = [e for e in solve.events if e["name"] == "solver.degraded"]
-    assert [(e["from_tier"], e["to_tier"]) for e in degraded] == [
-        ("oa", "nlpbb"),
-        ("nlpbb", "greedy"),
-    ]
-    assert all(e["reason"] == "injected solver stall" for e in degraded)
-    # The injected stalls were recorded as faults too.
-    stalls = [e for e in solve.events if e["name"] == "fault.injected"]
-    assert len(stalls) == 2
-
-
-def test_degradation_event_carries_the_triggering_exception(tracer):
-    opt = HSLBOptimizer(TwoComponentApp())
-    original = opt._solve_tier
-
-    def failing(tier, *args, **kwargs):
-        if tier == "oa":
-            raise RuntimeError("synthetic oa blow-up")
-        return original(tier, *args, **kwargs)
-
-    opt._solve_tier = failing
-    result = opt.run([16, 32, 64], 64, default_rng(0), execute=False)
-    assert result.solver_tier == "nlpbb"
     solve = tracer.find("hslb.solve")
     [event] = [e for e in solve.events if e["name"] == "solver.degraded"]
-    assert event["from_tier"] == "oa" and event["to_tier"] == "nlpbb"
+    assert event["from_tier"] == "oa" and event["to_tier"] == "greedy"
     assert event["status"] == "error"
     assert event["reason"] == "RuntimeError: synthetic oa blow-up"
 

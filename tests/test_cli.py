@@ -152,7 +152,7 @@ def test_optimize_with_fault_flags(capsys):
     assert "crash=ocn@50%" in captured.err
     assert "TOTAL" in out  # the pipeline still completed
     assert "recovery: lost" in out and "'ocn'" in out
-    assert "solver: oa" in out or "solver: nlpbb" in out or "solver: greedy" in out
+    assert "solver: oa" in out or "solver: direct" in out or "solver: greedy" in out
 
 
 def test_optimize_without_fault_flags_has_no_plan_header(capsys):
