@@ -14,9 +14,12 @@ import pytest
 
 from repro.cesm.grids import one_degree
 from repro.cesm.layouts import Layout, formulate_layout
+from repro.core.hslb import HSLBOptimizer
+from repro.fmo.app import FMOApplication
+from repro.fmo.molecules import protein_like
 from repro.minlp import Model, solve_minlp_oa
 from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp
-from repro.perf.fitting import fit_performance_model
+from repro.perf.fitting import fit_performance_model, fit_suite
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -242,6 +245,20 @@ def test_fitting_throughput(benchmark):
     y = truth.time(nodes) * np.exp(rng.normal(0, 0.02, nodes.size))
     fit = benchmark(lambda: fit_performance_model(nodes, y, rng=default_rng(2)))
     assert fit.r_squared > 0.999
+
+
+@pytest.fixture(scope="module")
+def fmo24_suite():
+    """A 24-fragment protein's benchmark suite: six points a fragment."""
+    app = FMOApplication(protein_like(24, default_rng(3)))
+    return HSLBOptimizer(app).gather([1, 2, 4, 8, 16, 32], default_rng(4))
+
+
+def test_suite_fit_throughput(benchmark, fmo24_suite):
+    """Step 2 on a whole suite: 120 starts of one point count, in lockstep."""
+    fits = benchmark(lambda: fit_suite(fmo24_suite, rng=default_rng(2)))
+    assert len(fits) == 24
+    assert min(fit.r_squared for fit in fits.values()) > 0.99
 
 
 def test_expression_differentiation(benchmark):

@@ -18,12 +18,18 @@ nearly zero, so this restriction costs essentially nothing.  Every fit
 tries :data:`FIT_STARTS` starts: the heuristic one, then random restarts
 drawn from the caller's ``rng``.
 
-The solver contract: every start is solved by
-:func:`repro.perf.trf.least_squares_trf`, a port of scipy's bounded TRF that
-is bit-identical to ``scipy.optimize.least_squares(method="trf")`` — the
-same ``x``, ``cost``, ``status`` and ``nfev`` on every start — at less than
-half the cost, because at 4 parameters and 2-10 observations scipy's wrappers,
-not its arithmetic, dominate.  scipy stays the test oracle
+The solver contract: every start is solved by a port of scipy's bounded
+TRF that is bit-identical to ``scipy.optimize.least_squares(method="trf")``
+— the same ``x``, ``cost``, ``status`` and ``nfev`` on every start — at
+less than half the cost, because at 4 parameters and 2-10 observations
+scipy's wrappers, not its arithmetic, dominate.  There are two drivers, one
+answer: :func:`fit_suite` draws every component's starts first, then runs
+the starts of each point count in lockstep
+(:func:`repro.perf.trf.least_squares_trf_lockstep`, one stacked numpy step
+for all of them) once there are :data:`LOCKSTEP_MIN_LANES` of them; fewer,
+and :func:`fit_performance_model`'s five, run one after another on
+:func:`repro.perf.trf.least_squares_trf`.  Both validate the data alike and
+keep the first start of strictly lowest cost.  scipy stays the test oracle
 (``tests/perf/test_trf.py``); this module imports no scipy at all.
 """
 
@@ -34,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.trace import span
-from repro.perf.data import BenchmarkSuite, ComponentBenchmark
+from repro.obs.trace import get_tracer, span
+from repro.perf.data import BenchmarkSuite
 from repro.perf.model import PerformanceModel
-from repro.perf.trf import least_squares_trf
+from repro.perf.trf import TRFResult, least_squares_trf, least_squares_trf_lockstep
 from repro.util.rng import default_rng
 
 #: Bounds for the exponent c.  ``c >= 1`` keeps the fitted curve convex; the
@@ -51,6 +57,15 @@ FIT_STARTS = 5
 
 #: The least-squares losses a fit accepts (Table II is ``"linear"``).
 FIT_LOSSES = ("linear", "huber", "soft_l1")
+
+#: Lanes (starts of the fits of one point count) from which a suite's fits
+#: run in lockstep rather than one start after another: the measured
+#: crossover.  Best of 15 interleaved runs, one BLAS thread, 2-vCPU Xeon,
+#: ledger components, ms sequential -> lockstep: at 20 lanes it is a draw
+#: (FMO D=6 33.1 -> 31.1, CESM D=6 33.2 -> 28.7, CESM D=8 29.7 -> 33.1), from
+#: 25 lanes lockstep wins on each (36.0 -> 30.5, 36.4 -> 28.3, 32.4 -> 31.5),
+#: and it widens to 49.0 -> 36.7 at 40 lanes and 146.8 -> 50.9 at 120.
+LOCKSTEP_MIN_LANES = 25
 
 
 @dataclass(frozen=True)
@@ -112,6 +127,33 @@ class _Curve:
         return J * self.w[:, None] if self.w is not None else J
 
 
+class _Curves:
+    """:class:`_Curve` for many fits of one point count at once, one row per
+    lane, for :func:`repro.perf.trf.least_squares_trf_lockstep`: every
+    value is the one :class:`_Curve` computes for the lane alone."""
+
+    def __init__(self, n: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> None:
+        self.n, self.y, self.w = n, y, w
+        self.log_n = np.log(n)
+        self.template = np.empty(n.shape + (4,))
+        self.template[:, :, 0] = -1.0 / n
+        self.template[:, :, 3] = -1.0
+
+    def residuals(self, params: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        a, b, c, d = (col[:, None] for col in params.T)
+        n = self.n[lanes]
+        r = self.y[lanes] - (a / n + b * n**c + d)
+        return r * self.w[lanes] if self.w is not None else r
+
+    def jacobian(self, params: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        a, b, c, d = (col[:, None] for col in params.T)
+        nc = self.n[lanes] ** c
+        J = self.template[lanes]
+        J[:, :, 1] = -nc
+        J[:, :, 2] = -b * self.log_n[lanes] * nc
+        return J * self.w[lanes][:, :, None] if self.w is not None else J
+
+
 def _heuristic_start(n: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A physically-motivated initial point.
 
@@ -126,33 +168,28 @@ def _heuristic_start(n: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([a0, b0, _C_MIN, d0])
 
 
-def fit_performance_model(
-    nodes: np.ndarray,
-    seconds: np.ndarray,
-    *,
-    rng: np.random.Generator | None = None,
-    weights: np.ndarray | None = None,
-    loss: str = "linear",
-) -> FitResult:
-    """Fit ``T(n) = a/n + b n^c + d`` to observations by least squares.
+_LOWER = np.array([0.0, 0.0, _C_MIN, 0.0])
+_UPPER = np.array([np.inf, np.inf, _C_MAX, np.inf])
+_MAX_NFEV = 2000
 
-    Parameters
-    ----------
-    nodes, seconds:
-        Observation arrays (``D_j`` entries each, D >= 2 required; the paper
-        recommends >= 4 and a benchmark quantifies why).
-    rng:
-        Draws the random restarts.
-    weights:
-        Optional per-observation weights (1/sigma_i); residuals are scaled.
-    loss:
-        ``"linear"`` is the paper's plain least squares (Table II line 10).
-        ``"huber"`` or ``"soft_l1"`` give robust fits that shrug off outlier
-        benchmark runs (a node hiccup during the gather campaign) — §IV's
-        "the weakest part of the HSLB algorithm is obtaining the actual
-        performance data" risk, mitigated.  Residuals are scaled relative to
-        the observed times so the robust threshold is resolution-independent.
-    """
+
+@dataclass(frozen=True)
+class _Problem:
+    """One fit, ready for a driver: sorted observations, weights, loss and
+    residual scale, and its :data:`FIT_STARTS` starts (clipped to the box)."""
+
+    n: np.ndarray
+    y: np.ndarray
+    w: np.ndarray | None
+    loss: str
+    f_scale: float
+    starts: np.ndarray
+
+
+def _problem(
+    nodes, seconds, weights, rng: np.random.Generator, loss: str
+) -> _Problem:
+    """Validate one fit's data and draw its starts from ``rng``."""
     if loss not in FIT_LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
     n = np.asarray(nodes, dtype=float)
@@ -161,12 +198,14 @@ def fit_performance_model(
         raise ValueError("nodes and seconds must be 1-D arrays of equal length")
     if n.size < 2:
         raise ValueError(f"need at least 2 observations to fit, got {n.size}")
+    if not (np.all(np.isfinite(n)) and np.all(np.isfinite(y))):
+        raise ValueError("node counts and times must be finite")
     if np.any(n <= 0) or np.any(y <= 0):
         raise ValueError("node counts and times must be positive")
     if weights is not None:
         w = np.asarray(weights, dtype=float)
-        if w.shape != n.shape or np.any(w <= 0):
-            raise ValueError("weights must be positive and match observations")
+        if w.shape != n.shape or not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise ValueError("weights must be finite, positive and match observations")
     else:
         w = None
 
@@ -175,11 +214,6 @@ def fit_performance_model(
     if w is not None:
         w = w[order]
 
-    lower = np.array([0.0, 0.0, _C_MIN, 0.0])
-    upper = np.array([np.inf, np.inf, _C_MAX, np.inf])
-
-    curve = _Curve(n, y, w)
-    rng = rng or default_rng()
     starts = [_heuristic_start(n, y)]
     y_scale = float(y.max())
     for _ in range(FIT_STARTS - 1):
@@ -197,25 +231,59 @@ def fit_performance_model(
     # Robust losses need a residual scale: ~5% of the typical time means a
     # benchmark run more than a few percent off the curve stops dominating.
     f_scale = 0.05 * float(np.median(y)) if loss != "linear" else 1.0
+    return _Problem(n, y, w, loss, f_scale, np.clip(starts, _LOWER, _UPPER))
 
+
+def _sequential(problem: _Problem) -> list[TRFResult | None]:
+    """Each start through :func:`least_squares_trf`, one after another
+    (None for a start the solver refuses)."""
+    curve = _Curve(problem.n, problem.y, problem.w)
+    outcomes: list[TRFResult | None] = []
+    for x0 in problem.starts:
+        try:
+            outcomes.append(
+                least_squares_trf(
+                    curve.residuals, curve.jacobian, x0, _LOWER, _UPPER,
+                    max_nfev=_MAX_NFEV, loss=problem.loss, f_scale=problem.f_scale,
+                )
+            )
+        except (ValueError, FloatingPointError):
+            outcomes.append(None)
+    return outcomes
+
+
+def _lockstep(problems: list[_Problem]) -> tuple[list[list[TRFResult | None]], int]:
+    """Every start of every problem (one point count) through
+    :func:`least_squares_trf_lockstep`: the outcomes :func:`_sequential`
+    gives each problem, and the number of ticks."""
+    lanes = [(p, x0) for p in problems for x0 in p.starts]
+    weighted = any(p.w is not None for p in problems)
+    curves = _Curves(
+        np.array([p.n for p, _ in lanes]),
+        np.array([p.y for p, _ in lanes]),
+        np.array([np.ones_like(p.n) if p.w is None else p.w for p, _ in lanes])
+        if weighted
+        else None,
+    )
+    results, ticks = least_squares_trf_lockstep(
+        curves.residuals, curves.jacobian,
+        np.array([x0 for _, x0 in lanes]), _LOWER, _UPPER,
+        max_nfev=_MAX_NFEV,
+        loss=[p.loss for p, _ in lanes],
+        f_scale=[p.f_scale for p, _ in lanes],
+    )
+    outcomes = [r if isinstance(r, TRFResult) else None for r in results]
+    return [outcomes[i : i + FIT_STARTS] for i in range(0, len(lanes), FIT_STARTS)], ticks
+
+
+def _best(problem: _Problem, outcomes: list[TRFResult | None]) -> FitResult:
+    """The fit of the first start with the strictly lowest cost."""
+    n, y = problem.n, problem.y
     best_params: np.ndarray | None = None
     best_cost = math.inf
     best_rss = math.inf
-    tried = 0
-    for x0 in starts:
-        tried += 1
-        try:
-            res = least_squares_trf(
-                curve.residuals,
-                curve.jacobian,
-                np.clip(x0, lower, upper),
-                lower,
-                upper,
-                max_nfev=2000,
-                loss=loss,
-                f_scale=f_scale,
-            )
-        except (ValueError, FloatingPointError):
+    for res in outcomes:
+        if res is None:
             continue
         cost = float(res.cost)
         if cost < best_cost:
@@ -234,19 +302,66 @@ def fit_performance_model(
         r_squared=r2,
         rss=best_rss,
         n_points=int(n.size),
-        starts_tried=tried,
+        starts_tried=len(outcomes),
     )
 
 
-def fit_component(
-    bench: ComponentBenchmark,
+def fit_performance_model(
+    nodes: np.ndarray,
+    seconds: np.ndarray,
     *,
     rng: np.random.Generator | None = None,
-    loss: str = "linear",
+    weights: np.ndarray | None = None,
 ) -> FitResult:
-    """Fit one component's benchmark data, every observation weighted alike."""
-    n, y = bench.arrays()
-    return fit_performance_model(n, y, rng=rng, loss=loss)
+    """Fit ``T(n) = a/n + b n^c + d`` to observations by least squares
+    (Table II line 10), every start on :func:`least_squares_trf`.
+
+    Parameters
+    ----------
+    nodes, seconds:
+        Observation arrays (``D_j`` entries each, D >= 2 required; the paper
+        recommends >= 4 and a benchmark quantifies why).  Every entry must
+        be finite and positive.
+    rng:
+        Draws the random restarts.
+    weights:
+        Optional per-observation weights (1/sigma_i; finite and positive);
+        residuals are scaled.
+    """
+    problem = _problem(nodes, seconds, weights, rng or default_rng(), "linear")
+    return _best(problem, _sequential(problem))
+
+
+def _fit_problems(problems: dict[str, _Problem]) -> dict[str, FitResult]:
+    """Fit every problem: lockstep for each point count with at least
+    :data:`LOCKSTEP_MIN_LANES` lanes, one start after another otherwise.
+    Tags the enclosing span with the ``driver`` (``lockstep`` if any point
+    count ran in lockstep), the ``lanes`` and the lockstep ``ticks``."""
+    groups: dict[int, list[str]] = {}
+    for name, problem in problems.items():
+        groups.setdefault(problem.n.size, []).append(name)
+    solved: dict[str, list[TRFResult | None]] = {}
+    ticks = 0
+    for names in groups.values():
+        if FIT_STARTS * len(names) >= LOCKSTEP_MIN_LANES:
+            outcomes, group_ticks = _lockstep([problems[name] for name in names])
+            solved.update(zip(names, outcomes))
+            ticks += group_ticks
+    enclosing = get_tracer().current()
+    if enclosing is not None:
+        enclosing.set_tag("driver", "lockstep" if solved else "sequential")
+        enclosing.set_tag("lanes", FIT_STARTS * len(problems))
+        enclosing.set_tag("ticks", ticks)
+
+    fits: dict[str, FitResult] = {}
+    for name, problem in problems.items():
+        with span("fit.component", component=name) as sp:
+            outcomes = solved.get(name)
+            fit = _best(problem, _sequential(problem) if outcomes is None else outcomes)
+            sp.set_tag("r_squared", round(fit.r_squared, 6))
+            sp.set_tag("points", fit.n_points)
+        fits[name] = fit
+    return fits
 
 
 def fit_suite(
@@ -261,19 +376,27 @@ def fit_suite(
     e.g. after a degraded gather campaign pruned its failures) aborts the
     whole suite with ``ValueError`` naming it.
 
-    Components are fitted one after another from the one ``rng`` stream, so
-    a suite has exactly one answer per seed (the ledger pins objectives).
+    ``loss="linear"`` is the paper's plain least squares (Table II line 10).
+    ``"huber"`` or ``"soft_l1"`` give robust fits that shrug off outlier
+    benchmark runs (a node hiccup during the gather campaign) — §IV's "the
+    weakest part of the HSLB algorithm is obtaining the actual performance
+    data" risk, mitigated.  Residuals are scaled relative to the observed
+    times so the robust threshold is resolution-independent.
+
+    Every component's starts are drawn first, one component after another
+    from the one ``rng`` stream, so a suite has exactly one answer per seed
+    (the ledger pins objectives) whichever driver solves it; the answer is
+    the one :func:`fit_performance_model` gives each component with the
+    same draws.  The enclosing span (the pipeline's ``hslb.fit``) is tagged
+    with the ``driver`` (``lockstep`` or ``sequential``), the ``lanes``
+    (starts) and the lockstep ``ticks``.
     """
     rng = rng or default_rng()
     degenerate = suite.degenerate_components(min_points=2)
     if degenerate:
         name, reason = next(iter(sorted(degenerate.items())))
         raise ValueError(f"component {name!r} is unfittable: {reason}")
-    fits: dict[str, FitResult] = {}
-    for name in suite:
-        with span("fit.component", component=name) as sp:
-            fit = fit_component(suite[name], rng=rng, loss=loss)
-            sp.set_tag("r_squared", round(fit.r_squared, 6))
-            sp.set_tag("points", fit.n_points)
-        fits[name] = fit
-    return fits
+    problems = {
+        name: _problem(*suite[name].arrays(), None, rng, loss) for name in suite
+    }
+    return _fit_problems(problems)

@@ -33,6 +33,12 @@ What may run on Python floats, and what must stay numpy:
 * Scalars stay the type scipy gives them (``np.float64`` out of a
   reduction), so a division by zero is ``inf`` with a warning, as there.
 
+:func:`least_squares_trf_lockstep` runs many problems of one shape at once
+(a suite's starts, one *lane* each) as stacked numpy operations, one
+trust-region attempt of every live lane per tick, and each lane is still
+bit-identical to scipy: the rules it keeps are listed above its code.  Its
+last few lanes finish on :func:`least_squares_trf`'s own loop.
+
 scipy is imported on the first fit of a shape, never at module level: a
 serving process never fits and must not pay for scipy.
 """
@@ -471,14 +477,26 @@ def least_squares_trf(
     Delta = _norm(x / np.array(d))
     if Delta == 0:
         Delta = 1.0
+    return _iterate(
+        fun, jac, loss_function, lbl, ubl, max_nfev,
+        x, f, J, g, cost, Delta, 0.0, 1, None,
+    )
 
+
+def _iterate(
+    fun, jac, loss_function, lbl, ubl, max_nfev,
+    x, f, J, g, cost, Delta, alpha, nfev, status,
+) -> TRFResult:
+    """The driver's outer loop, from the head of an iteration: ``x``,
+    ``f``, ``J`` (both scaled for a robust loss), ``g``, ``cost``, the
+    trust radius, ``alpha``, the evaluations so far and the status the last
+    inner loop set (None if it set none)."""
+    xl = x.tolist()
+    m, n = J.shape
     f_augmented = np.zeros(m + n)
     J_augmented = np.zeros((m + n, n))
     J_h = J_augmented[:m]
     gesdd, lwork = _gesdd(m + n, n)
-    alpha = 0.0
-    nfev = 1
-    status = None
 
     while True:
         dl, diag_l, g_norm = _scaling(xl, g.tolist(), lbl, ubl)
@@ -564,3 +582,599 @@ def least_squares_trf(
             g = J.T.dot(f)
 
     return TRFResult(x=x, cost=cost, status=0 if status is None else status, nfev=nfev)
+
+
+# -- the lockstep driver -------------------------------------------------------
+#
+# Many independent problems of one shape (the starts of a suite's fits) step
+# together: every array carries one row per lane, and each scalar step of
+# the driver above becomes one stacked numpy operation on the lanes that take
+# it.  Each lane performs the same floating-point operations as the driver
+# above, so its x, cost, status and nfev are the same bytes:
+#
+# * elementwise arithmetic, comparisons and branches are IEEE either way; a
+#   branch becomes a ``np.where`` on its condition, written with Python's
+#   ``min`` / ``max`` semantics (the first argument unless the second is
+#   strictly smaller / larger), not ``np.minimum`` / ``np.maximum``;
+# * every reduction is a stacked ``np.matmul``, which makes one BLAS call per
+#   lane (``ddot`` for a vector pair, ``gemv`` for a matrix-vector product):
+#   the call ``.dot`` makes, provided each lane's operand has the layout the
+#   driver above hands it.  scipy's ``gesdd`` returns ``U`` and ``Vt`` in
+#   Fortran order, so ``U.T`` and ``V`` are C-ordered there and are made so
+#   here;
+# * the SVD is one batched ``np.linalg.svd`` (LAPACK ``gesdd`` per lane);
+# * a power of a scalar is C ``pow`` there (``np.float64 ** e``), which is not
+#   numpy's array ``sqrt`` / ``square`` in the last bit, so it is taken lane
+#   by lane on scalars here (:func:`_scalar_pow`); array powers stay array
+#   powers, and sums stay ``np.add.reduce``;
+# * a lane whose inner loop ends on ftol or xtol passes one more head, where
+#   gtol may overwrite its status with 1, as in the driver above.
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each lane's ``a.dot(b)`` on rows of ``(k, n)`` arrays: one ``ddot``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _rowmv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each lane's ``A.dot(v)`` on ``(k, r, c)`` and ``(k, c)``: one ``gemv``
+    on the lane's own layout of ``A``."""
+    return np.matmul(A, v[:, :, None])[:, :, 0]
+
+
+def _rownorm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_rowdot(a, a))
+
+
+def _scalar_pow(v: np.ndarray, e: float) -> np.ndarray:
+    """``v_i ** e`` on ``np.float64`` scalars: C ``pow``, lane by lane."""
+    return np.array([t**e for t in v], dtype=float)
+
+
+def _pick_max(a, b):
+    """Python's ``max(a, b)``, lane by lane."""
+    return np.where(b > a, b, a)
+
+
+def _pick_min(a, b):
+    """Python's ``min(a, b)``, lane by lane."""
+    return np.where(b < a, b, a)
+
+
+def _lanes_in_bounds(x, lb, ub) -> np.ndarray:
+    return np.logical_and.reduce((lb <= x) & (x <= ub), axis=1)
+
+
+def _lanes_strictly_feasible(x, lb, ub, rstep):
+    """:func:`_strictly_feasible`, lane by lane."""
+    r_lb = rstep * _pick_max(1.0, np.abs(lb))
+    r_ub = rstep * _pick_max(1.0, np.abs(ub))
+    lower_dist, upper_dist = x - lb, ub - x
+    to_ub = np.isfinite(ub) & (upper_dist <= _pick_min(lower_dist, r_ub))
+    to_lb = ~to_ub & np.isfinite(lb) & (lower_dist <= _pick_min(upper_dist, r_lb))
+    x = np.where(to_ub, ub - r_ub, np.where(to_lb, lb + r_lb, x))
+    return np.where((x < lb) | (x > ub), 0.5 * (lb + ub), x)
+
+
+def _lanes_strictly_inside(x, lb, ub):
+    """:func:`_strictly_inside`, lane by lane."""
+    x = np.where(x >= ub, np.nextafter(ub, lb), np.where(x <= lb, np.nextafter(lb, ub), x))
+    return np.where((x < lb) | (x > ub), 0.5 * (lb + ub), x)
+
+
+def _lanes_scaling(x, g, lb, ub):
+    """:func:`_scaling`, lane by lane."""
+    to_ub = (g < 0) & np.isfinite(ub)
+    to_lb = ~to_ub & (g > 0) & np.isfinite(lb)
+    v = np.where(to_ub, ub - x, np.where(to_lb, x - lb, 1.0))
+    dv = np.where(to_ub, -1.0, np.where(to_lb, 1.0, 0.0))
+    return np.sqrt(v), g * dv, np.max(np.abs(g * v), axis=1)
+
+
+def _lanes_step_to_bound(x, s, lb, ub):
+    """:func:`_step_size_to_bound`, lane by lane: the step and the mask of
+    the coordinates whose bound it hits."""
+    lo, hi = (lb - x) / s, (ub - x) / s
+    steps = np.where(s != 0, np.where((hi > lo) | (hi != hi), hi, lo), np.inf)
+    min_step = steps[:, 0]
+    for j in range(1, steps.shape[1]):
+        min_step = _pick_min(min_step, steps[:, j])
+    min_step = np.where(np.isnan(steps).any(axis=1), np.nan, min_step)
+    return min_step, (steps == min_step[:, None]) & (s != 0)
+
+
+def _lanes_quadratic(J, g, s, diag, s0=None):
+    """:func:`_build_quadratic_1d`, lane by lane."""
+    v = _rowmv(J, s)
+    a = _rowdot(v, v)
+    a += _rowdot(s * diag, s)
+    a *= 0.5
+    b = _rowdot(g, s)
+    if s0 is None:
+        return a, b, 0.0
+    u = _rowmv(J, s0)
+    b += _rowdot(u, v)
+    c = 0.5 * _rowdot(u, u) + _rowdot(g, s0)
+    b += _rowdot(s0 * diag, s)
+    c += 0.5 * _rowdot(s0 * diag, s0)
+    return a, b, c
+
+
+def _lanes_minimize_1d(a, b, lb, ub, c):
+    """:func:`_minimize_quadratic_1d`, lane by lane: the first minimum of
+    the values at ``lb``, ``ub`` and an interior extremum, or the first NaN."""
+    extremum = -0.5 * b / a
+    inner = (a != 0) & (lb < extremum) & (extremum < ub)
+    y_lb = lb * (a * lb + b) + c
+    y_ub = ub * (a * ub + b) + c
+    y_ex = extremum * (a * extremum + b) + c
+    take_ub = ~np.isnan(y_lb) & ((y_ub < y_lb) | np.isnan(y_ub))
+    t = np.where(take_ub, ub, lb)
+    y = np.where(take_ub, y_ub, y_lb)
+    take_ex = inner & ~np.isnan(y) & ((y_ex < y) | np.isnan(y_ex))
+    return np.where(take_ex, extremum, t), np.where(take_ex, y_ex, y)
+
+
+def _lanes_evaluate_quadratic(J, g, s, diag):
+    """:func:`_evaluate_quadratic`, lane by lane."""
+    Js = _rowmv(J, s)
+    q = _rowdot(Js, Js)
+    q += _rowdot(s * diag, s)
+    return 0.5 * q + _rowdot(s, g)
+
+
+def _lanes_solve_trust_region(m, uf, s, V, Delta, alpha):
+    """:func:`_solve_lsq_trust_region`, lane by lane: a lane leaves the
+    root-finding loop at its own iteration."""
+    k, n = s.shape
+    suf = s * uf
+    p = np.empty((k, n))
+    alpha = alpha.copy()
+    if m >= n:
+        full_rank = s[:, -1] > _EPS * m * s[:, 0]
+    else:
+        full_rank = np.zeros(k, dtype=bool)
+    gauss_newton = np.zeros(k, dtype=bool)  # the full-rank step fits
+    if full_rank.any():
+        rows = np.flatnonzero(full_rank)
+        p_gn = -_rowmv(V[rows], uf[rows] / s[rows])
+        fits = _rownorm(p_gn) <= Delta[rows]
+        p[rows[fits]] = p_gn[fits]
+        alpha[rows[fits]] = 0.0
+        gauss_newton[rows[fits]] = True
+    rest = np.flatnonzero(~gauss_newton)
+    if rest.size == 0:
+        return p, alpha
+
+    suf, V, Delta, alpha = suf[rest], V[rest], Delta[rest], alpha[rest]
+    full_rank = full_rank[rest]
+    s2 = s[rest] ** 2
+    suf2 = suf**2
+
+    def phi_and_derivative(alpha):
+        denom = s2 + alpha[:, None]
+        p_norm = _rownorm(suf / denom)
+        phi = p_norm - Delta
+        phi_prime = -np.add.reduce(suf2 / denom**3, axis=-1) / p_norm
+        return phi, phi_prime
+
+    def fallback(alpha, lower, upper, rows):
+        """``max(0.001 upper, (lower upper) ** 0.5)`` on ``rows``."""
+        if rows.any():
+            alpha = alpha.copy()
+            root = _scalar_pow(lower[rows] * upper[rows], 0.5)
+            alpha[rows] = _pick_max(0.001 * upper[rows], root)
+        return alpha
+
+    alpha_upper = _rownorm(suf) / Delta
+    alpha_lower = np.zeros(rest.size)
+    if full_rank.any():
+        phi, phi_prime = phi_and_derivative(np.zeros(rest.size))
+        alpha_lower = np.where(full_rank, -phi / phi_prime, 0.0)
+    alpha = fallback(alpha, alpha_lower, alpha_upper, ~full_rank & (alpha == 0))
+
+    live = np.ones(rest.size, dtype=bool)
+    for _ in range(10):
+        alpha = fallback(
+            alpha, alpha_lower, alpha_upper,
+            live & ((alpha < alpha_lower) | (alpha > alpha_upper)),
+        )
+        phi, phi_prime = phi_and_derivative(alpha)
+        alpha_upper = np.where(live & (phi < 0), alpha, alpha_upper)
+        ratio = phi / phi_prime
+        alpha_lower = np.where(live, _pick_max(alpha_lower, alpha - ratio), alpha_lower)
+        alpha = np.where(live, alpha - (phi + Delta) * ratio / Delta, alpha)
+        live &= ~(np.abs(phi) < 0.01 * Delta)
+        if not live.any():
+            break
+
+    p_rest = -_rowmv(V, suf / (s2 + alpha[:, None]))
+    p_rest *= (Delta / _rownorm(p_rest))[:, None]
+    p[rest] = p_rest
+    out = np.zeros(k)
+    out[rest] = alpha
+    return p, out
+
+
+def _lanes_select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
+    """:func:`_select_step`, lane by lane.  Returns the step, its scaled
+    form, the predicted reduction and each lane's refusal (the
+    ``ValueError`` scipy raises in the trust-region intersection, or None)."""
+    k = x.shape[0]
+    step, step_h = p.copy(), p_h.copy()
+    predicted = np.empty(k)
+    refusals: list[ValueError | None] = [None] * k
+    inside = _lanes_in_bounds(x + p, lb, ub)
+    if inside.any():
+        rows = np.flatnonzero(inside)
+        predicted[rows] = -_lanes_evaluate_quadratic(
+            J_h[rows], g_h[rows], p_h[rows], diag_h[rows]
+        )
+    out = np.flatnonzero(~inside)
+    if out.size == 0:
+        return step, step_h, predicted, refusals
+
+    x, J_h, diag_h, g_h = x[out], J_h[out], diag_h[out], g_h[out]
+    p, p_h, d, Delta, theta = p[out], p_h[out], d[out], Delta[out], theta[out]
+    p_stride, hits = _lanes_step_to_bound(x, p, lb, ub)
+
+    # The reflected direction.
+    r_h = np.where(hits, -p_h, p_h)
+    r = d * r_h
+
+    # Restrict the trust-region step so that it hits the bound.
+    p = p * p_stride[:, None]
+    p_h = p_h * p_stride[:, None]
+    x_on_bound = x + p
+
+    # The reflected direction leaves the feasible region or the trust
+    # region first (scipy's intersect_trust_region, with its refusals).
+    qa = _rowdot(r_h, r_h)
+    qb = _rowdot(p_h, r_h)
+    qc = _rowdot(p_h, p_h) - _scalar_pow(Delta, 2)
+    for i in np.flatnonzero((qa == 0) | (qc > 0)):
+        reason = "`s` is zero." if qa[i] == 0 else "`x` is not within the trust region."
+        refusals[out[i]] = ValueError(reason)
+    root = np.sqrt(qb * qb - qa * qc)
+    q = -(qb + np.copysign(root, qb))
+    t1, t2 = q / qa, qc / q
+    to_tr = np.where(t1 < t2, t2, t1)
+    to_bound, _ = _lanes_step_to_bound(x_on_bound, r, lb, ub)
+
+    r_stride = _pick_min(to_bound, to_tr)
+    ahead = r_stride > 0
+    r_stride_l = np.where(ahead, (1 - theta) * p_stride / r_stride, 0.0)
+    r_stride_u = np.where(
+        ahead, np.where(r_stride == to_bound, theta * to_bound, to_tr), -1.0
+    )
+    r_value = np.full(out.size, np.inf)
+    rows = np.flatnonzero(r_stride_l <= r_stride_u)
+    if rows.size:
+        a, b, c = _lanes_quadratic(
+            J_h[rows], g_h[rows], r_h[rows], diag_h[rows], s0=p_h[rows]
+        )
+        t, r_value[rows] = _lanes_minimize_1d(
+            a, b, r_stride_l[rows], r_stride_u[rows], c
+        )
+        r_h[rows] = r_h[rows] * t[:, None] + p_h[rows]
+        r[rows] = r_h[rows] * d[rows]
+
+    # Step back from the bound to stay strictly interior.
+    p *= theta[:, None]
+    p_h *= theta[:, None]
+    p_value = _lanes_evaluate_quadratic(J_h, g_h, p_h, diag_h)
+
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = Delta / _rownorm(ag_h)
+    to_bound, _ = _lanes_step_to_bound(x, ag, lb, ub)
+    ag_stride = np.where(to_bound < to_tr, theta * to_bound, to_tr)
+    a, b, _ = _lanes_quadratic(J_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _lanes_minimize_1d(a, b, 0.0, ag_stride, 0.0)
+    ag_h *= ag_stride[:, None]
+    ag *= ag_stride[:, None]
+
+    take_p = (p_value < r_value) & (p_value < ag_value)
+    take_r = ~take_p & (r_value < p_value) & (r_value < ag_value)
+    step[out] = np.where(take_p[:, None], p, np.where(take_r[:, None], r, ag))
+    step_h[out] = np.where(take_p[:, None], p_h, np.where(take_r[:, None], r_h, ag_h))
+    predicted[out] = -np.where(take_p, p_value, np.where(take_r, r_value, ag_value))
+    return step, step_h, predicted, refusals
+
+
+
+#: A lane at the head of an iteration leaves the lockstep for the scalar
+#: loop once no more than this many lanes are live: a tick costs a fixed
+#: ~0.5 ms of numpy dispatch, an iteration of the scalar loop ~40 us, and
+#: the slowest starts of a suite take twice the ticks of the median one.
+#: Measured on the 120-lane FMO suite (best of 15, one BLAS thread, Xeon):
+#: 57.9 / 52.9 / 50.9 / 51.3 / 54.3 ms at 0 / 4 / 8 / 12 / 16.
+_HANDOFF_LANES = 8
+
+
+class _Lockstep:
+    """Every lane of one :func:`least_squares_trf_lockstep` call, one row
+    per lane.  A lane is in one of two phases: at the head of an outer
+    iteration (scaling, the gtol test, the SVD) or inside its inner loop
+    (one trust-region attempt, one residual evaluation).  A tick runs the
+    heads that are due, then one attempt of every live lane; a lane whose
+    inner loop ends takes its step and is at the head again next tick."""
+
+    def __init__(self, fun, jac, x0, lb, ub, max_nfev, loss, f_scale):
+        L, n = x0.shape
+        self.fun, self.jac, self.lb, self.ub = fun, jac, lb, ub
+        self.max_nfev = max_nfev
+        self.loss = np.asarray(loss)
+        self.f_scale = np.asarray(f_scale, dtype=float)
+        self.f_scale2 = _scalar_pow(self.f_scale, 2)
+        self.results: list[TRFResult | ValueError | None] = [None] * L
+        self.alive = np.zeros(L, dtype=bool)
+        self.ticks = 0
+
+        lanes = np.arange(L)
+        inside = _lanes_in_bounds(x0, lb, ub)
+        self._refuse(lanes[~inside], "Initial guess is outside of provided bounds")
+        lanes = lanes[inside]
+        x = _lanes_strictly_feasible(x0[lanes], lb, ub, 1e-10)
+        f, J = fun(x, lanes), jac(x, lanes)
+        finite = np.logical_and.reduce(np.isfinite(f), axis=1)
+        self._refuse(lanes[~finite], "Residuals are not finite in the initial point.")
+        lanes, x, f, J = lanes[finite], x[finite], f[finite], J[finite]
+
+        m = self.m = f.shape[1]
+        self.x, self.g = np.empty((L, n)), np.empty((L, n))
+        self.f, self.J = np.empty((L, m)), np.empty((L, m, n))
+        self.cost = np.empty(L)
+        self.x[lanes] = x
+        self.cost[lanes] = self._store(lanes, f, J)
+        d, _, _ = _lanes_scaling(x, self.g[lanes], lb, ub)
+        Delta = _rownorm(x / d)
+        self.Delta = np.ones(L)
+        self.Delta[lanes] = np.where(Delta == 0, 1.0, Delta)
+        self.alpha = np.zeros(L)
+        self.nfev = np.ones(L, dtype=int)
+        self.status = np.zeros(L, dtype=int)
+        self.alive[lanes] = True
+        self.at_head = self.alive.copy()
+        # Each lane's outer iteration, set at its head.
+        self.d, self.diag_h, self.g_h = (np.empty((L, n)) for _ in range(3))
+        self.J_h = np.empty((L, m, n))
+        self.uf, self.s, self.V = np.empty((L, n)), np.empty((L, n)), np.empty((L, n, n))
+        self.theta, self.x_norm, self.actual = np.empty(L), np.empty(L), np.empty(L)
+
+    # -- bookkeeping --------------------------------------------------------
+
+    def _refuse(self, lanes, reason: str, error=ValueError) -> None:
+        for i in lanes:
+            self.results[i] = error(reason)
+        self.alive[lanes] = False
+
+    def _finish(self, lanes) -> None:
+        for i in lanes:
+            self.results[i] = TRFResult(
+                x=self.x[i].copy(), cost=self.cost[i],
+                status=int(self.status[i]), nfev=int(self.nfev[i]),
+            )
+        self.alive[lanes] = False
+
+    # -- losses -------------------------------------------------------------
+
+    def _rho(self, lanes, f, kernel, cost_only):
+        z = (f / self.f_scale[lanes, None]) ** 2
+        rho = np.empty((3,) + z.shape)
+        kernel(z, rho, cost_only)
+        return rho
+
+    def _cost(self, lanes, f) -> np.ndarray:
+        """Each lane's cost of residuals ``f`` under its loss."""
+        cost = 0.5 * _rowdot(f, f)
+        for name, kernel in _LOSSES.items():
+            rows = np.flatnonzero(self.loss[lanes] == name)
+            if rows.size:
+                rho = self._rho(lanes[rows], f[rows], kernel, cost_only=True)
+                fs2 = self.f_scale2[lanes[rows]]
+                cost[rows] = 0.5 * fs2 * np.add.reduce(rho[0], axis=-1)
+        return cost
+
+    def _store(self, lanes, f, J) -> np.ndarray:
+        """Store ``f`` and ``J`` as the lanes' current residuals and Jacobian
+        (scaled for a robust loss, in place) and their gradient; returns
+        the cost at ``f``."""
+        cost = 0.5 * _rowdot(f, f)
+        for name, kernel in _LOSSES.items():
+            rows = np.flatnonzero(self.loss[lanes] == name)
+            if rows.size:
+                rho = self._rho(lanes[rows], f[rows], kernel, cost_only=False)
+                fs2 = self.f_scale2[lanes[rows], None]
+                rho[0] *= fs2
+                rho[2] /= fs2
+                cost[rows] = 0.5 * np.add.reduce(rho[0], axis=-1)
+                # scale_for_robust_loss_function
+                fr, Jr = f[rows], J[rows]
+                J_scale = rho[1] + 2 * rho[2] * fr**2
+                J_scale[J_scale < _EPS] = _EPS
+                J_scale **= 0.5
+                fr *= rho[1] / J_scale
+                Jr *= J_scale[:, :, np.newaxis]
+                f[rows], J[rows] = fr, Jr
+        self.f[lanes], self.J[lanes] = f, J
+        self.g[lanes] = _rowmv(np.swapaxes(J, 1, 2), f)
+        return cost
+
+    # -- one tick -----------------------------------------------------------
+
+    def _head(self, lanes) -> None:
+        m, (lb, ub) = self.m, (self.lb, self.ub)
+        x = self.x[lanes]
+        d, diag_h, g_norm = _lanes_scaling(x, self.g[lanes], lb, ub)
+        self.status[lanes[g_norm < _TOL]] = 1
+        stop = (self.status[lanes] != 0) | (self.nfev[lanes] == self.max_nfev)
+        self._finish(lanes[stop])
+        keep = ~stop
+        lanes, x, d, diag_h, g_norm = lanes[keep], x[keep], d[keep], diag_h[keep], g_norm[keep]
+        k, n = d.shape
+        if k == 0:
+            return
+
+        J_h = self.J[lanes] * d[:, None, :]
+        J_augmented = np.zeros((k, m + n, n))
+        J_augmented[:, :m] = J_h
+        J_augmented[:, m + np.arange(n), np.arange(n)] = np.sqrt(diag_h)
+        finite = np.logical_and.reduce(np.isfinite(J_augmented), axis=(1, 2))
+        self._refuse(lanes[~finite], "array must not contain infs or NaNs")
+        keep = finite
+        try:
+            U, s, Vt = np.linalg.svd(J_augmented[keep], full_matrices=False)
+        except np.linalg.LinAlgError:
+            keep = keep.copy()
+            for i in np.flatnonzero(keep):
+                try:
+                    np.linalg.svd(J_augmented[i], full_matrices=False)
+                except np.linalg.LinAlgError:
+                    keep[i] = False
+                    self._refuse(lanes[i : i + 1], "SVD did not converge", np.linalg.LinAlgError)
+            U, s, Vt = np.linalg.svd(J_augmented[keep], full_matrices=False)
+        lanes, x, d, diag_h, g_norm = lanes[keep], x[keep], d[keep], diag_h[keep], g_norm[keep]
+        f_augmented = np.zeros((lanes.size, m + n))
+        f_augmented[:, :m] = self.f[lanes]
+
+        self.d[lanes], self.diag_h[lanes] = d, diag_h
+        self.g_h[lanes] = d * self.g[lanes]
+        self.J_h[lanes] = J_h[keep]
+        # U.T and V in the layout scipy's Fortran-ordered U and Vt give them.
+        self.uf[lanes] = _rowmv(np.ascontiguousarray(np.swapaxes(U, 1, 2)), f_augmented)
+        self.s[lanes] = s
+        self.V[lanes] = np.ascontiguousarray(np.swapaxes(Vt, 1, 2))
+        self.theta[lanes] = _pick_max(0.995, 1 - g_norm)
+        self.x_norm[lanes] = _rownorm(x)
+        self.actual[lanes] = -1.0
+        self.at_head[lanes] = False
+
+    def _attempt(self, lanes) -> None:
+        lb, ub = self.lb, self.ub
+        Delta = self.Delta[lanes]
+        d = self.d[lanes]
+        p_h, alpha = _lanes_solve_trust_region(
+            self.m, self.uf[lanes], self.s[lanes], self.V[lanes], Delta, self.alpha[lanes]
+        )
+        self.alpha[lanes] = alpha
+        x = self.x[lanes]
+        step, step_h, predicted, refusals = _lanes_select_step(
+            x, self.J_h[lanes], self.diag_h[lanes], self.g_h[lanes], d * p_h, p_h,
+            d, Delta, lb, ub, self.theta[lanes],
+        )
+        refused = np.array([r is not None for r in refusals])
+        if refused.any():
+            for i in np.flatnonzero(refused):
+                self.results[lanes[i]] = refusals[i]
+            self.alive[lanes[refused]] = False
+            keep = ~refused
+            lanes, Delta, x = lanes[keep], Delta[keep], x[keep]
+            step, step_h, predicted = step[keep], step_h[keep], predicted[keep]
+
+        x_new = _lanes_strictly_inside(x + step, lb, ub)
+        f_new = self.fun(x_new, lanes)
+        self.nfev[lanes] += 1
+        step_h_norm = _rownorm(step_h)
+        finite = np.logical_and.reduce(np.isfinite(f_new), axis=1)
+        self.Delta[lanes[~finite]] = 0.25 * step_h_norm[~finite]
+
+        cost_new = self._cost(lanes, f_new)
+        actual = self.cost[lanes] - cost_new
+        # scipy's update_tr_radius.
+        ratio = np.where(
+            predicted > 0,
+            actual / predicted,
+            np.where((predicted == actual) & (actual == 0), 1.0, 0.0),
+        )
+        Delta_new = np.where(
+            ratio < 0.25,
+            0.25 * step_h_norm,
+            np.where((ratio > 0.75) & (step_h_norm > 0.95 * Delta), Delta * 2.0, Delta),
+        )
+        # scipy's check_termination.
+        ftol_ok = (actual < _TOL * self.cost[lanes]) & (ratio > 0.25)
+        xtol_ok = _rownorm(step) < _TOL * (_TOL + self.x_norm[lanes])
+        status = np.where(ftol_ok & xtol_ok, 4, np.where(ftol_ok, 2, np.where(xtol_ok, 3, 0)))
+        status[~finite] = 0
+        self.actual[lanes[finite]] = actual[finite]
+        self.status[lanes] = status
+        go_on = np.flatnonzero(finite & (status == 0))
+        self.alpha[lanes[go_on]] *= Delta[go_on] / Delta_new[go_on]
+        self.Delta[lanes[go_on]] = Delta_new[go_on]
+
+        done = (status != 0) | ~(
+            (self.actual[lanes] <= 0) & (self.nfev[lanes] < self.max_nfev)
+        )
+        accepted = np.flatnonzero(done & (self.actual[lanes] > 0))
+        if accepted.size:
+            moved = lanes[accepted]
+            self.x[moved] = x_new[accepted]
+            self.cost[moved] = cost_new[accepted]
+            self._store(moved, f_new[accepted], self.jac(x_new[accepted], moved))
+        self.at_head[lanes[done]] = True
+
+    def _handoff(self, lanes) -> None:
+        """Finish ``lanes``, each at the head of an iteration, one after
+        another on the scalar driver's loop."""
+        lbl, ubl = self.lb.tolist(), self.ub.tolist()
+        for i in lanes:
+            lane = np.array([i])
+            try:
+                self.results[i] = _iterate(
+                    lambda x: self.fun(x[None], lane)[0],
+                    lambda x: self.jac(x[None], lane)[0],
+                    _loss_function(self.m, str(self.loss[i]), float(self.f_scale[i])),
+                    lbl, ubl, self.max_nfev,
+                    self.x[i].copy(), self.f[i].copy(), self.J[i].copy(), self.g[i].copy(),
+                    self.cost[i], self.Delta[i], self.alpha[i], int(self.nfev[i]),
+                    int(self.status[i]) or None,
+                )
+            except ValueError as refusal:
+                self.results[i] = refusal
+        self.alive[lanes] = False
+
+    def run(self) -> None:
+        while True:
+            heads = np.flatnonzero(self.alive & self.at_head)
+            if heads.size and np.count_nonzero(self.alive) <= _HANDOFF_LANES:
+                self._handoff(heads)
+            elif heads.size:
+                self._head(heads)
+            lanes = np.flatnonzero(self.alive)
+            if lanes.size == 0:
+                return
+            self.ticks += 1
+            self._attempt(lanes)
+
+
+def least_squares_trf_lockstep(
+    fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    *,
+    max_nfev: int,
+    loss,
+    f_scale,
+) -> tuple[list[TRFResult | ValueError], int]:
+    """:func:`least_squares_trf` on many problems of one shape at once.
+
+    Lane ``i`` is the problem ``fun(x)[i]`` from ``x0[i]``: ``x0`` is
+    ``(L, n)``, ``lb`` and ``ub`` are the ``(n,)`` box every lane shares,
+    ``loss`` and ``f_scale`` hold one entry per lane.  ``fun(x, lanes)`` and
+    ``jac(x, lanes)`` evaluate the lanes ``lanes`` at the rows of ``x`` and
+    return fresh ``(k, m)`` / C-ordered ``(k, m, n)`` arrays (``m`` is the
+    same for every lane).
+
+    Returns one entry per lane — its :class:`TRFResult`, bit-identical to
+    what :func:`least_squares_trf` returns for it alone, or the error that
+    function would raise, with scipy's message — and the number of ticks:
+    the lockstep attempts of the slowest lane, before the last few lanes
+    finish on the scalar loop.
+    """
+    with np.errstate(all="ignore"):
+        batch = _Lockstep(fun, jac, x0, lb, ub, max_nfev, loss, f_scale)
+        batch.run()
+    return batch.results, batch.ticks

@@ -13,9 +13,9 @@ name the surface is called under (``fit_suite(...)``, not
 
 Forwarding is not setting.  When the value passed is a parameter of the
 enclosing function, and that function is itself a surface, the option is
-set only if the enclosing parameter is: ``fit_suite(multistart=)`` handing
-its own ``multistart`` to ``fit_component`` gives ``fit_component`` a caller
-only when something sets ``fit_suite``'s.  A parameter forwarded from any
+set only if the enclosing parameter is: ``outer(opt=)`` handing its own
+``opt`` to the surface ``inner`` gives ``inner`` a caller only when
+something sets ``outer``'s.  A parameter forwarded from any
 other function counts as set (that function chose to expose it).
 """
 

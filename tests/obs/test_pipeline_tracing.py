@@ -13,8 +13,11 @@ from repro.core.hslb import HSLBOptimizer
 from repro.core.objectives import Objective
 from repro.core.spec import Allocation, Application, ExecutionResult
 from repro.faults import FaultPlan
+from repro.fmo.app import FMOApplication
+from repro.fmo.molecules import protein_like
 from repro.obs.metrics import REGISTRY
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark, ScalingObservation
+from repro.perf.fitting import FIT_STARTS, LOCKSTEP_MIN_LANES
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -92,6 +95,27 @@ def test_traced_run_covers_every_pipeline_stage(tracer):
         c.tags["component"] for c in fit.children if c.name == "fit.component"
     )
     assert components == ["alpha", "beta"]
+    assert all(
+        c.tags["points"] == 3 and "r_squared" in c.tags
+        for c in fit.children if c.name == "fit.component"
+    )
+    # The fit stage says which driver solved it, over how many starts.
+    assert fit.tags["driver"] == "sequential"
+    assert (fit.tags["lanes"], fit.tags["ticks"]) == (2 * FIT_STARTS, 0)
+
+    # Eight FMO fragments are 40 starts of one point count: lockstep, and the
+    # ticks are the slowest start's iterations.
+    tracer.reset()
+    system = protein_like(8, default_rng(1))
+    HSLBOptimizer(FMOApplication(system)).fit(
+        HSLBOptimizer(FMOApplication(system)).gather([1, 2, 4, 8, 16, 32], default_rng(2))
+    )
+    fit = tracer.find("hslb.fit")
+    assert 8 * FIT_STARTS >= LOCKSTEP_MIN_LANES
+    assert fit.tags["driver"] == "lockstep"
+    assert fit.tags["lanes"] == 8 * FIT_STARTS
+    assert 0 < fit.tags["ticks"] < 2000
+    assert sum(c.name == "fit.component" for c in fit.children) == 8
 
 
 def test_oa_span_records_iteration_events(tracer):

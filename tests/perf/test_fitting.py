@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import repro.perf.fitting as fitting
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark
-from repro.perf.fitting import FIT_STARTS, fit_component, fit_performance_model, fit_suite
+from repro.perf.fitting import FIT_STARTS, fit_performance_model, fit_suite
 from repro.perf.trf import least_squares_trf
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
@@ -131,6 +131,18 @@ def test_input_validation():
         fit_performance_model(
             np.array([1.0, 2.0]), np.array([2.0, 1.0]), weights=np.array([1.0])
         )
+    # NaN and inf pass the ``<= 0`` checks: a NaN or infinite time once
+    # raised OverflowError from the random-start draw (which the dynlb
+    # refitter does not catch), and NaN weights or infinite nodes surfaced as
+    # "failed from every start".  Both drivers share this validation.
+    n, y = np.array([1.0, 2.0, 4.0]), np.array([4.0, 2.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_performance_model(n, np.array([4.0, bad, 1.0]), rng=default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            fit_performance_model(np.array([1.0, 2.0, bad]), y, rng=default_rng(0))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            fit_performance_model(n, y, weights=np.array([1.0, bad, 1.0]))
 
 
 def test_fit_component_and_suite(rng):
@@ -148,7 +160,7 @@ def test_fit_component_and_suite(rng):
     assert set(fits) == {"atm", "ocn"}
     for f in fits.values():
         assert f.r_squared > 0.999
-    single = fit_component(suite["atm"], rng=rng)
+    single = fit_performance_model(*suite["atm"].arrays(), rng=rng)
     assert single.model.time(104) == pytest.approx(307.0, rel=0.02)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark, ScalingObservation
-from repro.perf.fitting import fit_component, fit_suite
+from repro.perf.fitting import fit_suite
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -41,7 +41,7 @@ def test_all_outlier_column_huber_beats_linear():
     truth = np.asarray(MODEL.time(probes))
     errors = {}
     for loss in ("linear", "huber"):
-        fit = fit_component(bench, rng=default_rng(3), loss=loss)
+        fit = fit_suite(BenchmarkSuite([bench]), rng=default_rng(3), loss=loss)["atm"]
         pred = np.asarray(fit.model.time(probes))
         errors[loss] = float(np.mean(np.abs(pred - truth) / truth))
     assert errors["huber"] < errors["linear"]

@@ -14,12 +14,20 @@ from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
 from repro.cesm.simulator import CESMSimulator
 from repro.core.hslb import HSLBOptimizer
-from repro.perf.fitting import fit_performance_model
+from repro.perf.data import BenchmarkSuite, ComponentBenchmark
+from repro.perf.fitting import fit_suite
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
 TRUTH = PerformanceModel(a=27380.0, d=43.0)
 NODES = np.array([32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0])
+
+
+def _fit(y, loss, rng=None):
+    """One component's fit under ``loss``: a loss reaches the fit through
+    ``fit_suite`` (the pipeline's ``fit_loss``)."""
+    bench = ComponentBenchmark.from_pairs("atm", zip(NODES.astype(int).tolist(), y))
+    return fit_suite(BenchmarkSuite([bench]), rng=rng, loss=loss)["atm"]
 
 
 def _contaminated(rng, outlier_index=2, factor=3.0):
@@ -30,13 +38,13 @@ def _contaminated(rng, outlier_index=2, factor=3.0):
 
 def test_unknown_loss_rejected():
     with pytest.raises(ValueError, match="loss"):
-        fit_performance_model(NODES, TRUTH.time(NODES), loss="cauchy-ish")
+        _fit(TRUTH.time(NODES), "cauchy-ish")
 
 
 def test_huber_matches_linear_on_clean_data(rng):
     y = TRUTH.time(NODES) * np.exp(rng.normal(0, 0.01, NODES.size))
-    linear = fit_performance_model(NODES, y, loss="linear", rng=default_rng(1))
-    huber = fit_performance_model(NODES, y, loss="huber", rng=default_rng(1))
+    linear = _fit(y, "linear", default_rng(1))
+    huber = _fit(y, "huber", default_rng(1))
     probe = 300.0
     assert huber.model.time(probe) == pytest.approx(
         linear.model.time(probe), rel=0.02
@@ -47,8 +55,8 @@ def test_huber_shrugs_off_single_outlier(rng):
     y = _contaminated(rng)
     probe = 700.0
     truth_t = float(TRUTH.time(probe))
-    linear = fit_performance_model(NODES, y, loss="linear", rng=default_rng(1))
-    huber = fit_performance_model(NODES, y, loss="huber", rng=default_rng(1))
+    linear = _fit(y, "linear", default_rng(1))
+    huber = _fit(y, "huber", default_rng(1))
     lin_err = abs(float(linear.model.time(probe)) - truth_t) / truth_t
     hub_err = abs(float(huber.model.time(probe)) - truth_t) / truth_t
     assert hub_err < lin_err  # robust fit strictly better here
@@ -58,7 +66,7 @@ def test_huber_shrugs_off_single_outlier(rng):
 def test_soft_l1_also_robust(rng):
     y = _contaminated(rng)
     probe = 700.0
-    fit = fit_performance_model(NODES, y, loss="soft_l1", rng=default_rng(1))
+    fit = _fit(y, "soft_l1", default_rng(1))
     assert float(fit.model.time(probe)) == pytest.approx(
         float(TRUTH.time(probe)), rel=0.08
     )

@@ -1,13 +1,15 @@
 """The in-house TRF is scipy's ``least_squares(method="trf")``, bit for bit.
 
-``repro.perf.trf`` ports scipy's bounded Trust Region Reflective solver and
-``perf.fitting`` runs every start through it.  The oracle is scipy itself:
-each call a fit makes is replayed through ``scipy.optimize.least_squares``,
-and the two must agree on the bytes of ``x`` and on ``cost``, ``status``
-and ``nfev``.  The calls come from the ledger's own instances (every
-``cesm_table3`` and ``fmo_ladder`` component, as the pipeline fits them,
-under every loss, and with the refitter's age-decay weights) and from keyed
-draws.
+``repro.perf.trf`` ports scipy's bounded Trust Region Reflective solver
+twice: one start at a time (``least_squares_trf``) and every start of a
+suite at once (``least_squares_trf_lockstep``, one lane per start).  The
+oracle is scipy itself: every start a fit solves, on either driver, is
+replayed through ``scipy.optimize.least_squares``, and the two must agree on
+the bytes of ``x`` and on ``cost``, ``status`` and ``nfev``; a start the
+port refuses, scipy must refuse with the same message.  The starts come
+from the ledger's own instances (every ``cesm_table3`` and ``fmo_ladder``
+suite, as the pipeline fits it, under every loss, and with the refitter's
+age-decay weights) and from keyed draws.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.perf.fitting as fitting
+import repro.perf.trf as trf
 from repro.core.hslb import HSLBOptimizer
-from repro.perf.fitting import _C_MAX, FIT_STARTS, fit_component, fit_performance_model
+from repro.perf.fitting import _C_MAX, FIT_LOSSES, FIT_STARTS, fit_suite
 from repro.perf.model import PerformanceModel
-from repro.perf.trf import least_squares_trf
+from repro.perf.trf import least_squares_trf, least_squares_trf_lockstep
 from repro.util.rng import keyed_rng
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -43,33 +46,65 @@ def _scipy_trf(fun, jac, x0, lb, ub, *, max_nfev, loss, f_scale):
     )
 
 
+def _assert_same(got, ref, where):
+    assert got.x.tobytes() == ref.x.tobytes(), (where, got.x, ref.x)
+    assert float(got.cost) == float(ref.cost), where
+    assert (got.status, got.nfev) == (ref.status, ref.nfev), where
+
+
+def _replay(fun, jac, x0, lb, ub, got, **kwargs):
+    """Replay one start through scipy: ``got`` is the port's result, or the
+    error it refused the start with."""
+    where = f"x0={x0.tolist()} {kwargs}"
+    try:
+        ref = _scipy_trf(fun, jac, x0, lb, ub, **kwargs)
+    except ValueError as refusal:
+        assert isinstance(got, ValueError), (where, refusal)
+        assert str(got) == str(refusal), where
+        return
+    assert not isinstance(got, Exception), (where, got)
+    _assert_same(got, ref, where)
+
+
 class _Oracle:
-    """Stands in for ``fitting.least_squares_trf``: runs scipy and the port
-    on the same call and fails on the first bit of disagreement."""
+    """Stands in for both drivers in ``perf.fitting``: runs the port, then
+    replays every start (every lane) through scipy."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = 0  # starts on the sequential driver
+        self.lanes = 0  # starts on the lockstep driver
 
-    def __call__(self, fun, jac, x0, lb, ub, **kwargs):
+    def sequential(self, fun, jac, x0, lb, ub, **kwargs):
         self.calls += 1
         try:
-            ref = _scipy_trf(fun, jac, x0, lb, ub, **kwargs)
-        except ValueError:
-            with pytest.raises(ValueError):
-                least_squares_trf(fun, jac, x0, lb, ub, **kwargs)
+            got = least_squares_trf(fun, jac, x0, lb, ub, **kwargs)
+        except ValueError as refusal:
+            _replay(fun, jac, x0, lb, ub, refusal, **kwargs)
             raise
-        got = least_squares_trf(fun, jac, x0, lb, ub, **kwargs)
-        where = f"x0={x0.tolist()} {kwargs}"
-        assert got.x.tobytes() == ref.x.tobytes(), (where, got.x, ref.x)
-        assert float(got.cost) == float(ref.cost), where
-        assert (got.status, got.nfev) == (ref.status, ref.nfev), where
+        _replay(fun, jac, x0, lb, ub, got, **kwargs)
         return got
+
+    def lockstep(self, fun, jac, x0, lb, ub, *, max_nfev, loss, f_scale):
+        results, ticks = least_squares_trf_lockstep(
+            fun, jac, x0, lb, ub, max_nfev=max_nfev, loss=loss, f_scale=f_scale
+        )
+        assert len(results) == len(x0)
+        for i, got in enumerate(results):
+            lane = np.array([i])
+            _replay(
+                lambda x: fun(x[None], lane)[0], lambda x: jac(x[None], lane)[0],
+                x0[i], lb, ub, got,
+                max_nfev=max_nfev, loss=str(loss[i]), f_scale=float(f_scale[i]),
+            )
+        self.lanes += len(x0)
+        return results, ticks
 
 
 @pytest.fixture
 def oracle(monkeypatch):
     replay = _Oracle()
-    monkeypatch.setattr(fitting, "least_squares_trf", replay)
+    monkeypatch.setattr(fitting, "least_squares_trf", replay.sequential)
+    monkeypatch.setattr(fitting, "least_squares_trf_lockstep", replay.lockstep)
     return replay
 
 
@@ -85,46 +120,49 @@ def catalogue():
         yield module
 
 
+def _suite(catalogue, kind, index):
+    blocks = catalogue.cesm_blocks() if kind == "cesm" else catalogue.fmo_blocks()
+    block = blocks[index]
+    opt = HSLBOptimizer(block.make_app())
+    rng = block.plan_rng()
+    return opt, opt.gather(block.campaign, rng), rng
+
+
+def _decayed(suite, rng):
+    """Every component weighted as the dynlb refitter weights a window."""
+    problems = {}
+    for name in suite:
+        n, y = suite[name].arrays()
+        decay = 0.92 ** np.arange(n.size)[::-1]
+        problems[name] = fitting._problem(n, y, decay, rng, "linear")
+    return problems
+
+
 _BLOCKS = [("cesm", i) for i in range(6)] + [("fmo", i) for i in range(3)]
 
 
 @pytest.mark.parametrize("kind,index", _BLOCKS, ids=[f"{k}{i}" for k, i in _BLOCKS])
 def test_every_catalogue_component_fits_bit_identically(catalogue, oracle, kind, index):
-    """The pipeline's own fits (five starts, one RNG stream), then every
-    component under each loss, and weighted as the dynlb refitter weights a
-    window (five starts each: the heuristic one and four random ones)."""
-    blocks = catalogue.cesm_blocks() if kind == "cesm" else catalogue.fmo_blocks()
-    block = blocks[index]
-    opt = HSLBOptimizer(block.make_app())
-    rng = block.plan_rng()
-    suite = opt.gather(block.campaign, rng)
+    """The pipeline's own fit (five starts a component, one RNG stream),
+    then the suite under each loss, and weighted as the dynlb refitter
+    weights a window.  A CESM suite (four components, 20 starts) runs one
+    start after another; an FMO suite (40-120 starts) runs in lockstep."""
+    opt, suite, rng = _suite(catalogue, kind, index)
     opt.fit(suite, rng)
-    pipeline_calls = oracle.calls
-    assert pipeline_calls == FIT_STARTS * len(list(suite))
+    starts = FIT_STARTS * len(list(suite))
+    assert oracle.calls + oracle.lanes == starts
+    assert (oracle.lanes == starts) == (kind == "fmo")
 
-    for name in suite:
-        for loss in ("linear", "huber", "soft_l1"):
-            fit_component(suite[name], rng=np.random.default_rng(7), loss=loss)
-        n, y = suite[name].arrays()
-        decay = 0.92 ** np.arange(n.size)[::-1]
-        fit_performance_model(n, y, rng=np.random.default_rng(3), weights=decay)
-    assert oracle.calls == pipeline_calls + 4 * FIT_STARTS * len(list(suite))
+    for loss in FIT_LOSSES:
+        fit_suite(suite, rng=np.random.default_rng(7), loss=loss)
+    fitting._fit_problems(_decayed(suite, np.random.default_rng(3)))
+    assert oracle.calls + oracle.lanes == 5 * starts
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    key=st.integers(0, 2**31 - 1),
-    points=st.integers(2, 10),
-    noise=st.sampled_from([0.0, 0.02, 0.1]),
-    c=st.sampled_from([1.0, _C_MAX, None]),
-    loss=st.sampled_from(["linear", "huber", "soft_l1"]),
-    weighted=st.booleans(),
-)
-def test_keyed_draws_fit_bit_identically(key, points, noise, c, loss, weighted):
-    """D = 2..10 noise-free and noisy observations, weighted or not, of a
-    curve whose exponent sits on either bound (``c`` = 1 or ``_C_MAX``), or
-    anywhere between, or below the fit's convex bound."""
-    rng = keyed_rng(key, "trf", points, noise, c, loss, weighted)
+def _keyed_problem(rng, points, noise, c, loss, weighted):
+    """D observations, noise-free or noisy, weighted or not, of a curve whose
+    exponent sits on either bound (``c`` = 1 or ``_C_MAX``), or anywhere
+    between, or below the fit's convex bound; five starts from ``rng``."""
     n = np.unique(rng.integers(1, 40_000, size=4 * points).astype(float))[:points]
     truth = PerformanceModel(
         a=float(rng.uniform(10.0, 1e5)),
@@ -134,14 +172,164 @@ def test_keyed_draws_fit_bit_identically(key, points, noise, c, loss, weighted):
     )
     y = truth.time(n) * np.exp(rng.normal(0.0, noise, n.size))
     weights = rng.uniform(0.1, 1.0, n.size) if weighted else None
+    return fitting._problem(n, y, weights, rng, loss)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    key=st.integers(0, 2**31 - 1),
+    points=st.integers(2, 10),
+    noise=st.sampled_from([0.0, 0.02, 0.1]),
+    c=st.sampled_from([1.0, _C_MAX, None]),
+    loss=st.sampled_from(FIT_LOSSES),
+    weighted=st.booleans(),
+)
+def test_keyed_draws_fit_bit_identically(key, points, noise, c, loss, weighted):
+    """D = 2..10, one start after another."""
+    rng = keyed_rng(key, "trf", points, noise, c, loss, weighted)
+    problem = _keyed_problem(rng, points, noise, c, loss, weighted)
     replay = _Oracle()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "least_squares_trf", replay)
-        try:
-            fit_performance_model(n, y, rng=rng, loss=loss, weights=weights)
-        except RuntimeError:  # every start refused: both sides agreed on each
-            pass
+        mp.setattr(fitting, "least_squares_trf", replay.sequential)
+        fitting._sequential(problem)  # a refused start: both sides agreed
     assert replay.calls == FIT_STARTS
+
+
+def _keyed_batch(key, components):
+    """``components`` keyed problems of mixed D (2-9), loss and weights."""
+    rng = keyed_rng(key, "lockstep", components)
+    return [
+        _keyed_problem(
+            rng,
+            int(rng.integers(2, 10)),
+            float(rng.choice([0.0, 0.02, 0.1])),
+            [1.0, _C_MAX, None][int(rng.integers(3))],
+            FIT_LOSSES[int(rng.integers(3))],
+            bool(rng.integers(2)),
+        )
+        for _ in range(components)
+    ]
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    key=st.integers(0, 2**31 - 1),
+    components=st.integers(8, 30),
+    handoff=st.booleans(),
+)
+def test_keyed_batches_fit_bit_identically_in_lockstep(key, components, handoff):
+    """Batches of 8-30 keyed fits, grouped by D as a suite groups them, every
+    lane in lockstep; with ``handoff``, the last few lanes finish on the
+    scalar loop, as in a suite."""
+    problems = _keyed_batch(key, components)
+    groups = {}
+    for problem in problems:
+        groups.setdefault(problem.n.size, []).append(problem)
+    replay = _Oracle()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "least_squares_trf_lockstep", replay.lockstep)
+        if not handoff:
+            mp.setattr(trf, "_HANDOFF_LANES", 0)
+        for group in groups.values():
+            outcomes, _ = fitting._lockstep(group)
+            assert [len(o) for o in outcomes] == [FIT_STARTS] * len(group)
+    assert replay.lanes == FIT_STARTS * components
+
+
+def _outcome_bytes(outcomes):
+    return [
+        None if r is None else (r.x.tobytes(), float(r.cost), r.status, r.nfev)
+        for r in outcomes
+    ]
+
+
+@pytest.mark.parametrize("handoff", [True, False], ids=["handoff", "lockstep-only"])
+def test_a_lane_gives_the_same_bytes_alone_in_its_suite_and_among_strangers(
+    catalogue, monkeypatch, handoff
+):
+    """A lane's bytes depend on its own problem only: not on which lanes
+    share its ticks, nor on when the others leave."""
+    if not handoff:
+        monkeypatch.setattr(trf, "_HANDOFF_LANES", 0)
+    _, suite, _ = _suite(catalogue, "fmo", 1)
+    rng = np.random.default_rng(11)
+    problems = [fitting._problem(*suite[name].arrays(), None, rng, "huber") for name in suite]
+    strangers = [
+        p for p in _keyed_batch(5, 40) if p.n.size == problems[0].n.size
+    ]
+    before, after = strangers[:3], strangers[3:]
+    assert before and after
+    in_suite, _ = fitting._lockstep(problems)
+    among_strangers, _ = fitting._lockstep(before + problems[::-1] + after)
+    among_strangers = among_strangers[len(before) :][: len(problems)][::-1]
+    for i, problem in enumerate(problems):
+        alone, _ = fitting._lockstep([problem])
+        expected = _outcome_bytes(fitting._sequential(problem))
+        assert _outcome_bytes(alone[0]) == expected
+        assert _outcome_bytes(in_suite[i]) == expected
+        assert _outcome_bytes(among_strangers[i]) == expected
+
+
+def test_both_drivers_give_a_suite_byte_equal_fits(catalogue):
+    """The 24-fragment FMO suite, under every loss: the lockstep driver's
+    ``FitResult`` of each component equals the sequential driver's."""
+    _, suite, _ = _suite(catalogue, "fmo", 2)
+    for loss in FIT_LOSSES:
+        rng = np.random.default_rng(13)
+        problems = {name: fitting._problem(*suite[name].arrays(), None, rng, loss) for name in suite}
+        outcomes, ticks = fitting._lockstep(list(problems.values()))
+        assert ticks > 0
+        for (name, problem), lanes in zip(problems.items(), outcomes):
+            lockstep = fitting._best(problem, lanes)
+            sequential = fitting._best(problem, fitting._sequential(problem))
+            assert lockstep == sequential, (name, loss)
+            assert np.array(lockstep.model.as_tuple()).tobytes() == np.array(
+                sequential.model.as_tuple()
+            ).tobytes()
+
+
+@pytest.mark.parametrize("handoff", [True, False], ids=["handoff", "lockstep-only"])
+def test_refused_lanes_carry_scipys_reason(monkeypatch, handoff):
+    """Lane by lane, the lockstep driver refuses what scipy refuses, with
+    scipy's message, and solves its other lanes as scipy does: a start
+    outside the box, a non-finite residual at the start, a non-finite
+    Jacobian at the SVD (in the lockstep, or on the scalar loop a lane
+    finishes on)."""
+    if not handoff:
+        monkeypatch.setattr(trf, "_HANDOFF_LANES", 0)
+    fun, jac, lb, ub = _amdahl_problem()
+
+    def lane_fun(x, lanes):
+        f = np.array([fun(xi) for xi in x])
+        f[lanes == 2, 0] = np.nan
+        return f
+
+    def lane_jac(x, lanes):
+        J = np.array([jac(xi) for xi in x])
+        J[lanes == 3, 1, 2] = np.inf
+        return J
+
+    x0 = np.array([
+        [50.0, 1e-6, 1.5, 0.5],
+        [50.0, 1e-6, 0.5, 0.5],  # c below its bound
+        [50.0, 1e-6, 1.5, 0.5],
+        [50.0, 1e-6, 1.5, 0.5],
+        [80.0, 1e-3, 2.0, 2.0],
+    ])
+    for loss in FIT_LOSSES:
+        results, _ = least_squares_trf_lockstep(
+            lane_fun, lane_jac, x0, lb, ub,
+            max_nfev=2000, loss=[loss] * len(x0), f_scale=[1.0] * len(x0),
+        )
+        assert [type(r).__name__ for r in results] == [
+            "TRFResult", "ValueError", "ValueError", "ValueError", "TRFResult",
+        ]
+        for i, got in enumerate(results):
+            lane = np.array([i])
+            _replay(
+                lambda x: lane_fun(x[None], lane)[0], lambda x: lane_jac(x[None], lane)[0],
+                x0[i], lb, ub, got, max_nfev=2000, loss=loss, f_scale=1.0,
+            )
 
 
 def _amdahl_problem():

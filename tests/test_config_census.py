@@ -6,7 +6,7 @@ from repro.core.hslb import HSLBOptimizer
 from repro.dynlb.controller import RebalanceController, compare_strategies
 from repro.faults.chaos import ChaosPlan
 from repro.faults.plan import FaultPlan
-from repro.perf.fitting import fit_component, fit_performance_model, fit_suite
+from repro.perf.fitting import fit_performance_model, fit_suite
 from repro.service.loadgen import TraceSpec
 from repro.service.service import ResiliencePolicy
 from tests.census import options_of, orphans
@@ -16,7 +16,6 @@ from tests.census import options_of, orphans
 SURFACES = {
     "HSLBOptimizer": options_of(HSLBOptimizer, skip=1),
     "fit_suite": options_of(fit_suite, skip=1),
-    "fit_component": options_of(fit_component, skip=1),
     "fit_performance_model": options_of(fit_performance_model, skip=2),
     "RebalanceController": options_of(RebalanceController, skip=2),
     "compare_strategies": options_of(compare_strategies, skip=1),
