@@ -2,8 +2,10 @@
 """§IV-C in action: how many nodes should this CESM job ask for?
 
 Once HSLB's fitted curves exist, "the prediction of the optimal nodes to
-run a job" is free: sweep the machine size, solve the allocation MINLP at
-each, and read off two answers —
+run a job" is free: sweep the machine size, find the optimal allocation at
+each with the exact layout scan (a single-budget Table I problem, which
+§III-E says customized solvers answer in polynomial time), and read off
+two answers —
 
 * the **cost-efficient** size ("nodes are increased until scaling is
   reduced to a predefined limit"), and
@@ -18,9 +20,10 @@ Usage:  python examples/job_size_prediction.py [efficiency_floor]
 """
 
 import sys
+from functools import partial
 
 from repro.cesm import CESMApplication, one_degree
-from repro.cesm.layouts import Layout, formulate_layout
+from repro.cesm.layouts import Layout, direct_layout
 from repro.core import HSLBOptimizer, component_swap_effect, optimal_job_size
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
@@ -38,11 +41,10 @@ def main() -> None:
     suite = opt.gather([32, 64, 128, 256, 512, 1024, 2048], rng)
     models = {k: f.model for k, f in opt.fit(suite, rng).items()}
 
-    def formulator(m, total):
-        return formulate_layout(m, total, one_degree(), layout=Layout.HYBRID)
+    direct = partial(direct_layout, config=one_degree(), layout=Layout.HYBRID)
 
     # Question 1: how big a job?
-    rec = optimal_job_size(models, formulator, SWEEP, efficiency_floor=floor)
+    rec = optimal_job_size(models, direct, SWEEP, efficiency_floor=floor)
     print(rec.render())
     print()
 
@@ -50,7 +52,7 @@ def main() -> None:
     ocn = models["ocn"]
     rewrite = PerformanceModel(a=ocn.a / 2, b=ocn.b, c=ocn.c, d=ocn.d / 2)
     base, swapped = component_swap_effect(
-        models, formulator, (128, 512, 2048), replace={"ocn": rewrite}
+        models, direct, (128, 512, 2048), replace={"ocn": rewrite}
     )
     print("what-if: ocean model rewritten to be 2x more scalable")
     for n, b, s in zip(base.node_counts, base.totals, swapped.totals):

@@ -75,22 +75,15 @@ class CESMApplication(Application):
         return self.tsync is not None and self.layout is Layout.HYBRID
 
     def benchmark(
-        self, node_counts: Sequence[int], rng: np.random.Generator
-    ) -> BenchmarkSuite:
-        return self.simulator.benchmark(
-            node_counts, rng, runs_per_count=self.benchmark_runs_per_count
-        )
-
-    def benchmark_run(
         self,
-        node_count: int,
+        node_counts: Sequence[int],
         rng: np.random.Generator,
         *,
         attempt: int = 0,
-        probe_extremes: bool = False,
+        probe_extremes: bool = True,
     ) -> BenchmarkSuite:
         return self.simulator.benchmark(
-            [int(node_count)],
+            node_counts,
             rng,
             runs_per_count=self.benchmark_runs_per_count,
             probe_extremes=probe_extremes,

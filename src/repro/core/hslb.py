@@ -284,28 +284,23 @@ class HSLBOptimizer:
         and where to place the counts, lives in
         :func:`repro.cesm.campaign.plan_campaign`.
 
-        When the application carries a fault plan, benchmark runs may fail;
-        each failed run is retried up to :data:`GATHER_MAX_RETRIES` times
-        with exponential backoff, irrecoverable node counts are dropped, and
-        a :class:`GatherDegradedError` is raised only when some component's
+        Each count is one :meth:`Application.benchmark` call.  A run that
+        fails (an application's fault plan, or a real machine) is retried up
+        to :data:`GATHER_MAX_RETRIES` times with exponential backoff,
+        irrecoverable node counts are dropped, and a
+        :class:`GatherDegradedError` is raised only when some component's
         surviving observations fall below the fitter's minimum of
-        :data:`FIT_MIN_POINTS`.
+        :data:`FIT_MIN_POINTS`.  On a clean machine the per-count calls draw
+        from ``rng`` in the order one call over every count would.
         """
         if len(node_counts) < 2:
             raise ValueError("need at least two benchmark node counts")
         rng = rng or default_rng()
         counts = sorted(set(int(n) for n in node_counts))
         with span("hslb.gather", counts=len(counts)):
-            if getattr(self.app, "fault_plan", None) is None:
-                # Clean machine: single-call path, bit-identical to the
-                # pre-resilience pipeline.
-                self.last_gather_report = GatherReport()
-                return self.app.benchmark(counts, rng)
-            return self._gather_resilient(counts, rng)
+            return self._gather(counts, rng)
 
-    def _gather_resilient(
-        self, counts: list[int], rng: np.random.Generator
-    ) -> BenchmarkSuite:
+    def _gather(self, counts: list[int], rng: np.random.Generator) -> BenchmarkSuite:
         suite = BenchmarkSuite()
         report = GatherReport()
         biggest = counts[-1]
@@ -315,8 +310,8 @@ class HSLBOptimizer:
             recovered = False
             for attempt in range(GATHER_MAX_RETRIES + 1):
                 try:
-                    part = self.app.benchmark_run(
-                        count,
+                    part = self.app.benchmark(
+                        [count],
                         rng,
                         attempt=attempt,
                         probe_extremes=(count == biggest),

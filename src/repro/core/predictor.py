@@ -1,8 +1,8 @@
 """§IV-C applications: predicting layouts, job sizes, and what-ifs.
 
-Once the fitted models and the MINLP formulation exist, they answer
-questions beyond "balance this machine" for free.  The paper lists several
-(§IV-C and the conclusions); this module implements them:
+Once the fitted models exist, they answer questions beyond "balance this
+machine" for free.  The paper lists several (§IV-C and the conclusions);
+this module implements them:
 
 * :func:`sweep_machine_sizes` — the optimal total time as a function of
   machine size (the raw material for Figure 4 and for job-size decisions);
@@ -14,22 +14,30 @@ questions beyond "balance this machine" for free.  The paper lists several
   scalable" (the Figure 4 exercise as an API);
 * :func:`component_swap_effect` — "how replacing one component with another
   will affect scaling".
+
+Every question is a sweep of single-budget Table I problems, and §III-E
+notes that problems of that kind "can be solved in polynomial time with
+customized solvers".  So the predictor drives the application's exact
+direct algorithm, not a MINLP: for CESM ``functools.partial(direct_layout,
+config=..., layout=...)`` (:func:`repro.cesm.layouts.direct_layout`), for a
+plain min-max application
+:func:`repro.core.greedy.greedy_minmax_allocation`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.minlp import solve
-from repro.minlp.problem import Problem
 from repro.perf.model import PerformanceModel
 from repro.util.tables import format_table
 
-#: A formulation factory: (models, total_nodes) -> Problem.  Applications
-#: supply it (e.g. a closure over ``formulate_layout``), the predictor
-#: drives it across machine sizes.
-Formulator = Callable[[Mapping[str, PerformanceModel], int], Problem]
+#: An exact direct algorithm: ``(models, total_nodes) -> (allocation,
+#: objective)``, or ``None`` when no allocation of ``total_nodes`` is
+#: feasible.  The predictor reads the objective.
+DirectAlgorithm = Callable[
+    [Mapping[str, PerformanceModel], int], tuple[object, float] | None
+]
 
 
 @dataclass
@@ -55,18 +63,6 @@ class ScalingSweep:
             (t0 * n0) / (t * n) for n, t in zip(self.node_counts, self.totals)
         )
 
-    def marginal_gain(self) -> tuple[float, ...]:
-        """Fractional time saved per doubling-equivalent step, per entry i>0:
-        ``1 - t_i/t_{i-1}`` normalized by the log2 size ratio."""
-        import math
-
-        out = []
-        for i in range(1, len(self.node_counts)):
-            ratio = self.node_counts[i] / self.node_counts[i - 1]
-            saved = 1.0 - self.totals[i] / self.totals[i - 1]
-            out.append(saved / math.log2(ratio) if ratio > 1 else 0.0)
-        return tuple(out)
-
     def render(self, title: str = "scaling sweep") -> str:
         eff = self.efficiency()
         rows = [
@@ -84,15 +80,17 @@ class ScalingSweep:
 
 def sweep_machine_sizes(
     models: Mapping[str, PerformanceModel],
-    formulator: Formulator,
+    direct: DirectAlgorithm,
     node_counts: Sequence[int],
 ) -> ScalingSweep:
-    """Solve the allocation MINLP at each machine size."""
+    """The optimal total at each machine size, from ``direct``."""
     totals = []
     counts = sorted(set(int(n) for n in node_counts))
     for total in counts:
-        sol = solve(formulator(models, total)).require_ok()
-        totals.append(float(sol.objective))
+        answer = direct(models, total)
+        if answer is None:
+            raise ValueError(f"no feasible allocation on {total} nodes")
+        totals.append(float(answer[1]))
     return ScalingSweep(node_counts=tuple(counts), totals=tuple(totals))
 
 
@@ -127,7 +125,7 @@ class JobSizeRecommendation:
 
 def optimal_job_size(
     models: Mapping[str, PerformanceModel],
-    formulator: Formulator,
+    direct: DirectAlgorithm,
     node_counts: Sequence[int],
     *,
     efficiency_floor: float = 0.5,
@@ -142,7 +140,7 @@ def optimal_job_size(
     """
     if not (0.0 < efficiency_floor <= 1.0):
         raise ValueError(f"efficiency_floor must be in (0, 1], got {efficiency_floor}")
-    sweep = sweep_machine_sizes(models, formulator, node_counts)
+    sweep = sweep_machine_sizes(models, direct, node_counts)
     eff = sweep.efficiency()
 
     cost_idx = 0
@@ -165,23 +163,23 @@ def optimal_job_size(
 
 def compare_layouts(
     models: Mapping[str, PerformanceModel],
-    formulators: Mapping[str, Formulator],
+    directs: Mapping[Hashable, DirectAlgorithm],
     node_counts: Sequence[int],
-) -> dict[str, ScalingSweep]:
-    """Sweep several layout formulations over the same machine sizes.
+) -> dict[Hashable, ScalingSweep]:
+    """Sweep several layouts' direct algorithms over the same machine sizes.
 
     The label whose sweep dominates (lowest totals) is the most scalable
     layout — the Figure 4 question as a reusable API.
     """
     return {
-        label: sweep_machine_sizes(models, f, node_counts)
-        for label, f in formulators.items()
+        label: sweep_machine_sizes(models, direct, node_counts)
+        for label, direct in directs.items()
     }
 
 
 def component_swap_effect(
     models: Mapping[str, PerformanceModel],
-    formulator: Formulator,
+    direct: DirectAlgorithm,
     node_counts: Sequence[int],
     *,
     replace: Mapping[str, PerformanceModel],
@@ -195,8 +193,8 @@ def component_swap_effect(
     unknown = set(replace) - set(models)
     if unknown:
         raise ValueError(f"cannot replace unknown components {sorted(unknown)}")
-    baseline = sweep_machine_sizes(models, formulator, node_counts)
+    baseline = sweep_machine_sizes(models, direct, node_counts)
     swapped_models = dict(models)
     swapped_models.update(replace)
-    swapped = sweep_machine_sizes(swapped_models, formulator, node_counts)
+    swapped = sweep_machine_sizes(swapped_models, direct, node_counts)
     return baseline, swapped

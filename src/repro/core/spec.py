@@ -105,9 +105,20 @@ class Application(abc.ABC):
         self,
         node_counts: Sequence[int],
         rng: np.random.Generator,
+        *,
+        attempt: int = 0,
+        probe_extremes: bool = True,
     ) -> BenchmarkSuite:
         """Step 1 (gather): run at each of ``node_counts`` total nodes and
-        record every component's wall-clock time."""
+        record every component's wall-clock time.
+
+        The gather calls it once per count, so a failed run is retried on
+        its own: ``attempt`` numbers the retries (fault plans key their
+        draws off it) and ``probe_extremes`` marks the campaign's largest
+        count, where applications may add extra bracketing probes.
+        Implementations may ignore both, and may raise
+        :class:`repro.faults.BenchmarkRunError` for an injected (or real)
+        failed run."""
 
     @abc.abstractmethod
     def formulate(
@@ -160,27 +171,6 @@ class Application(abc.ABC):
         return None
 
     # -- resilience hooks (defaults suit min-max applications) ---------------
-
-    def benchmark_run(
-        self,
-        node_count: int,
-        rng: np.random.Generator,
-        *,
-        attempt: int = 0,
-        probe_extremes: bool = False,
-    ) -> BenchmarkSuite:
-        """One gather run at a single total node count.
-
-        The resilient gather path retries *individual* runs, so it needs a
-        per-count entry point; the default delegates to :meth:`benchmark`.
-        ``attempt`` numbers retries (fault plans key their draws off it) and
-        ``probe_extremes`` marks the campaign's largest count, where
-        applications may add extra bracketing probes.  Implementations may
-        raise :class:`repro.faults.BenchmarkRunError` for an injected (or
-        real) failed run.
-        """
-        del attempt, probe_extremes  # defaults ignore the resilience hints
-        return self.benchmark([int(node_count)], rng)
 
     def fallback_allocation(
         self,

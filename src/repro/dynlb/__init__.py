@@ -10,8 +10,8 @@ curves?" once.  This package keeps answering it *while the run drifts*:
   and fault-plan crash hooks;
 * :mod:`repro.dynlb.refit`      — exponentially-weighted incremental
   refitting with staleness detection and windowed full refits;
-* :mod:`repro.dynlb.migration`  — the calibrated migration-cost model
-  and the audit-trail event record;
+* :mod:`repro.dynlb.migration`  — the calibrated migration cost and the
+  audit-trail event record;
 * :mod:`repro.dynlb.rebalancer` — the strategy zoo (frozen static, full
   HSLB re-solve, diffusion, proportional sweep, two-level hybrid) behind
   one ``Rebalancer`` interface;
@@ -26,7 +26,7 @@ from repro.dynlb.controller import (
     compare_strategies,
 )
 from repro.dynlb.drift import DriftProfile, DriftSpec, drift_preset
-from repro.dynlb.migration import MigrationCostModel, MigrationEvent
+from repro.dynlb.migration import MigrationEvent, migration_cost
 from repro.dynlb.rebalancer import (
     STRATEGIES,
     DiffusionRebalancer,
@@ -56,7 +56,6 @@ __all__ = [
     "DynlbRunResult",
     "HSLBRebalancer",
     "INTRA_POLICIES",
-    "MigrationCostModel",
     "MigrationEvent",
     "RebalanceContext",
     "RebalanceController",
@@ -70,4 +69,5 @@ __all__ = [
     "drift_preset",
     "fmo_workload",
     "make_rebalancer",
+    "migration_cost",
 ]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.core.greedy import greedy_minmax_allocation
 from repro.core.spec import Allocation
-from repro.dynlb.migration import MigrationCostModel, MigrationEvent
+from repro.dynlb.migration import MigrationEvent, migration_cost
 from repro.dynlb.rebalancer import (
     RebalanceContext,
     Rebalancer,
@@ -175,7 +175,6 @@ class RebalanceController:
         initial_counts = {k: int(v) for k, v in allocation.items()}
         budget = w.total_nodes
         refitter = DriftAwareRefitter(dict(w.models), rng=rng)
-        cost_model: MigrationCostModel | None = None
         pending: _Pending | None = None
         crash: CrashRecord | None = None
 
@@ -192,7 +191,7 @@ class RebalanceController:
                     if err is not None:
                         allocation, crash, lost_cost = self._recover(
                             step, allocation, refitter, err, pending, events,
-                            cost_model, makespans,
+                            makespans,
                         )
                         budget -= err.lost_nodes
                         crash_penalty += crash.penalty_seconds
@@ -231,11 +230,6 @@ class RebalanceController:
                 telemetry.record_dynlb_step(strategy, mk)
                 for name, seconds in times.items():
                     refitter.observe(step, name, allocation[name], seconds)
-
-                # Calibrate the migration cost off the first observed step —
-                # the "calibrated migration cost" the gate is defined against.
-                if cost_model is None:
-                    cost_model = MigrationCostModel.calibrate(mk)
 
                 # 3. Decide: on cadence, or out-of-band when a model went stale.
                 stale = refitter.any_stale()
@@ -277,7 +271,9 @@ class RebalanceController:
                         # accrues over the steps after the move lands.
                         effective = max(w.steps - step - 1 - MIGRATION_STEPS, 0)
                         gain = (current_pred - proposed_pred) * effective
-                        cost = cost_model.cost(allocation, proposal)
+                        # The cost is calibrated off the first observed step: the
+                        # "calibrated migration cost" the gate is defined against.
+                        cost = migration_cost(makespans[0], allocation, proposal)
                         if gain > GAIN_FACTOR * cost:
                             pending = _Pending(
                                 target=proposal,
@@ -330,7 +326,6 @@ class RebalanceController:
         err: NodeCrashError,
         pending: _Pending | None,
         events: list[MigrationEvent],
-        cost_model: MigrationCostModel | None,
         makespans: list[float],
     ) -> tuple[Allocation, CrashRecord, float]:
         """Re-plan on the surviving budget; abort any in-flight migration.
@@ -384,7 +379,9 @@ class RebalanceController:
         # The forced move still stalls the run; it is charged, not gated.
         old_counts = {k: int(v) for k, v in allocation.items()}
         old_counts[err.component] = 0  # the dead group's nodes are gone
-        cost = (cost_model or MigrationCostModel()).cost(old_counts, recovered)
+        cost = migration_cost(
+            makespans[0] if makespans else None, old_counts, recovered
+        )
         events.append(
             MigrationEvent(
                 step=step,

@@ -2,19 +2,19 @@
 
 Moving nodes between components is not free — ranks checkpoint, the
 incoming group restarts from the checkpoint, domain decompositions are
-rebuilt.  The model is deliberately simple and calibratable:
+rebuilt.  The cost is affine in the nodes moved and calibrated off the
+first observed step time, the natural unit:
 
-    cost = fixed_seconds + per_node_seconds * nodes_moved
+    cost = RESTART_FRACTION * step + PER_NODE_FRACTION * step * nodes_moved
 
 where ``nodes_moved`` counts only the growth side (a node leaving one
-component and joining another is one move, not two).  The controller
-gates every proposed migration on this cost: a rebalance is applied only
-when the refitted curves predict the makespan saved over the *remaining*
-steps exceeds ``gain_factor`` times the cost.
-
-``calibrate`` ties the two coefficients to an observed step time, the
-natural unit: a full restart costs about half a step, and each moved
-node adds a small slice of one.
+component and joining another is one move, not two): a full restart costs
+about half a step, and each moved node adds a small slice of one.  A move
+forced before any step has been timed (a crash at step 0) is charged
+``UNCALIBRATED_FIXED_SECONDS + UNCALIBRATED_PER_NODE_SECONDS * nodes_moved``.
+The controller gates every proposed migration on this cost: a rebalance is
+applied only when the refitted curves predict the makespan saved over the
+*remaining* steps exceeds ``gain_factor`` times the cost.
 """
 
 from __future__ import annotations
@@ -22,55 +22,45 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+#: Share of the calibrating step time a restart costs.
+RESTART_FRACTION = 0.5
+#: Share of the calibrating step time each moved node adds.
+PER_NODE_FRACTION = 0.02
+#: The charge before any step has been timed: fixed seconds, and seconds
+#: per node moved.
+UNCALIBRATED_FIXED_SECONDS = 5.0
+UNCALIBRATED_PER_NODE_SECONDS = 0.5
+
 
 def _counts(allocation: Mapping[str, int] | object) -> dict[str, int]:
     items = allocation.items() if hasattr(allocation, "items") else dict(allocation).items()
     return {str(k): int(v) for k, v in items}
 
 
-@dataclass(frozen=True)
-class MigrationCostModel:
-    """Affine cost of applying one rebalance."""
+def nodes_moved(
+    old: Mapping[str, int] | object, new: Mapping[str, int] | object
+) -> int:
+    """Nodes changing owner: the sum of positive per-component growth."""
+    a, b = _counts(old), _counts(new)
+    return sum(max(b.get(name, 0) - a.get(name, 0), 0) for name in set(a) | set(b))
 
-    fixed_seconds: float = 5.0
-    per_node_seconds: float = 0.5
 
-    def __post_init__(self) -> None:
-        if self.fixed_seconds < 0 or self.per_node_seconds < 0:
-            raise ValueError("migration cost coefficients must be >= 0")
-
-    @classmethod
-    def calibrate(
-        cls,
-        step_seconds: float,
-        *,
-        restart_fraction: float = 0.5,
-        per_node_fraction: float = 0.02,
-    ) -> "MigrationCostModel":
-        """Tie the cost to the observed step time (the natural time unit)."""
-        if step_seconds <= 0:
-            raise ValueError("step_seconds must be > 0")
-        return cls(
-            fixed_seconds=restart_fraction * step_seconds,
-            per_node_seconds=per_node_fraction * step_seconds,
-        )
-
-    def nodes_moved(
-        self, old: Mapping[str, int] | object, new: Mapping[str, int] | object
-    ) -> int:
-        """Nodes changing owner: the sum of positive per-component growth."""
-        a, b = _counts(old), _counts(new)
-        return sum(
-            max(b.get(name, 0) - a.get(name, 0), 0) for name in set(a) | set(b)
-        )
-
-    def cost(
-        self, old: Mapping[str, int] | object, new: Mapping[str, int] | object
-    ) -> float:
-        moved = self.nodes_moved(old, new)
-        if moved == 0:
-            return 0.0
-        return self.fixed_seconds + self.per_node_seconds * moved
+def migration_cost(
+    step_seconds: float | None,
+    old: Mapping[str, int] | object,
+    new: Mapping[str, int] | object,
+) -> float:
+    """Seconds the move ``old -> new`` stalls the run, calibrated off
+    ``step_seconds`` (``None``: no step timed yet)."""
+    if step_seconds is not None and step_seconds <= 0:
+        raise ValueError("step_seconds must be > 0")
+    moved = nodes_moved(old, new)
+    if moved == 0:
+        return 0.0
+    if step_seconds is None:
+        return UNCALIBRATED_FIXED_SECONDS + UNCALIBRATED_PER_NODE_SECONDS * moved
+    fixed = RESTART_FRACTION * step_seconds
+    return fixed + PER_NODE_FRACTION * step_seconds * moved
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ class MigrationEvent:
 
     @property
     def nodes_moved(self) -> int:
-        return MigrationCostModel(0.0, 0.0).nodes_moved(self.old, self.new)
+        return nodes_moved(self.old, self.new)
 
     def describe(self) -> str:
         return (

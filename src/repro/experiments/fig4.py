@@ -5,21 +5,24 @@ plots the *predicted* optimal total time of each layout across machine
 sizes, plus the experimental layout-1 points ("layout (1exp)"), reporting
 R² = 1.0 between layout-1 prediction and experiment.
 
-The runner solves the three layout MINLPs at each machine size from one
-shared set of fitted curves, executes the layout-1 allocation for the
+The runner predicts the three layouts at each machine size from one shared
+set of fitted curves with :func:`repro.core.predictor.compare_layouts` (the
+exact layout scan), runs the pipeline's solve and execute on layout 1 for the
 experimental series, and computes the same R².
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
-from repro.cesm.layouts import Layout
+from repro.cesm.layouts import Layout, direct_layout
 from repro.core.hslb import HSLBOptimizer
+from repro.core.predictor import compare_layouts
 from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
 from repro.util.rng import default_rng
 from repro.util.tables import format_table
@@ -89,25 +92,25 @@ class Fig4Result:
 
 def run_fig4(*, seed: int = 2014) -> Fig4Result:
     rng = default_rng(seed)
-    base_app = CESMApplication(one_degree())
-    opt = HSLBOptimizer(base_app)
+    opt = HSLBOptimizer(CESMApplication(one_degree()))
     suite = opt.gather(BENCHMARK_CAMPAIGN["1deg"], rng)
     fits = opt.fit(suite, rng)
+    models = {name: fit.model for name, fit in fits.items()}
 
-    predicted: dict[Layout, list[float]] = {layout: [] for layout in Layout}
-    experimental: list[float] = []
-    for total in FIG4_NODE_COUNTS:
-        for layout in Layout:
-            app = CESMApplication(one_degree(), layout=layout)
-            layout_opt = HSLBOptimizer(app)
-            result = layout_opt.run_from_fits(
-                fits, total, default_rng(seed + total), execute=(layout is Layout.HYBRID)
-            )
-            predicted[layout].append(result.predicted_total)
-            if layout is Layout.HYBRID:
-                experimental.append(result.actual_total)
+    sweeps = compare_layouts(
+        models,
+        {
+            layout: partial(direct_layout, config=one_degree(), layout=layout)
+            for layout in Layout
+        },
+        FIG4_NODE_COUNTS,
+    )
+    experimental = [
+        opt.run_from_fits(fits, total, default_rng(seed + total)).actual_total
+        for total in FIG4_NODE_COUNTS
+    ]
     return Fig4Result(
         node_counts=FIG4_NODE_COUNTS,
-        predicted=predicted,
+        predicted={layout: list(sweep.totals) for layout, sweep in sweeps.items()},
         experimental_layout1=experimental,
     )

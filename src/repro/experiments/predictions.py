@@ -12,16 +12,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
-from repro.cesm.layouts import Layout, formulate_layout
+from repro.cesm.layouts import Layout, direct_layout
 from repro.core.hslb import HSLBOptimizer
 from repro.core.predictor import (
     JobSizeRecommendation,
     ScalingSweep,
     component_swap_effect,
     optimal_job_size,
+    sweep_machine_sizes,
 )
 from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
 from repro.perf.model import PerformanceModel
@@ -39,8 +41,8 @@ def _fitted_models(seed: int) -> dict[str, PerformanceModel]:
     return {k: f.model for k, f in opt.fit(suite, rng).items()}
 
 
-def _formulator(models, total_nodes):
-    return formulate_layout(models, total_nodes, one_degree(), layout=Layout.HYBRID)
+#: The exact Table I answer of the 1° layout 1 (§III-E's direct scan).
+_direct = partial(direct_layout, config=one_degree(), layout=Layout.HYBRID)
 
 
 @dataclass
@@ -56,7 +58,7 @@ def run_job_size_prediction(
 ) -> JobSizeResult:
     models = _fitted_models(seed)
     rec = optimal_job_size(
-        models, _formulator, JOB_SIZE_SWEEP, efficiency_floor=efficiency_floor
+        models, _direct, JOB_SIZE_SWEEP, efficiency_floor=efficiency_floor
     )
     return JobSizeResult(recommendation=rec)
 
@@ -126,13 +128,12 @@ class NewHardwareResult:
 def run_new_hardware_prediction(*, seed: int = 2014) -> NewHardwareResult:
     """P3: transplant the fitted 1° curves onto the exascale sketch."""
     from repro.cesm.machines import EXASCALE_SKETCH
-    from repro.core.predictor import sweep_machine_sizes
 
     models = _fitted_models(seed)
     counts = (128, 256, 512, 1024, 2048)
-    base = sweep_machine_sizes(models, _formulator, counts)
+    base = sweep_machine_sizes(models, _direct, counts)
     new_models = EXASCALE_SKETCH.transform_all(models)
-    new = sweep_machine_sizes(new_models, _formulator, counts)
+    new = sweep_machine_sizes(new_models, _direct, counts)
     return NewHardwareResult(
         machine_name=EXASCALE_SKETCH.name,
         node_counts=base.node_counts,
@@ -148,7 +149,7 @@ def run_component_swap_prediction(*, seed: int = 2014) -> ComponentSwapResult:
     rewrite = PerformanceModel(a=ocn.a / 2.0, b=ocn.b, c=ocn.c, d=ocn.d / 2.0)
     baseline, swapped = component_swap_effect(
         models,
-        _formulator,
+        _direct,
         (128, 256, 512, 1024, 2048),
         replace={"ocn": rewrite},
     )

@@ -46,20 +46,15 @@ class FMOApplication(Application):
         return tuple(f"frag{f.index}" for f in self.system.fragments)
 
     def benchmark(
-        self, node_counts: Sequence[int], rng: np.random.Generator
-    ) -> BenchmarkSuite:
-        return self.simulator.benchmark(node_counts, rng)
-
-    def benchmark_run(
         self,
-        node_count: int,
+        node_counts: Sequence[int],
         rng: np.random.Generator,
         *,
         attempt: int = 0,
-        probe_extremes: bool = False,
+        probe_extremes: bool = True,
     ) -> BenchmarkSuite:
         del probe_extremes  # FMO benchmarking has no extreme-point probe
-        return self.simulator.benchmark([int(node_count)], rng, attempt=attempt)
+        return self.simulator.benchmark(node_counts, rng, attempt=attempt)
 
     def formulate(
         self, models: Mapping[str, PerformanceModel], total_nodes: int

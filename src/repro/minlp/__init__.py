@@ -7,14 +7,20 @@ branch-and-bound (§III-E).
 
 Typical use::
 
-    from repro.minlp import Model, solve
+    from repro.minlp import Model, solve_minlp_oa
 
     m = Model("demo")
     x = m.integer_var("x", 1, 10)
     t = m.var("t", lb=0.0)
     m.add(t >= 100.0 / x + 2.0 * x)
     m.minimize(t)
-    solution = solve(m.build())
+    solution = solve_minlp_oa(m.build())
+
+Each engine is called directly — OA (:func:`solve_minlp_oa`) for convex
+MINLPs, NLP-based B&B (:func:`solve_minlp_nlpbb`) where OA's cuts would be
+invalid, :func:`solve_milp`, :func:`solve_nlp`, :func:`solve_lp` — and
+problems with an exact direct algorithm skip them (:mod:`repro.core.greedy`,
+:func:`repro.cesm.layouts.direct_layout`).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from repro.minlp.expr import (
     sqrt,
     sum_exprs,
 )
-from repro.minlp.linprog import LinearProgram, solve_lp, solve_problem_lp
+from repro.minlp.linprog import LinearProgram, solve_lp
 from repro.minlp.milp import solve_milp
 from repro.minlp.modeling import Model
 from repro.minlp.nlp import solve_nlp
@@ -67,7 +73,6 @@ __all__ = [
     "log",
     "presolve",
     "problem_to_ampl",
-    "solve",
     "solve_brute_force",
     "solve_lp",
     "solve_milp",
@@ -75,28 +80,7 @@ __all__ = [
     "solve_minlp_oa",
     "solve_minlp_oa_multitree",
     "solve_nlp",
-    "solve_problem_lp",
     "sqrt",
     "sum_exprs",
 ]
 
-
-def solve(problem: Problem) -> Solution:
-    """Solve ``problem`` with the algorithm its structure calls for.
-
-    Pure LP -> HiGHS; MILP -> branch-and-bound over LP relaxations;
-    continuous NLP -> SLSQP; convex MINLP -> LP/NLP-based branch-and-bound
-    (falling back to NLP-based B&B when the model has nonlinear equality or
-    range constraints OA cannot relax safely).  Every solve starts cold with
-    default :class:`BnBOptions`; the engines themselves
-    (:func:`solve_minlp_oa`, :func:`solve_minlp_nlpbb`, :func:`solve_milp`,
-    :func:`solve_nlp`, ...) are functions to call directly.
-    """
-    if problem.is_linear():
-        return solve_milp(problem) if problem.is_mip() else solve_problem_lp(problem)
-    if not problem.is_mip():
-        return solve_nlp(problem)
-    try:
-        return solve_minlp_oa(problem)
-    except ValueError:
-        return solve_minlp_nlpbb(problem)

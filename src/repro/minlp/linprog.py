@@ -510,20 +510,3 @@ class IncrementalLPSolver:
             Status.OPTIMAL, values=values, objective=obj, bound=obj, stats=stats
         )
 
-
-def solve_problem_lp(problem: Problem) -> Solution:
-    """Solve a linear :class:`Problem` (continuous relaxation) as an LP."""
-    lp = LinearProgram.from_problem(problem)
-    res = solve_lp(lp)
-    stats = SolveStats(lp_solves=1)
-    if res.status is not Status.OPTIMAL:
-        return Solution(res.status, stats=stats, message=res.message)
-    sign = -1.0 if problem.sense.value == "maximize" else 1.0
-    obj = sign * res.objective
-    return Solution(
-        Status.OPTIMAL,
-        values=res.values(lp),
-        objective=obj,
-        bound=obj,
-        stats=stats,
-    )

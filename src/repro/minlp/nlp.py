@@ -22,7 +22,7 @@ most of the time.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 import numpy as np
 
@@ -312,9 +312,6 @@ def _solve_projected(
     lo = np.array([v.lb for v in small.variables])
     hi = np.array([v.ub for v in small.variables])
     linear = small.is_linear()
-    runs = _slsqp_run(small, x0, lo, hi)
-    if linear:
-        runs = _lp_run(small, runs)
 
     best: Solution | None = None
     exact = True
@@ -326,7 +323,7 @@ def _solve_projected(
         eliminated=len(projection.members),
         linear=linear,
     ) as nlp_span:
-        run = next(runs)
+        run = _run(small, linear, x0, lo, hi)
         if run is not None:
             x, converged, message = run
             values = projection.lift(vector_to_values(small, np.clip(x, lo, hi)))
@@ -353,29 +350,25 @@ def _solve_projected(
 _Run = tuple[np.ndarray, bool, str] | None
 
 
-def _lp_run(small: Problem, fallback: Iterator[_Run]) -> Iterator[_Run]:
-    """The LP optimum of an affine ``small`` as the single run.
-
-    An infeasible LP is a run without a point; an unbounded one (or an engine
-    failure) is left to ``fallback``, so those answers stay what they were.
-    """
-    lp = LinearProgram.from_problem(small)
-    res = solve_lp(lp)
-    if res.status is Status.OPTIMAL:
-        yield res.x, True, "LP optimal"
-    elif res.status is Status.INFEASIBLE:
-        yield None
-    else:
-        yield from fallback
-
-
-def _slsqp_run(
+def _run(
     small: Problem,
+    linear: bool,
     x0: dict[str, float] | None,
     lo: np.ndarray,
     hi: np.ndarray,
-) -> Iterator[_Run]:
-    """The SLSQP run from the warm/default start, built only when asked for."""
+) -> _Run:
+    """The one engine run on ``small``: its LP optimum when it is affine,
+    else SLSQP from the warm/default start.
+
+    An infeasible LP is a run without a point; an unbounded one (or an engine
+    failure) falls back to SLSQP.
+    """
+    if linear:
+        res = solve_lp(LinearProgram.from_problem(small))
+        if res.status is Status.OPTIMAL:
+            return res.x, True, "LP optimal"
+        if res.status is Status.INFEASIBLE:
+            return None
     prob = _SLSQPProblem(small, lo, hi)
     start = _initial_point(small)
     if x0 is not None:
@@ -387,6 +380,5 @@ def _slsqp_run(
     try:
         x, _, mode = _slsqp(prob, start)
     except (ValueError, FloatingPointError, ZeroDivisionError, OverflowError):
-        yield None
-        return
-    yield x, mode == 0, _EXIT_MODES[mode]
+        return None
+    return x, mode == 0, _EXIT_MODES[mode]

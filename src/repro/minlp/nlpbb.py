@@ -3,8 +3,8 @@
 Each tree node solves the node's continuous NLP relaxation.  Slower per node
 than the LP/NLP scheme in :mod:`repro.minlp.oa`, but it does not require
 convexity for *correct feasible* answers (only for proven global optimality):
-it is :func:`repro.minlp.solve`'s fallback when OA refuses a model, and the
-tests' independent check on nonconvex ones.  No pipeline tier uses it.
+it is the engine to call when OA refuses a model, and the tests' independent
+check on nonconvex ones.  No pipeline tier uses it.
 """
 
 from __future__ import annotations

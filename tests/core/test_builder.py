@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.builder import AllocationModelBuilder, DiscreteNodeSet
 from repro.core.objectives import Objective
-from repro.minlp import solve
 from repro.minlp.brute import solve_brute_force
+from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.problem import Domain
 from repro.perf.model import PerformanceModel
 
@@ -77,7 +77,7 @@ def test_sos_set_enforced_in_solve():
     b.add_component("a", M1, allowed=DiscreteNodeSet((2, 5, 11, 23)))
     b.limit_total_nodes()
     b.set_objective(Objective.MIN_MAX)
-    sol = solve(b.build()).require_ok()
+    sol = solve_minlp_oa(b.build()).require_ok()
     assert round(sol.values["n_a"]) in (2, 5, 11, 23)
     # More nodes help a decreasing curve: the largest admissible value wins.
     assert round(sol.values["n_a"]) == 23
@@ -90,7 +90,7 @@ def test_solution_matches_brute_force_on_sos_model():
     b.limit_total_nodes()
     b.set_objective(Objective.MIN_MAX)
     p = b.build()
-    assert solve(p).require_ok().objective == pytest.approx(
+    assert solve_minlp_oa(p).require_ok().objective == pytest.approx(
         solve_brute_force(p).objective, rel=1e-5
     )
 
@@ -101,7 +101,7 @@ def test_exact_budget_constraint():
     b.add_component("b", M2)
     b.limit_total_nodes(exact=True)
     b.set_objective(Objective.MIN_MAX)
-    sol = solve(b.build()).require_ok()
+    sol = solve_minlp_oa(b.build()).require_ok()
     assert round(sol.values["n_a"] + sol.values["n_b"]) == 12
 
 
@@ -155,7 +155,7 @@ def test_a_floor_past_the_sweet_spot_stays_feasible(objective):
     b.limit_total_nodes()
     b.set_objective(objective)
     assert b.time_upper_bound() > FAR_FLOOR["c0"][0].time(385)
-    sol = solve(b.build())
+    sol = solve_minlp_oa(b.build())
     assert sol.status.value == "optimal", sol.message
     models = {name: model for name, (model, _) in FAR_FLOOR.items()}
     _, exact = direct_allocation(

@@ -19,7 +19,7 @@ from repro.core.greedy import (
     minsum_allocation,
 )
 from repro.core.objectives import Objective
-from repro.minlp import solve
+from repro.minlp.oa import solve_minlp_oa
 from repro.perf.model import PerformanceModel
 from repro.service import ComponentSpec, SolveRequest
 from repro.service.solver import build_problem, solve_request
@@ -67,7 +67,7 @@ def test_matches_minlp_small():
         builder.add_component(name, m)
     builder.limit_total_nodes()
     builder.set_objective(Objective.MIN_MAX)
-    sol = solve(builder.build()).require_ok()
+    sol = solve_minlp_oa(builder.build()).require_ok()
     assert makespan == pytest.approx(sol.objective, rel=1e-6)
 
 
@@ -93,7 +93,7 @@ def test_greedy_optimal_property(seeds, budget):
         builder.add_component(name, m)
     builder.limit_total_nodes()
     builder.set_objective(Objective.MIN_MAX)
-    sol = solve(builder.build()).require_ok()
+    sol = solve_minlp_oa(builder.build()).require_ok()
     assert makespan == pytest.approx(sol.objective, rel=1e-5, abs=1e-7)
 
 
@@ -484,7 +484,7 @@ def test_served_minsum_equals_oa_on_the_built_problem():
         request = _request(models, total, floors, caps)
         served = solve_request(request)
         assert served.status == "optimal" and served.iterations == 0
-        sol = solve(build_problem(request))
+        sol = solve_minlp_oa(build_problem(request))
         assert sol.status.value == "optimal", (case, sol.message)
         oa = {name: int(round(sol.values[f"n_{name}"])) for name in models}
         assert served.objective == pytest.approx(_summed(models, oa), rel=1e-9), case
@@ -541,7 +541,7 @@ def test_the_formerly_infeasible_request_is_answered_optimal():
     request = _request(models, 4096, floors, {})
     served = solve_request(request)
     assert served.status == "optimal" and served.allocation["c0"] == 385
-    sol = solve(build_problem(request))
+    sol = solve_minlp_oa(build_problem(request))
     assert sol.status.value == "optimal", sol.message
     oa = {name: int(round(sol.values[f"n_{name}"])) for name in models}
     assert served.objective == pytest.approx(_summed(models, oa), rel=1e-9)

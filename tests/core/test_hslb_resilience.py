@@ -44,9 +44,14 @@ class ScriptedApp(Application):
     def component_names(self):
         return ("alpha", "beta")
 
-    def benchmark(self, node_counts, rng):
+    def benchmark(self, node_counts, rng, *, attempt=0, probe_extremes=True):
         suite = BenchmarkSuite()
         for count in node_counts:
+            kind = self.script.get((int(count), int(attempt)))
+            if kind is not None:
+                raise BenchmarkRunError(
+                    BenchmarkFault(kind, "scripted", int(count), int(attempt))
+                )
             for name, model in MODELS.items():
                 suite.add(
                     ComponentBenchmark(
@@ -54,14 +59,6 @@ class ScriptedApp(Application):
                     )
                 )
         return suite
-
-    def benchmark_run(self, node_count, rng, *, attempt=0, probe_extremes=False):
-        kind = self.script.get((int(node_count), int(attempt)))
-        if kind is not None:
-            raise BenchmarkRunError(
-                BenchmarkFault(kind, "scripted", int(node_count), int(attempt))
-            )
-        return self.benchmark([int(node_count)], rng)
 
     def formulate(self, models, total_nodes):
         b = AllocationModelBuilder("scripted", total_nodes)
@@ -192,23 +189,29 @@ def test_failed_solve_does_not_leave_the_previous_provenance_behind():
     assert opt.last_provenance is None
 
 
-def test_clean_gather_uses_single_call_path():
-    """With no fault plan, gather must stay on the original one-shot
-    benchmark call — the RNG stream (and every Table III number) depends
-    on it."""
-    app = ScriptedApp()
-    app.fault_plan = None
+def test_clean_gather_draws_what_one_call_over_every_count_draws():
+    """Gather benchmarks count by count, so each run can be retried on its
+    own; on a clean machine that draws the RNG stream one call over every
+    count draws, and every Table III number stays what it was."""
+    counts = (32, 64, 128, 256, 512)
+    app = CESMApplication(one_degree())
     calls = []
     original = app.benchmark
 
-    def counting(counts, rng):
-        calls.append(tuple(counts))
-        return original(counts, rng)
+    def recording(node_counts, rng, **hints):
+        calls.append((tuple(node_counts), hints))
+        return original(node_counts, rng, **hints)
 
-    app.benchmark = counting
+    app.benchmark = recording
     opt = HSLBOptimizer(app)
-    opt.gather([16, 32, 64], default_rng(0))
-    assert calls == [(16, 32, 64)]
+    suite = opt.gather(counts, default_rng(0))
+    assert calls == [
+        ((n,), {"attempt": 0, "probe_extremes": n == counts[-1]}) for n in counts
+    ]
+    one_call = original(counts, default_rng(0))
+    assert suite.components == one_call.components
+    for name in suite.components:
+        assert list(suite[name]) == list(one_call[name])
     assert not opt.last_gather_report.degraded
 
 

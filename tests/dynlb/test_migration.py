@@ -1,44 +1,43 @@
-"""Migration cost model and event records."""
+"""Migration cost and event records."""
 
 import pytest
 
-from repro.dynlb.migration import MigrationCostModel, MigrationEvent
+from repro.dynlb.migration import MigrationEvent, migration_cost, nodes_moved
 
 
 def test_cost_counts_only_positive_growth():
-    model = MigrationCostModel(fixed_seconds=5.0, per_node_seconds=0.5)
     old = {"a": 10, "b": 20, "c": 5}
     new = {"a": 16, "b": 14, "c": 5}  # 6 nodes move from b to a
-    assert model.nodes_moved(old, new) == 6
-    assert model.cost(old, new) == pytest.approx(5.0 + 0.5 * 6)
+    assert nodes_moved(old, new) == 6
+    assert migration_cost(None, old, new) == 5.0 + 0.5 * 6
+    assert migration_cost(10.0, old, new) == pytest.approx(5.0 + 0.2 * 6)
 
 
 def test_no_move_costs_nothing():
-    model = MigrationCostModel()
     alloc = {"a": 10, "b": 20}
-    assert model.nodes_moved(alloc, alloc) == 0
-    assert model.cost(alloc, alloc) == 0.0
+    assert nodes_moved(alloc, alloc) == 0
+    assert migration_cost(None, alloc, alloc) == 0.0
+    assert migration_cost(100.0, alloc, alloc) == 0.0
 
 
 def test_new_component_counts_as_growth():
-    model = MigrationCostModel(fixed_seconds=1.0, per_node_seconds=1.0)
-    assert model.cost({"a": 10}, {"a": 6, "b": 4}) == pytest.approx(1.0 + 4.0)
+    assert migration_cost(2.0, {"a": 10}, {"a": 6, "b": 4}) == pytest.approx(
+        1.0 + 0.04 * 4
+    )
 
 
 def test_calibrate_derives_cost_from_a_step_time():
-    model = MigrationCostModel.calibrate(100.0)
-    assert model.fixed_seconds == pytest.approx(50.0)
-    assert model.per_node_seconds == pytest.approx(2.0)
-    custom = MigrationCostModel.calibrate(
-        100.0, restart_fraction=0.1, per_node_fraction=0.01
+    """Half a step to restart, a fiftieth of one per moved node."""
+    old, new = {"a": 10, "b": 20}, {"a": 11, "b": 19}
+    assert migration_cost(100.0, old, new) == pytest.approx(50.0 + 2.0)
+    assert migration_cost(100.0, old, {"a": 13, "b": 17}) == pytest.approx(
+        50.0 + 2.0 * 3
     )
-    assert custom.fixed_seconds == pytest.approx(10.0)
-    assert custom.per_node_seconds == pytest.approx(1.0)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        MigrationCostModel(fixed_seconds=-1.0)
+        migration_cost(0.0, {"a": 1}, {"a": 2})
     with pytest.raises(ValueError):
         MigrationEvent(
             step=0, old={}, new={}, predicted_gain=0.0, cost=0.0,

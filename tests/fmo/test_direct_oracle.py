@@ -19,7 +19,6 @@ a tree.  Two checks:
 
 import pytest
 
-import repro.minlp
 from repro.core.builder import AllocationModelBuilder
 from repro.core.objectives import Objective
 from repro.core.spec import Allocation
@@ -192,7 +191,6 @@ def test_one_budget_row_call_sites_never_run_a_minlp(monkeypatch):
         raise AssertionError("a one-budget-row call site ran a MINLP solver")
 
     monkeypatch.setattr(oa_module, "solve_minlp_oa", refuse)
-    monkeypatch.setattr(repro.minlp, "solve", refuse)
     # Every tree search, whatever name it was imported under.
     monkeypatch.setattr(BranchAndBound, "solve", refuse)
 

@@ -12,7 +12,6 @@ from repro.minlp.linprog import (
     LinearProgram,
     fold_small_entries,
     solve_lp,
-    solve_problem_lp,
 )
 from repro.minlp.problem import Problem, Sense
 from repro.minlp.solution import Status
@@ -82,16 +81,23 @@ def test_validation_errors():
         _lp([1], [[1]], [2], [1], [0], [1])
 
 
+def _solve(p):
+    """``p``'s LP through HiGHS: the result and its values by name."""
+    lp = LinearProgram.from_problem(p)
+    res = solve_lp(lp)
+    return res, res.values(lp)
+
+
 def test_from_problem_minimize():
     p = Problem()
     p.add_variable("x", 0, 4)
     p.add_variable("y", 0, 4)
     p.add_constraint("c", X + 2 * Y, ub=6.0)
     p.set_objective(-X - Y)
-    sol = solve_problem_lp(p)
-    assert sol.status is Status.OPTIMAL
-    assert sol.objective == pytest.approx(-5.0)  # x=4, y=1
-    assert sol.values["x"] == pytest.approx(4.0)
+    res, values = _solve(p)
+    assert res.status is Status.OPTIMAL
+    assert res.objective == pytest.approx(-5.0)  # x=4, y=1
+    assert values["x"] == pytest.approx(4.0)
 
 
 def test_from_problem_maximize_sign_handling():
@@ -99,10 +105,12 @@ def test_from_problem_maximize_sign_handling():
     p.add_variable("x", 0, 4)
     p.add_constraint("c", X, ub=3.0)
     p.set_objective(5 * X + 1, Sense.MAXIMIZE)
-    sol = solve_problem_lp(p)
-    assert sol.status is Status.OPTIMAL
-    assert sol.objective == pytest.approx(16.0)
-    assert sol.values["x"] == pytest.approx(3.0)
+    res, values = _solve(p)
+    assert res.status is Status.OPTIMAL
+    # The LP minimizes the negated objective, constant included.
+    assert res.objective == pytest.approx(-16.0)
+    assert p.objective_value(values) == pytest.approx(16.0)
+    assert values["x"] == pytest.approx(3.0)
 
 
 def test_from_problem_constant_term_in_constraint():
@@ -111,8 +119,8 @@ def test_from_problem_constant_term_in_constraint():
     p.add_variable("x", 0, 10)
     p.add_constraint("c", X + 1, ub=4.0)
     p.set_objective(-X)
-    sol = solve_problem_lp(p)
-    assert sol.values["x"] == pytest.approx(3.0)
+    _, values = _solve(p)
+    assert values["x"] == pytest.approx(3.0)
 
 
 def test_lp_result_values_mapping():

@@ -1,14 +1,11 @@
 """Cross-validation of the MINLP solvers (OA single-tree, OA multi-tree,
 NLP-based B&B) against brute-force enumeration on small convex instances."""
 
-import math
-
 import pytest
 
-from repro.minlp import solve
-from repro.minlp.bnb import BnBOptions
 from repro.minlp.brute import enumerate_assignments, solve_brute_force
 from repro.minlp.modeling import Model
+from repro.minlp.nlp import solve_nlp
 from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa, solve_minlp_oa_multitree
 from repro.minlp.problem import Domain
@@ -145,13 +142,15 @@ def test_oa_normalizes_ge_constraints():
     assert sol.values["n"] == pytest.approx(6.0)  # sqrt(144/4)
 
 
-def test_auto_dispatch_falls_back_to_nlpbb():
+def test_nlpbb_answers_the_model_oa_refuses():
     m = Model()
     x = m.var("x", 1, 5)
     n = m.integer_var("n", 1, 5)
     m.add_equals(1 / x + n, 2)
     m.minimize(x + n)
-    sol = solve(m.build())  # OA raises -> nlpbb
+    with pytest.raises(ValueError, match="equality"):
+        solve_minlp_oa(m.build())
+    sol = solve_minlp_nlpbb(m.build())
     assert sol.status.is_ok
     assert sol.objective == pytest.approx(2.0, abs=1e-4)  # x=1, n=1
 
@@ -176,17 +175,17 @@ def test_pure_milp_through_oa():
     assert sol.objective == pytest.approx(5.0)
 
 
-def test_auto_dispatch_routes():
+def test_the_nlp_layer_answers_an_lp_and_an_nlp():
     # LP
     m = Model()
     x = m.var("x", 0, 2)
     m.minimize(-x)
-    assert solve(m.build()).objective == pytest.approx(-2.0)
+    assert solve_nlp(m.build()).objective == pytest.approx(-2.0)
     # NLP
     m = Model()
     x = m.var("x", 0.5, 4)
     m.minimize(1 / x + x)
-    assert solve(m.build()).objective == pytest.approx(2.0, abs=1e-5)
+    assert solve_nlp(m.build()).objective == pytest.approx(2.0, abs=1e-5)
 
 
 def test_enumerate_assignments_counts():

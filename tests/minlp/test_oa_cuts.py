@@ -25,12 +25,13 @@ import pytest
 
 from repro.core.builder import AllocationModelBuilder
 from repro.core.objectives import Objective
-from repro.minlp import BnBOptions, Model, OACutPool, solve, solve_minlp_oa
+from repro.minlp import Model, OACutPool, solve_minlp_oa
 from repro.minlp import nlp as nlp_module
 from repro.minlp import oa as oa_module
 from repro.minlp.bnb import BranchAndBound
 from repro.minlp.brute import solve_brute_force
 from repro.minlp.expr import Linearizer, exp, linearize
+from repro.minlp.linprog import LPResult
 from repro.minlp.nlp import solve_nlp
 from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import _Master, solve_minlp_oa_multitree
@@ -375,13 +376,20 @@ def test_serving_pool_masters_hold_no_duplicate_rows_and_stay_short(last_solve):
     iterations = sum(
         work(_solve_and_check_rows(last_solve, problem)) for problem in problems
     )
-    assert iterations == sum(work(solve(problem)) for problem in problems)
+    assert iterations == sum(work(solve_minlp_oa(problem)) for problem in problems)
     # 835 before masters were seeded, 427 with; counts are chaotic in the cut
     # set, so the guard is a ceiling, not a number.
     assert iterations <= 520
 
 
 # -- fixed integers: an LP is an LP ------------------------------------------
+
+
+def _fail_the_lp_engine(monkeypatch):
+    """Every LP the NLP layer tries fails, so SLSQP answers affine problems."""
+    monkeypatch.setattr(
+        nlp_module, "solve_lp", lambda lp: LPResult(Status.ERROR, None, math.nan)
+    )
 
 
 def _fixed_at_optimum(problem):
@@ -401,7 +409,7 @@ def test_fixed_integer_subproblem_is_solved_as_an_lp(build, index, tracer, monke
     assert nlp_span.tags["linear"] is True
     assert as_lp.stats.nlp_solves == 1
 
-    monkeypatch.setattr(nlp_module, "_lp_run", lambda small, fallback: fallback)
+    _fail_the_lp_engine(monkeypatch)
     as_nlp = solve_nlp(fixed).require_ok()
     assert as_lp.objective == pytest.approx(as_nlp.objective, rel=1e-7, abs=1e-7)
     assert fixed.max_violation(as_lp.values) <= 1e-6
@@ -416,7 +424,7 @@ def test_infeasible_fixing_is_still_infeasible(monkeypatch):
     fixed = m.build().with_bounds({"n": (4.0, 4.0)})  # needs t >= 33
     as_lp = solve_nlp(fixed)
     assert as_lp.status is Status.INFEASIBLE and as_lp.stats.nlp_solves == 1
-    monkeypatch.setattr(nlp_module, "_lp_run", lambda small, fallback: fallback)
+    _fail_the_lp_engine(monkeypatch)
     assert solve_nlp(fixed).status is Status.INFEASIBLE
 
 
@@ -427,7 +435,7 @@ def test_unbounded_lp_is_left_to_the_nlp_engine(monkeypatch):
     m.add(x - y >= 0.0)
     m.minimize(-x)
     as_lp = solve_nlp(m.build())
-    monkeypatch.setattr(nlp_module, "_lp_run", lambda small, fallback: fallback)
+    _fail_the_lp_engine(monkeypatch)
     as_nlp = solve_nlp(m.build())
     assert as_lp.status is as_nlp.status
 

@@ -11,14 +11,13 @@ These are the library's deepest invariants:
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.minlp import solve_milp
 from repro.minlp.brute import solve_brute_force
-from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp, solve_problem_lp
+from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp
 from repro.minlp.modeling import Model
 from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa, solve_minlp_oa_multitree
@@ -98,7 +97,7 @@ def test_incremental_lp_matches_scratch_solves(data):
             overrides[f"x{j}"] = (lo, hi)
 
     fast = inc.solve(overrides)
-    slow = solve_problem_lp(p.with_bounds(overrides))
+    slow = solve_lp(LinearProgram.from_problem(p.with_bounds(overrides)))
     assert fast.status is slow.status
     if slow.status is Status.OPTIMAL:
         assert fast.objective == pytest.approx(slow.objective, abs=1e-6)
@@ -120,7 +119,7 @@ def test_incremental_lp_cut_rows_match_scratch():
 
     p2 = m.build()
     p2.add_constraint("cut", cut, ub=10.0)
-    slow = solve_problem_lp(p2)
+    slow = solve_lp(LinearProgram.from_problem(p2))
     assert fast.objective == pytest.approx(slow.objective, abs=1e-8)
 
 

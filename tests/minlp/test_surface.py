@@ -3,7 +3,6 @@
 from repro.minlp import (
     BnBOptions,
     BranchAndBound,
-    solve,
     solve_minlp_nlpbb,
     solve_minlp_oa,
     solve_nlp,
@@ -16,15 +15,15 @@ from tests.census import options_of, orphans
 SURFACES = {
     **{
         f.__name__: options_of(f, skip=1)
-        for f in (solve, solve_minlp_oa, solve_minlp_nlpbb, solve_nlp, BranchAndBound)
+        for f in (solve_minlp_oa, solve_minlp_nlpbb, solve_nlp, BranchAndBound)
     },
     "BnBOptions": options_of(BnBOptions),
 }
 
 
 def test_every_solver_option_has_a_non_test_caller():
-    """A keyword of ``minlp.solve``, ``solve_minlp_oa``, ``solve_minlp_nlpbb``,
-    ``solve_nlp`` or ``BranchAndBound``, or a ``BnBOptions`` field, stays only
+    """A keyword of ``solve_minlp_oa``, ``solve_minlp_nlpbb``, ``solve_nlp``
+    or ``BranchAndBound``, or a ``BnBOptions`` field, stays only
     while ``src/``, ``benchmarks/`` or ``examples/`` passes it.  Adding an
     option means adding its caller."""
     missing = orphans(SURFACES)

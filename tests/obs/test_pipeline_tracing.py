@@ -39,7 +39,7 @@ class TwoComponentApp(Application):
     def component_names(self):
         return ("alpha", "beta")
 
-    def benchmark(self, node_counts, rng):
+    def benchmark(self, node_counts, rng, *, attempt=0, probe_extremes=True):
         suite = BenchmarkSuite()
         for count in node_counts:
             for name, model in MODELS.items():

@@ -24,7 +24,6 @@ from repro.core.greedy import (
 from repro.core.objectives import Objective
 from repro.fmo.schedulers import hslb_schedule
 from repro.minlp import (
-    solve,
     solve_brute_force,
     solve_minlp_nlpbb,
     solve_minlp_oa,
@@ -351,7 +350,7 @@ def test_solve_entry_points_take_no_rng_spend_all_or_options():
     parameters that existed to thread a generator through the entry points,
     to patch the heap for max-min and to cap its tree search stay deleted."""
     allocators = (greedy_minmax_allocation, maxmin_allocation, minsum_allocation)
-    for entry in (solve, solve_minlp_oa, solve_request, hslb_schedule, *allocators):
+    for entry in (solve_minlp_oa, solve_request, hslb_schedule, *allocators):
         params = set(inspect.signature(entry).parameters)
         assert not params & {"rng", "spend_all", "nlp_multistart"}, entry.__name__
     # ``options`` survives only where it is a tree search's own budget.
