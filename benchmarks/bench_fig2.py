@@ -1,7 +1,6 @@
 """Figure 2 benchmark: component scaling curves and fit quality (F2, F2b)."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.fig2 import run_fig2
 from repro.perf.fitting import fit_performance_model

@@ -1,7 +1,5 @@
 """Figure 3 benchmark: 1/8-degree human vs HSLB-predicted vs HSLB-actual."""
 
-import pytest
-
 from repro.experiments.fig3 import run_fig3
 
 

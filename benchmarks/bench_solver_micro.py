@@ -264,7 +264,7 @@ def test_suite_fit_throughput(benchmark, fmo24_suite):
 def test_expression_differentiation(benchmark):
     """Symbolic gradient of a layout-1-sized constraint system."""
     m = Model("grad")
-    t = m.var("T", 0, 1e5)
+    m.var("T", 0, 1e5)
     n_vars = [m.integer_var(f"n{i}", 1, 4096) for i in range(4)]
     exprs = [27380.0 / n + 1e-3 * n**1.5 + 43.0 for n in n_vars]
 

@@ -47,16 +47,6 @@ class TaskingPolicy:
     def cores_used(self) -> int:
         return self.tasks_per_node * self.threads_per_task
 
-    @property
-    def idle_cores(self) -> int:
-        return CORES_PER_NODE - self.cores_used
-
-    def mpi_tasks(self, nodes: int) -> int:
-        """Total MPI ranks across ``nodes`` nodes."""
-        if nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {nodes}")
-        return nodes * self.tasks_per_node
-
     def __repr__(self) -> str:
         return f"TaskingPolicy({self.tasks_per_node}x{self.threads_per_task})"
 

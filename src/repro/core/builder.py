@@ -19,7 +19,7 @@ Two pieces live here:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.objectives import Objective, apply_objective
@@ -42,10 +42,6 @@ class DiscreteNodeSet:
         if vals[0] < 1:
             raise ValueError(f"node counts must be >= 1, got {vals[0]}")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[int]) -> "DiscreteNodeSet":
-        return cls(tuple(values))
 
     @classmethod
     def _presorted(cls, values: tuple[int, ...]) -> "DiscreteNodeSet":
@@ -263,9 +259,6 @@ class AllocationModelBuilder:
     @property
     def components(self) -> tuple[str, ...]:
         return tuple(self._node_vars)
-
-    def node_var(self, name: str) -> VarRef:
-        return self._node_vars[name]
 
     def time_expr(self, name: str) -> Expr:
         """The fitted ``T_name(n_name)`` as a symbolic expression."""

@@ -469,14 +469,15 @@ class HSLBOptimizer:
                     reason = sol.message or f"solver returned {status}"
                 wall = time.perf_counter() - tick
             if sol is not None and sol.status.is_ok:
+                allocation = self.app.allocation_from_solution(sol)
                 return (
-                    self.app.allocation_from_solution(sol),
+                    allocation,
                     sol,
                     SolverProvenance(
                         tier="oa",
                         reason="first-choice tier",
                         attempts=(SolverAttempt("oa", "ok", "solved", wall),),
-                        direct_gap=self._certify(start, sol, models),
+                        direct_gap=self._certify(start, allocation, models),
                     ),
                 )
             attempts.append(SolverAttempt("oa", status, reason, wall))
@@ -517,14 +518,17 @@ class HSLBOptimizer:
     def _certify(
         self,
         start: dict[str, float] | None,
-        solution: Solution,
+        allocation: Allocation,
         models: Mapping[str, PerformanceModel],
     ) -> float | None:
-        """The direct start's relative gap to the MINLP tier's answer."""
+        """The direct start's relative gap to the MINLP tier's allocation,
+        both priced by the application (not by OA's epigraph variable, which
+        may understate the allocation's price in its last digits)."""
         if start is None:
             return None
         _, direct = self._direct_answer(start, models)
-        gap = (direct - solution.objective) / max(1.0, abs(solution.objective))
+        solved = float(self.app.predicted_total(models, allocation))
+        gap = (direct - solved) / max(1.0, abs(solved))
         if gap > DIRECT_GAP_TOL:
             telemetry.record_direct_miss(gap)
         return gap
@@ -575,7 +579,7 @@ class HSLBOptimizer:
             total_nodes=int(total_nodes),
             allocation=allocation,
             predicted_times=predicted,
-            predicted_total=float(solution.objective),
+            predicted_total=float(self.app.predicted_total(models, allocation)),
             fits=dict(fits),
             solution=solution,
             provenance=self.last_provenance,
@@ -628,7 +632,9 @@ class HSLBOptimizer:
         execution.metadata["recovered_from_crash"] = recovery.summary()
         result.allocation = allocation
         result.predicted_times = self.app.predicted_times(models, allocation)
-        result.predicted_total = float(solution.objective) + wasted
+        result.predicted_total = (
+            float(self.app.predicted_total(models, allocation)) + wasted
+        )
         result.solution = solution
         result.provenance = provenance
         result.recovery = recovery

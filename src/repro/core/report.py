@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.core.hslb import HSLBResult
 from repro.core.spec import Allocation, ExecutionResult
 from repro.util.tables import format_table

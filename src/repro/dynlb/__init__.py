@@ -4,7 +4,7 @@ The static pipeline answers "how should nodes be split given the fitted
 curves?" once.  This package keeps answering it *while the run drifts*:
 
 * :mod:`repro.dynlb.drift`      — per-component drift models (linear,
-  step, random walk, periodic) with keyed deterministic draws;
+  step, random walk) with keyed deterministic draws;
 * :mod:`repro.dynlb.workload`   — the streaming timing feed over the
   CESM/FMO ground-truth curves, with noise, intra-component imbalance,
   and fault-plan crash hooks;

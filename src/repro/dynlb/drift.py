@@ -1,7 +1,7 @@
 """Per-component drift models: how the "machine" decays a static plan.
 
 The related DLB literature (AMReX mesh-and-particle study, Mohammed et
-al.'s two-level DLB) motivates exactly four shapes of decay:
+al.'s two-level DLB) motivates exactly three shapes of decay:
 
 * ``linear``      — gradual monotone drift (particles accreting onto one
   level, a component's grid refining), the canonical killer of a frozen
@@ -9,8 +9,7 @@ al.'s two-level DLB) motivates exactly four shapes of decay:
 * ``step``        — a regime change partway through the run (restart from
   a checkpoint onto different hardware, a physics package switching on);
 * ``walk``        — a seeded geometric random walk (OS jitter with memory,
-  slowly wandering contention);
-* ``sine``        — periodic load (day/night cycle in a climate component).
+  slowly wandering contention).
 
 Every multiplier is a pure function of ``(component, step)`` through
 :func:`repro.util.rng.keyed_rng`, so two strategies replaying the same
@@ -27,7 +26,7 @@ import numpy as np
 
 from repro.util.rng import keyed_rng
 
-_KINDS = ("none", "linear", "step", "walk", "sine")
+_KINDS = ("none", "linear", "step", "walk")
 
 #: Multipliers are clamped here so no drift model can make work vanish
 #: (or explode past what a refitter could plausibly track).
@@ -40,15 +39,13 @@ class DriftSpec:
 
     ``rate`` is the total fractional change across the whole run for
     ``linear`` (+0.6 means 60% slower by the last step), the jump height
-    for ``step``, the amplitude for ``sine``, and the per-step geometric
-    standard deviation for ``walk``.  ``at`` places the ``step`` jump as a
-    fraction of the run; ``period`` counts ``sine`` cycles over the run.
+    for ``step``, and the per-step geometric standard deviation for
+    ``walk``.  ``at`` places the ``step`` jump as a fraction of the run.
     """
 
     kind: str = "none"
     rate: float = 0.0
     at: float = 0.5
-    period: float = 2.0
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -109,8 +106,6 @@ class DriftProfile:
             m = 1.0 + spec.rate * progress
         elif spec.kind == "step":
             m = 1.0 + (spec.rate if progress >= spec.at else 0.0)
-        elif spec.kind == "sine":
-            m = 1.0 + spec.rate * np.sin(2.0 * np.pi * spec.period * progress)
         else:  # walk
             m = float(self._walk_curve(component, spec.rate)[step])
         return float(min(max(m, _FLOOR), _CEIL))

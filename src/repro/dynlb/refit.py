@@ -127,9 +127,6 @@ class DriftAwareRefitter:
 
     # -- staleness ---------------------------------------------------------
 
-    def is_stale(self, component: str) -> bool:
-        return self._state[component].stale
-
     def any_stale(self) -> bool:
         return any(st.stale for st in self._state.values())
 

@@ -86,17 +86,6 @@ class DynamicWorkload:
     def components(self) -> tuple[str, ...]:
         return tuple(sorted(self.models))
 
-    # -- ground truth ------------------------------------------------------
-
-    def true_model(self, component: str, step: int) -> PerformanceModel:
-        """The drift-scaled curve actually governing ``component`` at ``step``.
-
-        Test oracle: what a perfect refitter would converge to.
-        """
-        base = self.models[component]
-        m = self.drift.multiplier(component, step)
-        return PerformanceModel(a=base.a * m, b=base.b * m, c=base.c, d=base.d * m)
-
     def _jitter(self, component: str, step: int) -> float:
         if not self.noise:
             return 1.0

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.hslb import HSLBOptimizer
 from repro.core.spec import Allocation
 from repro.fmo.app import FMOApplication
-from repro.fmo.molecules import FragmentedSystem, protein_like
+from repro.fmo.molecules import protein_like
 from repro.fmo.schedulers import (
     greedy_dynamic_schedule,
     hslb_schedule,

@@ -194,10 +194,6 @@ class FaultPlan:
     def solver_fails(self, tier: str) -> bool:
         return tier in self.solver_stall
 
-    @property
-    def has_crash(self) -> bool:
-        return self.crash_component is not None or self.crash_group is not None
-
     def describe(self) -> str:
         """One-line run-header echo so degraded results stay reproducible."""
         parts = [f"seed={self.seed}"]

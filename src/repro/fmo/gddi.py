@@ -12,7 +12,7 @@ by the MINLP — is the special case ``groups == fragments``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.fmo.molecules import FragmentedSystem

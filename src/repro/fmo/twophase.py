@@ -28,7 +28,6 @@ import numpy as np
 from repro.fmo.gddi import GroupSchedule
 from repro.fmo.molecules import FragmentedSystem
 from repro.fmo.schedulers import uniform_static_schedule
-from repro.fmo.simulator import FMOSimulator
 from repro.fmo.timing import dimer_model, monomer_model
 from repro.core.greedy import greedy_minmax_allocation
 from repro.util.rng import default_rng

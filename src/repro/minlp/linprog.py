@@ -79,10 +79,6 @@ class LinearProgram:
     def num_vars(self) -> int:
         return int(self.c.size)
 
-    @property
-    def num_rows(self) -> int:
-        return int(self.A.shape[0])
-
     @classmethod
     def from_problem(cls, problem: Problem) -> "LinearProgram":
         """Build from a fully-linear :class:`Problem` (ignoring integrality)."""

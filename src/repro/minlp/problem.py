@@ -235,9 +235,6 @@ class Problem:
                 )
         return worst
 
-    def is_feasible(self, values: Mapping[str, float], tol: float = 1e-6) -> bool:
-        return self.max_violation(values) <= tol
-
     # -- transforms -------------------------------------------------------
 
     def relaxed(self) -> "Problem":

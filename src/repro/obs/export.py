@@ -230,17 +230,6 @@ def parse_prometheus(text: str) -> dict[str, dict[tuple[tuple[str, str], ...], f
     return out
 
 
-def registry_samples(
-    registry: MetricsRegistry,
-) -> dict[str, dict[tuple[tuple[str, str], ...], float]]:
-    """The registry's samples in the same shape :func:`parse_prometheus` returns."""
-    out: dict[str, dict[tuple[tuple[str, str], ...], float]] = {}
-    for metric in registry:
-        for name, key, value in metric.samples():
-            out.setdefault(name, {})[tuple(key)] = value
-    return out
-
-
 # -- ASCII flamegraph / timeline ---------------------------------------------
 
 

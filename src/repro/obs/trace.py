@@ -267,9 +267,6 @@ class Tracer:
         """Every recorded root belonging to one request tree."""
         return [r for r in list(self.roots) if r.trace_id == trace_id]
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [root.to_dict() for root in list(self.roots)]
-
     def write_jsonl(self, path: str) -> int:
         """Dump the trace as JSONL; returns the number of lines written."""
         from repro.obs.export import trace_to_jsonl

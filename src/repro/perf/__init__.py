@@ -10,7 +10,7 @@
 
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark, ScalingObservation
 from repro.perf.fitting import FitResult, fit_performance_model, fit_suite
-from repro.perf.io import load_models, load_suite, save_models, save_suite
+from repro.perf.io import save_suite
 from repro.perf.model import PerformanceModel
 from repro.perf.selection import (
     PowerLawModel,
@@ -32,9 +32,6 @@ __all__ = [
     "fit_performance_model",
     "fit_power_law",
     "fit_suite",
-    "load_models",
-    "load_suite",
-    "save_models",
     "save_suite",
     "select_model",
 ]

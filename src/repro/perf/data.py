@@ -114,10 +114,6 @@ class ComponentBenchmark:
         lo, hi = self.node_range
         return lo <= nodes <= hi
 
-    def flagged_count(self) -> int:
-        """Observations whose status is not "ok" (e.g. flagged stragglers)."""
-        return sum(1 for o in self._obs if not o.clean)
-
     def pruned(self, *, min_points: int = 2) -> "ComponentBenchmark":
         """Drop flagged observations, but never below ``min_points``.
 

@@ -22,14 +22,15 @@ The solver contract: every start is solved by a port of scipy's bounded
 TRF that is bit-identical to ``scipy.optimize.least_squares(method="trf")``
 — the same ``x``, ``cost``, ``status`` and ``nfev`` on every start — at
 less than half the cost, because at 4 parameters and 2-10 observations
-scipy's wrappers, not its arithmetic, dominate.  There are two drivers, one
-answer: :func:`fit_suite` draws every component's starts first, then runs
-the starts of each point count in lockstep
-(:func:`repro.perf.trf.least_squares_trf_lockstep`, one stacked numpy step
-for all of them) once there are :data:`LOCKSTEP_MIN_LANES` of them; fewer,
-and :func:`fit_performance_model`'s five, run one after another on
-:func:`repro.perf.trf.least_squares_trf`.  Both validate the data alike and
-keep the first start of strictly lowest cost.  scipy stays the test oracle
+scipy's wrappers, not its arithmetic, dominate.  There is one way in:
+:func:`fit_suite` draws every component's starts first, then hands the
+starts of each point count to
+:func:`repro.perf.trf.least_squares_trf_lockstep` as one call (one stacked
+numpy step for all of them, the last few finishing one after another on
+their own :class:`_Curve`);
+:func:`fit_performance_model` is the same call on one fit's five starts,
+which all finish on their own curve.  Every fit keeps the first start of
+strictly lowest cost.  scipy stays the test oracle
 (``tests/perf/test_trf.py``); this module imports no scipy at all.
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 from repro.obs.trace import get_tracer, span
 from repro.perf.data import BenchmarkSuite
 from repro.perf.model import PerformanceModel
-from repro.perf.trf import TRFResult, least_squares_trf, least_squares_trf_lockstep
+from repro.perf.trf import TRFResult, least_squares_trf_lockstep
 from repro.util.rng import default_rng
 
 #: Bounds for the exponent c.  ``c >= 1`` keeps the fitted curve convex; the
@@ -57,15 +58,6 @@ FIT_STARTS = 5
 
 #: The least-squares losses a fit accepts (Table II is ``"linear"``).
 FIT_LOSSES = ("linear", "huber", "soft_l1")
-
-#: Lanes (starts of the fits of one point count) from which a suite's fits
-#: run in lockstep rather than one start after another: the measured
-#: crossover.  Best of 15 interleaved runs, one BLAS thread, 2-vCPU Xeon,
-#: ledger components, ms sequential -> lockstep: at 20 lanes it is a draw
-#: (FMO D=6 33.1 -> 31.1, CESM D=6 33.2 -> 28.7, CESM D=8 29.7 -> 33.1), from
-#: 25 lanes lockstep wins on each (36.0 -> 30.5, 36.4 -> 28.3, 32.4 -> 31.5),
-#: and it widens to 49.0 -> 36.7 at 40 lanes and 146.8 -> 50.9 at 120.
-LOCKSTEP_MIN_LANES = 25
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,8 @@ def _residuals(params: np.ndarray, n: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Curve:
-    """Residuals and Jacobian of one fit's data, for the TRF.
+    """Residuals and Jacobian of one fit's data, for a lane that finishes on
+    the TRF's scalar loop.
 
     The solver asks for the Jacobian at a point whose residuals it has just
     evaluated, so the two share ``n**c`` (keyed by ``c``, the only parameter
@@ -130,7 +123,8 @@ class _Curve:
 class _Curves:
     """:class:`_Curve` for many fits of one point count at once, one row per
     lane, for :func:`repro.perf.trf.least_squares_trf_lockstep`: every
-    value is the one :class:`_Curve` computes for the lane alone."""
+    value is the one :class:`_Curve` computes for the lane alone, and
+    :meth:`lane` is that curve."""
 
     def __init__(self, n: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> None:
         self.n, self.y, self.w = n, y, w
@@ -152,6 +146,11 @@ class _Curves:
         J[:, :, 1] = -nc
         J[:, :, 2] = -b * self.log_n[lanes] * nc
         return J * self.w[lanes][:, :, None] if self.w is not None else J
+
+    def lane(self, i: int):
+        """Lane ``i``'s own residuals and Jacobian (a :class:`_Curve`)."""
+        curve = _Curve(self.n[i], self.y[i], None if self.w is None else self.w[i])
+        return curve.residuals, curve.jacobian
 
 
 def _heuristic_start(n: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -175,13 +174,13 @@ _MAX_NFEV = 2000
 
 @dataclass(frozen=True)
 class _Problem:
-    """One fit, ready for a driver: sorted observations, weights, loss and
-    residual scale, and its :data:`FIT_STARTS` starts (clipped to the box)."""
+    """One fit, ready for the TRF: sorted observations, weights, the
+    residual scale of its loss, and its :data:`FIT_STARTS` starts (clipped
+    to the box)."""
 
     n: np.ndarray
     y: np.ndarray
     w: np.ndarray | None
-    loss: str
     f_scale: float
     starts: np.ndarray
 
@@ -231,31 +230,15 @@ def _problem(
     # Robust losses need a residual scale: ~5% of the typical time means a
     # benchmark run more than a few percent off the curve stops dominating.
     f_scale = 0.05 * float(np.median(y)) if loss != "linear" else 1.0
-    return _Problem(n, y, w, loss, f_scale, np.clip(starts, _LOWER, _UPPER))
+    return _Problem(n, y, w, f_scale, np.clip(starts, _LOWER, _UPPER))
 
 
-def _sequential(problem: _Problem) -> list[TRFResult | None]:
-    """Each start through :func:`least_squares_trf`, one after another
-    (None for a start the solver refuses)."""
-    curve = _Curve(problem.n, problem.y, problem.w)
-    outcomes: list[TRFResult | None] = []
-    for x0 in problem.starts:
-        try:
-            outcomes.append(
-                least_squares_trf(
-                    curve.residuals, curve.jacobian, x0, _LOWER, _UPPER,
-                    max_nfev=_MAX_NFEV, loss=problem.loss, f_scale=problem.f_scale,
-                )
-            )
-        except (ValueError, FloatingPointError):
-            outcomes.append(None)
-    return outcomes
-
-
-def _lockstep(problems: list[_Problem]) -> tuple[list[list[TRFResult | None]], int]:
-    """Every start of every problem (one point count) through
-    :func:`least_squares_trf_lockstep`: the outcomes :func:`_sequential`
-    gives each problem, and the number of ticks."""
+def _solve(
+    problems: list[_Problem], loss: str
+) -> tuple[list[list[TRFResult | None]], int]:
+    """Every start of every problem (one point count) through one
+    :func:`least_squares_trf_lockstep` call: each problem's outcomes (None
+    for a start the solver refuses), and the number of ticks."""
     lanes = [(p, x0) for p in problems for x0 in p.starts]
     weighted = any(p.w is not None for p in problems)
     curves = _Curves(
@@ -266,11 +249,9 @@ def _lockstep(problems: list[_Problem]) -> tuple[list[list[TRFResult | None]], i
         else None,
     )
     results, ticks = least_squares_trf_lockstep(
-        curves.residuals, curves.jacobian,
+        curves.residuals, curves.jacobian, curves.lane,
         np.array([x0 for _, x0 in lanes]), _LOWER, _UPPER,
-        max_nfev=_MAX_NFEV,
-        loss=[p.loss for p, _ in lanes],
-        f_scale=[p.f_scale for p, _ in lanes],
+        max_nfev=_MAX_NFEV, loss=loss, f_scale=[p.f_scale for p, _ in lanes],
     )
     outcomes = [r if isinstance(r, TRFResult) else None for r in results]
     return [outcomes[i : i + FIT_STARTS] for i in range(0, len(lanes), FIT_STARTS)], ticks
@@ -314,7 +295,8 @@ def fit_performance_model(
     weights: np.ndarray | None = None,
 ) -> FitResult:
     """Fit ``T(n) = a/n + b n^c + d`` to observations by least squares
-    (Table II line 10), every start on :func:`least_squares_trf`.
+    (Table II line 10): the one-problem case of :func:`fit_suite`'s path,
+    which tags no span.
 
     Parameters
     ----------
@@ -329,35 +311,31 @@ def fit_performance_model(
         residuals are scaled.
     """
     problem = _problem(nodes, seconds, weights, rng or default_rng(), "linear")
-    return _best(problem, _sequential(problem))
+    (outcomes,), _ = _solve([problem], "linear")
+    return _best(problem, outcomes)
 
 
-def _fit_problems(problems: dict[str, _Problem]) -> dict[str, FitResult]:
-    """Fit every problem: lockstep for each point count with at least
-    :data:`LOCKSTEP_MIN_LANES` lanes, one start after another otherwise.
-    Tags the enclosing span with the ``driver`` (``lockstep`` if any point
-    count ran in lockstep), the ``lanes`` and the lockstep ``ticks``."""
+def _fit_problems(problems: dict[str, _Problem], loss: str) -> dict[str, FitResult]:
+    """Fit every problem, one :func:`_solve` call per point count.  Tags the
+    enclosing span with the ``lanes`` (starts) and the lockstep ``ticks``."""
     groups: dict[int, list[str]] = {}
     for name, problem in problems.items():
         groups.setdefault(problem.n.size, []).append(name)
     solved: dict[str, list[TRFResult | None]] = {}
     ticks = 0
     for names in groups.values():
-        if FIT_STARTS * len(names) >= LOCKSTEP_MIN_LANES:
-            outcomes, group_ticks = _lockstep([problems[name] for name in names])
-            solved.update(zip(names, outcomes))
-            ticks += group_ticks
+        outcomes, group_ticks = _solve([problems[name] for name in names], loss)
+        solved.update(zip(names, outcomes))
+        ticks += group_ticks
     enclosing = get_tracer().current()
     if enclosing is not None:
-        enclosing.set_tag("driver", "lockstep" if solved else "sequential")
         enclosing.set_tag("lanes", FIT_STARTS * len(problems))
         enclosing.set_tag("ticks", ticks)
 
     fits: dict[str, FitResult] = {}
     for name, problem in problems.items():
         with span("fit.component", component=name) as sp:
-            outcomes = solved.get(name)
-            fit = _best(problem, _sequential(problem) if outcomes is None else outcomes)
+            fit = _best(problem, solved[name])
             sp.set_tag("r_squared", round(fit.r_squared, 6))
             sp.set_tag("points", fit.n_points)
         fits[name] = fit
@@ -385,11 +363,10 @@ def fit_suite(
 
     Every component's starts are drawn first, one component after another
     from the one ``rng`` stream, so a suite has exactly one answer per seed
-    (the ledger pins objectives) whichever driver solves it; the answer is
-    the one :func:`fit_performance_model` gives each component with the
-    same draws.  The enclosing span (the pipeline's ``hslb.fit``) is tagged
-    with the ``driver`` (``lockstep`` or ``sequential``), the ``lanes``
-    (starts) and the lockstep ``ticks``.
+    (the ledger pins objectives); the answer is the one
+    :func:`fit_performance_model` gives each component with the same draws.
+    The enclosing span (the pipeline's ``hslb.fit``) is tagged with the
+    ``lanes`` (starts) and the lockstep ``ticks``.
     """
     rng = rng or default_rng()
     degenerate = suite.degenerate_components(min_points=2)
@@ -399,4 +376,4 @@ def fit_suite(
     problems = {
         name: _problem(*suite[name].arrays(), None, rng, loss) for name in suite
     }
-    return _fit_problems(problems)
+    return _fit_problems(problems, loss)

@@ -1,10 +1,11 @@
-"""JSON persistence for benchmark data and fitted models.
+"""JSON persistence for benchmark data.
 
 §III-F: "The data gathering step (1) can be avoided altogether if reliable
 benchmarks are already available, for example, from previous experiments."
 That only works if campaigns survive the session — this module gives
-benchmark suites and fitted models a stable on-disk JSON form so a cluster's
-timing history can accumulate across runs.
+benchmark suites a stable on-disk JSON form so a cluster's timing history
+can accumulate across runs (``hslb optimize --save-benchmarks`` /
+``--load-benchmarks``).
 
 Format (versioned)::
 
@@ -15,11 +16,6 @@ Format (versioned)::
         ...
       }
     }
-
-    {
-      "format": "hslb-models-v1",
-      "models": {"atm": {"a": ..., "b": ..., "c": ..., "d": ...}, ...}
-    }
 """
 
 from __future__ import annotations
@@ -29,10 +25,8 @@ import pathlib
 from collections.abc import Mapping
 
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark, ScalingObservation
-from repro.perf.model import PerformanceModel
 
 BENCHMARKS_FORMAT = "hslb-benchmarks-v1"
-MODELS_FORMAT = "hslb-models-v1"
 
 
 def _observation_row(obs: ScalingObservation) -> list:
@@ -99,47 +93,3 @@ def save_suite(suite: BenchmarkSuite, path: str | pathlib.Path) -> pathlib.Path:
     path = pathlib.Path(path)
     path.write_text(json.dumps(suite_to_dict(suite), indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_suite(path: str | pathlib.Path) -> BenchmarkSuite:
-    """Read a suite written by :func:`save_suite`."""
-    return suite_from_dict(json.loads(pathlib.Path(path).read_text()))
-
-
-def models_to_dict(models: Mapping[str, PerformanceModel]) -> dict:
-    """Serialize fitted performance models."""
-    return {
-        "format": MODELS_FORMAT,
-        "models": {
-            name: {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
-            for name, m in models.items()
-        },
-    }
-
-
-def models_from_dict(payload: Mapping) -> dict[str, PerformanceModel]:
-    """Inverse of :func:`models_to_dict`, with format validation."""
-    fmt = payload.get("format")
-    if fmt != MODELS_FORMAT:
-        raise ValueError(f"expected format {MODELS_FORMAT!r}, got {fmt!r}")
-    models = payload.get("models")
-    if not isinstance(models, Mapping):
-        raise ValueError("missing 'models' mapping")
-    return {
-        name: PerformanceModel(
-            a=float(p["a"]), b=float(p["b"]), c=float(p["c"]), d=float(p["d"])
-        )
-        for name, p in models.items()
-    }
-
-
-def save_models(
-    models: Mapping[str, PerformanceModel], path: str | pathlib.Path
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(models_to_dict(models), indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_models(path: str | pathlib.Path) -> dict[str, PerformanceModel]:
-    return models_from_dict(json.loads(pathlib.Path(path).read_text()))

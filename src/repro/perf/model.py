@@ -112,11 +112,6 @@ class PerformanceModel:
         out = self.time(1.0) / (n * self.time(n))
         return float(out) if out.ndim == 0 else out
 
-    def serial_fraction(self) -> float:
-        """Amdahl serial fraction implied at n = 1: ``(b + d) / T(1)``."""
-        total = self.time(1.0)
-        return (self.b + self.d) / total if total > 0 else 0.0
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 

@@ -1,9 +1,10 @@
 """Bounded Trust Region Reflective least squares, small and exact.
 
-:func:`least_squares_trf` is scipy's ``least_squares(method="trf")`` on a
-box (``trf_bounds`` with ``tr_solver="exact"``, ``x_scale=1`` and the
-``linear`` / ``huber`` / ``soft_l1`` losses), ported so that it performs the
-**same floating-point operations in the same order**.  Every result — ``x``,
+:func:`least_squares_trf_lockstep` is scipy's ``least_squares(method="trf")``
+on a box (``trf_bounds`` with ``tr_solver="exact"``, ``x_scale=1`` and the
+``linear`` / ``huber`` / ``soft_l1`` losses) for many problems of one shape
+at once, one *lane* each, ported so that every lane performs the **same
+floating-point operations in the same order**.  Every result — ``x``,
 ``cost``, ``status`` and ``nfev`` — is bit-identical to scipy's;
 ``tests/perf/test_trf.py`` holds the two against each other.
 
@@ -17,7 +18,14 @@ up once per call, finiteness is one ``logical_and.reduce``, ``‖x‖`` is
 taken once per outer iteration, and the in-loop nudge off the bounds
 (``rstep = 0``) has its own loop.
 
-What may run on Python floats, and what must stay numpy:
+Lanes step together, one trust-region attempt of every live lane per tick
+as stacked numpy operations (the rules that keep each lane bit-identical
+are listed above that code), until no more than :data:`_HANDOFF_LANES` are
+live: each of those finishes on the scalar loop (:func:`_iterate`), on the
+residuals and Jacobian of its own data that the caller supplies.  A call
+with that few lanes (one fit's five starts) never ticks.
+
+What may run on Python floats in the scalar loop, and what must stay numpy:
 
 * Per-coordinate work — the Coleman–Li scaling vector, in-bounds tests,
   step-to-bound, the strict-feasibility nudge (``math.nextafter``), the
@@ -32,12 +40,6 @@ What may run on Python floats, and what must stay numpy:
   with the same ``lwork`` that ``scipy.linalg.svd`` would.
 * Scalars stay the type scipy gives them (``np.float64`` out of a
   reduction), so a division by zero is ``inf`` with a warning, as there.
-
-:func:`least_squares_trf_lockstep` runs many problems of one shape at once
-(a suite's starts, one *lane* each) as stacked numpy operations, one
-trust-region attempt of every live lane per tick, and each lane is still
-bit-identical to scipy: the rules it keeps are listed above its code.  Its
-last few lanes finish on :func:`least_squares_trf`'s own loop.
 
 scipy is imported on the first fit of a shape, never at module level: a
 serving process never fits and must not pay for scipy.
@@ -372,25 +374,6 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     return ag, ag_h, -ag_value
 
 
-def _strictly_feasible(x, lb, ub, rstep):
-    """scipy's ``make_strictly_feasible`` on Python floats, ``rstep > 0``."""
-    out = []
-    for xi, li, ui in zip(x, lb, ub):
-        lower_dist, upper_dist = xi - li, ui - xi
-        if math.isfinite(ui) and upper_dist <= min(
-            lower_dist, rstep * max(1.0, abs(ui))
-        ):
-            xi = ui - rstep * max(1.0, abs(ui))
-        elif math.isfinite(li) and lower_dist <= min(
-            upper_dist, rstep * max(1.0, abs(li))
-        ):
-            xi = li + rstep * max(1.0, abs(li))
-        if xi < li or xi > ui:
-            xi = 0.5 * (li + ui)
-        out.append(xi)
-    return out
-
-
 def _strictly_inside(x, lb, ub):
     """``make_strictly_feasible(x, lb, ub, rstep=0)``: a coordinate on or
     past a bound moves one ulp inside it."""
@@ -426,68 +409,14 @@ def _scaling(x, g, lb, ub):
     return d, diag_h, g_norm
 
 
-# -- the driver ----------------------------------------------------------------
-
-
-def least_squares_trf(
-    fun: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    *,
-    max_nfev: int,
-    loss: str,
-    f_scale: float,
-) -> TRFResult:
-    """``scipy.optimize.least_squares(fun, x0, jac, (lb, ub), method="trf",
-    max_nfev=max_nfev, loss=loss, f_scale=f_scale)``, bit for bit.
-
-    ``x0``, ``lb`` and ``ub`` are 1-D float arrays with ``lb < ub``, and
-    ``loss`` is ``"linear"``, ``"huber"`` or ``"soft_l1"``.  Raises
-    ``ValueError`` where scipy does: ``x0`` outside the bounds, a non-finite
-    residual at ``x0``, a non-finite Jacobian reaching the SVD.  ``fun`` and
-    ``jac`` receive arrays they may keep but must not modify, and must return
-    fresh 1-D / 2-D float arrays: the solver scales them in place under a
-    robust loss (scipy hands them copies instead).
-    """
-    lbl, ubl = lb.tolist(), ub.tolist()
-    xl = x0.tolist()
-    if not _in_bounds(xl, lbl, ubl):
-        raise ValueError("Initial guess is outside of provided bounds")
-    xl = _strictly_feasible(xl, lbl, ubl, rstep=1e-10)
-    x = np.array(xl)
-
-    f = fun(x)
-    J = jac(x)
-    if not np.logical_and.reduce(np.isfinite(f)):
-        raise ValueError("Residuals are not finite in the initial point.")
-    m, n = J.shape
-
-    loss_function = _loss_function(m, loss, f_scale)
-    if loss_function is not None:
-        rho = loss_function(f)
-        cost = 0.5 * np.add.reduce(rho[0])
-        J, f = _scale_for_robust_loss(J, f, rho)
-    else:
-        cost = 0.5 * f.dot(f)
-    g = J.T.dot(f)
-
-    d, _, _ = _scaling(xl, g.tolist(), lbl, ubl)
-    Delta = _norm(x / np.array(d))
-    if Delta == 0:
-        Delta = 1.0
-    return _iterate(
-        fun, jac, loss_function, lbl, ubl, max_nfev,
-        x, f, J, g, cost, Delta, 0.0, 1, None,
-    )
+# -- the scalar loop ------------------------------------------------------------
 
 
 def _iterate(
     fun, jac, loss_function, lbl, ubl, max_nfev,
     x, f, J, g, cost, Delta, alpha, nfev, status,
 ) -> TRFResult:
-    """The driver's outer loop, from the head of an iteration: ``x``,
+    """scipy's outer loop for one lane, from the head of an iteration: ``x``,
     ``f``, ``J`` (both scaled for a robust loss), ``g``, ``cost``, the
     trust radius, ``alpha``, the evaluations so far and the status the last
     inner loop set (None if it set none)."""
@@ -584,12 +513,12 @@ def _iterate(
     return TRFResult(x=x, cost=cost, status=0 if status is None else status, nfev=nfev)
 
 
-# -- the lockstep driver -------------------------------------------------------
+# -- the lockstep -------------------------------------------------------------
 #
 # Many independent problems of one shape (the starts of a suite's fits) step
 # together: every array carries one row per lane, and each scalar step of
-# the driver above becomes one stacked numpy operation on the lanes that take
-# it.  Each lane performs the same floating-point operations as the driver
+# the loop above becomes one stacked numpy operation on the lanes that take
+# it.  Each lane performs the same floating-point operations as the loop
 # above, so its x, cost, status and nfev are the same bytes:
 #
 # * elementwise arithmetic, comparisons and branches are IEEE either way; a
@@ -599,7 +528,7 @@ def _iterate(
 # * every reduction is a stacked ``np.matmul``, which makes one BLAS call per
 #   lane (``ddot`` for a vector pair, ``gemv`` for a matrix-vector product):
 #   the call ``.dot`` makes, provided each lane's operand has the layout the
-#   driver above hands it.  scipy's ``gesdd`` returns ``U`` and ``Vt`` in
+#   loop above hands it.  scipy's ``gesdd`` returns ``U`` and ``Vt`` in
 #   Fortran order, so ``U.T`` and ``V`` are C-ordered there and are made so
 #   here;
 # * the SVD is one batched ``np.linalg.svd`` (LAPACK ``gesdd`` per lane);
@@ -608,7 +537,7 @@ def _iterate(
 #   by lane on scalars here (:func:`_scalar_pow`); array powers stay array
 #   powers, and sums stay ``np.add.reduce``;
 # * a lane whose inner loop ends on ftol or xtol passes one more head, where
-#   gtol may overwrite its status with 1, as in the driver above.
+#   gtol may overwrite its status with 1, as in the loop above.
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -646,7 +575,7 @@ def _lanes_in_bounds(x, lb, ub) -> np.ndarray:
 
 
 def _lanes_strictly_feasible(x, lb, ub, rstep):
-    """:func:`_strictly_feasible`, lane by lane."""
+    """scipy's ``make_strictly_feasible`` with ``rstep > 0``, lane by lane."""
     r_lb = rstep * _pick_max(1.0, np.abs(lb))
     r_ub = rstep * _pick_max(1.0, np.abs(ub))
     lower_dist, upper_dist = x - lb, ub - x
@@ -882,9 +811,9 @@ def _lanes_select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     return step, step_h, predicted, refusals
 
 
-
 #: A lane at the head of an iteration leaves the lockstep for the scalar
-#: loop once no more than this many lanes are live: a tick costs a fixed
+#: loop once no more than this many lanes are live, so a call of this many
+#: lanes or fewer (one fit's five starts) never ticks: a tick costs a fixed
 #: ~0.5 ms of numpy dispatch, an iteration of the scalar loop ~40 us, and
 #: the slowest starts of a suite take twice the ticks of the median one.
 #: Measured on the 120-lane FMO suite (best of 15, one BLAS thread, Xeon):
@@ -900,11 +829,12 @@ class _Lockstep:
     heads that are due, then one attempt of every live lane; a lane whose
     inner loop ends takes its step and is at the head again next tick."""
 
-    def __init__(self, fun, jac, x0, lb, ub, max_nfev, loss, f_scale):
+    def __init__(self, fun, jac, lane, x0, lb, ub, max_nfev, loss, f_scale):
         L, n = x0.shape
-        self.fun, self.jac, self.lb, self.ub = fun, jac, lb, ub
+        self.fun, self.jac, self.lane, self.lb, self.ub = fun, jac, lane, lb, ub
         self.max_nfev = max_nfev
-        self.loss = np.asarray(loss)
+        self.loss = loss
+        self.kernel = None if loss == "linear" else _LOSSES[loss]
         self.f_scale = np.asarray(f_scale, dtype=float)
         self.f_scale2 = _scalar_pow(self.f_scale, 2)
         self.results: list[TRFResult | ValueError | None] = [None] * L
@@ -959,44 +889,37 @@ class _Lockstep:
 
     # -- losses -------------------------------------------------------------
 
-    def _rho(self, lanes, f, kernel, cost_only):
+    def _rho(self, lanes, f, cost_only):
         z = (f / self.f_scale[lanes, None]) ** 2
         rho = np.empty((3,) + z.shape)
-        kernel(z, rho, cost_only)
+        self.kernel(z, rho, cost_only)
         return rho
 
     def _cost(self, lanes, f) -> np.ndarray:
-        """Each lane's cost of residuals ``f`` under its loss."""
-        cost = 0.5 * _rowdot(f, f)
-        for name, kernel in _LOSSES.items():
-            rows = np.flatnonzero(self.loss[lanes] == name)
-            if rows.size:
-                rho = self._rho(lanes[rows], f[rows], kernel, cost_only=True)
-                fs2 = self.f_scale2[lanes[rows]]
-                cost[rows] = 0.5 * fs2 * np.add.reduce(rho[0], axis=-1)
-        return cost
+        """Each lane's cost of residuals ``f`` under the loss."""
+        if self.kernel is None:
+            return 0.5 * _rowdot(f, f)
+        rho = self._rho(lanes, f, cost_only=True)
+        return 0.5 * self.f_scale2[lanes] * np.add.reduce(rho[0], axis=-1)
 
     def _store(self, lanes, f, J) -> np.ndarray:
         """Store ``f`` and ``J`` as the lanes' current residuals and Jacobian
         (scaled for a robust loss, in place) and their gradient; returns
         the cost at ``f``."""
-        cost = 0.5 * _rowdot(f, f)
-        for name, kernel in _LOSSES.items():
-            rows = np.flatnonzero(self.loss[lanes] == name)
-            if rows.size:
-                rho = self._rho(lanes[rows], f[rows], kernel, cost_only=False)
-                fs2 = self.f_scale2[lanes[rows], None]
-                rho[0] *= fs2
-                rho[2] /= fs2
-                cost[rows] = 0.5 * np.add.reduce(rho[0], axis=-1)
-                # scale_for_robust_loss_function
-                fr, Jr = f[rows], J[rows]
-                J_scale = rho[1] + 2 * rho[2] * fr**2
-                J_scale[J_scale < _EPS] = _EPS
-                J_scale **= 0.5
-                fr *= rho[1] / J_scale
-                Jr *= J_scale[:, :, np.newaxis]
-                f[rows], J[rows] = fr, Jr
+        if self.kernel is None:
+            cost = 0.5 * _rowdot(f, f)
+        else:
+            rho = self._rho(lanes, f, cost_only=False)
+            fs2 = self.f_scale2[lanes, None]
+            rho[0] *= fs2
+            rho[2] /= fs2
+            cost = 0.5 * np.add.reduce(rho[0], axis=-1)
+            # scale_for_robust_loss_function
+            J_scale = rho[1] + 2 * rho[2] * f**2
+            J_scale[J_scale < _EPS] = _EPS
+            J_scale **= 0.5
+            f *= rho[1] / J_scale
+            J *= J_scale[:, :, np.newaxis]
         self.f[lanes], self.J[lanes] = f, J
         self.g[lanes] = _rowmv(np.swapaxes(J, 1, 2), f)
         return cost
@@ -1116,15 +1039,14 @@ class _Lockstep:
 
     def _handoff(self, lanes) -> None:
         """Finish ``lanes``, each at the head of an iteration, one after
-        another on the scalar driver's loop."""
+        another on the scalar loop, each on its own residuals and Jacobian."""
         lbl, ubl = self.lb.tolist(), self.ub.tolist()
         for i in lanes:
-            lane = np.array([i])
+            fun, jac = self.lane(int(i))
             try:
                 self.results[i] = _iterate(
-                    lambda x: self.fun(x[None], lane)[0],
-                    lambda x: self.jac(x[None], lane)[0],
-                    _loss_function(self.m, str(self.loss[i]), float(self.f_scale[i])),
+                    fun, jac,
+                    _loss_function(self.m, self.loss, float(self.f_scale[i])),
                     lbl, ubl, self.max_nfev,
                     self.x[i].copy(), self.f[i].copy(), self.J[i].copy(), self.g[i].copy(),
                     self.cost[i], self.Delta[i], self.alpha[i], int(self.nfev[i]),
@@ -1151,30 +1073,39 @@ class _Lockstep:
 def least_squares_trf_lockstep(
     fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lane: Callable[[int], tuple[Callable, Callable]],
     x0: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
     *,
     max_nfev: int,
-    loss,
+    loss: str,
     f_scale,
 ) -> tuple[list[TRFResult | ValueError], int]:
-    """:func:`least_squares_trf` on many problems of one shape at once.
+    """``scipy.optimize.least_squares(fun_i, x0[i], jac_i, (lb, ub),
+    method="trf", max_nfev=max_nfev, loss=loss, f_scale=f_scale[i])`` for
+    every lane ``i`` at once, bit for bit.
 
-    Lane ``i`` is the problem ``fun(x)[i]`` from ``x0[i]``: ``x0`` is
-    ``(L, n)``, ``lb`` and ``ub`` are the ``(n,)`` box every lane shares,
-    ``loss`` and ``f_scale`` hold one entry per lane.  ``fun(x, lanes)`` and
+    ``x0`` is ``(L, n)``, ``lb < ub`` are the ``(n,)`` box every lane
+    shares, ``loss`` (``"linear"``, ``"huber"`` or ``"soft_l1"``) is every
+    lane's, ``f_scale`` holds one entry per lane.  ``fun(x, lanes)`` and
     ``jac(x, lanes)`` evaluate the lanes ``lanes`` at the rows of ``x`` and
     return fresh ``(k, m)`` / C-ordered ``(k, m, n)`` arrays (``m`` is the
-    same for every lane).
+    same for every lane); ``lane(i)`` returns lane ``i``'s own
+    ``(fun_i, jac_i)`` on a 1-D ``x``, with the same values, fresh 1-D /
+    2-D arrays, for the lanes that finish on the scalar loop.  The solver
+    scales what they return in place under a robust loss (scipy hands them
+    copies instead).
 
-    Returns one entry per lane — its :class:`TRFResult`, bit-identical to
-    what :func:`least_squares_trf` returns for it alone, or the error that
-    function would raise, with scipy's message — and the number of ticks:
-    the lockstep attempts of the slowest lane, before the last few lanes
-    finish on the scalar loop.
+    Returns one entry per lane — its :class:`TRFResult`, or the
+    ``ValueError`` scipy raises for it (a start outside the box, a
+    non-finite residual at the start, a non-finite Jacobian reaching the
+    SVD), with scipy's message — and the number of ticks: the lockstep
+    attempts of the slowest lane, before the last :data:`_HANDOFF_LANES`
+    lanes finish on the scalar loop (0 for a call with no more lanes than
+    that).
     """
     with np.errstate(all="ignore"):
-        batch = _Lockstep(fun, jac, x0, lb, ub, max_nfev, loss, f_scale)
+        batch = _Lockstep(fun, jac, lane, x0, lb, ub, max_nfev, loss, f_scale)
         batch.run()
     return batch.results, batch.ticks

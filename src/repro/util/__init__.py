@@ -7,7 +7,6 @@ from repro.util.validation import (
     check_finite,
     check_positive,
     check_in_range,
-    check_integerish,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "check_finite",
     "check_positive",
     "check_in_range",
-    "check_integerish",
 ]

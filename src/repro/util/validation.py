@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def check_finite(name: str, value: float) -> float:
     """Return ``value`` if finite, else raise ``ValueError``."""
@@ -30,20 +28,3 @@ def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     if not (lo <= value <= hi):
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return float(value)
-
-
-def check_integerish(name: str, value: float, *, tol: float = 1e-6) -> int:
-    """Round ``value`` to int if it is within ``tol`` of an integer."""
-    check_finite(name, value)
-    rounded = round(value)
-    if abs(value - rounded) > tol:
-        raise ValueError(f"{name} must be integral (tol={tol}), got {value!r}")
-    return int(rounded)
-
-
-def as_sorted_unique(values) -> np.ndarray:
-    """Return ``values`` as a sorted, de-duplicated 1-D float array."""
-    arr = np.unique(np.asarray(values, dtype=float))
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty 1-D collection")
-    return arr

@@ -115,8 +115,6 @@ def test_selector_beats_default_policy(rng):
 def test_selector_reduces_scaling_curve_noise(rng):
     """§IV-A's complaint, fixed: fitting the ice curve from ML-selected
     decompositions yields a cleaner fit than from default-policy runs."""
-    from repro.perf.fitting import fit_performance_model
-
     samples = collect_training_data(ICE_MODEL, TRAIN_NODES, rng, noise=0.01)
     sel = DecompositionSelector(k=3).fit(samples)
     nodes = np.array([10.0, 30.0, 90.0, 270.0, 810.0, 2430.0])

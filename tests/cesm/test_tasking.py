@@ -27,11 +27,7 @@ def test_policy_validation():
 def test_policy_accounting():
     p = TaskingPolicy(2, 2)
     assert p.cores_used == 4
-    assert p.idle_cores == 0
-    assert p.mpi_tasks(10) == 20
-    with pytest.raises(ValueError):
-        p.mpi_tasks(0)
-    assert TaskingPolicy(1, 2).idle_cores == 2
+    assert TaskingPolicy(1, 2).cores_used == 2
 
 
 def test_full_node_policies_cover_four_cores():

@@ -20,7 +20,7 @@ def test_total_nodes_validation():
 
 def test_plain_integer_component():
     b = AllocationModelBuilder("x", 16)
-    n = b.add_component("a", M1)
+    b.add_component("a", M1)
     p = b.model.build()
     var = p.variable("n_a")
     assert var.domain is Domain.INTEGER

@@ -1,9 +1,12 @@
 """Tests for the resilient gather / solver chain / crash recovery paths."""
 
+import dataclasses
+
 import pytest
 
 from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
+from repro.cesm.machines import EXASCALE_SKETCH
 from repro.core.builder import AllocationModelBuilder
 from repro.cesm.layouts import Layout
 from repro.core.hslb import (
@@ -14,6 +17,7 @@ from repro.core.hslb import (
 )
 from repro.core.objectives import Objective
 from repro.core.spec import Allocation, Application, ExecutionResult
+from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
 from repro.faults import BenchmarkFault, BenchmarkRunError, FaultPlan
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.solution import Status
@@ -318,11 +322,38 @@ def test_cesm_crash_recovery_end_to_end():
     surviving = 128 - rec.lost_nodes
     assert result.allocation["atm"] + result.allocation["ocn"] <= surviving
     assert result.execution.metadata.get("recovered_from_crash")
-    # The restart penalty is charged on both predicted and actual totals.
-    assert result.predicted_total > float(result.solution.objective)
+    # The restart penalty is charged on both predicted and actual totals,
+    # on top of the re-planned allocation's price.
+    models = {name: fit.model for name, fit in result.fits.items()}
+    assert result.predicted_total == (
+        app.predicted_total(models, result.allocation) + rec.wasted_seconds
+    )
     assert result.degraded
     # The crash fires once: the re-run completed on the survivors.
     assert "recovery" in rec.summary()
+
+
+class _NoDirectStart(CESMApplication):
+    """CESM with no exact direct answer: OA's answer stands alone."""
+
+    def direct_start(self, models, total_nodes):
+        return None
+
+
+def test_predicted_total_is_the_allocations_price():
+    """P3's exascale curves at 4096 nodes, solved by OA alone: OA's epigraph
+    variable understated the allocation's price (8.172243893815818 against
+    8.172244046853699, one BLAS thread), and the pipeline reported it.  The
+    predicted total is the application's price of the allocation."""
+    rng = default_rng(2014)
+    opt = HSLBOptimizer(CESMApplication(one_degree()))
+    fits = opt.fit(opt.gather(BENCHMARK_CAMPAIGN["1deg"], rng), rng)
+    moved = EXASCALE_SKETCH.transform_all({name: f.model for name, f in fits.items()})
+    fits = {name: dataclasses.replace(f, model=moved[name]) for name, f in fits.items()}
+    app = _NoDirectStart(one_degree())
+    result = HSLBOptimizer(app).run_from_fits(fits, 4096, execute=False)
+    assert result.solver_tier == "oa"
+    assert result.predicted_total == app.predicted_total(moved, result.allocation)
 
 
 def test_fault_free_cesm_pipeline_is_unchanged():

@@ -26,14 +26,6 @@ def test_step_jumps_at_the_configured_fraction():
     assert profile.multiplier("c", 10) == pytest.approx(2.0)
 
 
-def test_sine_oscillates_around_one():
-    profile = DriftProfile({"c": DriftSpec("sine", rate=0.5, period=1.0)}, steps=101)
-    values = [profile.multiplier("c", s) for s in range(101)]
-    assert max(values) == pytest.approx(1.5, abs=0.01)
-    assert min(values) == pytest.approx(0.5, abs=0.01)
-    assert values[0] == pytest.approx(1.0)
-
-
 def test_walk_is_deterministic_and_order_independent():
     a = DriftProfile({"c": DriftSpec("walk", rate=0.2)}, steps=30, seed=5)
     b = DriftProfile({"c": DriftSpec("walk", rate=0.2)}, steps=30, seed=5)

@@ -174,7 +174,7 @@ def _drifting_workload(case: int) -> DynamicWorkload:
     steps = 24
     drift = DriftProfile(
         {
-            name: DriftSpec(("linear", "step", "sine")[j % 3], rate=float(rng.uniform(0.3, 2.0)))
+            name: DriftSpec(("linear", "step", "walk")[j % 3], rate=float(rng.uniform(0.3, 2.0)))
             for j, name in enumerate(names)
         },
         steps,

@@ -49,7 +49,7 @@ def test_component_time_is_deterministic_across_instances():
 
 def test_self_policy_trades_imbalance_for_fixed_overhead():
     w = _workload(noise=0.0, imbalance=0.2, self_overhead=0.03)
-    drifted = w.true_model("big", 4).time(16)
+    drifted = w.drift.multiplier("big", 4) * _MODELS["big"].time(16)
     assert w.component_time("big", 4, 16, policy="self") == pytest.approx(
         drifted * 1.03
     )
@@ -58,11 +58,11 @@ def test_self_policy_trades_imbalance_for_fixed_overhead():
 
 
 def test_true_model_applies_drift_multiplier():
+    """The curve governing a component at a step is its base curve scaled
+    by the drift multiplier."""
     drift = DriftProfile({"big": DriftSpec("linear", rate=1.0)}, steps=11)
     w = _workload(steps=11, drift=drift, noise=0.0, imbalance=0.0)
-    assert w.true_model("big", 10).time(16) == pytest.approx(
-        2.0 * _MODELS["big"].time(16)
-    )
+    assert w.drift.multiplier("big", 10) == pytest.approx(2.0)
     assert w.component_time("big", 10, 16) == pytest.approx(
         2.0 * _MODELS["big"].time(16)
     )

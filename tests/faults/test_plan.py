@@ -147,14 +147,13 @@ def test_zero_rate_plan_is_silent():
     assert plan.benchmark_fault("cesm", 64, 0) is None
     assert plan.straggler_multiplier("cesm", "atm", 64) == 1.0
     assert not plan.solver_fails("oa")
-    assert not plan.has_crash
+    assert plan.crash_component is None and plan.crash_group is None
 
 
 def test_solver_stall_and_crash_flags():
     plan = FaultPlan(solver_stall=("oa",), crash_group=2, crash_fraction=0.3)
     assert plan.solver_fails("oa") and not FaultPlan().solver_fails("oa")
-    assert plan.has_crash
-    assert FaultPlan(crash_component="ocn").has_crash
+    assert (plan.crash_group, plan.crash_fraction) == (2, 0.3)
 
 
 def test_describe_echoes_the_knobs():

@@ -1,6 +1,5 @@
 """Tests for GDDI schedules and the three schedulers."""
 
-import numpy as np
 import pytest
 
 from repro.core.objectives import Objective

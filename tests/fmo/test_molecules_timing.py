@@ -1,10 +1,8 @@
 """Tests for synthetic fragmented systems and SCF cost models."""
 
-import numpy as np
 import pytest
 
 from repro.fmo.molecules import (
-    DIMER_CUTOFF,
     Fragment,
     FragmentedSystem,
     protein_like,

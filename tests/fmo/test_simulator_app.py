@@ -7,7 +7,7 @@ from repro.core.hslb import HSLBOptimizer
 from repro.core.spec import Allocation
 from repro.fmo.app import FMOApplication
 from repro.fmo.gddi import GroupSchedule
-from repro.fmo.molecules import protein_like, water_cluster
+from repro.fmo.molecules import protein_like
 from repro.fmo.schedulers import hslb_schedule, uniform_static_schedule
 from repro.fmo.simulator import FMOSimulator
 from repro.minlp.solution import Status

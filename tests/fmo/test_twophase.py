@@ -56,7 +56,7 @@ def test_monomer_phase_scales_with_scc_iterations(system):
 
 def test_mismatched_dimer_list_rejected(system, sim):
     other = protein_like(6, default_rng(9))
-    other_sim = TwoPhaseSimulator(other, noise=0.0)
+    TwoPhaseSimulator(other, noise=0.0)
     sched = uniform_two_phase_schedule(other, 24, 6)
     if sched.dimer_pairs != sim.dimer_pairs:
         with pytest.raises(ValueError, match="dimer list"):

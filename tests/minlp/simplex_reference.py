@@ -41,7 +41,6 @@ class _StandardForm:
         # Per original variable: (kind, data) where kind in
         # {"shift": y-index & lb, "mirror": y-index & ub, "free": (+idx, -idx)}
         self.recipe: list[tuple[str, tuple]] = []
-        cols: list[np.ndarray] = []  # column of each y in terms of original A
         cost: list[float] = []
         extra_rows: list[tuple[np.ndarray, float]] = []  # (row over y, rhs) for <= rows
         self.const_shift = lp.c0
@@ -56,7 +55,6 @@ class _StandardForm:
                 cost.append(lp.c[j])
                 self.const_shift += lp.c[j] * lb
                 if math.isfinite(ub):
-                    row = np.zeros(0)  # fill later once width known
                     extra_rows.append((np.array([y_count]), ub - lb))
                 y_count += 1
             elif math.isfinite(ub):
@@ -157,7 +155,7 @@ def solve_lp_simplex_reference(lp: LinearProgram, max_iter: int = 20000) -> LPRe
     rhs: list[float] = []
     senses: list[str] = []  # "le", "ge", "eq" over y
 
-    for i in range(lp.num_rows):
+    for i in range(lp.A.shape[0]):
         r, const = sf.row_over_y(lp.A[i])
         lo = lp.row_lb[i] - const
         hi = lp.row_ub[i] - const

@@ -1,7 +1,5 @@
 """Tests for the AMPL model exporter."""
 
-import pytest
-
 from repro.cesm.grids import one_degree
 from repro.cesm.layouts import Layout, formulate_layout
 from repro.minlp.ampl_export import _sanitize, problem_to_ampl
@@ -83,8 +81,8 @@ def test_name_collisions_resolved():
     text = problem_to_ampl(m.build())
     # Two distinct var statements.
     assert text.count("var a_b") == 2
-    lines = [l for l in text.splitlines() if l.startswith("var ")]
-    names = {l.split()[1] for l in lines}
+    lines = [line for line in text.splitlines() if line.startswith("var ")]
+    names = {line.split()[1] for line in lines}
     assert len(names) == 2
 
 

@@ -1,7 +1,5 @@
 """Tests for branch-and-bound over LP relaxations (MILP)."""
 
-import math
-
 import pytest
 
 from repro.minlp.bnb import BnBOptions

@@ -1,7 +1,5 @@
 """Tests for the AMPL/Pyomo-like modeling layer."""
 
-import math
-
 import pytest
 
 from repro.minlp.modeling import Model
@@ -10,9 +8,9 @@ from repro.minlp.problem import Domain, Sense
 
 def test_var_kinds():
     m = Model()
-    x = m.var("x", 0, 1)
-    n = m.integer_var("n", 1, 99)
-    z = m.binary_var("z")
+    m.var("x", 0, 1)
+    m.integer_var("n", 1, 99)
+    m.binary_var("z")
     p = m.build()
     assert p.variable("x").domain is Domain.CONTINUOUS
     assert p.variable("n").domain is Domain.INTEGER

@@ -101,8 +101,8 @@ def test_objective_and_feasibility():
     p = _basic()
     v = {"x": 3.0, "y": 2.0}
     assert p.objective_value(v) == 7.0
-    assert p.is_feasible(v)
-    assert not p.is_feasible({"x": 9.0, "y": 5.0})  # violates c1 and x<=10 ok
+    assert p.max_violation(v) <= 1e-6
+    assert p.max_violation({"x": 9.0, "y": 5.0}) > 1e-6  # violates c1 and x<=10 ok
     assert p.max_violation({"x": 11.0, "y": 0.0}) >= 1.0  # bound violation
 
 
@@ -117,8 +117,8 @@ def test_sos_violation_detected():
     p.add_variable("b", 0, 1, Domain.BINARY)
     p.add_sos1("s", ["a", "b"], [1.0, 2.0])
     p.set_objective(VarRef("a"))
-    assert p.is_feasible({"a": 1.0, "b": 0.0})
-    assert not p.is_feasible({"a": 1.0, "b": 1.0})
+    assert p.max_violation({"a": 1.0, "b": 0.0}) <= 1e-6
+    assert p.max_violation({"a": 1.0, "b": 1.0}) > 1e-6
 
 
 def test_relaxed_drops_integrality():

@@ -5,13 +5,21 @@ from repro.obs.export import (
     parse_prometheus,
     parse_trace_jsonl,
     prometheus_exposition,
-    registry_samples,
     render_flamegraph,
     render_timeline,
     trace_to_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span, trace_event
+
+
+def registry_samples(registry: MetricsRegistry) -> dict:
+    """The registry's samples in the shape :func:`parse_prometheus` returns."""
+    out: dict = {}
+    for metric in registry:
+        for name, key, value in metric.samples():
+            out.setdefault(name, {})[tuple(key)] = value
+    return out
 
 
 def _populated_registry() -> MetricsRegistry:

@@ -122,7 +122,7 @@ def test_threads_get_independent_span_stacks(tracer):
 def test_to_dicts_shape(tracer):
     with span("root", layer="cli"):
         trace_event("tick", i=0)
-    [doc] = tracer.to_dicts()
+    [doc] = [root.to_dict() for root in tracer.roots]
     assert doc["name"] == "root"
     assert doc["tags"] == {"layer": "cli"}
     assert doc["events"][0]["name"] == "tick"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import repro.perf.fitting as fitting
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark
 from repro.perf.fitting import FIT_STARTS, fit_performance_model, fit_suite
-from repro.perf.trf import least_squares_trf
+from repro.perf.trf import least_squares_trf_lockstep
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
@@ -86,11 +86,11 @@ def test_multistart_finds_no_worse_fit(rng, monkeypatch):
     costs = []
 
     def recording(*args, **kwargs):
-        res = least_squares_trf(*args, **kwargs)
-        costs.append(float(res.cost))
-        return res
+        results, ticks = least_squares_trf_lockstep(*args, **kwargs)
+        costs.extend(float(res.cost) for res in results)
+        return results, ticks
 
-    monkeypatch.setattr(fitting, "least_squares_trf", recording)
+    monkeypatch.setattr(fitting, "least_squares_trf_lockstep", recording)
     multi = fit_performance_model(n, y, rng=default_rng(1))
     assert multi.starts_tried == len(costs) == FIT_STARTS
     assert multi.rss == pytest.approx(2.0 * min(costs), rel=1e-9)  # cost = rss / 2
@@ -134,7 +134,7 @@ def test_input_validation():
     # NaN and inf pass the ``<= 0`` checks: a NaN or infinite time once
     # raised OverflowError from the random-start draw (which the dynlb
     # refitter does not catch), and NaN weights or infinite nodes surfaced as
-    # "failed from every start".  Both drivers share this validation.
+    # "failed from every start".  fit_suite shares this validation.
     n, y = np.array([1.0, 2.0, 4.0]), np.array([4.0, 2.0, 1.0])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):

@@ -1,21 +1,16 @@
-"""Tests for benchmark/model persistence."""
+"""Tests for benchmark persistence."""
 
 import json
 
 import pytest
 
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark
-from repro.perf.io import (
-    load_models,
-    load_suite,
-    models_from_dict,
-    models_to_dict,
-    save_models,
-    save_suite,
-    suite_from_dict,
-    suite_to_dict,
-)
-from repro.perf.model import PerformanceModel
+from repro.perf.io import save_suite, suite_from_dict, suite_to_dict
+
+
+def load_suite(path):
+    """Read a suite file as ``hslb optimize --load-benchmarks`` does."""
+    return suite_from_dict(json.loads(path.read_text()))
 
 
 @pytest.fixture
@@ -51,24 +46,6 @@ def test_suite_file_is_stable_json(suite, tmp_path):
     path = save_suite(suite, tmp_path / "bench.json")
     payload = json.loads(path.read_text())
     assert payload["components"]["ocn"] == [[24, 362.7], [240, 76.4]]
-
-
-def test_models_round_trip(tmp_path):
-    models = {
-        "atm": PerformanceModel(a=27380.0, b=1e-3, c=1.0, d=43.0),
-        "ocn": PerformanceModel(a=7550.0, d=45.0),
-    }
-    path = save_models(models, tmp_path / "models.json")
-    loaded = load_models(path)
-    assert loaded["atm"] == models["atm"]
-    assert loaded["ocn"].time(24) == pytest.approx(models["ocn"].time(24))
-
-
-def test_models_format_guard():
-    with pytest.raises(ValueError, match="expected format"):
-        models_from_dict({"format": "nope"})
-    with pytest.raises(ValueError, match="models"):
-        models_from_dict({"format": "hslb-models-v1"})
 
 
 def test_loaded_suite_usable_by_pipeline(suite, tmp_path):

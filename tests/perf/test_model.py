@@ -113,11 +113,6 @@ def test_efficiency_decreases():
     assert effs[0] > effs[1] > effs[2]
 
 
-def test_serial_fraction():
-    m = PerformanceModel(a=99.0, d=1.0)
-    assert m.serial_fraction() == pytest.approx(0.01)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     a=st.floats(1.0, 1e5),

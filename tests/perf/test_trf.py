@@ -1,12 +1,13 @@
 """The in-house TRF is scipy's ``least_squares(method="trf")``, bit for bit.
 
-``repro.perf.trf`` ports scipy's bounded Trust Region Reflective solver
-twice: one start at a time (``least_squares_trf``) and every start of a
-suite at once (``least_squares_trf_lockstep``, one lane per start).  The
-oracle is scipy itself: every start a fit solves, on either driver, is
-replayed through ``scipy.optimize.least_squares``, and the two must agree on
-the bytes of ``x`` and on ``cost``, ``status`` and ``nfev``; a start the
-port refuses, scipy must refuse with the same message.  The starts come
+``repro.perf.trf`` ports scipy's bounded Trust Region Reflective solver as
+one entry, ``least_squares_trf_lockstep``: every start of a call is one
+lane, the lanes step together, and the last few finish one after another
+on the scalar loop, each on its own curve.  The oracle is scipy itself:
+every start a fit solves is replayed through ``scipy.optimize.least_squares``
+on its lane of the stacked residuals, and the two must agree on the bytes
+of ``x`` and on ``cost``, ``status`` and ``nfev``; a start the port refuses,
+scipy must refuse with the same message.  The starts come
 from the ledger's own instances (every ``cesm_table3`` and ``fmo_ladder``
 suite, as the pipeline fits it, under every loss, and with the refitter's
 age-decay weights) and from keyed draws.
@@ -31,7 +32,7 @@ import repro.perf.trf as trf
 from repro.core.hslb import HSLBOptimizer
 from repro.perf.fitting import _C_MAX, FIT_LOSSES, FIT_STARTS, fit_suite
 from repro.perf.model import PerformanceModel
-from repro.perf.trf import least_squares_trf, least_squares_trf_lockstep
+from repro.perf.trf import least_squares_trf_lockstep
 from repro.util.rng import keyed_rng
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -66,45 +67,40 @@ def _replay(fun, jac, x0, lb, ub, got, **kwargs):
     _assert_same(got, ref, where)
 
 
+def _stacked_lane(fun, jac, i):
+    """Lane ``i`` of the stacked callables, on a 1-D ``x``: the problem the
+    oracle replays (the port's scalar loop runs the caller's own curve)."""
+    lane = np.array([i])
+    return lambda x: fun(x[None], lane)[0], lambda x: jac(x[None], lane)[0]
+
+
 class _Oracle:
-    """Stands in for both drivers in ``perf.fitting``: runs the port, then
-    replays every start (every lane) through scipy."""
+    """Stands in for the TRF in ``perf.fitting``: runs the port, then replays
+    every start (every lane) through scipy."""
 
     def __init__(self):
-        self.calls = 0  # starts on the sequential driver
-        self.lanes = 0  # starts on the lockstep driver
+        self.lanes = 0  # starts solved
+        self.ticks = 0
 
-    def sequential(self, fun, jac, x0, lb, ub, **kwargs):
-        self.calls += 1
-        try:
-            got = least_squares_trf(fun, jac, x0, lb, ub, **kwargs)
-        except ValueError as refusal:
-            _replay(fun, jac, x0, lb, ub, refusal, **kwargs)
-            raise
-        _replay(fun, jac, x0, lb, ub, got, **kwargs)
-        return got
-
-    def lockstep(self, fun, jac, x0, lb, ub, *, max_nfev, loss, f_scale):
+    def __call__(self, fun, jac, lane, x0, lb, ub, *, max_nfev, loss, f_scale):
         results, ticks = least_squares_trf_lockstep(
-            fun, jac, x0, lb, ub, max_nfev=max_nfev, loss=loss, f_scale=f_scale
+            fun, jac, lane, x0, lb, ub, max_nfev=max_nfev, loss=loss, f_scale=f_scale
         )
         assert len(results) == len(x0)
         for i, got in enumerate(results):
-            lane = np.array([i])
             _replay(
-                lambda x: fun(x[None], lane)[0], lambda x: jac(x[None], lane)[0],
-                x0[i], lb, ub, got,
-                max_nfev=max_nfev, loss=str(loss[i]), f_scale=float(f_scale[i]),
+                *_stacked_lane(fun, jac, i), x0[i], lb, ub, got,
+                max_nfev=max_nfev, loss=loss, f_scale=float(f_scale[i]),
             )
         self.lanes += len(x0)
+        self.ticks += ticks
         return results, ticks
 
 
 @pytest.fixture
 def oracle(monkeypatch):
     replay = _Oracle()
-    monkeypatch.setattr(fitting, "least_squares_trf", replay.sequential)
-    monkeypatch.setattr(fitting, "least_squares_trf_lockstep", replay.lockstep)
+    monkeypatch.setattr(fitting, "least_squares_trf_lockstep", replay)
     return replay
 
 
@@ -145,18 +141,18 @@ _BLOCKS = [("cesm", i) for i in range(6)] + [("fmo", i) for i in range(3)]
 def test_every_catalogue_component_fits_bit_identically(catalogue, oracle, kind, index):
     """The pipeline's own fit (five starts a component, one RNG stream),
     then the suite under each loss, and weighted as the dynlb refitter
-    weights a window.  A CESM suite (four components, 20 starts) runs one
-    start after another; an FMO suite (40-120 starts) runs in lockstep."""
+    weights a window.  Every suite (CESM's 20 starts, FMO's 40-120) ticks
+    in lockstep before its last lanes finish on their own curves."""
     opt, suite, rng = _suite(catalogue, kind, index)
     opt.fit(suite, rng)
     starts = FIT_STARTS * len(list(suite))
-    assert oracle.calls + oracle.lanes == starts
-    assert (oracle.lanes == starts) == (kind == "fmo")
+    assert oracle.lanes == starts
+    assert oracle.ticks > 0
 
     for loss in FIT_LOSSES:
         fit_suite(suite, rng=np.random.default_rng(7), loss=loss)
-    fitting._fit_problems(_decayed(suite, np.random.default_rng(3)))
-    assert oracle.calls + oracle.lanes == 5 * starts
+    fitting._fit_problems(_decayed(suite, np.random.default_rng(3)), "linear")
+    assert oracle.lanes == 5 * starts
 
 
 def _keyed_problem(rng, points, noise, c, loss, weighted):
@@ -185,30 +181,29 @@ def _keyed_problem(rng, points, noise, c, loss, weighted):
     weighted=st.booleans(),
 )
 def test_keyed_draws_fit_bit_identically(key, points, noise, c, loss, weighted):
-    """D = 2..10, one start after another."""
+    """D = 2..10, one fit's five starts: every lane on the scalar loop."""
     rng = keyed_rng(key, "trf", points, noise, c, loss, weighted)
     problem = _keyed_problem(rng, points, noise, c, loss, weighted)
     replay = _Oracle()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "least_squares_trf", replay.sequential)
-        fitting._sequential(problem)  # a refused start: both sides agreed
-    assert replay.calls == FIT_STARTS
+        mp.setattr(fitting, "least_squares_trf_lockstep", replay)
+        fitting._solve([problem], loss)  # a refused start: both sides agreed
+    assert (replay.lanes, replay.ticks) == (FIT_STARTS, 0)
 
 
 def _keyed_batch(key, components):
-    """``components`` keyed problems of mixed D (2-9), loss and weights."""
+    """``components`` keyed problems of mixed D (2-9), loss and weights,
+    each with its loss."""
     rng = keyed_rng(key, "lockstep", components)
-    return [
-        _keyed_problem(
-            rng,
-            int(rng.integers(2, 10)),
-            float(rng.choice([0.0, 0.02, 0.1])),
-            [1.0, _C_MAX, None][int(rng.integers(3))],
-            FIT_LOSSES[int(rng.integers(3))],
-            bool(rng.integers(2)),
-        )
-        for _ in range(components)
-    ]
+    batch = []
+    for _ in range(components):
+        points = int(rng.integers(2, 10))
+        noise = float(rng.choice([0.0, 0.02, 0.1]))
+        c = [1.0, _C_MAX, None][int(rng.integers(3))]
+        loss = FIT_LOSSES[int(rng.integers(3))]
+        weighted = bool(rng.integers(2))
+        batch.append((_keyed_problem(rng, points, noise, c, loss, weighted), loss))
+    return batch
 
 
 @settings(max_examples=4, deadline=None)
@@ -218,20 +213,19 @@ def _keyed_batch(key, components):
     handoff=st.booleans(),
 )
 def test_keyed_batches_fit_bit_identically_in_lockstep(key, components, handoff):
-    """Batches of 8-30 keyed fits, grouped by D as a suite groups them, every
-    lane in lockstep; with ``handoff``, the last few lanes finish on the
-    scalar loop, as in a suite."""
-    problems = _keyed_batch(key, components)
+    """Batches of 8-30 keyed fits, grouped by D (and loss) as a suite groups
+    them, every lane in lockstep; with ``handoff``, the last few lanes
+    finish on the scalar loop, as in a suite."""
     groups = {}
-    for problem in problems:
-        groups.setdefault(problem.n.size, []).append(problem)
+    for problem, loss in _keyed_batch(key, components):
+        groups.setdefault((problem.n.size, loss), []).append(problem)
     replay = _Oracle()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "least_squares_trf_lockstep", replay.lockstep)
+        mp.setattr(fitting, "least_squares_trf_lockstep", replay)
         if not handoff:
             mp.setattr(trf, "_HANDOFF_LANES", 0)
-        for group in groups.values():
-            outcomes, _ = fitting._lockstep(group)
+        for (_, loss), group in groups.items():
+            outcomes, _ = fitting._solve(group, loss)
             assert [len(o) for o in outcomes] == [FIT_STARTS] * len(group)
     assert replay.lanes == FIT_STARTS * components
 
@@ -248,67 +242,88 @@ def test_a_lane_gives_the_same_bytes_alone_in_its_suite_and_among_strangers(
     catalogue, monkeypatch, handoff
 ):
     """A lane's bytes depend on its own problem only: not on which lanes
-    share its ticks, nor on when the others leave."""
-    if not handoff:
-        monkeypatch.setattr(trf, "_HANDOFF_LANES", 0)
+    share its ticks, nor on when the others leave, nor on whether it ticks
+    at all (a fit alone runs on the scalar loop)."""
     _, suite, _ = _suite(catalogue, "fmo", 1)
     rng = np.random.default_rng(11)
     problems = [fitting._problem(*suite[name].arrays(), None, rng, "huber") for name in suite]
     strangers = [
-        p for p in _keyed_batch(5, 40) if p.n.size == problems[0].n.size
+        p for p, loss in _keyed_batch(5, 40)
+        if p.n.size == problems[0].n.size and loss == "huber"
     ]
-    before, after = strangers[:3], strangers[3:]
+    before, after = strangers[:2], strangers[2:]
     assert before and after
-    in_suite, _ = fitting._lockstep(problems)
-    among_strangers, _ = fitting._lockstep(before + problems[::-1] + after)
+    expected = [_outcome_bytes(fitting._solve([p], "huber")[0][0]) for p in problems]
+    if not handoff:
+        monkeypatch.setattr(trf, "_HANDOFF_LANES", 0)
+    in_suite, _ = fitting._solve(problems, "huber")
+    among_strangers, _ = fitting._solve(before + problems[::-1] + after, "huber")
     among_strangers = among_strangers[len(before) :][: len(problems)][::-1]
     for i, problem in enumerate(problems):
-        alone, _ = fitting._lockstep([problem])
-        expected = _outcome_bytes(fitting._sequential(problem))
-        assert _outcome_bytes(alone[0]) == expected
-        assert _outcome_bytes(in_suite[i]) == expected
-        assert _outcome_bytes(among_strangers[i]) == expected
+        alone, _ = fitting._solve([problem], "huber")
+        assert _outcome_bytes(alone[0]) == expected[i]
+        assert _outcome_bytes(in_suite[i]) == expected[i]
+        assert _outcome_bytes(among_strangers[i]) == expected[i]
 
 
 def test_both_drivers_give_a_suite_byte_equal_fits(catalogue):
-    """The 24-fragment FMO suite, under every loss: the lockstep driver's
-    ``FitResult`` of each component equals the sequential driver's."""
+    """Both of the TRF's loops give the 24-fragment FMO suite byte-equal
+    fits under every loss: the suite ticking in lockstep, and each component
+    alone (five lanes, every one on the scalar loop)."""
     _, suite, _ = _suite(catalogue, "fmo", 2)
     for loss in FIT_LOSSES:
         rng = np.random.default_rng(13)
         problems = {name: fitting._problem(*suite[name].arrays(), None, rng, loss) for name in suite}
-        outcomes, ticks = fitting._lockstep(list(problems.values()))
+        outcomes, ticks = fitting._solve(list(problems.values()), loss)
         assert ticks > 0
         for (name, problem), lanes in zip(problems.items(), outcomes):
-            lockstep = fitting._best(problem, lanes)
-            sequential = fitting._best(problem, fitting._sequential(problem))
-            assert lockstep == sequential, (name, loss)
+            (alone,), alone_ticks = fitting._solve([problem], loss)
+            assert alone_ticks == 0
+            lockstep, scalar = fitting._best(problem, lanes), fitting._best(problem, alone)
+            assert lockstep == scalar, (name, loss)
             assert np.array(lockstep.model.as_tuple()).tobytes() == np.array(
-                sequential.model.as_tuple()
+                scalar.model.as_tuple()
             ).tobytes()
+
+
+def _amdahl_lanes(nan_lane=None, inf_lane=None):
+    """The Amdahl problem of :func:`_amdahl_problem` on every lane, as
+    stacked callables and per-lane curves; ``nan_lane``'s residuals are NaN
+    and ``inf_lane``'s Jacobian is infinite."""
+    fun, jac, lb, ub = _amdahl_problem()
+
+    def lane(i):
+        def lane_fun(x):
+            f = fun(x)
+            if i == nan_lane:
+                f[0] = np.nan
+            return f
+
+        def lane_jac(x):
+            J = jac(x)
+            if i == inf_lane:
+                J[1, 2] = np.inf
+            return J
+
+        return lane_fun, lane_jac
+
+    def stacked_fun(x, lanes):
+        return np.array([lane(i)[0](xi) for xi, i in zip(x, lanes)])
+
+    def stacked_jac(x, lanes):
+        return np.array([lane(i)[1](xi) for xi, i in zip(x, lanes)])
+
+    return stacked_fun, stacked_jac, lane, lb, ub
 
 
 @pytest.mark.parametrize("handoff", [True, False], ids=["handoff", "lockstep-only"])
 def test_refused_lanes_carry_scipys_reason(monkeypatch, handoff):
-    """Lane by lane, the lockstep driver refuses what scipy refuses, with
-    scipy's message, and solves its other lanes as scipy does: a start
-    outside the box, a non-finite residual at the start, a non-finite
-    Jacobian at the SVD (in the lockstep, or on the scalar loop a lane
-    finishes on)."""
+    """Lane by lane, the TRF refuses what scipy refuses, with scipy's
+    message, and solves its other lanes as scipy does: a start outside the
+    box, a non-finite residual at the start, a non-finite Jacobian at the
+    SVD (in the lockstep, or on the scalar loop a lane finishes on)."""
     if not handoff:
         monkeypatch.setattr(trf, "_HANDOFF_LANES", 0)
-    fun, jac, lb, ub = _amdahl_problem()
-
-    def lane_fun(x, lanes):
-        f = np.array([fun(xi) for xi in x])
-        f[lanes == 2, 0] = np.nan
-        return f
-
-    def lane_jac(x, lanes):
-        J = np.array([jac(xi) for xi in x])
-        J[lanes == 3, 1, 2] = np.inf
-        return J
-
     x0 = np.array([
         [50.0, 1e-6, 1.5, 0.5],
         [50.0, 1e-6, 0.5, 0.5],  # c below its bound
@@ -316,19 +331,20 @@ def test_refused_lanes_carry_scipys_reason(monkeypatch, handoff):
         [50.0, 1e-6, 1.5, 0.5],
         [80.0, 1e-3, 2.0, 2.0],
     ])
+    fun, jac, lane, lb, ub = _amdahl_lanes(nan_lane=2, inf_lane=3)
     for loss in FIT_LOSSES:
-        results, _ = least_squares_trf_lockstep(
-            lane_fun, lane_jac, x0, lb, ub,
-            max_nfev=2000, loss=[loss] * len(x0), f_scale=[1.0] * len(x0),
+        results, ticks = least_squares_trf_lockstep(
+            fun, jac, lane, x0, lb, ub,
+            max_nfev=2000, loss=loss, f_scale=[1.0] * len(x0),
         )
+        assert (ticks > 0) == (not handoff)
         assert [type(r).__name__ for r in results] == [
             "TRFResult", "ValueError", "ValueError", "ValueError", "TRFResult",
         ]
         for i, got in enumerate(results):
-            lane = np.array([i])
             _replay(
-                lambda x: lane_fun(x[None], lane)[0], lambda x: lane_jac(x[None], lane)[0],
-                x0[i], lb, ub, got, max_nfev=2000, loss=loss, f_scale=1.0,
+                *_stacked_lane(fun, jac, i), x0[i], lb, ub, got,
+                max_nfev=2000, loss=loss, f_scale=1.0,
             )
 
 
@@ -352,6 +368,7 @@ def _amdahl_problem():
 
 @pytest.mark.parametrize("loss", ["linear", "huber", "soft_l1"])
 def test_a_nonfinite_residual_at_the_start_raises_valueerror_from_both(loss):
+    """scipy raises, and the TRF refuses the lane with scipy's error."""
     fun, jac, lb, ub = _amdahl_problem()
 
     def nan_fun(x):
@@ -359,18 +376,89 @@ def test_a_nonfinite_residual_at_the_start_raises_valueerror_from_both(loss):
         r[0] = np.nan
         return r
 
+    def one_lane(fun, x0):
+        def stacked(f):  # (k, m) / (k, m, n), also for k = 0
+            shape = f(x0).shape
+            return lambda x, lanes: np.array([f(xi) for xi in x]).reshape(len(x), *shape)
+
+        [got], _ = least_squares_trf_lockstep(
+            stacked(fun), stacked(jac), lambda i: (fun, jac), x0[None], lb, ub,
+            max_nfev=2000, loss=loss, f_scale=[1.0],
+        )
+        return got
+
     x0 = np.array([50.0, 1e-6, 1.5, 0.5])
     kwargs = dict(max_nfev=2000, loss=loss, f_scale=1.0)
     with pytest.raises(ValueError, match="not finite"):
         _scipy_trf(nan_fun, jac, x0, lb, ub, **kwargs)
-    with pytest.raises(ValueError, match="not finite"):
-        least_squares_trf(nan_fun, jac, x0, lb, ub, **kwargs)
+    got = one_lane(nan_fun, x0)
+    assert isinstance(got, ValueError) and "not finite" in str(got)
     # A start outside the box is refused the same way.
     outside = np.array([50.0, 1e-6, 0.5, 0.5])
     with pytest.raises(ValueError, match="outside"):
         _scipy_trf(fun, jac, outside, lb, ub, **kwargs)
-    with pytest.raises(ValueError, match="outside"):
-        least_squares_trf(fun, jac, outside, lb, ub, **kwargs)
+    got = one_lane(fun, outside)
+    assert isinstance(got, ValueError) and "outside" in str(got)
+
+
+def test_a_call_of_at_most_the_handoff_lanes_never_ticks():
+    """Up to ``_HANDOFF_LANES`` lanes (one fit's five starts among them) go
+    straight to the scalar loop: 0 lockstep ticks; one lane more ticks."""
+    fun, jac, lane, lb, ub = _amdahl_lanes()
+    starts = np.array([[50.0, 1e-6, 1.5, 0.5], [80.0, 1e-3, 2.0, 2.0]])
+    for lanes in (FIT_STARTS, trf._HANDOFF_LANES, trf._HANDOFF_LANES + 1):
+        x0 = starts[np.arange(lanes) % 2]
+        results, ticks = least_squares_trf_lockstep(
+            fun, jac, lane, x0, lb, ub,
+            max_nfev=2000, loss="linear", f_scale=[1.0] * lanes,
+        )
+        assert all(isinstance(r, trf.TRFResult) for r in results)
+        assert (ticks == 0) == (lanes <= trf._HANDOFF_LANES), lanes
+
+
+def test_every_handed_off_lane_evaluates_on_its_own_curve(catalogue):
+    """A lane that finishes on the scalar loop evaluates only the callables
+    ``lane(i)`` returned for it, never a slice of the stacked ones: every
+    lane's evaluations (``nfev``) are its stacked rows plus its own calls,
+    and a suite's lockstep rows stop once its last lanes leave."""
+    _, suite, _ = _suite(catalogue, "fmo", 0)
+    rng = np.random.default_rng(5)
+    problems = [fitting._problem(*suite[name].arrays(), None, rng, "linear") for name in suite]
+    problems = [p for p in problems if p.n.size == problems[0].n.size]
+    for group in (problems[:1], problems):
+        lanes = [(p, x0) for p in group for x0 in p.starts]
+        curves = fitting._Curves(
+            np.array([p.n for p, _ in lanes]), np.array([p.y for p, _ in lanes]), None
+        )
+        stacked = np.zeros(len(lanes), dtype=int)
+        own = np.zeros(len(lanes), dtype=int)
+
+        def fun(x, rows):
+            stacked[rows] += 1
+            return curves.residuals(x, rows)
+
+        def lane(i):
+            residuals, jacobian = curves.lane(i)
+
+            def counted(x):
+                own[i] += 1
+                return residuals(x)
+
+            return counted, jacobian
+
+        results, ticks = least_squares_trf_lockstep(
+            fun, curves.jacobian, lane, np.array([x0 for _, x0 in lanes]),
+            fitting._LOWER, fitting._UPPER,
+            max_nfev=fitting._MAX_NFEV, loss="linear", f_scale=[1.0] * len(lanes),
+        )
+        nfev = np.array([r.nfev for r in results])
+        assert (stacked + own == nfev).all()
+        assert np.count_nonzero(own) <= trf._HANDOFF_LANES
+        assert (stacked <= ticks + 1).all()
+        if len(lanes) <= trf._HANDOFF_LANES:
+            assert ticks == 0 and (stacked == 1).all()
+        else:
+            assert ticks > 0 and own.any()
 
 
 def test_importing_the_fit_loads_no_scipy_and_a_fit_never_loads_scipy_optimize():

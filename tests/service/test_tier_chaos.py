@@ -20,7 +20,6 @@ from collections import Counter
 import pytest
 
 from repro.faults import ChaosPlan
-from repro.obs.export import registry_samples
 from repro.obs.metrics import REGISTRY
 from repro.service import (
     AdmissionPolicy,
@@ -33,6 +32,7 @@ from repro.service import (
     run_requests,
 )
 from repro.service.solver import solve_request, validate_outcome
+from tests.obs.test_export import registry_samples
 from tests.service.conftest import CURVES, expected_faults, make_request
 
 OBJECTIVES = ("min-max", "max-min", "min-sum")

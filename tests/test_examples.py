@@ -41,9 +41,9 @@ def test_solver_tour(monkeypatch, capsys):
     out = _run(f"{EXAMPLES}/solver_tour.py", [], monkeypatch, capsys)
     assert "the solver zoo agrees" in out
     # All four solvers print the same optimum.
-    lines = [l for l in out.splitlines() if "T*=" in l]
+    lines = [line for line in out.splitlines() if "T*=" in line]
     assert len(lines) == 4
-    values = {l.split("T*=")[1].split()[0] for l in lines}
+    values = {line.split("T*=")[1].split()[0] for line in lines}
     assert len(values) == 1
 
 

@@ -8,7 +8,7 @@ from repro.util.ascii_plot import ascii_plot
 def test_single_series_renders():
     out = ascii_plot({"s": ([1, 2, 3], [10, 5, 2])}, width=20, height=6)
     lines = out.splitlines()
-    assert any("o" in l for l in lines)
+    assert any("o" in line for line in lines)
     assert "legend: o=s" in out
     assert "y: 2 .. 10" in out
     assert "x: 1 .. 3" in out
@@ -32,7 +32,7 @@ def test_log_axes():
     )
     assert "(log)" in out
     # Perfect power law renders as a diagonal: marker columns all distinct.
-    rows = [l for l in out.splitlines() if l.startswith("|")]
+    rows = [line for line in out.splitlines() if line.startswith("|")]
     cols = [r.index("o") for r in rows if "o" in r]
     assert len(set(cols)) == len(cols)
 

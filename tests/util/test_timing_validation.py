@@ -2,10 +2,8 @@ import pytest
 
 from repro.util.timing import Timer
 from repro.util.validation import (
-    as_sorted_unique,
     check_finite,
     check_in_range,
-    check_integerish,
     check_positive,
 )
 
@@ -54,16 +52,3 @@ def test_check_in_range():
     assert check_in_range("x", 5, 0, 10) == 5.0
     with pytest.raises(ValueError):
         check_in_range("x", 11, 0, 10)
-
-
-def test_check_integerish():
-    assert check_integerish("n", 4.0000001, tol=1e-5) == 4
-    with pytest.raises(ValueError):
-        check_integerish("n", 4.01)
-
-
-def test_as_sorted_unique():
-    out = as_sorted_unique([3, 1, 2, 2, 3])
-    assert list(out) == [1.0, 2.0, 3.0]
-    with pytest.raises(ValueError):
-        as_sorted_unique([])
