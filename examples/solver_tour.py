@@ -6,7 +6,8 @@ Walks through the machinery the HSLB pipeline uses under the hood:
 1. declarative modeling with operator overloading (the AMPL role);
 2. symbolic differentiation and outer-approximation cuts (paper eq. 4);
 3. the solver zoo — LP/NLP single-tree B&B, multi-tree OA, NLP-based B&B,
-   and brute-force enumeration — all agreeing on a convex model;
+   and §III-E's direct heap on the two curves — all agreeing on a convex
+   model;
 4. the performance-model fitting layer (Table II) recovering known
    parameters from noisy scaling data.
 
@@ -15,10 +16,10 @@ Usage:  python examples/solver_tour.py
 
 import numpy as np
 
+from repro.core.greedy import greedy_minmax_allocation
 from repro.minlp import (
     Model,
     linearize,
-    solve_brute_force,
     solve_minlp_nlpbb,
     solve_minlp_oa,
     solve_minlp_oa_multitree,
@@ -69,7 +70,6 @@ def main() -> None:
         ("LP/NLP single-tree B&B (the paper's)", solve_minlp_oa),
         ("multi-tree outer approximation", solve_minlp_oa_multitree),
         ("NLP-based branch-and-bound", solve_minlp_nlpbb),
-        ("brute-force enumeration", solve_brute_force),
     ]:
         sol = solver(problem)
         print(
@@ -77,6 +77,16 @@ def main() -> None:
             f"n1={sol.values['n1']:.0f} n2={sol.values['n2']:.0f}  "
             f"[{sol.status.value}]"
         )
+    # The same two curves as PerformanceModels: the heap needs no tree.
+    curves = {
+        "n1": PerformanceModel(a=480.0, b=0.0, c=1.0, d=3.0),
+        "n2": PerformanceModel(a=240.0, b=0.0, c=1.0, d=1.0),
+    }
+    alloc, makespan = greedy_minmax_allocation(curves, 64)
+    print(
+        f"  {'direct heap (§III-E, no tree)':38s} T*={makespan:8.4f}  "
+        f"n1={alloc['n1']} n2={alloc['n2']}  [exact]"
+    )
 
     section("4. fitting the performance model (Table II)")
     truth = PerformanceModel(a=27380.0, b=1e-3, c=1.0, d=43.0)  # 1-degree atm

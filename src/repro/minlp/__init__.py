@@ -27,17 +27,13 @@ from __future__ import annotations
 
 from repro.minlp.ampl_export import problem_to_ampl
 from repro.minlp.bnb import BnBOptions, BranchAndBound
-from repro.minlp.brute import solve_brute_force
 from repro.minlp.cutpool import OACutPool
 from repro.minlp.expr import (
     Constant,
     Expr,
     Relation,
     VarRef,
-    exp,
     linearize,
-    log,
-    sqrt,
     sum_exprs,
 )
 from repro.minlp.linprog import LinearProgram, solve_lp
@@ -46,7 +42,6 @@ from repro.minlp.modeling import Model
 from repro.minlp.nlp import solve_nlp
 from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa, solve_minlp_oa_multitree
-from repro.minlp.presolve import presolve
 from repro.minlp.problem import Constraint, Domain, Problem, Sense, SOS1, Variable
 from repro.minlp.solution import Solution, SolveStats, Status
 
@@ -68,19 +63,14 @@ __all__ = [
     "SolveStats",
     "Status",
     "VarRef",
-    "exp",
     "linearize",
-    "log",
-    "presolve",
     "problem_to_ampl",
-    "solve_brute_force",
     "solve_lp",
     "solve_milp",
     "solve_minlp_nlpbb",
     "solve_minlp_oa",
     "solve_minlp_oa_multitree",
     "solve_nlp",
-    "sqrt",
     "sum_exprs",
 ]
 

@@ -8,7 +8,7 @@ are available.
 
 The exporter covers everything the HSLB formulations use: continuous /
 integer / binary variables with bounds, one- and two-sided constraints over
-the expression AST (+, *, /, **, log, exp, sqrt), minimize/maximize
+the expression AST (+, *, /, **), minimize/maximize
 objectives, and SOS1 sets (emitted via the standard ``sosno``/``ref``
 suffixes).
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from repro.minlp.expr import Add, Constant, Div, Expr, Mul, Pow, Unary, VarRef
+from repro.minlp.expr import Add, Constant, Div, Expr, Mul, Pow, VarRef
 from repro.minlp.problem import Domain, Problem, Sense
 
 
@@ -80,8 +80,6 @@ def _expr_to_ampl(expr: Expr, names: _Namer) -> str:
             + _expr_to_ampl(expr.exponent, names)
             + ")"
         )
-    if isinstance(expr, Unary):
-        return f"{expr.func}({_expr_to_ampl(expr.arg, names)})"
     raise TypeError(f"cannot export expression node {type(expr).__name__}")
 
 

@@ -48,13 +48,6 @@ import numpy as np
 Number = Union[int, float]
 ExprLike = Union["Expr", Number]
 
-_EVAL_FUNCS = {
-    "log": np.log,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-}
-
-
 def as_expr(value: ExprLike) -> "Expr":
     """Coerce a Python number into a :class:`Constant`; pass through Exprs."""
     if isinstance(value, Expr):
@@ -97,9 +90,6 @@ class Expr:
 
     def __pow__(self, other: ExprLike) -> "Expr":
         return _pow(self, as_expr(other))
-
-    def __rpow__(self, other: ExprLike) -> "Expr":
-        return _pow(as_expr(other), self)
 
     def __neg__(self) -> "Expr":
         return _neg(self)
@@ -452,11 +442,14 @@ class Div(_Composite):
 
 
 class Pow(_Composite):
-    """Power ``base ** exponent`` (either side may contain variables)."""
+    """Power ``base ** exponent``: any base, a :class:`Constant` exponent
+    (the fitted ``c`` of ``b·n^c``, a number once the fit is done)."""
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Expr) -> None:
+    def __init__(self, base: Expr, exponent: Constant) -> None:
+        if not isinstance(exponent, Constant):
+            raise TypeError(f"the exponent of a power must be a number, got {exponent!r}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
@@ -465,96 +458,33 @@ class Pow(_Composite):
 
     def evaluate(self, values):
         base = self.base.evaluate(values)
-        exponent = self.exponent.evaluate(values)
-        return np.power(base, exponent) if isinstance(
-            base, np.ndarray
-        ) or isinstance(exponent, np.ndarray) else math.pow(base, exponent)
+        if isinstance(base, np.ndarray):
+            return np.power(base, self.exponent.value)
+        return math.pow(base, self.exponent.value)
 
     def diff(self, var: str) -> Expr:
         db = self.base.diff(var)
-        de = self.exponent.diff(var)
-        if de == ZERO:
-            if db == ZERO:
-                return ZERO
-            # d/dx b(x)^k = k * b^(k-1) * b'
-            return prod_exprs(
-                [self.exponent, _pow(self.base, self.exponent - 1.0), db]
-            )
         if db == ZERO:
-            # d/dx k^e(x) = k^e * ln(k) * e'
-            return prod_exprs([self, log(self.base), de])
-        # General case: b^e = exp(e ln b)
-        return _mul(self, _add(_mul(de, log(self.base)), _div(_mul(self.exponent, db), self.base)))
+            return ZERO
+        # d/dx b(x)^k = k * b^(k-1) * b'
+        return prod_exprs([self.exponent, _pow(self.base, self.exponent - 1.0), db])
 
     def _collect_variables(self) -> frozenset[str]:
-        return self.base.variables() | self.exponent.variables()
+        return self.base.variables()
 
     def linear_coefficients(self):
-        if not self.variables():
-            return {}, float(self.evaluate({}))
-        if isinstance(self.exponent, Constant) and self.exponent.value == 1.0:
+        if self.exponent.value == 1.0:
             return self.base.linear_coefficients()
         raise NonlinearExpressionError(f"nonlinear power: {self!r}")
 
     def substitute(self, mapping):
-        return _pow(self.base.substitute(mapping), self.exponent.substitute(mapping))
+        return _pow(self.base.substitute(mapping), self.exponent)
 
     def _key(self):
         return ("pow", self.base._key(), self.exponent._key())
 
     def __repr__(self) -> str:
         return f"({self.base!r} ** {self.exponent!r})"
-
-
-class Unary(_Composite):
-    """Elementary transcendental function applied to a sub-expression."""
-
-    __slots__ = ("func", "arg")
-
-    _DERIVS = {
-        # f -> lambda arg: f'(arg) as an Expr factory
-        "log": lambda arg: _div(ONE, arg),
-        "exp": lambda arg: Unary("exp", arg),
-        "sqrt": lambda arg: _div(Constant(0.5), Unary("sqrt", arg)),
-    }
-
-    def __init__(self, func: str, arg: Expr) -> None:
-        if func not in _EVAL_FUNCS:
-            raise ValueError(f"unsupported function {func!r}")
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
-    def evaluate(self, values):
-        arg = self.arg.evaluate(values)
-        if isinstance(arg, np.ndarray):
-            return _EVAL_FUNCS[self.func](arg)
-        return float(_EVAL_FUNCS[self.func](arg))
-
-    def diff(self, var: str) -> Expr:
-        da = self.arg.diff(var)
-        if da == ZERO:
-            return ZERO
-        return _mul(self._DERIVS[self.func](self.arg), da)
-
-    def _collect_variables(self) -> frozenset[str]:
-        return self.arg.variables()
-
-    def linear_coefficients(self):
-        if not self.variables():
-            return {}, float(self.evaluate({}))
-        raise NonlinearExpressionError(f"nonlinear function: {self!r}")
-
-    def substitute(self, mapping):
-        return Unary(self.func, self.arg.substitute(mapping))
-
-    def _key(self):
-        return ("unary", self.func, self.arg._key())
-
-    def __repr__(self) -> str:
-        return f"{self.func}({self.arg!r})"
 
 
 class Relation:
@@ -661,7 +591,7 @@ def _pow(a: Expr, b: Expr) -> Expr:
             return a
         if isinstance(a, Constant):
             return Constant(math.pow(a.value, b.value))
-    return Pow(a, b)
+    return Pow(a, b)  # refuses a variable exponent
 
 
 def sum_exprs(terms: Iterable[Expr]) -> Expr:
@@ -702,40 +632,12 @@ def prod_exprs(factors: list[Expr]) -> Expr:
     return out
 
 
-def log(arg: ExprLike) -> Expr:
-    """Natural logarithm node (constant-folds a constant argument)."""
-    arg = as_expr(arg)
-    if isinstance(arg, Constant):
-        return Constant(math.log(arg.value))
-    return Unary("log", arg)
-
-
-def exp(arg: ExprLike) -> Expr:
-    """Exponential node (constant-folds a constant argument)."""
-    arg = as_expr(arg)
-    if isinstance(arg, Constant):
-        return Constant(math.exp(arg.value))
-    return Unary("exp", arg)
-
-
-def sqrt(arg: ExprLike) -> Expr:
-    """Square-root node (constant-folds a constant argument)."""
-    arg = as_expr(arg)
-    if isinstance(arg, Constant):
-        return Constant(math.sqrt(arg.value))
-    return Unary("sqrt", arg)
-
-
 # ---------------------------------------------------------------------------
 # Compiled evaluation
 # ---------------------------------------------------------------------------
 
-#: What generated code calls: ``Pow`` and ``Unary`` on scalars, as ``evaluate``.
-_CODE_GLOBALS = {
-    "_pow": math.pow,
-    "_float": float,
-    **{f"_{name}": func for name, func in _EVAL_FUNCS.items()},
-}
+#: What generated code calls: ``Pow`` on scalars, as ``evaluate``.
+_CODE_GLOBALS = {"_pow": math.pow}
 
 
 class _Codegen:
@@ -772,8 +674,6 @@ class _Codegen:
         if kind is Pow:
             base = self.operand(node.base)
             return self._temp(f"_pow({base}, {self.operand(node.exponent)})")
-        if kind is Unary:
-            return self._temp(f"_float(_{node.func}({self.operand(node.arg)}))")
         raise TypeError(f"cannot compile {kind.__name__}")
 
     def source(self, result: str) -> str:

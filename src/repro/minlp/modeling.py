@@ -6,10 +6,12 @@ comparisons, and :meth:`Model.build` compiles the result into a flat
 :class:`repro.minlp.problem.Problem` with automatic derivatives available
 through the expression trees.
 
-Example — the fitting problem of Table II would read::
+Example — Table II's fitting problem at a given exponent ``c`` (a number:
+an exponent is never a variable, and at fixed ``c`` the curve is linear in
+``a``, ``b`` and ``d``) would read::
 
     m = Model("fit")
-    a, b, c, d = (m.var(s, lb=0.0) for s in "abcd")
+    a, b, d = (m.var(s, lb=0.0) for s in "abd")
     residuals = [y - (a / n + b * n ** c + d) for n, y in data]
     m.minimize(sum(r * r for r in residuals))
     problem = m.build()

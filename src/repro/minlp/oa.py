@@ -28,7 +28,7 @@ from collections.abc import Callable, Mapping
 
 from repro.minlp.bnb import BnBOptions, BranchAndBound
 from repro.minlp.cutpool import OACutPool
-from repro.minlp.expr import Add, Div, Expr, Mul, Pow, Unary, VarRef
+from repro.minlp.expr import Expr, VarRef
 from repro.obs import telemetry
 from repro.obs.trace import span, trace_event
 from repro.minlp.milp import solve_milp
@@ -174,24 +174,6 @@ def _integer_assignment(work: Problem, values: dict[str, float]) -> dict[str, fl
     return {v.name: float(round(values[v.name])) for v in work.discrete_variables()}
 
 
-def _folds_to_constant(expr: Expr) -> bool:
-    """Whether substituting numbers for every variable of ``expr`` leaves a
-    :class:`Constant`: every constructor folds constant operands except
-    :class:`Unary`'s."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Unary):
-            return False
-        if isinstance(node, (Add, Mul)):
-            stack.extend(node.terms)
-        elif isinstance(node, Div):
-            stack += (node.num, node.den)
-        elif isinstance(node, Pow):
-            stack += (node.base, node.exponent)
-    return True
-
-
 class _FixedSplit:
     """``work``'s rows split once per solve for its fixed-integer subproblems.
 
@@ -213,7 +195,7 @@ class _FixedSplit:
         for v in work.variables:
             self.free.add_variable(v.name, v.lb, v.ub, v.domain)
         for c in work.constraints:
-            if c.body.variables() <= discrete and _folds_to_constant(c.body):
+            if c.body.variables() <= discrete:
                 self.checks.append((c.body.compiled(), c.lb, c.ub))
             else:
                 self.free.add_constraint(c.name, c.body, c.lb, c.ub)

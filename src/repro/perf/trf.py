@@ -839,12 +839,15 @@ class _Lockstep:
         self.f_scale2 = _scalar_pow(self.f_scale, 2)
         self.results: list[TRFResult | ValueError | None] = [None] * L
         self.alive = np.zeros(L, dtype=bool)
+        self.at_head = np.zeros(L, dtype=bool)
         self.ticks = 0
 
         lanes = np.arange(L)
         inside = _lanes_in_bounds(x0, lb, ub)
         self._refuse(lanes[~inside], "Initial guess is outside of provided bounds")
         lanes = lanes[inside]
+        if not lanes.size:  # every start refused: nothing to evaluate
+            return
         x = _lanes_strictly_feasible(x0[lanes], lb, ub, 1e-10)
         f, J = fun(x, lanes), jac(x, lanes)
         finite = np.logical_and.reduce(np.isfinite(f), axis=1)
@@ -865,7 +868,7 @@ class _Lockstep:
         self.nfev = np.ones(L, dtype=int)
         self.status = np.zeros(L, dtype=int)
         self.alive[lanes] = True
-        self.at_head = self.alive.copy()
+        self.at_head[lanes] = True
         # Each lane's outer iteration, set at its head.
         self.d, self.diag_h, self.g_h = (np.empty((L, n)) for _ in range(3))
         self.J_h = np.empty((L, m, n))

@@ -1,4 +1,5 @@
-"""The caller census: which options of a surface some non-test code sets.
+"""The caller census: which options of a surface some non-test code sets,
+and which expression kinds some problem builds.
 
 A *surface* is a function or class whose keywords (for a dataclass, its
 fields) are options.  :func:`orphans` walks every ``.py`` file under
@@ -17,14 +18,22 @@ set only if the enclosing parameter is: ``outer(opt=)`` handing its own
 ``opt`` to the surface ``inner`` gives ``inner`` a caller only when
 something sets ``outer``'s.  A parameter forwarded from any
 other function counts as set (that function chose to expose it).
+
+The expression census is the same rule for :mod:`repro.minlp.expr`'s node
+kinds: :func:`expr_kinds_built` records every node constructed while a
+workload runs, and a kind that no pipeline or served problem builds is
+language no user reaches.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import inspect
 import pathlib
+
+from repro.minlp.expr import Expr
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -138,3 +147,40 @@ def orphans(options: dict[str, tuple[int, list[tuple[str, object]]]]) -> set[str
         for name, _ in opts
         if name not in seen[callee]
     }
+
+
+def expr_kinds() -> set[type]:
+    """Every concrete :class:`Expr` subclass under ``src/`` (abstract bases,
+    named with a leading underscore, excluded)."""
+    out, stack = set(), [Expr]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro.") and not sub.__name__.startswith("_"):
+                out.add(sub)
+    return out
+
+
+@contextlib.contextmanager
+def expr_kinds_built():
+    """Yield the set of :class:`Expr` kinds constructed inside the block
+    (each kind's ``__init__`` is wrapped for its duration)."""
+    built: set[type] = set()
+
+    def recording(init):
+        def wrapped(self, *args, **kwargs):
+            built.add(type(self))
+            init(self, *args, **kwargs)
+        return wrapped
+
+    own = {kind: kind.__dict__.get("__init__") for kind in expr_kinds()}
+    for kind in own:
+        kind.__init__ = recording(kind.__init__)
+    try:
+        yield built
+    finally:
+        for kind, init in own.items():
+            if init is None:
+                del kind.__init__  # inherited again
+            else:
+                kind.__init__ = init

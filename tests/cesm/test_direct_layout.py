@@ -38,7 +38,7 @@ from repro.core.builder import DiscreteNodeSet
 from repro.core.hslb import DIRECT_GAP_TOL, HSLBOptimizer
 from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
 from repro.experiments.table3 import TABLE3, config_for
-from repro.minlp.brute import solve_brute_force
+from tests.minlp.brute_reference import solve_brute_force
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.solution import Solution, Status
 from repro.perf.model import PerformanceModel

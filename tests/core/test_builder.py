@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.builder import AllocationModelBuilder, DiscreteNodeSet
 from repro.core.objectives import Objective
-from repro.minlp.brute import solve_brute_force
+from tests.minlp.brute_reference import solve_brute_force
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.problem import Domain
 from repro.perf.model import PerformanceModel

@@ -14,6 +14,7 @@ from repro.core.builder import AllocationModelBuilder
 from repro.core.greedy import (
     _node_bounds,
     _sweet_spot,
+    direct_allocation,
     greedy_minmax_allocation,
     maxmin_allocation,
     minsum_allocation,
@@ -24,6 +25,7 @@ from repro.perf.model import PerformanceModel
 from repro.service import ComponentSpec, SolveRequest
 from repro.service.solver import build_problem, solve_request
 from repro.util.rng import keyed_rng
+from tests.minlp.brute_reference import solve_brute_force
 
 
 def test_basic_allocation():
@@ -545,3 +547,56 @@ def test_the_formerly_infeasible_request_is_answered_optimal():
     assert sol.status.value == "optimal", sol.message
     oa = {name: int(round(sol.values[f"n_{name}"])) for name in models}
     assert served.objective == pytest.approx(_summed(models, oa), rel=1e-9)
+
+
+# -- min-max ties: an idle node helps no component ----------------------------
+
+
+def _idle_spec(case: int):
+    """Keyed convex spec small enough for brute force: one to three curves
+    (``c >= 1``) whose sweet spots often lie inside the budget, floors of
+    one or two nodes, a cap on some."""
+    rng = keyed_rng(4107, "idle", case)
+    models, floors, caps = {}, {}, {}
+    for name in ("u", "v", "w")[: int(rng.integers(1, 4))]:
+        models[name] = PerformanceModel(
+            a=float(rng.uniform(2.0, 60.0)),
+            b=float(rng.uniform(0.5, 4.0)) if rng.random() < 0.8 else 0.0,
+            c=float(rng.uniform(1.0, 1.6)),
+            d=float(rng.uniform(0.0, 3.0)),
+        )
+        floors[name] = int(rng.integers(1, 3))
+        if rng.random() < 0.3:
+            caps[name] = floors[name] + int(rng.integers(0, 4))
+    base = sum(floors.values())
+    return models, int(rng.integers(base, base + 10)), floors, caps
+
+
+def test_a_minmax_answer_idles_a_node_only_where_no_component_gets_faster():
+    """Min-max has ties; among the co-optima the direct algorithms return
+    one that leaves a node idle only when every component sits at its cap
+    or at its integer sweet spot, so no component would get faster with it.
+    Brute force on the built problem certifies the objective.  (An OA answer
+    need not hold this: it may return any co-optimum.)"""
+    idle = 0
+    for case in range(40):
+        models, total, floors, caps = _idle_spec(case)
+        request = _request(models, total, floors, caps, objective="min-max")
+        brute = solve_brute_force(build_problem(request)).require_ok()
+        bounds = dict(min_nodes=floors, max_nodes=caps)
+        served = solve_request(request)
+        for alloc, makespan in (
+            greedy_minmax_allocation(models, total, **bounds),
+            direct_allocation(Objective.MIN_MAX, models, total, **bounds),
+            (served.allocation, served.objective),
+        ):
+            assert makespan == pytest.approx(brute.objective, rel=1e-9), case
+            assert sum(alloc.values()) <= total, case
+            if sum(alloc.values()) == total:
+                continue
+            idle += 1
+            for name, n in alloc.items():
+                cap = min(total, caps.get(name, total))
+                faster = models[name].time(n + 1) < models[name].time(n)
+                assert n >= cap or not faster, (case, name, alloc)
+    assert idle >= 30  # the property is exercised, not vacuous

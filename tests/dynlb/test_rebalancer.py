@@ -1,6 +1,8 @@
 """Rebalancing strategies: conservation and floors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.greedy import greedy_minmax_allocation
 from repro.core.spec import Allocation
@@ -208,3 +210,36 @@ def test_every_proposal_of_a_run_conserves_the_budget_and_the_floors(strategy):
         else:  # the recovery proposal and every later one see the survivors
             survivors = workload.total_nodes - result.crash.lost_nodes
             assert budgets == {workload.total_nodes, survivors}, case
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.integers(0, 5_000),
+    crash=st.booleans(),
+    strategy=st.sampled_from(("diffusion", "sweep", "two-level", "hslb")),
+    interval=st.integers(2, 8),
+)
+def test_applied_windows_chain_and_fit_their_budgets(case, crash, strategy, interval):
+    """Across migration windows nothing is created or lost: each applied
+    move (a landed window or the crash re-plan) starts from the allocation
+    in force, the run ends on the last one applied, and every allocation in
+    force fits its step's budget (the survivors, from the crash on)."""
+    workload = _drifting_workload(2 * case + crash)  # odd cases crash
+    result = RebalanceController(workload, make_rebalancer(strategy), interval=interval).run()
+    assert (result.crash is not None) == crash
+
+    def budget(step: int) -> int:
+        if result.crash is not None and step >= result.crash.step:
+            return workload.total_nodes - result.crash.lost_nodes
+        return workload.total_nodes
+
+    in_force = result.initial_allocation
+    assert sum(in_force.values()) <= budget(0)
+    for event in result.events:
+        if event.outcome != "applied":
+            continue
+        assert event.old == in_force, event
+        in_force = event.new
+        assert set(in_force) == set(workload.components)
+        assert sum(in_force.values()) <= budget(event.step), event
+    assert result.final_allocation == in_force

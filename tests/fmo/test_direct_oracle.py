@@ -30,7 +30,7 @@ from repro.fmo.schedulers import fragment_models, hslb_schedule
 from repro.fmo.twophase import TwoPhaseSimulator, hslb_two_phase_schedule
 from repro.minlp import oa as oa_module
 from repro.minlp.bnb import BranchAndBound
-from repro.minlp.brute import solve_brute_force
+from tests.minlp.brute_reference import solve_brute_force
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.solution import Status
 from repro.perf.model import PerformanceModel

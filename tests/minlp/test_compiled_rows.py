@@ -4,7 +4,7 @@
 reads every row value and gradient through it.  The oracle is
 ``Expr.evaluate`` on the same point: the two must return the same bits, or
 raise the same exception type.  The trees are keyed random ones (every node
-kind, a power with a variable exponent among them) with their partial
+kind, a power of a whole subtree among them) with their partial
 derivatives, and every nonlinear row of the ledger's nine pipeline blocks.
 """
 
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import repro.core.hslb as hslb
 from repro.core.hslb import HSLBOptimizer
-from repro.minlp.expr import Constant, Div, Expr, Unary, VarRef, exp, linearize, log, sqrt
+from repro.minlp.expr import Constant, Div, Expr, VarRef, linearize
 from repro.minlp.expr import Linearizer
 from repro.util.rng import keyed_rng
 
@@ -68,12 +68,10 @@ def _random_tree(rng: np.random.Generator, depth: int) -> Expr:
         if rng.uniform() < 0.5:
             return VarRef(str(rng.choice(names)))
         return Constant(float(rng.choice([0.0, -1.0, 2.0, rng.uniform(-5.0, 5.0)])))
-    kind = rng.choice(["add", "sub", "mul", "div", "pow", "varpow", "log", "exp", "sqrt"])
+    kind = rng.choice(["add", "sub", "mul", "div", "pow"])
     a = _random_tree(rng, depth - 1)
-    if kind in ("log", "exp", "sqrt"):
-        # Build the node itself: the helpers fold a constant argument.
-        return Unary(str(kind), a) if rng.uniform() < 0.2 else {"log": log, "exp": exp,
-                                                                "sqrt": sqrt}[kind](a)
+    if kind == "pow":
+        return a ** float(rng.choice([2.0, 0.5, -1.0, 1.5, 3.0, 1.2]))
     b = _random_tree(rng, depth - 1)
     if kind == "add":
         return a + b
@@ -81,11 +79,7 @@ def _random_tree(rng: np.random.Generator, depth: int) -> Expr:
         return a - b
     if kind == "mul":
         return a * b
-    if kind == "div":
-        return Div(a, b) if isinstance(b, Constant) and b.value == 0.0 else a / b
-    if kind == "pow":
-        return a ** float(rng.choice([2.0, 0.5, -1.0, 1.5, 3.0]))
-    return a**b  # a variable exponent
+    return Div(a, b) if isinstance(b, Constant) and b.value == 0.0 else a / b
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,7 +123,7 @@ def test_compiled_code_is_shared_by_shape_and_memoized_on_the_node():
 
 def test_linearizer_at_is_linearize():
     x, y = VarRef("x"), VarRef("y")
-    body = 3.0 / x + 2.0 * x**1.5 + y * exp(x / 10.0) - sqrt(y)
+    body = 3.0 / x + 2.0 * x**1.5 + y * (x / 10.0 + 1.0) ** 2.0 - y**0.5
     tangent = Linearizer(body)
     for point in ({"x": 2.0, "y": 3.0}, {"x": 0.5, "y": 9.0}, {"x": 7.25, "y": 1.0}):
         assert tangent.at(point) == linearize(body, point)

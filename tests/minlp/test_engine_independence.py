@@ -40,7 +40,7 @@ from repro.core.objectives import Objective
 from repro.fmo.app import FMOApplication
 from repro.fmo.molecules import protein_like
 from repro.minlp import linprog
-from repro.minlp.brute import solve_brute_force
+from tests.minlp.brute_reference import solve_brute_force
 from repro.minlp.linprog import (
     _POLISH_ROW_TOL,
     LinearProgram,

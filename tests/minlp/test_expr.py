@@ -15,18 +15,14 @@ from repro.minlp.expr import (
     Mul,
     NonlinearExpressionError,
     Pow,
-    Unary,
     Relation,
     VarRef,
     as_expr,
-    exp,
     linearize,
-    log,
     prod_exprs,
-    sqrt,
     sum_exprs,
 )
-from repro.minlp.expr import _add
+from repro.minlp.expr import _add, _pow
 
 X = VarRef("x")
 Y = VarRef("y")
@@ -64,15 +60,45 @@ def test_vectorized_evaluation_broadcasts():
     np.testing.assert_allclose(out, 1.0 / n + n**2)
 
 
-def test_unary_functions():
-    assert log(X).evaluate({"x": math.e}) == pytest.approx(1.0)
-    assert exp(X).evaluate({"x": 0.0}) == pytest.approx(1.0)
-    assert sqrt(X).evaluate({"x": 9.0}) == pytest.approx(3.0)
-
-
 def test_rpow_and_rtruediv():
-    assert (2.0**X).evaluate({"x": 3.0}) == pytest.approx(8.0)
+    """A number over an expression is a quotient; a number to an expression's
+    power is not in the language (an exponent is the fitted ``c``)."""
+    with pytest.raises(TypeError):
+        2.0**X
     assert (1.0 / X).evaluate({"x": 4.0}) == pytest.approx(0.25)
+
+
+def test_variable_exponents_are_refused():
+    with pytest.raises(TypeError, match="exponent"):
+        X**Y
+    with pytest.raises(TypeError, match="exponent"):
+        X ** (Y + 1.0)
+    with pytest.raises(TypeError, match="exponent"):
+        _pow(Constant(2.0), X)
+    with pytest.raises(TypeError, match="exponent"):
+        Pow(X, Y)
+
+
+def test_a_numeric_exponent_builds_and_compiles_as_it_always_did():
+    """``x ** 1.5`` is the tree, and the generated source, it was while the
+    language still took variable exponents."""
+    e = X**1.5
+    assert type(e) is Pow and e._key() == ("pow", ("var", "x"), ("const", 1.5))
+    source, consts, names = e._code()
+    assert source == "\n".join([
+        "def make(c, p):",
+        "    c0, = c",
+        "    p0, = p",
+        "    def f(v):",
+        "        x0 = v[p0]",
+        "        t0 = _pow(x0, c0)",
+        "        return t0",
+        "    return f",
+    ])
+    assert (consts, names) == ((1.5,), ("x",))
+    assert repr((3.0 / X + 2.0 * X**1.5 + 1.0).diff("x")) == (
+        "((-1 * (3 / (x ** 2))) + (3 * (x ** 0.5)))"
+    )
 
 
 # ------------------------------------------------------------ simplification
@@ -130,7 +156,7 @@ def test_immutability():
 
 
 def test_variables_collection():
-    e = X * Y + log(X) + 3
+    e = X * Y + 1.0 / X + 3
     assert e.variables() == frozenset({"x", "y"})
     assert Constant(1.0).variables() == frozenset()
 
@@ -160,11 +186,11 @@ def _fd(e, values, var, h=1e-6):
         X / Y,
         X**3,
         X**1.7,
-        2.0**X,
-        X**Y,
-        log(X),
-        exp(X * 0.1),
-        sqrt(X + Y),
+        X**-0.5,
+        (X + Y) ** 2.5,
+        1.0 / (X * X + 1.0),
+        (X * 0.1 + 1.0) ** 3.0,
+        (X + Y) ** 0.5,
         5.0 / X + 0.3 * X**1.5 + 2.0,
         (X + Y) * (X - Y) / (X + 1),
     ],
@@ -205,7 +231,7 @@ def test_perf_model_derivative_property(a, b, c, d, n):
     k=st.floats(-3.0, 3.0),
 )
 def test_random_composite_derivative_property(x, y, k):
-    e = (X * Y + k) ** 2 / (Y + 6.0) + exp(X * 0.2)
+    e = (X * Y + k) ** 2 / (Y + 6.0) + (X * 0.2 + 1.0) ** 1.5
     values = {"x": x, "y": y}
     for var in ("x", "y"):
         assert e.diff(var).evaluate(values) == pytest.approx(
@@ -231,7 +257,7 @@ def test_linear_coefficients_with_scaling_division():
 
 
 def test_nonlinear_rejected():
-    for e in (X * Y, X**2, 1 / X, log(X)):
+    for e in (X * Y, X**2, 1 / X, Y / (X + 1.0)):
         assert not e.is_linear()
         with pytest.raises(NonlinearExpressionError):
             e.linear_coefficients()
@@ -315,12 +341,13 @@ def _fold_sum(terms):
 
 _Z = [VarRef(f"z{k}") for k in range(4)]
 _SUM_CONSTANTS = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -3.0, 1e16, -1e16, 1e-300, math.inf]
+_EXPONENTS = [1.0, 2.0, 0.5, -1.0, 1.5]
 
 
 @st.composite
 def _sum_term(draw, depth=2):
     kind = draw(st.sampled_from(
-        ("const", "var", "scaled", "add", "nested", "mul", "div", "pow", "log")
+        ("const", "var", "scaled", "add", "nested", "mul", "div", "pow", "powsum")
         if depth else ("const", "var")
     ))
     if kind == "const":
@@ -338,9 +365,10 @@ def _sum_term(draw, depth=2):
         return Mul(tuple(draw(st.lists(_sum_term(depth - 1), min_size=2, max_size=3))))
     if kind == "div":
         return Div(draw(_sum_term(depth - 1)), draw(st.sampled_from(_Z)))
-    if kind == "pow":
-        return Pow(draw(st.sampled_from(_Z)), draw(_sum_term(depth - 1)))
-    return Unary("log", _add(draw(st.sampled_from(_Z)), draw(_sum_term(depth - 1))))
+    exponent = Constant(draw(st.sampled_from(_EXPONENTS)))
+    if kind == "pow":  # built directly: an exponent of 1 stays a node
+        return Pow(draw(st.sampled_from(_Z)), exponent)
+    return Pow(_add(draw(st.sampled_from(_Z)), draw(_sum_term(depth - 1))), exponent)
 
 
 def _same_tree(a, b):
@@ -393,9 +421,8 @@ def _fresh_variables(e):
         return frozenset().union(*map(_fresh_variables, e.terms))
     if isinstance(e, Div):
         return _fresh_variables(e.num) | _fresh_variables(e.den)
-    if isinstance(e, Pow):
-        return _fresh_variables(e.base) | _fresh_variables(e.exponent)
-    return _fresh_variables(e.arg)
+    assert isinstance(e, Pow)
+    return _fresh_variables(e.base) | _fresh_variables(e.exponent)
 
 
 def _fresh_is_linear(e):
@@ -420,7 +447,7 @@ def test_memoized_analysis_equals_a_fresh_computation(terms):
 
 
 def test_memo_survives_immutability():
-    e = X * Y + log(X)
+    e = X * Y + 1.0 / X
     assert e.variables() == {"x", "y"} and not e.is_linear()
     assert e.variables() is e.variables()
     with pytest.raises(AttributeError):

@@ -7,8 +7,8 @@ transform, ``work.with_bounds(integers fixed).reduce_fixed()``: for keyed
 feasible and infeasible integer assignments the two must give the same
 status, the same reduced problem (variables, rows, SOS1 sets, objective)
 and the same fixed values.  The problems are the ledger's nine pipeline
-blocks and keyed MINLPs whose integer-only rows are nonlinear, built on an
-unfolded function node, or equalities.
+blocks and keyed MINLPs whose integer-only rows are nonlinear (products,
+quotients, powers) or equalities.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.minlp.expr import Constant, Unary, VarRef
+from repro.minlp.expr import VarRef
 from repro.minlp.oa import _epigraph_form, _FixedSplit
 from repro.minlp.problem import Domain, Problem
 from repro.util.rng import keyed_rng
@@ -125,7 +125,7 @@ def _keyed_minlp(key: int) -> tuple[Problem, dict]:
     p.add_constraint("budget", total, ub=float(rng.integers(k, 12 * k)))
     p.add_constraint("product", ns[0] * ns[-1] / (ns[0] + 1.0), ub=float(rng.uniform(1, 40)))
     p.add_constraint("power", ns[-1] ** 1.5 - 2.0 * ns[0], lb=float(rng.uniform(-20, 5)))
-    p.add_constraint("function", Unary("sqrt", ns[0] + Constant(1.0)) * 3.0, ub=12.0)
+    p.add_constraint("root", (ns[0] + 1.0) ** 0.5 * 3.0, ub=12.0)
     if rng.uniform() < 0.5:
         p.add_constraint("exact", ns[0] + 2.0 * ns[-1], lb=5.0, ub=5.0)
     p.add_constraint("mixed", t + ns[0] * s, ub=1e4)
@@ -150,8 +150,8 @@ def test_the_split_checks_integer_rows_and_keeps_the_rest():
     problem, _ = _keyed_minlp(3)
     split = _FixedSplit(problem)
     kept = {c.name for c in split.free.constraints}
-    # Rows in integers only are checked; a function node does not fold
-    # under substitution, and rows with a continuous variable are kept.
-    assert {"budget", "product", "power"}.isdisjoint(kept)
-    assert {"function", "mixed"} <= kept
+    # Rows in integers only are checked (every node kind folds once its
+    # variables are numbers); rows with a continuous variable are kept.
+    assert {"budget", "product", "power", "root"}.isdisjoint(kept)
+    assert "mixed" in kept
     assert all(name in kept for name in (f"perf{i}" for i in range(2)))

@@ -3,7 +3,7 @@ NLP-based B&B) against brute-force enumeration on small convex instances."""
 
 import pytest
 
-from repro.minlp.brute import enumerate_assignments, solve_brute_force
+from tests.minlp.brute_reference import enumerate_assignments, solve_brute_force
 from repro.minlp.modeling import Model
 from repro.minlp.nlp import solve_nlp
 from repro.minlp.nlpbb import solve_minlp_nlpbb

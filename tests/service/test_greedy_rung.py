@@ -23,11 +23,7 @@ from repro.core.greedy import (
 )
 from repro.core.objectives import Objective
 from repro.fmo.schedulers import hslb_schedule
-from repro.minlp import (
-    solve_brute_force,
-    solve_minlp_nlpbb,
-    solve_minlp_oa,
-)
+from repro.minlp import solve_minlp_nlpbb, solve_minlp_oa
 from repro.perf.model import PerformanceModel
 from repro.service import ComponentSpec, SolveRequest
 from repro.service.loadgen import TraceSpec, request_pool
@@ -38,6 +34,7 @@ from repro.service.solver import (
     validate_outcome,
 )
 from repro.util.rng import keyed_rng
+from tests.minlp.brute_reference import solve_brute_force
 from tests.minlp.test_engine_independence import _request_pool as ledger_pool
 
 OBJECTIVES = tuple(o.value for o in Objective)
