@@ -56,6 +56,8 @@ class GateRule:
 #:   ``least_squares`` wrappers costs the five-start fit ~2.3x;
 #:   ``test_suite_fit_throughput`` included: fitting the 24-fragment FMO
 #:   suite one start after another instead of in lockstep costs ~2.5x;
+#:   ``test_many_fragment_minlp_stress`` included: a whole FMO OA tree,
+#:   so a fresh HiGHS instance per node LP shows here too;
 #:   ``test_wide_sos_formulate`` included: a quadratic ``sum_exprs`` and
 #:   unmemoized ``variables()`` / ``is_linear()`` cost the 241-binary
 #:   ocean rows ~2.2x; ``test_expression_differentiation`` included:
@@ -81,6 +83,7 @@ GATED = (
     GateRule("test_oa_master_iterations*"),
     GateRule("test_fitting_throughput"),
     GateRule("test_suite_fit_throughput"),
+    GateRule("test_many_fragment_minlp_stress"),
     GateRule("test_wide_sos_formulate"),
     GateRule("test_expression_differentiation"),
     GateRule("dynlb_total_*"),

@@ -13,6 +13,7 @@ Table I lines 5–6 define the discrete "possible allocations":
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -68,6 +69,22 @@ class CESMConfiguration:
         if self.ocean_allowed is None:
             return tuple(range(self.component_min_nodes("ocn"), cap + 1))
         return tuple(v for v in self.ocean_allowed.values if v <= cap)
+
+    def ocean_below(self, cap: int, target: float) -> int | None:
+        """The largest admissible ocean count ``<= min(cap, target)``, else
+        the smallest one; ``None`` when no count fits in ``cap`` nodes.
+
+        Picked by bisection on the sweet spots, or by arithmetic on a free
+        ocean, not by scanning :meth:`ocean_values_upto` (14 746 counts on a
+        free ocean at 32 768 nodes).
+        """
+        ocean = self.ocean_allowed
+        lo = self.component_min_nodes("ocn") if ocean is None else ocean.min
+        if cap < lo:
+            return None
+        if ocean is None:
+            return max(lo, min(cap, math.floor(target)))
+        return ocean.below(min(cap, target))
 
 
 def one_degree() -> CESMConfiguration:

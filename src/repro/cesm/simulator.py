@@ -258,16 +258,13 @@ class CESMSimulator:
         """
         if total_nodes < 4:
             raise ValueError(f"total_nodes too small to split: {total_nodes}")
-        ocn_values = self.config.ocean_values_upto(max(2, int(0.45 * total_nodes)))
-        if not ocn_values:
+        ocn = self.config.ocean_below(
+            max(2, int(0.45 * total_nodes)), 0.25 * total_nodes
+        )
+        if ocn is None:
             raise ValueError(
                 f"no admissible ocean count fits in {total_nodes} nodes"
             )
-        target_ocn = 0.25 * total_nodes
-        ocn = max(
-            (v for v in ocn_values if v <= target_ocn),
-            default=ocn_values[0],
-        )
         atm_cap = total_nodes - ocn
         atm = self.config.atm_allowed.below(atm_cap)
         ice = max(self.config.component_min_nodes("ice"), int(0.55 * atm))
@@ -284,12 +281,10 @@ class CESMSimulator:
         default split keeps the ocean small, so the gather campaign adds one
         run with the ocean pushed high at the largest machine size.
         """
-        ocn_values = self.config.ocean_values_upto(
-            max(2, int(0.62 * total_nodes))
-        )
-        if not ocn_values:
+        cap = max(2, int(0.62 * total_nodes))
+        ocn = self.config.ocean_below(cap, cap)
+        if ocn is None:
             raise ValueError(f"no admissible ocean count fits in {total_nodes}")
-        ocn = ocn_values[-1]
         atm_cap = total_nodes - ocn
         atm = self.config.atm_allowed.below(atm_cap)
         ice = max(self.config.component_min_nodes("ice"), int(0.55 * atm))

@@ -38,12 +38,13 @@ def read_user_file(path: str, parse):
     """Read a file named on the command line and return ``parse(text)``.
 
     Missing, unreadable, or rejected by ``parse`` with a ``ValueError``
-    (``json.JSONDecodeError`` is one): the user's to fix, exit 2.
+    (``json.JSONDecodeError`` is one) or a ``RecursionError`` (``json``
+    on a nest deeper than its stack): the user's to fix, exit 2.
     """
     try:
         with open(path) as fh:
             return parse(fh.read())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 

@@ -231,16 +231,14 @@ def fmo_workload(
 ) -> DynamicWorkload:
     """A dynamic run over per-fragment FMO curves (one component per fragment)."""
     from repro.fmo.molecules import protein_like, water_cluster
-    from repro.fmo.timing import total_fragment_model
+    from repro.fmo.timing import fragment_models
     from repro.util.rng import default_rng
 
     rng = default_rng(seed)
     mol = (
         protein_like(fragments, rng) if system == "protein" else water_cluster(fragments, rng)
     )
-    models = {
-        f"frag{f.index}": total_fragment_model(mol, f) for f in mol.fragments
-    }
+    models = {f"frag{i}": model for i, model in fragment_models(mol).items()}
     order = tuple(sorted(models))
     profile = drift_preset(drift, order, steps, rate=drift_rate, seed=seed)
     return DynamicWorkload(

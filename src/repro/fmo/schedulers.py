@@ -23,14 +23,8 @@ from repro.core.greedy import direct_allocation
 from repro.core.objectives import Objective
 from repro.fmo.gddi import GroupSchedule, even_group_sizes
 from repro.fmo.molecules import FragmentedSystem
-from repro.fmo.timing import total_fragment_model
+from repro.fmo.timing import fragment_models
 from repro.minlp.solution import Solution, Status
-from repro.perf.model import PerformanceModel
-
-
-def fragment_models(system: FragmentedSystem) -> dict[int, PerformanceModel]:
-    """Ground-truth per-fragment scaling models (see :mod:`repro.fmo.timing`)."""
-    return {f.index: total_fragment_model(system, f) for f in system.fragments}
 
 
 def hslb_schedule(

@@ -16,7 +16,7 @@ import numpy as np
 from repro.faults.plan import FaultPlan
 from repro.fmo.gddi import GroupSchedule
 from repro.fmo.molecules import FragmentedSystem
-from repro.fmo.timing import total_fragment_model
+from repro.fmo.timing import fragment_models
 from repro.obs.trace import span
 from repro.perf.data import BenchmarkSuite, ComponentBenchmark, ScalingObservation
 from repro.perf.model import PerformanceModel
@@ -59,9 +59,7 @@ class FMOSimulator:
         #: failed/straggling benchmark runs during gather; mid-run group
         #: crashes are handled by :mod:`repro.fmo.recovery`.
         self.faults = faults
-        self._models: dict[int, PerformanceModel] = {
-            f.index: total_fragment_model(system, f) for f in system.fragments
-        }
+        self._models: dict[int, PerformanceModel] = fragment_models(system)
 
     def true_fragment_seconds(self, fragment: int, nodes: int) -> float:
         """Noise-free per-run seconds of ``fragment`` on ``nodes`` nodes."""

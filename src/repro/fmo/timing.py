@@ -71,23 +71,27 @@ def dimer_model(
     )
 
 
-def total_fragment_model(
-    system: FragmentedSystem, fragment: Fragment
-) -> PerformanceModel:
-    """Scaling model for a fragment's FULL per-run work (monomers + dimers).
+def fragment_models(system: FragmentedSystem) -> dict[int, PerformanceModel]:
+    """Scaling model of every fragment's FULL per-run work (monomers + dimers).
 
     This is what HSLB fits/optimizes: ``T_i(n_i)`` for the complete set of
-    tasks fragment ``i`` contributes to a run.
+    tasks fragment ``i`` contributes to a run — its SCC iterations of
+    monomer SCF plus half of every dimer it belongs to.  One pass over
+    :meth:`FragmentedSystem.dimer_pairs` builds them all, each fragment's
+    dimer terms added in pair order.
     """
-    m = monomer_model(fragment)
-    a = system.scc_iterations * m.a
-    b = system.scc_iterations * m.b
-    d = system.scc_iterations * m.d
+    it = system.scc_iterations
+    terms = []
+    for fragment in system.fragments:
+        m = monomer_model(fragment)
+        terms.append([it * m.a, it * m.b, it * m.d])
     for i, j in system.dimer_pairs():
-        if fragment.index not in (i, j):
-            continue
         dm = dimer_model(system.fragments[i], system.fragments[j])
-        a += 0.5 * dm.a
-        b += 0.5 * dm.b
-        d += 0.5 * dm.d
-    return PerformanceModel(a=a, b=b, c=1.0, d=d)
+        for k in (i, j):
+            terms[k][0] += 0.5 * dm.a
+            terms[k][1] += 0.5 * dm.b
+            terms[k][2] += 0.5 * dm.d
+    return {
+        f.index: PerformanceModel(a=a, b=b, c=1.0, d=d)
+        for f, (a, b, d) in zip(system.fragments, terms)
+    }

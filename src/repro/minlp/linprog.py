@@ -5,13 +5,15 @@ solver MINOTAUR uses for its LP relaxations), called through scipy's binding
 of its core.  Every LP in :mod:`repro.minlp` goes through :func:`_run_highs`.
 
 The HiGHS call is ``linprog(method="highs")`` without the wrapper: the same
-model (linprog's row order, its CSC matrix, its options) goes to a fresh
-``scipy.optimize._highspy._core._Highs`` per solve, and the status and
-message follow linprog's rules, so every solve returns what ``linprog``
-would, bit for bit (``tests/minlp/test_highs_direct.py`` replays both).
-What the wrapper adds per call — input cleaning, a fresh CSC matrix, duals,
-the result object — was about half of a node LP's cost on the shapes HiGHS
-gets here.
+model (linprog's row order, its CSC matrix, its options) goes to a
+``scipy.optimize._highspy._core._Highs``, and the answer is read by
+linprog's rules (its status table, built once here, and its feasibility
+check of an optimum), so every solve returns what ``linprog`` would, bit for
+bit (``tests/minlp/test_highs_direct.py`` replays both).  A branch-and-bound
+tree keeps one instance (:class:`_HighsEngine`) for all its node LPs: a
+node whose rows did not change only resets the column bounds on a cleared
+solver, so no basis, no options and no model object are rebuilt per node.
+:func:`solve_lp` runs on an instance of its own.
 
 :class:`IncrementalLPSolver` is the LP path at branch-and-bound nodes: it
 caches the row model across nodes and polishes each optimum toward
@@ -121,6 +123,43 @@ _SCIPY_STATUS = {
     4: Status.ERROR,
 }
 
+#: linprog's ``_highs_to_scipy_status_message`` table, built once: by
+#: ``HighsModelStatus`` value, linprog's status code and the text its message
+#: starts with.
+_HIGHS_STATUS = {
+    0: (4, ""),  # kNotset
+    1: (4, ""),  # kLoadError
+    2: (2, ""),  # kModelError
+    3: (4, ""),  # kPresolveError
+    4: (4, ""),  # kSolveError
+    5: (4, ""),  # kPostsolveError
+    6: (4, ""),  # kModelEmpty
+    7: (0, "Optimization terminated successfully. "),  # kOptimal
+    8: (2, "The problem is infeasible. "),  # kInfeasible
+    9: (4, "The problem is unbounded or infeasible. "),  # kUnboundedOrInfeasible
+    10: (3, "The problem is unbounded. "),  # kUnbounded
+    11: (4, ""),  # kObjectiveBound
+    12: (4, ""),  # kObjectiveTarget
+    13: (1, "Time limit reached. "),  # kTimeLimit
+    14: (1, "Iteration limit reached. "),  # kIterationLimit
+}
+_HIGHS_STATUS_UNRECOGNIZED = (4, "The HiGHS status code was not recognized. ")
+
+#: linprog's ``_check_result`` tolerance: ``10*sqrt(tol)`` of its ``tol=1e-9``.
+_CHECK_TOL = math.sqrt(1e-9) * 10
+_NO_SOLUTION = (
+    "The solver did not provide a solution nor did it report a failure. "
+    "Please submit a bug report."
+)
+_INFEASIBLE_OPTIMUM = (
+    "The solution does not satisfy the constraints within the required "
+    f"tolerance of {_CHECK_TOL:.2E}, yet no errors were raised and there is "
+    "no certificate of infeasibility or unboundedness. Check whether the "
+    "slack and constraint residuals are acceptable; if not, consider "
+    "enabling presolve, adjusting the tolerance option(s), and/or using a "
+    "different method. Please consider submitting a bug report."
+)
+
 
 def _split_rows(
     A: np.ndarray, row_lb: np.ndarray, row_ub: np.ndarray
@@ -203,20 +242,9 @@ def _highs_options():
     return options
 
 
-def _run_highs(
-    c: np.ndarray,
-    c0: float,
-    rows: _HighsRows,
-    var_lb: np.ndarray,
-    var_ub: np.ndarray,
-) -> LPResult:
-    """One solve on a fresh HiGHS instance (a reused one keeps its basis and
-    lands on other vertices of degenerate faces than linprog does)."""
-    # Imported at the call site (a sys.modules lookup after the first): a
-    # served request solves no LP, so a serving process never loads scipy.
+def _highs_lp(c: np.ndarray, rows: _HighsRows, var_lb: np.ndarray, var_ub: np.ndarray):
+    """The ``HighsLp`` ``linprog`` builds for this model."""
     import scipy.optimize._highspy._core as core
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
-    from scipy.optimize._linprog_util import _check_result
 
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = c.size
@@ -230,13 +258,99 @@ def _run_highs(
     model.col_upper_ = var_ub
     model.row_lower_ = rows.lower
     model.row_upper_ = rows.upper
+    return model
 
-    highs = core._Highs()
-    x = fun = slack = con = None
-    if highs.passOptions(_highs_options()) == core.HighsStatus.kError:
-        status = highs.getModelStatus()
-        message = highs.modelStatusToString(status)
-    elif highs.passModel(model) == core.HighsStatus.kError:
+
+class _HighsEngine:
+    """One HiGHS instance with linprog's options, for one cost vector.
+
+    :meth:`load` hands it a model before each solve: the whole model when
+    the instance holds other rows (or none), else only the column bounds, on
+    a solver cleared first.  The cost goes in with the whole model only, so
+    a caller keeps ``c`` fixed for the engine's life.  ``clearSolver`` drops
+    the basis, the solution and the presolved model, so every solve starts
+    cold — a reused basis lands on other vertices of degenerate faces than
+    ``linprog`` does, and a cleared instance answers what a fresh one does,
+    bit for bit.
+    """
+
+    __slots__ = ("highs", "rows", "_cols")
+
+    def __init__(self) -> None:
+        # Imported at the call site (a sys.modules lookup after the first): a
+        # served request solves no LP, so a serving process never loads scipy.
+        import scipy.optimize._highspy._core as core
+
+        self.highs = core._Highs()
+        if self.highs.passOptions(_highs_options()) == core.HighsStatus.kError:
+            raise RuntimeError("HiGHS refused linprog's options")
+        #: The row model the instance holds; ``None`` until one loaded.
+        self.rows: _HighsRows | None = None
+        self._cols = np.zeros(0, dtype=np.int32)
+
+    def load(
+        self,
+        c: np.ndarray,
+        rows: _HighsRows,
+        var_lb: np.ndarray,
+        var_ub: np.ndarray,
+    ) -> bool:
+        """Make the instance hold ``c``, ``rows`` and these bounds; ``False``
+        when HiGHS refuses them (and the next load passes the whole model)."""
+        import scipy.optimize._highspy._core as core
+
+        highs = self.highs
+        if rows is self.rows:
+            highs.clearSolver()
+            status = highs.changeColsBounds(c.size, self._cols, var_lb, var_ub)
+        else:
+            status = highs.passModel(_highs_lp(c, rows, var_lb, var_ub))
+            self._cols = np.arange(c.size, dtype=np.int32)
+        self.rows = None if status == core.HighsStatus.kError else rows
+        return self.rows is not None
+
+
+def _feasible(
+    x: np.ndarray,
+    fun: float,
+    residual: np.ndarray,
+    num_ub: int,
+    var_lb: np.ndarray,
+    var_ub: np.ndarray,
+) -> bool:
+    """``_check_result``'s test of an optimum: ``x`` inside its bounds, no
+    ``A_ub`` row over and no ``A_eq`` row off, all within :data:`_CHECK_TOL`,
+    and no NaN anywhere (a NaN fails every comparison below, so only ``fun``
+    needs its own test); ``residual`` is ``upper - A x`` per row."""
+    tol = _CHECK_TOL
+    return bool(
+        not math.isnan(fun)
+        and (x >= var_lb - tol).all()
+        and (x <= var_ub + tol).all()
+        and (residual[:num_ub] >= -tol).all()
+        and (np.abs(residual[num_ub:]) <= tol).all()
+    )
+
+
+def _run_highs(
+    engine: _HighsEngine,
+    c: np.ndarray,
+    c0: float,
+    rows: _HighsRows,
+    var_lb: np.ndarray,
+    var_ub: np.ndarray,
+) -> LPResult:
+    """One solve on ``engine`` (:meth:`_HighsEngine.load`, then ``run``).
+
+    The answer is read the way ``linprog`` reads it — its status table and
+    message, its feasibility check of an optimum — without its per-call
+    helpers; no duals are read.
+    """
+    import scipy.optimize._highspy._core as core
+
+    highs = engine.highs
+    x = None
+    if not engine.load(c, rows, var_lb, var_ub):
         status = core.HighsModelStatus.kModelError
         message = highs.modelStatusToString(status)
     elif highs.run() == core.HighsStatus.kError:
@@ -244,29 +358,27 @@ def _run_highs(
         message = highs.modelStatusToString(status)
     else:
         status = highs.getModelStatus()
-        info = highs.getInfo()
         if status == core.HighsModelStatus.kOptimal:
             message = highs.modelStatusToString(status)
             solution = highs.getSolution()
             x = np.array(solution.col_value)
-            fun = info.objective_function_value
+            fun = highs.getObjectiveValue()  # info's objective_function_value
             residual = rows.upper - solution.row_value
-            slack, con = residual[:rows.num_ub], residual[rows.num_ub:]
         else:
+            primal = highs.getInfo().primal_solution_status
             message = (
                 f"model_status is {highs.modelStatusToString(status)}; "
-                "primal_status is "
-                f"{highs.solutionStatusToString(info.primal_solution_status)}"
+                f"primal_status is {highs.solutionStatusToString(primal)}"
             )
-    code, message = _highs_to_scipy_status_message(status, message)
-    code, message = _check_result(
-        x, fun, code, slack, con, np.column_stack([var_lb, var_ub]), 1e-9,
-        message, None,
-    )
-    status = _SCIPY_STATUS.get(code, Status.ERROR)
-    if status is Status.OPTIMAL:
-        return LPResult(status, x, float(fun) + c0, message)
-    return LPResult(status, None, math.inf, message)
+    code, text = _HIGHS_STATUS.get(int(status), _HIGHS_STATUS_UNRECOGNIZED)
+    message = f"{text}(HiGHS Status {int(status)}: {message})"
+    if x is not None:
+        if _feasible(x, fun, residual, rows.num_ub, var_lb, var_ub):
+            return LPResult(Status.OPTIMAL, x, float(fun) + c0, message)
+        code, message = 4, _INFEASIBLE_OPTIMUM
+    elif code == 0:
+        code, message = 4, _NO_SOLUTION
+    return LPResult(_SCIPY_STATUS[code], None, math.inf, message)
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
@@ -274,7 +386,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     rows = _HighsRows.from_split(
         _split_rows(lp.A, lp.row_lb, lp.row_ub), lp.num_vars
     )
-    return _run_highs(lp.c, lp.c0, rows, lp.var_lb, lp.var_ub)
+    return _run_highs(_HighsEngine(), lp.c, lp.c0, rows, lp.var_lb, lp.var_ub)
 
 
 #: HiGHS's ``small_matrix_value``: it drops matrix entries no larger than
@@ -412,6 +524,9 @@ class IncrementalLPSolver:
     class extracts the matrix once, consolidates appended cut rows lazily,
     and caches the HiGHS row model (linprog's eq/ub split, as one CSC
     matrix) so a node re-solve touches no Python-level row loop at all.
+    One HiGHS instance (:class:`_HighsEngine`) answers every node LP of the
+    solver's life — one tree: the model is passed again only after a cut
+    row was appended, otherwise the node's bounds go to a cleared solver.
     Entries HiGHS would drop are folded into their rows first
     (:func:`fold_small_entries`), and each optimum is polished toward
     integrality (:func:`polish_integrality`).
@@ -436,6 +551,7 @@ class IncrementalLPSolver:
         self._matrix_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._polish_cols: np.ndarray | None = None
         self._rows_cache: _HighsRows | None = None
+        self._engine = _HighsEngine()
         #: Variables snapped by the polish, for the solve's trace span.
         self.polish_snapped = 0
 
@@ -493,7 +609,9 @@ class IncrementalLPSolver:
                     message=f"crossed bounds on {name}",
                 )
         stats = SolveStats(lp_solves=1)
-        res = _run_highs(self._c, self._c0, self._highs_rows(), var_lb, var_ub)
+        res = _run_highs(
+            self._engine, self._c, self._c0, self._highs_rows(), var_lb, var_ub
+        )
         if res.status is not Status.OPTIMAL:
             return Solution(res.status, stats=stats, message=res.message)
         A, row_lb, row_ub = self._matrix()

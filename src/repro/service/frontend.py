@@ -409,7 +409,8 @@ async def _serve_lines(
             continue
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's stack.
             await emit({"error": f"bad JSON: {exc}"})
             continue
         if not isinstance(payload, dict):

@@ -155,3 +155,63 @@ def test_eighth_degree_off_spot_penalty_visible():
     penalized = sim.true_component_time("ocn", 11880)
     assert penalized >= base  # penalty only slows down
     assert on_spot < base  # sanity: more nodes, faster base curve
+
+
+def _split_as_before(sim, total_nodes, heavy):
+    """The splits as they read when they scanned ``ocean_values_upto``."""
+    cfg = sim.config
+    if not heavy and total_nodes < 4:
+        raise ValueError(f"total_nodes too small to split: {total_nodes}")
+    share = 0.62 if heavy else 0.45
+    ocn_values = cfg.ocean_values_upto(max(2, int(share * total_nodes)))
+    if not ocn_values:
+        raise ValueError("no admissible ocean count fits")
+    if heavy:
+        ocn = ocn_values[-1]
+    else:
+        target_ocn = 0.25 * total_nodes
+        ocn = max((v for v in ocn_values if v <= target_ocn), default=ocn_values[0])
+    atm = cfg.atm_allowed.below(total_nodes - ocn)
+    ice = max(cfg.component_min_nodes("ice"), int(0.55 * atm))
+    lnd = max(cfg.component_min_nodes("lnd"), atm - ice)
+    if ice + lnd > atm:
+        ice = max(cfg.component_min_nodes("ice"), atm - lnd)
+    return Allocation({"lnd": lnd, "ice": ice, "atm": atm, "ocn": ocn})
+
+
+def _outcome(split, total_nodes):
+    try:
+        return dict(split(total_nodes))
+    except ValueError:
+        return "no split"
+
+
+def _split_sizes():
+    """Every gather-campaign node count, every A4 machine size, the ledger's
+    Table III sizes, and a dense sweep of small and strided large sizes."""
+    import inspect
+
+    from repro.experiments.ablations import run_solver_scaling
+    from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
+
+    a4 = inspect.signature(run_solver_scaling).parameters["node_counts"].default
+    sizes = {n for campaign in BENCHMARK_CAMPAIGN.values() for n in campaign}
+    sizes |= set(a4) | {128, 2048, 8192, 32768}
+    sizes |= set(range(0, 1200)) | set(range(1200, 41000, 97))
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [one_degree(), eighth_degree(), eighth_degree(constrained_ocean=False)],
+    ids=["1deg", "eighth", "eighth-freeocn"],
+)
+def test_splits_pick_the_ocean_they_picked_by_scanning(config):
+    """``default_split`` / ``ocean_heavy_split`` bisect the sweet spots (or
+    do arithmetic on a free ocean) and answer what the scan answered: the
+    same allocation, or the same refusal, at every size."""
+    sim = CESMSimulator(config)
+    for total in _split_sizes():
+        for heavy, split in ((False, sim.default_split), (True, sim.ocean_heavy_split)):
+            before = _outcome(lambda n: _split_as_before(sim, n, heavy), total)
+            assert _outcome(split, total) == before, (config.name, total, heavy)

@@ -35,3 +35,14 @@ def test_batch_rejects_a_nonpositive_admission_limit_cleanly(tmp_path, capsys):
     path.write_text("[]")
     assert main(["batch", str(path), "--max-pending", "0"]) == 2
     assert "max_pending" in capsys.readouterr().err
+
+
+def test_batch_nested_past_the_decoders_stack_is_a_clean_error(tmp_path, capsys):
+    """A requests file nested deeper than ``json.loads`` can recurse is bad
+    input like any other: exit 2 and one line, not a ``RecursionError``
+    traceback."""
+    path = tmp_path / "requests.json"
+    path.write_text("[" * 200_000)
+    assert main(["batch", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {path}" in err and "Traceback" not in err

@@ -11,9 +11,10 @@ from repro.fmo.molecules import (
 from repro.fmo.timing import (
     MachineCalibration,
     dimer_model,
+    fragment_models,
     monomer_model,
-    total_fragment_model,
 )
+from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
 
 
@@ -113,8 +114,9 @@ def test_total_fragment_model_consistent_with_workload(rng):
         cost = dimer_model(sys_.fragments[i], sys_.fragments[j]).time(1)
         load[i] += 0.5 * cost
         load[j] += 0.5 * cost
+    models = fragment_models(sys_)
     for f in sys_.fragments:
-        model = total_fragment_model(sys_, f)
+        model = models[f.index]
         assert model.time(1) == pytest.approx(load[f.index], rel=1e-9)
         # More nodes, less time (monotone in the scalable regime).
         assert model.time(8) < model.time(1)
@@ -122,5 +124,39 @@ def test_total_fragment_model_consistent_with_workload(rng):
 
 def test_total_fragment_model_is_convex(rng):
     sys_ = protein_like(5, rng)
-    for f in sys_.fragments:
-        assert total_fragment_model(sys_, f).is_convex
+    for model in fragment_models(sys_).values():
+        assert model.is_convex
+
+
+def _one_fragment_model(system, fragment):
+    """A fragment's model on its own: a scan of every dimer pair for the
+    ones it belongs to (O(F) pairs per fragment)."""
+    m = monomer_model(fragment)
+    a = system.scc_iterations * m.a
+    b = system.scc_iterations * m.b
+    d = system.scc_iterations * m.d
+    for i, j in system.dimer_pairs():
+        if fragment.index not in (i, j):
+            continue
+        dm = dimer_model(system.fragments[i], system.fragments[j])
+        a += 0.5 * dm.a
+        b += 0.5 * dm.b
+        d += 0.5 * dm.d
+    return PerformanceModel(a=a, b=b, c=1.0, d=d)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [protein_like(k, default_rng(k)) for k in (8, 16, 24)]
+    + [water_cluster(16, default_rng(5))],
+    ids=["protein-8", "protein-16", "protein-24", "water-16"],
+)
+def test_fragment_models_match_the_per_fragment_form(system):
+    """One pass over the pairs builds every fragment's model bit for bit as
+    a per-fragment scan does: same terms, added in the same order."""
+    assert system.dimer_pairs()  # the systems have dimers to add
+    models = fragment_models(system)
+    assert list(models) == [f.index for f in system.fragments]
+    for f in system.fragments:
+        ref, got = _one_fragment_model(system, f), models[f.index]
+        assert (got.a, got.b, got.c, got.d) == (ref.a, ref.b, ref.c, ref.d), f.index

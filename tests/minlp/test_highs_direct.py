@@ -1,12 +1,15 @@
 """The direct HiGHS call is ``linprog(method="highs")``, bit for bit.
 
 ``repro.minlp.linprog`` hands each LP to scipy's binding of the HiGHS core
-itself, without ``linprog``'s wrapper.  The oracle is ``linprog``: every
-call is replayed through it on the same row split, and the two must agree
-on the bytes of ``x``, the objective, the status and the message.  The calls
-come from the ledger's nine pipeline blocks (every HiGHS solve their trees
-make) and from keyed random LPs: feasible, infeasible, unbounded,
-equality-only and row-free.
+itself, without ``linprog``'s wrapper, and a branch-and-bound tree's node
+LPs all go to one HiGHS instance, cleared between solves.  The oracle is
+``linprog`` on a fresh instance: every call is replayed through it on the
+same row split, and the two must agree on the bytes of ``x``, the
+objective, the status and the message.  The calls come from the ledger's
+nine pipeline blocks (every HiGHS solve their trees make, most of them on a
+reused instance), from keyed random LPs (feasible, infeasible, unbounded,
+equality-only and row-free) and from one node engine per keyed LP driven
+through bound changes and appended cut rows.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from hypothesis import strategies as st
 
 import repro.minlp.linprog as linprog_mod
 from repro.core.hslb import HSLBOptimizer
-from repro.minlp.linprog import LinearProgram, _HighsRows, _split_rows, solve_lp
+from repro.minlp.expr import Constant, VarRef, sum_exprs
+from repro.minlp.linprog import (
+    IncrementalLPSolver,
+    LinearProgram,
+    _HighsRows,
+    _split_rows,
+    solve_lp,
+)
+from repro.minlp.problem import Problem
 from repro.minlp.solution import Status
 from repro.util.rng import keyed_rng
 
@@ -72,11 +83,16 @@ class _Oracle:
 
     ``_HighsRows.from_split`` is wrapped to remember which row split each
     row model came from (and to check its CSC against scipy's), so the
-    replay runs ``linprog`` on exactly the split the solve used.
+    replay runs ``linprog`` on exactly the split the solve used.  The wrapper
+    around ``_run_highs`` calls it on the caller's own engine, so a node
+    solver's reused instance is what is checked; ``reused`` counts the calls
+    that found their row model already loaded (bounds changed on a cleared
+    solver, no ``passModel``).
     """
 
     def __init__(self, monkeypatch):
-        self.calls = 0
+        self.calls = self.reused = 0
+        self.statuses: set[Status] = set()
         self._splits: dict[int, tuple] = {}
         from_split = _HighsRows.from_split.__func__
         run_highs = linprog_mod._run_highs
@@ -90,13 +106,15 @@ class _Oracle:
             self._splits[id(rows)] = (rows, split)
             return rows
 
-        def replaying_run_highs(c, c0, rows, var_lb, var_ub):
+        def replaying_run_highs(engine, c, c0, rows, var_lb, var_ub):
             self.calls += 1
-            got = run_highs(c, c0, rows, var_lb, var_ub)
+            self.reused += engine.rows is rows
+            got = run_highs(engine, c, c0, rows, var_lb, var_ub)
             kept, split = self._splits[id(rows)]
             assert kept is rows
             _assert_same(got, _linprog_answer(c, c0, split, var_lb, var_ub),
                          f"call {self.calls}")
+            self.statuses.add(got.status)
             return got
 
         monkeypatch.setattr(_HighsRows, "from_split", classmethod(recording_from_split))
@@ -130,6 +148,7 @@ def test_every_ledger_highs_call_matches_linprog(catalogue, monkeypatch, kind, i
     )
     assert plan.solution.status is Status.OPTIMAL
     assert oracle.calls > 0  # HiGHS answers every node LP
+    assert oracle.reused > 0  # ... most of them on the tree's one instance
 
 
 #: HiGHS's ``small_matrix_value``: it drops matrix entries no larger.
@@ -147,10 +166,10 @@ def test_no_ledger_lp_has_an_entry_highs_would_drop(catalogue, monkeypatch, kind
     smallest = []
     run_highs = linprog_mod._run_highs
 
-    def recording_run_highs(c, c0, rows, var_lb, var_ub):
+    def recording_run_highs(engine, c, c0, rows, var_lb, var_ub):
         if rows.value.size:
             smallest.append(float(np.abs(rows.value).min()))
-        return run_highs(c, c0, rows, var_lb, var_ub)
+        return run_highs(engine, c, c0, rows, var_lb, var_ub)
 
     monkeypatch.setattr(linprog_mod, "_run_highs", recording_run_highs)
     blocks = catalogue.cesm_blocks() if kind == "cesm" else catalogue.fmo_blocks()
@@ -247,3 +266,161 @@ def test_linprog_is_imported_nowhere_in_src():
             if "linprog" in names:
                 offenders.append(f"{path.relative_to(REPO)}:{node.lineno}")
     assert offenders == []
+
+
+# -- one engine per tree ------------------------------------------------------
+
+
+def _as_problem(lp: LinearProgram) -> Problem:
+    """``lp`` as a continuous :class:`Problem`, one constraint per row."""
+    problem = Problem("keyed-lp")
+    xs = [VarRef(f"x{j}") for j in range(lp.num_vars)]
+    for j in range(lp.num_vars):
+        problem.add_variable(f"x{j}", lp.var_lb[j], lp.var_ub[j])
+    for i, row in enumerate(lp.A):
+        body = sum_exprs(float(a) * x for a, x in zip(row, xs) if a != 0.0)
+        problem.add_constraint(f"r{i}", body, lp.row_lb[i], lp.row_ub[i])
+    problem.set_objective(
+        sum_exprs([*(float(a) * x for a, x in zip(lp.c, xs)), Constant(lp.c0)])
+    )
+    return problem
+
+
+def _drive_one_engine(key: int, shape: str, rounds: int = 12) -> _Oracle:
+    """One :class:`IncrementalLPSolver` on ``_keyed_lp(key, shape)``, driven
+    through ``rounds`` bound sets with a cut row appended before every
+    fourth; every HiGHS call it makes is replayed through ``linprog``."""
+    lp = _keyed_lp(key, shape)
+    rng = keyed_rng(key, "highs-engine", shape)
+    with pytest.MonkeyPatch.context() as mp:
+        oracle = _Oracle(mp)
+        node = IncrementalLPSolver(_as_problem(lp))
+        for r in range(rounds):
+            if r % 4 == 3:
+                coeffs = rng.normal(size=lp.num_vars)
+                if shape == "unbounded":
+                    coeffs[0] = -abs(coeffs[0])  # raising x0 loosens the cut
+                body = sum_exprs(float(a) * VarRef(f"x{j}") for j, a in enumerate(coeffs))
+                node.add_row(body, -math.inf, float(rng.uniform(1.0, 6.0)))
+            bounds = {}
+            for j in np.flatnonzero(rng.uniform(size=lp.num_vars) < 0.5):
+                lo = max(lp.var_lb[j], rng.uniform(-1.5, 1.0))
+                hi = min(lp.var_ub[j], lo + rng.uniform(0.1, 4.0))
+                if shape == "unbounded" and j == 0:
+                    hi = math.inf
+                if lo <= hi:
+                    bounds[f"x{j}"] = (lo, hi)
+            node.solve(bounds)
+    return oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from(("mixed", "infeasible", "unbounded", "equality-only")),
+)
+def test_one_node_engine_answers_every_bound_set_and_cut_as_linprog(key, shape):
+    """A node solver keeps one HiGHS instance for its life: bound changes go
+    to a cleared solver, an appended cut row passes the model again, and
+    every answer is a fresh ``linprog``'s, byte for byte."""
+    oracle = _drive_one_engine(key, shape)
+    assert oracle.calls == 12
+    assert oracle.reused >= 8
+
+
+@pytest.mark.parametrize("shape", ("mixed", "infeasible", "unbounded"))
+def test_the_engine_property_reaches_every_status(shape):
+    """The driven engines answer what their shape is named for: optima on
+    mixed LPs, infeasible and unbounded LPs through a reused instance."""
+    seen = set()
+    for key in range(6):
+        seen |= _drive_one_engine(key, shape).statuses
+    expected = {"mixed": Status.OPTIMAL, "infeasible": Status.INFEASIBLE,
+                "unbounded": Status.UNBOUNDED}[shape]
+    assert expected in seen
+
+
+def test_the_status_table_is_linprogs():
+    """``_HIGHS_STATUS`` is the table ``_highs_to_scipy_status_message``
+    rebuilds per call: every model status, and one it does not know."""
+    from scipy.optimize._highspy._core import HighsModelStatus
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+    for status in HighsModelStatus.__members__.values():
+        code, text = linprog_mod._HIGHS_STATUS.get(
+            int(status), linprog_mod._HIGHS_STATUS_UNRECOGNIZED
+        )
+        ours = code, f"{text}(HiGHS Status {int(status)}: note)"
+        assert ours == _highs_to_scipy_status_message(status, "note"), status
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.integers(0, 2**31 - 1))
+def test_the_optimum_check_is_check_results(key):
+    """``_feasible`` accepts an optimum exactly when ``_check_result`` does,
+    and a refused one gets its message; points sit within a few tolerances
+    of every bound, some NaN."""
+    from scipy.optimize._linprog_util import _check_result
+
+    rng = keyed_rng(key, "highs-check")
+    n, m = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+    num_ub = int(rng.integers(0, m + 1))
+    tol = linprog_mod._CHECK_TOL
+    var_lb = np.where(rng.uniform(size=n) < 0.2, -np.inf, rng.uniform(-2, 0, n))
+    var_ub = np.where(rng.uniform(size=n) < 0.2, np.inf, rng.uniform(1, 3, n))
+    near = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=n) * tol
+    x = np.where(rng.uniform(size=n) < 0.5, var_lb + near, var_ub - near)
+    x = np.where(np.isfinite(x), x, 0.5)
+    residual = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0, 1e3], size=m) * tol
+    fun = float(rng.normal())
+    if rng.uniform() < 0.1:
+        x[int(rng.integers(n))] = np.nan
+    if m and rng.uniform() < 0.1:
+        residual[int(rng.integers(m))] = np.nan
+    if rng.uniform() < 0.05:
+        fun = math.nan
+    code, message = _check_result(
+        x, fun, 0, residual[:num_ub], residual[num_ub:],
+        np.column_stack([var_lb, var_ub]), 1e-9, "ok", None,
+    )
+    feasible = linprog_mod._feasible(x, fun, residual, num_ub, var_lb, var_ub)
+    assert feasible is (code == 0)
+    if not feasible:
+        assert message == linprog_mod._INFEASIBLE_OPTIMUM
+
+
+def test_an_optimum_without_a_point_gets_check_results_message():
+    from scipy.optimize._linprog_util import _check_result
+
+    code, message = _check_result(None, None, 0, None, None, None, 1e-9, "", None)
+    assert (code, message) == (4, linprog_mod._NO_SOLUTION)
+
+
+def test_a_refused_load_passes_the_whole_model_next_time():
+    """HiGHS refusing a model (an infinite matrix entry) or a bound set (a
+    NaN bound) answers "Model error" and leaves the engine holding no rows,
+    so the next solve passes its model whole and answers what ``linprog``
+    does."""
+    lb, ub = np.array([-np.inf]), np.array([4.0])
+    c, var_lb, var_ub = np.array([-1.0, -2.0]), np.zeros(2), np.full(2, 3.0)
+    bad = _HighsRows.from_split(_split_rows(np.array([[1.0, np.inf]]), lb, ub), 2)
+    split = _split_rows(np.array([[1.0, 1.0]]), lb, ub)
+    good = _HighsRows.from_split(split, 2)
+    run = linprog_mod._run_highs
+    engine = linprog_mod._HighsEngine()
+
+    def refused(rows, lo):
+        answer = run(engine, c, 0.0, rows, lo, var_ub)
+        assert answer.status is Status.INFEASIBLE
+        assert answer.message.endswith("Model error)")
+        assert engine.rows is None
+
+    def answered():
+        got = run(engine, c, 0.5, good, var_lb, var_ub)
+        _assert_same(got, _linprog_answer(c, 0.5, split, var_lb, var_ub))
+        assert engine.rows is good
+
+    refused(bad, var_lb)
+    answered()
+    refused(good, np.array([np.nan, 0.0]))  # refused by changeColsBounds
+    answered()

@@ -249,19 +249,23 @@ def test_a_problem_without_variables_is_refused_like_minimize():
 
 def test_the_private_scipy_entry_points_exist():
     """The floor in ``pyproject.toml`` ships every scipy private the solver
-    calls: SLSQP's C routine (``nlp``), HiGHS's core binding and linprog's
-    status helpers (``linprog``), LAPACK's ``gesdd`` with its workspace query
-    (``perf.trf``)."""
+    calls: SLSQP's C routine (``nlp``), HiGHS's core binding and the
+    ``_Highs`` methods a reused node engine calls (``linprog``), LAPACK's
+    ``gesdd`` with its workspace query (``perf.trf``)."""
     from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
     from scipy.optimize._highspy import _core
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
-    from scipy.optimize._linprog_util import _check_result
     from scipy.optimize._slsqplib import slsqp
 
-    for entry in (slsqp, _compute_lwork, _highs_to_scipy_status_message, _check_result):
+    for entry in (slsqp, _compute_lwork):
         assert callable(entry)
     for name in ("_Highs", "HighsLp", "HighsOptions", "HighsStatus", "HighsModelStatus"):
         assert hasattr(_core, name), name
+    for method in (
+        "passOptions", "passModel", "clearSolver", "changeColsBounds", "run",
+        "getModelStatus", "getInfo", "getSolution", "modelStatusToString",
+        "solutionStatusToString",
+    ):
+        assert callable(getattr(_core._Highs, method, None)), method
     gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64)
     assert callable(gesdd) and callable(gesdd_lwork)
 

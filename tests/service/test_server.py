@@ -9,6 +9,8 @@ import json
 import math
 import sys
 
+import pytest
+
 from repro.cli import main
 from repro.service import AsyncServingTier
 from repro.util.rng import keyed_rng
@@ -17,10 +19,11 @@ from tests.service.conftest import make_request
 
 
 def _run(
-    lines: list[str], monkeypatch, capsys, *, end: str = "\n"
+    lines: list[str], monkeypatch, capsys, *, end: str = "\n",
+    argv: tuple[str, ...] = ("serve",),
 ) -> tuple[list[dict], str]:
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + end))
-    assert main(["serve"]) == 0
+    assert main(list(argv)) == 0
     captured = capsys.readouterr()
     return [json.loads(line) for line in captured.out.splitlines()], captured.err
 
@@ -218,3 +221,106 @@ def test_a_handler_bug_is_answered_and_logged_not_lost(monkeypatch, capsys):
     assert "never retrieved" not in err
     assert "[error] service.frontend: request handler failed" in err
     assert "RuntimeError: wires crossed" in err
+
+
+# -- fuzz: lines of megabytes, and two clients on one stream -----------------
+
+#: Several megabytes of one line.
+_MEGA = 3 * 2**20
+
+
+def test_a_line_of_megabytes_gets_one_typed_reply_and_stalls_nothing(
+    monkeypatch, capsys
+):
+    """Each multi-megabyte line — a valid request padded with whitespace,
+    an unterminated string, a nest deeper than the decoder's stack, a
+    megabyte-long field value — gets exactly one reply, and the small
+    requests after each are still answered.
+
+    Before: the deep nest raised ``RecursionError`` out of ``json.loads``,
+    past the ``JSONDecodeError`` handler, and killed the serve loop with a
+    traceback; no line after it was answered.
+    """
+    small = [
+        json.dumps({**make_request(b).to_dict(), "id": f"small-{i}"})
+        for i, b in enumerate((24, 48, 64, 96))
+    ]
+    valid = json.dumps({**make_request(64).to_dict(), "id": "big-valid"})
+    padded = valid[:-1] + " " * _MEGA + "}"
+    big_field = json.dumps(
+        {**make_request(48).to_dict(), "objective": "x" * _MEGA, "id": "big-field"}
+    )
+    junk = '{"id": "big-junk", "components": "' + "x" * _MEGA  # never closed
+    nested = "[" * _MEGA
+    lines = [padded, small[0], junk, small[1], nested, small[2], big_field, small[3]]
+    replies, err = _run(lines, monkeypatch, capsys)
+
+    assert len(replies) == len(lines)
+    assert "Traceback" not in err
+    by_id = {r["id"]: r for r in replies if "id" in r}
+    assert sorted(by_id) == sorted(
+        ["big-valid", "big-field", *(f"small-{i}" for i in range(4))]
+    )
+    assert by_id["big-valid"]["status"] == "optimal"
+    assert by_id["big-field"]["status"] == "error"
+    for i in range(4):
+        assert by_id[f"small-{i}"]["status"] == "optimal"
+    unparsed = [r for r in replies if "id" not in r]
+    assert len(unparsed) == 2  # the junk and the nest: typed, id unknown
+    assert all(r["error"].startswith("bad JSON") for r in unparsed)
+    # Input order (one shard, inline): each small request right after its
+    # big neighbour, none held up behind it.
+    order = [r.get("id") for r in replies]
+    assert order == [
+        "big-valid", "small-0", None, "small-1", None, "small-2", "big-field",
+        "small-3",
+    ]
+
+
+def _client_lines(client: str, rng, count: int) -> list[dict]:
+    """One client's requests: its own ids, budgets drawn from a set both
+    clients share, so some of its requests equal the other client's."""
+    out = []
+    for i in range(count):
+        budget = int(rng.choice([24, 48, 64, 96, 128]))
+        payload = {**make_request(budget).to_dict(), "id": f"{client}-{i}"}
+        if rng.uniform() < 0.25:
+            payload["components"]["extra"] = {"a": float(rng.uniform(50, 500))}
+        out.append(payload)
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("serve",), ("serve", "--async", "--shards", "2")],
+    ids=["inline", "async-2-shards"],
+)
+def test_two_clients_interleaved_on_one_stream_each_get_their_own_answers(
+    argv, monkeypatch, capsys
+):
+    """Two clients' lines, interleaved in a keyed order on one stream, get
+    every ``id`` answered once, each with the answer its own request gets
+    when its client runs alone."""
+    rng = keyed_rng(7, "two-clients")
+    a, b = _client_lines("a", rng, 30), _client_lines("b", rng, 30)
+    alone = {}
+    for client in (a, b):
+        replies, _ = _run([json.dumps(p) for p in client], monkeypatch, capsys,
+                          argv=argv)
+        alone.update({r["id"]: r for r in replies})
+
+    queues, mixed = [list(a), list(b)], []
+    while queues[0] or queues[1]:
+        side = int(rng.integers(2)) if queues[0] and queues[1] else int(not queues[0])
+        mixed.append(queues[side].pop(0))
+    assert mixed != a + b  # the clients really interleave
+    replies, err = _run([json.dumps(p) for p in mixed], monkeypatch, capsys,
+                        argv=argv)
+
+    ids = [r["id"] for r in replies]
+    assert sorted(ids) == sorted(p["id"] for p in a + b)  # each once
+    for reply in replies:
+        own = alone[reply["id"]]
+        assert reply["status"] == own["status"] == "optimal", reply
+        assert reply["allocation"] == own["allocation"], reply["id"]
+        assert reply["objective"] == own["objective"], reply["id"]
