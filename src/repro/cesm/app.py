@@ -69,6 +69,10 @@ class CESMApplication(Application):
         return COMPONENTS
 
     @property
+    def layout_label(self) -> str:
+        return self.layout.name.lower()
+
+    @property
     def requires_nonconvex_solver(self) -> bool:
         # The exact Tsync coupling (Table I lines 18-19) is nonconvex; only
         # the hybrid layout has it.

@@ -590,7 +590,22 @@ class HSLBOptimizer:
                 result.execution = self.execute(allocation, rng)
             except NodeCrashError as exc:
                 self._recover_execution(result, models, exc, rng)
+            self._record_prediction_error(result)
         return result
+
+    def _record_prediction_error(self, result: HSLBResult) -> None:
+        """Book how far the executed run strayed from the plan: each
+        component's time and the makespan (``"total"``, which is
+        :attr:`HSLBResult.prediction_error`)."""
+        actual = result.actual_times or {}
+        errors = {
+            name: abs(predicted - actual[name]) / actual[name]
+            for name, predicted in result.predicted_times.items()
+            if actual.get(name)
+        }
+        if result.prediction_error is not None:
+            errors["total"] = result.prediction_error
+        telemetry.record_prediction_error(self.app.layout_label, errors)
 
     def _recover_execution(
         self,

@@ -93,6 +93,12 @@ class Application(abc.ABC):
         """Names of the components HSLB balances (e.g. lnd/ice/atm/ocn)."""
 
     @property
+    def layout_label(self) -> str:
+        """The ``layout`` label of this app's pipeline metrics; ``"none"``
+        for an application whose components have no layout to choose."""
+        return "none"
+
+    @property
     def requires_nonconvex_solver(self) -> bool:
         """True when :meth:`formulate` emits nonconvex constraints (e.g. the
         Tsync coupling), so OA's linearization cuts would be invalid: the

@@ -4,16 +4,20 @@ Canonical LP container plus its one engine: HiGHS (standing in for the CLP
 solver MINOTAUR uses for its LP relaxations), called through scipy's binding
 of its core.  Every LP in :mod:`repro.minlp` goes through :func:`_run_highs`.
 
-The HiGHS call is ``linprog(method="highs")`` without the wrapper: the same
-model (linprog's row order, its CSC matrix, its options) goes to a
-``scipy.optimize._highspy._core._Highs``, and the answer is read by
-linprog's rules (its status table, built once here, and its feasibility
-check of an optimum), so every solve returns what ``linprog`` would, bit for
-bit (``tests/minlp/test_highs_direct.py`` replays both).  A branch-and-bound
-tree keeps one instance (:class:`_HighsEngine`) for all its node LPs: a
-node whose rows did not change only resets the column bounds on a cleared
-solver, so no basis, no options and no model object are rebuilt per node.
-:func:`solve_lp` runs on an instance of its own.
+The HiGHS call is ``linprog(method="highs", options={"presolve": False})``
+without the wrapper: the same model (linprog's row order, its CSC matrix,
+its options) goes to a ``scipy.optimize._highspy._core._Highs``, and the
+answer is read by linprog's rules (its status table, built once here, and
+its feasibility check of an optimum), so every solve returns what
+``linprog`` would, bit for bit (``tests/minlp/test_highs_direct.py``
+replays both).  Presolve is off because every LP here is small: at a few
+hundred columns or fewer it costs more than the dual simplex it shortens.
+A branch-and-bound tree keeps one instance (:class:`_HighsEngine`) for all
+its node LPs: a node whose rows did not change only resets the column
+bounds on a cleared solver, so no basis, no options and no model object are
+rebuilt per node.  :meth:`_HighsEngine.solve` passes any LP whole to a kept
+instance (OA's fixed-integer subproblems); :func:`solve_lp` runs on an
+instance of its own.
 
 :class:`IncrementalLPSolver` is the LP path at branch-and-bound nodes: it
 caches the row model across nodes and polishes each optimum toward
@@ -229,12 +233,17 @@ class _HighsRows:
 
 @functools.cache
 def _highs_options():
-    """The options ``linprog(method="highs")`` passes with its defaults
-    (``None``-valued ones it skips); read-only once built."""
+    """The options ``linprog(method="highs", options={"presolve": False})``
+    passes (``None``-valued ones it skips); read-only once built.
+
+    Presolve is off for every LP: the program's LPs have at most a few
+    hundred columns, and on them HiGHS's presolve costs more than the dual
+    simplex it would shorten (DESIGN.md, *The HiGHS call*).
+    """
     import scipy.optimize._highspy._core as core
 
     options = core.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
@@ -308,6 +317,14 @@ class _HighsEngine:
             self._cols = np.arange(c.size, dtype=np.int32)
         self.rows = None if status == core.HighsStatus.kError else rows
         return self.rows is not None
+
+    def solve(self, lp: LinearProgram) -> LPResult:
+        """Solve ``lp`` here, its model passed whole: what a fresh instance
+        answers (:func:`solve_lp`), without building one per LP."""
+        rows = _HighsRows.from_split(
+            _split_rows(lp.A, lp.row_lb, lp.row_ub), lp.num_vars
+        )
+        return _run_highs(self, lp.c, lp.c0, rows, lp.var_lb, lp.var_ub)
 
 
 def _feasible(
@@ -383,10 +400,7 @@ def _run_highs(
 
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve ``lp`` with HiGHS; the answer ``linprog(method="highs")`` gives."""
-    rows = _HighsRows.from_split(
-        _split_rows(lp.A, lp.row_lb, lp.row_ub), lp.num_vars
-    )
-    return _run_highs(_HighsEngine(), lp.c, lp.c0, rows, lp.var_lb, lp.var_ub)
+    return _HighsEngine().solve(lp)
 
 
 #: HiGHS's ``small_matrix_value``: it drops matrix entries no larger than

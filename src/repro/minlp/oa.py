@@ -7,7 +7,11 @@ Implements the two classic OA schemes for convex MINLPs:
   single branch-and-bound tree over a mixed-integer *linear* master; whenever
   a node's LP solution is discrete-feasible, an NLP subproblem is solved with
   the integers fixed, linearization cuts (paper eq. (4)) are added globally,
-  and the node is re-solved.
+  and the node is re-solved.  On the paper's models that subproblem is an
+  LP once the integers are fixed; :class:`_FixedSplit` finds so once per
+  solve and then answers every subproblem as one array LP on one HiGHS
+  instance (:class:`_FixedLP`) instead of building and reducing a
+  :class:`Problem` per round.
 
 * :func:`solve_minlp_oa_multitree` — the original Duran–Grossmann /
   Fletcher–Leyffer **multi-tree** alternation between a MILP master and NLP
@@ -26,9 +30,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 
+import numpy as np
+
 from repro.minlp.bnb import BnBOptions, BranchAndBound
 from repro.minlp.cutpool import OACutPool
-from repro.minlp.expr import Expr, VarRef
+from repro.minlp.expr import Constant, Expr, VarRef
+from repro.minlp.linprog import LinearProgram, _HighsEngine
 from repro.obs import telemetry
 from repro.obs.trace import span, trace_event
 from repro.minlp.milp import solve_milp
@@ -185,6 +192,12 @@ class _FixedSplit:
     ``with_bounds`` and ``reduce_fixed`` as the whole of ``work`` did, so
     :meth:`reduce` answers ``work.with_bounds(...).reduce_fixed()``: the same
     rows, fixed values and status.
+
+    When those other rows and the objective are affine in the continuous
+    columns for every fixing, :attr:`lp` holds them as arrays
+    (:class:`_FixedLP`), and a subproblem takes the symbolic path only when
+    HiGHS finds its LP neither optimal nor infeasible; else :attr:`lp` is
+    ``None``.
     """
 
     def __init__(self, work: Problem) -> None:
@@ -202,6 +215,7 @@ class _FixedSplit:
         for s in work.sos1_sets:
             self.free.add_sos1(s.name, s.members, s.weights)
         self.free.set_objective(work.objective, work.sense)
+        self.lp = _FixedLP.of(work, self.free, self.checks)
 
     def reduce(self, values: dict[str, float]) -> tuple[Problem, dict[str, float]] | None:
         """``work`` with ``values``' integers fixed and substituted out, or
@@ -209,21 +223,178 @@ class _FixedSplit:
         assignment = _integer_assignment(self.work, values)
         # Bounds first: an integer outside its box raises there, as before.
         fixed = self.free.with_bounds({name: (x, x) for name, x in assignment.items()})
-        for body, lb, ub in self.checks:
-            value = float(body(assignment))
-            if value < lb - 1e-6 or value > ub + 1e-6:
-                return None
+        if _violates(self.checks, assignment):
+            return None
         return fixed.reduce_fixed()
+
+
+def _violates(checks: list[tuple[Callable, float, float]], point: dict[str, float]) -> bool:
+    """Whether ``point`` breaks a compiled row of ``checks`` by more than
+    :meth:`Problem.reduce_fixed`'s 1e-6."""
+    for body, lb, ub in checks:
+        value = float(body(point))
+        if value < lb - 1e-6 or value > ub + 1e-6:
+            return True
+    return False
+
+
+class _FixedLP:
+    """The fixed-integer subproblem of an affine split, as one array LP.
+
+    Built when every partial derivative of the split's ``free`` rows and of
+    the objective with respect to a continuous column is a constant: then
+    fixing the integers leaves ``A x`` plus a shift per row, ``A`` the same
+    for every fixing.  A term-by-term test would miss rows such as CESM's
+    ``-1·(T_icelnd + a/n_atm + …)``, which are affine in ``T_icelnd`` only
+    as a whole.  The columns are the continuous variables
+    :meth:`Problem.reduce_fixed` leaves free, in ``work``'s order; a row with
+    none of them is checked at the fixing, like the split's rows in
+    integers only.  Each row's shift is its compiled body at (the integers,
+    pinned columns at their value, free columns at 0), so the LP is the one
+    ``LinearProgram.from_problem`` builds from the reduced problem, without
+    building that problem.  One HiGHS instance (:class:`_HighsEngine`)
+    answers every subproblem of the solve.
+    """
+
+    def __init__(
+        self,
+        work: Problem,
+        columns: list[str],
+        pinned: dict[str, float],
+        rows: list[tuple[Callable, float, float, dict[int, float]]],
+        checks: list[tuple[Callable, float, float]],
+    ) -> None:
+        self.work = work
+        self.columns = columns
+        self.pinned = pinned
+        self.checks = checks
+        self.bodies = [body for body, _, _, _ in rows]
+        self.lb = np.array([lb for _, lb, _, _ in rows])
+        self.ub = np.array([ub for _, _, ub, _ in rows])
+        self.A = np.zeros((len(rows), len(columns)))
+        for i, (_, _, _, coeffs) in enumerate(rows):
+            for j, a in coeffs.items():
+                self.A[i, j] = a
+        sign = -1.0 if work.sense is Sense.MAXIMIZE else 1.0
+        coeffs, _ = work.objective.linear_coefficients()
+        self.c = np.array([sign * coeffs.get(name, 0.0) for name in columns])
+        self.var_lb = np.array([work.variable(n).lb for n in columns])
+        self.var_ub = np.array([work.variable(n).ub for n in columns])
+        self.bound = math.inf if work.sense is Sense.MAXIMIZE else -math.inf
+        self.engine = _HighsEngine()
+
+    @classmethod
+    def of(
+        cls, work: Problem, free: Problem, checks: list[tuple[Callable, float, float]]
+    ) -> "_FixedLP | None":
+        """The array form of a split of ``work`` into ``free`` rows and
+        integer-only ``checks``, or ``None`` when a free row (or the
+        objective) is not affine in the continuous columns, a continuous
+        variable is in an SOS1 set, or there is no free column."""
+        if not work.objective.is_linear():
+            return None
+        pinned = {
+            v.name: 0.5 * (v.lb + v.ub)
+            for v in work.variables
+            if not v.is_discrete and math.isfinite(v.lb) and v.ub - v.lb <= 1e-9
+        }
+        columns = [
+            v.name
+            for v in work.variables
+            if not v.is_discrete and v.name not in pinned
+        ]
+        index = {name: j for j, name in enumerate(columns)}
+        if not columns or any(m in index for s in work.sos1_sets for m in s.members):
+            return None
+        rows, checks = [], list(checks)
+        for con in free.constraints:
+            body = con.body
+            coeffs = {}
+            for name in body.variables() & index.keys():
+                partial = body.diff(name)
+                if not isinstance(partial, Constant):
+                    return None
+                coeffs[index[name]] = partial.value
+            if coeffs:
+                rows.append((body.compiled(), con.lb, con.ub, coeffs))
+            else:  # in integers and pinned columns only
+                checks.append((body.compiled(), con.lb, con.ub))
+        return cls(work, columns, pinned, rows, checks)
+
+    def solve(self, values: dict[str, float]) -> Solution | None:
+        """The subproblem at ``values``' integers: what the symbolic path
+        answers, on this solve's HiGHS instance; ``None`` when HiGHS finds
+        the LP neither optimal nor infeasible (the symbolic path decides)."""
+        work = self.work
+        assignment = _integer_assignment(work, values)
+        for v in work.discrete_variables():
+            if not v.lb <= assignment[v.name] <= v.ub:  # as ``with_bounds``
+                raise ValueError(f"variable {v.name}: fixing outside its bounds")
+        point = {**assignment, **self.pinned, **dict.fromkeys(self.columns, 0.0)}
+        if _violates(self.checks, point):
+            return Solution(Status.INFEASIBLE, message="fixing violates a constraint")
+        shift = np.array([float(body(point)) for body in self.bodies])
+        res = self.engine.solve(
+            LinearProgram(
+                c=self.c,
+                A=self.A,
+                row_lb=self.lb - shift,
+                row_ub=self.ub - shift,
+                var_lb=self.var_lb,
+                var_ub=self.var_ub,
+                names=tuple(self.columns),
+            )
+        )
+        stats = SolveStats(nlp_solves=1)
+        if res.status is Status.OPTIMAL:
+            x = np.clip(res.x, self.var_lb, self.var_ub)
+            free = {name: float(v) for name, v in zip(self.columns, x)}
+            fixed = {
+                v.name: assignment[v.name] if v.is_discrete else self.pinned[v.name]
+                for v in work.variables
+                if v.name not in free
+            }
+            merged = {**free, **fixed}
+            rows = (float(body(merged)) for body in self.bodies)
+            violation = max(
+                (max(0.0, lb - g, g - ub) for g, lb, ub in zip(rows, self.lb, self.ub)),
+                default=0.0,
+            )
+            if violation <= _FEAS_TOL:
+                return Solution(
+                    Status.OPTIMAL,
+                    values=merged,
+                    objective=work.objective_value(merged),
+                    bound=self.bound,
+                    message="LP optimal",
+                    stats=stats,
+                )
+        elif res.status is not Status.INFEASIBLE:
+            return None  # unbounded, or HiGHS failed
+        return Solution(Status.INFEASIBLE, message="no feasible KKT point", stats=stats)
 
 
 def _solve_fixed_subproblem(split: _FixedSplit, values: dict[str, float]) -> Solution:
     """NLP subproblem at a fixed integer assignment, on the reduced space.
 
     Single- and multi-tree OA both come here, with the split their solve
-    built once.  Substituting the fixed integers out before calling the NLP
-    solver keeps the subproblem tiny (for HSLB layouts: the epigraph
-    variables only) — the full-space version spends most of its time
-    differentiating constant rows and moving pinned variables.
+    built once.  An affine split answers it as one array LP
+    (:class:`_FixedLP`); any other goes the symbolic way.
+    """
+    if split.lp is not None:
+        sol = split.lp.solve(values)
+        if sol is not None:
+            return sol
+    return _solve_symbolic(split, values)
+
+
+def _solve_symbolic(split: _FixedSplit, values: dict[str, float]) -> Solution:
+    """The subproblem through :meth:`_FixedSplit.reduce` and :func:`solve_nlp`.
+
+    Substituting the fixed integers out before calling the NLP solver keeps
+    the subproblem tiny (for HSLB layouts: the epigraph variables only) —
+    the full-space version spends most of its time differentiating constant
+    rows and moving pinned variables.
     """
     reduced = split.reduce(values)
     if reduced is None:

@@ -14,6 +14,7 @@ tracer so solver inner loops pay one attribute check while tracing is off.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from repro.obs.metrics import REGISTRY, Metric, MetricsRegistry
@@ -51,6 +52,12 @@ CATALOGUE = (
     _counter("hslb_gather_retries_total", "gather benchmark retries"),
     _counter("hslb_gather_dropped_total", "gather points dropped"),
     _counter("hslb_execution_recoveries_total", "mid-run crash recoveries"),
+    _gauge(
+        "hslb_prediction_error",
+        "last executed plan's abs(predicted - actual) / actual",
+        "component",
+        "layout",
+    ),
     _counter("faults_injected_total", "injected faults by kind", "kind", "stage"),
     _counter("service_requests_total", "requests booked, by how each was answered", "outcome"),
     _histogram("service_request_seconds", "service-side latency of every booked request"),
@@ -160,6 +167,14 @@ def record_direct_miss(gap: float) -> None:
     REGISTRY.counter("hslb_direct_misses_total").inc()
     if _TR.enabled:
         _TR.event("solver.direct_miss", gap=gap)
+
+
+def record_prediction_error(layout: str, errors: Mapping[str, float]) -> None:
+    """A plan met its execution: ``errors`` maps each component (and
+    ``"total"``, the makespan) to its relative |predicted - actual|."""
+    gauge = REGISTRY.gauge("hslb_prediction_error")
+    for component, error in errors.items():
+        gauge.set(error, component=component, layout=layout)
 
 
 def record_fault(kind: str, stage: str) -> None:

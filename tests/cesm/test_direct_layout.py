@@ -203,14 +203,37 @@ def test_table3_blocks_match_cold_oa_and_certify(key):
     assert solution.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
+#: Ablation A4's machine sizes.
+_A4_SIZES = (128, 512, 2048, 8192, 40960)
+#: Per configuration (layout 1, fits from seed 2014): the smallest A4 size
+#: with a feasible allocation; the 1/8° sets start above 128 (and above 512
+#: with the ocean constrained).
+_A4_CONFIGS = [
+    ("1deg", one_degree, 128),
+    ("eighth", eighth_degree, 2048),
+    ("eighth", lambda: eighth_degree(constrained_ocean=False), 512),
+]
+
+
 def test_a4_sizes_match_cold_oa_and_certify():
-    """Ablation A4's machine sizes (1° layout 1, fits from seed 2014)."""
-    opt, models = _paper_fits("1deg", one_degree())
-    for total in (128, 512, 2048, 8192, 40960):
-        cold = solve_minlp_oa(formulate_layout(models, total, one_degree()))
-        _, solution = opt.solve(models, total)
-        assert abs(opt.last_provenance.direct_gap) <= DIRECT_GAP_TOL, total
-        assert solution.objective == pytest.approx(cold.objective, rel=1e-9)
+    """Every feasible A4 size up to 40 960, on 1° and on 1/8° with the ocean
+    constrained and free: the pipeline's answer (OA from the scan's start)
+    matches cold OA and the scan certifies it."""
+    for resolution, make_config, smallest in _A4_CONFIGS:
+        config = make_config()
+        opt, models = _paper_fits(resolution, config)
+        for total in _A4_SIZES:
+            where = (config.name, total)
+            if total < smallest:
+                assert direct_layout(models, total, config) is None, where
+                continue
+            cold = solve_minlp_oa(formulate_layout(models, total, config))
+            _, solution = opt.solve(models, total)
+            assert opt.last_provenance.tier == "oa", where
+            assert abs(opt.last_provenance.direct_gap) <= DIRECT_GAP_TOL, where
+            assert solution.objective == pytest.approx(
+                cold.require_ok().objective, rel=1e-9
+            ), where
 
 
 _PROBE_BUDGETS = [

@@ -50,6 +50,7 @@ def _linprog_answer(c, c0, split, var_lb, var_ub):
     res = linprog(
         c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
         bounds=np.column_stack([var_lb, var_ub]), method="highs",
+        options={"presolve": False},
     )
     status = linprog_mod._SCIPY_STATUS.get(res.status, Status.ERROR)
     if status is Status.OPTIMAL:

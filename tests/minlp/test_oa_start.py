@@ -167,9 +167,9 @@ def test_violating_start_falls_back_to_the_cold_path(tracer):
 #: cuts, incumbent updates, n_atm, n_ice, n_lnd, n_ocn).
 _COLD = {
     ("1deg", 128, 1): (396.8805603189478, 5, 2, 5, 3, 16, 2, 106, 90, 16, 22),
-    ("1deg", 3000, 1): (77.63828901901655, 9, 6, 9, 5, 15, 4, 1664, 1561, 103, 232),
+    ("1deg", 3000, 1): (77.63828901901655, 12, 9, 12, 5, 14, 4, 1664, 1561, 103, 232),
     ("1deg", 512, 2): (141.0956045821948, 4, 2, 4, 3, 9, 2, 432, 432, 432, 80),
-    ("eighth", 40960, 1): (1129.3875752776507, 12, 6, 12, 5, 20, 4, 21500, 21189, 311, 19460),
+    ("eighth", 40960, 1): (1129.3875752776507, 12, 5, 12, 5, 22, 4, 21500, 21189, 311, 19460),
     ("eighth", 16384, 3): (3007.503798403948, 1, 0, 1, 2, 1, 1, 16384, 16384, 16384, 6124),
     ("eighth-freeocn", 8192, 1): (3210.614457831325, 9, 6, 9, 2, 12, 1, 5370, 5230, 140, 2822),
 }

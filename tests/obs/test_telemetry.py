@@ -133,3 +133,37 @@ def test_design_carries_the_catalogue_table():
     assert table in DESIGN.read_text(), (
         "DESIGN.md 'Observability' must hold this table verbatim:\n" + table
     )
+
+
+@pytest.mark.parametrize("kind", ["cesm", "fmo"])
+def test_an_executed_plan_books_its_prediction_error(kind):
+    """``hslb_prediction_error`` holds what the plan's execution reports:
+    ``HSLBResult.prediction_error`` as ``component="total"``, and each
+    component's relative error next to it; a plan that is not executed
+    books nothing."""
+    from repro.cesm.app import CESMApplication
+    from repro.cesm.grids import one_degree
+    from repro.core.hslb import HSLBOptimizer
+    from repro.experiments.paper_data import BENCHMARK_CAMPAIGN
+    from repro.fmo.app import FMOApplication
+    from repro.fmo.molecules import protein_like
+    from repro.util.rng import default_rng
+
+    if kind == "cesm":
+        app, campaign, total = CESMApplication(one_degree()), BENCHMARK_CAMPAIGN["1deg"], 128
+    else:
+        app = FMOApplication(protein_like(8, default_rng(3)))
+        campaign, total = [1, 2, 4, 8, 16], 64
+    gauge = REGISTRY.gauge("hslb_prediction_error")
+    layout = "hybrid" if kind == "cesm" else "none"
+    assert app.layout_label == layout
+    result = HSLBOptimizer(app).run(campaign, total, default_rng(11))
+    assert result.prediction_error is not None
+    assert gauge.value(component="total", layout=layout) == result.prediction_error
+    for name, predicted in result.predicted_times.items():
+        actual = result.actual_times[name]
+        error = abs(predicted - actual) / actual
+        assert gauge.value(component=name, layout=layout) == error
+    booked = list(gauge.samples())
+    HSLBOptimizer(app).run(campaign, total, default_rng(12), execute=False)
+    assert list(gauge.samples()) == booked
