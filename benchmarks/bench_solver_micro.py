@@ -3,6 +3,12 @@
 Not tied to a paper artifact; these track the substrate's performance so
 regressions in the solver stack (which every experiment depends on) show up
 as benchmark deltas rather than mysteriously slow tables.
+
+Expression nodes memoize their analysis (``variables``, ``diff``,
+``linear_coefficients``), so a benchmark that times analysis or a solve
+hands each round a fresh problem or expression through
+``benchmark.pedantic(setup=...)``: re-solving one object would time
+dictionary lookups.
 """
 
 import json
@@ -106,8 +112,9 @@ def test_bnb_node_throughput(benchmark, items):
     """B&B node throughput on default options (small HiGHS node LPs)."""
     from repro.minlp.milp import solve_milp
 
-    problem = _bnb_knapsack(items)
-    sol = benchmark.pedantic(lambda: solve_milp(problem), rounds=3, iterations=1)
+    sol = benchmark.pedantic(
+        solve_milp, setup=lambda: ((_bnb_knapsack(items),), {}), rounds=3, iterations=1
+    )
     assert sol.status.value == "optimal"
     benchmark.extra_info["nodes"] = sol.stats.nodes_explored
 
@@ -130,8 +137,10 @@ def _oa_instance(components):
 @pytest.mark.parametrize("components", [2, 4, 6], ids=["small", "medium", "large"])
 def test_oa_master_iterations(benchmark, components):
     """Single-tree OA wall time (pooled cuts) at growing instance sizes."""
-    problem = _oa_instance(components)
-    sol = benchmark.pedantic(lambda: solve_minlp_oa(problem), rounds=3, iterations=1)
+    sol = benchmark.pedantic(
+        solve_minlp_oa, setup=lambda: ((_oa_instance(components),), {}),
+        rounds=3, iterations=1,
+    )
     assert sol.status.value in ("optimal", "feasible")
     benchmark.extra_info["cuts"] = sol.stats.cuts_added
 
@@ -150,9 +159,11 @@ def test_incremental_lp_node_resolve(benchmark):
 
 def test_layout1_full_solve(benchmark):
     """End-to-end MINLP solve of the 1-degree layout-1 model at 2048."""
-    problem = formulate_layout(_MODELS, 2048, one_degree(), layout=Layout.HYBRID)
     sol = benchmark.pedantic(
-        lambda: solve_minlp_oa(problem), rounds=3, iterations=1
+        solve_minlp_oa,
+        setup=lambda: ((formulate_layout(_MODELS, 2048, one_degree(), layout=Layout.HYBRID),), {}),
+        rounds=3,
+        iterations=1,
     )
     assert sol.status.value == "optimal"
 
@@ -183,35 +194,26 @@ def test_many_fragment_minlp_stress(benchmark):
     timed directly because it is what the FMO pipeline still runs (gated:
     its node LPs all go to the tree's one HiGHS instance).
     """
-    from repro.core.builder import AllocationModelBuilder
-    from repro.core.objectives import Objective
-    from repro.fmo.molecules import protein_like
-    from repro.fmo.schedulers import fragment_models
-
-    system = protein_like(24, default_rng(6))
-    builder = AllocationModelBuilder(f"fmo-{system.name}", 2048)
-    for i, model in fragment_models(system).items():
-        builder.add_component(f"frag{i}", model)
-    builder.limit_total_nodes()
-    builder.set_objective(Objective.MIN_MAX)
-    problem = builder.build()
-
     sol = benchmark.pedantic(
-        lambda: solve_minlp_oa(problem), rounds=3, iterations=1
+        solve_minlp_oa,
+        setup=lambda: ((_fmo_minmax(24, 2048, 6),), {}),
+        rounds=3,
+        iterations=1,
     )
     assert sol.status.value in ("optimal", "feasible")
     counts = [round(sol.values[f"n_frag{i}"]) for i in range(24)]
     assert sum(counts) <= 2048
 
 
-def _fmo_minmax(fragments: int, nodes: int):
-    """``protein-<fragments>@<nodes>``'s min-max MINLP on ground-truth curves."""
+def _fmo_minmax(fragments: int, nodes: int, seed: int):
+    """A ``fragments``-fragment protein's min-max MINLP at ``nodes`` on
+    ground-truth curves, the protein drawn from ``default_rng(seed)``."""
     from repro.core.builder import AllocationModelBuilder
     from repro.core.objectives import Objective
     from repro.fmo.molecules import protein_like
     from repro.fmo.schedulers import fragment_models
 
-    system = protein_like(fragments, default_rng(fragments))
+    system = protein_like(fragments, default_rng(seed))
     builder = AllocationModelBuilder(f"fmo-{system.name}", nodes)
     for i, model in fragment_models(system).items():
         builder.add_component(f"frag{i}", model)
@@ -222,7 +224,7 @@ def _fmo_minmax(fragments: int, nodes: int):
 
 _ROOTS = {
     "1deg-2048": lambda: formulate_layout(_MODELS, 2048, one_degree(), layout=Layout.HYBRID),
-    "protein-24@256": lambda: _fmo_minmax(24, 256),
+    "protein-24@256": lambda: _fmo_minmax(24, 256, 24),
 }
 
 
@@ -233,8 +235,10 @@ def test_root_relaxation(benchmark, key):
     from repro.minlp.nlp import solve_nlp
     from repro.minlp.oa import _epigraph_form
 
-    work, _ = _epigraph_form(_ROOTS[key]())
-    sol = benchmark(lambda: solve_nlp(work))
+    sol = benchmark.pedantic(
+        solve_nlp, setup=lambda: ((_epigraph_form(_ROOTS[key]())[0],), {}),
+        rounds=30, iterations=1,
+    )
     assert sol.status.value == "optimal"
     benchmark.extra_info["nlp_solves"] = sol.stats.nlp_solves
 
@@ -264,17 +268,18 @@ def test_suite_fit_throughput(benchmark, fmo24_suite):
 
 def test_expression_differentiation(benchmark):
     """Symbolic gradient of a layout-1-sized constraint system."""
-    m = Model("grad")
-    m.var("T", 0, 1e5)
-    n_vars = [m.integer_var(f"n{i}", 1, 4096) for i in range(4)]
-    exprs = [27380.0 / n + 1e-3 * n**1.5 + 43.0 for n in n_vars]
+    def expressions():
+        m = Model("grad")
+        m.var("T", 0, 1e5)
+        n_vars = [m.integer_var(f"n{i}", 1, 4096) for i in range(4)]
+        return ([27380.0 / n + 1e-3 * n**1.5 + 43.0 for n in n_vars],), {}
 
-    def differentiate():
+    def differentiate(exprs):
         out = []
         for e in exprs:
             for v in ("n0", "n1", "n2", "n3"):
                 out.append(e.diff(v))
         return out
 
-    grads = benchmark(differentiate)
+    grads = benchmark.pedantic(differentiate, setup=expressions, rounds=500, iterations=1)
     assert len(grads) == 16

@@ -96,6 +96,7 @@ class DriftAwareRefitter:
         self.scale_updates += 1
         telemetry.record_dynlb_refit("scale")
         rel_err = abs(seconds - st.scale * predicted_base) / seconds
+        telemetry.record_prediction_error("dynlb", {component: rel_err})
         st.err = (1.0 - ALPHA) * st.err + ALPHA * rel_err
         if st.err > STALE_ERROR:
             st.bad_steps += 1

@@ -2,16 +2,22 @@
 
 Building an OA cut means linearizing a nonlinear constraint body at a point.
 The pool does the symbolic half of that once per constraint (a compiled row:
-the ``g <= ub`` form, its gradient expressions, the variables it is
-nonlinear in, the body and the partials as generated code) and memoizes the
-cuts themselves by **constraint + quantized linearization point, nonlinear
-coordinates only**, so a repeated expansion point returns the cached cut —
+the row's own body with the sign of its ``g <= ub`` form, the variables it
+is nonlinear in, the body and its partials as generated code — the partials
+are the body's memoized ``diff``, the ones the root NLP and the
+fixed-integer LP already asked for) and memoizes the cuts themselves by
+**constraint + quantized linearization point, nonlinear coordinates only**,
+so a repeated expansion point returns the cached cut —
 the stable digest name then makes :meth:`BranchAndBound.add_global_cut`'s
 duplicate check a no-op, which correctly fathoms the node instead of
 re-queuing it.  That includes the point that differs only in a variable the
 row is linear in, e.g. the epigraph ``T`` of ``T >= a/n + b*n^c + d``: the
 tangent at ``(n, T_subproblem)`` and at ``(n, T_master)`` is one inequality
 and is installed once.
+
+Each cut comes out of :meth:`Linearizer.at` with its coefficients and
+variables already stored, so installing it in the master and appending it
+to the node LP walk no tree.
 
 One pool lives for one solve (single-tree OA, or every master of one
 multi-tree run); nothing is shared across solves, so a solve's master
@@ -40,22 +46,24 @@ _POINT_DECIMALS = 9
 
 
 class _CompiledRow:
-    """A single-sided nonlinear row as ``g(x) <= ub``, differentiated once.
+    """A single-sided nonlinear row as ``sign * g(x) <= ub``, analysed once.
 
-    ``g(x) >= lb`` is normalized to ``-g(x) <= -lb`` (the caller has asserted
-    that side is convex).  ``body`` is the row's own body, compiled.
+    ``g(x) >= lb`` is served as ``-g(x) <= -lb`` (the caller has asserted
+    that side is convex) through a ``sign = -1`` tangent of the row's own
+    body: the numbers are negated, not the tree, so the partials are the
+    ones the body already memoized for the root NLP and the fixed-integer
+    LP.
     """
 
-    __slots__ = ("con", "ub", "tangent", "body")
+    __slots__ = ("con", "ub", "tangent")
 
     def __init__(self, con: Constraint) -> None:
         self.con = con
         if math.isfinite(con.ub):
-            body, self.ub = con.body, con.ub
+            sign, self.ub = 1.0, con.ub
         else:
-            body, self.ub = -con.body, -con.lb
-        self.tangent = Linearizer(body)
-        self.body = con.body.compiled()
+            sign, self.ub = -1.0, -con.lb
+        self.tangent = Linearizer(con.body, sign)
 
 
 @dataclass
@@ -87,7 +95,7 @@ class OACutPool:
 
     def violation(self, con: Constraint, values: Mapping[str, float]) -> float:
         """``con.violation(values)``, on the compiled row."""
-        g = float(self._row(con).body(values))
+        g = float(self._row(con).tangent.value(values))
         return max(0.0, con.lb - g, g - con.ub)
 
     def nonlinear_variables(self, con: Constraint) -> tuple[str, ...]:

@@ -26,9 +26,14 @@ Design notes
   the term tuple at every step.  A 241-binary sweet-spot row is built,
   substituted and differentiated through it.
 * Analysis is memoized because nodes are immutable: a composite node
-  computes ``variables()`` and ``is_linear()`` once, on first call, and
-  keeps the answer in a slot.  Problem transforms ask both of every
-  constraint body they copy.
+  computes ``variables()``, ``diff(var)`` per variable and
+  ``linear_coefficients()`` (which ``is_linear()`` reads) once, on first
+  call, and keeps the answer in a slot.  Only the node that was asked keeps
+  one: its walk handles the children through the unmemoized ``_diff`` /
+  ``_linear_coefficients``, so a row of 241 terms holds one memo, not 242.
+  Problem transforms, the root NLP, the fixed-subproblem LP and the cut
+  pool all ask these of the same row bodies, and each row is analysed
+  once per solve.
 * Solvers evaluate a tree through :meth:`Expr.compiled`: ``evaluate`` as
   straight-line Python generated from the tree, the same operations in the
   same order on the same scalar types.  The generated source holds no
@@ -162,11 +167,7 @@ class Expr:
 
     def is_linear(self) -> bool:
         """True if the expression is affine in its variables."""
-        try:
-            self.linear_coefficients()
-        except NonlinearExpressionError:
-            return False
-        return True
+        raise NotImplementedError
 
     def linear_coefficients(self) -> tuple[dict[str, float], float]:
         """Decompose an affine expression into ``(coeffs, constant)``.
@@ -205,6 +206,8 @@ class Constant(Expr):
     def diff(self, var: str) -> Expr:
         return ZERO
 
+    _diff = diff
+
     def variables(self) -> frozenset[str]:
         return frozenset()
 
@@ -213,6 +216,8 @@ class Constant(Expr):
 
     def linear_coefficients(self):
         return {}, self.value
+
+    _linear_coefficients = linear_coefficients
 
     def substitute(self, mapping):
         return self
@@ -246,6 +251,8 @@ class VarRef(Expr):
     def diff(self, var: str) -> Expr:
         return ONE if var == self.name else ZERO
 
+    _diff = diff
+
     def variables(self) -> frozenset[str]:
         return frozenset((self.name,))
 
@@ -254,6 +261,8 @@ class VarRef(Expr):
 
     def linear_coefficients(self):
         return {self.name: 1.0}, 0.0
+
+    _linear_coefficients = linear_coefficients
 
     def substitute(self, mapping):
         return mapping.get(self.name, self)
@@ -266,11 +275,18 @@ class VarRef(Expr):
 
 
 class _Composite(Expr):
-    """A node with children: ``variables()``, ``is_linear()`` and the
-    generated code are computed once and kept in a slot (the node cannot
-    change under them)."""
+    """A node with children: ``variables()``, each ``diff(var)``,
+    ``linear_coefficients()`` (and so ``is_linear()``) and the generated
+    code are computed once and kept in a slot (the node cannot change under
+    them).
 
-    __slots__ = ("_vars", "_linear", "_compiled")
+    A nonlinear node keeps its verdict as the error's message, never as the
+    exception: a stored exception's traceback would pin the frames that
+    raised it.  The public ``linear_coefficients()`` hands out a fresh dict,
+    so a caller may mutate its answer.
+    """
+
+    __slots__ = ("_vars", "_diffs", "_affine", "_compiled")
 
     def variables(self) -> frozenset[str]:
         out = getattr(self, "_vars", None)  # an unset slot reads as None
@@ -279,12 +295,36 @@ class _Composite(Expr):
             object.__setattr__(self, "_vars", out)
         return out
 
-    def is_linear(self) -> bool:
-        out = getattr(self, "_linear", None)
+    def diff(self, var: str) -> Expr:
+        memo = getattr(self, "_diffs", None)
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_diffs", memo)
+        out = memo.get(var)
         if out is None:
-            out = Expr.is_linear(self)
-            object.__setattr__(self, "_linear", out)
+            out = memo[var] = self._diff(var)
         return out
+
+    def _affine_memo(self) -> tuple[dict[str, float], float] | str:
+        """``(coeffs, constant)``, or the message of a nonlinear verdict."""
+        out = getattr(self, "_affine", None)
+        if out is None:
+            try:
+                out = self._linear_coefficients()
+            except NonlinearExpressionError as exc:
+                out = str(exc)
+            object.__setattr__(self, "_affine", out)
+        return out
+
+    def linear_coefficients(self):
+        out = self._affine_memo()
+        if type(out) is str:
+            raise NonlinearExpressionError(out)
+        coeffs, const = out
+        return dict(coeffs), const
+
+    def is_linear(self) -> bool:
+        return type(self._affine_memo()) is not str
 
     def _code(self):
         out = getattr(self, "_compiled", None)
@@ -294,6 +334,14 @@ class _Composite(Expr):
         return out
 
     def _collect_variables(self) -> frozenset[str]:
+        raise NotImplementedError
+
+    def _diff(self, var: str) -> Expr:
+        """:meth:`diff` computed, children walked unmemoized."""
+        raise NotImplementedError
+
+    def _linear_coefficients(self) -> tuple[dict[str, float], float]:
+        """:meth:`linear_coefficients` computed, children walked unmemoized."""
         raise NotImplementedError
 
 
@@ -321,14 +369,14 @@ class Add(_NAry):
             total = total + t.evaluate(values)
         return total
 
-    def diff(self, var: str) -> Expr:
-        return sum_exprs([t.diff(var) for t in self.terms])
+    def _diff(self, var: str) -> Expr:
+        return sum_exprs([t._diff(var) for t in self.terms])
 
-    def linear_coefficients(self):
+    def _linear_coefficients(self):
         coeffs: dict[str, float] = {}
         const = 0.0
         for t in self.terms:
-            c, k = t.linear_coefficients()
+            c, k = t._linear_coefficients()
             const += k
             for name, v in c.items():
                 coeffs[name] = coeffs.get(name, 0.0) + v
@@ -355,18 +403,18 @@ class Mul(_NAry):
             total = total * t.evaluate(values)
         return total
 
-    def diff(self, var: str) -> Expr:
+    def _diff(self, var: str) -> Expr:
         # Product rule over n factors.
         parts = []
         for i, t in enumerate(self.terms):
-            dt = t.diff(var)
-            if dt == ZERO:
+            dt = t._diff(var)
+            if _is_zero(dt):
                 continue
             others = [f for j, f in enumerate(self.terms) if j != i]
             parts.append(prod_exprs([dt] + others))
         return sum_exprs(parts)
 
-    def linear_coefficients(self):
+    def _linear_coefficients(self):
         # Affine only when at most one factor is non-constant and that factor
         # is itself affine.
         const_part = 1.0
@@ -380,7 +428,7 @@ class Mul(_NAry):
             return {}, const_part
         if len(nonconst) > 1:
             raise NonlinearExpressionError(f"nonlinear product: {self!r}")
-        coeffs, k = nonconst[0].linear_coefficients()
+        coeffs, k = nonconst[0]._linear_coefficients()
         return {n: v * const_part for n, v in coeffs.items()}, k * const_part
 
     def substitute(self, mapping):
@@ -409,25 +457,25 @@ class Div(_Composite):
         den = self.den.evaluate(values)
         return self.num.evaluate(values) / den
 
-    def diff(self, var: str) -> Expr:
+    def _diff(self, var: str) -> Expr:
         # (u/v)' = u'/v - u v'/v^2
-        du = self.num.diff(var)
-        dv = self.den.diff(var)
+        du = self.num._diff(var)
+        dv = self.den._diff(var)
         terms = []
-        if du != ZERO:
+        if not _is_zero(du):
             terms.append(_div(du, self.den))
-        if dv != ZERO:
+        if not _is_zero(dv):
             terms.append(_neg(_div(_mul(self.num, dv), _pow(self.den, Constant(2.0)))))
         return sum_exprs(terms)
 
     def _collect_variables(self) -> frozenset[str]:
         return self.num.variables() | self.den.variables()
 
-    def linear_coefficients(self):
+    def _linear_coefficients(self):
         if isinstance(self.den, Constant):
             if self.den.value == 0.0:
                 raise ZeroDivisionError(f"constant division by zero in {self!r}")
-            coeffs, k = self.num.linear_coefficients()
+            coeffs, k = self.num._linear_coefficients()
             return {n: v / self.den.value for n, v in coeffs.items()}, k / self.den.value
         raise NonlinearExpressionError(f"nonlinear quotient: {self!r}")
 
@@ -462,9 +510,9 @@ class Pow(_Composite):
             return np.power(base, self.exponent.value)
         return math.pow(base, self.exponent.value)
 
-    def diff(self, var: str) -> Expr:
-        db = self.base.diff(var)
-        if db == ZERO:
+    def _diff(self, var: str) -> Expr:
+        db = self.base._diff(var)
+        if _is_zero(db):
             return ZERO
         # d/dx b(x)^k = k * b^(k-1) * b'
         return prod_exprs([self.exponent, _pow(self.base, self.exponent - 1.0), db])
@@ -472,9 +520,9 @@ class Pow(_Composite):
     def _collect_variables(self) -> frozenset[str]:
         return self.base.variables()
 
-    def linear_coefficients(self):
+    def _linear_coefficients(self):
         if self.exponent.value == 1.0:
-            return self.base.linear_coefficients()
+            return self.base._linear_coefficients()
         raise NonlinearExpressionError(f"nonlinear power: {self!r}")
 
     def substitute(self, mapping):
@@ -519,6 +567,11 @@ class Relation:
 
 ZERO = Constant(0.0)
 ONE = Constant(1.0)
+
+
+def _is_zero(e: Expr) -> bool:
+    """``e == ZERO`` in O(1): only a Constant's key can equal ZERO's."""
+    return type(e) is Constant and e.value == 0.0
 
 
 def _add(a: Expr, b: Expr) -> Expr:
@@ -715,7 +768,13 @@ def linearize(expr: Expr, point: Mapping[str, float]) -> Expr:
 
 
 class Linearizer:
-    """``expr`` differentiated and compiled once, expanded at any number of points.
+    """``sign * expr`` differentiated and compiled once, expanded at any
+    number of points.
+
+    ``sign`` (``1.0`` or ``-1.0``) scales the numbers, not the tree: IEEE
+    negation is exact, so ``-1.0`` times ``expr``'s value and partials is
+    what ``-expr``'s tree evaluates to, and :meth:`at` returns
+    ``linearize(-expr, point)`` from ``expr``'s own (memoized) partials.
 
     :attr:`nonlinear` names the variables whose partial derivative is not a
     constant.  The tangent depends on the expansion point through those
@@ -723,22 +782,51 @@ class Linearizer:
     ``c·x + h(rest)``, and ``x0`` cancels out of ``f(x0) + c·(x − x0)``.
     """
 
-    __slots__ = ("expr", "_value", "_grads", "nonlinear")
+    __slots__ = ("expr", "sign", "value", "_grads", "nonlinear")
 
-    def __init__(self, expr: Expr) -> None:
+    def __init__(self, expr: Expr, sign: float = 1.0) -> None:
         self.expr = expr
-        self._value = expr.compiled()
+        self.sign = float(sign)
+        #: ``expr`` itself (unsigned), compiled.
+        self.value = expr.compiled()
         grads = [(name, expr.diff(name)) for name in sorted(expr.variables())]
-        self._grads = [(name, grad.compiled()) for name, grad in grads]
+        self._grads = [(VarRef(name), grad.compiled()) for name, grad in grads]
         self.nonlinear: tuple[str, ...] = tuple(
             name for name, grad in grads if grad.variables()
         )
 
     def at(self, point: Mapping[str, float]) -> Expr:
-        """Same affine expression as ``linearize(self.expr, point)``."""
-        terms: list[Expr] = [Constant(float(self._value(point)))]
-        for name, grad in self._grads:
-            g = float(grad(point))
+        """Same affine expression as ``linearize(sign * expr, point)``.
+
+        In the common shape — two or more terms, no slope of exactly 1.0 and
+        no expansion coordinate at 0.0 — the tree is built directly, and its
+        coefficients and variables are stored as a walk of it would find
+        them (summed in the walk's order), so a consumer analyses nothing.
+        The shapes :func:`sum_exprs` folds differently are built by it.
+        """
+        sign = self.sign
+        f0 = sign * float(self.value(point))
+        slopes = []
+        for ref, grad in self._grads:
+            g = sign * float(grad(point))
             if g != 0.0:
-                terms.append(Constant(g) * (VarRef(name) - float(point[name])))
-        return sum_exprs(terms)
+                slopes.append((ref, g, float(point[ref.name])))
+        if len(slopes) + (f0 != 0.0) < 2 or any(
+            g == 1.0 or x0 == 0.0 for _, g, x0 in slopes
+        ):
+            terms = [Constant(g) * (ref - x0) for ref, g, x0 in slopes]
+            return sum_exprs([Constant(f0), *terms])
+        terms = []
+        coeffs: dict[str, float] = {}
+        const = 0.0
+        for ref, g, x0 in slopes:
+            terms.append(Mul((Constant(g), Add((ref, Constant(-x0))))))
+            coeffs[ref.name] = g
+            const += -x0 * g
+        if f0 != 0.0:
+            terms.append(Constant(f0))
+            const += f0
+        tangent = Add(tuple(terms))
+        object.__setattr__(tangent, "_affine", (coeffs, const))
+        object.__setattr__(tangent, "_vars", frozenset(coeffs))
+        return tangent

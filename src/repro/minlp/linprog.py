@@ -15,9 +15,10 @@ hundred columns or fewer it costs more than the dual simplex it shortens.
 A branch-and-bound tree keeps one instance (:class:`_HighsEngine`) for all
 its node LPs: a node whose rows did not change only resets the column
 bounds on a cleared solver, so no basis, no options and no model object are
-rebuilt per node.  :meth:`_HighsEngine.solve` passes any LP whole to a kept
-instance (OA's fixed-integer subproblems); :func:`solve_lp` runs on an
-instance of its own.
+rebuilt per node.  :meth:`_HighsEngine.solve` hands any LP to a kept
+instance (OA's fixed-integer subproblems): only the row bounds when the
+instance holds the LP's matrix, else the whole model; :func:`solve_lp` runs
+on an instance of its own.
 
 :class:`IncrementalLPSolver` is the LP path at branch-and-bound nodes: it
 caches the row model across nodes and polishes each optimum toward
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,6 +195,15 @@ def _split_rows(
     return A_ub, b_ub, A_eq, b_eq
 
 
+def _stacked_bounds(b_ub: np.ndarray, b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` of ``A_ub`` rows then ``A_eq`` rows, as linprog
+    hands them to HiGHS."""
+    return (
+        np.concatenate((np.full(b_ub.size, -np.inf), b_eq)),
+        np.concatenate((b_ub, b_eq)),
+    )
+
+
 @dataclass(frozen=True)
 class _HighsRows:
     """The row side of the model ``linprog`` hands HiGHS: ``A_ub`` rows then
@@ -221,14 +231,36 @@ class _HighsRows:
         cols, rows = np.nonzero(A.T)
         start = np.zeros(num_cols + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=num_cols), out=start[1:])
+        lower, upper = _stacked_bounds(b_ub, b_eq)
         return cls(
             start=start,
             index=rows.astype(np.int32),
             value=A[rows, cols],
-            lower=np.concatenate((np.full(b_ub.size, -np.inf), b_eq)),
-            upper=np.concatenate((b_ub, b_eq)),
+            lower=lower,
+            upper=upper,
             num_ub=int(b_ub.size),
         )
+
+    def with_bounds(self, split: tuple) -> "_HighsRows":
+        """This matrix with ``split``'s right-hand sides; ``split``'s rows
+        must stack to this matrix (:func:`_same_rows`)."""
+        _, b_ub, _, b_eq = split
+        empty = np.zeros(0)
+        lower, upper = _stacked_bounds(
+            empty if b_ub is None else b_ub, empty if b_eq is None else b_eq
+        )
+        return replace(self, lower=lower, upper=upper)
+
+
+def _same_rows(split: tuple, other: tuple) -> bool:
+    """Whether two row splits stack to one matrix, bit for bit (their
+    right-hand sides aside)."""
+    for a, b in ((split[0], other[0]), (split[2], other[2])):
+        if (a is None) != (b is None):
+            return False
+        if a is not None and (a.shape != b.shape or a.tobytes() != b.tobytes()):
+            return False
+    return True
 
 
 @functools.cache
@@ -273,17 +305,18 @@ def _highs_lp(c: np.ndarray, rows: _HighsRows, var_lb: np.ndarray, var_ub: np.nd
 class _HighsEngine:
     """One HiGHS instance with linprog's options, for one cost vector.
 
-    :meth:`load` hands it a model before each solve: the whole model when
-    the instance holds other rows (or none), else only the column bounds, on
-    a solver cleared first.  The cost goes in with the whole model only, so
-    a caller keeps ``c`` fixed for the engine's life.  ``clearSolver`` drops
+    :meth:`load` hands it a model before each solve, on a solver cleared
+    first: only the column bounds when it holds these very rows, the row
+    bounds too when it holds their matrix (:meth:`_HighsRows.with_bounds`),
+    else the whole model.  The cost goes in with the whole model only, so a
+    caller keeps ``c`` fixed for the engine's life.  ``clearSolver`` drops
     the basis, the solution and the presolved model, so every solve starts
     cold — a reused basis lands on other vertices of degenerate faces than
     ``linprog`` does, and a cleared instance answers what a fresh one does,
     bit for bit.
     """
 
-    __slots__ = ("highs", "rows", "_cols")
+    __slots__ = ("highs", "rows", "_cols", "_split")
 
     def __init__(self) -> None:
         # Imported at the call site (a sys.modules lookup after the first): a
@@ -296,6 +329,8 @@ class _HighsEngine:
         #: The row model the instance holds; ``None`` until one loaded.
         self.rows: _HighsRows | None = None
         self._cols = np.zeros(0, dtype=np.int32)
+        #: The row split :meth:`solve` built the held model from.
+        self._split: tuple | None = None
 
     def load(
         self,
@@ -309,21 +344,36 @@ class _HighsEngine:
         import scipy.optimize._highspy._core as core
 
         highs = self.highs
-        if rows is self.rows:
+        held = self.rows
+        if held is not None and rows.value is held.value:
             highs.clearSolver()
-            status = highs.changeColsBounds(c.size, self._cols, var_lb, var_ub)
+            statuses = [highs.changeColsBounds(c.size, self._cols, var_lb, var_ub)]
+            if rows is not held:
+                bounds = enumerate(zip(rows.lower.tolist(), rows.upper.tolist()))
+                statuses += [highs.changeRowBounds(i, lo, hi) for i, (lo, hi) in bounds]
         else:
-            status = highs.passModel(_highs_lp(c, rows, var_lb, var_ub))
+            statuses = [highs.passModel(_highs_lp(c, rows, var_lb, var_ub))]
             self._cols = np.arange(c.size, dtype=np.int32)
-        self.rows = None if status == core.HighsStatus.kError else rows
+        self.rows = None if core.HighsStatus.kError in statuses else rows
         return self.rows is not None
 
     def solve(self, lp: LinearProgram) -> LPResult:
-        """Solve ``lp`` here, its model passed whole: what a fresh instance
-        answers (:func:`solve_lp`), without building one per LP."""
-        rows = _HighsRows.from_split(
-            _split_rows(lp.A, lp.row_lb, lp.row_ub), lp.num_vars
-        )
+        """Solve ``lp`` here: what a fresh instance answers (:func:`solve_lp`),
+        without building one per LP.  When the instance holds a model of
+        ``lp``'s matrix split the same way (a caller re-solving one ``A``
+        under moved row bounds), only the row bounds change."""
+        split = _split_rows(lp.A, lp.row_lb, lp.row_ub)
+        held = self.rows
+        if (
+            held is not None
+            and self._split is not None
+            and self._cols.size == lp.num_vars
+            and _same_rows(split, self._split)
+        ):
+            rows = held.with_bounds(split)
+        else:
+            rows = _HighsRows.from_split(split, lp.num_vars)
+        self._split = split
         return _run_highs(self, lp.c, lp.c0, rows, lp.var_lb, lp.var_ub)
 
 

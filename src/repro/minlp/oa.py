@@ -253,7 +253,8 @@ class _FixedLP:
     pinned columns at their value, free columns at 0), so the LP is the one
     ``LinearProgram.from_problem`` builds from the reduced problem, without
     building that problem.  One HiGHS instance (:class:`_HighsEngine`)
-    answers every subproblem of the solve.
+    answers every subproblem of the solve; ``A`` never changes, so between
+    fixings only the row bounds move on it.
     """
 
     def __init__(

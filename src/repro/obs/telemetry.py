@@ -54,7 +54,7 @@ CATALOGUE = (
     _counter("hslb_execution_recoveries_total", "mid-run crash recoveries"),
     _gauge(
         "hslb_prediction_error",
-        "last executed plan's abs(predicted - actual) / actual",
+        "latest abs(predicted - actual) / actual: an executed plan's, or a dynlb step's",
         "component",
         "layout",
     ),
@@ -170,8 +170,10 @@ def record_direct_miss(gap: float) -> None:
 
 
 def record_prediction_error(layout: str, errors: Mapping[str, float]) -> None:
-    """A plan met its execution: ``errors`` maps each component (and
-    ``"total"``, the makespan) to its relative |predicted - actual|."""
+    """A prediction met its measurement: ``errors`` maps each component (and,
+    for an executed plan, ``"total"``, the makespan) to its relative
+    |predicted - actual|.  dynlb's refitter books each observed step under
+    ``layout="dynlb"``."""
     gauge = REGISTRY.gauge("hslb_prediction_error")
     for component, error in errors.items():
         gauge.set(error, component=component, layout=layout)

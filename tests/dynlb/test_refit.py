@@ -104,3 +104,20 @@ def test_models_view_covers_every_component():
         {"a": PerformanceModel(a=100.0), "b": PerformanceModel(a=200.0)}
     )
     assert set(refitter.models()) == {"a", "b"}
+
+
+def test_every_observed_step_books_its_prediction_error():
+    """``observe`` sets ``hslb_prediction_error{component, layout="dynlb"}``
+    to the step's relative error against the scaled model; a step it skips
+    books nothing."""
+    from repro.obs.metrics import REGISTRY
+
+    gauge = REGISTRY.gauge("hslb_prediction_error")
+    refitter = DriftAwareRefitter(_BASE)
+    predicted = _BASE["c"].time(16)
+    for step, seconds in enumerate((2.0 * predicted, 0.5 * predicted, 1.1 * predicted)):
+        refitter.observe(step, "c", 16, seconds)
+        error = abs(seconds - refitter.scale("c") * predicted) / seconds
+        assert gauge.value(component="c", layout="dynlb") == error
+    refitter.observe(3, "c", 16, 0.0)
+    assert gauge.value(component="c", layout="dynlb") == error

@@ -1,4 +1,5 @@
-"""Compiled trees are ``Expr.evaluate``, bit for bit.
+"""Compiled trees are ``Expr.evaluate``, and served cuts are ``linearize``,
+bit for bit.
 
 :meth:`Expr.compiled` generates straight-line Python from a tree; the solver
 reads every row value and gradient through it.  The oracle is
@@ -6,6 +7,12 @@ reads every row value and gradient through it.  The oracle is
 raise the same exception type.  The trees are keyed random ones (every node
 kind, a power of a whole subtree among them) with their partial
 derivatives, and every nonlinear row of the ledger's nine pipeline blocks.
+
+The cut pool builds its tangents from the row's own body, signed
+(:class:`Linearizer`), with their coefficients already stored.  The oracle
+is ``linearize(±body, point)`` and a fresh walk of the served tree: every
+cut the pool serves on the nine blocks, and keyed tangents of the shapes
+``sum_exprs`` folds differently.
 """
 
 from __future__ import annotations
@@ -23,9 +30,17 @@ from hypothesis import strategies as st
 
 import repro.core.hslb as hslb
 from repro.core.hslb import HSLBOptimizer
+from repro.minlp.cutpool import OACutPool
 from repro.minlp.expr import Constant, Div, Expr, VarRef, linearize
 from repro.minlp.expr import Linearizer
 from repro.util.rng import keyed_rng
+from tests.minlp.test_expr import (
+    _coefficients_outcome,
+    _fresh_linear_coefficients,
+    _fresh_variables,
+    _memoized,
+    _tree_bits,
+)
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -180,3 +195,93 @@ def test_every_ledger_nonlinear_row_compiles_like_evaluate(catalogue, monkeypatc
             _assert_compiles_like_evaluate(con.body, point, con.name)
             for name in sorted(con.body.variables()):
                 _assert_compiles_like_evaluate(con.body.diff(name), point, con.name)
+
+
+def _assert_cut_is_linearize(cut: Expr, body: Expr, sign: float, point: dict, where=""):
+    """``cut`` is ``linearize(sign * body, point)``, and its stored analysis
+    is a fresh walk's, bit for bit."""
+    expected = linearize(body if sign > 0 else -body, point)
+    assert cut == expected, where
+    assert _tree_bits(cut) == _tree_bits(expected), where
+    assert _coefficients_outcome(_memoized, cut) == _coefficients_outcome(
+        _fresh_linear_coefficients, cut
+    ), where
+    assert cut.variables() == _fresh_variables(cut), where
+    assert cut.is_linear(), where
+
+
+@pytest.mark.parametrize("kind,index", _BLOCKS, ids=[f"{k}{i}" for k, i in _BLOCKS])
+def test_every_served_ledger_cut_is_linearize_of_the_signed_body(
+    catalogue, monkeypatch, kind, index
+):
+    """Every cut the pool builds in a ledger block's own pipeline run — the
+    seeds and the lazy rounds' — against ``linearize(±body, point)``."""
+    served = []
+    cut_for = OACutPool.cut_for
+
+    def recording(pool, con, point):
+        misses = pool.stats.misses
+        cut = cut_for(pool, con, point)
+        if pool.stats.misses > misses:  # built here, at this point
+            served.append((con, dict(point), cut))
+        return cut
+
+    monkeypatch.setattr(OACutPool, "cut_for", recording)
+    ledger_problem(catalogue, monkeypatch, kind, index)
+    assert served
+    signs = set()
+    for con, point, (_, body, lb, ub) in served:
+        sign = 1.0 if math.isfinite(con.ub) else -1.0
+        signs.add(sign)
+        assert (lb, ub) == (-math.inf, sign * (con.ub if sign > 0 else con.lb))
+        _assert_cut_is_linearize(body, con.body, sign, point, con.name)
+    if kind == "fmo":  # ``T >= a/n + b*n^c + d``: every tangent is signed
+        assert signs == {-1.0}
+
+
+_X, _Y = VarRef("x"), VarRef("y")
+
+
+def _keyed_tangent(key: int, shape: str) -> tuple[Expr, dict]:
+    """A row and a point whose tangent has ``shape``."""
+    rng = keyed_rng(key, "tangent-shape", shape)
+    a, b = (float(v) for v in rng.uniform(0.5, 40.0, 2))
+    x0, y0 = (float(v) for v in rng.uniform(0.5, 8.0, 2))
+    if shape == "slope-one":  # ∂/∂x is exactly 1.0 everywhere
+        return _X + a / _Y + b * _Y ** 1.5, {"x": x0, "y": y0}
+    if shape == "point-zero":  # a linear column expanded at 0.0
+        return a * _X + b / _Y, {"x": 0.0, "y": y0}
+    if shape == "single-term":  # f(x0) == 0: the slope term alone
+        return _X ** 2.0 - x0 * x0, {"x": x0}
+    if shape == "flat":  # no slope either: the constant alone
+        return a * _X ** 2.0 + b, {"x": 0.0}
+    return a / _X + b * _X ** 1.5 + _Y * _X, {"x": x0, "y": y0}  # the common shape
+
+
+_SHAPES = ("slope-one", "point-zero", "single-term", "flat", "common")
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["le", "ge"])
+def test_keyed_tangents_of_every_shape_are_linearize(shape, sign):
+    for key in range(20):
+        body, point = _keyed_tangent(key, shape)
+        cut = Linearizer(body, sign).at(point)
+        _assert_cut_is_linearize(cut, body, sign, point, f"{shape} key={key}")
+
+
+def test_a_ge_row_is_served_from_its_own_body():
+    """``g >= lb`` is tangent ``-1`` times ``g``'s numbers: the pool asks the
+    row's body for its partials (the memo the root NLP and the fixed LP
+    read), and builds no negated tree."""
+    from repro.minlp.problem import Constraint
+
+    t, n = VarRef("t"), VarRef("n")
+    con = Constraint("row", t - (300.0 / n + 0.25 * n ** 1.5 + 2.0), lb=0.0)
+    pool = OACutPool()
+    point = {"t": 40.0, "n": 7.0}
+    _, cut, _, ub = pool.cut_for(con, point)
+    tangent = pool._row(con).tangent
+    assert tangent.expr is con.body and tangent.sign == -1.0 and ub == -0.0
+    assert sorted(con.body._diffs) == ["n", "t"]
+    _assert_cut_is_linearize(cut, con.body, -1.0, point)

@@ -425,12 +425,103 @@ def _fresh_variables(e):
     return _fresh_variables(e.base) | _fresh_variables(e.exponent)
 
 
+def _fresh_linear_coefficients(e):
+    """``linear_coefficients()`` walked from scratch, touching no memo: sums
+    in term order, a product affine when at most one factor is not a
+    Constant, a quotient by a Constant, a power of exponent 1."""
+    if isinstance(e, Constant):
+        return {}, e.value
+    if isinstance(e, VarRef):
+        return {e.name: 1.0}, 0.0
+    if isinstance(e, Add):
+        coeffs, const = {}, 0.0
+        for t in e.terms:
+            c, k = _fresh_linear_coefficients(t)
+            const += k
+            for name, v in c.items():
+                coeffs[name] = coeffs.get(name, 0.0) + v
+        return coeffs, const
+    if isinstance(e, Mul):
+        scale, rest = 1.0, []
+        for t in e.terms:
+            if isinstance(t, Constant):
+                scale *= t.value
+            else:
+                rest.append(t)
+        if not rest:
+            return {}, scale
+        if len(rest) > 1:
+            raise NonlinearExpressionError("product")
+        c, k = _fresh_linear_coefficients(rest[0])
+        return {name: v * scale for name, v in c.items()}, k * scale
+    if isinstance(e, Div):
+        if not isinstance(e.den, Constant):
+            raise NonlinearExpressionError("quotient")
+        c, k = _fresh_linear_coefficients(e.num)
+        return {name: v / e.den.value for name, v in c.items()}, k / e.den.value
+    assert isinstance(e, Pow)
+    if e.exponent.value != 1.0:
+        raise NonlinearExpressionError("power")
+    return _fresh_linear_coefficients(e.base)
+
+
 def _fresh_is_linear(e):
     try:
-        e.linear_coefficients()
+        _fresh_linear_coefficients(e)
     except NonlinearExpressionError:
         return False
     return True
+
+
+def _rebuilt(e):
+    """A structurally equal copy of ``e`` whose every node is new, so no
+    node of it holds a memo."""
+    if isinstance(e, (Add, Mul)):
+        return type(e)(tuple(map(_rebuilt, e.terms)))
+    if isinstance(e, Div):
+        return Div(_rebuilt(e.num), _rebuilt(e.den))
+    if isinstance(e, Pow):
+        return Pow(_rebuilt(e.base), e.exponent)
+    return e  # a Constant or VarRef holds no memo
+
+
+def _bits(value):
+    """A float's bytes, or one token for every NaN (CPython's arithmetic
+    does not fix a NaN's sign bit)."""
+    return "nan" if value != value else np.float64(value).tobytes()
+
+
+def _tree_bits(e):
+    """``e``'s structure with every constant as :func:`_bits`."""
+    if isinstance(e, Constant):
+        return ("const", _bits(e.value))
+    if isinstance(e, VarRef):
+        return ("var", e.name)
+    if isinstance(e, (Add, Mul)):
+        return (type(e).__name__, *map(_tree_bits, e.terms))
+    if isinstance(e, Div):
+        return ("div", _tree_bits(e.num), _tree_bits(e.den))
+    return ("pow", _tree_bits(e.base), _tree_bits(e.exponent))
+
+
+def _coefficients_outcome(analyse, e):
+    """``(coeffs as bits, in order, constant bits)``, or the error's type."""
+    try:
+        coeffs, const = analyse(e)
+    except NonlinearExpressionError as exc:
+        return type(exc)
+    return [(name, _bits(v)) for name, v in coeffs.items()], _bits(const)
+
+
+def _memoized(e):
+    return e.linear_coefficients()
+
+
+def _diff_outcome(e, var):
+    try:
+        return _tree_bits(e.diff(var))
+    except ArithmeticError as exc:
+        return type(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -438,12 +529,49 @@ def _fresh_is_linear(e):
 def test_memoized_analysis_equals_a_fresh_computation(terms):
     e = sum_exprs(terms)
     fresh_vars, fresh_linear = _fresh_variables(e), _fresh_is_linear(e)
+    fresh_coeffs = _coefficients_outcome(_fresh_linear_coefficients, e)
+    names = sorted(fresh_vars) + ["w"]  # and one the tree does not hold
+    fresh_diffs = {v: _diff_outcome(_rebuilt(e), v) for v in names}
     for _ in range(2):  # computes, then reads the slot
         assert e.variables() == fresh_vars
         assert e.is_linear() is fresh_linear
-    # Children answered from their own slots on the way; still correct.
+        assert _coefficients_outcome(_memoized, e) == fresh_coeffs
+        for v in names:
+            assert _diff_outcome(e, v) == fresh_diffs[v], v
+    for v in names:  # a repeated diff is the memoized tree itself
+        if not isinstance(fresh_diffs[v], type):
+            assert e.diff(v) is e.diff(v)
+    if fresh_linear:  # the caller owns the dict it is handed
+        coeffs, _ = e.linear_coefficients()
+        coeffs.clear()
+        coeffs["w"] = 1.0
+        assert _coefficients_outcome(_memoized, e) == fresh_coeffs
+    else:
+        for _ in range(2):
+            with pytest.raises(NonlinearExpressionError):
+                e.linear_coefficients()
+        # The verdict is kept as its message: a stored exception would pin
+        # the frames of its traceback.
+        memo = getattr(e, "_affine", None)
+        assert isinstance(memo, str)
+    # Only the node asked keeps a memo; its children were walked without.
     for t in getattr(e, "terms", ()):
+        assert getattr(t, "_diffs", None) is None
+        assert getattr(t, "_affine", None) is None
         assert t.variables() == _fresh_variables(t)
+
+
+def test_a_nonlinear_verdict_is_kept_as_its_message():
+    e = X * Y + 1.0 / X
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NonlinearExpressionError) as info:
+            e.linear_coefficients()
+        messages.append(str(info.value))
+    assert messages == ["nonlinear product: (x * y)"] * 2
+    assert e._affine == messages[0] and not e.is_linear()
+    assert e.diff("x") is e.diff("x")
+    assert all(getattr(t, "_diffs", None) is None for t in e.terms)
 
 
 def test_memo_survives_immutability():

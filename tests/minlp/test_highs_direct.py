@@ -82,34 +82,45 @@ def _csc(split, num_cols):
 class _Oracle:
     """Replays every ``_run_highs`` call through ``linprog``.
 
-    ``_HighsRows.from_split`` is wrapped to remember which row split each
-    row model came from (and to check its CSC against scipy's), so the
-    replay runs ``linprog`` on exactly the split the solve used.  The wrapper
-    around ``_run_highs`` calls it on the caller's own engine, so a node
-    solver's reused instance is what is checked; ``reused`` counts the calls
-    that found their row model already loaded (bounds changed on a cleared
-    solver, no ``passModel``).
+    ``_HighsRows.from_split`` and ``_HighsRows.with_bounds`` are wrapped to
+    remember which row split each row model came from (and to check its CSC
+    against scipy's), so the replay runs ``linprog`` on exactly the split
+    the solve used.  The wrapper around ``_run_highs`` calls it on the
+    caller's own engine, so a node solver's reused instance is what is
+    checked; ``reused`` counts the calls that found their row model already
+    loaded (bounds changed on a cleared solver, no ``passModel``), and
+    ``rebound`` those that found its matrix loaded (an OA fixed-integer LP
+    at a new fixing: the row bounds changed too).
     """
 
     def __init__(self, monkeypatch):
-        self.calls = self.reused = 0
+        self.calls = self.reused = self.rebound = 0
         self.statuses: set[Status] = set()
         self._splits: dict[int, tuple] = {}
         from_split = _HighsRows.from_split.__func__
+        with_bounds = _HighsRows.with_bounds
         run_highs = linprog_mod._run_highs
 
-        def recording_from_split(cls, split, num_cols):
-            rows = from_split(cls, split, num_cols)
-            indptr, indices, data = _csc(split, num_cols)
+        def record(rows, split):
+            indptr, indices, data = _csc(split, rows.start.size - 1)
             assert rows.start.tobytes() == indptr.astype(np.int32).tobytes()
             assert rows.index.tobytes() == indices.astype(np.int32).tobytes()
             assert rows.value.tobytes() == data.tobytes()
             self._splits[id(rows)] = (rows, split)
             return rows
 
+        def recording_from_split(cls, split, num_cols):
+            return record(from_split(cls, split, num_cols), split)
+
+        def recording_with_bounds(rows, split):
+            return record(with_bounds(rows, split), split)
+
         def replaying_run_highs(engine, c, c0, rows, var_lb, var_ub):
             self.calls += 1
             self.reused += engine.rows is rows
+            self.rebound += engine.rows is not None and engine.rows is not rows and (
+                engine.rows.value is rows.value
+            )
             got = run_highs(engine, c, c0, rows, var_lb, var_ub)
             kept, split = self._splits[id(rows)]
             assert kept is rows
@@ -119,6 +130,7 @@ class _Oracle:
             return got
 
         monkeypatch.setattr(_HighsRows, "from_split", classmethod(recording_from_split))
+        monkeypatch.setattr(_HighsRows, "with_bounds", recording_with_bounds)
         monkeypatch.setattr(linprog_mod, "_run_highs", replaying_run_highs)
 
 
@@ -150,6 +162,8 @@ def test_every_ledger_highs_call_matches_linprog(catalogue, monkeypatch, kind, i
     assert plan.solution.status is Status.OPTIMAL
     assert oracle.calls > 0  # HiGHS answers every node LP
     assert oracle.reused > 0  # ... most of them on the tree's one instance
+    if kind == "fmo":  # several fixings: their LPs move only the row bounds
+        assert oracle.rebound > 0
 
 
 #: HiGHS's ``small_matrix_value``: it drops matrix entries no larger.
@@ -329,16 +343,60 @@ def test_one_node_engine_answers_every_bound_set_and_cut_as_linprog(key, shape):
     assert oracle.reused >= 8
 
 
+def _drive_one_fixed_engine(key: int, shape: str, rounds: int = 12) -> _Oracle:
+    """One :class:`_HighsEngine` re-solving ``_keyed_lp(key, shape)``'s
+    matrix and cost under shifted row bounds, as an OA fixed-integer LP is
+    re-solved at each fixing; before every fourth round one row changes kind
+    (an equality turns ``<=``, any other row an equality), so the split no
+    longer stacks to the held matrix.  Every HiGHS call it makes is
+    replayed through ``linprog``."""
+    lp = _keyed_lp(key, shape)
+    rng = keyed_rng(key, "highs-rebound", shape)
+    row_lb, row_ub = lp.row_lb.copy(), lp.row_ub.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        oracle = _Oracle(mp)
+        engine = linprog_mod._HighsEngine()
+        for r in range(rounds):
+            if r % 4 == 3:
+                i = int(rng.integers(row_lb.size))
+                if row_lb[i] == row_ub[i]:
+                    row_lb[i] = -np.inf
+                else:
+                    row_lb[i] = row_ub[i] = row_ub[i] if np.isfinite(row_ub[i]) else row_lb[i]
+            shift = rng.normal(scale=0.5, size=row_lb.size)
+            engine.solve(LinearProgram(
+                c=lp.c, A=lp.A, row_lb=row_lb - shift, row_ub=row_ub - shift,
+                var_lb=lp.var_lb, var_ub=lp.var_ub, c0=lp.c0,
+            ))
+    return oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from(("mixed", "infeasible", "unbounded", "equality-only")),
+)
+def test_one_fixed_engine_answers_every_row_shift_as_linprog(key, shape):
+    """An engine re-solving one matrix keeps its model: shifted row bounds
+    go to a cleared solver, a row that changed kind passes the model again,
+    and every answer is a fresh ``linprog``'s, byte for byte."""
+    oracle = _drive_one_fixed_engine(key, shape)
+    assert oracle.calls == 12
+    assert oracle.rebound >= 8
+
+
 @pytest.mark.parametrize("shape", ("mixed", "infeasible", "unbounded"))
 def test_the_engine_property_reaches_every_status(shape):
-    """The driven engines answer what their shape is named for: optima on
-    mixed LPs, infeasible and unbounded LPs through a reused instance."""
-    seen = set()
-    for key in range(6):
-        seen |= _drive_one_engine(key, shape).statuses
+    """The driven engines, node and fixed-integer alike, answer what their
+    shape is named for: optima on mixed LPs, infeasible and unbounded LPs
+    through a reused instance."""
     expected = {"mixed": Status.OPTIMAL, "infeasible": Status.INFEASIBLE,
                 "unbounded": Status.UNBOUNDED}[shape]
-    assert expected in seen
+    for drive in (_drive_one_engine, _drive_one_fixed_engine):
+        seen = set()
+        for key in range(6):
+            seen |= drive(key, shape).statuses
+        assert expected in seen, drive.__name__
 
 
 def test_the_status_table_is_linprogs():
