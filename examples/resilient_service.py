@@ -2,9 +2,9 @@
 """Crash-and-recover: the resilient serving tier under injected faults.
 
 The plain :class:`AllocationService` assumes solves finish.  A
-:class:`~repro.faults.ChaosPlan` makes them crash, hang, come back slow or
-return garbage — typed, in-process, seeded — and this example walks the
-resilience stack that absorbs it:
+:class:`~repro.faults.chaos.ChaosPlan` makes them crash, hang, come back
+slow or return garbage — typed, in-process, seeded — and this example walks
+the resilience stack that absorbs it:
 
 1. **retries** — a crashed solve is run again at once (solves are
    fingerprint-seeded and idempotent);
@@ -19,7 +19,7 @@ resilience stack that absorbs it:
 Usage:  python examples/resilient_service.py
 """
 
-from repro.faults import ChaosPlan
+from repro.faults.chaos import ChaosPlan
 from repro.perf.model import PerformanceModel
 from repro.service import (
     AllocationService,

@@ -7,6 +7,7 @@ re-enter :func:`repro.cli.main` through a function-local import.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import pathlib
 import sys
@@ -73,7 +74,8 @@ def register(sub) -> None:
 
     met = sub.add_parser(
         "metrics",
-        help="print the metrics registry in Prometheus text format",
+        help="print the metrics registry in Prometheus text format "
+        "(a subcommand run first prints its report on stderr)",
     )
     met.add_argument(
         "rest",
@@ -166,7 +168,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     rest = _strip_separator(args.rest)
     if rest:
-        code = main(rest)
+        # The sub-run's report goes to stderr, so stdout is exposition text
+        # only (`hslb metrics optimize ... > m.txt` feeds `hslb top --input`).
+        with contextlib.redirect_stdout(sys.stderr):
+            code = main(rest)
         if code != 0:
             return code
     ensure_registered()

@@ -9,9 +9,12 @@ stalls, and mid-run node-group crashes.
 
 Everything is seeded and deterministic: a :class:`FaultPlan` with the same
 seed injects byte-identical faults, so every degraded run is reproducible.
+
+The serving tier's chaos (:class:`repro.faults.chaos.ChaosPlan`) is imported
+from its own module: it raises the tier's errors, so re-exporting it here
+would load ``repro.service`` into every pipeline process.
 """
 
-from repro.faults.chaos import ChaosPlan, chaotic_solve
 from repro.faults.plan import (
     BenchmarkFault,
     BenchmarkRunError,
@@ -23,9 +26,7 @@ from repro.faults.plan import (
 __all__ = [
     "BenchmarkFault",
     "BenchmarkRunError",
-    "ChaosPlan",
     "FaultInjectionError",
     "FaultPlan",
     "NodeCrashError",
-    "chaotic_solve",
 ]

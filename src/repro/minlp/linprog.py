@@ -6,12 +6,14 @@ of its core.  Every LP in :mod:`repro.minlp` goes through :func:`_run_highs`.
 
 The HiGHS call is ``linprog(method="highs", options={"presolve": False})``
 without the wrapper: the same model (linprog's row order, its CSC matrix,
-its options) goes to a ``scipy.optimize._highspy._core._Highs``, and the
-answer is read by linprog's rules (its status table, built once here, and
-its feasibility check of an optimum), so every solve returns what
-``linprog`` would, bit for bit (``tests/minlp/test_highs_direct.py``
-replays both).  Presolve is off because every LP here is small: at a few
-hundred columns or fewer it costs more than the dual simplex it shortens.
+its options) goes to a ``scipy.optimize._highspy._core._Highs`` (that
+extension module alone, loaded by :mod:`repro.util.scipy_ext` without
+``scipy.optimize``), and the answer is read by linprog's rules (its
+status table, built once here, and its feasibility check of an optimum),
+so every solve returns what ``linprog`` would, bit for bit
+(``tests/minlp/test_highs_direct.py`` replays both).  Presolve is off
+because every LP here is small: at a few hundred columns or fewer it costs
+more than the dual simplex it shortens.
 A branch-and-bound tree keeps one instance (:class:`_HighsEngine`) for all
 its node LPs: a node whose rows did not change only resets the column
 bounds on a cleared solver, so no basis, no options and no model object are
@@ -41,6 +43,10 @@ import numpy as np
 
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution, SolveStats, Status
+from repro.util.scipy_ext import scipy_extension
+
+#: scipy's binding of the HiGHS core, loaded without ``scipy.optimize``.
+_HIGHS_CORE = "optimize._highspy._core"
 
 
 @dataclass
@@ -272,7 +278,7 @@ def _highs_options():
     hundred columns, and on them HiGHS's presolve costs more than the dual
     simplex it would shorten (DESIGN.md, *The HiGHS call*).
     """
-    import scipy.optimize._highspy._core as core
+    core = scipy_extension(_HIGHS_CORE)
 
     options = core.HighsOptions()
     options.presolve = "off"
@@ -285,7 +291,7 @@ def _highs_options():
 
 def _highs_lp(c: np.ndarray, rows: _HighsRows, var_lb: np.ndarray, var_ub: np.ndarray):
     """The ``HighsLp`` ``linprog`` builds for this model."""
-    import scipy.optimize._highspy._core as core
+    core = scipy_extension(_HIGHS_CORE)
 
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = c.size
@@ -319,9 +325,9 @@ class _HighsEngine:
     __slots__ = ("highs", "rows", "_cols", "_split")
 
     def __init__(self) -> None:
-        # Imported at the call site (a sys.modules lookup after the first): a
-        # served request solves no LP, so a serving process never loads scipy.
-        import scipy.optimize._highspy._core as core
+        # Loaded at the call site (a cache lookup after the first): a served
+        # request solves no LP, so a serving process never loads scipy.
+        core = scipy_extension(_HIGHS_CORE)
 
         self.highs = core._Highs()
         if self.highs.passOptions(_highs_options()) == core.HighsStatus.kError:
@@ -341,7 +347,7 @@ class _HighsEngine:
     ) -> bool:
         """Make the instance hold ``c``, ``rows`` and these bounds; ``False``
         when HiGHS refuses them (and the next load passes the whole model)."""
-        import scipy.optimize._highspy._core as core
+        core = scipy_extension(_HIGHS_CORE)
 
         highs = self.highs
         held = self.rows
@@ -413,7 +419,7 @@ def _run_highs(
     message, its feasibility check of an optimum — without its per-call
     helpers; no duals are read.
     """
-    import scipy.optimize._highspy._core as core
+    core = scipy_extension(_HIGHS_CORE)
 
     highs = engine.highs
     x = None

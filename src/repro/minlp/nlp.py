@@ -32,6 +32,7 @@ from repro.minlp.problem import Problem, vector_to_values
 from repro.minlp.projection import Projection, project_sos1
 from repro.minlp.solution import Solution, SolveStats, Status
 from repro.obs.trace import span
+from repro.util.scipy_ext import scipy_extension
 from repro.util.timing import Timer
 
 #: Half-width of the start box for unbounded variables.
@@ -165,9 +166,9 @@ def _slsqp(prob: _SLSQPProblem, start: np.ndarray) -> tuple[np.ndarray, int, int
     bytes ``minimize`` would hand it; ``tests/minlp/test_slsqp_direct.py``
     replays each run through ``minimize``.
     """
-    # Imported where SLSQP is called: min-max / max-min answers and closed-form
-    # or LP subproblems never get here, so they never load scipy.
-    from scipy.optimize._slsqplib import slsqp
+    # Loaded where SLSQP is called: min-max / max-min answers and closed-form
+    # or LP subproblems never get here, so they never load it.
+    slsqp = scipy_extension("optimize._slsqplib").slsqp
 
     lo, hi = prob.lo, prob.hi
     x = np.clip(start, lo, hi)

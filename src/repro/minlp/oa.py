@@ -542,9 +542,10 @@ def _solve_minlp_oa_impl(
         return cuts, candidate
 
     # The tree gets what the root relaxation left of the wall budget.  The
-    # root is where a process first calls scipy (a one-off ~0.4 s import), so
-    # a deadline shorter than that ends as TIME_LIMIT instead of being
-    # answered, late, by a tree that started its own clock afterwards.
+    # root is where a process first calls scipy (a one-off load of its HiGHS
+    # and SLSQP modules, tens of ms), so a deadline shorter than that ends as
+    # TIME_LIMIT instead of being answered, late, by a tree that started its
+    # own clock afterwards.
     engine = BranchAndBound(
         master.problem,
         "lp",

@@ -11,6 +11,9 @@ Panels, in order:
   budget burn), ``slo_latency_seconds`` quantiles and outcome rates per
   priority;
 * **Latency** — quantile rows of every ``*_seconds`` histogram;
+* **Prediction error** — ``hslb_prediction_error`` per layout and
+  component (``total`` is the makespan), as a pipeline's executed plan or
+  dynlb's refitter last set it;
 * **Traffic** — the serving-tier counters (requests, hits, sheds, ...).
 
 The fetch side is pluggable: a URL (scraping the in-process
@@ -110,6 +113,19 @@ def _latency_panel(samples: Samples) -> list[str]:
     return lines
 
 
+def _prediction_panel(samples: Samples) -> list[str]:
+    rows = []
+    for key, value in samples.get("hslb_prediction_error", {}).items():
+        labels = _labels(key)
+        layout, component = labels.get("layout", "?"), labels.get("component", "?")
+        # Each layout's components by name, its makespan ("total") last.
+        rows.append(((layout, component == "total", component), value))
+    return [
+        f"  {layout:<22} {component:<12} {value:9.3%}"
+        for (layout, _, component), value in sorted(rows)
+    ]
+
+
 def _traffic_panel(samples: Samples) -> list[str]:
     lines: list[str] = []
     for name in sorted(samples):
@@ -139,6 +155,10 @@ def render_dashboard(samples: Samples, *, width: int = 78) -> str:
     if latency:
         out.append("Latency histograms")
         out.extend(latency)
+    prediction = _prediction_panel(samples)
+    if prediction:
+        out.append("Prediction error |predicted - actual| / actual")
+        out.extend(prediction)
     traffic = _traffic_panel(samples)
     if traffic:
         out.append("Counters & gauges")

@@ -41,8 +41,10 @@ What may run on Python floats in the scalar loop, and what must stay numpy:
 * Scalars stay the type scipy gives them (``np.float64`` out of a
   reduction), so a division by zero is ``inf`` with a warning, as there.
 
-scipy is imported on the first fit of a shape, never at module level: a
-serving process never fits and must not pay for scipy.
+LAPACK is loaded on the first fit of a shape, never at module level, and
+without ``scipy.linalg`` (:mod:`repro.util.scipy_ext`): a serving process
+never fits and must not pay for scipy, and a pipeline process pays for the
+one extension module it calls.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
+
+from repro.util.scipy_ext import scipy_extension
 
 #: scipy's default ``ftol`` / ``xtol`` / ``gtol``.
 _TOL = 1e-8
@@ -136,14 +140,28 @@ def _norm(a: np.ndarray):
 @functools.cache
 def _gesdd(rows: int, cols: int) -> tuple[Callable, int]:
     """The LAPACK routine ``scipy.linalg.svd`` calls on a float64 matrix of
-    this shape, and the workspace size it asks for."""
-    from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+    this shape, and the workspace size it asks for.
 
-    gesdd, gesdd_lwork = get_lapack_funcs(
-        ("gesdd", "gesdd_lwork"), dtype=np.float64, ilp64="preferred"
-    )
-    lwork = _compute_lwork(gesdd_lwork, rows, cols, compute_uv=True, full_matrices=False)
-    return gesdd, lwork
+    The routine is what ``get_lapack_funcs(("gesdd", "gesdd_lwork"),
+    dtype=np.float64, ilp64="preferred")`` returns — ``_flapack_64`` on an
+    ILP64 LAPACK build, else ``_flapack`` — loaded without ``scipy.linalg``;
+    ``lwork`` is ``_compute_lwork``'s, with its checks.
+    """
+    from scipy.__config__ import CONFIG
+
+    ilp64 = CONFIG["Build Dependencies"]["lapack"]["has ilp64"]
+    flapack = scipy_extension("linalg._flapack_64" if ilp64 else "linalg._flapack")
+    work, info = flapack.dgesdd_lwork(rows, cols, compute_uv=True, full_matrices=False)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    lwork = int(work.real)
+    if not 0 <= lwork <= np.iinfo(np.int64 if ilp64 else np.int32).max:
+        bits = 64 if ilp64 else 32
+        raise ValueError(
+            "Too large work array required -- computation cannot be performed "
+            f"with standard {bits}-bit LAPACK."
+        )
+    return flapack.dgesdd, lwork
 
 
 def _svd(a: np.ndarray, gesdd: Callable, lwork: int):

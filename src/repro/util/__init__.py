@@ -1,4 +1,5 @@
-"""Shared utilities: seeded RNG helpers, ASCII tables, timers, validation."""
+"""Shared utilities: seeded RNG helpers, ASCII tables, timers, validation,
+and (:mod:`repro.util.scipy_ext`) scipy's compiled routines loaded alone."""
 
 from repro.util.rng import default_rng, spawn_rng
 from repro.util.tables import format_table

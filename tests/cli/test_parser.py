@@ -78,9 +78,9 @@ def test_building_the_parser_imports_neither_scipy_nor_the_experiments():
 
 
 def test_no_module_under_src_imports_scipy_at_module_level():
-    """``scipy.optimize`` costs ~50 MiB and ~0.4 s per process — the serving
-    tier's parent and every forked worker — so it is imported inside the
-    functions that call it (the fits, SLSQP, HiGHS).  Anything outside a
+    """scipy costs a serving process memory and start-up time it never
+    uses, so it is loaded inside the functions that call it (the fits,
+    SLSQP, HiGHS; ``repro.util.scipy_ext``).  Anything outside a
     function body runs at import time: module and class level, and the
     ``if`` / ``try`` / ``with`` blocks under them."""
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import ChaosPlan, chaotic_solve
-from repro.faults.chaos import KINDS, corrupt_outcome
+from repro.faults.chaos import KINDS, ChaosPlan, chaotic_solve, corrupt_outcome
 from repro.service import WorkerCrashError, WorkerHangError
 from repro.service.solver import solve_request, validate_outcome
 from tests.service.conftest import make_request

@@ -72,3 +72,30 @@ def test_top_reports_fetch_failure_and_stops():
 def test_fetch_url_refuses_unreachable_port():
     with pytest.raises(OSError):
         fetch_url("http://127.0.0.1:1/metrics", timeout=0.2)
+
+
+def test_prediction_error_is_a_panel_of_its_own():
+    """One row per (layout, component), the makespan last in each layout,
+    between the latency and traffic panels; the traffic panel reads as it
+    always did (its gauge row is the sum over label sets)."""
+    registry = MetricsRegistry()
+    registry.counter("tier_requests_total", "requests").inc(5)
+    gauge = registry.gauge("hslb_prediction_error", "error")
+    for layout, component, error in (
+        ("hybrid", "total", 0.0125), ("hybrid", "ocn", 0.25),
+        ("dynlb", "frag1", 0.5), ("hybrid", "atm", 0.0),
+    ):
+        gauge.set(error, component=component, layout=layout)
+    art = render_dashboard(parse_prometheus(prometheus_exposition(registry)))
+    assert art == "\n".join([
+        "hslb top",
+        "=" * 78,
+        "Prediction error |predicted - actual| / actual",
+        "  dynlb                  frag1          50.000%",
+        "  hybrid                 atm             0.000%",
+        "  hybrid                 ocn            25.000%",
+        "  hybrid                 total           1.250%",
+        "Counters & gauges",
+        "  hslb_prediction_error                          0.7625",
+        "  tier_requests_total                                 5",
+    ])

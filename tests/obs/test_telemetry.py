@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.faults import ChaosPlan
+from repro.faults.chaos import ChaosPlan
 from repro.obs.export import parse_prometheus
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.telemetry import CATALOGUE, family

@@ -487,7 +487,8 @@ def test_every_handed_off_lane_evaluates_on_its_own_curve(catalogue):
 
 def test_importing_the_fit_loads_no_scipy_and_a_fit_never_loads_scipy_optimize():
     """scipy's optimizer is the test oracle only: a process that fits loads
-    ``scipy.linalg`` (for ``gesdd``) on its first fit and nothing else."""
+    the one LAPACK extension module (for ``gesdd``) on its first fit, and
+    neither the ``scipy.optimize`` nor the ``scipy.linalg`` package."""
     script = (
         "import json, sys\n"
         "import numpy as np\n"
@@ -498,6 +499,7 @@ def test_importing_the_fit_loads_no_scipy_and_a_fit_never_loads_scipy_optimize()
         "n = np.array([1.0, 2.0, 4.0, 8.0, 16.0])\n"
         "f.fit_performance_model(n, 100.0 / n + 1.0)\n"
         "out['optimize'] = [m for m in scipy_modules() if m.startswith('scipy.optimize')]\n"
+        "out['linalg'] = [m for m in scipy_modules() if m.startswith('scipy.linalg')]\n"
         "print(json.dumps(out))\n"
     )
     done = subprocess.run(
@@ -506,6 +508,7 @@ def test_importing_the_fit_loads_no_scipy_and_a_fit_never_loads_scipy_optimize()
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
+    assert out.pop("linalg") in (["scipy.linalg._flapack"], ["scipy.linalg._flapack_64"])
     assert out == {"import": [], "optimize": []}
 
 

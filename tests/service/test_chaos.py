@@ -19,7 +19,7 @@ sharded tier; ``test_tier_chaos.py`` covers the rest of the tier's faults
 
 from __future__ import annotations
 
-from repro.faults import ChaosPlan
+from repro.faults.chaos import ChaosPlan
 from repro.service import (
     AllocationService,
     AsyncServingTier,

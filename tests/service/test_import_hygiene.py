@@ -1,9 +1,12 @@
 """A serving process never loads the MINLP stack's scipy.
 
-``import scipy.optimize`` is ~50 MiB and ~0.4 s per process, and no served
-request reaches a line that calls it: every objective is answered by
-``core.greedy``.  The check runs in a fresh interpreter: pytest's own
-process imported scipy long ago, which would mask exactly what is tested.
+scipy's three compiled routines, even loaded alone
+(``repro.util.scipy_ext``), add ~12 MiB and ~30 ms to a process (the
+``scipy.optimize`` / ``scipy.linalg`` packages around them ~38 MiB, ~0.4 s
+and ~300 modules more), and no served request reaches a line that calls
+them: every objective is answered by ``core.greedy``.  The check runs in a fresh
+interpreter: pytest's own process imported scipy long ago, which would mask
+exactly what is tested.
 (The rule that keeps it so — no module-level ``scipy`` import under
 ``src/repro`` — is ``tests/cli/test_parser.py``.)
 """

@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from repro.faults import ChaosPlan
+from repro.faults.chaos import ChaosPlan
 from repro.obs.metrics import REGISTRY
 from repro.service import (
     AdmissionPolicy,

@@ -344,7 +344,7 @@ def test_chaos_soak_honours_its_flags(capsys):
     assert metrics["shards"] == 1
     resilience = metrics["resilience"]
     assert resilience["worker_crashes"] > 0 and resilience["corruptions"] > 0
-    from repro.faults import ChaosPlan
+    from repro.faults.chaos import ChaosPlan
     from tests.service.conftest import expected_faults
 
     plan = ChaosPlan(seed=3, crash_rate=0.3, corrupt_rate=0.2, immune_after=3)
